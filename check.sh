@@ -20,6 +20,10 @@ fi
 
 cargo build --release
 cargo test -q
+# benchmark/ is its own workspace, so the root build never compiles it:
+# its tests (a --smoke run of every workload and the BENCHMARK.json drift
+# test) are what make an API break there fail here.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # Re-run the whole suite with the parking_lot shim's lock-acquisition-order
 # checker: an ABBA hazard panics with both acquisition sites.
 cargo test -q --workspace --features parking_lot/deadlock_detection

@@ -13,7 +13,7 @@ pub mod workload;
 
 use std::sync::{Arc, OnceLock};
 
-use condmsg::{CondConfig, ConditionalMessenger};
+use condmsg::ConditionalMessenger;
 use mq::journal::NullJournal;
 use mq::{Obs, QueueManager, SharedClock};
 use simtime::{SimClock, SystemClock};
@@ -39,26 +39,15 @@ pub struct World {
 /// a null journal (pure in-memory throughput; persistence is measured
 /// separately in `mq_core`).
 pub fn system_world(queues: &[String]) -> World {
-    build_world(SystemClock::new(), queues, CondConfig::default())
+    build_world(SystemClock::new(), queues)
 }
 
 /// Builds a deterministic world on the given sim clock.
 pub fn sim_world(clock: Arc<SimClock>, queues: &[String]) -> World {
-    build_world(clock, queues, CondConfig::default())
+    build_world(clock, queues)
 }
 
-/// [`system_world`] with explicit messenger configuration (event-driven
-/// mode, ack batch size, …).
-pub fn system_world_cfg(queues: &[String], config: CondConfig) -> World {
-    build_world(SystemClock::new(), queues, config)
-}
-
-/// [`sim_world`] with explicit messenger configuration.
-pub fn sim_world_cfg(clock: Arc<SimClock>, queues: &[String], config: CondConfig) -> World {
-    build_world(clock, queues, config)
-}
-
-fn build_world(clock: SharedClock, queues: &[String], config: CondConfig) -> World {
+fn build_world(clock: SharedClock, queues: &[String]) -> World {
     let qmgr = QueueManager::builder("QM1")
         .clock(clock)
         .journal(NullJournal::new())
@@ -68,7 +57,7 @@ fn build_world(clock: SharedClock, queues: &[String], config: CondConfig) -> Wor
     for q in queues {
         qmgr.create_queue(q).expect("queue");
     }
-    let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).expect("messenger");
+    let messenger = ConditionalMessenger::new(qmgr.clone()).expect("messenger");
     World { qmgr, messenger }
 }
 

@@ -59,13 +59,6 @@ pub struct CondConfig {
     /// messaging transaction (one journal commit per batch instead of one
     /// per ack). Default: 64.
     pub ack_batch: usize,
-    /// Run the evaluation manager event-driven: acks are drained and
-    /// evaluated the moment they land on the ack queue (put-watcher under
-    /// a virtual clock, condvar-parked daemon under a system clock) and
-    /// deadline verdicts fire from armed timers, instead of waiting for
-    /// the next `pump()`/poll tick. Default: off, preserving the
-    /// deterministic drain-on-pump semantics tests rely on.
-    pub event_driven: bool,
     /// Run the [static condition analyzer](crate::analyze) on every send:
     /// error-severity findings (statically unsatisfiable trees) reject the
     /// send with [`CondError::Analysis`](crate::CondError) before any
@@ -87,7 +80,6 @@ impl Default for CondConfig {
             default_evaluation_timeout: None,
             ack_grace: Millis::ZERO,
             ack_batch: 64,
-            event_driven: false,
             analyze_sends: true,
         }
     }
@@ -110,7 +102,6 @@ mod tests {
         assert!(c.default_evaluation_timeout.is_none());
         assert_eq!(c.ack_grace, Millis::ZERO);
         assert_eq!(c.ack_batch, 64);
-        assert!(!c.event_driven);
         assert!(c.analyze_sends);
     }
 }

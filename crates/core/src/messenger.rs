@@ -11,21 +11,27 @@
 //!   properties), and parks pre-generated compensation messages — all in a
 //!   single local messaging transaction, so a crash can never leave a
 //!   half-sent conditional message.
-//! * **Evaluation manager** ([`ConditionalMessenger::pump`]): consumes
-//!   acknowledgments from `DS.ACK.Q` (logging each to the sender log before
-//!   applying it), re-evaluates pending conditions, detects deadline and
-//!   timeout expiry, and finalizes outcomes.
+//! * **Evaluation manager**: one event-driven engine. A put on
+//!   `DS.ACK.Q` drains the queue on the putting thread (logging each
+//!   acknowledgment to the sender log before applying it) and re-evaluates
+//!   only the messages those acknowledgments touch; every pending message
+//!   keeps one armed clock timer at its next deadline or timeout, whose
+//!   fire decides that message. Deciding finalizes the outcome.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, release of the parked compensation messages
 //!   (paper §2.6). Both are performed atomically with the outcome
-//!   notification put on `DS.OUTCOME.Q`.
+//!   notification put on `DS.OUTCOME.Q` and the purge of the message's
+//!   sender-log entries.
 //! * **Recovery** ([`ConditionalMessenger::new`] replays the sender log):
 //!   a restarted sender rebuilds its evaluation state machines exactly and
 //!   continues monitoring in-flight conditional messages.
 //!
-//! Deterministic tests drive evaluation with [`ConditionalMessenger::pump`]
-//! under a [`simtime::SimClock`]; examples and benches use
-//! [`ConditionalMessenger::spawn_daemon`] with a system clock.
+//! Under a [`simtime::SimClock`] everything runs synchronously: acks are
+//! evaluated inside the put that delivers them and deadline verdicts fire
+//! inside `advance`; [`ConditionalMessenger::pump`] hands back the outcomes
+//! decided since the last call. Under a system clock the timers fire from
+//! the clock's waiter thread, and [`ConditionalMessenger::spawn_daemon`]
+//! adds a backstop that retries a drain a storage error interrupted.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -72,8 +78,8 @@ struct PendingEval {
     /// state updated in O(depth) per ack, so decidability is known without
     /// re-walking the tree.
     inc: IncrementalEval,
-    /// The one armed deadline/timeout timer for this message (event-driven
-    /// mode): id and the trigger time it is armed for.
+    /// The one armed deadline/timeout timer for this message: id and the
+    /// trigger time it is armed for.
     timer: Option<(TimerId, Time)>,
     /// Bumped every time the timer is (re)armed or cancelled; a firing
     /// callback carrying a stale generation is ignored.
@@ -103,16 +109,14 @@ pub struct ConditionalMessenger {
     /// Decided messages whose outcome actions are deferred (D-Spheres);
     /// value = the message's success-notification setting.
     deferred: Mutex<HashMap<CondMessageId, bool>>,
-    /// Serializes pump() invocations (daemon + explicit callers).
+    /// Serializes evaluation cycles (ack arrival, timer fires, sends,
+    /// `pump()` and `force_fail`).
     pump_lock: Mutex<()>,
     /// Pre-registered `cond.*` metric cells (hot paths never touch the
     /// registry).
     metrics: MessengerMetrics,
-    /// Event-driven mode: acks are evaluated on arrival (ack-queue put
-    /// watcher) and deadline verdicts fire from armed timers.
-    event_driven: AtomicBool,
-    /// Outcomes finalized outside an explicit `pump()` (timer fires,
-    /// ack-arrival evaluation); the next `pump()` drains and returns them.
+    /// Outcomes finalized since the last `pump()`, which drains and
+    /// returns them.
     recent_outcomes: Mutex<Vec<OutcomeNotification>>,
     /// Decided-outcome sequence number + condvar: bumped on every
     /// finalization so subscribers (D-Sphere termination) can park instead
@@ -171,15 +175,30 @@ impl ConditionalMessenger {
             deferred: Mutex::new(HashMap::new()),
             pump_lock: Mutex::new(()),
             metrics,
-            event_driven: AtomicBool::new(false),
             recent_outcomes: Mutex::new(Vec::new()),
             outcome_seq: Mutex::new(0),
             outcome_cv: Condvar::new(),
             self_weak: weak.clone(),
         });
         messenger.recover()?;
-        if messenger.config.event_driven {
-            messenger.enable_event_driven()?;
+        // Evaluate acks the moment they land: the watcher runs on the
+        // putting thread, after the put is visible.
+        let weak = messenger.self_weak.clone();
+        messenger
+            .qmgr
+            .queue(&messenger.config.ack_queue)?
+            .add_put_watcher(Arc::new(move || {
+                if let Some(messenger) = weak.upgrade() {
+                    messenger.on_ack_arrival();
+                }
+            }));
+        // Catch up on acks queued before the watcher existed, decide what
+        // is already due and arm one timer per recovered message. This is
+        // the only walk over the whole pending table.
+        {
+            let _serial = messenger.pump_lock.lock();
+            let recovered: Vec<CondMessageId> = messenger.pending.lock().keys().copied().collect();
+            messenger.run_cycle_for(&recovered)?;
         }
         Ok(messenger)
     }
@@ -369,76 +388,64 @@ impl ConditionalMessenger {
                 dest.clone(),
             );
         }
-        if self.is_event_driven() {
-            // Arm the new message's deadline timer (and decide vacuous
-            // conditions) right away; no pump will come along to do it.
-            // Targeted: deciding and rearming only this id keeps send
-            // O(1) in the pending count — a full-cycle scan here would
-            // make a burst of n sends cost O(n²).
-            let _serial = self.pump_lock.lock();
-            if let Ok(outs) = self.run_cycle_for(&[cond_id]) {
-                self.buffer_outcomes(outs);
-            }
-        }
+        // Arm the new message's deadline timer (and decide vacuous
+        // conditions) right away.
+        let _serial = self.pump_lock.lock();
+        self.run_event(&[cond_id]);
         Ok(cond_id)
     }
 
     // ------------------------------------------------------ evaluation --
 
-    /// Runs one evaluation-manager cycle: drains `DS.ACK.Q`, re-evaluates
-    /// pending conditions against the current clock, finalizes decided
-    /// messages (outcome actions + outcome notification) and returns the
-    /// newly decided outcomes.
-    ///
-    /// Deterministic: with a `SimClock`, `advance` + `pump` reproduces any
-    /// timing scenario exactly.
+    /// Returns the outcomes decided since the last call, after draining
+    /// whatever is waiting on `DS.ACK.Q` (normally nothing: acks are
+    /// evaluated as they arrive). O(acks waiting), never a scan of the
+    /// pending table — time-only verdicts come from the armed timers, so
+    /// under a `SimClock` `advance` decides and `pump` reports.
     ///
     /// # Errors
     ///
-    /// Messaging failures; malformed acknowledgments are consumed and
-    /// skipped rather than wedging the queue.
+    /// Messaging failures; the outcomes stay buffered for the next call.
+    /// Malformed acknowledgments are consumed and skipped rather than
+    /// wedging the queue.
     pub fn pump(&self) -> CondResult<Vec<OutcomeNotification>> {
         let _serial = self.pump_lock.lock();
         self.metrics.pump_iterations.incr();
-        // Outcomes already finalized by timer fires / ack-arrival
-        // evaluation since the last pump come first (they decided earlier).
-        let mut out = std::mem::take(&mut *self.recent_outcomes.lock());
-        out.extend(self.run_cycle()?);
-        if self.is_event_driven() {
-            self.rearm_all();
-        }
-        Ok(out)
+        self.run_cycle_for(&[])?;
+        Ok(std::mem::take(&mut *self.recent_outcomes.lock()))
     }
 
-    /// One evaluation cycle under the pump lock: drain the ack queue in
-    /// batches, expire cells against the clock, finalize every decided
-    /// message and return the new outcomes.
-    fn run_cycle(&self) -> CondResult<Vec<OutcomeNotification>> {
-        self.drain_acks()?;
-        let ids: Vec<CondMessageId> = self.pending.lock().keys().copied().collect();
-        self.decide_ids(&ids)
-    }
-
-    /// Targeted cycle for the event-driven hot paths (send, ack arrival,
-    /// timer fire): drains the ack queue, then decides — and rearms —
-    /// only `seed` plus the messages the drained acks touched. O(touched)
-    /// instead of O(pending); the full scan stays with [`pump`](Self::pump).
+    /// One evaluation cycle: drains the ack queue, then decides — and
+    /// rearms — `seed` plus the messages the drained acks touched,
+    /// buffering the new outcomes for [`pump`](Self::pump). O(touched).
     /// Sound because every pending message keeps an armed timer at its
     /// next decision-relevant instant, so time-only decisions arrive via
-    /// their own timer fire rather than opportunistic full scans.
-    fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<Vec<OutcomeNotification>> {
-        let mut ids = self.drain_acks()?;
-        ids.extend_from_slice(seed);
+    /// their own timer fire. Caller holds the pump lock.
+    fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<()> {
+        let mut ids = seed.to_vec();
+        // A failed drain rolled its batch back onto the queue, but the
+        // batches before it committed: their ids must still be decided,
+        // and every seed must keep its timer.
+        let drained = self.drain_acks(&mut ids);
         ids.sort_unstable();
         ids.dedup();
-        let out = self.decide_ids(&ids)?;
+        let decided = self.decide_ids(&ids);
         self.rearm_ids(&ids);
-        Ok(out)
+        drained.and(decided)
+    }
+
+    /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
+    /// to report to (send, ack arrival, timer fire). A failed drain left
+    /// its acks on the queue; the next event or the daemon retries it.
+    fn run_event(&self, seed: &[CondMessageId]) {
+        if self.run_cycle_for(seed).is_err() {
+            self.metrics.eval_errors.incr();
+        }
     }
 
     /// Expires cells against the clock, decides and finalizes the given
-    /// messages, and returns the new outcomes. Caller holds the pump lock.
-    fn decide_ids(&self, ids: &[CondMessageId]) -> CondResult<Vec<OutcomeNotification>> {
+    /// messages, and buffers the new outcomes. Caller holds the pump lock.
+    fn decide_ids(&self, ids: &[CondMessageId]) -> CondResult<()> {
         let now = self.qmgr.clock().now();
 
         // Decide. Decidability comes from the O(depth)-maintained
@@ -495,29 +502,22 @@ impl ConditionalMessenger {
         }
 
         // Finalize outside the pending lock (messaging I/O).
-        let mut out = Vec::new();
         for (id, eval, outcome, reason) in decided {
             let notification = self.finalize(id, &eval, outcome, reason, now)?;
             self.decided.lock().insert(id, notification.clone());
-            out.push(notification);
+            self.recent_outcomes.lock().push(notification);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Drains the ack queue and applies every ack for a known pending
-    /// message; returns the (sorted, deduplicated) ids those acks touched.
-    fn drain_acks(&self) -> CondResult<Vec<CondMessageId>> {
-        let mut touched: Vec<CondMessageId> = Vec::new();
+    /// message, appending the ids those acks touched to `touched`.
+    fn drain_acks(&self, touched: &mut Vec<CondMessageId>) -> CondResult<()> {
         let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
         let batch_cap = self.config.ack_batch.max(1) as u64;
-        loop {
-            // Fast path: an idle wakeup must not open a session (or touch
-            // the journal) just to learn there is nothing to drain.
-            if ack_queue.is_empty() {
-                touched.sort_unstable();
-                touched.dedup();
-                return Ok(touched);
-            }
+        // The emptiness check comes first: an idle wakeup must not open a
+        // session (or touch the journal) to learn there is nothing to drain.
+        while !ack_queue.is_empty() {
             // One messaging transaction per batch: up to `ack_batch` gets
             // plus their AckSeen WAL entries commit as a single grouped
             // journal record instead of one append per ack.
@@ -545,18 +545,27 @@ impl ConditionalMessenger {
                 }
             }
             if consumed == 0 {
+                // Another consumer emptied the queue since the check.
                 session.rollback()?;
-                touched.sort_unstable();
-                touched.dedup();
-                return Ok(touched);
+                break;
             }
-            session.commit()?;
+            if let Err(e) = session.commit() {
+                // The drain is retried, possibly many times while storage
+                // is down: hand the acks back without spending their
+                // backout budget (a failure after the WAL write leaves no
+                // transaction to roll back).
+                if session.in_transaction() {
+                    session.rollback_for_retry()?;
+                }
+                return Err(e.into());
+            }
             self.metrics.ack_batch_size.record(consumed);
             for ack in &batch {
                 self.apply_ack(ack);
                 touched.push(ack.cond_id);
             }
         }
+        Ok(())
     }
 
     fn apply_ack(&self, ack: &Acknowledgment) {
@@ -600,73 +609,14 @@ impl ConditionalMessenger {
         }
     }
 
-    // ------------------------------------------------- event-driven mode --
-
-    /// Whether the evaluation manager is running event-driven (acks
-    /// evaluated on arrival, deadline verdicts from armed timers).
-    pub fn is_event_driven(&self) -> bool {
-        self.event_driven.load(Ordering::SeqCst)
-    }
-
-    /// Switches the evaluation manager to event-driven operation:
-    ///
-    /// * every put on the ack queue triggers an immediate drain+evaluate on
-    ///   the putting thread (synchronous under a [`simtime::SimClock`], so
-    ///   the ack that satisfies the last undecided leaf produces its
-    ///   outcome notification with no intervening `advance` or `pump`);
-    /// * each pending message keeps exactly one armed timer at its next
-    ///   decision-relevant instant (earliest undecided cell's
-    ///   deadline-plus-grace trigger, or the evaluation timeout), fired by
-    ///   the clock — on `advance` for a sim clock, from the parked waiter
-    ///   thread for a system clock.
-    ///
-    /// `pump()` keeps working as the deterministic thin wrapper (drain +
-    /// fire-due evaluation) and additionally returns outcomes the event
-    /// path finalized since the last call. Idempotent.
-    ///
-    /// # Errors
-    ///
-    /// Messaging failures while catching up on already-queued acks.
-    pub fn enable_event_driven(&self) -> CondResult<()> {
-        if self.event_driven.swap(true, Ordering::SeqCst) {
-            return Ok(());
-        }
-        let weak = self.self_weak.clone();
-        self.qmgr
-            .queue(&self.config.ack_queue)?
-            .add_put_watcher(Arc::new(move || {
-                if let Some(messenger) = weak.upgrade() {
-                    messenger.on_ack_arrival();
-                }
-            }));
-        // Catch up: drain anything already queued, then arm timers for
-        // every pending message.
-        let _serial = self.pump_lock.lock();
-        let outs = self.run_cycle()?;
-        self.buffer_outcomes(outs);
-        self.rearm_all();
-        Ok(())
-    }
-
-    fn buffer_outcomes(&self, outs: Vec<OutcomeNotification>) {
-        if !outs.is_empty() {
-            self.recent_outcomes.lock().extend(outs);
-        }
-    }
+    // ---------------------------------------------------------- events --
 
     /// Ack-queue put watcher: evaluate the moment an ack lands. Only the
     /// messages the drained acks touch are re-evaluated and rearmed;
     /// everything else keeps its armed timer.
     fn on_ack_arrival(&self) {
-        if !self.is_event_driven() {
-            return;
-        }
         let _serial = self.pump_lock.lock();
-        // Errors mean the manager is shutting down; the queue close path
-        // handles cleanup.
-        if let Ok(outs) = self.run_cycle_for(&[]) {
-            self.buffer_outcomes(outs);
-        }
+        self.run_event(&[]);
     }
 
     /// Deadline/timeout timer callback for one pending message.
@@ -683,23 +633,13 @@ impl ConditionalMessenger {
             }
         }
         self.metrics.eval_timer_fires.incr();
-        if let Ok(outs) = self.run_cycle_for(&[id]) {
-            self.buffer_outcomes(outs);
-        }
+        self.run_event(&[id]);
     }
 
-    /// Ensures every pending message has exactly one armed timer at its
-    /// next trigger instant (and none when no future instant can decide
-    /// it). Caller holds the pump lock.
-    fn rearm_all(&self) {
-        let mut pending = self.pending.lock();
-        for (id, eval) in pending.iter_mut() {
-            self.rearm_entry(*id, eval);
-        }
-    }
-
-    /// [`rearm_all`](Self::rearm_all) restricted to the given ids
-    /// (already-decided ids are skipped). Caller holds the pump lock.
+    /// Ensures each of the given pending messages has exactly one armed
+    /// timer at its next trigger instant (and none when no future instant
+    /// can decide it); already-decided ids are skipped. Caller holds the
+    /// pump lock.
     fn rearm_ids(&self, ids: &[CondMessageId]) {
         let mut pending = self.pending.lock();
         for id in ids {
@@ -769,9 +709,11 @@ impl ConditionalMessenger {
             decided_at: now,
         };
 
-        // One transaction: the outcome log entry, the outcome actions
-        // (compensation release or success notifications, plus removal of
-        // the parked compensations), and the outcome notification.
+        // One transaction (dequeue, log and act together): the outcome
+        // log entry, the outcome actions (compensation release or success
+        // notifications, plus removal of the parked compensations), the
+        // purge of the message's send/ack log entries, and the outcome
+        // notification. A crash leaves either all of it or none.
         let mut session = self.qmgr.session();
         session.begin()?;
         session.put(
@@ -792,6 +734,9 @@ impl ConditionalMessenger {
                 eval.success_notifications,
                 &mut staged,
             )?;
+            // The outcome entry on the history queue now marks the message
+            // decided for any future recovery.
+            self.purge_slog(&mut session, cond_id)?;
         }
         session.put(&self.config.outcome_queue, notification.to_message())?;
         session.commit()?;
@@ -819,11 +764,6 @@ impl ConditionalMessenger {
             let mut deferred = self.deferred.lock();
             deferred.insert(cond_id, eval.success_notifications);
             self.metrics.deferred_depth.set(deferred.len() as u64);
-        } else {
-            // Cleanup pass: drop the send/ack log entries; the outcome
-            // entry on the history queue marks the message decided for any
-            // future recovery.
-            self.purge_slog(cond_id)?;
         }
         self.note_outcome();
         Ok(notification)
@@ -927,9 +867,9 @@ impl ConditionalMessenger {
             success_notifications,
             &mut staged,
         )?;
+        self.purge_slog(&mut session, cond_id)?;
         session.commit()?;
         self.record_outcome_actions(cond_id, staged);
-        self.purge_slog(cond_id)?;
         Ok(())
     }
 
@@ -972,11 +912,11 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Removes every active-log entry of a decided conditional message
-    /// (correlation-indexed: O(entries for this message)).
-    fn purge_slog(&self, cond_id: CondMessageId) -> CondResult<()> {
-        while self
-            .qmgr
+    /// Stages the removal of every active-log entry of a decided
+    /// conditional message into `session` (correlation-indexed: O(entries
+    /// for this message)).
+    fn purge_slog(&self, session: &mut mq::Session, cond_id: CondMessageId) -> CondResult<()> {
+        while session
             .get_by_correlation(&self.config.slog_queue, &cond_id.to_hex(), Wait::NoWait)?
             .is_some()
         {}
@@ -1032,8 +972,9 @@ impl ConditionalMessenger {
     /// waiting per `wait`. Applications correlate outcomes with the
     /// conditional message id returned by send (paper §2.3).
     ///
-    /// Note: with a manual-pump setup, call [`ConditionalMessenger::pump`]
-    /// first; the notification only exists once the evaluation completed.
+    /// The notification exists once the evaluation completed — as soon as
+    /// the deciding ack was put, or the deciding deadline passed on the
+    /// clock.
     ///
     /// # Errors
     ///
@@ -1085,7 +1026,6 @@ impl ConditionalMessenger {
         }
         let mut pending = self.pending.lock();
         let mut decided = self.decided.lock();
-        let mut leftovers: Vec<CondMessageId> = Vec::new();
         // Outcome entries whose send/ack entries were already purged: the
         // message is decided; remember the outcome for status queries.
         for (cond_id, (outcome, decided_at)) in &outcomes {
@@ -1114,9 +1054,11 @@ impl ConditionalMessenger {
                         decided_at: *decided_at,
                     },
                 );
+                // A decided message keeps its send record only while its
+                // outcome actions are still owed to a sphere (otherwise the
+                // deciding transaction purged it); the parked compensations
+                // are kept with it.
                 if record.options.defer_outcome_actions {
-                    // Actions still owed to the sphere; keep the log
-                    // entries and parked compensations.
                     deferred.insert(
                         cond_id,
                         record
@@ -1124,8 +1066,6 @@ impl ConditionalMessenger {
                             .success_notifications
                             .unwrap_or(self.config.success_notifications),
                     );
-                } else {
-                    leftovers.push(cond_id);
                 }
                 continue;
             }
@@ -1170,24 +1110,19 @@ impl ConditionalMessenger {
             }
             pending.insert(cond_id, eval);
         }
-        drop(pending);
-        drop(decided);
-        drop(deferred);
-        for cond_id in leftovers {
-            self.purge_slog(cond_id)?;
-        }
         Ok(())
     }
 
     // ---------------------------------------------------------- daemon --
 
-    /// Spawns a background thread that pumps the evaluation manager.
-    /// Polling mode sleeps `poll` of real time between cycles; in
-    /// [event-driven](Self::enable_event_driven) mode the thread instead
-    /// parks on the ack queue's condvar (acks wake it immediately,
-    /// deadline verdicts come from the armed timers) and the daemon is
-    /// only a drain-backstop. Tests with a `SimClock` should pump
-    /// manually instead.
+    /// Spawns the evaluation backstop thread. Evaluation does not depend
+    /// on it — acks are evaluated by the thread that puts them and deadline
+    /// verdicts fire from the clock's timers. The daemon parks on the ack
+    /// queue (for at most `poll`, which keeps its stop flag responsive) and
+    /// pumps on every wakeup: that retries a drain a storage error
+    /// interrupted and discards the outcomes buffered for `pump()` callers
+    /// nobody else is collecting. An idle tick opens no session. Tests with
+    /// a `SimClock` need no daemon.
     ///
     /// # Errors
     ///
@@ -1197,34 +1132,15 @@ impl ConditionalMessenger {
         let stop2 = stop.clone();
         let messenger = self.clone();
         let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
-        let poll_ms = simtime::Millis((poll.as_millis() as u64).max(1));
+        let park = Wait::Timeout(simtime::Millis((poll.as_millis() as u64).max(1)));
         let handle = std::thread::Builder::new()
             .name(format!("condmsg-eval-{}", self.qmgr.name()))
             .spawn(move || {
                 while !stop2.load(Ordering::SeqCst) {
-                    if messenger.pump().is_err() && !messenger.qmgr.is_running() {
+                    if (ack_queue.wait_nonempty(park).is_err() || messenger.pump().is_err())
+                        && !messenger.qmgr.is_running()
+                    {
                         return;
-                    }
-                    if messenger.is_event_driven() {
-                        // Park until an ack lands (bounded so the stop flag
-                        // stays responsive).
-                        if ack_queue
-                            .wait_nonempty(Wait::Timeout(simtime::Millis(200)))
-                            .is_err()
-                            && !messenger.qmgr.is_running()
-                        {
-                            return;
-                        }
-                    } else {
-                        // Bounded park on the ack queue's condvar: an
-                        // arriving ack wakes the pump immediately, and the
-                        // timeout keeps the poll cadence for deadline and
-                        // timeout evaluation.
-                        if ack_queue.wait_nonempty(Wait::Timeout(poll_ms)).is_err()
-                            && !messenger.qmgr.is_running()
-                        {
-                            return;
-                        }
                     }
                 }
             })
@@ -1416,12 +1332,23 @@ mod tests {
         clock.advance(Millis(10));
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(10)))
             .unwrap();
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
+        // The second ack satisfies the last undecided leaf: the message is
+        // decided inside the put, with no intervening advance or pump.
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 1, Time(10)))
             .unwrap();
+        assert!(matches!(messenger.status(id), MessageStatus::Decided(_)));
+        // The ack queue was drained eagerly and the message's timer torn
+        // down with the decision.
+        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+        assert_eq!(clock.pending_timers(), 0);
+        // pump hands the buffered outcome back exactly once.
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
         assert_eq!(outcomes[0].cond_id, id);
+        assert_eq!(outcomes[0].decided_at, Time(10));
+        assert!(messenger.pump().unwrap().is_empty());
         // Compensations consumed, not delivered.
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "only the original");
@@ -1446,10 +1373,14 @@ mod tests {
             .unwrap();
         clock.advance(Millis(50));
         assert!(messenger.pump().unwrap().is_empty(), "still pending");
-        clock.advance(Millis(51));
+        // One big advance: the armed timer fires at the first violating
+        // tick (deadline 100, grace 0 → tick 101), not at the advance's end.
+        clock.advance(Millis(500));
+        assert_eq!(clock.pending_timers(), 0);
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        assert_eq!(outcomes[0].decided_at, Time(101));
         assert!(outcomes[0].reason.as_deref().unwrap().contains("pick-up"));
         // Compensation messages delivered to both destinations.
         for queue in ["Q.A", "Q.B"] {
@@ -1467,17 +1398,32 @@ mod tests {
     }
 
     #[test]
-    fn late_ack_fails_immediately_before_deadline_of_others() {
-        let (clock, qmgr, messenger) = setup();
+    fn late_ack_fails_immediately_without_waiting_out_the_grace() {
+        let clock = SimClock::new();
+        let qmgr = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .build()
+            .unwrap();
+        qmgr.create_queue("Q.A").unwrap();
+        qmgr.create_queue("Q.B").unwrap();
+        let config = CondConfig {
+            ack_grace: Millis(100),
+            ..CondConfig::default()
+        };
+        let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
         let id = messenger
             .send_message("x", &two_dest_condition(Millis(100)))
             .unwrap();
-        clock.advance(Millis(150));
-        // Ack arrives but its read timestamp is beyond the window.
+        clock.advance(Millis(120));
+        assert_eq!(messenger.status(id), MessageStatus::Pending, "in grace");
+        // An ack arrives inside the grace period, but its read timestamp is
+        // beyond the window: decided now, not at the timer (t=201).
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(120)))
             .unwrap();
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        assert_eq!(outcomes[0].decided_at, Time(120));
+        assert_eq!(clock.pending_timers(), 0);
     }
 
     #[test]
@@ -1512,6 +1458,7 @@ mod tests {
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
         assert!(outcomes[0].reason.as_deref().unwrap().contains("timeout"));
+        assert_eq!(outcomes[0].decided_at, Time(500));
     }
 
     #[test]
@@ -1714,62 +1661,8 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_ack_decides_without_pump_or_advance() {
+    fn exactly_one_armed_timer_per_pending_message() {
         let (clock, qmgr, messenger) = setup();
-        messenger.enable_event_driven().unwrap();
-        let id = messenger
-            .send_message("hello", &two_dest_condition(Millis(100)))
-            .unwrap();
-        clock.advance(Millis(10));
-        qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(10)))
-            .unwrap();
-        assert_eq!(messenger.status(id), MessageStatus::Pending);
-        // The second ack satisfies the last undecided leaf: the outcome
-        // notification appears with no intervening advance or pump.
-        qmgr.put("DS.ACK.Q", fake_read_ack(id, 1, Time(10)))
-            .unwrap();
-        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
-        assert_eq!(n.outcome, MessageOutcome::Success);
-        assert_eq!(n.decided_at, Time(10));
-        assert!(matches!(messenger.status(id), MessageStatus::Decided(_)));
-        // The ack queue was drained eagerly and the message's timer torn
-        // down with the decision.
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
-        assert_eq!(clock.pending_timers(), 0);
-        // A later pump returns the buffered outcome exactly once.
-        assert_eq!(messenger.pump().unwrap().len(), 1);
-        assert!(messenger.pump().unwrap().is_empty());
-    }
-
-    #[test]
-    fn event_driven_deadline_failure_fires_at_exact_tick() {
-        let (clock, qmgr, messenger) = setup();
-        messenger.enable_event_driven().unwrap();
-        let id = messenger
-            .send_message("hello", &two_dest_condition(Millis(100)))
-            .unwrap();
-        // One big advance, no pump: the armed timer fires at the first
-        // violating tick (deadline 100, grace 0 → tick 101).
-        clock.advance(Millis(500));
-        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
-        assert_eq!(n.outcome, MessageOutcome::Failure);
-        assert_eq!(n.decided_at, Time(101));
-        // Outcome actions ran: compensations released to destinations.
-        for queue in ["Q.A", "Q.B"] {
-            assert!(qmgr
-                .queue(queue)
-                .unwrap()
-                .browse()
-                .iter()
-                .any(|m| wire::kind_of(m) == wire::MessageKind::Compensation));
-        }
-        assert_eq!(clock.pending_timers(), 0);
-    }
-
-    #[test]
-    fn event_driven_arms_exactly_one_timer_per_pending_message() {
-        let (clock, qmgr, messenger) = setup();
-        messenger.enable_event_driven().unwrap();
         let a = messenger
             .send_message("a", &two_dest_condition(Millis(100)))
             .unwrap();
@@ -1791,66 +1684,11 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_evaluation_timeout_fires_from_timer() {
-        let (clock, _qmgr, messenger) = setup();
-        messenger.enable_event_driven().unwrap();
-        let cond: Condition = DestinationSet::of(vec![
-            Destination::queue("QM1", "Q.A").into(),
-            Destination::queue("QM1", "Q.B").into(),
-        ])
-        .process_within(Millis(10_000))
-        .into();
-        let id = messenger
-            .send_with(
-                "x",
-                None,
-                &cond,
-                SendOptions {
-                    evaluation_timeout: Some(Millis(500)),
-                    ..SendOptions::default()
-                },
-            )
-            .unwrap();
-        clock.advance(Millis(499));
-        assert_eq!(messenger.status(id), MessageStatus::Pending);
-        clock.advance(Millis(1));
-        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
-        assert_eq!(n.outcome, MessageOutcome::Failure);
-        assert!(n.reason.as_deref().unwrap().contains("timeout"));
-        assert_eq!(n.decided_at, Time(500));
-    }
-
-    #[test]
-    fn event_driven_config_flag_enables_at_construction() {
-        let clock = SimClock::new();
-        let qmgr = QueueManager::builder("QM1")
-            .clock(clock.clone())
-            .build()
-            .unwrap();
-        qmgr.create_queue("Q.A").unwrap();
-        qmgr.create_queue("Q.B").unwrap();
-        let messenger = ConditionalMessenger::with_config(
-            qmgr,
-            CondConfig {
-                event_driven: true,
-                ..CondConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(messenger.is_event_driven());
-        messenger
-            .send_message("x", &two_dest_condition(Millis(50)))
-            .unwrap();
-        assert_eq!(clock.pending_timers(), 1);
-    }
-
-    #[test]
-    fn event_driven_system_clock_decides_with_no_daemon() {
+    fn system_clock_decides_with_no_daemon() {
         let qmgr = QueueManager::builder("QM1").build().unwrap();
         qmgr.create_queue("Q.A").unwrap();
         qmgr.create_queue("Q.B").unwrap();
         let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-        messenger.enable_event_driven().unwrap();
         let id = messenger
             .send_message("x", &two_dest_condition(Millis(40)))
             .unwrap();

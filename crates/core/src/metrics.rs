@@ -51,6 +51,10 @@ pub(crate) struct MessengerMetrics {
     /// Armed deadline/timeout timers that fired for a pending message
     /// (`cond.eval.timer_fires`).
     pub eval_timer_fires: Arc<Counter>,
+    /// Evaluation cycles run from an event (send, ack arrival, timer fire)
+    /// that hit a messaging error; the next event or the daemon retries
+    /// (`cond.eval.errors`).
+    pub eval_errors: Arc<Counter>,
     /// Acks drained per ack-queue transaction (`cond.ack.batch_size`).
     pub ack_batch_size: Arc<Histogram>,
     /// Condition trees run through the static analyzer at send time
@@ -83,6 +87,7 @@ impl MessengerMetrics {
             deferred_depth: registry.gauge("cond.deferred.depth"),
             eval_incremental_updates: registry.counter("cond.eval.incremental_updates"),
             eval_timer_fires: registry.counter("cond.eval.timer_fires"),
+            eval_errors: registry.counter("cond.eval.errors"),
             ack_batch_size: registry.histogram("cond.ack.batch_size"),
             analyze_runs: registry.counter("cond.analyze.runs"),
             analyze_warnings: registry.counter("cond.analyze.warnings"),

@@ -544,7 +544,7 @@ fn ack_address(msg: &Message) -> CondResult<QueueAddress> {
 mod tests {
     use super::*;
     use crate::condition::{Condition, Destination, DestinationSet};
-    use crate::messenger::ConditionalMessenger;
+    use crate::messenger::{ConditionalMessenger, MessageStatus};
     use crate::wire::MessageOutcome;
     use simtime::{Millis, SimClock};
 
@@ -558,6 +558,34 @@ mod tests {
         qmgr.create_queue("Q.B").unwrap();
         let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
         (clock, qmgr, messenger)
+    }
+
+    /// A destination manager with no messenger attached: one original of
+    /// `condition` waits on `Q.A`, and the acknowledgments it provokes stay
+    /// on `DS.ACK.Q` for inspection instead of being evaluated on arrival.
+    fn receiver_only(condition: &Condition) -> (Arc<SimClock>, Arc<QueueManager>, CondMessageId) {
+        let clock = SimClock::new();
+        let qmgr = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .build()
+            .unwrap();
+        qmgr.create_queue("Q.A").unwrap();
+        qmgr.create_queue("DS.ACK.Q").unwrap();
+        let id = CondMessageId::generate();
+        let compiled = crate::eval::CompiledCondition::compile(condition).unwrap();
+        let original = wire::make_original(
+            &bytes::Bytes::from("hi"),
+            id,
+            &compiled.leaves()[0],
+            "QM1",
+            "DS.ACK.Q",
+        );
+        qmgr.put("Q.A", original).unwrap();
+        (clock, qmgr, id)
+    }
+
+    fn counter(qmgr: &QueueManager, name: &str) -> u64 {
+        qmgr.metrics_snapshot().counter(name)
     }
 
     fn one_dest(window: Millis) -> Condition {
@@ -574,18 +602,14 @@ mod tests {
 
     #[test]
     fn non_transactional_read_sends_read_ack_and_logs() {
-        let (clock, qmgr, messenger) = setup();
-        let id = messenger
-            .send_message("hi", &one_dest(Millis(100)))
-            .unwrap();
+        let (clock, qmgr, id) = receiver_only(&one_dest(Millis(100)));
         clock.advance(Millis(10));
         let mut receiver = ConditionalReceiver::with_identity(qmgr.clone(), "alice").unwrap();
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert_eq!(got.kind(), MessageKind::Original);
         assert_eq!(got.payload_str(), Some("hi"));
         assert_eq!(got.cond_id(), Some(id));
-        // Ack on DS.ACK.Q with the read timestamp and identity (browse:
-        // the evaluation manager will consume it during pump()).
+        // Ack on DS.ACK.Q with the read timestamp and identity.
         let ack_msg = &qmgr.queue("DS.ACK.Q").unwrap().browse()[0];
         let ack = Acknowledgment::from_message(ack_msg).unwrap();
         assert_eq!(ack.kind, AckKind::Read);
@@ -595,17 +619,11 @@ mod tests {
         let rlog = qmgr.queue("DS.RLOG.Q").unwrap().browse();
         assert_eq!(rlog.len(), 1);
         assert_eq!(rlog[0].str_property(wire::P_RLOG_ENTRY), Some("consumed"));
-        // End to end: evaluation succeeds.
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
     }
 
     #[test]
     fn transactional_read_acks_only_on_commit() {
-        let (clock, qmgr, messenger) = setup();
-        let id = messenger
-            .send_message("work", &processing_dest(Millis(1_000)))
-            .unwrap();
+        let (clock, qmgr, id) = receiver_only(&processing_dest(Millis(1_000)));
         clock.advance(Millis(10));
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         receiver.begin_tx().unwrap();
@@ -621,14 +639,13 @@ mod tests {
         assert_eq!(ack.kind, AckKind::Processed);
         assert_eq!(ack.read_at, Time(10));
         assert_eq!(ack.processed_at, Some(Time(50)));
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
     }
 
     #[test]
     fn rolled_back_read_redelivers_without_ack() {
         let (clock, qmgr, messenger) = setup();
-        messenger
+        let id = messenger
             .send_message("work", &processing_dest(Millis(1_000)))
             .unwrap();
         clock.advance(Millis(5));
@@ -636,14 +653,16 @@ mod tests {
         receiver.begin_tx().unwrap();
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         receiver.rollback_tx().unwrap();
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0, "no ack");
+        assert_eq!(counter(&qmgr, "cond.recv.processed_acks"), 0, "no ack");
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "redelivered");
         // A second, successful attempt acks exactly once.
         receiver.begin_tx().unwrap();
         let again = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert!(again.message().redelivery_count() > 0);
         receiver.commit_tx().unwrap();
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+        assert_eq!(counter(&qmgr, "cond.recv.processed_acks"), 1);
+        assert_eq!(counter(&qmgr, "cond.ack.processed"), 1);
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
     }
@@ -660,7 +679,9 @@ mod tests {
         clock.advance(Millis(5));
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+        assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 1);
+        assert_eq!(counter(&qmgr, "cond.recv.processed_acks"), 0);
+        assert_eq!(counter(&qmgr, "cond.ack.read"), 1, "one ack applied");
         // Evaluation: processing required but only a read-ack → fails once
         // the window passes.
         clock.advance(Millis(100));
@@ -688,7 +709,7 @@ mod tests {
             .iter()
             .any(|m| m.str_property(wire::P_RLOG_ENTRY) == Some("annihilated")));
         // No acknowledgment was produced.
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+        assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 0);
     }
 
     #[test]
@@ -846,7 +867,7 @@ mod tests {
             got1.is_some() ^ got2.is_some(),
             "exactly one controller wins"
         );
-        assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+        assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 1);
         let outcomes = messenger.pump().unwrap();
         assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
     }

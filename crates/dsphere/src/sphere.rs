@@ -630,14 +630,13 @@ mod tests {
     }
 
     #[test]
-    fn commit_blocking_wakes_on_event_driven_decision() {
-        // System clock, event-driven messenger, no daemon: the member's
-        // deadline timer decides the failure and the decided-outcome event
-        // wakes commit_blocking well before its (long) poll bound.
+    fn commit_blocking_wakes_on_timer_decision() {
+        // System clock, no daemon: the member's deadline timer decides
+        // the failure and the decided-outcome event wakes commit_blocking
+        // well before its (long) poll bound.
         let qmgr = QueueManager::builder("QM1").build().unwrap();
         qmgr.create_queue("Q.A").unwrap();
         let messenger = ConditionalMessenger::new(qmgr).unwrap();
-        messenger.enable_event_driven().unwrap();
         let service = DSphereService::new(messenger);
         let mut sphere = service.begin();
         sphere.send_message("a", &dest("Q.A", Millis(40))).unwrap();

@@ -558,7 +558,9 @@ impl Allowlist {
 // ------------------------------------------------------------------ walk
 
 /// Collects the workspace-relative paths of the `.rs` files to lint under
-/// `root`: everything except `vendor/`, `target/` and hidden directories.
+/// `root`: everything except `vendor/`, `target/`, hidden directories and
+/// nested workspaces (a package that opted out of this workspace with its
+/// own `[workspace]` table, like `benchmark/`, is not this workspace's code).
 ///
 /// # Errors
 ///
@@ -573,7 +575,11 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name == "vendor" || name == "target" || name.starts_with('.') {
+                if name == "vendor"
+                    || name == "target"
+                    || name.starts_with('.')
+                    || is_workspace_root(&path)
+                {
                     continue;
                 }
                 stack.push(path);
@@ -584,6 +590,11 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     files.sort();
     Ok(files)
+}
+
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 /// Lints every eligible file under `root`, returning all findings (the
@@ -948,6 +959,21 @@ let y = 1;"#;
             snippet: String::new(),
         };
         assert!(!list.allows(&other_file));
+    }
+
+    #[test]
+    fn walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("cond-lint-walk-{}", std::process::id()));
+        for dir in ["member/src", "standalone/src"] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+        }
+        std::fs::write(root.join("member/Cargo.toml"), "[package]\n").unwrap();
+        std::fs::write(root.join("member/src/lib.rs"), "").unwrap();
+        std::fs::write(root.join("standalone/Cargo.toml"), "[package]\n\n[workspace]\n").unwrap();
+        std::fs::write(root.join("standalone/src/lib.rs"), "").unwrap();
+        let files = collect_files(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(files, vec![root.join("member/src/lib.rs")]);
     }
 
     #[test]

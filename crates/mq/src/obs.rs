@@ -52,6 +52,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.deferred.depth",
     "cond.eval.incremental_updates",
     "cond.eval.timer_fires",
+    "cond.eval.errors",
     "cond.analyze.runs",
     "cond.analyze.warnings",
     "cond.analyze.rejected",

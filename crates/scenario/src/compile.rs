@@ -4,8 +4,8 @@
 //! channels, routes, ackers) over its index range, builds the queue
 //! managers on one shared clock and observability hub, connects the
 //! declared channels (in-process links or loopback TCP), applies the
-//! routing declarations, instantiates one event-driven conditional
-//! messenger per sending manager, and resolves fault triggers against
+//! routing declarations, instantiates one conditional messenger per
+//! sending manager, and resolves fault triggers against
 //! the expanded plan. The result is a [`Compiled`] world the executor
 //! ([`crate::exec`]) drives.
 
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use condmsg::{CondConfig, Condition, ConditionalMessenger, Destination, DestinationSet};
+use condmsg::{Condition, ConditionalMessenger, Destination, DestinationSet};
 use dsphere::DSphereService;
 use mq::channel::Channel;
 use mq::journal::{FaultableJournal, Journal, MemJournal, NullJournal};
@@ -286,10 +286,9 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
         apply_route(&managers, route)?;
     }
 
-    // One event-driven messenger per sending manager. Event-driven mode
-    // works under both clocks: acks evaluate on arrival and deadline
-    // verdicts fire from armed timers, so the executor never needs an
-    // external evaluation daemon.
+    // One messenger per sending manager. Under both clocks acks evaluate
+    // on arrival and deadline verdicts fire from armed timers, so the
+    // executor never needs an evaluation daemon.
     let mut messengers: HashMap<String, Arc<ConditionalMessenger>> = HashMap::new();
     let mut spheres: HashMap<String, Arc<DSphereService>> = HashMap::new();
     let mut actors = Vec::new();
@@ -299,11 +298,7 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
             .get(&actor.manager)
             .ok_or_else(|| spec_err(format!("actor on undeclared manager `{}`", actor.manager)))?;
         if !messengers.contains_key(&actor.manager) {
-            let config = CondConfig {
-                event_driven: true,
-                ..CondConfig::default()
-            };
-            let messenger = ConditionalMessenger::with_config(rt.qmgr.clone(), config)?;
+            let messenger = ConditionalMessenger::new(rt.qmgr.clone())?;
             messengers.insert(actor.manager.clone(), messenger);
         }
         if matches!(actor.mode, crate::spec::ActorMode::Sphere { .. })

@@ -289,13 +289,13 @@ fn fire_due_send_faults(
     fired: &mut [bool],
     g: u64,
 ) -> ScenarioResult<()> {
-    for k in 0..fired.len() {
-        if fired[k] {
+    for (k, done) in fired.iter_mut().enumerate() {
+        if *done {
             continue;
         }
         let due = matches!(world.faults[k].trigger, ResolvedTrigger::AtSend(at) if at <= g);
         if due {
-            fired[k] = true;
+            *done = true;
             let fault = world.faults[k].clone();
             fire_fault(world, &fault)?;
         }
@@ -609,8 +609,8 @@ fn run_real(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioR
     let pacer = Pacer::new();
     let mut fault_result = Ok(());
     if send_result.is_ok() {
-        for k in 0..world.faults.len() {
-            if fired[k] {
+        for (k, done) in fired.iter_mut().enumerate() {
+            if *done {
                 continue;
             }
             let fault = world.faults[k].clone();
@@ -638,7 +638,7 @@ fn run_real(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioR
                 )));
                 break;
             }
-            fired[k] = true;
+            *done = true;
             if let Err(e) = fire_fault(world, &fault) {
                 fault_result = Err(e);
                 break;
@@ -832,9 +832,9 @@ fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioRe
     for (k, ev) in events.iter().enumerate() {
         timeline.push((ev.at_ms, Ok(k)));
     }
-    for k in 0..world.faults.len() {
-        if let ResolvedTrigger::AtMs(at) = world.faults[k].trigger {
-            if !fired[k] {
+    for (k, (fault, done)) in world.faults.iter().zip(&fired).enumerate() {
+        if let ResolvedTrigger::AtMs(at) = fault.trigger {
+            if !done {
                 timeline.push((t0 + at, Err(k)));
             }
         }

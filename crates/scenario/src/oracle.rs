@@ -173,7 +173,7 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
 
     // Dead-letter queues must stay empty unless the spec opts out.
     if world.spec_oracle().dlq_empty {
-        for (name, _) in &world.managers {
+        for name in world.managers.keys() {
             let depth = queue_depth(world, name, mq::DEAD_LETTER_QUEUE);
             report.check(
                 format!("dlq:{name}"),

@@ -38,7 +38,8 @@
 #![warn(missing_docs)]
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -221,7 +222,7 @@ struct TimerEntry {
     at: Time,
     seq: u64,
     id: TimerId,
-    callback: Option<TimerCallback>,
+    callback: TimerCallback,
 }
 
 impl PartialEq for TimerEntry {
@@ -244,18 +245,20 @@ impl Ord for TimerEntry {
 #[derive(Default)]
 struct SchedulerState {
     heap: BinaryHeap<Reverse<TimerEntry>>,
-    cancelled: std::collections::HashSet<TimerId>,
+    /// Ids of the heap entries that are neither cancelled nor fired; a
+    /// heap entry whose id is missing here is a tombstone.
+    live: HashSet<TimerId>,
 }
 
 /// The shared deadline facility behind both clock implementations.
 ///
 /// A min-heap of entries ordered by `(deadline, registration)` with lazy
-/// cancellation: [`DeadlineScheduler::cancel`] tombstones the id and the
-/// entry is discarded when it surfaces. [`SimClock`] drains due entries
-/// synchronously during `advance`; [`SystemClock`]'s parked waiter thread
-/// drains them as real time passes. The scheduler's lock is never held
-/// while a callback runs, so callbacks may freely schedule, cancel, or
-/// reschedule further timers.
+/// cancellation: [`DeadlineScheduler::cancel`] drops the id from the live
+/// set in O(1) and the tombstoned entry is discarded when it surfaces.
+/// [`SimClock`] drains due entries synchronously during `advance`;
+/// [`SystemClock`]'s parked waiter thread drains them as real time passes.
+/// The scheduler's lock is never held while a callback runs, so callbacks
+/// may freely schedule, cancel, or reschedule further timers.
 #[derive(Default)]
 pub struct DeadlineScheduler {
     state: Mutex<SchedulerState>,
@@ -278,81 +281,64 @@ impl DeadlineScheduler {
 
     /// Registers `f` to run once the driving clock reaches `at`.
     pub fn schedule(&self, at: Time, f: TimerCallback) -> TimerId {
+        self.schedule_entry(at, f).0
+    }
+
+    /// [`schedule`](Self::schedule), also reporting whether `at` precedes
+    /// every entry already in the heap — the one case in which a waiter
+    /// parked until the previous earliest deadline would wake too late.
+    fn schedule_entry(&self, at: Time, f: TimerCallback) -> (TimerId, bool) {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
         let id = TimerId(seq);
-        self.state.lock().heap.push(Reverse(TimerEntry {
+        let mut state = self.state.lock();
+        let earliest = state.heap.peek().is_none_or(|Reverse(top)| at < top.at);
+        state.heap.push(Reverse(TimerEntry {
             at,
             seq,
             id,
-            callback: Some(f),
+            callback: f,
         }));
-        id
+        state.live.insert(id);
+        (id, earliest)
     }
 
     /// Cancels a pending entry. Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
-        let mut state = self.state.lock();
-        let pending = state
-            .heap
-            .iter()
-            .any(|Reverse(e)| e.id == id && !state.cancelled.contains(&id));
-        if pending {
-            state.cancelled.insert(id);
-        }
-        pending
+        self.state.lock().live.remove(&id)
     }
 
     /// Removes and returns the earliest live entry due at or before `now`
     /// as `(deadline, callback)`. The caller runs the callback with no
     /// scheduler lock held.
     pub fn pop_due(&self, now: Time) -> Option<(Time, TimerCallback)> {
-        let mut state = self.state.lock();
-        while let Some(Reverse(top)) = state.heap.peek() {
-            if top.at > now {
+        let state = &mut *self.state.lock();
+        while let Some(top) = state.heap.peek_mut() {
+            if top.0.at > now {
                 return None;
             }
-            let mut entry = state.heap.pop().expect("peeked entry present").0;
-            if state.cancelled.remove(&entry.id) {
-                continue;
+            let Reverse(entry) = PeekMut::pop(top);
+            if state.live.remove(&entry.id) {
+                return Some((entry.at, entry.callback));
             }
-            let cb = entry.callback.take().expect("unfired entry has callback");
-            return Some((entry.at, cb));
         }
         None
     }
 
     /// The earliest live deadline, if any entries are pending.
     pub fn next_deadline(&self) -> Option<Time> {
-        let mut state = self.state.lock();
-        while let Some(Reverse(top)) = state.heap.peek() {
-            if state.cancelled.contains(&top.id) {
-                let id = top.id;
-                state.heap.pop();
-                state.cancelled.remove(&id);
-                continue;
+        let state = &mut *self.state.lock();
+        while let Some(top) = state.heap.peek_mut() {
+            if state.live.contains(&top.0.id) {
+                return Some(top.0.at);
             }
-            return Some(top.at);
+            PeekMut::pop(top);
         }
         None
     }
 
-    /// Number of live (uncancelled, unfired) entries; compacts tombstones
-    /// so the count is exact.
+    /// Number of live (uncancelled, unfired) entries.
     pub fn live_count(&self) -> usize {
-        let mut state = self.state.lock();
-        let mut live = 0;
-        let entries: Vec<_> = std::mem::take(&mut state.heap).into_vec();
-        let mut heap = BinaryHeap::new();
-        for e in entries {
-            if state.cancelled.contains(&e.0.id) {
-                continue;
-            }
-            live += 1;
-            heap.push(e);
-        }
-        state.cancelled.clear();
-        state.heap = heap;
-        live
+        self.state.lock().live.len()
     }
 }
 
@@ -535,9 +521,10 @@ impl SystemClock {
                     None => Duration::from_millis(200),
                 };
                 shared.wake.wait_for(&mut guard, wait);
-            })
-            .expect("failed to spawn timer thread");
-        *guard = Some(handle);
+            });
+        // A refused spawn records no thread: the entry stays scheduled and
+        // the next `schedule_at` tries again.
+        *guard = handle.ok();
     }
 }
 
@@ -565,9 +552,13 @@ impl Clock for SystemClock {
 
     fn schedule_at(&self, at: Time, f: TimerCallback) -> TimerId {
         self.ensure_timer_thread();
-        let id = self.shared.scheduler.schedule(at, f);
-        let _guard = self.shared.wake_lock.lock();
-        self.shared.wake.notify_all();
+        let (id, earliest) = self.shared.scheduler.schedule_entry(at, f);
+        // The waiter is parked until the earliest deadline it saw; only a
+        // new earliest entry needs to wake it.
+        if earliest {
+            let _guard = self.shared.wake_lock.lock();
+            self.shared.wake.notify_all();
+        }
         id
     }
 
@@ -712,6 +703,46 @@ mod tests {
         assert!(sched.pop_due(Time(100)).is_none(), "a was cancelled");
         assert_eq!(sched.next_deadline(), None);
         assert_eq!(sched.live_count(), 0);
+    }
+
+    #[test]
+    fn scheduler_cancels_twenty_thousand_resident_timers() {
+        let sched = DeadlineScheduler::new();
+        let (count, mk) = counter();
+        let ids: Vec<TimerId> = (0..20_000u64)
+            .map(|i| sched.schedule(Time(1 + i % 997), mk()))
+            .collect();
+        assert_eq!(sched.live_count(), 20_000);
+        for id in ids.iter().rev() {
+            assert!(sched.cancel(*id));
+        }
+        assert_eq!(sched.live_count(), 0);
+        assert!(sched.pop_due(Time(u64::MAX)).is_none());
+        assert_eq!(sched.next_deadline(), None);
+        assert!(!sched.cancel(ids[0]), "already cancelled");
+        assert_eq!(count.load(Ordering::SeqCst), 0, "nothing fired");
+    }
+
+    #[test]
+    fn system_timer_earlier_than_the_parked_deadline_still_fires_first() {
+        let clock = SystemClock::new();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for (after, label) in [(5_000u64, "late"), (20, "early")] {
+            let order = order.clone();
+            clock.schedule_at(
+                clock.now() + Millis(after),
+                Box::new(move || order.lock().push(label)),
+            );
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while order.lock().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "waiter slept through the earlier deadline"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(*order.lock(), vec!["early"]);
     }
 
     #[test]

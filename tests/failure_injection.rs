@@ -9,10 +9,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use condmsg::{Condition, ConditionalMessenger, Destination, MessageStatus};
+use condmsg::{
+    AckKind, Acknowledgment, Condition, ConditionalMessenger, Destination, MessageStatus,
+};
 use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::{Message, MqError, MqResult, QueueManager, Wait};
-use simtime::{Millis, SimClock};
+use simtime::{Millis, SimClock, Time};
 
 /// A journal that can be switched into a failing mode.
 #[derive(Debug)]
@@ -153,18 +155,37 @@ fn pump_propagates_storage_errors_without_losing_acks() {
         .pickup_within(Millis(1_000))
         .into();
     let id = messenger.send_message("x", &condition).unwrap();
-    // A receiver acks…
-    let mut receiver = condmsg::ConditionalReceiver::new(qmgr.clone()).unwrap();
-    receiver.read_message("Q", Wait::NoWait).unwrap().unwrap();
-    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
-    // …but the ack-drain transaction cannot log the AckSeen entry.
+    // Storage goes down, and then an ack lands (a volatile copy of the
+    // receiver's ack: non-persistent puts bypass the failing journal).
     journal.set_failing(true);
-    assert!(messenger.pump().is_err());
-    assert_eq!(
-        qmgr.queue("DS.ACK.Q").unwrap().depth(),
-        1,
-        "ack rolled back onto the queue, not lost"
-    );
+    let durable = Acknowledgment {
+        cond_id: id,
+        leaf: 0,
+        kind: AckKind::Read,
+        read_at: Time(0),
+        processed_at: None,
+        recipient: None,
+    }
+    .to_message();
+    let mut volatile = Message::builder(durable.payload().clone()).persistent(false);
+    for (name, value) in durable.properties() {
+        volatile = volatile.property(name, value.clone());
+    }
+    qmgr.put("DS.ACK.Q", volatile.build()).unwrap();
+    // The arrival-time drain could not log its AckSeen entry: the error is
+    // counted, the ack rolled back onto the queue, the message undecided.
+    let errors = || qmgr.metrics_snapshot().counter("cond.eval.errors");
+    assert_eq!(errors(), 1);
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1, "ack not lost");
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
+    // pump() reports its own failure to its caller instead of counting it,
+    // and however often the drain is retried the ack is never backed out
+    // to the dead-letter queue.
+    for _ in 0..2 * qmgr.config().backout_threshold {
+        assert!(messenger.pump().is_err());
+    }
+    assert_eq!(errors(), 1);
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1, "still queued");
     journal.set_failing(false);
     let outcomes = messenger.pump().unwrap();
     assert_eq!(outcomes[0].cond_id, id);

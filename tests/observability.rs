@@ -273,10 +273,10 @@ fn end_to_end_run_populates_registry_across_layers() {
     assert!(snapshot.counter("mq.tx.committed") >= 2);
     let lag = snapshot.histograms.get("cond.ack.lag_ms").unwrap();
     assert!(lag.count >= 2, "ack lag histogram saw {} samples", lag.count);
-    // Even the polled pump evaluates through the incremental core.
+    // Acks are applied through the incremental core.
     assert!(
         snapshot.counter("cond.eval.incremental_updates") > 0,
-        "pump-driven evaluation still counts incremental updates"
+        "ack arrival applied incremental updates"
     );
     let batch = snapshot.histograms.get("cond.ack.batch_size").unwrap();
     assert!(
@@ -287,12 +287,11 @@ fn end_to_end_run_populates_registry_across_layers() {
 }
 
 #[test]
-fn event_driven_core_reports_metrics() {
-    // The event-driven path populates its own instruments: incremental
+fn evaluation_engine_reports_metrics() {
+    // The evaluation engine populates its own instruments: incremental
     // leaf updates on ack arrival, deadline-timer fires, and the size of
     // each drained ack batch.
     let w = world(&["Q.A"]);
-    w.messenger.enable_event_driven().unwrap();
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(100))
         .into();

@@ -5,12 +5,12 @@
 use std::sync::Arc;
 
 use condmsg::{
-    Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet,
-    MessageOutcome,
+    AckState, CompiledCondition, CondConfig, Condition, ConditionalMessenger, ConditionalReceiver,
+    Destination, DestinationSet, MessageOutcome, Verdict,
 };
 use mq::{QueueManager, Wait};
 use proptest::prelude::*;
-use simtime::{Clock, Millis, SimClock};
+use simtime::{Clock, Millis, SimClock, Time};
 
 #[derive(Debug, Clone)]
 struct DestPlan {
@@ -36,6 +36,10 @@ struct World {
 }
 
 fn world(n: usize) -> World {
+    world_with(n, CondConfig::default())
+}
+
+fn world_with(n: usize, config: CondConfig) -> World {
     let clock = SimClock::new();
     let qmgr = QueueManager::builder("QM1")
         .clock(clock.clone())
@@ -44,7 +48,7 @@ fn world(n: usize) -> World {
     for i in 0..n {
         qmgr.create_queue(format!("Q{i}")).unwrap();
     }
-    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
     World {
         clock,
         qmgr,
@@ -52,9 +56,35 @@ fn world(n: usize) -> World {
     }
 }
 
+/// Consumes from `Q{idx}` the way the plan says (a transactional read
+/// commits at once). Returns whether a message was there: a read planned
+/// for after the message failed finds nothing, because the deadline timer
+/// already released the compensation and the pair annihilated.
+fn read(w: &World, idx: usize, transactional: bool) -> bool {
+    let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
+    let queue = format!("Q{idx}");
+    if transactional {
+        receiver.begin_tx().unwrap();
+        let got = receiver.read_message(&queue, Wait::NoWait).unwrap();
+        if got.is_some() {
+            receiver.commit_tx().unwrap();
+        } else {
+            receiver.rollback_tx().unwrap();
+        }
+        got.is_some()
+    } else {
+        receiver
+            .read_message(&queue, Wait::NoWait)
+            .unwrap()
+            .is_some()
+    }
+}
+
 /// Executes the plans: advances the clock step by step, performing each
-/// read at its planned moment, then runs past `horizon` and pumps.
-fn run_plans(w: &World, plans: &[DestPlan], horizon: u64) -> MessageOutcome {
+/// read at its planned moment, then runs past `horizon`. Every verdict is
+/// reached inside a read (ack arrival) or an advance (deadline timer);
+/// the final `pump` only reports it.
+fn run_plans(w: &World, plans: &[DestPlan], horizon: u64) -> (MessageOutcome, Time) {
     let mut events: Vec<(u64, usize)> = plans
         .iter()
         .enumerate()
@@ -66,25 +96,71 @@ fn run_plans(w: &World, plans: &[DestPlan], horizon: u64) -> MessageOutcome {
         if at > now {
             w.clock.advance(Millis(at - now));
         }
-        let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
-        let queue = format!("Q{idx}");
-        if plans[idx].transactional {
-            receiver.begin_tx().unwrap();
-            let got = receiver.read_message(&queue, Wait::NoWait).unwrap();
-            assert!(got.is_some(), "planned read found its message");
-            receiver.commit_tx().unwrap();
-        } else {
-            let got = receiver.read_message(&queue, Wait::NoWait).unwrap();
-            assert!(got.is_some(), "planned read found its message");
-        }
+        let found = read(w, idx, plans[idx].transactional);
+        assert!(
+            found || w.messenger.pending_count() == 0,
+            "a read only misses its message once the message is decided"
+        );
     }
     let now = w.clock.now().as_millis();
     if horizon > now {
         w.clock.advance(Millis(horizon - now));
     }
+    assert_eq!(w.clock.pending_timers(), 0, "timer torn down with decision");
     let outcomes = w.messenger.pump().unwrap();
     assert_eq!(outcomes.len(), 1, "exactly one decision");
-    outcomes[0].outcome
+    (outcomes[0].outcome, outcomes[0].decided_at)
+}
+
+/// One member set of a generated two-level tree: its leaves' read plans,
+/// its pick-up window, and how many members must read in time (`None` =
+/// all of them).
+#[derive(Debug, Clone)]
+struct GroupPlan {
+    leaves: Vec<DestPlan>,
+    window: u64,
+    min: Option<u32>,
+}
+
+fn arb_group_plan() -> impl Strategy<Value = GroupPlan> {
+    (
+        proptest::collection::vec(arb_dest_plan(200), 1..4),
+        50u64..150,
+        proptest::option::of(any::<u32>()),
+    )
+        .prop_map(|(leaves, window, min_seed)| GroupPlan {
+            min: min_seed.map(|s| 1 + s % leaves.len() as u32),
+            leaves,
+            window,
+        })
+}
+
+/// The sequential reference model of the paper's semantics: replays the
+/// ack timeline `(tick, leaf, transactional)` into a fresh [`AckState`]
+/// one millisecond at a time and fully re-evaluates the tree at every
+/// tick; the verdict is the first tick that is not `Pending`. No queue
+/// manager, no messenger, no timers.
+fn reference_verdict(
+    compiled: &CompiledCondition,
+    timeline: &[(u64, u32, bool)],
+    grace: Millis,
+) -> Option<(MessageOutcome, Time)> {
+    let mut acks = AckState::new(compiled.leaves().len());
+    for t in 1..=400u64 {
+        for &(_, leaf, transactional) in timeline.iter().filter(|(at, _, _)| *at == t) {
+            if transactional {
+                acks.record_processed(leaf, Time(t), Time(t), None);
+            } else {
+                acks.record_read(leaf, Time(t), None);
+            }
+        }
+        match compiled.evaluate_with_grace(&acks, Time::ZERO, Time(t), grace) {
+            Verdict::Satisfied => return Some((MessageOutcome::Success, Time(t))),
+            Verdict::Violated(_) => return Some((MessageOutcome::Failure, Time(t))),
+            Verdict::Pending => {}
+        }
+    }
+    None
 }
 
 proptest! {
@@ -107,7 +183,7 @@ proptest! {
         .into();
         w.messenger.send_message("payload", &condition).unwrap();
 
-        let outcome = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, &plans, 400);
         let oracle = plans.iter().all(|p| matches!(p.read_at, Some(t) if t <= window));
         prop_assert_eq!(
             outcome == MessageOutcome::Success,
@@ -138,7 +214,7 @@ proptest! {
         .into();
         w.messenger.send_message("payload", &condition).unwrap();
 
-        let outcome = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, &plans, 400);
         let timely = plans
             .iter()
             .filter(|p| matches!(p.read_at, Some(t) if t <= window))
@@ -171,7 +247,7 @@ proptest! {
         .into();
         w.messenger.send_message("payload", &condition).unwrap();
 
-        let outcome = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, &plans, 400);
         let oracle = plans
             .iter()
             .all(|p| p.transactional && matches!(p.read_at, Some(t) if t <= window));
@@ -185,8 +261,9 @@ proptest! {
     }
 
     /// Exactly-one-acknowledgment invariant: however the receivers behave,
-    /// the number of acknowledgments on DS.ACK.Q equals the number of
-    /// consumed originals, and never exceeds the number of destinations.
+    /// the number of acknowledgments sent — and the number the evaluation
+    /// manager applied — equals the number of consumed originals, and never
+    /// exceeds the number of destinations.
     #[test]
     fn one_ack_per_consumption(
         plans in proptest::collection::vec(arb_dest_plan(80), 1..5),
@@ -207,121 +284,102 @@ proptest! {
                 continue;
             }
             w.clock.advance(Millis(1));
-            let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
-            let queue = format!("Q{i}");
-            if plan.transactional {
-                receiver.begin_tx().unwrap();
-                receiver.read_message(&queue, Wait::NoWait).unwrap().unwrap();
-                receiver.commit_tx().unwrap();
-            } else {
-                receiver.read_message(&queue, Wait::NoWait).unwrap().unwrap();
-            }
+            prop_assert!(read(&w, i, plan.transactional));
             consumed += 1;
         }
-        let acks = w.qmgr.queue("DS.ACK.Q").unwrap().depth();
-        prop_assert_eq!(acks, consumed);
-        prop_assert!(acks <= plans.len());
+        let snapshot = w.qmgr.metrics_snapshot();
+        let sent = snapshot.counter("cond.recv.read_acks")
+            + snapshot.counter("cond.recv.processed_acks");
+        let applied = snapshot.counter("cond.ack.read") + snapshot.counter("cond.ack.processed");
+        prop_assert_eq!(sent, consumed);
+        prop_assert_eq!(applied, consumed);
+        prop_assert!(sent <= plans.len() as u64);
+        prop_assert_eq!(w.qmgr.queue("DS.ACK.Q").unwrap().depth(), 0, "drained on arrival");
     }
 
-    /// Event-driven evaluation (ack-arrival evaluation plus armed deadline
-    /// timers, no `pump()` anywhere) decides the message with the same
-    /// verdict at the same simtime as a reference full-re-evaluation
-    /// oracle pumped at every millisecond tick.
+    /// The engine (ack-arrival evaluation plus armed deadline timers, no
+    /// `pump()` anywhere) decides a two-level all/any/min-count tree with
+    /// the verdict, at the simtime, of the sequential reference model.
     #[test]
-    fn event_driven_matches_tick_pumped_oracle(
-        plans in proptest::collection::vec(arb_dest_plan(200), 1..4),
-        window in 50u64..150,
+    fn engine_matches_sequential_reference_model(
+        groups in proptest::collection::vec(arb_group_plan(), 1..4),
+        grace in prop_oneof![Just(0u64), 1u64..50],
     ) {
-        let condition = |n: usize| -> Condition {
-            DestinationSet::of(
-                (0..n)
+        // Leaves are numbered in definition order, one queue each.
+        let mut plans: Vec<DestPlan> = Vec::new();
+        let mut members: Vec<Condition> = Vec::new();
+        for group in &groups {
+            let set = DestinationSet::of(
+                (plans.len()..plans.len() + group.leaves.len())
                     .map(|i| Destination::queue("QM1", format!("Q{i}")).into())
                     .collect(),
             )
-            .pickup_within(Millis(window))
-            .into()
-        };
-        let mut events: Vec<(u64, usize)> = plans
+            .pickup_within(Millis(group.window));
+            members.push(match group.min {
+                Some(k) => set.min_pickup(k).into(),
+                None => set.into(),
+            });
+            plans.extend(group.leaves.iter().cloned());
+        }
+        let condition: Condition = DestinationSet::of(members).into();
+        let mut timeline: Vec<(u64, u32, bool)> = plans
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| p.read_at.map(|t| (t, i)))
+            .filter_map(|(i, p)| p.read_at.map(|t| (t, i as u32, p.transactional)))
             .collect();
-        events.sort_unstable();
-        // Tolerates an empty queue: in the event-driven world a deadline
-        // decision can fire *before* a late planned read, and finalization
-        // may already have removed the original.
-        let read = |w: &World, idx: usize| {
-            let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
-            let queue = format!("Q{idx}");
-            if plans[idx].transactional {
-                receiver.begin_tx().unwrap();
-                if receiver.read_message(&queue, Wait::NoWait).unwrap().is_some() {
-                    receiver.commit_tx().unwrap();
-                } else {
-                    receiver.rollback_tx().unwrap();
-                }
-            } else {
-                let _ = receiver.read_message(&queue, Wait::NoWait).unwrap();
-            }
-        };
+        timeline.sort_unstable();
 
-        // Event-driven world: reads at their planned moments, one final
-        // big advance — and not a single pump.
-        let ev = world(plans.len());
-        ev.messenger.enable_event_driven().unwrap();
-        let id = ev.messenger.send_message("payload", &condition(plans.len())).unwrap();
-        for (at, idx) in &events {
-            let now = ev.clock.now().as_millis();
-            if *at > now {
-                ev.clock.advance(Millis(at - now));
+        let w = world_with(
+            plans.len(),
+            CondConfig {
+                ack_grace: Millis(grace),
+                ..CondConfig::default()
+            },
+        );
+        let id = w.messenger.send_message("payload", &condition).unwrap();
+        for &(at, leaf, transactional) in &timeline {
+            let now = w.clock.now().as_millis();
+            if at > now {
+                w.clock.advance(Millis(at - now));
             }
-            read(&ev, *idx);
+            read(&w, leaf as usize, transactional);
         }
-        let now = ev.clock.now().as_millis();
-        ev.clock.advance(Millis(400 - now));
-        let got = ev
+        let now = w.clock.now().as_millis();
+        w.clock.advance(Millis(400 - now));
+        let got = w
             .messenger
             .take_outcome(id, Wait::NoWait)
             .unwrap()
-            .expect("event-driven path decided without a pump");
-        prop_assert_eq!(ev.clock.pending_timers(), 0, "timer torn down with decision");
+            .expect("decided without a pump");
+        prop_assert_eq!(w.clock.pending_timers(), 0, "timer torn down with decision");
 
-        // Oracle world: identical schedule in default polled mode, pumped
-        // at every tick so the decision instant is exact.
-        let or = world(plans.len());
-        or.messenger.send_message("payload", &condition(plans.len())).unwrap();
-        let mut upcoming = events.clone();
-        let mut oracle = None;
-        for t in 1..=400u64 {
-            or.clock.advance(Millis(1));
-            while upcoming.first().is_some_and(|(at, _)| *at == t) {
-                let (_, idx) = upcoming.remove(0);
-                read(&or, idx);
-            }
-            let outs = or.messenger.pump().unwrap();
-            if let Some(n) = outs.first() {
-                oracle = Some((n.outcome, n.decided_at));
-                break;
-            }
-        }
-        let (oracle_outcome, oracle_at) = oracle.expect("oracle decided within horizon");
-        prop_assert_eq!(got.outcome, oracle_outcome, "same verdict");
-        prop_assert_eq!(got.decided_at, oracle_at, "same decision simtime");
+        let compiled = CompiledCondition::compile(&condition).unwrap();
+        let reference = reference_verdict(&compiled, &timeline, Millis(grace))
+            .expect("reference decided within horizon");
+        prop_assert_eq!(
+            (got.outcome, got.decided_at),
+            reference,
+            "groups {:?} grace {}",
+            groups,
+            grace
+        );
     }
 
-    /// Compensation conservation: after a failure, every destination ends
-    /// in exactly one of two states — annihilated (nothing deliverable,
-    /// empty queue) if it never consumed, or exactly one delivered
-    /// compensation if it did.
+    /// Compensation conservation (paper §2.6): after a failure, every
+    /// destination ends in exactly one of two states — exactly one delivered
+    /// compensation if it consumed the original, or annihilated (nothing
+    /// deliverable, empty queue) if it never did.
     #[test]
     fn compensation_conservation(
         reads in proptest::collection::vec(any::<bool>(), 1..5),
     ) {
-        // Pickup window 10; readers read at t=20 (too late) or never.
+        // Pickup window 10 over the planned destinations plus one that is
+        // never read, so the message always fails: readers consume at t=5,
+        // the deadline timer decides at t=11.
         let n = reads.len();
-        let w = world(n);
+        let w = world(n + 1);
         let condition: Condition = DestinationSet::of(
-            (0..n)
+            (0..=n)
                 .map(|i| Destination::queue("QM1", format!("Q{i}")).into())
                 .collect(),
         )
@@ -330,25 +388,24 @@ proptest! {
         w.messenger
             .send_message_with_compensation("orig", "undo", &condition)
             .unwrap();
-        w.clock.advance(Millis(20));
-        for (i, read) in reads.iter().enumerate() {
-            if *read {
-                let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
-                receiver
-                    .read_message(&format!("Q{i}"), Wait::NoWait)
-                    .unwrap()
-                    .unwrap();
+        w.clock.advance(Millis(5));
+        for (i, consume) in reads.iter().enumerate() {
+            if *consume {
+                prop_assert!(read(&w, i, false));
             }
         }
+        prop_assert!(w.messenger.pump().unwrap().is_empty(), "pending until the deadline");
+        w.clock.advance(Millis(15));
         let outcomes = w.messenger.pump().unwrap();
         prop_assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        prop_assert_eq!(outcomes[0].decided_at, Time(11));
 
-        for (i, read) in reads.iter().enumerate() {
+        for (i, consumed) in reads.iter().copied().chain([false]).enumerate() {
             let queue = format!("Q{i}");
             let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
             let delivered = receiver.read_message(&queue, Wait::NoWait).unwrap();
-            if *read {
-                // Consumed the (late) original → compensation delivered once.
+            if consumed {
+                // Consumed the original → compensation delivered once.
                 let comp = delivered.expect("compensation for consumer");
                 prop_assert_eq!(comp.kind(), condmsg::MessageKind::Compensation);
                 prop_assert_eq!(comp.payload_str(), Some("undo"));

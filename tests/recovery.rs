@@ -101,20 +101,89 @@ fn ack_in_queue_but_unprocessed_at_crash_is_replayed() {
     let id = messenger
         .send_message("x", &two_dest_condition(Millis(1_000)))
         .unwrap();
+    // The sender's service goes down before the receivers read: nobody is
+    // watching DS.ACK.Q, so both acks sit on the persistent queue.
+    drop(messenger);
     clock.advance(Millis(10));
     let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
     r.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     r.read_message("Q.B", Wait::NoWait).unwrap().unwrap();
-    // Crash *before* the evaluation manager ever ran: both acks sit on the
-    // persistent DS.ACK.Q.
     qmgr.crash();
 
     let qmgr2 = build_qm(clock, journal);
     assert_eq!(qmgr2.queue("DS.ACK.Q").unwrap().depth(), 2);
-    let messenger2 = ConditionalMessenger::new(qmgr2).unwrap();
+    // Attaching the service drains and evaluates what queued up meanwhile.
+    let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
+    assert_eq!(qmgr2.queue("DS.ACK.Q").unwrap().depth(), 0);
     let outcomes = messenger2.pump().unwrap();
     assert_eq!(outcomes[0].cond_id, id);
     assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+}
+
+#[test]
+fn crash_right_after_verdict_leaves_outcome_and_no_log_entries() {
+    // The deciding transaction covers the outcome entry, the outcome
+    // actions, the purge of the send/ack log entries and the notification.
+    // A crash immediately after it leaves nothing for recovery to mop up:
+    // reattaching the service reads the journal and appends nothing.
+    let path = std::env::temp_dir().join(format!(
+        "condmsg-recovery-verdict-{}-{}.log",
+        std::process::id(),
+        rand::random::<u64>()
+    ));
+    let clock = SimClock::new();
+    let open = || {
+        QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(FileJournal::open(&path, true).unwrap())
+            .build()
+            .unwrap()
+    };
+    let id;
+    {
+        let qmgr = open();
+        qmgr.create_queue("Q.A").unwrap();
+        qmgr.create_queue("Q.B").unwrap();
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        id = messenger
+            .send_message("x", &two_dest_condition(Millis(1_000)))
+            .unwrap();
+        clock.advance(Millis(10));
+        let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        r.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        // The second ack decides the message inside the read.
+        r.read_message("Q.B", Wait::NoWait).unwrap().unwrap();
+        qmgr.crash();
+    }
+    let after_crash = std::fs::read(&path).unwrap();
+    for restart in 1..=2 {
+        let qmgr = open();
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        let of_this_message = |queue: &str| {
+            qmgr.queue(queue)
+                .unwrap()
+                .browse()
+                .into_iter()
+                .filter(|m| m.correlation_id() == Some(id.to_hex().as_str()))
+                .count()
+        };
+        assert_eq!(of_this_message("DS.DONE.Q"), 1, "outcome entry");
+        assert_eq!(of_this_message("DS.SLOG.Q"), 0, "send and ack entries");
+        assert_eq!(of_this_message("DS.COMP.Q"), 0, "parked compensations");
+        assert_eq!(of_this_message("DS.OUTCOME.Q"), 1, "notification");
+        assert!(matches!(
+            messenger.status(id),
+            MessageStatus::Decided(n) if n.outcome == MessageOutcome::Success
+        ));
+        assert_eq!(messenger.pending_count(), 0);
+        qmgr.crash();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            after_crash,
+            "restart #{restart} must not append to the journal"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
