@@ -33,8 +33,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # custody, registries); lint.allow documents the accepted exceptions.
 cargo run --release -p cond-lint -- --deny
 cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
-# Journal throughput regression gate: group commit must beat fsync-per-append
-# by >= 5x at 8 writers (asserted inside the binary).
+# Journal group-commit regression gate, on counts (asserted inside the
+# binary): fsyncs == appends at 1 writer, <= appends/2 at 8, <= appends/8 at
+# 64. The throughput ratio is written to BENCH_journal.json, not asserted.
 cargo run --release -p cond-bench --bin exp_journal -- --quick
 # Transport smoke: in-proc link vs loopback TCP, asserts batches moved and
 # writes BENCH_tcp.json.

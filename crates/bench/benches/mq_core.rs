@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mq::codec::{WireDecode, WireEncode};
-use mq::journal::{FileJournal, Journal, JournalRecord, MemJournal};
+use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
 use mq::selector::Selector;
 use mq::{Message, Priority, QueueManager, Wait};
 
@@ -95,10 +95,10 @@ fn bench_journal(c: &mut Criterion) {
     group.bench_function("mem_append", |b| {
         b.iter(|| mem.append(&record).unwrap());
     });
-    let path = std::env::temp_dir().join(format!("mq-bench-{}.log", std::process::id()));
-    let file = FileJournal::open(&path, false).unwrap();
-    group.bench_function("file_append_nosync", |b| {
-        b.iter(|| file.append(&record).unwrap());
+    let root = std::env::temp_dir().join(format!("mq-bench-{}", std::process::id()));
+    let segmented = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+    group.bench_function("segmented_append_nosync", |b| {
+        b.iter(|| segmented.append(&record).unwrap());
     });
     group.bench_function("replay_1000", |b| {
         b.iter_batched(
@@ -114,7 +114,7 @@ fn bench_journal(c: &mut Criterion) {
         );
     });
     group.finish();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 criterion_group! {

@@ -1,9 +1,9 @@
 //! EA — ablations of the design choices called out in DESIGN.md §6.
 //!
 //! 1. **Journal backend**: end-to-end conditional-messaging throughput with
-//!    durability off (`NullJournal`), in-memory WAL (`MemJournal`), file
-//!    WAL (`FileJournal`, OS-buffered) and file WAL with fsync-per-append.
-//!    Expected shape: null ≳ mem ≫ file ≫ file+fsync, quantifying what the
+//!    durability off (`NullJournal`), in-memory WAL (`MemJournal`), the
+//!    on-disk log (`SegmentedJournal`) OS-buffered and with fsync before
+//!    ack. Expected shape: null ≳ mem ≫ disk ≫ disk+fsync, quantifying what the
 //!    "reliable" in reliable messaging costs at each durability level.
 //!
 //! 2. **Eager deadlines vs. ack grace**: a receiver reads in time, but the
@@ -19,7 +19,7 @@ use cond_bench::{emit_metrics, header, queue_names, row, workload};
 use condmsg::{
     AckKind, Acknowledgment, CondConfig, ConditionalMessenger, ConditionalReceiver, MessageOutcome,
 };
-use mq::journal::{FileJournal, Journal, MemJournal, NullJournal};
+use mq::journal::{Journal, MemJournal, NullJournal, SegmentConfig, SegmentedJournal};
 use mq::{QueueManager, Wait};
 use simtime::{Millis, SimClock, Time};
 
@@ -59,22 +59,20 @@ fn journal_ablation() {
     println!("## Journal backends (full pipeline, 2 destinations)\n");
     header(&["journal", "cycles/s", "relative"]);
     let tmp = |name: &str| {
-        std::env::temp_dir().join(format!(
-            "condmsg-ablation-{}-{name}.log",
-            std::process::id()
-        ))
+        std::env::temp_dir().join(format!("condmsg-ablation-{}-{name}", std::process::id()))
+    };
+    let segmented = |name: &str, sync_every_append: bool| {
+        let config = SegmentConfig {
+            sync_every_append,
+            ..SegmentConfig::default()
+        };
+        SegmentedJournal::open(tmp(name), config).unwrap()
     };
     let results = vec![
         throughput_with(NullJournal::new(), "none (durability off)"),
         throughput_with(MemJournal::new(), "in-memory WAL"),
-        throughput_with(
-            FileJournal::open(tmp("nosync"), false).unwrap(),
-            "file WAL (OS-buffered)",
-        ),
-        throughput_with(
-            FileJournal::open(tmp("sync"), true).unwrap(),
-            "file WAL + fsync per append",
-        ),
+        throughput_with(segmented("nosync", false), "segmented log (OS-buffered)"),
+        throughput_with(segmented("sync", true), "segmented log + fsync before ack"),
     ];
     let base = results[0].1;
     for (label, cps) in &results {
@@ -84,8 +82,8 @@ fn journal_ablation() {
             format!("{:.2}x", cps / base),
         ]);
     }
-    std::fs::remove_file(tmp("nosync")).ok();
-    std::fs::remove_file(tmp("sync")).ok();
+    std::fs::remove_dir_all(tmp("nosync")).ok();
+    std::fs::remove_dir_all(tmp("sync")).ok();
     println!();
 }
 

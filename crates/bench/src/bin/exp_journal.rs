@@ -1,113 +1,134 @@
-//! EJ — journal throughput: fsync-per-append vs. group commit.
+//! EJ — journal throughput: how many fsyncs concurrent appenders share.
 //!
-//! N writer threads append persistent `Put` records to the same on-disk
-//! journal. The baseline (`FileJournal` with `sync_each = true`) pays one
-//! `fdatasync` per append, so concurrent writers serialize on the disk
-//! flush. The group-commit journal batches whatever accumulated while the
-//! previous flush was in flight into a single write + fsync and parks the
-//! waiting appenders on a condvar, so N writers amortize one fsync.
+//! N writer threads append persistent `Put` records to one
+//! `SegmentedJournal` with `sync_every_append`: `append` returning means
+//! the record is on stable storage. The journal's commit path lets
+//! whatever was written while one `sync_data` was in flight share the next
+//! one, so N writers amortize fsyncs instead of queueing N of them.
 //!
-//! Both paths keep the same contract: `append` returning means the record
-//! is durable. The experiment measures appends/sec and per-append latency
-//! (p50/p95) at 1, 8 and 64 writers, writes `BENCH_journal.json`, and —
-//! as the regression gate wired into `check.sh --quick` — asserts that
-//! group commit is at least 5x the sync-every baseline at 8 writers.
+//! The experiment measures appends/sec and per-append latency (p50/p95) at
+//! 1, 8 and 64 writers, reopens each journal cold to check every acked
+//! append survived, and writes `BENCH_journal.json`. As the regression gate
+//! wired into `check.sh --quick` it asserts the *counts*: exactly one fsync
+//! per append at 1 writer, at most one per 2 appends at 8 writers, at most
+//! one per 8 at 64.
+//!
+//! For scale it also times a reference that does what the journal did
+//! before it had a commit path — a `File` written and `sync_data`ed under
+//! one mutex — and reports the throughput ratio. That ratio follows the
+//! disk's fsync latency of the minute, so it is reported, not asserted.
 
-use std::sync::{Arc, Barrier};
+use std::fs::File;
+use std::io::Write;
+use std::sync::Barrier;
 use std::time::Instant;
 
 use cond_bench::{emit_metrics, header, percentile, row};
-use mq::journal::{FileJournal, GroupCommitConfig, GroupCommitJournal, Journal, JournalRecord};
-use mq::Message;
+use mq::codec::WireEncode;
+use mq::journal::{Journal, JournalRecord, SegmentConfig, SegmentedJournal};
+use mq::{Message, MetricsRegistry};
+use parking_lot::Mutex;
 
-const WRITER_COUNTS: [usize; 3] = [1, 8, 64];
+/// `(writers, appends allowed per fsync at least)`.
+const GATES: [(usize, u64); 3] = [(1, 1), (8, 2), (64, 8)];
 
 struct RunStats {
     appends_per_sec: f64,
     p50_us: u64,
     p95_us: u64,
-    /// Number of fsyncs issued (group mode only; the baseline by
-    /// construction issues exactly one per append).
-    fsyncs: Option<u64>,
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("condmsg-journal-{}-{name}.log", std::process::id()))
+    std::env::temp_dir().join(format!("condmsg-journal-{}-{name}", std::process::id()))
 }
 
 /// Drive `writers` threads through `per_writer` durable appends each and
 /// return throughput + latency percentiles. The clock starts when every
 /// writer has reached the barrier, so spawn overhead is excluded.
-fn run(journal: Arc<dyn Journal>, writers: usize, per_writer: usize) -> (f64, Vec<u64>) {
-    let barrier = Arc::new(Barrier::new(writers + 1));
-    let handles: Vec<_> = (0..writers)
-        .map(|w| {
-            let journal = Arc::clone(&journal);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut lats = Vec::with_capacity(per_writer);
-                barrier.wait();
-                for i in 0..per_writer {
-                    let record = JournalRecord::Put {
-                        queue: "Q.BENCH".to_owned(),
-                        message: Message::text(format!("w{w}-m{i}")).persistent(true).build(),
-                    };
-                    let t = Instant::now();
-                    journal.append(&record).unwrap();
-                    lats.push(t.elapsed().as_micros() as u64);
-                }
-                lats
+fn run(append: &(dyn Fn(&JournalRecord) + Sync), writers: usize, per_writer: usize) -> RunStats {
+    let barrier = Barrier::new(writers + 1);
+    let (wall, lats) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..writers)
+            .map(|w| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut lats = Vec::with_capacity(per_writer);
+                    barrier.wait();
+                    for i in 0..per_writer {
+                        let record = JournalRecord::Put {
+                            queue: "Q.BENCH".to_owned(),
+                            message: Message::text(format!("w{w}-m{i}")).persistent(true).build(),
+                        };
+                        let t = Instant::now();
+                        append(&record);
+                        lats.push(t.elapsed().as_micros() as u64);
+                    }
+                    lats
+                })
             })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    let mut lats = Vec::with_capacity(writers * per_writer);
-    for handle in handles {
-        lats.extend(handle.join().unwrap());
-    }
-    let wall = start.elapsed().as_secs_f64();
-    ((writers * per_writer) as f64 / wall, lats)
-}
-
-fn run_sync_every(writers: usize, per_writer: usize) -> RunStats {
-    let path = tmp(&format!("sync-{writers}"));
-    let journal = FileJournal::open(&path, true).unwrap();
-    let (appends_per_sec, lats) = run(journal, writers, per_writer);
-    verify_and_remove(&path, writers * per_writer);
+            .collect();
+        barrier.wait();
+        let start = Instant::now();
+        let mut lats = Vec::with_capacity(writers * per_writer);
+        for handle in handles {
+            lats.extend(handle.join().unwrap());
+        }
+        (start.elapsed().as_secs_f64(), lats)
+    });
     RunStats {
-        appends_per_sec,
+        appends_per_sec: (writers * per_writer) as f64 / wall,
         p50_us: percentile(&lats, 0.50),
         p95_us: percentile(&lats, 0.95),
-        fsyncs: None,
     }
 }
 
-fn run_group_commit(writers: usize, per_writer: usize) -> RunStats {
-    let path = tmp(&format!("group-{writers}"));
-    let journal = GroupCommitJournal::open_file(&path, GroupCommitConfig::default()).unwrap();
-    let metrics = journal.metrics().clone();
-    let (appends_per_sec, lats) = run(journal, writers, per_writer);
+/// The reference: one file, every append written and fsynced while holding
+/// the only lock.
+fn run_fsync_under_lock(writers: usize, per_writer: usize) -> RunStats {
+    let path = tmp(&format!("reference-{writers}.log"));
+    let file = Mutex::new(File::create(&path).unwrap());
+    let stats = run(
+        &|record| {
+            let mut file = file.lock();
+            file.write_all(&record.to_bytes()).unwrap();
+            file.sync_data().unwrap();
+        },
+        writers,
+        per_writer,
+    );
+    std::fs::remove_file(&path).ok();
+    stats
+}
+
+/// The journal; returns its stats and how many fsyncs it issued.
+fn run_journal(writers: usize, per_writer: usize) -> (RunStats, u64) {
+    let root = tmp(&format!("segments-{writers}"));
+    std::fs::remove_dir_all(&root).ok();
+    let config = SegmentConfig {
+        sync_every_append: true,
+        ..SegmentConfig::default()
+    };
+    let journal = SegmentedJournal::open(&root, config.clone()).unwrap();
+    let cells = MetricsRegistry::new();
+    journal.register_metrics(&cells);
+    let stats = run(&|record| journal.append(record).unwrap(), writers, per_writer);
     let appends = (writers * per_writer) as u64;
-    let fsyncs = metrics.fsyncs.get();
-    assert_eq!(metrics.appends.get(), appends, "every append must be counted");
-    assert!(fsyncs <= appends, "group commit never syncs more than once per append");
-    verify_and_remove(&path, writers * per_writer);
-    RunStats {
-        appends_per_sec,
-        p50_us: percentile(&lats, 0.50),
-        p95_us: percentile(&lats, 0.95),
-        fsyncs: Some(fsyncs),
-    }
-}
-
-/// Reopen the journal cold and check that every acked append survived.
-fn verify_and_remove(path: &std::path::Path, expected: usize) {
-    let reopened = FileJournal::open(path, false).unwrap();
-    let replayed = reopened.replay_collect().unwrap();
-    assert_eq!(replayed.len(), expected, "durable journal must hold every acked append");
-    drop(reopened);
-    let _ = std::fs::remove_file(path);
+    let counted = cells.snapshot();
+    assert_eq!(
+        counted.counter("mq.journal.appends"),
+        appends,
+        "every append must be counted"
+    );
+    drop(journal);
+    // Reopen cold and check that every acked append survived.
+    let reopened = SegmentedJournal::open(&root, config).unwrap();
+    assert_eq!(
+        reopened.replay_collect().unwrap().len() as u64,
+        appends,
+        "durable journal must hold every acked append"
+    );
+    std::fs::remove_dir_all(&root).ok();
+    (stats, counted.counter("mq.journal.fsyncs"))
 }
 
 fn main() {
@@ -119,74 +140,60 @@ fn main() {
         per_writer,
         if quick { ", --quick" } else { "" }
     );
-    header(&["writers", "mode", "appends/s", "p50 us", "p95 us", "fsyncs"]);
+    header(&["writers", "mode", "appends/s", "p50 us", "p95 us", "fsyncs", "speedup (not gated)"]);
 
-    let mut results: Vec<(usize, RunStats, RunStats)> = Vec::new();
-    for &writers in &WRITER_COUNTS {
-        let sync = run_sync_every(writers, per_writer);
-        let group = run_group_commit(writers, per_writer);
-        for (mode, stats) in [("fsync-per-append", &sync), ("group-commit", &group)] {
+    let mut runs_json = Vec::new();
+    for (writers, share) in GATES {
+        let appends = (writers * per_writer) as u64;
+        let reference = run_fsync_under_lock(writers, per_writer);
+        let (journal, fsyncs) = run_journal(writers, per_writer);
+        let speedup = journal.appends_per_sec / reference.appends_per_sec;
+        for (mode, stats, fsyncs, speedup) in [
+            ("fsync-under-lock", &reference, appends, String::new()),
+            ("segmented", &journal, fsyncs, format!("{speedup:.1}x")),
+        ] {
             row(&[
                 writers.to_string(),
                 mode.to_owned(),
                 format!("{:.0}", stats.appends_per_sec),
                 stats.p50_us.to_string(),
                 stats.p95_us.to_string(),
-                stats.fsyncs.map_or_else(|| "per append".to_owned(), |f| f.to_string()),
+                fsyncs.to_string(),
+                speedup,
             ]);
         }
-        results.push((writers, sync, group));
-    }
-
-    println!();
-    header(&["writers", "speedup"]);
-    let mut speedup_at_8 = 0.0;
-    for (writers, sync, group) in &results {
-        let speedup = group.appends_per_sec / sync.appends_per_sec;
-        if *writers == 8 {
-            speedup_at_8 = speedup;
-        }
-        row(&[writers.to_string(), format!("{speedup:.1}x")]);
-    }
-
-    let runs_json: Vec<String> = results
-        .iter()
-        .map(|(writers, sync, group)| {
+        let side = |s: &RunStats| {
             format!(
-                concat!(
-                    "    {{\"writers\": {}, ",
-                    "\"sync_every\": {{\"appends_per_sec\": {:.1}, \"p50_us\": {}, \"p95_us\": {}}}, ",
-                    "\"group_commit\": {{\"appends_per_sec\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \"fsyncs\": {}}}, ",
-                    "\"speedup\": {:.2}}}"
-                ),
-                writers,
-                sync.appends_per_sec,
-                sync.p50_us,
-                sync.p95_us,
-                group.appends_per_sec,
-                group.p50_us,
-                group.p95_us,
-                group.fsyncs.unwrap_or(0),
-                group.appends_per_sec / sync.appends_per_sec,
+                "{{\"appends_per_sec\": {:.1}, \"p50_us\": {}, \"p95_us\": {}}}",
+                s.appends_per_sec, s.p50_us, s.p95_us
             )
-        })
-        .collect();
+        };
+        runs_json.push(format!(
+            "    {{\"writers\": {writers}, \"appends\": {appends}, \"fsyncs\": {fsyncs}, \
+             \"gate_max_fsyncs\": {}, \"fsync_under_lock\": {}, \"segmented\": {}, \
+             \"speedup_not_gated\": {speedup:.2}}}",
+            appends / share,
+            side(&reference),
+            side(&journal),
+        ));
+        // Regression gate, on counts: one appender pays exactly one fsync
+        // per append (no hand-off, no extra sync); contending appenders
+        // share at least `share` appends per fsync.
+        if share == 1 {
+            assert_eq!(fsyncs, appends, "1 writer: exactly one fsync per append");
+        }
+        assert!(
+            fsyncs * share <= appends,
+            "{writers} writers: {fsyncs} fsyncs for {appends} appends, want at most 1 per {share}"
+        );
+    }
+
     let json = format!(
-        "{{\n  \"experiment\": \"EJ journal group commit\",\n  \"quick\": {},\n  \"per_writer_appends\": {},\n  \"runs\": [\n{}\n  ],\n  \"gate\": {{\"writers\": 8, \"min_speedup\": 5.0, \"measured_speedup\": {:.2}}}\n}}\n",
-        quick,
-        per_writer,
+        "{{\n  \"experiment\": \"EJ journal group commit\",\n  \"quick\": {quick},\n  \"per_writer_appends\": {per_writer},\n  \"runs\": [\n{}\n  ]\n}}\n",
         runs_json.join(",\n"),
-        speedup_at_8,
     );
     std::fs::write("BENCH_journal.json", json).unwrap();
     println!("\nwrote BENCH_journal.json");
-
-    // Regression gate: group commit must amortize fsyncs well enough to beat
-    // the sync-every baseline by 5x once 8 writers contend for the disk.
-    assert!(
-        speedup_at_8 >= 5.0,
-        "group commit speedup at 8 writers regressed: {speedup_at_8:.2}x < 5.0x"
-    );
 
     emit_metrics();
 }

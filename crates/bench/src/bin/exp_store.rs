@@ -10,13 +10,14 @@
 //! exact correlation map); the unindexed queue walks its priority bands
 //! evaluating the selector per message.
 //!
-//! **Restart-to-ready.** Build the same logical state twice: once as a
-//! flat full-history journal (every put and get since the beginning of
-//! time), once as a segmented store that checkpointed — snapshotted its
-//! live messages and unlinked all history segments. Restart-to-ready is
-//! the wall-clock from opening the journal to a ready queue manager.
-//! Recovery over the checkpointed store is O(live messages); over the
-//! flat history it is O(everything that ever happened).
+//! **Restart-to-ready.** Build the same logical state twice on the
+//! segmented journal: once with its full history (every put and get since
+//! the beginning of time, no checkpoint ever taken), once checkpointed —
+//! live messages snapshotted, all history segments unlinked.
+//! Restart-to-ready is the wall-clock from opening the journal to a ready
+//! queue manager. Recovery over the checkpointed store is O(live
+//! messages); over the full history it is O(everything that ever
+//! happened).
 //!
 //! Writes `BENCH_store.json`. Gates (asserted, wired into `check.sh
 //! --quick`): indexed selector and correlation p95 beat the scan path,
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cond_bench::{emit_metrics, header, percentile, row};
-use mq::journal::{FileJournal, Journal, NullJournal, SegmentConfig, SegmentedJournal};
+use mq::journal::{Journal, NullJournal, SegmentConfig, SegmentedJournal};
 use mq::selector::Selector;
 use mq::{ManagerConfig, Message, QueueConfig, QueueManager, Wait};
 
@@ -148,41 +149,23 @@ struct RestartStats {
     restart_ms: f64,
 }
 
-/// Full-history baseline: flat file journal, no truncation ever.
-fn run_restart_flat(dir: &std::path::Path, live: usize, churn: usize) -> RestartStats {
-    let path = dir.join("flat.log");
-    let qmgr = populate(FileJournal::open(&path, false).unwrap(), live, churn);
-    qmgr.crash();
-    let t = Instant::now();
-    let journal = FileJournal::open(&path, false).unwrap();
-    let bytes = journal.len_bytes();
-    let qmgr = QueueManager::builder("QM.STORE")
-        .journal(journal)
-        .config(manual_checkpoint_config())
-        .build()
-        .unwrap();
-    let restart_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(qmgr.queue("Q").unwrap().depth(), live);
-    RestartStats {
-        journal_bytes: bytes,
-        restart_ms,
-    }
-}
-
-/// Checkpointed store: segmented journal, snapshot + truncate before the
-/// crash, so recovery replays only the live set.
-fn run_restart_checkpointed(dir: &std::path::Path, live: usize, churn: usize) -> RestartStats {
-    let root = dir.join("segments");
+/// Restart-to-ready over a segmented journal holding `live` messages
+/// behind `churn` consumed ones: with `checkpoint`, snapshot + truncate
+/// before the crash so recovery replays only the live set; without, the
+/// full-history baseline.
+fn run_restart(root: &std::path::Path, live: usize, churn: usize, checkpoint: bool) -> RestartStats {
     let config = SegmentConfig::default();
     let qmgr = populate(
-        SegmentedJournal::open(&root, config.clone()).unwrap(),
+        SegmentedJournal::open(root, config.clone()).unwrap(),
         live,
         churn,
     );
-    qmgr.checkpoint().unwrap();
+    if checkpoint {
+        qmgr.checkpoint().unwrap();
+    }
     qmgr.crash();
     let t = Instant::now();
-    let journal = SegmentedJournal::open(&root, config).unwrap();
+    let journal = SegmentedJournal::open(root, config).unwrap();
     let bytes = journal.len_bytes();
     let qmgr = QueueManager::builder("QM.STORE")
         .journal(journal)
@@ -226,8 +209,8 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("condmsg-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let flat = run_restart_flat(&dir, live, churn);
-    let ckpt = run_restart_checkpointed(&dir, live, churn);
+    let flat = run_restart(&dir.join("full-history"), live, churn, false);
+    let ckpt = run_restart(&dir.join("checkpointed"), live, churn, true);
     std::fs::remove_dir_all(&dir).ok();
     let speedup = flat.restart_ms / ckpt.restart_ms;
 

@@ -118,6 +118,11 @@ pub struct ConditionalMessenger {
     /// Outcomes finalized since the last `pump()`, which drains and
     /// returns them.
     recent_outcomes: Mutex<Vec<OutcomeNotification>>,
+    /// Decided messages whose verdict transaction failed (storage down at
+    /// the decision instant). They sit in `pending` without a timer —
+    /// their trigger is past due, a timer would fire at once and spin —
+    /// and every evaluation cycle retries them.
+    retry: Mutex<Vec<CondMessageId>>,
     /// Decided-outcome sequence number + condvar: bumped on every
     /// finalization so subscribers (D-Sphere termination) can park instead
     /// of poll-sleeping.
@@ -176,6 +181,7 @@ impl ConditionalMessenger {
             pump_lock: Mutex::new(()),
             metrics,
             recent_outcomes: Mutex::new(Vec::new()),
+            retry: Mutex::new(Vec::new()),
             outcome_seq: Mutex::new(0),
             outcome_cv: Condvar::new(),
             self_weak: weak.clone(),
@@ -416,13 +422,15 @@ impl ConditionalMessenger {
     }
 
     /// One evaluation cycle: drains the ack queue, then decides — and
-    /// rearms — `seed` plus the messages the drained acks touched,
-    /// buffering the new outcomes for [`pump`](Self::pump). O(touched).
+    /// rearms — `seed`, the messages the drained acks touched and the
+    /// verdicts waiting to be retried, buffering the new outcomes for
+    /// [`pump`](Self::pump). O(touched).
     /// Sound because every pending message keeps an armed timer at its
     /// next decision-relevant instant, so time-only decisions arrive via
     /// their own timer fire. Caller holds the pump lock.
     fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<()> {
         let mut ids = seed.to_vec();
+        ids.append(&mut self.retry.lock());
         // A failed drain rolled its batch back onto the queue, but the
         // batches before it committed: their ids must still be decided,
         // and every seed must keep its timer.
@@ -436,7 +444,8 @@ impl ConditionalMessenger {
 
     /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
     /// to report to (send, ack arrival, timer fire). A failed drain left
-    /// its acks on the queue; the next event or the daemon retries it.
+    /// its acks on the queue and a failed verdict is on the retry list; the
+    /// next event, `pump()` or the daemon retries both.
     fn run_event(&self, seed: &[CondMessageId]) {
         if self.run_cycle_for(seed).is_err() {
             self.metrics.eval_errors.incr();
@@ -501,13 +510,28 @@ impl ConditionalMessenger {
             self.metrics.pending_depth.set(pending.len() as u64);
         }
 
-        // Finalize outside the pending lock (messaging I/O).
+        // Finalize outside the pending lock (messaging I/O). A verdict
+        // whose transaction fails is not lost with the cycle: it goes back
+        // into the table and onto the retry list, as does every other one
+        // decided alongside it.
+        let mut result = Ok(());
         for (id, eval, outcome, reason) in decided {
-            let notification = self.finalize(id, &eval, outcome, reason, now)?;
-            self.decided.lock().insert(id, notification.clone());
-            self.recent_outcomes.lock().push(notification);
+            match self.finalize(id, &eval, outcome, reason, now) {
+                Ok(notification) => {
+                    self.decided.lock().insert(id, notification.clone());
+                    self.recent_outcomes.lock().push(notification);
+                }
+                Err(e) => {
+                    let mut pending = self.pending.lock();
+                    pending.insert(id, eval);
+                    self.metrics.pending_depth.set(pending.len() as u64);
+                    drop(pending);
+                    self.retry.lock().push(id);
+                    result = result.and(Err(e));
+                }
+            }
         }
-        Ok(())
+        result
     }
 
     /// Drains the ack queue and applies every ack for a known pending
@@ -638,11 +662,15 @@ impl ConditionalMessenger {
 
     /// Ensures each of the given pending messages has exactly one armed
     /// timer at its next trigger instant (and none when no future instant
-    /// can decide it); already-decided ids are skipped. Caller holds the
-    /// pump lock.
+    /// can decide it); already-decided ids and verdicts awaiting a retry
+    /// are skipped. Caller holds the pump lock.
     fn rearm_ids(&self, ids: &[CondMessageId]) {
+        let retry = self.retry.lock().clone();
         let mut pending = self.pending.lock();
         for id in ids {
+            if retry.contains(id) {
+                continue;
+            }
             if let Some(eval) = pending.get_mut(id) {
                 self.rearm_entry(*id, eval);
             }
@@ -716,30 +744,42 @@ impl ConditionalMessenger {
         // notification. A crash leaves either all of it or none.
         let mut session = self.qmgr.session();
         session.begin()?;
-        session.put(
-            &self.config.done_queue,
-            SlogEntry::Outcome {
-                cond_id,
-                outcome,
-                decided_at: now,
-            }
-            .to_message(),
-        )?;
         let mut staged = Vec::new();
-        if !eval.defer_outcome_actions {
-            self.stage_outcome_actions(
-                &mut session,
-                cond_id,
-                outcome,
-                eval.success_notifications,
-                &mut staged,
+        let committed = (|| {
+            session.put(
+                &self.config.done_queue,
+                SlogEntry::Outcome {
+                    cond_id,
+                    outcome,
+                    decided_at: now,
+                }
+                .to_message(),
             )?;
-            // The outcome entry on the history queue now marks the message
-            // decided for any future recovery.
-            self.purge_slog(&mut session, cond_id)?;
+            if !eval.defer_outcome_actions {
+                self.stage_outcome_actions(
+                    &mut session,
+                    cond_id,
+                    outcome,
+                    eval.success_notifications,
+                    &mut staged,
+                )?;
+                // The outcome entry on the history queue now marks the
+                // message decided for any future recovery.
+                self.purge_slog(&mut session, cond_id)?;
+            }
+            session.put(&self.config.outcome_queue, notification.to_message())?;
+            session.commit()?;
+            Ok(())
+        })();
+        if let Err(e) = committed {
+            // The verdict is retried, possibly many times while storage is
+            // down: hand the parked compensations and log entries back
+            // without spending their backout budget.
+            if session.in_transaction() {
+                session.rollback_for_retry()?;
+            }
+            return Err(e);
         }
-        session.put(&self.config.outcome_queue, notification.to_message())?;
-        session.commit()?;
 
         match outcome {
             MessageOutcome::Success => self.metrics.verdict_success.incr(),

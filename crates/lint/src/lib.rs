@@ -655,13 +655,12 @@ mod tests {
 
     #[test]
     fn journal_module_is_fully_linted() {
-        // The group-commit flusher must park on a condvar, never poll: the
+        // Group-commit followers must park on a condvar, never poll: the
         // sleep rule (and every other library rule) has to cover the
         // journal module's files, while the throughput bench stays App.
         for p in [
             "crates/mq/src/journal/mod.rs",
-            "crates/mq/src/journal/file.rs",
-            "crates/mq/src/journal/group.rs",
+            "crates/mq/src/journal/segment.rs",
             "crates/mq/src/shard.rs",
         ] {
             assert_eq!(classify(p), FileClass::Library, "{p}");

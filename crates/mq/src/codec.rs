@@ -670,23 +670,25 @@ mod tests {
 
     #[test]
     fn wire_bytes_caches_and_counts_one_encode() {
+        // "One encode" is asserted on the cached image's identity (the
+        // same buffer comes back), not on deltas of the process-wide
+        // `mq.codec.encodes` counter: other tests encode in parallel.
         let msg = Message::text("cached").build();
         let before = message_encodes().get();
         let a = msg.wire_bytes();
         let b = msg.wire_bytes();
         assert_eq!(a, b);
+        assert_eq!(a.as_ptr(), b.as_ptr(), "second call re-encoded");
         assert_eq!(msg.wire_len(), a.len());
-        assert_eq!(message_encodes().get(), before + 1);
+        assert!(message_encodes().get() > before, "the encode was counted");
         // Clones share the cached image; no further encode happens.
         let cloned = msg.clone();
-        assert_eq!(cloned.wire_bytes(), a);
-        assert_eq!(message_encodes().get(), before + 1);
+        assert_eq!(cloned.wire_bytes().as_ptr(), a.as_ptr());
         // A mutation invalidates the cache on the mutated copy only.
         let mut mutated = msg.clone();
         mutated.set_property("k", 1i64);
         assert_ne!(mutated.wire_bytes(), a);
-        assert_eq!(msg.wire_bytes(), a);
-        assert_eq!(message_encodes().get(), before + 2);
+        assert_eq!(msg.wire_bytes().as_ptr(), a.as_ptr());
     }
 
     #[test]

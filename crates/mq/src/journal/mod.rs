@@ -8,42 +8,29 @@
 //! and non-persistent messages vanish — the same guarantees MQSeries gives
 //! the conditional-messaging layer.
 //!
-//! Six backends:
-//! * [`MemJournal`] — encoded records in memory; survives a *simulated*
-//!   crash (the journal object outlives the manager) and exercises the full
-//!   codec path.
-//! * [`FaultableJournal`] — a [`MemJournal`] with scriptable storage
-//!   failures and torn tails, driven by failure-injection tests and the
-//!   scenario engine's fault schedules.
-//! * [`FileJournal`] — length + CRC-32 framed records in an append-only
-//!   file; torn tail records are tolerated, mid-file corruption is reported.
-//! * [`GroupCommitJournal`] — a group-commit wrapper over batched storage
-//!   (typically a [`FileJournal`]): a dedicated flusher thread coalesces
-//!   concurrent appends into one write + one fsync, parking each caller
-//!   until the batch covering its record is durable. Same "returns ⇒
-//!   durable" contract as a sync-every-append [`FileJournal`], a fraction
-//!   of the fsyncs.
-//! * [`SegmentedJournal`] — a directory of per-queue segment files with a
-//!   global LSN order; checkpoint truncation is `unlink()` of whole
-//!   segments, making recovery O(live state) instead of O(history).
-//! * [`NullJournal`] — discards everything, for benchmarks isolating
-//!   in-memory throughput.
+//! Three backends:
+//! * [`SegmentedJournal`] — the one on-disk log: a directory holding a
+//!   single chain of bounded segment files. Concurrent appenders share
+//!   fsyncs (leader/follower group commit), checkpoint truncation is
+//!   tmp-then-rename plus `unlink()` of whole segments, and recovery is
+//!   O(live state) instead of O(history).
+//! * [`MemJournal`] — a test double: encoded records in memory. It
+//!   survives a *simulated* crash (the journal object outlives the
+//!   manager), exercises the full codec path, and carries the scriptable
+//!   storage faults (failing appends, a torn tail) that failure-injection
+//!   tests and the scenario engine's fault schedules drive.
+//! * [`NullJournal`] — a test double that discards everything, for
+//!   benchmarks isolating in-memory throughput.
 
-mod fault;
-mod file;
-mod group;
 mod segment;
 
-pub use fault::FaultableJournal;
-pub use file::FileJournal;
-pub use group::{GroupCommitConfig, GroupCommitJournal, GroupCommitMetrics, GroupStorage};
 pub use segment::{SegmentConfig, SegmentedJournal};
 
 use std::fmt;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::codec::{crc32, CodecError, Decoder, Encoder, WireDecode, WireEncode};
 use crate::error::{MqError, MqResult};
@@ -293,14 +280,8 @@ impl WireDecode for JournalRecord {
 
 // ---------------------------------------------------------------- framing --
 
-/// Encodes a record as the on-storage frame shared by [`FileJournal`] and
-/// [`GroupCommitJournal`]: `[len:u32][crc:u32][record bytes]`.
-pub(crate) fn encode_frame(record: &JournalRecord) -> Vec<u8> {
-    encode_frame_body(&record.to_bytes())
-}
-
-/// Frames an arbitrary pre-encoded body (the segmented journal prefixes
-/// record bytes with an LSN stamp before framing).
+/// Frames a pre-encoded body as `[len:u32][crc:u32][body]` (the segmented
+/// journal prefixes record bytes with an LSN stamp before framing).
 pub(crate) fn encode_frame_body(body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(body.len() + 8);
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -309,84 +290,19 @@ pub(crate) fn encode_frame_body(body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Streams a byte run of frames into `sink`, one decoded record at a time.
-///
-/// A torn record at the very end (short header, short body, or a CRC
-/// mismatch on the final record — an interrupted last write) ends the
-/// replay silently; corruption anywhere earlier is an error.
-#[cfg(test)]
-pub(crate) fn decode_frames_into(raw: &[u8], sink: &mut ReplaySink<'_>) -> MqResult<()> {
-    let mut offset = 0usize;
-    while offset < raw.len() {
-        if raw.len() - offset < 8 {
-            // Torn header at the tail: interrupted final write.
-            break;
-        }
-        let len = u32::from_le_bytes([
-            raw[offset],
-            raw[offset + 1],
-            raw[offset + 2],
-            raw[offset + 3],
-        ]) as usize;
-        let stored_crc = u32::from_le_bytes([
-            raw[offset + 4],
-            raw[offset + 5],
-            raw[offset + 6],
-            raw[offset + 7],
-        ]);
-        let body_start = offset + 8;
-        if raw.len() - body_start < len {
-            // Torn body at the tail.
-            break;
-        }
-        let body = &raw[body_start..body_start + len];
-        if crc32(body) != stored_crc {
-            let is_tail = body_start + len == raw.len();
-            if is_tail {
-                break; // torn final record
-            }
-            return Err(MqError::JournalCorrupt {
-                offset: offset as u64,
-                reason: "crc mismatch".into(),
-            });
-        }
-        match JournalRecord::from_bytes(Bytes::copy_from_slice(body)) {
-            Ok(rec) => sink(rec)?,
-            Err(e) => {
-                return Err(MqError::JournalCorrupt {
-                    offset: offset as u64,
-                    reason: format!("undecodable record: {e}"),
-                })
-            }
-        }
-        offset = body_start + len;
-    }
-    Ok(())
-}
-
-/// Decodes a byte run of frames into a vector (tests and small logs; the
-/// recovery path streams via [`decode_frames_into`]).
-#[cfg(test)]
-pub(crate) fn decode_frames(raw: &[u8]) -> MqResult<Vec<JournalRecord>> {
-    let mut records = Vec::new();
-    decode_frames_into(raw, &mut |rec| {
-        records.push(rec);
-        Ok(())
-    })?;
-    Ok(records)
-}
-
 /// Incremental frame reader over any byte stream of known total length:
 /// yields one CRC-checked frame body at a time so replay memory is bounded
 /// by the largest record, not the log.
 ///
-/// Same tail rules as [`decode_frames_into`]: a torn frame at the very end
-/// (short header, short body, or CRC mismatch on the final frame) ends the
-/// stream silently; corruption anywhere earlier is an error.
+/// A torn frame at the very end (short header, short body, or CRC mismatch
+/// on the final frame — an interrupted last write) ends the stream
+/// silently, and [`FrameStream::ended_torn`] reports it; corruption
+/// anywhere earlier is an error.
 pub(crate) struct FrameStream<R> {
     reader: R,
     total: u64,
-    consumed: u64,
+    /// End of the last frame that passed its CRC.
+    valid: u64,
 }
 
 impl<R: std::io::Read> FrameStream<R> {
@@ -394,8 +310,19 @@ impl<R: std::io::Read> FrameStream<R> {
         FrameStream {
             reader,
             total,
-            consumed: 0,
+            valid: 0,
         }
+    }
+
+    /// Byte length of the prefix made of whole, CRC-clean frames.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.valid
+    }
+
+    /// Once [`FrameStream::next_body`] has returned `None`: whether bytes
+    /// of a torn frame follow the valid prefix.
+    pub(crate) fn ended_torn(&self) -> bool {
+        self.valid < self.total
     }
 
     /// Reads exactly `buf.len()` bytes unless EOF intervenes; returns how
@@ -419,24 +346,23 @@ impl<R: std::io::Read> FrameStream<R> {
     ///
     /// [`MqError::JournalCorrupt`] for mid-stream corruption; I/O errors.
     pub(crate) fn next_body(&mut self) -> MqResult<Option<(u64, Bytes)>> {
-        let offset = self.consumed;
+        let offset = self.valid;
         let mut header = [0u8; 8];
-        let got = self.read_full(&mut header)?;
-        if got < 8 {
+        if self.read_full(&mut header)? < 8 {
             return Ok(None); // clean EOF or torn header at the tail
         }
-        let len =
-            u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let stored_crc =
-            u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        let mut body = vec![0u8; len];
-        let got = self.read_full(&mut body)?;
-        if got < len {
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let stored_crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        let end = offset + 8 + u64::from(len);
+        if end > self.total {
             return Ok(None); // torn body at the tail
         }
-        self.consumed = offset + 8 + len as u64;
+        let mut body = vec![0u8; len as usize];
+        if self.read_full(&mut body)? < body.len() {
+            return Ok(None); // the stream is shorter than `total` claimed
+        }
         if crc32(&body) != stored_crc {
-            if self.consumed >= self.total {
+            if end == self.total {
                 return Ok(None); // torn final frame
             }
             return Err(MqError::JournalCorrupt {
@@ -444,6 +370,7 @@ impl<R: std::io::Read> FrameStream<R> {
                 reason: "crc mismatch".into(),
             });
         }
+        self.valid = end;
         Ok(Some((offset, Bytes::from(body))))
     }
 }
@@ -500,7 +427,8 @@ pub trait Journal: Send + Sync + fmt::Debug {
     /// semantics make the checkpoint authoritative even with history still
     /// in front of it); backends that can truncate override this.
     /// [`MemJournal`] atomically replaces its record list; the segmented
-    /// journal rewrites its control stream and deletes every other segment.
+    /// journal publishes the snapshot as one fresh segment and deletes
+    /// every older one.
     ///
     /// # Errors
     ///
@@ -532,19 +460,24 @@ pub trait Journal: Send + Sync + fmt::Debug {
     /// Registers any journal-owned metric cells into `registry`.
     ///
     /// [`crate::QueueManagerBuilder::build`] calls this with the manager's
-    /// observability hub so backend-internal counters (the group-commit
-    /// fsync/batch cells) surface in `mq.*` snapshots. Backends without
-    /// internal metrics — the default — register nothing.
+    /// observability hub so backend-internal counters (the segmented
+    /// journal's fsync/batch cells) surface in `mq.*` snapshots. Backends
+    /// without internal metrics — the default — register nothing.
     fn register_metrics(&self, registry: &MetricsRegistry) {
         let _ = registry;
     }
 }
 
-/// In-memory journal storing encoded records.
+/// In-memory journal storing encoded records, with scriptable storage
+/// faults.
 ///
 /// Keep the `Arc<MemJournal>` across a simulated crash
 /// ([`crate::QueueManager::crash`]) and hand it to the restarted manager to
-/// model recovery without touching the filesystem.
+/// model recovery without touching the filesystem; in between, faults can
+/// reshape what the restarted manager will recover. Failure-injection
+/// tests and the scenario engine's `fail_storage` / `heal_storage` /
+/// `tear_journal_tail` actions drive them through the
+/// [`FaultPlane`](crate::transport::fault::FaultPlane) surface.
 #[derive(Debug, Default)]
 pub struct MemJournal {
     /// Encoded records. Never held while a replay sink runs: the sink may
@@ -552,10 +485,12 @@ pub struct MemJournal {
     // lint: never-hold(MemJournal.records) across sink
     records: Mutex<Vec<Bytes>>,
     bytes: AtomicU64,
+    /// While set, every append and checkpoint fails, retaining nothing.
+    failing: AtomicBool,
 }
 
 impl MemJournal {
-    /// Creates an empty in-memory journal.
+    /// Creates an empty in-memory journal with no faults armed.
     pub fn new() -> std::sync::Arc<MemJournal> {
         std::sync::Arc::new(MemJournal::default())
     }
@@ -564,10 +499,47 @@ impl MemJournal {
     pub fn record_count(&self) -> usize {
         self.records.lock().len()
     }
+
+    /// Arms (`true`) or heals (`false`) the storage-failure fault: while
+    /// armed, [`Journal::append`] and [`Journal::write_checkpoint`] fail
+    /// with [`MqError::Io`] and retain nothing — modelling a full or broken
+    /// disk — so callers must not apply the state change.
+    pub fn set_failing(&self, failing: bool) {
+        self.failing.store(failing, Ordering::SeqCst);
+    }
+
+    /// Whether appends are currently failing.
+    pub fn is_failing(&self) -> bool {
+        self.failing.load(Ordering::SeqCst)
+    }
+
+    /// Tears off the newest record, as if its final write was interrupted
+    /// mid-frame; returns whether a record was removed. A subsequent
+    /// replay simply never sees it — the same silent-tail rule the
+    /// segmented journal applies to a short or CRC-broken last frame.
+    pub fn tear_tail(&self) -> bool {
+        match self.records.lock().pop() {
+            Some(dropped) => {
+                self.bytes.fetch_sub(dropped.len() as u64, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn check_storage(&self) -> MqResult<()> {
+        if self.is_failing() {
+            return Err(MqError::Io(std::io::Error::other(
+                "injected storage failure",
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Journal for MemJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
+        self.check_storage()?;
         let bytes = record.to_bytes();
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.records.lock().push(bytes);
@@ -585,6 +557,7 @@ impl Journal for MemJournal {
     }
 
     fn write_checkpoint(&self, records: &mut dyn Iterator<Item = JournalRecord>) -> MqResult<()> {
+        self.check_storage()?;
         // Atomic replace: the checkpoint becomes the entire journal, so a
         // simulated crash right after sees exactly the snapshot.
         let mut encoded = Vec::new();
@@ -687,30 +660,24 @@ pub(crate) mod tests {
         ]
     }
 
-    pub(crate) fn check_roundtrip(journal: &dyn Journal) {
-        let records = sample_records();
-        for r in &records {
-            journal.append(r).unwrap();
-        }
-        let replayed = journal.replay_collect().unwrap();
-        assert_eq!(replayed, records);
-    }
-
-    pub(crate) fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "mq-journal-test-{}-{}-{name}.log",
+    /// A unique, not yet existing directory for a segment journal.
+    pub(crate) fn temp_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "mq-journal-test-{}-{}-{name}",
             std::process::id(),
             MessageId::generate()
-        ));
-        p
+        ))
     }
 
     #[test]
     fn mem_journal_roundtrip() {
         let j = MemJournal::new();
-        check_roundtrip(j.as_ref());
-        assert_eq!(j.record_count(), sample_records().len());
+        let records = sample_records();
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        assert_eq!(j.replay_collect().unwrap(), records);
+        assert_eq!(j.record_count(), records.len());
         assert!(j.len_bytes() > 0);
         j.reset().unwrap();
         assert_eq!(j.record_count(), 0);
@@ -726,31 +693,92 @@ pub(crate) mod tests {
         assert_eq!(j.len_bytes(), 0);
     }
 
+    /// Decodes a byte run of frames the way replay does.
+    fn decode_frames(raw: &[u8]) -> MqResult<(Vec<JournalRecord>, bool)> {
+        let mut frames = FrameStream::new(raw, raw.len() as u64);
+        let mut records = Vec::new();
+        while let Some((_, body)) = frames.next_body()? {
+            records.push(JournalRecord::from_bytes(body)?);
+        }
+        Ok((records, frames.ended_torn()))
+    }
+
     #[test]
     fn frame_roundtrip_and_torn_tail() {
         let records = sample_records();
         let mut raw = Vec::new();
+        let mut boundaries = vec![0];
         for r in &records {
-            raw.extend_from_slice(&encode_frame(r));
+            raw.extend_from_slice(&encode_frame_body(&r.to_bytes()));
+            boundaries.push(raw.len());
         }
-        assert_eq!(decode_frames(&raw).unwrap(), records);
-        // Any prefix cut decodes to a prefix of the records.
+        assert_eq!(decode_frames(&raw).unwrap(), (records.clone(), false));
+        // Any prefix cut decodes to a prefix of the records, and says
+        // whether it stopped inside a frame.
         for cut in 0..raw.len() {
-            let decoded = decode_frames(&raw[..cut]).unwrap();
-            assert!(decoded.len() <= records.len());
+            let (decoded, torn) = decode_frames(&raw[..cut]).unwrap();
             assert_eq!(decoded[..], records[..decoded.len()]);
+            assert_eq!(torn, !boundaries.contains(&cut), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn frame_length_beyond_the_stream_is_a_torn_tail_not_an_allocation() {
+        // A header claiming 4 GiB at the end of a short stream must not
+        // be trusted for the size of the body buffer.
+        let mut raw = encode_frame_body(b"whole");
+        let whole = raw.len() as u64;
+        raw.extend_from_slice(&u32::MAX.to_le_bytes());
+        raw.extend_from_slice(&[0; 12]);
+        let mut frames = FrameStream::new(&raw[..], raw.len() as u64);
+        assert!(frames.next_body().unwrap().is_some());
+        assert!(frames.next_body().unwrap().is_none());
+        assert_eq!(frames.valid_len(), whole);
+        assert!(frames.ended_torn());
     }
 
     #[test]
     fn journals_are_share_safe() {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<MemJournal>();
-        assert_bounds::<FaultableJournal>();
-        assert_bounds::<FileJournal>();
-        assert_bounds::<GroupCommitJournal>();
+        assert_bounds::<SegmentedJournal>();
         assert_bounds::<NullJournal>();
         let _boxed: Arc<dyn Journal> = MemJournal::new();
+    }
+
+    #[test]
+    fn failing_append_retains_nothing() {
+        let j = MemJournal::new();
+        j.set_failing(true);
+        assert!(j.is_failing());
+        let rec = JournalRecord::QueueCreated { queue: "Q".into() };
+        assert!(matches!(j.append(&rec), Err(MqError::Io(_))));
+        assert!(matches!(
+            j.write_checkpoint(&mut std::iter::once(rec.clone())),
+            Err(MqError::Io(_))
+        ));
+        assert_eq!(j.record_count(), 0);
+        j.set_failing(false);
+        j.append(&rec).unwrap();
+        assert_eq!(j.record_count(), 1);
+    }
+
+    #[test]
+    fn tear_tail_drops_only_the_newest_record() {
+        let j = MemJournal::new();
+        j.append(&JournalRecord::QueueCreated { queue: "A".into() })
+            .unwrap();
+        j.append(&JournalRecord::QueueCreated { queue: "B".into() })
+            .unwrap();
+        let before = j.len_bytes();
+        assert!(j.tear_tail());
+        assert!(j.len_bytes() < before);
+        assert_eq!(
+            j.replay_collect().unwrap(),
+            vec![JournalRecord::QueueCreated { queue: "A".into() }]
+        );
+        assert!(j.tear_tail());
+        assert!(!j.tear_tail(), "empty journal has no tail to tear");
     }
 
     #[test]

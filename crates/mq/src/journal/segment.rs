@@ -1,80 +1,87 @@
-//! Segmented journal: the journal *as* the primary store.
+//! Segmented journal: the one durable log.
 //!
-//! Where [`super::FileJournal`] is one flat append-only file,
-//! [`SegmentedJournal`] is a directory of per-queue **streams**, each a
-//! sequence of bounded **segment** files:
+//! A [`SegmentedJournal`] is a directory holding one chain of bounded
+//! **segment** files, each named after the LSN of its first record:
 //!
 //! ```text
 //! root/
-//!   @control/00000000000000000000.seg      queue DDL, TxCommit, checkpoints
-//!   ORDERS/00000000000000000104.seg        ORDERS' puts/gets/expiries…
-//!   ORDERS/00000000000000020381.seg        …rolled at roll_bytes
-//!   DS%2EACK%2EQ/00000000000000000031.seg  names percent-encoded for the fs
+//!   00000000000000000000.seg
+//!   00000000000000020381.seg        rolled at roll_bytes
+//!   00000000000000031207.seg.tmp    only while a checkpoint is being written
 //! ```
 //!
-//! Every record is stamped with a global **LSN** at append time; a frame on
-//! disk is the standard `[len:u32][crc:u32]` envelope over
-//! `[lsn:u64][record bytes]`. Replay opens every segment of every stream
-//! and k-way merges them by LSN, reproducing exact append order — so the
-//! queue-manager recovery logic is byte-for-byte the same as over a flat
-//! journal, while the storage layout gives each queue its own files.
+//! Every record is stamped with an **LSN** at append time; a frame on disk
+//! is the standard `[len:u32][crc:u32]` envelope over
+//! `[lsn:u64][record bytes]`. Replay reads the files in name order and
+//! insists on the contract the writer keeps: LSNs are contiguous across
+//! the whole chain, and only the *last* segment may end in a torn frame
+//! (an interrupted final write). Anything else is
+//! [`MqError::JournalCorrupt`] — a retired segment was fsynced before its
+//! successor was created, so a hole in it is lost acknowledged data, not a
+//! crash artefact.
 //!
-//! Why this shape:
-//! * **Bounded segments** mean checkpoint truncation is `unlink()`, not a
-//!   rewrite: [`SegmentedJournal::write_checkpoint`] writes the snapshot
-//!   into one fresh control segment, fsyncs it, and deletes every other
-//!   segment file. Recovery cost becomes O(live state), not O(history).
-//! * **Per-queue streams** keep one queue's churn from interleaving with
-//!   another's, so a future per-queue retention pass can drop whole
-//!   segments once every record in them is dead.
-//! * **Crash safety** falls out of the checkpoint record pair: a crash
-//!   mid-checkpoint leaves a `CheckpointStart` without its matching end
-//!   (highest LSNs, so replayed last); recovery's buffer-and-swap discards
-//!   the torn snapshot and the not-yet-deleted history still wins. A crash
-//!   mid-delete leaves a *complete* checkpoint plus stale segments below
-//!   it; the swap replaces them.
+//! **Commit path.** `append` takes the lock, stamps the LSN and writes the
+//! frame. With [`SegmentConfig::sync_every_append`] it then waits until the
+//! durable watermark covers its LSN: the first waiter that finds no sync in
+//! flight becomes the **leader**, captures `(next_lsn, active file)`, drops
+//! the lock, issues one `sync_data`, advances the watermark and wakes
+//! everybody. Appenders arriving during that sync write their frames behind
+//! it and share the next one, so the fsync's own duration forms the batch:
+//! one appender pays exactly write + fsync, N appenders share. The
+//! watermark argument: frames are written under the lock in LSN order into
+//! the active file, and a segment is only retired once the watermark has
+//! reached its tail, so a `sync_data` of the file that was active when
+//! `next_lsn` was captured covers every LSN below it. A failed write or
+//! sync is sticky: the failed batch's waiters and every later append see
+//! the error, so nothing unsynced is ever reported durable.
 //!
-//! Records route to streams by the queue they touch: `Put`/`Get`/`Expired`
-//! go to their queue's stream, `RelayCustody` to its transmission queue's
-//! stream, and everything spanning queues (`QueueCreated`/`QueueDeleted`,
-//! `TxCommit`, the checkpoint pair) to the reserved `@control` stream.
-//! Queue names are percent-encoded for the filesystem (the `@` of the
-//! control stream is escaped in real queue names, so a queue literally
-//! named `@control` cannot collide).
+//! **Checkpoints.** [`Journal::write_checkpoint`] writes the snapshot to
+//! `{first_lsn}.seg.tmp`, fsyncs it, renames it to `.seg` (the commit
+//! point), fsyncs the directory and only then unlinks the older segments —
+//! recovery is O(live state), and a checkpoint torn by a crash is never
+//! visible to replay. A crash between the rename and the unlinks leaves a
+//! complete checkpoint beside stale history; [`SegmentedJournal::open`]
+//! finishes the truncation, and a replay that still meets both (a failed
+//! unlink) is put right by recovery's buffer-and-swap.
 
-use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::codec::{WireDecode, WireEncode};
 use crate::error::{MqError, MqResult};
+use crate::stats::{Counter, Histogram, MetricsRegistry};
 
 use super::{encode_frame_body, FrameStream, Journal, JournalRecord, ReplaySink};
 
-/// Directory name of the stream holding queue DDL, transaction commits and
-/// checkpoint records. Real queue names percent-encode `@`, so this never
-/// collides with a queue's stream directory.
-const CONTROL_STREAM: &str = "@control";
-
-/// Segment file extension; anything else in a stream directory is ignored.
+/// Segment file extension; a checkpoint in progress carries [`TMP_SUFFIX`]
+/// behind it.
 const SEGMENT_EXT: &str = "seg";
+
+/// Suffix of a checkpoint segment that has not been renamed into the chain.
+const TMP_SUFFIX: &str = ".tmp";
+
+/// Bucket bounds for the `mq.journal.batch_size` histogram (records per
+/// fsync, not a latency).
+const BATCH_SIZE_BOUNDS: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Tuning for a [`SegmentedJournal`].
 #[derive(Debug, Clone)]
 pub struct SegmentConfig {
-    /// Roll a stream to a fresh segment file once the active one reaches
-    /// this many bytes. Smaller segments mean finer-grained truncation at
-    /// slightly more file churn.
+    /// Roll to a fresh segment file once the active one reaches this many
+    /// bytes. Smaller segments mean finer-grained truncation at slightly
+    /// more file churn.
     pub roll_bytes: u64,
-    /// Fsync the active segment after every append. Off by default: pair
-    /// the store with periodic checkpoints (or accept OS-buffer durability)
-    /// the way [`super::FileJournal`] does in experiments.
+    /// `append` returns only once the record is on stable storage
+    /// (concurrent appenders share fsyncs). Off by default: pair the store
+    /// with periodic checkpoints, or accept OS-buffer durability, as the
+    /// non-durable experiments do.
     pub sync_every_append: bool,
 }
 
@@ -87,34 +94,73 @@ impl Default for SegmentConfig {
     }
 }
 
-/// The active (last) segment of one stream, opened for appending.
-struct ActiveSegment {
-    file: File,
-    /// Bytes in the active segment (drives rolling).
-    seg_bytes: u64,
+/// The active (last) segment, opened for appending. The file is shared so
+/// a leader can sync it without holding the lock.
+struct Active {
+    file: Arc<File>,
+    /// Bytes in the segment (drives rolling).
+    bytes: u64,
 }
 
 struct Inner {
-    /// Stream name (decoded) → its active segment.
-    streams: HashMap<String, ActiveSegment>,
-    /// Next LSN to stamp; strictly increasing across all streams.
+    /// `None` until the first append after opening an empty root, a reset
+    /// or a roll creates the next file.
+    active: Option<Active>,
+    /// Next LSN to stamp; strictly increasing along the chain.
     next_lsn: u64,
     /// Total bytes across every live segment file.
     total_bytes: u64,
+    /// Every record with an LSN below this is on stable storage.
+    durable_lsn: u64,
+    /// A leader is inside `sync_data`, outside the lock.
+    syncing: bool,
+    /// Sticky storage failure; all current and future appends observe it.
+    failed: Option<String>,
 }
 
-/// Directory-of-segments journal. See the module docs for the layout.
+impl Inner {
+    fn failure(&self) -> Option<MqError> {
+        self.failed
+            .as_ref()
+            .map(|msg| MqError::Io(std::io::Error::other(msg.clone())))
+    }
+
+    fn fail(&mut self, e: std::io::Error) -> MqError {
+        self.failed = Some(e.to_string());
+        MqError::Io(e)
+    }
+}
+
+/// What a test substitutes for the disk's part of a sync: called by the
+/// leader, outside the lock, with the LSN watermark the sync will cover.
+#[cfg(test)]
+type SyncHook = Arc<dyn Fn(u64) -> std::io::Result<()> + Send + Sync>;
+
+/// Directory-of-segments journal. See the module docs for the layout and
+/// the commit path.
 pub struct SegmentedJournal {
     root: PathBuf,
     config: SegmentConfig,
-    /// Append state. Never held while a replay sink or a checkpoint
-    /// snapshot iterator runs: both reach back into queue stores, and the
-    /// put path locks store-then-journal.
+    /// Append state. Never held across an fsync (appenders keep writing
+    /// frames while the disk works), nor while a replay sink or a
+    /// checkpoint snapshot iterator runs: both reach back into queue
+    /// stores, and the put path locks store-then-journal.
+    // lint: never-hold(SegmentedJournal.inner) across sync_data
     // lint: never-hold(SegmentedJournal.inner) across sink
     // lint: never-hold(SegmentedJournal.inner) across snapshot_persistent
     inner: Mutex<Inner>,
+    /// Signals waiters: the watermark advanced, or the journal failed.
+    durable: Condvar,
     /// Mirror of `Inner::total_bytes` so `len_bytes` never takes the lock.
     bytes: AtomicU64,
+    appends: Arc<Counter>,
+    fsyncs: Arc<Counter>,
+    /// Appends that parked behind another appender's sync.
+    group_waits: Arc<Counter>,
+    /// Records made durable per fsync.
+    batch_size: Arc<Histogram>,
+    #[cfg(test)]
+    sync_hook: Mutex<Option<SyncHook>>,
 }
 
 impl fmt::Debug for SegmentedJournal {
@@ -123,37 +169,6 @@ impl fmt::Debug for SegmentedJournal {
             .field("root", &self.root)
             .field("bytes", &self.bytes.load(Ordering::Relaxed))
             .finish()
-    }
-}
-
-/// Percent-encodes a queue name into a filesystem-safe directory name.
-/// Alphanumerics plus `.`, `_` and `-` pass through; everything else —
-/// including `/`, `%` and the control stream's `@` — becomes `%XX` per
-/// byte, so decoding is unambiguous and distinct names stay distinct.
-fn encode_stream_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for b in name.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'.' | b'_' | b'-' => out.push(b as char),
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// The stream a record belongs to: the queue it touches, or the control
-/// stream for records spanning queues.
-fn stream_of(record: &JournalRecord) -> &str {
-    match record {
-        JournalRecord::Put { queue, .. }
-        | JournalRecord::Get { queue, .. }
-        | JournalRecord::Expired { queue, .. } => queue,
-        JournalRecord::RelayCustody { xmit_queue, .. } => xmit_queue,
-        JournalRecord::QueueCreated { .. }
-        | JournalRecord::QueueDeleted { .. }
-        | JournalRecord::TxCommit { .. }
-        | JournalRecord::CheckpointStart { .. }
-        | JournalRecord::CheckpointEnd { .. } => CONTROL_STREAM,
     }
 }
 
@@ -190,176 +205,149 @@ fn segment_file_name(first_lsn: u64) -> String {
     format!("{first_lsn:020}.{SEGMENT_EXT}")
 }
 
-/// One stream's current head during the replay k-way merge: its LSN,
-/// the owning cursor's index, and the already-decoded record. Ordered
-/// by `(lsn, idx)` only — the record rides along.
-struct Head {
-    lsn: u64,
-    idx: usize,
-    record: JournalRecord,
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.lsn == other.lsn && self.idx == other.idx
-    }
-}
-
-impl Eq for Head {}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.lsn, self.idx).cmp(&(other.lsn, other.idx))
-    }
-}
-
-/// Lists a stream's segment files sorted by first LSN (their file names
-/// zero-pad the LSN, so lexicographic order is numeric order).
-fn list_segments(stream_dir: &Path) -> MqResult<Vec<PathBuf>> {
+/// The root's segments as `(first LSN, path)` in chain order.
+///
+/// A sub-directory is the per-queue stream layout of an earlier version of
+/// this journal, and a `.seg` file whose name is not an LSN is not ours:
+/// both are refused rather than read as an empty log.
+fn list_segments(root: &Path) -> MqResult<Vec<(u64, PathBuf)>> {
+    let foreign = |path: &Path, reason: &str| MqError::JournalCorrupt {
+        offset: 0,
+        reason: format!("{}: {reason}", path.display()),
+    };
     let mut segs = Vec::new();
-    for entry in std::fs::read_dir(stream_dir)? {
-        let path = entry?.path();
+    for entry in std::fs::read_dir(root)? {
+        let entry = entry?;
+        let path = entry.path();
+        if entry.file_type()?.is_dir() {
+            return Err(foreign(
+                &path,
+                "per-queue stream directory of an older journal layout",
+            ));
+        }
         if path.extension().and_then(|e| e.to_str()) == Some(SEGMENT_EXT) {
-            segs.push(path);
+            let first_lsn = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| foreign(&path, "segment file not named after an LSN"))?;
+            segs.push((first_lsn, path));
         }
     }
     segs.sort();
     Ok(segs)
 }
 
-/// Lists every stream directory under the root.
-fn list_streams(root: &Path) -> MqResult<Vec<PathBuf>> {
-    let mut dirs = Vec::new();
+/// Deletes what an interrupted or failed checkpoint left behind.
+fn remove_stray_tmp(root: &Path) -> MqResult<()> {
     for entry in std::fs::read_dir(root)? {
         let path = entry?.path();
-        if path.is_dir() {
-            dirs.push(path);
+        let is_tmp = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.ends_with(TMP_SUFFIX));
+        if is_tmp {
+            std::fs::remove_file(&path)?;
         }
     }
-    dirs.sort();
-    Ok(dirs)
+    Ok(())
 }
 
-/// Flushes a directory's entry table so freshly created (or unlinked)
-/// segment files survive a power cut before their parent does.
+/// Flushes a directory's entry table so freshly created, renamed or
+/// unlinked segment files survive a power cut before their parent does.
 fn sync_dir(dir: &Path) -> MqResult<()> {
     File::open(dir)?.sync_all()?;
     Ok(())
 }
 
-/// One stream's cursor during replay: frames of the current segment, then
-/// each later segment in LSN order.
-struct StreamCursor {
-    frames: FrameStream<BufReader<File>>,
-    later: std::vec::IntoIter<PathBuf>,
-}
-
-impl StreamCursor {
-    fn open(segments: Vec<PathBuf>) -> MqResult<Option<StreamCursor>> {
-        let mut later = segments.into_iter();
-        let Some(first) = later.next() else {
-            return Ok(None);
-        };
-        Ok(Some(StreamCursor {
-            frames: Self::open_segment(&first)?,
-            later,
-        }))
-    }
-
-    fn open_segment(path: &Path) -> MqResult<FrameStream<BufReader<File>>> {
-        let file = OpenOptions::new().read(true).open(path)?;
-        let total = file.metadata()?.len();
-        Ok(FrameStream::new(BufReader::new(file), total))
-    }
-
-    /// Next `(lsn, record)` of this stream, crossing segment boundaries.
-    fn next(&mut self) -> MqResult<Option<(u64, JournalRecord)>> {
-        loop {
-            if let Some((offset, body)) = self.frames.next_body()? {
-                return decode_segment_body(offset, body).map(Some);
-            }
-            match self.later.next() {
-                Some(path) => self.frames = Self::open_segment(&path)?,
-                None => return Ok(None),
-            }
-        }
-    }
+fn open_segment(path: &Path) -> MqResult<FrameStream<BufReader<File>>> {
+    let file = File::open(path)?;
+    let total = file.metadata()?.len();
+    Ok(FrameStream::new(BufReader::new(file), total))
 }
 
 impl SegmentedJournal {
     /// Opens (or creates) a segmented journal rooted at `root`.
     ///
-    /// Reopening scans each stream's *last* segment to recover the global
-    /// LSN cursor and truncates any torn final frame left by a crash, so
-    /// subsequent appends never land behind garbage.
+    /// Reopening scans the *last* segment to recover the LSN cursor and
+    /// truncates any torn final frame left by a crash, so subsequent
+    /// appends never land behind garbage. It also finishes what a crashed
+    /// checkpoint left half-done: a stray `.seg.tmp` is deleted, and if the
+    /// last segment opens with a complete checkpoint every older segment
+    /// (stale history the crash did not get to unlink) is removed.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures and mid-segment corruption.
-    pub fn open(
-        root: impl AsRef<Path>,
-        config: SegmentConfig,
-    ) -> MqResult<std::sync::Arc<SegmentedJournal>> {
+    /// Propagates filesystem failures; [`MqError::JournalCorrupt`] for
+    /// corruption inside the last segment and for a root that is not a
+    /// single segment chain (the per-queue directories of an older layout).
+    pub fn open(root: impl AsRef<Path>, config: SegmentConfig) -> MqResult<Arc<SegmentedJournal>> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
-        let mut streams = HashMap::new();
-        let mut next_lsn = 0u64;
-        let mut total_bytes = 0u64;
-        for dir in list_streams(&root)? {
-            let segments = list_segments(&dir)?;
-            let Some(last) = segments.last() else {
-                continue;
-            };
-            for seg in &segments[..segments.len() - 1] {
-                total_bytes += std::fs::metadata(seg)?.len();
-            }
-            // Scan the last segment: find the stream's final LSN and the
-            // byte length of its valid prefix (a torn tail is healed by
-            // truncation so appends resume on a clean boundary).
-            let mut frames = StreamCursor::open_segment(last)?;
-            let mut valid_len = 0u64;
+        remove_stray_tmp(&root)?;
+        let mut segments = list_segments(&root)?;
+        let mut inner = Inner {
+            active: None,
+            next_lsn: 0,
+            total_bytes: 0,
+            durable_lsn: 0,
+            syncing: false,
+            failed: None,
+        };
+        if let Some((first_lsn, last)) = segments.pop() {
+            let mut frames = open_segment(&last)?;
+            inner.next_lsn = first_lsn;
+            let mut opened: Option<u64> = None;
+            let mut complete = false;
             while let Some((offset, body)) = frames.next_body()? {
-                let (lsn, _) = decode_segment_body(offset, body.clone())?;
-                next_lsn = next_lsn.max(lsn + 1);
-                valid_len = offset + 8 + body.len() as u64;
+                let (lsn, record) = decode_segment_body(offset, body)?;
+                match record {
+                    JournalRecord::CheckpointStart { checkpoint_id, .. } if offset == 0 => {
+                        opened = Some(checkpoint_id);
+                    }
+                    JournalRecord::CheckpointEnd { checkpoint_id } => {
+                        complete |= opened == Some(checkpoint_id);
+                    }
+                    _ => {}
+                }
+                inner.next_lsn = lsn + 1;
             }
-            if valid_len < std::fs::metadata(last)?.len() {
-                let f = OpenOptions::new().write(true).open(last)?;
+            if complete {
+                for (_, stale) in segments.drain(..) {
+                    std::fs::remove_file(&stale)?;
+                }
+                sync_dir(&root)?;
+            }
+            let valid_len = frames.valid_len();
+            if valid_len < std::fs::metadata(&last)?.len() {
+                let f = OpenOptions::new().write(true).open(&last)?;
                 f.set_len(valid_len)?;
                 f.sync_data()?;
             }
-            total_bytes += valid_len;
-            let name = dir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_owned();
-            let file = OpenOptions::new().append(true).open(last)?;
-            streams.insert(
-                name,
-                ActiveSegment {
-                    file,
-                    seg_bytes: valid_len,
-                },
-            );
+            for (_, seg) in &segments {
+                inner.total_bytes += std::fs::metadata(seg)?.len();
+            }
+            inner.total_bytes += valid_len;
+            inner.active = Some(Active {
+                file: Arc::new(OpenOptions::new().append(true).open(&last)?),
+                bytes: valid_len,
+            });
         }
-        let journal = SegmentedJournal {
+        // What was found on disk is as durable as it will ever get.
+        inner.durable_lsn = inner.next_lsn;
+        Ok(Arc::new(SegmentedJournal {
             root,
             config,
-            inner: Mutex::new(Inner {
-                streams,
-                next_lsn,
-                total_bytes,
-            }),
-            bytes: AtomicU64::new(total_bytes),
-        };
-        Ok(std::sync::Arc::new(journal))
+            bytes: AtomicU64::new(inner.total_bytes),
+            inner: Mutex::new(inner),
+            durable: Condvar::new(),
+            appends: Arc::default(),
+            fsyncs: Arc::default(),
+            group_waits: Arc::default(),
+            batch_size: Arc::new(Histogram::new(&BATCH_SIZE_BOUNDS)),
+            #[cfg(test)]
+            sync_hook: Mutex::new(None),
+        }))
     }
 
     /// The journal's root directory.
@@ -374,104 +362,156 @@ impl SegmentedJournal {
     /// Propagates directory-listing failures.
     pub fn segment_count(&self) -> MqResult<usize> {
         let _guard = self.inner.lock();
-        let mut n = 0;
-        for dir in list_streams(&self.root)? {
-            n += list_segments(&dir)?.len();
-        }
-        Ok(n)
+        Ok(list_segments(&self.root)?.len())
     }
 
-    /// Returns the stream's active segment, creating the stream directory
-    /// and/or rolling to a fresh segment (named after `lsn`) as needed.
-    fn active_segment<'a>(
-        &self,
-        inner: &'a mut Inner,
-        stream: &str,
-        lsn: u64,
-    ) -> MqResult<&'a mut ActiveSegment> {
-        let encoded = if stream == CONTROL_STREAM {
-            CONTROL_STREAM.to_owned()
-        } else {
-            encode_stream_name(stream)
-        };
-        let needs_roll = inner
-            .streams
-            .get(&encoded)
-            .is_some_and(|s| s.seg_bytes >= self.config.roll_bytes);
-        if needs_roll {
-            // Make the retiring segment durable before moving on: a roll is
-            // the one moment a stream's tail stops being the append target.
-            if let Some(retiring) = inner.streams.remove(&encoded) {
-                retiring.file.sync_data()?;
+    /// Blocks until every LSN below `upto` is durable, syncing as the
+    /// leader whenever no sync is in flight.
+    ///
+    /// # Errors
+    ///
+    /// The sticky storage failure, whoever met it first.
+    fn wait_durable(&self, upto: u64) -> MqResult<()> {
+        let mut inner = self.inner.lock();
+        let mut parked = false;
+        loop {
+            if let Some(e) = inner.failure() {
+                return Err(e);
             }
-        }
-        match inner.streams.entry(encoded) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let dir = self.root.join(e.key());
-                std::fs::create_dir_all(&dir)?;
-                let path = dir.join(segment_file_name(lsn));
-                let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                sync_dir(&dir)?;
-                Ok(e.insert(ActiveSegment { file, seg_bytes: 0 }))
+            if inner.durable_lsn >= upto {
+                break;
             }
+            if inner.syncing {
+                parked = true;
+                self.durable.wait(&mut inner);
+                continue;
+            }
+            // Leader: everything below `covers` is in the active file (or
+            // in retired segments, durable since their roll).
+            inner.syncing = true;
+            let covers = inner.next_lsn;
+            let batch = covers - inner.durable_lsn;
+            let file = inner.active.as_ref().map(|a| Arc::clone(&a.file));
+            drop(inner);
+            #[cfg(test)]
+            let hooked = self.sync_hook.lock().clone().map_or(Ok(()), |hook| hook(covers));
+            #[cfg(not(test))]
+            let hooked: std::io::Result<()> = Ok(());
+            let result = hooked.and_then(|()| file.as_deref().map_or(Ok(()), File::sync_data));
+            inner = self.inner.lock();
+            inner.syncing = false;
+            match result {
+                Ok(()) => {
+                    inner.durable_lsn = inner.durable_lsn.max(covers);
+                    self.fsyncs.incr();
+                    self.batch_size.record(batch);
+                }
+                Err(e) => {
+                    inner.fail(e);
+                }
+            }
+            self.durable.notify_all();
         }
+        if parked {
+            self.group_waits.incr();
+        }
+        Ok(())
     }
 }
 
 impl Journal for SegmentedJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
         let mut inner = self.inner.lock();
+        // Roll. A full segment is retired only once the watermark has
+        // reached its tail: replay trusts every segment but the last to be
+        // complete, so the successor must not exist before that. Appenders
+        // arriving meanwhile queue up here instead of writing, so the tail
+        // stands still and one sync reaches it.
+        while inner
+            .active
+            .as_ref()
+            .is_some_and(|a| a.bytes >= self.config.roll_bytes)
+        {
+            if inner.durable_lsn >= inner.next_lsn {
+                inner.active = None;
+            } else {
+                let tail = inner.next_lsn;
+                drop(inner);
+                self.wait_durable(tail)?;
+                inner = self.inner.lock();
+            }
+        }
+        if let Some(e) = inner.failure() {
+            return Err(e);
+        }
         let lsn = inner.next_lsn;
         let frame = encode_segment_frame(lsn, record);
-        let sync = self.config.sync_every_append;
-        let segment = self.active_segment(&mut inner, stream_of(record), lsn)?;
-        segment.file.write_all(&frame)?;
-        if sync {
-            segment.file.sync_data()?;
+        let active = match inner.active {
+            Some(ref mut active) => active,
+            None => {
+                let path = self.root.join(segment_file_name(lsn));
+                let file = OpenOptions::new().create(true).append(true).open(&path)?;
+                sync_dir(&self.root)?;
+                inner.active.insert(Active {
+                    file: Arc::new(file),
+                    bytes: 0,
+                })
+            }
+        };
+        // A short write leaves a torn frame that later frames must not
+        // land behind: like a failed sync, it ends the journal's service.
+        if let Err(e) = active.file.as_ref().write_all(&frame) {
+            return Err(inner.fail(e));
         }
-        segment.seg_bytes += frame.len() as u64;
+        active.bytes += frame.len() as u64;
         inner.next_lsn = lsn + 1;
         inner.total_bytes += frame.len() as u64;
         self.bytes.store(inner.total_bytes, Ordering::Relaxed);
+        self.appends.incr();
+        drop(inner);
+        if self.config.sync_every_append {
+            self.wait_durable(lsn + 1)?;
+        }
         Ok(())
     }
 
     fn replay(&self, sink: &mut ReplaySink<'_>) -> MqResult<()> {
-        // Lock-free, like `FileJournal::replay`: replay happens on a
-        // quiesced journal (recovery) through dedicated read handles, and
-        // the sink reaches into queue stores — holding the append lock
-        // here would invert the store-then-journal order of the put path.
-        let mut cursors = Vec::new();
-        for dir in list_streams(&self.root)? {
-            if let Some(cursor) = StreamCursor::open(list_segments(&dir)?)? {
-                cursors.push(cursor);
+        // Lock-free: replay happens on a quiesced journal (recovery)
+        // through dedicated read handles, and the sink reaches into queue
+        // stores — holding the append lock here would invert the
+        // store-then-journal order of the put path.
+        let segments = list_segments(&self.root)?;
+        let mut expected: Option<u64> = None;
+        for (i, (_, path)) in segments.iter().enumerate() {
+            let corrupt = |offset: u64, reason: String| MqError::JournalCorrupt {
+                offset,
+                reason: format!("{}: {reason}", path.display()),
+            };
+            let mut frames = open_segment(path)?;
+            while let Some((offset, body)) = frames.next_body()? {
+                let (lsn, record) = decode_segment_body(offset, body)?;
+                if expected.is_some_and(|e| e != lsn) {
+                    return Err(corrupt(
+                        offset,
+                        format!("LSN {lsn} breaks the chain (records lost before it)"),
+                    ));
+                }
+                expected = Some(lsn + 1);
+                sink(record)?;
             }
-        }
-        // K-way merge by LSN. Each stream is internally LSN-ascending, so a
-        // heap over the head of each stream yields global append order. The
-        // head carries its record so popping yields it directly.
-        let mut heads: BinaryHeap<std::cmp::Reverse<Head>> = BinaryHeap::new();
-        for (idx, cursor) in cursors.iter_mut().enumerate() {
-            if let Some((lsn, record)) = cursor.next()? {
-                heads.push(std::cmp::Reverse(Head { lsn, idx, record }));
-            }
-        }
-        while let Some(std::cmp::Reverse(head)) = heads.pop() {
-            let idx = head.idx;
-            sink(head.record)?;
-            if let Some((lsn, record)) = cursors[idx].next()? {
-                heads.push(std::cmp::Reverse(Head { lsn, idx, record }));
+            if frames.ended_torn() && i + 1 < segments.len() {
+                return Err(corrupt(
+                    frames.valid_len(),
+                    "torn frame in a segment that is not the last".into(),
+                ));
             }
         }
         Ok(())
     }
 
     fn write_checkpoint(&self, records: &mut dyn Iterator<Item = JournalRecord>) -> MqResult<()> {
-        // 1. Write the whole snapshot into one fresh control segment. The
-        //    snapshot's Puts go here, not to their queue streams: the
-        //    checkpoint must be self-contained so step 3 can delete every
-        //    other file.
+        // 1. Write the whole snapshot into one fresh segment under a
+        //    temporary name, where replay cannot see it.
         //
         //    The append lock is NOT held while the iterator is pulled:
         //    the snapshot reaches back into queue stores, and the put/get
@@ -480,55 +520,55 @@ impl Journal for SegmentedJournal {
         //    quiesce appenders for the whole call (the queue manager
         //    holds its mutation gate exclusively); a concurrent append
         //    would land in a segment step 3 is about to unlink anyway.
-        let control_dir = self.root.join(CONTROL_STREAM);
-        std::fs::create_dir_all(&control_dir)?;
+        remove_stray_tmp(&self.root)?;
         let first_lsn = self.inner.lock().next_lsn;
-        let path = control_dir.join(segment_file_name(first_lsn));
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let name = segment_file_name(first_lsn);
+        let path = self.root.join(&name);
+        let tmp = self.root.join(name + TMP_SUFFIX);
+        let mut file = OpenOptions::new().create(true).append(true).open(&tmp)?;
         let mut seg_bytes = 0u64;
         let mut next_lsn = first_lsn;
         for record in records {
-            let lsn = next_lsn;
-            next_lsn = lsn + 1;
-            let frame = encode_segment_frame(lsn, &record);
+            let frame = encode_segment_frame(next_lsn, &record);
+            next_lsn += 1;
             file.write_all(&frame)?;
             seg_bytes += frame.len() as u64;
         }
-        // 2. Make it durable — data, then the directory entry — before any
-        //    history below it is touched.
+        // 2. Make it durable, then publish it: the rename is the commit
+        //    point. Until it, the chain is untouched; after it, the new
+        //    segment holds a complete checkpoint that supersedes the rest.
         file.sync_data()?;
-        sync_dir(&control_dir)?;
+        std::fs::rename(&tmp, &path)?;
+        sync_dir(&self.root)?;
         let mut inner = self.inner.lock();
+        inner.active = Some(Active {
+            file: Arc::new(file),
+            bytes: seg_bytes,
+        });
         inner.next_lsn = next_lsn.max(inner.next_lsn);
-        // 3. Truncation is now just unlink: every other segment is wholly
-        //    below the checkpoint. A crash part-way leaves stale segments
-        //    that replay's buffer-and-swap discards, so order is free.
-        for dir in list_streams(&self.root)? {
-            for seg in list_segments(&dir)? {
-                if seg != path {
-                    std::fs::remove_file(&seg)?;
-                }
-            }
-            if dir != control_dir {
-                // Ignore failures: a racing create would repopulate it.
-                std::fs::remove_dir(&dir).ok();
-            }
-        }
-        inner.streams.clear();
-        inner
-            .streams
-            .insert(CONTROL_STREAM.to_owned(), ActiveSegment { file, seg_bytes });
+        inner.durable_lsn = inner.next_lsn;
         inner.total_bytes = seg_bytes;
         self.bytes.store(seg_bytes, Ordering::Relaxed);
+        // 3. Truncation is now just unlink, oldest first so that whatever
+        //    a failure leaves behind is still a gapless chain. It is
+        //    leftover for the next `open()`, not a failed checkpoint:
+        //    replay's buffer-and-swap discards it.
+        for (_, stale) in list_segments(&self.root).unwrap_or_default() {
+            if stale != path && std::fs::remove_file(&stale).is_err() {
+                break;
+            }
+        }
         Ok(())
     }
 
     fn reset(&self) -> MqResult<()> {
         let mut inner = self.inner.lock();
-        for dir in list_streams(&self.root)? {
-            std::fs::remove_dir_all(&dir)?;
+        remove_stray_tmp(&self.root)?;
+        for (_, seg) in list_segments(&self.root)? {
+            std::fs::remove_file(&seg)?;
         }
-        inner.streams.clear();
+        inner.active = None;
+        inner.durable_lsn = inner.next_lsn;
         inner.total_bytes = 0;
         self.bytes.store(0, Ordering::Relaxed);
         Ok(())
@@ -537,24 +577,44 @@ impl Journal for SegmentedJournal {
     fn len_bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
+
+    fn register_metrics(&self, registry: &MetricsRegistry) {
+        registry.register_counter("mq.journal.appends", &self.appends);
+        registry.register_counter("mq.journal.fsyncs", &self.fsyncs);
+        registry.register_counter("mq.journal.group_waits", &self.group_waits);
+        registry.register_histogram("mq.journal.batch_size", &self.batch_size);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{sample_records, temp_path};
+    use super::super::tests::{sample_records, temp_dir};
     use super::*;
     use crate::message::Message;
+    use std::time::Duration;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let path = temp_path(name);
-        std::fs::remove_dir_all(&path).ok();
-        path
+    impl SegmentedJournal {
+        /// Puts `hook` in front of every commit-path `sync_data`.
+        fn set_sync_hook(&self, hook: impl Fn(u64) -> std::io::Result<()> + Send + Sync + 'static) {
+            *self.sync_hook.lock() = Some(Arc::new(hook));
+        }
+
+        fn counts(&self) -> (u64, u64) {
+            (self.appends.get(), self.fsyncs.get())
+        }
     }
 
     fn small_config() -> SegmentConfig {
         SegmentConfig {
             roll_bytes: 256,
             sync_every_append: false,
+        }
+    }
+
+    fn durable_config() -> SegmentConfig {
+        SegmentConfig {
+            sync_every_append: true,
+            ..SegmentConfig::default()
         }
     }
 
@@ -565,16 +625,71 @@ mod tests {
         }
     }
 
+    fn named(queue: String) -> JournalRecord {
+        JournalRecord::QueueCreated { queue }
+    }
+
+    fn checkpoint_of(id: u64, live: &str) -> Vec<JournalRecord> {
+        vec![
+            JournalRecord::CheckpointStart {
+                checkpoint_id: id,
+                queues: vec!["Q".into()],
+                dedup: Vec::new(),
+            },
+            put("Q", live),
+            JournalRecord::CheckpointEnd { checkpoint_id: id },
+        ]
+    }
+
+    fn segment_paths(root: &Path) -> Vec<PathBuf> {
+        list_segments(root).unwrap().into_iter().map(|(_, p)| p).collect()
+    }
+
+    fn file_names(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn cut(path: &Path, by: u64) {
+        let len = std::fs::metadata(path).unwrap().len();
+        let f = OpenOptions::new().write(true).open(path).unwrap();
+        f.set_len(len - by).unwrap();
+    }
+
+    /// Copies every file of `src` into `dst`, skipping files already there.
+    fn copy_files(src: &Path, dst: &Path) {
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let from = entry.unwrap().path();
+            let to = dst.join(from.file_name().unwrap());
+            if !to.exists() {
+                std::fs::copy(&from, &to).unwrap();
+            }
+        }
+    }
+
     #[test]
-    fn roundtrip_preserves_append_order_across_streams() {
+    fn roundtrip_preserves_append_order_across_reopen() {
         let root = temp_dir("seg-roundtrip");
-        let records = sample_records();
+        // Every record kind, then queue names that would be hostile to a
+        // file system (they only ever appear inside frames).
+        let mut records = sample_records();
+        records.extend(["a/b", "@control", "naïve queue", "100%", ".."].map(|n| put(n, "payload")));
         {
-            let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+            let j = SegmentedJournal::open(&root, durable_config()).unwrap();
             for r in &records {
                 j.append(r).unwrap();
             }
             assert_eq!(j.replay_collect().unwrap(), records);
+            // One appender: exactly write + fsync per record.
+            let n = records.len() as u64;
+            assert_eq!(j.counts(), (n, n));
+            assert_eq!(j.batch_size.sum(), n);
+            assert_eq!(j.group_waits.get(), 0);
         }
         // Reopen: same records, same order, appends continue after them.
         let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
@@ -584,11 +699,12 @@ mod tests {
         let all = j.replay_collect().unwrap();
         assert_eq!(all.len(), records.len() + 1);
         assert_eq!(all.last().unwrap(), &late);
+        assert_eq!(file_names(&root), ["00000000000000000000.seg"]);
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn streams_roll_into_bounded_segments() {
+    fn appends_roll_into_bounded_segments() {
         let root = temp_dir("seg-roll");
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
         for i in 0..64 {
@@ -598,6 +714,8 @@ mod tests {
             j.segment_count().unwrap() > 2,
             "64 puts at roll_bytes=256 must span several segments"
         );
+        drop(j);
+        let j = SegmentedJournal::open(&root, small_config()).unwrap();
         let payloads: Vec<_> = j
             .replay_collect()
             .unwrap()
@@ -607,33 +725,28 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(payloads.len(), 64);
-        assert_eq!(payloads[0], "message 0");
-        assert_eq!(payloads[63], "message 63");
+        let expected: Vec<_> = (0..64).map(|i| format!("message {i}")).collect();
+        assert_eq!(payloads, expected);
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn hostile_queue_names_get_distinct_streams() {
-        let root = temp_dir("seg-names");
-        let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
-        // Path separators, the control stream's '@', unicode, and the '%'
-        // escape character itself must all stay distinct and replayable.
-        let names = ["a/b", "@control", "naïve queue", "100%"];
-        for n in &names {
-            j.append(&put(n, "payload")).unwrap();
+    fn reset_truncates_and_len_tracks() {
+        let root = temp_dir("seg-reset");
+        let j = SegmentedJournal::open(&root, small_config()).unwrap();
+        for i in 0..20 {
+            j.append(&named(format!("A{i}"))).unwrap();
         }
+        assert!(j.len_bytes() > 0);
+        j.reset().unwrap();
+        assert_eq!(j.len_bytes(), 0);
+        assert_eq!(j.segment_count().unwrap(), 0);
+        assert!(j.replay_collect().unwrap().is_empty());
+        j.append(&named("B".into())).unwrap();
+        assert_eq!(j.replay_collect().unwrap(), vec![named("B".into())]);
         drop(j);
-        let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
-        let replayed = j.replay_collect().unwrap();
-        let queues: Vec<_> = replayed
-            .iter()
-            .map(|r| match r {
-                JournalRecord::Put { queue, .. } => queue.clone(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(queues, names);
+        let j = SegmentedJournal::open(&root, small_config()).unwrap();
+        assert_eq!(j.replay_collect().unwrap(), vec![named("B".into())]);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -650,18 +763,10 @@ mod tests {
             .unwrap();
         }
         let before = j.len_bytes();
-        let snapshot = vec![
-            JournalRecord::CheckpointStart {
-                checkpoint_id: 7,
-                queues: vec!["Q".into()],
-                dedup: Vec::new(),
-            },
-            put("Q", "live"),
-            JournalRecord::CheckpointEnd { checkpoint_id: 7 },
-        ];
+        let snapshot = checkpoint_of(7, "live");
         j.write_checkpoint(&mut snapshot.clone().into_iter()).unwrap();
         assert!(j.len_bytes() < before, "truncation must shrink the store");
-        assert_eq!(j.segment_count().unwrap(), 1, "only the checkpoint remains");
+        assert_eq!(file_names(&root), ["00000000000000000100.seg"]);
         assert_eq!(j.replay_collect().unwrap(), snapshot);
         // The store keeps working after truncation, across a reopen.
         let after = put("Q", "after");
@@ -682,11 +787,7 @@ mod tests {
         j.append(&keep).unwrap();
         j.append(&put("Q", "torn")).unwrap();
         drop(j);
-        let seg = list_segments(&root.join(encode_stream_name("Q"))).unwrap()[0].clone();
-        let len = std::fs::metadata(&seg).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
+        cut(&segment_paths(&root)[0], 3);
         let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
         assert_eq!(j.replay_collect().unwrap(), vec![keep.clone()]);
         // The torn bytes were truncated away, so new appends replay cleanly
@@ -704,55 +805,95 @@ mod tests {
         j.append(&put("Q", "first")).unwrap();
         j.append(&put("Q", "second")).unwrap();
         drop(j);
-        let seg = list_segments(&root.join(encode_stream_name("Q"))).unwrap()[0].clone();
+        let seg = segment_paths(&root)[0].clone();
         let mut raw = std::fs::read(&seg).unwrap();
         raw[12] ^= 0xFF; // inside the first frame's body
         std::fs::write(&seg, &raw).unwrap();
-        let j = SegmentedJournal::open(&root, SegmentConfig::default());
-        // Either open (tail scan) or replay reports the corruption.
-        let err = match j {
-            Err(e) => e,
-            Ok(j) => j.replay_collect().unwrap_err(),
-        };
+        let err = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap_err();
         assert!(matches!(err, MqError::JournalCorrupt { .. }), "got {err:?}");
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn crash_between_checkpoint_and_delete_recovers_checkpoint_only() {
+    fn a_retired_segment_that_lost_its_tail_is_corruption_not_a_short_log() {
+        // Only the last segment may end torn; an earlier one was fsynced
+        // before its successor existed, so records missing from it were
+        // acknowledged. Cut mid-frame and cut at a frame boundary (the LSN
+        // chain breaks) are both refused.
+        for by in [3, 0] {
+            let root = temp_dir("seg-middle-cut");
+            let j = SegmentedJournal::open(&root, small_config()).unwrap();
+            for i in 0..40 {
+                j.append(&put("Q", &format!("m{i}"))).unwrap();
+            }
+            drop(j);
+            let segs = segment_paths(&root);
+            assert!(segs.len() >= 3);
+            let middle = &segs[1];
+            let by = if by == 0 {
+                // Drop exactly the last whole frame.
+                let mut frames = open_segment(middle).unwrap();
+                let mut last_start = 0;
+                while let Some((offset, _)) = frames.next_body().unwrap() {
+                    last_start = offset;
+                }
+                frames.valid_len() - last_start
+            } else {
+                by
+            };
+            cut(middle, by);
+            let j = SegmentedJournal::open(&root, small_config()).unwrap();
+            let err = j.replay_collect().unwrap_err();
+            assert!(matches!(err, MqError::JournalCorrupt { .. }), "got {err:?}");
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    #[test]
+    fn a_root_in_the_per_queue_layout_is_refused() {
+        let root = temp_dir("seg-old-layout");
+        std::fs::create_dir_all(root.join("@control")).unwrap();
+        std::fs::write(root.join("@control").join(segment_file_name(0)), b"").unwrap();
+        let err = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap_err();
+        assert!(matches!(err, MqError::JournalCorrupt { .. }), "got {err:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn stale_history_beside_a_complete_checkpoint_is_superseded_then_removed() {
         let root = temp_dir("seg-crash-late");
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
-        for i in 0..20 {
-            j.append(&put("Q", &format!("old {i}"))).unwrap();
+        let history: Vec<_> = (0..20).map(|i| put("Q", &format!("old {i}"))).collect();
+        for r in &history {
+            j.append(r).unwrap();
         }
-        // Simulate "checkpoint durable, deletes lost": snapshot the whole
-        // directory, checkpoint, then restore the pre-delete segment files
+        // "Checkpoint renamed into place, unlinks lost": snapshot the
+        // directory, checkpoint, then restore the pre-checkpoint segments
         // next to the checkpoint segment.
         let backup = temp_dir("seg-crash-late-backup");
-        copy_tree(&root, &backup);
-        let snapshot = vec![
-            JournalRecord::CheckpointStart {
-                checkpoint_id: 1,
-                queues: vec!["Q".into()],
-                dedup: Vec::new(),
-            },
-            put("Q", "live"),
-            JournalRecord::CheckpointEnd { checkpoint_id: 1 },
-        ];
+        copy_files(&root, &backup);
+        let snapshot = checkpoint_of(1, "live");
         j.write_checkpoint(&mut snapshot.clone().into_iter()).unwrap();
+        copy_files(&backup, &root); // stale history reappears
+        // A replay that meets both (what a failed unlink leaves a running
+        // journal with) yields history, then the complete checkpoint for
+        // recovery's buffer-and-swap to prefer.
+        let mut both = history.clone();
+        both.extend(snapshot.clone());
+        assert_eq!(j.replay_collect().unwrap(), both);
         drop(j);
-        copy_tree(&backup, &root); // stale history reappears
+        // The crash may also have torn a stale file: it was on its way out,
+        // so that is not corruption.
+        cut(&segment_paths(&root)[1], 5);
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
-        let replayed = j.replay_collect().unwrap();
-        // Replay yields history then (highest LSNs) the complete checkpoint;
-        // a recovery driver's buffer-and-swap keeps only the checkpoint.
-        assert_eq!(&replayed[replayed.len() - 3..], &snapshot[..]);
+        assert_eq!(j.replay_collect().unwrap(), snapshot);
+        assert_eq!(j.segment_count().unwrap(), 1, "open() finishes the truncation");
         std::fs::remove_dir_all(&root).ok();
         std::fs::remove_dir_all(&backup).ok();
     }
 
     #[test]
-    fn crash_mid_checkpoint_write_leaves_history_intact() {
+    fn crash_mid_checkpoint_write_leaves_history_and_no_trace() {
         let root = temp_dir("seg-crash-early");
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
         let history: Vec<_> = (0..5).map(|i| put("Q", &format!("old {i}"))).collect();
@@ -760,55 +901,129 @@ mod tests {
             j.append(r).unwrap();
         }
         let backup = temp_dir("seg-crash-early-backup");
-        copy_tree(&root, &backup);
-        let snapshot = vec![
-            JournalRecord::CheckpointStart {
-                checkpoint_id: 2,
-                queues: vec!["Q".into()],
-                dedup: Vec::new(),
-            },
-            put("Q", "live"),
-            JournalRecord::CheckpointEnd { checkpoint_id: 2 },
-        ];
-        j.write_checkpoint(&mut snapshot.into_iter()).unwrap();
+        copy_files(&root, &backup);
+        j.write_checkpoint(&mut checkpoint_of(2, "live").into_iter()).unwrap();
         drop(j);
-        // Simulate a crash mid-checkpoint-write: history still on disk, the
-        // new control segment torn before its CheckpointEnd frame.
-        let control = list_segments(&root.join(CONTROL_STREAM)).unwrap();
-        let ckpt_seg = control.last().unwrap().clone();
-        let len = std::fs::metadata(&ckpt_seg).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&ckpt_seg).unwrap();
-        f.set_len(len - 10).unwrap(); // tear the final (CheckpointEnd) frame
-        drop(f);
-        copy_tree(&backup, &root);
+        // A crash mid-checkpoint-write: history still on disk, the new
+        // segment torn before its CheckpointEnd frame and never renamed.
+        let ckpt = segment_paths(&root)[0].clone();
+        cut(&ckpt, 10);
+        let mut tmp = ckpt.clone().into_os_string();
+        tmp.push(TMP_SUFFIX);
+        std::fs::rename(&ckpt, &tmp).unwrap();
+        copy_files(&backup, &root);
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
-        let replayed = j.replay_collect().unwrap();
-        // All history survives; the torn checkpoint has a Start but no End,
-        // which recovery's buffer-and-swap discards.
-        assert_eq!(&replayed[..history.len()], &history[..]);
-        let ends = replayed
-            .iter()
-            .filter(|r| matches!(r, JournalRecord::CheckpointEnd { .. }))
-            .count();
-        assert_eq!(ends, 0, "the torn checkpoint must not present an end marker");
+        assert_eq!(j.replay_collect().unwrap(), history);
+        assert!(file_names(&root).iter().all(|n| n.ends_with(".seg")));
+        // Appends continue the old chain.
+        let after = put("Q", "after");
+        j.append(&after).unwrap();
+        drop(j);
+        let j = SegmentedJournal::open(&root, small_config()).unwrap();
+        assert_eq!(j.replay_collect().unwrap().last(), Some(&after));
         std::fs::remove_dir_all(&root).ok();
         std::fs::remove_dir_all(&backup).ok();
     }
 
-    /// Copies every regular file in `src` into `dst` (one level of stream
-    /// dirs), preserving relative paths and skipping files already present.
-    fn copy_tree(src: &Path, dst: &Path) {
-        for dir in list_streams(src).unwrap() {
-            let rel = dir.file_name().unwrap();
-            let out_dir = dst.join(rel);
-            std::fs::create_dir_all(&out_dir).unwrap();
-            for seg in list_segments(&dir).unwrap() {
-                let out = out_dir.join(seg.file_name().unwrap());
-                if !out.exists() {
-                    std::fs::copy(&seg, &out).unwrap();
-                }
-            }
+    // ------------------------------------------------------ commit path --
+
+    #[test]
+    fn acked_appends_are_synced_before_return() {
+        let root = temp_dir("seg-acked");
+        let j = SegmentedJournal::open(&root, durable_config()).unwrap();
+        let covered = Arc::new(AtomicU64::new(0));
+        let seen = covered.clone();
+        j.set_sync_hook(move |covers| {
+            seen.fetch_max(covers, Ordering::SeqCst);
+            Ok(())
+        });
+        for (lsn, r) in sample_records().iter().enumerate() {
+            j.append(r).unwrap();
+            // The durability contract, probed after every single append: a
+            // sync covering this record's LSN ran before the ack.
+            assert!(covered.load(Ordering::SeqCst) > lsn as u64);
         }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn sync_failure_is_sticky_for_the_batch_and_every_later_append() {
+        let root = temp_dir("seg-sticky");
+        let j = SegmentedJournal::open(&root, durable_config()).unwrap();
+        // The failing sync does not return before all four appenders have
+        // written their frames, so three of them are parked behind it.
+        const WRITERS: u64 = 4;
+        let probe = Arc::downgrade(&j);
+        j.set_sync_hook(move |_| {
+            let j = probe.upgrade().expect("journal outlives its appenders");
+            while j.inner.lock().next_lsn < WRITERS {
+                std::thread::yield_now();
+            }
+            Err(std::io::Error::other("disk on fire"))
+        });
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WRITERS)
+                .map(|t| s.spawn({ let j = &j; move || j.append(&named(format!("Q{t}"))) }))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for r in results {
+            assert!(matches!(r, Err(MqError::Io(_))), "got {r:?}");
+        }
+        // A healthy disk does not bring the journal back: nothing after the
+        // failed batch may be reported durable.
+        j.set_sync_hook(|_| Ok(()));
+        let before = j.counts();
+        assert!(matches!(j.append(&named("late".into())), Err(MqError::Io(_))));
+        assert_eq!(j.counts(), before, "fails fast, without touching storage");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_appenders_share_fsyncs() {
+        // A sync slow enough (1ms) that 8 free-running appenders pile up
+        // behind each batch: every record must survive, and the whole
+        // point of group commit — fsyncs ≪ appends — must hold.
+        let root = temp_dir("seg-sharing");
+        let j = SegmentedJournal::open(&root, durable_config()).unwrap();
+        j.set_sync_hook(|_| {
+            std::thread::sleep(Duration::from_millis(1));
+            Ok(())
+        });
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let j = &j;
+                s.spawn(move || {
+                    for i in 0..100 {
+                        j.append(&named(format!("Q{t}-{i}"))).unwrap();
+                    }
+                });
+            }
+        });
+        let (appends, fsyncs) = j.counts();
+        assert_eq!(appends, 800);
+        assert!(
+            fsyncs < 800 / 4,
+            "group commit must share fsyncs: {fsyncs} fsyncs for 800 appends"
+        );
+        assert_eq!(j.batch_size.sum(), 800);
+        assert!(j.group_waits.get() > 0);
+        drop(j);
+        let j = SegmentedJournal::open(&root, durable_config()).unwrap();
+        let mut names: Vec<String> = j
+            .replay_collect()
+            .unwrap()
+            .into_iter()
+            .map(|r| match r {
+                JournalRecord::QueueCreated { queue } => queue,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(names.len(), 800);
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 800, "every (thread, i) record exactly once");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     mod crash_proptest {
@@ -816,74 +1031,98 @@ mod tests {
         use crate::{QueueManager, Wait};
         use proptest::prelude::*;
 
-        /// Builds the crash image of a checkpoint interrupted at an
-        /// arbitrary point. `pre` is the directory as it stood before the
-        /// checkpoint, `post` after it; `tear` truncates the checkpoint's
-        /// control segment (`None` = fully durable) and `keep_old`
-        /// selects which pre-checkpoint files the interrupted deletion
-        /// pass left behind.
-        fn build_crash_image(
-            pre: &Path,
-            post: &Path,
-            out: &Path,
-            tear: Option<u64>,
-            keep_old: &[bool],
-        ) {
-            std::fs::remove_dir_all(out).ok();
-            std::fs::create_dir_all(out).unwrap();
-            // The checkpoint's own control segment, possibly torn.
-            for dir in list_streams(post).unwrap() {
-                let out_dir = out.join(dir.file_name().unwrap());
-                std::fs::create_dir_all(&out_dir).unwrap();
-                for seg in list_segments(&dir).unwrap() {
-                    let dst = out_dir.join(seg.file_name().unwrap());
-                    std::fs::copy(&seg, &dst).unwrap();
-                    if let Some(at) = tear {
-                        let len = std::fs::metadata(&dst).unwrap().len();
-                        let f = OpenOptions::new().write(true).open(&dst).unwrap();
-                        f.set_len(at.min(len)).unwrap();
+        fn arb_record() -> impl Strategy<Value = JournalRecord> {
+            prop_oneof![
+                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::QueueCreated { queue }),
+                ("[A-Z]{1,8}", "[a-z]{0,32}").prop_map(|(queue, payload)| JournalRecord::Put {
+                    queue,
+                    message: Message::text(payload).persistent(true).build(),
+                }),
+                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::Get {
+                    queue,
+                    message_id: crate::message::MessageId::generate(),
+                }),
+                // Checkpoint records ride the same framing as everything
+                // else, so the prefix-durability property must hold for
+                // them too.
+                (1u64..8, proptest::collection::vec("[A-Z]{1,8}", 0..3)).prop_map(
+                    |(checkpoint_id, queues)| JournalRecord::CheckpointStart {
+                        checkpoint_id,
+                        queues,
+                        dedup: vec![(checkpoint_id, u128::from(checkpoint_id))],
                     }
-                }
-            }
-            // Pre-checkpoint segments the crashed deletion pass missed.
-            let mut idx = 0usize;
-            for dir in list_streams(pre).unwrap() {
-                let out_dir = out.join(dir.file_name().unwrap());
-                for seg in list_segments(&dir).unwrap() {
-                    let keep = keep_old.get(idx).copied().unwrap_or(true);
-                    idx += 1;
-                    if !keep {
-                        continue;
-                    }
-                    std::fs::create_dir_all(&out_dir).unwrap();
-                    let dst = out_dir.join(seg.file_name().unwrap());
-                    if !dst.exists() {
-                        std::fs::copy(&seg, &dst).unwrap();
-                    }
-                }
-            }
+                ),
+                (1u64..8).prop_map(|checkpoint_id| JournalRecord::CheckpointEnd { checkpoint_id }),
+            ]
         }
 
         fn unique_root(tag: &str) -> PathBuf {
-            let p = temp_path(&format!("seg-prop-{tag}"));
-            std::fs::remove_dir_all(&p).ok();
-            p
+            temp_dir(&format!("seg-prop-{tag}"))
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The durability contract under a crash at an arbitrary point:
+            /// every *acknowledged* append is replayed; unacknowledged
+            /// appends racing the crash survive as a clean prefix (a torn
+            /// tail is dropped, never an error, never a gap, never a
+            /// reorder) — across segment rolls.
+            #[test]
+            fn crash_recovers_exactly_a_durable_prefix(
+                acked in proptest::collection::vec(arb_record(), 0..24),
+                unacked in proptest::collection::vec(arb_record(), 0..6),
+                tear in 0u64..4096,
+            ) {
+                let config = SegmentConfig { roll_bytes: 200, sync_every_append: true };
+                let root = unique_root("prefix");
+                let j = SegmentedJournal::open(&root, config.clone()).unwrap();
+                for r in &acked {
+                    j.append(r).unwrap();
+                }
+                drop(j);
+                // Appends that reached the page cache but whose ack never
+                // came back: written, not yet synced, when the machine
+                // dies with `tear` bytes of them written back.
+                let mut raw = Vec::new();
+                for (i, r) in unacked.iter().enumerate() {
+                    raw.extend(encode_segment_frame((acked.len() + i) as u64, r));
+                }
+                raw.truncate(tear.min(raw.len() as u64) as usize);
+                let last = match segment_paths(&root).pop() {
+                    Some(last) => last,
+                    None => root.join(segment_file_name(0)),
+                };
+                OpenOptions::new().create(true).append(true).open(&last).unwrap()
+                    .write_all(&raw).unwrap();
+
+                let j = SegmentedJournal::open(&root, config).unwrap();
+                let replayed = j.replay_collect().unwrap();
+                // All acked records are there, in order...
+                prop_assert!(replayed.len() >= acked.len());
+                prop_assert_eq!(&replayed[..acked.len()], &acked[..]);
+                // ...and anything beyond them is a prefix of the in-flight
+                // tail, with the torn final record (if any) dropped.
+                let extra = &replayed[acked.len()..];
+                prop_assert!(extra.len() <= unacked.len());
+                prop_assert_eq!(extra, &unacked[..extra.len()]);
+                std::fs::remove_dir_all(&root).ok();
+            }
 
             /// A crash at *any* point of checkpoint-then-truncate recovers
-            /// exactly the live message set. Before the end marker is
-            /// durable nothing has been deleted (history wins); after it,
-            /// any subset of the deletions may have happened (the snapshot
-            /// wins); either way the logical state is identical.
+            /// exactly the live message set, and so does every restart
+            /// after it. Before the rename nothing has been deleted and the
+            /// torn snapshot is invisible (history wins); after it, any
+            /// subset of the unlinks may have happened, possibly tearing a
+            /// file on its way out (the snapshot wins); either way the
+            /// logical state is identical.
             #[test]
             fn crash_during_checkpoint_recovers_exactly_the_live_set(
                 puts in 1usize..24,
                 consumed_permille in 0usize..1000,
                 tear_permille in proptest::option::of(0u64..=1000),
                 keep_old in proptest::collection::vec(any::<bool>(), 16),
+                tear_old in proptest::option::of((0usize..16, 1u64..40)),
             ) {
                 let consumed = puts * consumed_permille / 1000;
                 let config = SegmentConfig { roll_bytes: 200, sync_every_append: false };
@@ -901,39 +1140,71 @@ mod tests {
                 for _ in 0..consumed {
                     qm.get("Q", Wait::NoWait).unwrap().unwrap();
                 }
-                let live: Vec<String> = (consumed..puts).map(|i| format!("m{i}")).collect();
+                let mut live: Vec<String> = (consumed..puts).map(|i| format!("m{i}")).collect();
 
                 let pre = unique_root("pre");
-                std::fs::create_dir_all(&pre).unwrap();
-                copy_tree(&root, &pre);
+                copy_files(&root, &pre);
                 qm.checkpoint().unwrap();
                 qm.crash();
+                let ckpt = segment_paths(&root).pop().unwrap();
+                prop_assert_eq!(journal.segment_count().unwrap(), 1);
 
-                // A tear means the end marker may not be durable, in which
-                // case the deletion pass never ran: all old files survive.
-                let ckpt_len = journal.len_bytes();
-                let tear = tear_permille.map(|p| ckpt_len * p / 1000);
-                let keep: Vec<bool> = if tear.is_some() {
-                    vec![true; keep_old.len()]
-                } else {
-                    keep_old
-                };
+                // The crash image: the checkpoint segment — torn and still
+                // under its temporary name if the crash came before the
+                // rename, in which case no unlink ran either — plus the
+                // pre-checkpoint segments the unlink pass had not reached.
                 let crash_root = unique_root("crash");
-                build_crash_image(&pre, &root, &crash_root, tear, &keep);
+                std::fs::create_dir_all(&crash_root).unwrap();
+                let mut name = ckpt.file_name().unwrap().to_owned();
+                if tear_permille.is_some() {
+                    name.push(TMP_SUFFIX);
+                }
+                let image = crash_root.join(name);
+                std::fs::copy(&ckpt, &image).unwrap();
+                if let Some(p) = tear_permille {
+                    let len = std::fs::metadata(&image).unwrap().len();
+                    cut(&image, len - len * p / 1000);
+                }
+                for (idx, old) in segment_paths(&pre).iter().enumerate() {
+                    let kept = tear_permille.is_some()
+                        || keep_old.get(idx).copied().unwrap_or(true);
+                    if !kept {
+                        continue;
+                    }
+                    let dst = crash_root.join(old.file_name().unwrap());
+                    std::fs::copy(old, &dst).unwrap();
+                    if let (None, Some((which, by))) = (tear_permille, tear_old) {
+                        if which == idx {
+                            cut(&dst, by.min(std::fs::metadata(&dst).unwrap().len()));
+                        }
+                    }
+                }
 
-                let journal = SegmentedJournal::open(&crash_root, config).unwrap();
-                let qm2 = QueueManager::builder("QM1")
-                    .journal(journal)
-                    .build()
-                    .unwrap();
-                let recovered: Vec<String> = qm2
-                    .queue("Q")
-                    .unwrap()
-                    .browse()
-                    .iter()
-                    .map(|m| m.payload_str().unwrap().to_owned())
-                    .collect();
-                prop_assert_eq!(recovered, live);
+                let recover = |expect: &[String]| {
+                    let journal = SegmentedJournal::open(&crash_root, config.clone()).unwrap();
+                    let qm = QueueManager::builder("QM1")
+                        .journal(journal)
+                        .build()
+                        .unwrap();
+                    let recovered: Vec<String> = qm
+                        .queue("Q")
+                        .unwrap()
+                        .browse()
+                        .iter()
+                        .map(|m| m.payload_str().unwrap().to_owned())
+                        .collect();
+                    assert_eq!(recovered, expect);
+                    qm
+                };
+                let qm2 = recover(&live);
+                // Life goes on: what is journaled after the first restart
+                // must survive the second.
+                qm2.put("Q", Message::text("after").persistent(true).build()).unwrap();
+                live.push("after".into());
+                qm2.get("Q", Wait::NoWait).unwrap().unwrap();
+                live.remove(0);
+                qm2.crash();
+                recover(&live);
 
                 std::fs::remove_dir_all(&root).ok();
                 std::fs::remove_dir_all(&pre).ok();

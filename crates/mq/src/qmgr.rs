@@ -131,7 +131,7 @@ impl QueueManagerBuilder {
         let obs = self.obs.unwrap_or_default();
         let stats = ManagerStats::registered(obs.metrics());
         let relay_stats = RelayStats::registered(obs.metrics());
-        // Journals that own metric cells (e.g. GroupCommitJournal's fsync
+        // Journals that own metric cells (e.g. SegmentedJournal's fsync
         // and batch-size metrics) surface them through this manager's hub.
         journal.register_metrics(obs.metrics());
         // The process-wide encode counter: the zero-copy send path is
@@ -938,17 +938,6 @@ impl QueueManager {
             .store(self.journal.len_bytes(), Ordering::Relaxed);
         Ok(())
     }
-
-    /// Bounds journal growth by snapshotting current persistent state.
-    /// Alias for [`QueueManager::checkpoint`], kept for callers of the
-    /// pre-checkpoint compaction API.
-    ///
-    /// # Errors
-    ///
-    /// As for [`QueueManager::checkpoint`].
-    pub fn compact(&self) -> MqResult<()> {
-        self.checkpoint()
-    }
 }
 
 /// A recovery image: the queue directory plus the delivery deduper being
@@ -970,7 +959,7 @@ impl RecoveredState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{FileJournal, MemJournal};
+    use crate::journal::{MemJournal, SegmentConfig, SegmentedJournal};
     use simtime::SimClock;
 
     fn manager() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -1145,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_state_and_shrinks_journal() {
+    fn checkpoint_preserves_state_and_shrinks_journal() {
         let journal = MemJournal::new();
         let qm = QueueManager::builder("QM1")
             .journal(journal.clone())
@@ -1160,7 +1149,7 @@ mod tests {
             qm.get("Q", Wait::NoWait).unwrap().unwrap();
         }
         let before = journal.record_count();
-        qm.compact().unwrap();
+        qm.checkpoint().unwrap();
         assert!(journal.record_count() < before);
         qm.crash();
         let qm2 = QueueManager::builder("QM1")
@@ -1226,18 +1215,44 @@ mod tests {
         assert_eq!(qm.queue("Q").unwrap().depth(), 1);
     }
 
+    use crate::journal::tests::temp_dir as segment_root;
+
+    /// `(file name, contents)` of every file under a journal root.
+    fn read_root(root: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn payloads(qm: &QueueManager, queue: &str) -> Vec<String> {
+        qm.queue(queue)
+            .unwrap()
+            .browse()
+            .iter()
+            .map(|m| m.payload_str().unwrap().to_owned())
+            .collect()
+    }
+
     #[test]
     fn consecutive_restarts_leave_journal_byte_identical() {
         // Recovery must be a pure read: rebuilding a manager over an
         // existing journal appends nothing, so restarting twice in a row
-        // leaves the file untouched byte for byte.
-        let path = crate::journal::tests::temp_path("restart-idempotent");
-        {
-            let journal = FileJournal::open(&path, false).unwrap();
-            let qm = QueueManager::builder("QM1")
-                .journal(journal)
+        // leaves the directory untouched byte for byte.
+        let root = segment_root("restart-idempotent");
+        let open = || {
+            QueueManager::builder("QM1")
+                .journal(SegmentedJournal::open(&root, SegmentConfig::default()).unwrap())
                 .build()
-                .unwrap();
+                .unwrap()
+        };
+        {
+            let qm = open();
             qm.create_queue("Q").unwrap();
             for i in 0..5 {
                 qm.put("Q", Message::text(format!("m{i}")).persistent(true).build())
@@ -1246,29 +1261,23 @@ mod tests {
             qm.get("Q", Wait::NoWait).unwrap().unwrap();
             qm.crash();
         }
-        let after_first_run = std::fs::read(&path).unwrap();
+        let after_first_run = read_root(&root);
         for restart in 1..=2 {
-            let journal = FileJournal::open(&path, false).unwrap();
-            let qm = QueueManager::builder("QM1")
-                .journal(journal)
-                .build()
-                .unwrap();
+            let qm = open();
             assert_eq!(qm.queue("Q").unwrap().depth(), 4);
             qm.crash();
-            let now = std::fs::read(&path).unwrap();
             assert_eq!(
-                now, after_first_run,
+                read_root(&root),
+                after_first_run,
                 "restart #{restart} must not grow or rewrite the journal"
             );
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn checkpoint_truncates_segments_and_recovers_live_state() {
-        use crate::journal::{SegmentConfig, SegmentedJournal};
-        let root = crate::journal::tests::temp_path("qmgr-seg-ckpt");
-        std::fs::remove_dir_all(&root).ok();
+        let root = segment_root("qmgr-seg-ckpt");
         let config = SegmentConfig {
             roll_bytes: 512,
             sync_every_append: false,
@@ -1304,6 +1313,63 @@ mod tests {
         assert_eq!(qm2.queue("Q").unwrap().depth(), 5);
         let first = qm2.get("Q", Wait::NoWait).unwrap().unwrap();
         assert_eq!(first.payload_str(), Some("m35"));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn torn_checkpoint_does_not_poison_what_is_journaled_after_it() {
+        // A crash in the middle of a checkpoint: the pre-checkpoint
+        // segments plus the snapshot cut 10 bytes short (no CheckpointEnd),
+        // not yet renamed into the chain. The orphan CheckpointStart must
+        // never reach a replay — it would file every later record into a
+        // pending image that is dropped at EOF.
+        let root = segment_root("qmgr-torn-ckpt");
+        let open = || {
+            QueueManager::builder("QM1")
+                .journal(SegmentedJournal::open(&root, SegmentConfig::default()).unwrap())
+                .build()
+                .unwrap()
+        };
+        let qm = open();
+        qm.create_queue("Q").unwrap();
+        for i in 0..5 {
+            qm.put("Q", Message::text(format!("m{i}")).persistent(true).build())
+                .unwrap();
+        }
+        let history = read_root(&root);
+        qm.checkpoint().unwrap();
+        qm.crash();
+        let (name, mut snapshot) = read_root(&root).pop().unwrap();
+        snapshot.truncate(snapshot.len() - 10);
+        std::fs::remove_file(root.join(&name)).unwrap();
+        let mut tmp = name;
+        tmp.push(".tmp");
+        std::fs::write(root.join(tmp), snapshot).unwrap();
+        for (name, bytes) in history {
+            std::fs::write(root.join(name), bytes).unwrap();
+        }
+
+        let qm = open();
+        assert_eq!(payloads(&qm, "Q"), ["m0", "m1", "m2", "m3", "m4"]);
+        assert!(
+            read_root(&root).iter().all(|(n, _)| n.to_str().unwrap().ends_with(".seg")),
+            "open() removes the torn snapshot"
+        );
+        qm.put(
+            "Q",
+            Message::text("after-torn-checkpoint").persistent(true).build(),
+        )
+        .unwrap();
+        let taken = qm.get("Q", Wait::NoWait).unwrap().unwrap();
+        assert_eq!(taken.payload_str(), Some("m0"));
+        qm.crash();
+
+        let qm = open();
+        assert_eq!(
+            payloads(&qm, "Q"),
+            ["m1", "m2", "m3", "m4", "after-torn-checkpoint"],
+            "the acked put survives and the consumed message stays consumed"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -9,7 +9,7 @@
 //! component exposes a named fault point and applies [`FaultAction`]s,
 //! refusing the ones it cannot express.
 //!
-//! | action | [`Link`] | [`TcpAcceptor`] | [`FaultableJournal`] |
+//! | action | [`Link`] | [`TcpAcceptor`] | [`MemJournal`] |
 //! |---|---|---|---|
 //! | `Partition` | link down | pause accepts + kick | — |
 //! | `Heal` | link up | resume accepts | — |
@@ -22,7 +22,7 @@
 use std::fmt;
 
 use crate::error::{MqError, MqResult};
-use crate::journal::FaultableJournal;
+use crate::journal::MemJournal;
 use crate::net::Link;
 
 use super::tcp::TcpAcceptor;
@@ -146,7 +146,7 @@ impl FaultPlane for TcpAcceptor {
     }
 }
 
-impl FaultPlane for FaultableJournal {
+impl FaultPlane for MemJournal {
     fn fault_point(&self) -> String {
         "journal".to_owned()
     }
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn journal_storage_faults_via_plane() {
-        let journal = FaultableJournal::new();
+        let journal = MemJournal::new();
         let plane: &dyn FaultPlane = journal.as_ref();
         plane.apply_fault(FaultAction::FailStorage).unwrap();
         assert!(journal.is_failing());

@@ -245,7 +245,7 @@ proptest! {
             .filter(|(_, m)| m.is_persistent())
             .map(|(label, _)| label)
             .collect::<Vec<_>>();
-        qm.compact().unwrap();
+        qm.checkpoint().unwrap();
         qm.crash();
         let qm2 = build_manager(&journal);
         prop_assert_eq!(snapshot(&qm2), reference);

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use condmsg::{Condition, ConditionalMessenger, Destination, DestinationSet};
 use dsphere::DSphereService;
 use mq::channel::Channel;
-use mq::journal::{FaultableJournal, Journal, MemJournal, NullJournal};
+use mq::journal::{Journal, MemJournal, NullJournal};
 use mq::net::{Link, LinkConfig};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Obs, QueueManager};
@@ -47,7 +47,9 @@ pub(crate) struct ManagerRt {
     pub(crate) qmgr: Arc<QueueManager>,
     /// The journal shared across rebuilds — recovery replays it.
     pub(crate) journal: Arc<dyn Journal>,
-    pub(crate) faultable: Option<Arc<FaultableJournal>>,
+    /// The same journal when it is a [`MemJournal`]: the storage-fault
+    /// surface `journal:<manager>` points script.
+    pub(crate) mem: Option<Arc<MemJournal>>,
     pub(crate) acceptor: Option<Arc<TcpAcceptor>>,
     pub(crate) addr: Option<SocketAddr>,
     /// Application queues declared on this manager (re-ensured on rebuild).
@@ -89,7 +91,7 @@ pub(crate) enum PointKind {
     Link { from: String, to: String },
     /// `tcp:<manager>` — that manager's acceptor.
     Tcp { manager: String },
-    /// `journal:<manager>` — that manager's faultable journal.
+    /// `journal:<manager>` — that manager's in-memory journal.
     Journal { manager: String },
     /// `crash:<manager>` — executor-level crash-and-rebuild.
     Crash { manager: String },
@@ -178,7 +180,7 @@ impl Compiled {
 /// # Errors
 ///
 /// [`crate::ScenarioError::Spec`] for dangling references (a channel to
-/// an undeclared manager, a fault on a non-faultable journal, …) and
+/// an undeclared manager, a storage fault on a manager without a journal, …) and
 /// any harness error while building the world.
 pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     spec.validate()?;
@@ -199,15 +201,14 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
             if managers.contains_key(&name) {
                 return Err(spec_err(format!("duplicate manager `{name}`")));
             }
-            let (journal, faultable): (Arc<dyn Journal>, Option<Arc<FaultableJournal>>) =
-                match block.journal {
-                    JournalKind::None => (Arc::new(NullJournal), None),
-                    JournalKind::Mem => (MemJournal::new(), None),
-                    JournalKind::Faultable => {
-                        let j = FaultableJournal::new();
-                        (j.clone(), Some(j))
-                    }
-                };
+            let mem = match block.journal {
+                JournalKind::None => None,
+                JournalKind::Mem => Some(MemJournal::new()),
+            };
+            let journal: Arc<dyn Journal> = match &mem {
+                Some(mem) => mem.clone(),
+                None => Arc::new(NullJournal),
+            };
             let qmgr = QueueManager::builder(&name)
                 .clock(clock.clone())
                 .obs(obs.clone())
@@ -225,7 +226,7 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
                 ManagerRt {
                     qmgr,
                     journal,
-                    faultable,
+                    mem,
                     acceptor,
                     addr,
                     queues: Vec::new(),
@@ -519,10 +520,10 @@ fn validate_point(
             }
         }
         PointKind::Journal { manager } => {
-            let ok = managers.get(manager).is_some_and(|m| m.faultable.is_some());
+            let ok = managers.get(manager).is_some_and(|m| m.mem.is_some());
             if !ok {
                 return Err(spec_err(format!(
-                    "fault point journal:{manager} needs journal = \"faultable\""
+                    "fault point journal:{manager} needs journal = \"mem\""
                 )));
             }
         }

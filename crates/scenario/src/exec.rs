@@ -190,8 +190,8 @@ fn fire_fault(world: &mut Compiled, fault: &CompiledFault) -> ScenarioResult<()>
             let j = world
                 .managers
                 .get(manager)
-                .and_then(|m| m.faultable.clone())
-                .ok_or_else(|| engine_err(format!("no faultable journal on {manager}")))?;
+                .and_then(|m| m.mem.clone())
+                .ok_or_else(|| engine_err(format!("no in-memory journal on {manager}")))?;
             let plane: &dyn FaultPlane = j.as_ref();
             plane.apply_fault(to_mq_action(fault.action)?)?;
             Ok(())

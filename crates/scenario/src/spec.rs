@@ -82,11 +82,10 @@ pub enum ClockMode {
 pub enum JournalKind {
     /// No persistence (`NullJournal`).
     None,
-    /// In-memory journal — supports crash-and-rebuild recovery.
+    /// In-memory journal — supports crash-and-rebuild recovery and
+    /// storage-fault injection (`fail_storage` / `tear_journal_tail`).
+    /// TOML spells it `"mem"` or `"faultable"`.
     Mem,
-    /// [`mq::journal::FaultableJournal`] — recovery plus storage-fault
-    /// injection (`fail_storage` / `tear_journal_tail`).
-    Faultable,
 }
 
 /// One queue-manager population (templated over `{i}` when `count > 1`).
@@ -1103,8 +1102,7 @@ fn decode_manager(v: &Value) -> ScenarioResult<ManagerSpec> {
     known_keys(v, &["name", "journal", "tcp", "count", "offset"], ctx)?;
     let journal = match opt_str(v, "journal").as_deref() {
         None | Some("none") => JournalKind::None,
-        Some("mem") => JournalKind::Mem,
-        Some("faultable") => JournalKind::Faultable,
+        Some("mem" | "faultable") => JournalKind::Mem,
         Some(other) => return Err(spec_err(format!("{ctx}: unknown journal `{other}`"))),
     };
     Ok(ManagerSpec {

@@ -231,20 +231,24 @@ fn pump_and_daemon_do_not_double_decide() {
 #[test]
 fn concurrent_persistent_puts_share_group_commit_fsyncs() {
     // 8 producer threads push persistent messages through a manager whose
-    // journal is a file-backed GroupCommitJournal. Every put that returned
+    // journal is the on-disk log with fsync-before-ack. Every put that returned
     // must survive a crash (the durability contract), and concurrent
     // appenders must have shared fsyncs rather than paying one each.
-    use mq::journal::{GroupCommitConfig, GroupCommitJournal};
+    use mq::journal::{SegmentConfig, SegmentedJournal};
     use mq::Message;
 
     const THREADS: u64 = 8;
     const PUTS: u64 = 100;
-    let path = std::env::temp_dir().join(format!(
-        "condmsg-gc-concurrency-{}-{}.log",
+    let root = std::env::temp_dir().join(format!(
+        "condmsg-gc-concurrency-{}-{}",
         std::process::id(),
         rand::random::<u64>()
     ));
-    let journal = GroupCommitJournal::open_file(&path, GroupCommitConfig::default()).unwrap();
+    let config = SegmentConfig {
+        sync_every_append: true,
+        ..SegmentConfig::default()
+    };
+    let journal = SegmentedJournal::open(&root, config.clone()).unwrap();
     let qmgr = QueueManager::builder("QM1")
         .journal(journal.clone())
         .build()
@@ -269,21 +273,21 @@ fn concurrent_persistent_puts_share_group_commit_fsyncs() {
         p.join().unwrap();
     }
 
-    let appends = journal.metrics().appends.get();
-    let fsyncs = journal.metrics().fsyncs.get();
+    // The manager's metrics hub sees the journal's cells.
+    let snap = qmgr.metrics_snapshot();
+    let appends = snap.counter("mq.journal.appends");
+    let fsyncs = snap.counter("mq.journal.fsyncs");
     assert!(appends >= THREADS * PUTS);
     assert!(
         fsyncs < appends,
         "concurrent appenders should share fsyncs: {fsyncs} fsyncs for {appends} appends"
     );
-    // The manager's metrics hub sees the same cells.
-    assert_eq!(qmgr.metrics_snapshot().counter("mq.journal.fsyncs"), fsyncs);
 
-    // Crash and rebuild over the same file: all acked puts are there.
+    // Crash and rebuild over the same directory: all acked puts are there.
     qmgr.crash();
     drop(journal);
-    let journal2 = GroupCommitJournal::open_file(&path, GroupCommitConfig::default()).unwrap();
+    let journal2 = SegmentedJournal::open(&root, config).unwrap();
     let qmgr2 = QueueManager::builder("QM1").journal(journal2).build().unwrap();
     assert_eq!(qmgr2.queue("Q.LOAD").unwrap().depth(), (THREADS * PUTS) as usize);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -1,66 +1,22 @@
 //! Failure-injection tests: storage errors at the worst moments.
 //!
-//! A wrapper journal starts failing appends on command; the stack must
+//! The in-memory journal starts failing appends on command; the stack must
 //! fail *cleanly*: a commit whose WAL write failed leaves the transaction
 //! open (retryable), a conditional send whose transaction failed leaves no
 //! half-registered evaluation state, and after the storage heals everything
 //! proceeds normally.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, Destination, MessageStatus,
 };
-use mq::journal::{Journal, JournalRecord, MemJournal};
-use mq::{Message, MqError, MqResult, QueueManager, Wait};
+use mq::journal::MemJournal;
+use mq::{Message, MqError, QueueManager, Wait};
 use simtime::{Millis, SimClock, Time};
 
-/// A journal that can be switched into a failing mode.
-#[derive(Debug)]
-struct FlakyJournal {
-    inner: Arc<MemJournal>,
-    failing: AtomicBool,
-}
-
-impl FlakyJournal {
-    fn new() -> Arc<FlakyJournal> {
-        Arc::new(FlakyJournal {
-            inner: MemJournal::new(),
-            failing: AtomicBool::new(false),
-        })
-    }
-
-    fn set_failing(&self, yes: bool) {
-        self.failing.store(yes, Ordering::SeqCst);
-    }
-}
-
-impl Journal for FlakyJournal {
-    fn append(&self, record: &JournalRecord) -> MqResult<()> {
-        if self.failing.load(Ordering::SeqCst) {
-            return Err(MqError::Io(std::io::Error::other(
-                "injected storage failure",
-            )));
-        }
-        self.inner.append(record)
-    }
-
-    fn replay(&self, sink: &mut mq::journal::ReplaySink<'_>) -> MqResult<()> {
-        self.inner.replay(sink)
-    }
-
-    fn reset(&self) -> MqResult<()> {
-        self.inner.reset()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.inner.len_bytes()
-    }
-}
-
-fn world() -> (Arc<FlakyJournal>, Arc<QueueManager>) {
-    let journal = FlakyJournal::new();
+fn world() -> (Arc<MemJournal>, Arc<QueueManager>) {
+    let journal = MemJournal::new();
     let qmgr = QueueManager::builder("QM1")
         .clock(SimClock::new())
         .journal(journal.clone())
@@ -190,4 +146,67 @@ fn pump_propagates_storage_errors_without_losing_acks() {
     let outcomes = messenger.pump().unwrap();
     assert_eq!(outcomes[0].cond_id, id);
     assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Success);
+}
+
+#[test]
+fn verdict_whose_transaction_fails_is_retried_without_spinning() {
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(100))
+        .into();
+    let mut ids = vec![
+        messenger
+            .send_message_with_compensation("a", "undo-a", &condition)
+            .unwrap(),
+        messenger
+            .send_message_with_compensation("b", "undo-b", &condition)
+            .unwrap(),
+    ];
+    ids.sort();
+    // Storage is down at the decision instant: both deadlines pass, both
+    // verdict transactions fail.
+    journal.set_failing(true);
+    clock.advance(Millis(200));
+    let errors = || qmgr.metrics_snapshot().counter("cond.eval.errors");
+    assert!(errors() >= 1);
+    assert_eq!(messenger.pending_count(), 2, "neither evaluation is dropped");
+    for id in &ids {
+        assert_eq!(messenger.status(*id), MessageStatus::Pending);
+    }
+    // Their triggers are past due, so nothing is armed and time alone
+    // retries nothing.
+    assert_eq!(clock.pending_timers(), 0);
+    let failed_attempts = errors();
+    clock.advance(Millis(60_000));
+    assert_eq!(errors(), failed_attempts);
+    assert_eq!(clock.pending_timers(), 0);
+    // A caller's retry while storage is still down fails, and costs the
+    // parked compensations nothing however often it happens.
+    for _ in 0..2 * qmgr.config().backout_threshold {
+        assert!(messenger.pump().is_err());
+    }
+    assert_eq!(messenger.pending_count(), 2);
+
+    journal.set_failing(false);
+    let mut outcomes = messenger.pump().unwrap();
+    outcomes.sort_by_key(|o| o.cond_id);
+    assert_eq!(outcomes.iter().map(|o| o.cond_id).collect::<Vec<_>>(), ids);
+    assert!(outcomes
+        .iter()
+        .all(|o| o.outcome == condmsg::MessageOutcome::Failure));
+    assert_eq!(messenger.pending_count(), 0);
+    // Both compensations were released, exactly once each.
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 2);
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 4, "2 originals + 2 undos");
+    assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
+    assert!(messenger.pump().unwrap().is_empty());
 }
