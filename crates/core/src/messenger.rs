@@ -12,16 +12,18 @@
 //!   single local messaging transaction, so a crash can never leave a
 //!   half-sent conditional message.
 //! * **Evaluation manager**: one event-driven engine. A put on
-//!   `DS.ACK.Q` drains the queue on the putting thread (logging each
-//!   acknowledgment to the sender log before applying it) and re-evaluates
+//!   `DS.ACK.Q` drains the queue on the putting thread and re-evaluates
 //!   only the messages those acknowledgments touch; every pending message
 //!   keeps one armed clock timer at its next deadline or timeout, whose
-//!   fire decides that message. Deciding finalizes the outcome.
+//!   fire decides that message. One evaluation cycle is one messaging
+//!   transaction — one journal record: the acknowledgments it consumes,
+//!   the verdicts they (or the clock) decide, and a sender-log entry for
+//!   each acknowledgment whose message is still pending afterwards.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, release of the parked compensation messages
-//!   (paper §2.6). Both are performed atomically with the outcome
-//!   notification put on `DS.OUTCOME.Q` and the purge of the message's
-//!   sender-log entries.
+//!   (paper §2.6). Both are staged into the deciding transaction, together
+//!   with the outcome notification put on `DS.OUTCOME.Q` and the purge of
+//!   the message's sender-log entries.
 //! * **Recovery** ([`ConditionalMessenger::new`] replays the sender log):
 //!   a restarted sender rebuilds its evaluation state machines exactly and
 //!   continues monitoring in-flight conditional messages.
@@ -98,6 +100,28 @@ impl PendingEval {
             (None, None) => None,
         }
     }
+}
+
+/// A verdict reached in an evaluation cycle. The evaluation is out of the
+/// pending table from the decision until the cycle's transaction commits
+/// (and goes back in when it does not).
+struct Decided {
+    eval: PendingEval,
+    notification: OutcomeNotification,
+    /// Outcome actions staged with the verdict, traced once it commits.
+    actions: Vec<(TraceStage, u32, String)>,
+}
+
+/// What one evaluation-cycle transaction carries besides its session:
+/// everything one protocol step dequeues, logs and enqueues is committed
+/// as a single journal record.
+#[derive(Default)]
+struct Cycle {
+    /// Messages taken off `DS.ACK.Q`, malformed and unknown ones included.
+    consumed: u64,
+    /// The acknowledgments among them that reached a pending evaluation.
+    acks: Vec<Acknowledgment>,
+    decided: Vec<Decided>,
 }
 
 /// The sender-side conditional messaging service.
@@ -307,8 +331,6 @@ impl ConditionalMessenger {
             cond_id,
             send_time,
             condition: condition.clone(),
-            payload: payload.clone(),
-            compensation: compensation.clone(),
             options: options.clone(),
         };
 
@@ -421,30 +443,29 @@ impl ConditionalMessenger {
         Ok(std::mem::take(&mut *self.recent_outcomes.lock()))
     }
 
-    /// One evaluation cycle: drains the ack queue, then decides — and
-    /// rearms — `seed`, the messages the drained acks touched and the
-    /// verdicts waiting to be retried, buffering the new outcomes for
-    /// [`pump`](Self::pump). O(touched).
-    /// Sound because every pending message keeps an armed timer at its
-    /// next decision-relevant instant, so time-only decisions arrive via
-    /// their own timer fire. Caller holds the pump lock.
+    /// One evaluation cycle: decides — and rearms — `seed`, the verdicts
+    /// waiting to be retried and the messages whose acknowledgments are
+    /// waiting on `DS.ACK.Q`, buffering the new outcomes for
+    /// [`pump`](Self::pump). O(touched). Sound because every pending message
+    /// keeps an armed timer at its next decision-relevant instant, so
+    /// time-only decisions arrive via their own timer fire. Caller holds
+    /// the pump lock.
     fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<()> {
         let mut ids = seed.to_vec();
         ids.append(&mut self.retry.lock());
-        // A failed drain rolled its batch back onto the queue, but the
-        // batches before it committed: their ids must still be decided,
-        // and every seed must keep its timer.
-        let drained = self.drain_acks(&mut ids);
+        // A failed transaction put its acks back on the queue and its
+        // verdicts on the retry list, but the ones before it committed and
+        // every id seen must keep its timer.
+        let result = self.run_transactions(&mut ids);
         ids.sort_unstable();
         ids.dedup();
-        let decided = self.decide_ids(&ids);
-        self.rearm_ids(&ids);
-        drained.and(decided)
+        self.rearm_ids(&ids, result.is_err());
+        result
     }
 
     /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
-    /// to report to (send, ack arrival, timer fire). A failed drain left
-    /// its acks on the queue and a failed verdict is on the retry list; the
+    /// to report to (send, ack arrival, timer fire). A failed transaction
+    /// left its acks on the queue and its verdicts on the retry list; the
     /// next event, `pump()` or the daemon retries both.
     fn run_event(&self, seed: &[CondMessageId]) {
         if self.run_cycle_for(seed).is_err() {
@@ -452,178 +473,142 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Expires cells against the clock, decides and finalizes the given
-    /// messages, and buffers the new outcomes. Caller holds the pump lock.
-    fn decide_ids(&self, ids: &[CondMessageId]) -> CondResult<()> {
-        let now = self.qmgr.clock().now();
-
-        // Decide. Decidability comes from the O(depth)-maintained
-        // incremental structure; the canonical verdict (and its reason
-        // string) is rendered by one full evaluation at the decision
-        // instant only.
-        let mut decided = Vec::new();
-        {
-            let mut pending = self.pending.lock();
-            for &id in ids {
-                let Some(eval) = pending.get_mut(&id) else {
-                    continue;
-                };
-                let expired = eval.inc.on_time(now);
-                if expired > 0 {
-                    self.metrics.eval_incremental_updates.add(expired);
-                }
-                let mut outcome = if eval.inc.decided() {
-                    match eval.compiled.evaluate_with_grace(
-                        &eval.acks,
-                        eval.send_time,
-                        now,
-                        self.config.ack_grace,
-                    ) {
-                        Verdict::Satisfied => Some((MessageOutcome::Success, None)),
-                        Verdict::Violated(reason) => Some((MessageOutcome::Failure, Some(reason))),
-                        Verdict::Pending => None,
-                    }
-                } else {
-                    None
-                };
-                if outcome.is_none() {
-                    if let Some(t) = eval.timeout_at {
-                        if now >= t {
-                            self.metrics.verdict_timeout.incr();
-                            outcome = Some((
-                                MessageOutcome::Failure,
-                                Some("evaluation timeout expired".to_owned()),
-                            ));
-                        }
-                    }
-                }
-                if let Some((outcome, reason)) = outcome {
-                    let Some(mut eval) = pending.remove(&id) else {
-                        continue;
-                    };
-                    if let Some((timer, _)) = eval.timer.take() {
-                        self.qmgr.clock().cancel(timer);
-                    }
-                    decided.push((id, eval, outcome, reason));
-                }
+    /// Runs one transaction per `ack_batch` acknowledgments until the ack
+    /// queue is empty; the first also decides the ids already in `ids`.
+    /// Every id an acknowledgment touches is appended to `ids`.
+    fn run_transactions(&self, ids: &mut Vec<CondMessageId>) -> CondResult<()> {
+        let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
+        let mut decided_upto = 0;
+        loop {
+            let (mut session, mut cycle) = (self.qmgr.session(), Cycle::default());
+            let staged = self.stage_cycle(&mut session, &mut cycle, &ack_queue, ids, decided_upto);
+            decided_upto = ids.len();
+            if staged.is_ok() && !session.in_transaction() {
+                return Ok(());
             }
-            self.metrics.pending_depth.set(pending.len() as u64);
+            self.commit_cycle(session, cycle, staged)?;
         }
-
-        // Finalize outside the pending lock (messaging I/O). A verdict
-        // whose transaction fails is not lost with the cycle: it goes back
-        // into the table and onto the retry list, as does every other one
-        // decided alongside it.
-        let mut result = Ok(());
-        for (id, eval, outcome, reason) in decided {
-            match self.finalize(id, &eval, outcome, reason, now) {
-                Ok(notification) => {
-                    self.decided.lock().insert(id, notification.clone());
-                    self.recent_outcomes.lock().push(notification);
-                }
-                Err(e) => {
-                    let mut pending = self.pending.lock();
-                    pending.insert(id, eval);
-                    self.metrics.pending_depth.set(pending.len() as u64);
-                    drop(pending);
-                    self.retry.lock().push(id);
-                    result = result.and(Err(e));
-                }
-            }
-        }
-        result
     }
 
-    /// Drains the ack queue and applies every ack for a known pending
-    /// message, appending the ids those acks touched to `touched`.
-    fn drain_acks(&self, touched: &mut Vec<CondMessageId>) -> CondResult<()> {
-        let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
-        let batch_cap = self.config.ack_batch.max(1) as u64;
+    /// Stages one protocol step: up to `ack_batch` gets from the ack queue,
+    /// the verdicts of `ids[from..]` plus the ids those acks touch, and an
+    /// `AckSeen` log entry for each ack whose message is still pending
+    /// afterwards (an ack that decides its message needs none: the verdict
+    /// purges the message's log entries). Opens no transaction when there
+    /// is neither an ack nor a verdict.
+    fn stage_cycle(
+        &self,
+        session: &mut mq::Session,
+        cycle: &mut Cycle,
+        ack_queue: &mq::Queue,
+        ids: &mut Vec<CondMessageId>,
+        from: usize,
+    ) -> CondResult<()> {
         // The emptiness check comes first: an idle wakeup must not open a
         // session (or touch the journal) to learn there is nothing to drain.
-        while !ack_queue.is_empty() {
-            // One messaging transaction per batch: up to `ack_batch` gets
-            // plus their AckSeen WAL entries commit as a single grouped
-            // journal record instead of one append per ack.
-            let mut session = self.qmgr.session();
+        if !ack_queue.is_empty() {
             session.begin()?;
-            let mut consumed = 0u64;
-            let mut batch: Vec<Acknowledgment> = Vec::new();
-            while consumed < batch_cap {
+            while cycle.consumed < self.config.ack_batch.max(1) as u64 {
                 let Some(msg) = session.get(&self.config.ack_queue, Wait::NoWait)? else {
                     break;
                 };
-                consumed += 1;
+                cycle.consumed += 1;
                 // Malformed acks and acks for unknown messages are consumed
-                // with the batch rather than wedging the queue.
+                // with the batch rather than wedging the queue. Applying
+                // before the commit is safe because it is idempotent: after
+                // a failed commit the redelivered ack changes nothing.
                 if let Ok(ack) = Acknowledgment::from_message(&msg) {
-                    // Log the ack before applying it (WAL): recovery
-                    // replays AckSeen entries to rebuild in-memory state.
-                    if self.pending.lock().contains_key(&ack.cond_id) {
-                        session.put(
-                            &self.config.slog_queue,
-                            SlogEntry::AckSeen(ack.clone()).to_message(),
-                        )?;
-                        batch.push(ack);
+                    if self.apply_ack(&ack) {
+                        ids.push(ack.cond_id);
+                        cycle.acks.push(ack);
                     }
                 }
             }
-            if consumed == 0 {
-                // Another consumer emptied the queue since the check.
-                session.rollback()?;
-                break;
+        }
+        cycle.decided = self.decide_ids(&ids[from..]);
+        if !session.in_transaction() {
+            if cycle.decided.is_empty() {
+                return Ok(());
             }
-            if let Err(e) = session.commit() {
-                // The drain is retried, possibly many times while storage
-                // is down: hand the acks back without spending their
-                // backout budget (a failure after the WAL write leaves no
-                // transaction to roll back).
-                if session.in_transaction() {
-                    session.rollback_for_retry()?;
-                }
-                return Err(e.into());
-            }
-            self.metrics.ack_batch_size.record(consumed);
-            for ack in &batch {
-                self.apply_ack(ack);
-                touched.push(ack.cond_id);
+            session.begin()?;
+        }
+        for decided in &mut cycle.decided {
+            self.finalize(session, decided)?;
+        }
+        // Write-ahead for the evaluations that go on: recovery replays
+        // AckSeen entries to rebuild their in-memory state.
+        for ack in &cycle.acks {
+            if self.pending.lock().contains_key(&ack.cond_id) {
+                let entry = SlogEntry::AckSeen(ack.clone()).to_message();
+                session.put(&self.config.slog_queue, entry)?;
             }
         }
         Ok(())
     }
 
-    fn apply_ack(&self, ack: &Acknowledgment) {
-        let now = self.qmgr.clock().now();
-        let mut pending = self.pending.lock();
-        if let Some(eval) = pending.get_mut(&ack.cond_id) {
-            let (stage, stamped_at) = match ack.kind {
-                AckKind::Read => {
-                    eval.acks
-                        .record_read(ack.leaf, ack.read_at, ack.recipient.clone());
-                    self.metrics.acks_read.incr();
-                    (TraceStage::ReadAck, ack.read_at)
-                }
-                AckKind::Processed => {
-                    let processed_at = ack.processed_at.unwrap_or(ack.read_at);
-                    eval.acks.record_processed(
-                        ack.leaf,
-                        ack.read_at,
-                        processed_at,
-                        ack.recipient.clone(),
-                    );
-                    self.metrics.acks_processed.incr();
-                    (TraceStage::ProcessAck, processed_at)
-                }
-            };
-            let updates = eval.inc.apply_ack(ack.leaf, &eval.acks);
-            if updates > 0 {
-                self.metrics.eval_incremental_updates.add(updates);
+    /// Commits what was staged and publishes it. When staging or the commit
+    /// failed, everything goes back instead: the acks onto their queue, the
+    /// parked compensations and log entries likewise, and the decided
+    /// evaluations into the pending table and onto the retry list.
+    fn commit_cycle(
+        &self,
+        mut session: mq::Session,
+        cycle: Cycle,
+        staged: CondResult<()>,
+    ) -> CondResult<()> {
+        let mut result = staged;
+        if result.is_ok() {
+            result = session.commit().map_err(CondError::from);
+            if !session.in_transaction() {
+                // Also when `commit` reports an error from after its
+                // journal record was written (a refused checkpoint): the
+                // transaction is durable and must not run a second time.
+                self.publish(cycle);
+                return result;
             }
-            drop(pending);
+        }
+        {
+            let mut pending = self.pending.lock();
+            let mut retry = self.retry.lock();
+            for decided in cycle.decided {
+                retry.push(decided.notification.cond_id);
+                pending.insert(decided.notification.cond_id, decided.eval);
+            }
+            self.metrics.pending_depth.set(pending.len() as u64);
+        }
+        // The cycle is retried, possibly many times while storage is down:
+        // nothing handed back may spend its backout budget.
+        if session.in_transaction() {
+            session.rollback_for_retry()?;
+        }
+        result
+    }
+
+    /// Counts, traces and announces a committed cycle transaction — only
+    /// now, so a rolled-back ack or verdict is never counted twice and
+    /// the trace never shows an action that did not happen.
+    fn publish(&self, cycle: Cycle) {
+        let now = self.qmgr.clock().now();
+        let trace = self.qmgr.trace();
+        if cycle.consumed > 0 {
+            self.metrics.ack_batch_size.record(cycle.consumed);
+        }
+        for ack in &cycle.acks {
+            let (counter, stage, stamped_at) = match ack.kind {
+                AckKind::Read => (&self.metrics.acks_read, TraceStage::ReadAck, ack.read_at),
+                AckKind::Processed => (
+                    &self.metrics.acks_processed,
+                    TraceStage::ProcessAck,
+                    ack.processed_at.unwrap_or(ack.read_at),
+                ),
+            };
+            counter.incr();
             // Ack-queue lag: simtime between the receiver stamping the ack
-            // and the evaluation manager applying it.
-            self.metrics.ack_lag_ms.record(now.since(stamped_at).as_u64());
-            self.qmgr.trace().record(
+            // and the evaluation manager committing it.
+            self.metrics
+                .ack_lag_ms
+                .record(now.since(stamped_at).as_u64());
+            trace.record(
                 now,
                 stage,
                 Some(ack.cond_id.as_u128()),
@@ -631,6 +616,132 @@ impl ConditionalMessenger {
                 ack.recipient.clone().unwrap_or_default(),
             );
         }
+        for decided in cycle.decided {
+            let Decided {
+                eval,
+                notification,
+                actions,
+            } = decided;
+            let cond_id = notification.cond_id;
+            match notification.outcome {
+                MessageOutcome::Success => self.metrics.verdict_success.incr(),
+                MessageOutcome::Failure => self.metrics.verdict_failure.incr(),
+            }
+            if cycle.acks.iter().any(|a| a.cond_id == cond_id) {
+                self.metrics.verdict_fused.incr();
+            }
+            trace.record(
+                notification.decided_at,
+                TraceStage::Verdict,
+                Some(cond_id.as_u128()),
+                None,
+                match (&notification.outcome, &notification.reason) {
+                    (MessageOutcome::Success, _) => "success".to_owned(),
+                    (MessageOutcome::Failure, Some(reason)) => format!("failure: {reason}"),
+                    (MessageOutcome::Failure, None) => "failure".to_owned(),
+                },
+            );
+            self.record_outcome_actions(cond_id, actions);
+            if eval.defer_outcome_actions {
+                // The send record (for recovery) and the parked
+                // compensations stay until the sphere releases the actions.
+                let mut deferred = self.deferred.lock();
+                deferred.insert(cond_id, eval.success_notifications);
+                self.metrics.deferred_depth.set(deferred.len() as u64);
+            }
+            self.decided.lock().insert(cond_id, notification.clone());
+            self.recent_outcomes.lock().push(notification);
+            self.note_outcome();
+        }
+    }
+
+    /// Expires cells against the clock and takes the given messages that
+    /// are now decided out of the pending table (cancelling their timers).
+    /// Caller holds the pump lock.
+    fn decide_ids(&self, ids: &[CondMessageId]) -> Vec<Decided> {
+        let now = self.qmgr.clock().now();
+        let mut decided = Vec::new();
+        let mut pending = self.pending.lock();
+        for &id in ids {
+            let Some(eval) = pending.get_mut(&id) else {
+                continue;
+            };
+            let expired = eval.inc.on_time(now);
+            if expired > 0 {
+                self.metrics.eval_incremental_updates.add(expired);
+            }
+            // Decidability comes from the O(depth)-maintained incremental
+            // structure; the canonical verdict (and its reason string) is
+            // rendered by one full evaluation at the decision instant only.
+            let mut outcome = if eval.inc.decided() {
+                match eval.compiled.evaluate_with_grace(
+                    &eval.acks,
+                    eval.send_time,
+                    now,
+                    self.config.ack_grace,
+                ) {
+                    Verdict::Satisfied => Some((MessageOutcome::Success, None)),
+                    Verdict::Violated(reason) => Some((MessageOutcome::Failure, Some(reason))),
+                    Verdict::Pending => None,
+                }
+            } else {
+                None
+            };
+            if outcome.is_none() && eval.timeout_at.is_some_and(|t| now >= t) {
+                self.metrics.verdict_timeout.incr();
+                outcome = Some((
+                    MessageOutcome::Failure,
+                    Some("evaluation timeout expired".to_owned()),
+                ));
+            }
+            if let Some((outcome, reason)) = outcome {
+                if let Some(eval) = pending.remove(&id) {
+                    decided.push(self.decided_now(id, eval, outcome, reason, now));
+                }
+            }
+        }
+        self.metrics.pending_depth.set(pending.len() as u64);
+        decided
+    }
+
+    /// The verdict record of an evaluation just removed from the pending
+    /// table; its timer is cancelled.
+    fn decided_now(
+        &self,
+        cond_id: CondMessageId,
+        mut eval: PendingEval,
+        outcome: MessageOutcome,
+        reason: Option<String>,
+        now: Time,
+    ) -> Decided {
+        if let Some((timer, _)) = eval.timer.take() {
+            self.qmgr.clock().cancel(timer);
+        }
+        Decided {
+            eval,
+            notification: OutcomeNotification {
+                cond_id,
+                outcome,
+                reason,
+                decided_at: now,
+            },
+            actions: Vec::new(),
+        }
+    }
+
+    /// Folds an acknowledgment into its message's evaluation state; false
+    /// when the message is not pending here. Idempotent.
+    fn apply_ack(&self, ack: &Acknowledgment) -> bool {
+        let mut pending = self.pending.lock();
+        let Some(eval) = pending.get_mut(&ack.cond_id) else {
+            return false;
+        };
+        record_ack(&mut eval.acks, ack);
+        let updates = eval.inc.apply_ack(ack.leaf, &eval.acks);
+        if updates > 0 {
+            self.metrics.eval_incremental_updates.add(updates);
+        }
+        true
     }
 
     // ---------------------------------------------------------- events --
@@ -662,16 +773,24 @@ impl ConditionalMessenger {
 
     /// Ensures each of the given pending messages has exactly one armed
     /// timer at its next trigger instant (and none when no future instant
-    /// can decide it); already-decided ids and verdicts awaiting a retry
-    /// are skipped. Caller holds the pump lock.
-    fn rearm_ids(&self, ids: &[CondMessageId]) {
-        let retry = self.retry.lock().clone();
+    /// can decide it). After a `failed` cycle a trigger that is already
+    /// due goes on the retry list instead: the cycle did not get to decide
+    /// the message (a decide pass leaves only future triggers), and a
+    /// timer would fire at once, fail the same way and spin. Caller holds
+    /// the pump lock.
+    fn rearm_ids(&self, ids: &[CondMessageId], failed: bool) {
+        let now = self.qmgr.clock().now();
         let mut pending = self.pending.lock();
         for id in ids {
-            if retry.contains(id) {
+            let Some(eval) = pending.get_mut(id) else {
                 continue;
-            }
-            if let Some(eval) = pending.get_mut(id) {
+            };
+            if failed && eval.next_trigger().is_some_and(|at| at <= now) {
+                let mut retry = self.retry.lock();
+                if !retry.contains(id) {
+                    retry.push(*id);
+                }
+            } else {
                 self.rearm_entry(*id, eval);
             }
         }
@@ -722,91 +841,42 @@ impl ConditionalMessenger {
         self.outcome_cv.notify_all();
     }
 
-    fn finalize(
-        &self,
-        cond_id: CondMessageId,
-        eval: &PendingEval,
-        outcome: MessageOutcome,
-        reason: Option<String>,
-        now: Time,
-    ) -> CondResult<OutcomeNotification> {
-        let notification = OutcomeNotification {
-            cond_id,
-            outcome,
-            reason,
-            decided_at: now,
-        };
-
-        // One transaction (dequeue, log and act together): the outcome
-        // log entry, the outcome actions (compensation release or success
-        // notifications, plus removal of the parked compensations), the
-        // purge of the message's send/ack log entries, and the outcome
-        // notification. A crash leaves either all of it or none.
-        let mut session = self.qmgr.session();
-        session.begin()?;
-        let mut staged = Vec::new();
-        let committed = (|| {
-            session.put(
-                &self.config.done_queue,
-                SlogEntry::Outcome {
-                    cond_id,
-                    outcome,
-                    decided_at: now,
-                }
-                .to_message(),
+    /// Stages a verdict into the caller's transaction (dequeue, log and
+    /// act together): the outcome log entry, the outcome actions
+    /// (compensation release or success notifications, plus removal of the
+    /// parked compensations), the purge of the message's send/ack log
+    /// entries, and the outcome notification. A crash leaves either all of
+    /// it or none.
+    fn finalize(&self, session: &mut mq::Session, decided: &mut Decided) -> CondResult<()> {
+        let verdict = &decided.notification;
+        let (cond_id, outcome) = (verdict.cond_id, verdict.outcome);
+        session.put(
+            &self.config.done_queue,
+            SlogEntry::Outcome {
+                cond_id,
+                outcome,
+                decided_at: verdict.decided_at,
+            }
+            .to_message(),
+        )?;
+        if !decided.eval.defer_outcome_actions {
+            self.stage_outcome_actions(
+                session,
+                cond_id,
+                outcome,
+                decided.eval.success_notifications,
+                &mut decided.actions,
             )?;
-            if !eval.defer_outcome_actions {
-                self.stage_outcome_actions(
-                    &mut session,
-                    cond_id,
-                    outcome,
-                    eval.success_notifications,
-                    &mut staged,
-                )?;
-                // The outcome entry on the history queue now marks the
-                // message decided for any future recovery.
-                self.purge_slog(&mut session, cond_id)?;
-            }
-            session.put(&self.config.outcome_queue, notification.to_message())?;
-            session.commit()?;
-            Ok(())
-        })();
-        if let Err(e) = committed {
-            // The verdict is retried, possibly many times while storage is
-            // down: hand the parked compensations and log entries back
-            // without spending their backout budget.
-            if session.in_transaction() {
-                session.rollback_for_retry()?;
-            }
-            return Err(e);
+            // The outcome entry on the history queue now marks the
+            // message decided for any future recovery.
+            self.purge_slog(session, cond_id)?;
         }
-
-        match outcome {
-            MessageOutcome::Success => self.metrics.verdict_success.incr(),
-            MessageOutcome::Failure => self.metrics.verdict_failure.incr(),
-        }
-        self.qmgr.trace().record(
-            now,
-            TraceStage::Verdict,
-            Some(cond_id.as_u128()),
-            None,
-            match (&outcome, &notification.reason) {
-                (MessageOutcome::Success, _) => "success".to_owned(),
-                (MessageOutcome::Failure, Some(reason)) => format!("failure: {reason}"),
-                (MessageOutcome::Failure, None) => "failure".to_owned(),
-            },
-        );
-        self.record_outcome_actions(cond_id, staged);
-
-        if eval.defer_outcome_actions {
-            // Keep the send record (for recovery) and the parked
-            // compensations until the sphere releases the actions.
-            let mut deferred = self.deferred.lock();
-            deferred.insert(cond_id, eval.success_notifications);
-            self.metrics.deferred_depth.set(deferred.len() as u64);
-        }
-        self.note_outcome();
-        Ok(notification)
+        // Last, so whoever waits for the outcome finds its actions done.
+        session.put(
+            &self.config.outcome_queue,
+            decided.notification.to_message(),
+        )?;
+        Ok(())
     }
 
     /// Stages the outcome actions for `cond_id` into `session`: on failure
@@ -926,30 +996,30 @@ impl ConditionalMessenger {
         reason: impl Into<String>,
     ) -> CondResult<OutcomeNotification> {
         let _serial = self.pump_lock.lock();
-        let eval = self.pending.lock().remove(&cond_id);
-        match eval {
-            Some(mut eval) => {
-                if let Some((timer, _)) = eval.timer.take() {
-                    self.qmgr.clock().cancel(timer);
-                }
-                let now = self.qmgr.clock().now();
-                let notification = self.finalize(
-                    cond_id,
-                    &eval,
-                    MessageOutcome::Failure,
-                    Some(reason.into()),
-                    now,
-                )?;
-                self.decided.lock().insert(cond_id, notification.clone());
-                Ok(notification)
-            }
-            None => self
+        let Some(eval) = self.pending.lock().remove(&cond_id) else {
+            return self
                 .decided
                 .lock()
                 .get(&cond_id)
                 .cloned()
-                .ok_or(CondError::UnknownMessage(cond_id)),
-        }
+                .ok_or(CondError::UnknownMessage(cond_id));
+        };
+        let now = self.qmgr.clock().now();
+        let outcome = MessageOutcome::Failure;
+        let decided = self.decided_now(cond_id, eval, outcome, Some(reason.into()), now);
+        let notification = decided.notification.clone();
+        let mut cycle = Cycle {
+            decided: vec![decided],
+            ..Cycle::default()
+        };
+        let mut session = self.qmgr.session();
+        let staged = session.begin().map_err(CondError::from);
+        let staged = staged.and_then(|()| self.finalize(&mut session, &mut cycle.decided[0]));
+        // A failed transaction leaves the message pending (on the retry
+        // list: the next cycle gives it its timer back); the caller may
+        // try again.
+        self.commit_cycle(session, cycle, staged)?;
+        Ok(notification)
     }
 
     /// Stages the removal of every active-log entry of a decided
@@ -1131,18 +1201,7 @@ impl ConditionalMessenger {
                 timer_gen: 0,
             };
             for ack in acks.iter().filter(|a| a.cond_id == cond_id) {
-                match ack.kind {
-                    AckKind::Read => {
-                        eval.acks
-                            .record_read(ack.leaf, ack.read_at, ack.recipient.clone())
-                    }
-                    AckKind::Processed => eval.acks.record_processed(
-                        ack.leaf,
-                        ack.read_at,
-                        ack.processed_at.unwrap_or(ack.read_at),
-                        ack.recipient.clone(),
-                    ),
-                }
+                record_ack(&mut eval.acks, ack);
             }
             // Replay the rebuilt ack state into the incremental structure.
             for leaf in 0..leaf_count as u32 {
@@ -1189,6 +1248,19 @@ impl ConditionalMessenger {
             stop,
             handle: Some(handle),
         })
+    }
+}
+
+/// Records one acknowledgment's stamps (live and during recovery).
+fn record_ack(acks: &mut AckState, ack: &Acknowledgment) {
+    match ack.kind {
+        AckKind::Read => acks.record_read(ack.leaf, ack.read_at, ack.recipient.clone()),
+        AckKind::Processed => acks.record_processed(
+            ack.leaf,
+            ack.read_at,
+            ack.processed_at.unwrap_or(ack.read_at),
+            ack.recipient.clone(),
+        ),
     }
 }
 

@@ -29,6 +29,9 @@ pub(crate) struct MessengerMetrics {
     /// Evaluations decided failed, timeouts included
     /// (`cond.verdict.failure`).
     pub verdict_failure: Arc<Counter>,
+    /// Verdicts committed in the transaction of an acknowledgment that
+    /// decided them (`cond.verdict.fused`).
+    pub verdict_fused: Arc<Counter>,
     /// The failures caused by evaluation-timeout expiry
     /// (`cond.verdict.timeout`).
     pub verdict_timeout: Arc<Counter>,
@@ -79,6 +82,7 @@ impl MessengerMetrics {
             ack_lag_ms: registry.histogram("cond.ack.lag_ms"),
             verdict_success: registry.counter("cond.verdict.success"),
             verdict_failure: registry.counter("cond.verdict.failure"),
+            verdict_fused: registry.counter("cond.verdict.fused"),
             verdict_timeout: registry.counter("cond.verdict.timeout"),
             comp_released: registry.counter("cond.comp.released"),
             comp_consumed: registry.counter("cond.comp.consumed"),

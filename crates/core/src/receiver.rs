@@ -4,10 +4,12 @@
 //! recipients:
 //!
 //! * [`ConditionalReceiver::read_message`] reads from a queue and
-//!   *implicitly* initiates acknowledgments: a non-transactional read sends
-//!   a read-ack immediately; a read inside a receiver transaction
-//!   ([`ConditionalReceiver::begin_tx`] / [`ConditionalReceiver::commit_tx`])
-//!   sends a processed-ack only when the transaction commits — a rolled
+//!   *implicitly* initiates acknowledgments: a non-transactional read is one
+//!   implicit messaging transaction — the get, the receiver-log entry and
+//!   the read-ack are a single journal record; a read inside a receiver
+//!   transaction ([`ConditionalReceiver::begin_tx`] /
+//!   [`ConditionalReceiver::commit_tx`]) has the same shape but
+//!   sends a processed-ack, and only when the transaction commits — a rolled
 //!   back transaction redelivers the message and sends nothing. A receiver
 //!   therefore produces **exactly one acknowledgment per consumed
 //!   message**, never one for receipt *and* one for processing.
@@ -18,12 +20,12 @@
 //!   compensation is delivered to the application only when the receiver
 //!   log shows the original was consumed (paper §2.6, Fig. 8).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use mq::selector::Selector;
-use mq::{Message, MessageId, MqError, QueueAddress, QueueManager, TraceStage, Wait};
+use mq::{Message, MqError, QueueAddress, QueueManager, TraceStage, Wait};
 use simtime::Time;
 
 use crate::config::CondConfig;
@@ -92,11 +94,27 @@ impl ReceivedMessage {
     }
 }
 
+/// The acknowledgment owed for an original read in the open transaction.
 struct PendingAck {
     cond_id: CondMessageId,
     leaf: u32,
     read_at: Time,
     ack_to: QueueAddress,
+}
+
+impl PendingAck {
+    fn for_original(received: &ReceivedMessage, read_at: Time) -> CondResult<PendingAck> {
+        Ok(PendingAck {
+            cond_id: received
+                .cond_id()
+                .ok_or_else(|| CondError::Malformed("original missing cond id".into()))?,
+            leaf: received
+                .leaf()
+                .ok_or_else(|| CondError::Malformed("original missing leaf index".into()))?,
+            read_at,
+            ack_to: ack_address(received.message())?,
+        })
+    }
 }
 
 /// The receiver-side conditional messaging service.
@@ -207,19 +225,57 @@ impl ConditionalReceiver {
     /// the sender's queue manager.
     pub fn read_message(&mut self, queue: &str, wait: Wait) -> CondResult<Option<ReceivedMessage>> {
         self.annihilate_pairs(queue)?;
-        let mut seen_comps: HashSet<MessageId> = HashSet::new();
+        // Outside a receiver transaction the read is one implicit messaging
+        // transaction: the get, the receiver-log entry and the read-ack
+        // commit as a single journal record, so no crash or journal failure
+        // can consume an original without logging and acknowledging it.
+        let implicit = !self.session.in_transaction();
+        if implicit {
+            self.begin_tx()?;
+        }
+        let mut read = self.read_in_tx(queue, wait);
+        if implicit {
+            read = read.and_then(|received| {
+                self.commit_acked(AckKind::Read)?;
+                Ok(received)
+            });
+            if self.session.in_transaction() {
+                // Hand everything back for the retry without spending the
+                // messages' backout budget: the failure is not theirs.
+                self.session.rollback_for_retry()?;
+            }
+        }
+        let received = read?;
+        match &received {
+            Some(r) if r.kind == MessageKind::Original => self.metrics.originals.incr(),
+            Some(r) if r.kind == MessageKind::Compensation => {
+                self.metrics.comp_delivered.incr();
+                self.qmgr.trace().record(
+                    self.qmgr.clock().now(),
+                    TraceStage::CompensationDelivered,
+                    r.cond_id.map(|id| id.as_u128()),
+                    r.leaf,
+                    queue,
+                );
+            }
+            _ => {}
+        }
+        Ok(received)
+    }
+
+    /// The read proper, staged into the open transaction of `self.session`.
+    fn read_in_tx(&mut self, queue: &str, mut wait: Wait) -> CondResult<Option<ReceivedMessage>> {
         loop {
-            let msg = if self.session.in_transaction() {
-                self.session.get(queue, wait)?
-            } else {
-                self.qmgr.get(queue, wait)?
+            let Some(msg) = self.session.get(queue, wait)? else {
+                return Ok(None);
             };
-            let Some(msg) = msg else { return Ok(None) };
             match wire::kind_of(&msg) {
                 MessageKind::Original => {
                     let received = ReceivedMessage::classify(msg);
-                    self.acknowledge_original(&received)?;
-                    self.metrics.originals.incr();
+                    self.pending_acks.push(PendingAck::for_original(
+                        &received,
+                        self.qmgr.clock().now(),
+                    )?);
                     return Ok(Some(received));
                 }
                 MessageKind::Compensation => {
@@ -228,15 +284,10 @@ impl ConditionalReceiver {
                     if self.rlog_shows_consumed(cond_id, leaf)? {
                         // Original was consumed: deliver the compensation
                         // (exactly once — log the delivery).
-                        self.log_rlog_entry(cond_id, leaf, "comp-delivered")?;
-                        self.metrics.comp_delivered.incr();
-                        self.qmgr.trace().record(
-                            self.qmgr.clock().now(),
-                            TraceStage::CompensationDelivered,
-                            Some(cond_id.as_u128()),
-                            Some(leaf),
-                            queue,
-                        );
+                        self.session.put(
+                            &self.config.rlog_queue,
+                            rlog_entry(cond_id, leaf, "comp-delivered", self.qmgr.clock().now()),
+                        )?;
                         return Ok(Some(ReceivedMessage::classify(msg)));
                     }
                     // Encounter-time annihilation: the original may still
@@ -268,9 +319,13 @@ impl ConditionalReceiver {
                     }
                     session.rollback_for_retry()?;
                     // Original neither in the queue nor consumed here:
-                    // defer the compensation.
-                    let msg_id = msg.id();
-                    self.requeue(queue, msg)?;
+                    // defer the compensation. Staged, so the net effect of
+                    // the commit is a move to the back — and until then it
+                    // cannot be met again: when the queue runs dry, every
+                    // remaining message is an undeliverable compensation,
+                    // which is "nothing deliverable" now, not after `wait`.
+                    self.session.put(queue, msg)?;
+                    wait = Wait::NoWait;
                     self.metrics.comp_deferred.incr();
                     self.qmgr.trace().record(
                         self.qmgr.clock().now(),
@@ -279,27 +334,12 @@ impl ConditionalReceiver {
                         Some(leaf),
                         queue,
                     );
-                    if !seen_comps.insert(msg_id) {
-                        // Every remaining message is an undeliverable
-                        // compensation; report "nothing deliverable".
-                        return Ok(None);
-                    }
                 }
                 MessageKind::SuccessNotification | MessageKind::Standard => {
                     return Ok(Some(ReceivedMessage::classify(msg)));
                 }
             }
         }
-    }
-
-    fn requeue(&mut self, queue: &str, msg: Message) -> CondResult<()> {
-        if self.session.in_transaction() {
-            // Staged: net effect after commit is a move to the back.
-            self.session.put(queue, msg)?;
-        } else {
-            self.qmgr.put(queue, msg)?;
-        }
-        Ok(())
     }
 
     /// Annihilates original/compensation pairs sitting on the same queue
@@ -365,48 +405,6 @@ impl ConditionalReceiver {
         Ok(())
     }
 
-    fn acknowledge_original(&mut self, received: &ReceivedMessage) -> CondResult<()> {
-        let cond_id = received
-            .cond_id()
-            .ok_or_else(|| CondError::Malformed("original missing cond id".into()))?;
-        let leaf = received
-            .leaf()
-            .ok_or_else(|| CondError::Malformed("original missing leaf index".into()))?;
-        let ack_to = ack_address(received.message())?;
-        let read_at = self.qmgr.clock().now();
-        if self.session.in_transaction() {
-            // Deferred: the processed-ack is staged at commit time, in the
-            // same transaction as the consumption itself.
-            self.pending_acks.push(PendingAck {
-                cond_id,
-                leaf,
-                read_at,
-                ack_to,
-            });
-            return Ok(());
-        }
-        // Non-transactional read: read-ack plus consumption log entry, sent
-        // atomically right away.
-        let ack = Acknowledgment {
-            cond_id,
-            leaf,
-            kind: AckKind::Read,
-            read_at,
-            processed_at: None,
-            recipient: self.recipient.clone(),
-        };
-        let mut session = self.qmgr.session();
-        session.begin()?;
-        session.put(
-            &self.config.rlog_queue,
-            rlog_entry(cond_id, leaf, "consumed", read_at),
-        )?;
-        session.put_to(&ack_to, ack.to_message())?;
-        session.commit()?;
-        self.metrics.read_acks.incr();
-        Ok(())
-    }
-
     fn rlog_shows_consumed(&self, cond_id: CondMessageId, leaf: u32) -> CondResult<bool> {
         let selector = Selector::parse(&format!(
             "{} = '{}' AND {} = {} AND {} = 'consumed'",
@@ -421,16 +419,6 @@ impl ConditionalReceiver {
         // Point read off the property index: the rlog grows with every
         // delivery, and this probe runs once per duplicate redelivery.
         Ok(rlog.any_selected(&selector))
-    }
-
-    fn log_rlog_entry(&mut self, cond_id: CondMessageId, leaf: u32, entry: &str) -> CondResult<()> {
-        let msg = rlog_entry(cond_id, leaf, entry, self.qmgr.clock().now());
-        if self.session.in_transaction() {
-            self.session.put(&self.config.rlog_queue, msg)?;
-        } else {
-            self.qmgr.put(&self.config.rlog_queue, msg)?;
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------- transactions --
@@ -466,6 +454,12 @@ impl ConditionalReceiver {
         if !self.session.in_transaction() {
             return Err(CondError::NoTransaction);
         }
+        self.commit_acked(AckKind::Processed)
+    }
+
+    /// Stages the consumption log entry and the `kind` acknowledgment of
+    /// every original read in the open transaction, then commits it.
+    fn commit_acked(&mut self, kind: AckKind) -> CondResult<()> {
         let commit_time = self.qmgr.clock().now();
         for pa in &self.pending_acks {
             self.session.put(
@@ -475,17 +469,19 @@ impl ConditionalReceiver {
             let ack = Acknowledgment {
                 cond_id: pa.cond_id,
                 leaf: pa.leaf,
-                kind: AckKind::Processed,
+                kind,
                 read_at: pa.read_at,
-                processed_at: Some(commit_time),
+                processed_at: (kind == AckKind::Processed).then_some(commit_time),
                 recipient: self.recipient.clone(),
             };
             self.session.put_to(&pa.ack_to, ack.to_message())?;
         }
         self.session.commit()?;
-        self.metrics
-            .processed_acks
-            .add(self.pending_acks.len() as u64);
+        let sent = match kind {
+            AckKind::Read => &self.metrics.read_acks,
+            AckKind::Processed => &self.metrics.processed_acks,
+        };
+        sent.add(self.pending_acks.len() as u64);
         self.pending_acks.clear();
         Ok(())
     }

@@ -397,7 +397,9 @@ impl WireDecode for SendOptions {
 
 /// The durable record of one conditional send, written to `DS.SLOG.Q`
 /// before the standard messages go out; recovery rebuilds evaluation state
-/// from these.
+/// from these. It holds what recovery reads and nothing else: the payload
+/// travels in the originals, the compensation data is parked on
+/// `DS.COMP.Q`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SendRecord {
     /// The conditional message id.
@@ -406,10 +408,6 @@ pub struct SendRecord {
     pub send_time: Time,
     /// The full condition tree.
     pub condition: Condition,
-    /// The application payload.
-    pub payload: Bytes,
-    /// Application-defined compensation payload, if provided.
-    pub compensation: Option<Bytes>,
     /// Per-send options.
     pub options: SendOptions,
 }
@@ -419,8 +417,6 @@ impl WireEncode for SendRecord {
         enc.put_u128(self.cond_id.as_u128());
         enc.put_u64(self.send_time.as_millis());
         self.condition.encode(enc);
-        enc.put_bytes(&self.payload);
-        enc.put_opt(self.compensation.as_ref(), |e, b| e.put_bytes(b));
         self.options.encode(enc);
     }
 }
@@ -431,8 +427,6 @@ impl WireDecode for SendRecord {
             cond_id: CondMessageId::from_u128(dec.get_u128()?),
             send_time: Time(dec.get_u64()?),
             condition: Condition::decode(dec)?,
-            payload: dec.get_bytes()?,
-            compensation: dec.get_opt(|d| d.get_bytes())?,
             options: SendOptions::decode(dec)?,
         })
     }
@@ -720,8 +714,6 @@ mod tests {
             condition: Destination::queue("M", "Q")
                 .pickup_within(Millis(10))
                 .into(),
-            payload: Bytes::from_static(b"pay"),
-            compensation: Some(Bytes::from_static(b"undo")),
             options: SendOptions {
                 evaluation_timeout: Some(Millis(99)),
                 success_notifications: Some(true),

@@ -46,7 +46,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -525,18 +525,20 @@ impl Journal for SegmentedJournal {
         let name = segment_file_name(first_lsn);
         let path = self.root.join(&name);
         let tmp = self.root.join(name + TMP_SUFFIX);
-        let mut file = OpenOptions::new().create(true).append(true).open(&tmp)?;
+        let file = OpenOptions::new().create(true).append(true).open(&tmp)?;
+        let mut writer = BufWriter::new(file);
         let mut seg_bytes = 0u64;
         let mut next_lsn = first_lsn;
         for record in records {
             let frame = encode_segment_frame(next_lsn, &record);
             next_lsn += 1;
-            file.write_all(&frame)?;
+            writer.write_all(&frame)?;
             seg_bytes += frame.len() as u64;
         }
         // 2. Make it durable, then publish it: the rename is the commit
         //    point. Until it, the chain is untouched; after it, the new
         //    segment holds a complete checkpoint that supersedes the rest.
+        let file = writer.into_inner().map_err(|e| e.into_error())?;
         file.sync_data()?;
         std::fs::rename(&tmp, &path)?;
         sync_dir(&self.root)?;

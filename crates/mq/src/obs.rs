@@ -44,6 +44,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.ack.batch_size",
     "cond.verdict.success",
     "cond.verdict.failure",
+    "cond.verdict.fused",
     "cond.verdict.timeout",
     "cond.comp.released",
     "cond.comp.consumed",

@@ -25,6 +25,15 @@ struct TxState {
     gets: Vec<(Arc<Queue>, Message)>,
 }
 
+impl TxState {
+    /// Whether the transaction has neither consumed nor staged anything (a
+    /// read that found its queue empty): ending it is not an event — no
+    /// journal record, nothing to apply or undo, nothing to count.
+    fn is_empty(&self) -> bool {
+        self.gets.is_empty() && self.staged_puts.is_empty()
+    }
+}
+
 /// A session against one queue manager, optionally transacted.
 ///
 /// Outside a transaction, operations behave exactly like the corresponding
@@ -104,6 +113,9 @@ impl Session {
     /// failures abort the commit (state rolls back).
     pub fn commit(&mut self) -> MqResult<()> {
         let tx = self.tx.take().ok_or(MqError::NoTransaction)?;
+        if tx.is_empty() {
+            return Ok(());
+        }
         // Mutation gate read-held across [TxCommit append + applying its
         // effects]: a checkpoint can never snapshot half a transaction, nor
         // truncate the TxCommit record while its effects are missing.
@@ -201,6 +213,9 @@ impl Session {
 
     fn rollback_inner(&mut self, bump: bool) -> MqResult<()> {
         let tx = self.tx.take().ok_or(MqError::NoTransaction)?;
+        if tx.is_empty() {
+            return Ok(());
+        }
         let threshold = self.manager.config().backout_threshold;
         // Requeue in reverse consumption order so front-insertion restores
         // the original FIFO order.
@@ -452,6 +467,28 @@ mod tests {
         s.rollback().unwrap();
         assert!(matches!(s.commit(), Err(MqError::NoTransaction)));
         assert!(matches!(s.rollback(), Err(MqError::NoTransaction)));
+    }
+
+    #[test]
+    fn an_empty_transaction_is_not_an_event() {
+        // A read that found its queue empty ends its transaction without a
+        // journal record and without moving either counter.
+        let (journal, qm) = setup();
+        let records = journal.record_count();
+        for commit in [true, false] {
+            let mut s = qm.session();
+            s.begin().unwrap();
+            assert!(s.get("Q", Wait::NoWait).unwrap().is_none());
+            if commit {
+                s.commit().unwrap();
+            } else {
+                s.rollback().unwrap();
+            }
+            assert!(!s.in_transaction());
+        }
+        assert_eq!(qm.stats().tx_committed.get(), 0);
+        assert_eq!(qm.stats().tx_rolled_back.get(), 0);
+        assert_eq!(journal.record_count(), records);
     }
 
     #[test]

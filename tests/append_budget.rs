@@ -1,0 +1,244 @@
+//! The append budget of one conditional round trip.
+//!
+//! In the durable configuration a verdict costs what its synchronous
+//! journal appends cost, so the *sequence of records* one round trip writes
+//! is part of the contract: every protocol step — conditional send, channel
+//! handoff, pick-up with its implicit acknowledgment, acknowledgment
+//! drain with the verdict it decides, outcome pick-up — is exactly one
+//! record. A change that splits a step over two commits (or adds a record
+//! anywhere on the path) fails here, not only in `condbench`.
+//!
+//! The tables in DESIGN.md §8 and the receiver section are these
+//! sequences.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use condmsg::{
+    Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet,
+    MessageOutcome,
+};
+use mq::channel::Channel;
+use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
+use mq::net::Link;
+use mq::{MqResult, QueueManager, SystemClock, Wait};
+use parking_lot::Mutex;
+use simtime::{Millis, SimClock};
+
+/// A `Journal` that notes what each `append` wrote (kind + queues) and
+/// otherwise is the `MemJournal` it wraps.
+#[derive(Debug)]
+struct RecordingJournal {
+    inner: Arc<MemJournal>,
+    appended: Mutex<Vec<String>>,
+}
+
+impl RecordingJournal {
+    fn new() -> Arc<RecordingJournal> {
+        Arc::new(RecordingJournal {
+            inner: MemJournal::new(),
+            appended: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Forgets the set-up records (queue creation).
+    fn start(&self) {
+        self.appended.lock().clear();
+    }
+
+    fn appended(&self) -> Vec<String> {
+        self.appended.lock().clone()
+    }
+
+    fn wait_for(&self, appends: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.appended.lock().len() < appends {
+            assert!(
+                Instant::now() < deadline,
+                "still waiting for append {appends}: {:#?}",
+                self.appended()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+impl Journal for RecordingJournal {
+    fn append(&self, record: &JournalRecord) -> MqResult<()> {
+        self.inner.append(record)?;
+        self.appended.lock().push(describe(record));
+        Ok(())
+    }
+
+    fn replay(&self, sink: &mut ReplaySink<'_>) -> MqResult<()> {
+        self.inner.replay(sink)
+    }
+
+    fn reset(&self) -> MqResult<()> {
+        self.inner.reset()
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.inner.len_bytes()
+    }
+}
+
+/// `a, a, b` → `a x2, b`.
+fn queues<'a>(names: impl Iterator<Item = &'a str>) -> String {
+    let mut runs: Vec<(&str, usize)> = Vec::new();
+    for name in names {
+        match runs.last_mut() {
+            Some((last, n)) if *last == name => *n += 1,
+            _ => runs.push((name, 1)),
+        }
+    }
+    let runs: Vec<String> = runs
+        .into_iter()
+        .map(|(name, n)| match n {
+            1 => name.to_owned(),
+            n => format!("{name} x{n}"),
+        })
+        .collect();
+    runs.join(", ")
+}
+
+fn describe(record: &JournalRecord) -> String {
+    match record {
+        JournalRecord::Put { queue, .. } => format!("Put {queue}"),
+        JournalRecord::Get { queue, .. } => format!("Get {queue}"),
+        JournalRecord::TxCommit { puts, gets } => format!(
+            "TxCommit get[{}] put[{}]",
+            queues(gets.iter().map(|(q, _)| q.as_str())),
+            queues(puts.iter().map(|(q, _)| q.as_str())),
+        ),
+        other => format!("{other:?}"),
+    }
+}
+
+#[test]
+fn two_manager_round_trip_is_eight_records() {
+    let clock = SystemClock::new();
+    let (head_journal, tail_journal) = (RecordingJournal::new(), RecordingJournal::new());
+    let head = QueueManager::builder("QM.HEAD")
+        .clock(clock.clone())
+        .journal(head_journal.clone())
+        .build()
+        .unwrap();
+    let tail = QueueManager::builder("QM.TAIL")
+        .clock(clock)
+        .journal(tail_journal.clone())
+        .build()
+        .unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let _channels = Channel::connect_duplex(&head, &tail, Link::ideal(), Link::ideal()).unwrap();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    head_journal.start();
+    tail_journal.start();
+
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let id = messenger.send_message("payload", &condition).unwrap();
+    // Let the channel finish its handoff before the pick-up, so the
+    // acknowledgment cannot overtake the mover's commit on the head.
+    head_journal.wait_for(2);
+    let read = receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000)));
+    assert!(read.unwrap().is_some());
+    let outcome = messenger
+        .take_outcome(id, Wait::Timeout(Millis(10_000)))
+        .unwrap()
+        .expect("verdict");
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    tail_journal.wait_for(3);
+
+    assert_eq!(
+        head_journal.appended(),
+        [
+            // Conditional send: sender-log record, parked compensation,
+            // the original onto the transmission queue.
+            "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]",
+            // Channel handoff, committed once the tail has the message.
+            "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
+            // The acknowledgment arrives ...
+            "Put DS.ACK.Q",
+            // ... and decides the message in the transaction that
+            // consumes it: outcome entry and notification out, parked
+            // compensation and sender-log record gone. No AckSeen.
+            "TxCommit get[DS.ACK.Q, DS.COMP.Q, DS.SLOG.Q] put[DS.DONE.Q, DS.OUTCOME.Q]",
+            // The application picks the outcome up.
+            "Get DS.OUTCOME.Q",
+        ],
+        "head"
+    );
+    assert_eq!(
+        tail_journal.appended(),
+        [
+            "Put Q.IN",
+            // Pick-up, receiver-log entry and read-ack: one step.
+            "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]",
+            "TxCommit get[SYSTEM.XMIT.QM.HEAD] put[]",
+        ],
+        "tail"
+    );
+    let metrics = head.metrics_snapshot();
+    assert_eq!(metrics.counter("cond.verdict.fused"), 1);
+    assert_eq!(metrics.counter("cond.ack.read"), 1);
+}
+
+#[test]
+fn four_leaf_tree_decided_by_its_third_ack_is_ten_records() {
+    let journal = RecordingJournal::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(SimClock::new())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    let leaves = ["Q.L0", "Q.L1", "Q.L2", "Q.L3"];
+    for leaf in leaves {
+        qmgr.create_queue(leaf).unwrap();
+    }
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    journal.start();
+
+    let condition: Condition = DestinationSet::of(
+        leaves
+            .iter()
+            .map(|leaf| Destination::queue("QM1", *leaf).into())
+            .collect(),
+    )
+    .pickup_within(Millis(60_000))
+    .min_pickup(3)
+    .into();
+    let id = messenger.send_message("payload", &condition).unwrap();
+    for leaf in leaves {
+        assert!(receiver.read_message(leaf, Wait::NoWait).unwrap().is_some());
+    }
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap();
+    assert_eq!(outcome.expect("verdict").outcome, MessageOutcome::Success);
+
+    let pickup = |leaf: &str| format!("TxCommit get[{leaf}] put[DS.RLOG.Q, DS.ACK.Q]");
+    // An ack that leaves its message pending is logged (write-ahead).
+    let drain = "TxCommit get[DS.ACK.Q] put[DS.SLOG.Q]".to_owned();
+    assert_eq!(
+        journal.appended(),
+        [
+            "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q x4, Q.L0, Q.L1, Q.L2, Q.L3]".to_owned(),
+            pickup("Q.L0"),
+            drain.clone(),
+            pickup("Q.L1"),
+            drain,
+            pickup("Q.L2"),
+            // The third ack decides: its drain carries the verdict, which
+            // purges the send record and the two logged acks.
+            "TxCommit get[DS.ACK.Q, DS.COMP.Q x4, DS.SLOG.Q x3] put[DS.DONE.Q, DS.OUTCOME.Q]"
+                .to_owned(),
+            pickup("Q.L3"),
+            // Late ack for a decided message: consumed, nothing logged.
+            "TxCommit get[DS.ACK.Q] put[]".to_owned(),
+            "Get DS.OUTCOME.Q".to_owned(),
+        ]
+    );
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
+}

@@ -12,7 +12,7 @@ use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, Destination, MessageStatus,
 };
 use mq::journal::MemJournal;
-use mq::{Message, MqError, QueueManager, Wait};
+use mq::{Message, MqError, QueueManager, TraceStage, Wait};
 use simtime::{Millis, SimClock, Time};
 
 fn world() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -128,8 +128,9 @@ fn pump_propagates_storage_errors_without_losing_acks() {
         volatile = volatile.property(name, value.clone());
     }
     qmgr.put("DS.ACK.Q", volatile.build()).unwrap();
-    // The arrival-time drain could not log its AckSeen entry: the error is
-    // counted, the ack rolled back onto the queue, the message undecided.
+    // The arrival-time cycle could not commit the verdict this ack
+    // decides: the error is counted, the ack rolled back onto the queue,
+    // the message undecided.
     let errors = || qmgr.metrics_snapshot().counter("cond.eval.errors");
     assert_eq!(errors(), 1);
     assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1, "ack not lost");
@@ -146,6 +147,15 @@ fn pump_propagates_storage_errors_without_losing_acks() {
     let outcomes = messenger.pump().unwrap();
     assert_eq!(outcomes[0].cond_id, id);
     assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Success);
+    // The ack was applied once per attempt (idempotently) but counted and
+    // traced once, by the transaction that committed it with its verdict.
+    let metrics = qmgr.metrics_snapshot();
+    assert_eq!(metrics.counter("cond.ack.read"), 1);
+    assert_eq!(metrics.counter("cond.verdict.success"), 1);
+    assert_eq!(metrics.counter("cond.verdict.fused"), 1);
+    let stages = messenger.trace().stages_for(id.as_u128());
+    let read_acks = stages.iter().filter(|s| **s == TraceStage::ReadAck);
+    assert_eq!(read_acks.count(), 1, "{stages:?}");
 }
 
 #[test]
@@ -209,4 +219,30 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 4, "2 originals + 2 undos");
     assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
     assert!(messenger.pump().unwrap().is_empty());
+
+    // A forced failure whose transaction fails takes the same way back:
+    // the evaluation is not dropped, nothing spends its backout budget.
+    let far: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(10_000_000))
+        .into();
+    let forced = messenger
+        .send_message_with_compensation("c", "undo-c", &far)
+        .unwrap();
+    journal.set_failing(true);
+    for _ in 0..2 * qmgr.config().backout_threshold {
+        assert!(messenger.force_fail(forced, "sphere aborted").is_err());
+    }
+    assert_eq!(messenger.status(forced), MessageStatus::Pending);
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
+    // The next cycle finds it undecided and gives it its timer back.
+    assert!(messenger.pump().unwrap().is_empty());
+    assert_eq!(clock.pending_timers(), 1);
+    journal.set_failing(false);
+    let outcome = messenger.force_fail(forced, "sphere aborted").unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
+    assert_eq!(messenger.status(forced), MessageStatus::Decided(outcome));
+    assert_eq!(clock.pending_timers(), 0);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 3);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 6);
+    assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
 }

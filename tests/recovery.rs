@@ -9,11 +9,11 @@
 use std::sync::Arc;
 
 use condmsg::{
-    CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
-    DestinationSet, MessageKind, MessageOutcome, MessageStatus,
+    wire, CompiledCondition, CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver,
+    Destination, DestinationSet, MessageKind, MessageOutcome, MessageStatus,
 };
-use mq::journal::{MemJournal, SegmentConfig, SegmentedJournal};
-use mq::{QueueManager, Wait};
+use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
+use mq::{QueueAddress, QueueManager, Wait};
 use simtime::{Millis, SharedClock, SimClock};
 
 fn build_qm(clock: SharedClock, journal: Arc<MemJournal>) -> Arc<QueueManager> {
@@ -423,6 +423,119 @@ fn deferred_outcome_actions_survive_crash() {
     assert!(messenger2
         .release_outcome_actions(id, MessageOutcome::Failure)
         .is_err());
+}
+
+#[test]
+fn pickup_and_ack_are_one_record() {
+    // A pick-up is one protocol step and one journal record: the get, the
+    // receiver-log entry and the implicit acknowledgment commit together
+    // or not at all. (Split over a bare `Get` and a later commit, a crash
+    // or journal failure in between consumed the original with no
+    // `consumed` entry and no ack: the sender fails the message and its
+    // compensation is deferred forever — neither annihilable nor
+    // deliverable.)
+    //
+    // A destination manager with a route to the sender but no channel:
+    // acknowledgments stay on the transmission queue for inspection.
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = QueueManager::builder("QM.RECV")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q.IN").unwrap();
+    qmgr.define_route("QM.SEND", "XMIT.SEND").unwrap();
+    let destination = QueueAddress::new("QM.RECV", "Q.IN");
+    let condition: Condition = Destination::queue("QM.RECV", "Q.IN")
+        .process_within(Millis(100))
+        .into();
+    let compiled = CompiledCondition::compile(&condition).unwrap();
+    let id = CondMessageId::generate();
+    let original = wire::make_original(
+        &bytes::Bytes::from("orig"),
+        id,
+        &compiled.leaves()[0],
+        "QM.SEND",
+        "DS.ACK.Q",
+    );
+    qmgr.put("Q.IN", original).unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    let depth = |queue: &str| qmgr.queue(queue).unwrap().depth();
+    let retries = 2 * qmgr.config().backout_threshold;
+
+    // Storage down: the read fails as a whole, however often it is tried.
+    journal.set_failing(true);
+    for _ in 0..retries {
+        assert!(receiver.read_message("Q.IN", Wait::NoWait).is_err());
+    }
+    assert_eq!(depth("Q.IN"), 1, "original still on the queue");
+    assert_eq!(depth("DS.RLOG.Q"), 0, "no consumption logged");
+    assert_eq!(depth("XMIT.SEND"), 0, "no acknowledgment sent");
+    // Healed: one read, one log entry, one ack — one record.
+    journal.set_failing(false);
+    let before = journal.record_count();
+    let got = receiver
+        .read_message("Q.IN", Wait::NoWait)
+        .unwrap()
+        .unwrap();
+    assert_eq!(got.kind(), MessageKind::Original);
+    assert_eq!(
+        got.message().redelivery_count(),
+        0,
+        "retries cost it nothing"
+    );
+    assert_eq!(journal.record_count(), before + 1);
+    assert!(matches!(
+        journal.replay_collect().unwrap().last(),
+        Some(JournalRecord::TxCommit { puts, gets }) if puts.len() == 2 && gets.len() == 1
+    ));
+    assert_eq!(
+        (depth("Q.IN"), depth("DS.RLOG.Q"), depth("XMIT.SEND")),
+        (0, 1, 1)
+    );
+    assert!(receiver
+        .read_message("Q.IN", Wait::NoWait)
+        .unwrap()
+        .is_none());
+
+    // The same for a compensation delivered because its original was
+    // consumed here: get and `comp-delivered` entry are one record.
+    let undo = bytes::Bytes::from("undo");
+    qmgr.put(
+        "Q.IN",
+        wire::make_compensation(id, 0, &destination, Some(&undo)),
+    )
+    .unwrap();
+    journal.set_failing(true);
+    for _ in 0..retries {
+        assert!(receiver.read_message("Q.IN", Wait::NoWait).is_err());
+    }
+    assert_eq!((depth("Q.IN"), depth("DS.RLOG.Q")), (1, 1));
+    journal.set_failing(false);
+    let before = journal.record_count();
+    let comp = receiver
+        .read_message("Q.IN", Wait::NoWait)
+        .unwrap()
+        .unwrap();
+    assert_eq!(comp.kind(), MessageKind::Compensation);
+    assert_eq!(comp.payload_str(), Some("undo"));
+    assert_eq!(journal.record_count(), before + 1);
+    assert_eq!((depth("Q.IN"), depth("DS.RLOG.Q")), (0, 2));
+    assert_eq!(depth(mq::DEAD_LETTER_QUEUE), 0);
+
+    // And it is what a restart sees.
+    qmgr.crash();
+    let qmgr2 = QueueManager::builder("QM.RECV")
+        .clock(clock)
+        .journal(journal)
+        .build()
+        .unwrap();
+    let depth = |queue: &str| qmgr2.queue(queue).unwrap().depth();
+    assert_eq!(
+        (depth("Q.IN"), depth("DS.RLOG.Q"), depth("XMIT.SEND")),
+        (0, 2, 1)
+    );
 }
 
 #[test]

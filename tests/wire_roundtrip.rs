@@ -4,7 +4,6 @@
 //! single canonical encoding), and the message-property encodings
 //! (`to_message`/`from_message`) must round-trip value-identically.
 
-use bytes::Bytes;
 use condmsg::wire::{
     AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions, SendRecord,
     SlogEntry,
@@ -46,10 +45,6 @@ fn arb_cond_id() -> impl Strategy<Value = CondMessageId> {
 
 fn arb_priority() -> impl Strategy<Value = Priority> {
     (0u8..=9).prop_map(Priority::new)
-}
-
-fn arb_payload() -> impl Strategy<Value = Bytes> {
-    proptest::collection::vec(any::<u8>(), 0..48).prop_map(Bytes::from)
 }
 
 fn arb_destination() -> impl Strategy<Value = Destination> {
@@ -214,23 +209,17 @@ fn arb_outcome() -> impl Strategy<Value = OutcomeNotification> {
 
 fn arb_send_record() -> impl Strategy<Value = SendRecord> {
     (
-        (arb_cond_id(), arb_time(), arb_condition(2)),
-        (
-            arb_payload(),
-            proptest::option::weighted(0.4, arb_payload()),
-            arb_send_options(),
-        ),
+        arb_cond_id(),
+        arb_time(),
+        arb_condition(2),
+        arb_send_options(),
     )
-        .prop_map(
-            |((cond_id, send_time, condition), (payload, compensation, options))| SendRecord {
-                cond_id,
-                send_time,
-                condition,
-                payload,
-                compensation,
-                options,
-            },
-        )
+        .prop_map(|(cond_id, send_time, condition, options)| SendRecord {
+            cond_id,
+            send_time,
+            condition,
+            options,
+        })
 }
 
 fn arb_slog_entry() -> impl Strategy<Value = SlogEntry> {
