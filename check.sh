@@ -44,6 +44,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # reads, unwraps) plus the cond-verify passes (lock order, never-hold,
 # custody, registries); lint.allow documents the accepted exceptions.
 cargo run --release -p cond-lint -- --deny
+# The paper's headline example (Fig. 1/4): nine recipient behaviours against
+# the meeting-notification condition, every verdict checked against the
+# paper-rule oracle (asserted inside the binary).
+cargo run --release -p cond-bench --bin exp_fig1_meeting
 cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
 # Journal group-commit regression gate, on counts (asserted inside the
 # binary): fsyncs == appends at 1 writer, <= appends/2 at 8, <= appends/8 at

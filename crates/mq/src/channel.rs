@@ -23,7 +23,13 @@
 //! flight instead of stopping for an acknowledgment after each one: every
 //! submitted batch keeps its own open session, and sessions are committed
 //! in order as the receiver's cumulative ack watermark advances past their
-//! tickets. A disconnect strands whatever the watermark had not covered;
+//! tickets. The window is for *full* batches ([`MAX_BATCH`] envelopes): a
+//! partial batch goes out only when nothing is in flight, so under load
+//! the envelopes that arrive during one round trip leave as one batch —
+//! the channel clocks itself on its acks (Nagle's rule), and a batch costs
+//! each side one journal record whatever its size. An idle channel still
+//! sends the first envelope at once. A disconnect strands whatever the
+//! watermark had not covered;
 //! those sessions are rolled back newest-first (so front-requeueing
 //! preserves FIFO order) and the envelopes are retransmitted after
 //! reconnect, with receiver-side dedup collapsing any batch the peer had
@@ -441,6 +447,10 @@ fn lockstep_mover(
 /// watermark advances.
 ///
 /// Invariants:
+/// * At most one *partial* batch is in flight: with the window non-empty
+///   only a full [`MAX_BATCH`] is submitted (counted in envelopes — a
+///   backlog of envelopes so large that [`BATCH_BYTE_BUDGET`] cuts the
+///   batch first goes one batch per round trip).
 /// * Sessions commit strictly in submission order — a later batch's ack
 ///   can never commit past an earlier uncovered one, because the
 ///   watermark is cumulative.
@@ -515,7 +525,7 @@ fn pipelined_mover(
             continue;
         }
         // Refill: stage and submit batches until the window is full or
-        // the transmission queue runs dry.
+        // the transmission queue holds less than a full batch.
         while progress.connected && window.len() < pipe.window() {
             if window.is_empty() {
                 // Nothing in flight: park on the queue's condvar
@@ -528,8 +538,10 @@ fn pipelined_mover(
                         return; // manager stopped
                     }
                 }
-            } else if xmit.depth() == 0 {
-                break; // in-flight work to watch; don't park here
+            } else if xmit.depth() < MAX_BATCH {
+                // Something is in flight and less than a full batch is
+                // waiting: let it grow until the ack returns.
+                break;
             }
             let mut session = from.session();
             if session.begin().is_err() {

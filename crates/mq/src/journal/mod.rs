@@ -78,24 +78,6 @@ pub enum JournalRecord {
         /// Expired message id.
         message_id: MessageId,
     },
-    /// A relay custody transfer: an in-transit envelope addressed to
-    /// another manager was accepted from a channel and atomically
-    /// re-enqueued on the outbound transmission queue. Replayed like a
-    /// [`JournalRecord::Put`] onto `xmit_queue`; the extra fields make the
-    /// handoff auditable (who originated it, where it is going, how many
-    /// hops it has taken).
-    RelayCustody {
-        /// The outbound transmission queue the envelope moved to.
-        xmit_queue: String,
-        /// The manager that first wrapped the message for transmission.
-        origin: String,
-        /// The final destination manager.
-        dest_manager: String,
-        /// Hop count stamped on the envelope after this handoff.
-        hops: u32,
-        /// The full in-transit envelope (transmission headers intact).
-        message: Message,
-    },
     /// Opens a checkpoint: a self-contained snapshot of all live persistent
     /// state follows as ordinary [`JournalRecord::Put`] records, closed by a
     /// [`JournalRecord::CheckpointEnd`] carrying the same id. Recovery
@@ -110,7 +92,7 @@ pub enum JournalRecord {
         queues: Vec<String>,
         /// The relay deduper window, oldest first: `(origin hash, message
         /// id)` idempotency keys the manager must still refuse after
-        /// recovery even though the custody records were truncated away.
+        /// recovery even though the arrival records were truncated away.
         dedup: Vec<(u64, u128)>,
     },
     /// Closes the checkpoint opened by the [`JournalRecord::CheckpointStart`]
@@ -161,20 +143,6 @@ impl WireEncode for JournalRecord {
                 enc.put_u8(5);
                 enc.put_str(queue);
                 enc.put_u128(message_id.as_u128());
-            }
-            JournalRecord::RelayCustody {
-                xmit_queue,
-                origin,
-                dest_manager,
-                hops,
-                message,
-            } => {
-                enc.put_u8(6);
-                enc.put_str(xmit_queue);
-                enc.put_str(origin);
-                enc.put_str(dest_manager);
-                enc.put_u32(*hops);
-                message.encode(enc);
             }
             JournalRecord::CheckpointStart {
                 checkpoint_id,
@@ -239,13 +207,6 @@ impl WireDecode for JournalRecord {
             5 => Ok(JournalRecord::Expired {
                 queue: dec.get_str()?,
                 message_id: MessageId::from_u128(dec.get_u128()?),
-            }),
-            6 => Ok(JournalRecord::RelayCustody {
-                xmit_queue: dec.get_str()?,
-                origin: dec.get_str()?,
-                dest_manager: dec.get_str()?,
-                hops: dec.get_u32()?,
-                message: Message::decode(dec)?,
             }),
             7 => {
                 let checkpoint_id = dec.get_u64()?;
@@ -642,13 +603,6 @@ pub(crate) mod tests {
             JournalRecord::Expired {
                 queue: "Q1".into(),
                 message_id: m2.id(),
-            },
-            JournalRecord::RelayCustody {
-                xmit_queue: "SYSTEM.XMIT.QM2".into(),
-                origin: "QM0".into(),
-                dest_manager: "QM9".into(),
-                hops: 3,
-                message: m2.clone(),
             },
             JournalRecord::QueueDeleted { queue: "Q1".into() },
             JournalRecord::CheckpointStart {

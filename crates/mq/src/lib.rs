@@ -70,7 +70,7 @@ pub use qmgr::{
 };
 pub use queue::{PutWatcher, Queue, QueueConfig, Wait};
 pub use relay::{
-    RelayOutcome, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_HOPS_PROPERTY,
+    BatchAccepted, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_HOPS_PROPERTY,
     RELAY_ORIGIN_PROPERTY,
 };
 pub use session::Session;

@@ -94,6 +94,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.relay.duplicates",
     "mq.relay.dead_lettered",
     "mq.relay.hops",
+    "mq.relay.accept_batch",
     // Simulated network link.
     "mq.net.attempts",
     "mq.net.delivered",
@@ -149,7 +150,7 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 /// record's wire encode/decode impls are the registry sinks; adding a
 /// record variant without extending this table is a lint error.
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 2, 3, 4, 5, 6, 7, 8];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 2, 3, 4, 5, 7, 8];
 
 /// Every transport frame-kind tag byte (`FrameKind::as_u8`/`from_u8`
 /// are the sinks). Tag 0 is reserved and never valid on the wire.

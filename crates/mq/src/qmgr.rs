@@ -621,41 +621,6 @@ impl QueueManager {
         Some(targets[idx].clone())
     }
 
-    /// Delivers a message arriving from a remote channel. Unknown target
-    /// queues dead-letter the message rather than losing it; an envelope
-    /// still addressed to a *different* manager is never accepted as
-    /// local — it is relayed toward its destination (or dead-lettered
-    /// with a reason; see [`crate::relay`]).
-    ///
-    /// # Errors
-    ///
-    /// Local put failures.
-    // lint: custody(msg, err-reverts)
-    pub fn deliver_from_channel(&self, queue: &str, mut msg: Message) -> MqResult<()> {
-        self.check_running()?;
-        if let Some(dest) = msg
-            .str_property(XMIT_DEST_MANAGER_PROPERTY)
-            .map(str::to_owned)
-        {
-            if dest != self.name {
-                // Misaddressed envelope: relaying (or dead-lettering) is
-                // the only correct fate — silently accepting it here was
-                // the misdelivery bug this guard fixes.
-                self.stats.received_remote.incr();
-                return self.relay_envelope(msg, &dest).map(|_| ());
-            }
-        }
-        msg.remove_property(XMIT_DEST_QUEUE_PROPERTY);
-        msg.remove_property(XMIT_DEST_MANAGER_PROPERTY);
-        self.stats.received_remote.incr();
-        if self.queue_exists(queue) {
-            self.put(queue, msg)
-        } else {
-            msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {queue}"));
-            self.put(DEAD_LETTER_QUEUE, msg)
-        }
-    }
-
     /// Moves a message to the dead-letter queue with a reason, atomically
     /// with its removal from `from_queue` (single `TxCommit` record).
     // lint: custody(msg, err-reverts)
@@ -763,21 +728,6 @@ impl QueueManager {
                     q.remove_by_id(message_id);
                 }
             }
-            // A custody transfer replays like a Put onto the outbound
-            // transmission queue: accepted-and-forwarded is one atomic
-            // record, so a crash between accept and re-enqueue rolls
-            // back to "never accepted" and the upstream retry re-runs
-            // the relay decision.
-            JournalRecord::RelayCustody {
-                xmit_queue,
-                message,
-                ..
-            } => {
-                if let Some(q) = state.queues.get(&xmit_queue) {
-                    state.dedup.record(Deduper::key_of(&message));
-                    q.restore(message);
-                }
-            }
             // Checkpoint markers are handled by the replay driver.
             JournalRecord::CheckpointStart { .. } | JournalRecord::CheckpointEnd { .. } => {}
         }
@@ -812,9 +762,9 @@ impl QueueManager {
                         image.queues.insert(name, q);
                     }
                     // The deduper's idempotency keys are part of the
-                    // snapshot: a sender retrying a custody transfer across
-                    // our restart must still be recognized even though the
-                    // original arrival records were truncated away.
+                    // snapshot: a sender retrying a batch across our restart
+                    // must still be recognized even though the original
+                    // arrival records were truncated away.
                     for (origin, id) in dedup {
                         image.dedup.record((origin, MessageId::from_u128(id)));
                     }
@@ -1059,19 +1009,6 @@ mod tests {
             qm.put("Q", Message::text("too long").build()),
             Err(MqError::MessageTooLarge { size: 8, max: 4 })
         ));
-    }
-
-    #[test]
-    fn deliver_from_channel_dead_letters_unknown_queue() {
-        let (_j, qm) = manager();
-        qm.deliver_from_channel("NOPE", Message::text("lost?").build())
-            .unwrap();
-        let dlq = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
-        assert!(dlq
-            .str_property(DLQ_REASON_PROPERTY)
-            .unwrap()
-            .contains("NOPE"));
-        assert_eq!(qm.stats().received_remote.get(), 1);
     }
 
     #[test]

@@ -379,11 +379,12 @@ impl Queue {
     }
 
     /// Enqueues a message whose durability is already covered by another
-    /// journal record (`TxCommit`, `RelayCustody`). Bypasses the depth
-    /// limit: the transaction was accepted at stage time and must not fail
-    /// mid-commit. The caller must read-hold the mutation gate around the
-    /// covering append and this insert, then call [`Queue::notify_arrival`]
-    /// after releasing it — watchers must never run under the gate.
+    /// journal record (`TxCommit`). Bypasses the depth limit: the
+    /// transaction was checked against it at stage time
+    /// ([`Queue::check_room`]) and must not fail mid-commit. The caller
+    /// must read-hold the mutation gate around the covering append and
+    /// this insert, then call [`Queue::notify_arrival`] after releasing it
+    /// — watchers must never run under the gate.
     // lint: custody(msg, err-reverts)
     pub(crate) fn put_committed(&self, mut msg: Message) -> MqResult<()> {
         let now = self.clock.now();
@@ -443,6 +444,18 @@ impl Queue {
     fn check_depth(&self, store: &MessageStore) -> MqResult<()> {
         match self.config.max_depth {
             Some(max) if store.len() >= max => Err(MqError::QueueFull(self.name.clone())),
+            _ => Ok(()),
+        }
+    }
+
+    /// The depth check of a transactional put, made when it is staged: is
+    /// there room for one more message on top of the live depth and the
+    /// `staged` puts the transaction already holds for this queue?
+    pub(crate) fn check_room(&self, staged: impl FnOnce() -> usize) -> MqResult<()> {
+        match self.config.max_depth {
+            Some(max) if self.depth() + staged() >= max => {
+                Err(MqError::QueueFull(self.name.clone()))
+            }
             _ => Ok(()),
         }
     }

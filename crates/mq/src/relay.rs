@@ -7,16 +7,17 @@
 //! must then act as a **relay**: re-resolve the destination through its
 //! routing table (explicit route group or default next-hop route) and
 //! re-enqueue the envelope on the matching outbound transmission queue.
-//! This module is that relay decision, plus the two guarantees that make
-//! multi-hop forwarding safe:
+//! This module is that relay decision — made for a whole transport batch
+//! at a time ([`QueueManager::accept_batch`], the one arrival path of
+//! every transport) — plus the two guarantees that make multi-hop
+//! forwarding safe:
 //!
-//! * **Auditable custody handoff.** Accepting an in-transit envelope and
-//!   re-enqueuing it downstream is journaled as one atomic
-//!   [`JournalRecord::RelayCustody`] record — a crash between accept and
-//!   re-enqueue rolls back to "never accepted", and the upstream
-//!   sender's retry re-runs the relay decision. The record carries
-//!   origin, destination and hop count, so the journal reads as a chain
-//!   of custody.
+//! * **Auditable custody handoff.** Accepting in-transit envelopes and
+//!   re-enqueuing them downstream is the arrival batch's one `TxCommit`
+//!   journal record — a crash between accept and re-enqueue rolls back
+//!   to "never accepted", and the upstream sender's retry re-runs the
+//!   relay decision. Each envelope carries its origin, destination and
+//!   hop count as properties, so the journal reads as a chain of custody.
 //! * **Federation-wide exactly-once.** Every arriving envelope is
 //!   checked against a manager-level sliding-window [`Deduper`] keyed by
 //!   *(origin manager, message id)* — a key that is stable across hops,
@@ -33,10 +34,15 @@
 //! delivery and never silently dropped.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
-use crate::journal::JournalRecord;
+use simtime::Time;
+
 use crate::message::{Message, MessageId};
-use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
+use crate::qmgr::{
+    QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY, XMIT_DEST_MANAGER_PROPERTY,
+    XMIT_DEST_QUEUE_PROPERTY,
+};
 use crate::trace::TraceStage;
 use crate::MqResult;
 
@@ -61,22 +67,28 @@ pub const DEFAULT_MAX_RELAY_HOPS: u32 = 16;
 /// ([`crate::ManagerConfig::dedup_window`]).
 pub const DEFAULT_DEDUP_WINDOW: usize = 16 * 1024;
 
-/// What the relay decided to do with one arriving envelope.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RelayOutcome {
-    /// The envelope was addressed here and was delivered to a local
-    /// queue (or dead-lettered by the unknown-queue path).
-    DeliveredLocal,
-    /// The envelope's idempotency key was already seen; it was dropped
-    /// without any state change.
-    Duplicate,
-    /// The envelope was addressed elsewhere and was re-enqueued on the
-    /// named outbound transmission queue.
+/// What one arrival commit did with a transport batch
+/// ([`QueueManager::accept_batch`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchAccepted {
+    /// Envelopes the commit took custody of: delivered to a local queue,
+    /// re-enqueued on an outbound transmission queue, or dead-lettered
+    /// with a reason.
+    pub accepted: usize,
+    /// Envelopes dropped as sender retries: their idempotency key was
+    /// inside the dedup window, or appeared earlier in the same batch.
+    pub duplicates: usize,
+}
+
+/// The fate decided for one fresh envelope; counted and traced once the
+/// batch has committed.
+enum Fate {
+    /// Addressed here: delivered to a local queue (or, naming a queue
+    /// that does not exist, to the dead-letter queue).
+    Local,
+    /// Addressed elsewhere and re-enqueued downstream; the trace detail.
     Forwarded(String),
-    /// The envelope had no viable next hop (unknown destination manager,
-    /// hop count exhausted, TTL expired) and was dead-lettered with the
-    /// contained reason.
+    /// No viable next hop; the reason stamped on the dead-letter entry.
     DeadLettered(String),
 }
 
@@ -160,57 +172,150 @@ impl Deduper {
 }
 
 impl QueueManager {
-    /// Accepts one envelope arriving from a channel transport: the single
-    /// seam every transport converges on.
+    /// Accepts one transport batch: the single seam every transport
+    /// converges on, called with exactly the envelopes the transport is
+    /// about to acknowledge as a unit. The whole batch is one messaging
+    /// transaction and one journal record.
     ///
-    /// The decision, in order:
-    /// 1. **Dedup** — the *(origin, id)* key inside the window means this
-    ///    is a sender retry of an already-accepted envelope; drop it with
-    ///    no state change and report [`RelayOutcome::Duplicate`].
-    /// 2. **Local** — addressed to this manager (or carrying no
-    ///    destination-manager header): strip transmission headers and
-    ///    deliver through [`QueueManager::deliver_from_channel`].
-    /// 3. **Relay** — addressed elsewhere: forward toward the
-    ///    destination or dead-letter with a reason
-    ///    ([`QueueManager::relay_envelope`]).
+    /// 1. **Dedup** — an *(origin, id)* key inside the window, or seen
+    ///    earlier in this batch, is a sender retry: dropped, counted in
+    ///    [`BatchAccepted::duplicates`].
+    /// 2. **Route** — every fresh envelope gets its fate: a local queue
+    ///    (transmission headers stripped; an unknown queue dead-letters),
+    ///    the outbound transmission queue toward its destination manager
+    ///    (hop count stamped), or the dead-letter queue with the relay
+    ///    failure as reason (hop budget exhausted, TTL expired, no route).
+    ///    Misaddressed envelopes are never accepted as local delivery.
+    /// 3. **Commit** — all of them are staged on one [`crate::Session`]
+    ///    and committed as one `TxCommit { puts, gets: [] }`. A relayed
+    ///    envelope's custody transfer is that record: a crash before it
+    ///    rolls back to "never accepted" for the whole batch.
     ///
-    /// The key is recorded only after the accept succeeded, so a journal
-    /// failure leaves the envelope unacked and retryable.
+    /// Dedup keys, `mq.relay.*` counters and relay trace stages are
+    /// recorded only after the commit.
     ///
     /// # Errors
     ///
-    /// [`crate::MqError::ManagerStopped`]; local put/journal failures.
+    /// [`crate::MqError::ManagerStopped`], [`crate::MqError::QueueFull`]
+    /// (a bounded local queue without room for its share of the batch),
+    /// journal failures. On any error *nothing* of the batch is accepted:
+    /// the transport leaves it unacked and the sender resends.
     // lint: custody(msg, err-reverts)
-    pub fn accept_envelope(&self, mut msg: Message) -> MqResult<RelayOutcome> {
+    pub fn accept_batch(self: &Arc<Self>, batch: Vec<Message>) -> MqResult<BatchAccepted> {
         self.check_running()?;
-        let key = Deduper::key_of(&msg);
-        if self.delivery_dedup.lock().seen(&key) {
-            self.relay_stats.duplicates.incr();
-            // lint: custody-ok(duplicate delivery; the original was already accepted)
-            return Ok(RelayOutcome::Duplicate);
+        let arrived = batch.len();
+        let mut in_batch = HashSet::with_capacity(arrived);
+        let fresh: Vec<_> = {
+            let dedup = self.delivery_dedup.lock();
+            batch
+                .into_iter()
+                .filter_map(|msg| {
+                    let key = Deduper::key_of(&msg);
+                    (!dedup.seen(&key) && in_batch.insert(key)).then_some((key, msg))
+                })
+                .collect()
+        };
+        let now = self.clock().now();
+        let mut session = self.session();
+        session.begin()?;
+        let mut fates = Vec::with_capacity(fresh.len());
+        for (key, envelope) in fresh {
+            let hops = envelope.i64_property(RELAY_HOPS_PROPERTY).unwrap_or(0).max(0) as u64;
+            let (queue, msg, fate) = self.route_arrival(envelope, hops, now);
+            // A refused put drops the session, which discards every put
+            // staged so far.
+            session.put(&queue, msg)?;
+            fates.push((key, hops, fate));
         }
-        let dest = msg
-            .str_property(crate::qmgr::XMIT_DEST_MANAGER_PROPERTY)
-            .map(str::to_owned);
-        let outcome = match dest {
-            Some(dest) if dest != self.name() => {
-                self.stats().received_remote.incr();
-                self.relay_envelope(msg, &dest)?
+        if let Err(e) = session.commit() {
+            if session.in_transaction() {
+                return Err(e);
             }
+            // The record is written and applied, so the batch is accepted;
+            // what failed came after it (a refused checkpoint, which the
+            // next commit retries).
+        }
+        let accepted = fates.len();
+        let duplicates = arrived - accepted;
+        self.relay_stats.duplicates.add(duplicates as u64);
+        self.stats().received_remote.add(accepted as u64);
+        if accepted > 0 {
+            self.relay_stats.accept_batch.record(accepted as u64);
+        }
+        {
+            let mut dedup = self.delivery_dedup.lock();
+            for (key, ..) in &fates {
+                dedup.record(*key);
+            }
+        }
+        let trace = self.obs().trace();
+        for (_, hops, fate) in fates {
+            self.relay_stats.hops.record(hops);
+            match fate {
+                Fate::Local => self.relay_stats.delivered_local.incr(),
+                Fate::Forwarded(detail) => {
+                    self.relay_stats.forwarded.incr();
+                    self.stats().forwarded.incr();
+                    trace.record(now, TraceStage::RelayForwarded, None, None, detail);
+                }
+                Fate::DeadLettered(reason) => {
+                    self.relay_stats.dead_lettered.incr();
+                    trace.record(now, TraceStage::RelayDeadLettered, None, None, reason);
+                }
+            }
+        }
+        Ok(BatchAccepted {
+            accepted,
+            duplicates,
+        })
+    }
+
+    /// Decides where one fresh envelope goes: the queue to stage it on,
+    /// the message as it will be enqueued there, and the fate to count.
+    // lint: custody(msg)
+    fn route_arrival(&self, mut msg: Message, hops: u64, now: Time) -> (String, Message, Fate) {
+        let dest = match msg.str_property(XMIT_DEST_MANAGER_PROPERTY) {
+            Some(dest) if dest != self.name() => dest.to_owned(),
             _ => {
                 let queue = msg
-                    .remove_property(crate::qmgr::XMIT_DEST_QUEUE_PROPERTY)
+                    .remove_property(XMIT_DEST_QUEUE_PROPERTY)
                     .and_then(|v| v.as_str().map(str::to_owned))
                     .unwrap_or_default();
-                let hops = msg.i64_property(RELAY_HOPS_PROPERTY).unwrap_or(0).max(0);
-                self.deliver_from_channel(&queue, msg)?;
-                self.relay_stats.delivered_local.incr();
-                self.relay_stats.hops.record(hops as u64);
-                RelayOutcome::DeliveredLocal
+                msg.remove_property(XMIT_DEST_MANAGER_PROPERTY);
+                if self.queue_exists(&queue) {
+                    return (queue, msg, Fate::Local);
+                }
+                msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {queue}"));
+                return (DEAD_LETTER_QUEUE.to_owned(), msg, Fate::Local);
             }
         };
-        self.delivery_dedup.lock().record(key);
-        Ok(outcome)
+        let max_hops = u64::from(self.config().max_relay_hops);
+        let next_hop = if hops >= max_hops {
+            Err(format!(
+                "relay hop count exhausted ({hops}/{max_hops}) en route to {dest}"
+            ))
+        } else if msg.is_expired(now) {
+            Err(format!("relay ttl expired en route to {dest}"))
+        } else {
+            self.route_for_message(&dest, msg.id())
+                .ok_or_else(|| format!("no route to manager {dest}"))
+        };
+        match next_hop {
+            Ok(xmit) => {
+                let next_hops = hops + 1;
+                msg.set_property(RELAY_HOPS_PROPERTY, next_hops as i64);
+                let detail = format!("dest={dest} via={xmit} hops={next_hops}");
+                (xmit, msg, Fate::Forwarded(detail))
+            }
+            Err(reason) => {
+                // Transmission headers stay on the entry, so the DLQ shows
+                // where it was trying to go; the expiry is cleared — an
+                // audit record must stay inspectable, not evaporate.
+                msg.set_property(DLQ_REASON_PROPERTY, reason.as_str());
+                msg.clear_expiry();
+                (DEAD_LETTER_QUEUE.to_owned(), msg, Fate::DeadLettered(reason))
+            }
+        }
     }
 
     /// Resizes the manager-level delivery dedup window (used by TCP
@@ -218,106 +323,16 @@ impl QueueManager {
     pub fn set_dedup_window(&self, window: usize) {
         self.delivery_dedup.lock().set_window(window);
     }
-
-    /// Relays one in-transit envelope addressed to `dest` (≠ self):
-    /// checks hop budget and TTL, resolves the next hop through the
-    /// routing table, journals the custody transfer as one atomic
-    /// [`JournalRecord::RelayCustody`] record and re-enqueues the
-    /// envelope on the outbound transmission queue. Any failure of those
-    /// checks dead-letters the envelope with a reason — never a silent
-    /// drop, never local acceptance.
-    ///
-    /// # Errors
-    ///
-    /// Journal append or local put failures.
-    // lint: custody(msg, err-reverts)
-    pub(crate) fn relay_envelope(&self, mut msg: Message, dest: &str) -> MqResult<RelayOutcome> {
-        let hops = msg.i64_property(RELAY_HOPS_PROPERTY).unwrap_or(0).max(0) as u32;
-        self.relay_stats.hops.record(u64::from(hops));
-        let max_hops = self.config().max_relay_hops;
-        if hops >= max_hops {
-            return self.relay_dead_letter(
-                msg,
-                format!("relay hop count exhausted ({hops}/{max_hops}) en route to {dest}"),
-            );
-        }
-        if msg.is_expired(self.clock().now()) {
-            return self.relay_dead_letter(msg, format!("relay ttl expired en route to {dest}"));
-        }
-        let Some(xmit) = self.route_for_message(dest, msg.id()) else {
-            return self.relay_dead_letter(msg, format!("no route to manager {dest}"));
-        };
-        let next_hops = hops + 1;
-        msg.set_property(RELAY_HOPS_PROPERTY, i64::from(next_hops));
-        let xmit_queue = self.queue(&xmit)?;
-        // Gate read-held across [custody append + re-enqueue]: a checkpoint
-        // cannot truncate the RelayCustody record while the envelope is
-        // missing from its snapshot of the transmission queue.
-        let gate = self.mutation_gate().read();
-        if msg.is_persistent() && self.journal().is_durable() {
-            let origin = msg
-                .str_property(RELAY_ORIGIN_PROPERTY)
-                .unwrap_or_default()
-                .to_owned();
-            // One record covers accept + re-enqueue: the atomic custody
-            // handoff. Replay restores the envelope onto the
-            // transmission queue, exactly as a committed Put would.
-            self.journal().append(&JournalRecord::RelayCustody {
-                xmit_queue: xmit.clone(),
-                origin,
-                dest_manager: dest.to_owned(),
-                hops: next_hops,
-                message: msg.clone(),
-            })?;
-        }
-        self.relay_stats.forwarded.incr();
-        self.stats().forwarded.incr();
-        self.obs().trace().record(
-            self.clock().now(),
-            TraceStage::RelayForwarded,
-            None,
-            None,
-            format!("dest={dest} via={xmit} hops={next_hops}"),
-        );
-        xmit_queue.put_committed(msg)?;
-        drop(gate);
-        xmit_queue.notify_arrival();
-        Ok(RelayOutcome::Forwarded(xmit))
-    }
-
-    /// Dead-letters an envelope the relay cannot forward, stamping
-    /// [`DLQ_REASON_PROPERTY`] with the relay failure. Transmission
-    /// headers are left on the message so the DLQ entry shows where it
-    /// was trying to go.
-    // lint: custody(msg, err-reverts)
-    fn relay_dead_letter(&self, mut msg: Message, reason: String) -> MqResult<RelayOutcome> {
-        self.relay_stats.dead_lettered.incr();
-        self.obs().trace().record(
-            self.clock().now(),
-            TraceStage::RelayDeadLettered,
-            None,
-            None,
-            reason.clone(),
-        );
-        msg.set_property(DLQ_REASON_PROPERTY, reason.as_str());
-        // The DLQ copy is an audit record: an already-expired envelope
-        // must stay inspectable, not evaporate off the DLQ too.
-        msg.clear_expiry();
-        self.put(DEAD_LETTER_QUEUE, msg)?;
-        Ok(RelayOutcome::DeadLettered(reason))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::MemJournal;
+    use crate::journal::{Journal, JournalRecord, MemJournal};
     use crate::message::QueueAddress;
-    use crate::qmgr::XMIT_DEST_MANAGER_PROPERTY;
     use crate::queue::Wait;
     use crate::MqError;
     use simtime::{Clock, Millis, SimClock};
-    use std::sync::Arc;
 
     fn manager(name: &str) -> Arc<QueueManager> {
         QueueManager::builder(name)
@@ -333,6 +348,20 @@ mod tests {
             &QueueAddress::new(mgr, queue),
             Message::text(text).persistent(true).build(),
         )
+    }
+
+    const ONE: BatchAccepted = BatchAccepted {
+        accepted: 1,
+        duplicates: 0,
+    };
+    const DUPLICATE: BatchAccepted = BatchAccepted {
+        accepted: 0,
+        duplicates: 1,
+    };
+
+    fn dlq_reason(qm: &QueueManager) -> String {
+        let dlq = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
+        dlq.str_property(DLQ_REASON_PROPERTY).unwrap().to_owned()
     }
 
     #[test]
@@ -371,22 +400,16 @@ mod tests {
             .map(|i| envelope(&origin, "QM.B", "Q.IN", &format!("m{i}")))
             .collect();
         for env in &envs {
-            assert_eq!(
-                qm.accept_envelope(env.clone()).unwrap(),
-                RelayOutcome::DeliveredLocal
-            );
+            assert_eq!(qm.accept_batch(vec![env.clone()]).unwrap(), ONE);
         }
         // envs[0] has been pushed out of the 3-deep window by envs[1..4].
         assert_eq!(
-            qm.accept_envelope(envs[0].clone()).unwrap(),
-            RelayOutcome::DeliveredLocal,
+            qm.accept_batch(vec![envs[0].clone()]).unwrap(),
+            ONE,
             "evicted key is accepted again"
         );
         // envs[3] is still inside the window.
-        assert_eq!(
-            qm.accept_envelope(envs[3].clone()).unwrap(),
-            RelayOutcome::Duplicate
-        );
+        assert_eq!(qm.accept_batch(vec![envs[3].clone()]).unwrap(), DUPLICATE);
         // The re-accepted copy of envs[0] landed on the queue, where the
         // id-keyed store superseded the still-queued original — depth
         // stays 4, but a consumer that had already taken envs[0] would
@@ -406,21 +429,28 @@ mod tests {
         qm.create_queue("Q.IN").unwrap();
         let origin = manager("QM.A");
         let env = envelope(&origin, "QM.B", "Q.IN", "hello");
-        assert_eq!(
-            qm.accept_envelope(env.clone()).unwrap(),
-            RelayOutcome::DeliveredLocal
-        );
+        assert_eq!(qm.accept_batch(vec![env.clone()]).unwrap(), ONE);
         // The sender never saw the ack and retries the same envelope.
-        assert_eq!(
-            qm.accept_envelope(env).unwrap(),
-            RelayOutcome::Duplicate
-        );
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), DUPLICATE);
         assert_eq!(qm.queue("Q.IN").unwrap().depth(), 1);
         assert_eq!(qm.relay_stats().duplicates.get(), 1);
+        assert_eq!(qm.relay_stats().delivered_local.get(), 1);
         // Delivered message keeps the origin audit property.
         let got = qm.get("Q.IN", Wait::NoWait).unwrap().unwrap();
         assert_eq!(got.str_property(RELAY_ORIGIN_PROPERTY), Some("QM.A"));
         assert_eq!(got.str_property(XMIT_DEST_MANAGER_PROPERTY), None);
+        assert_eq!(got.str_property(XMIT_DEST_QUEUE_PROPERTY), None);
+    }
+
+    #[test]
+    fn unknown_local_queue_dead_letters_on_the_local_path() {
+        let qm = manager("QM.B");
+        let origin = manager("QM.A");
+        let env = envelope(&origin, "QM.B", "NOPE", "lost?");
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
+        assert!(dlq_reason(&qm).contains("unknown queue NOPE"));
+        assert_eq!(qm.stats().received_remote.get(), 1);
+        assert_eq!(qm.relay_stats().dead_lettered.get(), 0, "not a relay failure");
     }
 
     #[test]
@@ -431,8 +461,7 @@ mod tests {
         let origin = manager("QM.A");
         // Addressed to C but handed to B — B must forward, not deliver.
         let env = envelope(&origin, "QM.C", "Q.IN", "for C");
-        let outcome = qm.accept_envelope(env).unwrap();
-        assert_eq!(outcome, RelayOutcome::Forwarded("SYSTEM.XMIT.QM.C".into()));
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
         assert_eq!(qm.queue("Q.IN").unwrap().depth(), 0, "must not be local");
         let staged = qm.queue("SYSTEM.XMIT.QM.C").unwrap().browse();
         assert_eq!(staged.len(), 1);
@@ -446,8 +475,7 @@ mod tests {
         let qm = manager("QM.B");
         let origin = manager("QM.A");
         let env = envelope(&origin, "QM.NOWHERE", "Q", "lost?");
-        let outcome = qm.accept_envelope(env).unwrap();
-        assert!(matches!(outcome, RelayOutcome::DeadLettered(_)));
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
         let dlq = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
         let reason = dlq.str_property(DLQ_REASON_PROPERTY).unwrap();
         assert!(reason.contains("no route to manager QM.NOWHERE"), "{reason}");
@@ -463,11 +491,10 @@ mod tests {
         let origin = manager("QM.A");
         let mut env = envelope(&origin, "QM.C", "Q", "looping");
         env.set_property(RELAY_HOPS_PROPERTY, i64::from(DEFAULT_MAX_RELAY_HOPS));
-        let outcome = qm.accept_envelope(env).unwrap();
-        assert!(matches!(outcome, RelayOutcome::DeadLettered(_)));
-        let dlq = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
-        let reason = dlq.str_property(DLQ_REASON_PROPERTY).unwrap();
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
+        let reason = dlq_reason(&qm);
         assert!(reason.contains("hop count exhausted"), "{reason}");
+        assert_eq!(qm.queue("SYSTEM.XMIT.QM.C").unwrap().depth(), 0);
     }
 
     #[test]
@@ -479,25 +506,59 @@ mod tests {
             .unwrap();
         qm.define_route("QM.C", "SYSTEM.XMIT.QM.C").unwrap();
         let origin = manager("QM.A");
-        let mut env = envelope(&origin, "QM.C", "Q", "stale");
-        env = {
-            // Re-stamp with a TTL and advance past it.
-            let addr = QueueAddress::new("QM.C", "Q");
-            let inner = Message::text("stale")
-                .persistent(true)
-                .ttl(Millis(5))
-                .build();
-            let mut e = origin.wrap_for_transmission(&addr, inner);
-            e.stamp_enqueue(clock.now());
-            let _ = env;
-            e
-        };
+        let inner = Message::text("stale")
+            .persistent(true)
+            .ttl(Millis(5))
+            .build();
+        let mut env = origin.wrap_for_transmission(&QueueAddress::new("QM.C", "Q"), inner);
+        env.stamp_enqueue(clock.now());
         clock.advance(Millis(50));
-        let outcome = qm.accept_envelope(env).unwrap();
-        assert!(matches!(outcome, RelayOutcome::DeadLettered(_)));
-        let dlq = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
-        let reason = dlq.str_property(DLQ_REASON_PROPERTY).unwrap();
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
+        let reason = dlq_reason(&qm);
         assert!(reason.contains("ttl expired"), "{reason}");
+    }
+
+    #[test]
+    fn mixed_batch_is_one_record_and_duplicates_inside_it_are_dropped() {
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM.B")
+            .clock(SimClock::new())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        qm.create_queue("Q.IN").unwrap();
+        qm.define_route("QM.C", "SYSTEM.XMIT.QM.C").unwrap();
+        let origin = manager("QM.A");
+        let local = envelope(&origin, "QM.B", "Q.IN", "local");
+        let onward = envelope(&origin, "QM.C", "Q.FAR", "onward");
+        let lost = envelope(&origin, "QM.NOWHERE", "Q", "lost");
+        let before = journal.record_count();
+        let arrival = qm
+            .accept_batch(vec![local.clone(), onward, local, lost])
+            .unwrap();
+        assert_eq!(
+            arrival,
+            BatchAccepted {
+                accepted: 3,
+                duplicates: 1
+            }
+        );
+        let records = journal.replay_collect().unwrap();
+        assert_eq!(records.len(), before + 1, "one record for the whole batch");
+        let Some(JournalRecord::TxCommit { puts, gets }) = records.last() else {
+            panic!("arrival record is a TxCommit: {records:?}");
+        };
+        assert!(gets.is_empty());
+        let queues: Vec<&str> = puts.iter().map(|(q, _)| q.as_str()).collect();
+        assert_eq!(queues, ["Q.IN", "SYSTEM.XMIT.QM.C", DEAD_LETTER_QUEUE]);
+        assert!(puts[2].1.str_property(DLQ_REASON_PROPERTY).is_some());
+        let stats = qm.relay_stats();
+        assert_eq!(stats.delivered_local.get(), 1);
+        assert_eq!(stats.forwarded.get(), 1);
+        assert_eq!(stats.dead_lettered.get(), 1);
+        assert_eq!(stats.duplicates.get(), 1);
+        assert_eq!(stats.accept_batch.count(), 1);
+        assert_eq!(stats.accept_batch.sum(), 3);
     }
 
     #[test]
@@ -513,25 +574,25 @@ mod tests {
         let origin = manager("QM.A");
         let env = envelope(&origin, "QM.C", "Q.FAR", "persist me");
         let id = env.id();
-        qm.accept_envelope(env.clone()).unwrap();
+        qm.accept_batch(vec![env.clone()]).unwrap();
         qm.crash();
         let qm2 = QueueManager::builder("QM.B")
             .clock(clock)
             .journal(journal)
             .build()
             .unwrap();
-        // The custody record restored the envelope on the xmit queue…
+        // The arrival record restored the envelope on the xmit queue…
         let staged = qm2.queue("SYSTEM.XMIT.QM.C").unwrap().browse();
         assert_eq!(staged.len(), 1);
         assert_eq!(staged[0].id(), id);
         // …and reseeded the dedup window: the upstream retry is dropped.
-        assert_eq!(qm2.accept_envelope(env).unwrap(), RelayOutcome::Duplicate);
+        assert_eq!(qm2.accept_batch(vec![env]).unwrap(), DUPLICATE);
         assert_eq!(qm2.queue("SYSTEM.XMIT.QM.C").unwrap().depth(), 1);
     }
 
     #[test]
     fn dedup_window_survives_checkpoint_truncation() {
-        // A checkpoint truncates the custody records the dedup window was
+        // A checkpoint truncates the arrival records the dedup window was
         // rebuilt from; the CheckpointStart snapshot must carry the window
         // itself, or a post-crash retry would be double-delivered.
         let journal = MemJournal::new();
@@ -544,10 +605,7 @@ mod tests {
         qm.create_queue("Q.IN").unwrap();
         let origin = manager("QM.A");
         let env = envelope(&origin, "QM.B", "Q.IN", "once only");
-        assert_eq!(
-            qm.accept_envelope(env.clone()).unwrap(),
-            RelayOutcome::DeliveredLocal
-        );
+        assert_eq!(qm.accept_batch(vec![env.clone()]).unwrap(), ONE);
         qm.checkpoint().unwrap();
         qm.crash();
         let qm2 = QueueManager::builder("QM.B")
@@ -555,7 +613,7 @@ mod tests {
             .journal(journal)
             .build()
             .unwrap();
-        assert_eq!(qm2.accept_envelope(env).unwrap(), RelayOutcome::Duplicate);
+        assert_eq!(qm2.accept_batch(vec![env]).unwrap(), DUPLICATE);
         assert_eq!(qm2.queue("Q.IN").unwrap().depth(), 1, "no double delivery");
     }
 
@@ -565,8 +623,8 @@ mod tests {
         qm.define_default_route(&["SYSTEM.XMIT.NEXT"]).unwrap();
         let origin = manager("QM.A");
         let env = envelope(&origin, "QM.Z", "Q", "via default");
-        let outcome = qm.accept_envelope(env).unwrap();
-        assert_eq!(outcome, RelayOutcome::Forwarded("SYSTEM.XMIT.NEXT".into()));
+        assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
+        assert_eq!(qm.queue("SYSTEM.XMIT.NEXT").unwrap().depth(), 1);
     }
 
     #[test]
@@ -587,12 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn stopped_manager_rejects_envelopes() {
+    fn stopped_manager_rejects_batches() {
         let qm = manager("QM.B");
         qm.crash();
         let origin = manager("QM.A");
         let err = qm
-            .accept_envelope(envelope(&origin, "QM.B", "Q", "x"))
+            .accept_batch(vec![envelope(&origin, "QM.B", "Q", "x")])
             .unwrap_err();
         assert!(matches!(err, MqError::ManagerStopped(_)));
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
 use crate::message::{Message, QueueAddress};
-use crate::qmgr::QueueManager;
+use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{Queue, Wait};
 use crate::selector::Selector;
 
@@ -168,12 +168,11 @@ impl Session {
             queue.finalize_pending(msg.id());
         }
         drop(gate);
-        // Outside the gate: the unknown-queue path journals and gates its
-        // own records, and the gate must never be held re-entrantly.
-        for (queue_name, msg) in orphaned {
-            self.manager
-                .deliver_from_channel(&queue_name, msg)
-                .unwrap_or(());
+        // Outside the gate: the dead-letter put journals and gates its own
+        // record, and the gate must never be held re-entrantly.
+        for (queue_name, mut msg) in orphaned {
+            msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {queue_name}"));
+            self.manager.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
         }
         // Wake consumers and watchers only after the gate is released:
         // watcher callbacks may start transactions of their own.
@@ -253,7 +252,7 @@ impl Session {
                         });
                     }
                 }
-                let _ = q;
+                q.check_room(|| tx.staged_puts.iter().filter(|(name, _)| name == queue).count())?;
                 tx.staged_puts.push((queue.to_owned(), msg));
                 Ok(())
             }
@@ -364,7 +363,7 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use crate::journal::MemJournal;
-    use crate::qmgr::{ManagerConfig, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
+    use crate::qmgr::ManagerConfig;
     use simtime::SimClock;
 
     fn setup() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -617,6 +616,31 @@ mod tests {
             Err(MqError::QueueNotFound(_))
         ));
         s.rollback().unwrap();
+    }
+
+    #[test]
+    fn staged_puts_count_against_max_depth() {
+        let (_j, qm) = setup();
+        let bounded = crate::QueueConfig {
+            max_depth: Some(3),
+            ..crate::QueueConfig::default()
+        };
+        qm.create_queue_with("SMALL", bounded).unwrap();
+        qm.put("SMALL", Message::text("live").build()).unwrap();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("SMALL", Message::text("a").build()).unwrap();
+        s.put("Q", Message::text("elsewhere").build()).unwrap();
+        s.put("SMALL", Message::text("b").build()).unwrap();
+        // One live + two staged: the queue has no room for a third.
+        assert!(matches!(
+            s.put("SMALL", Message::text("c").build()),
+            Err(MqError::QueueFull(name)) if name == "SMALL"
+        ));
+        // The refusal leaves the transaction as it was.
+        s.commit().unwrap();
+        assert_eq!(qm.queue("SMALL").unwrap().depth(), 3);
+        assert_eq!(qm.queue("Q").unwrap().depth(), 1);
     }
 
     #[test]

@@ -558,6 +558,9 @@ pub struct RelayStats {
     pub dead_lettered: Arc<Counter>,
     /// Hop count observed on each envelope when it arrived here.
     pub hops: Arc<Histogram>,
+    /// Envelopes per arrival commit: how many messages one journal record
+    /// of [`crate::QueueManager::accept_batch`] took custody of.
+    pub accept_batch: Arc<Histogram>,
 }
 
 impl RelayStats {
@@ -569,6 +572,7 @@ impl RelayStats {
             duplicates: registry.counter("mq.relay.duplicates"),
             dead_lettered: registry.counter("mq.relay.dead_lettered"),
             hops: registry.histogram("mq.relay.hops"),
+            accept_batch: registry.histogram("mq.relay.accept_batch"),
         }
     }
 }

@@ -14,10 +14,14 @@
 //! * [`tcp::TcpTransport`] / [`tcp::TcpAcceptor`] — real sockets with
 //!   CRC-framed batches, heartbeats, reconnect, and receiver-side dedup.
 //!
-//! Both paths converge on [`QueueManager::accept_envelope`] — the relay
-//! seam — so a message that crossed a real socket is deduplicated,
-//! relayed or delivered, journaled, traced, and counted exactly like one
-//! that crossed the simulated link.
+//! Both paths converge on [`QueueManager::accept_batch`] — the relay
+//! seam — and hand it exactly what they acknowledge as a unit: the link
+//! its batch, the TCP acceptor every `Batch` frame of the readable burst
+//! its coalesced `AckWin` is about to cover. The commit unit of a channel
+//! is its ack unit: one messaging transaction, one journal record, and a
+//! message that crossed a real socket is deduplicated, relayed or
+//! delivered, journaled, traced, and counted exactly like one that
+//! crossed the simulated link.
 //!
 //! The channel mover ([`crate::channel`]) is transport-agnostic: it drains
 //! the transmission queue in batches under one session transaction, calls
@@ -41,9 +45,8 @@ use simtime::{Millis, SharedClock};
 use crate::message::Message;
 use crate::net::{Link, Transfer};
 use crate::qmgr::QueueManager;
-use crate::relay::RelayOutcome;
 use crate::stats::{Counter, Gauge, Histogram, MetricsRegistry};
-use crate::{MqError, MqResult};
+use crate::MqError;
 
 /// Outcome of pushing one batch to the peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +177,7 @@ pub trait PipelinedTransport: Send + Sync {
     /// the mover notices new work while it waits on acks).
     fn poke(&self);
 
-    /// How many batches the mover should keep in flight.
+    /// How many (full) batches the mover may keep in flight.
     fn window(&self) -> usize {
         16
     }
@@ -251,20 +254,6 @@ impl TransportMetrics {
     }
 }
 
-/// Hands one arriving envelope to the receiving manager through the
-/// relay seam ([`QueueManager::accept_envelope`]): the manager-level
-/// deduper drops sender retries, envelopes addressed here are delivered
-/// locally (journaled, counted, unknown queues dead-lettered), and
-/// envelopes addressed to *other* managers are relayed toward their
-/// destination or dead-lettered with a reason — never accepted as local.
-///
-/// # Errors
-///
-/// Local put/journal failures from the receiving manager.
-pub(crate) fn deliver_envelope(to: &QueueManager, msg: Message) -> MqResult<RelayOutcome> {
-    to.accept_envelope(msg)
-}
-
 /// The in-process transport: crosses a simulated [`Link`] and delivers
 /// straight into the remote manager, exactly as channels always have.
 ///
@@ -326,22 +315,18 @@ impl Transport for LinkTransport {
                 if latency > Millis::ZERO {
                     self.clock.sleep(latency);
                 }
-                let mut bytes = 0u64;
-                for msg in batch {
-                    bytes += msg.payload().len() as u64;
-                    match deliver_envelope(&self.to, msg.clone()) {
-                        Ok(RelayOutcome::Duplicate) => self.metrics.dedup_dropped.incr(),
-                        Ok(_) => {}
-                        // The remote manager refused (stopped/crashed):
-                        // treat like a partition so the sender backs off
-                        // and the batch is retried after recovery.
-                        Err(_) => return BatchOutcome::Unavailable,
-                    }
-                }
+                let bytes: u64 = batch.iter().map(|m| m.payload().len() as u64).sum();
+                // The remote manager refused the batch (stopped, a full
+                // queue, a failing journal): treat like a partition so the
+                // sender backs off and resends the whole batch.
+                let Ok(arrival) = self.to.accept_batch(batch.to_vec()) else {
+                    return BatchOutcome::Unavailable;
+                };
+                self.metrics.dedup_dropped.add(arrival.duplicates as u64);
                 self.metrics.batches_sent.incr();
                 self.metrics.batches_received.incr();
                 self.metrics.messages_sent.add(batch.len() as u64);
-                self.metrics.messages_received.add(batch.len() as u64);
+                self.metrics.messages_received.add(arrival.accepted as u64);
                 self.metrics.bytes_sent.add(bytes);
                 self.metrics.bytes_received.add(bytes);
                 self.metrics.batch_micros.record_duration(started.elapsed());

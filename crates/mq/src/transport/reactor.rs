@@ -23,9 +23,12 @@
 //! across slow work; the shard itself holds no lock while dispatching.
 //! The pool is process-wide and lazily started ([`Reactor::global`]),
 //! sized from `available_parallelism` and capped small — connections are
-//! multiplexed, not thread-per-anything.
+//! multiplexed, not thread-per-anything. A connection's shard is a
+//! function of the affinity string it registers under (the TCP transport
+//! passes the local queue manager's name), never of registration order.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +83,6 @@ impl std::fmt::Debug for Registration {
 /// The process-wide shard pool.
 pub struct Reactor {
     shards: Vec<Arc<Shard>>,
-    next_shard: AtomicU64,
     next_token: AtomicU64,
 }
 
@@ -107,15 +109,23 @@ impl Reactor {
                 .collect();
             Reactor {
                 shards,
-                next_shard: AtomicU64::new(0),
                 next_token: AtomicU64::new(1),
             }
         })
     }
 
     /// Registers `stream` (its own clone; the caller keeps the original)
-    /// for readable events, dispatching to `handler` on a shard thread.
-    /// The stream must already be in non-blocking mode.
+    /// for readable events, dispatching to `handler` on the shard thread
+    /// `affinity` hashes to. The stream must already be in non-blocking
+    /// mode.
+    ///
+    /// Every registration with the same `affinity` shares one thread, and
+    /// which thread that is depends on nothing but the string. The TCP
+    /// transport passes the local queue manager's name: an arrival commit
+    /// blocks its shard on the journal, so which connections share a shard
+    /// decides how large the next readable burst of each grows — it must
+    /// not hang on registration order, which is a race between supervisor
+    /// and accept threads.
     ///
     /// # Errors
     ///
@@ -123,11 +133,14 @@ impl Reactor {
     pub fn register(
         &self,
         stream: &TcpStream,
+        affinity: &str,
         handler: Arc<dyn Pollable>,
     ) -> io::Result<Registration> {
         let own = stream.try_clone()?;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let i = self.next_shard.fetch_add(1, Ordering::Relaxed) as usize % self.shards.len();
+        let mut hasher = DefaultHasher::new();
+        affinity.hash(&mut hasher);
+        let i = (hasher.finish() % self.shards.len() as u64) as usize;
         let shard = Arc::clone(&self.shards[i]);
         shard.register(token, own, handler)?;
         Ok(Registration { shard, token })
@@ -459,7 +472,7 @@ mod tests {
             closed: AtomicUsize::new(0),
         });
         let reg = Reactor::global()
-            .register(&server, Arc::clone(&echo) as Arc<dyn Pollable>)
+            .register(&server, "echo", Arc::clone(&echo) as Arc<dyn Pollable>)
             .unwrap();
 
         let mut client = client;
@@ -478,6 +491,28 @@ mod tests {
         }));
         // Deregistered by returning false; a second deregister is a no-op.
         reg.deregister();
+    }
+
+    #[test]
+    fn registrations_with_one_affinity_share_a_shard() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        struct Idle;
+        impl Pollable for Idle {
+            fn on_readable(&self) -> bool {
+                true
+            }
+        }
+        let regs: Vec<Registration> = (0..8)
+            .map(|_| {
+                let client = TcpStream::connect(addr).unwrap();
+                Reactor::global()
+                    .register(&client, "QM.SAME", Arc::new(Idle))
+                    .unwrap()
+            })
+            .collect();
+        assert!(regs.iter().all(|r| Arc::ptr_eq(&r.shard, &regs[0].shard)));
+        regs.iter().for_each(Registration::deregister);
     }
 
     #[test]
@@ -504,7 +539,7 @@ mod tests {
             fired: AtomicUsize::new(0),
         });
         let reg = Reactor::global()
-            .register(&server, Arc::clone(&watch) as Arc<dyn Pollable>)
+            .register(&server, "watch", Arc::clone(&watch) as Arc<dyn Pollable>)
             .unwrap();
         // An idle socket is immediately writable; the notification is
         // one-shot, so exactly one callback per arm.

@@ -2,7 +2,11 @@
 //!
 //! Two halves cooperate, both multiplexed on the process-wide
 //! [`Reactor`](crate::transport::reactor::Reactor) rather than parking a
-//! thread per connection:
+//! thread per connection. Every connection of one queue manager — inbound
+//! lines and the ack readers of its outbound channels — registers under
+//! the manager's name and so shares one reactor thread: the arrivals of a
+//! manager are serial, and what shares a thread with what does not vary
+//! from run to run.
 //!
 //! * [`TcpTransport`] — the sending side. A connection supervisor thread
 //!   owns the lifecycle: it dials the peer (with a connect timeout),
@@ -22,12 +26,15 @@
 //!
 //! * [`TcpAcceptor`] — the receiving side, one per listening queue
 //!   manager. A (blocking) accept thread registers each connection with
-//!   the reactor; the per-connection handler parses frames incrementally,
-//!   hands each message to [`QueueManager::accept_envelope`] — the relay
-//!   seam every transport converges on — and, after draining a readable
-//!   burst, emits *one* coalesced `AckWin` carrying the highest batch
-//!   sequence processed (plus accepted/deduplicated counts for the whole
-//!   burst) instead of one ack per batch.
+//!   the reactor; the per-connection handler parses frames incrementally
+//!   and stages the envelopes of every `Batch` frame of a readable burst.
+//!   Once the socket runs dry the whole burst goes to
+//!   [`QueueManager::accept_batch`] — the relay seam every transport
+//!   converges on — as one messaging transaction and one journal record,
+//!   and *one* coalesced `AckWin` carrying the highest batch sequence of
+//!   the burst (plus its accepted/deduplicated counts) answers it instead
+//!   of one ack per batch: what is acknowledged as a unit is committed as
+//!   a unit. A burst is at most the sender's window of unacked batches.
 //!
 //! ## Delivery guarantee
 //!
@@ -55,13 +62,12 @@ use bytes::BytesList;
 use parking_lot::{Condvar, Mutex};
 
 use crate::qmgr::QueueManager;
-use crate::relay::RelayOutcome;
 use crate::stats::MetricsRegistry;
 use crate::transport::frame::{Frame, FrameEvent, FrameKind, FrameReader};
 use crate::transport::reactor::{Pollable, Reactor, Registration};
 use crate::transport::{
-    deliver_envelope, transport_error, BatchOutcome, BatchTicket, PipelineProgress,
-    PipelinedTransport, SubmitError, Transport, TransportMetrics,
+    transport_error, BatchOutcome, BatchTicket, PipelineProgress, PipelinedTransport, SubmitError,
+    Transport, TransportMetrics,
 };
 use crate::MqResult;
 
@@ -99,7 +105,8 @@ impl Default for TcpConfig {
 
 /// Batches the sender keeps in flight (submitted, unacked) per
 /// connection. Sized so a loopback pipe stays full without letting an
-/// unacked window grow past what a reconnect cheaply retransmits.
+/// unacked window grow past what a reconnect cheaply retransmits. The
+/// mover fills it with full batches only (see [`crate::channel`]).
 const SEND_WINDOW: usize = 16;
 
 /// Default size of the receiver's dedup window (re-exported from the
@@ -393,7 +400,7 @@ impl TcpTransport {
             epoch: st.epoch,
             io: Mutex::new((read_half, FrameReader::new())),
         });
-        match Reactor::global().register(&stream, reader) {
+        match Reactor::global().register(&stream, &self.local_name, reader) {
             Ok(registration) => {
                 st.registration = Some(registration);
                 st.stream = Some(stream);
@@ -758,7 +765,7 @@ struct AcceptorShared {
     /// Clones of live connection sockets, for kick/shutdown.
     conns: Mutex<Vec<TcpStream>>,
     /// Fault-injection: close this many connections right after
-    /// delivering a batch but *before* acking it, forcing the sender down
+    /// committing a burst but *before* acking it, forcing the sender down
     /// the resend-and-dedup path deterministically.
     drop_before_ack: AtomicU64,
     /// Fault-injection: while set, new connections are refused on accept
@@ -845,9 +852,10 @@ impl TcpAcceptor {
         self.addr
     }
 
-    /// Fault-injection hook: the next `n` delivered batches are followed
-    /// by a connection close *instead of* an ack, exercising the
-    /// sender-resend / receiver-dedup path.
+    /// Fault-injection hook: the next `n` committed bursts (the batches
+    /// one ack would have covered) are followed by a connection close
+    /// *instead of* that ack, exercising the sender-resend /
+    /// receiver-dedup path.
     pub fn inject_drop_before_ack(&self, n: u64) {
         self.shared.drop_before_ack.fetch_add(n, Ordering::SeqCst);
     }
@@ -935,14 +943,12 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
                 reader: FrameReader::new(),
                 served_hello: false,
                 outbox: BytesList::new(),
+                burst: Burst::default(),
                 ack_watermark: 0,
-                ack_accepted: 0,
-                ack_deduplicated: 0,
-                ack_due: false,
             }),
             registration: OnceLock::new(),
         });
-        match Reactor::global().register(&register_clone, conn.clone()) {
+        match Reactor::global().register(&register_clone, &shared.local_name, conn.clone()) {
             Ok(registration) => {
                 let _ = conn.registration.set(registration);
                 // Close the race where a flush hit `WouldBlock` before
@@ -969,14 +975,24 @@ struct ConnIo {
     served_hello: bool,
     /// Unflushed reply bytes (hello-ack, pongs, coalesced acks).
     outbox: BytesList,
-    /// Highest batch sequence processed since the connection opened.
+    /// The `Batch` frames read since the last commit.
+    burst: Burst,
+    /// Highest batch sequence committed since the connection opened.
     ack_watermark: u64,
-    /// Accepted / deduplicated counts since the last ack was emitted.
-    ack_accepted: u64,
-    ack_deduplicated: u64,
-    /// Batches were processed since the last ack: one coalesced `AckWin`
-    /// is due at the end of the current readable burst.
-    ack_due: bool,
+}
+
+/// The `Batch` frames of one readable burst, staged until the socket runs
+/// dry: committed as one arrival, answered by one `AckWin`.
+#[derive(Default)]
+struct Burst {
+    /// The envelopes of every frame, in arrival order.
+    messages: Vec<crate::message::Message>,
+    /// How many `Batch` frames they came in.
+    frames: u64,
+    /// Payload bytes of those frames.
+    bytes: u64,
+    /// Highest batch sequence among them.
+    seq: u64,
 }
 
 /// Reactor handler for one accepted connection: handshake, batch
@@ -1033,37 +1049,44 @@ impl AcceptorConn {
         }
     }
 
-    /// Delivers one batch (dedup + enqueue) and folds it into the
-    /// pending coalesced ack. `false` means the connection must be
-    /// dropped (delivery failure or injected fault) *without* acking —
-    /// the sender rolls back and resends, and dedup keeps it single.
+    /// Stages one `Batch` frame on the current burst. `false` (an
+    /// undecodable body) drops the connection.
     fn serve_batch(&self, io: &mut ConnIo, frame: &Frame) -> bool {
-        let Some(manager) = self.shared.manager.upgrade() else {
-            return false;
-        };
         let Ok(messages) = frame.decode_batch() else {
             return false;
         };
-        let mut accepted = 0u64;
-        let mut deduplicated = 0u64;
-        for msg in messages {
-            match deliver_envelope(&manager, msg) {
-                Ok(RelayOutcome::Duplicate) => {
-                    deduplicated += 1;
-                    self.shared.metrics.dedup_dropped.incr();
-                }
-                Ok(_) => accepted += 1,
-                // Local put failure (manager stopping, journal error):
-                // leave the burst unacked so the sender retries.
-                Err(_) => return false,
-            }
+        io.burst.messages.extend(messages);
+        io.burst.frames += 1;
+        io.burst.bytes += frame.payload.len() as u64;
+        io.burst.seq = io.burst.seq.max(frame.seq);
+        true
+    }
+
+    /// Commits the burst staged by [`AcceptorConn::drain_frames`] as one
+    /// arrival (dedup + one journal record) and queues the one `AckWin`
+    /// that covers it. Counters and the watermark move only after the
+    /// commit. `false` means the connection must be dropped *without*
+    /// acking (refused batch or injected fault) — the sender rolls back
+    /// and resends, and dedup keeps it single.
+    fn commit_burst(&self, io: &mut ConnIo) -> bool {
+        let burst = std::mem::take(&mut io.burst);
+        if burst.frames == 0 {
+            return true;
         }
-        self.shared.metrics.batches_received.incr();
-        self.shared.metrics.messages_received.add(accepted);
-        self.shared
-            .metrics
-            .bytes_received
-            .add(frame.payload.len() as u64);
+        let Some(manager) = self.shared.manager.upgrade() else {
+            return false;
+        };
+        // A refused batch (manager stopping, full queue, journal error)
+        // accepted nothing: leave it unacked so the sender retries.
+        let Ok(arrival) = manager.accept_batch(burst.messages) else {
+            return false;
+        };
+        let (accepted, deduplicated) = (arrival.accepted as u64, arrival.duplicates as u64);
+        let metrics = &self.shared.metrics;
+        metrics.batches_received.add(burst.frames);
+        metrics.messages_received.add(accepted);
+        metrics.dedup_dropped.add(deduplicated);
+        metrics.bytes_received.add(burst.bytes);
         if self
             .shared
             .drop_before_ack
@@ -1072,26 +1095,19 @@ impl AcceptorConn {
         {
             return false;
         }
-        io.ack_watermark = io.ack_watermark.max(frame.seq);
-        io.ack_accepted += accepted;
-        io.ack_deduplicated += deduplicated;
-        io.ack_due = true;
-        true
+        io.ack_watermark = io.ack_watermark.max(burst.seq);
+        match Frame::ack_win(io.ack_watermark, accepted, deduplicated).encode() {
+            Ok(wire) => {
+                io.outbox.push(wire);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
-    /// Emits the coalesced `AckWin` for everything processed this burst
-    /// (one frame regardless of how many batches landed) and pushes the
-    /// outbox onto the wire. `false` drops the connection.
+    /// Pushes the outbox (hello-ack, pongs, the burst's `AckWin`) onto
+    /// the wire. `false` drops the connection.
     fn flush_replies(&self, io: &mut ConnIo) -> bool {
-        if io.ack_due {
-            io.ack_due = false;
-            let accepted = std::mem::take(&mut io.ack_accepted);
-            let deduplicated = std::mem::take(&mut io.ack_deduplicated);
-            match Frame::ack_win(io.ack_watermark, accepted, deduplicated).encode() {
-                Ok(wire) => io.outbox.push(wire),
-                Err(_) => return false,
-            }
-        }
         let ConnIo { stream, outbox, .. } = &mut *io;
         match flush_outbox(stream, outbox, self.registration.get()) {
             FlushOutcome::Clean | FlushOutcome::Blocked => true,
@@ -1115,7 +1131,10 @@ impl Pollable for AcceptorConn {
             return false;
         }
         let mut io = self.io.lock();
-        if !self.drain_frames(&mut io) || !self.flush_replies(&mut io) {
+        // A line that died mid-burst still commits what it delivered whole:
+        // the resend after reconnect deduplicates against it.
+        let alive = self.drain_frames(&mut io);
+        if !(self.commit_burst(&mut io) && alive && self.flush_replies(&mut io)) {
             self.close(&mut io);
             return false;
         }
@@ -1298,6 +1317,51 @@ mod tests {
         let snap = recv.obs().metrics().snapshot();
         assert_eq!(snap.counter("mq.transport.dedup_dropped"), 2);
         assert!(registry.snapshot().counter("mq.transport.reconnects") >= 1);
+        tx.shutdown();
+        acceptor.shutdown();
+    }
+
+    #[test]
+    fn batch_beyond_a_bounded_queues_room_is_refused_whole_then_lands_once() {
+        let recv = QueueManager::builder("QM.RECV").build().unwrap();
+        let bounded = crate::QueueConfig {
+            max_depth: Some(3),
+            ..crate::QueueConfig::default()
+        };
+        recv.create_queue_with("Q.IN", bounded).unwrap();
+        recv.put("Q.IN", Message::text("already here").build())
+            .unwrap();
+        let acceptor = TcpAcceptor::bind(&recv, "127.0.0.1:0").unwrap();
+        let registry = MetricsRegistry::new();
+        let tx = TcpTransport::connect(
+            "QM.SEND",
+            acceptor.local_addr(),
+            quick_config("QM.RECV"),
+            &registry,
+        )
+        .unwrap();
+        assert!(tx.wait_ready(Duration::from_secs(5)));
+        // Room for two, batch of three: the backpressure of a full queue
+        // refuses the batch as a whole — dropped line, no ack.
+        let batch = vec![envelope("a"), envelope("b"), envelope("c")];
+        assert_eq!(tx.send_batch(&batch), BatchOutcome::Unavailable);
+        let q = recv.queue("Q.IN").unwrap();
+        assert_eq!(q.depth(), 1, "nothing of the batch is visible");
+        assert!(recv.delivery_dedup.lock().snapshot().is_empty());
+        let snap = recv.metrics_snapshot();
+        assert_eq!(snap.counter("mq.transport.messages_received"), 0);
+        assert_eq!(snap.counter("mq.relay.delivered_local"), 0);
+        // The consumer makes room; the resend lands every message once.
+        recv.get("Q.IN", crate::queue::Wait::NoWait).unwrap().unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || tx.is_connected()),
+            "supervisor reconnects"
+        );
+        assert_eq!(tx.send_batch(&batch), BatchOutcome::Delivered);
+        assert_eq!(q.depth(), 3);
+        let snap = recv.metrics_snapshot();
+        assert_eq!(snap.counter("mq.transport.messages_received"), 3);
+        assert_eq!(snap.counter("mq.transport.dedup_dropped"), 0);
         tx.shutdown();
         acceptor.shutdown();
     }

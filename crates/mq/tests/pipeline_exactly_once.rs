@@ -7,8 +7,13 @@
 //! deaths before or after a batch physically landed, and
 //! reconnect-with-retransmit must deliver every message to the receiving
 //! manager exactly once — the sender's per-batch sessions plus the
-//! receiver's `accept_envelope` dedup seam absorb every duplicate the
+//! receiver's `accept_batch` dedup seam absorb every duplicate the
 //! retransmissions create.
+//!
+//! The seam itself is checked below the mover too: an arriving batch is
+//! one messaging transaction and one journal record, so it is accepted
+//! whole or not at all — across a failing journal, a torn tail at a crash,
+//! and resends that overlap what an earlier batch already delivered.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -20,10 +25,11 @@ use parking_lot::{Condvar, Mutex};
 use proptest::prelude::*;
 
 use mq::channel::Channel;
+use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport};
 use mq::{
-    BatchOutcome, BatchTicket, Message, PipelineProgress, PipelinedTransport, QueueAddress,
-    QueueManager, SubmitError, Transport, Wait,
+    BatchAccepted, BatchOutcome, BatchTicket, Message, PipelineProgress, PipelinedTransport,
+    QueueAddress, QueueManager, SubmitError, Transport, Wait, DEAD_LETTER_QUEUE,
 };
 use simtime::SystemClock;
 
@@ -64,16 +70,21 @@ struct NetState {
     /// Submitted batches whose fate is still open, in seq order.
     pending: VecDeque<(u64, Vec<Message>)>,
     script: VecDeque<Fate>,
+    /// Size of every batch ever submitted, in order.
+    submitted: Vec<usize>,
 }
 
 /// An in-process [`PipelinedTransport`] whose network behaves per the
 /// proptest-generated script, delivering into the receiving manager
-/// through the public `accept_envelope` dedup seam.
+/// through the public `accept_batch` dedup seam.
 struct ScriptedTransport {
     to: Arc<QueueManager>,
     state: Mutex<NetState>,
     changed: Condvar,
     stopped: AtomicBool,
+    /// Held batches stay held until [`ScriptedTransport::release`] instead
+    /// of being acked one per mover park.
+    manual: bool,
 }
 
 impl fmt::Debug for ScriptedTransport {
@@ -84,6 +95,15 @@ impl fmt::Debug for ScriptedTransport {
 
 impl ScriptedTransport {
     fn new(to: Arc<QueueManager>, script: Vec<Fate>) -> Arc<ScriptedTransport> {
+        ScriptedTransport::build(to, script, false)
+    }
+
+    /// A transport that holds every batch until the test releases it.
+    fn held(to: Arc<QueueManager>) -> Arc<ScriptedTransport> {
+        ScriptedTransport::build(to, vec![Fate::Hold; 64], true)
+    }
+
+    fn build(to: Arc<QueueManager>, script: Vec<Fate>, manual: bool) -> Arc<ScriptedTransport> {
         Arc::new(ScriptedTransport {
             to,
             state: Mutex::new(NetState {
@@ -93,20 +113,38 @@ impl ScriptedTransport {
                 connected: true,
                 pending: VecDeque::new(),
                 script: script.into(),
+                submitted: Vec::new(),
             }),
             changed: Condvar::new(),
             stopped: AtomicBool::new(false),
+            manual,
         })
     }
 
-    fn deliver(&self, batch: &[Message]) {
-        for msg in batch {
-            // Duplicates come back as RelayOutcome::Duplicate; a stopped
-            // manager would surface as missing messages in the final
-            // exactly-once assertion, so the outcome itself is not
-            // checked here.
-            let _ = self.to.accept_envelope(msg.clone());
+    /// Delivers and acks every held batch with one coalesced watermark.
+    fn release(&self) {
+        let mut st = self.state.lock();
+        let drained: Vec<_> = st.pending.drain(..).collect();
+        if let Some(&(last, _)) = drained.last() {
+            st.acked = last;
         }
+        drop(st);
+        for (_, msgs) in &drained {
+            self.deliver(msgs);
+        }
+        self.changed.notify_all();
+    }
+
+    fn submitted(&self) -> Vec<usize> {
+        self.state.lock().submitted.clone()
+    }
+
+    fn deliver(&self, batch: &[Message]) {
+        // Duplicates are counted in the returned `BatchAccepted`; a stopped
+        // manager would surface as missing messages in the final
+        // exactly-once assertion, so the outcome itself is not checked
+        // here.
+        let _ = self.to.accept_batch(batch.to_vec());
     }
 
     fn snapshot(state: &NetState) -> PipelineProgress {
@@ -170,6 +208,7 @@ impl PipelinedTransport for ScriptedTransport {
             seq: st.next_seq,
         };
         st.pending.push_back((ticket.seq, batch.to_vec()));
+        st.submitted.push(batch.len());
         match st.script.pop_front().unwrap_or(Fate::AckAll) {
             Fate::Hold => {}
             Fate::AckAll => {
@@ -222,7 +261,7 @@ impl PipelinedTransport for ScriptedTransport {
         // waiting on unchanged progress, deliver and ack the oldest
         // pending batch (one per park, so late acks interleave with any
         // further submits instead of landing all at once).
-        if ScriptedTransport::snapshot(&st) == seen && st.connected {
+        if ScriptedTransport::snapshot(&st) == seen && st.connected && !self.manual {
             if let Some((seq, msgs)) = st.pending.pop_front() {
                 st.acked = seq;
                 drop(st);
@@ -284,21 +323,27 @@ proptest! {
     #[test]
     fn pipelined_mover_is_exactly_once_under_any_network_script(
         script in proptest::collection::vec(arb_fate(), 0..24),
-        n in 8u32..48,
+        n in 8u32..400,
     ) {
         let clock = SystemClock::new();
         let a = QueueManager::builder("QA").clock(clock.clone()).build().unwrap();
         let b = QueueManager::builder("QB").clock(clock).build().unwrap();
         b.create_queue(DEST_QUEUE).unwrap();
         let transport = ScriptedTransport::new(b.clone(), script);
-        let channel = Channel::connect_transport(&a, "QB", transport).unwrap();
-        for label in 0..n {
+        // Three quarters are already waiting when the mover starts, so it
+        // fills its window with full batches; the rest trickle in behind
+        // and leave as partial batches, one in flight at a time.
+        a.define_route("QB", "SYSTEM.XMIT.QB").unwrap();
+        let put = |label: u32| {
             a.put_to(
                 &QueueAddress::new("QB", DEST_QUEUE),
                 Message::text(label.to_string()).build(),
             )
             .unwrap();
-        }
+        };
+        (0..n * 3 / 4).for_each(put);
+        let channel = Channel::connect_transport(&a, "QB", transport).unwrap();
+        (n * 3 / 4..n).for_each(put);
         wait_for("all labels delivered", Duration::from_secs(10), || {
             b.queue(DEST_QUEUE).unwrap().depth() as u32 == n
         });
@@ -336,6 +381,48 @@ proptest! {
         let other = PipelineProgress { epoch: p_epoch + 1, ..progress };
         prop_assert!(!other.covers(ticket));
     }
+}
+
+/// The channel clocks itself on its acks: with a batch in flight only a
+/// full batch joins it in the window, so what arrives during one round
+/// trip leaves — and is journaled on both sides — as one batch.
+#[test]
+fn a_partial_batch_waits_for_the_ack_of_the_one_in_flight() {
+    const FULL: usize = mq::channel::MAX_BATCH;
+    let a = QueueManager::builder("QA").build().unwrap();
+    let b = QueueManager::builder("QB").build().unwrap();
+    b.create_queue(DEST_QUEUE).unwrap();
+    let transport = ScriptedTransport::held(b.clone());
+    let channel = Channel::connect_transport(&a, "QB", transport.clone()).unwrap();
+    let put = |count: usize| {
+        for _ in 0..count {
+            a.put_to(&QueueAddress::new("QB", DEST_QUEUE), Message::text("m").build())
+                .unwrap();
+        }
+    };
+    let submitted = |sizes: &[usize]| {
+        wait_for("batches submitted", Duration::from_secs(5), || {
+            transport.submitted().iter().sum::<usize>() == sizes.iter().sum::<usize>()
+        });
+        assert_eq!(transport.submitted(), sizes);
+    };
+    // An idle channel sends its first envelope at once.
+    put(1);
+    submitted(&[1]);
+    // Five more while it is unacked: every put wakes the mover, none ships.
+    put(5);
+    transport.release();
+    submitted(&[1, 5]);
+    // Full batches do not wait for the one in flight; the remainder does.
+    put(2 * FULL + 3);
+    submitted(&[1, 5, FULL, FULL]);
+    transport.release();
+    submitted(&[1, 5, FULL, FULL, 3]);
+    transport.release();
+    wait_for("everything delivered", Duration::from_secs(5), || {
+        b.queue(DEST_QUEUE).unwrap().depth() == 2 * FULL + 9
+    });
+    drop(channel);
 }
 
 /// End-to-end over real sockets: a channel pipelines batches to a TCP
@@ -390,4 +477,114 @@ fn tcp_mid_window_kills_stay_exactly_once() {
     drop(channel);
     drop(acceptor);
     assert_exactly_once(&b, n);
+}
+
+// ------------------------------------------------ the batch seam itself --
+
+/// A receiving relay `QB` over `journal`: local queue `IN`, onward route
+/// to `QC`.
+fn receiver(journal: &Arc<MemJournal>) -> Arc<QueueManager> {
+    let b = QueueManager::builder("QB")
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    b.ensure_queue(DEST_QUEUE).unwrap();
+    b.define_route("QC", "SYSTEM.XMIT.QC").unwrap();
+    b
+}
+
+/// Envelopes labelled `labels` as the transmission queue of `QA` stages
+/// them: even labels for `QB/IN`, odd ones onward to `QC`.
+fn batch(labels: std::ops::Range<u32>) -> Vec<Message> {
+    let a = QueueManager::builder("QA").build().unwrap();
+    let xmit = a.ensure_queue("SYSTEM.XMIT.QB").unwrap();
+    a.define_default_route(&["SYSTEM.XMIT.QB"]).unwrap();
+    for label in labels {
+        let dest = if label % 2 == 0 { "QB" } else { "QC" };
+        let msg = Message::text(label.to_string()).persistent(true).build();
+        a.put_to(&QueueAddress::new(dest, DEST_QUEUE), msg).unwrap();
+    }
+    xmit.browse().iter().map(|m| (**m).clone()).collect()
+}
+
+/// Labels visible on any queue of `b`, sorted.
+fn visible(b: &Arc<QueueManager>) -> Vec<u32> {
+    let mut labels: Vec<u32> = [DEST_QUEUE, "SYSTEM.XMIT.QC", DEAD_LETTER_QUEUE]
+        .iter()
+        .flat_map(|q| b.queue(q).unwrap().browse())
+        .map(|m| m.payload_str().unwrap().parse().unwrap())
+        .collect();
+    labels.sort_unstable();
+    labels
+}
+
+fn accepted(accepted: usize, duplicates: usize) -> BatchAccepted {
+    BatchAccepted {
+        accepted,
+        duplicates,
+    }
+}
+
+#[test]
+fn failed_batch_append_accepts_nothing_and_the_resend_lands_once() {
+    let journal = MemJournal::new();
+    let b = receiver(&journal);
+    let arriving = batch(0..6);
+    let records = journal.record_count();
+    journal.set_failing(true);
+    assert!(b.accept_batch(arriving.clone()).is_err());
+    assert_eq!(visible(&b), [] as [u32; 0], "no message on any queue");
+    assert_eq!(journal.record_count(), records);
+    assert_eq!(b.metrics_snapshot().counter("mq.relay.forwarded"), 0);
+    journal.set_failing(false);
+    // Nothing entered the dedup window: the resend is new in full ...
+    assert_eq!(b.accept_batch(arriving.clone()).unwrap(), accepted(6, 0));
+    assert_eq!(visible(&b), [0, 1, 2, 3, 4, 5]);
+    assert_eq!(journal.record_count(), records + 1, "one record per batch");
+    // ... and only now is it a duplicate in full.
+    assert_eq!(b.accept_batch(arriving).unwrap(), accepted(0, 6));
+    assert_eq!(visible(&b), [0, 1, 2, 3, 4, 5]);
+}
+
+#[test]
+fn batch_record_torn_at_a_crash_rolls_the_whole_batch_back() {
+    let journal = MemJournal::new();
+    let b = receiver(&journal);
+    let first = batch(0..4);
+    let torn = batch(4..10);
+    b.accept_batch(first.clone()).unwrap();
+    b.accept_batch(torn.clone()).unwrap();
+    b.crash();
+    assert!(journal.tear_tail(), "the second batch's record never made it");
+
+    let b = receiver(&journal);
+    assert_eq!(visible(&b), [0, 1, 2, 3], "none of the torn batch");
+    // Recovery reseeded the window from the surviving TxCommit's puts —
+    // local and relayed alike — and from nothing else.
+    assert_eq!(b.accept_batch(first).unwrap(), accepted(0, 4));
+    assert_eq!(b.accept_batch(torn).unwrap(), accepted(6, 0));
+    assert_eq!(visible(&b), (0..10).collect::<Vec<u32>>());
+}
+
+#[test]
+fn overlapping_resend_accepts_only_what_is_new() {
+    let journal = MemJournal::new();
+    let b = receiver(&journal);
+    let all = batch(0..8);
+    b.accept_batch(all[..4].to_vec()).unwrap();
+    // The resend overlaps the earlier batch and repeats one of its own.
+    let mut resend = all.clone();
+    resend.push(all[6].clone());
+    assert_eq!(b.accept_batch(resend).unwrap(), accepted(4, 5));
+    assert_eq!(visible(&b), [0, 1, 2, 3, 4, 5, 6, 7]);
+    let Some(JournalRecord::TxCommit { puts, gets }) = journal.replay_collect().unwrap().pop()
+    else {
+        panic!("the arrival record is a TxCommit");
+    };
+    assert!(gets.is_empty());
+    assert_eq!(puts.len(), 4, "the record carries the new envelopes only");
+    let metrics = b.metrics_snapshot();
+    assert_eq!(metrics.counter("mq.relay.duplicates"), 5);
+    assert_eq!(metrics.counter("mq.relay.delivered_local"), 4);
+    assert_eq!(metrics.counter("mq.relay.forwarded"), 4);
 }

@@ -3,10 +3,11 @@
 //! In the durable configuration a verdict costs what its synchronous
 //! journal appends cost, so the *sequence of records* one round trip writes
 //! is part of the contract: every protocol step — conditional send, channel
-//! handoff, pick-up with its implicit acknowledgment, acknowledgment
-//! drain with the verdict it decides, outcome pick-up — is exactly one
-//! record. A change that splits a step over two commits (or adds a record
-//! anywhere on the path) fails here, not only in `condbench`.
+//! handoff, arrival of a transport batch, pick-up with its implicit
+//! acknowledgment, acknowledgment drain with the verdict it decides,
+//! outcome pick-up — is exactly one record. A change that splits a step
+//! over two commits (or adds a record anywhere on the path) fails here, not
+//! only in `condbench`.
 //!
 //! The tables in DESIGN.md §8 and the receiver section are these
 //! sequences.
@@ -21,7 +22,10 @@ use condmsg::{
 use mq::channel::Channel;
 use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
 use mq::net::Link;
-use mq::{MqResult, QueueManager, SystemClock, Wait};
+use mq::{
+    Message, MqResult, QueueAddress, QueueManager, SystemClock, Wait, DEAD_LETTER_QUEUE,
+    DLQ_REASON_PROPERTY,
+};
 use parking_lot::Mutex;
 use simtime::{Millis, SimClock};
 
@@ -115,20 +119,22 @@ fn describe(record: &JournalRecord) -> String {
     }
 }
 
+/// A manager on the shared system clock whose journal notes its appends.
+fn recorded(name: &str, clock: &Arc<SystemClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>) {
+    let journal = RecordingJournal::new();
+    let qmgr = QueueManager::builder(name)
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    (qmgr, journal)
+}
+
 #[test]
 fn two_manager_round_trip_is_eight_records() {
     let clock = SystemClock::new();
-    let (head_journal, tail_journal) = (RecordingJournal::new(), RecordingJournal::new());
-    let head = QueueManager::builder("QM.HEAD")
-        .clock(clock.clone())
-        .journal(head_journal.clone())
-        .build()
-        .unwrap();
-    let tail = QueueManager::builder("QM.TAIL")
-        .clock(clock)
-        .journal(tail_journal.clone())
-        .build()
-        .unwrap();
+    let (head, head_journal) = recorded("QM.HEAD", &clock);
+    let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     tail.create_queue("Q.IN").unwrap();
     let _channels = Channel::connect_duplex(&head, &tail, Link::ideal(), Link::ideal()).unwrap();
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
@@ -160,8 +166,8 @@ fn two_manager_round_trip_is_eight_records() {
             "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]",
             // Channel handoff, committed once the tail has the message.
             "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
-            // The acknowledgment arrives ...
-            "Put DS.ACK.Q",
+            // The acknowledgment arrives (a transport batch of one) ...
+            "TxCommit get[] put[DS.ACK.Q]",
             // ... and decides the message in the transaction that
             // consumes it: outcome entry and notification out, parked
             // compensation and sender-log record gone. No AckSeen.
@@ -174,7 +180,8 @@ fn two_manager_round_trip_is_eight_records() {
     assert_eq!(
         tail_journal.appended(),
         [
-            "Put Q.IN",
+            // Arrival: one record per acknowledged transport batch.
+            "TxCommit get[] put[Q.IN]",
             // Pick-up, receiver-log entry and read-ack: one step.
             "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]",
             "TxCommit get[SYSTEM.XMIT.QM.HEAD] put[]",
@@ -184,6 +191,143 @@ fn two_manager_round_trip_is_eight_records() {
     let metrics = head.metrics_snapshot();
     assert_eq!(metrics.counter("cond.verdict.fused"), 1);
     assert_eq!(metrics.counter("cond.ack.read"), 1);
+}
+
+#[test]
+fn a_transport_batch_of_three_is_one_arrival_record_and_one_drain() {
+    let clock = SystemClock::new();
+    let (head, head_journal) = recorded("QM.HEAD", &clock);
+    let (tail, tail_journal) = recorded("QM.TAIL", &clock);
+    tail.create_queue("Q.IN").unwrap();
+    let (out, back) = (Link::ideal(), Link::ideal());
+    let _channels = Channel::connect_duplex(&head, &tail, out.clone(), back.clone()).unwrap();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    head_journal.start();
+    tail_journal.start();
+
+    // Three sends pile up behind a partition; healing it hands all three
+    // over in one transport batch.
+    out.set_up(false);
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let ids: Vec<_> = (0..3)
+        .map(|i| messenger.send_message(format!("m{i}"), &condition).unwrap())
+        .collect();
+    out.set_up(true);
+    head_journal.wait_for(4);
+    // Likewise the three read-acks on the way back.
+    back.set_up(false);
+    for _ in 0..3 {
+        let read = receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000)));
+        assert!(read.unwrap().is_some());
+    }
+    back.set_up(true);
+    for id in ids {
+        let outcome = messenger
+            .take_outcome(id, Wait::Timeout(Millis(10_000)))
+            .unwrap()
+            .expect("verdict");
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
+    }
+    tail_journal.wait_for(5);
+
+    let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
+    let pickup = "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]";
+    let outcome = "Get DS.OUTCOME.Q";
+    assert_eq!(
+        head_journal.appended(),
+        [
+            send,
+            send,
+            send,
+            "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] put[]",
+            // The three acknowledgments arrive as one record ...
+            "TxCommit get[] put[DS.ACK.Q x3]",
+            // ... and one drain transaction carries all three verdicts.
+            "TxCommit get[DS.ACK.Q x3, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
+             put[DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]",
+            outcome,
+            outcome,
+            outcome,
+        ],
+        "head"
+    );
+    assert_eq!(
+        tail_journal.appended(),
+        [
+            "TxCommit get[] put[Q.IN x3]",
+            pickup,
+            pickup,
+            pickup,
+            "TxCommit get[SYSTEM.XMIT.QM.HEAD x3] put[]",
+        ],
+        "tail"
+    );
+    let metrics = head.metrics_snapshot();
+    let drained = &metrics.histograms["cond.ack.batch_size"];
+    assert_eq!((drained.count, drained.max), (1, 3));
+    assert_eq!(metrics.counter("cond.verdict.fused"), 3);
+}
+
+#[test]
+fn a_relay_takes_custody_of_a_batch_with_one_record() {
+    let clock = SystemClock::new();
+    let (head, _) = recorded("QM.HEAD", &clock);
+    let (mid, mid_journal) = recorded("QM.MID", &clock);
+    let (tail, tail_journal) = recorded("QM.TAIL", &clock);
+    mid.create_queue("Q.MID").unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let first_hop = Link::ideal();
+    let _head_mid = Channel::connect(&head, &mid, first_hop.clone()).unwrap();
+    let _mid_tail = Channel::connect(&mid, &tail, Link::ideal()).unwrap();
+    head.define_default_route(&["SYSTEM.XMIT.QM.MID"]).unwrap();
+    mid_journal.start();
+    tail_journal.start();
+
+    let put = |manager: &str, queue: &str| {
+        let msg = Message::text("payload").persistent(true).build();
+        head.put_to(&QueueAddress::new(manager, queue), msg).unwrap();
+    };
+    // Onward traffic only: custody of the batch is its one arrival record.
+    first_hop.set_up(false);
+    for _ in 0..3 {
+        put("QM.TAIL", "Q.IN");
+    }
+    first_hop.set_up(true);
+    tail_journal.wait_for(1);
+    mid_journal.wait_for(2);
+    // A mixed batch — local, onward, no route — is still one record.
+    first_hop.set_up(false);
+    put("QM.MID", "Q.MID");
+    put("QM.TAIL", "Q.IN");
+    put("QM.NOWHERE", "Q.X");
+    first_hop.set_up(true);
+    tail_journal.wait_for(2);
+    mid_journal.wait_for(4);
+
+    assert_eq!(
+        mid_journal.appended(),
+        [
+            "TxCommit get[] put[SYSTEM.XMIT.QM.TAIL x3]",
+            "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] put[]",
+            &format!("TxCommit get[] put[Q.MID, SYSTEM.XMIT.QM.TAIL, {DEAD_LETTER_QUEUE}]"),
+            "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
+        ],
+        "mid"
+    );
+    assert_eq!(
+        tail_journal.appended(),
+        ["TxCommit get[] put[Q.IN x3]", "TxCommit get[] put[Q.IN]"],
+        "tail"
+    );
+    let dead = mid.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(
+        dead.str_property(DLQ_REASON_PROPERTY),
+        Some("no route to manager QM.NOWHERE")
+    );
+    assert_eq!(mid.metrics_snapshot().counter("mq.relay.forwarded"), 4);
 }
 
 #[test]
