@@ -29,6 +29,10 @@
 //!   `mq.codec.encodes` delta stayed at (or below) one encode per
 //!   message — zero per-hop payload copies on the send path.
 //!
+//! Both modes run the same channel mover, and that is gated as a count:
+//! on every row without a reconnect the senders commit exactly one
+//! session per batch sent — the link row and the TCP rows alike.
+//!
 //! The 64-pair TCP run is the aggregate stressor: 128 managers and 64
 //! sockets multiplexed onto the sharded reactor, where a
 //! thread-per-connection design would burn its time context-switching.
@@ -94,6 +98,9 @@ struct RunStats {
     /// Full message encodes performed during the run (process-wide
     /// `mq.codec.encodes` delta).
     encodes: u64,
+    /// Transactions the sending managers committed: the mover's sessions
+    /// (producers put outside transactions).
+    sender_sessions: u64,
 }
 
 /// One sender→receiver pair and the channel between them. Acceptors and
@@ -113,9 +120,11 @@ fn build_pair(mode: Mode, idx: usize, obs: &Arc<Obs>) -> Pair {
         .obs(obs.clone())
         .build()
         .unwrap();
+    // Receivers keep hubs of their own: everything read below is counted
+    // on the sending side, and `mq.tx.committed` on the senders' hub is
+    // then the movers' sessions alone, not the arrival commits as well.
     let receiver = QueueManager::builder(format!("QM.R{idx}"))
         .clock(clock)
-        .obs(obs.clone())
         .build()
         .unwrap();
     receiver.create_queue("Q.IN").unwrap();
@@ -152,7 +161,7 @@ fn build_pair(mode: Mode, idx: usize, obs: &Arc<Obs>) -> Pair {
 }
 
 fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
-    // One hub per run: every pair's transport accumulates into the same
+    // One hub per run: every pair's sending side accumulates into the same
     // mq.transport.* cells, so the histogram covers the whole fleet.
     let obs = Obs::new();
     let fleet: Vec<Pair> = (0..pairs).map(|i| build_pair(mode, i, &obs)).collect();
@@ -200,6 +209,14 @@ fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
     }
     let wall = start.elapsed().as_secs_f64();
     let encodes = mq::codec::message_encodes().get() - encodes_before;
+    // Everything has landed; the last acks may still be on their way back.
+    // One mover drives both transports, so every batch sent is one sender
+    // session committed — wait for the tail, then hold it to that.
+    let batches_sent = obs.metrics().counter("mq.transport.batches_sent");
+    let sender_sessions = obs.metrics().counter("mq.tx.committed");
+    while sender_sessions.get() < batches_sent.get() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let hist = obs.metrics().histogram("mq.transport.batch_micros");
     let snap = obs.metrics().snapshot();
@@ -207,11 +224,20 @@ fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
         msgs_per_sec: (pairs * msgs_per_pair) as f64 / wall,
         batch_p50_us: hist.quantile(0.50),
         batch_p95_us: hist.quantile(0.95),
-        batches: snap.counter("mq.transport.batches_sent"),
+        batches: batches_sent.get(),
         reconnects: snap.counter("mq.transport.reconnects"),
         encodes,
+        sender_sessions: sender_sessions.get(),
     };
     assert!(stats.batches > 0, "transport must have moved batches");
+    if stats.reconnects == 0 {
+        assert_eq!(
+            stats.sender_sessions,
+            stats.batches,
+            "{} x{pairs}: one mover, so one committed sender session per batch",
+            mode.name(),
+        );
+    }
     if mode == Mode::Tcp {
         // Encode-once: every message crosses the wire from one cached
         // wire image — retransmits after a reconnect reuse it too, so
@@ -240,8 +266,8 @@ fn main() {
         if quick { ", --quick" } else { "" }
     );
     header(&[
-        "mode", "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "reconnects",
-        "encodes",
+        "mode", "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "sender sessions",
+        "reconnects", "encodes",
     ]);
 
     let mut results: Vec<(Mode, usize, RunStats)> = Vec::new();
@@ -255,6 +281,7 @@ fn main() {
                 stats.batch_p50_us.to_string(),
                 stats.batch_p95_us.to_string(),
                 stats.batches.to_string(),
+                stats.sender_sessions.to_string(),
                 stats.reconnects.to_string(),
                 stats.encodes.to_string(),
             ]);
@@ -309,7 +336,7 @@ fn main() {
                 concat!(
                     "    {{\"mode\": \"{}\", \"pairs\": {}, \"msgs_per_sec\": {:.1}, ",
                     "\"batch_p50_us\": {}, \"batch_p95_us\": {}, \"batches\": {}, ",
-                    "\"reconnects\": {}, \"encodes\": {}}}"
+                    "\"sender_sessions\": {}, \"reconnects\": {}, \"encodes\": {}}}"
                 ),
                 mode.name(),
                 pairs,
@@ -317,6 +344,7 @@ fn main() {
                 s.batch_p50_us,
                 s.batch_p95_us,
                 s.batches,
+                s.sender_sessions,
                 s.reconnects,
                 s.encodes,
             )

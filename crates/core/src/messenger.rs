@@ -959,28 +959,41 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
         group_outcome: MessageOutcome,
     ) -> CondResult<()> {
-        let success_notifications = {
-            let mut deferred = self.deferred.lock();
-            let sn = deferred
-                .remove(&cond_id)
-                .ok_or(CondError::UnknownMessage(cond_id))?;
-            self.metrics.deferred_depth.set(deferred.len() as u64);
-            sn
-        };
         let mut session = self.qmgr.session();
         session.begin()?;
+        // Taken out while the transaction runs, so a concurrent release of
+        // the same message finds nothing.
+        let success_notifications = self
+            .deferred
+            .lock()
+            .remove(&cond_id)
+            .ok_or(CondError::UnknownMessage(cond_id))?;
         let mut staged = Vec::new();
-        self.stage_outcome_actions(
-            &mut session,
-            cond_id,
-            group_outcome,
-            success_notifications,
-            &mut staged,
-        )?;
-        self.purge_slog(&mut session, cond_id)?;
-        session.commit()?;
-        self.record_outcome_actions(cond_id, staged);
-        Ok(())
+        let mut result = self
+            .stage_outcome_actions(
+                &mut session,
+                cond_id,
+                group_outcome,
+                success_notifications,
+                &mut staged,
+            )
+            .and_then(|()| self.purge_slog(&mut session, cond_id));
+        if result.is_ok() {
+            result = session.commit().map_err(CondError::from);
+        }
+        if session.in_transaction() {
+            // Not committed, so the actions are still owed: the entry goes
+            // back for the caller's retry, and what the transaction held
+            // goes back without spending its backout budget (the retry may
+            // come many times while storage is down).
+            self.deferred.lock().insert(cond_id, success_notifications);
+            session.rollback_for_retry()?;
+        } else {
+            self.record_outcome_actions(cond_id, staged);
+        }
+        let owed = self.deferred.lock().len();
+        self.metrics.deferred_depth.set(owed as u64);
+        result
     }
 
     /// Forces a pending conditional message to fail immediately (used when

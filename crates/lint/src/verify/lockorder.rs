@@ -13,7 +13,9 @@
 //!   deadlock detector's output.
 //! * `never-hold`: a call that can reach the function named in a
 //!   `// lint: never-hold(<lock>) across <fn>` annotation while the
-//!   lock is held.
+//!   lock is held — and an annotation whose `<fn>` is neither defined
+//!   nor called anywhere in the workspace, which would otherwise check
+//!   nothing.
 
 use std::collections::{HashMap, HashSet};
 
@@ -108,6 +110,24 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
 
     let mut edges: HashMap<(String, String), Edge> = HashMap::new();
     let mut findings = Vec::new();
+    // A discipline whose target was renamed or deleted matches no call
+    // and would pass vacuously from then on. A target may be foreign
+    // (`sync_data`) or a callback parameter (`sink`): then it is alive as
+    // long as something still calls it by that name.
+    for nh in &ws.never_holds {
+        let defined = ws.fns.iter().any(|f| f.name == nh.target);
+        if !defined && !facts.iter().any(|f| f.names.contains(&nh.target)) {
+            findings.push(Finding {
+                rule: LintRule::NeverHold,
+                path: nh.path.clone(),
+                line: nh.line as usize,
+                snippet: format!(
+                    "never-hold(`{}`) across `{}` names no function defined or called in the workspace; the discipline checks nothing",
+                    nh.lock, nh.target
+                ),
+            });
+        }
+    }
     let mut reported: HashSet<(usize, String, u32)> = HashSet::new();
     for id in &ids {
         let Some(body) = &ws.fns[*id].body else { continue };

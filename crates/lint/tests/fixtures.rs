@@ -38,6 +38,14 @@ fn never_hold_fires_directly_and_transitively() {
     check("never_hold");
 }
 
+/// A `never-hold(<lock>) across <fn>` whose `<fn>` is no longer defined
+/// or called anywhere is reported at the annotation instead of going
+/// silently vacuous.
+#[test]
+fn never_hold_naming_no_function_is_reported() {
+    check("never_hold_stale");
+}
+
 /// Custody leaks on an early `return Err` and on a `?` exit; the
 /// discharged path stays silent.
 #[test]

@@ -3,13 +3,13 @@
 //! A [`Channel`] is the MQSeries-style message mover: a background thread
 //! that transactionally takes envelopes off the sender's transmission
 //! queue, pushes them across a [`Transport`], and commits the destructive
-//! gets only once the transport reports the batch delivered. Drops and
-//! partitions roll the local transaction back, so the envelopes stay
-//! safely on the transmission queue and delivery is retried — messages are
-//! never lost in flight, which is the "guaranteed delivery to intermediary
-//! destinations" baseline the paper builds on.
+//! gets only once the transport reports the batch accepted by the peer.
+//! Drops and partitions roll the local transaction back, so the envelopes
+//! stay safely on the transmission queue and delivery is retried —
+//! messages are never lost in flight, which is the "guaranteed delivery to
+//! intermediary destinations" baseline the paper builds on.
 //!
-//! The mover is transport-agnostic: [`Channel::connect`] wires the classic
+//! There is one mover for every transport: [`Channel::connect`] wires the
 //! in-process [`Link`] path (via [`LinkTransport`]),
 //! [`Channel::connect_tcp`] crosses real sockets, and
 //! [`Channel::connect_transport`] accepts any [`Transport`]. Envelopes are
@@ -17,19 +17,19 @@
 //! amortizes both the transaction overhead and — on TCP — the per-frame
 //! round trip.
 //!
-//! When the transport exposes a
-//! [`PipelinedTransport`](crate::transport::PipelinedTransport) (via
-//! [`Transport::pipeline`]), the mover keeps a *window* of batches in
+//! The mover keeps a *window* of up to [`Transport::window`] batches in
 //! flight instead of stopping for an acknowledgment after each one: every
 //! submitted batch keeps its own open session, and sessions are committed
 //! in order as the receiver's cumulative ack watermark advances past their
-//! tickets. The window is for *full* batches ([`MAX_BATCH`] envelopes): a
-//! partial batch goes out only when nothing is in flight, so under load
-//! the envelopes that arrive during one round trip leave as one batch —
-//! the channel clocks itself on its acks (Nagle's rule), and a batch costs
-//! each side one journal record whatever its size. An idle channel still
-//! sends the first envelope at once. A disconnect strands whatever the
-//! watermark had not covered;
+//! tickets. (The simulated link is synchronous — a window of one whose
+//! ticket is covered as soon as it is issued — so there the same loop
+//! reads: submit, commit, next.) The window is for *full* batches
+//! ([`MAX_BATCH`] envelopes): a partial batch goes out only when nothing
+//! is in flight, so under load the envelopes that arrive during one round
+//! trip leave as one batch — the channel clocks itself on its acks
+//! (Nagle's rule), and a batch costs each side one journal record
+//! whatever its size. An idle channel still sends the first envelope at
+//! once. A disconnect strands whatever the watermark had not covered;
 //! those sessions are rolled back newest-first (so front-requeueing
 //! preserves FIFO order) and the envelopes are retransmitted after
 //! reconnect, with receiver-side dedup collapsing any batch the peer had
@@ -62,16 +62,15 @@ use crate::session::Session;
 use crate::stats::Counter;
 use crate::transport::frame::{Frame, MAX_FRAME_BODY};
 use crate::transport::tcp::{TcpConfig, TcpTransport};
-use crate::transport::{BatchOutcome, BatchTicket, LinkTransport, SubmitError, Transport};
+use crate::transport::{BatchTicket, LinkTransport, SubmitError, Transport};
 use simtime::Millis;
 
 /// Upper bound on one condvar park awaiting transmission-queue work: a put
 /// wakes the mover immediately, the bound keeps the stop flag responsive.
 const IDLE_PARK: Millis = Millis(20);
 
-/// Backoff applied after a refused (transport-unavailable) attempt. The
-/// mover parks in [`Transport::wait_ready`], so a heal or reconnect cuts
-/// the backoff short.
+/// Backoff while the transport is unavailable. The mover parks in
+/// [`Transport::wait_ready`], so a heal or reconnect cuts it short.
 const PARTITION_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Maximum envelopes drained into one session transaction / one transport
@@ -116,8 +115,9 @@ struct ChannelCore {
 impl ManagedTask for ChannelCore {
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Stop the transport first: a mover blocked inside send_batch or
-        // wait_ready is woken/errored out so the join below is prompt.
+        // Stop the transport first: a mover blocked inside submit,
+        // wait_progress or wait_ready is woken/errored out so the join
+        // below is prompt.
         let transport = self.transport.lock().take();
         if let Some(transport) = transport {
             transport.shutdown();
@@ -220,7 +220,7 @@ impl Channel {
         let xmit2 = xmit_queue.clone();
         let handle = std::thread::Builder::new()
             .name(thread_name)
-            .spawn(move || mover_loop(&from2, &transport, &core2.stop, &stats2, &xmit2))
+            .spawn(move || mover(&from2, &transport, &core2.stop, &stats2, &xmit2))
             .map_err(crate::error::MqError::Io)?;
         *core.handle.lock() = Some(handle);
         from.attach_task(core.clone());
@@ -352,99 +352,9 @@ fn rollback_window(window: &mut VecDeque<Inflight>, window_rollbacks: &Counter) 
     }
 }
 
-/// Entry point for the mover thread: picks the pipelined window loop when
-/// the transport supports it, the classic one-batch-at-a-time lockstep
-/// loop otherwise.
-fn mover_loop(
-    from: &Arc<QueueManager>,
-    transport: &Arc<dyn Transport>,
-    stop: &AtomicBool,
-    stats: &ChannelStats,
-    xmit_queue: &str,
-) {
-    if transport.pipeline().is_some() {
-        pipelined_mover(from, transport, stop, stats, xmit_queue);
-    } else {
-        lockstep_mover(from, transport, stop, stats, xmit_queue);
-    }
-}
-
-/// Classic lockstep mover: one batch in flight at a time, committed or
-/// rolled back on the synchronous [`Transport::send_batch`] outcome.
-fn lockstep_mover(
-    from: &Arc<QueueManager>,
-    transport: &Arc<dyn Transport>,
-    stop: &AtomicBool,
-    stats: &ChannelStats,
-    xmit_queue: &str,
-) {
-    let Ok(xmit) = from.queue(xmit_queue) else {
-        return;
-    };
-    while !stop.load(Ordering::SeqCst) {
-        if !from.is_running() {
-            // Sender crashed; a fresh channel is normally created against
-            // the rebuilt manager, so just exit.
-            return;
-        }
-        // Park on the transmission queue's condvar until an envelope is
-        // put (bounded, so the stop flag stays responsive) before opening
-        // a session: idle channels cost no transactions.
-        match xmit.wait_nonempty(Wait::Timeout(IDLE_PARK)) {
-            Ok(true) => {}
-            Ok(false) => continue,
-            Err(_) => return, // manager stopped
-        }
-        let mut session = from.session();
-        if session.begin().is_err() {
-            return;
-        }
-        let Some(Staged { batch, oversized }) = stage_batch(&mut session, xmit_queue) else {
-            return; // manager stopped
-        };
-        if batch.is_empty() {
-            if oversized > 0 {
-                // Nothing to send, but oversized envelopes were staged
-                // onto the dead-letter queue: make that move durable.
-                if session.commit().is_ok() {
-                    stats.oversized_dead_lettered.add(oversized);
-                }
-            } else {
-                // Raced with another consumer; re-park.
-                let _ = session.rollback_for_retry();
-            }
-            continue;
-        }
-        match transport.send_batch(&batch) {
-            BatchOutcome::Delivered => {
-                if session.commit().is_ok() {
-                    stats.delivered.add(batch.len() as u64);
-                    stats.oversized_dead_lettered.add(oversized);
-                }
-            }
-            BatchOutcome::Dropped => {
-                // Lost in transit: the rollback re-queues the envelopes
-                // (without bumping backout counts) and the next iteration
-                // retries immediately.
-                stats.retries.incr();
-                let _ = session.rollback_for_retry();
-            }
-            BatchOutcome::Unavailable => {
-                // Partitioned / disconnected / remote down: keep the
-                // envelopes and park until the transport heals (a
-                // reconnect ends the backoff early).
-                let _ = session.rollback_for_retry();
-                transport.wait_ready(PARTITION_BACKOFF);
-            }
-        }
-    }
-}
-
-/// Pipelined mover: keeps up to
-/// [`PipelinedTransport::window`](crate::transport::PipelinedTransport::window)
-/// batches in flight, each holding its own open session, and commits
-/// sessions in submission order as the receiver's cumulative ack
-/// watermark advances.
+/// The mover thread: keeps up to [`Transport::window`] batches in flight,
+/// each holding its own open session, and commits sessions in submission
+/// order as the receiver's cumulative ack watermark advances.
 ///
 /// Invariants:
 /// * At most one *partial* batch is in flight: with the window non-empty
@@ -461,16 +371,13 @@ fn lockstep_mover(
 /// * On stop, covered batches are still committed (their acks are final
 ///   even after disconnect) before the remainder rolls back, so no
 ///   acknowledged delivery is ever re-sent.
-fn pipelined_mover(
+fn mover(
     from: &Arc<QueueManager>,
     transport: &Arc<dyn Transport>,
     stop: &AtomicBool,
     stats: &ChannelStats,
     xmit_queue: &str,
 ) {
-    let Some(pipe) = transport.pipeline() else {
-        return;
-    };
     let Ok(xmit) = from.queue(xmit_queue) else {
         return;
     };
@@ -482,9 +389,7 @@ fn pipelined_mover(
     let weak = Arc::downgrade(transport);
     xmit.add_put_watcher(Arc::new(move || {
         if let Some(t) = weak.upgrade() {
-            if let Some(p) = t.pipeline() {
-                p.poke();
-            }
+            t.poke();
         }
     }));
     let window_rollbacks = from
@@ -495,7 +400,7 @@ fn pipelined_mover(
 
     loop {
         let stopping = stop.load(Ordering::SeqCst) || !from.is_running();
-        let progress = pipe.progress();
+        let progress = transport.progress();
         // Commit every leading in-flight batch the watermark covers.
         // Acks are final even across a disconnect, so this also runs on
         // the stop path: an acknowledged batch must never retransmit.
@@ -526,7 +431,7 @@ fn pipelined_mover(
         }
         // Refill: stage and submit batches until the window is full or
         // the transmission queue holds less than a full batch.
-        while progress.connected && window.len() < pipe.window() {
+        while progress.connected && window.len() < transport.window() {
             if window.is_empty() {
                 // Nothing in flight: park on the queue's condvar
                 // (bounded, so the stop flag stays responsive).
@@ -565,7 +470,7 @@ fn pipelined_mover(
                 }
                 break;
             }
-            match pipe.submit(&batch) {
+            match transport.submit(&batch) {
                 Ok(ticket) => {
                     window.push_back(Inflight {
                         ticket,
@@ -574,9 +479,11 @@ fn pipelined_mover(
                         oversized,
                     });
                 }
-                Err(SubmitError::Rejected) => {
-                    // Encode failure — should be prevented by the byte
-                    // budget; keep the envelopes and retry.
+                Err(SubmitError::Dropped) => {
+                    // Lost in transit (or unframeable, which the byte
+                    // budget prevents): keep the envelopes — the rollback
+                    // re-queues them without bumping backout counts — and
+                    // go again.
                     stats.retries.incr();
                     let _ = session.rollback_for_retry();
                     break;
@@ -597,7 +504,7 @@ fn pipelined_mover(
             }
             continue;
         }
-        let _ = pipe.wait_progress(progress, IDLE_PARK.to_duration());
+        let _ = transport.wait_progress(progress, IDLE_PARK.to_duration());
     }
 }
 
@@ -702,10 +609,16 @@ mod tests {
             0,
             "partitioned: no delivery"
         );
-        assert!(
-            link.stats().refused.get() > 0,
-            "mover kept retrying against the partition"
+        // The mover does not work against a link it knows is down: no
+        // session was opened, no transfer attempted, and the envelope
+        // never left the transmission queue.
+        assert_eq!(a.queue("SYSTEM.XMIT.QB").unwrap().depth(), 1);
+        assert_eq!(
+            a.stats().tx_committed.get() + a.stats().tx_rolled_back.get(),
+            0,
+            "no session while partitioned"
         );
+        assert_eq!(link.stats().attempts.get(), 0);
         link.set_up(true);
         wait_for("delivery after heal", || {
             b.queue("IN").unwrap().depth() == 1

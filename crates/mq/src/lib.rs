@@ -81,8 +81,7 @@ pub use stats::{
 pub use trace::{TraceEvent, TraceLog, TraceStage};
 pub use transport::fault::{FaultAction, FaultPlane};
 pub use transport::{
-    BatchOutcome, BatchTicket, LinkTransport, PipelineProgress, PipelinedTransport, SubmitError,
-    Transport, TransportMetrics,
+    BatchTicket, LinkTransport, PipelineProgress, SubmitError, Transport, TransportMetrics,
 };
 
 // Re-export the clock abstraction so downstream crates need only `mq`.

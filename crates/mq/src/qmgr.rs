@@ -198,7 +198,7 @@ pub struct QueueManager {
     /// re-entrantly: consumer wakeups and watcher callbacks run strictly
     /// after the read guard is released, so a queued writer cannot
     /// deadlock against a nested read.
-    // lint: never-hold(QueueManager.mutation_gate) across send_batch
+    // lint: never-hold(QueueManager.mutation_gate) across submit
     mutation_gate: Arc<RwLock<()>>,
     /// `journal.len_bytes()` as of the last checkpoint — the delta against
     /// the live length drives [`QueueManager::maybe_checkpoint`]. A plain
@@ -1040,6 +1040,40 @@ mod tests {
         assert_eq!(q.depth(), 1);
         let got = qm2.get("Q", Wait::NoWait).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("durable"));
+    }
+
+    #[test]
+    fn put_refused_as_full_does_not_reappear_after_restart() {
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM1")
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        let bounded = QueueConfig {
+            max_depth: Some(2),
+            ..QueueConfig::default()
+        };
+        qm.create_queue_with("Q", bounded).unwrap();
+        let persistent = |body: &str| Message::text(body).persistent(true).build();
+        qm.put("Q", persistent("a")).unwrap();
+        qm.put("Q", persistent("b")).unwrap();
+        let records = journal.record_count();
+        assert!(matches!(
+            qm.put("Q", persistent("c")),
+            Err(MqError::QueueFull(_))
+        ));
+        assert_eq!(
+            journal.record_count(),
+            records,
+            "a refused put leaves no record"
+        );
+        qm.crash();
+
+        let qm2 = QueueManager::builder("QM1")
+            .journal(journal)
+            .build()
+            .unwrap();
+        assert_eq!(qm2.queue("Q").unwrap().depth(), 2);
     }
 
     #[test]

@@ -334,17 +334,25 @@ impl Queue {
         // truncate this Put record while the message is missing from its
         // snapshot.
         let gate = self.gate.read();
+        // Admission comes before the record: a put refused here must leave
+        // nothing in the journal for a restart to resurrect.
+        let mut store = self.store.lock();
+        self.check_open(&store)?;
+        self.check_depth(&store)?;
         if journal_put && msg.is_persistent() && self.journal.is_durable() {
             // WAL discipline: the record must be stable before the message
-            // becomes visible.
+            // becomes visible. The store lock is not held across the
+            // append (concurrent putters share a group commit), so like a
+            // transactional put ([`Queue::check_room`]) the depth limit is
+            // checked once, at admission.
+            drop(store);
             self.append_timed(&JournalRecord::Put {
                 queue: self.name.clone(),
                 message: msg.clone(),
             })?;
+            store = self.store.lock();
+            self.check_open(&store)?;
         }
-        let mut store = self.store.lock();
-        self.check_open(&store)?;
-        self.check_depth(&store)?;
         self.insert(&mut store, msg, false);
         drop(store);
         drop(gate);

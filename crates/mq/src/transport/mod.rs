@@ -2,17 +2,25 @@
 //!
 //! The paper's reliable-messaging substrate (Fig. 4/5) assumes queue
 //! managers on different machines; this module abstracts the wire between
-//! them. A [`Transport`] pushes a *batch* of transmission-queue envelopes
-//! to the remote manager's receiving side and reports one of three fates
-//! ([`BatchOutcome`]): delivered-and-acked, dropped (retry now), or
-//! unavailable (back off until [`Transport::wait_ready`] fires).
+//! them behind one trait. A [`Transport`] takes a *batch* of
+//! transmission-queue envelopes with [`Transport::submit`], which returns
+//! a [`BatchTicket`] without waiting for the peer, and reports what the
+//! peer has accepted as a cumulative watermark ([`Transport::progress`]):
+//! a ticket the watermark covers was accepted for good, a ticket that is
+//! neither covered nor pending died with its connection and is sent
+//! again. A submit that produced no ticket put nothing on the wire
+//! ([`SubmitError`]): the attempt was dropped (go again) or there is no
+//! usable connection (park in [`Transport::wait_ready`]).
 //!
 //! Two implementations exist:
 //!
-//! * [`LinkTransport`] — the original in-process path over the simulated
-//!   [`Link`], kept for deterministic tests and fault-model experiments.
+//! * [`LinkTransport`] — the in-process path over the simulated [`Link`],
+//!   for deterministic tests and fault-model experiments. The link is
+//!   synchronous: `submit` returns once the remote manager has committed
+//!   the batch, so its ticket is covered on return.
 //! * [`tcp::TcpTransport`] / [`tcp::TcpAcceptor`] — real sockets with
-//!   CRC-framed batches, heartbeats, reconnect, and receiver-side dedup.
+//!   CRC-framed batches, heartbeats, reconnect, and receiver-side dedup;
+//!   up to [`Transport::window`] batches are in flight between acks.
 //!
 //! Both paths converge on [`QueueManager::accept_batch`] — the relay
 //! seam — and hand it exactly what they acknowledge as a unit: the link
@@ -23,11 +31,11 @@
 //! delivered, journaled, traced, and counted exactly like one that
 //! crossed the simulated link.
 //!
-//! The channel mover ([`crate::channel`]) is transport-agnostic: it drains
-//! the transmission queue in batches under one session transaction, calls
-//! [`Transport::send_batch`], and commits only on
-//! [`BatchOutcome::Delivered`] — the at-least-once half of the delivery
-//! guarantee. The receiving manager's origin+message-id dedup
+//! The one channel mover ([`crate::channel`]) drives every transport the
+//! same way: it drains the transmission queue in batches, each under its
+//! own session transaction, submits them, and commits a session only once
+//! the watermark covers its ticket — the at-least-once half of the
+//! delivery guarantee. The receiving manager's origin+message-id dedup
 //! ([`crate::relay`]) supplies the at-most-once half across connection
 //! failures, restarts, and multi-hop relays.
 
@@ -37,6 +45,7 @@ pub mod reactor;
 pub mod tcp;
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,54 +54,9 @@ use simtime::{Millis, SharedClock};
 use crate::message::Message;
 use crate::net::{Link, Transfer};
 use crate::qmgr::QueueManager;
+use crate::relay::BatchAccepted;
 use crate::stats::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::MqError;
-
-/// Outcome of pushing one batch to the peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOutcome {
-    /// The peer accepted (and acknowledged) the whole batch; the sender
-    /// may commit the destructive gets from its transmission queue.
-    Delivered,
-    /// The batch was lost in transit (loss model, torn connection before
-    /// the ack); the sender should roll back and retry promptly.
-    Dropped,
-    /// The transport has no usable connection; the sender should roll
-    /// back and park in [`Transport::wait_ready`].
-    Unavailable,
-}
-
-/// A one-way conduit from a local channel to a remote queue manager.
-///
-/// Implementations must be safe to share across threads; the channel mover
-/// calls [`Transport::send_batch`] from its own thread while supervisors or
-/// tests may concurrently tear connections down.
-pub trait Transport: Send + Sync + fmt::Debug {
-    /// Human-readable peer identity (manager name or socket address),
-    /// used in logs and errors.
-    fn peer(&self) -> String;
-
-    /// Attempts to push `batch` to the peer and waits for the ack.
-    fn send_batch(&self, batch: &[Message]) -> BatchOutcome;
-
-    /// Parks the caller until the transport believes it can deliver again
-    /// or `timeout` elapses; returns whether it is ready. Used by the
-    /// mover to back off from partitions without sleep-polling.
-    fn wait_ready(&self, timeout: Duration) -> bool;
-
-    /// Stops any background machinery (supervisor threads, sockets) and
-    /// joins it. Must be idempotent; the default is a no-op for
-    /// transports without background state.
-    fn shutdown(&self) {}
-
-    /// The pipelined interface, when this transport supports keeping a
-    /// window of batches in flight ([`PipelinedTransport`]). Transports
-    /// that only speak lockstep (`send_batch`) return `None` and the
-    /// channel mover falls back to one-batch-at-a-time.
-    fn pipeline(&self) -> Option<&dyn PipelinedTransport> {
-        None
-    }
-}
 
 /// A ticket for one submitted batch: which connection incarnation carried
 /// it and its sequence number within that incarnation.
@@ -106,7 +70,7 @@ pub struct BatchTicket {
     pub seq: u64,
 }
 
-/// A snapshot of pipelined delivery progress.
+/// A snapshot of delivery progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineProgress {
     /// Current connection epoch.
@@ -137,32 +101,43 @@ impl PipelineProgress {
     }
 }
 
-/// Why a pipelined submit did not produce a ticket.
+/// Why a submit did not produce a ticket. Either way nothing of the batch
+/// is in flight and the caller keeps the envelopes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// No established connection; park in [`Transport::wait_ready`].
+    /// No usable connection (down, disconnected, peer refusing); park in
+    /// [`Transport::wait_ready`].
     Unavailable,
-    /// The batch can never cross this transport (oversized frame); the
-    /// caller must shrink or dead-letter it, not retry verbatim.
-    Rejected,
+    /// This attempt went nowhere — lost by the link's loss model, or a
+    /// batch that could not be framed (the mover's byte budget keeps
+    /// that from happening); count a retry and go again.
+    Dropped,
 }
 
-/// Windowed, ack-decoupled batch submission over a transport.
+/// A one-way conduit from a local channel to a remote queue manager:
+/// windowed, ack-decoupled batch submission.
 ///
-/// `submit` writes a batch and returns immediately with a
-/// [`BatchTicket`]; cumulative watermark acks (`AckWin` frames) advance
-/// [`PipelinedTransport::progress`], and the channel mover commits each
-/// in-flight session once its ticket is covered. Backpressure is
-/// physical: when the socket refuses bytes, `submit` parks until the
-/// reactor reports the socket writable again.
-pub trait PipelinedTransport: Send + Sync {
-    /// Writes `batch` to the wire without waiting for its ack.
+/// `submit` hands a batch to the wire and returns a [`BatchTicket`];
+/// cumulative acknowledgments advance [`Transport::progress`], and the
+/// channel mover commits each in-flight session once its ticket is
+/// covered. Backpressure is physical: when a socket refuses bytes,
+/// `submit` parks until it is writable again.
+///
+/// Implementations must be safe to share across threads; the channel
+/// mover calls from its own thread while supervisors or tests may
+/// concurrently tear connections down.
+pub trait Transport: Send + Sync + fmt::Debug {
+    /// Human-readable peer identity (manager name or socket address),
+    /// used in logs and errors.
+    fn peer(&self) -> String;
+
+    /// Hands `batch` to the wire without waiting for its ack.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Unavailable`] with nothing written when no
-    /// connection is established (or it died mid-write);
-    /// [`SubmitError::Rejected`] when the batch cannot be framed.
+    /// [`SubmitError::Unavailable`] when no connection is established (or
+    /// it died mid-write); [`SubmitError::Dropped`] when this attempt was
+    /// lost or could not be framed. Nothing is in flight after either.
     fn submit(&self, batch: &[Message]) -> Result<BatchTicket, SubmitError>;
 
     /// Current delivery progress (epoch, watermark, liveness).
@@ -178,9 +153,17 @@ pub trait PipelinedTransport: Send + Sync {
     fn poke(&self);
 
     /// How many (full) batches the mover may keep in flight.
-    fn window(&self) -> usize {
-        16
-    }
+    fn window(&self) -> usize;
+
+    /// Parks the caller until the transport believes it can deliver again
+    /// or `timeout` elapses; returns whether it is ready. Used by the
+    /// mover to back off from partitions without sleep-polling.
+    fn wait_ready(&self, timeout: Duration) -> bool;
+
+    /// Stops any background machinery (supervisor threads, sockets) and
+    /// joins it. Must be idempotent; the default is a no-op for
+    /// transports without background state.
+    fn shutdown(&self) {}
 }
 
 /// Metric cells for one transport endpoint, registered as `mq.transport.*`.
@@ -252,6 +235,17 @@ impl TransportMetrics {
             window_rollbacks: registry.counter("mq.transport.window_rollbacks"),
         }
     }
+
+    /// Receiver-side accounting of one committed arrival: `batches`
+    /// transport batches of `bytes` payload bytes went to
+    /// [`QueueManager::accept_batch`] as one unit, with the outcome
+    /// `arrival`.
+    pub fn record_arrival(&self, batches: u64, bytes: u64, arrival: BatchAccepted) {
+        self.batches_received.add(batches);
+        self.messages_received.add(arrival.accepted as u64);
+        self.dedup_dropped.add(arrival.duplicates as u64);
+        self.bytes_received.add(bytes);
+    }
 }
 
 /// The in-process transport: crosses a simulated [`Link`] and delivers
@@ -261,11 +255,19 @@ impl TransportMetrics {
 /// drop rate applies to batches rather than individual messages; since a
 /// dropped batch is retried in full, the end-to-end guarantee (and every
 /// existing link-fault test) is unchanged.
+///
+/// The link is synchronous — `submit` returns after the remote manager
+/// committed the batch — so the watermark is the count of batches
+/// delivered, every ticket is covered when it is issued, and there is one
+/// connection epoch for the transport's whole life.
 pub struct LinkTransport {
     link: Arc<Link>,
     to: Arc<QueueManager>,
     clock: SharedClock,
     metrics: TransportMetrics,
+    /// Batches the remote manager has accepted: the last ticket issued
+    /// and the ack watermark at once.
+    delivered: AtomicU64,
 }
 
 impl fmt::Debug for LinkTransport {
@@ -294,6 +296,7 @@ impl LinkTransport {
             clock: from.clock().clone(),
             metrics: TransportMetrics::registered(registry),
             to,
+            delivered: AtomicU64::new(0),
         })
     }
 
@@ -308,33 +311,57 @@ impl Transport for LinkTransport {
         self.to.name().to_owned()
     }
 
-    fn send_batch(&self, batch: &[Message]) -> BatchOutcome {
+    fn submit(&self, batch: &[Message]) -> Result<BatchTicket, SubmitError> {
         let started = std::time::Instant::now();
-        match self.link.transfer() {
-            Transfer::Deliver(latency) => {
-                if latency > Millis::ZERO {
-                    self.clock.sleep(latency);
-                }
-                let bytes: u64 = batch.iter().map(|m| m.payload().len() as u64).sum();
-                // The remote manager refused the batch (stopped, a full
-                // queue, a failing journal): treat like a partition so the
-                // sender backs off and resends the whole batch.
-                let Ok(arrival) = self.to.accept_batch(batch.to_vec()) else {
-                    return BatchOutcome::Unavailable;
-                };
-                self.metrics.dedup_dropped.add(arrival.duplicates as u64);
-                self.metrics.batches_sent.incr();
-                self.metrics.batches_received.incr();
-                self.metrics.messages_sent.add(batch.len() as u64);
-                self.metrics.messages_received.add(arrival.accepted as u64);
-                self.metrics.bytes_sent.add(bytes);
-                self.metrics.bytes_received.add(bytes);
-                self.metrics.batch_micros.record_duration(started.elapsed());
-                BatchOutcome::Delivered
-            }
-            Transfer::Dropped => BatchOutcome::Dropped,
-            Transfer::Down => BatchOutcome::Unavailable,
+        let latency = match self.link.transfer() {
+            Transfer::Deliver(latency) => latency,
+            Transfer::Dropped => return Err(SubmitError::Dropped),
+            Transfer::Down => return Err(SubmitError::Unavailable),
+        };
+        if latency > Millis::ZERO {
+            self.clock.sleep(latency);
         }
+        let bytes: u64 = batch.iter().map(|m| m.payload().len() as u64).sum();
+        // The remote manager refused the batch (stopped, a full queue, a
+        // failing journal): treat like a partition so the sender keeps
+        // the envelopes and resends the whole batch.
+        let arrival = self
+            .to
+            .accept_batch(batch.to_vec())
+            .map_err(|_| SubmitError::Unavailable)?;
+        self.metrics.record_arrival(1, bytes, arrival);
+        self.metrics.batches_sent.incr();
+        self.metrics.messages_sent.add(batch.len() as u64);
+        self.metrics.bytes_sent.add(bytes);
+        self.metrics.batch_micros.record_duration(started.elapsed());
+        let seq = self.delivered.fetch_add(1, Ordering::SeqCst) + 1;
+        Ok(BatchTicket { epoch: 0, seq })
+    }
+
+    fn progress(&self) -> PipelineProgress {
+        PipelineProgress {
+            epoch: 0,
+            acked: self.delivered.load(Ordering::SeqCst),
+            connected: self.link.is_up(),
+        }
+    }
+
+    fn wait_progress(&self, seen: PipelineProgress, timeout: Duration) -> PipelineProgress {
+        // The watermark only moves inside `submit`, on the caller's own
+        // thread; all that can change under a parked caller is the link.
+        if self.progress() == seen {
+            self.link.wait_state_change(timeout);
+        }
+        self.progress()
+    }
+
+    fn poke(&self) {
+        // Nobody parks in `wait_progress` with a batch in flight: a ticket
+        // is covered by the time `submit` returns it.
+    }
+
+    fn window(&self) -> usize {
+        1
     }
 
     fn wait_ready(&self, timeout: Duration) -> bool {

@@ -17,7 +17,7 @@
 //!   `Batch` frame (vectored, straight from the per-message cached wire
 //!   images — no copy) and returns a [`BatchTicket`] without waiting;
 //!   cumulative `AckWin` watermarks consumed on the reactor advance
-//!   [`PipelinedTransport::progress`], confirming every batch at or below
+//!   [`Transport::progress`], confirming every batch at or below
 //!   the watermark at once. A full socket parks `submit` until the
 //!   reactor reports it writable again — that is the first link of the
 //!   backpressure chain (socket → mover window → transmission queue).
@@ -66,8 +66,7 @@ use crate::stats::MetricsRegistry;
 use crate::transport::frame::{Frame, FrameEvent, FrameKind, FrameReader};
 use crate::transport::reactor::{Pollable, Reactor, Registration};
 use crate::transport::{
-    transport_error, BatchOutcome, BatchTicket, PipelineProgress, PipelinedTransport, SubmitError,
-    Transport, TransportMetrics,
+    transport_error, BatchTicket, PipelineProgress, SubmitError, Transport, TransportMetrics,
 };
 use crate::MqResult;
 
@@ -610,7 +609,14 @@ impl TcpTransport {
     }
 }
 
-impl PipelinedTransport for TcpTransport {
+impl Transport for TcpTransport {
+    fn peer(&self) -> String {
+        match &self.config.expected_peer {
+            Some(name) => format!("{name}@{}", self.addr),
+            None => self.addr.to_string(),
+        }
+    }
+
     fn submit(&self, batch: &[crate::message::Message]) -> Result<BatchTicket, SubmitError> {
         // Warm the per-message wire cache outside the connection lock:
         // first touch encodes, every later use (this frame, a retransmit
@@ -623,7 +629,7 @@ impl PipelinedTransport for TcpTransport {
             return Err(SubmitError::Unavailable);
         }
         let seq = st.next_seq + 1;
-        let wire = Frame::batch_wire(seq, batch).map_err(|_| SubmitError::Rejected)?;
+        let wire = Frame::batch_wire(seq, batch).map_err(|_| SubmitError::Dropped)?;
         st.next_seq = seq;
         let epoch = st.epoch;
         let wire_bytes = wire.len() as u64;
@@ -677,52 +683,6 @@ impl PipelinedTransport for TcpTransport {
     fn window(&self) -> usize {
         SEND_WINDOW
     }
-}
-
-impl Transport for TcpTransport {
-    fn peer(&self) -> String {
-        match &self.config.expected_peer {
-            Some(name) => format!("{name}@{}", self.addr),
-            None => self.addr.to_string(),
-        }
-    }
-
-    fn send_batch(&self, batch: &[crate::message::Message]) -> BatchOutcome {
-        // Lockstep compatibility shim over the pipelined machinery: one
-        // submit, then wait until the watermark covers it.
-        let deadline = std::time::Instant::now() + self.config.read_timeout;
-        let ticket = match self.submit(batch) {
-            Ok(ticket) => ticket,
-            // The batch exceeds the frame cap. The mover's byte budget
-            // makes this unreachable; Dropped sends the batch back for a
-            // re-cut instead of parking the mover.
-            Err(SubmitError::Rejected) => return BatchOutcome::Dropped,
-            Err(SubmitError::Unavailable) => return BatchOutcome::Unavailable,
-        };
-        loop {
-            let progress = self.progress();
-            if progress.covers(ticket) {
-                return BatchOutcome::Delivered;
-            }
-            if !progress.pending(ticket) {
-                // Connection died (or reconnected) with the batch's fate
-                // unknown: resend after reconnect, receiver dedup keeps
-                // already-delivered messages single.
-                return BatchOutcome::Unavailable;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                // No ack within the read timeout — same verdict the old
-                // blocking read would have reached.
-                let mut st = self.state.lock();
-                if st.epoch == ticket.epoch {
-                    self.teardown_locked(&mut st);
-                }
-                return BatchOutcome::Unavailable;
-            }
-            self.wait_progress(progress, deadline - now);
-        }
-    }
 
     fn wait_ready(&self, timeout: Duration) -> bool {
         let mut st = self.state.lock();
@@ -746,10 +706,6 @@ impl Transport for TcpTransport {
         if let Some(handle) = handle {
             let _ = handle.join();
         }
-    }
-
-    fn pipeline(&self) -> Option<&dyn PipelinedTransport> {
-        Some(self)
     }
 }
 
@@ -1081,12 +1037,9 @@ impl AcceptorConn {
         let Ok(arrival) = manager.accept_batch(burst.messages) else {
             return false;
         };
-        let (accepted, deduplicated) = (arrival.accepted as u64, arrival.duplicates as u64);
-        let metrics = &self.shared.metrics;
-        metrics.batches_received.add(burst.frames);
-        metrics.messages_received.add(accepted);
-        metrics.dedup_dropped.add(deduplicated);
-        metrics.bytes_received.add(burst.bytes);
+        self.shared
+            .metrics
+            .record_arrival(burst.frames, burst.bytes, arrival);
         if self
             .shared
             .drop_before_ack
@@ -1096,7 +1049,12 @@ impl AcceptorConn {
             return false;
         }
         io.ack_watermark = io.ack_watermark.max(burst.seq);
-        match Frame::ack_win(io.ack_watermark, accepted, deduplicated).encode() {
+        let ack = Frame::ack_win(
+            io.ack_watermark,
+            arrival.accepted as u64,
+            arrival.duplicates as u64,
+        );
+        match ack.encode() {
             Ok(wire) => {
                 io.outbox.push(wire);
                 true
@@ -1184,6 +1142,20 @@ mod tests {
         }
     }
 
+    /// Submits `batch` and waits for the watermark to cover its ticket:
+    /// `true` once the peer has acknowledged it, `false` when no ticket was
+    /// issued or its connection died with the batch's fate unknown.
+    fn submit_covered(tx: &TcpTransport, batch: &[Message]) -> bool {
+        let Ok(ticket) = tx.submit(batch) else {
+            return false;
+        };
+        let mut progress = tx.progress();
+        while progress.pending(ticket) {
+            progress = tx.wait_progress(progress, Duration::from_secs(5));
+        }
+        progress.covers(ticket)
+    }
+
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
         let start = Instant::now();
         while start.elapsed() < deadline {
@@ -1209,7 +1181,7 @@ mod tests {
         .unwrap();
         assert!(tx.wait_ready(Duration::from_secs(5)), "connects");
         let batch = vec![envelope("m1"), envelope("m2"), envelope("m3")];
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx, &batch));
         let q = recv.queue("Q.IN").unwrap();
         assert_eq!(q.depth(), 3);
         assert_eq!(registry.snapshot().counter("mq.transport.batches_sent"), 1);
@@ -1237,7 +1209,7 @@ mod tests {
         )
         .unwrap();
         assert!(tx.wait_ready(Duration::from_secs(5)));
-        assert_eq!(tx.send_batch(&[envelope("hdr")]), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx, &[envelope("hdr")]));
         let msg = recv
             .get("Q.IN", crate::queue::Wait::NoWait)
             .unwrap()
@@ -1261,12 +1233,11 @@ mod tests {
         )
         .unwrap();
         assert!(tx.wait_ready(Duration::from_secs(5)));
-        let pipe: &dyn PipelinedTransport = tx.pipeline().unwrap();
         // Submit a burst of batches without waiting for any ack.
         let mut last: Option<BatchTicket> = None;
         for i in 0..8 {
             let batch = vec![envelope(&format!("w{i}a")), envelope(&format!("w{i}b"))];
-            let ticket = pipe.submit(&batch).unwrap();
+            let ticket = tx.submit(&batch).unwrap();
             if let Some(prev) = last {
                 assert!(ticket.seq > prev.seq, "sequences are monotonic");
                 assert_eq!(ticket.epoch, prev.epoch, "same connection epoch");
@@ -1276,7 +1247,7 @@ mod tests {
         let last = last.unwrap();
         // The cumulative watermark must sweep over every ticket.
         assert!(
-            wait_until(Duration::from_secs(5), || pipe.progress().covers(last)),
+            wait_until(Duration::from_secs(5), || tx.progress().covers(last)),
             "watermark covers the whole window"
         );
         assert_eq!(recv.queue("Q.IN").unwrap().depth(), 16);
@@ -1305,13 +1276,13 @@ mod tests {
         acceptor.inject_drop_before_ack(1);
         let batch = vec![envelope("once-a"), envelope("once-b")];
         // First attempt: delivered on the receiver but the ack never
-        // arrives, so the sender sees Unavailable and must retry.
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Unavailable);
+        // arrives, so the sender's ticket is never covered and it must retry.
+        assert!(!submit_covered(&tx, &batch));
         assert!(
             wait_until(Duration::from_secs(5), || tx.is_connected()),
             "supervisor reconnects"
         );
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx, &batch));
         let q = recv.queue("Q.IN").unwrap();
         assert_eq!(q.depth(), 2, "no duplicates after resend");
         let snap = recv.obs().metrics().snapshot();
@@ -1344,7 +1315,7 @@ mod tests {
         // Room for two, batch of three: the backpressure of a full queue
         // refuses the batch as a whole — dropped line, no ack.
         let batch = vec![envelope("a"), envelope("b"), envelope("c")];
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Unavailable);
+        assert!(!submit_covered(&tx, &batch));
         let q = recv.queue("Q.IN").unwrap();
         assert_eq!(q.depth(), 1, "nothing of the batch is visible");
         assert!(recv.delivery_dedup.lock().snapshot().is_empty());
@@ -1357,7 +1328,7 @@ mod tests {
             wait_until(Duration::from_secs(5), || tx.is_connected()),
             "supervisor reconnects"
         );
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx, &batch));
         assert_eq!(q.depth(), 3);
         let snap = recv.metrics_snapshot();
         assert_eq!(snap.counter("mq.transport.messages_received"), 3);
@@ -1459,7 +1430,7 @@ mod tests {
         )
         .unwrap();
         assert!(tx.wait_ready(Duration::from_secs(5)));
-        assert_eq!(tx.send_batch(&[envelope("ok")]), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx, &[envelope("ok")]));
         tx.shutdown();
         acceptor.shutdown();
     }
@@ -1489,7 +1460,7 @@ mod tests {
         acceptor.inject_drop_before_ack(1);
         let batch = vec![envelope("exactly-once")];
         // Delivered and journaled on the receiver, but never acked.
-        assert_eq!(tx.send_batch(&batch), BatchOutcome::Unavailable);
+        assert!(!submit_covered(&tx, &batch));
         tx.shutdown();
         acceptor.shutdown();
         recv.crash();
@@ -1510,7 +1481,7 @@ mod tests {
         .unwrap();
         assert!(tx2.wait_ready(Duration::from_secs(5)));
         // The sender never saw an ack, so it resends the same envelope.
-        assert_eq!(tx2.send_batch(&batch), BatchOutcome::Delivered);
+        assert!(submit_covered(&tx2, &batch));
         assert_eq!(
             recv2.queue("Q.IN").unwrap().depth(),
             1,

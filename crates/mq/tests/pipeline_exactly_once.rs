@@ -1,6 +1,7 @@
 //! Exactly-once delivery under pipelined batching: property tests driving
-//! the real channel mover against an adversarial scripted transport, plus
-//! an end-to-end TCP run with mid-window connection kills.
+//! the real channel mover against an adversarial scripted transport and
+//! against the simulated link under a seeded fault schedule, plus an
+//! end-to-end TCP run with mid-window connection kills.
 //!
 //! The delivery contract being checked: with a window of batches in
 //! flight, any interleaving of coalesced ack watermarks, connection
@@ -26,12 +27,13 @@ use proptest::prelude::*;
 
 use mq::channel::Channel;
 use mq::journal::{Journal, JournalRecord, MemJournal};
+use mq::net::{Link, LinkConfig};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport};
 use mq::{
-    BatchAccepted, BatchOutcome, BatchTicket, Message, PipelineProgress, PipelinedTransport,
-    QueueAddress, QueueManager, SubmitError, Transport, Wait, DEAD_LETTER_QUEUE,
+    BatchAccepted, BatchTicket, Message, PipelineProgress, QueueAddress, QueueManager, SubmitError,
+    Transport, Wait, DEAD_LETTER_QUEUE,
 };
-use simtime::SystemClock;
+use simtime::{Millis, SystemClock};
 
 const DEST_QUEUE: &str = "IN";
 
@@ -74,7 +76,7 @@ struct NetState {
     submitted: Vec<usize>,
 }
 
-/// An in-process [`PipelinedTransport`] whose network behaves per the
+/// An in-process [`Transport`] whose network behaves per the
 /// proptest-generated script, delivering into the receiving manager
 /// through the public `accept_batch` dedup seam.
 struct ScriptedTransport {
@@ -161,10 +163,6 @@ impl Transport for ScriptedTransport {
         self.to.name().to_owned()
     }
 
-    fn send_batch(&self, _batch: &[Message]) -> BatchOutcome {
-        unreachable!("pipelined transport: the mover must use submit()")
-    }
-
     fn wait_ready(&self, _timeout: Duration) -> bool {
         if self.stopped.load(Ordering::SeqCst) {
             return false;
@@ -188,12 +186,6 @@ impl Transport for ScriptedTransport {
         self.changed.notify_all();
     }
 
-    fn pipeline(&self) -> Option<&dyn PipelinedTransport> {
-        Some(self)
-    }
-}
-
-impl PipelinedTransport for ScriptedTransport {
     fn submit(&self, batch: &[Message]) -> Result<BatchTicket, SubmitError> {
         if self.stopped.load(Ordering::SeqCst) {
             return Err(SubmitError::Unavailable);
@@ -284,6 +276,28 @@ impl PipelinedTransport for ScriptedTransport {
     }
 }
 
+/// One scripted fault on the simulated link's path, applied just before
+/// the put it is scheduled at.
+#[derive(Debug, Clone, Copy)]
+enum LinkFault {
+    /// The next `n` transfers are lost in transit.
+    DropNext(u8),
+    Partition,
+    Heal,
+    /// The sending manager crashes (its mover possibly mid-transfer) and
+    /// is rebuilt from its journal behind a fresh channel.
+    CrashSender,
+}
+
+fn arb_link_fault() -> impl Strategy<Value = LinkFault> {
+    prop_oneof![
+        3 => (1u8..4).prop_map(LinkFault::DropNext),
+        2 => Just(LinkFault::Partition),
+        3 => Just(LinkFault::Heal),
+        1 => Just(LinkFault::CrashSender),
+    ]
+}
+
 fn wait_for<F: Fn() -> bool>(what: &str, deadline: Duration, f: F) {
     let until = std::time::Instant::now() + deadline;
     while !f() {
@@ -349,6 +363,68 @@ proptest! {
         });
         drop(channel);
         assert_exactly_once(&b, n);
+    }
+
+    /// The same mover over a real [`Link`]: a seeded loss rate and jitter,
+    /// forced drops, partitions and heals, and sender crashes with the
+    /// mover mid-transfer. The receiver must see every label exactly once
+    /// and in the order the sender put them.
+    #[test]
+    fn link_mover_is_exactly_once_and_fifo_under_any_fault_schedule(
+        drop_pct in 0u32..50,
+        jitter in 0u64..3,
+        seed in any::<u64>(),
+        n in 8u32..300,
+        schedule in proptest::collection::vec((0u32..300, arb_link_fault()), 0..8),
+    ) {
+        let journal = MemJournal::new();
+        let sender = || QueueManager::builder("QA").journal(journal.clone()).build().unwrap();
+        let b = QueueManager::builder("QB").build().unwrap();
+        b.create_queue(DEST_QUEUE).unwrap();
+        let link = Link::new(LinkConfig {
+            base_latency: Millis::ZERO,
+            jitter: Millis(jitter),
+            drop_rate: f64::from(drop_pct) / 100.0,
+            seed,
+        });
+        let mut a = sender();
+        let mut channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        for label in 0..n {
+            for &(at, fault) in &schedule {
+                if at % n != label {
+                    continue;
+                }
+                match fault {
+                    LinkFault::DropNext(k) => link.drop_next(u64::from(k)),
+                    LinkFault::Partition => link.set_up(false),
+                    LinkFault::Heal => link.set_up(true),
+                    LinkFault::CrashSender => {
+                        a.crash();
+                        drop(channel);
+                        a = sender();
+                        channel = Channel::connect(&a, &b, link.clone()).unwrap();
+                    }
+                }
+            }
+            a.put_to(
+                &QueueAddress::new("QB", DEST_QUEUE),
+                Message::text(label.to_string()).persistent(true).build(),
+            )
+            .unwrap();
+        }
+        link.set_up(true);
+        wait_for("all labels delivered over the link", Duration::from_secs(20), || {
+            b.queue(DEST_QUEUE).unwrap().depth() as u32 == n
+        });
+        drop(channel);
+        let arrived: Vec<u32> = b
+            .queue(DEST_QUEUE)
+            .unwrap()
+            .browse()
+            .iter()
+            .map(|m| m.payload_str().unwrap().parse().unwrap())
+            .collect();
+        prop_assert_eq!(arrived, (0..n).collect::<Vec<u32>>());
     }
 
     /// Watermark algebra: `covers` is final and monotonic, `pending` and

@@ -246,3 +246,63 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 6);
     assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
 }
+
+#[test]
+fn deferred_release_whose_transaction_fails_can_be_released_again() {
+    // A D-Sphere member's outcome actions are deferred; the sphere's
+    // release hits a storage outage. The owed actions must not be lost
+    // with the failed transaction: once storage heals the release goes
+    // through and the compensation is delivered exactly once.
+    use condmsg::{MessageOutcome, SendOptions};
+    use mq::{FaultAction, FaultPlane};
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(50))
+        .into();
+    let options = SendOptions {
+        defer_outcome_actions: true,
+        ..SendOptions::default()
+    };
+    let id = messenger
+        .send_with("member", Some("undo member".into()), &condition, options)
+        .unwrap();
+    clock.advance(Millis(100));
+    assert_eq!(
+        messenger.pump().unwrap()[0].outcome,
+        MessageOutcome::Failure
+    );
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1, "still parked");
+
+    journal.apply_fault(FaultAction::FailStorage).unwrap();
+    for _ in 0..2 * qmgr.config().backout_threshold {
+        assert!(messenger
+            .release_outcome_actions(id, MessageOutcome::Failure)
+            .is_err());
+    }
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 1, "only the original");
+    let deferred = qmgr.obs().metrics().gauge("cond.deferred.depth");
+    assert_eq!(deferred.get(), 1);
+
+    journal.apply_fault(FaultAction::HealStorage).unwrap();
+    messenger
+        .release_outcome_actions(id, MessageOutcome::Failure)
+        .unwrap();
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "original + its undo");
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 1);
+    assert_eq!(deferred.get(), 0);
+    assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
+    // Released once: there is nothing left to release.
+    assert!(messenger
+        .release_outcome_actions(id, MessageOutcome::Failure)
+        .is_err());
+}
