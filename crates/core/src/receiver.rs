@@ -127,6 +127,9 @@ pub struct ConditionalReceiver {
     recipient: Option<String>,
     session: mq::Session,
     pending_acks: Vec<PendingAck>,
+    /// Pairs annihilated in the open transaction `(id, leaf, queue)`,
+    /// counted and traced once it commits.
+    annihilated: Vec<(CondMessageId, u32, String)>,
     /// Per-queue enqueue counter at the last annihilation scan; if nothing
     /// new arrived since, the scan is skipped (keeps reads O(1) on busy
     /// queues).
@@ -189,6 +192,7 @@ impl ConditionalReceiver {
             recipient,
             session,
             pending_acks: Vec::new(),
+            annihilated: Vec::new(),
             scanned_at: HashMap::new(),
             metrics,
         })
@@ -293,31 +297,19 @@ impl ConditionalReceiver {
                     // Encounter-time annihilation: the original may still
                     // be behind this compensation in the queue (priority
                     // reordering, or a pre-scan skipped as redundant). The
-                    // compensation in hand is already consumed; removing
-                    // the original completes the annihilation.
+                    // compensation in hand is a get of this transaction;
+                    // taking the original in it too, with the log entry,
+                    // makes the annihilation one record or nothing.
                     let original_sel = pair_selector(wire::kind::ORIGINAL, cond_id, leaf)?;
-                    let mut session = self.qmgr.session();
-                    session.begin()?;
-                    if session
-                        .get_selected(queue, &original_sel, Wait::NoWait)?
-                        .is_some()
-                    {
-                        session.put(
+                    let original = self.session.get_selected(queue, &original_sel, Wait::NoWait)?;
+                    if original.is_some() {
+                        self.session.put(
                             &self.config.rlog_queue,
                             rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
                         )?;
-                        session.commit()?;
-                        self.metrics.annihilated.incr();
-                        self.qmgr.trace().record(
-                            self.qmgr.clock().now(),
-                            TraceStage::Annihilated,
-                            Some(cond_id.as_u128()),
-                            Some(leaf),
-                            queue,
-                        );
+                        self.annihilated.push((cond_id, leaf, queue.to_owned()));
                         continue;
                     }
-                    session.rollback_for_retry()?;
                     // Original neither in the queue nor consumed here:
                     // defer the compensation. Staged, so the net effect of
                     // the commit is a move to the back — and until then it
@@ -393,16 +385,21 @@ impl ConditionalReceiver {
                 rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
             )?;
             session.commit()?;
-            self.metrics.annihilated.incr();
-            self.qmgr.trace().record(
-                self.qmgr.clock().now(),
-                TraceStage::Annihilated,
-                Some(cond_id.as_u128()),
-                Some(leaf),
-                queue,
-            );
+            self.note_annihilated(cond_id, leaf, queue);
         }
         Ok(())
+    }
+
+    /// Counts and traces one committed annihilation.
+    fn note_annihilated(&self, cond_id: CondMessageId, leaf: u32, queue: &str) {
+        self.metrics.annihilated.incr();
+        self.qmgr.trace().record(
+            self.qmgr.clock().now(),
+            TraceStage::Annihilated,
+            Some(cond_id.as_u128()),
+            Some(leaf),
+            queue,
+        );
     }
 
     fn rlog_shows_consumed(&self, cond_id: CondMessageId, leaf: u32) -> CondResult<bool> {
@@ -434,6 +431,7 @@ impl ConditionalReceiver {
             other => CondError::Mq(other),
         })?;
         self.pending_acks.clear();
+        self.annihilated.clear();
         Ok(())
     }
 
@@ -483,6 +481,9 @@ impl ConditionalReceiver {
         };
         sent.add(self.pending_acks.len() as u64);
         self.pending_acks.clear();
+        for (cond_id, leaf, queue) in std::mem::take(&mut self.annihilated) {
+            self.note_annihilated(cond_id, leaf, &queue);
+        }
         Ok(())
     }
 
@@ -706,6 +707,58 @@ mod tests {
             .any(|m| m.str_property(wire::P_RLOG_ENTRY) == Some("annihilated")));
         // No acknowledgment was produced.
         assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 0);
+    }
+
+    #[test]
+    fn annihilation_met_by_the_read_is_one_record_in_the_reads_transaction() {
+        // The original sits behind its compensation and the read itself
+        // meets the pair (the pre-scan skipped as redundant, forced here).
+        // Both gets and the log entry are the read's own transaction: no
+        // journal failure or crash can remove the original without its
+        // `annihilated` entry, leaving a compensation nobody can resolve.
+        let journal = mq::journal::MemJournal::new();
+        let qmgr = QueueManager::builder("QM1")
+            .clock(SimClock::new())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        let q = qmgr.create_queue("Q.A").unwrap();
+        let condition = one_dest(Millis(100));
+        let compiled = crate::eval::CompiledCondition::compile(&condition).unwrap();
+        let id = CondMessageId::generate();
+        let dest = QueueAddress::new("QM1", "Q.A");
+        qmgr.put("Q.A", wire::make_compensation(id, 0, &dest, None))
+            .unwrap();
+        let body = bytes::Bytes::from("orig");
+        let original = wire::make_original(&body, id, &compiled.leaves()[0], "QM1", "DS.ACK.Q");
+        qmgr.put("Q.A", original).unwrap();
+        let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        let rlog = qmgr.queue("DS.RLOG.Q").unwrap();
+        let mut read = |failing: bool| {
+            receiver
+                .scanned_at
+                .insert("Q.A".into(), q.stats().enqueued.get());
+            journal.set_failing(failing);
+            receiver.read_message("Q.A", Wait::NoWait)
+        };
+
+        assert!(read(true).is_err());
+        assert_eq!((q.depth(), rlog.depth()), (2, 0), "nothing moved");
+        assert_eq!(counter(&qmgr, "cond.recv.annihilated"), 0);
+        let before = journal.record_count();
+        assert!(read(false).unwrap().is_none(), "nothing deliverable");
+        assert_eq!(journal.record_count(), before + 1);
+        assert!(matches!(
+            mq::journal::Journal::replay_collect(&*journal).unwrap().last(),
+            Some(mq::journal::JournalRecord::TxCommit { puts, gets })
+                if gets.len() == 2 && puts.len() == 1
+        ));
+        assert_eq!((q.depth(), rlog.depth()), (0, 1));
+        assert_eq!(
+            rlog.browse()[0].str_property(wire::P_RLOG_ENTRY),
+            Some("annihilated")
+        );
+        assert_eq!(counter(&qmgr, "cond.recv.annihilated"), 1);
     }
 
     #[test]

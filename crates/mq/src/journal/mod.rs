@@ -3,9 +3,10 @@
 //! Every state change involving *persistent* messages is appended to a
 //! journal before it takes effect (WAL discipline). After a crash,
 //! rebuilding a [`crate::QueueManager`] over the same journal replays it to
-//! rebuild queue contents exactly: committed transactions reappear atomically, uncommitted
-//! transactional gets roll back (their messages were never `Get`-journaled),
-//! and non-persistent messages vanish — the same guarantees MQSeries gives
+//! rebuild queue contents exactly: committed transactions reappear
+//! atomically (a put or get outside a transaction is a transaction of one),
+//! uncommitted gets roll back (no `TxCommit` ever named their messages), and
+//! non-persistent messages vanish — the same guarantees MQSeries gives
 //! the conditional-messaging layer.
 //!
 //! Three backends:
@@ -50,21 +51,15 @@ pub enum JournalRecord {
         /// Queue name.
         queue: String,
     },
-    /// A persistent message was enqueued outside any transaction.
+    /// A live persistent message: one row of a checkpoint snapshot.
     Put {
-        /// Destination queue.
+        /// The queue it is on.
         queue: String,
         /// The full message.
         message: Message,
     },
-    /// A persistent message was consumed outside any transaction.
-    Get {
-        /// Source queue.
-        queue: String,
-        /// Consumed message id.
-        message_id: MessageId,
-    },
-    /// A transaction committed: all gets and puts apply atomically.
+    /// A transaction committed: all gets and puts apply atomically. The
+    /// only record by which a message enters or leaves a queue.
     TxCommit {
         /// Messages enqueued by the transaction (persistent ones only).
         puts: Vec<(String, Message)>,
@@ -120,11 +115,6 @@ impl WireEncode for JournalRecord {
                 enc.put_u8(2);
                 enc.put_str(queue);
                 message.encode(enc);
-            }
-            JournalRecord::Get { queue, message_id } => {
-                enc.put_u8(3);
-                enc.put_str(queue);
-                enc.put_u128(message_id.as_u128());
             }
             JournalRecord::TxCommit { puts, gets } => {
                 enc.put_u8(4);
@@ -182,10 +172,6 @@ impl WireDecode for JournalRecord {
             2 => Ok(JournalRecord::Put {
                 queue: dec.get_str()?,
                 message: Message::decode(dec)?,
-            }),
-            3 => Ok(JournalRecord::Get {
-                queue: dec.get_str()?,
-                message_id: MessageId::from_u128(dec.get_u128()?),
             }),
             4 => {
                 let n_puts = dec.get_varint()?;
@@ -591,10 +577,6 @@ pub(crate) mod tests {
             JournalRecord::Put {
                 queue: "Q1".into(),
                 message: m1.clone(),
-            },
-            JournalRecord::Get {
-                queue: "Q1".into(),
-                message_id: m1.id(),
             },
             JournalRecord::TxCommit {
                 puts: vec![("Q1".into(), m2.clone())],

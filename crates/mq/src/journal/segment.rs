@@ -182,8 +182,8 @@ fn encode_segment_frame(lsn: u64, record: &JournalRecord) -> Vec<u8> {
     encode_frame_body(&body)
 }
 
-/// Splits a CRC-verified frame body back into `(lsn, record)`.
-fn decode_segment_body(offset: u64, body: Bytes) -> MqResult<(u64, JournalRecord)> {
+/// The LSN stamp that opens a CRC-verified frame body.
+fn segment_lsn(offset: u64, body: &[u8]) -> MqResult<u64> {
     let lsn_bytes: [u8; 8] = body
         .get(..8)
         .and_then(|b| b.try_into().ok())
@@ -191,7 +191,12 @@ fn decode_segment_body(offset: u64, body: Bytes) -> MqResult<(u64, JournalRecord
             offset,
             reason: "segment frame shorter than its LSN stamp".into(),
         })?;
-    let lsn = u64::from_le_bytes(lsn_bytes);
+    Ok(u64::from_le_bytes(lsn_bytes))
+}
+
+/// Splits a CRC-verified frame body back into `(lsn, record)`.
+fn decode_segment_body(offset: u64, body: Bytes) -> MqResult<(u64, JournalRecord)> {
+    let lsn = segment_lsn(offset, &body)?;
     let record = JournalRecord::from_bytes(body.slice(8..body.len())).map_err(|e| {
         MqError::JournalCorrupt {
             offset,
@@ -269,8 +274,9 @@ fn open_segment(path: &Path) -> MqResult<FrameStream<BufReader<File>>> {
 impl SegmentedJournal {
     /// Opens (or creates) a segmented journal rooted at `root`.
     ///
-    /// Reopening scans the *last* segment to recover the LSN cursor and
-    /// truncates any torn final frame left by a crash, so subsequent
+    /// Reopening walks the frames of the *last* segment to recover the LSN
+    /// cursor — CRC-checking each, decoding none but checkpoint markers —
+    /// and truncates any torn final frame left by a crash, so subsequent
     /// appends never land behind garbage. It also finishes what a crashed
     /// checkpoint left half-done: a stray `.seg.tmp` is deleted, and if the
     /// last segment opens with a complete checkpoint every older segment
@@ -278,9 +284,11 @@ impl SegmentedJournal {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures; [`MqError::JournalCorrupt`] for
-    /// corruption inside the last segment and for a root that is not a
-    /// single segment chain (the per-queue directories of an older layout).
+    /// Propagates filesystem failures; [`MqError::JournalCorrupt`] for a
+    /// frame inside the last segment that fails its CRC (a record that
+    /// passes it but does not decode is replay's to report) and for a root
+    /// that is not a single segment chain (the per-queue directories of an
+    /// older layout).
     pub fn open(root: impl AsRef<Path>, config: SegmentConfig) -> MqResult<Arc<SegmentedJournal>> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
@@ -300,8 +308,14 @@ impl SegmentedJournal {
             let mut opened: Option<u64> = None;
             let mut complete = false;
             while let Some((offset, body)) = frames.next_body()? {
-                let (lsn, record) = decode_segment_body(offset, body)?;
-                match record {
+                inner.next_lsn = segment_lsn(offset, &body)? + 1;
+                // The cursor needs the stamp alone. Only the checkpoint
+                // markers (record tags 7 and 8) are decoded; every other
+                // record, messages included, is walked past.
+                if !matches!(body.get(8), Some(7 | 8)) {
+                    continue;
+                }
+                match decode_segment_body(offset, body)?.1 {
                     JournalRecord::CheckpointStart { checkpoint_id, .. } if offset == 0 => {
                         opened = Some(checkpoint_id);
                     }
@@ -310,7 +324,6 @@ impl SegmentedJournal {
                     }
                     _ => {}
                 }
-                inner.next_lsn = lsn + 1;
             }
             if complete {
                 for (_, stale) in segments.drain(..) {
@@ -758,7 +771,7 @@ mod tests {
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
         for i in 0..50 {
             j.append(&put("Q", &format!("old {i}"))).unwrap();
-            j.append(&JournalRecord::Get {
+            j.append(&JournalRecord::Expired {
                 queue: "Q".into(),
                 message_id: crate::message::MessageId::generate(),
             })
@@ -1040,9 +1053,9 @@ mod tests {
                     queue,
                     message: Message::text(payload).persistent(true).build(),
                 }),
-                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::Get {
-                    queue,
-                    message_id: crate::message::MessageId::generate(),
+                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::TxCommit {
+                    puts: Vec::new(),
+                    gets: vec![(queue, crate::message::MessageId::generate())],
                 }),
                 // Checkpoint records ride the same framing as everything
                 // else, so the prefix-durability property must hold for

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 use simtime::{SharedClock, SystemClock};
@@ -22,9 +22,9 @@ use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
 use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_ORIGIN_PROPERTY};
 use crate::selector::Selector;
-use crate::session::Session;
+use crate::session::{Session, TxState};
 use crate::shard::StripedMap;
-use crate::stats::{ManagerStats, MetricsSnapshot, QueueStats, RelayStats};
+use crate::stats::{ManagerStats, MetricsSnapshot, RelayStats};
 use crate::trace::TraceLog;
 
 /// Name of the dead-letter queue every manager owns.
@@ -139,7 +139,8 @@ impl QueueManagerBuilder {
         obs.metrics()
             .register_counter("mq.codec.encodes", crate::codec::message_encodes());
         let dedup_window = self.config.dedup_window;
-        let manager = Arc::new(QueueManager {
+        let manager = Arc::new_cyclic(|me| QueueManager {
+            me: me.clone(),
             name: self.name,
             clock,
             journal,
@@ -169,6 +170,9 @@ impl QueueManagerBuilder {
 
 /// A queue manager: named queues + journal + routes.
 pub struct QueueManager {
+    /// This manager, for the queues it builds: [`Queue::purge`] commits
+    /// through its owner.
+    pub(crate) me: Weak<QueueManager>,
     name: String,
     clock: SharedClock,
     journal: Arc<dyn Journal>,
@@ -297,22 +301,6 @@ impl QueueManager {
 
     // ---------------------------------------------------- queue admin --
 
-    /// Builds a queue whose stats cells are registered under
-    /// `mq.queue.<name>.*` and whose journal appends feed the shared
-    /// `mq.journal.append_micros` histogram.
-    fn make_queue(&self, name: String, config: QueueConfig) -> Arc<Queue> {
-        let stats = QueueStats::registered(self.obs.metrics(), &name);
-        Queue::new_instrumented(
-            name,
-            self.clock.clone(),
-            self.journal.clone(),
-            config,
-            stats,
-            self.stats.journal_append_micros.clone(),
-            self.mutation_gate.clone(),
-        )
-    }
-
     /// The checkpoint/mutation exclusion gate (see the field docs).
     // lint: returns-lock(QueueManager.mutation_gate)
     pub(crate) fn mutation_gate(&self) -> &Arc<RwLock<()>> {
@@ -354,7 +342,7 @@ impl QueueManager {
         self.journal.append(&JournalRecord::QueueCreated {
             queue: name.clone(),
         })?;
-        let queue = self.make_queue(name.clone(), config);
+        let queue = Queue::owned_by(self, name.clone(), config);
         stripe.insert(name, queue.clone());
         Ok(queue)
     }
@@ -419,7 +407,7 @@ impl QueueManager {
 
     // ------------------------------------------------------- messaging --
 
-    fn validate(&self, msg: &Message) -> MqResult<()> {
+    pub(crate) fn validate(&self, msg: &Message) -> MqResult<()> {
         if let Some(max) = self.config.max_message_size {
             if msg.payload().len() > max {
                 return Err(MqError::MessageTooLarge {
@@ -431,16 +419,15 @@ impl QueueManager {
         Ok(())
     }
 
-    /// Enqueues a message on a local queue, outside any transaction.
+    /// Enqueues a message on a local queue, outside any transaction: a
+    /// transaction of one put.
     ///
     /// # Errors
     ///
     /// [`MqError::QueueNotFound`], [`MqError::QueueFull`],
     /// [`MqError::MessageTooLarge`], or journal failures.
     pub fn put(&self, queue: &str, msg: Message) -> MqResult<()> {
-        self.check_running()?;
-        self.validate(&msg)?;
-        self.queue(queue)?.put(msg, true)
+        self.auto_commit(|tx| tx.put(self, queue, msg))
     }
 
     /// Enqueues a message addressed by `manager/queue`, routing to a
@@ -451,15 +438,7 @@ impl QueueManager {
     /// [`MqError::NoRoute`] when no channel is defined to the remote
     /// manager, plus the local `put` errors.
     pub fn put_to(&self, addr: &QueueAddress, msg: Message) -> MqResult<()> {
-        if addr.manager == self.name {
-            return self.put(&addr.queue, msg);
-        }
-        let xmit = self
-            .route_for_message(&addr.manager, msg.id())
-            .ok_or_else(|| MqError::NoRoute(addr.manager.clone()))?;
-        let envelope = self.wrap_for_transmission(addr, msg);
-        self.stats.forwarded.incr();
-        self.put(&xmit, envelope)
+        self.auto_commit(|tx| tx.put_to(self, addr, msg))
     }
 
     /// Wraps a message in a transmission envelope bound for `addr`,
@@ -475,15 +454,16 @@ impl QueueManager {
         msg
     }
 
-    /// Consumes a message from a local queue, outside any transaction.
+    /// Consumes a message from a local queue, outside any transaction: a
+    /// transaction of one get. When the journal refuses its record the
+    /// message is back on the queue, redelivery count untouched.
     ///
     /// # Errors
     ///
     /// [`MqError::QueueNotFound`]; [`MqError::ManagerStopped`] if the
-    /// manager crashes while waiting.
+    /// manager crashes while waiting; journal failures.
     pub fn get(&self, queue: &str, wait: Wait) -> MqResult<Option<Message>> {
-        self.check_running()?;
-        self.queue(queue)?.take_blocking(None, wait, true)
+        self.auto_commit(|tx| tx.get(self, queue, None, wait))
     }
 
     /// Consumes the oldest message whose correlation id equals `corr`,
@@ -498,9 +478,7 @@ impl QueueManager {
         corr: &str,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        self.check_running()?;
-        self.queue(queue)?
-            .take_by_correlation_blocking(corr, wait, true)
+        self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, wait))
     }
 
     /// Consumes the first message matching `selector`.
@@ -514,8 +492,7 @@ impl QueueManager {
         selector: &Selector,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        self.check_running()?;
-        self.queue(queue)?.take_blocking(Some(selector), wait, true)
+        self.auto_commit(|tx| tx.get(self, queue, Some(selector), wait))
     }
 
     /// Opens a session for transactional work against this manager.
@@ -621,33 +598,24 @@ impl QueueManager {
         Some(targets[idx].clone())
     }
 
-    /// Moves a message to the dead-letter queue with a reason, atomically
-    /// with its removal from `from_queue` (single `TxCommit` record).
+    /// Moves a message its holder took off `from` to the dead-letter queue
+    /// with a reason: one transaction, so one `TxCommit` record removes it
+    /// from `from` and adds it to the DLQ. On failure it is back on `from`.
     // lint: custody(msg, err-reverts)
     pub(crate) fn dead_letter(
         &self,
-        from_queue: &str,
-        mut msg: Message,
+        from: Arc<Queue>,
+        msg: Message,
         reason: &str,
     ) -> MqResult<()> {
-        msg.set_property(DLQ_REASON_PROPERTY, reason);
-        let dlq = self.queue(DEAD_LETTER_QUEUE)?;
-        let gate = self.mutation_gate.read();
-        if msg.is_persistent() {
-            self.journal.append(&JournalRecord::TxCommit {
-                puts: vec![(DEAD_LETTER_QUEUE.to_owned(), msg.clone())],
-                gets: vec![(from_queue.to_owned(), msg.id())],
-            })?;
-        }
-        if let Ok(q) = self.queue(from_queue) {
-            q.stats().dead_lettered.incr();
-            // The TxCommit above is now the durable cover for the removal;
-            // release the source queue's pending-get hold.
-            q.finalize_pending(msg.id());
-        }
-        dlq.put_committed(msg)?;
-        drop(gate);
-        dlq.notify_arrival();
+        let mut dead = msg.clone();
+        dead.set_property(DLQ_REASON_PROPERTY, reason);
+        // The get is in the transaction before anything can fail, so every
+        // failure, a stopped manager included, puts the message back.
+        let mut tx = TxState::default();
+        tx.took(from.clone(), msg);
+        self.auto_commit_from(tx, |tx| tx.put(self, DEAD_LETTER_QUEUE, dead))?;
+        from.stats().dead_lettered.incr();
         Ok(())
     }
 
@@ -692,7 +660,7 @@ impl QueueManager {
         match record {
             JournalRecord::QueueCreated { queue } => {
                 if let std::collections::hash_map::Entry::Vacant(e) = state.queues.entry(queue) {
-                    let q = self.make_queue(e.key().clone(), QueueConfig::default());
+                    let q = Queue::owned_by(self, e.key().clone(), QueueConfig::default());
                     e.insert(q);
                 }
             }
@@ -703,11 +671,6 @@ impl QueueManager {
                 if let Some(q) = state.queues.get(&queue) {
                     state.dedup.record(Deduper::key_of(&message));
                     q.restore(message);
-                }
-            }
-            JournalRecord::Get { queue, message_id } => {
-                if let Some(q) = state.queues.get(&queue) {
-                    q.remove_by_id(message_id);
                 }
             }
             JournalRecord::TxCommit { puts, gets } => {
@@ -758,7 +721,7 @@ impl QueueManager {
                 } => {
                     let mut image = RecoveredState::new(self.config.dedup_window);
                     for name in queues {
-                        let q = self.make_queue(name.clone(), QueueConfig::default());
+                        let q = Queue::owned_by(self, name.clone(), QueueConfig::default());
                         image.queues.insert(name, q);
                     }
                     // The deduper's idempotency keys are part of the
@@ -1089,7 +1052,7 @@ mod tests {
         let consumed = Message::text("consumed").persistent(true).build();
         qm.put("Q", keep.clone()).unwrap();
         qm.put("Q", consumed).unwrap();
-        // Consume the second message (journal Get record references it).
+        // Consume the first message (its get is a journal record).
         qm.get("Q", Wait::NoWait).unwrap().unwrap(); // takes "keep" (FIFO)
         qm.delete_queue("GONE").unwrap();
         qm.crash();
@@ -1143,14 +1106,21 @@ mod tests {
         let msg = Message::text("poison").persistent(true).build();
         let id = msg.id();
         qm.put("Q", msg.clone()).unwrap();
-        let taken = qm
-            .queue("Q")
-            .unwrap()
-            .try_take(None, false)
-            .unwrap()
+        let q = qm.queue("Q").unwrap();
+        let taken = q.try_take(None).unwrap().unwrap();
+        // A refused record leaves the message where it was ...
+        journal.set_failing(true);
+        assert!(qm.dead_letter(q.clone(), taken, "poison").is_err());
+        journal.set_failing(false);
+        assert_eq!((q.depth(), qm.queue(DEAD_LETTER_QUEUE).unwrap().depth()), (1, 0));
+        // ... and a written one moves it, in one record.
+        let taken = q.try_take(None).unwrap().unwrap();
+        assert_eq!(taken.redelivery_count(), 0);
+        let records = journal.record_count();
+        qm.dead_letter(q.clone(), taken, "backout threshold exceeded")
             .unwrap();
-        qm.dead_letter("Q", taken, "backout threshold exceeded")
-            .unwrap();
+        assert_eq!(journal.record_count(), records + 1);
+        assert_eq!(q.stats().dead_lettered.get(), 1);
         // Crash & recover: message must be on the DLQ, not on Q, not lost.
         qm.crash();
         let qm2 = QueueManager::builder("QM1")
@@ -1399,5 +1369,202 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(qm2.queue("Q").unwrap().depth(), 1);
+    }
+
+    /// One label per record: its kind and the queues it names.
+    fn record_labels(journal: &MemJournal) -> Vec<String> {
+        let label = |record: JournalRecord| match record {
+            JournalRecord::TxCommit { puts, gets } => format!(
+                "TxCommit get{:?} put{:?}",
+                gets.iter().map(|(q, _)| q.as_str()).collect::<Vec<_>>(),
+                puts.iter().map(|(q, _)| q.as_str()).collect::<Vec<_>>(),
+            ),
+            other => format!("{other:?}"),
+        };
+        journal.replay_collect().unwrap().into_iter().map(label).collect()
+    }
+
+    #[test]
+    fn a_put_or_get_outside_a_transaction_is_one_tx_commit() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        let before = journal.record_count();
+        qm.put("Q", Message::text("durable").persistent(true).build())
+            .unwrap();
+        qm.put("Q", Message::text("volatile").build()).unwrap();
+        qm.get("Q", Wait::NoWait).unwrap().unwrap();
+        qm.get("Q", Wait::NoWait).unwrap().unwrap();
+        assert!(qm.get("Q", Wait::NoWait).unwrap().is_none());
+        assert_eq!(
+            record_labels(&journal)[before..],
+            [r#"TxCommit get[] put["Q"]"#, r#"TxCommit get["Q"] put[]"#],
+            "a volatile message and an empty get leave no record"
+        );
+        assert_eq!(qm.stats().tx_committed.get(), 0, "explicit transactions only");
+        assert!(qm.queue("Q").unwrap().snapshot_persistent().is_empty());
+    }
+
+    #[test]
+    fn a_get_whose_record_is_refused_leaves_the_message_on_the_queue() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        let msg = Message::text("kept")
+            .persistent(true)
+            .correlation_id("c")
+            .property("k", 1i64)
+            .build();
+        let id = msg.id();
+        qm.put("Q", msg).unwrap();
+        let sel = Selector::parse("k = 1").unwrap();
+        journal.set_failing(true);
+        assert!(qm.get("Q", Wait::NoWait).is_err());
+        assert!(qm.get_selected("Q", &sel, Wait::NoWait).is_err());
+        assert!(qm.get_by_correlation("Q", "c", Wait::NoWait).is_err());
+        journal.set_failing(false);
+        let q = qm.queue("Q").unwrap();
+        assert_eq!(q.depth(), 1);
+        assert_eq!(q.browse()[0].redelivery_count(), 0, "the failure is not the message's");
+        qm.crash();
+        let qm2 = QueueManager::builder("QM1")
+            .journal(journal)
+            .build()
+            .unwrap();
+        assert_eq!(qm2.queue("Q").unwrap().depth(), 1, "restart agrees");
+        // Every index still finds it.
+        let back = qm2.get_by_correlation("Q", "c", Wait::NoWait).unwrap().unwrap();
+        assert_eq!((back.id(), back.redelivery_count()), (id, 0));
+    }
+
+    #[test]
+    fn purge_is_one_record_or_nothing() {
+        let (journal, qm) = manager();
+        let q = qm.create_queue("Q").unwrap();
+        for i in 0..5 {
+            qm.put("Q", Message::text(format!("m{i}")).persistent(true).build())
+                .unwrap();
+        }
+        qm.put("Q", Message::text("volatile").build()).unwrap();
+        journal.set_failing(true);
+        assert!(q.purge().is_err());
+        journal.set_failing(false);
+        assert_eq!(
+            payloads(&qm, "Q"),
+            ["m0", "m1", "m2", "m3", "m4", "volatile"],
+            "a refused purge removes nothing and reorders nothing"
+        );
+        let before = journal.record_count();
+        assert_eq!(q.purge().unwrap(), 6);
+        assert_eq!(q.depth(), 0);
+        assert_eq!(
+            record_labels(&journal)[before..],
+            [r#"TxCommit get["Q", "Q", "Q", "Q", "Q"] put[]"#]
+        );
+        qm.crash();
+        let qm2 = QueueManager::builder("QM1")
+            .journal(journal)
+            .build()
+            .unwrap();
+        assert_eq!(qm2.queue("Q").unwrap().depth(), 0);
+    }
+
+    #[test]
+    fn puts_and_gets_outside_transactions_keep_the_journal_bounded() {
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM1")
+            .journal(journal.clone())
+            .config(ManagerConfig {
+                checkpoint_bytes: Some(2_048),
+                ..ManagerConfig::default()
+            })
+            .build()
+            .unwrap();
+        qm.create_queue("Q").unwrap();
+        let mut high_water = 0;
+        for i in 0..500 {
+            qm.put("Q", Message::text(format!("m{i}")).persistent(true).build())
+                .unwrap();
+            qm.get("Q", Wait::NoWait).unwrap().unwrap();
+            high_water = high_water.max(journal.len_bytes());
+        }
+        assert!(
+            high_water < 4 * 2_048,
+            "journal grew to {high_water} bytes without a checkpoint"
+        );
+    }
+
+    #[test]
+    fn a_ttl_keeps_running_across_a_restart() {
+        // The record holds a put as enqueued, outside a transaction or in
+        // one: recovery restores the expiry, it does not restart the TTL.
+        let journal = MemJournal::new();
+        let clock = SimClock::new();
+        let open = || {
+            QueueManager::builder("QM1")
+                .clock(clock.clone())
+                .journal(journal.clone())
+                .build()
+                .unwrap()
+        };
+        let qm = open();
+        qm.create_queue("Q").unwrap();
+        let short = || Message::text("short").persistent(true).ttl(simtime::Millis(50)).build();
+        qm.put("Q", short()).unwrap();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("Q", short()).unwrap();
+        s.commit().unwrap();
+        clock.advance(simtime::Millis(40));
+        qm.crash();
+        let qm = open();
+        assert_eq!(qm.queue("Q").unwrap().depth(), 2);
+        clock.advance(simtime::Millis(20));
+        assert!(qm.get("Q", Wait::NoWait).unwrap().is_none());
+        assert_eq!(qm.queue("Q").unwrap().stats().expired.get(), 2);
+    }
+
+    #[test]
+    fn a_put_staged_for_a_queue_deleted_since_is_dead_lettered_and_the_rest_applies() {
+        let (journal, qm) = manager();
+        qm.create_queue("IN").unwrap();
+        qm.create_queue("GONE").unwrap();
+        qm.create_queue("OUT").unwrap();
+        qm.put("IN", Message::text("in").persistent(true).build()).unwrap();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.get("IN", Wait::NoWait).unwrap().unwrap();
+        s.put("GONE", Message::text("orphan").persistent(true).build()).unwrap();
+        s.put("OUT", Message::text("out").persistent(true).build()).unwrap();
+        qm.delete_queue("GONE").unwrap();
+        s.commit().unwrap();
+        assert_eq!(qm.stats().tx_committed.get(), 1);
+        assert_eq!(payloads(&qm, "OUT"), ["out"]);
+        assert_eq!(payloads(&qm, DEAD_LETTER_QUEUE), ["orphan"]);
+        assert!(
+            qm.queue("IN").unwrap().snapshot_persistent().is_empty(),
+            "the get was finalized"
+        );
+        qm.crash();
+        let qm2 = QueueManager::builder("QM1")
+            .journal(journal)
+            .build()
+            .unwrap();
+        assert_eq!(qm2.queue("IN").unwrap().depth(), 0);
+        assert_eq!(payloads(&qm2, "OUT"), ["out"]);
+        assert_eq!(payloads(&qm2, DEAD_LETTER_QUEUE), ["orphan"]);
+    }
+
+    #[test]
+    fn dead_lettering_on_a_stopped_manager_puts_the_message_back() {
+        let (_journal, qm) = manager();
+        let q = qm.create_queue("Q").unwrap();
+        qm.put("Q", Message::text("poison").persistent(true).build()).unwrap();
+        let taken = q.try_take(None).unwrap().unwrap();
+        qm.crash();
+        assert!(matches!(
+            qm.dead_letter(q.clone(), taken, "poison"),
+            Err(MqError::ManagerStopped(_))
+        ));
+        assert_eq!(q.depth(), 1, "neither dead-lettered nor dropped");
+        assert_eq!(q.browse()[0].redelivery_count(), 0);
     }
 }

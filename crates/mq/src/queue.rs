@@ -18,12 +18,15 @@
 //!
 //! Queues are owned by a [`crate::QueueManager`]; applications obtain
 //! `Arc<Queue>` handles via [`crate::QueueManager::queue`] for read-only
-//! inspection (depth, browse, stats) and go through sessions for get/put so
-//! that journaling and transactions are handled uniformly.
+//! inspection (depth, browse, stats) and go through the manager or a
+//! session for get/put. A queue never journals a put or a get itself: a
+//! message enters with [`Queue::put_committed`] and leaves as a pending get,
+//! both under the one `TxCommit` record of the transaction they belong to
+//! (`QueueManager::commit` in the session module).
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -32,6 +35,7 @@ use simtime::{Millis, SharedClock};
 use crate::error::{MqError, MqResult};
 use crate::journal::{Journal, JournalRecord};
 use crate::message::{Message, MessageId, PropertyValue};
+use crate::qmgr::QueueManager;
 use crate::selector::Selector;
 use crate::stats::{Histogram, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
@@ -92,11 +96,15 @@ pub struct Queue {
     // lint: lock-alias Queue.gate QueueManager.mutation_gate
     gate: Arc<RwLock<()>>,
     stats: QueueStats,
-    /// Journal-append latency (micros), shared with the owning manager's
-    /// `mq.journal.append_micros` histogram when built via the manager.
+    /// Journal-append latency (micros): the owning manager's
+    /// `mq.journal.append_micros` histogram.
     journal_append_micros: Arc<Histogram>,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
     put_watchers: Mutex<Vec<PutWatcher>>,
+    /// The owning manager and this queue's own handle: [`Queue::purge`]
+    /// commits through the one and records its gets against the other.
+    manager: Weak<QueueManager>,
+    me: Weak<Queue>,
 }
 
 impl fmt::Debug for Queue {
@@ -109,50 +117,27 @@ impl fmt::Debug for Queue {
 }
 
 impl Queue {
-    /// Builds a standalone queue with unregistered stats (tests only; the
-    /// manager path goes through [`Queue::new_instrumented`]).
-    #[cfg(test)]
-    pub(crate) fn new(
+    /// Builds a queue of `manager`: on its clock, journal and mutation
+    /// gate, with stats cells registered under `mq.queue.<name>.*` and
+    /// journal appends feeding the shared `mq.journal.append_micros`.
+    pub(crate) fn owned_by(
+        manager: &QueueManager,
         name: String,
-        clock: SharedClock,
-        journal: Arc<dyn Journal>,
         config: QueueConfig,
     ) -> Arc<Queue> {
-        Queue::new_instrumented(
+        Arc::new_cyclic(|me| Queue {
+            stats: QueueStats::registered(manager.obs().metrics(), &name),
             name,
-            clock,
-            journal,
+            clock: manager.clock().clone(),
+            journal: manager.journal().clone(),
+            store: Mutex::new(MessageStore::new(config.index_properties)),
             config,
-            QueueStats::default(),
-            Arc::new(Histogram::default()),
-            Arc::new(RwLock::new(())),
-        )
-    }
-
-    /// Builds a queue whose stats cells (and journal-append histogram) are
-    /// already registered in a metrics registry by the owning manager, and
-    /// which shares the manager's mutation gate.
-    pub(crate) fn new_instrumented(
-        name: String,
-        clock: SharedClock,
-        journal: Arc<dyn Journal>,
-        config: QueueConfig,
-        stats: QueueStats,
-        journal_append_micros: Arc<Histogram>,
-        gate: Arc<RwLock<()>>,
-    ) -> Arc<Queue> {
-        let index_properties = config.index_properties;
-        Arc::new(Queue {
-            name,
-            clock,
-            journal,
-            config,
-            store: Mutex::new(MessageStore::new(index_properties)),
             available: Condvar::new(),
-            gate,
-            stats,
-            journal_append_micros,
+            gate: manager.mutation_gate().clone(),
+            journal_append_micros: manager.stats().journal_append_micros.clone(),
             put_watchers: Mutex::new(Vec::new()),
+            manager: manager.me.clone(),
+            me: me.clone(),
         })
     }
 
@@ -310,59 +295,11 @@ impl Queue {
             .any(|e| !e.msg.is_expired(now) && selector.matches(&e.msg))
     }
 
-    /// Appends a journal record, recording its wall-clock latency (which
-    /// includes the fsync for durable file journals).
-    fn append_timed(&self, record: &JournalRecord) -> MqResult<()> {
-        let started = std::time::Instant::now();
-        let result = self.journal.append(record);
-        self.journal_append_micros.record_duration(started.elapsed());
-        result
-    }
-
     // ------------------------------------------------------------ puts --
 
-    /// Enqueues a message. `journal_put` is false when the enqueue is
-    /// already covered by a `TxCommit` journal record.
-    // lint: custody(msg, err-reverts)
-    pub(crate) fn put(&self, mut msg: Message, journal_put: bool) -> MqResult<()> {
-        let now = self.clock.now();
-        msg.stamp_enqueue(now);
-        if let Some(retention) = self.config.retention {
-            msg.apply_retention(now + retention);
-        }
-        // Gate read-held across [append + insert]: a checkpoint cannot
-        // truncate this Put record while the message is missing from its
-        // snapshot.
-        let gate = self.gate.read();
-        // Admission comes before the record: a put refused here must leave
-        // nothing in the journal for a restart to resurrect.
-        let mut store = self.store.lock();
-        self.check_open(&store)?;
-        self.check_depth(&store)?;
-        if journal_put && msg.is_persistent() && self.journal.is_durable() {
-            // WAL discipline: the record must be stable before the message
-            // becomes visible. The store lock is not held across the
-            // append (concurrent putters share a group commit), so like a
-            // transactional put ([`Queue::check_room`]) the depth limit is
-            // checked once, at admission.
-            drop(store);
-            self.append_timed(&JournalRecord::Put {
-                queue: self.name.clone(),
-                message: msg.clone(),
-            })?;
-            store = self.store.lock();
-            self.check_open(&store)?;
-        }
-        self.insert(&mut store, msg, false);
-        drop(store);
-        drop(gate);
-        self.notify_arrival();
-        Ok(())
-    }
-
     /// Returns a message to the *front* of its priority band after a
-    /// transaction rollback. Never journaled: the original `Put` record (if
-    /// any) still covers it, and the insert clears the pending-get entry
+    /// transaction rollback. Never journaled: the record that put it there
+    /// still covers it, and the insert clears the pending-get entry
     /// the provisional consumption left behind. `bump` increments the
     /// redelivery count — false for infrastructure retries (channel movers)
     /// that must not consume the application's backout budget.
@@ -378,30 +315,43 @@ impl Queue {
         self.available.notify_one();
     }
 
-    /// Re-inserts a message during journal replay (no journaling, no
-    /// re-stamping — the recovered message keeps its original headers).
+    /// Re-inserts a message during journal replay (no journaling), with
+    /// the enqueue stamp and expiry its record carries.
     // lint: custody(msg)
     pub(crate) fn restore(&self, msg: Message) {
         let mut store = self.store.lock();
         self.insert(&mut store, msg, false);
     }
 
-    /// Enqueues a message whose durability is already covered by another
-    /// journal record (`TxCommit`). Bypasses the depth limit: the
-    /// transaction was checked against it at stage time
-    /// ([`Queue::check_room`]) and must not fail mid-commit. The caller
-    /// must read-hold the mutation gate around the covering append and
-    /// this insert, then call [`Queue::notify_arrival`] after releasing it
-    /// — watchers must never run under the gate.
-    // lint: custody(msg, err-reverts)
-    pub(crate) fn put_committed(&self, mut msg: Message) -> MqResult<()> {
+    /// Stamps the enqueue time (starting the TTL) and caps the lifetime at
+    /// the queue's retention: what the commit path does to a put before
+    /// journaling it.
+    pub(crate) fn stamp(&self, msg: &mut Message) {
         let now = self.clock.now();
         msg.stamp_enqueue(now);
         if let Some(retention) = self.config.retention {
             msg.apply_retention(now + retention);
         }
+    }
+
+    /// Enqueues a stamped message whose durability is covered by the
+    /// `TxCommit` record of its transaction — the only way in. Bypasses the
+    /// depth limit: the put was checked against it at stage time
+    /// ([`Queue::check_room`]) and must not fail mid-commit. The caller
+    /// must read-hold the mutation gate around the covering append and
+    /// this insert, then call [`Queue::notify_arrival`] after releasing it
+    /// — watchers must never run under the gate.
+    ///
+    /// # Errors
+    ///
+    /// The message comes back when the queue has closed.
+    // lint: custody(msg, err-reverts)
+    #[allow(clippy::result_large_err)] // the error *is* the message, handed back
+    pub(crate) fn put_committed(&self, msg: Message) -> Result<(), Message> {
         let mut store = self.store.lock();
-        self.check_open(&store)?;
+        if !store.open {
+            return Err(msg);
+        }
         self.insert(&mut store, msg, false);
         Ok(())
     }
@@ -421,9 +371,9 @@ impl Queue {
         Some(msg)
     }
 
-    /// Drops the pending-get entry of a transactionally consumed message
-    /// once its covering record (`TxCommit`, dead-letter) is durable. The
-    /// caller holds the mutation gate.
+    /// Drops the pending-get entry of a consumed message once the
+    /// `TxCommit` record covering the get is durable. The caller holds the
+    /// mutation gate.
     pub(crate) fn finalize_pending(&self, id: MessageId) {
         self.store.lock().finalize_pending(id);
     }
@@ -449,16 +399,9 @@ impl Queue {
         }
     }
 
-    fn check_depth(&self, store: &MessageStore) -> MqResult<()> {
-        match self.config.max_depth {
-            Some(max) if store.len() >= max => Err(MqError::QueueFull(self.name.clone())),
-            _ => Ok(()),
-        }
-    }
-
-    /// The depth check of a transactional put, made when it is staged: is
-    /// there room for one more message on top of the live depth and the
-    /// `staged` puts the transaction already holds for this queue?
+    /// The depth check of a put, made when it is staged: is there room for
+    /// one more message on top of the live depth and the `staged` puts its
+    /// transaction already holds for this queue?
     pub(crate) fn check_room(&self, staged: impl FnOnce() -> usize) -> MqResult<()> {
         match self.config.max_depth {
             Some(max) if self.depth() + staged() >= max => {
@@ -471,27 +414,18 @@ impl Queue {
     // ------------------------------------------------------------ gets --
 
     /// Removes and returns the first matching message, without waiting.
-    ///
-    /// `journal_get` is false for transactional gets (covered later by the
-    /// transaction's `TxCommit` record, or undone by rollback).
-    pub(crate) fn try_take(
-        &self,
-        selector: Option<&Selector>,
-        journal_get: bool,
-    ) -> MqResult<Option<Message>> {
+    /// Like every take, the get is provisional: covered later by its
+    /// transaction's `TxCommit` record, or undone by rollback.
+    pub(crate) fn try_take(&self, selector: Option<&Selector>) -> MqResult<Option<Message>> {
         let _gate = self.gate.read();
         let mut store = self.store.lock();
         self.check_open(&store)?;
-        self.take_locked(&mut store, selector, journal_get)
+        self.take_locked(&mut store, selector)
     }
 
     /// Removes and returns the oldest message with the given correlation
     /// id, using the correlation index (O(matches), not O(depth)).
-    pub(crate) fn try_take_by_correlation(
-        &self,
-        correlation: &str,
-        journal_get: bool,
-    ) -> MqResult<Option<Message>> {
+    pub(crate) fn try_take_by_correlation(&self, correlation: &str) -> MqResult<Option<Message>> {
         let now = self.clock.now();
         let _gate = self.gate.read();
         let mut store = self.store.lock();
@@ -511,7 +445,7 @@ impl Queue {
                 self.expire_locked(&mut store, id)?;
                 continue;
             }
-            return self.consume_locked(&mut store, id, journal_get).map(Some);
+            return Ok(self.consume_locked(&mut store, id));
         }
     }
 
@@ -521,15 +455,14 @@ impl Queue {
         &self,
         correlation: &str,
         wait: Wait,
-        journal_get: bool,
     ) -> MqResult<Option<Message>> {
         let deadline = match wait {
-            Wait::NoWait => return self.try_take_by_correlation(correlation, journal_get),
+            Wait::NoWait => return self.try_take_by_correlation(correlation),
             Wait::Timeout(t) => Some(self.clock.now() + t),
             Wait::Forever => None,
         };
         loop {
-            if let Some(msg) = self.try_take_by_correlation(correlation, journal_get)? {
+            if let Some(msg) = self.try_take_by_correlation(correlation)? {
                 return Ok(Some(msg));
             }
             let now = self.clock.now();
@@ -550,10 +483,9 @@ impl Queue {
         &self,
         selector: Option<&Selector>,
         wait: Wait,
-        journal_get: bool,
     ) -> MqResult<Option<Message>> {
         let deadline = match wait {
-            Wait::NoWait => return self.try_take(selector, journal_get),
+            Wait::NoWait => return self.try_take(selector),
             Wait::Timeout(t) => Some(self.clock.now() + t),
             Wait::Forever => None,
         };
@@ -567,7 +499,7 @@ impl Queue {
                 let _gate = self.gate.read();
                 let mut store = self.store.lock();
                 self.check_open(&store)?;
-                if let Some(msg) = self.take_locked(&mut store, selector, journal_get)? {
+                if let Some(msg) = self.take_locked(&mut store, selector)? {
                     return Ok(Some(msg));
                 }
                 seen_version = store.version();
@@ -593,13 +525,12 @@ impl Queue {
         &self,
         store: &mut MessageStore,
         selector: Option<&Selector>,
-        journal_get: bool,
     ) -> MqResult<Option<Message>> {
         if let Some(sel) = selector {
             if self.config.index_properties {
                 let hints = sel.point_constraints();
                 if !hints.is_empty() {
-                    return self.take_indexed(store, sel, &hints, journal_get);
+                    return self.take_indexed(store, sel, &hints);
                 }
             }
         }
@@ -620,7 +551,7 @@ impl Queue {
                 }
                 if selector.is_none_or(|s| s.matches(&entry.msg)) {
                     store.bands[band_idx].remove(i);
-                    return self.consume_locked(store, id, journal_get).map(Some);
+                    return Ok(self.consume_locked(store, id));
                 }
                 i += 1;
             }
@@ -638,7 +569,6 @@ impl Queue {
         store: &mut MessageStore,
         selector: &Selector,
         hints: &[(String, PropertyValue)],
-        journal_get: bool,
     ) -> MqResult<Option<Message>> {
         let now = self.clock.now();
         let mut chosen: Option<(usize, usize)> = None; // (bucket len, hint idx)
@@ -695,10 +625,7 @@ impl Queue {
         for id in ripe {
             self.expire_locked(store, id)?;
         }
-        match best {
-            Some((_, _, id)) => self.consume_locked(store, id, journal_get).map(Some),
-            None => Ok(None),
-        }
+        Ok(best.and_then(|(_, _, id)| self.consume_locked(store, id)))
     }
 
     /// Detaches an expired message and journals the expiry.
@@ -709,40 +636,33 @@ impl Queue {
         self.stats.expired.incr();
         self.stats.depth.set(store.len() as u64);
         if dead.is_persistent() && self.journal.is_durable() {
-            self.append_timed(&JournalRecord::Expired {
+            // Wall-clock latency of the append, fsync included.
+            let started = std::time::Instant::now();
+            let appended = self.journal.append(&JournalRecord::Expired {
                 queue: self.name.clone(),
                 message_id: dead.id(),
-            })?;
+            });
+            self.journal_append_micros.record_duration(started.elapsed());
+            appended?;
         }
         Ok(())
     }
 
-    /// Detaches a live message as one consumed delivery: journals the Get,
-    /// or — for transactional gets whose `TxCommit` record comes later —
-    /// parks it in the pending-get table so checkpoints still see it.
-    fn consume_locked(
-        &self,
-        store: &mut MessageStore,
-        id: MessageId,
-        journal_get: bool,
-    ) -> MqResult<Message> {
-        let persistent = store.get(id).is_some_and(|e| e.msg.is_persistent());
-        let durable = persistent && self.journal.is_durable();
-        let msg = if durable && !journal_get {
+    /// Detaches a live message as one consumed delivery. A get is pending
+    /// until its record is durable: a message the journal holds stays in
+    /// the pending-get table, invisible to reads but still owed to
+    /// checkpoints, until [`Queue::finalize_pending`] or a rollback's
+    /// reinsert. `None` when `id` is no longer live.
+    fn consume_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
+        let journaled = store.get(id)?.msg.is_persistent() && self.journal.is_durable();
+        let msg = if journaled {
             store.detach_pending(id)
         } else {
             store.detach(id)
-        }
-        .expect("message present");
+        }?;
         self.stats.dequeued.incr();
         self.stats.depth.set(store.len() as u64);
-        if durable && journal_get {
-            self.append_timed(&JournalRecord::Get {
-                queue: self.name.clone(),
-                message_id: id,
-            })?;
-        }
-        Ok(msg)
+        Some(msg)
     }
 
     /// Expires every message whose TTL or retention deadline has passed,
@@ -764,28 +684,37 @@ impl Queue {
         Ok(n)
     }
 
-    /// Discards all messages; returns how many were removed. Expired and
-    /// live messages alike are journaled as consumed so recovery agrees.
-    pub fn purge(&self) -> MqResult<usize> {
+    /// Takes every message, expired and live alike, in delivery order.
+    pub(crate) fn take_all(&self) -> MqResult<Vec<Message>> {
         let _gate = self.gate.read();
         let mut store = self.store.lock();
-        let ids: Vec<MessageId> = store.entries.keys().copied().collect();
-        let mut n = 0;
-        for id in ids {
-            let msg = store.detach(id).expect("key present");
-            if msg.is_persistent() && self.journal.is_durable() {
-                self.append_timed(&JournalRecord::Get {
-                    queue: self.name.clone(),
-                    message_id: msg.id(),
-                })?;
-            }
-            n += 1;
-        }
+        self.check_open(&store)?;
+        let ids: Vec<MessageId> = store.bands.iter().rev().flatten().copied().collect();
         for band in store.bands.iter_mut() {
             band.clear();
         }
-        self.stats.depth.set(0);
-        Ok(n)
+        Ok(ids
+            .into_iter()
+            .filter_map(|id| self.consume_locked(&mut store, id))
+            .collect())
+    }
+
+    /// Discards all messages; returns how many were removed. One
+    /// transaction: expired and live messages alike are journaled as
+    /// consumed by a single record, and when the journal refuses it every
+    /// message is back on the queue.
+    pub fn purge(&self) -> MqResult<usize> {
+        let (Some(manager), Some(this)) = (self.manager.upgrade(), self.me.upgrade()) else {
+            return Err(MqError::ManagerStopped(self.name.clone()));
+        };
+        manager.auto_commit(|tx| {
+            let taken = self.take_all()?;
+            let n = taken.len();
+            for msg in taken {
+                tx.took(this.clone(), msg);
+            }
+            Ok(n)
+        })
     }
 
     /// Closes the queue, waking all blocked consumers with an error.
@@ -813,8 +742,24 @@ mod tests {
     use crate::message::Priority;
     use simtime::{SimClock, SystemClock};
 
+    /// A queue of a manager built for it (and dropped: only `purge` needs
+    /// the owner alive).
+    fn new_queue(
+        name: String,
+        clock: SharedClock,
+        journal: Arc<MemJournal>,
+        config: QueueConfig,
+    ) -> Arc<Queue> {
+        let manager = QueueManager::builder("TEST.QM")
+            .clock(clock)
+            .journal(journal)
+            .build()
+            .unwrap();
+        manager.create_queue_with(name, config).unwrap()
+    }
+
     fn queue_with(clock: SharedClock) -> Arc<Queue> {
-        Queue::new(
+        new_queue(
             "TEST.Q".into(),
             clock,
             MemJournal::new(),
@@ -832,40 +777,40 @@ mod tests {
         Message::text(s).build()
     }
 
+    /// What a committed put does to its queue.
+    fn put(q: &Queue, mut msg: Message) -> MqResult<()> {
+        q.stamp(&mut msg);
+        q.put_committed(msg)
+            .map_err(|_| MqError::ManagerStopped(q.name().to_owned()))?;
+        q.notify_arrival();
+        Ok(())
+    }
+
     #[test]
     fn fifo_within_priority() {
         let (_c, q) = sim_queue();
-        q.put(text("a"), true).unwrap();
-        q.put(text("b"), true).unwrap();
-        q.put(text("c"), true).unwrap();
+        put(&q, text("a")).unwrap();
+        put(&q, text("b")).unwrap();
+        put(&q, text("c")).unwrap();
         let order: Vec<_> = (0..3)
-            .map(|_| q.try_take(None, true).unwrap().unwrap())
+            .map(|_| q.try_take(None).unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert!(q.try_take(None, true).unwrap().is_none());
+        assert!(q.try_take(None).unwrap().is_none());
     }
 
     #[test]
     fn higher_priority_first() {
         let (_c, q) = sim_queue();
-        q.put(
-            Message::text("low").priority(Priority::new(1)).build(),
-            true,
-        )
+        put(&q, Message::text("low").priority(Priority::new(1)).build())
         .unwrap();
-        q.put(
-            Message::text("high").priority(Priority::new(8)).build(),
-            true,
-        )
+        put(&q, Message::text("high").priority(Priority::new(8)).build())
         .unwrap();
-        q.put(
-            Message::text("mid").priority(Priority::new(4)).build(),
-            true,
-        )
+        put(&q, Message::text("mid").priority(Priority::new(4)).build())
         .unwrap();
         let order: Vec<_> = (0..3)
-            .map(|_| q.try_take(None, true).unwrap().unwrap())
+            .map(|_| q.try_take(None).unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(order, vec!["high", "mid", "low"]);
@@ -874,12 +819,12 @@ mod tests {
     #[test]
     fn depth_and_stats_track_operations() {
         let (_c, q) = sim_queue();
-        q.put(text("a"), true).unwrap();
-        q.put(text("b"), true).unwrap();
+        put(&q, text("a")).unwrap();
+        put(&q, text("b")).unwrap();
         assert_eq!(q.depth(), 2);
         assert_eq!(q.stats().enqueued.get(), 2);
         assert_eq!(q.stats().depth.high_water(), 2);
-        q.try_take(None, true).unwrap().unwrap();
+        q.try_take(None).unwrap().unwrap();
         assert_eq!(q.depth(), 1);
         assert_eq!(q.stats().dequeued.get(), 1);
     }
@@ -894,10 +839,10 @@ mod tests {
         q.add_put_watcher(Arc::new(move || {
             fired2.fetch_add(1, Ordering::SeqCst);
         }));
-        q.put(text("a"), true).unwrap();
+        put(&q, text("a")).unwrap();
         assert!(!q.is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        q.try_take(None, true).unwrap().unwrap();
+        q.try_take(None).unwrap().unwrap();
         assert!(q.is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
@@ -910,7 +855,7 @@ mod tests {
         let q2 = q.clone();
         let putter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            q2.put(text("a"), true).unwrap();
+            put(&q2, text("a")).unwrap();
         });
         assert!(q.wait_nonempty(Wait::Timeout(Millis(5_000))).unwrap());
         putter.join().unwrap();
@@ -918,9 +863,9 @@ mod tests {
     }
 
     #[test]
-    fn max_depth_rejects_puts() {
+    fn a_put_is_refused_at_stage_time_once_depth_plus_staged_reaches_max() {
         let clock = SimClock::new();
-        let q = Queue::new(
+        let q = new_queue(
             "SMALL.Q".into(),
             clock,
             MemJournal::new(),
@@ -929,22 +874,27 @@ mod tests {
                 ..QueueConfig::default()
             },
         );
-        q.put(text("a"), true).unwrap();
-        q.put(text("b"), true).unwrap();
-        match q.put(text("c"), true) {
-            Err(MqError::QueueFull(name)) => assert_eq!(name, "SMALL.Q"),
-            other => panic!("expected QueueFull, got {other:?}"),
+        put(&q, text("a")).unwrap();
+        q.check_room(|| 0).unwrap();
+        for (live, staged) in [(1, 1), (2, 0)] {
+            if live == 2 {
+                put(&q, text("b")).unwrap();
+            }
+            match q.check_room(|| staged) {
+                Err(MqError::QueueFull(name)) => assert_eq!(name, "SMALL.Q"),
+                other => panic!("expected QueueFull, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn expired_messages_are_skipped_and_counted() {
         let (clock, q) = sim_queue();
-        q.put(Message::text("short").ttl(Millis(10)).build(), true)
+        put(&q, Message::text("short").ttl(Millis(10)).build())
             .unwrap();
-        q.put(text("long"), true).unwrap();
+        put(&q, text("long")).unwrap();
         clock.advance(Millis(50));
-        let got = q.try_take(None, true).unwrap().unwrap();
+        let got = q.try_take(None).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("long"));
         assert_eq!(q.stats().expired.get(), 1);
         assert_eq!(q.depth(), 0);
@@ -954,7 +904,7 @@ mod tests {
     fn expired_persistent_message_journals_expiry() {
         let clock = SimClock::new();
         let journal = MemJournal::new();
-        let q = Queue::new(
+        let q = new_queue(
             "J.Q".into(),
             clock.clone(),
             journal.clone(),
@@ -962,9 +912,9 @@ mod tests {
         );
         let msg = Message::text("x").persistent(true).ttl(Millis(5)).build();
         let id = msg.id();
-        q.put(msg, true).unwrap();
+        put(&q, msg).unwrap();
         clock.advance(Millis(10));
-        assert!(q.try_take(None, true).unwrap().is_none());
+        assert!(q.try_take(None).unwrap().is_none());
         let recs = journal.replay_collect().unwrap();
         assert!(recs.iter().any(|r| matches!(
             r,
@@ -975,7 +925,7 @@ mod tests {
     #[test]
     fn retention_caps_message_lifetime() {
         let clock = SimClock::new();
-        let q = Queue::new(
+        let q = new_queue(
             "RET.Q".into(),
             clock.clone(),
             MemJournal::new(),
@@ -984,9 +934,9 @@ mod tests {
                 ..QueueConfig::default()
             },
         );
-        q.put(text("ages-out"), true).unwrap();
+        put(&q, text("ages-out")).unwrap();
         // A tighter per-message TTL still wins over retention.
-        q.put(Message::text("tighter").ttl(Millis(5)).build(), true)
+        put(&q, Message::text("tighter").ttl(Millis(5)).build())
             .unwrap();
         clock.advance(Millis(10));
         assert_eq!(q.sweep_expired().unwrap(), 1, "TTL 5 expired, retention not yet");
@@ -1001,7 +951,7 @@ mod tests {
     fn sweep_expired_journals_persistent_expiries() {
         let clock = SimClock::new();
         let journal = MemJournal::new();
-        let q = Queue::new(
+        let q = new_queue(
             "SW.Q".into(),
             clock.clone(),
             journal.clone(),
@@ -1009,8 +959,8 @@ mod tests {
         );
         let msg = Message::text("x").persistent(true).ttl(Millis(5)).build();
         let id = msg.id();
-        q.put(msg, true).unwrap();
-        q.put(Message::text("keep").persistent(true).build(), true)
+        put(&q, msg).unwrap();
+        put(&q, Message::text("keep").persistent(true).build())
             .unwrap();
         clock.advance(Millis(10));
         assert_eq!(q.sweep_expired().unwrap(), 1);
@@ -1026,19 +976,19 @@ mod tests {
     #[test]
     fn selector_takes_first_match_leaving_others() {
         let (_c, q) = sim_queue();
-        q.put(Message::text("m1").property("k", 1i64).build(), true)
+        put(&q, Message::text("m1").property("k", 1i64).build())
             .unwrap();
-        q.put(Message::text("m2").property("k", 2i64).build(), true)
+        put(&q, Message::text("m2").property("k", 2i64).build())
             .unwrap();
-        q.put(Message::text("m3").property("k", 1i64).build(), true)
+        put(&q, Message::text("m3").property("k", 1i64).build())
             .unwrap();
         let sel = Selector::parse("k = 2").unwrap();
-        let got = q.try_take(Some(&sel), true).unwrap().unwrap();
+        let got = q.try_take(Some(&sel)).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("m2"));
         assert_eq!(q.depth(), 2);
         // Remaining messages keep FIFO order.
         assert_eq!(
-            q.try_take(None, true).unwrap().unwrap().payload_str(),
+            q.try_take(None).unwrap().unwrap().payload_str(),
             Some("m1")
         );
     }
@@ -1049,13 +999,13 @@ mod tests {
         // from the property index, one forced onto the band scan. Every
         // get must return the same message in the same order.
         let clock = SimClock::new();
-        let indexed = Queue::new(
+        let indexed = new_queue(
             "IDX.Q".into(),
             clock.clone(),
             MemJournal::new(),
             QueueConfig::default(),
         );
-        let scanned = Queue::new(
+        let scanned = new_queue(
             "SCAN.Q".into(),
             clock.clone(),
             MemJournal::new(),
@@ -1074,8 +1024,8 @@ mod tests {
             payloads.push(m.clone());
         }
         for m in &payloads {
-            indexed.put(m.clone(), true).unwrap();
-            scanned.put(m.clone(), true).unwrap();
+            put(&indexed, m.clone()).unwrap();
+            put(&scanned, m.clone()).unwrap();
         }
         let selectors = [
             "shard = 3",
@@ -1087,8 +1037,8 @@ mod tests {
         for src in selectors {
             let sel = Selector::parse(src).unwrap();
             loop {
-                let a = indexed.try_take(Some(&sel), true).unwrap();
-                let b = scanned.try_take(Some(&sel), true).unwrap();
+                let a = indexed.try_take(Some(&sel)).unwrap();
+                let b = scanned.try_take(Some(&sel)).unwrap();
                 assert_eq!(
                     a.as_ref().map(Message::id),
                     b.as_ref().map(Message::id),
@@ -1105,32 +1055,26 @@ mod tests {
     #[test]
     fn indexed_take_respects_priority_over_bucket_order() {
         let (_c, q) = sim_queue();
-        q.put(
-            Message::text("early-low")
+        put(&q, Message::text("early-low")
                 .property("k", 1i64)
                 .priority(Priority::new(1))
-                .build(),
-            true,
-        )
+                .build())
         .unwrap();
-        q.put(
-            Message::text("late-high")
+        put(&q, Message::text("late-high")
                 .property("k", 1i64)
                 .priority(Priority::new(7))
-                .build(),
-            true,
-        )
+                .build())
         .unwrap();
         let sel = Selector::parse("k = 1").unwrap();
-        let got = q.try_take(Some(&sel), true).unwrap().unwrap();
+        let got = q.try_take(Some(&sel)).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("late-high"));
     }
 
     #[test]
     fn browse_does_not_consume() {
         let (_c, q) = sim_queue();
-        q.put(text("a"), true).unwrap();
-        q.put(Message::text("b").priority(Priority::new(9)).build(), true)
+        put(&q, text("a")).unwrap();
+        put(&q, Message::text("b").priority(Priority::new(9)).build())
             .unwrap();
         let snapshot = q.browse();
         assert_eq!(snapshot.len(), 2);
@@ -1144,7 +1088,7 @@ mod tests {
     #[test]
     fn any_selected_probes_without_consuming() {
         let (_c, q) = sim_queue();
-        q.put(Message::text("m").property("k", 1i64).build(), true)
+        put(&q, Message::text("m").property("k", 1i64).build())
             .unwrap();
         let hit = Selector::parse("k = 1").unwrap();
         let miss = Selector::parse("k = 2").unwrap();
@@ -1156,12 +1100,12 @@ mod tests {
     #[test]
     fn requeue_front_preserves_head_position_and_bumps_redelivery() {
         let (_c, q) = sim_queue();
-        q.put(text("first"), true).unwrap();
-        q.put(text("second"), true).unwrap();
-        let m = q.try_take(None, false).unwrap().unwrap();
+        put(&q, text("first")).unwrap();
+        put(&q, text("second")).unwrap();
+        let m = q.try_take(None).unwrap().unwrap();
         assert_eq!(m.redelivery_count(), 0);
         q.requeue_front(m, true);
-        let again = q.try_take(None, false).unwrap().unwrap();
+        let again = q.try_take(None).unwrap().unwrap();
         assert_eq!(again.payload_str(), Some("first"));
         assert_eq!(again.redelivery_count(), 1);
         assert_eq!(q.stats().redelivered.get(), 1);
@@ -1171,26 +1115,23 @@ mod tests {
     fn take_by_correlation_uses_index() {
         let (_c, q) = sim_queue();
         for i in 0..5 {
-            q.put(
-                Message::text(format!("m{i}"))
+            put(&q, Message::text(format!("m{i}"))
                     .correlation_id(format!("corr-{}", i % 2))
-                    .build(),
-                true,
-            )
+                    .build())
             .unwrap();
         }
-        q.put(text("no-corr"), true).unwrap();
+        put(&q, text("no-corr")).unwrap();
         // corr-1 messages are m1, m3 (FIFO).
-        let a = q.try_take_by_correlation("corr-1", true).unwrap().unwrap();
+        let a = q.try_take_by_correlation("corr-1").unwrap().unwrap();
         assert_eq!(a.payload_str(), Some("m1"));
-        let b = q.try_take_by_correlation("corr-1", true).unwrap().unwrap();
+        let b = q.try_take_by_correlation("corr-1").unwrap().unwrap();
         assert_eq!(b.payload_str(), Some("m3"));
-        assert!(q.try_take_by_correlation("corr-1", true).unwrap().is_none());
-        assert!(q.try_take_by_correlation("corr-9", true).unwrap().is_none());
+        assert!(q.try_take_by_correlation("corr-1").unwrap().is_none());
+        assert!(q.try_take_by_correlation("corr-9").unwrap().is_none());
         assert_eq!(q.depth(), 4);
         // Remaining FIFO order unaffected: m0, m2, m4, no-corr.
         let rest: Vec<_> = (0..4)
-            .map(|_| q.try_take(None, true).unwrap().unwrap())
+            .map(|_| q.try_take(None).unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(rest, vec!["m0", "m2", "m4", "no-corr"]);
@@ -1199,18 +1140,15 @@ mod tests {
     #[test]
     fn take_by_correlation_skips_expired() {
         let (clock, q) = sim_queue();
-        q.put(
-            Message::text("stale")
+        put(&q, Message::text("stale")
                 .correlation_id("c")
                 .ttl(Millis(5))
-                .build(),
-            true,
-        )
+                .build())
         .unwrap();
-        q.put(Message::text("fresh").correlation_id("c").build(), true)
+        put(&q, Message::text("fresh").correlation_id("c").build())
             .unwrap();
         clock.advance(Millis(10));
-        let got = q.try_take_by_correlation("c", true).unwrap().unwrap();
+        let got = q.try_take_by_correlation("c").unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("fresh"));
         assert_eq!(q.stats().expired.get(), 1);
     }
@@ -1218,13 +1156,13 @@ mod tests {
     #[test]
     fn stale_band_entries_are_skipped_after_corr_take() {
         let (_c, q) = sim_queue();
-        q.put(Message::text("x").correlation_id("c").build(), true)
+        put(&q, Message::text("x").correlation_id("c").build())
             .unwrap();
-        q.put(text("y"), true).unwrap();
-        q.try_take_by_correlation("c", true).unwrap().unwrap();
+        put(&q, text("y")).unwrap();
+        q.try_take_by_correlation("c").unwrap().unwrap();
         // The band still holds a stale id for "x"; a normal take must skip
         // it and return "y".
-        let got = q.try_take(None, true).unwrap().unwrap();
+        let got = q.try_take(None).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("y"));
         assert_eq!(q.depth(), 0);
     }
@@ -1234,10 +1172,10 @@ mod tests {
         let (_c, q) = sim_queue();
         let msg = Message::text("x").correlation_id("c").build();
         let id = msg.id();
-        q.put(msg, true).unwrap();
+        put(&q, msg).unwrap();
         assert!(q.remove_by_id(id).is_some());
         assert!(q.remove_by_id(id).is_none());
-        assert!(q.try_take_by_correlation("c", true).unwrap().is_none());
+        assert!(q.try_take_by_correlation("c").unwrap().is_none());
         assert_eq!(q.depth(), 0);
     }
 
@@ -1247,9 +1185,9 @@ mod tests {
         let q = queue_with(clock);
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(2_000)), true));
+            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(2_000))));
         std::thread::sleep(Duration::from_millis(30));
-        q.put(text("late"), true).unwrap();
+        put(&q, text("late")).unwrap();
         let got = consumer.join().unwrap().unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("late"));
     }
@@ -1259,7 +1197,7 @@ mod tests {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
         let got = q
-            .take_blocking(None, Wait::Timeout(Millis(30)), true)
+            .take_blocking(None, Wait::Timeout(Millis(30)))
             .unwrap();
         assert!(got.is_none());
     }
@@ -1269,7 +1207,7 @@ mod tests {
         let (clock, q) = sim_queue();
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(100)), true));
+            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(100))));
         std::thread::sleep(Duration::from_millis(20));
         clock.advance(Millis(150));
         q.kick();
@@ -1280,7 +1218,7 @@ mod tests {
     #[test]
     fn nowait_returns_immediately() {
         let (_c, q) = sim_queue();
-        assert!(q.take_blocking(None, Wait::NoWait, true).unwrap().is_none());
+        assert!(q.take_blocking(None, Wait::NoWait).unwrap().is_none());
     }
 
     #[test]
@@ -1288,7 +1226,7 @@ mod tests {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
         let q2 = q.clone();
-        let consumer = std::thread::spawn(move || q2.take_blocking(None, Wait::Forever, true));
+        let consumer = std::thread::spawn(move || q2.take_blocking(None, Wait::Forever));
         std::thread::sleep(Duration::from_millis(30));
         q.close();
         match consumer.join().unwrap() {
@@ -1302,40 +1240,35 @@ mod tests {
         let (_c, q) = sim_queue();
         q.close();
         assert!(matches!(
-            q.put(text("x"), true),
+            put(&q, text("x")),
             Err(MqError::ManagerStopped(_))
         ));
     }
 
     #[test]
-    fn purge_empties_queue() {
-        let (_c, q) = sim_queue();
-        for i in 0..5 {
-            q.put(text(&format!("m{i}")), true).unwrap();
-        }
-        assert_eq!(q.purge().unwrap(), 5);
+    fn take_all_takes_expired_and_live_in_delivery_order() {
+        let (clock, q) = sim_queue();
+        put(&q, Message::text("stale").ttl(Millis(5)).build()).unwrap();
+        put(&q, text("low")).unwrap();
+        put(&q, Message::text("high").priority(Priority::new(9)).build()).unwrap();
+        clock.advance(Millis(10));
+        let taken: Vec<_> = q
+            .take_all()
+            .unwrap()
+            .iter()
+            .map(|m| m.payload_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(taken, ["high", "stale", "low"]);
         assert_eq!(q.depth(), 0);
+        assert_eq!(q.stats().expired.get(), 0, "taken, not expired");
+        assert!(q.try_take(None).unwrap().is_none());
     }
 
     #[test]
-    fn persistent_put_and_get_are_journaled() {
+    fn a_get_of_a_journaled_message_parks_pending_until_finalized() {
         let clock = SimClock::new();
         let journal = MemJournal::new();
-        let q = Queue::new("P.Q".into(), clock, journal.clone(), QueueConfig::default());
-        let msg = Message::text("x").persistent(true).build();
-        let id = msg.id();
-        q.put(msg, true).unwrap();
-        q.try_take(None, true).unwrap().unwrap();
-        let recs = journal.replay_collect().unwrap();
-        assert!(matches!(&recs[0], JournalRecord::Put { message, .. } if message.id() == id));
-        assert!(matches!(&recs[1], JournalRecord::Get { message_id, .. } if *message_id == id));
-    }
-
-    #[test]
-    fn transactional_get_parks_pending_until_finalized() {
-        let clock = SimClock::new();
-        let journal = MemJournal::new();
-        let q = Queue::new(
+        let q = new_queue(
             "TX.Q".into(),
             clock,
             journal.clone(),
@@ -1343,30 +1276,15 @@ mod tests {
         );
         let msg = Message::text("x").persistent(true).build();
         let id = msg.id();
-        q.put(msg, true).unwrap();
-        // Transactional get: no Get record yet, message held pending.
-        q.try_take(None, false).unwrap().unwrap();
+        put(&q, msg).unwrap();
+        // The get is not covered by a record yet: message held pending.
+        q.try_take(None).unwrap().unwrap();
         assert_eq!(q.depth(), 0);
         let snap = q.snapshot_persistent();
         assert_eq!(snap.len(), 1, "pending get still owed to checkpoints");
         assert_eq!(snap[0].id(), id);
         q.finalize_pending(id);
         assert!(q.snapshot_persistent().is_empty());
-    }
-
-    #[test]
-    fn non_persistent_messages_are_not_journaled() {
-        let clock = SimClock::new();
-        let journal = MemJournal::new();
-        let q = Queue::new(
-            "NP.Q".into(),
-            clock,
-            journal.clone(),
-            QueueConfig::default(),
-        );
-        q.put(text("volatile"), true).unwrap();
-        q.try_take(None, true).unwrap().unwrap();
-        assert_eq!(journal.record_count(), 0);
     }
 
     #[test]
@@ -1378,7 +1296,7 @@ mod tests {
                 let q = q.clone();
                 std::thread::spawn(move || {
                     for i in 0..250 {
-                        q.put(text(&format!("{t}-{i}")), true).unwrap();
+                        put(&q, text(&format!("{t}-{i}"))).unwrap();
                     }
                 })
             })
@@ -1390,7 +1308,7 @@ mod tests {
                 let consumed = consumed.clone();
                 std::thread::spawn(move || {
                     while consumed.load(Ordering::SeqCst) < 1000 {
-                        if q.take_blocking(None, Wait::Timeout(Millis(100)), true)
+                        if q.take_blocking(None, Wait::Timeout(Millis(100)))
                             .unwrap()
                             .is_some()
                         {

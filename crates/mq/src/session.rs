@@ -7,6 +7,11 @@
 //! count, dead-lettering past the backout threshold) and none of the staged
 //! puts become visible. Commit makes everything visible atomically and
 //! writes a single `TxCommit` journal record so crash recovery agrees.
+//!
+//! There is one commit path, `QueueManager::commit` below, and a put or a
+//! get outside a transaction takes it too: it is a transaction of that one
+//! operation (`QueueManager::auto_commit`), as are a dead-lettering and a
+//! purge.
 
 use std::sync::Arc;
 
@@ -17,9 +22,11 @@ use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{Queue, Wait};
 use crate::selector::Selector;
 
-struct TxState {
-    /// Local-queue puts staged until commit (queue name, message).
-    staged_puts: Vec<(String, Message)>,
+/// What a transaction holds between its first operation and its end.
+#[derive(Default)]
+pub(crate) struct TxState {
+    /// Puts staged until commit, each with the local queue it is bound for.
+    staged_puts: Vec<(Arc<Queue>, Message)>,
     /// Messages consumed from queues, invisible to other consumers,
     /// returned on rollback.
     gets: Vec<(Arc<Queue>, Message)>,
@@ -32,13 +39,216 @@ impl TxState {
     fn is_empty(&self) -> bool {
         self.gets.is_empty() && self.staged_puts.is_empty()
     }
+
+    /// Stages a put, validating destination and limits now so the commit
+    /// cannot fail on them.
+    pub(crate) fn put(
+        &mut self,
+        manager: &QueueManager,
+        queue: &str,
+        msg: Message,
+    ) -> MqResult<()> {
+        let q = manager.queue(queue)?;
+        manager.validate(&msg)?;
+        q.check_room(|| self.staged_puts.iter().filter(|(to, _)| Arc::ptr_eq(to, &q)).count())?;
+        self.staged_puts.push((q, msg));
+        Ok(())
+    }
+
+    /// Stages a put addressed by `manager/queue`: a remote address goes
+    /// onto the route's transmission queue in an envelope.
+    pub(crate) fn put_to(
+        &mut self,
+        manager: &QueueManager,
+        addr: &QueueAddress,
+        msg: Message,
+    ) -> MqResult<()> {
+        if addr.manager == manager.name() {
+            return self.put(manager, &addr.queue, msg);
+        }
+        let xmit = manager
+            .route_for_message(&addr.manager, msg.id())
+            .ok_or_else(|| MqError::NoRoute(addr.manager.clone()))?;
+        let envelope = manager.wrap_for_transmission(addr, msg);
+        manager.stats().forwarded.incr();
+        self.put(manager, &xmit, envelope)
+    }
+
+    /// Consumes provisionally: the message is off its queue, and the get
+    /// is covered by the record of the commit or undone by the rollback.
+    pub(crate) fn get(
+        &mut self,
+        manager: &QueueManager,
+        queue: &str,
+        selector: Option<&Selector>,
+        wait: Wait,
+    ) -> MqResult<Option<Message>> {
+        let q = manager.queue(queue)?;
+        let msg = q.take_blocking(selector, wait)?;
+        self.gets.extend(msg.clone().map(|m| (q, m)));
+        Ok(msg)
+    }
+
+    pub(crate) fn get_by_correlation(
+        &mut self,
+        manager: &QueueManager,
+        queue: &str,
+        corr: &str,
+        wait: Wait,
+    ) -> MqResult<Option<Message>> {
+        let q = manager.queue(queue)?;
+        let msg = q.take_by_correlation_blocking(corr, wait)?;
+        self.gets.extend(msg.clone().map(|m| (q, m)));
+        Ok(msg)
+    }
+
+    /// Records a message already taken off `queue` as one of the gets.
+    pub(crate) fn took(&mut self, queue: Arc<Queue>, msg: Message) {
+        self.gets.push((queue, msg));
+    }
+}
+
+impl QueueManager {
+    /// The one commit path: the only way a message enters or leaves a queue
+    /// durably. Journals one `TxCommit` record, then makes the staged puts
+    /// visible and finalizes the gets.
+    ///
+    /// # Errors
+    ///
+    /// With `Some(tx)`, the record could not be written and nothing
+    /// happened: the transaction comes back for a retry or a rollback.
+    /// With `None`, the transaction is durable and applied, and the
+    /// checkpoint after it was refused (the next commit retries that).
+    // lint: custody(msg, err-reverts)
+    pub(crate) fn commit(&self, mut tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
+        // Mutation gate read-held across [TxCommit append + applying its
+        // effects]: a checkpoint can never snapshot half a transaction, nor
+        // truncate the TxCommit record while its effects are missing.
+        let gate = self.mutation_gate().read();
+        // Stamped before the record is built: the journal holds each put
+        // as enqueued, so a recovered message expires when it would have.
+        for (queue, msg) in &mut tx.staged_puts {
+            queue.stamp(msg);
+        }
+        if self.journal().is_durable() {
+            let puts: Vec<_> = tx
+                .staged_puts
+                .iter()
+                .filter(|(_, m)| m.is_persistent())
+                .map(|(q, m)| (q.name().to_owned(), m.clone()))
+                .collect();
+            let gets: Vec<_> = tx
+                .gets
+                .iter()
+                .filter(|(_, m)| m.is_persistent())
+                .map(|(q, m)| (q.name().to_owned(), m.id()))
+                .collect();
+            if !puts.is_empty() || !gets.is_empty() {
+                let record = JournalRecord::TxCommit { puts, gets };
+                let started = std::time::Instant::now();
+                let appended = self.journal().append(&record);
+                self.stats()
+                    .journal_append_micros
+                    .record_duration(started.elapsed());
+                if let Err(e) = appended {
+                    return Err((e, Some(tx)));
+                }
+            }
+        }
+        let mut to_notify = Vec::new();
+        let mut orphaned = Vec::new();
+        for (queue, msg) in tx.staged_puts {
+            // The queue was open at stage time; one closed since (deleted
+            // under the transaction) dead-letters the message rather than
+            // losing it.
+            match queue.put_committed(msg) {
+                Ok(()) => to_notify.push(queue),
+                Err(mut msg) => {
+                    msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {}", queue.name()));
+                    orphaned.push(msg);
+                }
+            }
+        }
+        // The TxCommit record is now the durable cover for each consumption:
+        // release the pending-get hold checkpoints honor.
+        // lint: custody-ok(a committed get is where a message's custody ends)
+        for (queue, msg) in tx.gets {
+            queue.finalize_pending(msg.id());
+        }
+        drop(gate);
+        // Outside the gate: the dead-letter put is a commit of its own, and
+        // the gate must never be held re-entrantly.
+        for msg in orphaned {
+            self.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
+        }
+        // Wake consumers and watchers only after the gate is released:
+        // watcher callbacks may start transactions of their own.
+        for q in to_notify {
+            q.notify_arrival();
+        }
+        self.maybe_checkpoint().map_err(|e| (e, None))
+    }
+
+    /// Undoes a transaction: staged puts are discarded and consumed
+    /// messages return to the *front* of their queues. With `bump` the
+    /// redelivery count goes up and a message past the backout threshold
+    /// is dead-lettered instead.
+    pub(crate) fn rollback(&self, tx: TxState, bump: bool) -> MqResult<()> {
+        let threshold = self.config().backout_threshold;
+        let mut result = Ok(());
+        // Requeue in reverse consumption order so front-insertion restores
+        // the original FIFO order.
+        for (queue, msg) in tx.gets.into_iter().rev() {
+            if bump && msg.redelivery_count() + 1 > threshold {
+                // Poison message: route to the DLQ. A failure leaves it on
+                // its queue and must not strand the gets still to requeue.
+                result = result.and(self.dead_letter(queue, msg, "backout threshold exceeded"));
+            } else {
+                queue.requeue_front(msg, bump);
+            }
+        }
+        result
+    }
+
+    /// Runs `op` as a transaction of its own — what a put or a get outside
+    /// a transaction is.
+    pub(crate) fn auto_commit<T>(
+        &self,
+        op: impl FnOnce(&mut TxState) -> MqResult<T>,
+    ) -> MqResult<T> {
+        self.auto_commit_from(TxState::default(), op)
+    }
+
+    /// Ends `tx`, a transaction of its own, with `op` as its last
+    /// operation. When the manager is stopped, `op` fails or the record
+    /// cannot be written, everything goes back without spending a backout
+    /// budget: the failure is not the messages'.
+    pub(crate) fn auto_commit_from<T>(
+        &self,
+        mut tx: TxState,
+        op: impl FnOnce(&mut TxState) -> MqResult<T>,
+    ) -> MqResult<T> {
+        let (err, tx) = match self.check_running().and_then(|()| op(&mut tx)) {
+            Ok(out) => match self.commit(tx) {
+                // The operation happened; nobody can take back a get (or
+                // safely repeat a put) because the checkpoint after it was
+                // refused, and the next commit retries that.
+                Ok(()) | Err((_, None)) => return Ok(out),
+                Err((e, Some(tx))) => (e, tx),
+            },
+            Err(e) => (e, tx),
+        };
+        self.rollback(tx, false)?;
+        Err(err)
+    }
 }
 
 /// A session against one queue manager, optionally transacted.
 ///
-/// Outside a transaction, operations behave exactly like the corresponding
-/// [`QueueManager`] methods. Inside one ([`Session::begin`]), puts are
-/// staged and gets are provisional until [`Session::commit`].
+/// Outside a transaction, every operation is a transaction of its own,
+/// exactly like the corresponding [`QueueManager`] method. Inside one
+/// ([`Session::begin`]), puts are staged and gets are provisional until
+/// [`Session::commit`].
 ///
 /// Dropping a session with an active transaction rolls it back.
 ///
@@ -97,10 +307,7 @@ impl Session {
         if self.tx.is_some() {
             return Err(MqError::TransactionActive);
         }
-        self.tx = Some(TxState {
-            staged_puts: Vec::new(),
-            gets: Vec::new(),
-        });
+        self.tx = Some(TxState::default());
         Ok(())
     }
 
@@ -109,79 +316,22 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`MqError::NoTransaction`] without an active transaction; journal
-    /// failures abort the commit (state rolls back).
+    /// [`MqError::NoTransaction`] without an active transaction. When the
+    /// journal refuses the record the commit did not happen and the
+    /// transaction stays open, for a retry or an explicit rollback.
     pub fn commit(&mut self) -> MqResult<()> {
         let tx = self.tx.take().ok_or(MqError::NoTransaction)?;
         if tx.is_empty() {
             return Ok(());
         }
-        // Mutation gate read-held across [TxCommit append + applying its
-        // effects]: a checkpoint can never snapshot half a transaction, nor
-        // truncate the TxCommit record while its effects are missing.
-        let gate = self.manager.mutation_gate().read();
-        if self.manager.journal().is_durable() {
-            let puts: Vec<_> = tx
-                .staged_puts
-                .iter()
-                .filter(|(_, m)| m.is_persistent())
-                .cloned()
-                .collect();
-            let gets: Vec<_> = tx
-                .gets
-                .iter()
-                .filter(|(_, m)| m.is_persistent())
-                .map(|(q, m)| (q.name().to_owned(), m.id()))
-                .collect();
-            if !puts.is_empty() || !gets.is_empty() {
-                let record = JournalRecord::TxCommit { puts, gets };
-                let started = std::time::Instant::now();
-                let appended = self.manager.journal().append(&record);
-                self.manager
-                    .stats()
-                    .journal_append_micros
-                    .record_duration(started.elapsed());
-                if let Err(e) = appended {
-                    // Commit did not happen: put the transaction back so
-                    // the caller can retry or roll back explicitly.
-                    self.tx = Some(tx);
-                    return Err(e);
-                }
-            }
+        let result = self.manager.commit(tx).map_err(|(e, uncommitted)| {
+            self.tx = uncommitted;
+            e
+        });
+        if self.tx.is_none() {
+            self.manager.stats().tx_committed.incr();
         }
-        let mut to_notify = Vec::new();
-        let mut orphaned = Vec::new();
-        for (queue_name, msg) in tx.staged_puts {
-            // Queue was validated at stage time; tolerate deletion races by
-            // dead-lettering rather than losing the message.
-            match self.manager.queue(&queue_name) {
-                Ok(q) => {
-                    q.put_committed(msg)?;
-                    to_notify.push(q);
-                }
-                Err(_) => orphaned.push((queue_name, msg)),
-            }
-        }
-        for (queue, msg) in tx.gets {
-            // The TxCommit record is now the durable cover for this
-            // consumption: release the pending-get hold checkpoints honor.
-            queue.finalize_pending(msg.id());
-        }
-        drop(gate);
-        // Outside the gate: the dead-letter put journals and gates its own
-        // record, and the gate must never be held re-entrantly.
-        for (queue_name, mut msg) in orphaned {
-            msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {queue_name}"));
-            self.manager.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
-        }
-        // Wake consumers and watchers only after the gate is released:
-        // watcher callbacks may start transactions of their own.
-        for q in to_notify {
-            q.notify_arrival();
-        }
-        self.manager.stats().tx_committed.incr();
-        self.manager.maybe_checkpoint()?;
-        Ok(())
+        result
     }
 
     /// Rolls back the active transaction: staged puts are discarded and
@@ -215,20 +365,20 @@ impl Session {
         if tx.is_empty() {
             return Ok(());
         }
-        let threshold = self.manager.config().backout_threshold;
-        // Requeue in reverse consumption order so front-insertion restores
-        // the original FIFO order.
-        for (queue, msg) in tx.gets.into_iter().rev() {
-            if bump && msg.redelivery_count() + 1 > threshold {
-                // Poison message: route to the DLQ.
-                self.manager
-                    .dead_letter(queue.name(), msg, "backout threshold exceeded")?;
-            } else {
-                queue.requeue_front(msg, bump);
-            }
-        }
         self.manager.stats().tx_rolled_back.incr();
-        Ok(())
+        self.manager.rollback(tx, bump)
+    }
+
+    /// Runs `op` in the active transaction, or as a transaction of its own.
+    fn run<T>(
+        &mut self,
+        op: impl FnOnce(&QueueManager, &mut TxState) -> MqResult<T>,
+    ) -> MqResult<T> {
+        let manager = &*self.manager;
+        match &mut self.tx {
+            Some(tx) => op(manager, tx),
+            None => manager.auto_commit(|tx| op(manager, tx)),
+        }
     }
 
     /// Enqueues a message on a local queue (staged if a transaction is
@@ -239,24 +389,7 @@ impl Session {
     /// [`MqError::QueueNotFound`], [`MqError::QueueFull`] (checked at stage
     /// time), [`MqError::MessageTooLarge`], journal failures.
     pub fn put(&mut self, queue: &str, msg: Message) -> MqResult<()> {
-        match &mut self.tx {
-            None => self.manager.put(queue, msg),
-            Some(tx) => {
-                // Validate destination and limits now so commit cannot fail.
-                let q = self.manager.queue(queue)?;
-                if let Some(max) = self.manager.config().max_message_size {
-                    if msg.payload().len() > max {
-                        return Err(MqError::MessageTooLarge {
-                            size: msg.payload().len(),
-                            max,
-                        });
-                    }
-                }
-                q.check_room(|| tx.staged_puts.iter().filter(|(name, _)| name == queue).count())?;
-                tx.staged_puts.push((queue.to_owned(), msg));
-                Ok(())
-            }
-        }
+        self.run(|manager, tx| tx.put(manager, queue, msg))
     }
 
     /// Enqueues a message addressed by `manager/queue`; remote addresses are
@@ -267,16 +400,7 @@ impl Session {
     ///
     /// [`MqError::NoRoute`] plus local put errors.
     pub fn put_to(&mut self, addr: &QueueAddress, msg: Message) -> MqResult<()> {
-        if addr.manager == self.manager.name() {
-            return self.put(&addr.queue, msg);
-        }
-        let xmit = self
-            .manager
-            .route_for_message(&addr.manager, msg.id())
-            .ok_or_else(|| crate::MqError::NoRoute(addr.manager.clone()))?;
-        let envelope = self.manager.wrap_for_transmission(addr, msg);
-        self.manager.stats().forwarded.incr();
-        self.put(&xmit, envelope)
+        self.run(|manager, tx| tx.put_to(manager, addr, msg))
     }
 
     /// Consumes a message (provisionally, if a transaction is active).
@@ -286,7 +410,7 @@ impl Session {
     /// [`MqError::QueueNotFound`]; [`MqError::ManagerStopped`] if the
     /// manager crashes while waiting.
     pub fn get(&mut self, queue: &str, wait: Wait) -> MqResult<Option<Message>> {
-        self.get_inner(queue, None, wait)
+        self.run(|manager, tx| tx.get(manager, queue, None, wait))
     }
 
     /// Consumes the first message matching `selector`.
@@ -300,7 +424,7 @@ impl Session {
         selector: &Selector,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        self.get_inner(queue, Some(selector), wait)
+        self.run(|manager, tx| tx.get(manager, queue, Some(selector), wait))
     }
 
     /// Consumes the oldest message with the given correlation id
@@ -316,37 +440,7 @@ impl Session {
         corr: &str,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        let q = self.manager.queue(queue)?;
-        match &mut self.tx {
-            None => q.take_by_correlation_blocking(corr, wait, true),
-            Some(tx) => {
-                let msg = q.take_by_correlation_blocking(corr, wait, false)?;
-                if let Some(msg) = msg.clone() {
-                    tx.gets.push((q, msg));
-                }
-                Ok(msg)
-            }
-        }
-    }
-
-    fn get_inner(
-        &mut self,
-        queue: &str,
-        selector: Option<&Selector>,
-        wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        let q = self.manager.queue(queue)?;
-        match &mut self.tx {
-            None => q.take_blocking(selector, wait, true),
-            Some(tx) => {
-                // Journal nothing yet: the TxCommit record covers the get.
-                let msg = q.take_blocking(selector, wait, false)?;
-                if let Some(msg) = msg.clone() {
-                    tx.gets.push((q, msg));
-                }
-                Ok(msg)
-            }
-        }
+        self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, wait))
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mq::journal::MemJournal;
+use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::{ManagerConfig, Message, Priority, QueueManager, Wait};
 use proptest::prelude::*;
 use simtime::SimClock;
@@ -134,8 +134,89 @@ fn snapshot(qm: &Arc<QueueManager>) -> Vec<u32> {
         .collect()
 }
 
+/// A journal with message ids and stamps abstracted away: per record its
+/// kind, the queues it names and the payload labels it carries, in order.
+fn journal_image(journal: &MemJournal) -> Vec<String> {
+    let label = |m: &Message| m.payload_str().unwrap().to_owned();
+    let image = |record: JournalRecord| match record {
+        JournalRecord::TxCommit { puts, gets } => format!(
+            "TxCommit get{:?} put{:?}",
+            gets.iter().map(|(q, _)| q.as_str()).collect::<Vec<_>>(),
+            puts.iter().map(|(q, m)| (q.as_str(), label(m))).collect::<Vec<_>>(),
+        ),
+        JournalRecord::Put { queue, message } => format!("Put {queue} {}", label(&message)),
+        other => format!("{other:?}"),
+    };
+    journal.replay_collect().unwrap().into_iter().map(image).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// There is one commit path: a put or get outside a transaction and
+    /// the same operation as an explicit transaction of one write the same
+    /// journal and recover the same state.
+    #[test]
+    fn an_operation_outside_a_transaction_is_a_transaction_of_one(
+        ops in proptest::collection::vec(arb_op(), 1..40)
+    ) {
+        let (auto_journal, tx_journal) = (MemJournal::new(), MemJournal::new());
+        let mut auto = build_manager(&auto_journal);
+        let mut explicit = build_manager(&tx_journal);
+        for op in ops {
+            match op {
+                Op::Put { label, priority, persistent } => {
+                    auto.put(QUEUE, message(label, priority, persistent)).unwrap();
+                    let mut session = explicit.session();
+                    session.begin().unwrap();
+                    session.put(QUEUE, message(label, priority, persistent)).unwrap();
+                    session.commit().unwrap();
+                }
+                Op::Get => {
+                    let got = auto.get(QUEUE, Wait::NoWait).unwrap();
+                    let mut session = explicit.session();
+                    session.begin().unwrap();
+                    let twin = session.get(QUEUE, Wait::NoWait).unwrap();
+                    session.commit().unwrap();
+                    prop_assert_eq!(
+                        got.map(|m| m.i64_property("label")),
+                        twin.map(|m| m.i64_property("label"))
+                    );
+                }
+                // What both managers do the same way goes on around it.
+                Op::Tx { puts, gets, commit } => {
+                    for qm in [&auto, &explicit] {
+                        let mut session = qm.session();
+                        session.begin().unwrap();
+                        for _ in 0..gets {
+                            session.get(QUEUE, Wait::NoWait).unwrap();
+                        }
+                        for (label, priority, persistent) in &puts {
+                            session.put(QUEUE, message(*label, *priority, *persistent)).unwrap();
+                        }
+                        if commit {
+                            session.commit().unwrap();
+                        } else {
+                            session.rollback().unwrap();
+                        }
+                    }
+                }
+                Op::CrashRecover => {
+                    auto.crash();
+                    explicit.crash();
+                    auto = build_manager(&auto_journal);
+                    explicit = build_manager(&tx_journal);
+                }
+            }
+        }
+        prop_assert_eq!(journal_image(&auto_journal), journal_image(&tx_journal));
+        auto.crash();
+        explicit.crash();
+        prop_assert_eq!(
+            snapshot(&build_manager(&auto_journal)),
+            snapshot(&build_manager(&tx_journal))
+        );
+    }
 
     #[test]
     fn queue_manager_agrees_with_model(ops in proptest::collection::vec(arb_op(), 1..40)) {

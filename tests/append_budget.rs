@@ -109,7 +109,6 @@ fn queues<'a>(names: impl Iterator<Item = &'a str>) -> String {
 fn describe(record: &JournalRecord) -> String {
     match record {
         JournalRecord::Put { queue, .. } => format!("Put {queue}"),
-        JournalRecord::Get { queue, .. } => format!("Get {queue}"),
         JournalRecord::TxCommit { puts, gets } => format!(
             "TxCommit get[{}] put[{}]",
             queues(gets.iter().map(|(q, _)| q.as_str())),
@@ -173,7 +172,7 @@ fn two_manager_round_trip_is_eight_records() {
             // compensation and sender-log record gone. No AckSeen.
             "TxCommit get[DS.ACK.Q, DS.COMP.Q, DS.SLOG.Q] put[DS.DONE.Q, DS.OUTCOME.Q]",
             // The application picks the outcome up.
-            "Get DS.OUTCOME.Q",
+            "TxCommit get[DS.OUTCOME.Q] put[]",
         ],
         "head"
     );
@@ -235,7 +234,7 @@ fn a_transport_batch_of_three_is_one_arrival_record_and_one_drain() {
 
     let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
     let pickup = "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]";
-    let outcome = "Get DS.OUTCOME.Q";
+    let outcome = "TxCommit get[DS.OUTCOME.Q] put[]";
     assert_eq!(
         head_journal.appended(),
         [
@@ -381,7 +380,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_ten_records() {
             pickup("Q.L3"),
             // Late ack for a decided message: consumed, nothing logged.
             "TxCommit get[DS.ACK.Q] put[]".to_owned(),
-            "Get DS.OUTCOME.Q".to_owned(),
+            "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
