@@ -11,14 +11,22 @@
 //!   properties), and parks pre-generated compensation messages — all in a
 //!   single local messaging transaction, so a crash can never leave a
 //!   half-sent conditional message.
-//! * **Evaluation manager**: one event-driven engine. A put on
-//!   `DS.ACK.Q` drains the queue on the putting thread and re-evaluates
-//!   only the messages those acknowledgments touch; every pending message
-//!   keeps one armed clock timer at its next deadline or timeout, whose
-//!   fire decides that message. One evaluation cycle is one messaging
-//!   transaction — one journal record: the acknowledgments it consumes,
-//!   the verdicts they (or the clock) decide, and a sender-log entry for
-//!   each acknowledgment whose message is still pending afterwards.
+//! * **Evaluation manager**: one event-driven engine. The messenger is
+//!   the arrival trigger of `DS.ACK.Q` ([`mq::ArrivalTrigger`]): an
+//!   acknowledgment is never queued but applied, on the committing
+//!   thread, inside the transaction that delivers it, and only the
+//!   messages those acknowledgments touch are re-evaluated; every pending
+//!   message keeps one armed clock timer at its next deadline or timeout,
+//!   whose fire decides that message. One evaluation cycle is one
+//!   messaging transaction — one journal record: whatever delivered the
+//!   acknowledgments, the verdicts they (or the clock) decide, and a
+//!   sender-log entry for each acknowledgment whose message is still
+//!   pending afterwards. An acknowledgment exists once that record is
+//!   written: a refused one leaves the evaluations as they were.
+//!   Acknowledgments that queued while no messenger was attached (or
+//!   while it could not stage their verdicts) are taken from the queue by
+//!   the next cycle — at attach time, by [`ConditionalMessenger::pump`] —
+//!   through the same body.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, release of the parked compensation messages
 //!   (paper §2.6). Both are staged into the deciding transaction, together
@@ -29,13 +37,13 @@
 //!   continues monitoring in-flight conditional messages.
 //!
 //! Under a [`simtime::SimClock`] everything runs synchronously: acks are
-//! evaluated inside the put that delivers them and deadline verdicts fire
+//! evaluated inside the commit that delivers them and deadline verdicts fire
 //! inside `advance`; [`ConditionalMessenger::pump`] hands back the outcomes
 //! decided since the last call. Under a system clock the timers fire from
 //! the clock's waiter thread, and [`ConditionalMessenger::spawn_daemon`]
 //! adds a backstop that retries a drain a storage error interrupted.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -43,7 +51,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mq::selector::Selector;
-use mq::{MetricsSnapshot, MqError, QueueAddress, QueueManager, TraceStage, Wait};
+use mq::{
+    ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, MqError, QueueAddress, QueueManager,
+    TraceStage, Wait,
+};
 use parking_lot::{Condvar, Mutex};
 use simtime::{Time, TimerId};
 
@@ -57,6 +68,12 @@ use crate::wire::{
     self, AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions, SendRecord,
     SlogEntry,
 };
+
+/// Bound on the outcomes buffered for [`ConditionalMessenger::pump`]:
+/// evaluation needs no pump, so without one the buffer would grow with every
+/// verdict. Past the bound the oldest are dropped (and counted); each is
+/// still on `DS.OUTCOME.Q` and in [`ConditionalMessenger::status`].
+const RECENT_OUTCOMES_CAP: usize = 16 * 1024;
 
 /// Evaluation status of a conditional message, as known to this messenger.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,10 +134,17 @@ struct Decided {
 /// as a single journal record.
 #[derive(Default)]
 struct Cycle {
-    /// Messages taken off `DS.ACK.Q`, malformed and unknown ones included.
+    /// Messages addressed to `DS.ACK.Q`, malformed and unknown ones
+    /// included.
     consumed: u64,
+    /// How many of them came off the queue rather than from the trigger.
+    queued: u64,
     /// The acknowledgments among them that reached a pending evaluation.
     acks: Vec<Acknowledgment>,
+    /// Each evaluation they touched, as it was before the first of them:
+    /// an acknowledgment exists only once its record is written, so a
+    /// refused cycle puts these back.
+    untouched: Vec<(CondMessageId, AckState, IncrementalEval)>,
     decided: Vec<Decided>,
 }
 
@@ -140,8 +164,8 @@ pub struct ConditionalMessenger {
     /// registry).
     metrics: MessengerMetrics,
     /// Outcomes finalized since the last `pump()`, which drains and
-    /// returns them.
-    recent_outcomes: Mutex<Vec<OutcomeNotification>>,
+    /// returns them; at most [`RECENT_OUTCOMES_CAP`].
+    recent_outcomes: Mutex<VecDeque<OutcomeNotification>>,
     /// Decided messages whose verdict transaction failed (storage down at
     /// the decision instant). They sit in `pending` without a timer —
     /// their trigger is past due, a timer would fire at once and spin —
@@ -152,7 +176,7 @@ pub struct ConditionalMessenger {
     /// of poll-sleeping.
     outcome_seq: Mutex<u64>,
     outcome_cv: Condvar,
-    /// Back-reference for timer callbacks and queue watchers.
+    /// Back-reference for timer callbacks and the ack queue's trigger slot.
     self_weak: Weak<ConditionalMessenger>,
 }
 
@@ -204,29 +228,24 @@ impl ConditionalMessenger {
             deferred: Mutex::new(HashMap::new()),
             pump_lock: Mutex::new(()),
             metrics,
-            recent_outcomes: Mutex::new(Vec::new()),
+            recent_outcomes: Mutex::new(VecDeque::new()),
             retry: Mutex::new(Vec::new()),
             outcome_seq: Mutex::new(0),
             outcome_cv: Condvar::new(),
             self_weak: weak.clone(),
         });
         messenger.recover()?;
-        // Evaluate acks the moment they land: the watcher runs on the
-        // putting thread, after the put is visible.
-        let weak = messenger.self_weak.clone();
-        messenger
-            .qmgr
-            .queue(&messenger.config.ack_queue)?
-            .add_put_watcher(Arc::new(move || {
-                if let Some(messenger) = weak.upgrade() {
-                    messenger.on_ack_arrival();
-                }
-            }));
-        // Catch up on acks queued before the watcher existed, decide what
-        // is already due and arm one timer per recovered message. This is
-        // the only walk over the whole pending table.
         {
             let _serial = messenger.pump_lock.lock();
+            // From here on an ack is applied inside the transaction that
+            // delivers it (the first of them waits for the catch-up below).
+            messenger
+                .qmgr
+                .queue(&messenger.config.ack_queue)?
+                .set_arrival_trigger(messenger.self_weak.clone());
+            // Catch up on acks queued before the trigger existed, decide
+            // what is already due and arm one timer per recovered message.
+            // This is the only walk over the whole pending table.
             let recovered: Vec<CondMessageId> = messenger.pending.lock().keys().copied().collect();
             messenger.run_cycle_for(&recovered)?;
         }
@@ -426,10 +445,11 @@ impl ConditionalMessenger {
     // ------------------------------------------------------ evaluation --
 
     /// Returns the outcomes decided since the last call, after draining
-    /// whatever is waiting on `DS.ACK.Q` (normally nothing: acks are
-    /// evaluated as they arrive). O(acks waiting), never a scan of the
-    /// pending table — time-only verdicts come from the armed timers, so
-    /// under a `SimClock` `advance` decides and `pump` reports.
+    /// whatever is waiting on `DS.ACK.Q` (nothing, unless acks landed while
+    /// no messenger was attached or the trigger declined them: it consumes
+    /// them as they arrive). O(acks waiting), never a scan of the pending
+    /// table — time-only verdicts come from the armed timers, so under a
+    /// `SimClock` `advance` decides and `pump` reports.
     ///
     /// # Errors
     ///
@@ -440,16 +460,16 @@ impl ConditionalMessenger {
         let _serial = self.pump_lock.lock();
         self.metrics.pump_iterations.incr();
         self.run_cycle_for(&[])?;
-        Ok(std::mem::take(&mut *self.recent_outcomes.lock()))
+        Ok(std::mem::take(&mut *self.recent_outcomes.lock()).into())
     }
 
-    /// One evaluation cycle: decides — and rearms — `seed`, the verdicts
-    /// waiting to be retried and the messages whose acknowledgments are
-    /// waiting on `DS.ACK.Q`, buffering the new outcomes for
-    /// [`pump`](Self::pump). O(touched). Sound because every pending message
-    /// keeps an armed timer at its next decision-relevant instant, so
-    /// time-only decisions arrive via their own timer fire. Caller holds
-    /// the pump lock.
+    /// Evaluation cycles from the queue: decides — and rearms — `seed`, the
+    /// verdicts waiting to be retried and the messages whose
+    /// acknowledgments are waiting on `DS.ACK.Q`, buffering the new
+    /// outcomes for [`pump`](Self::pump). O(touched). Sound because every
+    /// pending message keeps an armed timer at its next decision-relevant
+    /// instant, so time-only decisions arrive via their own timer fire.
+    /// Caller holds the pump lock.
     fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<()> {
         let mut ids = seed.to_vec();
         ids.append(&mut self.retry.lock());
@@ -457,71 +477,93 @@ impl ConditionalMessenger {
         // verdicts on the retry list, but the ones before it committed and
         // every id seen must keep its timer.
         let result = self.run_transactions(&mut ids);
-        ids.sort_unstable();
-        ids.dedup();
-        self.rearm_ids(&ids, result.is_err());
+        self.rearm_ids(ids, result.is_err());
         result
     }
 
     /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
-    /// to report to (send, ack arrival, timer fire). A failed transaction
-    /// left its acks on the queue and its verdicts on the retry list; the
-    /// next event, `pump()` or the daemon retries both.
+    /// to report to (send, timer fire). A failed transaction left its acks
+    /// on the queue and its verdicts on the retry list; the next event,
+    /// `pump()` or the daemon retries both.
     fn run_event(&self, seed: &[CondMessageId]) {
         if self.run_cycle_for(seed).is_err() {
             self.metrics.eval_errors.incr();
         }
     }
 
-    /// Runs one transaction per `ack_batch` acknowledgments until the ack
+    /// Runs one cycle per `ack_batch` queued acknowledgments until the ack
     /// queue is empty; the first also decides the ids already in `ids`.
     /// Every id an acknowledgment touches is appended to `ids`.
     fn run_transactions(&self, ids: &mut Vec<CondMessageId>) -> CondResult<()> {
-        let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
         let mut decided_upto = 0;
         loop {
-            let (mut session, mut cycle) = (self.qmgr.session(), Cycle::default());
-            let staged = self.stage_cycle(&mut session, &mut cycle, &ack_queue, ids, decided_upto);
+            let mut session = self.qmgr.session();
+            let mut cycle = Cycle::default();
+            let staged = self.stage_cycle(&mut session, &mut cycle, &[], ids, decided_upto);
             decided_upto = ids.len();
             if staged.is_ok() && !session.in_transaction() {
                 return Ok(());
             }
-            self.commit_cycle(session, cycle, staged)?;
+            let result = self.commit_cycle(&mut session, cycle, staged);
+            // The cycle is retried, possibly many times while storage is
+            // down: nothing handed back may spend its backout budget.
+            if session.in_transaction() {
+                session.rollback_for_retry()?;
+            }
+            result?;
         }
     }
 
-    /// Stages one protocol step: up to `ack_batch` gets from the ack queue,
-    /// the verdicts of `ids[from..]` plus the ids those acks touch, and an
-    /// `AckSeen` log entry for each ack whose message is still pending
-    /// afterwards (an ack that decides its message needs none: the verdict
-    /// purges the message's log entries). Opens no transaction when there
-    /// is neither an ack nor a verdict.
+    /// Up to `ack_batch` gets from the ack queue, in `session`'s
+    /// transaction, or one opened only when there is something to get — an
+    /// idle wakeup must not open a session (or touch the journal) to learn
+    /// there is nothing to drain.
+    fn take_queued(&self, session: &mut mq::Session) -> CondResult<Vec<Message>> {
+        let mut queued = Vec::new();
+        if !self.qmgr.queue(&self.config.ack_queue)?.is_empty() {
+            if !session.in_transaction() {
+                session.begin()?;
+            }
+            while queued.len() < self.config.ack_batch.max(1) {
+                let Some(msg) = session.get(&self.config.ack_queue, Wait::NoWait)? else {
+                    break;
+                };
+                queued.push(msg);
+            }
+        }
+        Ok(queued)
+    }
+
+    /// Stages one evaluation cycle — one protocol step, one journal record
+    /// — into `session`, whichever way its acknowledgments come: `arrived`
+    /// from the trigger (then `session` holds the transaction that
+    /// addressed them to the ack queue) behind whatever is waiting on the
+    /// queue itself. Staged are the verdicts of `ids[from..]` plus the ids
+    /// the acknowledgments touch, and an `AckSeen` log entry for each one
+    /// whose message is still pending afterwards (an ack that decides its
+    /// message needs none: the verdict purges the message's log entries).
+    /// Opens no transaction when there is neither an ack nor a verdict.
+    /// Caller holds the pump lock, and follows up with
+    /// [`publish`](Self::publish) once the record is written or
+    /// [`unstage`](Self::unstage) when it is not.
     fn stage_cycle(
         &self,
         session: &mut mq::Session,
         cycle: &mut Cycle,
-        ack_queue: &mq::Queue,
+        arrived: &[Message],
         ids: &mut Vec<CondMessageId>,
         from: usize,
     ) -> CondResult<()> {
-        // The emptiness check comes first: an idle wakeup must not open a
-        // session (or touch the journal) to learn there is nothing to drain.
-        if !ack_queue.is_empty() {
-            session.begin()?;
-            while cycle.consumed < self.config.ack_batch.max(1) as u64 {
-                let Some(msg) = session.get(&self.config.ack_queue, Wait::NoWait)? else {
-                    break;
-                };
-                cycle.consumed += 1;
-                // Malformed acks and acks for unknown messages are consumed
-                // with the batch rather than wedging the queue. Applying
-                // before the commit is safe because it is idempotent: after
-                // a failed commit the redelivered ack changes nothing.
-                if let Ok(ack) = Acknowledgment::from_message(&msg) {
-                    if self.apply_ack(&ack) {
-                        ids.push(ack.cond_id);
-                        cycle.acks.push(ack);
-                    }
+        let queued = self.take_queued(session)?;
+        cycle.queued = queued.len() as u64;
+        cycle.consumed = cycle.queued + arrived.len() as u64;
+        for msg in queued.iter().chain(arrived) {
+            // Malformed acks and acks for unknown messages are consumed
+            // with the batch rather than wedging the queue.
+            if let Ok(ack) = Acknowledgment::from_message(msg) {
+                if self.apply_ack(&ack, &mut cycle.untouched) {
+                    ids.push(ack.cond_id);
+                    cycle.acks.push(ack);
                 }
             }
         }
@@ -546,13 +588,12 @@ impl ConditionalMessenger {
         Ok(())
     }
 
-    /// Commits what was staged and publishes it. When staging or the commit
-    /// failed, everything goes back instead: the acks onto their queue, the
-    /// parked compensations and log entries likewise, and the decided
-    /// evaluations into the pending table and onto the retry list.
+    /// Commits what was staged into `session` and publishes it, or takes it
+    /// back when staging or the commit failed; the session then stays in
+    /// its transaction, for its owner to hand back what it holds.
     fn commit_cycle(
         &self,
-        mut session: mq::Session,
+        session: &mut mq::Session,
         cycle: Cycle,
         staged: CondResult<()>,
     ) -> CondResult<()> {
@@ -567,21 +608,33 @@ impl ConditionalMessenger {
                 return result;
             }
         }
-        {
-            let mut pending = self.pending.lock();
-            let mut retry = self.retry.lock();
-            for decided in cycle.decided {
-                retry.push(decided.notification.cond_id);
-                pending.insert(decided.notification.cond_id, decided.eval);
-            }
-            self.metrics.pending_depth.set(pending.len() as u64);
-        }
-        // The cycle is retried, possibly many times while storage is down:
-        // nothing handed back may spend its backout budget.
-        if session.in_transaction() {
-            session.rollback_for_retry()?;
-        }
+        self.unstage(cycle);
         result
+    }
+
+    /// Takes back a cycle whose record was not written: nothing it carried
+    /// happened. The acknowledgments are with whoever holds the transaction
+    /// (back on the queue, in a transport batch to resend, in a read to
+    /// retry or to abandon), so the evaluations they touched are as they
+    /// were before them. The decided ones go back into the pending table,
+    /// and onto the retry list when they are decided even so: no timer is
+    /// left to come for those. [`rearm_ids`](Self::rearm_ids) sees to the
+    /// rest.
+    fn unstage(&self, cycle: Cycle) {
+        let mut pending = self.pending.lock();
+        let mut decided = Vec::with_capacity(cycle.decided.len());
+        for Decided { eval, notification, .. } in cycle.decided {
+            pending.insert(notification.cond_id, eval);
+            decided.push(notification.cond_id);
+        }
+        for (id, acks, inc) in cycle.untouched {
+            if let Some(eval) = pending.get_mut(&id) {
+                (eval.acks, eval.inc) = (acks, inc);
+            }
+        }
+        decided.retain(|id| pending.get(id).is_some_and(|eval| eval.inc.decided()));
+        self.retry.lock().append(&mut decided);
+        self.metrics.pending_depth.set(pending.len() as u64);
     }
 
     /// Counts, traces and announces a committed cycle transaction — only
@@ -592,6 +645,7 @@ impl ConditionalMessenger {
         let trace = self.qmgr.trace();
         if cycle.consumed > 0 {
             self.metrics.ack_batch_size.record(cycle.consumed);
+            self.metrics.acks_queued.add(cycle.queued);
         }
         for ack in &cycle.acks {
             let (counter, stage, stamped_at) = match ack.kind {
@@ -616,12 +670,7 @@ impl ConditionalMessenger {
                 ack.recipient.clone().unwrap_or_default(),
             );
         }
-        for decided in cycle.decided {
-            let Decided {
-                eval,
-                notification,
-                actions,
-            } = decided;
+        for Decided { eval, notification, actions } in cycle.decided {
             let cond_id = notification.cond_id;
             match notification.outcome {
                 MessageOutcome::Success => self.metrics.verdict_success.incr(),
@@ -650,7 +699,13 @@ impl ConditionalMessenger {
                 self.metrics.deferred_depth.set(deferred.len() as u64);
             }
             self.decided.lock().insert(cond_id, notification.clone());
-            self.recent_outcomes.lock().push(notification);
+            let mut recent = self.recent_outcomes.lock();
+            recent.push_back(notification);
+            if recent.len() > RECENT_OUTCOMES_CAP {
+                recent.pop_front();
+                self.metrics.recent_dropped.incr();
+            }
+            drop(recent);
             self.note_outcome();
         }
     }
@@ -729,13 +784,21 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Folds an acknowledgment into its message's evaluation state; false
+    /// Folds an acknowledgment into its message's evaluation state, saving
+    /// the state first in `untouched` unless it is there already; false
     /// when the message is not pending here. Idempotent.
-    fn apply_ack(&self, ack: &Acknowledgment) -> bool {
+    fn apply_ack(
+        &self,
+        ack: &Acknowledgment,
+        untouched: &mut Vec<(CondMessageId, AckState, IncrementalEval)>,
+    ) -> bool {
         let mut pending = self.pending.lock();
         let Some(eval) = pending.get_mut(&ack.cond_id) else {
             return false;
         };
+        if !untouched.iter().any(|(id, ..)| *id == ack.cond_id) {
+            untouched.push((ack.cond_id, eval.acks.clone(), eval.inc.clone()));
+        }
         record_ack(&mut eval.acks, ack);
         let updates = eval.inc.apply_ack(ack.leaf, &eval.acks);
         if updates > 0 {
@@ -745,14 +808,6 @@ impl ConditionalMessenger {
     }
 
     // ---------------------------------------------------------- events --
-
-    /// Ack-queue put watcher: evaluate the moment an ack lands. Only the
-    /// messages the drained acks touch are re-evaluated and rearmed;
-    /// everything else keeps its armed timer.
-    fn on_ack_arrival(&self) {
-        let _serial = self.pump_lock.lock();
-        self.run_event(&[]);
-    }
 
     /// Deadline/timeout timer callback for one pending message.
     fn on_timer(&self, id: CondMessageId, gen: u64) {
@@ -778,20 +833,22 @@ impl ConditionalMessenger {
     /// the message (a decide pass leaves only future triggers), and a
     /// timer would fire at once, fail the same way and spin. Caller holds
     /// the pump lock.
-    fn rearm_ids(&self, ids: &[CondMessageId], failed: bool) {
+    fn rearm_ids(&self, mut ids: Vec<CondMessageId>, failed: bool) {
+        ids.sort_unstable();
+        ids.dedup();
         let now = self.qmgr.clock().now();
         let mut pending = self.pending.lock();
         for id in ids {
-            let Some(eval) = pending.get_mut(id) else {
+            let Some(eval) = pending.get_mut(&id) else {
                 continue;
             };
             if failed && eval.next_trigger().is_some_and(|at| at <= now) {
                 let mut retry = self.retry.lock();
-                if !retry.contains(id) {
-                    retry.push(*id);
+                if !retry.contains(&id) {
+                    retry.push(id);
                 }
             } else {
-                self.rearm_entry(*id, eval);
+                self.rearm_entry(id, eval);
             }
         }
     }
@@ -1028,11 +1085,15 @@ impl ConditionalMessenger {
         let mut session = self.qmgr.session();
         let staged = session.begin().map_err(CondError::from);
         let staged = staged.and_then(|()| self.finalize(&mut session, &mut cycle.decided[0]));
-        // A failed transaction leaves the message pending (on the retry
-        // list: the next cycle gives it its timer back); the caller may
+        // A failed transaction leaves the message pending, with its timer
+        // back, and costs what it held no backout budget; the caller may
         // try again.
-        self.commit_cycle(session, cycle, staged)?;
-        Ok(notification)
+        let result = self.commit_cycle(&mut session, cycle, staged);
+        self.rearm_ids(vec![cond_id], result.is_err());
+        if session.in_transaction() {
+            session.rollback_for_retry()?;
+        }
+        result.map(|()| notification)
     }
 
     /// Stages the removal of every active-log entry of a decided
@@ -1228,12 +1289,12 @@ impl ConditionalMessenger {
     // ---------------------------------------------------------- daemon --
 
     /// Spawns the evaluation backstop thread. Evaluation does not depend
-    /// on it — acks are evaluated by the thread that puts them and deadline
-    /// verdicts fire from the clock's timers. The daemon parks on the ack
-    /// queue (for at most `poll`, which keeps its stop flag responsive) and
-    /// pumps on every wakeup: that retries a drain a storage error
-    /// interrupted and discards the outcomes buffered for `pump()` callers
-    /// nobody else is collecting. An idle tick opens no session. Tests with
+    /// on it — acks are evaluated by the thread that commits them and
+    /// deadline verdicts fire from the clock's timers. The daemon parks on
+    /// the ack queue (for at most `poll`, which keeps its stop flag
+    /// responsive) and pumps on every wakeup: that retries the verdicts a
+    /// storage error interrupted and discards the outcomes buffered for
+    /// `pump()` callers nobody else is collecting. An idle tick opens no session. Tests with
     /// a `SimClock` need no daemon.
     ///
     /// # Errors
@@ -1261,6 +1322,49 @@ impl ConditionalMessenger {
             stop,
             handle: Some(handle),
         })
+    }
+}
+
+/// The trigger on `DS.ACK.Q`: the acknowledgments a committing transaction
+/// addressed to the queue are applied inside that transaction, on its
+/// thread (the reactor's for a transport batch, the reader's for a local
+/// receiver, the caller's for a bare put). The pump lock is held from the
+/// staging until the record is written or refused, and released before any
+/// watcher of the transaction runs. When the record is refused the
+/// committer gets its transaction back, acks included — a transport batch
+/// stays unacked and is resent, a local read is retried or abandoned — and
+/// the evaluations are as if the acks had never come. When the messenger
+/// cannot stage what the acks cause (an outcome queue without room, a
+/// compensation without a route) that is no fault of the committer's: the
+/// trigger declines, the acks are queued and every later cycle retries
+/// them.
+impl ArrivalTrigger for ConditionalMessenger {
+    fn on_arrival<'a>(
+        &'a self,
+        arrived: &[Message],
+        tx: &mut mq::Session,
+    ) -> Option<ArrivalEnd<'a>> {
+        let serial = self.pump_lock.lock();
+        let mut ids = std::mem::take(&mut *self.retry.lock());
+        let mut cycle = Cycle::default();
+        let staged = self.stage_cycle(tx, &mut cycle, arrived, &mut ids, 0);
+        let end = move |committed: bool| {
+            if committed {
+                self.publish(cycle);
+            } else {
+                self.metrics.eval_errors.incr();
+                self.unstage(cycle);
+            }
+            self.rearm_ids(ids, !committed);
+            drop(serial);
+        };
+        match staged {
+            Ok(()) => Some(Box::new(end)),
+            Err(_) => {
+                end(false);
+                None
+            }
+        }
     }
 }
 
@@ -1806,6 +1910,29 @@ mod tests {
         clock.advance(Millis(300));
         assert_eq!(messenger.pending_count(), 0);
         assert_eq!(clock.pending_timers(), 0);
+    }
+
+    #[test]
+    fn outcomes_nobody_pumps_are_bounded() {
+        // Evaluation needs no pump; the buffer pump() drains must not grow
+        // with every verdict when nobody calls it.
+        let (clock, _qmgr, messenger) = setup();
+        let condition = two_dest_condition(Millis(10));
+        let ids: Vec<_> = (0..RECENT_OUTCOMES_CAP + 3)
+            .map(|_| messenger.send_message("x", &condition).unwrap())
+            .collect();
+        clock.advance(Millis(100));
+        assert_eq!(messenger.pending_count(), 0);
+        assert_eq!(messenger.metrics.recent_dropped.get(), 3);
+        // The oldest were dropped from the buffer only: every verdict is
+        // still known.
+        let outcomes = messenger.pump().unwrap();
+        assert_eq!(outcomes.len(), RECENT_OUTCOMES_CAP);
+        let buffered: std::collections::HashSet<_> = outcomes.iter().map(|o| o.cond_id).collect();
+        assert_eq!(ids.iter().filter(|id| !buffered.contains(id)).count(), 3);
+        assert!(ids
+            .iter()
+            .all(|id| matches!(messenger.status(*id), MessageStatus::Decided(_))));
     }
 
     #[test]

@@ -58,8 +58,16 @@ pub(crate) struct MessengerMetrics {
     /// that hit a messaging error; the next event or the daemon retries
     /// (`cond.eval.errors`).
     pub eval_errors: Arc<Counter>,
-    /// Acks drained per ack-queue transaction (`cond.ack.batch_size`).
+    /// Acks consumed per evaluation-cycle transaction
+    /// (`cond.ack.batch_size`).
     pub ack_batch_size: Arc<Histogram>,
+    /// Acks that were queued on the ack queue and drained from it — they
+    /// landed while no messenger was attached — instead of being consumed
+    /// by the arrival trigger (`cond.ack.queued`).
+    pub acks_queued: Arc<Counter>,
+    /// Outcomes dropped, oldest first, from the buffer `pump()` drains
+    /// because nobody pumped (`cond.outcome.recent_dropped`).
+    pub recent_dropped: Arc<Counter>,
     /// Condition trees run through the static analyzer at send time
     /// (`cond.analyze.runs`).
     pub analyze_runs: Arc<Counter>,
@@ -93,6 +101,8 @@ impl MessengerMetrics {
             eval_timer_fires: registry.counter("cond.eval.timer_fires"),
             eval_errors: registry.counter("cond.eval.errors"),
             ack_batch_size: registry.histogram("cond.ack.batch_size"),
+            acks_queued: registry.counter("cond.ack.queued"),
+            recent_dropped: registry.counter("cond.outcome.recent_dropped"),
             analyze_runs: registry.counter("cond.analyze.runs"),
             analyze_warnings: registry.counter("cond.analyze.warnings"),
             analyze_rejected: registry.counter("cond.analyze.rejected"),

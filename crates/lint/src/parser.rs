@@ -1227,14 +1227,17 @@ impl Parser<'_> {
         let mut header = Vec::new();
         match kw.as_str() {
             "for" => {
-                // for <pat> in <expr> { … }
+                // for <pat> in <expr> { … }: the pattern runs to the `in`
+                // outside any delimiter, so the braces of a struct pattern
+                // (`for Pair { a, b } in …`) are not the loop body.
                 let pat_start = self.i;
+                let mut depth = 0isize;
                 while self.i < self.t.len() {
-                    if matches!(self.ident_at(self.i), Some("in")) {
-                        break;
-                    }
-                    if self.is_punct(self.i, '{') {
-                        break;
+                    match self.tok(self.i) {
+                        Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
+                        Some(Tok::Punct(')' | ']' | '}')) => depth -= 1,
+                        Some(Tok::Ident(id)) if depth == 0 && id == "in" => break,
+                        _ => {}
                     }
                     self.i += 1;
                 }

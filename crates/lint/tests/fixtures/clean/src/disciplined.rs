@@ -1,8 +1,10 @@
 //! Clean negatives: consistent lock order, a respected never-hold
 //! discipline, discharged custody (strict and err-reverts), matching
-//! registry emissions — and a `//` inside a string literal that must
-//! NOT be lexed as a comment (the string even spells out a lint
-//! annotation; treating it as one would fabricate a violation).
+//! registry emissions, a `for` loop whose pattern head destructures a
+//! struct (its braces are not the loop body) — and a `//` inside a string
+//! literal that must NOT be lexed as a comment (the string even spells
+//! out a lint annotation; treating it as one would fabricate a
+//! violation).
 
 use parking_lot::Mutex;
 
@@ -14,6 +16,11 @@ pub struct Message;
 
 pub enum Error {
     Closed,
+}
+
+pub struct Step {
+    pub first: bool,
+    pub by: u32,
 }
 
 pub struct Clean {
@@ -41,6 +48,20 @@ impl Clean {
         drop(gb);
         drop(ga);
         sum
+    }
+
+    /// `b`'s guard lives only inside the `if`, so `a` is never taken under
+    /// it. A parser that took the pattern's `{ first, by }` for the loop
+    /// body would lose that scope and report `b` held across `a.lock()`
+    /// (the reverse of `first`'s order).
+    pub fn apply(&self, steps: Vec<Step>) {
+        for Step { first, by } in steps {
+            if first {
+                let mut gb = self.b.lock();
+                *gb += by;
+            }
+            *self.a.lock() += by;
+        }
     }
 
     /// The declared discipline is respected: `tick` runs after drop.

@@ -68,7 +68,7 @@ pub use qmgr::{
     ManagedTask, ManagerConfig, QueueManager, QueueManagerBuilder, DEAD_LETTER_QUEUE,
     DLQ_REASON_PROPERTY, XMIT_DEST_MANAGER_PROPERTY, XMIT_DEST_QUEUE_PROPERTY,
 };
-pub use queue::{PutWatcher, Queue, QueueConfig, Wait};
+pub use queue::{ArrivalEnd, ArrivalTrigger, PutWatcher, Queue, QueueConfig, Wait};
 pub use relay::{
     BatchAccepted, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_HOPS_PROPERTY,
     RELAY_ORIGIN_PROPERTY,

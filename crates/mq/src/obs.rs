@@ -42,6 +42,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.ack.processed",
     "cond.ack.lag_ms",
     "cond.ack.batch_size",
+    "cond.ack.queued",
     "cond.verdict.success",
     "cond.verdict.failure",
     "cond.verdict.fused",
@@ -51,6 +52,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.notify.success",
     "cond.pending.depth",
     "cond.deferred.depth",
+    "cond.outcome.recent_dropped",
     "cond.eval.incremental_updates",
     "cond.eval.timer_fires",
     "cond.eval.errors",

@@ -873,6 +873,7 @@ impl RecoveredState {
 mod tests {
     use super::*;
     use crate::journal::{MemJournal, SegmentConfig, SegmentedJournal};
+    use crate::queue::{ArrivalEnd, ArrivalTrigger};
     use simtime::SimClock;
 
     fn manager() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -1402,6 +1403,155 @@ mod tests {
         );
         assert_eq!(qm.stats().tx_committed.get(), 0, "explicit transactions only");
         assert!(qm.queue("Q").unwrap().snapshot_persistent().is_empty());
+    }
+
+    /// A trigger on `Q` that parks nothing there: each arrival takes one
+    /// message off `OUT` and leaves a note about the pair on `NOTES`. It
+    /// declines a batch it cannot pair up, and logs how each one it
+    /// consumed ended.
+    #[derive(Default)]
+    struct Pairing {
+        ended: Mutex<Vec<bool>>,
+    }
+
+    impl ArrivalTrigger for Pairing {
+        fn on_arrival<'a>(
+            &'a self,
+            arrived: &[Message],
+            tx: &mut Session,
+        ) -> Option<ArrivalEnd<'a>> {
+            for msg in arrived {
+                let taken = tx.get("OUT", Wait::NoWait).ok()??;
+                let (arrived, taken) = (msg.payload_str().unwrap(), taken.payload_str().unwrap());
+                let note = format!("{arrived}+{taken}");
+                tx.put("NOTES", Message::text(note).persistent(true).build()).ok()?;
+            }
+            Some(Box::new(|committed| self.ended.lock().push(committed)))
+        }
+    }
+
+    fn durable(text: &str) -> Message {
+        Message::text(text).persistent(true).build()
+    }
+
+    #[test]
+    fn arrival_trigger_consumes_puts_inside_the_transaction_that_delivers_them() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        qm.create_queue("OUT").unwrap();
+        qm.create_queue("NOTES").unwrap();
+        qm.create_queue("OTHER").unwrap();
+        for text in ["x", "y"] {
+            qm.put("OUT", durable(text)).unwrap();
+        }
+        let pairing = Arc::new(Pairing::default());
+        let trigger: Arc<dyn ArrivalTrigger> = pairing.clone();
+        let q = qm.queue("Q").unwrap();
+        q.set_arrival_trigger(Arc::downgrade(&trigger));
+        let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let watcher = seen.clone();
+        q.add_put_watcher(Arc::new(move || {
+            watcher.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }));
+        // The trigger has heard how the record ended before any watcher of
+        // the transaction runs.
+        let ended_first = Arc::new(Mutex::new(Vec::new()));
+        let (log, pairing_seen) = (ended_first.clone(), Arc::downgrade(&pairing));
+        qm.queue("OTHER").unwrap().add_put_watcher(Arc::new(move || {
+            log.lock().extend(pairing_seen.upgrade().map(|p| p.ended.lock().clone()));
+        }));
+        let before = record_labels(&journal).len();
+
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("Q", durable("a")).unwrap();
+        s.put("OTHER", durable("kept")).unwrap();
+        s.put("Q", durable("b")).unwrap();
+        s.commit().unwrap();
+        // One record: the caller's other put, then what the trigger staged.
+        // Nothing was put to or got from Q.
+        assert_eq!(
+            record_labels(&journal)[before..],
+            [r#"TxCommit get["OUT", "OUT"] put["OTHER", "NOTES", "NOTES"]"#]
+        );
+        assert_eq!(q.depth(), 0);
+        assert_eq!(q.stats().enqueued.get(), 0);
+        let notes: Vec<_> = qm.queue("NOTES").unwrap().browse();
+        assert_eq!(notes[0].payload_str(), Some("a+x"));
+        assert_eq!(notes[1].payload_str(), Some("b+y"));
+        // Watchers observe arrivals, not residency: once per transaction.
+        assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(qm.stats().tx_committed.get(), 1, "one transaction, counted once");
+        assert_eq!(*pairing.ended.lock(), [true]);
+        assert_eq!(*ended_first.lock(), [vec![true]]);
+
+        // A trigger that declines (nothing left on OUT to pair with) has
+        // its staging undone, and the arrivals are queued.
+        qm.put("OUT", durable("z")).unwrap();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("Q", durable("c")).unwrap();
+        s.put("Q", durable("d")).unwrap();
+        s.commit().unwrap();
+        assert_eq!(record_labels(&journal).last().unwrap(), r#"TxCommit get[] put["Q", "Q"]"#);
+        assert_eq!(q.depth(), 2);
+        assert_eq!(qm.queue("OUT").unwrap().depth(), 1);
+        assert_eq!(qm.queue("NOTES").unwrap().depth(), 2);
+        assert_eq!(*pairing.ended.lock(), [true], "a declined arrival has no end");
+
+        // Once the trigger is gone, arrivals are queued again.
+        drop((trigger, pairing));
+        qm.put("Q", durable("e")).unwrap();
+        assert_eq!(q.depth(), 3);
+        assert_eq!(record_labels(&journal).last().unwrap(), r#"TxCommit get[] put["Q"]"#);
+    }
+
+    #[test]
+    fn refused_arrival_commit_hands_the_transaction_back_as_staged() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        qm.create_queue("OUT").unwrap();
+        qm.create_queue("NOTES").unwrap();
+        qm.create_queue("OTHER").unwrap();
+        qm.put("OUT", durable("x")).unwrap();
+        qm.put("OTHER", durable("mine")).unwrap();
+        let pairing = Arc::new(Pairing::default());
+        let trigger: Arc<dyn ArrivalTrigger> = pairing.clone();
+        qm.queue("Q").unwrap().set_arrival_trigger(Arc::downgrade(&trigger));
+
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.get("OTHER", Wait::NoWait).unwrap().unwrap();
+        s.put("OTHER", durable("first")).unwrap();
+        s.put("Q", durable("a")).unwrap();
+        s.put("OTHER", durable("last")).unwrap();
+        journal.set_failing(true);
+        let records = journal.record_count();
+        for _ in 0..2 * qm.config().backout_threshold {
+            assert!(matches!(s.commit(), Err(MqError::Io(_))));
+            assert!(s.in_transaction());
+            // The trigger's get is back on its queue, budget unspent; the
+            // caller's own get is still the caller's.
+            let parked = qm.queue("OUT").unwrap().browse();
+            assert_eq!(parked.len(), 1);
+            assert_eq!(parked[0].redelivery_count(), 0);
+            assert_eq!(qm.queue("OTHER").unwrap().depth(), 0);
+            assert_eq!(qm.queue("NOTES").unwrap().depth(), 0);
+        }
+        assert_eq!(journal.record_count(), records);
+        assert_eq!(qm.stats().tx_committed.get(), 0);
+        assert!(pairing.ended.lock().iter().all(|committed| !committed));
+        assert_eq!(pairing.ended.lock().len(), 2 * qm.config().backout_threshold as usize);
+        // What comes back is what was staged, arrival included and in
+        // place: with the trigger gone the retry queues it, in order.
+        drop((trigger, pairing));
+        journal.set_failing(false);
+        s.commit().unwrap();
+        assert_eq!(
+            record_labels(&journal).last().unwrap(),
+            r#"TxCommit get["OTHER"] put["OTHER", "Q", "OTHER"]"#
+        );
+        assert_eq!(qm.queue("Q").unwrap().depth(), 1);
     }
 
     #[test]

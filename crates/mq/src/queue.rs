@@ -37,6 +37,7 @@ use crate::journal::{Journal, JournalRecord};
 use crate::message::{Message, MessageId, PropertyValue};
 use crate::qmgr::QueueManager;
 use crate::selector::Selector;
+use crate::session::Session;
 use crate::stats::{Histogram, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
 
@@ -76,10 +77,45 @@ impl Default for QueueConfig {
     }
 }
 
-/// Callback invoked (outside the queue lock) after a message becomes
-/// visible on the queue. The event-driven evaluation manager registers one
-/// on `DS.ACK.Q` so acknowledgment arrival wakes it instead of a poll.
+/// Callback invoked (outside the queue lock and the mutation gate) after a
+/// put to the queue has committed, once per put. Watchers observe arrivals,
+/// not residency: on a queue with an [`ArrivalTrigger`] they fire once per
+/// committed transaction that addressed a message to it, even though the
+/// trigger consumed what arrived.
 pub type PutWatcher = Arc<dyn Fn() + Send + Sync>;
+
+/// A trigger on insert: the consumer of everything a queue receives, run
+/// inside the transaction that delivers it (Gray, *Queues Are Databases*:
+/// the queue is a table, and a trigger that consumes the inserted row
+/// belongs in the inserting transaction). The evaluation manager installs
+/// one on `DS.ACK.Q`, so an acknowledgment is applied by the record that
+/// would otherwise have queued it.
+pub trait ArrivalTrigger: Send + Sync {
+    /// Consumes `arrived` — the messages a committing transaction staged
+    /// for the queue, taken out of it — on the committing thread, before
+    /// the mutation gate is taken. `tx` holds the rest of that transaction,
+    /// open: the trigger stages what the arrivals cause into it and leaves
+    /// ending it to the commit. It must not put to its own queue (that
+    /// would recurse). A transaction consults one trigger: what it
+    /// addresses to a second triggered queue is queued there.
+    ///
+    /// `Some(end)` consumes the arrivals. The commit calls `end` exactly
+    /// once, outside the gate and before any watcher of the transaction
+    /// runs: with `true` once the record is written and applied, with
+    /// `false` when it was refused — then what the trigger staged is undone
+    /// (its gets return without spending backout budget) and the committer
+    /// gets its transaction back exactly as it staged it, arrivals
+    /// included. Locks the trigger took to stage live in `end`, so they are
+    /// never held while a watcher runs.
+    ///
+    /// `None` declines: what the trigger staged is undone the same way and
+    /// the arrivals are queued, as if no trigger were installed.
+    fn on_arrival<'a>(&'a self, arrived: &[Message], tx: &mut Session) -> Option<ArrivalEnd<'a>>;
+}
+
+/// How a commit tells an [`ArrivalTrigger`] what became of the transaction
+/// it staged into; see [`ArrivalTrigger::on_arrival`].
+pub type ArrivalEnd<'a> = Box<dyn FnOnce(bool) + 'a>;
 
 /// A named message queue.
 pub struct Queue {
@@ -101,6 +137,9 @@ pub struct Queue {
     journal_append_micros: Arc<Histogram>,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
     put_watchers: Mutex<Vec<PutWatcher>>,
+    /// The consumer of everything committed to this queue, if one is
+    /// installed and alive; see [`Queue::set_arrival_trigger`].
+    arrival_trigger: RwLock<Option<Weak<dyn ArrivalTrigger>>>,
     /// The owning manager and this queue's own handle: [`Queue::purge`]
     /// commits through the one and records its gets against the other.
     manager: Weak<QueueManager>,
@@ -136,6 +175,7 @@ impl Queue {
             gate: manager.mutation_gate().clone(),
             journal_append_micros: manager.stats().journal_append_micros.clone(),
             put_watchers: Mutex::new(Vec::new()),
+            arrival_trigger: RwLock::new(None),
             manager: manager.me.clone(),
             me: me.clone(),
         })
@@ -165,11 +205,21 @@ impl Queue {
         self.put_watchers.lock().push(watcher);
     }
 
-    fn notify_put_watchers(&self) {
+    pub(crate) fn notify_put_watchers(&self) {
         let watchers: Vec<PutWatcher> = self.put_watchers.lock().clone();
         for w in watchers {
             w();
         }
+    }
+
+    /// Installs the queue's one arrival trigger, replacing any other. Held
+    /// weakly: once the trigger is dropped, arrivals are queued again.
+    pub fn set_arrival_trigger(&self, trigger: Weak<dyn ArrivalTrigger>) {
+        *self.arrival_trigger.write() = Some(trigger);
+    }
+
+    pub(crate) fn arrival_trigger(&self) -> Option<Arc<dyn ArrivalTrigger>> {
+        self.arrival_trigger.read().as_ref()?.upgrade()
     }
 
     /// Blocks until the queue is non-empty, per `wait`, without consuming.

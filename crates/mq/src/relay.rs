@@ -44,6 +44,7 @@ use crate::qmgr::{
     XMIT_DEST_QUEUE_PROPERTY,
 };
 use crate::trace::TraceStage;
+use crate::transport::transport_error;
 use crate::MqResult;
 
 /// Property naming the queue manager that first wrapped the message for
@@ -114,6 +115,11 @@ pub(crate) struct Deduper {
     window: usize,
     set: HashSet<(u64, MessageId)>,
     order: VecDeque<(u64, MessageId)>,
+    /// Keys of arrival batches that passed the check and have not yet
+    /// committed (then [`Deduper::record`]ed) or been refused (then
+    /// [`Deduper::release`]d): a second delivery of one is neither fresh
+    /// nor a duplicate until the first is settled.
+    reserved: HashSet<(u64, MessageId)>,
 }
 
 impl Deduper {
@@ -124,6 +130,7 @@ impl Deduper {
             window,
             set: HashSet::with_capacity(window.min(4096)),
             order: VecDeque::with_capacity(window.min(4096)),
+            reserved: HashSet::new(),
         }
     }
 
@@ -140,8 +147,25 @@ impl Deduper {
         self.set.contains(key)
     }
 
+    /// Whether another caller's uncommitted arrival holds `key`.
+    pub(crate) fn in_doubt(&self, key: &(u64, MessageId)) -> bool {
+        self.reserved.contains(key)
+    }
+
+    /// Claims a key not seen before for an arrival about to commit; false
+    /// for a duplicate, inside the window or earlier in the same batch.
+    pub(crate) fn reserve(&mut self, key: (u64, MessageId)) -> bool {
+        !self.seen(&key) && self.reserved.insert(key)
+    }
+
+    /// Gives up the claim of a refused arrival: its sender resends.
+    pub(crate) fn release(&mut self, key: &(u64, MessageId)) {
+        self.reserved.remove(key);
+    }
+
     /// Remembers `key`, evicting the oldest remembered key if full.
     pub(crate) fn record(&mut self, key: (u64, MessageId)) {
+        self.reserved.remove(&key);
         if !self.set.insert(key) {
             return;
         }
@@ -179,7 +203,10 @@ impl QueueManager {
     ///
     /// 1. **Dedup** — an *(origin, id)* key inside the window, or seen
     ///    earlier in this batch, is a sender retry: dropped, counted in
-    ///    [`BatchAccepted::duplicates`].
+    ///    [`BatchAccepted::duplicates`]. The fresh keys are reserved under
+    ///    the same lock, so of two transports delivering one envelope at
+    ///    once (a crashed sender's zombie mover and its successor) only one
+    ///    passes; the other is refused while the first is in doubt.
     /// 2. **Route** — every fresh envelope gets its fate: a local queue
     ///    (transmission headers stripped; an unknown queue dead-letters),
     ///    the outbound transmission queue toward its destination manager
@@ -187,54 +214,51 @@ impl QueueManager {
     ///    failure as reason (hop budget exhausted, TTL expired, no route).
     ///    Misaddressed envelopes are never accepted as local delivery.
     /// 3. **Commit** — all of them are staged on one [`crate::Session`]
-    ///    and committed as one `TxCommit { puts, gets: [] }`. A relayed
-    ///    envelope's custody transfer is that record: a crash before it
-    ///    rolls back to "never accepted" for the whole batch.
+    ///    and committed as one `TxCommit` (puts only, unless a queue's
+    ///    arrival trigger consumed its share and staged what that caused).
+    ///    A relayed envelope's custody transfer is that record: a crash
+    ///    before it rolls back to "never accepted" for the whole batch.
     ///
-    /// Dedup keys, `mq.relay.*` counters and relay trace stages are
-    /// recorded only after the commit.
+    /// After the commit come the `mq.relay.*` counters and relay trace
+    /// stages, then the reserved keys are recorded; a refused commit
+    /// releases them.
     ///
     /// # Errors
     ///
     /// [`crate::MqError::ManagerStopped`], [`crate::MqError::QueueFull`]
     /// (a bounded local queue without room for its share of the batch),
-    /// journal failures. On any error *nothing* of the batch is accepted:
-    /// the transport leaves it unacked and the sender resends.
-    // lint: custody(msg, err-reverts)
+    /// journal failures, [`crate::MqError::Transport`] while another
+    /// delivery of one of the envelopes is in doubt. On any error *nothing*
+    /// of the batch is accepted: the transport leaves it unacked and the
+    /// sender resends.
     pub fn accept_batch(self: &Arc<Self>, batch: Vec<Message>) -> MqResult<BatchAccepted> {
         self.check_running()?;
         let arrived = batch.len();
-        let mut in_batch = HashSet::with_capacity(arrived);
-        let fresh: Vec<_> = {
-            let dedup = self.delivery_dedup.lock();
+        let (keys, fresh): (Vec<_>, Vec<_>) = {
+            let mut dedup = self.delivery_dedup.lock();
+            if batch.iter().any(|msg| dedup.in_doubt(&Deduper::key_of(msg))) {
+                let reason = "another delivery of the batch is in doubt";
+                return Err(transport_error(self.name(), reason));
+            }
             batch
                 .into_iter()
                 .filter_map(|msg| {
                     let key = Deduper::key_of(&msg);
-                    (!dedup.seen(&key) && in_batch.insert(key)).then_some((key, msg))
+                    dedup.reserve(key).then_some((key, msg))
                 })
-                .collect()
+                .unzip()
         };
         let now = self.clock().now();
-        let mut session = self.session();
-        session.begin()?;
-        let mut fates = Vec::with_capacity(fresh.len());
-        for (key, envelope) in fresh {
-            let hops = envelope.i64_property(RELAY_HOPS_PROPERTY).unwrap_or(0).max(0) as u64;
-            let (queue, msg, fate) = self.route_arrival(envelope, hops, now);
-            // A refused put drops the session, which discards every put
-            // staged so far.
-            session.put(&queue, msg)?;
-            fates.push((key, hops, fate));
-        }
-        if let Err(e) = session.commit() {
-            if session.in_transaction() {
+        let fates = match self.commit_arrivals(fresh, now) {
+            Ok(fates) => fates,
+            Err(e) => {
+                let mut dedup = self.delivery_dedup.lock();
+                keys.iter().for_each(|key| dedup.release(key));
                 return Err(e);
             }
-            // The record is written and applied, so the batch is accepted;
-            // what failed came after it (a refused checkpoint, which the
-            // next commit retries).
-        }
+        };
+        // Counted first: what the commit made visible is already moving on,
+        // and whoever receives it may look at the counters.
         let accepted = fates.len();
         let duplicates = arrived - accepted;
         self.relay_stats.duplicates.add(duplicates as u64);
@@ -242,14 +266,8 @@ impl QueueManager {
         if accepted > 0 {
             self.relay_stats.accept_batch.record(accepted as u64);
         }
-        {
-            let mut dedup = self.delivery_dedup.lock();
-            for (key, ..) in &fates {
-                dedup.record(*key);
-            }
-        }
         let trace = self.obs().trace();
-        for (_, hops, fate) in fates {
+        for (hops, fate) in fates {
             self.relay_stats.hops.record(hops);
             match fate {
                 Fate::Local => self.relay_stats.delivered_local.incr(),
@@ -264,10 +282,44 @@ impl QueueManager {
                 }
             }
         }
+        {
+            let mut dedup = self.delivery_dedup.lock();
+            keys.into_iter().for_each(|key| dedup.record(key));
+        }
         Ok(BatchAccepted {
             accepted,
             duplicates,
         })
+    }
+
+    /// Routes and commits the fresh envelopes of one batch as one
+    /// transaction; the hop count and fate of each, to count and trace.
+    // lint: custody(msg, err-reverts)
+    fn commit_arrivals(
+        self: &Arc<Self>,
+        fresh: Vec<Message>,
+        now: Time,
+    ) -> MqResult<Vec<(u64, Fate)>> {
+        let mut session = self.session();
+        session.begin()?;
+        let mut fates = Vec::with_capacity(fresh.len());
+        for envelope in fresh {
+            let hops = envelope.i64_property(RELAY_HOPS_PROPERTY).unwrap_or(0).max(0) as u64;
+            let (queue, msg, fate) = self.route_arrival(envelope, hops, now);
+            // A refused put drops the session, which discards every put
+            // staged so far.
+            session.put(&queue, msg)?;
+            fates.push((hops, fate));
+        }
+        if let Err(e) = session.commit() {
+            if session.in_transaction() {
+                return Err(e);
+            }
+            // The record is written and applied, so the batch is accepted;
+            // what failed came after it (a refused checkpoint, which the
+            // next commit retries).
+        }
+        Ok(fates)
     }
 
     /// Decides where one fresh envelope goes: the queue to stage it on,

@@ -11,7 +11,9 @@
 //! There is one commit path, `QueueManager::commit` below, and a put or a
 //! get outside a transaction takes it too: it is a transaction of that one
 //! operation (`QueueManager::auto_commit`), as are a dead-lettering and a
-//! purge.
+//! purge. A put bound for a queue with an [`ArrivalTrigger`] is never
+//! queued: the commit hands it to the trigger, which stages what it causes
+//! into the same transaction, and one record covers both.
 
 use std::sync::Arc;
 
@@ -19,7 +21,7 @@ use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
 use crate::message::{Message, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
-use crate::queue::{Queue, Wait};
+use crate::queue::{ArrivalTrigger, Queue, Wait};
 use crate::selector::Selector;
 
 /// What a transaction holds between its first operation and its end.
@@ -30,6 +32,28 @@ pub(crate) struct TxState {
     /// Messages consumed from queues, invisible to other consumers,
     /// returned on rollback.
     gets: Vec<(Arc<Queue>, Message)>,
+    /// Begun with [`Session::begin`]: counted in `mq.tx.committed` by the
+    /// commit that applies it.
+    explicit: bool,
+}
+
+/// What an applied transaction leaves to do once the gate is released.
+#[derive(Default)]
+struct Applied {
+    /// The queue of each put made visible, to wake its consumers and
+    /// watchers.
+    to_notify: Vec<Arc<Queue>>,
+    /// Puts whose queue was closed under the transaction.
+    orphaned: Vec<Message>,
+}
+
+/// The staged puts of one transaction that were bound for a triggered
+/// queue, taken out of it for the trigger to consume.
+struct Arrival {
+    queue: Arc<Queue>,
+    /// Where each message sat among the staged puts.
+    at: Vec<usize>,
+    messages: Vec<Message>,
 }
 
 impl TxState {
@@ -106,12 +130,39 @@ impl TxState {
     pub(crate) fn took(&mut self, queue: Arc<Queue>, msg: Message) {
         self.gets.push((queue, msg));
     }
+
+    /// Takes out the staged puts bound for the first triggered queue among
+    /// them, if there is one.
+    fn take_arrival(&mut self) -> Option<(Arc<dyn ArrivalTrigger>, Arrival)> {
+        let (queue, trigger) = self
+            .staged_puts
+            .iter()
+            .find_map(|(q, _)| q.arrival_trigger().map(|trigger| (q.clone(), trigger)))?;
+        let (mut at, mut messages) = (Vec::new(), Vec::new());
+        for (i, (to, msg)) in std::mem::take(&mut self.staged_puts).into_iter().enumerate() {
+            if Arc::ptr_eq(&to, &queue) {
+                at.push(i);
+                messages.push(msg);
+            } else {
+                self.staged_puts.push((to, msg));
+            }
+        }
+        Some((trigger, Arrival { queue, at, messages }))
+    }
+
+    /// Stages the messages of `arrival` again, each where it was.
+    fn restore(&mut self, arrival: Arrival) {
+        for (at, msg) in arrival.at.into_iter().zip(arrival.messages) {
+            self.staged_puts.insert(at, (arrival.queue.clone(), msg));
+        }
+    }
 }
 
 impl QueueManager {
     /// The one commit path: the only way a message enters or leaves a queue
     /// durably. Journals one `TxCommit` record, then makes the staged puts
-    /// visible and finalizes the gets.
+    /// visible and finalizes the gets. Puts bound for a triggered queue go
+    /// to its trigger first ([`QueueManager::commit_arrival`]).
     ///
     /// # Errors
     ///
@@ -119,8 +170,80 @@ impl QueueManager {
     /// happened: the transaction comes back for a retry or a rollback.
     /// With `None`, the transaction is durable and applied, and the
     /// checkpoint after it was refused (the next commit retries that).
-    // lint: custody(msg, err-reverts)
     pub(crate) fn commit(&self, mut tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
+        match tx.take_arrival() {
+            Some((trigger, arrival)) => self.commit_arrival(tx, &*trigger, arrival),
+            None => self.commit_record(tx),
+        }
+    }
+
+    /// Commits a transaction whose puts for its triggered queue were taken
+    /// out as `arrival`: the trigger stages what they cause into the rest
+    /// of the transaction, before the mutation gate is taken (the trigger
+    /// takes its own locks first) and on the committing thread, and the
+    /// record that is then written covers both. The trigger hears what
+    /// became of the record before anything else does; after that, outside
+    /// the gate and outside the trigger's locks, the transaction's watchers
+    /// run, the triggered queue's once for the transaction. A refusal, or a
+    /// trigger that declines, undoes what the trigger staged (its gets go
+    /// back without spending backout budget) and restores the transaction
+    /// as it came, arrivals included: refused, it goes back to the
+    /// committer; declined, it is committed with the arrivals queued.
+    // lint: custody(msg, err-reverts)
+    fn commit_arrival(
+        &self,
+        mut tx: TxState,
+        trigger: &dyn ArrivalTrigger,
+        arrival: Arrival,
+    ) -> Result<(), (MqError, Option<TxState>)> {
+        let Some(manager) = self.me.upgrade() else {
+            tx.restore(arrival);
+            return self.commit_record(tx);
+        };
+        let (puts, gets) = (tx.staged_puts.len(), tx.gets.len());
+        let mut session = Session { manager, tx: Some(tx) };
+        let end = trigger.on_arrival(&arrival.messages, &mut session);
+        // Ending the transaction is the commit's job, not the trigger's.
+        let Some(tx) = session.tx.take() else {
+            return Err((MqError::NoTransaction, None));
+        };
+        let (refused, mut tx) = match end {
+            None => (None, tx),
+            Some(end) => {
+                let applied = self.apply(tx);
+                end(applied.is_ok());
+                match applied {
+                    Ok(applied) => {
+                        let announced = self.announce(applied);
+                        arrival.queue.notify_put_watchers();
+                        return announced.map_err(|e| (e, None));
+                    }
+                    Err((e, tx)) => (Some(e), tx),
+                }
+            }
+        };
+        tx.staged_puts.truncate(puts);
+        let staged_gets = TxState { gets: tx.gets.split_off(gets), ..TxState::default() };
+        let undone = self.rollback(staged_gets, false);
+        tx.restore(arrival);
+        match refused.map_or(undone, Err) {
+            Err(e) => Err((e, Some(tx))),
+            Ok(()) => self.commit_record(tx),
+        }
+    }
+
+    /// Journals and applies one transaction, then wakes whom it concerns;
+    /// see [`QueueManager::commit`].
+    // lint: custody(msg, err-reverts)
+    fn commit_record(&self, tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
+        let applied = self.apply(tx).map_err(|(e, tx)| (e, Some(tx)))?;
+        self.announce(applied).map_err(|e| (e, None))
+    }
+
+    /// Writes the `TxCommit` record of `tx` and applies it, under the
+    /// mutation gate. Refused, nothing happened and `tx` comes back.
+    // lint: custody(msg, err-reverts)
+    fn apply(&self, mut tx: TxState) -> Result<Applied, (MqError, TxState)> {
         // Mutation gate read-held across [TxCommit append + applying its
         // effects]: a checkpoint can never snapshot half a transaction, nor
         // truncate the TxCommit record while its effects are missing.
@@ -151,21 +274,20 @@ impl QueueManager {
                     .journal_append_micros
                     .record_duration(started.elapsed());
                 if let Err(e) = appended {
-                    return Err((e, Some(tx)));
+                    return Err((e, tx));
                 }
             }
         }
-        let mut to_notify = Vec::new();
-        let mut orphaned = Vec::new();
+        let mut applied = Applied::default();
         for (queue, msg) in tx.staged_puts {
             // The queue was open at stage time; one closed since (deleted
             // under the transaction) dead-letters the message rather than
             // losing it.
             match queue.put_committed(msg) {
-                Ok(()) => to_notify.push(queue),
+                Ok(()) => applied.to_notify.push(queue),
                 Err(mut msg) => {
                     msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {}", queue.name()));
-                    orphaned.push(msg);
+                    applied.orphaned.push(msg);
                 }
             }
         }
@@ -176,17 +298,24 @@ impl QueueManager {
             queue.finalize_pending(msg.id());
         }
         drop(gate);
-        // Outside the gate: the dead-letter put is a commit of its own, and
-        // the gate must never be held re-entrantly.
-        for msg in orphaned {
+        if tx.explicit {
+            self.stats().tx_committed.incr();
+        }
+        Ok(applied)
+    }
+
+    /// What follows an applied transaction, outside the gate (which must
+    /// never be held re-entrantly): the dead-letter put of an orphan is a
+    /// commit of its own, and the consumers and watchers woken here may
+    /// start transactions of theirs.
+    fn announce(&self, applied: Applied) -> MqResult<()> {
+        for msg in applied.orphaned {
             self.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
         }
-        // Wake consumers and watchers only after the gate is released:
-        // watcher callbacks may start transactions of their own.
-        for q in to_notify {
+        for q in applied.to_notify {
             q.notify_arrival();
         }
-        self.maybe_checkpoint().map_err(|e| (e, None))
+        self.maybe_checkpoint()
     }
 
     /// Undoes a transaction: staged puts are discarded and consumed
@@ -307,7 +436,7 @@ impl Session {
         if self.tx.is_some() {
             return Err(MqError::TransactionActive);
         }
-        self.tx = Some(TxState::default());
+        self.tx = Some(TxState { explicit: true, ..TxState::default() });
         Ok(())
     }
 
@@ -324,14 +453,10 @@ impl Session {
         if tx.is_empty() {
             return Ok(());
         }
-        let result = self.manager.commit(tx).map_err(|(e, uncommitted)| {
+        self.manager.commit(tx).map_err(|(e, uncommitted)| {
             self.tx = uncommitted;
             e
-        });
-        if self.tx.is_none() {
-            self.manager.stats().tx_committed.incr();
-        }
-        result
+        })
     }
 
     /// Rolls back the active transaction: staged puts are discarded and

@@ -367,8 +367,10 @@ proptest! {
 
     /// The same mover over a real [`Link`]: a seeded loss rate and jitter,
     /// forced drops, partitions and heals, and sender crashes with the
-    /// mover mid-transfer. The receiver must see every label exactly once
-    /// and in the order the sender put them.
+    /// mover mid-transfer — the crashed sender's mover is left running (a
+    /// zombie, possibly still inside its last delivery) while its successor
+    /// starts. The receiver must see every label exactly once and in the
+    /// order the sender put them.
     #[test]
     fn link_mover_is_exactly_once_and_fifo_under_any_fault_schedule(
         drop_pct in 0u32..50,
@@ -389,6 +391,7 @@ proptest! {
         });
         let mut a = sender();
         let mut channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        let mut zombies = Vec::new();
         for label in 0..n {
             for &(at, fault) in &schedule {
                 if at % n != label {
@@ -400,9 +403,9 @@ proptest! {
                     LinkFault::Heal => link.set_up(true),
                     LinkFault::CrashSender => {
                         a.crash();
-                        drop(channel);
                         a = sender();
-                        channel = Channel::connect(&a, &b, link.clone()).unwrap();
+                        let successor = Channel::connect(&a, &b, link.clone()).unwrap();
+                        zombies.push(std::mem::replace(&mut channel, successor));
                     }
                 }
             }
@@ -417,6 +420,7 @@ proptest! {
             b.queue(DEST_QUEUE).unwrap().depth() as u32 == n
         });
         drop(channel);
+        drop(zombies);
         let arrived: Vec<u32> = b
             .queue(DEST_QUEUE)
             .unwrap()
@@ -599,6 +603,117 @@ fn accepted(accepted: usize, duplicates: usize) -> BatchAccepted {
         accepted,
         duplicates,
     }
+}
+
+/// A journal whose next append, once armed, stops just before it is
+/// written until the test lets it go.
+#[derive(Debug)]
+struct HeldJournal {
+    inner: Arc<MemJournal>,
+    hold: Mutex<Hold>,
+    changed: Condvar,
+}
+
+#[derive(Debug, PartialEq)]
+enum Hold {
+    Open,
+    Armed,
+    Holding,
+}
+
+impl HeldJournal {
+    fn set(&self, hold: Hold) {
+        *self.hold.lock() = hold;
+        self.changed.notify_all();
+    }
+
+    fn wait_holding(&self) {
+        let mut hold = self.hold.lock();
+        while *hold != Hold::Holding {
+            self.changed.wait(&mut hold);
+        }
+    }
+}
+
+impl Journal for HeldJournal {
+    fn append(&self, record: &JournalRecord) -> mq::MqResult<()> {
+        let mut hold = self.hold.lock();
+        if *hold == Hold::Armed {
+            // Only the append that trips the hold waits; later ones pass.
+            *hold = Hold::Holding;
+            self.changed.notify_all();
+            while *hold == Hold::Holding {
+                self.changed.wait(&mut hold);
+            }
+        }
+        drop(hold);
+        self.inner.append(record)
+    }
+
+    fn replay(&self, sink: &mut mq::journal::ReplaySink<'_>) -> mq::MqResult<()> {
+        self.inner.replay(sink)
+    }
+
+    fn reset(&self) -> mq::MqResult<()> {
+        self.inner.reset()
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.inner.len_bytes()
+    }
+}
+
+/// A crashed sender's mover is still inside its delivery — the receiver
+/// has checked the envelope against the dedup window and is writing the
+/// arrival record — when the restarted sender's mover delivers the same
+/// envelope over a second link. The check, the commit and the recording of
+/// the key are not one step, so the key is reserved at the check: the
+/// successor is refused while the zombie's arrival is in doubt, and its
+/// resend is a duplicate.
+#[test]
+fn zombie_mover_and_its_successor_deliver_the_same_envelope_once() {
+    let held = Arc::new(HeldJournal {
+        inner: MemJournal::new(),
+        hold: Mutex::new(Hold::Open),
+        changed: Condvar::new(),
+    });
+    let b = QueueManager::builder("QB").journal(held.clone()).build().unwrap();
+    b.create_queue(DEST_QUEUE).unwrap();
+    let journal = MemJournal::new();
+    let sender = || QueueManager::builder("QA").journal(journal.clone()).build().unwrap();
+    let depth = || b.queue(DEST_QUEUE).unwrap().depth();
+
+    let a = sender();
+    held.set(Hold::Armed);
+    let zombie = Channel::connect(&a, &b, Link::ideal()).unwrap();
+    let msg = Message::text("0").persistent(true).build();
+    a.put_to(&QueueAddress::new("QB", DEST_QUEUE), msg).unwrap();
+    held.wait_holding();
+    a.crash();
+
+    // The successor finds the envelope still on the transmission queue (the
+    // zombie never committed its handoff) and delivers it over its own link
+    // while the zombie's arrival record is being written.
+    let a = sender();
+    let second = Link::ideal();
+    let successor = Channel::connect(&a, &b, second.clone()).unwrap();
+    wait_for("the successor's first delivery to return", Duration::from_secs(10), || {
+        second.stats().attempts.get() >= 2 || depth() == 1
+    });
+    let mut delivered = Vec::new();
+    delivered.extend(b.get(DEST_QUEUE, Wait::NoWait).unwrap());
+    held.set(Hold::Open);
+    wait_for("both movers to settle", Duration::from_secs(10), || {
+        a.queue("SYSTEM.XMIT.QB").unwrap().depth() == 0
+            && b.relay_stats().delivered_local.get() + b.relay_stats().duplicates.get() == 2
+    });
+    drop(successor);
+    drop(zombie);
+    delivered.extend(b.get(DEST_QUEUE, Wait::NoWait).unwrap());
+    assert_eq!(delivered.len(), 1, "delivered once: {delivered:?}");
+    assert_eq!(depth(), 0);
+    assert_eq!(b.relay_stats().delivered_local.get(), 1);
+    assert_eq!(b.relay_stats().duplicates.get(), 1);
 }
 
 #[test]

@@ -4,10 +4,12 @@
 //! journal appends cost, so the *sequence of records* one round trip writes
 //! is part of the contract: every protocol step — conditional send, channel
 //! handoff, arrival of a transport batch, pick-up with its implicit
-//! acknowledgment, acknowledgment drain with the verdict it decides,
-//! outcome pick-up — is exactly one record. A change that splits a step
-//! over two commits (or adds a record anywhere on the path) fails here, not
-//! only in `condbench`.
+//! acknowledgment, outcome pick-up — is exactly one record, and an
+//! acknowledgment is never a step of its own: the trigger on `DS.ACK.Q`
+//! applies it inside the record that delivers it (the arrival of its
+//! transport batch, or the local pick-up), with the verdict it decides. A
+//! change that splits a step over two commits (or adds a record anywhere on
+//! the path) fails here, not only in `condbench`.
 //!
 //! The tables in DESIGN.md §8 and the receiver section are these
 //! sequences.
@@ -130,7 +132,7 @@ fn recorded(name: &str, clock: &Arc<SystemClock>) -> (Arc<QueueManager>, Arc<Rec
 }
 
 #[test]
-fn two_manager_round_trip_is_eight_records() {
+fn two_manager_round_trip_is_seven_records() {
     let clock = SystemClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
@@ -165,12 +167,11 @@ fn two_manager_round_trip_is_eight_records() {
             "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]",
             // Channel handoff, committed once the tail has the message.
             "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
-            // The acknowledgment arrives (a transport batch of one) ...
-            "TxCommit get[] put[DS.ACK.Q]",
-            // ... and decides the message in the transaction that
-            // consumes it: outcome entry and notification out, parked
+            // The acknowledgment arrives (a transport batch of one) and
+            // is never queued: the arrival record is the verdict it
+            // decides — outcome entry and notification out, parked
             // compensation and sender-log record gone. No AckSeen.
-            "TxCommit get[DS.ACK.Q, DS.COMP.Q, DS.SLOG.Q] put[DS.DONE.Q, DS.OUTCOME.Q]",
+            "TxCommit get[DS.COMP.Q, DS.SLOG.Q] put[DS.DONE.Q, DS.OUTCOME.Q]",
             // The application picks the outcome up.
             "TxCommit get[DS.OUTCOME.Q] put[]",
         ],
@@ -190,10 +191,11 @@ fn two_manager_round_trip_is_eight_records() {
     let metrics = head.metrics_snapshot();
     assert_eq!(metrics.counter("cond.verdict.fused"), 1);
     assert_eq!(metrics.counter("cond.ack.read"), 1);
+    assert_eq!(metrics.counter("cond.ack.queued"), 0, "the trigger is the live path");
 }
 
 #[test]
-fn a_transport_batch_of_three_is_one_arrival_record_and_one_drain() {
+fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
     let clock = SystemClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
@@ -242,10 +244,9 @@ fn a_transport_batch_of_three_is_one_arrival_record_and_one_drain() {
             send,
             send,
             "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] put[]",
-            // The three acknowledgments arrive as one record ...
-            "TxCommit get[] put[DS.ACK.Q x3]",
-            // ... and one drain transaction carries all three verdicts.
-            "TxCommit get[DS.ACK.Q x3, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
+            // The three acknowledgments arrive as one record, which
+            // carries all three verdicts.
+            "TxCommit get[DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
              put[DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]",
             outcome,
             outcome,
@@ -265,15 +266,15 @@ fn a_transport_batch_of_three_is_one_arrival_record_and_one_drain() {
         "tail"
     );
     let metrics = head.metrics_snapshot();
-    let drained = &metrics.histograms["cond.ack.batch_size"];
-    assert_eq!((drained.count, drained.max), (1, 3));
+    let applied = &metrics.histograms["cond.ack.batch_size"];
+    assert_eq!((applied.count, applied.max), (1, 3));
     assert_eq!(metrics.counter("cond.verdict.fused"), 3);
 }
 
 #[test]
 fn a_relay_takes_custody_of_a_batch_with_one_record() {
     let clock = SystemClock::new();
-    let (head, _) = recorded("QM.HEAD", &clock);
+    let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (mid, mid_journal) = recorded("QM.MID", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     mid.create_queue("Q.MID").unwrap();
@@ -282,6 +283,7 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
     let _head_mid = Channel::connect(&head, &mid, first_hop.clone()).unwrap();
     let _mid_tail = Channel::connect(&mid, &tail, Link::ideal()).unwrap();
     head.define_default_route(&["SYSTEM.XMIT.QM.MID"]).unwrap();
+    head_journal.start();
     mid_journal.start();
     tail_journal.start();
 
@@ -326,11 +328,16 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
         dead.str_property(DLQ_REASON_PROPERTY),
         Some("no route to manager QM.NOWHERE")
     );
+    // The relay counts a batch once its record is written, on the
+    // delivering thread, which the onward mover overtakes: the head's
+    // handoff record (its sixth put, its second handoff) is what says that
+    // `accept_batch` has returned.
+    head_journal.wait_for(8);
     assert_eq!(mid.metrics_snapshot().counter("mq.relay.forwarded"), 4);
 }
 
 #[test]
-fn four_leaf_tree_decided_by_its_third_ack_is_ten_records() {
+fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     let journal = RecordingJournal::new();
     let qmgr = QueueManager::builder("QM1")
         .clock(SimClock::new())
@@ -361,25 +368,23 @@ fn four_leaf_tree_decided_by_its_third_ack_is_ten_records() {
     let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap();
     assert_eq!(outcome.expect("verdict").outcome, MessageOutcome::Success);
 
-    let pickup = |leaf: &str| format!("TxCommit get[{leaf}] put[DS.RLOG.Q, DS.ACK.Q]");
-    // An ack that leaves its message pending is logged (write-ahead).
-    let drain = "TxCommit get[DS.ACK.Q] put[DS.SLOG.Q]".to_owned();
+    // The pick-up's record is where its read-ack is applied: an ack that
+    // leaves its message pending is logged (write-ahead) in it.
+    let pickup = |leaf: &str| format!("TxCommit get[{leaf}] put[DS.RLOG.Q, DS.SLOG.Q]");
     assert_eq!(
         journal.appended(),
         [
             "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q x4, Q.L0, Q.L1, Q.L2, Q.L3]".to_owned(),
             pickup("Q.L0"),
-            drain.clone(),
             pickup("Q.L1"),
-            drain,
-            pickup("Q.L2"),
-            // The third ack decides: its drain carries the verdict, which
+            // The third ack decides: its pick-up carries the verdict, which
             // purges the send record and the two logged acks.
-            "TxCommit get[DS.ACK.Q, DS.COMP.Q x4, DS.SLOG.Q x3] put[DS.DONE.Q, DS.OUTCOME.Q]"
+            "TxCommit get[Q.L2, DS.COMP.Q x4, DS.SLOG.Q x3] \
+             put[DS.RLOG.Q, DS.DONE.Q, DS.OUTCOME.Q]"
                 .to_owned(),
-            pickup("Q.L3"),
-            // Late ack for a decided message: consumed, nothing logged.
-            "TxCommit get[DS.ACK.Q] put[]".to_owned(),
+            // Late ack for a decided message: applied to nothing, so the
+            // pick-up is all the record says.
+            "TxCommit get[Q.L3] put[DS.RLOG.Q]".to_owned(),
             "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use condmsg::{
-    Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageKind, MessageOutcome,
+    AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
+    MessageKind, MessageOutcome,
 };
 use dsphere::{DSphereService, KvStore};
 use mq::{QueueManager, Wait};
@@ -226,6 +227,62 @@ fn pump_and_daemon_do_not_double_decide() {
         let second = messenger.take_outcome(id, Wait::NoWait).unwrap();
         assert!(second.is_none(), "no duplicate notification");
     }
+}
+
+#[test]
+fn a_watcher_of_a_transaction_that_delivers_an_ack_may_evaluate() {
+    // A reader's transaction delivers an acknowledgment (applied inside it,
+    // under the messenger's evaluation lock) and a put to an application
+    // queue. That queue's watcher runs on the same thread: it must find the
+    // lock released, whether it pumps or picks up another conditional
+    // message, whose ack re-enters the trigger. A regression hangs here, so
+    // the scenario runs on a thread of its own with a deadline.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let qmgr = QueueManager::builder("QM1").build().unwrap();
+        for queue in ["Q.A", "Q.B", "APP.LOG"] {
+            qmgr.create_queue(queue).unwrap();
+        }
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        let within = |queue| Condition::from(Destination::queue("QM1", queue).pickup_within(Millis(60_000)));
+        let first = messenger.send_message("a", &within("Q.A")).unwrap();
+        let second = messenger.send_message("b", &within("Q.B")).unwrap();
+
+        let reentrant = parking_lot::Mutex::new(ConditionalReceiver::new(qmgr.clone()).unwrap());
+        let pumping = messenger.clone();
+        let reported = Arc::new(AtomicUsize::new(0));
+        let count = reported.clone();
+        qmgr.queue("APP.LOG").unwrap().add_put_watcher(Arc::new(move || {
+            count.fetch_add(pumping.pump().unwrap().len(), Ordering::SeqCst);
+            let picked = reentrant.lock().read_message("Q.B", Wait::NoWait).unwrap();
+            assert!(picked.is_some());
+        }));
+
+        let ack = Acknowledgment {
+            cond_id: first,
+            leaf: 0,
+            kind: AckKind::Read,
+            read_at: qmgr.clock().now(),
+            processed_at: None,
+            recipient: None,
+        };
+        let mut reader = qmgr.session();
+        reader.begin().unwrap();
+        assert!(reader.get("Q.A", Wait::NoWait).unwrap().is_some());
+        reader.put("APP.LOG", mq::Message::text("consumed").build()).unwrap();
+        reader.put("DS.ACK.Q", ack.to_message()).unwrap();
+        reader.commit().unwrap();
+
+        assert_eq!(reported.load(Ordering::SeqCst), 1, "the watcher's pump saw the first verdict");
+        for id in [first, second] {
+            let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap();
+            assert_eq!(outcome.expect("decided").outcome, MessageOutcome::Success);
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the watcher deadlocked against the evaluation lock, or the scenario failed");
 }
 
 #[test]

@@ -9,21 +9,28 @@
 use std::sync::Arc;
 
 use condmsg::{
-    AckKind, Acknowledgment, Condition, ConditionalMessenger, Destination, MessageStatus,
+    AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
+    MessageStatus,
 };
 use mq::journal::MemJournal;
-use mq::{Message, MqError, QueueManager, TraceStage, Wait};
+use mq::{Message, MqError, QueueConfig, QueueManager, TraceStage, Wait};
 use simtime::{Millis, SimClock, Time};
 
 fn world() -> (Arc<MemJournal>, Arc<QueueManager>) {
+    let (_, journal, qmgr) = timed_world();
+    (journal, qmgr)
+}
+
+fn timed_world() -> (Arc<SimClock>, Arc<MemJournal>, Arc<QueueManager>) {
+    let clock = SimClock::new();
     let journal = MemJournal::new();
     let qmgr = QueueManager::builder("QM1")
-        .clock(SimClock::new())
+        .clock(clock.clone())
         .journal(journal.clone())
         .build()
         .unwrap();
     qmgr.create_queue("Q").unwrap();
-    (journal, qmgr)
+    (clock, journal, qmgr)
 }
 
 #[test]
@@ -104,70 +111,193 @@ fn failed_conditional_send_leaves_no_state_behind() {
 }
 
 #[test]
-fn pump_propagates_storage_errors_without_losing_acks() {
-    let (journal, qmgr) = world();
+fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
+    let (clock, journal, qmgr) = timed_world();
+    qmgr.create_queue("APP.LOG").unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
     let condition: Condition = Destination::queue("QM1", "Q")
         .pickup_within(Millis(1_000))
         .into();
     let id = messenger.send_message("x", &condition).unwrap();
-    // Storage goes down, and then an ack lands (a volatile copy of the
-    // receiver's ack: non-persistent puts bypass the failing journal).
-    journal.set_failing(true);
-    let durable = Acknowledgment {
+    // A reader's transaction, as a local receiver builds it: the pick-up,
+    // its own log entry and the read-ack, which the trigger on DS.ACK.Q
+    // turns into the verdict — one record, and storage is down for it.
+    let ack = Acknowledgment {
         cond_id: id,
         leaf: 0,
         kind: AckKind::Read,
         read_at: Time(0),
         processed_at: None,
         recipient: None,
+    };
+    let mut reader = qmgr.session();
+    reader.begin().unwrap();
+    assert!(reader.get("Q", Wait::NoWait).unwrap().is_some());
+    reader
+        .put("APP.LOG", Message::text("consumed").persistent(true).build())
+        .unwrap();
+    reader.put("DS.ACK.Q", ack.to_message()).unwrap();
+    journal.set_failing(true);
+    let records = journal.record_count();
+    let metrics = || qmgr.metrics_snapshot();
+    let attempts = 2 * u64::from(qmgr.config().backout_threshold);
+    for attempt in 1..=attempts {
+        // Refused: the reader has its transaction back, nothing of it or of
+        // the verdict is visible, and the error is counted where it
+        // happened as well as returned.
+        assert!(matches!(reader.commit(), Err(MqError::Io(_))));
+        assert!(reader.in_transaction());
+        assert_eq!(metrics().counter("cond.eval.errors"), attempt);
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
+        for (queue, depth) in [
+            ("Q", 0),
+            ("APP.LOG", 0),
+            ("DS.ACK.Q", 0),
+            ("DS.COMP.Q", 1),
+            ("DS.SLOG.Q", 1),
+            ("DS.DONE.Q", 0),
+            ("DS.OUTCOME.Q", 0),
+            (mq::DEAD_LETTER_QUEUE, 0),
+        ] {
+            assert_eq!(qmgr.queue(queue).unwrap().depth(), depth, "{queue}");
+        }
     }
-    .to_message();
-    let mut volatile = Message::builder(durable.payload().clone()).persistent(false);
-    for (name, value) in durable.properties() {
-        volatile = volatile.property(name, value.clone());
-    }
-    qmgr.put("DS.ACK.Q", volatile.build()).unwrap();
-    // The arrival-time cycle could not commit the verdict this ack
-    // decides: the error is counted, the ack rolled back onto the queue,
-    // the message undecided.
-    let errors = || qmgr.metrics_snapshot().counter("cond.eval.errors");
-    assert_eq!(errors(), 1);
-    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1, "ack not lost");
-    assert_eq!(messenger.status(id), MessageStatus::Pending);
-    // pump() reports its own failure to its caller instead of counting it,
-    // and however often the drain is retried the ack is never backed out
-    // to the dead-letter queue.
-    for _ in 0..2 * qmgr.config().backout_threshold {
-        assert!(messenger.pump().is_err());
-    }
-    assert_eq!(errors(), 1);
-    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1, "still queued");
+    // A refused record delivered no ack: the evaluation is as it was
+    // before, its deadline timer armed, and there is nothing for a cycle
+    // to retry.
+    assert_eq!(clock.pending_timers(), 1);
+    assert!(messenger.pump().unwrap().is_empty());
+    assert_eq!(metrics().counter("cond.eval.errors"), attempts);
+    assert_eq!(journal.record_count(), records);
+    assert_eq!(metrics().counter("cond.ack.read"), 0);
+    assert_eq!(metrics().counter("cond.verdict.success"), 0);
+
+    // Storage returns and the reader retries the transaction it was handed
+    // back — the ack still in it: one record, one verdict.
     journal.set_failing(false);
+    reader.commit().unwrap();
+    assert_eq!(journal.record_count(), records + 1);
     let outcomes = messenger.pump().unwrap();
+    assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].cond_id, id);
     assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Success);
-    // The ack was applied once per attempt (idempotently) but counted and
-    // traced once, by the transaction that committed it with its verdict.
-    let metrics = qmgr.metrics_snapshot();
-    assert_eq!(metrics.counter("cond.ack.read"), 1);
-    assert_eq!(metrics.counter("cond.verdict.success"), 1);
-    assert_eq!(metrics.counter("cond.verdict.fused"), 1);
+    assert_eq!(qmgr.queue("APP.LOG").unwrap().depth(), 1);
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 1);
+    // The ack was applied and taken back once per refused attempt, and
+    // counted and traced once, by the transaction that committed it with
+    // its verdict.
+    assert_eq!(metrics().counter("cond.ack.read"), 1);
+    assert_eq!(metrics().counter("cond.ack.queued"), 0);
+    assert_eq!(metrics().counter("cond.verdict.success"), 1);
+    assert_eq!(metrics().counter("cond.verdict.fused"), 1);
     let stages = messenger.trace().stages_for(id.as_u128());
     let read_acks = stages.iter().filter(|s| **s == TraceStage::ReadAck);
     assert_eq!(read_acks.count(), 1, "{stages:?}");
+    // A resend of the same ack finds the message decided: nothing happens.
+    qmgr.put("DS.ACK.Q", ack.to_message()).unwrap();
+    assert_eq!(journal.record_count(), records + 1);
+    assert!(messenger.pump().unwrap().is_empty());
+}
+
+#[test]
+fn a_read_abandoned_after_a_refused_record_leaves_no_ack_behind() {
+    // The paper's rule: a rolled-back read generates no acknowledgment.
+    // The reader's record is refused and the reader gives up instead of
+    // retrying, so the message is back on its queue, unread — and the
+    // verdict is the deadline's, at the deadline, with compensation.
+    let (clock, journal, qmgr) = timed_world();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    let id = messenger
+        .send_message_with_compensation("x", "undo-x", &condition)
+        .unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    clock.advance(Millis(10));
+    journal.set_failing(true);
+    assert!(receiver.read_message("Q", Wait::NoWait).is_err());
+    journal.set_failing(false);
+    let q = qmgr.queue("Q").unwrap();
+    assert_eq!(q.depth(), 1, "the read was rolled back");
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.eval.errors"), 1);
+    assert_eq!(clock.pending_timers(), 1, "the deadline is still armed");
+
+    clock.advance(Millis(2_000));
+    let outcomes = messenger.pump().unwrap();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].cond_id, id);
+    assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Failure);
+    assert_eq!(outcomes[0].decided_at, Time(1_001), "by the timer, not the pump");
+    let metrics = qmgr.metrics_snapshot();
+    assert_eq!(metrics.counter("cond.ack.read"), 0);
+    assert_eq!(metrics.counter("cond.comp.released"), 1);
+    assert_eq!(q.depth(), 2, "the unread original and its compensation");
+
+    // The same for an explicit transaction the reader rolls back.
+    qmgr.create_queue("Q2").unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q2")
+        .pickup_within(Millis(1_000))
+        .into();
+    let id = messenger.send_message("y", &condition).unwrap();
+    receiver.begin_tx().unwrap();
+    assert!(receiver.read_message("Q2", Wait::NoWait).unwrap().is_some());
+    journal.set_failing(true);
+    assert!(receiver.commit_tx().is_err());
+    journal.set_failing(false);
+    receiver.rollback_tx().unwrap();
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
+    clock.advance(Millis(2_000));
+    let outcomes = messenger.pump().unwrap();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Failure);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.read"), 0);
+}
+
+#[test]
+fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
+    // The outcome queue has no room: that is the sender's trouble, not the
+    // reader's. The trigger declines, the reader's record queues the ack as
+    // if no trigger were installed, and the verdict is retried from the
+    // queue once there is room.
+    let (_clock, journal, qmgr) = timed_world();
+    let bounded = QueueConfig { max_depth: Some(1), ..QueueConfig::default() };
+    qmgr.create_queue_with("DS.OUTCOME.Q", bounded).unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    let first = messenger.send_message("a", &condition).unwrap();
+    let second = messenger.send_message("b", &condition).unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    assert!(receiver.read_message("Q", Wait::NoWait).unwrap().is_some());
+    assert_eq!(messenger.status(second), MessageStatus::Pending);
+    let records = journal.record_count();
+    assert!(receiver.read_message("Q", Wait::NoWait).unwrap().is_some());
+    assert_eq!(journal.record_count(), records + 1);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 0, "the read went through");
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+    assert_eq!(messenger.status(second), MessageStatus::Pending);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.eval.errors"), 1);
+    assert!(messenger.pump().is_err(), "still no room");
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+
+    assert!(messenger.take_outcome(first, Wait::NoWait).unwrap().is_some());
+    let outcomes = messenger.pump().unwrap();
+    assert_eq!(outcomes.len(), 2, "both verdicts, reported once each");
+    assert_eq!(outcomes[1].cond_id, second);
+    assert_eq!(outcomes[1].outcome, condmsg::MessageOutcome::Success);
+    let metrics = qmgr.metrics_snapshot();
+    assert_eq!(metrics.counter("cond.ack.queued"), 1);
+    assert_eq!(metrics.counter("cond.ack.read"), 2);
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
 }
 
 #[test]
 fn verdict_whose_transaction_fails_is_retried_without_spinning() {
-    let clock = SimClock::new();
-    let journal = MemJournal::new();
-    let qmgr = QueueManager::builder("QM1")
-        .clock(clock.clone())
-        .journal(journal.clone())
-        .build()
-        .unwrap();
-    qmgr.create_queue("Q").unwrap();
+    let (clock, journal, qmgr) = timed_world();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
     let condition: Condition = Destination::queue("QM1", "Q")
         .pickup_within(Millis(100))
@@ -234,7 +364,8 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     }
     assert_eq!(messenger.status(forced), MessageStatus::Pending);
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
-    // The next cycle finds it undecided and gives it its timer back.
+    // It is undecided and has its timer back.
+    assert_eq!(clock.pending_timers(), 1);
     assert!(messenger.pump().unwrap().is_empty());
     assert_eq!(clock.pending_timers(), 1);
     journal.set_failing(false);

@@ -341,4 +341,21 @@ fn evaluation_engine_reports_metrics() {
         "ack draining recorded a batch, saw {} samples",
         batch.count
     );
+    // The fast path was the live path: no ack was ever queued, and the
+    // outcome buffer nobody pumped is far from its bound.
+    assert_eq!(snapshot.counters.get("cond.ack.queued"), Some(&0));
+    assert_eq!(snapshot.counters.get("cond.outcome.recent_dropped"), Some(&0));
+
+    // An ack that lands while no messenger is attached is queued; the next
+    // messenger drains it at attach time and says so.
+    let World { clock, qmgr, messenger } = w;
+    let id = messenger.send_message("read while detached", &condition).unwrap();
+    drop(messenger);
+    clock.advance(Millis(5));
+    receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+    assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_some());
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.queued"), 1);
 }

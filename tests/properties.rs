@@ -5,10 +5,12 @@
 use std::sync::Arc;
 
 use condmsg::{
-    AckState, CompiledCondition, CondConfig, Condition, ConditionalMessenger, ConditionalReceiver,
-    Destination, DestinationSet, MessageOutcome, Verdict,
+    AckKind, AckState, Acknowledgment, CompiledCondition, CondConfig, CondMessageId, Condition,
+    ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageOutcome,
+    MessageStatus, Verdict,
 };
-use mq::{QueueManager, Wait};
+use mq::journal::MemJournal;
+use mq::{Message, QueueManager, Wait};
 use proptest::prelude::*;
 use simtime::{Clock, Millis, SimClock, Time};
 
@@ -161,6 +163,133 @@ fn reference_verdict(
         }
     }
     None
+}
+
+/// One world of [`trigger_path_and_queue_path_agree`]: a send, the sender's
+/// service restarted, then the acknowledgments landing in `batches` (one
+/// transaction each) at `lands` ms — with the service `attached` again
+/// before they land (the arrival trigger consumes them) or only after (they
+/// queue up and the attach drains them). With `phantom`, a delivery of
+/// acknowledgments from every leaf is refused by storage first and given up
+/// by its owner: it must leave nothing behind. Returns what an observer can
+/// see live and, after a crash, what a restarted manager and service
+/// recover.
+fn ack_path_world(
+    condition: &Condition,
+    leaves: usize,
+    batches: &[Vec<(u32, u64, bool)>],
+    lands: u64,
+    attached: bool,
+    phantom: bool,
+) -> (Vec<String>, Vec<String>) {
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let build = || {
+        QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap()
+    };
+    let qmgr = build();
+    for i in 0..leaves {
+        qmgr.create_queue(format!("Q{i}")).unwrap();
+    }
+    let sender = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let id = sender.send_message_with_compensation("payload", "undo", condition).unwrap();
+    drop(sender);
+    clock.advance(Millis(lands));
+    let mut messenger = attached.then(|| ConditionalMessenger::new(qmgr.clone()).unwrap());
+    let ack = |leaf: u32, read_at: u64, processed: bool| Acknowledgment {
+        cond_id: id,
+        leaf,
+        kind: if processed { AckKind::Processed } else { AckKind::Read },
+        read_at: Time(read_at),
+        processed_at: processed.then_some(Time(read_at)),
+        recipient: None,
+    };
+    if phantom {
+        let mut session = qmgr.session();
+        session.begin().unwrap();
+        for leaf in 0..leaves as u32 {
+            session.put("DS.ACK.Q", ack(leaf, lands, false).to_message()).unwrap();
+        }
+        journal.set_failing(true);
+        assert!(session.commit().is_err());
+        journal.set_failing(false);
+        session.rollback().unwrap();
+    }
+    let mut landed = 0;
+    for batch in batches {
+        let mut session = qmgr.session();
+        session.begin().unwrap();
+        for &(leaf, read_at, processed) in batch {
+            session.put("DS.ACK.Q", ack(leaf, read_at, processed).to_message()).unwrap();
+            landed += 1;
+        }
+        // Riding along: an ack for a message nobody sent and a message that
+        // is no ack at all. Both paths consume them and do nothing.
+        let stray = Acknowledgment {
+            cond_id: CondMessageId::generate(),
+            leaf: 0,
+            kind: AckKind::Read,
+            read_at: Time(lands),
+            processed_at: None,
+            recipient: None,
+        };
+        session.put("DS.ACK.Q", stray.to_message()).unwrap();
+        session.put("DS.ACK.Q", Message::text("not an ack").persistent(true).build()).unwrap();
+        landed += 2;
+        session.commit().unwrap();
+    }
+    let queued = if attached { 0 } else { landed };
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), queued);
+    let messenger = messenger
+        .take()
+        .unwrap_or_else(|| ConditionalMessenger::new(qmgr.clone()).unwrap());
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.queued"), queued as u64);
+    clock.advance(Millis(400 - lands));
+    assert_eq!(clock.pending_timers(), 0, "timer torn down with decision");
+
+    let observe = |qmgr: &Arc<QueueManager>, messenger: &ConditionalMessenger| {
+        let mut seen = vec![match messenger.status(id) {
+            MessageStatus::Decided(n) => format!("{:?} at {:?}", n.outcome, n.decided_at),
+            other => format!("{other:?}"),
+        }];
+        seen.push(format!("pending {}", messenger.pending_count()));
+        for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q", "DS.DONE.Q", "DS.OUTCOME.Q"] {
+            seen.push(format!("{queue} {}", qmgr.queue(queue).unwrap().depth()));
+        }
+        for i in 0..leaves {
+            let kinds: Vec<_> = qmgr
+                .queue(&format!("Q{i}"))
+                .unwrap()
+                .browse()
+                .iter()
+                .map(|m| condmsg::wire::kind_of(m))
+                .collect();
+            seen.push(format!("Q{i} {kinds:?}"));
+        }
+        seen
+    };
+    let mut live = observe(&qmgr, &messenger);
+    // (Not the ack counters: an ack behind the one that decides is applied
+    // when one cycle drains both and late when each lands on its own.)
+    let metrics = qmgr.metrics_snapshot();
+    for name in [
+        "cond.verdict.success",
+        "cond.verdict.failure",
+        "cond.verdict.fused",
+        "cond.comp.released",
+        "cond.comp.consumed",
+    ] {
+        live.push(format!("{name} {}", metrics.counter(name)));
+    }
+    qmgr.crash();
+    drop(messenger);
+    let qmgr = build();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    (live, observe(&qmgr, &messenger))
 }
 
 proptest! {
@@ -416,5 +545,63 @@ proptest! {
                 prop_assert_eq!(w.qmgr.queue(&queue).unwrap().depth(), 0);
             }
         }
+    }
+
+    /// Acks are applied by the trigger on `DS.ACK.Q` inside the transaction
+    /// that delivers them, or — when they landed while no messenger was
+    /// attached — drained from the queue by the next one. Twin worlds that
+    /// differ only in that must agree on everything but the path: the
+    /// verdict and its time, the outcome actions at every destination, the
+    /// counters, and the state a restart recovers. And a third world, in
+    /// which a delivery that would have satisfied the whole condition is
+    /// refused and abandoned first, agrees with both: an acknowledgment
+    /// exists only once its record is written.
+    #[test]
+    fn trigger_path_and_queue_path_agree(
+        groups in proptest::collection::vec(arb_group_plan(), 1..4),
+        lands in 1u64..50,
+        split in 1usize..4,
+        resend in any::<bool>(),
+    ) {
+        let mut members: Vec<Condition> = Vec::new();
+        let mut acks: Vec<(u32, u64, bool)> = Vec::new();
+        let mut leaves = 0;
+        for group in &groups {
+            let set = DestinationSet::of(
+                (leaves..leaves + group.leaves.len())
+                    .map(|i| Destination::queue("QM1", format!("Q{i}")).into())
+                    .collect(),
+            )
+            .pickup_within(Millis(group.window));
+            members.push(match group.min {
+                Some(k) => set.min_pickup(k).into(),
+                None => set.into(),
+            });
+            for plan in &group.leaves {
+                // Every ack was stamped before it landed, and lands before
+                // the first window closes: which leaves acknowledged — not
+                // how late — decides, at arrival or by the deadline timer.
+                if let Some(t) = plan.read_at {
+                    acks.push((leaves as u32, t % (lands + 1), plan.transactional));
+                }
+                leaves += 1;
+            }
+        }
+        if resend {
+            acks.extend(acks.first().copied());
+        }
+        let condition: Condition = DestinationSet::of(members).into();
+        let per_batch = acks.len().div_ceil(split).max(1);
+        let batches: Vec<Vec<_>> = acks.chunks(per_batch).map(<[_]>::to_vec).collect();
+
+        let world = |attached, phantom| ack_path_world(&condition, leaves, &batches, lands, attached, phantom);
+        let (by_trigger, trigger_restart) = world(true, false);
+        let (by_queue, queue_restart) = world(false, false);
+        let (after_phantom, phantom_restart) = world(true, true);
+        prop_assert_eq!(&by_trigger, &by_queue, "groups {:?} batches {:?}", groups, batches);
+        prop_assert_eq!(&trigger_restart, &queue_restart, "groups {:?} batches {:?}", groups, batches);
+        prop_assert_eq!(&by_trigger, &after_phantom, "groups {:?} batches {:?}", groups, batches);
+        prop_assert_eq!(trigger_restart, phantom_restart, "groups {:?} batches {:?}", groups, batches);
+        prop_assert!(by_trigger[0].contains(" at "), "decided: {:?}", by_trigger);
     }
 }

@@ -9,12 +9,13 @@
 use std::sync::Arc;
 
 use condmsg::{
-    wire, CompiledCondition, CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver,
-    Destination, DestinationSet, MessageKind, MessageOutcome, MessageStatus,
+    wire, AckKind, Acknowledgment, CompiledCondition, CondMessageId, Condition,
+    ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
+    MessageOutcome, MessageStatus,
 };
 use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
-use mq::{QueueAddress, QueueManager, Wait};
-use simtime::{Millis, SharedClock, SimClock};
+use mq::{BatchAccepted, QueueAddress, QueueManager, Wait};
+use simtime::{Millis, SharedClock, SimClock, Time};
 
 fn build_qm(clock: SharedClock, journal: Arc<MemJournal>) -> Arc<QueueManager> {
     QueueManager::builder("QM1")
@@ -149,6 +150,76 @@ fn ack_in_queue_but_unprocessed_at_crash_is_replayed() {
     let outcomes = messenger2.pump().unwrap();
     assert_eq!(outcomes[0].cond_id, id);
     assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+}
+
+#[test]
+fn crash_right_after_a_fused_arrival_record_replays_the_ack_and_absorbs_its_resend() {
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    qmgr.create_queue("Q.B").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let id = messenger
+        .send_message("x", &two_dest_condition(Millis(1_000)))
+        .unwrap();
+    clock.advance(Millis(10));
+    // The read-ack of one destination, as a remote receiver's channel
+    // delivers it: an envelope in a transport batch.
+    let remote = QueueManager::builder("QM2").build().unwrap();
+    remote.define_route("QM1", "SYSTEM.XMIT.QM1").unwrap();
+    let envelope_of = |leaf: u32| {
+        let ack = Acknowledgment {
+            cond_id: id,
+            leaf,
+            kind: AckKind::Read,
+            read_at: Time(10),
+            processed_at: None,
+            recipient: None,
+        };
+        remote
+            .put_to(&QueueAddress::new("QM1", "DS.ACK.Q"), ack.to_message())
+            .unwrap();
+        remote.get("SYSTEM.XMIT.QM1", Wait::NoWait).unwrap().unwrap()
+    };
+    const ONE: BatchAccepted = BatchAccepted {
+        accepted: 1,
+        duplicates: 0,
+    };
+    let first = envelope_of(0);
+    assert_eq!(qmgr.accept_batch(vec![first.clone()]).unwrap(), ONE);
+    // The arrival record is the ack applied: its write-ahead entry and
+    // nothing else. The ack itself was never put anywhere.
+    match journal.replay_collect().unwrap().last() {
+        Some(JournalRecord::TxCommit { puts, gets }) => {
+            assert!(gets.is_empty());
+            assert_eq!(puts.len(), 1);
+            assert_eq!(puts[0].0, "DS.SLOG.Q");
+        }
+        other => panic!("arrival record: {other:?}"),
+    }
+    // Crash before the transport acknowledged the batch.
+    qmgr.crash();
+
+    let qmgr2 = build_qm(clock, journal);
+    assert_eq!(qmgr2.queue("DS.ACK.Q").unwrap().depth(), 0);
+    let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
+    assert_eq!(messenger2.status(id), MessageStatus::Pending);
+    // The sender resends the unacknowledged batch. The dedup window cannot
+    // know the envelope (no record ever held it), and need not: applying
+    // the ack a second time changes nothing.
+    assert_eq!(qmgr2.accept_batch(vec![first]).unwrap(), ONE);
+    assert_eq!(messenger2.status(id), MessageStatus::Pending);
+    // The replayed entry counts: the other destination's ack alone decides.
+    assert_eq!(qmgr2.accept_batch(vec![envelope_of(1)]).unwrap(), ONE);
+    let outcomes = messenger2.pump().unwrap();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].cond_id, id);
+    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q"] {
+        assert_eq!(qmgr2.queue(queue).unwrap().depth(), 0, "{queue}");
+    }
+    assert_eq!(qmgr2.metrics_snapshot().counter("cond.ack.queued"), 0);
 }
 
 #[test]
