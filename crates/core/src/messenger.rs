@@ -1185,14 +1185,16 @@ impl ConditionalMessenger {
     fn recover(&self) -> CondResult<()> {
         let slog = self.qmgr.queue(&self.config.slog_queue)?;
         let mut sends: HashMap<CondMessageId, SendRecord> = HashMap::new();
-        let mut acks: Vec<Acknowledgment> = Vec::new();
+        // Grouped by message once: a restart over n pending messages reads
+        // each ack once, not once per send.
+        let mut acks: HashMap<CondMessageId, Vec<Acknowledgment>> = HashMap::new();
         let mut outcomes: HashMap<CondMessageId, (MessageOutcome, Time)> = HashMap::new();
         for msg in slog.browse() {
             match SlogEntry::from_message(&msg)? {
                 SlogEntry::Send(record) => {
                     sends.insert(record.cond_id, record);
                 }
-                SlogEntry::AckSeen(ack) => acks.push(ack),
+                SlogEntry::AckSeen(ack) => acks.entry(ack.cond_id).or_default().push(ack),
                 SlogEntry::Outcome { .. } => {
                     // Legacy location; outcome history lives on done_queue.
                 }
@@ -1274,7 +1276,7 @@ impl ConditionalMessenger {
                 timer: None,
                 timer_gen: 0,
             };
-            for ack in acks.iter().filter(|a| a.cond_id == cond_id) {
+            for ack in acks.get(&cond_id).into_iter().flatten() {
                 record_ack(&mut eval.acks, ack);
             }
             // Replay the rebuilt ack state into the incremental structure.

@@ -18,9 +18,11 @@
 //! * Compensation handling: if a compensation message and its original are
 //!   both on the queue, they *annihilate* (neither is delivered); a
 //!   compensation is delivered to the application only when the receiver
-//!   log shows the original was consumed (paper §2.6, Fig. 8).
+//!   log shows the original was consumed (paper §2.6, Fig. 8). There is one
+//!   rule, applied where a read meets either half of a pair: it takes the
+//!   other half with an indexed get in the read's own transaction, so both
+//!   gets and the `annihilated` log entry are one journal record or nothing.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -130,10 +132,6 @@ pub struct ConditionalReceiver {
     /// Pairs annihilated in the open transaction `(id, leaf, queue)`,
     /// counted and traced once it commits.
     annihilated: Vec<(CondMessageId, u32, String)>,
-    /// Per-queue enqueue counter at the last annihilation scan; if nothing
-    /// new arrived since, the scan is skipped (keeps reads O(1) on busy
-    /// queues).
-    scanned_at: HashMap<String, u64>,
     /// Pre-registered `cond.recv.*` metric cells.
     metrics: ReceiverMetrics,
 }
@@ -193,7 +191,6 @@ impl ConditionalReceiver {
             session,
             pending_acks: Vec::new(),
             annihilated: Vec::new(),
-            scanned_at: HashMap::new(),
             metrics,
         })
     }
@@ -228,7 +225,6 @@ impl ConditionalReceiver {
     /// [`mq::MqError::NoRoute`] when an acknowledgment cannot be routed to
     /// the sender's queue manager.
     pub fn read_message(&mut self, queue: &str, wait: Wait) -> CondResult<Option<ReceivedMessage>> {
-        self.annihilate_pairs(queue)?;
         // Outside a receiver transaction the read is one implicit messaging
         // transaction: the get, the receiver-log entry and the read-ack
         // commit as a single journal record, so no crash or journal failure
@@ -276,10 +272,11 @@ impl ConditionalReceiver {
             match wire::kind_of(&msg) {
                 MessageKind::Original => {
                     let received = ReceivedMessage::classify(msg);
-                    self.pending_acks.push(PendingAck::for_original(
-                        &received,
-                        self.qmgr.clock().now(),
-                    )?);
+                    let ack = PendingAck::for_original(&received, self.qmgr.clock().now())?;
+                    if self.annihilates(queue, wire::kind::COMPENSATION, ack.cond_id, ack.leaf)? {
+                        continue;
+                    }
+                    self.pending_acks.push(ack);
                     return Ok(Some(received));
                 }
                 MessageKind::Compensation => {
@@ -294,20 +291,7 @@ impl ConditionalReceiver {
                         )?;
                         return Ok(Some(ReceivedMessage::classify(msg)));
                     }
-                    // Encounter-time annihilation: the original may still
-                    // be behind this compensation in the queue (priority
-                    // reordering, or a pre-scan skipped as redundant). The
-                    // compensation in hand is a get of this transaction;
-                    // taking the original in it too, with the log entry,
-                    // makes the annihilation one record or nothing.
-                    let original_sel = pair_selector(wire::kind::ORIGINAL, cond_id, leaf)?;
-                    let original = self.session.get_selected(queue, &original_sel, Wait::NoWait)?;
-                    if original.is_some() {
-                        self.session.put(
-                            &self.config.rlog_queue,
-                            rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
-                        )?;
-                        self.annihilated.push((cond_id, leaf, queue.to_owned()));
+                    if self.annihilates(queue, wire::kind::ORIGINAL, cond_id, leaf)? {
                         continue;
                     }
                     // Original neither in the queue nor consumed here:
@@ -334,60 +318,29 @@ impl ConditionalReceiver {
         }
     }
 
-    /// Annihilates original/compensation pairs sitting on the same queue
-    /// (paper §2.6: "both messages cancel each other out and will be
-    /// deleted from the queue").
-    fn annihilate_pairs(&mut self, queue: &str) -> CondResult<()> {
-        // Skip the scan when no message has been enqueued since the last
-        // one — no new compensation can have appeared.
-        let enqueued = match self.qmgr.queue(queue) {
-            Ok(q) => q.stats().enqueued.get(),
-            Err(_) => return Ok(()),
-        };
-        if self.scanned_at.get(queue) == Some(&enqueued) {
-            return Ok(());
+    /// Annihilation at encounter (paper §2.6: "both messages cancel each
+    /// other out and will be deleted from the queue"): the read holds one
+    /// half of the pair `(cond_id, leaf)` as a get of its transaction, and
+    /// takes the `other` half off `queue` in it too if it is there, with the
+    /// log entry — one record or nothing. Whether it was.
+    fn annihilates(
+        &mut self,
+        queue: &str,
+        other: &str,
+        cond_id: CondMessageId,
+        leaf: u32,
+    ) -> CondResult<bool> {
+        let other = pair_selector(other, cond_id, leaf)?;
+        let taken = self.session.get_selected(queue, &other, Wait::NoWait)?;
+        if taken.is_none() {
+            return Ok(false);
         }
-        self.scanned_at.insert(queue.to_owned(), enqueued);
-        let comp_selector = Selector::parse(&format!(
-            "{} = '{}'",
-            wire::P_KIND,
-            wire::kind::COMPENSATION
-        ))
-        .map_err(MqError::from)?;
-        let comps = match self.qmgr.queue(queue) {
-            // Indexed existence probe first: queues with no compensation
-            // aboard (the common case) skip the full browse entirely.
-            Ok(q) if !q.any_selected(&comp_selector) => return Ok(()),
-            Ok(q) => q.browse_selected(Some(&comp_selector)),
-            Err(_) => return Ok(()),
-        };
-        for comp in comps {
-            let (Ok(cond_id), Ok(leaf)) = (wire::cond_id_of(&comp), wire::leaf_of(&comp)) else {
-                continue;
-            };
-            let original_sel = pair_selector(wire::kind::ORIGINAL, cond_id, leaf)?;
-            let comp_sel = pair_selector(wire::kind::COMPENSATION, cond_id, leaf)?;
-            let mut session = self.qmgr.session();
-            session.begin()?;
-            let original = session.get_selected(queue, &original_sel, Wait::NoWait)?;
-            if original.is_none() {
-                session.rollback_for_retry()?;
-                continue;
-            }
-            let comp_taken = session.get_selected(queue, &comp_sel, Wait::NoWait)?;
-            if comp_taken.is_none() {
-                // Someone else consumed the compensation meanwhile.
-                session.rollback_for_retry()?;
-                continue;
-            }
-            session.put(
-                &self.config.rlog_queue,
-                rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
-            )?;
-            session.commit()?;
-            self.note_annihilated(cond_id, leaf, queue);
-        }
-        Ok(())
+        self.session.put(
+            &self.config.rlog_queue,
+            rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
+        )?;
+        self.annihilated.push((cond_id, leaf, queue.to_owned()));
+        Ok(true)
     }
 
     /// Counts and traces one committed annihilation.
@@ -711,9 +664,8 @@ mod tests {
 
     #[test]
     fn annihilation_met_by_the_read_is_one_record_in_the_reads_transaction() {
-        // The original sits behind its compensation and the read itself
-        // meets the pair (the pre-scan skipped as redundant, forced here).
-        // Both gets and the log entry are the read's own transaction: no
+        // The original sits behind its compensation and the read meets the
+        // pair. Both gets and the log entry are the read's own transaction: no
         // journal failure or crash can remove the original without its
         // `annihilated` entry, leaving a compensation nobody can resolve.
         let journal = mq::journal::MemJournal::new();
@@ -735,9 +687,6 @@ mod tests {
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         let rlog = qmgr.queue("DS.RLOG.Q").unwrap();
         let mut read = |failing: bool| {
-            receiver
-                .scanned_at
-                .insert("Q.A".into(), q.stats().enqueued.get());
             journal.set_failing(failing);
             receiver.read_message("Q.A", Wait::NoWait)
         };

@@ -7,7 +7,9 @@
 //! atomically (a put or get outside a transaction is a transaction of one),
 //! uncommitted gets roll back (no `TxCommit` ever named their messages), and
 //! non-persistent messages vanish — the same guarantees MQSeries gives
-//! the conditional-messaging layer.
+//! the conditional-messaging layer. A message enters or leaves a queue by
+//! one record kind, `TxCommit`: a delivery, a dead-lettering, a purge and
+//! the expiry of a message past its TTL are all gets of a transaction.
 //!
 //! Three backends:
 //! * [`SegmentedJournal`] — the one on-disk log: a directory holding a
@@ -66,13 +68,6 @@ pub enum JournalRecord {
         /// Messages consumed by the transaction.
         gets: Vec<(String, MessageId)>,
     },
-    /// A persistent message expired and was discarded.
-    Expired {
-        /// Queue it expired on.
-        queue: String,
-        /// Expired message id.
-        message_id: MessageId,
-    },
     /// Opens a checkpoint: a self-contained snapshot of all live persistent
     /// state follows as ordinary [`JournalRecord::Put`] records, closed by a
     /// [`JournalRecord::CheckpointEnd`] carrying the same id. Recovery
@@ -128,11 +123,6 @@ impl WireEncode for JournalRecord {
                     enc.put_str(q);
                     enc.put_u128(id.as_u128());
                 }
-            }
-            JournalRecord::Expired { queue, message_id } => {
-                enc.put_u8(5);
-                enc.put_str(queue);
-                enc.put_u128(message_id.as_u128());
             }
             JournalRecord::CheckpointStart {
                 checkpoint_id,
@@ -190,10 +180,6 @@ impl WireDecode for JournalRecord {
                 }
                 Ok(JournalRecord::TxCommit { puts, gets })
             }
-            5 => Ok(JournalRecord::Expired {
-                queue: dec.get_str()?,
-                message_id: MessageId::from_u128(dec.get_u128()?),
-            }),
             7 => {
                 let checkpoint_id = dec.get_u64()?;
                 let n_queues = dec.get_varint()?;
@@ -582,10 +568,6 @@ pub(crate) mod tests {
                 puts: vec![("Q1".into(), m2.clone())],
                 gets: vec![("Q2".into(), m1.id())],
             },
-            JournalRecord::Expired {
-                queue: "Q1".into(),
-                message_id: m2.id(),
-            },
             JournalRecord::QueueDeleted { queue: "Q1".into() },
             JournalRecord::CheckpointStart {
                 checkpoint_id: 42,
@@ -618,6 +600,28 @@ pub(crate) mod tests {
         j.reset().unwrap();
         assert_eq!(j.record_count(), 0);
         assert_eq!(j.len_bytes(), 0);
+    }
+
+    #[test]
+    fn a_journal_holding_a_retired_tag_fails_replay() {
+        // 3 was `Get`, 5 `Expired`, 6 `RelayCustody`: each is now a get (or
+        // a put) of a `TxCommit`. Their tags are not reused, so a journal
+        // written before says so instead of replaying as something else —
+        // checkpoint before upgrading.
+        for tag in [3u8, 5, 6] {
+            let j = MemJournal::new();
+            j.append(&JournalRecord::QueueCreated { queue: "Q".into() })
+                .unwrap();
+            let mut old = Encoder::new();
+            old.put_u8(tag);
+            old.put_str("Q");
+            old.put_u128(7);
+            j.records.lock().push(old.finish());
+            match j.replay_collect() {
+                Err(MqError::Codec(CodecError::BadTag { tag: bad, .. })) => assert_eq!(bad, tag),
+                other => panic!("tag {tag}: expected BadTag, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -771,9 +771,9 @@ mod tests {
         let j = SegmentedJournal::open(&root, small_config()).unwrap();
         for i in 0..50 {
             j.append(&put("Q", &format!("old {i}"))).unwrap();
-            j.append(&JournalRecord::Expired {
-                queue: "Q".into(),
-                message_id: crate::message::MessageId::generate(),
+            j.append(&JournalRecord::TxCommit {
+                puts: Vec::new(),
+                gets: vec![("Q".into(), crate::message::MessageId::generate())],
             })
             .unwrap();
         }

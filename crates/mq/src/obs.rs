@@ -150,10 +150,10 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 
 /// Every on-storage [`crate::journal::JournalRecord`] tag byte. The
 /// record's wire encode/decode impls are the registry sinks; adding a
-/// record variant without extending this table is a lint error. Tags 3
-/// and 6 are retired, not free: journals written before may hold them.
+/// record variant without extending this table is a lint error. Tags 3,
+/// 5 and 6 are retired, not free: journals written before may hold them.
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 2, 4, 5, 7, 8];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 2, 4, 7, 8];
 
 /// Every transport frame-kind tag byte (`FrameKind::as_u8`/`from_u8`
 /// are the sinks). Tag 0 is reserved and never valid on the wire.

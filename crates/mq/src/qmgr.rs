@@ -686,11 +686,6 @@ impl QueueManager {
                     }
                 }
             }
-            JournalRecord::Expired { queue, message_id } => {
-                if let Some(q) = state.queues.get(&queue) {
-                    q.remove_by_id(message_id);
-                }
-            }
             // Checkpoint markers are handled by the replay driver.
             JournalRecord::CheckpointStart { .. } | JournalRecord::CheckpointEnd { .. } => {}
         }
@@ -777,11 +772,12 @@ impl QueueManager {
     }
 
     /// Expires every ripe message on every queue (TTL and retention), via
-    /// each queue's expiry heap. Returns the total expired.
+    /// each queue's expiry heap: one transaction per queue holding any.
+    /// Returns the total expired.
     ///
     /// # Errors
     ///
-    /// Journal failures appending expiry records.
+    /// Journal failures; the ripe messages of the refused sweep stay.
     pub fn sweep_expired_all(&self) -> MqResult<usize> {
         let mut n = 0;
         for name in self.queues.sorted_keys() {

@@ -4,14 +4,14 @@
 //! The queue itself is an orchestration shell: all in-memory state lives
 //! in a [`crate::store::MessageStore`] (id-keyed map, priority bands,
 //! correlation and property-value indexes, expiry heap, pending
-//! transactional gets), while this module owns journaling, statistics,
-//! clock access and blocking. Selector gets whose selector pins an
+//! transactional gets), while this module owns statistics, clock access
+//! and blocking. Selector gets whose selector pins an
 //! equality (`shard = 7 AND kind = 'ack'`) are served as **point reads**
 //! from the property index instead of a band scan; targeted consumption
 //! by correlation id costs O(matches) the same way.
 //!
-//! Journaled mutations hold the owning manager's **mutation gate** (a
-//! shared read lock) across `[journal append + state change]`, so a
+//! Takes hold the owning manager's **mutation gate** (a shared read lock)
+//! and the commit holds it across `[journal append + state change]`, so a
 //! checkpoint — which write-holds the gate while snapshotting live state
 //! and truncating history — can never observe a mutation whose record it
 //! truncates but whose effect it missed (see [`crate::QueueManager`]).
@@ -19,10 +19,13 @@
 //! Queues are owned by a [`crate::QueueManager`]; applications obtain
 //! `Arc<Queue>` handles via [`crate::QueueManager::queue`] for read-only
 //! inspection (depth, browse, stats) and go through the manager or a
-//! session for get/put. A queue never journals a put or a get itself: a
-//! message enters with [`Queue::put_committed`] and leaves as a pending get,
-//! both under the one `TxCommit` record of the transaction they belong to
-//! (`QueueManager::commit` in the session module).
+//! session for get/put. A queue never appends to the journal: a message
+//! enters with [`Queue::put_committed`] and leaves as a pending get, both
+//! under the one `TxCommit` record of the transaction they belong to
+//! (`QueueManager::commit` in the session module). That is the only way
+//! out: a message past its TTL is skipped by every take and leaves as a get
+//! of the sweep's transaction ([`Queue::sweep_expired`]), exactly as a
+//! purged one leaves as a get of the purge's.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,15 +33,15 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use simtime::{Millis, SharedClock};
+use simtime::{Millis, SharedClock, Time};
 
 use crate::error::{MqError, MqResult};
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::Journal;
 use crate::message::{Message, MessageId, PropertyValue};
 use crate::qmgr::QueueManager;
 use crate::selector::Selector;
-use crate::session::Session;
-use crate::stats::{Histogram, QueueStats};
+use crate::session::{Session, TxState};
+use crate::stats::{Counter, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
 
 /// How long a consumer is willing to wait for a message.
@@ -123,6 +126,9 @@ pub struct Queue {
     clock: SharedClock,
     journal: Arc<dyn Journal>,
     config: QueueConfig,
+    /// Released before anything is journaled: a take leaves a pending get
+    /// behind and the commit appends with no queue lock held.
+    // lint: never-hold(Queue.store) across append
     store: Mutex<MessageStore>,
     available: Condvar,
     /// The owning manager's mutation gate (see module docs): read-held
@@ -132,15 +138,12 @@ pub struct Queue {
     // lint: lock-alias Queue.gate QueueManager.mutation_gate
     gate: Arc<RwLock<()>>,
     stats: QueueStats,
-    /// Journal-append latency (micros): the owning manager's
-    /// `mq.journal.append_micros` histogram.
-    journal_append_micros: Arc<Histogram>,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
     put_watchers: Mutex<Vec<PutWatcher>>,
     /// The consumer of everything committed to this queue, if one is
     /// installed and alive; see [`Queue::set_arrival_trigger`].
     arrival_trigger: RwLock<Option<Weak<dyn ArrivalTrigger>>>,
-    /// The owning manager and this queue's own handle: [`Queue::purge`]
+    /// The owning manager and this queue's own handle: a purge or a sweep
     /// commits through the one and records its gets against the other.
     manager: Weak<QueueManager>,
     me: Weak<Queue>,
@@ -157,8 +160,7 @@ impl fmt::Debug for Queue {
 
 impl Queue {
     /// Builds a queue of `manager`: on its clock, journal and mutation
-    /// gate, with stats cells registered under `mq.queue.<name>.*` and
-    /// journal appends feeding the shared `mq.journal.append_micros`.
+    /// gate, with stats cells registered under `mq.queue.<name>.*`.
     pub(crate) fn owned_by(
         manager: &QueueManager,
         name: String,
@@ -173,7 +175,6 @@ impl Queue {
             config,
             available: Condvar::new(),
             gate: manager.mutation_gate().clone(),
-            journal_append_micros: manager.stats().journal_append_micros.clone(),
             put_watchers: Mutex::new(Vec::new()),
             arrival_trigger: RwLock::new(None),
             manager: manager.me.clone(),
@@ -231,41 +232,65 @@ impl Queue {
     ///
     /// [`MqError::ManagerStopped`] if the queue closes while waiting.
     pub fn wait_nonempty(&self, wait: Wait) -> MqResult<bool> {
-        let (deadline, timeout) = match wait {
-            Wait::NoWait => return Ok(!self.is_empty()),
-            Wait::Timeout(t) => (Some(self.clock.now() + t), Some(t)),
+        let found = self.park(wait, true, || {
+            let store = self.store.lock();
+            self.check_open(&store)?;
+            Ok(((!store.is_empty()).then_some(()), store.version()))
+        })?;
+        Ok(found.is_some())
+    }
+
+    /// The one park loop: runs `attempt` until it yields, `wait` runs out
+    /// or the queue closes, parking on the condvar in between with neither
+    /// the gate nor the store lock held (a checkpoint must never wait on
+    /// parked consumers). `attempt` reports the store version it looked at;
+    /// an arrival or a close since then has bumped it, so the park cannot
+    /// sleep through either.
+    ///
+    /// Under a virtual clock, with `bound_real` a timed wait is additionally
+    /// bounded in real time: daemon loops (channel movers, listeners, ack
+    /// pumps) lean on the timeout to re-check their stop flags, and a sim
+    /// clock nobody advances anymore must not park them forever.
+    fn park<T>(
+        &self,
+        wait: Wait,
+        bound_real: bool,
+        mut attempt: impl FnMut() -> MqResult<(Option<T>, u64)>,
+    ) -> MqResult<Option<T>> {
+        let is_virtual = self.clock.is_virtual();
+        let (deadline, mut real_slices) = match wait {
+            Wait::NoWait => return Ok(attempt()?.0),
+            Wait::Timeout(t) => (
+                Some(self.clock.now() + t),
+                (bound_real && is_virtual).then(|| (t.as_u64() / 2).max(1)),
+            ),
             Wait::Forever => (None, None),
         };
-        // Under a virtual clock, a timed wait is additionally bounded in
-        // real time: daemon loops (channel movers, listeners, ack pumps)
-        // lean on the timeout to re-check their stop flags, and a sim
-        // clock nobody advances anymore must not park them forever.
-        let mut real_slices = match timeout {
-            Some(t) if self.clock.is_virtual() => Some((t.as_u64() / 2).max(1)),
-            _ => None,
-        };
-        let mut store = self.store.lock();
         loop {
-            self.check_open(&store)?;
-            if !store.is_empty() {
-                return Ok(true);
+            let (out, seen_version) = attempt()?;
+            if out.is_some() {
+                return Ok(out);
             }
             let now = self.clock.now();
             let real_wait = match deadline {
-                Some(d) if now >= d => return Ok(false),
-                Some(d) if !self.clock.is_virtual() => (d - now).to_duration(),
+                Some(d) if now >= d => return Ok(None),
+                Some(d) if !is_virtual => (d - now).to_duration(),
                 // Virtual clock (or no deadline): poll in short real-time
                 // slices so an `advance` on another thread is noticed.
-                _ if self.clock.is_virtual() => Duration::from_millis(2),
+                _ if is_virtual => Duration::from_millis(2),
                 _ => Duration::from_millis(200),
             };
             if let Some(slices) = &mut real_slices {
                 if *slices == 0 {
-                    return Ok(false);
+                    return Ok(None);
                 }
                 *slices -= 1;
             }
-            self.available.wait_for(&mut store, real_wait);
+            let mut store = self.store.lock();
+            self.check_open(&store)?;
+            if store.version() == seen_version {
+                self.available.wait_for(&mut store, real_wait);
+            }
         }
     }
 
@@ -359,10 +384,15 @@ impl Queue {
             msg.bump_redelivery();
             self.stats.redelivered.incr();
         }
+        // A refused sweep returns messages nobody can take: waking the
+        // consumers for those would have each of them sweep again.
+        let deliverable = !msg.is_expired(self.clock.now());
         let mut store = self.store.lock();
         self.insert(&mut store, msg, true);
         drop(store);
-        self.available.notify_one();
+        if deliverable {
+            self.available.notify_all();
+        }
     }
 
     /// Re-inserts a message during journal replay (no journaling), with
@@ -406,14 +436,17 @@ impl Queue {
         Ok(())
     }
 
-    /// Wakes one parked consumer and runs the put watchers. Pairs with
-    /// [`Queue::put_committed`] once the caller has released the gate.
+    /// Wakes the parked consumers — all of them: they wait for different
+    /// things (a correlation id, a selector), and the one woken alone may
+    /// not be the one that can take what arrived — and runs the put
+    /// watchers. Pairs with [`Queue::put_committed`] once the caller has
+    /// released the gate.
     pub(crate) fn notify_arrival(&self) {
-        self.available.notify_one();
+        self.available.notify_all();
         self.notify_put_watchers();
     }
 
-    /// Removes a specific message by id (journal replay and annihilation).
+    /// Removes a specific message by id: journal replay applying a get.
     pub(crate) fn remove_by_id(&self, id: MessageId) -> Option<Message> {
         let mut store = self.store.lock();
         let msg = store.detach(id)?;
@@ -463,128 +496,86 @@ impl Queue {
 
     // ------------------------------------------------------------ gets --
 
-    /// Removes and returns the first matching message, without waiting.
-    /// Like every take, the get is provisional: covered later by its
-    /// transaction's `TxCommit` record, or undone by rollback.
-    pub(crate) fn try_take(&self, selector: Option<&Selector>) -> MqResult<Option<Message>> {
-        let _gate = self.gate.read();
-        let mut store = self.store.lock();
-        self.check_open(&store)?;
-        self.take_locked(&mut store, selector)
-    }
-
-    /// Removes and returns the oldest message with the given correlation
-    /// id, using the correlation index (O(matches), not O(depth)).
-    pub(crate) fn try_take_by_correlation(&self, correlation: &str) -> MqResult<Option<Message>> {
-        let now = self.clock.now();
-        let _gate = self.gate.read();
-        let mut store = self.store.lock();
-        self.check_open(&store)?;
-        loop {
-            let Some(ids) = store.by_correlation.get_mut(correlation) else {
-                return Ok(None);
-            };
-            let Some(id) = ids.pop_front() else {
-                store.by_correlation.remove(correlation);
-                return Ok(None);
-            };
-            let Some(entry) = store.get(id) else {
-                continue; // stale
-            };
-            if entry.msg.is_expired(now) {
-                self.expire_locked(&mut store, id)?;
-                continue;
-            }
-            return Ok(self.consume_locked(&mut store, id));
-        }
-    }
-
-    /// Removes and returns the oldest message with the given correlation
-    /// id, waiting per `wait`.
-    pub(crate) fn take_by_correlation_blocking(
+    /// One attempt at a take, under the gate and the store lock, reporting
+    /// the store version it saw. Messages past their TTL are none of a
+    /// take's business: it skips them, and they are swept first, by a
+    /// transaction of its own run with neither lock held. A refused sweep
+    /// leaves them where they are and the take none the worse.
+    fn attempt(
         &self,
-        correlation: &str,
-        wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        let deadline = match wait {
-            Wait::NoWait => return self.try_take_by_correlation(correlation),
-            Wait::Timeout(t) => Some(self.clock.now() + t),
-            Wait::Forever => None,
-        };
+        take: impl FnOnce(&mut MessageStore, Time) -> Option<Message>,
+    ) -> MqResult<(Option<Message>, u64)> {
+        let now = self.clock.now();
+        let mut swept = false;
         loop {
-            if let Some(msg) = self.try_take_by_correlation(correlation)? {
-                return Ok(Some(msg));
-            }
-            let now = self.clock.now();
-            let real_wait = match deadline {
-                Some(d) if now >= d => return Ok(None),
-                Some(d) if !self.clock.is_virtual() => (d - now).to_duration(),
-                _ if self.clock.is_virtual() => Duration::from_millis(2),
-                _ => Duration::from_millis(200),
-            };
+            let gate = self.gate.read();
             let mut store = self.store.lock();
             self.check_open(&store)?;
-            self.available.wait_for(&mut store, real_wait);
+            if swept || !store.has_ripe(now) {
+                return Ok((take(&mut store, now), store.version()));
+            }
+            drop(store);
+            drop(gate);
+            self.sweep_expired().unwrap_or(0);
+            swept = true;
         }
     }
 
     /// Removes and returns the first matching message, waiting per `wait`.
+    /// Like every take, the get is provisional: covered later by its
+    /// transaction's `TxCommit` record, or undone by rollback.
     pub(crate) fn take_blocking(
         &self,
         selector: Option<&Selector>,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        let deadline = match wait {
-            Wait::NoWait => return self.try_take(selector),
-            Wait::Timeout(t) => Some(self.clock.now() + t),
-            Wait::Forever => None,
-        };
-        loop {
-            // Attempt under the gate, then release it before parking: a
-            // checkpoint must never wait on parked consumers. The store
-            // version detects arrivals (and closes) in the unlocked gap,
-            // so the condvar wait cannot miss a wakeup.
-            let seen_version;
-            {
-                let _gate = self.gate.read();
-                let mut store = self.store.lock();
-                self.check_open(&store)?;
-                if let Some(msg) = self.take_locked(&mut store, selector)? {
-                    return Ok(Some(msg));
-                }
-                seen_version = store.version();
-            }
-            let now = self.clock.now();
-            let real_wait = match deadline {
-                Some(d) if now >= d => return Ok(None),
-                Some(d) if !self.clock.is_virtual() => (d - now).to_duration(),
-                // Virtual clock (or no deadline): poll in short real-time
-                // slices so an `advance` on another thread is noticed.
-                _ if self.clock.is_virtual() => Duration::from_millis(2),
-                _ => Duration::from_millis(200),
-            };
-            let mut store = self.store.lock();
-            self.check_open(&store)?;
-            if store.version() == seen_version {
-                self.available.wait_for(&mut store, real_wait);
-            }
-        }
+        self.park(wait, false, || {
+            self.attempt(|store, now| self.take_locked(store, selector, now))
+        })
+    }
+
+    /// Removes and returns the oldest message with the given correlation
+    /// id, waiting per `wait`, using the correlation index (O(matches),
+    /// not O(depth)).
+    pub(crate) fn take_by_correlation_blocking(
+        &self,
+        correlation: &str,
+        wait: Wait,
+    ) -> MqResult<Option<Message>> {
+        self.park(wait, false, || {
+            self.attempt(|store, now| {
+                let ids = store.by_correlation.get(correlation)?;
+                let live = |id: &MessageId| store.get(*id).is_some_and(|e| !e.msg.is_expired(now));
+                let id = ids.iter().copied().find(live)?;
+                self.consume_locked(store, id)
+            })
+        })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn try_take(&self, selector: Option<&Selector>) -> MqResult<Option<Message>> {
+        self.take_blocking(selector, Wait::NoWait)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn try_take_by_correlation(&self, correlation: &str) -> MqResult<Option<Message>> {
+        self.take_by_correlation_blocking(correlation, Wait::NoWait)
     }
 
     fn take_locked(
         &self,
         store: &mut MessageStore,
         selector: Option<&Selector>,
-    ) -> MqResult<Option<Message>> {
+        now: Time,
+    ) -> Option<Message> {
         if let Some(sel) = selector {
             if self.config.index_properties {
                 let hints = sel.point_constraints();
                 if !hints.is_empty() {
-                    return self.take_indexed(store, sel, &hints);
+                    return self.take_indexed(store, sel, &hints, now);
                 }
             }
         }
-        let now = self.clock.now();
         for band_idx in (0..PRIORITY_BANDS).rev() {
             let mut i = 0;
             while i < store.bands[band_idx].len() {
@@ -592,21 +583,16 @@ impl Queue {
                 let Some(entry) = store.get(id) else {
                     // Stale id: message removed through another path.
                     store.bands[band_idx].remove(i);
-                    continue;
-                };
-                if entry.msg.is_expired(now) {
-                    store.bands[band_idx].remove(i);
-                    self.expire_locked(store, id)?;
                     continue; // same index now holds the next entry
-                }
-                if selector.is_none_or(|s| s.matches(&entry.msg)) {
+                };
+                if !entry.msg.is_expired(now) && selector.is_none_or(|s| s.matches(&entry.msg)) {
                     store.bands[band_idx].remove(i);
-                    return Ok(self.consume_locked(store, id));
+                    return self.consume_locked(store, id);
                 }
                 i += 1;
             }
         }
-        Ok(None)
+        None
     }
 
     /// Serves a selector get as a point read: pick the narrowest index
@@ -619,45 +605,27 @@ impl Queue {
         store: &mut MessageStore,
         selector: &Selector,
         hints: &[(String, PropertyValue)],
-    ) -> MqResult<Option<Message>> {
-        let now = self.clock.now();
+        now: Time,
+    ) -> Option<Message> {
         let mut chosen: Option<(usize, usize)> = None; // (bucket len, hint idx)
         for (idx, (name, value)) in hints.iter().enumerate() {
-            match store.hint_bucket(name, value) {
-                // Absent bucket: no live message carries this value, and
-                // the constraint is conjunctive — nothing can match.
-                None => return Ok(None),
-                Some(bucket) => {
-                    let len = bucket.len();
-                    if chosen.is_none_or(|(best, _)| len < best) {
-                        chosen = Some((len, idx));
-                    }
-                }
+            // Absent bucket: no live message carries this value, and the
+            // constraint is conjunctive — nothing can match.
+            let len = store.hint_bucket(name, value)?.len();
+            if chosen.is_none_or(|(best, _)| len < best) {
+                chosen = Some((len, idx));
             }
         }
-        let Some((_, hint_idx)) = chosen else {
-            return Ok(None);
-        };
-        let (name, value) = &hints[hint_idx];
-        let ids: Vec<MessageId> = store
-            .hint_bucket(name, value)
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
+        let (name, value) = &hints[chosen?.1];
+        let ids: Vec<MessageId> = store.hint_bucket(name, value)?.iter().copied().collect();
         let mut survivors = VecDeque::with_capacity(ids.len());
-        let mut ripe = Vec::new();
         let mut best: Option<(u8, u64, MessageId)> = None;
         for id in ids {
             let Some(entry) = store.get(id) else {
                 continue; // stale: prune
             };
-            if entry.msg.is_expired(now) {
-                ripe.push(id);
-                continue;
-            }
             survivors.push_back(id);
-            if selector.matches(&entry.msg) {
+            if !entry.msg.is_expired(now) && selector.matches(&entry.msg) {
                 let prio = entry.msg.priority().level();
                 let better = match best {
                     None => true,
@@ -672,98 +640,89 @@ impl Queue {
             survivors.retain(|x| *x != id);
         }
         store.replace_bucket(name, value, survivors);
-        for id in ripe {
-            self.expire_locked(store, id)?;
-        }
-        Ok(best.and_then(|(_, _, id)| self.consume_locked(store, id)))
+        best.and_then(|(_, _, id)| self.consume_locked(store, id))
     }
 
-    /// Detaches an expired message and journals the expiry.
-    fn expire_locked(&self, store: &mut MessageStore, id: MessageId) -> MqResult<()> {
-        let Some(dead) = store.detach(id) else {
-            return Ok(());
-        };
-        self.stats.expired.incr();
-        self.stats.depth.set(store.len() as u64);
-        if dead.is_persistent() && self.journal.is_durable() {
-            // Wall-clock latency of the append, fsync included.
-            let started = std::time::Instant::now();
-            let appended = self.journal.append(&JournalRecord::Expired {
-                queue: self.name.clone(),
-                message_id: dead.id(),
-            });
-            self.journal_append_micros.record_duration(started.elapsed());
-            appended?;
-        }
-        Ok(())
-    }
-
-    /// Detaches a live message as one consumed delivery. A get is pending
-    /// until its record is durable: a message the journal holds stays in
-    /// the pending-get table, invisible to reads but still owed to
-    /// checkpoints, until [`Queue::finalize_pending`] or a rollback's
-    /// reinsert. `None` when `id` is no longer live.
-    fn consume_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
+    /// Detaches a live message. A get is pending until its record is
+    /// durable: a message the journal holds stays in the pending-get table,
+    /// invisible to reads but still owed to checkpoints, until
+    /// [`Queue::finalize_pending`] or a rollback's reinsert. `None` when
+    /// `id` is no longer live.
+    fn detach_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
         let journaled = store.get(id)?.msg.is_persistent() && self.journal.is_durable();
         let msg = if journaled {
             store.detach_pending(id)
         } else {
             store.detach(id)
         }?;
-        self.stats.dequeued.incr();
         self.stats.depth.set(store.len() as u64);
         Some(msg)
     }
 
-    /// Expires every message whose TTL or retention deadline has passed,
-    /// driven by the expiry heap — O(expired · log depth), not O(depth).
-    /// Returns how many were expired. Checkpoints run this first so a
-    /// snapshot carries no ripe messages.
-    pub fn sweep_expired(&self) -> MqResult<usize> {
-        let now = self.clock.now();
-        let _gate = self.gate.read();
-        let mut store = self.store.lock();
-        let ripe = store.ripe_expired(now);
+    /// Detaches a live message as one consumed delivery.
+    fn consume_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
+        let msg = self.detach_locked(store, id)?;
+        self.stats.dequeued.incr();
+        Some(msg)
+    }
+
+    /// Takes the messages `pick` names off the queue as the gets of one
+    /// transaction and commits it: one `TxCommit` record removes them all,
+    /// and when the journal refuses it every one is back on the queue,
+    /// redelivery count untouched. Returns how many left, counted in
+    /// `counted` once the record is written. The commit is the manager's
+    /// bare one: no checkpoint follows it, since a checkpoint starts with a
+    /// sweep.
+    fn discard(
+        &self,
+        counted: &Counter,
+        pick: impl FnOnce(&mut MessageStore) -> Vec<MessageId>,
+    ) -> MqResult<usize> {
+        let (Some(manager), Some(this)) = (self.manager.upgrade(), self.me.upgrade()) else {
+            return Err(MqError::ManagerStopped(self.name.clone()));
+        };
+        let mut tx = TxState::default();
         let mut n = 0;
-        for id in ripe {
-            if store.get(id).is_some_and(|e| e.msg.is_expired(now)) {
-                self.expire_locked(&mut store, id)?;
-                n += 1;
+        {
+            let _gate = self.gate.read();
+            let mut store = self.store.lock();
+            self.check_open(&store)?;
+            for id in pick(&mut store) {
+                if let Some(msg) = self.detach_locked(&mut store, id) {
+                    tx.took(this.clone(), msg);
+                    n += 1;
+                }
             }
+        }
+        if n > 0 {
+            manager.settle(tx)?;
+            counted.add(n as u64);
         }
         Ok(n)
     }
 
-    /// Takes every message, expired and live alike, in delivery order.
-    pub(crate) fn take_all(&self) -> MqResult<Vec<Message>> {
-        let _gate = self.gate.read();
-        let mut store = self.store.lock();
-        self.check_open(&store)?;
-        let ids: Vec<MessageId> = store.bands.iter().rev().flatten().copied().collect();
-        for band in store.bands.iter_mut() {
-            band.clear();
-        }
-        Ok(ids
-            .into_iter()
-            .filter_map(|id| self.consume_locked(&mut store, id))
-            .collect())
+    /// Discards every message whose TTL or retention deadline has passed,
+    /// driven by the expiry heap — O(expired · log depth), not O(depth) —
+    /// as the gets of one transaction. Returns how many were expired.
+    /// Checkpoints run this first so a snapshot carries no ripe messages.
+    pub fn sweep_expired(&self) -> MqResult<usize> {
+        let now = self.clock.now();
+        self.discard(&self.stats.expired, |store| {
+            let mut ripe = store.ripe_expired(now);
+            ripe.retain(|id| store.get(*id).is_some_and(|e| e.msg.is_expired(now)));
+            ripe
+        })
     }
 
-    /// Discards all messages; returns how many were removed. One
-    /// transaction: expired and live messages alike are journaled as
-    /// consumed by a single record, and when the journal refuses it every
-    /// message is back on the queue.
+    /// Discards all messages, expired and live alike, as the gets of one
+    /// transaction; returns how many were removed.
     pub fn purge(&self) -> MqResult<usize> {
-        let (Some(manager), Some(this)) = (self.manager.upgrade(), self.me.upgrade()) else {
-            return Err(MqError::ManagerStopped(self.name.clone()));
-        };
-        manager.auto_commit(|tx| {
-            let taken = self.take_all()?;
-            let n = taken.len();
-            for msg in taken {
-                tx.took(this.clone(), msg);
+        self.discard(&self.stats.dequeued, |store| {
+            let ids = store.bands.iter().rev().flatten().copied().collect();
+            for band in store.bands.iter_mut() {
+                band.clear();
             }
-            Ok(n)
+            ids
         })
     }
 
@@ -788,12 +747,12 @@ impl Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::MemJournal;
+    use crate::journal::{JournalRecord, MemJournal};
     use crate::message::Priority;
     use simtime::{SimClock, SystemClock};
 
-    /// A queue of a manager built for it (and dropped: only `purge` needs
-    /// the owner alive).
+    /// A queue of a manager built for it, which lives as long as the test
+    /// process: a sweep and a purge commit through their owner.
     fn new_queue(
         name: String,
         clock: SharedClock,
@@ -805,7 +764,9 @@ mod tests {
             .journal(journal)
             .build()
             .unwrap();
-        manager.create_queue_with(name, config).unwrap()
+        let queue = manager.create_queue_with(name, config).unwrap();
+        std::mem::forget(manager);
+        queue
     }
 
     fn queue_with(clock: SharedClock) -> Arc<Queue> {
@@ -965,10 +926,13 @@ mod tests {
         put(&q, msg).unwrap();
         clock.advance(Millis(10));
         assert!(q.try_take(None).unwrap().is_none());
+        assert_eq!((q.depth(), q.stats().expired.get()), (0, 1));
+        assert_eq!(q.stats().dequeued.get(), 0, "expired, not delivered");
         let recs = journal.replay_collect().unwrap();
         assert!(recs.iter().any(|r| matches!(
             r,
-            JournalRecord::Expired { message_id, .. } if *message_id == id
+            JournalRecord::TxCommit { puts, gets }
+                if puts.is_empty() && gets == &[("J.Q".to_owned(), id)]
         )));
     }
 
@@ -1019,7 +983,8 @@ mod tests {
         let recs = journal.replay_collect().unwrap();
         assert!(recs.iter().any(|r| matches!(
             r,
-            JournalRecord::Expired { message_id, .. } if *message_id == id
+            JournalRecord::TxCommit { puts, gets }
+                if puts.is_empty() && gets == &[("SW.Q".to_owned(), id)]
         )));
     }
 
@@ -1296,22 +1261,50 @@ mod tests {
     }
 
     #[test]
-    fn take_all_takes_expired_and_live_in_delivery_order() {
+    fn purge_takes_expired_and_live_alike() {
         let (clock, q) = sim_queue();
         put(&q, Message::text("stale").ttl(Millis(5)).build()).unwrap();
         put(&q, text("low")).unwrap();
         put(&q, Message::text("high").priority(Priority::new(9)).build()).unwrap();
         clock.advance(Millis(10));
-        let taken: Vec<_> = q
-            .take_all()
-            .unwrap()
-            .iter()
-            .map(|m| m.payload_str().unwrap().to_owned())
-            .collect();
-        assert_eq!(taken, ["high", "stale", "low"]);
+        assert_eq!(q.purge().unwrap(), 3);
         assert_eq!(q.depth(), 0);
-        assert_eq!(q.stats().expired.get(), 0, "taken, not expired");
+        assert_eq!(q.stats().expired.get(), 0, "purged, not expired");
+        assert_eq!(q.stats().dequeued.get(), 3);
         assert!(q.try_take(None).unwrap().is_none());
+    }
+
+    #[test]
+    fn selective_waiters_are_each_woken_by_their_own_message() {
+        // Two consumers park on one queue for different correlation ids and
+        // the messages arrive in the opposite order. Waking one waiter per
+        // arrival wakes the wrong one both times, and on a system clock it
+        // then sleeps out its whole timeout.
+        let clock: SharedClock = SystemClock::new();
+        let q = queue_with(clock.clone());
+        let started = clock.now();
+        let waiters: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|corr| {
+                let q = q.clone();
+                let waiter = std::thread::spawn(move || {
+                    q.take_by_correlation_blocking(corr, Wait::Timeout(Millis(5_000)))
+                });
+                // Parked in this order: "a" first.
+                std::thread::sleep(Duration::from_millis(50));
+                waiter
+            })
+            .collect();
+        for corr in ["b", "a"] {
+            put(&q, Message::text(corr).correlation_id(corr).build()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        for (waiter, corr) in waiters.into_iter().zip(["a", "b"]) {
+            let got = waiter.join().unwrap().unwrap();
+            assert_eq!(got.expect("woken by its message").payload_str(), Some(corr));
+        }
+        let took = clock.now().since(started);
+        assert!(took < Millis(1_000), "{took:?}");
     }
 
     #[test]

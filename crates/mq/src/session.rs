@@ -10,10 +10,11 @@
 //!
 //! There is one commit path, `QueueManager::commit` below, and a put or a
 //! get outside a transaction takes it too: it is a transaction of that one
-//! operation (`QueueManager::auto_commit`), as are a dead-lettering and a
-//! purge. A put bound for a queue with an [`ArrivalTrigger`] is never
-//! queued: the commit hands it to the trigger, which stages what it causes
-//! into the same transaction, and one record covers both.
+//! operation (`QueueManager::auto_commit`), as are a dead-lettering, a
+//! purge and the sweep that removes messages past their TTL. A put bound
+//! for a queue with an [`ArrivalTrigger`] is never queued: the commit hands
+//! it to the trigger, which stages what it causes into the same
+//! transaction, and one record covers both.
 
 use std::sync::Arc;
 
@@ -162,14 +163,16 @@ impl QueueManager {
     /// The one commit path: the only way a message enters or leaves a queue
     /// durably. Journals one `TxCommit` record, then makes the staged puts
     /// visible and finalizes the gets. Puts bound for a triggered queue go
-    /// to its trigger first ([`QueueManager::commit_arrival`]).
+    /// to its trigger first ([`QueueManager::commit_arrival`]). The
+    /// checkpoint a grown journal is due is the caller's to run
+    /// ([`QueueManager::maybe_checkpoint`]): it starts with a sweep, which
+    /// commits here.
     ///
     /// # Errors
     ///
     /// With `Some(tx)`, the record could not be written and nothing
     /// happened: the transaction comes back for a retry or a rollback.
-    /// With `None`, the transaction is durable and applied, and the
-    /// checkpoint after it was refused (the next commit retries that).
+    /// With `None`, a trigger ended the transaction it was handed.
     pub(crate) fn commit(&self, mut tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
         match tx.take_arrival() {
             Some((trigger, arrival)) => self.commit_arrival(tx, &*trigger, arrival),
@@ -214,9 +217,9 @@ impl QueueManager {
                 end(applied.is_ok());
                 match applied {
                     Ok(applied) => {
-                        let announced = self.announce(applied);
+                        self.announce(applied);
                         arrival.queue.notify_put_watchers();
-                        return announced.map_err(|e| (e, None));
+                        return Ok(());
                     }
                     Err((e, tx)) => (Some(e), tx),
                 }
@@ -237,7 +240,8 @@ impl QueueManager {
     // lint: custody(msg, err-reverts)
     fn commit_record(&self, tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
         let applied = self.apply(tx).map_err(|(e, tx)| (e, Some(tx)))?;
-        self.announce(applied).map_err(|e| (e, None))
+        self.announce(applied);
+        Ok(())
     }
 
     /// Writes the `TxCommit` record of `tx` and applies it, under the
@@ -308,14 +312,13 @@ impl QueueManager {
     /// never be held re-entrantly): the dead-letter put of an orphan is a
     /// commit of its own, and the consumers and watchers woken here may
     /// start transactions of theirs.
-    fn announce(&self, applied: Applied) -> MqResult<()> {
+    fn announce(&self, applied: Applied) {
         for msg in applied.orphaned {
             self.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
         }
         for q in applied.to_notify {
             q.notify_arrival();
         }
-        self.maybe_checkpoint()
     }
 
     /// Undoes a transaction: staged puts are discarded and consumed
@@ -357,18 +360,29 @@ impl QueueManager {
         mut tx: TxState,
         op: impl FnOnce(&mut TxState) -> MqResult<T>,
     ) -> MqResult<T> {
-        let (err, tx) = match self.check_running().and_then(|()| op(&mut tx)) {
-            Ok(out) => match self.commit(tx) {
+        match self.check_running().and_then(|()| op(&mut tx)) {
+            Ok(out) => {
+                self.settle(tx)?;
                 // The operation happened; nobody can take back a get (or
                 // safely repeat a put) because the checkpoint after it was
                 // refused, and the next commit retries that.
-                Ok(()) | Err((_, None)) => return Ok(out),
-                Err((e, Some(tx))) => (e, tx),
-            },
-            Err(e) => (e, tx),
-        };
-        self.rollback(tx, false)?;
-        Err(err)
+                self.maybe_checkpoint().unwrap_or(());
+                Ok(out)
+            }
+            Err(e) => {
+                self.rollback(tx, false)?;
+                Err(e)
+            }
+        }
+    }
+
+    /// Commits `tx`, a transaction of its own, with no checkpoint after it.
+    /// Refused, everything goes back as in [`QueueManager::auto_commit_from`].
+    pub(crate) fn settle(&self, tx: TxState) -> MqResult<()> {
+        self.commit(tx).or_else(|(e, refused)| {
+            refused.map_or(Ok(()), |tx| self.rollback(tx, false))?;
+            Err(e)
+        })
     }
 }
 
@@ -456,7 +470,8 @@ impl Session {
         self.manager.commit(tx).map_err(|(e, uncommitted)| {
             self.tx = uncommitted;
             e
-        })
+        })?;
+        self.manager.maybe_checkpoint()
     }
 
     /// Rolls back the active transaction: staged puts are discarded and

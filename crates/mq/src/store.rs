@@ -318,6 +318,13 @@ impl MessageStore {
         }
     }
 
+    /// Whether the expiry heap holds an entry (possibly stale) due at `now`:
+    /// the cheap question a take asks before it runs a sweep.
+    pub(crate) fn has_ripe(&self, now: Time) -> bool {
+        let earliest = self.expiry_heap.peek();
+        earliest.is_some_and(|entry| entry.0 .0 <= now.0)
+    }
+
     /// Pops ids whose recorded expiry is at or before `now`. Returned ids
     /// may be stale or re-stamped; the caller re-checks liveness and
     /// `Message::is_expired` before acting.

@@ -204,28 +204,32 @@ impl Topic {
     }
 
     /// Publishes a message: one copy per subscription whose selector (if
-    /// any) matches. Returns the number of copies delivered.
+    /// any) matches, all in one transaction — every such subscriber gets
+    /// its copy or, when one of their queues is full or the journal refuses
+    /// the record, none does. Returns the number of copies delivered.
     ///
     /// # Errors
     ///
-    /// Put failures.
+    /// Put failures; nothing was published then.
     pub fn publish(&self, msg: Message) -> MqResult<usize> {
-        self.stats.published.incr();
         let subs = self.subscriptions.read();
-        let mut delivered = 0;
-        for sub in subs.values() {
-            if sub.selector.as_ref().is_none_or(|s| s.matches(&msg)) {
-                // Each subscriber gets its own copy with a fresh identity
-                // (pub/sub semantics: independent deliveries).
-                let copy = clone_for_subscriber(&msg);
-                self.qmgr.put(&sub.queue, copy)?;
-                delivered += 1;
-            } else {
-                self.stats.filtered.incr();
-            }
-        }
-        self.stats.delivered.add(delivered as u64);
-        Ok(delivered)
+        let matching: Vec<&Subscription> = subs
+            .values()
+            .filter(|sub| sub.selector.as_ref().is_none_or(|s| s.matches(&msg)))
+            .collect();
+        self.qmgr.auto_commit(|tx| {
+            // Each subscriber gets its own copy with a fresh identity
+            // (pub/sub semantics: independent deliveries).
+            matching
+                .iter()
+                .try_for_each(|sub| tx.put(&self.qmgr, &sub.queue, clone_for_subscriber(&msg)))
+        })?;
+        self.stats.published.incr();
+        self.stats.delivered.add(matching.len() as u64);
+        self.stats
+            .filtered
+            .add((subs.len() - matching.len()) as u64);
+        Ok(matching.len())
     }
 }
 
@@ -252,7 +256,7 @@ fn clone_for_subscriber(msg: &Message) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::MemJournal;
+    use crate::journal::{Journal, MemJournal};
     use simtime::SimClock;
 
     fn manager() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -302,6 +306,55 @@ mod tests {
         assert_eq!(qm.queue(&all).unwrap().depth(), 2);
         assert_eq!(qm.queue(&urgent_only).unwrap().depth(), 1);
         assert_eq!(topic.stats().filtered.get(), 1);
+    }
+
+    #[test]
+    fn publish_is_one_record_for_every_subscriber_or_nothing() {
+        let (journal, qm) = manager();
+        let topic = Topic::open(qm.clone(), "news").unwrap();
+        let roomy = [
+            topic.subscribe("alice").unwrap(),
+            topic.subscribe("bob").unwrap(),
+        ];
+        // A third subscriber whose queue holds one message and is full.
+        let bounded = qm
+            .create_queue_with(
+                "TOPIC.news.carol",
+                crate::QueueConfig {
+                    max_depth: Some(1),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        topic.subscribe("carol").unwrap();
+        let event = || Message::text("headline").persistent(true).build();
+
+        let before = journal.record_count();
+        assert_eq!(topic.publish(event()).unwrap(), 3);
+        assert_eq!(
+            journal.record_count(),
+            before + 1,
+            "one record for three copies"
+        );
+        assert!(matches!(
+            journal.replay_collect().unwrap().last(),
+            Some(crate::journal::JournalRecord::TxCommit { puts, gets })
+                if puts.len() == 3 && gets.is_empty()
+        ));
+
+        let before = journal.record_count();
+        assert!(matches!(topic.publish(event()), Err(MqError::QueueFull(_))));
+        assert_eq!(journal.record_count(), before);
+        for q in &roomy {
+            assert_eq!(
+                qm.queue(q).unwrap().depth(),
+                1,
+                "{q} holds no copy of the refused event"
+            );
+        }
+        assert_eq!(bounded.depth(), 1);
+        assert_eq!(topic.stats().published.get(), 1);
+        assert_eq!(topic.stats().delivered.get(), 3);
     }
 
     #[test]

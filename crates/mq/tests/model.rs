@@ -5,105 +5,137 @@
 //!
 //! The model captures the contract the conditional-messaging layer relies
 //! on: priority-then-FIFO delivery, all-or-nothing transactions, rollback
-//! redelivery at the front, and persistence across crash/recovery for
-//! exactly the stable persistent messages.
+//! redelivery at the front, persistence across crash/recovery for exactly
+//! the stable persistent messages, and a lifetime: a message past its TTL
+//! is never delivered, and every get first removes the ripe ones for good.
 
 use std::sync::Arc;
 
 use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::{ManagerConfig, Message, Priority, QueueManager, Wait};
 use proptest::prelude::*;
-use simtime::SimClock;
+use simtime::{Clock, Millis, SimClock};
 
 const QUEUE: &str = "Q";
+
+/// A message to put: `(label, priority, persistent, TTL in ms)`.
+type Spec = (u32, u8, bool, Option<u64>);
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Non-transactional put.
-    Put {
-        label: u32,
-        priority: u8,
-        persistent: bool,
-    },
+    Put(Spec),
     /// Non-transactional destructive get.
     Get,
     /// A transaction: staged puts and gets, then commit or rollback.
     Tx {
-        puts: Vec<(u32, u8, bool)>,
+        puts: Vec<Spec>,
         gets: usize,
         commit: bool,
     },
     /// Crash the manager and recover from the journal.
     CrashRecover,
+    /// Let the clock run for so many milliseconds.
+    Advance(u64),
+}
+
+fn arb_spec() -> impl Strategy<Value = Spec> {
+    let ttl = proptest::option::of(1u64..50);
+    (any::<u32>(), 0u8..=9, any::<bool>(), ttl)
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (any::<u32>(), 0u8..=9, any::<bool>())
-            .prop_map(|(label, priority, persistent)| Op::Put { label, priority, persistent }),
+        4 => arb_spec().prop_map(Op::Put),
         4 => Just(Op::Get),
-        3 => (
-            proptest::collection::vec((any::<u32>(), 0u8..=9, any::<bool>()), 0..3),
-            0usize..3,
-            any::<bool>(),
-        )
+        3 => (proptest::collection::vec(arb_spec(), 0..3), 0usize..3, any::<bool>())
             .prop_map(|(puts, gets, commit)| Op::Tx { puts, gets, commit }),
         1 => Just(Op::CrashRecover),
+        2 => (1u64..40).prop_map(Op::Advance),
     ]
 }
 
-/// Reference model: an entry is `(label, priority, persistent)`.
+/// A queued message of the reference model.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    label: u32,
+    priority: u8,
+    persistent: bool,
+    /// When its TTL runs out, stamped by the put's commit.
+    expiry: Option<u64>,
+}
+
+/// Reference model.
 #[derive(Debug, Default, Clone)]
 struct Model {
     /// In delivery order within each band; index = priority.
-    bands: Vec<Vec<(u32, bool)>>,
+    bands: Vec<Vec<Entry>>,
+    now: u64,
 }
 
 impl Model {
     fn new() -> Model {
         Model {
             bands: vec![Vec::new(); 10],
+            now: 0,
         }
     }
 
-    fn put_back(&mut self, label: u32, priority: u8, persistent: bool) {
-        self.bands[priority as usize].push((label, persistent));
+    fn put_back(&mut self, (label, priority, persistent, ttl): Spec) {
+        let expiry = ttl.map(|ttl| self.now + ttl);
+        let entry = Entry {
+            label,
+            priority,
+            persistent,
+            expiry,
+        };
+        self.bands[priority as usize].push(entry);
     }
 
-    fn put_front(&mut self, label: u32, priority: u8, persistent: bool) {
-        self.bands[priority as usize].insert(0, (label, persistent));
+    fn put_front(&mut self, entry: Entry) {
+        self.bands[entry.priority as usize].insert(0, entry);
     }
 
-    /// Highest priority first, FIFO within priority.
-    fn take(&mut self) -> Option<(u32, u8, bool)> {
-        for p in (0..10usize).rev() {
-            if !self.bands[p].is_empty() {
-                let (label, persistent) = self.bands[p].remove(0);
-                return Some((label, p as u8, persistent));
-            }
+    fn ripe(&self, entry: &Entry) -> bool {
+        entry.expiry.is_some_and(|at| self.now >= at)
+    }
+
+    /// Highest priority first, FIFO within priority. Every get first
+    /// removes what is past its TTL, in a transaction of its own: whatever
+    /// becomes of the get, those are gone.
+    fn take(&mut self) -> Option<Entry> {
+        let now = self.now;
+        for band in &mut self.bands {
+            band.retain(|e| e.expiry.is_none_or(|at| now < at));
         }
-        None
+        let band = self.bands.iter_mut().rev().find(|band| !band.is_empty())?;
+        Some(band.remove(0))
     }
 
     fn crash(&mut self) {
         for band in &mut self.bands {
-            band.retain(|(_, persistent)| *persistent);
+            band.retain(|e| e.persistent);
         }
     }
 
-    /// Delivery-order snapshot of labels.
+    /// Everything on the queue, met by a get yet or not.
+    fn depth(&self) -> usize {
+        self.bands.iter().map(Vec::len).sum()
+    }
+
+    /// Delivery-order snapshot of the labels a get could still return.
     fn snapshot(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for p in (0..10usize).rev() {
-            out.extend(self.bands[p].iter().map(|(label, _)| *label));
-        }
-        out
+        let live = |band: &Vec<Entry>| {
+            let labels = band.iter().filter(|e| !self.ripe(e)).map(|e| e.label);
+            labels.collect::<Vec<_>>()
+        };
+        self.bands.iter().rev().flat_map(live).collect()
     }
 }
 
-fn build_manager(journal: &Arc<MemJournal>) -> Arc<QueueManager> {
+fn build_manager(journal: &Arc<MemJournal>, clock: &Arc<SimClock>) -> Arc<QueueManager> {
     let qm = QueueManager::builder("QM1")
-        .clock(SimClock::new())
+        .clock(clock.clone())
         .journal(journal.clone())
         .config(ManagerConfig {
             // Keep rollbacks redelivering indefinitely so the model stays
@@ -117,12 +149,15 @@ fn build_manager(journal: &Arc<MemJournal>) -> Arc<QueueManager> {
     qm
 }
 
-fn message(label: u32, priority: u8, persistent: bool) -> Message {
-    Message::text(label.to_string())
+fn message((label, priority, persistent, ttl): Spec) -> Message {
+    let builder = Message::text(label.to_string())
         .property("label", i64::from(label))
         .priority(Priority::new(priority))
-        .persistent(persistent)
-        .build()
+        .persistent(persistent);
+    match ttl {
+        Some(ttl) => builder.ttl(Millis(ttl)).build(),
+        None => builder.build(),
+    }
 }
 
 fn snapshot(qm: &Arc<QueueManager>) -> Vec<u32> {
@@ -161,15 +196,16 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..40)
     ) {
         let (auto_journal, tx_journal) = (MemJournal::new(), MemJournal::new());
-        let mut auto = build_manager(&auto_journal);
-        let mut explicit = build_manager(&tx_journal);
+        let clock = SimClock::new();
+        let mut auto = build_manager(&auto_journal, &clock);
+        let mut explicit = build_manager(&tx_journal, &clock);
         for op in ops {
             match op {
-                Op::Put { label, priority, persistent } => {
-                    auto.put(QUEUE, message(label, priority, persistent)).unwrap();
+                Op::Put(spec) => {
+                    auto.put(QUEUE, message(spec)).unwrap();
                     let mut session = explicit.session();
                     session.begin().unwrap();
-                    session.put(QUEUE, message(label, priority, persistent)).unwrap();
+                    session.put(QUEUE, message(spec)).unwrap();
                     session.commit().unwrap();
                 }
                 Op::Get => {
@@ -191,8 +227,8 @@ proptest! {
                         for _ in 0..gets {
                             session.get(QUEUE, Wait::NoWait).unwrap();
                         }
-                        for (label, priority, persistent) in &puts {
-                            session.put(QUEUE, message(*label, *priority, *persistent)).unwrap();
+                        for spec in &puts {
+                            session.put(QUEUE, message(*spec)).unwrap();
                         }
                         if commit {
                             session.commit().unwrap();
@@ -204,105 +240,115 @@ proptest! {
                 Op::CrashRecover => {
                     auto.crash();
                     explicit.crash();
-                    auto = build_manager(&auto_journal);
-                    explicit = build_manager(&tx_journal);
+                    auto = build_manager(&auto_journal, &clock);
+                    explicit = build_manager(&tx_journal, &clock);
                 }
+                Op::Advance(ms) => clock.advance(Millis(ms)),
             }
         }
         prop_assert_eq!(journal_image(&auto_journal), journal_image(&tx_journal));
         auto.crash();
         explicit.crash();
         prop_assert_eq!(
-            snapshot(&build_manager(&auto_journal)),
-            snapshot(&build_manager(&tx_journal))
+            snapshot(&build_manager(&auto_journal, &clock)),
+            snapshot(&build_manager(&tx_journal, &clock))
         );
     }
 
     #[test]
     fn queue_manager_agrees_with_model(ops in proptest::collection::vec(arb_op(), 1..40)) {
         let journal = MemJournal::new();
-        let mut qm = build_manager(&journal);
+        let clock = SimClock::new();
+        let mut qm = build_manager(&journal, &clock);
         let mut model = Model::new();
+        let agree = |real: &Option<Message>, expected: &Option<Entry>| match (real, expected) {
+            (None, None) => true,
+            (Some(m), Some(e)) => {
+                m.i64_property("label") == Some(i64::from(e.label))
+                    && m.priority().level() == e.priority
+                    && m.is_persistent() == e.persistent
+                    && !m.is_expired(clock.now())
+            }
+            _ => false,
+        };
 
         for op in ops {
             match op {
-                Op::Put { label, priority, persistent } => {
-                    qm.put(QUEUE, message(label, priority, persistent)).unwrap();
-                    model.put_back(label, priority, persistent);
+                Op::Put(spec) => {
+                    qm.put(QUEUE, message(spec)).unwrap();
+                    model.put_back(spec);
                 }
                 Op::Get => {
                     let real = qm.get(QUEUE, Wait::NoWait).unwrap();
                     let expected = model.take();
-                    match (&real, &expected) {
-                        (None, None) => {}
-                        (Some(m), Some((label, priority, persistent))) => {
-                            prop_assert_eq!(m.i64_property("label"), Some(i64::from(*label)));
-                            prop_assert_eq!(m.priority().level(), *priority);
-                            prop_assert_eq!(m.is_persistent(), *persistent);
-                        }
-                        other => prop_assert!(false, "get mismatch: {other:?}"),
-                    }
+                    prop_assert!(agree(&real, &expected), "get mismatch: {real:?} / {expected:?}");
                 }
                 Op::Tx { puts, gets, commit } => {
                     let mut session = qm.session();
                     session.begin().unwrap();
-                    let mut consumed: Vec<(u32, u8, bool)> = Vec::new();
+                    let mut consumed: Vec<Entry> = Vec::new();
                     for _ in 0..gets {
                         let real = session.get(QUEUE, Wait::NoWait).unwrap();
                         let expected = model.take();
-                        match (&real, &expected) {
-                            (None, None) => {}
-                            (Some(m), Some((label, priority, persistent))) => {
-                                prop_assert_eq!(
-                                    m.i64_property("label"),
-                                    Some(i64::from(*label))
-                                );
-                                consumed.push((*label, *priority, *persistent));
-                            }
-                            other => prop_assert!(false, "tx get mismatch: {other:?}"),
-                        }
+                        prop_assert!(agree(&real, &expected), "tx get mismatch: {real:?} / {expected:?}");
+                        consumed.extend(expected);
                     }
-                    for (label, priority, persistent) in &puts {
-                        session
-                            .put(QUEUE, message(*label, *priority, *persistent))
-                            .unwrap();
+                    for spec in &puts {
+                        session.put(QUEUE, message(*spec)).unwrap();
                     }
                     if commit {
                         session.commit().unwrap();
-                        for (label, priority, persistent) in &puts {
-                            model.put_back(*label, *priority, *persistent);
+                        for spec in &puts {
+                            model.put_back(*spec);
                         }
                         // consumed stay consumed
                     } else {
                         session.rollback().unwrap();
                         // Requeued at the front in reverse consumption
                         // order restores original positions.
-                        for (label, priority, persistent) in consumed.into_iter().rev() {
-                            model.put_front(label, priority, persistent);
+                        for entry in consumed.into_iter().rev() {
+                            model.put_front(entry);
                         }
                     }
                 }
                 Op::CrashRecover => {
                     qm.crash();
-                    qm = build_manager(&journal);
+                    qm = build_manager(&journal, &clock);
                     model.crash();
+                }
+                Op::Advance(ms) => {
+                    clock.advance(Millis(ms));
+                    model.now += ms;
                 }
             }
             prop_assert_eq!(snapshot(&qm), model.snapshot());
+            // A message past its TTL counts until a get meets it or a sweep
+            // removes it, and then it is gone, across a restart too.
+            prop_assert_eq!(qm.queue(QUEUE).unwrap().depth(), model.depth());
         }
+
+        // One way out of a queue: whatever removed a message, a get, a
+        // commit or a sweep, it was a transaction's record that did.
+        for record in journal.replay_collect().unwrap() {
+            prop_assert!(
+                matches!(record, JournalRecord::QueueCreated { .. } | JournalRecord::TxCommit { .. }),
+                "{record:?}"
+            );
+        }
+        let swept = qm.sweep_expired_all().unwrap();
+        prop_assert_eq!(swept, model.depth() - model.snapshot().len());
+        prop_assert_eq!(qm.queue(QUEUE).unwrap().depth(), model.snapshot().len());
 
         // Final full drain must agree element by element.
         loop {
             let real = qm.get(QUEUE, Wait::NoWait).unwrap();
             let expected = model.take();
-            match (&real, &expected) {
-                (None, None) => break,
-                (Some(m), Some((label, _, _))) => {
-                    prop_assert_eq!(m.i64_property("label"), Some(i64::from(*label)));
-                }
-                other => prop_assert!(false, "drain mismatch: {other:?}"),
+            prop_assert!(agree(&real, &expected), "drain mismatch: {real:?} / {expected:?}");
+            if real.is_none() {
+                break;
             }
         }
+        prop_assert_eq!(qm.queue(QUEUE).unwrap().depth(), 0);
     }
 
     /// Journal compaction is semantically invisible: compact + crash +
@@ -313,9 +359,10 @@ proptest! {
         consume in 0usize..10,
     ) {
         let journal = MemJournal::new();
-        let qm = build_manager(&journal);
+        let clock = SimClock::new();
+        let qm = build_manager(&journal, &clock);
         for (label, priority, persistent) in &labels {
-            qm.put(QUEUE, message(*label, *priority, *persistent)).unwrap();
+            qm.put(QUEUE, message((*label, *priority, *persistent, None))).unwrap();
         }
         for _ in 0..consume {
             let _ = qm.get(QUEUE, Wait::NoWait).unwrap();
@@ -328,7 +375,7 @@ proptest! {
             .collect::<Vec<_>>();
         qm.checkpoint().unwrap();
         qm.crash();
-        let qm2 = build_manager(&journal);
+        let qm2 = build_manager(&journal, &clock);
         prop_assert_eq!(snapshot(&qm2), reference);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Either way the run ends the same: every tracked message's outcome is
 //! collected, destination queues are swept (consuming compensations and
-//! triggering lazy annihilation), and the [`crate::oracle`] checks that
+//! annihilating the pairs the reads meet), and the [`crate::oracle`] checks that
 //! declared expectations held exactly.
 
 use std::collections::HashMap;
@@ -427,9 +427,9 @@ fn settle_records(
 }
 
 /// Drains every declared application queue: compensations are consumed,
-/// and reads trigger the lazy annihilation sweep (reads return `None`
-/// while matched original/compensation pairs vanish, so the loop keys on
-/// depth, not on read results).
+/// and a read annihilates the original/compensation pairs it meets (it
+/// returns `None` when pairs were all it met, so the loop keys on depth,
+/// not on read results).
 fn sweep_queues(world: &Compiled, tally: &mut Tally) -> ScenarioResult<()> {
     let pacer = Pacer::new();
     for (name, rt) in &world.managers {

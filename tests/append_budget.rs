@@ -390,3 +390,71 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     );
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
+
+#[test]
+fn sweeping_three_ripe_messages_is_one_record() {
+    let journal = RecordingJournal::new();
+    let clock = SimClock::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    for _ in 0..3 {
+        let msg = Message::text("short-lived").persistent(true).ttl(Millis(5));
+        qmgr.put("Q", msg.build()).unwrap();
+    }
+    qmgr.put("Q", Message::text("stays").persistent(true).build())
+        .unwrap();
+    clock.advance(Millis(10));
+    journal.start();
+
+    // A message past its TTL leaves the way any message does, as a get of a
+    // transaction: the sweep's, one for all that are ripe.
+    assert_eq!(qmgr.sweep_expired_all().unwrap(), 3);
+    assert_eq!(journal.appended(), ["TxCommit get[Q x3] put[]"]);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 1);
+}
+
+#[test]
+fn a_read_that_meets_three_pairs_and_then_a_message_is_one_record() {
+    let journal = RecordingJournal::new();
+    let clock = SimClock::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q.A").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    // Nobody picks the originals up in time: each fails, and its
+    // compensation joins it on the queue.
+    let condition: Condition = Destination::queue("QM1", "Q.A")
+        .pickup_within(Millis(30))
+        .into();
+    for _ in 0..3 {
+        messenger
+            .send_message_with_compensation("orig", "undo", &condition)
+            .unwrap();
+    }
+    clock.advance(Millis(60));
+    messenger.pump().unwrap();
+    qmgr.put("Q.A", Message::text("ordinary").persistent(true).build())
+        .unwrap();
+    assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 7);
+    journal.start();
+
+    // Each original the read meets takes its compensation with it (paper
+    // 2.6), in the read's own transaction: six gets and three log entries
+    // ride the record of the delivery.
+    let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+    assert_eq!(got.payload_str(), Some("ordinary"));
+    assert_eq!(
+        journal.appended(),
+        ["TxCommit get[Q.A x7] put[DS.RLOG.Q x3]"]
+    );
+    assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.recv.annihilated"), 3);
+}

@@ -52,6 +52,47 @@ fn persistent_put_fails_cleanly_and_message_is_not_enqueued() {
 }
 
 #[test]
+fn a_refused_sweep_never_fails_the_get_that_met_the_ripe_message() {
+    // A message past its TTL leaves as a get of the sweep's transaction,
+    // which the get that meets it runs first. The journal refuses that
+    // record: the ripe message stays where it is, in memory as in the
+    // journal, and the get goes on to what it can deliver.
+    let (clock, journal, qmgr) = timed_world();
+    let q = qmgr.queue("Q").unwrap();
+    let ripe = Message::text("ripe").persistent(true).ttl(Millis(5));
+    qmgr.put("Q", ripe.build()).unwrap();
+    qmgr.put("Q", Message::text("live").build()).unwrap();
+    clock.advance(Millis(10));
+    let records = journal.record_count();
+    let expired = || qmgr.metrics_snapshot().counter("mq.queue.Q.expired");
+
+    journal.set_failing(true);
+    let got = qmgr.get("Q", Wait::NoWait).unwrap().unwrap();
+    assert_eq!(got.payload_str(), Some("live"));
+    assert!(qmgr.sweep_expired_all().is_err(), "the sweep says so");
+    let again = qmgr.get("Q", Wait::NoWait).unwrap();
+    assert!(again.is_none(), "never delivered: {again:?}");
+    assert_eq!((q.depth(), expired()), (1, 0), "neither lost nor counted");
+    assert_eq!(q.stats().dequeued.get(), 1, "only the delivery");
+    assert_eq!(journal.record_count(), records);
+
+    journal.set_failing(false);
+    assert_eq!(qmgr.sweep_expired_all().unwrap(), 1);
+    assert_eq!(qmgr.sweep_expired_all().unwrap(), 0);
+    assert_eq!((q.depth(), expired()), (0, 1));
+    assert_eq!(journal.record_count(), records + 1, "the sweep's record");
+
+    // The restart resurrects nothing.
+    qmgr.crash();
+    let reopened = QueueManager::builder("QM1")
+        .clock(clock)
+        .journal(journal)
+        .build()
+        .unwrap();
+    assert_eq!(reopened.queue("Q").unwrap().depth(), 0);
+}
+
+#[test]
 fn failed_commit_keeps_transaction_open_for_retry() {
     let (journal, qmgr) = world();
     qmgr.put("Q", Message::text("in").persistent(true).build())
