@@ -2,12 +2,30 @@
 //!
 //! A [`Channel`] is the MQSeries-style message mover: a background thread
 //! that transactionally takes envelopes off the sender's transmission
-//! queue, pushes them across a [`Transport`], and commits the destructive
-//! gets only once the transport reports the batch accepted by the peer.
-//! Drops and partitions roll the local transaction back, so the envelopes
-//! stay safely on the transmission queue and delivery is retried —
-//! messages are never lost in flight, which is the "guaranteed delivery to
-//! intermediary destinations" baseline the paper builds on.
+//! queue, pushes them across a [`Transport`], and lets go of them only once
+//! the transport reports the batch accepted by the peer. Drops and
+//! partitions roll the local transaction back, so the envelopes stay safely
+//! on the transmission queue and delivery is retried — messages are never
+//! lost in flight, which is the "guaranteed delivery to intermediary
+//! destinations" baseline the paper builds on.
+//!
+//! The handoff is not a record. Once the peer has acknowledged a batch its
+//! arrival record holds the envelopes and its journal-reseeded dedup window
+//! drops a re-send, so the mover does not tell its own journal right away:
+//! it *releases* the batch's session ([`Session::release`]). The gets stay
+//! pending on the transmission queue and ride, as gets, the next `TxCommit`
+//! the manager writes for any reason — on a sender the arrival of the
+//! acknowledgment, on a receiver the next arrival. A crash before that
+//! record re-sends the envelopes and the peer counts them in
+//! `mq.relay.duplicates`. What a crash can re-send is bounded: at
+//! [`MAX_RELEASED`] released envelopes the mover commits its session the
+//! ordinary way (one record, carrying them all), a mover that finds its
+//! queue idle writes them out once the oldest has waited
+//! [`RELEASE_LINGER`], and a stopped channel or manager leaves none
+//! behind. With a full window in flight that is at most [`MAX_RESEND`]
+//! envelopes, which the peer's dedup window must exceed. A session that
+//! staged a put (an oversized envelope on its way to the dead-letter
+//! queue) is committed as before: a put is never lazy.
 //!
 //! There is one mover for every transport: [`Channel::connect`] wires the
 //! in-process [`Link`] path (via [`LinkTransport`]),
@@ -19,11 +37,11 @@
 //!
 //! The mover keeps a *window* of up to [`Transport::window`] batches in
 //! flight instead of stopping for an acknowledgment after each one: every
-//! submitted batch keeps its own open session, and sessions are committed
+//! submitted batch keeps its own open session, and sessions are released
 //! in order as the receiver's cumulative ack watermark advances past their
 //! tickets. (The simulated link is synchronous — a window of one whose
 //! ticket is covered as soon as it is issued — so there the same loop
-//! reads: submit, commit, next.) The window is for *full* batches
+//! reads: submit, release, next.) The window is for *full* batches
 //! ([`MAX_BATCH`] envelopes): a partial batch goes out only when nothing
 //! is in flight, so under load the envelopes that arrive during one round
 //! trip leave as one batch — the channel clocks itself on its acks
@@ -88,6 +106,21 @@ pub const BATCH_BYTE_BUDGET: usize = MAX_FRAME_BODY / 2;
 /// bigger could overflow a frame all by itself, so it is dead-lettered
 /// locally rather than allowed to wedge the channel.
 pub const MAX_ENVELOPE_WIRE: usize = MAX_FRAME_BODY / 4;
+
+/// Most released envelopes a manager holds with no record of its own
+/// covering their handoff: the mover whose release would reach it commits
+/// instead, and that record carries them all.
+pub const MAX_RELEASED: usize = 1024;
+
+/// How long a released handoff waits for a record to ride before an idle
+/// mover writes one for it, on the manager's clock. Long enough that a
+/// manager with any traffic never pays for it.
+pub const RELEASE_LINGER: Millis = Millis(1_000);
+
+/// Most envelopes a crashed manager can re-send that its peer already
+/// holds: a full TCP window in flight plus the released ones. A peer's
+/// `dedup_window` must be larger.
+pub const MAX_RESEND: usize = 2 * MAX_RELEASED;
 
 /// Per-channel statistics.
 #[derive(Debug, Default)]
@@ -352,8 +385,21 @@ fn rollback_window(window: &mut VecDeque<Inflight>, window_rollbacks: &Counter) 
     }
 }
 
+/// Ends the session of a batch the peer holds: released, or committed when
+/// it staged puts or the released list is full. When the journal refuses
+/// that record the envelopes go back for a re-send the peer will drop, and
+/// the refusal is not theirs: no backout budget is spent. Returns whether
+/// the session ended as intended.
+fn hand_off(session: &mut Session) -> bool {
+    let ended = session.release().is_ok() || !session.in_transaction();
+    if !ended {
+        let _ = session.rollback_for_retry();
+    }
+    ended
+}
+
 /// The mover thread: keeps up to [`Transport::window`] batches in flight,
-/// each holding its own open session, and commits sessions in submission
+/// each holding its own open session, and releases sessions in submission
 /// order as the receiver's cumulative ack watermark advances.
 ///
 /// Invariants:
@@ -361,16 +407,17 @@ fn rollback_window(window: &mut VecDeque<Inflight>, window_rollbacks: &Counter) 
 ///   only a full [`MAX_BATCH`] is submitted (counted in envelopes — a
 ///   backlog of envelopes so large that [`BATCH_BYTE_BUDGET`] cuts the
 ///   batch first goes one batch per round trip).
-/// * Sessions commit strictly in submission order — a later batch's ack
-///   can never commit past an earlier uncovered one, because the
+/// * Sessions end strictly in submission order — a later batch's ack
+///   can never release past an earlier uncovered one, because the
 ///   watermark is cumulative.
 /// * When the window's *front* batch is neither covered nor pending (its
 ///   connection epoch died), every in-flight session is rolled back
 ///   newest-first and the envelopes retransmit after reconnect; the
 ///   receiver's dedup window absorbs any batch that had actually landed.
-/// * On stop, covered batches are still committed (their acks are final
-///   even after disconnect) before the remainder rolls back, so no
-///   acknowledged delivery is ever re-sent.
+/// * On stop, covered batches are still released (their acks are final
+///   even after disconnect) before the remainder rolls back, and what is
+///   released is written out, so no acknowledged delivery is ever re-sent
+///   after a clean stop.
 fn mover(
     from: &Arc<QueueManager>,
     transport: &Arc<dyn Transport>,
@@ -401,20 +448,22 @@ fn mover(
     loop {
         let stopping = stop.load(Ordering::SeqCst) || !from.is_running();
         let progress = transport.progress();
-        // Commit every leading in-flight batch the watermark covers.
+        // Release every leading in-flight batch the watermark covers.
         // Acks are final even across a disconnect, so this also runs on
         // the stop path: an acknowledged batch must never retransmit.
         while window.front().is_some_and(|f| progress.covers(f.ticket)) {
             let Some(mut inflight) = window.pop_front() else {
                 break;
             };
-            if inflight.session.commit().is_ok() {
+            if hand_off(&mut inflight.session) {
                 stats.delivered.add(inflight.count);
                 stats.oversized_dead_lettered.add(inflight.oversized);
             }
         }
         if stopping {
             rollback_window(&mut window, &window_rollbacks);
+            // A crashed manager flushes nothing: its restart re-sends.
+            from.flush_released("shutdown").unwrap_or(());
             return;
         }
         // The front batch is uncovered; if it is not pending either, its
@@ -461,7 +510,7 @@ fn mover(
                 if oversized > 0 {
                     // Only dead-letter diversions were staged; make the
                     // move durable without a wire round trip.
-                    if session.commit().is_ok() {
+                    if hand_off(&mut session) {
                         stats.oversized_dead_lettered.add(oversized);
                     }
                 } else {
@@ -499,6 +548,9 @@ fn mover(
         // Park until something moves: an ack advancing the watermark, a
         // teardown, a poke from the put-watcher, or the timeout.
         if window.is_empty() {
+            // Idle: nothing of this channel's will come along to carry
+            // what it released.
+            from.flush_released_after(RELEASE_LINGER);
             if !progress.connected {
                 transport.wait_ready(PARTITION_BACKOFF);
             }
@@ -822,11 +874,11 @@ mod tests {
         wait_for("all large envelopes delivered", || {
             b.queue("IN").unwrap().depth() == 6
         });
-        let snap = a.obs().metrics().snapshot();
-        assert!(
-            snap.counter("mq.transport.batches_sent") >= 2,
-            "byte budget must split the backlog into multiple batches"
-        );
+        // A batch is counted once its submit returns, after the peer has
+        // made it visible.
+        wait_for("byte budget splits the backlog into multiple batches", || {
+            a.obs().metrics().snapshot().counter("mq.transport.batches_sent") >= 2
+        });
         assert_eq!(channel.stats().oversized_dead_lettered.get(), 0);
     }
 }

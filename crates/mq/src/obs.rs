@@ -84,6 +84,9 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.tx.rolled_back",
     "mq.forwarded",
     "mq.received_remote",
+    // Channel handoffs riding a later record.
+    "mq.channel.released",
+    "mq.channel.release_flushes",
     // Journal.
     "mq.journal.append_micros",
     "mq.journal.appends",
@@ -146,6 +149,7 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
     "sphere-abort",
     "relay-forwarded",
     "relay-dead-lettered",
+    "release-flushed",
 ];
 
 /// Every on-storage [`crate::journal::JournalRecord`] tag byte. The

@@ -22,7 +22,7 @@ use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
 use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_ORIGIN_PROPERTY};
 use crate::selector::Selector;
-use crate::session::{Session, TxState};
+use crate::session::{Released, Session, TxState};
 use crate::shard::StripedMap;
 use crate::stats::{ManagerStats, MetricsSnapshot, RelayStats};
 use crate::trace::TraceLog;
@@ -152,6 +152,7 @@ impl QueueManagerBuilder {
             relay_stats,
             delivery_dedup: Mutex::new(Deduper::new(dedup_window)),
             mutation_gate: Arc::new(RwLock::new(())),
+            released: Mutex::new(Released::default()),
             last_checkpoint_len: AtomicU64::new(0),
             obs,
             running: AtomicBool::new(true),
@@ -204,6 +205,13 @@ pub struct QueueManager {
     /// deadlock against a nested read.
     // lint: never-hold(QueueManager.mutation_gate) across submit
     mutation_gate: Arc<RwLock<()>>,
+    /// The handoffs the channels released, waiting for the next record to
+    /// carry them (see [`Released`]). A leaf lock: taken under the mutation
+    /// gate by the commit that drains it, held for the drain alone and
+    /// never while another lock is taken or a record is appended.
+    // lint: never-hold(QueueManager.released) across append
+    // lint: never-hold(QueueManager.released) across finalize_pending
+    pub(crate) released: Mutex<Released>,
     /// `journal.len_bytes()` as of the last checkpoint — the delta against
     /// the live length drives [`QueueManager::maybe_checkpoint`]. A plain
     /// length threshold would misfire on append-only group journals, whose
@@ -630,7 +638,9 @@ impl QueueManager {
     /// Stops every attached background task (channel movers, TCP
     /// acceptors) and joins their threads. Idempotent: the task list is
     /// drained before stopping, so a second call — or a concurrent one —
-    /// finds nothing left to do. The manager itself stays running; use
+    /// finds nothing left to do. The handoffs the stopped channels had
+    /// released are then written out, so a clean stop leaves nothing to
+    /// re-send. The manager itself stays running; use
     /// [`QueueManager::crash`] to also drop volatile state.
     pub fn shutdown(&self) {
         // Take the list first and join outside the lock, so tasks whose
@@ -639,6 +649,8 @@ impl QueueManager {
         for task in tasks {
             task.shutdown();
         }
+        // Refused, they stay released: a restart re-sends them.
+        self.flush_released("shutdown").unwrap_or(());
     }
 
     // ------------------------------------------------ crash & recovery --
@@ -648,6 +660,7 @@ impl QueueManager {
     /// over the same journal to model restart-with-recovery.
     pub fn crash(&self) {
         self.running.store(false, Ordering::SeqCst);
+        self.released.lock().forget();
         let mut queues = self.queues.write_all();
         for queue in queues.values() {
             queue.close();

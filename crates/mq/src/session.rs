@@ -15,15 +15,26 @@
 //! for a queue with an [`ArrivalTrigger`] is never queued: the commit hands
 //! it to the trigger, which stages what it causes into the same
 //! transaction, and one record covers both.
+//!
+//! A transaction has a third ending beside commit and rollback, *release*
+//! ([`Session::release`]), for the one consumer whose gets something other
+//! than this manager's journal already makes safe to repeat: the channel
+//! mover, once the peer has acknowledged a batch. A released get writes no
+//! record of its own; it stays a pending get and rides the next `TxCommit`
+//! the manager writes ([`Released`]).
 
 use std::sync::Arc;
 
+use simtime::{Millis, Time};
+
+use crate::channel::MAX_RELEASED;
 use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
-use crate::message::{Message, QueueAddress};
+use crate::message::{Message, MessageId, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{ArrivalTrigger, Queue, Wait};
 use crate::selector::Selector;
+use crate::trace::TraceStage;
 
 /// What a transaction holds between its first operation and its end.
 #[derive(Default)]
@@ -36,6 +47,60 @@ pub(crate) struct TxState {
     /// Begun with [`Session::begin`]: counted in `mq.tx.committed` by the
     /// commit that applies it.
     explicit: bool,
+    /// A flush of the released gets: its record is written even when they
+    /// are all it carries.
+    flush: bool,
+}
+
+/// The gets the channels released: handoffs the peer's journal already
+/// holds, still pending gets on their transmission queues (a checkpoint
+/// image keeps them, `depth()` does not), waiting for the next record the
+/// manager writes to carry them. A crash before that record re-sends them
+/// and the peer's dedup window drops the copies, so their number is
+/// bounded: `gets` and `riding` together stay below [`MAX_RELEASED`].
+#[derive(Default)]
+pub(crate) struct Released {
+    /// Oldest first.
+    gets: Vec<(Arc<Queue>, MessageId)>,
+    /// Taken by a commit whose append is under way: back in `gets` when it
+    /// is refused.
+    riding: usize,
+    /// When the oldest of `gets` was released, on the manager's clock.
+    since: Option<Time>,
+}
+
+impl Released {
+    fn outstanding(&self) -> usize {
+        self.gets.len() + self.riding
+    }
+
+    /// Whether the oldest release has waited `linger` for a record to ride.
+    fn lingering(&self, now: Time, linger: Millis) -> bool {
+        self.since.is_some_and(|since| now.since(since) >= linger)
+    }
+
+    /// Takes everything, for a record about to be appended.
+    fn carry(&mut self) -> Released {
+        self.riding += self.gets.len();
+        Released { gets: std::mem::take(&mut self.gets), riding: 0, since: self.since.take() }
+    }
+
+    /// Forgets what waits, as a crash does: the restart re-sends it.
+    pub(crate) fn forget(&mut self) {
+        self.gets.clear();
+        self.since = None;
+    }
+
+    /// What became of `carried`: written, its gets are covered; refused,
+    /// they wait again, ahead of what was released since.
+    fn settle(&mut self, mut carried: Released, written: bool) {
+        self.riding -= carried.gets.len();
+        if !written {
+            carried.gets.append(&mut self.gets);
+            self.gets = carried.gets;
+            self.since = carried.since.or(self.since);
+        }
+    }
 }
 
 /// What an applied transaction leaves to do once the gate is released.
@@ -46,6 +111,8 @@ struct Applied {
     to_notify: Vec<Arc<Queue>>,
     /// Puts whose queue was closed under the transaction.
     orphaned: Vec<Message>,
+    /// How many released gets the record carried.
+    carried: usize,
 }
 
 /// The staged puts of one transaction that were bound for a triggered
@@ -252,6 +319,7 @@ impl QueueManager {
         // effects]: a checkpoint can never snapshot half a transaction, nor
         // truncate the TxCommit record while its effects are missing.
         let gate = self.mutation_gate().read();
+        let mut applied = Applied::default();
         // Stamped before the record is built: the journal holds each put
         // as enqueued, so a recovered message expires when it would have.
         for (queue, msg) in &mut tx.staged_puts {
@@ -264,12 +332,23 @@ impl QueueManager {
                 .filter(|(_, m)| m.is_persistent())
                 .map(|(q, m)| (q.name().to_owned(), m.clone()))
                 .collect();
-            let gets: Vec<_> = tx
+            let own: Vec<_> = tx
                 .gets
                 .iter()
                 .filter(|(_, m)| m.is_persistent())
                 .map(|(q, m)| (q.name().to_owned(), m.id()))
                 .collect();
+            // The handoffs the channels released ride any record that is
+            // written anyway, ahead of its own gets; taken under the gate,
+            // and the guard is gone before the append.
+            let carried = if tx.flush || !puts.is_empty() || !own.is_empty() {
+                self.released.lock().carry()
+            } else {
+                Released::default()
+            };
+            let mut gets: Vec<_> =
+                carried.gets.iter().map(|(q, id)| (q.name().to_owned(), *id)).collect();
+            gets.extend(own);
             if !puts.is_empty() || !gets.is_empty() {
                 let record = JournalRecord::TxCommit { puts, gets };
                 let started = std::time::Instant::now();
@@ -278,11 +357,13 @@ impl QueueManager {
                     .journal_append_micros
                     .record_duration(started.elapsed());
                 if let Err(e) = appended {
+                    self.settle_released(carried, false);
                     return Err((e, tx));
                 }
             }
+            applied.carried = carried.gets.len();
+            self.settle_released(carried, true);
         }
-        let mut applied = Applied::default();
         for (queue, msg) in tx.staged_puts {
             // The queue was open at stage time; one closed since (deleted
             // under the transaction) dead-letters the message rather than
@@ -340,6 +421,97 @@ impl QueueManager {
             }
         }
         result
+    }
+
+    /// Ends a transaction of gets alone that another journal covers (see
+    /// [`Session::release`]): the gets the journal holds join the released
+    /// list, and nothing is written. At [`MAX_RELEASED`] the transaction is
+    /// committed instead, and its record carries the list.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueueManager::commit`], when it came to that.
+    pub(crate) fn release(&self, tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
+        if !self.is_running() {
+            // Crashed: the restart re-sends what no record covers.
+            return Ok(());
+        }
+        // Only a get the journal holds needs a record; the others are done.
+        let durable = self.journal().is_durable();
+        let joining: Vec<_> = tx
+            .gets
+            .iter()
+            .filter(|(_, m)| durable && m.is_persistent())
+            .map(|(q, m)| (q.clone(), m.id()))
+            .collect();
+        let now = self.clock().now();
+        let mut released = self.released.lock();
+        let waiting = released.outstanding();
+        if waiting + joining.len() >= MAX_RELEASED {
+            drop(released);
+            self.commit(tx)?;
+            self.note_flush("cap", waiting);
+            return Ok(());
+        }
+        if !joining.is_empty() {
+            released.since.get_or_insert(now);
+            released.gets.extend(joining);
+            self.stats().released.set(released.outstanding() as u64);
+        }
+        drop(released);
+        if tx.explicit {
+            self.stats().tx_committed.incr();
+        }
+        Ok(())
+    }
+
+    /// Ends the ride of `carried`: a written record covers its gets, which
+    /// stop being pending; a refused one leaves them released.
+    fn settle_released(&self, carried: Released, written: bool) {
+        if carried.gets.is_empty() {
+            return;
+        }
+        if written {
+            for (queue, get) in &carried.gets {
+                queue.finalize_pending(*get);
+            }
+        }
+        let mut released = self.released.lock();
+        released.settle(carried, written);
+        self.stats().released.set(released.outstanding() as u64);
+    }
+
+    /// Writes the released gets as one record of their own, when no commit
+    /// came along to carry them: `why` is `idle` or `shutdown`.
+    ///
+    /// # Errors
+    ///
+    /// Journal failures: the gets stay released. A stopped manager has
+    /// nothing to flush.
+    pub(crate) fn flush_released(&self, why: &str) -> MqResult<()> {
+        self.check_running()?;
+        let flush = TxState { flush: true, ..TxState::default() };
+        let written = self.apply(flush).map_err(|(e, _)| e)?;
+        if written.carried > 0 {
+            self.note_flush(why, written.carried);
+        }
+        Ok(())
+    }
+
+    /// Flushes once the oldest released get has waited `linger` on the
+    /// manager's clock; a refused flush is retried by the next call.
+    pub(crate) fn flush_released_after(&self, linger: Millis) {
+        let now = self.clock().now();
+        if self.released.lock().lingering(now, linger) {
+            self.flush_released("idle").unwrap_or(());
+        }
+    }
+
+    fn note_flush(&self, why: &str, waiting: usize) {
+        self.stats().release_flushes.incr();
+        let detail = format!("{why} released={waiting}");
+        let now = self.clock().now();
+        self.trace().record(now, TraceStage::ReleaseFlushed, None, None, detail);
     }
 
     /// Runs `op` as a transaction of its own — what a put or a get outside
@@ -472,6 +644,36 @@ impl Session {
             e
         })?;
         self.manager.maybe_checkpoint()
+    }
+
+    /// Ends a transaction whose gets are already safe to repeat without a
+    /// record in this manager's journal saying they happened: what a channel
+    /// mover does with a batch the peer has acknowledged, since the peer's
+    /// arrival record holds the envelopes and its dedup window drops a
+    /// re-send. Nothing is written. The gets stay pending (a checkpoint
+    /// image keeps them, the queue's depth does not count them) and ride
+    /// the next `TxCommit` the manager writes; a crash before that record
+    /// puts them back on their queue. A transaction that staged puts is
+    /// committed instead: a put is never lazy.
+    ///
+    /// # Errors
+    ///
+    /// [`MqError::NoTransaction`] without an active transaction; as
+    /// [`Session::commit`] when the transaction was committed (it staged
+    /// puts, or [`MAX_RELEASED`] gets were waiting).
+    pub fn release(&mut self) -> MqResult<()> {
+        let tx = self.tx.take().ok_or(MqError::NoTransaction)?;
+        if tx.is_empty() {
+            return Ok(());
+        }
+        if !tx.staged_puts.is_empty() {
+            self.tx = Some(tx);
+            return self.commit();
+        }
+        self.manager.release(tx).map_err(|(e, unreleased)| {
+            self.tx = unreleased;
+            e
+        })
     }
 
     /// Rolls back the active transaction: staged puts are discarded and

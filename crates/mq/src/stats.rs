@@ -525,6 +525,12 @@ pub struct ManagerStats {
     /// Latency of durable journal appends (put + fsync where the backend
     /// syncs), in microseconds.
     pub journal_append_micros: Arc<Histogram>,
+    /// Channel handoffs released and not yet covered by a record: what a
+    /// crash now would re-send (bounded by `mq::channel::MAX_RELEASED`).
+    pub released: Arc<Gauge>,
+    /// Records written for released handoffs alone: the bound was reached,
+    /// the manager sat idle, or it shut down (the trace says which).
+    pub release_flushes: Arc<Counter>,
 }
 
 impl ManagerStats {
@@ -536,6 +542,8 @@ impl ManagerStats {
             forwarded: registry.counter("mq.forwarded"),
             received_remote: registry.counter("mq.received_remote"),
             journal_append_micros: registry.histogram("mq.journal.append_micros"),
+            released: registry.gauge("mq.channel.released"),
+            release_flushes: registry.counter("mq.channel.release_flushes"),
         }
     }
 }

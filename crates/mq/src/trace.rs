@@ -63,11 +63,14 @@ pub enum TraceStage {
     /// A relay manager dead-lettered an in-transit envelope it could not
     /// forward (detail: the DLQ reason).
     RelayDeadLettered,
+    /// A manager wrote its released channel handoffs as a record of their
+    /// own (detail: `cap`, `idle` or `shutdown`, and `released=<n>`).
+    ReleaseFlushed,
 }
 
 impl TraceStage {
     /// Every stage, for name lookups and seen-mask iteration.
-    pub const ALL: [TraceStage; 16] = [
+    pub const ALL: [TraceStage; 17] = [
         TraceStage::Send,
         TraceStage::FanOut,
         TraceStage::ReadAck,
@@ -84,6 +87,7 @@ impl TraceStage {
         TraceStage::SphereAbort,
         TraceStage::RelayForwarded,
         TraceStage::RelayDeadLettered,
+        TraceStage::ReleaseFlushed,
     ];
 }
 
@@ -107,6 +111,7 @@ impl fmt::Display for TraceStage {
             TraceStage::SphereAbort => "sphere-abort",
             TraceStage::RelayForwarded => "relay-forwarded",
             TraceStage::RelayDeadLettered => "relay-dead-lettered",
+            TraceStage::ReleaseFlushed => "release-flushed",
         };
         f.write_str(s)
     }
@@ -181,6 +186,7 @@ fn stage_bit(stage: TraceStage) -> u64 {
         TraceStage::SphereAbort => 13,
         TraceStage::RelayForwarded => 14,
         TraceStage::RelayDeadLettered => 15,
+        TraceStage::ReleaseFlushed => 16,
     };
     1_u64 << shift
 }

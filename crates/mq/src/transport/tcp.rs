@@ -108,6 +108,13 @@ impl Default for TcpConfig {
 /// mover fills it with full batches only (see [`crate::channel`]).
 const SEND_WINDOW: usize = 16;
 
+// What a crashed sender re-sends (this window plus its released handoffs)
+// must fit the bound a peer's dedup window is sized against.
+const _: () = assert!(
+    SEND_WINDOW * crate::channel::MAX_BATCH + crate::channel::MAX_RELEASED
+        <= crate::channel::MAX_RESEND
+);
+
 /// Default size of the receiver's dedup window (re-exported from the
 /// relay module, which owns the manager-level deduper these days).
 pub use crate::relay::DEFAULT_DEDUP_WINDOW;

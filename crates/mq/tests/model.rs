@@ -8,11 +8,14 @@
 //! redelivery at the front, persistence across crash/recovery for exactly
 //! the stable persistent messages, and a lifetime: a message past its TTL
 //! is never delivered, and every get first removes the ripe ones for good.
+//! A transaction of gets alone may also be *released*: consumed at once,
+//! durably so only from the next record the manager writes, which carries
+//! its gets; a crash before that record puts the messages back.
 
 use std::sync::Arc;
 
 use mq::journal::{Journal, JournalRecord, MemJournal};
-use mq::{ManagerConfig, Message, Priority, QueueManager, Wait};
+use mq::{ManagerConfig, Message, MessageId, Priority, QueueManager, Wait};
 use proptest::prelude::*;
 use simtime::{Clock, Millis, SimClock};
 
@@ -27,16 +30,30 @@ enum Op {
     Put(Spec),
     /// Non-transactional destructive get.
     Get,
-    /// A transaction: staged puts and gets, then commit or rollback.
+    /// A transaction: staged puts and gets, then one of its endings.
     Tx {
         puts: Vec<Spec>,
         gets: usize,
-        commit: bool,
+        end: End,
     },
     /// Crash the manager and recover from the journal.
     CrashRecover,
     /// Let the clock run for so many milliseconds.
     Advance(u64),
+}
+
+/// How a transaction ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum End {
+    Commit,
+    Rollback,
+    /// As a channel mover ends the session of an acknowledged batch; a
+    /// transaction that staged puts is committed instead.
+    Release,
+}
+
+fn arb_end() -> impl Strategy<Value = End> {
+    prop_oneof![Just(End::Commit), Just(End::Rollback), Just(End::Release)]
 }
 
 fn arb_spec() -> impl Strategy<Value = Spec> {
@@ -48,8 +65,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => arb_spec().prop_map(Op::Put),
         4 => Just(Op::Get),
-        3 => (proptest::collection::vec(arb_spec(), 0..3), 0usize..3, any::<bool>())
-            .prop_map(|(puts, gets, commit)| Op::Tx { puts, gets, commit }),
+        3 => (proptest::collection::vec(arb_spec(), 0..3), 0usize..3, arb_end())
+            .prop_map(|(puts, gets, end)| Op::Tx { puts, gets, end }),
         1 => Just(Op::CrashRecover),
         2 => (1u64..40).prop_map(Op::Advance),
     ]
@@ -63,6 +80,8 @@ struct Entry {
     persistent: bool,
     /// When its TTL runs out, stamped by the put's commit.
     expiry: Option<u64>,
+    /// Its place among all puts: the order a recovery restores.
+    seq: u64,
 }
 
 /// Reference model.
@@ -71,23 +90,28 @@ struct Model {
     /// In delivery order within each band; index = priority.
     bands: Vec<Vec<Entry>>,
     now: u64,
+    puts: u64,
+    /// Released gets of persistent messages that no record covers yet.
+    released: Vec<Entry>,
 }
 
 impl Model {
     fn new() -> Model {
         Model {
             bands: vec![Vec::new(); 10],
-            now: 0,
+            ..Model::default()
         }
     }
 
     fn put_back(&mut self, (label, priority, persistent, ttl): Spec) {
         let expiry = ttl.map(|ttl| self.now + ttl);
+        self.puts += 1;
         let entry = Entry {
             label,
             priority,
             persistent,
             expiry,
+            seq: self.puts,
         };
         self.bands[priority as usize].push(entry);
     }
@@ -112,7 +136,24 @@ impl Model {
         Some(band.remove(0))
     }
 
+    /// A released get is as good as committed unless the manager crashes
+    /// before it writes another record.
+    fn release(&mut self, consumed: Vec<Entry>) {
+        self.released.extend(consumed.into_iter().filter(|e| e.persistent));
+    }
+
+    /// The manager wrote a record: it carried every released get.
+    fn record_written(&mut self) {
+        self.released.clear();
+    }
+
+    /// What no record says was consumed is back where it was put.
     fn crash(&mut self) {
+        for entry in std::mem::take(&mut self.released) {
+            let band = &mut self.bands[entry.priority as usize];
+            let at = band.partition_point(|e| e.seq < entry.seq);
+            band.insert(at, entry);
+        }
         for band in &mut self.bands {
             band.retain(|e| e.persistent);
         }
@@ -185,6 +226,18 @@ fn journal_image(journal: &MemJournal) -> Vec<String> {
     journal.replay_collect().unwrap().into_iter().map(image).collect()
 }
 
+/// Whether the first record written after the first `from`, if there is
+/// one, starts its gets with `waiting`: a released get rides the next
+/// record, whatever wrote it.
+fn first_record_carries(journal: &MemJournal, from: usize, waiting: &[MessageId]) -> Option<bool> {
+    let records = journal.replay_collect().unwrap();
+    let gets: Vec<_> = match records.get(from)? {
+        JournalRecord::TxCommit { gets, .. } => gets.iter().map(|(_, id)| *id).collect(),
+        _ => Vec::new(),
+    };
+    Some(gets.starts_with(waiting))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -220,7 +273,7 @@ proptest! {
                     );
                 }
                 // What both managers do the same way goes on around it.
-                Op::Tx { puts, gets, commit } => {
+                Op::Tx { puts, gets, end } => {
                     for qm in [&auto, &explicit] {
                         let mut session = qm.session();
                         session.begin().unwrap();
@@ -230,10 +283,10 @@ proptest! {
                         for spec in &puts {
                             session.put(QUEUE, message(*spec)).unwrap();
                         }
-                        if commit {
-                            session.commit().unwrap();
-                        } else {
-                            session.rollback().unwrap();
+                        match end {
+                            End::Commit => session.commit().unwrap(),
+                            End::Rollback => session.rollback().unwrap(),
+                            End::Release => session.release().unwrap(),
                         }
                     }
                 }
@@ -261,6 +314,8 @@ proptest! {
         let clock = SimClock::new();
         let mut qm = build_manager(&journal, &clock);
         let mut model = Model::new();
+        // The ids of the gets released and not yet carried by a record.
+        let mut released = Vec::new();
         let agree = |real: &Option<Message>, expected: &Option<Entry>| match (real, expected) {
             (None, None) => true,
             (Some(m), Some(e)) => {
@@ -273,6 +328,10 @@ proptest! {
         };
 
         for op in ops {
+            // Whatever record this operation writes first carries the gets
+            // released before it, and nothing else does.
+            let mut records = journal.record_count();
+            let mut waiting = std::mem::take(&mut released);
             match op {
                 Op::Put(spec) => {
                     qm.put(QUEUE, message(spec)).unwrap();
@@ -283,31 +342,55 @@ proptest! {
                     let expected = model.take();
                     prop_assert!(agree(&real, &expected), "get mismatch: {real:?} / {expected:?}");
                 }
-                Op::Tx { puts, gets, commit } => {
+                Op::Tx { puts, gets, end } => {
                     let mut session = qm.session();
                     session.begin().unwrap();
                     let mut consumed: Vec<Entry> = Vec::new();
+                    let mut taken = Vec::new();
                     for _ in 0..gets {
                         let real = session.get(QUEUE, Wait::NoWait).unwrap();
                         let expected = model.take();
                         prop_assert!(agree(&real, &expected), "tx get mismatch: {real:?} / {expected:?}");
                         consumed.extend(expected);
+                        taken.extend(real.filter(Message::is_persistent).map(|m| m.id()));
                     }
                     for spec in &puts {
                         session.put(QUEUE, message(*spec)).unwrap();
                     }
-                    if commit {
-                        session.commit().unwrap();
-                        for spec in &puts {
-                            model.put_back(*spec);
+                    match end {
+                        End::Release if puts.is_empty() => {
+                            // A get that met ripe messages swept them, and
+                            // that record came before this release.
+                            if let Some(carried) = first_record_carries(&journal, records, &waiting) {
+                                prop_assert!(carried, "{waiting:?}");
+                                model.record_written();
+                                waiting.clear();
+                            }
+                            // Consumed, and not a word in the journal.
+                            records = journal.record_count();
+                            session.release().unwrap();
+                            prop_assert_eq!(journal.record_count(), records);
+                            model.release(consumed);
+                            released = taken;
                         }
-                        // consumed stay consumed
-                    } else {
-                        session.rollback().unwrap();
-                        // Requeued at the front in reverse consumption
-                        // order restores original positions.
-                        for entry in consumed.into_iter().rev() {
-                            model.put_front(entry);
+                        End::Commit | End::Release => {
+                            if end == End::Commit {
+                                session.commit().unwrap();
+                            } else {
+                                session.release().unwrap();
+                            }
+                            for spec in &puts {
+                                model.put_back(*spec);
+                            }
+                            // consumed stay consumed
+                        }
+                        End::Rollback => {
+                            session.rollback().unwrap();
+                            // Requeued at the front in reverse consumption
+                            // order restores original positions.
+                            for entry in consumed.into_iter().rev() {
+                                model.put_front(entry);
+                            }
                         }
                     }
                 }
@@ -315,11 +398,20 @@ proptest! {
                     qm.crash();
                     qm = build_manager(&journal, &clock);
                     model.crash();
+                    waiting.clear();
                 }
                 Op::Advance(ms) => {
                     clock.advance(Millis(ms));
                     model.now += ms;
                 }
+            }
+            match first_record_carries(&journal, records, &waiting) {
+                Some(carried) => {
+                    prop_assert!(carried, "{waiting:?}");
+                    model.record_written();
+                }
+                // No record yet: they wait on.
+                None => released.splice(0..0, waiting).for_each(drop),
             }
             prop_assert_eq!(snapshot(&qm), model.snapshot());
             // A message past its TTL counts until a get meets it or a sweep

@@ -15,6 +15,11 @@
 //! one messaging transaction and one journal record, so it is accepted
 //! whole or not at all — across a failing journal, a torn tail at a crash,
 //! and resends that overlap what an earlier batch already delivered.
+//!
+//! And the mover's handoff is not a record: an acknowledged batch is
+//! released, so a sender that crashes before its next record re-sends what
+//! the peer already holds, up to `MAX_RESEND` envelopes, and the peer's
+//! dedup window (at least one larger) drops every copy.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -25,13 +30,13 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use proptest::prelude::*;
 
-use mq::channel::Channel;
+use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED, MAX_RESEND};
 use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::net::{Link, LinkConfig};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport};
 use mq::{
-    BatchAccepted, BatchTicket, Message, PipelineProgress, QueueAddress, QueueManager, SubmitError,
-    Transport, Wait, DEAD_LETTER_QUEUE,
+    BatchAccepted, BatchTicket, ManagerConfig, Message, PipelineProgress, QueueAddress,
+    QueueManager, SubmitError, Transport, Wait, DEAD_LETTER_QUEUE,
 };
 use simtime::{Millis, SystemClock};
 
@@ -87,6 +92,7 @@ struct ScriptedTransport {
     /// Held batches stay held until [`ScriptedTransport::release`] instead
     /// of being acked one per mover park.
     manual: bool,
+    window: usize,
 }
 
 impl fmt::Debug for ScriptedTransport {
@@ -97,15 +103,22 @@ impl fmt::Debug for ScriptedTransport {
 
 impl ScriptedTransport {
     fn new(to: Arc<QueueManager>, script: Vec<Fate>) -> Arc<ScriptedTransport> {
-        ScriptedTransport::build(to, script, false)
+        ScriptedTransport::build(to, script, false, 4)
     }
 
     /// A transport that holds every batch until the test releases it.
     fn held(to: Arc<QueueManager>) -> Arc<ScriptedTransport> {
-        ScriptedTransport::build(to, vec![Fate::Hold; 64], true)
+        // Small enough that kills regularly strand a partially-acked
+        // window, large enough to keep several batches in flight.
+        ScriptedTransport::build(to, vec![Fate::Hold; 64], true, 4)
     }
 
-    fn build(to: Arc<QueueManager>, script: Vec<Fate>, manual: bool) -> Arc<ScriptedTransport> {
+    fn build(
+        to: Arc<QueueManager>,
+        script: Vec<Fate>,
+        manual: bool,
+        window: usize,
+    ) -> Arc<ScriptedTransport> {
         Arc::new(ScriptedTransport {
             to,
             state: Mutex::new(NetState {
@@ -120,13 +133,20 @@ impl ScriptedTransport {
             changed: Condvar::new(),
             stopped: AtomicBool::new(false),
             manual,
+            window,
         })
     }
 
     /// Delivers and acks every held batch with one coalesced watermark.
     fn release(&self) {
+        self.release_first(usize::MAX);
+    }
+
+    /// Delivers and acks the first `n` held batches.
+    fn release_first(&self, n: usize) {
         let mut st = self.state.lock();
-        let drained: Vec<_> = st.pending.drain(..).collect();
+        let n = n.min(st.pending.len());
+        let drained: Vec<_> = st.pending.drain(..n).collect();
         if let Some(&(last, _)) = drained.last() {
             st.acked = last;
         }
@@ -135,6 +155,13 @@ impl ScriptedTransport {
             self.deliver(msgs);
         }
         self.changed.notify_all();
+    }
+
+    /// Delivers every held batch and keeps the acks back for good: the
+    /// peer has them, the sender never hears of it.
+    fn deliver_unacked(&self) {
+        let held: Vec<_> = self.state.lock().pending.iter().map(|(_, msgs)| msgs.clone()).collect();
+        held.iter().for_each(|msgs| self.deliver(msgs));
     }
 
     fn submitted(&self) -> Vec<usize> {
@@ -270,9 +297,7 @@ impl Transport for ScriptedTransport {
     }
 
     fn window(&self) -> usize {
-        // Small enough that kills regularly strand a partially-acked
-        // window, large enough to keep several batches in flight.
-        4
+        self.window
     }
 }
 
@@ -557,6 +582,117 @@ fn tcp_mid_window_kills_stay_exactly_once() {
     drop(channel);
     drop(acceptor);
     assert_exactly_once(&b, n);
+}
+
+// ------------------------------------------- releases and sender crashes --
+
+/// Puts `labels` on `a`'s way to `QB/IN`, persistent.
+fn put_labels(a: &Arc<QueueManager>, labels: std::ops::Range<u32>) {
+    for label in labels {
+        let msg = Message::text(label.to_string()).persistent(true).build();
+        a.put_to(&QueueAddress::new("QB", DEST_QUEUE), msg).unwrap();
+    }
+}
+
+/// A sender crashes after its mover released acknowledged batches and
+/// before any record carried their gets: its journal still holds the
+/// envelopes, so the restarted sender re-sends them, and the peer, which
+/// has them, counts every one a duplicate. A clean stop leaves nothing to
+/// re-send.
+#[test]
+fn a_sender_crash_with_releases_outstanding_resends_and_the_peer_drops_the_copies() {
+    const N: u32 = 150;
+    let journal = MemJournal::new();
+    let sender = || QueueManager::builder("QA").journal(journal.clone()).build().unwrap();
+    let b = QueueManager::builder("QB").build().unwrap();
+    b.create_queue(DEST_QUEUE).unwrap();
+    let link = Link::ideal();
+    link.set_up(false);
+
+    let a = sender();
+    let channel = Channel::connect(&a, &b, link.clone()).unwrap();
+    put_labels(&a, 0..N);
+    let records = journal.record_count();
+    link.set_up(true);
+    wait_for("every handoff released", Duration::from_secs(10), || {
+        a.stats().released.get() == u64::from(N)
+    });
+    let xmit = |a: &Arc<QueueManager>| a.queue("SYSTEM.XMIT.QB").unwrap().depth();
+    assert_eq!((xmit(&a), b.queue(DEST_QUEUE).unwrap().depth()), (0, N as usize));
+    assert_eq!(journal.record_count(), records, "a handoff is not a record");
+    a.crash();
+    drop(channel);
+
+    let a = sender();
+    assert_eq!(xmit(&a), N as usize, "no record says they were handed over");
+    let channel = Channel::connect(&a, &b, link.clone()).unwrap();
+    wait_for("every copy dropped", Duration::from_secs(10), || {
+        b.relay_stats().duplicates.get() == u64::from(N) && a.stats().released.get() == u64::from(N)
+    });
+    assert_eq!(b.metrics_snapshot().counter("mq.relay.duplicates"), u64::from(N));
+    // Stopping the channel writes the handoffs out.
+    drop(channel);
+    assert_eq!(journal.record_count(), records + 1);
+    assert_eq!(a.stats().released.get(), 0);
+    a.crash();
+    assert_eq!(xmit(&sender()), 0, "nothing left to re-send");
+    assert_exactly_once(&b, N);
+}
+
+/// The bound on what a crash re-sends, at its worst: the released list as
+/// full as whole batches make it and a full TCP-sized window delivered but
+/// unacknowledged, against a peer whose dedup window is the smallest the
+/// bound allows. Every copy is still inside the window.
+#[test]
+fn a_sender_crash_at_the_cap_fits_the_smallest_dedup_window() {
+    const WINDOW: usize = 16;
+    let released = (MAX_RELEASED - 1) / MAX_BATCH; // batches
+    let resent = ((released + WINDOW) * MAX_BATCH) as u32;
+    assert!(resent as usize <= MAX_RESEND && resent as usize + MAX_BATCH >= MAX_RESEND);
+    let journal = MemJournal::new();
+    let sender = || QueueManager::builder("QA").journal(journal.clone()).build().unwrap();
+    let config = ManagerConfig { dedup_window: MAX_RESEND + 1, ..ManagerConfig::default() };
+    let b = QueueManager::builder("QB").config(config).build().unwrap();
+    b.create_queue(DEST_QUEUE).unwrap();
+
+    // Everything is queued before the mover starts, so no later record of
+    // the sender's carries a released get, and every batch is full.
+    let a = sender();
+    a.define_route("QB", "SYSTEM.XMIT.QB").unwrap();
+    put_labels(&a, 0..resent);
+    let transport = ScriptedTransport::build(b.clone(), vec![Fate::Hold; 64], true, WINDOW);
+    let channel = Channel::connect_transport(&a, "QB", transport.clone()).unwrap();
+    let submitted = |batches: usize| {
+        wait_for("batches submitted", Duration::from_secs(10), || {
+            transport.submitted().len() == batches
+        });
+    };
+    submitted(WINDOW);
+    transport.release_first(released);
+    submitted(released + WINDOW);
+    wait_for("the acknowledged batches released", Duration::from_secs(10), || {
+        a.stats().released.get() == (released * MAX_BATCH) as u64
+    });
+    transport.deliver_unacked();
+    assert_eq!(b.queue(DEST_QUEUE).unwrap().depth(), resent as usize);
+    assert_eq!(a.stats().release_flushes.get(), 0, "one batch short of the cap");
+    a.crash();
+    drop(channel);
+
+    // The restart re-sends all of it, oldest first, with new traffic behind.
+    let a = sender();
+    assert_eq!(a.queue("SYSTEM.XMIT.QB").unwrap().depth(), resent as usize);
+    a.define_route("QB", "SYSTEM.XMIT.QB").unwrap();
+    put_labels(&a, resent..resent + 10);
+    let channel =
+        Channel::connect_transport(&a, "QB", ScriptedTransport::new(b.clone(), Vec::new())).unwrap();
+    wait_for("the new traffic through", Duration::from_secs(10), || {
+        b.queue(DEST_QUEUE).unwrap().depth() == resent as usize + 10
+            && a.queue("SYSTEM.XMIT.QB").unwrap().depth() == 0
+    });
+    drop(channel);
+    assert_eq!(b.relay_stats().duplicates.get(), u64::from(resent));
+    assert_exactly_once(&b, resent + 10);
 }
 
 // ------------------------------------------------ the batch seam itself --

@@ -2,14 +2,17 @@
 //!
 //! In the durable configuration a verdict costs what its synchronous
 //! journal appends cost, so the *sequence of records* one round trip writes
-//! is part of the contract: every protocol step — conditional send, channel
-//! handoff, arrival of a transport batch, pick-up with its implicit
-//! acknowledgment, outcome pick-up — is exactly one record, and an
-//! acknowledgment is never a step of its own: the trigger on `DS.ACK.Q`
-//! applies it inside the record that delivers it (the arrival of its
-//! transport batch, or the local pick-up), with the verdict it decides. A
-//! change that splits a step over two commits (or adds a record anywhere on
-//! the path) fails here, not only in `condbench`.
+//! is part of the contract: every protocol step — conditional send, arrival
+//! of a transport batch, pick-up with its implicit acknowledgment, outcome
+//! pick-up — is exactly one record, and two things are never a step of
+//! their own. An acknowledgment: the trigger on `DS.ACK.Q` applies it
+//! inside the record that delivers it (the arrival of its transport batch,
+//! or the local pick-up), with the verdict it decides. And a channel
+//! handoff: the mover releases an acknowledged batch, and its gets ride the
+//! next record its manager writes (a record of their own only at
+//! `MAX_RELEASED`, after `RELEASE_LINGER` idle, or on shutdown). A change
+//! that splits a step over two commits (or adds a record anywhere on the
+//! path) fails here, not only in `condbench`.
 //!
 //! The tables in DESIGN.md §8 and the receiver section are these
 //! sequences.
@@ -21,11 +24,11 @@ use condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet,
     MessageOutcome,
 };
-use mq::channel::Channel;
+use mq::channel::{Channel, MAX_RELEASED, RELEASE_LINGER};
 use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
 use mq::net::Link;
 use mq::{
-    Message, MqResult, QueueAddress, QueueManager, SystemClock, Wait, DEAD_LETTER_QUEUE,
+    Message, MqResult, QueueAddress, QueueManager, TraceStage, Wait, DEAD_LETTER_QUEUE,
     DLQ_REASON_PROPERTY,
 };
 use parking_lot::Mutex;
@@ -120,8 +123,10 @@ fn describe(record: &JournalRecord) -> String {
     }
 }
 
-/// A manager on the shared system clock whose journal notes its appends.
-fn recorded(name: &str, clock: &Arc<SystemClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>) {
+/// A manager whose journal notes its appends. The shared clock is a
+/// simulated one nobody advances, so no released handoff ever lingers long
+/// enough to be flushed: what rides which record is exact.
+fn recorded(name: &str, clock: &Arc<SimClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>) {
     let journal = RecordingJournal::new();
     let qmgr = QueueManager::builder(name)
         .clock(clock.clone())
@@ -131,9 +136,35 @@ fn recorded(name: &str, clock: &Arc<SystemClock>) -> (Arc<QueueManager>, Arc<Rec
     (qmgr, journal)
 }
 
+/// Waits until `qmgr`'s movers have released `handoffs` envelopes that no
+/// record has carried yet.
+fn wait_released(qmgr: &QueueManager, handoffs: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while qmgr.stats().released.get() != handoffs {
+        let released = qmgr.stats().released.get();
+        assert!(Instant::now() < deadline, "{released} released, not {handoffs}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The reasons of the release flushes `qmgr` traced, in order, once there
+/// are `n` of them (a flush is counted after its record is written).
+fn flushes(qmgr: &QueueManager, n: u64) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while qmgr.stats().release_flushes.get() < n {
+        assert!(Instant::now() < deadline, "still waiting for flush {n}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let events = qmgr.trace().events().into_iter();
+    events
+        .filter(|e| e.stage == TraceStage::ReleaseFlushed)
+        .map(|e| e.detail)
+        .collect()
+}
+
 #[test]
-fn two_manager_round_trip_is_seven_records() {
-    let clock = SystemClock::new();
+fn two_manager_round_trip_is_five_records() {
+    let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     tail.create_queue("Q.IN").unwrap();
@@ -146,57 +177,79 @@ fn two_manager_round_trip_is_seven_records() {
     let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
         .pickup_within(Millis(60_000))
         .into();
-    let id = messenger.send_message("payload", &condition).unwrap();
-    // Let the channel finish its handoff before the pick-up, so the
-    // acknowledgment cannot overtake the mover's commit on the head.
-    head_journal.wait_for(2);
-    let read = receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000)));
-    assert!(read.unwrap().is_some());
-    let outcome = messenger
-        .take_outcome(id, Wait::Timeout(Millis(10_000)))
-        .unwrap()
-        .expect("verdict");
-    assert_eq!(outcome.outcome, MessageOutcome::Success);
-    tail_journal.wait_for(3);
+    let mut round_trip = || {
+        let id = messenger.send_message("payload", &condition).unwrap();
+        // Let the mover release the batch before the pick-up, so the
+        // acknowledgment cannot overtake the handoff on the head.
+        wait_released(&head, 1);
+        let read = receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000)));
+        assert!(read.unwrap().is_some());
+        let outcome = messenger
+            .take_outcome(id, Wait::Timeout(Millis(10_000)))
+            .unwrap()
+            .expect("verdict");
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
+        // The tail's mover has let go of the acknowledgment it carried.
+        wait_released(&tail, 1);
+    };
+    round_trip();
 
+    // Conditional send: sender-log record, parked compensation, the
+    // original onto the transmission queue.
+    let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
+    // The acknowledgment arrives (a transport batch of one) and is never
+    // queued: the arrival record is the verdict it decides — outcome entry
+    // and notification out, parked compensation and sender-log record gone,
+    // no AckSeen. It is the first record the head writes after its mover
+    // released the original, so the handoff's get rides it.
+    let verdict = "TxCommit get[SYSTEM.XMIT.QM.TAIL, DS.COMP.Q, DS.SLOG.Q] \
+                   put[DS.DONE.Q, DS.OUTCOME.Q]";
+    // The application picks the outcome up.
+    let outcome = "TxCommit get[DS.OUTCOME.Q] put[]";
+    // Arrival: one record per acknowledged transport batch.
+    let arrival = "TxCommit get[] put[Q.IN]";
+    // Pick-up, receiver-log entry and read-ack: one step.
+    let pickup = "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]";
+    assert_eq!(head_journal.appended(), [send, verdict, outcome], "head");
+    assert_eq!(tail_journal.appended(), [arrival, pickup], "tail");
+    assert_eq!(head.stats().released.get(), 0);
+
+    // The handoff of the acknowledgment waits on the tail for the next
+    // record, which is the next arrival.
+    round_trip();
     assert_eq!(
         head_journal.appended(),
-        [
-            // Conditional send: sender-log record, parked compensation,
-            // the original onto the transmission queue.
-            "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]",
-            // Channel handoff, committed once the tail has the message.
-            "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
-            // The acknowledgment arrives (a transport batch of one) and
-            // is never queued: the arrival record is the verdict it
-            // decides — outcome entry and notification out, parked
-            // compensation and sender-log record gone. No AckSeen.
-            "TxCommit get[DS.COMP.Q, DS.SLOG.Q] put[DS.DONE.Q, DS.OUTCOME.Q]",
-            // The application picks the outcome up.
-            "TxCommit get[DS.OUTCOME.Q] put[]",
-        ],
+        [send, verdict, outcome, send, verdict, outcome],
         "head"
     );
     assert_eq!(
         tail_journal.appended(),
         [
-            // Arrival: one record per acknowledged transport batch.
-            "TxCommit get[] put[Q.IN]",
-            // Pick-up, receiver-log entry and read-ack: one step.
-            "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]",
-            "TxCommit get[SYSTEM.XMIT.QM.HEAD] put[]",
+            arrival,
+            pickup,
+            "TxCommit get[SYSTEM.XMIT.QM.HEAD] put[Q.IN]",
+            pickup
         ],
         "tail"
     );
+    // A clean stop leaves nothing to re-send.
+    tail.shutdown();
+    assert_eq!(
+        tail_journal.appended().last().map(String::as_str),
+        Some("TxCommit get[SYSTEM.XMIT.QM.HEAD] put[]")
+    );
+    assert_eq!(tail.stats().released.get(), 0);
+    assert_eq!(flushes(&tail, 1), ["shutdown released=1"]);
     let metrics = head.metrics_snapshot();
-    assert_eq!(metrics.counter("cond.verdict.fused"), 1);
-    assert_eq!(metrics.counter("cond.ack.read"), 1);
+    assert_eq!(metrics.counter("cond.verdict.fused"), 2);
+    assert_eq!(metrics.counter("cond.ack.read"), 2);
     assert_eq!(metrics.counter("cond.ack.queued"), 0, "the trigger is the live path");
+    assert_eq!(metrics.counter("mq.channel.release_flushes"), 0, "head");
 }
 
 #[test]
 fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
-    let clock = SystemClock::new();
+    let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     tail.create_queue("Q.IN").unwrap();
@@ -217,7 +270,7 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
         .map(|i| messenger.send_message(format!("m{i}"), &condition).unwrap())
         .collect();
     out.set_up(true);
-    head_journal.wait_for(4);
+    wait_released(&head, 3);
     // Likewise the three read-acks on the way back.
     back.set_up(false);
     for _ in 0..3 {
@@ -232,7 +285,7 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
             .expect("verdict");
         assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
-    tail_journal.wait_for(5);
+    tail.shutdown();
 
     let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
     let pickup = "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]";
@@ -243,10 +296,11 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
             send,
             send,
             send,
-            "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] put[]",
             // The three acknowledgments arrive as one record, which
-            // carries all three verdicts.
-            "TxCommit get[DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
+            // carries all three verdicts and the handoff of the batch
+            // that took the originals over.
+            "TxCommit get[SYSTEM.XMIT.QM.TAIL x3, \
+             DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
              put[DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]",
             outcome,
             outcome,
@@ -261,6 +315,8 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
             pickup,
             pickup,
             pickup,
+            // Nothing else came along on the tail: stopping it writes the
+            // handoff of the acknowledgments out.
             "TxCommit get[SYSTEM.XMIT.QM.HEAD x3] put[]",
         ],
         "tail"
@@ -273,7 +329,7 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
 
 #[test]
 fn a_relay_takes_custody_of_a_batch_with_one_record() {
-    let clock = SystemClock::new();
+    let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (mid, mid_journal) = recorded("QM.MID", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
@@ -298,7 +354,8 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
     }
     first_hop.set_up(true);
     tail_journal.wait_for(1);
-    mid_journal.wait_for(2);
+    wait_released(&mid, 3);
+    wait_released(&head, 3);
     // A mixed batch — local, onward, no route — is still one record.
     first_hop.set_up(false);
     put("QM.MID", "Q.MID");
@@ -306,17 +363,39 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
     put("QM.NOWHERE", "Q.X");
     first_hop.set_up(true);
     tail_journal.wait_for(2);
-    mid_journal.wait_for(4);
+    wait_released(&mid, 1);
+    // The relay counts a batch once its record is written, on the
+    // delivering thread, which the onward mover overtakes: the head's mover
+    // releasing the batch is what says that `accept_batch` has returned.
+    wait_released(&head, 3);
+    mid.shutdown();
 
     assert_eq!(
         mid_journal.appended(),
         [
             "TxCommit get[] put[SYSTEM.XMIT.QM.TAIL x3]",
-            "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] put[]",
-            &format!("TxCommit get[] put[Q.MID, SYSTEM.XMIT.QM.TAIL, {DEAD_LETTER_QUEUE}]"),
+            // The next arrival carries the onward handoff of the first.
+            &format!(
+                "TxCommit get[SYSTEM.XMIT.QM.TAIL x3] \
+                 put[Q.MID, SYSTEM.XMIT.QM.TAIL, {DEAD_LETTER_QUEUE}]"
+            ),
             "TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]",
         ],
         "mid"
+    );
+    // On the head the next put is the next record.
+    let put_mid = "TxCommit get[] put[SYSTEM.XMIT.QM.MID]";
+    assert_eq!(
+        head_journal.appended(),
+        [
+            put_mid,
+            put_mid,
+            put_mid,
+            "TxCommit get[SYSTEM.XMIT.QM.MID x3] put[SYSTEM.XMIT.QM.MID]",
+            put_mid,
+            put_mid,
+        ],
+        "head"
     );
     assert_eq!(
         tail_journal.appended(),
@@ -328,11 +407,6 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
         dead.str_property(DLQ_REASON_PROPERTY),
         Some("no route to manager QM.NOWHERE")
     );
-    // The relay counts a batch once its record is written, on the
-    // delivering thread, which the onward mover overtakes: the head's
-    // handoff record (its sixth put, its second handoff) is what says that
-    // `accept_batch` has returned.
-    head_journal.wait_for(8);
     assert_eq!(mid.metrics_snapshot().counter("mq.relay.forwarded"), 4);
 }
 
@@ -457,4 +531,65 @@ fn a_read_that_meets_three_pairs_and_then_a_message_is_one_record() {
     );
     assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.recv.annihilated"), 3);
+}
+
+/// A sender on a simulated clock whose handoffs to `QM.TAIL` nothing but
+/// the bounds can write out: no other commit happens on it once the
+/// envelopes are queued.
+fn lone_sender(clock: &Arc<SimClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>, Arc<Link>, Channel) {
+    let (head, head_journal) = recorded("QM.HEAD", clock);
+    let tail = QueueManager::builder("QM.TAIL").clock(clock.clone()).build().unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let link = Link::ideal();
+    link.set_up(false);
+    let channel = Channel::connect(&head, &tail, link.clone()).unwrap();
+    (head, head_journal, link, channel)
+}
+
+fn queue_for_tail(head: &QueueManager, envelopes: usize) {
+    for _ in 0..envelopes {
+        let msg = Message::text("payload").persistent(true).build();
+        head.put_to(&QueueAddress::new("QM.TAIL", "Q.IN"), msg).unwrap();
+    }
+}
+
+#[test]
+fn max_released_handoffs_are_one_record() {
+    let clock = SimClock::new();
+    let (head, journal, link, _channel) = lone_sender(&clock);
+    queue_for_tail(&head, MAX_RELEASED);
+    journal.start();
+    link.set_up(true);
+
+    // Sixteen full batches cross; the mover whose release would make the
+    // list full commits its session instead, and the record carries all.
+    journal.wait_for(1);
+    wait_released(&head, 0);
+    assert_eq!(
+        journal.appended(),
+        [format!("TxCommit get[SYSTEM.XMIT.QM.TAIL x{MAX_RELEASED}] put[]")]
+    );
+    assert_eq!(head.stats().released.high_water(), (MAX_RELEASED - 64) as u64);
+    assert_eq!(flushes(&head, 1), [format!("cap released={}", MAX_RELEASED - 64)]);
+}
+
+#[test]
+fn an_idle_manager_flushes_after_the_linger_and_not_before() {
+    let clock = SimClock::new();
+    let (head, journal, link, _channel) = lone_sender(&clock);
+    queue_for_tail(&head, 1);
+    journal.start();
+    link.set_up(true);
+    wait_released(&head, 1);
+
+    clock.advance(Millis(RELEASE_LINGER.as_u64() - 1));
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(journal.appended(), [] as [&str; 0], "not before the linger");
+    assert_eq!(head.queue("SYSTEM.XMIT.QM.TAIL").unwrap().depth(), 0);
+
+    clock.advance(Millis(1));
+    journal.wait_for(1);
+    wait_released(&head, 0);
+    assert_eq!(journal.appended(), ["TxCommit get[SYSTEM.XMIT.QM.TAIL] put[]"]);
+    assert_eq!(flushes(&head, 1), ["idle released=1"]);
 }

@@ -478,3 +478,70 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
         .release_outcome_actions(id, MessageOutcome::Failure)
         .is_err());
 }
+
+#[test]
+fn handoffs_the_journal_refuses_spend_no_backout_budget() {
+    // A channel handoff is a record only when the released list is full
+    // (or the batch staged a put). The journal refuses that record, again
+    // and again: the envelopes go back for a re-send the peer drops, and
+    // since the peer has them and the refusal is not theirs, none of the
+    // retries is a backout. (Dropping the refused session used to roll it
+    // back as a consumer would: dead-lettered after `backout_threshold`
+    // hiccups, although delivered.)
+    use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED};
+    use mq::net::Link;
+    use mq::{ManagerConfig, QueueAddress, DEAD_LETTER_QUEUE};
+    use std::time::{Duration, Instant};
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let head = QueueManager::builder("QM.HEAD")
+        .clock(clock.clone())
+        .journal(journal.clone())
+        .config(ManagerConfig { backout_threshold: 2, ..ManagerConfig::default() })
+        .build()
+        .unwrap();
+    let tail = QueueManager::builder("QM.TAIL").clock(clock).build().unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let link = Link::ideal();
+    link.set_up(false);
+    let _channel = Channel::connect(&head, &tail, link.clone()).unwrap();
+    for _ in 0..MAX_RELEASED {
+        let msg = Message::text("payload").persistent(true).build();
+        head.put_to(&QueueAddress::new("QM.TAIL", "Q.IN"), msg).unwrap();
+    }
+    let records = journal.record_count();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    // Fifteen batches are released without a record; the sixteenth fills
+    // the list, so its session is committed, and refused, and re-sent.
+    journal.set_failing(true);
+    link.set_up(true);
+    let refusals = 4 * u64::from(head.config().backout_threshold);
+    wait_for("the refused handoff to be re-sent over and over", &|| {
+        tail.relay_stats().duplicates.get() >= refusals * MAX_BATCH as u64
+    });
+    let xmit = head.queue("SYSTEM.XMIT.QM.TAIL").unwrap();
+    assert_eq!(journal.record_count(), records);
+    assert_eq!(xmit.stats().redelivered.get(), 0, "a re-send is not a backout");
+    assert_eq!(head.queue(DEAD_LETTER_QUEUE).unwrap().depth(), 0);
+    assert_eq!(head.stats().released.get(), (MAX_RELEASED - MAX_BATCH) as u64);
+
+    journal.set_failing(false);
+    wait_for("the handoff record", &|| journal.record_count() == records + 1);
+    wait_for("the list to empty", &|| head.stats().released.get() == 0);
+    assert_eq!(xmit.depth(), 0);
+    assert_eq!(xmit.stats().redelivered.get(), 0);
+    assert_eq!(head.queue(DEAD_LETTER_QUEUE).unwrap().depth(), 0);
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), MAX_RELEASED, "each delivered once");
+    // Restarted, the head has nothing to re-send.
+    head.shutdown();
+    head.crash();
+    let head = QueueManager::builder("QM.HEAD").journal(journal).build().unwrap();
+    assert_eq!(head.queue("SYSTEM.XMIT.QM.TAIL").unwrap().depth(), 0);
+}

@@ -656,3 +656,131 @@ fn segmented_journal_full_stack_recovery() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A sender `QM1` whose three envelopes its peer holds and its mover has
+/// released: no record of its own says so yet.
+fn sender_with_three_released(journal: &Arc<MemJournal>) -> (Arc<QueueManager>, mq::channel::Channel) {
+    use mq::{channel::Channel, net::Link, Message};
+    let clock: SharedClock = SimClock::new();
+    let sender = build_qm(clock.clone(), journal.clone());
+    sender.create_queue("LOCAL.Q").unwrap();
+    let peer = QueueManager::builder("QM2").clock(clock).build().unwrap();
+    peer.create_queue("Q.IN").unwrap();
+    let link = Link::ideal();
+    link.set_up(false);
+    let channel = Channel::connect(&sender, &peer, link.clone()).unwrap();
+    for _ in 0..3 {
+        let msg = Message::text("handed over").persistent(true).build();
+        sender.put_to(&QueueAddress::new("QM2", "Q.IN"), msg).unwrap();
+    }
+    link.set_up(true);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while sender.stats().released.get() != 3 {
+        assert!(std::time::Instant::now() < deadline, "three handoffs released");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    (sender, channel)
+}
+
+#[test]
+fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
+    let xmit_depth = |qmgr: &QueueManager| qmgr.queue("SYSTEM.XMIT.QM2").unwrap().depth();
+    let restarted = |journal: &Arc<MemJournal>| build_qm(SimClock::new(), journal.clone());
+
+    // A released get is still a pending get: the checkpoint image holds the
+    // message (the live queue does not count it), so a crash right after
+    // the checkpoint finds it present, to be sent again.
+    let journal = MemJournal::new();
+    let (sender, channel) = sender_with_three_released(&journal);
+    sender.checkpoint().unwrap();
+    assert_eq!(xmit_depth(&sender), 0);
+    sender.crash();
+    drop(channel);
+    assert_eq!(xmit_depth(&restarted(&journal)), 3);
+
+    // A record written after the checkpoint carries the gets and removes
+    // them from the image.
+    let journal = MemJournal::new();
+    let (sender, channel) = sender_with_three_released(&journal);
+    sender.checkpoint().unwrap();
+    let local = mq::Message::text("anything durable").persistent(true).build();
+    sender.put("LOCAL.Q", local).unwrap();
+    assert_eq!(sender.stats().released.get(), 0);
+    let carrying = journal.replay_collect().unwrap().pop().unwrap();
+    match &carrying {
+        JournalRecord::TxCommit { puts, gets } => {
+            assert_eq!((puts.len(), gets.len()), (1, 3));
+            assert!(gets.iter().all(|(queue, _)| queue == "SYSTEM.XMIT.QM2"));
+        }
+        other => panic!("carrying record: {other:?}"),
+    }
+    sender.crash();
+    drop(channel);
+    let recovered = restarted(&journal);
+    assert_eq!((xmit_depth(&recovered), recovered.queue("LOCAL.Q").unwrap().depth()), (0, 1));
+    recovered.crash();
+
+    // A get of a message that is not there replays as nothing: an append
+    // the journal reported as refused after the bytes had made it leaves
+    // the gets released, and a later record carries them a second time.
+    let twice = match carrying {
+        JournalRecord::TxCommit { gets, .. } => JournalRecord::TxCommit { puts: Vec::new(), gets },
+        other => other,
+    };
+    journal.append(&twice).unwrap();
+    let recovered = restarted(&journal);
+    assert_eq!((xmit_depth(&recovered), recovered.queue("LOCAL.Q").unwrap().depth()), (0, 1));
+}
+
+#[test]
+fn sender_crash_with_a_released_handoff_resends_and_the_message_is_read_once() {
+    // The original crossed, its batch was acknowledged and released, and the
+    // sender crashed before any record of its own carried the handoff. The
+    // restart re-sends the original; the destination's manager drops the
+    // copy, the receiver reads the message once, and the verdict is the one
+    // the run without a crash reaches.
+    use mq::{channel::Channel, net::Link};
+    let clock: SharedClock = SimClock::new();
+    let journal = MemJournal::new();
+    let tail = QueueManager::builder("QM2").clock(clock.clone()).build().unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+
+    let head = build_qm(clock.clone(), journal.clone());
+    let out = Channel::connect(&head, &tail, Link::ideal()).unwrap();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM2", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let id = messenger.send_message("once", &condition).unwrap();
+    wait_for("the handoff released", &|| head.stats().released.get() == 1);
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 1);
+    head.crash();
+    drop(out);
+    drop(messenger);
+
+    let head = build_qm(clock, journal);
+    assert_eq!(head.queue("SYSTEM.XMIT.QM2").unwrap().depth(), 1, "to be sent again");
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
+    let _channels = Channel::connect_duplex(&head, &tail, Link::ideal(), Link::ideal()).unwrap();
+    wait_for("the copy dropped", &|| {
+        tail.metrics_snapshot().counter("mq.relay.duplicates") == 1
+    });
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    let read = receiver.read_message("Q.IN", Wait::NoWait).unwrap().unwrap();
+    assert_eq!(read.payload_str(), Some("once"));
+    assert!(receiver.read_message("Q.IN", Wait::NoWait).unwrap().is_none());
+    let outcome = messenger
+        .take_outcome(id, Wait::Timeout(Millis(10_000)))
+        .unwrap()
+        .expect("verdict");
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert_eq!(tail.metrics_snapshot().counter("mq.relay.duplicates"), 1);
+}
