@@ -20,9 +20,11 @@
 //!   whose fire decides that message. One evaluation cycle is one
 //!   messaging transaction — one journal record: whatever delivered the
 //!   acknowledgments, the verdicts they (or the clock) decide, and a
-//!   sender-log entry for each acknowledgment whose message is still
-//!   pending afterwards. An acknowledgment exists once that record is
-//!   written: a refused one leaves the evaluations as they were.
+//!   sender-log entry for each acknowledgment whose message it does not
+//!   decide. An evaluation changes only when that record is written: a
+//!   cycle decides on copies of the evaluations its acknowledgments touch
+//!   and installs them, verdicts included, once the record is written; a
+//!   refused record drops the cycle and leaves nothing to undo.
 //!   Acknowledgments that queued while no messenger was attached (or
 //!   while it could not stage their verdicts) are taken from the queue by
 //!   the next cycle — at attach time, by [`ConditionalMessenger::pump`] —
@@ -43,7 +45,7 @@
 //! the clock's waiter thread, and [`ConditionalMessenger::spawn_daemon`]
 //! adds a backstop that retries a drain a storage error interrupted.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -90,13 +92,11 @@ struct PendingEval {
     compiled: CompiledCondition,
     send_time: Time,
     timeout_at: Option<Time>,
-    acks: AckState,
     success_notifications: bool,
     defer_outcome_actions: bool,
-    /// Incremental mirror of the condition: per-cell satisfied/violated
-    /// state updated in O(depth) per ack, so decidability is known without
-    /// re-walking the tree.
-    inc: IncrementalEval,
+    /// What acknowledgments change. A cycle works on a copy and the copy
+    /// replaces this once the cycle's record is written.
+    state: EvalState,
     /// The one armed deadline/timeout timer for this message: id and the
     /// trigger time it is armed for.
     timer: Option<(TimerId, Time)>,
@@ -106,32 +106,115 @@ struct PendingEval {
 }
 
 impl PendingEval {
+    /// The evaluation of a message sent at `send_time` with `options`, no
+    /// acknowledgment seen yet.
+    fn new(
+        compiled: CompiledCondition,
+        send_time: Time,
+        options: &SendOptions,
+        config: &CondConfig,
+    ) -> PendingEval {
+        PendingEval {
+            state: EvalState {
+                acks: AckState::new(compiled.leaves().len()),
+                inc: IncrementalEval::new(&compiled, send_time, config.ack_grace),
+            },
+            compiled,
+            send_time,
+            timeout_at: options
+                .evaluation_timeout
+                .or(config.default_evaluation_timeout)
+                .map(|t| send_time + t),
+            success_notifications: options
+                .success_notifications
+                .unwrap_or(config.success_notifications),
+            defer_outcome_actions: options.defer_outcome_actions,
+            timer: None,
+            timer_gen: 0,
+        }
+    }
+
     /// The earliest future instant at which this evaluation could be
     /// decided by time alone: the incremental structure's next deadline
     /// trigger or the evaluation timeout, whichever comes first.
     fn next_trigger(&self) -> Option<Time> {
-        match (self.inc.next_deadline(), self.timeout_at) {
+        match (self.state.inc.next_deadline(), self.timeout_at) {
             (Some(d), Some(t)) => Some(d.min(t)),
-            (Some(d), None) => Some(d),
-            (None, Some(t)) => Some(t),
-            (None, None) => None,
+            (d, t) => d.or(t),
+        }
+    }
+
+    /// Whether a cycle at `now` would decide this evaluation as it stands:
+    /// it is decided already, or its next trigger has come.
+    fn due(&self, now: Time) -> bool {
+        self.state.inc.decided() || self.next_trigger().is_some_and(|at| at <= now)
+    }
+
+    /// This evaluation's verdict record, stamped `decided_at`.
+    fn verdict(
+        &self,
+        cond_id: CondMessageId,
+        outcome: MessageOutcome,
+        reason: Option<String>,
+        decided_at: Time,
+    ) -> Decided {
+        Decided {
+            notification: OutcomeNotification {
+                cond_id,
+                outcome,
+                reason,
+                decided_at,
+            },
+            success_notifications: self.success_notifications,
+            defer_outcome_actions: self.defer_outcome_actions,
+            actions: Vec::new(),
         }
     }
 }
 
-/// A verdict reached in an evaluation cycle. The evaluation is out of the
-/// pending table from the decision until the cycle's transaction commits
-/// (and goes back in when it does not).
+/// The part of an evaluation that acknowledgments change.
+#[derive(Clone)]
+struct EvalState {
+    acks: AckState,
+    /// Incremental mirror of the condition: per-cell satisfied/violated
+    /// state updated in O(depth) per ack, so decidability is known without
+    /// re-walking the tree.
+    inc: IncrementalEval,
+}
+
+impl EvalState {
+    /// Records one acknowledgment's stamps (live and during recovery) and
+    /// folds them into the incremental structure; returns the cell
+    /// transitions. Idempotent.
+    fn apply(&mut self, ack: &Acknowledgment) -> u64 {
+        let acks = &mut self.acks;
+        match ack.kind {
+            AckKind::Read => acks.record_read(ack.leaf, ack.read_at, ack.recipient.clone()),
+            AckKind::Processed => acks.record_processed(
+                ack.leaf,
+                ack.read_at,
+                ack.processed_at.unwrap_or(ack.read_at),
+                ack.recipient.clone(),
+            ),
+        }
+        self.inc.apply_ack(ack.leaf, &self.acks)
+    }
+}
+
+/// A verdict reached in an evaluation cycle. Its message stays in the
+/// pending table until the cycle's record is written.
 struct Decided {
-    eval: PendingEval,
     notification: OutcomeNotification,
+    success_notifications: bool,
+    defer_outcome_actions: bool,
     /// Outcome actions staged with the verdict, traced once it commits.
     actions: Vec<(TraceStage, u32, String)>,
 }
 
 /// What one evaluation-cycle transaction carries besides its session:
 /// everything one protocol step dequeues, logs and enqueues is committed
-/// as a single journal record.
+/// as a single journal record, and nothing the cycle decides is installed
+/// before that record is written.
 #[derive(Default)]
 struct Cycle {
     /// Messages addressed to `DS.ACK.Q`, malformed and unknown ones
@@ -141,10 +224,9 @@ struct Cycle {
     queued: u64,
     /// The acknowledgments among them that reached a pending evaluation.
     acks: Vec<Acknowledgment>,
-    /// Each evaluation they touched, as it was before the first of them:
-    /// an acknowledgment exists only once its record is written, so a
-    /// refused cycle puts these back.
-    untouched: Vec<(CondMessageId, AckState, IncrementalEval)>,
+    /// Each evaluation they touched, copied from the pending table at the
+    /// first of them, with all of them applied.
+    next: Vec<(CondMessageId, EvalState)>,
     decided: Vec<Decided>,
 }
 
@@ -152,13 +234,16 @@ struct Cycle {
 pub struct ConditionalMessenger {
     qmgr: Arc<QueueManager>,
     config: CondConfig,
+    /// Messages under evaluation. An entry changes only by a cycle whose
+    /// record is written, so the table is never held across the commit.
+    // lint: never-hold(ConditionalMessenger.pending) across append
     pending: Mutex<HashMap<CondMessageId, PendingEval>>,
     decided: Mutex<HashMap<CondMessageId, OutcomeNotification>>,
     /// Decided messages whose outcome actions are deferred (D-Spheres);
     /// value = the message's success-notification setting.
     deferred: Mutex<HashMap<CondMessageId, bool>>,
     /// Serializes evaluation cycles (ack arrival, timer fires, sends,
-    /// `pump()` and `force_fail`).
+    /// `pump()`, `force_fail`) and deferred-action releases.
     pump_lock: Mutex<()>,
     /// Pre-registered `cond.*` metric cells (hot paths never touch the
     /// registry).
@@ -166,10 +251,10 @@ pub struct ConditionalMessenger {
     /// Outcomes finalized since the last `pump()`, which drains and
     /// returns them; at most [`RECENT_OUTCOMES_CAP`].
     recent_outcomes: Mutex<VecDeque<OutcomeNotification>>,
-    /// Decided messages whose verdict transaction failed (storage down at
-    /// the decision instant). They sit in `pending` without a timer —
-    /// their trigger is past due, a timer would fire at once and spin —
-    /// and every evaluation cycle retries them.
+    /// Messages a failed cycle left `due` (storage down at the decision
+    /// instant). They sit in `pending` without a fresh timer — their
+    /// trigger is past due, a timer would fire at once and spin — and
+    /// every evaluation cycle retries them.
     retry: Mutex<Vec<CondMessageId>>,
     /// Decided-outcome sequence number + condvar: bumped on every
     /// finalization so subscribers (D-Sphere termination) can park instead
@@ -387,28 +472,8 @@ impl ConditionalMessenger {
         // the commit makes the messages visible, a fast receiver's ack can
         // race into DS.ACK.Q and be pumped — it must find the pending
         // entry, not be dropped as unknown.
-        let timeout_at = options
-            .evaluation_timeout
-            .or(self.config.default_evaluation_timeout)
-            .map(|t| send_time + t);
-        let success_notifications = options
-            .success_notifications
-            .unwrap_or(self.config.success_notifications);
-        let inc = IncrementalEval::new(&compiled, send_time, self.config.ack_grace);
-        self.pending.lock().insert(
-            cond_id,
-            PendingEval {
-                compiled,
-                send_time,
-                timeout_at,
-                acks: AckState::new(condition.leaf_count()),
-                success_notifications,
-                defer_outcome_actions: options.defer_outcome_actions,
-                inc,
-                timer: None,
-                timer_gen: 0,
-            },
-        );
+        let eval = PendingEval::new(compiled, send_time, &options, &self.config);
+        self.pending.lock().insert(cond_id, eval);
         if let Err(e) = session.commit() {
             self.pending.lock().remove(&cond_id);
             return Err(e.into());
@@ -473,9 +538,9 @@ impl ConditionalMessenger {
     fn run_cycle_for(&self, seed: &[CondMessageId]) -> CondResult<()> {
         let mut ids = seed.to_vec();
         ids.append(&mut self.retry.lock());
-        // A failed transaction put its acks back on the queue and its
-        // verdicts on the retry list, but the ones before it committed and
-        // every id seen must keep its timer.
+        // A failed transaction put its acks back on the queue and leaves
+        // its due messages for the retry list, but the ones before it
+        // committed and every id seen must keep its timer.
         let result = self.run_transactions(&mut ids);
         self.rearm_ids(ids, result.is_err());
         result
@@ -483,7 +548,7 @@ impl ConditionalMessenger {
 
     /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
     /// to report to (send, timer fire). A failed transaction left its acks
-    /// on the queue and its verdicts on the retry list; the next event,
+    /// on the queue and its due messages on the retry list; the next event,
     /// `pump()` or the daemon retries both.
     fn run_event(&self, seed: &[CondMessageId]) {
         if self.run_cycle_for(seed).is_err() {
@@ -504,13 +569,7 @@ impl ConditionalMessenger {
             if staged.is_ok() && !session.in_transaction() {
                 return Ok(());
             }
-            let result = self.commit_cycle(&mut session, cycle, staged);
-            // The cycle is retried, possibly many times while storage is
-            // down: nothing handed back may spend its backout budget.
-            if session.in_transaction() {
-                session.rollback_for_retry()?;
-            }
-            result?;
+            self.commit_cycle(&mut session, cycle, staged)?;
         }
     }
 
@@ -540,12 +599,14 @@ impl ConditionalMessenger {
     /// addressed them to the ack queue) behind whatever is waiting on the
     /// queue itself. Staged are the verdicts of `ids[from..]` plus the ids
     /// the acknowledgments touch, and an `AckSeen` log entry for each one
-    /// whose message is still pending afterwards (an ack that decides its
-    /// message needs none: the verdict purges the message's log entries).
-    /// Opens no transaction when there is neither an ack nor a verdict.
-    /// Caller holds the pump lock, and follows up with
-    /// [`publish`](Self::publish) once the record is written or
-    /// [`unstage`](Self::unstage) when it is not.
+    /// whose message the cycle does not decide (a verdict purges the
+    /// message's log entries). Opens no transaction when there is neither
+    /// an ack nor a verdict. Caller holds the pump lock, and follows up
+    /// with [`publish`](Self::publish) once the record is written; a cycle
+    /// whose record is not written is dropped, since the pending table
+    /// has not changed (the acknowledgments are with whoever holds the
+    /// transaction: back on the queue, in a transport batch to resend, in
+    /// a read to retry or to abandon).
     fn stage_cycle(
         &self,
         session: &mut mq::Session,
@@ -561,13 +622,13 @@ impl ConditionalMessenger {
             // Malformed acks and acks for unknown messages are consumed
             // with the batch rather than wedging the queue.
             if let Ok(ack) = Acknowledgment::from_message(msg) {
-                if self.apply_ack(&ack, &mut cycle.untouched) {
+                if self.apply_ack(&ack, &mut cycle.next) {
                     ids.push(ack.cond_id);
                     cycle.acks.push(ack);
                 }
             }
         }
-        cycle.decided = self.decide_ids(&ids[from..]);
+        cycle.decided = self.decide_ids(&ids[from..], &mut cycle.next);
         if !session.in_transaction() {
             if cycle.decided.is_empty() {
                 return Ok(());
@@ -579,18 +640,18 @@ impl ConditionalMessenger {
         }
         // Write-ahead for the evaluations that go on: recovery replays
         // AckSeen entries to rebuild their in-memory state.
-        for ack in &cycle.acks {
-            if self.pending.lock().contains_key(&ack.cond_id) {
-                let entry = SlogEntry::AckSeen(ack.clone()).to_message();
-                session.put(&self.config.slog_queue, entry)?;
-            }
+        let decides = |id| cycle.decided.iter().any(|d| d.notification.cond_id == id);
+        for ack in cycle.acks.iter().filter(|ack| !decides(ack.cond_id)) {
+            let entry = SlogEntry::AckSeen(ack.clone()).to_message();
+            session.put(&self.config.slog_queue, entry)?;
         }
         Ok(())
     }
 
-    /// Commits what was staged into `session` and publishes it, or takes it
-    /// back when staging or the commit failed; the session then stays in
-    /// its transaction, for its owner to hand back what it holds.
+    /// Commits what was staged into the cycle's own `session` and publishes
+    /// it. When staging or the commit failed the cycle is dropped and what
+    /// the session holds goes back: the cycle is retried, possibly many
+    /// times while storage is down, so nothing may spend its backout budget.
     fn commit_cycle(
         &self,
         session: &mut mq::Session,
@@ -601,46 +662,55 @@ impl ConditionalMessenger {
         if result.is_ok() {
             result = session.commit().map_err(CondError::from);
             if !session.in_transaction() {
-                // Also when `commit` reports an error from after its
-                // journal record was written (a refused checkpoint): the
-                // transaction is durable and must not run a second time.
+                // Also when `commit` reports an error from after its journal
+                // record was written (a refused checkpoint): the transaction
+                // is durable and must not run a second time.
                 self.publish(cycle);
-                return result;
             }
         }
-        self.unstage(cycle);
+        if session.in_transaction() {
+            session.rollback_for_retry()?;
+        }
         result
     }
 
-    /// Takes back a cycle whose record was not written: nothing it carried
-    /// happened. The acknowledgments are with whoever holds the transaction
-    /// (back on the queue, in a transport batch to resend, in a read to
-    /// retry or to abandon), so the evaluations they touched are as they
-    /// were before them. The decided ones go back into the pending table,
-    /// and onto the retry list when they are decided even so: no timer is
-    /// left to come for those. [`rearm_ids`](Self::rearm_ids) sees to the
-    /// rest.
-    fn unstage(&self, cycle: Cycle) {
+    /// Installs a cycle whose record is written: each copy replaces its
+    /// evaluation, and a decided message goes into `deferred` (when its
+    /// actions wait for a sphere) and `decided` before it leaves the
+    /// pending table, timer cancelled. `status()` looks in the pending
+    /// table first, so it finds the message in one of them throughout.
+    fn install(&self, cycle: &mut Cycle) {
         let mut pending = self.pending.lock();
-        let mut decided = Vec::with_capacity(cycle.decided.len());
-        for Decided { eval, notification, .. } in cycle.decided {
-            pending.insert(notification.cond_id, eval);
-            decided.push(notification.cond_id);
-        }
-        for (id, acks, inc) in cycle.untouched {
+        for (id, state) in cycle.next.drain(..) {
             if let Some(eval) = pending.get_mut(&id) {
-                (eval.acks, eval.inc) = (acks, inc);
+                eval.state = state;
             }
         }
-        decided.retain(|id| pending.get(id).is_some_and(|eval| eval.inc.decided()));
-        self.retry.lock().append(&mut decided);
+        for verdict in &cycle.decided {
+            let cond_id = verdict.notification.cond_id;
+            if verdict.defer_outcome_actions {
+                // The send record (for recovery) and the parked
+                // compensations stay until the sphere releases the actions.
+                let mut deferred = self.deferred.lock();
+                deferred.insert(cond_id, verdict.success_notifications);
+                self.metrics.deferred_depth.set(deferred.len() as u64);
+            }
+            self.decided
+                .lock()
+                .insert(cond_id, verdict.notification.clone());
+            if let Some((timer, _)) = pending.remove(&cond_id).and_then(|eval| eval.timer) {
+                self.qmgr.clock().cancel(timer);
+            }
+        }
         self.metrics.pending_depth.set(pending.len() as u64);
     }
 
-    /// Counts, traces and announces a committed cycle transaction — only
-    /// now, so a rolled-back ack or verdict is never counted twice and
-    /// the trace never shows an action that did not happen.
-    fn publish(&self, cycle: Cycle) {
+    /// Installs, counts, traces and announces a committed cycle
+    /// transaction — only now, so a rolled-back ack or verdict is never
+    /// counted twice and the trace never shows an action that did not
+    /// happen.
+    fn publish(&self, mut cycle: Cycle) {
+        self.install(&mut cycle);
         let now = self.qmgr.clock().now();
         let trace = self.qmgr.trace();
         if cycle.consumed > 0 {
@@ -670,7 +740,8 @@ impl ConditionalMessenger {
                 ack.recipient.clone().unwrap_or_default(),
             );
         }
-        for Decided { eval, notification, actions } in cycle.decided {
+        for verdict in cycle.decided {
+            let notification = verdict.notification;
             let cond_id = notification.cond_id;
             match notification.outcome {
                 MessageOutcome::Success => self.metrics.verdict_success.incr(),
@@ -690,15 +761,7 @@ impl ConditionalMessenger {
                     (MessageOutcome::Failure, None) => "failure".to_owned(),
                 },
             );
-            self.record_outcome_actions(cond_id, actions);
-            if eval.defer_outcome_actions {
-                // The send record (for recovery) and the parked
-                // compensations stay until the sphere releases the actions.
-                let mut deferred = self.deferred.lock();
-                deferred.insert(cond_id, eval.success_notifications);
-                self.metrics.deferred_depth.set(deferred.len() as u64);
-            }
-            self.decided.lock().insert(cond_id, notification.clone());
+            self.record_outcome_actions(cond_id, verdict.actions);
             let mut recent = self.recent_outcomes.lock();
             recent.push_back(notification);
             if recent.len() > RECENT_OUTCOMES_CAP {
@@ -710,97 +773,76 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Expires cells against the clock and takes the given messages that
-    /// are now decided out of the pending table (cancelling their timers).
-    /// Caller holds the pump lock.
-    fn decide_ids(&self, ids: &[CondMessageId]) -> Vec<Decided> {
+    /// Expires cells against the clock and renders the verdicts of the
+    /// given messages that are now decided, reading a message's copy in
+    /// `next` when the cycle's acknowledgments touched it and its pending
+    /// entry otherwise. Removes nothing: a decided message leaves the table
+    /// when the record is written. Caller holds the pump lock.
+    fn decide_ids(
+        &self,
+        ids: &[CondMessageId],
+        next: &mut [(CondMessageId, EvalState)],
+    ) -> Vec<Decided> {
         let now = self.qmgr.clock().now();
+        let mut seen = HashSet::new();
         let mut decided = Vec::new();
         let mut pending = self.pending.lock();
         for &id in ids {
+            if !seen.insert(id) {
+                continue;
+            }
             let Some(eval) = pending.get_mut(&id) else {
                 continue;
             };
-            let expired = eval.inc.on_time(now);
+            // Expiry depends on the clock alone, so it may land in place.
+            let state = match next.iter_mut().find(|(touched, _)| *touched == id) {
+                Some((_, copy)) => copy,
+                None => &mut eval.state,
+            };
+            let expired = state.inc.on_time(now);
             if expired > 0 {
                 self.metrics.eval_incremental_updates.add(expired);
             }
             // Decidability comes from the O(depth)-maintained incremental
             // structure; the canonical verdict (and its reason string) is
             // rendered by one full evaluation at the decision instant only.
-            let mut outcome = if eval.inc.decided() {
-                match eval.compiled.evaluate_with_grace(
-                    &eval.acks,
-                    eval.send_time,
-                    now,
-                    self.config.ack_grace,
-                ) {
-                    Verdict::Satisfied => Some((MessageOutcome::Success, None)),
-                    Verdict::Violated(reason) => Some((MessageOutcome::Failure, Some(reason))),
-                    Verdict::Pending => None,
-                }
+            let verdict = if state.inc.decided() {
+                let grace = self.config.ack_grace;
+                eval.compiled
+                    .evaluate_with_grace(&state.acks, eval.send_time, now, grace)
             } else {
-                None
+                Verdict::Pending
             };
-            if outcome.is_none() && eval.timeout_at.is_some_and(|t| now >= t) {
-                self.metrics.verdict_timeout.incr();
-                outcome = Some((
-                    MessageOutcome::Failure,
-                    Some("evaluation timeout expired".to_owned()),
-                ));
-            }
-            if let Some((outcome, reason)) = outcome {
-                if let Some(eval) = pending.remove(&id) {
-                    decided.push(self.decided_now(id, eval, outcome, reason, now));
+            let (outcome, reason) = match verdict {
+                Verdict::Satisfied => (MessageOutcome::Success, None),
+                Verdict::Violated(reason) => (MessageOutcome::Failure, Some(reason)),
+                Verdict::Pending if eval.timeout_at.is_some_and(|t| now >= t) => {
+                    self.metrics.verdict_timeout.incr();
+                    let reason = "evaluation timeout expired".to_owned();
+                    (MessageOutcome::Failure, Some(reason))
                 }
-            }
+                Verdict::Pending => continue,
+            };
+            decided.push(eval.verdict(id, outcome, reason, now));
         }
-        self.metrics.pending_depth.set(pending.len() as u64);
         decided
     }
 
-    /// The verdict record of an evaluation just removed from the pending
-    /// table; its timer is cancelled.
-    fn decided_now(
-        &self,
-        cond_id: CondMessageId,
-        mut eval: PendingEval,
-        outcome: MessageOutcome,
-        reason: Option<String>,
-        now: Time,
-    ) -> Decided {
-        if let Some((timer, _)) = eval.timer.take() {
-            self.qmgr.clock().cancel(timer);
-        }
-        Decided {
-            eval,
-            notification: OutcomeNotification {
-                cond_id,
-                outcome,
-                reason,
-                decided_at: now,
+    /// Folds an acknowledgment into its message's copy in `next`, taken
+    /// from the pending table the first time an acknowledgment touches the
+    /// message; false when the message is not pending here. Idempotent.
+    fn apply_ack(&self, ack: &Acknowledgment, next: &mut Vec<(CondMessageId, EvalState)>) -> bool {
+        let at = match next.iter().position(|(id, _)| *id == ack.cond_id) {
+            Some(at) => at,
+            None => match self.pending.lock().get(&ack.cond_id) {
+                Some(eval) => {
+                    next.push((ack.cond_id, eval.state.clone()));
+                    next.len() - 1
+                }
+                None => return false,
             },
-            actions: Vec::new(),
-        }
-    }
-
-    /// Folds an acknowledgment into its message's evaluation state, saving
-    /// the state first in `untouched` unless it is there already; false
-    /// when the message is not pending here. Idempotent.
-    fn apply_ack(
-        &self,
-        ack: &Acknowledgment,
-        untouched: &mut Vec<(CondMessageId, AckState, IncrementalEval)>,
-    ) -> bool {
-        let mut pending = self.pending.lock();
-        let Some(eval) = pending.get_mut(&ack.cond_id) else {
-            return false;
         };
-        if !untouched.iter().any(|(id, ..)| *id == ack.cond_id) {
-            untouched.push((ack.cond_id, eval.acks.clone(), eval.inc.clone()));
-        }
-        record_ack(&mut eval.acks, ack);
-        let updates = eval.inc.apply_ack(ack.leaf, &eval.acks);
+        let updates = next[at].1.apply(ack);
         if updates > 0 {
             self.metrics.eval_incremental_updates.add(updates);
         }
@@ -828,11 +870,10 @@ impl ConditionalMessenger {
 
     /// Ensures each of the given pending messages has exactly one armed
     /// timer at its next trigger instant (and none when no future instant
-    /// can decide it). After a `failed` cycle a trigger that is already
-    /// due goes on the retry list instead: the cycle did not get to decide
-    /// the message (a decide pass leaves only future triggers), and a
-    /// timer would fire at once, fail the same way and spin. Caller holds
-    /// the pump lock.
+    /// can decide it). After a `failed` cycle a message that is
+    /// [`due`](PendingEval::due) goes on the retry list instead: the cycle
+    /// did not get to decide it, and a timer would fire at once, fail the
+    /// same way and spin. Caller holds the pump lock.
     fn rearm_ids(&self, mut ids: Vec<CondMessageId>, failed: bool) {
         ids.sort_unstable();
         ids.dedup();
@@ -842,7 +883,7 @@ impl ConditionalMessenger {
             let Some(eval) = pending.get_mut(&id) else {
                 continue;
             };
-            if failed && eval.next_trigger().is_some_and(|at| at <= now) {
+            if failed && eval.due(now) {
                 let mut retry = self.retry.lock();
                 if !retry.contains(&id) {
                     retry.push(id);
@@ -916,12 +957,12 @@ impl ConditionalMessenger {
             }
             .to_message(),
         )?;
-        if !decided.eval.defer_outcome_actions {
+        if !decided.defer_outcome_actions {
             self.stage_outcome_actions(
                 session,
                 cond_id,
                 outcome,
-                decided.eval.success_notifications,
+                decided.success_notifications,
                 &mut decided.actions,
             )?;
             // The outcome entry on the history queue now marks the
@@ -1016,17 +1057,18 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
         group_outcome: MessageOutcome,
     ) -> CondResult<()> {
-        let mut session = self.qmgr.session();
-        session.begin()?;
-        // Taken out while the transaction runs, so a concurrent release of
-        // the same message finds nothing.
-        let success_notifications = self
+        // Serialized like a cycle, so a concurrent release of the same
+        // message finds the entry gone once this one's record is written.
+        let _serial = self.pump_lock.lock();
+        let success_notifications = *self
             .deferred
             .lock()
-            .remove(&cond_id)
+            .get(&cond_id)
             .ok_or(CondError::UnknownMessage(cond_id))?;
+        let mut session = self.qmgr.session();
+        session.begin()?;
         let mut staged = Vec::new();
-        let mut result = self
+        let result = self
             .stage_outcome_actions(
                 &mut session,
                 cond_id,
@@ -1034,22 +1076,21 @@ impl ConditionalMessenger {
                 success_notifications,
                 &mut staged,
             )
-            .and_then(|()| self.purge_slog(&mut session, cond_id));
-        if result.is_ok() {
-            result = session.commit().map_err(CondError::from);
-        }
+            .and_then(|()| self.purge_slog(&mut session, cond_id))
+            .and_then(|()| session.commit().map_err(CondError::from));
         if session.in_transaction() {
-            // Not committed, so the actions are still owed: the entry goes
-            // back for the caller's retry, and what the transaction held
-            // goes back without spending its backout budget (the retry may
-            // come many times while storage is down).
-            self.deferred.lock().insert(cond_id, success_notifications);
+            // Not committed, so the actions are still owed to the caller's
+            // retry, and what the transaction held goes back without
+            // spending its backout budget (the retry may come many times
+            // while storage is down).
             session.rollback_for_retry()?;
         } else {
+            let mut deferred = self.deferred.lock();
+            deferred.remove(&cond_id);
+            self.metrics.deferred_depth.set(deferred.len() as u64);
+            drop(deferred);
             self.record_outcome_actions(cond_id, staged);
         }
-        let owed = self.deferred.lock().len();
-        self.metrics.deferred_depth.set(owed as u64);
         result
     }
 
@@ -1066,7 +1107,12 @@ impl ConditionalMessenger {
         reason: impl Into<String>,
     ) -> CondResult<OutcomeNotification> {
         let _serial = self.pump_lock.lock();
-        let Some(eval) = self.pending.lock().remove(&cond_id) else {
+        let now = self.qmgr.clock().now();
+        let verdict =
+            self.pending.lock().get(&cond_id).map(|eval| {
+                eval.verdict(cond_id, MessageOutcome::Failure, Some(reason.into()), now)
+            });
+        let Some(mut verdict) = verdict else {
             return self
                 .decided
                 .lock()
@@ -1074,26 +1120,18 @@ impl ConditionalMessenger {
                 .cloned()
                 .ok_or(CondError::UnknownMessage(cond_id));
         };
-        let now = self.qmgr.clock().now();
-        let outcome = MessageOutcome::Failure;
-        let decided = self.decided_now(cond_id, eval, outcome, Some(reason.into()), now);
-        let notification = decided.notification.clone();
-        let mut cycle = Cycle {
-            decided: vec![decided],
-            ..Cycle::default()
-        };
+        let notification = verdict.notification.clone();
         let mut session = self.qmgr.session();
         let staged = session.begin().map_err(CondError::from);
-        let staged = staged.and_then(|()| self.finalize(&mut session, &mut cycle.decided[0]));
-        // A failed transaction leaves the message pending, with its timer
-        // back, and costs what it held no backout budget; the caller may
-        // try again.
-        let result = self.commit_cycle(&mut session, cycle, staged);
-        self.rearm_ids(vec![cond_id], result.is_err());
-        if session.in_transaction() {
-            session.rollback_for_retry()?;
-        }
-        result.map(|()| notification)
+        let staged = staged.and_then(|()| self.finalize(&mut session, &mut verdict));
+        let cycle = Cycle {
+            decided: vec![verdict],
+            ..Cycle::default()
+        };
+        // A failed transaction leaves the message pending, timer armed, and
+        // costs what it held no backout budget; the caller may try again.
+        self.commit_cycle(&mut session, cycle, staged)
+            .map(|()| notification)
     }
 
     /// Stages the removal of every active-log entry of a decided
@@ -1138,13 +1176,15 @@ impl ConditionalMessenger {
 
     /// Reports what this messenger knows about a conditional message.
     pub fn status(&self, id: CondMessageId) -> MessageStatus {
-        if let Some(n) = self.decided.lock().get(&id) {
-            return MessageStatus::Decided(n.clone());
-        }
+        // Pending first: a verdict is installed into `decided` before its
+        // message leaves `pending`.
         if self.pending.lock().contains_key(&id) {
             return MessageStatus::Pending;
         }
-        MessageStatus::Unknown
+        match self.decided.lock().get(&id) {
+            Some(n) => MessageStatus::Decided(n.clone()),
+            None => MessageStatus::Unknown,
+        }
     }
 
     /// Number of conditional messages still under evaluation.
@@ -1188,7 +1228,7 @@ impl ConditionalMessenger {
         // Grouped by message once: a restart over n pending messages reads
         // each ack once, not once per send.
         let mut acks: HashMap<CondMessageId, Vec<Acknowledgment>> = HashMap::new();
-        let mut outcomes: HashMap<CondMessageId, (MessageOutcome, Time)> = HashMap::new();
+        let mut outcomes: HashMap<CondMessageId, OutcomeNotification> = HashMap::new();
         for msg in slog.browse() {
             match SlogEntry::from_message(&msg)? {
                 SlogEntry::Send(record) => {
@@ -1207,84 +1247,39 @@ impl ConditionalMessenger {
                 decided_at,
             } = SlogEntry::from_message(&msg)?
             {
-                outcomes.insert(cond_id, (outcome, decided_at));
+                let notification = OutcomeNotification {
+                    cond_id,
+                    outcome,
+                    reason: None,
+                    decided_at,
+                };
+                outcomes.insert(cond_id, notification);
             }
         }
         let mut pending = self.pending.lock();
         let mut decided = self.decided.lock();
-        // Outcome entries whose send/ack entries were already purged: the
-        // message is decided; remember the outcome for status queries.
-        for (cond_id, (outcome, decided_at)) in &outcomes {
-            if !sends.contains_key(cond_id) {
-                decided.insert(
-                    *cond_id,
-                    OutcomeNotification {
-                        cond_id: *cond_id,
-                        outcome: *outcome,
-                        reason: None,
-                        decided_at: *decided_at,
-                    },
-                );
-            }
-        }
         let mut deferred = self.deferred.lock();
         for (cond_id, record) in sends {
-            if let Some((outcome, decided_at)) = outcomes.get(&cond_id) {
-                // Already decided before the crash.
-                decided.insert(
-                    cond_id,
-                    OutcomeNotification {
-                        cond_id,
-                        outcome: *outcome,
-                        reason: None,
-                        decided_at: *decided_at,
-                    },
-                );
+            let compiled = CompiledCondition::compile(&record.condition)?;
+            let mut eval =
+                PendingEval::new(compiled, record.send_time, &record.options, &self.config);
+            if outcomes.contains_key(&cond_id) {
                 // A decided message keeps its send record only while its
                 // outcome actions are still owed to a sphere (otherwise the
                 // deciding transaction purged it); the parked compensations
                 // are kept with it.
-                if record.options.defer_outcome_actions {
-                    deferred.insert(
-                        cond_id,
-                        record
-                            .options
-                            .success_notifications
-                            .unwrap_or(self.config.success_notifications),
-                    );
+                if eval.defer_outcome_actions {
+                    deferred.insert(cond_id, eval.success_notifications);
                 }
                 continue;
             }
-            let compiled = CompiledCondition::compile(&record.condition)?;
-            let leaf_count = compiled.leaves().len();
-            let inc = IncrementalEval::new(&compiled, record.send_time, self.config.ack_grace);
-            let mut eval = PendingEval {
-                acks: AckState::new(leaf_count),
-                compiled,
-                send_time: record.send_time,
-                timeout_at: record
-                    .options
-                    .evaluation_timeout
-                    .or(self.config.default_evaluation_timeout)
-                    .map(|t| record.send_time + t),
-                success_notifications: record
-                    .options
-                    .success_notifications
-                    .unwrap_or(self.config.success_notifications),
-                defer_outcome_actions: record.options.defer_outcome_actions,
-                inc,
-                timer: None,
-                timer_gen: 0,
-            };
             for ack in acks.get(&cond_id).into_iter().flatten() {
-                record_ack(&mut eval.acks, ack);
-            }
-            // Replay the rebuilt ack state into the incremental structure.
-            for leaf in 0..leaf_count as u32 {
-                eval.inc.apply_ack(leaf, &eval.acks);
+                eval.state.apply(ack);
             }
             pending.insert(cond_id, eval);
         }
+        // Remember every outcome on the history queue for status queries.
+        decided.extend(outcomes);
         Ok(())
     }
 
@@ -1355,7 +1350,6 @@ impl ArrivalTrigger for ConditionalMessenger {
                 self.publish(cycle);
             } else {
                 self.metrics.eval_errors.incr();
-                self.unstage(cycle);
             }
             self.rearm_ids(ids, !committed);
             drop(serial);
@@ -1367,19 +1361,6 @@ impl ArrivalTrigger for ConditionalMessenger {
                 None
             }
         }
-    }
-}
-
-/// Records one acknowledgment's stamps (live and during recovery).
-fn record_ack(acks: &mut AckState, ack: &Acknowledgment) {
-    match ack.kind {
-        AckKind::Read => acks.record_read(ack.leaf, ack.read_at, ack.recipient.clone()),
-        AckKind::Processed => acks.record_processed(
-            ack.leaf,
-            ack.read_at,
-            ack.processed_at.unwrap_or(ack.read_at),
-            ack.recipient.clone(),
-        ),
     }
 }
 

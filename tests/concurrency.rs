@@ -9,12 +9,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use condmsg::{
-    AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
-    MessageKind, MessageOutcome,
+    AckKind, Acknowledgment, CondError, Condition, ConditionalMessenger, ConditionalReceiver,
+    Destination, MessageKind, MessageOutcome, SendOptions,
 };
 use dsphere::{DSphereService, KvStore};
-use mq::{QueueManager, Wait};
-use simtime::Millis;
+use mq::{QueueManager, TraceStage, Wait};
+use simtime::{Millis, SimClock};
 
 #[test]
 fn many_conditional_messages_under_daemon() {
@@ -227,6 +227,58 @@ fn pump_and_daemon_do_not_double_decide() {
         let second = messenger.take_outcome(id, Wait::NoWait).unwrap();
         assert!(second.is_none(), "no duplicate notification");
     }
+}
+
+#[test]
+fn two_releases_of_one_deferred_message_act_once() {
+    // A D-Sphere member's deferred outcome actions are released by two
+    // threads at once. The owed entry leaves its table only once a
+    // release's record is written, and releases are serialized: one
+    // delivers the compensation, the other finds nothing owed.
+    let clock = SimClock::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(clock.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(50))
+        .into();
+    let options = SendOptions {
+        defer_outcome_actions: true,
+        ..SendOptions::default()
+    };
+    let id = messenger
+        .send_with("member", Some("undo member".into()), &condition, options)
+        .unwrap();
+    clock.advance(Millis(100));
+    assert_eq!(messenger.pump().unwrap()[0].outcome, MessageOutcome::Failure);
+
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let releases: Vec<_> = (0..2)
+        .map(|_| {
+            let (messenger, start) = (messenger.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                messenger.release_outcome_actions(id, MessageOutcome::Failure)
+            })
+        })
+        .collect();
+    let results: Vec<_> = releases.into_iter().map(|r| r.join().unwrap()).collect();
+    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 1, "{results:?}");
+    assert!(
+        results
+            .iter()
+            .any(|r| matches!(r, Err(CondError::UnknownMessage(u)) if *u == id)),
+        "{results:?}"
+    );
+    let stages = messenger.trace().stages_for(id.as_u128());
+    let released = stages.iter().filter(|s| **s == TraceStage::CompensationReleased);
+    assert_eq!(released.count(), 1, "{stages:?}");
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 1);
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "original + its undo");
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
 }
 
 #[test]

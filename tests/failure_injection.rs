@@ -12,8 +12,9 @@ use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
     MessageStatus,
 };
-use mq::journal::MemJournal;
+use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::{Message, MqError, QueueConfig, QueueManager, TraceStage, Wait};
+use parking_lot::{Condvar, Mutex};
 use simtime::{Millis, SimClock, Time};
 
 fn world() -> (Arc<MemJournal>, Arc<QueueManager>) {
@@ -295,6 +296,106 @@ fn a_read_abandoned_after_a_refused_record_leaves_no_ack_behind() {
     assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Failure);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.read"), 0);
+}
+
+/// Parks the append of the first record that puts to `DS.DONE.Q` — a
+/// verdict's — until the test releases it.
+#[derive(Debug)]
+struct VerdictParkingJournal {
+    inner: Arc<MemJournal>,
+    park: Mutex<Park>,
+    changed: Condvar,
+}
+
+#[derive(Debug, PartialEq)]
+enum Park {
+    Armed,
+    Parked,
+    Released,
+}
+
+impl VerdictParkingJournal {
+    fn wait_parked(&self) {
+        let mut park = self.park.lock();
+        while *park != Park::Parked {
+            self.changed.wait(&mut park);
+        }
+    }
+
+    fn release(&self) {
+        *self.park.lock() = Park::Released;
+        self.changed.notify_all();
+    }
+}
+
+impl Journal for VerdictParkingJournal {
+    fn append(&self, record: &JournalRecord) -> mq::MqResult<()> {
+        let verdict = matches!(record, JournalRecord::TxCommit { puts, .. }
+            if puts.iter().any(|(queue, _)| queue == "DS.DONE.Q"));
+        let mut park = self.park.lock();
+        if verdict && *park == Park::Armed {
+            *park = Park::Parked;
+            self.changed.notify_all();
+            while *park == Park::Parked {
+                self.changed.wait(&mut park);
+            }
+        }
+        drop(park);
+        self.inner.append(record)
+    }
+
+    fn replay(&self, sink: &mut mq::journal::ReplaySink<'_>) -> mq::MqResult<()> {
+        self.inner.replay(sink)
+    }
+
+    fn reset(&self) -> mq::MqResult<()> {
+        self.inner.reset()
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.inner.len_bytes()
+    }
+}
+
+#[test]
+fn a_message_is_pending_while_the_record_that_decides_it_is_written() {
+    // A reader's pick-up decides the message and its record is on its way
+    // to the journal: until it is written nothing has been decided, so the
+    // message is pending — never unknown to `status()` (which a D-Sphere
+    // turns into `UnknownMessage`), never missing from `pending_count()`.
+    let journal = Arc::new(VerdictParkingJournal {
+        inner: MemJournal::new(),
+        park: Mutex::new(Park::Armed),
+        changed: Condvar::new(),
+    });
+    let qmgr = QueueManager::builder("QM1")
+        .clock(SimClock::new())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    let id = messenger.send_message("x", &condition).unwrap();
+    let reader = std::thread::spawn({
+        let qmgr = qmgr.clone();
+        move || {
+            let mut receiver = ConditionalReceiver::new(qmgr).unwrap();
+            receiver.read_message("Q", Wait::NoWait).unwrap().is_some()
+        }
+    });
+    journal.wait_parked();
+    let during = (messenger.status(id), messenger.pending_count());
+    journal.release();
+    assert!(reader.join().unwrap(), "the reader got the message");
+    assert_eq!(during, (MessageStatus::Pending, 1), "while the record is written");
+    assert!(matches!(
+        messenger.status(id),
+        MessageStatus::Decided(n) if n.outcome == condmsg::MessageOutcome::Success
+    ));
+    assert_eq!(messenger.pending_count(), 0);
 }
 
 #[test]

@@ -99,9 +99,14 @@ fn chain_relays_across_three_managers_over_tcp() {
     assert_eq!(got.str_property(RELAY_ORIGIN_PROPERTY), Some("QM.A"));
     assert_eq!(got.i64_property(RELAY_HOPS_PROPERTY), Some(1));
 
-    let b_metrics = b.metrics_snapshot();
-    assert_eq!(b_metrics.counter("mq.relay.forwarded"), 1);
-    assert_eq!(b_metrics.counter("mq.relay.delivered_local"), 0);
+    // QM.B counts the forward after its arrival commit, and its mover can
+    // deliver to QM.C before that: wait for the count, then hold it exact.
+    let forwarded = || b.metrics_snapshot().counter("mq.relay.forwarded");
+    wait_for("the relay's forward counted", Duration::from_secs(10), || {
+        forwarded() >= 1
+    });
+    assert_eq!(forwarded(), 1);
+    assert_eq!(b.metrics_snapshot().counter("mq.relay.delivered_local"), 0);
 
     a.shutdown();
     b.shutdown();
