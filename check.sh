@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # Full local gate: release build, test suite (plain and with lock-order
-# deadlock detection), lint-clean (clippy + cond-lint), smoke bench.
+# deadlock detection; the suite includes tests/lint_gate.rs, which runs
+# cond-lint against lint.allow), clippy, smoke bench.
 #
-# `./check.sh --lint-only` runs just the static gates — the cond-lint
-# token scan + cond-verify passes (with their golden fixture corpus)
-# and clippy — for a fast pre-commit check.
+# `./check.sh --lint-only` runs just the static gates — the cond-lint CLI
+# (token rules + cond-verify passes over one lexed, test-stripped copy of
+# each file, with their golden fixture corpus) and clippy — for a fast
+# pre-commit check.
 set -eux
 
 if [ "${1:-}" = "--lint-only" ]; then
@@ -43,10 +45,6 @@ cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
 # checker: an ABBA hazard panics with both acquisition sites.
 cargo test -q --workspace --features parking_lot/deadlock_detection
 cargo clippy --workspace --all-targets -- -D warnings
-# Project-specific source lints (sleep-polls, std::sync locks, wall-clock
-# reads, unwraps) plus the cond-verify passes (lock order, never-hold,
-# custody, registries); lint.allow documents the accepted exceptions.
-cargo run --release -p cond-lint -- --deny
 # The paper's headline example (Fig. 1/4): nine recipient behaviours against
 # the meeting-notification condition, every verdict checked against the
 # paper-rule oracle (asserted inside the binary).

@@ -11,15 +11,13 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use mq::stats::Counter;
+use mq::listener::ListenerStats;
 use mq::{QueueManager, Wait};
-use parking_lot::{Condvar, Mutex};
 use simtime::Millis;
 
 use crate::config::CondConfig;
-use crate::error::CondResult;
+use crate::error::{CondError, CondResult};
 use crate::receiver::{ConditionalReceiver, ReceivedMessage};
 
 /// Outcome of processing one delivered message.
@@ -36,55 +34,19 @@ pub enum Processing {
 /// The processing callback.
 pub type ProcessingCallback = dyn FnMut(&ReceivedMessage) -> Processing + Send;
 
-/// Per-listener statistics.
-#[derive(Debug, Default)]
-pub struct ConditionalListenerStats {
-    /// Messages processed and committed.
-    pub processed: Counter,
-    /// Deliveries rolled back (by decision or panic).
-    pub rolled_back: Counter,
-    /// Callback panics caught.
-    pub panics: Counter,
-    /// Signalled after every disposition so waiters can park instead of
-    /// sleep-polling.
-    changed: Condvar,
-    changed_lock: Mutex<()>,
-}
-
-impl ConditionalListenerStats {
-    /// Blocks until `pred` holds, woken by the listener after each
-    /// disposition (commit, rollback or caught panic) instead of
-    /// sleep-polling. Panics with `what` after 5 s — this is a test/await
-    /// helper, not a production synchronization primitive.
-    pub fn wait_until<F: Fn() -> bool>(&self, what: &str, pred: F) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut guard = self.changed_lock.lock();
-        while !pred() {
-            let now = Instant::now();
-            assert!(now < deadline, "timed out waiting for: {what}");
-            self.changed.wait_for(&mut guard, deadline - now);
-        }
-    }
-
-    fn note_disposition(&self) {
-        let _guard = self.changed_lock.lock();
-        self.changed.notify_all();
-    }
-}
-
 /// A running conditional push consumer; stops (and joins) on drop.
 pub struct ConditionalListener {
     queue: String,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<ConditionalListenerStats>,
+    stats: Arc<ListenerStats>,
 }
 
 impl fmt::Debug for ConditionalListener {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConditionalListener")
             .field("queue", &self.queue)
-            .field("processed", &self.stats.processed.get())
+            .field("delivered", &self.stats.delivered.get())
             .finish()
     }
 }
@@ -95,7 +57,8 @@ impl ConditionalListener {
     ///
     /// # Errors
     ///
-    /// Queue-creation failures (the receiver log queue is ensured).
+    /// Queue-creation failures (the receiver log queue is ensured);
+    /// [`CondError::Daemon`] when the OS refuses to spawn the thread.
     pub fn spawn(
         qmgr: Arc<QueueManager>,
         queue: impl Into<String>,
@@ -111,7 +74,7 @@ impl ConditionalListener {
         let mut receiver =
             ConditionalReceiver::with_config(qmgr, recipient, CondConfig::default())?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ConditionalListenerStats::default());
+        let stats = Arc::new(ListenerStats::default());
         let stop2 = stop.clone();
         let stats2 = stats.clone();
         let queue2 = queue.clone();
@@ -147,7 +110,7 @@ impl ConditionalListener {
                     match decision {
                         Ok(Processing::Commit) => {
                             if receiver.commit_tx().is_ok() {
-                                stats2.processed.incr();
+                                stats2.delivered.incr();
                             }
                         }
                         Ok(Processing::Rollback) => {
@@ -163,7 +126,7 @@ impl ConditionalListener {
                     stats2.note_disposition();
                 }
             })
-            .expect("failed to spawn conditional listener");
+            .map_err(|e| CondError::Daemon(e.to_string()))?;
         Ok(ConditionalListener {
             queue,
             stop,
@@ -177,8 +140,8 @@ impl ConditionalListener {
         &self.queue
     }
 
-    /// Listener statistics.
-    pub fn stats(&self) -> &ConditionalListenerStats {
+    /// Listener statistics (`delivered` counts committed processing).
+    pub fn stats(&self) -> &ListenerStats {
         &self.stats
     }
 
@@ -203,6 +166,7 @@ mod tests {
     use crate::condition::{Condition, Destination};
     use crate::messenger::ConditionalMessenger;
     use crate::wire::{MessageKind, MessageOutcome};
+    use std::time::Duration;
 
     fn setup() -> (Arc<QueueManager>, Arc<ConditionalMessenger>) {
         let qmgr = QueueManager::builder("QM1").build().unwrap();
@@ -243,7 +207,7 @@ mod tests {
         // the listener bumps its counter just after, so park for it.
         listener
             .stats()
-            .wait_until("processed counted", || listener.stats().processed.get() == 1);
+            .wait_until("processed counted", || listener.stats().delivered.get() == 1);
     }
 
     #[test]
@@ -285,7 +249,7 @@ mod tests {
         // outcome; park for it instead of racing the listener thread.
         listener
             .stats()
-            .wait_until("processed counted", || listener.stats().processed.get() == 1);
+            .wait_until("processed counted", || listener.stats().delivered.get() == 1);
     }
 
     #[test]
@@ -312,7 +276,7 @@ mod tests {
         // No acknowledgment was produced by the failed attempts so far.
         // (The message keeps being redelivered until backout; we only
         // assert the no-ack-on-rollback property here.)
-        assert_eq!(listener.stats().processed.get(), 0);
+        assert_eq!(listener.stats().delivered.get(), 0);
     }
 
     #[test]

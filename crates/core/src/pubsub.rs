@@ -130,14 +130,7 @@ impl ConditionalMessenger {
         template: &GroupCondition,
         options: SendOptions,
     ) -> CondResult<(CondMessageId, usize)> {
-        let queues: Vec<QueueAddress> = topic
-            .subscriber_queues()
-            .into_iter()
-            .map(|(_, addr)| addr)
-            .collect();
-        let condition = template.to_condition(&queues)?;
-        let id = self.send_with(payload, None, &condition, options)?;
-        Ok((id, queues.len()))
+        self.publish_to_subscribers(topic, payload.into(), None, template, options)
     }
 
     /// Like [`ConditionalMessenger::publish_conditional`], with
@@ -154,13 +147,27 @@ impl ConditionalMessenger {
         template: &GroupCondition,
         options: SendOptions,
     ) -> CondResult<(CondMessageId, usize)> {
+        let compensation = Some(compensation.into());
+        self.publish_to_subscribers(topic, payload.into(), compensation, template, options)
+    }
+
+    /// Instantiates `template` over the topic's current subscriber queues
+    /// and sends one conditional message to them.
+    fn publish_to_subscribers(
+        &self,
+        topic: &Topic,
+        payload: Bytes,
+        compensation: Option<Bytes>,
+        template: &GroupCondition,
+        options: SendOptions,
+    ) -> CondResult<(CondMessageId, usize)> {
         let queues: Vec<QueueAddress> = topic
             .subscriber_queues()
             .into_iter()
             .map(|(_, addr)| addr)
             .collect();
         let condition = template.to_condition(&queues)?;
-        let id = self.send_with(payload, Some(compensation.into()), &condition, options)?;
+        let id = self.send_with(payload, compensation, &condition, options)?;
         Ok((id, queues.len()))
     }
 }

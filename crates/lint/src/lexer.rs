@@ -1,9 +1,9 @@
-//! Token lexer for the `cond-verify` passes.
+//! Token lexer: cond-lint's only front end.
 //!
-//! Unlike [`crate::clean_source`] (which blanks literals so substring
-//! rules cannot fire inside them), this lexer *tokenizes* the source:
-//! the registry pass needs the actual values of string and integer
-//! literals, and the parser needs identifier/punctuation structure.
+//! Every file is lexed once; [`strip_test_code`] then removes its test
+//! code, and the same tokens feed the token rules (`crate::scan_tokens`)
+//! and the parser. Literals are tokens, so no rule can fire inside one,
+//! and the registry pass still sees their values.
 //!
 //! Correctness notes the fixture corpus pins down:
 //! * `//` inside a string literal (URLs!) is **not** a comment start —
@@ -62,6 +62,127 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Annotation>) {
         annotations: Vec::new(),
     }
     .run()
+}
+
+/// Removes a lexed file's test code: every item, field, statement or arm
+/// gated by `#[cfg(test)]` or `#[cfg(all(test, …))]` (with the attributes
+/// around it), and the annotations above or inside it, so none attaches
+/// to the next item. `cfg(not(test))` code is production code and stays.
+pub fn strip_test_code(
+    (tokens, annotations): (Vec<Token>, Vec<Annotation>),
+) -> (Vec<Token>, Vec<Annotation>) {
+    let mut kept: Vec<Token> = Vec::with_capacity(tokens.len());
+    // Line spans `(after, through]` whose annotations go with removed code.
+    let mut dropped: Vec<(u32, u32)> = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        let mut attrs_end = i;
+        let mut gated = false;
+        while punct_at(&tokens, attrs_end, '#') && punct_at(&tokens, attrs_end + 1, '[') {
+            let close = (matching(&tokens, attrs_end + 1) + 1).min(tokens.len());
+            gated |= is_test_cfg(&tokens[attrs_end..close]);
+            attrs_end = close;
+        }
+        if gated {
+            let end = item_end(&tokens, attrs_end);
+            let after = kept.last().map_or(0, |t| t.line);
+            dropped.push((after, tokens[end - 1].line));
+            i = end;
+        } else {
+            let next = attrs_end.max(i + 1);
+            kept.extend_from_slice(&tokens[i..next]);
+            i = next;
+        }
+    }
+    let annotations = annotations
+        .into_iter()
+        .filter(|a| !dropped.iter().any(|&(after, through)| a.line > after && a.line <= through))
+        .collect();
+    (kept, annotations)
+}
+
+fn punct_at(t: &[Token], k: usize, c: char) -> bool {
+    matches!(t.get(k), Some(Token { tok: Tok::Punct(p), .. }) if *p == c)
+}
+
+/// Index of the delimiter closing the `(`, `[` or `{` at `open` (only
+/// that kind is counted), or `t.len()` when it is never closed.
+pub(crate) fn matching(t: &[Token], open: usize) -> usize {
+    let (o, c) = match t.get(open).map(|t| &t.tok) {
+        Some(Tok::Punct('(')) => ('(', ')'),
+        Some(Tok::Punct('[')) => ('[', ']'),
+        _ => ('{', '}'),
+    };
+    let mut depth = 0usize;
+    for (k, tok) in t.iter().enumerate().skip(open) {
+        if tok.tok == Tok::Punct(o) {
+            depth += 1;
+        } else if tok.tok == Tok::Punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return k;
+            }
+        }
+    }
+    t.len()
+}
+
+/// Whether the attribute `#[…]` is `cfg(test)`, or a `cfg(all(…))` with
+/// `test` as a direct operand (`not(test)` and `any(test, …)` are not).
+fn is_test_cfg(attr: &[Token]) -> bool {
+    let ident = |k: usize| match attr.get(k).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => s.as_str(),
+        _ => "",
+    };
+    if ident(2) != "cfg" {
+        return false;
+    }
+    let test_depth = if ident(4) == "all" { 2 } else { 1 };
+    let mut depth = 0;
+    attr[3..].iter().any(|t| {
+        match &t.tok {
+            Tok::Punct('(') => depth += 1,
+            Tok::Punct(')') => depth -= 1,
+            Tok::Ident(s) => return s == "test" && depth == test_depth,
+            _ => {}
+        }
+        false
+    })
+}
+
+/// End (exclusive) of the item, field, statement or arm starting at
+/// `start`: its depth-0 `;` or `,` (a `,` inside generics does not count),
+/// the `}` closing its body, or — for the last field of a list — just
+/// before the list's closing delimiter. A `}` followed by `else`, `.`, `?`
+/// or `=` continues the expression (`let x = if … { } else { };`).
+fn item_end(t: &[Token], start: usize) -> usize {
+    let (mut depth, mut angle) = (0usize, 0usize);
+    for k in start..t.len() {
+        match t[k].tok {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') if depth == 0 => return k,
+            Tok::Punct(c @ (')' | ']' | '}')) => {
+                depth -= 1;
+                if depth > 0 || c != '}' {
+                    continue;
+                }
+                match t.get(k + 1).map(|n| &n.tok) {
+                    Some(Tok::Punct(';' | ',')) => return k + 2,
+                    Some(Tok::Punct('.' | '?' | '=')) => {}
+                    Some(Tok::Ident(s)) if s == "else" => {}
+                    _ => return k + 1,
+                }
+            }
+            Tok::Punct(';') if depth == 0 => return k + 1,
+            Tok::Punct(',') if depth == 0 && angle == 0 => return k + 1,
+            Tok::Punct('<') => angle += 1,
+            Tok::Punct('>') if !(punct_at(t, k - 1, '-') || punct_at(t, k - 1, '=')) => {
+                angle = angle.saturating_sub(1);
+            }
+            _ => {}
+        }
+    }
+    t.len()
 }
 
 struct Lexer {
@@ -435,6 +556,47 @@ mod tests {
         let t = toks("let r = r#type; br0ken();");
         assert!(t.contains(&Tok::Ident("r".into())));
         assert!(t.contains(&Tok::Ident("br0ken".into())));
+    }
+
+    fn production(src: &str) -> (Vec<String>, Vec<String>) {
+        let (tokens, anns) = strip_test_code(lex(src));
+        let idents = tokens
+            .into_iter()
+            .filter_map(|t| match t.tok {
+                Tok::Ident(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        (idents, anns.into_iter().map(|a| a.text).collect())
+    }
+
+    #[test]
+    fn test_code_ends_at_its_own_closing_delimiter() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(test)]\n    hook: Map<K, V>,\n    b: u8,\n    #[cfg(test)]\n    last: u8\n}\n\
+                   impl S { fn keep() { #[cfg(test)] let h = if x { 1 } else { 2 }; tail(); } }\n\
+                   #[cfg(all(test, unix))] mod gone { fn g() {} }";
+        let (idents, _) = production(src);
+        for gone in ["hook", "Map", "last", "h", "gone", "g"] {
+            assert!(!idents.iter().any(|i| i == gone), "{gone} in {idents:?}");
+        }
+        for kept in ["a", "b", "impl", "keep", "tail"] {
+            assert!(idents.iter().any(|i| i == kept), "{kept} missing from {idents:?}");
+        }
+    }
+
+    #[test]
+    fn not_test_and_any_test_are_production() {
+        let src = "#[cfg(not(test))] fn a() {}\n#[cfg(any(test, unix))] fn b() {}\n#[cfg(test)] pub fn c() {}";
+        let (idents, _) = production(src);
+        assert!(idents.contains(&"a".into()) && idents.contains(&"b".into()));
+        assert!(!idents.contains(&"c".into()), "{idents:?}");
+    }
+
+    #[test]
+    fn annotations_above_and_inside_test_code_go_with_it() {
+        let src = "fn a() {} // lint: custody-ok\n// lint: custody(msg)\n#[cfg(test)]\nfn t(msg: M) {\n    // lint: inner\n}\n// lint: kept\nfn b() {}";
+        let (_, anns) = production(src);
+        assert_eq!(anns, ["custody-ok", "kept"]);
     }
 
     #[test]

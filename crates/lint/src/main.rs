@@ -3,7 +3,8 @@
 //!
 //! Usage: `cond-lint [--deny] [--root DIR] [--allow FILE]`
 //!
-//! * `--deny`  — exit non-zero when any unallowed finding remains.
+//! * `--deny`  — exit non-zero when any unallowed finding, or any
+//!   allowlist entry covering no finding, remains.
 //! * `--root`  — workspace root to scan (default: current directory).
 //! * `--allow` — allowlist file (default: `<root>/lint.allow` if present).
 
@@ -72,6 +73,10 @@ fn main() -> ExitCode {
             continue;
         }
         println!("{finding}");
+        reported += 1;
+    }
+    for stale in allowlist.stale(&allow_path.display().to_string(), &findings) {
+        println!("{stale}");
         reported += 1;
     }
     eprintln!(

@@ -10,7 +10,7 @@
 //! "no events" rather than a parse failure. Soundness caveats are
 //! documented in DESIGN.md §14.
 
-use crate::lexer::{lex, Annotation, Tok, Token};
+use crate::lexer::{matching, Annotation, Tok, Token};
 
 /// A parsed source file.
 #[derive(Debug, Default)]
@@ -267,11 +267,11 @@ pub enum Event {
     },
 }
 
-/// Parses one file's source text.
-pub fn parse_file(path: &str, src: &str) -> ParsedFile {
-    let (tokens, annotations) = lex(src);
+/// Parses one file's production tokens and annotations (see
+/// [`crate::lexer::strip_test_code`]).
+pub fn parse(path: &str, tokens: &[Token], annotations: Vec<Annotation>) -> ParsedFile {
     let mut p = Parser {
-        t: &tokens,
+        t: tokens,
         i: 0,
         file: ParsedFile {
             path: path.to_owned(),
@@ -282,8 +282,9 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
         last_block_range: None,
     };
     p.items(None, None);
-    p.file.annotations = annotations.clone();
-    p.file
+    let mut file = p.file;
+    file.annotations = annotations;
+    file
 }
 
 struct Parser<'a> {
@@ -328,24 +329,12 @@ impl Parser<'_> {
         out
     }
 
-    /// Skips a balanced delimiter group starting at `self.i` (which must
-    /// be on the opener). Leaves `self.i` after the closer. Returns the
-    /// token range covered (inclusive of delimiters).
-    fn skip_group(&mut self, open: char, close: char) -> (usize, usize) {
+    /// Skips the delimiter group opening at `self.i`, leaving `self.i`
+    /// after its closer. Returns the token range covered (inclusive of
+    /// delimiters).
+    fn skip_group(&mut self) -> (usize, usize) {
         let start = self.i;
-        let mut depth = 0usize;
-        while self.i < self.t.len() {
-            if self.is_punct(self.i, open) {
-                depth += 1;
-            } else if self.is_punct(self.i, close) {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return (start, self.i);
-                }
-            }
-            self.i += 1;
-        }
+        self.i = (matching(self.t, start) + 1).min(self.t.len());
         (start, self.i)
     }
 
@@ -373,37 +362,18 @@ impl Parser<'_> {
         (start, self.i)
     }
 
-    /// Skips `#[…]` attributes at `self.i`; returns true if any of them
-    /// was `#[cfg(test)]`.
-    fn skip_attrs(&mut self) -> bool {
-        let mut is_test = false;
+    /// Skips `#[…]` / `#![…]` attributes at `self.i`.
+    fn skip_attrs(&mut self) {
         while self.is_punct(self.i, '#') {
             self.i += 1;
             if self.is_punct(self.i, '!') {
                 self.i += 1;
             }
-            if self.is_punct(self.i, '[') {
-                let (s, e) = self.skip_group('[', ']');
-                let mut has_cfg = false;
-                let mut has_test = false;
-                for t in &self.t[s..e] {
-                    if let Tok::Ident(id) = &t.tok {
-                        if id == "cfg" {
-                            has_cfg = true;
-                        }
-                        if id == "test" {
-                            has_test = true;
-                        }
-                    }
-                }
-                if has_cfg && has_test {
-                    is_test = true;
-                }
-            } else {
+            if !self.is_punct(self.i, '[') {
                 break;
             }
+            self.skip_group();
         }
-        is_test
     }
 
     /// Parses items until end of input or an unmatched `}` (end of the
@@ -413,9 +383,8 @@ impl Parser<'_> {
             if self.is_punct(self.i, '}') {
                 return;
             }
-            let attr_line = self.line(self.i);
-            let is_test = self.skip_attrs();
-            let anns = self.take_anns_before(if is_test { attr_line } else { self.line(self.i) });
+            self.skip_attrs();
+            let anns = self.take_anns_before(self.line(self.i));
             let kw = match self.ident_at(self.i) {
                 Some(k) => k.to_owned(),
                 None => {
@@ -429,20 +398,18 @@ impl Parser<'_> {
                     self.i += 1;
                     // `pub(crate)` visibility argument.
                     if self.is_punct(self.i, '(') {
-                        self.skip_group('(', ')');
+                        self.skip_group();
                     }
                     // Re-attach annotations to the real item keyword.
-                    for a in anns.into_iter().rev() {
-                        self.push_back_ann(a, attr_line);
-                    }
+                    self.ann_cursor -= anns.len();
                     continue;
                 }
-                "struct" | "enum" | "union" => self.item_struct(is_test),
-                "trait" => self.item_trait(is_test),
-                "impl" => self.item_impl(is_test, &anns),
-                "fn" => self.item_fn(owner, trait_name, is_test, anns),
-                "mod" => self.item_mod(is_test),
-                "const" | "static" | "type" => self.item_const(is_test, &anns),
+                "struct" | "enum" | "union" => self.item_struct(),
+                "trait" => self.item_trait(),
+                "impl" => self.item_impl(&anns),
+                "fn" => self.item_fn(owner, trait_name, anns),
+                "mod" => self.item_mod(),
+                "const" | "static" | "type" => self.item_const(&anns),
                 "use" | "macro_rules" => {
                     self.i += 1;
                     if kw == "macro_rules" {
@@ -450,7 +417,7 @@ impl Parser<'_> {
                         while self.i < self.t.len() && !self.is_punct(self.i, '{') {
                             self.i += 1;
                         }
-                        self.skip_group('{', '}');
+                        self.skip_group();
                     } else {
                         self.skip_to_semi();
                     }
@@ -462,31 +429,23 @@ impl Parser<'_> {
         }
     }
 
-    /// Re-queues an annotation that was taken too early (before a
-    /// visibility qualifier).
-    fn push_back_ann(&mut self, _text: String, _line: u32) {
-        // Annotations are consumed by line cursor; rewinding the cursor
-        // re-attaches them to the next item.
-        self.ann_cursor = self.ann_cursor.saturating_sub(1);
-    }
-
-    fn item_struct(&mut self, is_test: bool) {
+    fn item_struct(&mut self) {
         self.i += 1; // struct/enum/union
         let name = self.ident_at(self.i).unwrap_or("").to_owned();
         self.i += 1;
         self.skip_generics();
         // Tuple struct `struct X(…);` or unit `struct X;`.
         if self.is_punct(self.i, '(') {
-            self.skip_group('(', ')');
+            self.skip_group();
             self.skip_to_semi();
-            if !is_test && !name.is_empty() {
+            if !name.is_empty() {
                 self.file.structs.push(StructDef { name, fields: Vec::new() });
             }
             return;
         }
         if self.is_punct(self.i, ';') {
             self.i += 1;
-            if !is_test && !name.is_empty() {
+            if !name.is_empty() {
                 self.file.structs.push(StructDef { name, fields: Vec::new() });
             }
             return;
@@ -495,19 +454,19 @@ impl Parser<'_> {
         while self.i < self.t.len() && !self.is_punct(self.i, '{') {
             self.i += 1;
         }
-        let (s, e) = self.skip_group('{', '}');
-        if is_test || name.is_empty() {
+        let (s, e) = self.skip_group();
+        if name.is_empty() {
             return;
         }
         let fields = parse_fields(&self.t[s + 1..e.saturating_sub(1)]);
         self.file.structs.push(StructDef { name, fields });
     }
 
-    fn item_trait(&mut self, is_test: bool) {
+    fn item_trait(&mut self) {
         self.i += 1; // trait
         let name = self.ident_at(self.i).unwrap_or("").to_owned();
         self.i += 1;
-        if !is_test && !name.is_empty() {
+        if !name.is_empty() {
             self.file.traits.push(name.clone());
         }
         while self.i < self.t.len() && !self.is_punct(self.i, '{') && !self.is_punct(self.i, ';') {
@@ -518,20 +477,19 @@ impl Parser<'_> {
             return;
         }
         self.i += 1; // {
-        self.items(None, if is_test { None } else { Some(&name) });
+        self.items(None, Some(&name));
         if self.is_punct(self.i, '}') {
             self.i += 1;
         }
     }
 
-    fn item_impl(&mut self, is_test: bool, anns: &[String]) {
+    fn item_impl(&mut self, anns: &[String]) {
         self.i += 1; // impl
         self.skip_generics();
         // Collect path idents up to `{`, noting a `for`.
         let mut before_for: Vec<String> = Vec::new();
         let mut after_for: Vec<String> = Vec::new();
         let mut seen_for = false;
-        let start = self.i;
         while self.i < self.t.len() && !self.is_punct(self.i, '{') {
             match self.tok(self.i) {
                 Some(Tok::Ident(id)) if id == "for" => seen_for = true,
@@ -567,24 +525,21 @@ impl Parser<'_> {
         while self.i < self.t.len() && !self.is_punct(self.i, '{') {
             self.i += 1;
         }
-        let _ = start;
         let (trait_name, owner) = if seen_for {
             (before_for.last().cloned(), after_for.first().cloned())
         } else {
             (None, before_for.first().cloned())
         };
         let body_start = self.i;
-        if !is_test {
-            if let (Some(t), Some(o)) = (&trait_name, &owner) {
-                self.file.trait_impls.push((t.clone(), o.clone()));
-            }
+        if let (Some(t), Some(o)) = (&trait_name, &owner) {
+            self.file.trait_impls.push((t.clone(), o.clone()));
         }
         // Registry sink on the whole impl: collect literals from its
         // extent before descending into items.
         let sink_kind = sink_kind_of(anns);
         if let Some(kind) = sink_kind {
             let save = self.i;
-            let (s, e) = self.skip_group('{', '}');
+            let (s, e) = self.skip_group();
             self.record_sink(&kind, s, e);
             self.i = save;
         }
@@ -592,15 +547,15 @@ impl Parser<'_> {
         let owner_s = owner.unwrap_or_default();
         let trait_s = trait_name.unwrap_or_default();
         self.items(
-            if is_test || owner_s.is_empty() { None } else { Some(&owner_s) },
-            if is_test || trait_s.is_empty() { None } else { Some(&trait_s) },
+            (!owner_s.is_empty()).then_some(owner_s.as_str()),
+            (!trait_s.is_empty()).then_some(trait_s.as_str()),
         );
         if self.is_punct(self.i, '}') {
             self.i += 1;
         }
     }
 
-    fn item_mod(&mut self, is_test: bool) {
+    fn item_mod(&mut self) {
         self.i += 1; // mod
         self.i += 1; // name
         if self.is_punct(self.i, ';') {
@@ -608,24 +563,17 @@ impl Parser<'_> {
             return;
         }
         if self.is_punct(self.i, '{') {
-            if is_test {
-                self.skip_group('{', '}');
-            } else {
+            self.i += 1;
+            self.items(None, None);
+            if self.is_punct(self.i, '}') {
                 self.i += 1;
-                self.items(None, None);
-                if self.is_punct(self.i, '}') {
-                    self.i += 1;
-                }
             }
         }
     }
 
-    fn item_const(&mut self, is_test: bool, anns: &[String]) {
+    fn item_const(&mut self, anns: &[String]) {
         let line = self.line(self.i);
         let (s, e) = self.skip_to_semi();
-        if is_test {
-            return;
-        }
         for a in anns {
             if let Some(kind) = a.strip_prefix("registry ") {
                 let (strs, ints) = collect_literals(&self.t[s..e]);
@@ -654,13 +602,7 @@ impl Parser<'_> {
         });
     }
 
-    fn item_fn(
-        &mut self,
-        owner: Option<&str>,
-        trait_name: Option<&str>,
-        is_test: bool,
-        anns: Vec<String>,
-    ) {
+    fn item_fn(&mut self, owner: Option<&str>, trait_name: Option<&str>, anns: Vec<String>) {
         let line = self.line(self.i);
         self.i += 1; // fn
         let name = self.ident_at(self.i).unwrap_or("").to_owned();
@@ -668,7 +610,7 @@ impl Parser<'_> {
         self.skip_generics();
         let mut params = Vec::new();
         if self.is_punct(self.i, '(') {
-            let (s, e) = self.skip_group('(', ')');
+            let (s, e) = self.skip_group();
             params = parse_params(&self.t[s + 1..e.saturating_sub(1)]);
         }
         // Return type: tokens between `->` and the body/`;`/`where`.
@@ -696,47 +638,33 @@ impl Parser<'_> {
         }
         let mut body = None;
         if self.is_punct(self.i, '{') {
-            if is_test {
-                self.skip_group('{', '}');
-                self.last_block_range = None;
-            } else {
-                let body_open = self.i;
-                self.i += 1;
-                let mut b = self.block();
-                mark_tail(&mut b);
-                body = Some(b);
-                self.last_block_range = Some((body_open, self.i));
-            }
+            let body_open = self.i;
+            self.i += 1;
+            let mut b = self.block();
+            mark_tail(&mut b);
+            body = Some(b);
+            self.last_block_range = Some((body_open, self.i));
         } else if self.is_punct(self.i, ';') {
             self.i += 1;
             self.last_block_range = None;
         }
-        // Registry sink on a single fn.
-        if !is_test {
-            if let Some(kind) = sink_kind_of(&anns) {
-                // Re-scan the fn extent for literals (body token range is
-                // no longer available; use annotation-free collection from
-                // the body we just left). Simpler: sinks on fns re-lex the
-                // covered lines — instead collect from the events we kept.
-                // The body extent ended at self.i; find it by scanning
-                // backwards is brittle, so sink-on-fn collects from the
-                // token range recorded during block parsing.
-                if let Some(range) = self.last_block_range {
-                    self.record_sink(&kind, range.0, range.1);
-                }
+        // Registry sink on a single fn: the literals of its body.
+        if let Some(kind) = sink_kind_of(&anns) {
+            if let Some(range) = self.last_block_range {
+                self.record_sink(&kind, range.0, range.1);
             }
-            self.file.fns.push(FnDef {
-                path: self.file.path.clone(),
-                line,
-                owner: owner.map(str::to_owned),
-                trait_name: trait_name.map(str::to_owned),
-                name,
-                params,
-                ret,
-                body,
-                anns,
-            });
         }
+        self.file.fns.push(FnDef {
+            path: self.file.path.clone(),
+            line,
+            owner: owner.map(str::to_owned),
+            trait_name: trait_name.map(str::to_owned),
+            name,
+            params,
+            ret,
+            body,
+            anns,
+        });
     }
 
     fn skip_generics(&mut self) {
@@ -947,9 +875,10 @@ impl Parser<'_> {
                     stmts.push(Stmt::Nested(self.block()));
                 }
                 Some("fn") => {
-                    // Nested fn item inside a body: parse and discard
-                    // (its calls are not this fn's calls).
-                    self.item_fn(None, None, true, Vec::new());
+                    // Nested fn item inside a body: skipped (its calls
+                    // are not this fn's calls).
+                    self.until_brace();
+                    self.skip_group();
                 }
                 _ => {
                     if self.is_punct(self.i, '{') {
@@ -1371,7 +1300,7 @@ pub fn extract_events(toks: &[Token]) -> (Vec<Event>, Vec<String>, bool) {
                 let is_macro = k + 1 < toks.len() && matches!(&toks[k + 1].tok, Tok::Punct('!'));
                 if called {
                     let recv = receiver_of(toks, k);
-                    let close = matching_paren(toks, k + 1);
+                    let close = matching(toks, k + 1);
                     let region = &toks[k + 2..close.min(toks.len())];
                     let (moved, first_str, only_int) = call_args(region);
                     // Sticky: the chain ends here AND the call is the
@@ -1442,7 +1371,7 @@ fn closure_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
             }
             let body = j + 1;
             if body < toks.len() && matches!(&toks[body].tok, Tok::Punct('{')) {
-                let end = matching_brace(toks, body);
+                let end = matching(toks, body);
                 out.push((body, (end + 1).min(toks.len())));
                 k = end + 1;
                 continue;
@@ -1467,46 +1396,6 @@ fn operand_before(toks: &[Token], k: usize) -> bool {
         Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('?') => true,
         _ => false,
     }
-}
-
-/// Index of the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0isize;
-    let mut k = open;
-    while k < toks.len() {
-        match &toks[k].tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    toks.len()
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0isize;
-    let mut k = open;
-    while k < toks.len() {
-        match &toks[k].tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    toks.len()
 }
 
 /// Moved bare-ident args, first string literal, and sole-int arg of a
@@ -1676,6 +1565,11 @@ fn mark_tail(block: &mut Block) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_file(path: &str, src: &str) -> ParsedFile {
+        let (tokens, annotations) = crate::lexer::lex(src);
+        parse(path, &tokens, annotations)
+    }
 
     const SRC: &str = r#"
 struct Queue {

@@ -27,8 +27,8 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 
-use crate::parser::{parse_file, Call, FnDef, ParsedFile, Recv};
-use crate::{classify, collect_files, FileClass, Finding};
+use crate::parser::{Call, FnDef, ParsedFile, Recv};
+use crate::Finding;
 
 /// Methods that acquire a lock when called on a lock-typed field (or on
 /// an accessor annotated `returns-lock`).
@@ -485,23 +485,10 @@ pub fn is_lock_type(ty: &str) -> bool {
     ty.contains("Mutex<") || ty.contains("RwLock<") || ty.contains("StripedMap<")
 }
 
-/// Runs all verify passes over the workspace rooted at `root`.
-pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
-    let files = collect_files(root)?;
-    let mut parsed = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if classify(&rel) == FileClass::Test {
-            continue;
-        }
-        let src = std::fs::read_to_string(path)?;
-        parsed.push(parse_file(&rel, &src));
-    }
-    let ws = Workspace::build(parsed);
+/// Runs all verify passes over the parsed non-test files of the workspace
+/// rooted at `root` (which also holds the scenario TOMLs).
+pub fn run(root: &Path, files: Vec<ParsedFile>) -> io::Result<Vec<Finding>> {
+    let ws = Workspace::build(files);
     let mut findings = Vec::new();
     findings.extend(lockorder::run(&ws));
     findings.extend(custody::run(&ws));

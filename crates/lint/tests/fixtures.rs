@@ -60,6 +60,15 @@ fn registry_typo_is_flagged() {
     check("registry_typo");
 }
 
+/// Test code ends at the gated item's or field's own closing delimiter:
+/// a `#[cfg(test)]` field hides nothing after it, a `#[cfg(test)] pub fn`
+/// is test code, a `#[cfg(not(test))] fn` is not, and a multi-line
+/// `std::sync::{…}` group is still checked.
+#[test]
+fn test_gating_follows_the_gated_item() {
+    check("test_gating");
+}
+
 /// Disciplined code — including `//` inside string literals, one of
 /// which spells out a lint annotation — produces zero findings.
 #[test]

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use simtime::Millis;
 
-use crate::error::MqResult;
+use crate::error::{MqError, MqResult};
 use crate::message::Message;
 use crate::qmgr::QueueManager;
 use crate::queue::Wait;
@@ -69,7 +69,9 @@ impl ListenerStats {
         }
     }
 
-    fn note_disposition(&self) {
+    /// Wakes every [`ListenerStats::wait_until`] waiter; a listener calls
+    /// it after each disposition.
+    pub fn note_disposition(&self) {
         let _guard = self.changed_lock.lock();
         self.changed.notify_all();
     }
@@ -97,7 +99,8 @@ impl Listener {
     ///
     /// # Errors
     ///
-    /// [`crate::MqError::QueueNotFound`] when the queue does not exist.
+    /// [`MqError::QueueNotFound`] when the queue does not exist;
+    /// [`MqError::Io`] when the OS refuses to spawn the thread.
     pub fn spawn(
         qmgr: Arc<QueueManager>,
         queue: impl Into<String>,
@@ -163,7 +166,7 @@ impl Listener {
                     stats2.note_disposition();
                 }
             })
-            .expect("failed to spawn listener thread");
+            .map_err(MqError::Io)?;
         Ok(Listener {
             queue,
             stop,

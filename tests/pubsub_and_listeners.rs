@@ -63,7 +63,7 @@ fn conditional_publish_processed_by_listeners() {
     // The outcome is decided at min_process = 2; the third listener may
     // still be mid-commit, so poll rather than assert instantly.
     wait_for("every subscriber processed its copy", || {
-        listeners.iter().map(|l| l.stats().processed.get()).sum::<u64>() == 3
+        listeners.iter().map(|l| l.stats().delivered.get()).sum::<u64>() == 3
     });
 }
 
@@ -153,7 +153,7 @@ fn quorum_failure_withdraws_from_all_subscribers() {
     // *delivered* (through the same listener); the idle subscribers'
     // copies annihilate.
     wait_for("compensation via listener", || {
-        listener.stats().processed.get() >= 2
+        listener.stats().delivered.get() >= 2
     });
     for idle in ["TOPIC.votes.idle-1", "TOPIC.votes.idle-2"] {
         let mut receiver = condmsg::ConditionalReceiver::new(qmgr.clone()).unwrap();
