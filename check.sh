@@ -54,8 +54,9 @@ cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
 # binary): fsyncs == appends at 1 writer, <= appends/2 at 8, <= appends/8 at
 # 64. The throughput ratio is written to BENCH_journal.json, not asserted.
 cargo run --release -p cond-bench --bin exp_journal -- --quick
-# Transport smoke: in-proc link vs loopback TCP, asserts batches moved and
-# writes BENCH_tcp.json.
+# Transport smoke: channels over loopback TCP at 1/8/64 pairs; asserts one
+# sender session per batch, encode-once, the 8-pair throughput floor and no
+# reconnect storm at 64 pairs. Rewrites BENCH_tcp.json in quick mode.
 cargo run --release -p cond-bench --bin exp_tcp -- --quick
 # Relay federation: multi-hop chains over loopback TCP, plus the Fig. 8
 # crash proof (middle relay crashed mid-handoff, exactly-once asserted
@@ -66,7 +67,8 @@ cargo run --release -p cond-bench --bin exp_federation -- --quick
 # the full history (asserted inside the binary). Writes BENCH_store.json.
 cargo run --release -p cond-bench --bin exp_store -- --quick
 # Declarative scenarios: the three flagship TOMLs (relay crash, D-Sphere
-# branch pattern, scaled-down IoT chaos fleet) compile, run, and every
+# branch pattern, scaled-down IoT chaos fleet — every channel loopback TCP,
+# the fleet's faults on its acceptor) compile, run, and every
 # exactly-one-outcome oracle must pass (asserted inside the binary).
-# Writes BENCH_scenario.json.
+# Rewrites BENCH_scenario.json in quick mode; the committed one is full.
 cargo run --release -p cond-bench --bin exp_scenario -- --quick

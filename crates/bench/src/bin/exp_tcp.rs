@@ -1,19 +1,17 @@
-//! ET — transport comparison: in-process `Link` vs. loopback TCP.
+//! ET — the channel transport over loopback TCP.
 //!
-//! For each transport mode and channel-pair count, the experiment stands
-//! up `pairs` independent sender→receiver manager pairs, connects each
-//! with a one-way channel over the mode's transport, floods N messages
-//! per pair from concurrent producer threads, and waits for every message
-//! to land on the remote queue. Reported: end-to-end msgs/sec (wall clock
-//! from first put to last delivery) and the p50/p95 of the transport's
-//! own per-batch send→ack latency histogram
-//! (`mq.transport.batch_micros`, shared per mode run via one
+//! For each channel-pair count, the experiment stands up `pairs`
+//! independent sender→receiver manager pairs, connects each with a one-way
+//! channel over loopback TCP, floods N messages per pair from concurrent
+//! producer threads, and waits for every message to land on the remote
+//! queue. Reported: end-to-end msgs/sec (wall clock from first put to last
+//! delivery) and the p50/p95 of the transport's own per-batch send→ack
+//! latency histogram (`mq.transport.batch_micros`, shared per run via one
 //! observability hub).
 //!
-//! The point of the experiment is to price the real wire: loopback TCP
-//! pays framing, CRC, kernel round trips and acks. Three mechanisms keep
-//! the socket path competitive with in-proc delivery, and each is gated
-//! here:
+//! The point of the experiment is to price the wire: loopback TCP pays
+//! framing, CRC, kernel round trips and acks. Three mechanisms keep it
+//! cheap, and each is gated here:
 //!
 //! * **Batching** (up to `mq::channel::MAX_BATCH` envelopes per frame)
 //!   amortizes the per-frame overhead.
@@ -29,9 +27,8 @@
 //!   `mq.codec.encodes` delta stayed at (or below) one encode per
 //!   message — zero per-hop payload copies on the send path.
 //!
-//! Both modes run the same channel mover, and that is gated as a count:
-//! on every row without a reconnect the senders commit exactly one
-//! session per batch sent — the link row and the TCP rows alike.
+//! The channel mover is gated as a count: on every row without a
+//! reconnect the senders commit exactly one session per batch sent.
 //!
 //! The 64-pair TCP run is the aggregate stressor: 128 managers and 64
 //! sockets multiplexed onto the sharded reactor, where a
@@ -43,9 +40,7 @@
 //! measures submit→ack, which with a 16-deep window includes queueing
 //! delay behind earlier batches, so at 64 pairs on an oversubscribed
 //! host the p50 sits near a second by design while throughput stays
-//! high. On this class of box the ceiling is the in-process substrate
-//! (compare the link rows), not the wire: 1-pair TCP lands within ~25%
-//! of the in-proc link.
+//! high.
 //!
 //! Writes `BENCH_tcp.json`; `--quick` shrinks the message count for the
 //! `check.sh` smoke run.
@@ -55,39 +50,15 @@ use std::time::{Duration, Instant};
 
 use cond_bench::{emit_metrics, header, row};
 use mq::channel::Channel;
-use mq::net::Link;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Message, Obs, QueueAddress, QueueManager, SystemClock};
 
-const LINK_PAIR_COUNTS: &[usize] = &[1, 8];
-const TCP_PAIR_COUNTS: &[usize] = &[1, 8, 64];
+const PAIR_COUNTS: &[usize] = &[1, 8, 64];
 
 /// Lockstep-era loopback throughput at 8 pairs (thread-per-connection
 /// blocking transport, one send→ack round trip per batch): the floor the
 /// pipelined reactor is measured against.
 const LOCKSTEP_8PAIR_MSGS_PER_SEC: f64 = 95_682.5;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Link,
-    Tcp,
-}
-
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Link => "in-proc-link",
-            Mode::Tcp => "loopback-tcp",
-        }
-    }
-
-    fn pair_counts(self) -> &'static [usize] {
-        match self {
-            Mode::Link => LINK_PAIR_COUNTS,
-            Mode::Tcp => TCP_PAIR_COUNTS,
-        }
-    }
-}
 
 struct RunStats {
     msgs_per_sec: f64,
@@ -110,10 +81,9 @@ struct Pair {
     sender: Arc<QueueManager>,
     receiver: Arc<QueueManager>,
     _channel: Channel,
-    _acceptor: Option<Arc<TcpAcceptor>>,
 }
 
-fn build_pair(mode: Mode, idx: usize, obs: &Arc<Obs>) -> Pair {
+fn build_pair(idx: usize, obs: &Arc<Obs>) -> Pair {
     let clock = SystemClock::new();
     let sender = QueueManager::builder(format!("QM.S{idx}"))
         .clock(clock.clone())
@@ -128,51 +98,38 @@ fn build_pair(mode: Mode, idx: usize, obs: &Arc<Obs>) -> Pair {
         .build()
         .unwrap();
     receiver.create_queue("Q.IN").unwrap();
-    let (channel, acceptor) = match mode {
-        Mode::Link => (
-            Channel::connect(&sender, &receiver, Link::ideal()).unwrap(),
-            None,
-        ),
-        Mode::Tcp => {
-            let acceptor = TcpAcceptor::bind(&receiver, "127.0.0.1:0").unwrap();
-            // Liveness probing tuned for an oversubscribed host: the
-            // 64-pair run multiplexes 128 managers' worth of threads
-            // onto however many cores the box has, so a healthy peer's
-            // ack can lag seconds behind. The default 2s silence
-            // deadline would call that a dead peer and reconnect-storm;
-            // the stressor measures the data plane, not the prober.
-            let config = TcpConfig {
-                heartbeat_interval: Duration::from_secs(2),
-                read_timeout: Duration::from_secs(30),
-                ..TcpConfig::default()
-            };
-            let channel =
-                Channel::connect_tcp(&sender, receiver.name(), acceptor.local_addr(), config)
-                    .unwrap();
-            (channel, Some(acceptor))
-        }
+    let acceptor = TcpAcceptor::bind(&receiver, "127.0.0.1:0").unwrap();
+    // Liveness probing tuned for an oversubscribed host: the 64-pair run
+    // multiplexes 128 managers' worth of threads onto however many cores
+    // the box has, so a healthy peer's ack can lag seconds behind. The
+    // default 2s silence deadline would call that a dead peer and
+    // reconnect-storm; the stressor measures the data plane, not the
+    // prober.
+    let config = TcpConfig {
+        heartbeat_interval: Duration::from_secs(2),
+        read_timeout: Duration::from_secs(30),
+        ..TcpConfig::default()
     };
+    let channel =
+        Channel::connect_tcp(&sender, receiver.name(), acceptor.local_addr(), config).unwrap();
     Pair {
         sender,
         receiver,
         _channel: channel,
-        _acceptor: acceptor,
     }
 }
 
-fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
+fn run(pairs: usize, msgs_per_pair: usize) -> RunStats {
     // One hub per run: every pair's sending side accumulates into the same
     // mq.transport.* cells, so the histogram covers the whole fleet.
     let obs = Obs::new();
-    let fleet: Vec<Pair> = (0..pairs).map(|i| build_pair(mode, i, &obs)).collect();
-    // Give TCP supervisors time to finish their handshakes so the clock
+    let fleet: Vec<Pair> = (0..pairs).map(|i| build_pair(i, &obs)).collect();
+    // Give the supervisors time to finish their handshakes so the clock
     // measures steady-state moving, not connection establishment.
-    if mode == Mode::Tcp {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while (obs.metrics().snapshot().counter("mq.transport.connects") as usize) < pairs {
-            assert!(Instant::now() < deadline, "transports failed to connect");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while (obs.metrics().snapshot().counter("mq.transport.connects") as usize) < pairs {
+        assert!(Instant::now() < deadline, "transports failed to connect");
+        std::thread::sleep(Duration::from_millis(2));
     }
     let encodes_before = mq::codec::message_encodes().get();
 
@@ -200,8 +157,7 @@ fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
         while q.depth() < msgs_per_pair {
             assert!(
                 Instant::now() < deadline,
-                "{}: delivery stalled at {}/{msgs_per_pair}",
-                mode.name(),
+                "x{pairs}: delivery stalled at {}/{msgs_per_pair}",
                 q.depth()
             );
             std::thread::sleep(Duration::from_millis(1));
@@ -210,8 +166,8 @@ fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
     let wall = start.elapsed().as_secs_f64();
     let encodes = mq::codec::message_encodes().get() - encodes_before;
     // Everything has landed; the last acks may still be on their way back.
-    // One mover drives both transports, so every batch sent is one sender
-    // session committed — wait for the tail, then hold it to that.
+    // Every batch sent is one sender session committed — wait for the
+    // tail, then hold it to that.
     let batches_sent = obs.metrics().counter("mq.transport.batches_sent");
     let sender_sessions = obs.metrics().counter("mq.tx.committed");
     while sender_sessions.get() < batches_sent.get() && Instant::now() < deadline {
@@ -232,24 +188,20 @@ fn run(mode: Mode, pairs: usize, msgs_per_pair: usize) -> RunStats {
     assert!(stats.batches > 0, "transport must have moved batches");
     if stats.reconnects == 0 {
         assert_eq!(
-            stats.sender_sessions,
-            stats.batches,
-            "{} x{pairs}: one mover, so one committed sender session per batch",
-            mode.name(),
+            stats.sender_sessions, stats.batches,
+            "x{pairs}: one committed sender session per batch",
         );
     }
-    if mode == Mode::Tcp {
-        // Encode-once: every message crosses the wire from one cached
-        // wire image — retransmits after a reconnect reuse it too, so
-        // the ceiling is exactly one encode per message produced.
-        let total = (pairs * msgs_per_pair) as u64;
-        assert!(
-            stats.encodes <= total,
-            "send path re-encoded payloads: {} encodes for {} messages",
-            stats.encodes,
-            total,
-        );
-    }
+    // Encode-once: every message crosses the wire from one cached wire
+    // image — retransmits after a reconnect reuse it too, so the ceiling
+    // is exactly one encode per message produced.
+    let total = (pairs * msgs_per_pair) as u64;
+    assert!(
+        stats.encodes <= total,
+        "send path re-encoded payloads: {} encodes for {} messages",
+        stats.encodes,
+        total,
+    );
     for pair in fleet {
         pair.sender.shutdown();
         pair.receiver.shutdown();
@@ -262,31 +214,28 @@ fn main() {
     let msgs_per_pair = if quick { 500 } else { 5_000 };
 
     println!(
-        "# ET — transport: in-proc link vs loopback TCP ({msgs_per_pair} msgs/pair{})\n",
+        "# ET — transport: loopback TCP ({msgs_per_pair} msgs/pair{})\n",
         if quick { ", --quick" } else { "" }
     );
     header(&[
-        "mode", "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "sender sessions",
+        "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "sender sessions",
         "reconnects", "encodes",
     ]);
 
-    let mut results: Vec<(Mode, usize, RunStats)> = Vec::new();
-    for &mode in &[Mode::Link, Mode::Tcp] {
-        for &pairs in mode.pair_counts() {
-            let stats = run(mode, pairs, msgs_per_pair);
-            row(&[
-                mode.name().to_owned(),
-                pairs.to_string(),
-                format!("{:.0}", stats.msgs_per_sec),
-                stats.batch_p50_us.to_string(),
-                stats.batch_p95_us.to_string(),
-                stats.batches.to_string(),
-                stats.sender_sessions.to_string(),
-                stats.reconnects.to_string(),
-                stats.encodes.to_string(),
-            ]);
-            results.push((mode, pairs, stats));
-        }
+    let mut results: Vec<(usize, RunStats)> = Vec::new();
+    for &pairs in PAIR_COUNTS {
+        let stats = run(pairs, msgs_per_pair);
+        row(&[
+            pairs.to_string(),
+            format!("{:.0}", stats.msgs_per_sec),
+            stats.batch_p50_us.to_string(),
+            stats.batch_p95_us.to_string(),
+            stats.batches.to_string(),
+            stats.sender_sessions.to_string(),
+            stats.reconnects.to_string(),
+            stats.encodes.to_string(),
+        ]);
+        results.push((pairs, stats));
     }
 
     // Pipelining gates, against the lockstep-era baseline recorded above.
@@ -294,10 +243,7 @@ fn main() {
     // messages, so startup and histogram warm-up weigh heavier) gates at
     // a conservative floor that still catches a regression to
     // round-trip-per-batch behaviour.
-    for (mode, pairs, stats) in &results {
-        if *mode != Mode::Tcp {
-            continue;
-        }
+    for (pairs, stats) in &results {
         if *pairs == 8 {
             let floor = if quick {
                 0.6 * LOCKSTEP_8PAIR_MSGS_PER_SEC
@@ -331,14 +277,13 @@ fn main() {
 
     let runs_json: Vec<String> = results
         .iter()
-        .map(|(mode, pairs, s)| {
+        .map(|(pairs, s)| {
             format!(
                 concat!(
-                    "    {{\"mode\": \"{}\", \"pairs\": {}, \"msgs_per_sec\": {:.1}, ",
+                    "    {{\"pairs\": {}, \"msgs_per_sec\": {:.1}, ",
                     "\"batch_p50_us\": {}, \"batch_p95_us\": {}, \"batches\": {}, ",
                     "\"sender_sessions\": {}, \"reconnects\": {}, \"encodes\": {}}}"
                 ),
-                mode.name(),
                 pairs,
                 s.msgs_per_sec,
                 s.batch_p50_us,
@@ -351,7 +296,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"ET transport link vs tcp\",\n  \"quick\": {},\n  \"msgs_per_pair\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"ET transport loopback tcp\",\n  \"quick\": {},\n  \"msgs_per_pair\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         quick,
         msgs_per_pair,
         runs_json.join(",\n"),

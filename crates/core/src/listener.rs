@@ -6,50 +6,67 @@
 //! reads conditional messages inside a receiver transaction and hands them
 //! to a callback; committing the transaction produces the processed-ack,
 //! rolling back redelivers with no acknowledgment — the same rules as the
-//! pull API, without the consumer loop boilerplate.
+//! pull API, without the consumer loop boilerplate. The loop itself is
+//! `mq`'s [`Listener::run`]; this module supplies the receiver transaction.
 
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(test)]
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mq::listener::ListenerStats;
-use mq::{QueueManager, Wait};
+use mq::listener::{DeliveryTx, Listener, ListenerStats};
+use mq::{MqError, MqResult, QueueManager, Wait};
 use simtime::Millis;
 
 use crate::config::CondConfig;
 use crate::error::{CondError, CondResult};
 use crate::receiver::{ConditionalReceiver, ReceivedMessage};
 
-/// Outcome of processing one delivered message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Processing {
-    /// Commit the receiver transaction: consumption becomes permanent and,
-    /// for conditional originals, the processed-ack is emitted.
-    Commit,
-    /// Roll back: the message is redelivered (backout counting applies)
-    /// and no acknowledgment is produced.
-    Rollback,
-}
+/// Outcome of processing one delivered message: `Commit` makes the
+/// consumption permanent and, for conditional originals, emits the
+/// processed-ack; `Rollback` redelivers (backout counting applies) with no
+/// acknowledgment.
+pub use mq::listener::Disposition as Processing;
 
 /// The processing callback.
 pub type ProcessingCallback = dyn FnMut(&ReceivedMessage) -> Processing + Send;
 
-/// A running conditional push consumer; stops (and joins) on drop.
-pub struct ConditionalListener {
+/// A conditional listener's transaction: one receiver-transaction read.
+struct ReceiverTx {
+    receiver: ConditionalReceiver,
     queue: String,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<ListenerStats>,
 }
 
-impl fmt::Debug for ConditionalListener {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConditionalListener")
-            .field("queue", &self.queue)
-            .field("delivered", &self.stats.delivered.get())
-            .finish()
+impl DeliveryTx for ReceiverTx {
+    type Item = ReceivedMessage;
+
+    fn take(&mut self) -> MqResult<Option<ReceivedMessage>> {
+        let stopped = |e: CondError| MqError::ManagerStopped(e.to_string());
+        self.receiver.begin_tx().map_err(stopped)?;
+        // Short timed read (not NoWait): a queue that is non-empty but
+        // holds nothing deliverable yet (e.g. a deferred compensation)
+        // must not busy-spin.
+        let msg = self
+            .receiver
+            .read_message(&self.queue, Wait::Timeout(Millis(20)))
+            .map_err(stopped)?;
+        if msg.is_none() {
+            self.receiver.rollback_tx().map_err(stopped)?;
+        }
+        Ok(msg)
+    }
+
+    fn end(&mut self, commit: bool) -> bool {
+        let committed = commit && self.receiver.commit_tx().is_ok();
+        if !committed {
+            let _ = self.receiver.rollback_tx();
+        }
+        committed
     }
 }
+
+/// A running conditional push consumer; stops (and joins) on drop.
+#[derive(Debug)]
+pub struct ConditionalListener(Listener);
 
 impl ConditionalListener {
     /// Spawns a listener processing conditional messages from `queue` with
@@ -66,97 +83,34 @@ impl ConditionalListener {
         mut callback: Box<ProcessingCallback>,
     ) -> CondResult<ConditionalListener> {
         let queue = queue.into();
-        // The queue's condvar handle lets the idle loop park without
-        // opening a transaction; tolerate a not-yet-created queue by
-        // falling back to a plain timed read.
+        // Park on the queue while it is idle; a not-yet-created queue is
+        // read with the plain timed read instead.
         let watched = qmgr.queue(&queue).ok();
         // Construct the receiver up front so setup errors surface here.
-        let mut receiver =
-            ConditionalReceiver::with_config(qmgr, recipient, CondConfig::default())?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ListenerStats::default());
-        let stop2 = stop.clone();
-        let stats2 = stats.clone();
-        let queue2 = queue.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("condmsg-listener-{queue}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    if let Some(q) = &watched {
-                        // Park on the queue's condvar while idle: no
-                        // receiver transaction until a message is there.
-                        match q.wait_nonempty(Wait::Timeout(Millis(50))) {
-                            Ok(true) => {}
-                            Ok(false) => continue, // recheck the stop flag
-                            Err(_) => return,      // manager stopped
-                        }
-                    }
-                    if receiver.begin_tx().is_err() {
-                        return;
-                    }
-                    // Short timed read (not NoWait): a queue that is
-                    // non-empty but holds nothing deliverable yet (e.g. a
-                    // deferred compensation) must not busy-spin.
-                    let msg = match receiver.read_message(&queue2, Wait::Timeout(Millis(20))) {
-                        Ok(Some(m)) => m,
-                        Ok(None) => {
-                            let _ = receiver.rollback_tx();
-                            continue;
-                        }
-                        Err(_) => return, // manager stopped
-                    };
-                    let decision =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(&msg)));
-                    match decision {
-                        Ok(Processing::Commit) => {
-                            if receiver.commit_tx().is_ok() {
-                                stats2.delivered.incr();
-                            }
-                        }
-                        Ok(Processing::Rollback) => {
-                            let _ = receiver.rollback_tx();
-                            stats2.rolled_back.incr();
-                        }
-                        Err(_) => {
-                            let _ = receiver.rollback_tx();
-                            stats2.rolled_back.incr();
-                            stats2.panics.incr();
-                        }
-                    }
-                    stats2.note_disposition();
-                }
-            })
-            .map_err(|e| CondError::Daemon(e.to_string()))?;
-        Ok(ConditionalListener {
-            queue,
-            stop,
-            handle: Some(handle),
-            stats,
-        })
+        let receiver = ConditionalReceiver::with_config(qmgr, recipient, CondConfig::default())?;
+        let tx = ReceiverTx {
+            receiver,
+            queue: queue.clone(),
+        };
+        let thread = format!("condmsg-listener-{queue}");
+        Listener::run(thread, queue, watched, tx, move |msg, _| callback(msg))
+            .map(ConditionalListener)
+            .map_err(|e| CondError::Daemon(e.to_string()))
     }
 
     /// The queue this listener consumes.
     pub fn queue(&self) -> &str {
-        &self.queue
+        self.0.queue()
     }
 
     /// Listener statistics (`delivered` counts committed processing).
     pub fn stats(&self) -> &ListenerStats {
-        &self.stats
+        self.0.stats()
     }
 
     /// Stops the listener and waits for its thread to exit.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ConditionalListener {
-    fn drop(&mut self) {
-        self.stop();
+        self.0.stop();
     }
 }
 

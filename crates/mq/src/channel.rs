@@ -27,21 +27,17 @@
 //! staged a put (an oversized envelope on its way to the dead-letter
 //! queue) is committed as before: a put is never lazy.
 //!
-//! There is one mover for every transport: [`Channel::connect`] wires the
-//! in-process [`Link`] path (via [`LinkTransport`]),
-//! [`Channel::connect_tcp`] crosses real sockets, and
-//! [`Channel::connect_transport`] accepts any [`Transport`]. Envelopes are
+//! There is one mover: [`Channel::connect_tcp`] runs it over a socket to
+//! the peer's acceptor, and [`Channel::connect_transport`] over any
+//! [`Transport`] (tests script the network with one). Envelopes are
 //! drained in batches (up to [`MAX_BATCH`] per session transaction), which
-//! amortizes both the transaction overhead and — on TCP — the per-frame
-//! round trip.
+//! amortizes both the transaction overhead and the per-frame round trip.
 //!
 //! The mover keeps a *window* of up to [`Transport::window`] batches in
 //! flight instead of stopping for an acknowledgment after each one: every
 //! submitted batch keeps its own open session, and sessions are released
 //! in order as the receiver's cumulative ack watermark advances past their
-//! tickets. (The simulated link is synchronous — a window of one whose
-//! ticket is covered as soon as it is issued — so there the same loop
-//! reads: submit, release, next.) The window is for *full* batches
+//! tickets. The window is for *full* batches
 //! ([`MAX_BATCH`] envelopes): a partial batch goes out only when nothing
 //! is in flight, so under load the envelopes that arrive during one round
 //! trip leave as one batch — the channel clocks itself on its acks
@@ -51,7 +47,11 @@
 //! those sessions are rolled back newest-first (so front-requeueing
 //! preserves FIFO order) and the envelopes are retransmitted after
 //! reconnect, with receiver-side dedup collapsing any batch the peer had
-//! in fact already accepted — delivery stays exactly-once end to end.
+//! in fact already accepted — delivery stays exactly-once end to end. A
+//! handoff the journal refuses keeps its session, at the front of the
+//! window: the peer holds the batch, so nothing is sent again; the mover
+//! waits out `PARTITION_BACKOFF` on the transport and tries the record
+//! again, for as long as the journal fails.
 //!
 //! Batches are cut on *bytes* as well as count: the mover stops adding
 //! envelopes once [`BATCH_BYTE_BUDGET`] wire bytes are staged, so a batch
@@ -73,22 +73,23 @@ use parking_lot::Mutex;
 
 use crate::error::MqResult;
 use crate::message::Message;
-use crate::net::Link;
 use crate::qmgr::{ManagedTask, QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::Wait;
 use crate::session::Session;
 use crate::stats::Counter;
 use crate::transport::frame::{Frame, MAX_FRAME_BODY};
 use crate::transport::tcp::{TcpConfig, TcpTransport};
-use crate::transport::{BatchTicket, LinkTransport, SubmitError, Transport};
+use crate::transport::{BatchTicket, SubmitError, Transport};
 use simtime::Millis;
 
 /// Upper bound on one condvar park awaiting transmission-queue work: a put
 /// wakes the mover immediately, the bound keeps the stop flag responsive.
 const IDLE_PARK: Millis = Millis(20);
 
-/// Backoff while the transport is unavailable. The mover parks in
-/// [`Transport::wait_ready`], so a heal or reconnect cuts it short.
+/// Backoff while the transport is unavailable, parked in
+/// [`Transport::wait_ready`] so a heal or reconnect cuts it short; and
+/// after a handoff the journal refused, parked in
+/// [`Transport::wait_progress`].
 const PARTITION_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Maximum envelopes drained into one session transaction / one transport
@@ -139,9 +140,8 @@ pub struct ChannelStats {
 struct ChannelCore {
     stop: AtomicBool,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Cleared on shutdown, breaking the reference cycle
-    /// manager → core → transport → remote manager → … that duplex
-    /// channel pairs would otherwise form.
+    /// Taken and stopped first on shutdown, so a mover parked inside it
+    /// wakes for the join.
     transport: Mutex<Option<Arc<dyn Transport>>>,
 }
 
@@ -164,8 +164,7 @@ impl ManagedTask for ChannelCore {
 
 /// A running unidirectional channel from one queue manager to another.
 ///
-/// Construct with [`Channel::connect`] (simulated link),
-/// [`Channel::connect_tcp`] (real sockets), or
+/// Construct with [`Channel::connect_tcp`] or
 /// [`Channel::connect_transport`]; stop with [`Channel::stop`], the
 /// sending manager's [`QueueManager::shutdown`], or drop.
 pub struct Channel {
@@ -186,23 +185,6 @@ impl fmt::Debug for Channel {
 }
 
 impl Channel {
-    /// Connects `from` to `to` over the in-process simulated `link`,
-    /// defining the route and spawning the mover thread. The transmission
-    /// queue is named `SYSTEM.XMIT.<to>`.
-    ///
-    /// # Errors
-    ///
-    /// Journal failures while creating the transmission queue.
-    pub fn connect(
-        from: &Arc<QueueManager>,
-        to: &Arc<QueueManager>,
-        link: Arc<Link>,
-    ) -> MqResult<Channel> {
-        let remote = to.name().to_owned();
-        let transport = LinkTransport::new(from, to.clone(), link);
-        Channel::connect_transport(from, &remote, transport)
-    }
-
     /// Connects `from` to the remote manager named `remote` through a TCP
     /// acceptor listening at `addr`. The handshake verifies the peer
     /// presents `remote` unless `config.expected_peer` overrides it.
@@ -264,24 +246,6 @@ impl Channel {
             stats,
             xmit_queue,
         })
-    }
-
-    /// Convenience: connects managers in both directions over independent
-    /// links with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Channel::connect`].
-    pub fn connect_duplex(
-        a: &Arc<QueueManager>,
-        b: &Arc<QueueManager>,
-        link_ab: Arc<Link>,
-        link_ba: Arc<Link>,
-    ) -> MqResult<(Channel, Channel)> {
-        Ok((
-            Channel::connect(a, b, link_ab)?,
-            Channel::connect(b, a, link_ba)?,
-        ))
     }
 
     /// The channel's `from->to` name.
@@ -386,16 +350,11 @@ fn rollback_window(window: &mut VecDeque<Inflight>, window_rollbacks: &Counter) 
 }
 
 /// Ends the session of a batch the peer holds: released, or committed when
-/// it staged puts or the released list is full. When the journal refuses
-/// that record the envelopes go back for a re-send the peer will drop, and
-/// the refusal is not theirs: no backout budget is spent. Returns whether
-/// the session ended as intended.
+/// it staged puts or the released list is full. Returns whether it ended;
+/// when the journal refuses that record the session stays open, its gets
+/// still taken, for the caller to try again or roll back.
 fn hand_off(session: &mut Session) -> bool {
-    let ended = session.release().is_ok() || !session.in_transaction();
-    if !ended {
-        let _ = session.rollback_for_retry();
-    }
-    ended
+    session.release().is_ok() || !session.in_transaction()
 }
 
 /// The mover thread: keeps up to [`Transport::window`] batches in flight,
@@ -414,6 +373,9 @@ fn hand_off(session: &mut Session) -> bool {
 ///   connection epoch died), every in-flight session is rolled back
 ///   newest-first and the envelopes retransmit after reconnect; the
 ///   receiver's dedup window absorbs any batch that had actually landed.
+/// * A covered batch whose handoff the journal refuses stays at the front,
+///   its session open; nothing is submitted until it is handed off, tried
+///   once per `PARTITION_BACKOFF`.
 /// * On stop, covered batches are still released (their acks are final
 ///   even after disconnect) before the remainder rolls back, and what is
 ///   released is written out, so no acknowledged delivery is ever re-sent
@@ -431,8 +393,7 @@ fn mover(
     // Wake a mover parked in `wait_progress` (watching for acks) when new
     // envelopes land on the transmission queue, so a half-full window
     // tops up immediately instead of at the next park timeout. The weak
-    // reference keeps the watcher from pinning the transport (and, via
-    // duplex pairs, the remote manager) alive.
+    // reference keeps the queue's watcher from pinning the transport.
     let weak = Arc::downgrade(transport);
     xmit.add_put_watcher(Arc::new(move || {
         if let Some(t) = weak.upgrade() {
@@ -444,27 +405,35 @@ fn mover(
         .metrics()
         .counter("mq.transport.window_rollbacks");
     let mut window: VecDeque<Inflight> = VecDeque::new();
+    // The journal refused a handoff: wait a backoff before the next try.
+    let mut refused = false;
 
     loop {
         let stopping = stop.load(Ordering::SeqCst) || !from.is_running();
         let progress = transport.progress();
-        // Release every leading in-flight batch the watermark covers.
+        // Hand off every leading in-flight batch the watermark covers.
         // Acks are final even across a disconnect, so this also runs on
-        // the stop path: an acknowledged batch must never retransmit.
-        while window.front().is_some_and(|f| progress.covers(f.ticket)) {
-            let Some(mut inflight) = window.pop_front() else {
+        // the stop path: an acknowledged batch must never retransmit. One
+        // the journal refuses stays at the front, to be tried again.
+        while let Some(front) = window.front_mut().filter(|f| progress.covers(f.ticket)) {
+            if !hand_off(&mut front.session) {
+                refused = true;
                 break;
-            };
-            if hand_off(&mut inflight.session) {
-                stats.delivered.add(inflight.count);
-                stats.oversized_dead_lettered.add(inflight.oversized);
             }
+            stats.delivered.add(front.count);
+            stats.oversized_dead_lettered.add(front.oversized);
+            window.pop_front();
         }
         if stopping {
             rollback_window(&mut window, &window_rollbacks);
             // A crashed manager flushes nothing: its restart re-sends.
             from.flush_released("shutdown").unwrap_or(());
             return;
+        }
+        // Nothing is sent while the journal refuses what the peer holds.
+        if std::mem::take(&mut refused) {
+            let _ = transport.wait_progress(progress, PARTITION_BACKOFF);
+            continue;
         }
         // The front batch is uncovered; if it is not pending either, its
         // connection died before the ack arrived. The peer may or may not
@@ -512,6 +481,9 @@ fn mover(
                     // move durable without a wire round trip.
                     if hand_off(&mut session) {
                         stats.oversized_dead_lettered.add(oversized);
+                    } else {
+                        let _ = session.rollback_for_retry();
+                        refused = true;
                     }
                 } else {
                     // Raced with another consumer; re-park.
@@ -519,7 +491,9 @@ fn mover(
                 }
                 break;
             }
-            match transport.submit(&batch) {
+            // Onto the connection the window's batches are on: a batch that
+            // overtook them would land before their resends.
+            match transport.submit(&batch, window.front().map(|f| f.ticket.epoch)) {
                 Ok(ticket) => {
                     window.push_back(Inflight {
                         ticket,
@@ -564,8 +538,9 @@ fn mover(
 mod tests {
     use super::*;
     use crate::message::{Message, QueueAddress};
-    use crate::net::LinkConfig;
     use crate::qmgr::{XMIT_DEST_MANAGER_PROPERTY, XMIT_DEST_QUEUE_PROPERTY};
+    use crate::transport::fault::{FaultAction, FaultPlane};
+    use crate::transport::tcp::TcpAcceptor;
     use simtime::SystemClock;
 
     fn pair() -> (Arc<QueueManager>, Arc<QueueManager>) {
@@ -578,6 +553,25 @@ mod tests {
         (a, b)
     }
 
+    /// `from -> to` over loopback TCP, with `to`'s acceptor as the fault
+    /// point; `partitioned` partitions it before the channel first dials.
+    fn connect(
+        from: &Arc<QueueManager>,
+        to: &Arc<QueueManager>,
+        partitioned: bool,
+    ) -> (Channel, Arc<TcpAcceptor>) {
+        let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+        if partitioned {
+            acceptor.apply_fault(FaultAction::Partition).unwrap();
+        }
+        let config = TcpConfig {
+            backoff_max: Duration::from_millis(50),
+            ..TcpConfig::default()
+        };
+        let channel = Channel::connect_tcp(from, to.name(), acceptor.local_addr(), config).unwrap();
+        (channel, acceptor)
+    }
+
     fn wait_for<F: Fn() -> bool>(what: &str, f: F) {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !f() {
@@ -587,10 +581,10 @@ mod tests {
     }
 
     #[test]
-    fn messages_flow_across_ideal_link() {
+    fn messages_flow_over_loopback_tcp() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let _channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let _channel = connect(&a, &b, false);
         for i in 0..20 {
             a.put_to(
                 &QueueAddress::new("QB", "IN"),
@@ -606,30 +600,24 @@ mod tests {
     }
 
     #[test]
-    fn link_stats_surface_in_sender_registry() {
+    fn transport_stats_surface_in_sender_registry() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let _channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let _channel = connect(&a, &b, false);
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("m").build())
             .unwrap();
         wait_for("delivery", || b.queue("IN").unwrap().depth() == 1);
         let snap = a.obs().metrics().snapshot();
-        assert!(snap.counter("mq.net.attempts") >= 1);
-        assert!(snap.counter("mq.net.delivered") >= 1);
         assert!(snap.counter("mq.transport.batches_sent") >= 1);
         assert!(snap.counter("mq.transport.messages_sent") >= 1);
     }
 
     #[test]
-    fn lossy_link_still_delivers_everything() {
+    fn dropped_acks_still_deliver_everything_once() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let link = Link::new(LinkConfig {
-            drop_rate: 0.4,
-            seed: 11,
-            ..LinkConfig::default()
-        });
-        let channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        let (_channel, acceptor) = connect(&a, &b, false);
+        acceptor.apply_fault(FaultAction::DropNext(3)).unwrap();
         for i in 0..30 {
             a.put_to(
                 &QueueAddress::new("QB", "IN"),
@@ -637,22 +625,22 @@ mod tests {
             )
             .unwrap();
         }
-        wait_for("30 deliveries despite loss", || {
-            b.queue("IN").unwrap().depth() == 30
+        // Each dropped ack sends its burst again, and the peer drops the
+        // copies.
+        wait_for("30 deliveries and the copies dropped", || {
+            b.queue("IN").unwrap().depth() == 30 && b.relay_stats().duplicates.get() >= 3
         });
-        assert!(
-            channel.stats().retries.get() > 0,
-            "expected at least one retried drop"
-        );
+        wait_for("the sender drained", || {
+            a.queue("SYSTEM.XMIT.QB").unwrap().depth() == 0
+        });
+        assert_eq!(b.queue("IN").unwrap().depth(), 30);
     }
 
     #[test]
     fn partition_pauses_then_heals() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let link = Link::ideal();
-        link.set_up(false);
-        let _channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        let (_channel, acceptor) = connect(&a, &b, true);
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("x").build())
             .unwrap();
         std::thread::sleep(Duration::from_millis(60));
@@ -661,17 +649,17 @@ mod tests {
             0,
             "partitioned: no delivery"
         );
-        // The mover does not work against a link it knows is down: no
-        // session was opened, no transfer attempted, and the envelope
-        // never left the transmission queue.
+        // The mover does not work against a transport it knows is down: no
+        // session was opened, no batch sent, and the envelope never left
+        // the transmission queue.
         assert_eq!(a.queue("SYSTEM.XMIT.QB").unwrap().depth(), 1);
         assert_eq!(
             a.stats().tx_committed.get() + a.stats().tx_rolled_back.get(),
             0,
             "no session while partitioned"
         );
-        assert_eq!(link.stats().attempts.get(), 0);
-        link.set_up(true);
+        assert_eq!(a.metrics_snapshot().counter("mq.transport.batches_sent"), 0);
+        acceptor.apply_fault(FaultAction::Heal).unwrap();
         wait_for("delivery after heal", || {
             b.queue("IN").unwrap().depth() == 1
         });
@@ -680,7 +668,7 @@ mod tests {
     #[test]
     fn unknown_remote_queue_dead_letters() {
         let (a, b) = pair();
-        let _channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let _channel = connect(&a, &b, false);
         a.put_to(
             &QueueAddress::new("QB", "NO.SUCH.Q"),
             Message::text("stray").build(),
@@ -696,7 +684,7 @@ mod tests {
         let (a, b) = pair();
         b.create_queue("REQ").unwrap();
         a.create_queue("REP").unwrap();
-        let (_c1, _c2) = Channel::connect_duplex(&a, &b, Link::ideal(), Link::ideal()).unwrap();
+        let (_c1, _c2) = (connect(&a, &b, false), connect(&b, &a, false));
         a.put_to(
             &QueueAddress::new("QB", "REQ"),
             Message::text("ping")
@@ -716,7 +704,7 @@ mod tests {
     #[test]
     fn stop_is_idempotent_and_joins() {
         let (a, b) = pair();
-        let mut channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let (mut channel, _acceptor) = connect(&a, &b, false);
         channel.stop();
         channel.stop();
         assert_eq!(channel.xmit_queue(), "SYSTEM.XMIT.QB");
@@ -727,7 +715,7 @@ mod tests {
     fn manager_shutdown_stops_channels_and_is_idempotent() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let (channel, _acceptor) = connect(&a, &b, false);
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("m1").build())
             .unwrap();
         wait_for("pre-shutdown delivery", || {
@@ -752,9 +740,7 @@ mod tests {
         b.create_queue("IN").unwrap();
         // Park the mover behind a partition while the burst accumulates,
         // then heal: the backlog must cross in (few) batches.
-        let link = Link::ideal();
-        link.set_up(false);
-        let _channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        let (_channel, acceptor) = connect(&a, &b, true);
         for i in 0..200 {
             a.put_to(
                 &QueueAddress::new("QB", "IN"),
@@ -762,7 +748,7 @@ mod tests {
             )
             .unwrap();
         }
-        link.set_up(true);
+        acceptor.apply_fault(FaultAction::Heal).unwrap();
         wait_for("burst delivered", || b.queue("IN").unwrap().depth() == 200);
         let snap = a.obs().metrics().snapshot();
         let batches = snap.counter("mq.transport.batches_sent");
@@ -786,10 +772,8 @@ mod tests {
             .build()
             .unwrap();
         b.create_queue("IN").unwrap();
-        // Partitioned link: the envelope stays on the xmit queue.
-        let link = Link::ideal();
-        link.set_up(false);
-        let _channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        // Partitioned: the envelope stays on the xmit queue.
+        let _channel = connect(&a, &b, true);
         a.put_to(
             &QueueAddress::new("QB", "IN"),
             Message::text("durable").persistent(true).build(),
@@ -806,8 +790,7 @@ mod tests {
             .unwrap();
         assert_eq!(a2.queue("SYSTEM.XMIT.QB").unwrap().depth(), 1);
         a2.define_route("QB", "SYSTEM.XMIT.QB").unwrap();
-        link.set_up(true);
-        let _channel2 = Channel::connect(&a2, &b, link).unwrap();
+        let _channel2 = connect(&a2, &b, false);
         wait_for("post-crash delivery", || {
             b.queue("IN").unwrap().depth() == 1
         });
@@ -817,7 +800,7 @@ mod tests {
     fn oversized_envelope_is_dead_lettered_and_channel_keeps_moving() {
         let (a, b) = pair();
         b.create_queue("IN").unwrap();
-        let _channel = Channel::connect(&a, &b, Link::ideal()).unwrap();
+        let _channel = connect(&a, &b, false);
         // One envelope that can never fit a frame, then a normal one
         // queued behind it: the big one must go to QA's dead-letter queue
         // and the small one must still be delivered.
@@ -859,9 +842,7 @@ mod tests {
         // total — more than MAX_FRAME_BODY in one count-limited batch),
         // then heal. Without the byte budget the mover would stage all 6
         // in one batch and the frame encode would refuse it forever.
-        let link = Link::ideal();
-        link.set_up(false);
-        let channel = Channel::connect(&a, &b, link.clone()).unwrap();
+        let (channel, acceptor) = connect(&a, &b, true);
         let payload = "y".repeat(5 * MAX_FRAME_BODY / 32);
         for _ in 0..6 {
             a.put_to(
@@ -870,15 +851,13 @@ mod tests {
             )
             .unwrap();
         }
-        link.set_up(true);
+        acceptor.apply_fault(FaultAction::Heal).unwrap();
         wait_for("all large envelopes delivered", || {
             b.queue("IN").unwrap().depth() == 6
         });
-        // A batch is counted once its submit returns, after the peer has
-        // made it visible.
-        wait_for("byte budget splits the backlog into multiple batches", || {
-            a.obs().metrics().snapshot().counter("mq.transport.batches_sent") >= 2
-        });
+        let batches = a.obs().metrics().snapshot().counter("mq.transport.batches_sent");
+        assert!(batches >= 2, "byte budget splits the backlog: {batches} batches");
         assert_eq!(channel.stats().oversized_dead_lettered.get(), 0);
+        assert_eq!(channel.stats().retries.get(), 0, "no batch was unframeable");
     }
 }

@@ -15,9 +15,7 @@
 //!   queue — the semantics behind the paper's "acknowledgment of a
 //!   successful transactional read".
 //! * **Store-and-forward [channel]s** moving messages between managers
-//!   through a pluggable [transport]: either a simulated
-//!   [network link](net) with latency, jitter, loss and partitions, or
-//!   real TCP sockets ([`transport::tcp`]) with CRC-framed batches,
+//!   through a [transport]: TCP sockets ([`transport::tcp`]) with CRC-framed batches,
 //!   heartbeats, reconnect and receiver-side dedup.
 //! * A pluggable [clock](simtime) so every timeout is deterministic under
 //!   test.
@@ -47,7 +45,6 @@ mod error;
 pub mod journal;
 pub mod listener;
 mod message;
-pub mod net;
 pub mod obs;
 mod qmgr;
 mod queue;
@@ -80,9 +77,7 @@ pub use stats::{
 };
 pub use trace::{TraceEvent, TraceLog, TraceStage};
 pub use transport::fault::{FaultAction, FaultPlane};
-pub use transport::{
-    BatchTicket, LinkTransport, PipelineProgress, SubmitError, Transport, TransportMetrics,
-};
+pub use transport::{BatchTicket, PipelineProgress, SubmitError, Transport, TransportMetrics};
 
 // Re-export the clock abstraction so downstream crates need only `mq`.
 pub use simtime::{

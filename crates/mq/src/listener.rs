@@ -8,6 +8,11 @@
 //! backout threshold). A panicking callback rolls back too — a poison
 //! message therefore ends up on the dead-letter queue instead of wedging
 //! the listener.
+//!
+//! [`Listener::run`] is the push-consumer skeleton every listener shares
+//! (thread, stop flag, idle park, panic-safe disposition, statistics);
+//! what a listener delivers in is its [`DeliveryTx`] — a [`Session`] here,
+//! a conditional receiver's transaction in `condmsg`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +25,7 @@ use simtime::Millis;
 use crate::error::{MqError, MqResult};
 use crate::message::Message;
 use crate::qmgr::QueueManager;
-use crate::queue::Wait;
+use crate::queue::{Queue, Wait};
 use crate::session::Session;
 use crate::stats::Counter;
 
@@ -69,11 +74,58 @@ impl ListenerStats {
         }
     }
 
-    /// Wakes every [`ListenerStats::wait_until`] waiter; a listener calls
-    /// it after each disposition.
-    pub fn note_disposition(&self) {
+    fn note_disposition(&self) {
         let _guard = self.changed_lock.lock();
         self.changed.notify_all();
+    }
+}
+
+/// The transaction a push consumer delivers in, driven by
+/// [`Listener::run`].
+pub trait DeliveryTx: Send + 'static {
+    /// What the callback is handed.
+    type Item;
+
+    /// Opens a transaction holding the next deliverable message. `Ok(None)`
+    /// leaves nothing open (there was nothing to deliver); an error stops
+    /// the listener.
+    ///
+    /// # Errors
+    ///
+    /// The manager stopped.
+    fn take(&mut self) -> MqResult<Option<Self::Item>>;
+
+    /// Ends the open transaction — commits it when `commit`, else rolls it
+    /// back (a refused commit rolls back too) — and returns whether it
+    /// committed.
+    fn end(&mut self, commit: bool) -> bool;
+}
+
+/// A [`Listener::spawn`] listener's transaction: one get on a session.
+struct SessionTx {
+    session: Session,
+    queue: String,
+}
+
+impl DeliveryTx for SessionTx {
+    type Item = Message;
+
+    fn take(&mut self) -> MqResult<Option<Message>> {
+        self.session.begin()?;
+        let msg = self.session.get(&self.queue, Wait::NoWait)?;
+        if msg.is_none() {
+            // Raced with another consumer.
+            self.session.rollback_for_retry()?;
+        }
+        Ok(msg)
+    }
+
+    fn end(&mut self, commit: bool) -> bool {
+        let committed = commit && self.session.commit().is_ok();
+        if !committed {
+            let _ = self.session.rollback();
+        }
+        committed
     }
 }
 
@@ -108,65 +160,74 @@ impl Listener {
     ) -> MqResult<Listener> {
         let queue = queue.into();
         let watched = qmgr.queue(&queue)?; // validate up front
+        let tx = SessionTx {
+            session: qmgr.session(),
+            queue: queue.clone(),
+        };
+        let thread = format!("mq-listener-{queue}");
+        Listener::run(thread, queue, Some(watched), tx, move |msg, tx| {
+            callback(msg, &mut tx.session)
+        })
+        .map_err(MqError::Io)
+    }
+
+    /// Runs `callback` over every message `tx` takes, on a thread named
+    /// `thread`: the loop parks on `watched` while it is empty, hands each
+    /// message to the callback inside its transaction, and ends the
+    /// transaction as the callback decides — rolled back when it panics.
+    ///
+    /// # Errors
+    ///
+    /// The OS refused to spawn the thread.
+    pub fn run<T: DeliveryTx>(
+        thread: String,
+        queue: String,
+        watched: Option<Arc<Queue>>,
+        mut tx: T,
+        mut callback: impl FnMut(&T::Item, &mut T) -> Disposition + Send + 'static,
+    ) -> std::io::Result<Listener> {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ListenerStats::default());
-        let stop2 = stop.clone();
-        let stats2 = stats.clone();
-        let queue2 = queue.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("mq-listener-{queue}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    if !qmgr.is_running() {
-                        return;
-                    }
-                    // Park on the queue's condvar while idle: no session
-                    // (or transaction churn) until a message is available.
-                    match watched.wait_nonempty(Wait::Timeout(Millis(50))) {
-                        Ok(true) => {}
-                        Ok(false) => continue, // recheck the stop flag
-                        Err(_) => return,      // manager stopped
-                    }
-                    let mut session = qmgr.session();
-                    if session.begin().is_err() {
-                        return;
-                    }
-                    let msg = match session.get(&queue2, Wait::NoWait) {
-                        Ok(Some(m)) => m,
-                        Ok(None) => {
-                            // Raced with another consumer.
-                            let _ = session.rollback_for_retry();
-                            continue;
+        let (stop2, stats2) = (stop.clone(), stats.clone());
+        let handle = std::thread::Builder::new().name(thread).spawn(move || {
+            while !stop2.load(Ordering::SeqCst) {
+                // Park on the queue's condvar while idle: no transaction
+                // (or transaction churn) until a message is available.
+                match watched
+                    .as_ref()
+                    .map(|q| q.wait_nonempty(Wait::Timeout(Millis(50))))
+                {
+                    Some(Ok(false)) => continue, // recheck the stop flag
+                    Some(Err(_)) => return,      // manager stopped
+                    Some(Ok(true)) | None => {}
+                }
+                let item = match tx.take() {
+                    Ok(Some(item)) => item,
+                    Ok(None) => continue,
+                    Err(_) => return, // manager stopped
+                };
+                // Catch panics so a poison message rolls back (and
+                // eventually dead-letters) instead of killing the thread.
+                let decided = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    callback(&item, &mut tx)
+                }));
+                match decided {
+                    Ok(Disposition::Commit) => {
+                        if tx.end(true) {
+                            stats2.delivered.incr();
                         }
-                        Err(_) => return, // manager stopped
-                    };
-                    // Catch panics so a poison message rolls back (and
-                    // eventually dead-letters) instead of killing the
-                    // listener thread.
-                    let disposition =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            callback(&msg, &mut session)
-                        }));
-                    match disposition {
-                        Ok(Disposition::Commit) => {
-                            if session.commit().is_ok() {
-                                stats2.delivered.incr();
-                            }
-                        }
-                        Ok(Disposition::Rollback) => {
-                            let _ = session.rollback();
-                            stats2.rolled_back.incr();
-                        }
-                        Err(_) => {
-                            let _ = session.rollback();
-                            stats2.rolled_back.incr();
+                    }
+                    Ok(Disposition::Rollback) | Err(_) => {
+                        tx.end(false);
+                        stats2.rolled_back.incr();
+                        if decided.is_err() {
                             stats2.panics.incr();
                         }
                     }
-                    stats2.note_disposition();
                 }
-            })
-            .map_err(MqError::Io)?;
+                stats2.note_disposition();
+            }
+        })?;
         Ok(Listener {
             queue,
             stop,

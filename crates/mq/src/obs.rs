@@ -10,8 +10,7 @@
 //!   journal-append latency at construction time;
 //! * the [`crate::transport`] layer reports wire traffic as
 //!   `mq.transport.*` (bytes, batches, reconnects, heartbeat misses,
-//!   handshake failures, dedup drops, per-batch latency) and the simulated
-//!   link's transfer fates as `mq.net.*`;
+//!   handshake failures, dedup drops, per-batch latency);
 //! * `condmsg` adds send/fan-out/ack/verdict/compensation metrics and
 //!   records the per-message lifecycle trace;
 //! * `dsphere` adds sphere outcome metrics and sphere demarcation events.
@@ -100,11 +99,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.relay.dead_lettered",
     "mq.relay.hops",
     "mq.relay.accept_batch",
-    // Simulated network link.
-    "mq.net.attempts",
-    "mq.net.delivered",
-    "mq.net.dropped",
-    "mq.net.refused",
     // TCP transport.
     "mq.transport.bytes_sent",
     "mq.transport.bytes_received",

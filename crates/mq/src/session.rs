@@ -508,10 +508,11 @@ impl QueueManager {
     }
 
     fn note_flush(&self, why: &str, waiting: usize) {
-        self.stats().release_flushes.incr();
         let detail = format!("{why} released={waiting}");
         let now = self.clock().now();
         self.trace().record(now, TraceStage::ReleaseFlushed, None, None, detail);
+        // Counted last: whoever sees the count finds the trace event.
+        self.stats().release_flushes.incr();
     }
 
     /// Runs `op` as a transaction of its own — what a put or a get outside

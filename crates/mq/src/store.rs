@@ -195,9 +195,10 @@ impl MessageStore {
         let band = usize::from(msg.priority().level()).min(PRIORITY_BANDS - 1);
         if front {
             // A front insert is a rollback requeue: the message's earlier
-            // life on this queue left stale band/index entries behind.
-            // Scrub them first so a *live* id never appears twice (stale
-            // ids of dead messages are fine — they prune lazily).
+            // life on this queue may have left stale band and correlation
+            // entries behind. Scrub them first so a *live* id never appears
+            // twice there (stale ids of dead messages are fine — they
+            // prune lazily).
             self.bands[band].retain(|x| *x != id);
             self.bands[band].push_front(id);
         } else {
@@ -213,17 +214,13 @@ impl MessageStore {
             }
         }
         if self.index_properties {
+            // Property buckets are candidate sets that the reads using them
+            // re-verify and prune, so a requeued id may sit in one twice.
+            // Scrubbing it would scan every id the bucket ever held: plain
+            // gets never prune a bucket.
             for (name, value) in msg.properties() {
-                let ids = self
-                    .by_property
-                    .entry((name.to_owned(), value_band(value)))
-                    .or_default();
-                if front {
-                    ids.retain(|x| *x != id);
-                    ids.push_front(id);
-                } else {
-                    ids.push_back(id);
-                }
+                let key = (name.to_owned(), value_band(value));
+                self.by_property.entry(key).or_default().push_back(id);
             }
         }
         if let Some(expiry) = msg.expiry() {

@@ -1,45 +1,43 @@
 //! The fault plane: one scripting surface over every fault-injection hook.
 //!
-//! Fault hooks grew up scattered: the simulated [`Link`] has partition
-//! toggles, the TCP acceptor has [`TcpAcceptor::inject_drop_before_ack`]
-//! and [`TcpAcceptor::kick_all`], and storage faults lived as ad-hoc test
-//! journals. A failure *schedule* — the kind a declarative scenario
-//! declares — needs to script all of them uniformly without downcasting to
-//! a concrete transport. [`FaultPlane`] is that surface: every injectable
+//! The TCP acceptor has [`TcpAcceptor::inject_drop_before_ack`],
+//! [`TcpAcceptor::kick_all`] and a pause switch; storage faults live on
+//! [`MemJournal`]. A failure *schedule* — the kind a declarative scenario
+//! declares — scripts all of them uniformly without downcasting to a
+//! concrete component. [`FaultPlane`] is that surface: every injectable
 //! component exposes a named fault point and applies [`FaultAction`]s,
 //! refusing the ones it cannot express.
 //!
-//! | action | [`Link`] | [`TcpAcceptor`] | [`MemJournal`] |
-//! |---|---|---|---|
-//! | `Partition` | link down | pause accepts + kick | — |
-//! | `Heal` | link up | resume accepts | — |
-//! | `DropNext(n)` | next `n` transfers dropped | next `n` batches unacked | — |
-//! | `KickConnections` | — | close live conns | — |
-//! | `TearJournalTail` | — | — | drop newest record |
-//! | `FailStorage` | — | — | appends fail |
-//! | `HealStorage` | — | — | appends recover |
+//! | action | [`TcpAcceptor`] | [`MemJournal`] |
+//! |---|---|---|
+//! | `Partition` | pause accepts + kick | — |
+//! | `Heal` | resume accepts | — |
+//! | `DropNext(n)` | next `n` bursts unacked | — |
+//! | `KickConnections` | close live conns | — |
+//! | `TearJournalTail` | — | drop newest record |
+//! | `FailStorage` | — | appends fail |
+//! | `HealStorage` | — | appends recover |
 
 use std::fmt;
 
 use crate::error::{MqError, MqResult};
 use crate::journal::MemJournal;
-use crate::net::Link;
 
 use super::tcp::TcpAcceptor;
 
 /// One scripted fault, interpreted by whichever component it targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Sever the component: a link goes down, an acceptor stops taking
-    /// connections and closes live ones. Senders observe an unavailable
-    /// transport and back off until [`FaultAction::Heal`].
+    /// Sever the component: an acceptor stops taking connections and
+    /// closes live ones. Senders observe an unavailable transport and back
+    /// off until [`FaultAction::Heal`].
     Partition,
     /// Undo a [`FaultAction::Partition`].
     Heal,
     /// Make the next `n` transfers fail *after* any receiver-side effect:
-    /// a link drops the next `n` batches outright; a TCP acceptor delivers
-    /// the next `n` batches but closes the connection instead of acking —
-    /// the classic duplicate-generating fault that receiver dedup absorbs.
+    /// a TCP acceptor commits the next `n` bursts but closes the
+    /// connection instead of acking — the classic duplicate-generating
+    /// fault that receiver dedup absorbs.
     DropNext(u64),
     /// Hard-close every live connection once (transient network blip,
     /// unlike the sustained [`FaultAction::Partition`]).
@@ -73,8 +71,8 @@ impl fmt::Display for FaultAction {
 /// with [`MqError::Transport`] naming the fault point — a failure schedule
 /// aimed at the wrong component is a scenario bug, not a silent no-op.
 pub trait FaultPlane: Send + Sync + fmt::Debug {
-    /// Stable name of this fault point (e.g. `link:QM.A->QM.B`,
-    /// `tcp:QM.B`, `journal:QM.B`), used in schedules and errors.
+    /// Stable name of this fault point (e.g. `tcp:QM.B`, `journal`),
+    /// used in schedules and errors.
     fn fault_point(&self) -> String;
 
     /// Applies one fault action.
@@ -90,30 +88,6 @@ fn unsupported(point: &dyn FaultPlane, action: FaultAction) -> MqError {
     MqError::Transport {
         peer: point.fault_point(),
         reason: format!("fault point cannot express {action}"),
-    }
-}
-
-impl FaultPlane for Link {
-    fn fault_point(&self) -> String {
-        "link".to_owned()
-    }
-
-    fn apply_fault(&self, action: FaultAction) -> MqResult<()> {
-        match action {
-            FaultAction::Partition => {
-                self.set_up(false);
-                Ok(())
-            }
-            FaultAction::Heal => {
-                self.set_up(true);
-                Ok(())
-            }
-            FaultAction::DropNext(n) => {
-                self.drop_next(n);
-                Ok(())
-            }
-            _ => Err(unsupported(self, action)),
-        }
     }
 }
 
@@ -173,32 +147,30 @@ impl FaultPlane for MemJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::Transfer;
+    use crate::qmgr::QueueManager;
 
     #[test]
-    fn link_partition_heal_and_forced_drops() {
-        let link = Link::ideal();
-        let plane: &dyn FaultPlane = link.as_ref();
-        plane.apply_fault(FaultAction::Partition).unwrap();
-        assert_eq!(link.transfer(), Transfer::Down);
-        plane.apply_fault(FaultAction::Heal).unwrap();
-        plane.apply_fault(FaultAction::DropNext(2)).unwrap();
-        assert_eq!(link.transfer(), Transfer::Dropped);
-        assert_eq!(link.transfer(), Transfer::Dropped);
-        assert!(matches!(link.transfer(), Transfer::Deliver(_)));
-    }
-
-    #[test]
-    fn link_refuses_storage_faults() {
-        let link = Link::ideal();
-        let err = link.apply_fault(FaultAction::TearJournalTail).unwrap_err();
-        match err {
+    fn acceptor_applies_wire_faults_and_refuses_storage_faults() {
+        let qm = QueueManager::builder("QM.B").build().unwrap();
+        let acceptor = TcpAcceptor::bind(&qm, "127.0.0.1:0").unwrap();
+        let plane: &dyn FaultPlane = acceptor.as_ref();
+        assert_eq!(plane.fault_point(), "tcp:QM.B");
+        for action in [
+            FaultAction::Partition,
+            FaultAction::Heal,
+            FaultAction::DropNext(2),
+            FaultAction::KickConnections,
+        ] {
+            plane.apply_fault(action).unwrap();
+        }
+        match plane.apply_fault(FaultAction::TearJournalTail).unwrap_err() {
             MqError::Transport { peer, reason } => {
-                assert_eq!(peer, "link");
+                assert_eq!(peer, "tcp:QM.B");
                 assert!(reason.contains("tear_journal_tail"), "{reason}");
             }
             other => panic!("unexpected {other:?}"),
         }
+        qm.shutdown();
     }
 
     #[test]

@@ -1,43 +1,36 @@
 //! Channel transports: how a batch of envelopes reaches the peer manager.
 //!
 //! The paper's reliable-messaging substrate (Fig. 4/5) assumes queue
-//! managers on different machines; this module abstracts the wire between
-//! them behind one trait. A [`Transport`] takes a *batch* of
+//! managers on different machines joined by channels; this module is the
+//! wire between them. A [`Transport`] takes a *batch* of
 //! transmission-queue envelopes with [`Transport::submit`], which returns
 //! a [`BatchTicket`] without waiting for the peer, and reports what the
 //! peer has accepted as a cumulative watermark ([`Transport::progress`]):
 //! a ticket the watermark covers was accepted for good, a ticket that is
 //! neither covered nor pending died with its connection and is sent
 //! again. A submit that produced no ticket put nothing on the wire
-//! ([`SubmitError`]): the attempt was dropped (go again) or there is no
+//! ([`SubmitError`]): the attempt went nowhere (go again) or there is no
 //! usable connection (park in [`Transport::wait_ready`]).
 //!
-//! Two implementations exist:
+//! There is one wire, [`tcp::TcpTransport`] / [`tcp::TcpAcceptor`]: real
+//! sockets with CRC-framed batches, heartbeats, reconnect, and
+//! receiver-side dedup; up to [`Transport::window`] batches are in flight
+//! between acks. The trait stays a trait so tests can script the network
+//! under the real mover. The acceptor hands
+//! [`QueueManager::accept_batch`](crate::QueueManager::accept_batch) — the
+//! relay seam — exactly what it acknowledges as a unit: every `Batch` frame
+//! of a readable burst its coalesced `AckWin` is about to cover. The commit
+//! unit of a channel is its ack unit: one messaging transaction, one
+//! journal record. Faults (partition, dropped acks, kicked connections)
+//! are scripted on the acceptor through [`fault::FaultPlane`].
 //!
-//! * [`LinkTransport`] — the in-process path over the simulated [`Link`],
-//!   for deterministic tests and fault-model experiments. The link is
-//!   synchronous: `submit` returns once the remote manager has committed
-//!   the batch, so its ticket is covered on return.
-//! * [`tcp::TcpTransport`] / [`tcp::TcpAcceptor`] — real sockets with
-//!   CRC-framed batches, heartbeats, reconnect, and receiver-side dedup;
-//!   up to [`Transport::window`] batches are in flight between acks.
-//!
-//! Both paths converge on [`QueueManager::accept_batch`] — the relay
-//! seam — and hand it exactly what they acknowledge as a unit: the link
-//! its batch, the TCP acceptor every `Batch` frame of the readable burst
-//! its coalesced `AckWin` is about to cover. The commit unit of a channel
-//! is its ack unit: one messaging transaction, one journal record, and a
-//! message that crossed a real socket is deduplicated, relayed or
-//! delivered, journaled, traced, and counted exactly like one that
-//! crossed the simulated link.
-//!
-//! The one channel mover ([`crate::channel`]) drives every transport the
-//! same way: it drains the transmission queue in batches, each under its
-//! own session transaction, submits them, and commits a session only once
-//! the watermark covers its ticket — the at-least-once half of the
-//! delivery guarantee. The receiving manager's origin+message-id dedup
-//! ([`crate::relay`]) supplies the at-most-once half across connection
-//! failures, restarts, and multi-hop relays.
+//! The one channel mover ([`crate::channel`]) drives the transport: it
+//! drains the transmission queue in batches, each under its own session
+//! transaction, submits them, and ends a session only once the watermark
+//! covers its ticket — the at-least-once half of the delivery guarantee.
+//! The receiving manager's origin+message-id dedup ([`crate::relay`])
+//! supplies the at-most-once half across connection failures, restarts,
+//! and multi-hop relays.
 
 pub mod fault;
 pub mod frame;
@@ -45,16 +38,10 @@ pub mod reactor;
 pub mod tcp;
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simtime::{Millis, SharedClock};
-
 use crate::message::Message;
-use crate::net::{Link, Transfer};
-use crate::qmgr::QueueManager;
-use crate::relay::BatchAccepted;
 use crate::stats::{Counter, Gauge, Histogram, MetricsRegistry};
 use crate::MqError;
 
@@ -105,12 +92,12 @@ impl PipelineProgress {
 /// is in flight and the caller keeps the envelopes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// No usable connection (down, disconnected, peer refusing); park in
-    /// [`Transport::wait_ready`].
+    /// No usable connection (down, disconnected, peer refusing, or not the
+    /// epoch asked for); park in [`Transport::wait_ready`].
     Unavailable,
-    /// This attempt went nowhere — lost by the link's loss model, or a
-    /// batch that could not be framed (the mover's byte budget keeps
-    /// that from happening); count a retry and go again.
+    /// This attempt went nowhere — a batch that could not be framed (the
+    /// mover's byte budget keeps that from happening); count a retry and
+    /// go again.
     Dropped,
 }
 
@@ -131,14 +118,19 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// used in logs and errors.
     fn peer(&self) -> String;
 
-    /// Hands `batch` to the wire without waiting for its ack.
+    /// Hands `batch` to the wire without waiting for its ack. With
+    /// `epoch` set — the connection epoch of the batches already in flight
+    /// — the batch goes out on that connection only: were it sent on a
+    /// newer one, it would land ahead of the earlier batches, which died
+    /// with theirs and are sent again behind it.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Unavailable`] when no connection is established (or
-    /// it died mid-write); [`SubmitError::Dropped`] when this attempt was
-    /// lost or could not be framed. Nothing is in flight after either.
-    fn submit(&self, batch: &[Message]) -> Result<BatchTicket, SubmitError>;
+    /// it died mid-write, or it is not `epoch`'s); [`SubmitError::Dropped`]
+    /// when this attempt could not be framed. Nothing is in flight after
+    /// either.
+    fn submit(&self, batch: &[Message], epoch: Option<u64>) -> Result<BatchTicket, SubmitError>;
 
     /// Current delivery progress (epoch, watermark, liveness).
     fn progress(&self) -> PipelineProgress;
@@ -236,141 +228,6 @@ impl TransportMetrics {
         }
     }
 
-    /// Receiver-side accounting of one committed arrival: `batches`
-    /// transport batches of `bytes` payload bytes went to
-    /// [`QueueManager::accept_batch`] as one unit, with the outcome
-    /// `arrival`.
-    pub fn record_arrival(&self, batches: u64, bytes: u64, arrival: BatchAccepted) {
-        self.batches_received.add(batches);
-        self.messages_received.add(arrival.accepted as u64);
-        self.dedup_dropped.add(arrival.duplicates as u64);
-        self.bytes_received.add(bytes);
-    }
-}
-
-/// The in-process transport: crosses a simulated [`Link`] and delivers
-/// straight into the remote manager, exactly as channels always have.
-///
-/// One [`Link::transfer`] fate is sampled per *batch*, so the loss model's
-/// drop rate applies to batches rather than individual messages; since a
-/// dropped batch is retried in full, the end-to-end guarantee (and every
-/// existing link-fault test) is unchanged.
-///
-/// The link is synchronous — `submit` returns after the remote manager
-/// committed the batch — so the watermark is the count of batches
-/// delivered, every ticket is covered when it is issued, and there is one
-/// connection epoch for the transport's whole life.
-pub struct LinkTransport {
-    link: Arc<Link>,
-    to: Arc<QueueManager>,
-    clock: SharedClock,
-    metrics: TransportMetrics,
-    /// Batches the remote manager has accepted: the last ticket issued
-    /// and the ack watermark at once.
-    delivered: AtomicU64,
-}
-
-impl fmt::Debug for LinkTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LinkTransport")
-            .field("to", &self.to.name())
-            .field("link", &self.link)
-            .finish()
-    }
-}
-
-impl LinkTransport {
-    /// Builds the in-process transport from `from`'s side of `link`
-    /// toward the manager `to`. Registers the link's counters as
-    /// `mq.net.*` and the transport cells as `mq.transport.*` on `from`'s
-    /// observability hub.
-    pub fn new(
-        from: &Arc<QueueManager>,
-        to: Arc<QueueManager>,
-        link: Arc<Link>,
-    ) -> Arc<LinkTransport> {
-        let registry = from.obs().metrics();
-        link.register_metrics(registry);
-        Arc::new(LinkTransport {
-            link,
-            clock: from.clock().clone(),
-            metrics: TransportMetrics::registered(registry),
-            to,
-            delivered: AtomicU64::new(0),
-        })
-    }
-
-    /// The underlying simulated link.
-    pub fn link(&self) -> &Arc<Link> {
-        &self.link
-    }
-}
-
-impl Transport for LinkTransport {
-    fn peer(&self) -> String {
-        self.to.name().to_owned()
-    }
-
-    fn submit(&self, batch: &[Message]) -> Result<BatchTicket, SubmitError> {
-        let started = std::time::Instant::now();
-        let latency = match self.link.transfer() {
-            Transfer::Deliver(latency) => latency,
-            Transfer::Dropped => return Err(SubmitError::Dropped),
-            Transfer::Down => return Err(SubmitError::Unavailable),
-        };
-        if latency > Millis::ZERO {
-            self.clock.sleep(latency);
-        }
-        let bytes: u64 = batch.iter().map(|m| m.payload().len() as u64).sum();
-        // The remote manager refused the batch (stopped, a full queue, a
-        // failing journal): treat like a partition so the sender keeps
-        // the envelopes and resends the whole batch.
-        let arrival = self
-            .to
-            .accept_batch(batch.to_vec())
-            .map_err(|_| SubmitError::Unavailable)?;
-        self.metrics.record_arrival(1, bytes, arrival);
-        self.metrics.batches_sent.incr();
-        self.metrics.messages_sent.add(batch.len() as u64);
-        self.metrics.bytes_sent.add(bytes);
-        self.metrics.batch_micros.record_duration(started.elapsed());
-        let seq = self.delivered.fetch_add(1, Ordering::SeqCst) + 1;
-        Ok(BatchTicket { epoch: 0, seq })
-    }
-
-    fn progress(&self) -> PipelineProgress {
-        PipelineProgress {
-            epoch: 0,
-            acked: self.delivered.load(Ordering::SeqCst),
-            connected: self.link.is_up(),
-        }
-    }
-
-    fn wait_progress(&self, seen: PipelineProgress, timeout: Duration) -> PipelineProgress {
-        // The watermark only moves inside `submit`, on the caller's own
-        // thread; all that can change under a parked caller is the link.
-        if self.progress() == seen {
-            self.link.wait_state_change(timeout);
-        }
-        self.progress()
-    }
-
-    fn poke(&self) {
-        // Nobody parks in `wait_progress` with a batch in flight: a ticket
-        // is covered by the time `submit` returns it.
-    }
-
-    fn window(&self) -> usize {
-        1
-    }
-
-    fn wait_ready(&self, timeout: Duration) -> bool {
-        if self.link.is_up() {
-            return true;
-        }
-        self.link.wait_state_change(timeout);
-        self.link.is_up()
-    }
 }
 
 /// Convenience conversion used by error paths in the TCP module.

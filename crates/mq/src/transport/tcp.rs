@@ -624,7 +624,11 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn submit(&self, batch: &[crate::message::Message]) -> Result<BatchTicket, SubmitError> {
+    fn submit(
+        &self,
+        batch: &[crate::message::Message],
+        epoch: Option<u64>,
+    ) -> Result<BatchTicket, SubmitError> {
         // Warm the per-message wire cache outside the connection lock:
         // first touch encodes, every later use (this frame, a retransmit
         // after reconnect) reuses the bytes.
@@ -632,7 +636,7 @@ impl Transport for TcpTransport {
             let _ = msg.wire_bytes();
         }
         let mut st = self.state.lock();
-        if st.stream.is_none() {
+        if st.stream.is_none() || epoch.is_some_and(|e| e != st.epoch) {
             return Err(SubmitError::Unavailable);
         }
         let seq = st.next_seq + 1;
@@ -879,12 +883,6 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
             let _ = stream.shutdown(Shutdown::Both);
             break;
         }
-        if shared.paused.load(Ordering::SeqCst) {
-            // Partitioned: refuse the connection; the sender's supervisor
-            // keeps retrying and succeeds once the fault heals.
-            let _ = stream.shutdown(Shutdown::Both);
-            continue;
-        }
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -898,7 +896,18 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         };
-        shared.conns.lock().push(kick_clone);
+        {
+            // Decided under the lock `kick_all` drains, so a partition
+            // either refuses this connection here or finds it to kick. The
+            // sender's supervisor keeps retrying and gets through once the
+            // fault heals.
+            let mut conns = shared.conns.lock();
+            if shared.paused.load(Ordering::SeqCst) {
+                let _ = stream.shutdown(Shutdown::Both);
+                continue;
+            }
+            conns.push(kick_clone);
+        }
         let conn = Arc::new(AcceptorConn {
             shared: shared.clone(),
             io: Mutex::new(ConnIo {
@@ -1044,9 +1053,11 @@ impl AcceptorConn {
         let Ok(arrival) = manager.accept_batch(burst.messages) else {
             return false;
         };
-        self.shared
-            .metrics
-            .record_arrival(burst.frames, burst.bytes, arrival);
+        let metrics = &self.shared.metrics;
+        metrics.batches_received.add(burst.frames);
+        metrics.messages_received.add(arrival.accepted as u64);
+        metrics.dedup_dropped.add(arrival.duplicates as u64);
+        metrics.bytes_received.add(burst.bytes);
         if self
             .shared
             .drop_before_ack
@@ -1153,7 +1164,7 @@ mod tests {
     /// `true` once the peer has acknowledged it, `false` when no ticket was
     /// issued or its connection died with the batch's fate unknown.
     fn submit_covered(tx: &TcpTransport, batch: &[Message]) -> bool {
-        let Ok(ticket) = tx.submit(batch) else {
+        let Ok(ticket) = tx.submit(batch, None) else {
             return false;
         };
         let mut progress = tx.progress();
@@ -1244,7 +1255,7 @@ mod tests {
         let mut last: Option<BatchTicket> = None;
         for i in 0..8 {
             let batch = vec![envelope(&format!("w{i}a")), envelope(&format!("w{i}b"))];
-            let ticket = tx.submit(&batch).unwrap();
+            let ticket = tx.submit(&batch, last.map(|t| t.epoch)).unwrap();
             if let Some(prev) = last {
                 assert!(ticket.seq > prev.seq, "sequences are monotonic");
                 assert_eq!(ticket.epoch, prev.epoch, "same connection epoch");

@@ -2,8 +2,9 @@
 //!
 //! Compilation expands every templated block (managers, queues,
 //! channels, routes, ackers) over its index range, builds the queue
-//! managers on one shared clock and observability hub, connects the
-//! declared channels (in-process links or loopback TCP), applies the
+//! managers on one shared clock and observability hub, binds a loopback
+//! acceptor on every manager a channel targets, connects the declared
+//! channels over loopback TCP, applies the
 //! routing declarations, instantiates one conditional messenger per
 //! sending manager, and resolves fault triggers against
 //! the expanded plan. The result is a [`Compiled`] world the executor
@@ -17,15 +18,14 @@ use condmsg::{Condition, ConditionalMessenger, Destination, DestinationSet};
 use dsphere::DSphereService;
 use mq::channel::Channel;
 use mq::journal::{Journal, MemJournal, NullJournal};
-use mq::net::{Link, LinkConfig};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Obs, QueueManager};
 use simtime::{Millis, SharedClock, SimClock, SystemClock};
 
 use crate::error::{spec_err, ScenarioResult};
 use crate::spec::{
-    AckMode, ActorSpec, ChannelKind, ClockMode, ConditionSpec, DelaySpec, DestSpec,
-    FaultActionSpec, JournalKind, ScenarioSpec, SetSpec, TriggerSpec,
+    AckMode, ActorSpec, ClockMode, ConditionSpec, DelaySpec, DestSpec, FaultActionSpec,
+    JournalKind, ScenarioSpec, SetSpec, TriggerSpec,
 };
 use crate::spec::{expand_idx, expand_msg};
 
@@ -50,6 +50,8 @@ pub(crate) struct ManagerRt {
     /// The same journal when it is a [`MemJournal`]: the storage-fault
     /// surface `journal:<manager>` points script.
     pub(crate) mem: Option<Arc<MemJournal>>,
+    /// The listener of a manager some channel targets — the `tcp:<manager>`
+    /// fault point — and its address, rebound on crash-rebuild.
     pub(crate) acceptor: Option<Arc<TcpAcceptor>>,
     pub(crate) addr: Option<SocketAddr>,
     /// Application queues declared on this manager (re-ensured on rebuild).
@@ -61,17 +63,12 @@ pub(crate) struct ManagerRt {
 pub(crate) struct ChannelDecl {
     pub(crate) from: String,
     pub(crate) to: String,
-    pub(crate) kind: ChannelKind,
     pub(crate) from_start: bool,
-    /// Seed for this edge's link loss model.
-    pub(crate) seed: u64,
 }
 
 /// A connected channel, kept alive for the run.
 pub(crate) struct ChannelRt {
     pub(crate) decl: ChannelDecl,
-    /// The simulated link, when this edge is in-process (fault target).
-    pub(crate) link: Option<Arc<Link>>,
     /// Held so the mover thread outlives compilation; never read.
     pub(crate) _channel: Channel,
 }
@@ -87,8 +84,6 @@ pub(crate) struct RouteDecl {
 /// Where a fault lands, resolved from the `point` syntax.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PointKind {
-    /// `link:<from>-><to>` — the in-process link on that edge.
-    Link { from: String, to: String },
     /// `tcp:<manager>` — that manager's acceptor.
     Tcp { manager: String },
     /// `journal:<manager>` — that manager's in-memory journal.
@@ -214,21 +209,14 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
                 .obs(obs.clone())
                 .journal(journal.clone())
                 .build()?;
-            let (acceptor, addr) = if block.tcp {
-                let acc = TcpAcceptor::bind(&qmgr, "127.0.0.1:0")?;
-                let addr = acc.local_addr();
-                (Some(acc), Some(addr))
-            } else {
-                (None, None)
-            };
             managers.insert(
                 name,
                 ManagerRt {
                     qmgr,
                     journal,
                     mem,
-                    acceptor,
-                    addr,
+                    acceptor: None,
+                    addr: None,
                     queues: Vec::new(),
                 },
             );
@@ -247,20 +235,26 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
         }
     }
 
-    // Expand channel edges; connect the from-start ones now.
+    // Expand channel edges, bind one acceptor on every manager an edge
+    // targets, and connect the from-start edges now.
     let mut decls = Vec::new();
-    for (b, block) in spec.channels.iter().enumerate() {
+    for block in &spec.channels {
         for i in block.offset..block.offset + block.count {
             decls.push(ChannelDecl {
                 from: expand_idx(&block.from, i),
                 to: expand_idx(&block.to, i),
-                kind: block.kind.clone(),
                 from_start: block.from_start,
-                seed: spec
-                    .seed
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add((b as u64) << 32 | i),
             });
+        }
+    }
+    for decl in &decls {
+        let rt = managers
+            .get_mut(&decl.to)
+            .ok_or_else(|| spec_err(format!("channel to undeclared manager `{}`", decl.to)))?;
+        if rt.acceptor.is_none() {
+            let acceptor = TcpAcceptor::bind(&rt.qmgr, "127.0.0.1:0")?;
+            rt.addr = Some(acceptor.local_addr());
+            rt.acceptor = Some(acceptor);
         }
     }
     let mut channels = Vec::new();
@@ -350,7 +344,7 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     let mut faults = Vec::new();
     for fault in &spec.faults {
         let point = parse_point(&fault.point)?;
-        validate_point(&point, &fault.action, &managers, &decls, &actors, &ackers)?;
+        validate_point(&point, &fault.action, &managers, &actors, &ackers)?;
         let trigger = match &fault.trigger {
             TriggerSpec::AtMs(ms) => ResolvedTrigger::AtMs(*ms),
             TriggerSpec::AfterFraction(f) => {
@@ -400,8 +394,7 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     })
 }
 
-/// Connects one expanded edge. The `from` and `to` managers must exist;
-/// TCP edges additionally need the target to have a bound acceptor.
+/// Connects one expanded edge to its target's acceptor.
 pub(crate) fn connect_edge(
     managers: &HashMap<String, ManagerRt>,
     decl: &ChannelDecl,
@@ -409,44 +402,15 @@ pub(crate) fn connect_edge(
     let from = managers
         .get(&decl.from)
         .ok_or_else(|| spec_err(format!("channel from undeclared manager `{}`", decl.from)))?;
-    let to = managers
+    let addr = managers
         .get(&decl.to)
-        .ok_or_else(|| spec_err(format!("channel to undeclared manager `{}`", decl.to)))?;
-    match &decl.kind {
-        ChannelKind::Link {
-            latency_ms,
-            jitter_ms,
-            drop_rate,
-        } => {
-            let link = Link::new(LinkConfig {
-                base_latency: Millis(*latency_ms),
-                jitter: Millis(*jitter_ms),
-                drop_rate: *drop_rate,
-                seed: decl.seed,
-            });
-            let channel = Channel::connect(&from.qmgr, &to.qmgr, link.clone())?;
-            Ok(ChannelRt {
-                decl: decl.clone(),
-                link: Some(link),
-                _channel: channel,
-            })
-        }
-        ChannelKind::Tcp => {
-            let addr = to.addr.ok_or_else(|| {
-                spec_err(format!(
-                    "tcp channel to `{}`, which binds no acceptor (set tcp = true)",
-                    decl.to
-                ))
-            })?;
-            let channel =
-                Channel::connect_tcp(&from.qmgr, &decl.to, addr, scenario_tcp_config())?;
-            Ok(ChannelRt {
-                decl: decl.clone(),
-                link: None,
-                _channel: channel,
-            })
-        }
-    }
+        .and_then(|to| to.addr)
+        .ok_or_else(|| spec_err(format!("channel to `{}`, which binds no acceptor", decl.to)))?;
+    let channel = Channel::connect_tcp(&from.qmgr, &decl.to, addr, scenario_tcp_config())?;
+    Ok(ChannelRt {
+        decl: decl.clone(),
+        _channel: channel,
+    })
 }
 
 /// Applies one routing declaration to its manager.
@@ -470,15 +434,6 @@ fn parse_point(point: &str) -> ScenarioResult<PointKind> {
         .split_once(':')
         .ok_or_else(|| spec_err(format!("fault point `{point}` has no `kind:` prefix")))?;
     match kind {
-        "link" => {
-            let (from, to) = rest.split_once("->").ok_or_else(|| {
-                spec_err(format!("link point `{point}` must be `link:<from>-><to>`"))
-            })?;
-            Ok(PointKind::Link {
-                from: from.to_owned(),
-                to: to.to_owned(),
-            })
-        }
         "tcp" => Ok(PointKind::Tcp {
             manager: rest.to_owned(),
         }),
@@ -496,26 +451,15 @@ fn validate_point(
     point: &PointKind,
     action: &FaultActionSpec,
     managers: &HashMap<String, ManagerRt>,
-    decls: &[ChannelDecl],
     actors: &[ActorRt],
     ackers: &[AckerRt],
 ) -> ScenarioResult<()> {
     match point {
-        PointKind::Link { from, to } => {
-            let found = decls.iter().any(|d| {
-                d.from == *from && d.to == *to && matches!(d.kind, ChannelKind::Link { .. })
-            });
-            if !found {
-                return Err(spec_err(format!(
-                    "fault point link:{from}->{to} matches no declared link channel"
-                )));
-            }
-        }
         PointKind::Tcp { manager } => {
             let ok = managers.get(manager).is_some_and(|m| m.acceptor.is_some());
             if !ok {
                 return Err(spec_err(format!(
-                    "fault point tcp:{manager} matches no tcp manager"
+                    "fault point tcp:{manager} matches no manager a channel targets"
                 )));
             }
         }
@@ -546,18 +490,6 @@ fn validate_point(
                 return Err(spec_err(format!(
                     "crash:{manager} targets a manager hosting ackers; their receivers \
                      would be left holding the dead manager"
-                )));
-            }
-            // Inbound link transports hold the target manager directly
-            // and cannot re-resolve it after a rebuild; inbound TCP
-            // re-dials the (re-bound) address on its own backoff.
-            if decls
-                .iter()
-                .any(|d| d.to == *manager && matches!(d.kind, ChannelKind::Link { .. }))
-            {
-                return Err(spec_err(format!(
-                    "crash:{manager} has inbound link channels; crash-rebuild targets \
-                     need tcp inbound edges"
                 )));
             }
         }
@@ -653,7 +585,7 @@ mod tests {
         ScenarioSpec::new("tiny")
             .manager(ManagerSpec::new("QM.{i}").fan(2, 0))
             .queue(QueueSpec::new("QM.1", "Q.APP"))
-            .channel(ChannelSpec::link("QM.0", "QM.1"))
+            .channel(ChannelSpec::new("QM.0", "QM.1"))
             .actor(ActorSpec::new(
                 "a",
                 "QM.0",
@@ -704,7 +636,7 @@ mod tests {
     #[test]
     fn fraction_triggers_resolve_to_send_indexes() {
         let spec = tiny_spec().fault(crate::spec::FaultSpec::at_fraction(
-            "link:QM.0->QM.1",
+            "tcp:QM.1",
             FaultActionSpec::Partition,
             0.5,
         ));

@@ -11,7 +11,10 @@
 //!   deterministic event timeline from the seeded delay samples, and the
 //!   executor advances the clock through the timeline — so a
 //!   million-message day of traffic settles in seconds, with deadline
-//!   verdicts firing from armed timers at exact virtual times.
+//!   verdicts firing from armed timers at exact virtual times. The
+//!   channels are loopback TCP like everywhere else: nothing on the wire
+//!   waits on virtual time, so the wire changes when a message lands in
+//!   thread time, never the verdict the seeded timeline fixes.
 //!
 //! Either way the run ends the same: every tracked message's outcome is
 //! collected, destination queues are swept (consuming compensations and
@@ -163,40 +166,20 @@ fn to_mq_action(action: FaultActionSpec) -> ScenarioResult<FaultAction> {
 }
 
 fn fire_fault(world: &mut Compiled, fault: &CompiledFault) -> ScenarioResult<()> {
-    match &fault.point {
-        PointKind::Crash { manager } => crash_rebuild(world, &manager.clone()),
-        PointKind::Link { from, to } => {
-            let link = world
-                .channels
-                .iter()
-                .find(|c| c.decl.from == *from && c.decl.to == *to && c.link.is_some())
-                .and_then(|c| c.link.clone())
-                .ok_or_else(|| engine_err(format!("no live link {from}->{to} to fault")))?;
-            let plane: &dyn FaultPlane = link.as_ref();
-            plane.apply_fault(to_mq_action(fault.action)?)?;
-            Ok(())
-        }
-        PointKind::Tcp { manager } => {
-            let acc = world
-                .managers
-                .get(manager)
-                .and_then(|m| m.acceptor.clone())
-                .ok_or_else(|| engine_err(format!("no live acceptor on {manager} to fault")))?;
-            let plane: &dyn FaultPlane = acc.as_ref();
-            plane.apply_fault(to_mq_action(fault.action)?)?;
-            Ok(())
-        }
-        PointKind::Journal { manager } => {
-            let j = world
-                .managers
-                .get(manager)
-                .and_then(|m| m.mem.clone())
-                .ok_or_else(|| engine_err(format!("no in-memory journal on {manager}")))?;
-            let plane: &dyn FaultPlane = j.as_ref();
-            plane.apply_fault(to_mq_action(fault.action)?)?;
-            Ok(())
-        }
-    }
+    let rt = |manager: &str| world.managers.get(manager);
+    let plane: Option<Arc<dyn FaultPlane>> = match &fault.point {
+        PointKind::Crash { manager } => return crash_rebuild(world, &manager.clone()),
+        PointKind::Tcp { manager } => rt(manager)
+            .and_then(|m| m.acceptor.clone())
+            .map(|a| a as Arc<dyn FaultPlane>),
+        PointKind::Journal { manager } => rt(manager)
+            .and_then(|m| m.mem.clone())
+            .map(|j| j as Arc<dyn FaultPlane>),
+    };
+    let plane =
+        plane.ok_or_else(|| engine_err(format!("no live fault point {:?}", fault.point)))?;
+    plane.apply_fault(to_mq_action(fault.action)?)?;
+    Ok(())
 }
 
 /// Crashes a relay manager and rebuilds it from its journal: same name,
@@ -730,49 +713,17 @@ fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioRe
         }
     }
 
-    // Phase 2: delivery barrier. Movers run in thread time; the sim
-    // clock advances only when delivery stalls (a mover parked on a
-    // virtual-latency sleep), and total skew is tracked so deadline
-    // windows are never silently burned.
-    let min_window_ms = world
-        .actors
-        .iter()
-        .filter(|a| a.spec.expect == Expect::Sampled)
-        .map(|a| a.horizon_ms)
-        .min()
-        .unwrap_or(u64::MAX);
+    // Phase 2: delivery barrier. The movers run in thread time and nothing
+    // on the wire waits on virtual time, so the clock stays at T0 until
+    // every original has landed.
     let pacer = Pacer::new();
-    let mut skew_ms = 0_u64;
-    {
-        let mut stall = 0_u32;
-        let mut last_total = u64::MAX;
-        for _ in 0..ticks_for_ms(300_000) {
-            let mut remaining = 0_u64;
-            for ((mgr, q), want) in &q_sent {
-                let have = queue_depth(world, mgr, q);
-                remaining += want.saturating_sub(have);
-            }
-            if remaining == 0 {
-                break;
-            }
-            pacer.tick();
-            if remaining == last_total {
-                stall += 1;
-                if stall >= 5 {
-                    sim.advance(Millis(1));
-                    skew_ms += 1;
-                    stall = 0;
-                    if skew_ms * 2 >= min_window_ms {
-                        return Err(engine_err(
-                            "delivery stalled long enough to burn pickup windows",
-                        ));
-                    }
-                }
-            } else {
-                stall = 0;
-            }
-            last_total = remaining;
-        }
+    let landed = pacer.wait_until(ticks_for_ms(300_000), || {
+        q_sent
+            .iter()
+            .all(|((mgr, q), want)| queue_depth(world, mgr, q) >= *want)
+    });
+    if !landed {
+        return Err(engine_err("delivery of the originals never completed"));
     }
 
     // Phase 3: build the deterministic acknowledgment timeline. Each
@@ -926,14 +877,23 @@ fn perform_read(
     Ok(())
 }
 
-/// Waits (in thread time, no virtual advance) until every transmission
-/// queue and every sender's ack queue is empty and stays empty for a few
-/// ticks — i.e. all acknowledgments born so far have been evaluated.
+/// Waits (in thread time, no virtual advance) until every acknowledgment
+/// born so far has been consumed by its messenger — the receivers' count
+/// of acks sent meets the messengers' count of acks taken, so none is
+/// still on the wire — and every transmission queue and every sender's
+/// ack queue is empty, steadily for a few ticks.
 fn quiesce_acks(world: &Compiled, pacer: &Pacer) {
+    let metrics = world.obs.metrics();
+    let sent = [
+        metrics.counter("cond.recv.read_acks"),
+        metrics.counter("cond.recv.processed_acks"),
+    ];
+    let taken = metrics.histogram("cond.ack.batch_size");
     let mut stable = 0_u32;
     let mut budget = ticks_for_ms(30_000);
     while stable < 3 && budget > 0 {
-        let mut busy = 0_u64;
+        let acks_sent: u64 = sent.iter().map(|c| c.get()).sum();
+        let mut busy = acks_sent.saturating_sub(taken.sum());
         for rt in world.managers.values() {
             for q in rt.qmgr.queue_names() {
                 if q.starts_with("SYSTEM.XMIT.") {
@@ -1000,8 +960,8 @@ mod tests {
             .manager(ManagerSpec::new("QM.S"))
             .manager(ManagerSpec::new("QM.D"))
             .queue(QueueSpec::new("QM.D", "Q.APP"))
-            .channel(ChannelSpec::link("QM.S", "QM.D"))
-            .channel(ChannelSpec::link("QM.D", "QM.S"))
+            .channel(ChannelSpec::new("QM.S", "QM.D"))
+            .channel(ChannelSpec::new("QM.D", "QM.S"))
             .actor(ActorSpec::new(
                 "ok",
                 "QM.S",
@@ -1025,7 +985,7 @@ mod tests {
             .manager(ManagerSpec::new("QM.S"))
             .manager(ManagerSpec::new("QM.D"))
             .queue(QueueSpec::new("QM.D", "Q.NOBODY"))
-            .channel(ChannelSpec::link("QM.S", "QM.D"))
+            .channel(ChannelSpec::new("QM.S", "QM.D"))
             .actor(
                 ActorSpec::new(
                     "doomed",

@@ -1,8 +1,8 @@
 //! Declarative scenario engine for the conditional-messaging harness.
 //!
 //! A scenario is a declarative description of a whole experiment:
-//! managers and their topology (in-process links, loopback TCP,
-//! multi-hop federation with routing groups), queues, actor populations
+//! managers and their topology (channels over loopback TCP, multi-hop
+//! federation with routing groups), queues, actor populations
 //! sending conditional messages with templated condition trees,
 //! acknowledgment behaviors with latency distributions, a failure
 //! schedule (partitions, relay crash-and-rebuild, storage faults), and
@@ -39,7 +39,7 @@ pub use error::{ScenarioError, ScenarioResult};
 pub use exec::{run, RunReport};
 pub use oracle::{OracleCheck, OracleReport};
 pub use spec::{
-    AckMode, AckerSpec, ActorMode, ActorSpec, ChannelKind, ChannelSpec, ClockMode, ConditionSpec,
-    DelaySpec, DestSpec, Expect, FaultActionSpec, FaultSpec, JournalKind, ManagerSpec,
-    MetricExpect, OracleSpec, QueueSpec, RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
+    AckMode, AckerSpec, ActorMode, ActorSpec, ChannelSpec, ClockMode, ConditionSpec, DelaySpec,
+    DestSpec, Expect, FaultActionSpec, FaultSpec, JournalKind, ManagerSpec, MetricExpect,
+    OracleSpec, QueueSpec, RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
 };

@@ -95,8 +95,6 @@ pub struct ManagerSpec {
     pub name: String,
     /// Journal backend.
     pub journal: JournalKind,
-    /// Whether the manager binds a loopback-TCP acceptor.
-    pub tcp: bool,
     /// Number of managers this block expands to.
     pub count: u64,
     /// Starting index for `{i}`.
@@ -109,7 +107,6 @@ impl ManagerSpec {
         ManagerSpec {
             name: name.into(),
             journal: JournalKind::None,
-            tcp: false,
             count: 1,
             offset: 0,
         }
@@ -118,12 +115,6 @@ impl ManagerSpec {
     /// Sets the journal backend.
     pub fn journal(mut self, kind: JournalKind) -> ManagerSpec {
         self.journal = kind;
-        self
-    }
-
-    /// Binds a loopback-TCP acceptor for this manager.
-    pub fn tcp(mut self) -> ManagerSpec {
-        self.tcp = true;
         self
     }
 
@@ -167,31 +158,14 @@ impl QueueSpec {
     }
 }
 
-/// The transport a channel runs over.
-#[derive(Debug, Clone)]
-pub enum ChannelKind {
-    /// In-process simulated link.
-    Link {
-        /// Fixed one-way latency.
-        latency_ms: u64,
-        /// Additional uniform random latency.
-        jitter_ms: u64,
-        /// Probability in `[0, 1]` a transfer attempt is dropped.
-        drop_rate: f64,
-    },
-    /// Loopback TCP to the target manager's acceptor.
-    Tcp,
-}
-
-/// One unidirectional channel population between managers.
+/// One unidirectional channel population between managers, each channel
+/// over loopback TCP to an acceptor on its receiving manager.
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     /// Sending manager (template over `{i}`).
     pub from: String,
     /// Receiving manager (template over `{i}`).
     pub to: String,
-    /// Transport kind.
-    pub kind: ChannelKind,
     /// Whether the channel is connected at scenario start. Deferred
     /// channels (`false`) are connected only when their `from` manager
     /// goes through a `crash_rebuild` fault — the Fig. 8 "crashed
@@ -204,28 +178,11 @@ pub struct ChannelSpec {
 }
 
 impl ChannelSpec {
-    /// An ideal in-process link channel, connected from the start.
-    pub fn link(from: impl Into<String>, to: impl Into<String>) -> ChannelSpec {
+    /// A channel connected from the start.
+    pub fn new(from: impl Into<String>, to: impl Into<String>) -> ChannelSpec {
         ChannelSpec {
             from: from.into(),
             to: to.into(),
-            kind: ChannelKind::Link {
-                latency_ms: 0,
-                jitter_ms: 0,
-                drop_rate: 0.0,
-            },
-            from_start: true,
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// A loopback-TCP channel, connected from the start.
-    pub fn tcp(from: impl Into<String>, to: impl Into<String>) -> ChannelSpec {
-        ChannelSpec {
-            from: from.into(),
-            to: to.into(),
-            kind: ChannelKind::Tcp,
             from_start: true,
             count: 1,
             offset: 0,
@@ -704,8 +661,9 @@ pub enum TriggerSpec {
 /// One scheduled fault.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
-    /// Fault point: `link:<from>-><to>`, `tcp:<manager>`,
-    /// `journal:<manager>`, or `crash:<manager>`.
+    /// Fault point: `tcp:<manager>` (the acceptor every channel into
+    /// that manager connects to), `journal:<manager>`, or
+    /// `crash:<manager>`.
     pub point: String,
     /// The action.
     pub action: FaultActionSpec,
@@ -1099,7 +1057,7 @@ fn decode_scenario(root: &Value) -> ScenarioResult<ScenarioSpec> {
 
 fn decode_manager(v: &Value) -> ScenarioResult<ManagerSpec> {
     let ctx = "[[managers]]";
-    known_keys(v, &["name", "journal", "tcp", "count", "offset"], ctx)?;
+    known_keys(v, &["name", "journal", "count", "offset"], ctx)?;
     let journal = match opt_str(v, "journal").as_deref() {
         None | Some("none") => JournalKind::None,
         Some("mem" | "faultable") => JournalKind::Mem,
@@ -1108,7 +1066,6 @@ fn decode_manager(v: &Value) -> ScenarioResult<ManagerSpec> {
     Ok(ManagerSpec {
         name: req_str(v, "name", ctx)?,
         journal,
-        tcp: bool_or(v, "tcp", false, ctx)?,
         count: u64_or(v, "count", 1, ctx)?,
         offset: u64_or(v, "offset", 0, ctx)?,
     })
@@ -1127,27 +1084,10 @@ fn decode_queue(v: &Value) -> ScenarioResult<QueueSpec> {
 
 fn decode_channel(v: &Value) -> ScenarioResult<ChannelSpec> {
     let ctx = "[[channels]]";
-    known_keys(
-        v,
-        &[
-            "from", "to", "kind", "latency_ms", "jitter_ms", "drop_rate", "from_start", "count",
-            "offset",
-        ],
-        ctx,
-    )?;
-    let kind = match opt_str(v, "kind").as_deref() {
-        None | Some("link") => ChannelKind::Link {
-            latency_ms: u64_or(v, "latency_ms", 0, ctx)?,
-            jitter_ms: u64_or(v, "jitter_ms", 0, ctx)?,
-            drop_rate: f64_or(v, "drop_rate", 0.0, ctx)?,
-        },
-        Some("tcp") => ChannelKind::Tcp,
-        Some(other) => return Err(spec_err(format!("{ctx}: unknown channel kind `{other}`"))),
-    };
+    known_keys(v, &["from", "to", "from_start", "count", "offset"], ctx)?;
     Ok(ChannelSpec {
         from: req_str(v, "from", ctx)?,
         to: req_str(v, "to", ctx)?,
-        kind,
         from_start: bool_or(v, "from_start", true, ctx)?,
         count: u64_or(v, "count", 1, ctx)?,
         offset: u64_or(v, "offset", 0, ctx)?,
@@ -1401,7 +1341,6 @@ clock = "real"
 [[managers]]
 name = "QM.B{i}"
 count = 2
-tcp = true
 journal = "mem"
 
 [[queues]]
@@ -1412,7 +1351,6 @@ count = 2
 [[channels]]
 from = "QM.B0"
 to = "QM.B1"
-kind = "tcp"
 from_start = false
 
 [[routes]]
@@ -1468,7 +1406,6 @@ stage = "comp-released"
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.clock, ClockMode::Real);
         assert_eq!(spec.managers[0].count, 2);
-        assert!(spec.managers[0].tcp);
         assert_eq!(spec.managers[0].journal, JournalKind::Mem);
         assert!(!spec.channels[0].from_start);
         let actor = &spec.actors[0];

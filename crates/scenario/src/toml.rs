@@ -498,7 +498,7 @@ name = "b"
     fn parses_inline_tables_and_arrays() {
         let doc = r#"
 via = ["QM.R1", "QM.R2"]
-fault = { at_ms = 500, action = "partition", point = "link:A->B" }
+fault = { at_ms = 500, action = "partition", point = "tcp:B" }
 nums = [1, 2, 3]
 "#;
         let v = parse(doc).unwrap();
@@ -506,7 +506,7 @@ nums = [1, 2, 3]
         assert_eq!(via[1].as_str(), Some("QM.R2"));
         let fault = v.get("fault").unwrap();
         assert_eq!(fault.get("at_ms").unwrap().as_int(), Some(500));
-        assert_eq!(fault.get("point").unwrap().as_str(), Some("link:A->B"));
+        assert_eq!(fault.get("point").unwrap().as_str(), Some("tcp:B"));
         assert_eq!(
             v.get("nums").unwrap().as_array().unwrap().len(),
             3

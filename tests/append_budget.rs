@@ -26,10 +26,10 @@ use condmsg::{
 };
 use mq::channel::{Channel, MAX_RELEASED, RELEASE_LINGER};
 use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
-use mq::net::Link;
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
-    Message, MqResult, QueueAddress, QueueManager, TraceStage, Wait, DEAD_LETTER_QUEUE,
-    DLQ_REASON_PROPERTY,
+    FaultAction, FaultPlane, Message, MqResult, QueueAddress, QueueManager, TraceStage, Wait,
+    DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY,
 };
 use parking_lot::Mutex;
 use simtime::{Millis, SimClock};
@@ -136,6 +136,25 @@ fn recorded(name: &str, clock: &Arc<SimClock>) -> (Arc<QueueManager>, Arc<Record
     (qmgr, journal)
 }
 
+/// `from -> to` over loopback TCP, with `to`'s acceptor as the fault point;
+/// `partitioned` partitions it before the channel first dials.
+fn connect(
+    from: &Arc<QueueManager>,
+    to: &Arc<QueueManager>,
+    partitioned: bool,
+) -> (Channel, Arc<TcpAcceptor>) {
+    let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+    if partitioned {
+        acceptor.apply_fault(FaultAction::Partition).unwrap();
+    }
+    let config = TcpConfig {
+        backoff_max: Duration::from_millis(50),
+        ..TcpConfig::default()
+    };
+    let channel = Channel::connect_tcp(from, to.name(), acceptor.local_addr(), config).unwrap();
+    (channel, acceptor)
+}
+
 /// Waits until `qmgr`'s movers have released `handoffs` envelopes that no
 /// record has carried yet.
 fn wait_released(qmgr: &QueueManager, handoffs: u64) {
@@ -168,7 +187,7 @@ fn two_manager_round_trip_is_five_records() {
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     tail.create_queue("Q.IN").unwrap();
-    let _channels = Channel::connect_duplex(&head, &tail, Link::ideal(), Link::ideal()).unwrap();
+    let _channels = (connect(&head, &tail, false), connect(&tail, &head, false));
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
     let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
     head_journal.start();
@@ -253,8 +272,8 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     tail.create_queue("Q.IN").unwrap();
-    let (out, back) = (Link::ideal(), Link::ideal());
-    let _channels = Channel::connect_duplex(&head, &tail, out.clone(), back.clone()).unwrap();
+    let (_out, out) = connect(&head, &tail, false);
+    let (_back, back) = connect(&tail, &head, false);
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
     let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
     head_journal.start();
@@ -262,22 +281,22 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
 
     // Three sends pile up behind a partition; healing it hands all three
     // over in one transport batch.
-    out.set_up(false);
+    out.apply_fault(FaultAction::Partition).unwrap();
     let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
         .pickup_within(Millis(60_000))
         .into();
     let ids: Vec<_> = (0..3)
         .map(|i| messenger.send_message(format!("m{i}"), &condition).unwrap())
         .collect();
-    out.set_up(true);
+    out.apply_fault(FaultAction::Heal).unwrap();
     wait_released(&head, 3);
     // Likewise the three read-acks on the way back.
-    back.set_up(false);
+    back.apply_fault(FaultAction::Partition).unwrap();
     for _ in 0..3 {
         let read = receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000)));
         assert!(read.unwrap().is_some());
     }
-    back.set_up(true);
+    back.apply_fault(FaultAction::Heal).unwrap();
     for id in ids {
         let outcome = messenger
             .take_outcome(id, Wait::Timeout(Millis(10_000)))
@@ -285,6 +304,8 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
             .expect("verdict");
         assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
+    // The tail's mover has let go of the acknowledgments it carried.
+    wait_released(&tail, 3);
     tail.shutdown();
 
     let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
@@ -335,9 +356,8 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
     mid.create_queue("Q.MID").unwrap();
     tail.create_queue("Q.IN").unwrap();
-    let first_hop = Link::ideal();
-    let _head_mid = Channel::connect(&head, &mid, first_hop.clone()).unwrap();
-    let _mid_tail = Channel::connect(&mid, &tail, Link::ideal()).unwrap();
+    let (_head_mid, first_hop) = connect(&head, &mid, false);
+    let (_mid_tail, second_hop) = connect(&mid, &tail, true);
     head.define_default_route(&["SYSTEM.XMIT.QM.MID"]).unwrap();
     head_journal.start();
     mid_journal.start();
@@ -348,20 +368,25 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
         head.put_to(&QueueAddress::new(manager, queue), msg).unwrap();
     };
     // Onward traffic only: custody of the batch is its one arrival record.
-    first_hop.set_up(false);
+    first_hop.apply_fault(FaultAction::Partition).unwrap();
     for _ in 0..3 {
         put("QM.TAIL", "Q.IN");
     }
-    first_hop.set_up(true);
+    first_hop.apply_fault(FaultAction::Heal).unwrap();
+    // The arrival puts its three envelopes on the onward queue one by one;
+    // a mover polling meanwhile could take the first alone. Let it see
+    // the three only once the record is written.
+    mid_journal.wait_for(1);
+    second_hop.apply_fault(FaultAction::Heal).unwrap();
     tail_journal.wait_for(1);
     wait_released(&mid, 3);
     wait_released(&head, 3);
     // A mixed batch — local, onward, no route — is still one record.
-    first_hop.set_up(false);
+    first_hop.apply_fault(FaultAction::Partition).unwrap();
     put("QM.MID", "Q.MID");
     put("QM.TAIL", "Q.IN");
     put("QM.NOWHERE", "Q.X");
-    first_hop.set_up(true);
+    first_hop.apply_fault(FaultAction::Heal).unwrap();
     tail_journal.wait_for(2);
     wait_released(&mid, 1);
     // The relay counts a batch once its record is written, on the
@@ -533,17 +558,24 @@ fn a_read_that_meets_three_pairs_and_then_a_message_is_one_record() {
     assert_eq!(qmgr.metrics_snapshot().counter("cond.recv.annihilated"), 3);
 }
 
+type LoneSender = (
+    Arc<QueueManager>,
+    Arc<RecordingJournal>,
+    Arc<QueueManager>,
+    Channel,
+    Arc<TcpAcceptor>,
+);
+
 /// A sender on a simulated clock whose handoffs to `QM.TAIL` nothing but
 /// the bounds can write out: no other commit happens on it once the
-/// envelopes are queued.
-fn lone_sender(clock: &Arc<SimClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>, Arc<Link>, Channel) {
+/// envelopes are queued. Its channel to the returned tail starts
+/// partitioned.
+fn lone_sender(clock: &Arc<SimClock>) -> LoneSender {
     let (head, head_journal) = recorded("QM.HEAD", clock);
     let tail = QueueManager::builder("QM.TAIL").clock(clock.clone()).build().unwrap();
     tail.create_queue("Q.IN").unwrap();
-    let link = Link::ideal();
-    link.set_up(false);
-    let channel = Channel::connect(&head, &tail, link.clone()).unwrap();
-    (head, head_journal, link, channel)
+    let (channel, acceptor) = connect(&head, &tail, true);
+    (head, head_journal, tail, channel, acceptor)
 }
 
 fn queue_for_tail(head: &QueueManager, envelopes: usize) {
@@ -556,10 +588,10 @@ fn queue_for_tail(head: &QueueManager, envelopes: usize) {
 #[test]
 fn max_released_handoffs_are_one_record() {
     let clock = SimClock::new();
-    let (head, journal, link, _channel) = lone_sender(&clock);
+    let (head, journal, _tail, _channel, acceptor) = lone_sender(&clock);
     queue_for_tail(&head, MAX_RELEASED);
     journal.start();
-    link.set_up(true);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
 
     // Sixteen full batches cross; the mover whose release would make the
     // list full commits its session instead, and the record carries all.
@@ -576,10 +608,10 @@ fn max_released_handoffs_are_one_record() {
 #[test]
 fn an_idle_manager_flushes_after_the_linger_and_not_before() {
     let clock = SimClock::new();
-    let (head, journal, link, _channel) = lone_sender(&clock);
+    let (head, journal, _tail, _channel, acceptor) = lone_sender(&clock);
     queue_for_tail(&head, 1);
     journal.start();
-    link.set_up(true);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
     wait_released(&head, 1);
 
     clock.advance(Millis(RELEASE_LINGER.as_u64() - 1));

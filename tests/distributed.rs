@@ -1,6 +1,7 @@
 //! Cross-queue-manager integration: conditional messages and their
-//! acknowledgments travelling over store-and-forward channels with
-//! simulated network links (latency, loss, partitions).
+//! acknowledgments travelling over store-and-forward channels on loopback
+//! TCP, with lost acknowledgments and partitions injected at the
+//! receiving acceptors.
 //!
 //! This is the paper's distributed architecture (§2.4: "Responsibilities
 //! of conditional messaging are distributed between the sender side and
@@ -15,22 +16,36 @@ use condmsg::{
     MessageKind, MessageOutcome, SendOptions,
 };
 use mq::channel::Channel;
-use mq::net::{Link, LinkConfig};
-use mq::{QueueManager, SystemClock, Wait};
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
+use mq::{FaultAction, FaultPlane, QueueManager, SystemClock, Wait};
 use simtime::Millis;
 
 struct Cluster {
-    sender_qm: Arc<QueueManager>,
     receiver_qm: Arc<QueueManager>,
     messenger: Arc<ConditionalMessenger>,
+    /// The receiver's acceptor: the fault point of the forward path.
+    forward: Arc<TcpAcceptor>,
+    /// The sender's acceptor: the fault point of the acknowledgment path.
+    back: Arc<TcpAcceptor>,
     _channels: (Channel, Channel),
 }
 
-fn cluster(link_ab: Arc<Link>, link_ba: Arc<Link>) -> Cluster {
-    cluster_with(link_ab, link_ba, CondConfig::default())
+/// `from -> to` over loopback TCP, with `to`'s acceptor as the fault point.
+fn connect(from: &Arc<QueueManager>, to: &Arc<QueueManager>) -> (Channel, Arc<TcpAcceptor>) {
+    let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+    let config = TcpConfig {
+        backoff_max: Duration::from_millis(50),
+        ..TcpConfig::default()
+    };
+    let channel = Channel::connect_tcp(from, to.name(), acceptor.local_addr(), config).unwrap();
+    (channel, acceptor)
 }
 
-fn cluster_with(link_ab: Arc<Link>, link_ba: Arc<Link>, config: CondConfig) -> Cluster {
+fn cluster() -> Cluster {
+    cluster_with(CondConfig::default())
+}
+
+fn cluster_with(config: CondConfig) -> Cluster {
     let clock = SystemClock::new();
     let sender_qm = QueueManager::builder("QM.SEND")
         .clock(clock.clone())
@@ -41,13 +56,15 @@ fn cluster_with(link_ab: Arc<Link>, link_ba: Arc<Link>, config: CondConfig) -> C
         .build()
         .unwrap();
     receiver_qm.create_queue("Q.IN").unwrap();
-    let channels = Channel::connect_duplex(&sender_qm, &receiver_qm, link_ab, link_ba).unwrap();
-    let messenger = ConditionalMessenger::with_config(sender_qm.clone(), config).unwrap();
+    let (out, forward) = connect(&sender_qm, &receiver_qm);
+    let (ack_path, back) = connect(&receiver_qm, &sender_qm);
+    let messenger = ConditionalMessenger::with_config(sender_qm, config).unwrap();
     Cluster {
-        sender_qm,
         receiver_qm,
         messenger,
-        _channels: channels,
+        forward,
+        back,
+        _channels: (out, ack_path),
     }
 }
 
@@ -67,7 +84,7 @@ fn remote_condition(window: Millis) -> Condition {
 
 #[test]
 fn remote_destination_and_ack_roundtrip() {
-    let c = cluster(Link::ideal(), Link::ideal());
+    let c = cluster();
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
@@ -99,14 +116,12 @@ fn remote_destination_and_ack_roundtrip() {
 
 #[test]
 fn lossy_links_delay_but_do_not_lose_the_protocol() {
-    let lossy = || {
-        Link::new(LinkConfig {
-            drop_rate: 0.4,
-            seed: 1234,
-            ..LinkConfig::default()
-        })
-    };
-    let c = cluster(lossy(), lossy());
+    // The first deliveries each way land but lose their acks: the original
+    // and the read-ack are both sent again, and dropped as copies.
+    let c = cluster();
+    for acceptor in [&c.forward, &c.back] {
+        acceptor.apply_fault(FaultAction::DropNext(2)).unwrap();
+    }
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
@@ -125,6 +140,11 @@ fn lossy_links_delay_but_do_not_lose_the_protocol() {
         .unwrap()
         .expect("ack survived drops");
     assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert_eq!(
+        c.receiver_qm.queue("Q.IN").unwrap().depth(),
+        0,
+        "delivered once"
+    );
 }
 
 #[test]
@@ -135,17 +155,12 @@ fn partition_during_ack_fails_only_by_deadline() {
     // "20 s condition, 21 s timeout" pattern), the verdict depends on the
     // ack's *timestamps*, so the late-arriving ack with a timely read
     // timestamp still satisfies the condition.
-    let back = Link::ideal();
-    let c = cluster_with(
-        Link::ideal(),
-        back.clone(),
-        CondConfig {
-            ack_grace: Millis(10_000),
-            ..CondConfig::default()
-        },
-    );
+    let c = cluster_with(CondConfig {
+        ack_grace: Millis(10_000),
+        ..CondConfig::default()
+    });
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
-    back.set_up(false);
+    c.back.apply_fault(FaultAction::Partition).unwrap();
 
     let id = c
         .messenger
@@ -160,7 +175,7 @@ fn partition_during_ack_fails_only_by_deadline() {
     // Heal after the deadline: the ack arrives late but carries a timely
     // read timestamp.
     std::thread::sleep(Duration::from_millis(600));
-    back.set_up(true);
+    c.back.apply_fault(FaultAction::Heal).unwrap();
     let outcome = c
         .messenger
         .take_outcome(id, Wait::Timeout(Millis(5_000)))
@@ -179,17 +194,12 @@ fn evaluation_timeout_bounds_partition_waits() {
     // Same partition, but the sender set an evaluation timeout shorter
     // than the outage: the message fails even though it was read in time —
     // exactly the trade-off the paper's timeout exists for.
-    let back = Link::ideal();
-    let c = cluster_with(
-        Link::ideal(),
-        back.clone(),
-        CondConfig {
-            ack_grace: Millis(10_000),
-            ..CondConfig::default()
-        },
-    );
+    let c = cluster_with(CondConfig {
+        ack_grace: Millis(10_000),
+        ..CondConfig::default()
+    });
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
-    back.set_up(false);
+    c.back.apply_fault(FaultAction::Partition).unwrap();
 
     let id = c
         .messenger
@@ -216,12 +226,12 @@ fn evaluation_timeout_bounds_partition_waits() {
         .expect("timeout decides");
     assert_eq!(outcome.outcome, MessageOutcome::Failure);
     assert!(outcome.reason.as_deref().unwrap().contains("timeout"));
-    back.set_up(true);
+    c.back.apply_fault(FaultAction::Heal).unwrap();
 }
 
 #[test]
 fn compensation_crosses_managers_on_failure() {
-    let c = cluster(Link::ideal(), Link::ideal());
+    let c = cluster();
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
@@ -261,8 +271,10 @@ fn fan_out_across_two_managers() {
         .build()
         .unwrap();
     remote_qm.create_queue("Q.FAR").unwrap();
-    let _channels =
-        Channel::connect_duplex(&sender_qm, &remote_qm, Link::ideal(), Link::ideal()).unwrap();
+    let _channels = (
+        connect(&sender_qm, &remote_qm),
+        connect(&remote_qm, &sender_qm),
+    );
     let messenger = ConditionalMessenger::new(sender_qm.clone()).unwrap();
     let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
 
@@ -312,8 +324,8 @@ fn example1_with_recipients_on_three_managers() {
     for q in ["Q.R1", "Q.R2", "Q.R4"] {
         site_b.create_queue(q).unwrap();
     }
-    let _ch_a = Channel::connect_duplex(&hq, &site_a, Link::ideal(), Link::ideal()).unwrap();
-    let _ch_b = Channel::connect_duplex(&hq, &site_b, Link::ideal(), Link::ideal()).unwrap();
+    let _ch_a = (connect(&hq, &site_a), connect(&site_a, &hq));
+    let _ch_b = (connect(&hq, &site_b), connect(&site_b, &hq));
 
     let messenger = ConditionalMessenger::with_config(
         hq.clone(),
@@ -383,33 +395,4 @@ fn example1_with_recipients_on_three_managers() {
         "distributed Fig. 4 scenario succeeds: {:?}",
         outcome.reason
     );
-}
-
-#[test]
-fn latency_is_visible_in_read_timestamps() {
-    let slow = Link::new(LinkConfig {
-        base_latency: Millis(80),
-        ..LinkConfig::default()
-    });
-    let c = cluster(slow, Link::ideal());
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
-    let send_clock = c.sender_qm.clock().clone();
-    let before = send_clock.now();
-    let id = c
-        .messenger
-        .send_message("slow wire", &remote_condition(Millis(5_000)))
-        .unwrap();
-    let mut receiver = ConditionalReceiver::new(c.receiver_qm.clone()).unwrap();
-    receiver
-        .read_message("Q.IN", Wait::Timeout(Millis(3_000)))
-        .unwrap()
-        .expect("delivered after latency");
-    let outcome = c
-        .messenger
-        .take_outcome(id, Wait::Timeout(Millis(5_000)))
-        .unwrap()
-        .unwrap();
-    assert_eq!(outcome.outcome, MessageOutcome::Success);
-    // Decision strictly after the link latency elapsed.
-    assert!(outcome.decided_at >= before + Millis(80));
 }

@@ -8,9 +8,17 @@ use std::time::Duration;
 use condmsg::{Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageKind};
 use dsphere::{Calendar, DSphereService, KvStore, ProbeResource, RoomReservations, Vote};
 use mq::channel::Channel;
-use mq::net::Link;
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{QueueManager, SystemClock, Wait};
 use simtime::{Millis, SimClock};
+
+/// Joins `a` and `b` with a channel each way over loopback TCP.
+fn duplex(a: &Arc<QueueManager>, b: &Arc<QueueManager>) -> [Channel; 2] {
+    [(a, b), (b, a)].map(|(from, to)| {
+        let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+        Channel::connect_tcp(from, to.name(), acceptor.local_addr(), TcpConfig::default()).unwrap()
+    })
+}
 
 fn local_world() -> (Arc<SimClock>, Arc<QueueManager>, Arc<DSphereService>) {
     let clock = SimClock::new();
@@ -119,7 +127,7 @@ fn sphere_over_remote_destinations() {
         .unwrap();
     let qm_b = QueueManager::builder("QMB").clock(clock).build().unwrap();
     qm_b.create_queue("Q.FAR").unwrap();
-    let _channels = Channel::connect_duplex(&qm_a, &qm_b, Link::ideal(), Link::ideal()).unwrap();
+    let _channels = duplex(&qm_a, &qm_b);
     let messenger = ConditionalMessenger::new(qm_a.clone()).unwrap();
     let service = DSphereService::new(messenger);
     let kv = KvStore::new("db");

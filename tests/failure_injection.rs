@@ -7,13 +7,19 @@
 //! proceeds normally.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
     MessageStatus,
 };
+use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED};
 use mq::journal::{Journal, JournalRecord, MemJournal};
-use mq::{Message, MqError, QueueConfig, QueueManager, TraceStage, Wait};
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
+use mq::{
+    FaultAction, FaultPlane, ManagerConfig, Message, MqError, QueueAddress, QueueConfig,
+    QueueManager, TraceStage, Wait, DEAD_LETTER_QUEUE,
+};
 use parking_lot::{Condvar, Mutex};
 use simtime::{Millis, SimClock, Time};
 
@@ -580,56 +586,81 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
         .is_err());
 }
 
-#[test]
-fn handoffs_the_journal_refuses_spend_no_backout_budget() {
-    // A channel handoff is a record only when the released list is full
-    // (or the batch staged a put). The journal refuses that record, again
-    // and again: the envelopes go back for a re-send the peer drops, and
-    // since the peer has them and the refusal is not theirs, none of the
-    // retries is a backout. (Dropping the refused session used to roll it
-    // back as a consumer would: dead-lettered after `backout_threshold`
-    // hiccups, although delivered.)
-    use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED};
-    use mq::net::Link;
-    use mq::{ManagerConfig, QueueAddress, DEAD_LETTER_QUEUE};
-    use std::time::{Duration, Instant};
+type BehindAPartition = (
+    Arc<QueueManager>,
+    Arc<MemJournal>,
+    Arc<QueueManager>,
+    Channel,
+    Arc<TcpAcceptor>,
+);
+
+/// `QM.HEAD`, on a journal the test can fail, with `MAX_RELEASED`
+/// persistent envelopes for `QM.TAIL` queued behind a partitioned loopback
+/// TCP channel; healing `QM.TAIL`'s acceptor lets them go. The channel
+/// and the tail are returned to keep them alive.
+fn envelopes_behind_a_partition(config: ManagerConfig) -> BehindAPartition {
     let clock = SimClock::new();
     let journal = MemJournal::new();
     let head = QueueManager::builder("QM.HEAD")
         .clock(clock.clone())
         .journal(journal.clone())
-        .config(ManagerConfig { backout_threshold: 2, ..ManagerConfig::default() })
+        .config(config)
         .build()
         .unwrap();
     let tail = QueueManager::builder("QM.TAIL").clock(clock).build().unwrap();
     tail.create_queue("Q.IN").unwrap();
-    let link = Link::ideal();
-    link.set_up(false);
-    let _channel = Channel::connect(&head, &tail, link.clone()).unwrap();
+    let acceptor = TcpAcceptor::bind(&tail, "127.0.0.1:0").unwrap();
+    acceptor.apply_fault(FaultAction::Partition).unwrap();
+    let tcp = TcpConfig {
+        backoff_max: Duration::from_millis(50),
+        ..TcpConfig::default()
+    };
+    let channel = Channel::connect_tcp(&head, "QM.TAIL", acceptor.local_addr(), tcp).unwrap();
     for _ in 0..MAX_RELEASED {
         let msg = Message::text("payload").persistent(true).build();
         head.put_to(&QueueAddress::new("QM.TAIL", "Q.IN"), msg).unwrap();
     }
+    (head, journal, tail, channel, acceptor)
+}
+
+fn wait_for(what: &str, done: &dyn Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Journal appends `qmgr` has attempted, refused ones included.
+fn appends_tried(qmgr: &QueueManager) -> u64 {
+    qmgr.metrics_snapshot().histograms["mq.journal.append_micros"].count
+}
+
+#[test]
+fn handoffs_the_journal_refuses_spend_no_backout_budget() {
+    // A channel handoff is a record only when the released list is full
+    // (or the batch staged a put). The journal refuses that record, again
+    // and again: the mover keeps the session and tries the record again,
+    // and since the peer has the envelopes and the refusal is not theirs,
+    // none of it is a backout. (Dropping the refused session used to roll
+    // it back as a consumer would: dead-lettered after `backout_threshold`
+    // hiccups, although delivered.)
+    let config = ManagerConfig { backout_threshold: 2, ..ManagerConfig::default() };
+    let (head, journal, tail, _channel, acceptor) = envelopes_behind_a_partition(config);
     let records = journal.record_count();
-    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !done() {
-            assert!(Instant::now() < deadline, "timed out: {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
 
     // Fifteen batches are released without a record; the sixteenth fills
-    // the list, so its session is committed, and refused, and re-sent.
+    // the list, so its session is committed, and refused, and retried.
     journal.set_failing(true);
-    link.set_up(true);
+    let tried = appends_tried(&head);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
     let refusals = 4 * u64::from(head.config().backout_threshold);
-    wait_for("the refused handoff to be re-sent over and over", &|| {
-        tail.relay_stats().duplicates.get() >= refusals * MAX_BATCH as u64
+    wait_for("the refused handoff to be tried over and over", &|| {
+        appends_tried(&head) >= tried + refusals
     });
     let xmit = head.queue("SYSTEM.XMIT.QM.TAIL").unwrap();
     assert_eq!(journal.record_count(), records);
-    assert_eq!(xmit.stats().redelivered.get(), 0, "a re-send is not a backout");
+    assert_eq!(xmit.stats().redelivered.get(), 0, "a refused handoff is not a backout");
     assert_eq!(head.queue(DEAD_LETTER_QUEUE).unwrap().depth(), 0);
     assert_eq!(head.stats().released.get(), (MAX_RELEASED - MAX_BATCH) as u64);
 
@@ -645,4 +676,30 @@ fn handoffs_the_journal_refuses_spend_no_backout_budget() {
     head.crash();
     let head = QueueManager::builder("QM.HEAD").journal(journal).build().unwrap();
     assert_eq!(head.queue("SYSTEM.XMIT.QM.TAIL").unwrap().depth(), 0);
+}
+
+#[test]
+fn a_refused_handoff_is_not_sent_again_while_the_journal_fails() {
+    // The same refused handoff at the cap, the journal failing on. The
+    // peer holds the batch, so the mover sends nothing: it waits a backoff
+    // and tries the record again. (It used to put the envelopes back and
+    // re-send them at once, over and over: every re-send a batch of
+    // duplicates at the peer, thousands of them in half a second.)
+    let (head, journal, tail, _channel, acceptor) =
+        envelopes_behind_a_partition(ManagerConfig::default());
+    journal.set_failing(true);
+    let tried = appends_tried(&head);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
+    wait_for("the first refusals", &|| appends_tried(&head) >= tried + 2);
+    let duplicates = || tail.relay_stats().duplicates.get();
+    let before = duplicates();
+    std::thread::sleep(Duration::from_millis(500));
+    let grown = duplicates() - before;
+    assert!(grown < MAX_BATCH as u64, "{grown} duplicates in 500 ms: the batch is re-sent");
+    let xmit = head.queue("SYSTEM.XMIT.QM.TAIL").unwrap();
+    assert_eq!(xmit.stats().redelivered.get(), 0);
+    assert_eq!(head.queue(DEAD_LETTER_QUEUE).unwrap().depth(), 0);
+    journal.set_failing(false);
+    wait_for("the list to empty", &|| head.stats().released.get() == 0);
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), MAX_RELEASED, "each delivered once");
 }

@@ -25,7 +25,6 @@ use condmsg::{
 };
 use mq::channel::Channel;
 use mq::journal::MemJournal;
-use mq::net::Link;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
     Message, QueueAddress, QueueManager, SystemClock, Wait, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY,
@@ -113,9 +112,8 @@ fn chain_relays_across_three_managers_over_tcp() {
     c.shutdown();
 }
 
-/// A four-manager chain (in-process links): each middle manager only has
-/// a default next-hop route, and the hop-count header grows by one per
-/// relay.
+/// A four-manager chain: each middle manager only has a default next-hop
+/// route, and the hop-count header grows by one per relay.
 #[test]
 fn default_routes_carry_envelopes_down_a_four_manager_chain() {
     let clock = SystemClock::new();
@@ -130,7 +128,11 @@ fn default_routes_carry_envelopes_down_a_four_manager_chain() {
     managers[3].create_queue("Q.END").unwrap();
     let mut channels = Vec::new();
     for i in 0..3 {
-        channels.push(Channel::connect(&managers[i], &managers[i + 1], Link::ideal()).unwrap());
+        let next = &managers[i + 1];
+        let acceptor = TcpAcceptor::bind(next, "127.0.0.1:0").unwrap();
+        let channel =
+            Channel::connect_tcp(&managers[i], next.name(), acceptor.local_addr(), tcp_config());
+        channels.push(channel.unwrap());
         managers[i]
             .define_default_route(&[format!("SYSTEM.XMIT.M{}", i + 1)])
             .unwrap();

@@ -9,10 +9,18 @@ use condmsg::{
     Processing, SendOptions,
 };
 use mq::channel::Channel;
-use mq::net::Link;
 use mq::topic::Topic;
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Message, QueueManager, SystemClock, Wait};
 use simtime::Millis;
+
+/// Joins `a` and `b` with a channel each way over loopback TCP.
+fn duplex(a: &Arc<QueueManager>, b: &Arc<QueueManager>) -> [Channel; 2] {
+    [(a, b), (b, a)].map(|(from, to)| {
+        let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+        Channel::connect_tcp(from, to.name(), acceptor.local_addr(), TcpConfig::default()).unwrap()
+    })
+}
 
 fn wait_for<F: Fn() -> bool>(what: &str, f: F) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -82,7 +90,7 @@ fn topic_fanout_to_remote_subscriber_queue() {
         .build()
         .unwrap();
     edge.create_queue("EDGE.IN").unwrap();
-    let _channels = Channel::connect_duplex(&hub, &edge, Link::ideal(), Link::ideal()).unwrap();
+    let _channels = duplex(&hub, &edge);
 
     let topic = Topic::open(hub.clone(), "relay").unwrap();
     let local_q = topic.subscribe("local").unwrap();

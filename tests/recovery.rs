@@ -13,8 +13,10 @@ use condmsg::{
     ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
     MessageOutcome, MessageStatus,
 };
+use mq::channel::Channel;
 use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
-use mq::{BatchAccepted, QueueAddress, QueueManager, Wait};
+use mq::transport::tcp::{TcpAcceptor, TcpConfig};
+use mq::{BatchAccepted, FaultAction, FaultPlane, QueueAddress, QueueManager, Wait};
 use simtime::{Millis, SharedClock, SimClock, Time};
 
 fn build_qm(clock: SharedClock, journal: Arc<MemJournal>) -> Arc<QueueManager> {
@@ -657,29 +659,47 @@ fn segmented_journal_full_stack_recovery() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A sender `QM1` whose three envelopes its peer holds and its mover has
-/// released: no record of its own says so yet.
-fn sender_with_three_released(journal: &Arc<MemJournal>) -> (Arc<QueueManager>, mq::channel::Channel) {
-    use mq::{channel::Channel, net::Link, Message};
+/// `from -> to` over loopback TCP, with `to`'s acceptor as the fault point;
+/// `partitioned` partitions it before the channel first dials.
+fn connect(
+    from: &Arc<QueueManager>,
+    to: &Arc<QueueManager>,
+    partitioned: bool,
+) -> (Channel, Arc<TcpAcceptor>) {
+    let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+    if partitioned {
+        acceptor.apply_fault(FaultAction::Partition).unwrap();
+    }
+    let config = TcpConfig {
+        backoff_max: std::time::Duration::from_millis(50),
+        ..TcpConfig::default()
+    };
+    let channel = Channel::connect_tcp(from, to.name(), acceptor.local_addr(), config).unwrap();
+    (channel, acceptor)
+}
+
+/// A sender `QM1` whose three envelopes its peer `QM2` holds and its mover
+/// has released: no record of its own says so yet.
+fn sender_with_three_released(
+    journal: &Arc<MemJournal>,
+) -> (Arc<QueueManager>, Arc<QueueManager>, Channel) {
     let clock: SharedClock = SimClock::new();
     let sender = build_qm(clock.clone(), journal.clone());
     sender.create_queue("LOCAL.Q").unwrap();
     let peer = QueueManager::builder("QM2").clock(clock).build().unwrap();
     peer.create_queue("Q.IN").unwrap();
-    let link = Link::ideal();
-    link.set_up(false);
-    let channel = Channel::connect(&sender, &peer, link.clone()).unwrap();
+    let (channel, acceptor) = connect(&sender, &peer, true);
     for _ in 0..3 {
-        let msg = Message::text("handed over").persistent(true).build();
+        let msg = mq::Message::text("handed over").persistent(true).build();
         sender.put_to(&QueueAddress::new("QM2", "Q.IN"), msg).unwrap();
     }
-    link.set_up(true);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while sender.stats().released.get() != 3 {
         assert!(std::time::Instant::now() < deadline, "three handoffs released");
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    (sender, channel)
+    (sender, peer, channel)
 }
 
 #[test]
@@ -691,7 +711,7 @@ fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
     // message (the live queue does not count it), so a crash right after
     // the checkpoint finds it present, to be sent again.
     let journal = MemJournal::new();
-    let (sender, channel) = sender_with_three_released(&journal);
+    let (sender, _peer, channel) = sender_with_three_released(&journal);
     sender.checkpoint().unwrap();
     assert_eq!(xmit_depth(&sender), 0);
     sender.crash();
@@ -701,7 +721,7 @@ fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
     // A record written after the checkpoint carries the gets and removes
     // them from the image.
     let journal = MemJournal::new();
-    let (sender, channel) = sender_with_three_released(&journal);
+    let (sender, _peer, channel) = sender_with_three_released(&journal);
     sender.checkpoint().unwrap();
     let local = mq::Message::text("anything durable").persistent(true).build();
     sender.put("LOCAL.Q", local).unwrap();
@@ -739,7 +759,6 @@ fn sender_crash_with_a_released_handoff_resends_and_the_message_is_read_once() {
     // restart re-sends the original; the destination's manager drops the
     // copy, the receiver reads the message once, and the verdict is the one
     // the run without a crash reaches.
-    use mq::{channel::Channel, net::Link};
     let clock: SharedClock = SimClock::new();
     let journal = MemJournal::new();
     let tail = QueueManager::builder("QM2").clock(clock.clone()).build().unwrap();
@@ -753,7 +772,7 @@ fn sender_crash_with_a_released_handoff_resends_and_the_message_is_read_once() {
     };
 
     let head = build_qm(clock.clone(), journal.clone());
-    let out = Channel::connect(&head, &tail, Link::ideal()).unwrap();
+    let (out, _) = connect(&head, &tail, false);
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
     let condition: Condition = Destination::queue("QM2", "Q.IN")
         .pickup_within(Millis(60_000))
@@ -769,7 +788,7 @@ fn sender_crash_with_a_released_handoff_resends_and_the_message_is_read_once() {
     assert_eq!(head.queue("SYSTEM.XMIT.QM2").unwrap().depth(), 1, "to be sent again");
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
     assert_eq!(messenger.status(id), MessageStatus::Pending);
-    let _channels = Channel::connect_duplex(&head, &tail, Link::ideal(), Link::ideal()).unwrap();
+    let _channels = (connect(&head, &tail, false), connect(&tail, &head, false));
     wait_for("the copy dropped", &|| {
         tail.metrics_snapshot().counter("mq.relay.duplicates") == 1
     });

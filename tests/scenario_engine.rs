@@ -8,8 +8,8 @@
 //! match the declarations.
 
 use cond_scenario::{
-    exec, AckerSpec, ActorSpec, DelaySpec, DestSpec, Expect, FaultActionSpec, FaultSpec,
-    ManagerSpec, QueueSpec, ScenarioSpec, SetSpec,
+    exec, AckerSpec, ActorSpec, ChannelSpec, DelaySpec, DestSpec, Expect, FaultActionSpec,
+    FaultSpec, ManagerSpec, QueueSpec, ScenarioSpec, SetSpec,
 };
 
 /// One paper "day", scaled as in `tests/end_to_end.rs`.
@@ -264,4 +264,57 @@ action = "melt"
     // The fault names a journal point but the manager has no faultable
     // journal — compilation must refuse it.
     assert!(exec::run(&fraction_fault, false).is_err());
+}
+
+/// Simulated time over the one wire: two managers joined by loopback TCP,
+/// a few hundred sends fanned over eight device queues, a seeded Pareto
+/// acker, and the fleet's acceptor partitioned, healed and made to lose
+/// acknowledgments while the sends go out. The verdicts are fixed by the
+/// seeded acknowledgment timeline, not by when the wire delivers: two runs
+/// of the same seed split success and failure identically, and each split
+/// is the oracle's expected one (the sampled actor's check passes only on
+/// the exact expected success count).
+#[test]
+fn sim_mode_on_the_one_wire_is_deterministic() {
+    let fault = |action, fraction| FaultSpec::at_fraction("tcp:QM.FLEET", action, fraction);
+    let spec = ScenarioSpec::new("one-wire-determinism")
+        .seed(23)
+        .manager(ManagerSpec::new("QM.CLOUD"))
+        .manager(ManagerSpec::new("QM.FLEET"))
+        .queue(QueueSpec::new("QM.FLEET", "Q.DEV.{i}").fan(8, 0))
+        .channel(ChannelSpec::new("QM.CLOUD", "QM.FLEET"))
+        .channel(ChannelSpec::new("QM.FLEET", "QM.CLOUD"))
+        .actor(
+            ActorSpec::new(
+                "fleet",
+                "QM.CLOUD",
+                300,
+                DestSpec::new("QM.FLEET", "Q.DEV.{i%8}").pickup_within_ms(5_000),
+            )
+            .payload("cmd-{i}")
+            .compensation("revoke-{i}")
+            .expect(Expect::Sampled),
+        )
+        .acker(
+            AckerSpec::new("QM.FLEET", "Q.DEV.{i}")
+                .fan(8, 0)
+                .delay(DelaySpec::Pareto {
+                    scale_ms: 500.0,
+                    alpha: 1.2,
+                    cap_ms: 20_000,
+                }),
+        )
+        .fault(fault(FaultActionSpec::Partition, 0.25))
+        .fault(fault(FaultActionSpec::Heal, 0.4))
+        .fault(fault(FaultActionSpec::DropNext(5), 0.6));
+    let split = || {
+        let report = exec::run(&spec, false).unwrap();
+        assert_eq!(report.sent, 300);
+        assert!(report.oracle.passed(), "{}", report.oracle);
+        (report.success, report.failure)
+    };
+    let first = split();
+    assert_eq!(first.0 + first.1, 300);
+    assert!(first.0 > 0 && first.1 > 0, "both outcomes occur: {first:?}");
+    assert_eq!(split(), first, "same seed, same split");
 }

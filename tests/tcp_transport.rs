@@ -53,7 +53,7 @@ fn tcp_cluster() -> TcpCluster {
     // Each manager listens on an ephemeral loopback port…
     let send_acceptor = TcpAcceptor::bind(&sender_qm, "127.0.0.1:0").unwrap();
     let recv_acceptor = TcpAcceptor::bind(&receiver_qm, "127.0.0.1:0").unwrap();
-    // …and dials the other: no in-process Link anywhere.
+    // …and dials the other.
     let ch_out = Channel::connect_tcp(
         &sender_qm,
         "QM.RECV",
