@@ -50,25 +50,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 # paper-rule oracle (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_fig1_meeting
 cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
+# Every `--quick` run below writes its BENCH_*.json under
+# target/bench-quick/; the committed files are full runs (see the last line).
 # Journal group-commit regression gate, on counts (asserted inside the
 # binary): fsyncs == appends at 1 writer, <= appends/2 at 8, <= appends/8 at
-# 64. The throughput ratio is written to BENCH_journal.json, not asserted.
+# 64. The throughput ratio is reported, not asserted.
 cargo run --release -p cond-bench --bin exp_journal -- --quick
 # Transport smoke: channels over loopback TCP at 1/8/64 pairs; asserts one
 # sender session per batch, encode-once, the 8-pair throughput floor and no
-# reconnect storm at 64 pairs. Rewrites BENCH_tcp.json in quick mode.
+# reconnect storm at 64 pairs.
 cargo run --release -p cond-bench --bin exp_tcp -- --quick
-# Relay federation: multi-hop chains over loopback TCP, plus the Fig. 8
-# crash proof (middle relay crashed mid-handoff, exactly-once asserted
-# inside the binary). Writes BENCH_federation.json.
+# Relay federation: multi-hop chains over loopback TCP (the Fig. 8 crash
+# proof is tests/federation.rs and scenarios/fig8_relay_crash.toml).
 cargo run --release -p cond-bench --bin exp_federation -- --quick
 # Storage inversion gate: indexed selector/correlation gets must beat the
 # band scan, and checkpointed restart must be >= 10x faster than replaying
-# the full history (asserted inside the binary). Writes BENCH_store.json.
+# the full history (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_store -- --quick
 # Declarative scenarios: the three flagship TOMLs (relay crash, D-Sphere
 # branch pattern, scaled-down IoT chaos fleet — every channel loopback TCP,
 # the fleet's faults on its acceptor) compile, run, and every
 # exactly-one-outcome oracle must pass (asserted inside the binary).
-# Rewrites BENCH_scenario.json in quick mode; the committed one is full.
 cargo run --release -p cond-bench --bin exp_scenario -- --quick
+# No gate above may touch a committed result file.
+git diff --exit-code -- 'BENCH_*.json'

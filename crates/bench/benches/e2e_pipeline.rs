@@ -37,11 +37,8 @@ fn bench_pipeline(c: &mut Criterion) {
                         .unwrap()
                         .unwrap();
                 }
-                let outcomes = world.messenger.pump().unwrap();
-                assert_eq!(outcomes[0].cond_id, id);
-                assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-                // Drain the notification so DS.OUTCOME.Q stays bounded.
-                world.messenger.take_outcome(id, Wait::NoWait).unwrap();
+                let outcome = world.messenger.take_outcome(id, Wait::NoWait).unwrap();
+                assert_eq!(outcome.unwrap().outcome, MessageOutcome::Success);
             });
         });
 

@@ -16,15 +16,10 @@ use mq::{Message, Wait};
 use simtime::Millis;
 
 fn stage_conditional(world: &World) {
-    // Settle the previous cycle first (drain the ack, finalize, drop the
-    // outcome) so the service queues stay at steady-state depth and the
-    // timed region measures the read path, not unbounded state growth.
-    for outcome in world.messenger.pump().unwrap() {
-        world
-            .messenger
-            .take_outcome(outcome.cond_id, Wait::NoWait)
-            .unwrap();
-    }
+    // Drop the previous cycle's outcome notification first so the service
+    // queues stay at steady-state depth and the timed region measures the
+    // read path, not unbounded state growth.
+    world.qmgr.queue("DS.OUTCOME.Q").unwrap().purge().unwrap();
     world
         .messenger
         .send_message("payload", &workload::fan_out(1, Millis(600_000)))

@@ -45,9 +45,8 @@ fn throughput_with(journal: Arc<dyn Journal>, label: &str) -> (String, f64) {
                 .unwrap()
                 .unwrap();
         }
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-        messenger.take_outcome(id, Wait::NoWait).unwrap();
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
     (
         label.to_owned(),
@@ -119,15 +118,18 @@ fn grace_scenario(transit: u64, grace: u64) -> MessageOutcome {
         recipient: None,
     };
     clock.advance(Millis(transit));
-    // Evaluate once before the ack lands (the eager evaluator may already
-    // fail here), then deliver the ack and evaluate again.
-    let early = messenger.pump().unwrap();
-    if let Some(outcome) = early.into_iter().next() {
-        return outcome.outcome;
+    // The eager evaluator may already have failed the message before the
+    // ack lands; otherwise deliver the ack and let the clock run out.
+    if let Some(early) = messenger.take_outcome(id, Wait::NoWait).unwrap() {
+        return early.outcome;
     }
     qmgr.put("DS.ACK.Q", ack.to_message()).unwrap();
     clock.advance(Millis(1_000));
-    messenger.pump().unwrap().remove(0).outcome
+    messenger
+        .take_outcome(id, Wait::NoWait)
+        .unwrap()
+        .unwrap()
+        .outcome
 }
 
 fn grace_ablation() {

@@ -14,25 +14,21 @@
 //!   the condition evaluated at the head. Reported as p50/p95 of
 //!   send→verdict wall time.
 //!
-//! The run finishes with the **Fig. 8 crash proof**: a 3-manager chain
-//! whose middle relay is crashed while holding custody of every
-//! in-flight message, then rebuilt from its journal. The binary asserts
-//! every message reaches exactly one of success or
-//! compensation+annihilation — nothing lost, nothing doubled, nothing
-//! dead-lettered.
+//! The Fig. 8 crash proof (middle relay crashed while holding custody,
+//! rebuilt from its journal) lives in `tests/federation.rs` and
+//! `scenarios/fig8_relay_crash.toml`.
 //!
 //! Writes `BENCH_federation.json`; `--quick` shrinks the counts for the
-//! `check.sh` smoke run.
+//! `check.sh` smoke run and writes under `target/bench-quick/`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cond_bench::{emit_metrics, header, percentile_f64, row};
+use cond_bench::{emit_metrics, header, percentile_f64, row, write_bench_json};
 use condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageOutcome,
 };
 use mq::channel::Channel;
-use mq::journal::MemJournal;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Message, Obs, QueueAddress, QueueManager, SystemClock, Wait, DEAD_LETTER_QUEUE};
 use simtime::Millis;
@@ -194,170 +190,10 @@ fn run(hops: usize, msgs: usize, verdict_rounds: usize) -> RunStats {
     stats
 }
 
-struct Fig8Proof {
-    successes: usize,
-    compensated: usize,
-}
-
-/// The acceptance proof, inline: Fig. 8 compensation flow across
-/// QM.A → QM.B → QM.C over loopback TCP with QM.B crashed while holding
-/// custody of every in-flight original, then rebuilt from its journal.
-/// Panics unless every message reaches exactly one of success or
-/// compensation+annihilation.
-fn fig8_crash_proof(each: usize) -> Fig8Proof {
-    let clock = SystemClock::new();
-    let a = QueueManager::builder("QM.A").clock(clock.clone()).build().unwrap();
-    let journal = MemJournal::new();
-    let b = QueueManager::builder("QM.B")
-        .clock(clock.clone())
-        .journal(journal.clone())
-        .build()
-        .unwrap();
-    let c = QueueManager::builder("QM.C").clock(clock.clone()).build().unwrap();
-    c.create_queue("Q.SLOW").unwrap();
-    c.create_queue("Q.FAST").unwrap();
-
-    let acc_a = TcpAcceptor::bind(&a, "127.0.0.1:0").unwrap();
-    let acc_b = TcpAcceptor::bind(&b, "127.0.0.1:0").unwrap();
-    let acc_c = TcpAcceptor::bind(&c, "127.0.0.1:0").unwrap();
-    let b_addr = acc_b.local_addr();
-
-    // B→C stays unconnected: QM.B accepts (and journals) custody of
-    // everything bound for QM.C but cannot forward — the deterministic
-    // "crashed mid-handoff" window.
-    let _ab = Channel::connect_tcp(&a, "QM.B", b_addr, TcpConfig::default()).unwrap();
-    a.define_default_route(&["SYSTEM.XMIT.QM.B"]).unwrap();
-    let _cb = Channel::connect_tcp(&c, "QM.B", b_addr, TcpConfig::default()).unwrap();
-    c.define_default_route(&["SYSTEM.XMIT.QM.B"]).unwrap();
-    b.define_route("QM.C", "SYSTEM.XMIT.QM.C").unwrap();
-
-    let messenger = ConditionalMessenger::new(a.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
-    let slow: Condition = Destination::queue("QM.C", "Q.SLOW")
-        .pickup_within(Millis(30_000))
-        .into();
-    let fast: Condition = Destination::queue("QM.C", "Q.FAST")
-        .pickup_within(Millis(300))
-        .into();
-    let mut success_ids = Vec::new();
-    let mut failure_ids = Vec::new();
-    for i in 0..each {
-        success_ids.push(
-            messenger
-                .send_message_with_compensation(format!("keep-{i}"), format!("undo-{i}"), &slow)
-                .unwrap(),
-        );
-        failure_ids.push(
-            messenger
-                .send_message_with_compensation(format!("drop-{i}"), format!("undo-{i}"), &fast)
-                .unwrap(),
-        );
-    }
-    let custody = |qm: &Arc<QueueManager>| {
-        qm.queue("SYSTEM.XMIT.QM.C").map(|q| q.depth()).unwrap_or(0)
-    };
-    let deadline = Instant::now() + Duration::from_secs(15);
-    while custody(&b) < 2 * each {
-        assert!(Instant::now() < deadline, "originals never reached custody");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    acc_b.shutdown();
-    b.crash();
-
-    let b2 = QueueManager::builder("QM.B")
-        .clock(clock)
-        .journal(journal)
-        .build()
-        .unwrap();
-    assert!(custody(&b2) >= 2 * each, "custody survived the crash");
-    // Rebind the crashed relay's address so upstream transports reconnect.
-    let acc_b2 = loop {
-        match TcpAcceptor::bind(&b2, &b_addr.to_string()) {
-            Ok(acc) => break acc,
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
-    let _acc_b2 = acc_b2;
-    let _bc = Channel::connect_tcp(&b2, "QM.C", acc_c.local_addr(), TcpConfig::default()).unwrap();
-    let _ba = Channel::connect_tcp(&b2, "QM.A", acc_a.local_addr(), TcpConfig::default()).unwrap();
-
-    let c2 = c.clone();
-    let reader = std::thread::spawn(move || {
-        let mut receiver = ConditionalReceiver::with_identity(c2, "fed-proof").unwrap();
-        let mut seen = Vec::new();
-        for _ in 0..each {
-            let got = receiver
-                .read_message("Q.SLOW", Wait::Timeout(Millis(20_000)))
-                .unwrap()
-                .expect("slow original delivered after rebuild");
-            seen.push(got.payload_str().unwrap().to_owned());
-        }
-        seen
-    });
-    let mut seen = reader.join().unwrap();
-    seen.sort();
-    seen.dedup();
-    assert_eq!(seen.len(), each, "each success read exactly once");
-    for id in success_ids {
-        let outcome = messenger
-            .take_outcome(id, Wait::Timeout(Millis(30_000)))
-            .unwrap()
-            .expect("success verdict");
-        assert_eq!(outcome.outcome, MessageOutcome::Success, "{:?}", outcome.reason);
-    }
-    for id in &failure_ids {
-        let outcome = messenger
-            .take_outcome(*id, Wait::Timeout(Millis(30_000)))
-            .unwrap()
-            .expect("failure verdict");
-        assert_eq!(outcome.outcome, MessageOutcome::Failure);
-    }
-    // Wait until every compensation joined its original on Q.FAST
-    // (2*each slow+fast originals and each compensations delivered at
-    // QM.C in total), *then* read: annihilation must drain the queue
-    // without ever surfacing a message to the application.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while c.obs().metrics().snapshot().counter("mq.relay.delivered_local") < (3 * each) as u64 {
-        assert!(Instant::now() < deadline, "compensations never arrived");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut receiver = ConditionalReceiver::new(c.clone()).unwrap();
-    loop {
-        assert!(
-            receiver
-                .read_message("Q.FAST", Wait::NoWait)
-                .unwrap()
-                .is_none(),
-            "compensated original must never reach the application"
-        );
-        if c.queue("Q.FAST").unwrap().depth() == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "annihilation never completed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    for qm in [&a, &b2, &c] {
-        assert_eq!(
-            qm.queue(DEAD_LETTER_QUEUE).unwrap().depth(),
-            0,
-            "{} DLQ clean",
-            qm.name()
-        );
-    }
-    a.shutdown();
-    b2.shutdown();
-    c.shutdown();
-    Fig8Proof {
-        successes: each,
-        compensated: failure_ids.len(),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let msgs = if quick { 400 } else { 4_000 };
     let verdict_rounds = if quick { 15 } else { 100 };
-    let proof_each = if quick { 3 } else { 8 };
 
     println!(
         "# EF — relay federation: multi-hop chains over loopback TCP ({msgs} msgs, {verdict_rounds} verdicts{})\n",
@@ -380,13 +216,6 @@ fn main() {
         results.push((hops, stats));
     }
 
-    println!("\n# Fig. 8 proof: compensation flow across a crashed+rebuilt relay");
-    let proof = fig8_crash_proof(proof_each);
-    println!(
-        "  {} successes, {} compensated+annihilated, 0 dead-lettered — exactly-once held",
-        proof.successes, proof.compensated
-    );
-
     let runs_json: Vec<String> = results
         .iter()
         .map(|(hops, s)| {
@@ -408,18 +237,14 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n  \"experiment\": \"EF relay federation\",\n  \"quick\": {},\n",
-            "  \"msgs\": {},\n  \"verdict_rounds\": {},\n  \"runs\": [\n{}\n  ],\n",
-            "  \"fig8_proof\": {{\"passed\": true, \"successes\": {}, \"compensated\": {}}}\n}}\n"
+            "  \"msgs\": {},\n  \"verdict_rounds\": {},\n  \"runs\": [\n{}\n  ]\n}}\n"
         ),
         quick,
         msgs,
         verdict_rounds,
         runs_json.join(",\n"),
-        proof.successes,
-        proof.compensated,
     );
-    std::fs::write("BENCH_federation.json", json).unwrap();
-    println!("\nwrote BENCH_federation.json");
+    write_bench_json("BENCH_federation.json", quick, &json);
 
     emit_metrics();
 }

@@ -72,7 +72,7 @@ fn scenario(label: &str, behaviours: [Behaviour; 4]) -> (String, bool, bool) {
         },
     )
     .unwrap();
-    messenger
+    let id = messenger
         .send_message("meeting notification", &workload::example1(DAY))
         .unwrap();
 
@@ -123,8 +123,8 @@ fn scenario(label: &str, behaviours: [Behaviour; 4]) -> (String, bool, bool) {
     }
     // Past the last deadline (day 11) plus the grace.
     clock.advance(Millis(12 * DAY + ACK_GRACE));
-    let outcomes = messenger.pump().unwrap();
-    let success = outcomes[0].outcome == MessageOutcome::Success;
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    let success = outcome.outcome == MessageOutcome::Success;
 
     // Oracle, straight from the paper's rules. Leaf 0 = receiver3.
     let all_read = behaviours

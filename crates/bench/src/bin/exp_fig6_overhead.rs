@@ -22,9 +22,10 @@ use std::time::Instant;
 
 use cond_bench::{
     emit_metrics, header, percentile, queue_names, row, shared_obs, sim_world, system_world,
-    workload,
+    workload, write_bench_json,
 };
-use condmsg::{CondConfig, ConditionalMessenger, ConditionalReceiver};
+use condmsg::config::ACK_BATCH;
+use condmsg::{ConditionalMessenger, ConditionalReceiver};
 use mq::{Message, Wait};
 use simtime::{Millis, SimClock};
 
@@ -125,7 +126,7 @@ fn main() {
     println!();
     println!("## evaluation engine: verdict latency and ack-drain transactions\n");
     let (latencies, rate, arrival_txs_per_ack) = verdict_latency_run(latency_msgs);
-    let batch = CondConfig::default().ack_batch as u64;
+    let batch = ACK_BATCH as u64;
     let (backlog_txs, acks) = backlog_drain_run(drain_msgs);
     let backlog_txs_per_ack = backlog_txs as f64 / acks as f64;
     let (p50, p95) = (percentile(&latencies, 0.50), percentile(&latencies, 0.95));
@@ -159,8 +160,7 @@ fn main() {
          \"backlog\": {backlog_txs_per_ack:.3}, \"backlog_acks\": {acks}, \
          \"backlog_txs\": {backlog_txs}, \"batch\": {batch} }}\n}}\n",
     );
-    std::fs::write("BENCH_fig6.json", &json).expect("write BENCH_fig6.json");
-    println!("\nwrote BENCH_fig6.json");
+    write_bench_json("BENCH_fig6.json", quick, &json);
 
     assert_eq!(
         backlog_txs,

@@ -38,7 +38,6 @@ fn case_a(results: &mut Vec<(String, bool)>) {
         .send_message_with_compensation("orig", "undo", &cond)
         .unwrap();
     clock.advance(Millis(100));
-    messenger.pump().unwrap();
     let depth_with_both = qmgr.queue("Q").unwrap().depth();
     let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
     let delivered = receiver.read_message("Q", Wait::NoWait).unwrap();
@@ -71,7 +70,7 @@ fn case_b(results: &mut Vec<(String, bool)>) {
     let cond: Condition = Destination::queue("QM1", "Q")
         .process_within(Millis(50))
         .into();
-    messenger
+    let id = messenger
         .send_message_with_compensation("orig", "undo", &cond)
         .unwrap();
     clock.advance(Millis(10));
@@ -79,7 +78,7 @@ fn case_b(results: &mut Vec<(String, bool)>) {
     // Non-transactional read: consumption logged, processing never acked.
     receiver.read_message("Q", Wait::NoWait).unwrap().unwrap();
     clock.advance(Millis(100));
-    let outcome = messenger.pump().unwrap().remove(0);
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
     let comp = receiver.read_message("Q", Wait::NoWait).unwrap();
     let again = receiver.read_message("Q", Wait::NoWait).unwrap();
     check(
@@ -114,7 +113,7 @@ fn case_c(results: &mut Vec<(String, bool)>) {
     let cond: Condition = Destination::queue("QM1", "Q")
         .process_within(Millis(50))
         .into();
-    messenger
+    let id = messenger
         .send_message_with_compensation("orig", "undo", &cond)
         .unwrap();
     clock.advance(Millis(10));
@@ -130,7 +129,7 @@ fn case_c(results: &mut Vec<(String, bool)>) {
         .unwrap();
     let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
     clock.advance(Millis(100));
-    let outcome = messenger2.pump().unwrap().remove(0);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
     let mut receiver2 = ConditionalReceiver::new(qmgr2.clone()).unwrap();
     let comp = receiver2.read_message("Q", Wait::NoWait).unwrap();
     check(

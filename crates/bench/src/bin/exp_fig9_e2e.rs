@@ -29,9 +29,12 @@ fn conditional_cycles_per_sec(n: usize) -> f64 {
                 .unwrap()
                 .unwrap();
         }
-        let outcomes = world.messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-        world.messenger.take_outcome(id, Wait::NoWait).unwrap();
+        let outcome = world
+            .messenger
+            .take_outcome(id, Wait::NoWait)
+            .unwrap()
+            .unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
     CYCLES as f64 / start.elapsed().as_secs_f64()
 }

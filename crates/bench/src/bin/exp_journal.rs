@@ -23,7 +23,7 @@ use std::io::Write;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use cond_bench::{emit_metrics, header, percentile, row};
+use cond_bench::{emit_metrics, header, percentile, row, write_bench_json};
 use mq::codec::WireEncode;
 use mq::journal::{Journal, JournalRecord, SegmentConfig, SegmentedJournal};
 use mq::{Message, MetricsRegistry};
@@ -192,8 +192,7 @@ fn main() {
         "{{\n  \"experiment\": \"EJ journal group commit\",\n  \"quick\": {quick},\n  \"per_writer_appends\": {per_writer},\n  \"runs\": [\n{}\n  ]\n}}\n",
         runs_json.join(",\n"),
     );
-    std::fs::write("BENCH_journal.json", json).unwrap();
-    println!("\nwrote BENCH_journal.json");
+    write_bench_json("BENCH_journal.json", quick, &json);
 
     emit_metrics();
 }

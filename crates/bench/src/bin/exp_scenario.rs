@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cond_bench::{header, percentile, row};
+use cond_bench::{header, percentile, row, write_bench_json};
 use cond_scenario::{exec, RunReport, ScenarioSpec};
 
 /// The flagship scenarios, in run order (cheapest first).
@@ -110,8 +110,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scenario.json", &json).expect("write BENCH_scenario.json");
-    println!("\nwrote BENCH_scenario.json");
+    write_bench_json("BENCH_scenario.json", quick, &json);
 
     let failed: Vec<&str> = reports
         .iter()

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cond_bench::{emit_metrics, header, percentile, row};
+use cond_bench::{emit_metrics, header, percentile, row, write_bench_json};
 use mq::journal::{Journal, NullJournal, SegmentConfig, SegmentedJournal};
 use mq::selector::Selector;
 use mq::{ManagerConfig, Message, QueueConfig, QueueManager, Wait};
@@ -267,8 +267,7 @@ fn main() {
         gsel = idx.selector_p95_us < scan.selector_p95_us,
         gcorr = idx.correlation_p95_us < scan.correlation_p95_us,
     );
-    std::fs::write("BENCH_store.json", json).unwrap();
-    println!("wrote BENCH_store.json");
+    write_bench_json("BENCH_store.json", quick, &json);
 
     // Regression gates: the whole point of the storage inversion.
     assert!(

@@ -48,7 +48,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cond_bench::{emit_metrics, header, row};
+use cond_bench::{emit_metrics, header, row, write_bench_json};
 use mq::channel::Channel;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Message, Obs, QueueAddress, QueueManager, SystemClock};
@@ -301,8 +301,7 @@ fn main() {
         msgs_per_pair,
         runs_json.join(",\n"),
     );
-    std::fs::write("BENCH_tcp.json", json).unwrap();
-    println!("\nwrote BENCH_tcp.json");
+    write_bench_json("BENCH_tcp.json", quick, &json);
 
     emit_metrics();
 }

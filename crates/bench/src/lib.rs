@@ -11,6 +11,8 @@
 pub mod baseline;
 pub mod workload;
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use condmsg::ConditionalMessenger;
@@ -78,6 +80,23 @@ pub fn emit_metrics() {
         snapshot.len()
     );
     print!("{}", snapshot.render());
+}
+
+/// Writes an experiment's JSON result file `name` (a `BENCH_*.json`): a
+/// full run into the working directory, where the committed result lives;
+/// a `--quick` run under `target/bench-quick/`, so a gate run leaves the
+/// committed file alone.
+pub fn write_bench_json(name: &str, quick: bool, json: &str) {
+    let path = if quick {
+        Path::new("target/bench-quick").join(name)
+    } else {
+        PathBuf::from(name)
+    };
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
 }
 
 /// Nearest-rank percentile of `samples` for `p` in `[0, 1]`, or 0 when

@@ -39,9 +39,10 @@
 //! let mut receiver = ConditionalReceiver::new(qmgr.clone())?;
 //! receiver.read_message("ORDERS", Wait::NoWait)?.expect("delivered");
 //!
-//! let outcomes = messenger.pump()?;
-//! assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-//! # assert_eq!(outcomes[0].cond_id, id);
+//! // The read's acknowledgment decided the message; the verdict waits on
+//! // DS.OUTCOME.Q, correlated by the conditional-message id.
+//! let outcome = messenger.take_outcome(id, Wait::NoWait)?.expect("decided");
+//! assert_eq!(outcome.outcome, MessageOutcome::Success);
 //! # Ok::<(), condmsg::CondError>(())
 //! ```
 

@@ -17,7 +17,6 @@ use mq::listener::{DeliveryTx, Listener, ListenerStats};
 use mq::{MqError, MqResult, QueueManager, Wait};
 use simtime::Millis;
 
-use crate::config::CondConfig;
 use crate::error::{CondError, CondResult};
 use crate::receiver::{ConditionalReceiver, ReceivedMessage};
 
@@ -87,7 +86,10 @@ impl ConditionalListener {
         // read with the plain timed read instead.
         let watched = qmgr.queue(&queue).ok();
         // Construct the receiver up front so setup errors surface here.
-        let receiver = ConditionalReceiver::with_config(qmgr, recipient, CondConfig::default())?;
+        let receiver = match recipient {
+            Some(recipient) => ConditionalReceiver::with_identity(qmgr, recipient)?,
+            None => ConditionalReceiver::new(qmgr)?,
+        };
         let tx = ReceiverTx {
             receiver,
             queue: queue.clone(),

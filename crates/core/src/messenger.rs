@@ -29,6 +29,12 @@
 //!   while it could not stage their verdicts) are taken from the queue by
 //!   the next cycle — at attach time, by [`ConditionalMessenger::pump`] —
 //!   through the same body.
+//! * **Outcome notification**: the deciding transaction puts the verdict
+//!   on `DS.OUTCOME.Q`, correlated by the conditional-message id. That
+//!   queue is the one place an application learns an outcome:
+//!   [`ConditionalMessenger::take_outcome`] consumes the notification
+//!   (waiting on the queue's selective waiter),
+//!   [`ConditionalMessenger::status`] peeks at the verdict.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, release of the parked compensation messages
 //!   (paper §2.6). Both are staged into the deciding transaction, together
@@ -40,12 +46,12 @@
 //!
 //! Under a [`simtime::SimClock`] everything runs synchronously: acks are
 //! evaluated inside the commit that delivers them and deadline verdicts fire
-//! inside `advance`; [`ConditionalMessenger::pump`] hands back the outcomes
-//! decided since the last call. Under a system clock the timers fire from
+//! inside `advance`, so the notification is on the outcome queue when the
+//! put or the `advance` returns. Under a system clock the timers fire from
 //! the clock's waiter thread, and [`ConditionalMessenger::spawn_daemon`]
 //! adds a backstop that retries a drain a storage error interrupted.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -57,11 +63,11 @@ use mq::{
     ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, MqError, QueueAddress, QueueManager,
     TraceStage, Wait,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use simtime::{Time, TimerId};
 
 use crate::condition::Condition;
-use crate::config::CondConfig;
+use crate::config::{CondConfig, ACK_BATCH, DEFAULT_DONE_QUEUE};
 use crate::error::{CondError, CondResult};
 use crate::eval::{AckState, CompiledCondition, IncrementalEval, Verdict};
 use crate::ids::CondMessageId;
@@ -70,12 +76,6 @@ use crate::wire::{
     self, AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions, SendRecord,
     SlogEntry,
 };
-
-/// Bound on the outcomes buffered for [`ConditionalMessenger::pump`]:
-/// evaluation needs no pump, so without one the buffer would grow with every
-/// verdict. Past the bound the oldest are dropped (and counted); each is
-/// still on `DS.OUTCOME.Q` and in [`ConditionalMessenger::status`].
-const RECENT_OUTCOMES_CAP: usize = 16 * 1024;
 
 /// Evaluation status of a conditional message, as known to this messenger.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,13 +121,8 @@ impl PendingEval {
             },
             compiled,
             send_time,
-            timeout_at: options
-                .evaluation_timeout
-                .or(config.default_evaluation_timeout)
-                .map(|t| send_time + t),
-            success_notifications: options
-                .success_notifications
-                .unwrap_or(config.success_notifications),
+            timeout_at: options.evaluation_timeout.map(|t| send_time + t),
+            success_notifications: options.success_notifications.unwrap_or(false),
             defer_outcome_actions: options.defer_outcome_actions,
             timer: None,
             timer_gen: 0,
@@ -248,19 +243,11 @@ pub struct ConditionalMessenger {
     /// Pre-registered `cond.*` metric cells (hot paths never touch the
     /// registry).
     metrics: MessengerMetrics,
-    /// Outcomes finalized since the last `pump()`, which drains and
-    /// returns them; at most [`RECENT_OUTCOMES_CAP`].
-    recent_outcomes: Mutex<VecDeque<OutcomeNotification>>,
     /// Messages a failed cycle left `due` (storage down at the decision
     /// instant). They sit in `pending` without a fresh timer — their
     /// trigger is past due, a timer would fire at once and spin — and
     /// every evaluation cycle retries them.
     retry: Mutex<Vec<CondMessageId>>,
-    /// Decided-outcome sequence number + condvar: bumped on every
-    /// finalization so subscribers (D-Sphere termination) can park instead
-    /// of poll-sleeping.
-    outcome_seq: Mutex<u64>,
-    outcome_cv: Condvar,
     /// Back-reference for timer callbacks and the ack queue's trigger slot.
     self_weak: Weak<ConditionalMessenger>,
 }
@@ -300,7 +287,7 @@ impl ConditionalMessenger {
             &config.ack_queue,
             &config.comp_queue,
             &config.outcome_queue,
-            &config.done_queue,
+            DEFAULT_DONE_QUEUE,
         ] {
             qmgr.ensure_queue(queue)?;
         }
@@ -313,10 +300,7 @@ impl ConditionalMessenger {
             deferred: Mutex::new(HashMap::new()),
             pump_lock: Mutex::new(()),
             metrics,
-            recent_outcomes: Mutex::new(VecDeque::new()),
             retry: Mutex::new(Vec::new()),
-            outcome_seq: Mutex::new(0),
-            outcome_cv: Condvar::new(),
             self_weak: weak.clone(),
         });
         messenger.recover()?;
@@ -411,23 +395,19 @@ impl ConditionalMessenger {
     ) -> CondResult<CondMessageId> {
         let payload = payload.into();
         let compiled = CompiledCondition::compile(condition)?;
-        if self.config.analyze_sends {
-            let ctx = crate::analyze::AnalyzeContext {
-                evaluation_timeout: options
-                    .evaluation_timeout
-                    .or(self.config.default_evaluation_timeout),
-                ack_grace: self.config.ack_grace,
-                has_compensation: Some(compensation.is_some()),
-            };
-            let report = crate::analyze::analyze_with(condition, &ctx);
-            self.metrics.analyze_runs.incr();
-            self.metrics
-                .analyze_warnings
-                .add(report.warnings().count() as u64);
-            if let Ok(err) = report.into_error() {
-                self.metrics.analyze_rejected.incr();
-                return Err(CondError::Analysis(err));
-            }
+        let ctx = crate::analyze::AnalyzeContext {
+            evaluation_timeout: options.evaluation_timeout,
+            ack_grace: self.config.ack_grace,
+            has_compensation: Some(compensation.is_some()),
+        };
+        let report = crate::analyze::analyze_with(condition, &ctx);
+        self.metrics.analyze_runs.incr();
+        self.metrics
+            .analyze_warnings
+            .add(report.warnings().count() as u64);
+        if let Ok(err) = report.into_error() {
+            self.metrics.analyze_rejected.incr();
+            return Err(CondError::Analysis(err));
         }
         let cond_id = CondMessageId::generate();
         let send_time = self.qmgr.clock().now();
@@ -509,29 +489,29 @@ impl ConditionalMessenger {
 
     // ------------------------------------------------------ evaluation --
 
-    /// Returns the outcomes decided since the last call, after draining
-    /// whatever is waiting on `DS.ACK.Q` (nothing, unless acks landed while
-    /// no messenger was attached or the trigger declined them: it consumes
-    /// them as they arrive). O(acks waiting), never a scan of the pending
-    /// table — time-only verdicts come from the armed timers, so under a
-    /// `SimClock` `advance` decides and `pump` reports.
+    /// Drains whatever is waiting on `DS.ACK.Q` (nothing, unless acks
+    /// landed while no messenger was attached or the trigger declined
+    /// them: it consumes them as they arrive) and retries the verdicts a
+    /// storage error interrupted. O(acks waiting + retries), never a scan
+    /// of the pending table — time-only verdicts come from the armed
+    /// timers. Outcomes are learned from `DS.OUTCOME.Q`
+    /// ([`take_outcome`](Self::take_outcome)) or peeked at with
+    /// [`status`](Self::status), never from here.
     ///
     /// # Errors
     ///
-    /// Messaging failures; the outcomes stay buffered for the next call.
+    /// Messaging failures; what failed is retried by the next cycle.
     /// Malformed acknowledgments are consumed and skipped rather than
     /// wedging the queue.
-    pub fn pump(&self) -> CondResult<Vec<OutcomeNotification>> {
+    pub fn pump(&self) -> CondResult<()> {
         let _serial = self.pump_lock.lock();
         self.metrics.pump_iterations.incr();
-        self.run_cycle_for(&[])?;
-        Ok(std::mem::take(&mut *self.recent_outcomes.lock()).into())
+        self.run_cycle_for(&[])
     }
 
     /// Evaluation cycles from the queue: decides — and rearms — `seed`, the
     /// verdicts waiting to be retried and the messages whose
-    /// acknowledgments are waiting on `DS.ACK.Q`, buffering the new
-    /// outcomes for [`pump`](Self::pump). O(touched). Sound because every
+    /// acknowledgments are waiting on `DS.ACK.Q`. O(touched). Sound because every
     /// pending message keeps an armed timer at its next decision-relevant
     /// instant, so time-only decisions arrive via their own timer fire.
     /// Caller holds the pump lock.
@@ -556,7 +536,7 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Runs one cycle per `ack_batch` queued acknowledgments until the ack
+    /// Runs one cycle per [`ACK_BATCH`] queued acknowledgments until the ack
     /// queue is empty; the first also decides the ids already in `ids`.
     /// Every id an acknowledgment touches is appended to `ids`.
     fn run_transactions(&self, ids: &mut Vec<CondMessageId>) -> CondResult<()> {
@@ -573,7 +553,7 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Up to `ack_batch` gets from the ack queue, in `session`'s
+    /// Up to [`ACK_BATCH`] gets from the ack queue, in `session`'s
     /// transaction, or one opened only when there is something to get — an
     /// idle wakeup must not open a session (or touch the journal) to learn
     /// there is nothing to drain.
@@ -583,7 +563,7 @@ impl ConditionalMessenger {
             if !session.in_transaction() {
                 session.begin()?;
             }
-            while queued.len() < self.config.ack_batch.max(1) {
+            while queued.len() < ACK_BATCH {
                 let Some(msg) = session.get(&self.config.ack_queue, Wait::NoWait)? else {
                     break;
                 };
@@ -705,8 +685,7 @@ impl ConditionalMessenger {
         self.metrics.pending_depth.set(pending.len() as u64);
     }
 
-    /// Installs, counts, traces and announces a committed cycle
-    /// transaction — only now, so a rolled-back ack or verdict is never
+    /// Installs, counts and traces a committed cycle transaction — only now, so a rolled-back ack or verdict is never
     /// counted twice and the trace never shows an action that did not
     /// happen.
     fn publish(&self, mut cycle: Cycle) {
@@ -762,14 +741,6 @@ impl ConditionalMessenger {
                 },
             );
             self.record_outcome_actions(cond_id, verdict.actions);
-            let mut recent = self.recent_outcomes.lock();
-            recent.push_back(notification);
-            if recent.len() > RECENT_OUTCOMES_CAP {
-                recent.pop_front();
-                self.metrics.recent_dropped.incr();
-            }
-            drop(recent);
-            self.note_outcome();
         }
     }
 
@@ -924,21 +895,6 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Blocks (real time) until any conditional message is decided or
-    /// `timeout` elapses; returns whether a decision happened. D-Sphere
-    /// termination parks here instead of sleep-polling.
-    pub fn wait_outcome_event(&self, timeout: Duration) -> bool {
-        let mut seq = self.outcome_seq.lock();
-        let start = *seq;
-        self.outcome_cv.wait_for(&mut seq, timeout);
-        *seq != start
-    }
-
-    fn note_outcome(&self) {
-        *self.outcome_seq.lock() += 1;
-        self.outcome_cv.notify_all();
-    }
-
     /// Stages a verdict into the caller's transaction (dequeue, log and
     /// act together): the outcome log entry, the outcome actions
     /// (compensation release or success notifications, plus removal of the
@@ -949,7 +905,7 @@ impl ConditionalMessenger {
         let verdict = &decided.notification;
         let (cond_id, outcome) = (verdict.cond_id, verdict.outcome);
         session.put(
-            &self.config.done_queue,
+            DEFAULT_DONE_QUEUE,
             SlogEntry::Outcome {
                 cond_id,
                 outcome,
@@ -1160,9 +1116,9 @@ impl ConditionalMessenger {
         ))
         .map_err(MqError::from)?;
         let mut n = 0;
-        while let Some(msg) =
-            self.qmgr
-                .get_selected(&self.config.done_queue, &selector, Wait::NoWait)?
+        while let Some(msg) = self
+            .qmgr
+            .get_selected(DEFAULT_DONE_QUEUE, &selector, Wait::NoWait)?
         {
             if let Ok(id) = wire::cond_id_of(&msg) {
                 self.decided.lock().remove(&id);
@@ -1236,11 +1192,11 @@ impl ConditionalMessenger {
                 }
                 SlogEntry::AckSeen(ack) => acks.entry(ack.cond_id).or_default().push(ack),
                 SlogEntry::Outcome { .. } => {
-                    // Legacy location; outcome history lives on done_queue.
+                    // Legacy location; outcome history lives on DS.DONE.Q.
                 }
             }
         }
-        for msg in self.qmgr.queue(&self.config.done_queue)?.browse() {
+        for msg in self.qmgr.queue(DEFAULT_DONE_QUEUE)?.browse() {
             if let SlogEntry::Outcome {
                 cond_id,
                 outcome,
@@ -1289,9 +1245,8 @@ impl ConditionalMessenger {
     /// on it — acks are evaluated by the thread that commits them and
     /// deadline verdicts fire from the clock's timers. The daemon parks on
     /// the ack queue (for at most `poll`, which keeps its stop flag
-    /// responsive) and pumps on every wakeup: that retries the verdicts a
-    /// storage error interrupted and discards the outcomes buffered for
-    /// `pump()` callers nobody else is collecting. An idle tick opens no session. Tests with
+    /// responsive) and pumps on every wakeup, which retries the verdicts a
+    /// storage error interrupted. An idle tick opens no session. Tests with
     /// a `SimClock` need no daemon.
     ///
     /// # Errors
@@ -1485,26 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_sends_off_bypasses_rejection() {
-        let clock = SimClock::new();
-        let qmgr = QueueManager::builder("QM1")
-            .clock(clock.clone())
-            .build()
-            .unwrap();
-        qmgr.create_queue("Q.A").unwrap();
-        let config = CondConfig {
-            analyze_sends: false,
-            ..CondConfig::default()
-        };
-        let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
-        let cond: Condition = Destination::queue("QM1", "Q.A")
-            .pickup_within(Millis::ZERO)
-            .into();
-        messenger.send_message("legacy", &cond).unwrap();
-        assert!(qmgr.get("Q.A", Wait::NoWait).unwrap().is_some());
-    }
-
-    #[test]
     fn send_fans_out_with_control_properties() {
         let (_clock, qmgr, messenger) = setup();
         let id = messenger
@@ -1554,19 +1489,14 @@ mod tests {
         // down with the decision.
         assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
         assert_eq!(clock.pending_timers(), 0);
-        // pump hands the buffered outcome back exactly once.
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-        assert_eq!(outcomes[0].cond_id, id);
-        assert_eq!(outcomes[0].decided_at, Time(10));
-        assert!(messenger.pump().unwrap().is_empty());
         // Compensations consumed, not delivered.
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "only the original");
-        // Outcome notification available and consumable.
+        // The outcome notification is consumable exactly once.
         let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
         assert_eq!(n.outcome, MessageOutcome::Success);
+        assert_eq!(n.cond_id, id);
+        assert_eq!(n.decided_at, Time(10));
         assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none());
         assert!(matches!(messenger.status(id), MessageStatus::Decided(_)));
         // Send/ack log entries purged from the active log; the outcome
@@ -1584,16 +1514,15 @@ mod tests {
             .send_message("hello", &two_dest_condition(Millis(100)))
             .unwrap();
         clock.advance(Millis(50));
-        assert!(messenger.pump().unwrap().is_empty(), "still pending");
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
         // One big advance: the armed timer fires at the first violating
         // tick (deadline 100, grace 0 → tick 101), not at the advance's end.
         clock.advance(Millis(500));
         assert_eq!(clock.pending_timers(), 0);
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-        assert_eq!(outcomes[0].decided_at, Time(101));
-        assert!(outcomes[0].reason.as_deref().unwrap().contains("pick-up"));
+        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(n.outcome, MessageOutcome::Failure);
+        assert_eq!(n.decided_at, Time(101));
+        assert!(n.reason.as_deref().unwrap().contains("pick-up"));
         // Compensation messages delivered to both destinations.
         for queue in ["Q.A", "Q.B"] {
             let msgs = qmgr.queue(queue).unwrap().browse();
@@ -1603,10 +1532,7 @@ mod tests {
                 .any(|m| wire::kind_of(m) == wire::MessageKind::Compensation));
         }
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
-        assert_eq!(messenger.status(id), {
-            let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
-            MessageStatus::Decided(n)
-        });
+        assert_eq!(messenger.status(id), MessageStatus::Decided(n));
     }
 
     #[test]
@@ -1632,9 +1558,9 @@ mod tests {
         // beyond the window: decided now, not at the timer (t=201).
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(120)))
             .unwrap();
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-        assert_eq!(outcomes[0].decided_at, Time(120));
+        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(n.outcome, MessageOutcome::Failure);
+        assert_eq!(n.decided_at, Time(120));
         assert_eq!(clock.pending_timers(), 0);
     }
 
@@ -1665,12 +1591,12 @@ mod tests {
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(10)))
             .unwrap();
         clock.advance(Millis(499));
-        assert!(messenger.pump().unwrap().is_empty());
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
         clock.advance(Millis(1));
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-        assert!(outcomes[0].reason.as_deref().unwrap().contains("timeout"));
-        assert_eq!(outcomes[0].decided_at, Time(500));
+        let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(n.outcome, MessageOutcome::Failure);
+        assert!(n.reason.as_deref().unwrap().contains("timeout"));
+        assert_eq!(n.decided_at, Time(500));
     }
 
     #[test]
@@ -1690,7 +1616,6 @@ mod tests {
         clock.advance(Millis(5));
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(5))).unwrap();
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 1, Time(5))).unwrap();
-        messenger.pump().unwrap();
         for queue in ["Q.A", "Q.B"] {
             let msgs = qmgr.queue(queue).unwrap().browse();
             assert!(
@@ -1712,7 +1637,6 @@ mod tests {
             )
             .unwrap();
         clock.advance(Millis(200));
-        messenger.pump().unwrap();
         let comp = qmgr
             .queue("Q.A")
             .unwrap()
@@ -1734,8 +1658,9 @@ mod tests {
         .unwrap();
         qmgr.put("DS.ACK.Q", Message::text("not an ack").build())
             .unwrap();
-        assert!(messenger.pump().unwrap().is_empty());
+        messenger.pump().unwrap();
         assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+        assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
         // No stray log entries.
         assert_eq!(qmgr.queue("DS.SLOG.Q").unwrap().depth(), 0);
     }
@@ -1754,15 +1679,14 @@ mod tests {
             .unwrap();
         qmgr.put("DS.ACK.Q", fake_read_ack(fast, 1, Time(10)))
             .unwrap();
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].cond_id, fast);
+        assert!(messenger
+            .take_outcome(fast, Wait::NoWait)
+            .unwrap()
+            .is_some());
         assert_eq!(messenger.status(slow), MessageStatus::Pending);
         clock.advance(Millis(600));
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].cond_id, slow);
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        let n = messenger.take_outcome(slow, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(n.outcome, MessageOutcome::Failure);
     }
 
     #[test]
@@ -1784,7 +1708,6 @@ mod tests {
         clock.advance(Millis(10));
         qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(10)))
             .unwrap();
-        messenger.pump().unwrap();
         qmgr.crash();
 
         // Restart: same journal, fresh manager + messenger.
@@ -1801,9 +1724,8 @@ mod tests {
             .put("DS.ACK.Q", fake_read_ack(id, 1, Time(20)))
             .unwrap();
         clock.advance(Millis(10));
-        let outcomes = messenger2.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let n = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(n.outcome, MessageOutcome::Success);
     }
 
     #[test]
@@ -1821,8 +1743,7 @@ mod tests {
         let id = messenger
             .send_message("x", &two_dest_condition(Millis(50)))
             .unwrap();
-        clock.advance(Millis(100));
-        messenger.pump().unwrap(); // decides failure
+        clock.advance(Millis(100)); // decides failure
         qmgr.crash();
 
         let qmgr2 = QueueManager::builder("QM1")
@@ -1854,14 +1775,12 @@ mod tests {
         let early = messenger
             .send_message("a", &two_dest_condition(Millis(10)))
             .unwrap();
-        clock.advance(Millis(20));
-        messenger.pump().unwrap(); // early fails at t=20
+        clock.advance(Millis(20)); // early fails at t=11
         clock.advance(Millis(100));
         let late = messenger
             .send_message("b", &two_dest_condition(Millis(10)))
             .unwrap();
-        clock.advance(Millis(20));
-        messenger.pump().unwrap(); // late fails at t=140
+        clock.advance(Millis(20)); // late fails at t=131
         assert_eq!(qmgr.queue("DS.DONE.Q").unwrap().depth(), 2);
 
         let pruned = messenger.prune_decided_before(Time(100)).unwrap();
@@ -1893,29 +1812,6 @@ mod tests {
         clock.advance(Millis(300));
         assert_eq!(messenger.pending_count(), 0);
         assert_eq!(clock.pending_timers(), 0);
-    }
-
-    #[test]
-    fn outcomes_nobody_pumps_are_bounded() {
-        // Evaluation needs no pump; the buffer pump() drains must not grow
-        // with every verdict when nobody calls it.
-        let (clock, _qmgr, messenger) = setup();
-        let condition = two_dest_condition(Millis(10));
-        let ids: Vec<_> = (0..RECENT_OUTCOMES_CAP + 3)
-            .map(|_| messenger.send_message("x", &condition).unwrap())
-            .collect();
-        clock.advance(Millis(100));
-        assert_eq!(messenger.pending_count(), 0);
-        assert_eq!(messenger.metrics.recent_dropped.get(), 3);
-        // The oldest were dropped from the buffer only: every verdict is
-        // still known.
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), RECENT_OUTCOMES_CAP);
-        let buffered: std::collections::HashSet<_> = outcomes.iter().map(|o| o.cond_id).collect();
-        assert_eq!(ids.iter().filter(|id| !buffered.contains(id)).count(), 3);
-        assert!(ids
-            .iter()
-            .all(|id| matches!(messenger.status(*id), MessageStatus::Decided(_))));
     }
 
     #[test]

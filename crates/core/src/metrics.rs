@@ -65,9 +65,6 @@ pub(crate) struct MessengerMetrics {
     /// landed while no messenger was attached — instead of being consumed
     /// by the arrival trigger (`cond.ack.queued`).
     pub acks_queued: Arc<Counter>,
-    /// Outcomes dropped, oldest first, from the buffer `pump()` drains
-    /// because nobody pumped (`cond.outcome.recent_dropped`).
-    pub recent_dropped: Arc<Counter>,
     /// Condition trees run through the static analyzer at send time
     /// (`cond.analyze.runs`).
     pub analyze_runs: Arc<Counter>,
@@ -102,7 +99,6 @@ impl MessengerMetrics {
             eval_errors: registry.counter("cond.eval.errors"),
             ack_batch_size: registry.histogram("cond.ack.batch_size"),
             acks_queued: registry.counter("cond.ack.queued"),
-            recent_dropped: registry.counter("cond.outcome.recent_dropped"),
             analyze_runs: registry.counter("cond.analyze.runs"),
             analyze_warnings: registry.counter("cond.analyze.warnings"),
             analyze_rejected: registry.counter("cond.analyze.rejected"),

@@ -250,8 +250,8 @@ mod tests {
             assert_eq!(m.kind(), MessageKind::Original);
             assert_eq!(m.cond_id(), Some(id));
         }
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
         for name in ["s1", "s2", "s3"] {
             topic.subscribe(name).unwrap();
         }
-        let (_, n) = messenger
+        let (id, n) = messenger
             .publish_conditional(
                 &topic,
                 "poll",
@@ -275,12 +275,8 @@ mod tests {
             let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
             r.read_message(q, Wait::NoWait).unwrap().unwrap();
         }
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(
-            outcomes[0].outcome,
-            MessageOutcome::Success,
-            "2 of 3 suffices"
-        );
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success, "2 of 3 suffices");
     }
 
     #[test]
@@ -288,7 +284,7 @@ mod tests {
         let (clock, qmgr, messenger, topic) = setup();
         topic.subscribe("s1").unwrap();
         topic.subscribe("s2").unwrap();
-        messenger
+        let (id, _) = messenger
             .publish_conditional_with_compensation(
                 &topic,
                 "event",
@@ -304,8 +300,8 @@ mod tests {
             .unwrap()
             .unwrap();
         clock.advance(Millis(100));
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Failure);
         // s1 gets the compensation; s2's pair annihilates.
         let comp = r1
             .read_message("TOPIC.events.s1", Wait::NoWait)
@@ -325,7 +321,7 @@ mod tests {
     fn snapshot_semantics_late_subscribers_unaffected() {
         let (clock, qmgr, messenger, topic) = setup();
         topic.subscribe("early").unwrap();
-        let (_, n) = messenger
+        let (id, n) = messenger
             .publish_conditional(
                 &topic,
                 "x",
@@ -343,7 +339,7 @@ mod tests {
         r.read_message("TOPIC.events.early", Wait::NoWait)
             .unwrap()
             .unwrap();
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
 }

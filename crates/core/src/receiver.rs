@@ -30,7 +30,7 @@ use mq::selector::Selector;
 use mq::{Message, MqError, QueueAddress, QueueManager, TraceStage, Wait};
 use simtime::Time;
 
-use crate::config::CondConfig;
+use crate::config::DEFAULT_RLOG_QUEUE;
 use crate::error::{CondError, CondResult};
 use crate::ids::CondMessageId;
 use crate::metrics::ReceiverMetrics;
@@ -125,7 +125,6 @@ impl PendingAck {
 /// messaging session, so it is deliberately `!Sync`-style: use `&mut self`).
 pub struct ConditionalReceiver {
     qmgr: Arc<QueueManager>,
-    config: CondConfig,
     recipient: Option<String>,
     session: mq::Session,
     pending_acks: Vec<PendingAck>,
@@ -154,7 +153,7 @@ impl ConditionalReceiver {
     ///
     /// Queue-creation failures.
     pub fn new(qmgr: Arc<QueueManager>) -> CondResult<ConditionalReceiver> {
-        ConditionalReceiver::with_config(qmgr, None, CondConfig::default())
+        ConditionalReceiver::create(qmgr, None)
     }
 
     /// Creates a receiver with a recipient identity (reported in
@@ -168,25 +167,18 @@ impl ConditionalReceiver {
         qmgr: Arc<QueueManager>,
         recipient: impl Into<String>,
     ) -> CondResult<ConditionalReceiver> {
-        ConditionalReceiver::with_config(qmgr, Some(recipient.into()), CondConfig::default())
+        ConditionalReceiver::create(qmgr, Some(recipient.into()))
     }
 
-    /// Fully general constructor.
-    ///
-    /// # Errors
-    ///
-    /// Queue-creation failures.
-    pub fn with_config(
+    fn create(
         qmgr: Arc<QueueManager>,
         recipient: Option<String>,
-        config: CondConfig,
     ) -> CondResult<ConditionalReceiver> {
-        qmgr.ensure_queue(&config.rlog_queue)?;
+        qmgr.ensure_queue(DEFAULT_RLOG_QUEUE)?;
         let session = qmgr.session();
         let metrics = ReceiverMetrics::registered(qmgr.obs().metrics());
         Ok(ConditionalReceiver {
             qmgr,
-            config,
             recipient,
             session,
             pending_acks: Vec::new(),
@@ -286,7 +278,7 @@ impl ConditionalReceiver {
                         // Original was consumed: deliver the compensation
                         // (exactly once — log the delivery).
                         self.session.put(
-                            &self.config.rlog_queue,
+                            DEFAULT_RLOG_QUEUE,
                             rlog_entry(cond_id, leaf, "comp-delivered", self.qmgr.clock().now()),
                         )?;
                         return Ok(Some(ReceivedMessage::classify(msg)));
@@ -336,7 +328,7 @@ impl ConditionalReceiver {
             return Ok(false);
         }
         self.session.put(
-            &self.config.rlog_queue,
+            DEFAULT_RLOG_QUEUE,
             rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
         )?;
         self.annihilated.push((cond_id, leaf, queue.to_owned()));
@@ -365,7 +357,7 @@ impl ConditionalReceiver {
             wire::P_RLOG_ENTRY
         ))
         .map_err(MqError::from)?;
-        let rlog = self.qmgr.queue(&self.config.rlog_queue)?;
+        let rlog = self.qmgr.queue(DEFAULT_RLOG_QUEUE)?;
         // Point read off the property index: the rlog grows with every
         // delivery, and this probe runs once per duplicate redelivery.
         Ok(rlog.any_selected(&selector))
@@ -414,7 +406,7 @@ impl ConditionalReceiver {
         let commit_time = self.qmgr.clock().now();
         for pa in &self.pending_acks {
             self.session.put(
-                &self.config.rlog_queue,
+                DEFAULT_RLOG_QUEUE,
                 rlog_entry(pa.cond_id, pa.leaf, "consumed", pa.read_at),
             )?;
             let ack = Acknowledgment {
@@ -613,8 +605,8 @@ mod tests {
         receiver.commit_tx().unwrap();
         assert_eq!(counter(&qmgr, "cond.recv.processed_acks"), 1);
         assert_eq!(counter(&qmgr, "cond.ack.processed"), 1);
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
 
     #[test]
@@ -623,7 +615,7 @@ mod tests {
         // processing was expected (paper: an acknowledgment of successful
         // non-transactional processing cannot be generated automatically).
         let (clock, qmgr, messenger) = setup();
-        messenger
+        let id = messenger
             .send_message("work", &processing_dest(Millis(50)))
             .unwrap();
         clock.advance(Millis(5));
@@ -635,8 +627,8 @@ mod tests {
         // Evaluation: processing required but only a read-ack → fails once
         // the window passes.
         clock.advance(Millis(100));
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Failure);
     }
 
     #[test]
@@ -647,7 +639,6 @@ mod tests {
             .unwrap();
         // Nobody reads; failure → compensation joins the original on Q.A.
         clock.advance(Millis(60));
-        messenger.pump().unwrap();
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 2);
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap();
@@ -723,7 +714,6 @@ mod tests {
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert_eq!(got.kind(), MessageKind::Original);
         clock.advance(Millis(60));
-        messenger.pump().unwrap();
         // The compensation arrives and is deliverable because the RLOG
         // shows consumption.
         let comp = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
@@ -798,7 +788,6 @@ mod tests {
         clock.advance(Millis(5));
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
-        messenger.pump().unwrap();
         let note = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert_eq!(note.kind(), MessageKind::SuccessNotification);
         assert_eq!(note.cond_id(), Some(id));
@@ -835,14 +824,13 @@ mod tests {
         .pickup_within(Millis(100))
         .min_pickup(1)
         .into();
-        messenger.send_message("either", &cond).unwrap();
+        let id = messenger.send_message("either", &cond).unwrap();
         clock.advance(Millis(10));
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes.len(), 1);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
         assert_eq!(
-            outcomes[0].outcome,
+            outcome.outcome,
             MessageOutcome::Success,
             "early success at 1 of 2"
         );
@@ -853,7 +841,7 @@ mod tests {
         // Example 2 shape: one queue, several potential readers, any one
         // read satisfies the condition.
         let (clock, qmgr, messenger) = setup();
-        messenger
+        let id = messenger
             .send_message("flight", &one_dest(Millis(100)))
             .unwrap();
         clock.advance(Millis(1));
@@ -866,7 +854,7 @@ mod tests {
             "exactly one controller wins"
         );
         assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 1);
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
 }

@@ -26,7 +26,7 @@ use condmsg::{
     CondError, CondMessageId, Condition, ConditionalMessenger, MessageOutcome, MessageStatus,
     SendOptions,
 };
-use mq::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TraceStage};
+use mq::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TraceStage, Wait};
 use simtime::{Millis, Time};
 
 use crate::otx::{Transaction, TransactionManager, TransactionalResource};
@@ -450,24 +450,32 @@ impl DSphere {
     }
 
     /// Blocking `commit_DS`: re-attempts [`DSphere::try_commit`] until the
-    /// sphere terminates, parking on the messenger's decided-outcome
-    /// notification between attempts — a member decision wakes it
-    /// immediately, while `poll` of *real* time bounds the wait so sphere
-    /// timeouts are still noticed. Use with a system clock (and ideally a
-    /// sphere timeout or per-message evaluation timeouts so termination is
-    /// guaranteed).
+    /// sphere terminates, parking between attempts on the outcome queue for
+    /// the first member still pending — its verdict wakes it immediately,
+    /// while `poll` of clock time bounds the wait so sphere timeouts and
+    /// the other members' verdicts are still noticed. The sphere is its
+    /// members' consumer of record, so the wait consumes the notification;
+    /// `try_commit` reads the verdict from [`ConditionalMessenger::status`].
+    /// Use with a system clock (and ideally a sphere timeout or per-message
+    /// evaluation timeouts so termination is guaranteed).
     ///
     /// # Errors
     ///
     /// Messaging failures.
     pub fn commit_blocking(mut self, poll: Duration) -> SphereResult<SphereOutcome> {
+        let park = Wait::Timeout(Millis((poll.as_millis() as u64).max(1)));
         loop {
             if let Some(outcome) = self.try_commit()? {
                 return Ok(outcome);
             }
-            // Subscribes to decided-outcome events instead of sleep-polling;
-            // a timeout just re-checks the sphere deadline.
-            self.service.messenger.wait_outcome_event(poll);
+            let messenger = &self.service.messenger;
+            let pending = self
+                .messages
+                .iter()
+                .find(|id| messenger.status(**id) == MessageStatus::Pending);
+            if let Some(id) = pending {
+                messenger.take_outcome(*id, park)?;
+            }
         }
     }
 
@@ -507,7 +515,7 @@ impl DSphere {
     /// aggregate verdict, so nothing may linger on the outcome queue.
     fn consume_member_outcomes(&self) {
         for id in &self.messages {
-            let _ = self.service.messenger.take_outcome(*id, mq::Wait::NoWait);
+            let _ = self.service.messenger.take_outcome(*id, Wait::NoWait);
         }
     }
 
@@ -535,7 +543,7 @@ mod tests {
     use super::*;
     use crate::resources::{Calendar, KvStore, ProbeResource};
     use condmsg::{ConditionalReceiver, Destination, MessageKind};
-    use mq::{QueueManager, Wait};
+    use mq::QueueManager;
     use simtime::SimClock;
 
     struct Fixture {
@@ -632,18 +640,22 @@ mod tests {
     #[test]
     fn commit_blocking_wakes_on_timer_decision() {
         // System clock, no daemon: the member's deadline timer decides
-        // the failure and the decided-outcome event wakes commit_blocking
-        // well before its (long) poll bound.
+        // the failure and its notification on the outcome queue wakes
+        // commit_blocking well before its (long) poll bound.
         let qmgr = QueueManager::builder("QM1").build().unwrap();
         qmgr.create_queue("Q.A").unwrap();
-        let messenger = ConditionalMessenger::new(qmgr).unwrap();
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
         let service = DSphereService::new(messenger);
         let mut sphere = service.begin();
         sphere.send_message("a", &dest("Q.A", Millis(40))).unwrap();
+        let start = std::time::Instant::now();
         let outcome = sphere
             .commit_blocking(Duration::from_millis(2_000))
             .unwrap();
+        let took = start.elapsed();
         assert!(!outcome.is_committed(), "unread member fails the sphere");
+        assert!(took < Duration::from_secs(1), "woke after {took:?}");
+        assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.notify.success",
     "cond.pending.depth",
     "cond.deferred.depth",
-    "cond.outcome.recent_dropped",
     "cond.eval.incremental_updates",
     "cond.eval.timer_fires",
     "cond.eval.errors",

@@ -50,7 +50,7 @@
 //! ticket issued under one connection can never be confirmed by a later
 //! connection's acks.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +59,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::BytesList;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::qmgr::QueueManager;
 use crate::stats::MetricsRegistry;
@@ -729,8 +729,11 @@ struct AcceptorShared {
     local_name: String,
     stop: AtomicBool,
     metrics: TransportMetrics,
-    /// Clones of live connection sockets, for kick/shutdown.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Clones of live connection sockets by connection id, for
+    /// kick/shutdown; a connection removes its own when it closes.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Id of the next accepted connection.
+    next_conn: AtomicU64,
     /// Fault-injection: close this many connections right after
     /// committing a burst but *before* acking it, forcing the sender down
     /// the resend-and-dedup path deterministically.
@@ -796,7 +799,8 @@ impl TcpAcceptor {
             local_name: manager.name().to_owned(),
             stop: AtomicBool::new(false),
             metrics: TransportMetrics::registered(manager.obs().metrics()),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
             drop_before_ack: AtomicU64::new(0),
             paused: AtomicBool::new(false),
         });
@@ -831,7 +835,7 @@ impl TcpAcceptor {
     /// network between the managers failed.
     pub fn kick_all(&self) {
         let mut conns = self.shared.conns.lock();
-        for conn in conns.drain(..) {
+        for (_, conn) in conns.drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
     }
@@ -896,6 +900,7 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         };
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         {
             // Decided under the lock `kick_all` drains, so a partition
             // either refuses this connection here or finds it to kick. The
@@ -906,9 +911,10 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
                 let _ = stream.shutdown(Shutdown::Both);
                 continue;
             }
-            conns.push(kick_clone);
+            conns.insert(id, kick_clone);
         }
         let conn = Arc::new(AcceptorConn {
+            id,
             shared: shared.clone(),
             io: Mutex::new(ConnIo {
                 stream,
@@ -932,9 +938,7 @@ fn accept_loop(shared: &Arc<AcceptorShared>, listener: &TcpListener) {
                     }
                 }
             }
-            Err(_) => {
-                let _ = register_clone.shutdown(Shutdown::Both);
-            }
+            Err(_) => conn.close(conn.io.lock()),
         }
     }
 }
@@ -971,6 +975,8 @@ struct Burst {
 /// delivery, coalesced watermark acks, and heartbeat replies all run in
 /// the readiness callbacks.
 struct AcceptorConn {
+    /// Key of this connection's kick handle in `AcceptorShared::conns`.
+    id: u64,
     shared: Arc<AcceptorShared>,
     io: Mutex<ConnIo>,
     registration: OnceLock<Registration>,
@@ -1091,11 +1097,16 @@ impl AcceptorConn {
         }
     }
 
-    fn close(&self, io: &mut ConnIo) {
+    /// Shuts the connection down and drops its kick handle, releasing
+    /// `io` first: `kick_all` holds `conns` while it shuts sockets down,
+    /// so neither lock is ever taken under the other.
+    fn close(&self, io: MutexGuard<'_, ConnIo>) {
         if !io.served_hello {
             self.shared.metrics.handshake_failures.incr();
         }
         let _ = io.stream.shutdown(Shutdown::Both);
+        drop(io);
+        self.shared.conns.lock().remove(&self.id);
     }
 }
 
@@ -1111,7 +1122,7 @@ impl Pollable for AcceptorConn {
         // the resend after reconnect deduplicates against it.
         let alive = self.drain_frames(&mut io);
         if !(self.commit_burst(&mut io) && alive && self.flush_replies(&mut io)) {
-            self.close(&mut io);
+            self.close(io);
             return false;
         }
         true
@@ -1120,7 +1131,7 @@ impl Pollable for AcceptorConn {
     fn on_writable(&self) -> bool {
         let mut io = self.io.lock();
         if !self.flush_replies(&mut io) {
-            self.close(&mut io);
+            self.close(io);
             return false;
         }
         true
@@ -1409,6 +1420,29 @@ mod tests {
         );
         assert!(!tx.is_connected());
         tx.shutdown();
+        acceptor.shutdown();
+    }
+
+    #[test]
+    fn a_closed_connection_leaves_no_kick_handle_behind() {
+        let recv = manager("QM.RECV");
+        let acceptor = TcpAcceptor::bind(&recv, "127.0.0.1:0").unwrap();
+        for _ in 0..100 {
+            drop(TcpStream::connect(acceptor.local_addr()).unwrap());
+        }
+        let closed = || {
+            recv.obs()
+                .metrics()
+                .snapshot()
+                .counter("mq.transport.handshake_failures")
+        };
+        let handles = || acceptor.shared.conns.lock().len();
+        assert!(
+            wait_until(Duration::from_secs(5), || closed() == 100 && handles() == 0),
+            "{} of 100 connections closed, {} kick handles held",
+            closed(),
+            handles()
+        );
         acceptor.shutdown();
     }
 

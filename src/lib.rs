@@ -38,12 +38,12 @@
 //! let condition: Condition = Destination::queue("QM1", "ORDERS")
 //!     .pickup_within(Millis(20_000))
 //!     .into();
-//! messenger.send_message("order #42", &condition)?;
+//! let id = messenger.send_message("order #42", &condition)?;
 //!
 //! let mut receiver = ConditionalReceiver::new(qmgr)?;
 //! receiver.read_message("ORDERS", Wait::NoWait)?.expect("delivered");
-//! let outcomes = messenger.pump()?;
-//! assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+//! let outcome = messenger.take_outcome(id, Wait::NoWait)?.expect("decided");
+//! assert_eq!(outcome.outcome, MessageOutcome::Success);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use condmsg::{
     AckKind, Acknowledgment, CondError, Condition, ConditionalMessenger, ConditionalReceiver,
-    Destination, MessageKind, MessageOutcome, SendOptions,
+    Destination, MessageKind, MessageOutcome, MessageStatus, SendOptions,
 };
 use dsphere::{DSphereService, KvStore};
 use mq::{QueueManager, TraceStage, Wait};
@@ -253,7 +253,8 @@ fn two_releases_of_one_deferred_message_act_once() {
         .send_with("member", Some("undo member".into()), &condition, options)
         .unwrap();
     clock.advance(Millis(100));
-    assert_eq!(messenger.pump().unwrap()[0].outcome, MessageOutcome::Failure);
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
 
     let start = Arc::new(std::sync::Barrier::new(2));
     let releases: Vec<_> = (0..2)
@@ -302,10 +303,13 @@ fn a_watcher_of_a_transaction_that_delivers_an_ack_may_evaluate() {
 
         let reentrant = parking_lot::Mutex::new(ConditionalReceiver::new(qmgr.clone()).unwrap());
         let pumping = messenger.clone();
-        let reported = Arc::new(AtomicUsize::new(0));
-        let count = reported.clone();
+        let decided = Arc::new(AtomicUsize::new(0));
+        let seen = decided.clone();
         qmgr.queue("APP.LOG").unwrap().add_put_watcher(Arc::new(move || {
-            count.fetch_add(pumping.pump().unwrap().len(), Ordering::SeqCst);
+            pumping.pump().unwrap();
+            if matches!(pumping.status(first), MessageStatus::Decided(_)) {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
             let picked = reentrant.lock().read_message("Q.B", Wait::NoWait).unwrap();
             assert!(picked.is_some());
         }));
@@ -325,7 +329,11 @@ fn a_watcher_of_a_transaction_that_delivers_an_ack_may_evaluate() {
         reader.put("DS.ACK.Q", ack.to_message()).unwrap();
         reader.commit().unwrap();
 
-        assert_eq!(reported.load(Ordering::SeqCst), 1, "the watcher's pump saw the first verdict");
+        assert_eq!(
+            decided.load(Ordering::SeqCst),
+            1,
+            "the watcher saw the first verdict"
+        );
         for id in [first, second] {
             let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap();
             assert_eq!(outcome.expect("decided").outcome, MessageOutcome::Success);

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use condmsg::{
-    Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
-    MessageOutcome, MessageStatus, SendOptions,
+    CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
+    DestinationSet, MessageKind, MessageOutcome, MessageStatus, OutcomeNotification, SendOptions,
 };
 use mq::{QueueManager, Wait};
 use simtime::{Millis, SimClock, Time};
@@ -62,6 +62,15 @@ fn example1_condition() -> Condition {
         .into()
 }
 
+/// The outcome notification of `id`, consumed from `DS.OUTCOME.Q`.
+fn outcome(world: &World, id: CondMessageId) -> OutcomeNotification {
+    world
+        .messenger
+        .take_outcome(id, Wait::NoWait)
+        .unwrap()
+        .expect("decided")
+}
+
 fn read_tx(world: &World, recipient: &str, queue: &str) {
     let mut receiver = ConditionalReceiver::with_identity(world.qmgr.clone(), recipient).unwrap();
     receiver.begin_tx().unwrap();
@@ -91,10 +100,9 @@ fn example1_success_when_all_conditions_met() {
     read_tx(&w, "receiver2", "Q.R2");
     read_nontx(&w, "receiver4", "Q.R4"); // read-only is fine: min 2 of 3
 
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.cond_id, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -110,24 +118,26 @@ fn example1_fails_when_only_one_of_subset_processes() {
     read_tx(&w, "receiver1", "Q.R1");
     read_nontx(&w, "receiver2", "Q.R2");
     read_nontx(&w, "receiver4", "Q.R4");
-    assert!(
-        w.messenger.pump().unwrap().is_empty(),
+    assert_eq!(
+        w.messenger.status(id),
+        MessageStatus::Pending,
         "1 of 2 required processings"
     );
 
     // Past the 11-day subset window the count is unreachable.
     w.clock.advance(Millis(11 * DAY));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-    let reason = outcomes[0].reason.as_deref().unwrap();
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    let reason = outcome.reason.as_deref().unwrap();
     assert!(reason.contains("processing"), "{reason}");
-    assert_eq!(outcomes[0].cond_id, id);
+    assert_eq!(outcome.cond_id, id);
 }
 
 #[test]
 fn example1_fails_on_missed_pickup() {
     let w = world(&["Q.R1", "Q.R2", "Q.R3", "Q.R4"]);
-    w.messenger
+    let id = w
+        .messenger
         .send_message("meeting notification", &example1_condition())
         .unwrap();
     // Only three of four read within two days.
@@ -140,9 +150,9 @@ fn example1_fails_on_missed_pickup() {
         read_tx(&w, r, q);
     }
     w.clock.advance(Millis(DAY + 1));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-    assert!(outcomes[0].reason.as_deref().unwrap().contains("pick-up"));
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert!(outcome.reason.as_deref().unwrap().contains("pick-up"));
 }
 
 #[test]
@@ -165,12 +175,9 @@ fn example2_any_controller_within_window() {
         .unwrap();
     w.clock.advance(Millis(15_000));
     read_nontx(&w, "controller-3", "Q.CENTRAL");
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-    assert_eq!(w.messenger.status(id), {
-        let n = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
-        MessageStatus::Decided(n)
-    });
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert_eq!(w.messenger.status(id), MessageStatus::Decided(outcome));
 }
 
 #[test]
@@ -179,7 +186,8 @@ fn example2_times_out_when_nobody_reads() {
     let condition: Condition = Destination::queue("QM1", "Q.CENTRAL")
         .pickup_within(Millis(20_000))
         .into();
-    w.messenger
+    let id = w
+        .messenger
         .send_with(
             "incoming flight",
             None,
@@ -191,10 +199,9 @@ fn example2_times_out_when_nobody_reads() {
         )
         .unwrap();
     w.clock.advance(Millis(20_000));
-    assert!(w.messenger.pump().unwrap().is_empty());
+    assert_eq!(w.messenger.status(id), MessageStatus::Pending);
     w.clock.advance(Millis(1));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Failure);
     // The unread original annihilates with the delivered compensation.
     let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
     assert!(receiver
@@ -222,16 +229,10 @@ fn conditions_are_reusable_across_messages() {
     for _ in 0..5 {
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     }
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 5);
-    let mut decided: Vec<_> = outcomes.iter().map(|o| o.cond_id).collect();
-    decided.sort();
-    let mut expected = ids.clone();
-    expected.sort();
-    assert_eq!(decided, expected);
-    assert!(outcomes
-        .iter()
-        .all(|o| o.outcome == MessageOutcome::Success));
+    for id in ids {
+        assert_eq!(outcome(&w, id).outcome, MessageOutcome::Success);
+    }
+    assert_eq!(w.qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
 }
 
 #[test]
@@ -244,7 +245,7 @@ fn mixed_conditional_and_standard_traffic() {
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(100))
         .into();
-    w.messenger.send_message("conditional", &condition).unwrap();
+    let id = w.messenger.send_message("conditional", &condition).unwrap();
 
     let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
     let first = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
@@ -252,8 +253,7 @@ fn mixed_conditional_and_standard_traffic() {
     assert_eq!(first.payload_str(), Some("plain old message"));
     let second = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     assert_eq!(second.kind(), MessageKind::Original);
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -263,7 +263,7 @@ fn per_destination_expiry_discards_stale_originals() {
         .pickup_within(Millis(500))
         .expiry(Millis(50))
         .into();
-    w.messenger.send_message("expiring", &condition).unwrap();
+    let id = w.messenger.send_message("expiring", &condition).unwrap();
     w.clock.advance(Millis(100));
     // The original expired on the queue; the read finds nothing and the
     // condition eventually fails.
@@ -273,8 +273,7 @@ fn per_destination_expiry_discards_stale_originals() {
         .unwrap()
         .is_none());
     w.clock.advance(Millis(500));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Failure);
 }
 
 #[test]
@@ -291,16 +290,16 @@ fn rollback_then_commit_still_meets_processing_deadline() {
     receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     w.clock.advance(Millis(100));
     receiver.rollback_tx().unwrap();
-    assert!(w.messenger.pump().unwrap().is_empty(), "no ack yet");
+    assert_eq!(w.messenger.status(id), MessageStatus::Pending, "no ack yet");
     // Second attempt commits within the window.
     receiver.begin_tx().unwrap();
     let again = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     assert_eq!(again.message().redelivery_count(), 1);
     w.clock.advance(Millis(100));
     receiver.commit_tx().unwrap();
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.cond_id, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -309,14 +308,13 @@ fn late_processing_after_rollbacks_fails() {
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .process_within(Millis(100))
         .into();
-    w.messenger.send_message("slow worker", &condition).unwrap();
+    let id = w.messenger.send_message("slow worker", &condition).unwrap();
     let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
     receiver.begin_tx().unwrap();
     receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     w.clock.advance(Millis(200)); // commits too late
     receiver.commit_tx().unwrap();
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Failure);
 }
 
 #[test]
@@ -328,12 +326,11 @@ fn anonymous_and_named_recipients_reported_in_acks() {
     ])
     .pickup_within(Millis(100))
     .into();
-    w.messenger.send_message("to both", &condition).unwrap();
+    let id = w.messenger.send_message("to both", &condition).unwrap();
     w.clock.advance(Millis(1));
     read_nontx(&w, "alice", "Q.A");
     read_nontx(&w, "walk-in", "Q.B");
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -358,7 +355,7 @@ fn three_level_nested_condition_end_to_end() {
     .min_process(2) // over the 4 leaves: any 2 timely processings
     .pickup_within(Millis(DAY))
     .into();
-    w.messenger.send_message("nested", &condition).unwrap();
+    let id = w.messenger.send_message("nested", &condition).unwrap();
 
     // Team 1 processes both legs within the day; team 2 never reads —
     // which violates the all-must-pick-up root window.
@@ -366,9 +363,9 @@ fn three_level_nested_condition_end_to_end() {
     read_tx(&w, "t1a", "Q.T1A");
     read_tx(&w, "t1b", "Q.T1B");
     w.clock.advance(Millis(DAY));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-    assert!(outcomes[0].reason.as_deref().unwrap().contains("pick-up"));
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert!(outcome.reason.as_deref().unwrap().contains("pick-up"));
 }
 
 #[test]
@@ -382,12 +379,11 @@ fn nested_condition_succeeds_when_all_windows_met() {
     .into()])
     .pickup_within(Millis(DAY))
     .into();
-    w.messenger.send_message("nested-ok", &condition).unwrap();
+    let id = w.messenger.send_message("nested-ok", &condition).unwrap();
     w.clock.advance(Millis(DAY / 2));
     read_tx(&w, "t1a", "Q.T1A");
     read_tx(&w, "t1b", "Q.T1B");
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    assert_eq!(outcome(&w, id).outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -428,12 +424,13 @@ fn send_time_is_the_reference_for_all_windows() {
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(100))
         .into();
-    w.messenger
+    let id = w
+        .messenger
         .send_message("sent at t+5000", &condition)
         .unwrap();
     w.clock.advance(Millis(90));
     read_nontx(&w, "r", "Q.A");
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-    assert!(outcomes[0].decided_at >= Time(5_090));
+    let outcome = outcome(&w, id);
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert!(outcome.decided_at >= Time(5_090));
 }

@@ -214,7 +214,8 @@ fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
     // before, its deadline timer armed, and there is nothing for a cycle
     // to retry.
     assert_eq!(clock.pending_timers(), 1);
-    assert!(messenger.pump().unwrap().is_empty());
+    messenger.pump().unwrap();
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
     assert_eq!(metrics().counter("cond.eval.errors"), attempts);
     assert_eq!(journal.record_count(), records);
     assert_eq!(metrics().counter("cond.ack.read"), 0);
@@ -225,13 +226,12 @@ fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
     journal.set_failing(false);
     reader.commit().unwrap();
     assert_eq!(journal.record_count(), records + 1);
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Success);
+    assert!(matches!(
+        messenger.status(id),
+        MessageStatus::Decided(n) if n.outcome == condmsg::MessageOutcome::Success
+    ));
     assert_eq!(qmgr.queue("APP.LOG").unwrap().depth(), 1);
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
-    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 1);
     // The ack was applied and taken back once per refused attempt, and
     // counted and traced once, by the transaction that committed it with
     // its verdict.
@@ -245,7 +245,7 @@ fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
     // A resend of the same ack finds the message decided: nothing happens.
     qmgr.put("DS.ACK.Q", ack.to_message()).unwrap();
     assert_eq!(journal.record_count(), records + 1);
-    assert!(messenger.pump().unwrap().is_empty());
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 1);
 }
 
 #[test]
@@ -274,11 +274,13 @@ fn a_read_abandoned_after_a_refused_record_leaves_no_ack_behind() {
     assert_eq!(clock.pending_timers(), 1, "the deadline is still armed");
 
     clock.advance(Millis(2_000));
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Failure);
-    assert_eq!(outcomes[0].decided_at, Time(1_001), "by the timer, not the pump");
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
+    assert_eq!(
+        outcome.decided_at,
+        Time(1_001),
+        "by the timer, not the advance's end"
+    );
     let metrics = qmgr.metrics_snapshot();
     assert_eq!(metrics.counter("cond.ack.read"), 0);
     assert_eq!(metrics.counter("cond.comp.released"), 1);
@@ -298,9 +300,8 @@ fn a_read_abandoned_after_a_refused_record_leaves_no_ack_behind() {
     receiver.rollback_tx().unwrap();
     assert_eq!(messenger.status(id), MessageStatus::Pending);
     clock.advance(Millis(2_000));
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].outcome, condmsg::MessageOutcome::Failure);
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.read"), 0);
 }
 
@@ -432,11 +433,21 @@ fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
     assert!(messenger.pump().is_err(), "still no room");
     assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 1);
 
-    assert!(messenger.take_outcome(first, Wait::NoWait).unwrap().is_some());
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 2, "both verdicts, reported once each");
-    assert_eq!(outcomes[1].cond_id, second);
-    assert_eq!(outcomes[1].outcome, condmsg::MessageOutcome::Success);
+    assert!(messenger
+        .take_outcome(first, Wait::NoWait)
+        .unwrap()
+        .is_some());
+    messenger.pump().unwrap();
+    let outcome = messenger
+        .take_outcome(second, Wait::NoWait)
+        .unwrap()
+        .unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Success);
+    assert_eq!(
+        qmgr.queue("DS.OUTCOME.Q").unwrap().depth(),
+        0,
+        "each reported once"
+    );
     let metrics = qmgr.metrics_snapshot();
     assert_eq!(metrics.counter("cond.ack.queued"), 1);
     assert_eq!(metrics.counter("cond.ack.read"), 2);
@@ -484,19 +495,19 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(messenger.pending_count(), 2);
 
     journal.set_failing(false);
-    let mut outcomes = messenger.pump().unwrap();
-    outcomes.sort_by_key(|o| o.cond_id);
-    assert_eq!(outcomes.iter().map(|o| o.cond_id).collect::<Vec<_>>(), ids);
-    assert!(outcomes
-        .iter()
-        .all(|o| o.outcome == condmsg::MessageOutcome::Failure));
+    messenger.pump().unwrap();
+    for id in &ids {
+        let outcome = messenger.take_outcome(*id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
+    }
     assert_eq!(messenger.pending_count(), 0);
     // Both compensations were released, exactly once each.
     assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 2);
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 4, "2 originals + 2 undos");
     assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
-    assert!(messenger.pump().unwrap().is_empty());
+    messenger.pump().unwrap();
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
 
     // A forced failure whose transaction fails takes the same way back:
     // the evaluation is not dropped, nothing spends its backout budget.
@@ -514,7 +525,8 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
     // It is undecided and has its timer back.
     assert_eq!(clock.pending_timers(), 1);
-    assert!(messenger.pump().unwrap().is_empty());
+    messenger.pump().unwrap();
+    assert_eq!(messenger.status(forced), MessageStatus::Pending);
     assert_eq!(clock.pending_timers(), 1);
     journal.set_failing(false);
     let outcome = messenger.force_fail(forced, "sphere aborted").unwrap();
@@ -554,10 +566,10 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
         .send_with("member", Some("undo member".into()), &condition, options)
         .unwrap();
     clock.advance(Millis(100));
-    assert_eq!(
-        messenger.pump().unwrap()[0].outcome,
-        MessageOutcome::Failure
-    );
+    assert!(matches!(
+        messenger.status(id),
+        MessageStatus::Decided(n) if n.outcome == MessageOutcome::Failure
+    ));
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1, "still parked");
 
     journal.apply_fault(FaultAction::FailStorage).unwrap();

@@ -87,8 +87,8 @@ fn success_path_lifecycle_trace() {
     alice.begin_tx().unwrap();
     alice.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     alice.commit_tx().unwrap();
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 
     let stages = w.messenger.trace().stages_for(id.as_u128());
     assert_stage_order(
@@ -136,8 +136,8 @@ fn compensation_path_lifecycle_trace() {
 
     // Nobody commits a processing ack within the window: failure.
     w.clock.advance(Millis(200));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
 
     // The released compensation reaches the consumer.
     let comp = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
@@ -177,8 +177,8 @@ fn annihilation_path_lifecycle_trace() {
         .send_message_with_compensation("offer", "rescind offer", &condition)
         .unwrap();
     w.clock.advance(Millis(200));
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
 
     let mut receiver = ConditionalReceiver::new(w.qmgr.clone()).unwrap();
     assert!(receiver
@@ -212,7 +212,7 @@ fn end_to_end_run_populates_registry_across_layers() {
     ])
     .process_within(Millis(1_000))
     .into();
-    w.messenger.send_message("all good", &ok).unwrap();
+    let id = w.messenger.send_message("all good", &ok).unwrap();
     w.clock.advance(Millis(5));
     for (who, q) in [("alice", "Q.A"), ("bob", "Q.B")] {
         let mut receiver = ConditionalReceiver::with_identity(w.qmgr.clone(), who).unwrap();
@@ -220,25 +220,22 @@ fn end_to_end_run_populates_registry_across_layers() {
         receiver.read_message(q, Wait::NoWait).unwrap().unwrap();
         receiver.commit_tx().unwrap();
     }
-    assert_eq!(
-        w.messenger.pump().unwrap()[0].outcome,
-        MessageOutcome::Success
-    );
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 
     let failing: Condition = Destination::queue("QM1", "Q.A")
         .recipient("alice")
         .process_within(Millis(50))
         .into();
-    w.messenger
+    let id = w
+        .messenger
         .send_message_with_compensation("doomed", "undo", &failing)
         .unwrap();
     let mut alice = ConditionalReceiver::with_identity(w.qmgr.clone(), "alice").unwrap();
     alice.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     w.clock.advance(Millis(100));
-    assert_eq!(
-        w.messenger.pump().unwrap()[0].outcome,
-        MessageOutcome::Failure
-    );
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
     alice.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
 
     let spheres = DSphereService::new(w.messenger.clone());
@@ -341,10 +338,8 @@ fn evaluation_engine_reports_metrics() {
         "ack draining recorded a batch, saw {} samples",
         batch.count
     );
-    // The fast path was the live path: no ack was ever queued, and the
-    // outcome buffer nobody pumped is far from its bound.
+    // The fast path was the live path: no ack was ever queued.
     assert_eq!(snapshot.counters.get("cond.ack.queued"), Some(&0));
-    assert_eq!(snapshot.counters.get("cond.outcome.recent_dropped"), Some(&0));
 
     // An ack that lands while no messenger is attached is queued; the next
     // messenger drains it at attach time and says so.

@@ -85,8 +85,13 @@ fn read(w: &World, idx: usize, transactional: bool) -> bool {
 /// Executes the plans: advances the clock step by step, performing each
 /// read at its planned moment, then runs past `horizon`. Every verdict is
 /// reached inside a read (ack arrival) or an advance (deadline timer);
-/// the final `pump` only reports it.
-fn run_plans(w: &World, plans: &[DestPlan], horizon: u64) -> (MessageOutcome, Time) {
+/// the outcome queue only reports it.
+fn run_plans(
+    w: &World,
+    id: CondMessageId,
+    plans: &[DestPlan],
+    horizon: u64,
+) -> (MessageOutcome, Time) {
     let mut events: Vec<(u64, usize)> = plans
         .iter()
         .enumerate()
@@ -109,9 +114,14 @@ fn run_plans(w: &World, plans: &[DestPlan], horizon: u64) -> (MessageOutcome, Ti
         w.clock.advance(Millis(horizon - now));
     }
     assert_eq!(w.clock.pending_timers(), 0, "timer torn down with decision");
-    let outcomes = w.messenger.pump().unwrap();
-    assert_eq!(outcomes.len(), 1, "exactly one decision");
-    (outcomes[0].outcome, outcomes[0].decided_at)
+    let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap();
+    let outcome = outcome.expect("decided by the horizon");
+    assert_eq!(
+        w.qmgr.queue("DS.OUTCOME.Q").unwrap().depth(),
+        0,
+        "exactly one decision"
+    );
+    (outcome.outcome, outcome.decided_at)
 }
 
 /// One member set of a generated two-level tree: its leaves' read plans,
@@ -310,9 +320,9 @@ proptest! {
         )
         .pickup_within(Millis(window))
         .into();
-        w.messenger.send_message("payload", &condition).unwrap();
+        let id = w.messenger.send_message("payload", &condition).unwrap();
 
-        let (outcome, _) = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, id, &plans, 400);
         let oracle = plans.iter().all(|p| matches!(p.read_at, Some(t) if t <= window));
         prop_assert_eq!(
             outcome == MessageOutcome::Success,
@@ -341,9 +351,9 @@ proptest! {
         .pickup_within(Millis(window))
         .min_pickup(k)
         .into();
-        w.messenger.send_message("payload", &condition).unwrap();
+        let id = w.messenger.send_message("payload", &condition).unwrap();
 
-        let (outcome, _) = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, id, &plans, 400);
         let timely = plans
             .iter()
             .filter(|p| matches!(p.read_at, Some(t) if t <= window))
@@ -374,9 +384,9 @@ proptest! {
         )
         .process_within(Millis(window))
         .into();
-        w.messenger.send_message("payload", &condition).unwrap();
+        let id = w.messenger.send_message("payload", &condition).unwrap();
 
-        let (outcome, _) = run_plans(&w, &plans, 400);
+        let (outcome, _) = run_plans(&w, id, &plans, 400);
         let oracle = plans
             .iter()
             .all(|p| p.transactional && matches!(p.read_at, Some(t) if t <= window));
@@ -514,7 +524,8 @@ proptest! {
         )
         .pickup_within(Millis(10))
         .into();
-        w.messenger
+        let id = w
+            .messenger
             .send_message_with_compensation("orig", "undo", &condition)
             .unwrap();
         w.clock.advance(Millis(5));
@@ -523,11 +534,11 @@ proptest! {
                 prop_assert!(read(&w, i, false));
             }
         }
-        prop_assert!(w.messenger.pump().unwrap().is_empty(), "pending until the deadline");
+        prop_assert_eq!(w.messenger.status(id), MessageStatus::Pending, "pending until the deadline");
         w.clock.advance(Millis(15));
-        let outcomes = w.messenger.pump().unwrap();
-        prop_assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
-        prop_assert_eq!(outcomes[0].decided_at, Time(11));
+        let outcome = w.messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        prop_assert_eq!(outcome.outcome, MessageOutcome::Failure);
+        prop_assert_eq!(outcome.decided_at, Time(11));
 
         for (i, consumed) in reads.iter().copied().chain([false]).enumerate() {
             let queue = format!("Q{i}");

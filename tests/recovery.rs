@@ -85,8 +85,8 @@ fn sender_crash_before_any_ack_recovers_and_fails_by_deadline() {
     let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
     assert_eq!(messenger2.status(id), MessageStatus::Pending);
     clock.advance(Millis(200));
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
     // Compensations (pre-generated before the crash, recovered from the
     // persistent DS.COMP.Q) are delivered to both destinations.
     for q in ["Q.A", "Q.B"] {
@@ -118,10 +118,8 @@ fn acks_logged_before_crash_are_not_lost() {
     // Only the second ack is needed now.
     let mut r2 = ConditionalReceiver::new(qmgr2.clone()).unwrap();
     r2.read_message("Q.B", Wait::NoWait).unwrap().unwrap();
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -149,9 +147,8 @@ fn ack_in_queue_but_unprocessed_at_crash_is_replayed() {
     // Attaching the service drains and evaluates what queued up meanwhile.
     let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
     assert_eq!(qmgr2.queue("DS.ACK.Q").unwrap().depth(), 0);
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -214,11 +211,9 @@ fn crash_right_after_a_fused_arrival_record_replays_the_ack_and_absorbs_its_rese
     assert_eq!(messenger2.status(id), MessageStatus::Pending);
     // The replayed entry counts: the other destination's ack alone decides.
     assert_eq!(qmgr2.accept_batch(vec![envelope_of(1)]).unwrap(), ONE);
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
-    for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q"] {
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q", "DS.OUTCOME.Q"] {
         assert_eq!(qmgr2.queue(queue).unwrap().depth(), 0, "{queue}");
     }
     assert_eq!(qmgr2.metrics_snapshot().counter("cond.ack.queued"), 0);
@@ -322,9 +317,8 @@ fn receiver_crash_between_tx_read_and_commit_redelivers() {
     receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     clock.advance(Millis(10));
     receiver.commit_tx().unwrap();
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes[0].cond_id, id);
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -357,8 +351,8 @@ fn guaranteed_compensation_across_receiver_crash() {
     let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
     assert_eq!(messenger2.status(id), MessageStatus::Pending);
     clock.advance(Millis(200));
-    let outcomes = messenger2.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
     // The compensation is deliverable because DS.RLOG.Q shows consumption.
     let mut receiver2 = ConditionalReceiver::new(qmgr2.clone()).unwrap();
     let comp = receiver2
@@ -399,8 +393,8 @@ fn double_crash_still_converges() {
     assert_eq!(messenger.status(id), MessageStatus::Pending);
     let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
     r.read_message("Q.B", Wait::NoWait).unwrap().unwrap();
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
 }
 
 #[test]
@@ -466,8 +460,8 @@ fn deferred_outcome_actions_survive_crash() {
         )
         .unwrap();
     clock.advance(Millis(100));
-    let outcomes = messenger.pump().unwrap();
-    assert_eq!(outcomes[0].outcome, MessageOutcome::Failure);
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
     // Actions deferred: compensation still parked, nothing delivered.
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
     assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "only the original");
@@ -653,8 +647,8 @@ fn segmented_journal_full_stack_recovery() {
         clock.advance(Millis(10));
         let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
         r.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
-        let outcomes = messenger.pump().unwrap();
-        assert_eq!(outcomes[0].outcome, MessageOutcome::Success);
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
     }
     std::fs::remove_dir_all(&root).ok();
 }
