@@ -49,7 +49,11 @@ impl ReceivedMessage {
     // lint: custody(message)
     fn classify(message: Message) -> ReceivedMessage {
         let kind = wire::kind_of(&message);
-        let cond_id = wire::cond_id_of(&message).ok();
+        // A standard message's correlation id is the application's own,
+        // even when it parses as an id (a request's 32-hex message id does).
+        let cond_id = (kind != MessageKind::Standard)
+            .then(|| wire::cond_id_of(&message).ok())
+            .flatten();
         let leaf = wire::leaf_of(&message).ok();
         ReceivedMessage {
             kind,
@@ -349,8 +353,7 @@ impl ConditionalReceiver {
 
     fn rlog_shows_consumed(&self, cond_id: CondMessageId, leaf: u32) -> CondResult<bool> {
         let selector = Selector::parse(&format!(
-            "{} = '{}' AND {} = {} AND {} = 'consumed'",
-            wire::P_COND_ID,
+            "correlation_id = '{}' AND {} = {} AND {} = 'consumed'",
             cond_id.to_hex(),
             wire::P_LEAF,
             leaf,
@@ -450,10 +453,9 @@ impl ConditionalReceiver {
 
 fn pair_selector(kind: &str, cond_id: CondMessageId, leaf: u32) -> CondResult<Selector> {
     Selector::parse(&format!(
-        "{} = '{}' AND {} = '{}' AND {} = {}",
+        "{} = '{}' AND correlation_id = '{}' AND {} = {}",
         wire::P_KIND,
         kind,
-        wire::P_COND_ID,
         cond_id.to_hex(),
         wire::P_LEAF,
         leaf
@@ -464,10 +466,10 @@ fn pair_selector(kind: &str, cond_id: CondMessageId, leaf: u32) -> CondResult<Se
 fn rlog_entry(cond_id: CondMessageId, leaf: u32, entry: &str, at: Time) -> Message {
     Message::builder(bytes::Bytes::new())
         .property(wire::P_KIND, wire::kind::RLOG)
-        .property(wire::P_COND_ID, cond_id.to_hex())
         .property(wire::P_LEAF, i64::from(leaf))
         .property(wire::P_RLOG_ENTRY, entry)
         .property(wire::P_RLOG_TS, at.as_millis() as i64)
+        .correlation_id(cond_id.to_hex())
         .persistent(true)
         .build()
 }
@@ -768,6 +770,20 @@ mod tests {
         assert_eq!(got.kind(), MessageKind::Standard);
         assert_eq!(got.payload_str(), Some("ordinary"));
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "comp still parked");
+    }
+
+    #[test]
+    fn a_reply_correlated_by_its_request_id_is_no_conditional_message() {
+        let (_clock, qmgr, _messenger) = setup();
+        let request = Message::text("request").build();
+        let reply = Message::text("reply")
+            .correlation_id(request.id().to_string())
+            .build();
+        qmgr.put("Q.A", reply).unwrap();
+        let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        assert_eq!(got.kind(), MessageKind::Standard);
+        assert_eq!(got.cond_id(), None);
     }
 
     #[test]

@@ -3,11 +3,18 @@
 //!
 //! Conditional messaging introduces *two levels* of messages (paper §2.3):
 //! the conditional message the application sees, and the standard messages
-//! used to implement it. The standard messages carry control properties —
+//! used to implement it. The standard messages carry control information —
 //! the conditional message id, the leaf index, whether processing is
 //! required, and the sender's queue manager and acknowledgment queue — so
 //! that any receiver-side conditional messaging system can route
 //! acknowledgments back without application involvement.
+//!
+//! The conditional message id travels once, as the standard message's
+//! correlation id (hex): originals, acknowledgments, outcome notifications,
+//! compensations, success notifications and both logs' entries all set it,
+//! and the queues index it exactly. Everything else is a `ds.*` property,
+//! each name registered in `mq::obs::PROPERTY_NAME_REGISTRY` so the message
+//! image carries it as a one-byte code.
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
@@ -22,43 +29,59 @@ use crate::ids::CondMessageId;
 // ------------------------------------------------------------ properties --
 
 /// Message kind discriminator property.
+// lint: registry-sink property-name
 pub const P_KIND: &str = "ds.kind";
-/// Conditional message id (hex) property.
-pub const P_COND_ID: &str = "ds.cond.id";
 /// Destination leaf index property.
+// lint: registry-sink property-name
 pub const P_LEAF: &str = "ds.leaf";
 /// Whether processing (vs. mere receipt) is required of this destination.
+// lint: registry-sink property-name
 pub const P_PROCESSING_REQUIRED: &str = "ds.processing.required";
 /// Sender's queue manager name (for routing acks back).
+// lint: registry-sink property-name
 pub const P_SENDER_MANAGER: &str = "ds.sender.qmgr";
 /// Sender's acknowledgment queue name.
+// lint: registry-sink property-name
 pub const P_ACK_QUEUE: &str = "ds.ack.queue";
 /// Acknowledgment type: `read` or `processed`.
+// lint: registry-sink property-name
 pub const P_ACK_TYPE: &str = "ds.ack.type";
 /// Read timestamp (ms) on an acknowledgment.
+// lint: registry-sink property-name
 pub const P_ACK_READ_TS: &str = "ds.ack.read_ts";
 /// Processing (commit) timestamp (ms) on an acknowledgment.
+// lint: registry-sink property-name
 pub const P_ACK_PROCESS_TS: &str = "ds.ack.process_ts";
 /// Acknowledging recipient identity.
+// lint: registry-sink property-name
 pub const P_RECIPIENT: &str = "ds.recipient";
 /// Outcome property: `success` or `failure`.
+// lint: registry-sink property-name
 pub const P_OUTCOME: &str = "ds.outcome";
 /// Failure reason on outcome notifications.
+// lint: registry-sink property-name
 pub const P_OUTCOME_REASON: &str = "ds.outcome.reason";
 /// Decision timestamp on outcome notifications.
+// lint: registry-sink property-name
 pub const P_OUTCOME_TS: &str = "ds.outcome.ts";
 /// Marks a system-generated (data-less) compensation message.
+// lint: registry-sink property-name
 pub const P_COMP_SYSTEM: &str = "ds.comp.system";
 /// Destination address (`manager/queue`) a parked compensation targets.
+// lint: registry-sink property-name
 pub const P_COMP_DEST: &str = "ds.comp.dest";
 /// Sender-log entry type: `send`, `ack`, `outcome`.
+// lint: registry-sink property-name
 pub const P_SLOG_ENTRY: &str = "ds.slog.entry";
 /// Decision timestamp property on outcome history entries (selectable for
 /// pruning).
+// lint: registry-sink property-name
 pub const P_SLOG_DECIDED_TS: &str = "ds.slog.decided_ts";
 /// Receiver-log entry type: `consumed`, `comp-delivered`, `annihilated`.
+// lint: registry-sink property-name
 pub const P_RLOG_ENTRY: &str = "ds.rlog.entry";
 /// Timestamp property on receiver-log entries.
+// lint: registry-sink property-name
 pub const P_RLOG_TS: &str = "ds.rlog.ts";
 
 /// Values of [`P_KIND`].
@@ -102,15 +125,17 @@ pub fn kind_of(msg: &Message) -> MessageKind {
     }
 }
 
-/// Reads the conditional message id off an internal message.
+/// Reads the conditional message id off an internal message: its
+/// correlation id.
 ///
 /// # Errors
 ///
-/// [`CondError::Malformed`] when the property is absent or unparsable.
+/// [`CondError::Malformed`] when the correlation id is absent or is not a
+/// conditional message id.
 pub fn cond_id_of(msg: &Message) -> CondResult<CondMessageId> {
-    msg.str_property(P_COND_ID)
+    msg.correlation_id()
         .and_then(CondMessageId::from_hex)
-        .ok_or_else(|| CondError::Malformed("missing or invalid ds.cond.id".into()))
+        .ok_or_else(|| CondError::Malformed("missing or invalid conditional message id".into()))
 }
 
 /// Reads the leaf index off an internal message.
@@ -137,7 +162,6 @@ pub fn make_original(
 ) -> Message {
     let mut builder: MessageBuilder = Message::builder(payload.clone())
         .property(P_KIND, kind::ORIGINAL)
-        .property(P_COND_ID, cond_id.to_hex())
         .property(P_LEAF, i64::from(leaf.index))
         .property(P_PROCESSING_REQUIRED, leaf.processing_expected)
         .property(P_SENDER_MANAGER, sender_manager)
@@ -188,7 +212,6 @@ impl Acknowledgment {
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
             .property(P_KIND, kind::ACK)
-            .property(P_COND_ID, self.cond_id.to_hex())
             .property(P_LEAF, i64::from(self.leaf))
             .property(
                 P_ACK_TYPE,
@@ -281,7 +304,6 @@ impl OutcomeNotification {
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
             .property(P_KIND, kind::OUTCOME)
-            .property(P_COND_ID, self.cond_id.to_hex())
             .property(
                 P_OUTCOME,
                 match self.outcome {
@@ -336,7 +358,6 @@ pub fn make_compensation(
 ) -> Message {
     Message::builder(data.cloned().unwrap_or_default())
         .property(P_KIND, kind::COMPENSATION)
-        .property(P_COND_ID, cond_id.to_hex())
         .property(P_LEAF, i64::from(leaf))
         .property(P_COMP_SYSTEM, data.is_none())
         .property(P_COMP_DEST, destination.to_string())
@@ -349,7 +370,6 @@ pub fn make_compensation(
 pub fn make_success_notification(cond_id: CondMessageId, leaf: u32) -> Message {
     Message::builder(Bytes::new())
         .property(P_KIND, kind::SUCCESS)
-        .property(P_COND_ID, cond_id.to_hex())
         .property(P_LEAF, i64::from(leaf))
         .persistent(true)
         .correlation_id(cond_id.to_hex())
@@ -473,7 +493,6 @@ impl SlogEntry {
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(self.to_bytes())
             .property(P_KIND, kind::SLOG)
-            .property(P_COND_ID, self.cond_id().to_hex())
             .property(P_SLOG_ENTRY, self.entry_type())
             .correlation_id(self.cond_id().to_hex())
             .persistent(true);
@@ -704,6 +723,8 @@ mod tests {
         assert_eq!(kind_of(&msg), MessageKind::Standard);
         assert!(cond_id_of(&msg).is_err());
         assert!(leaf_of(&msg).is_err());
+        let correlated = Message::text("plain").correlation_id("order-7").build();
+        assert!(cond_id_of(&correlated).is_err());
     }
 
     #[test]

@@ -60,6 +60,13 @@ fn registry_typo_is_flagged() {
     check("registry_typo");
 }
 
+/// A control-property constant annotated as a property-name sink whose
+/// name the registry does not list; the registered ones stay silent.
+#[test]
+fn unregistered_property_name_is_flagged() {
+    check("property_name_unregistered");
+}
+
 /// Test code ends at the gated item's or field's own closing delimiter:
 /// a `#[cfg(test)]` field hides nothing after it, a `#[cfg(test)] pub fn`
 /// is test code, a `#[cfg(not(test))] fn` is not, and a multi-line

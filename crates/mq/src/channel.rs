@@ -721,6 +721,10 @@ mod tests {
         wait_for("pre-shutdown delivery", || {
             b.queue("IN").unwrap().depth() == 1
         });
+        // The arrival is committed before its ack leaves the peer: stopping
+        // now could roll m1 back onto the xmit queue. Wait until the mover
+        // has handed it off (its session ends as a committed transaction).
+        wait_for("m1 handed off", || a.stats().tx_committed.get() == 1);
         a.shutdown();
         a.shutdown(); // double shutdown: second call must be a no-op
         // The mover is gone: a new envelope stays on the xmit queue while

@@ -5,14 +5,31 @@
 //! LEB128 varints for lengths, length-prefixed UTF-8 strings, and a `u8` tag
 //! per enum variant. [`crc32`] provides integrity checking for journal
 //! framing ([`crate::journal`]).
+//!
+//! A [`Message`] has one image, which the journal and the wire both carry:
+//!
+//! ```text
+//! id: u128 LE │ priority: u8 │ flags: u8 │ payload: varint len + bytes
+//! │ property count: varint │ per property: name code: varint
+//! │   [0 → name: str] │ value: tag u8 + value (I64 as a zigzag varint)
+//! │ ttl: varint? │ expiry: varint? │ correlation id: str?
+//! │ reply-to: str str? │ put time: varint? │ redelivery count: varint
+//! ```
+//!
+//! A name listed in [`crate::obs::PROPERTY_NAME_REGISTRY`] is written as
+//! its position + 1; any other name as `0` followed by the string. Bit 0
+//! of `flags` is persistence; each `?` header is present exactly when its
+//! own bit is set, and an absent one takes no bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simtime::{Millis, Time};
 
 use crate::message::{Message, MessageId, Priority, PropertyValue, QueueAddress};
+use crate::obs::PROPERTY_NAME_REGISTRY;
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +55,8 @@ pub enum CodecError {
         /// Bytes actually remaining.
         remaining: usize,
     },
+    /// A property-name code beyond the registry this build knows.
+    UnknownPropertyName(u64),
 }
 
 impl fmt::Display for CodecError {
@@ -57,6 +76,9 @@ impl fmt::Display for CodecError {
                     f,
                     "declared length {declared} exceeds remaining {remaining} bytes"
                 )
+            }
+            CodecError::UnknownPropertyName(code) => {
+                write!(f, "unknown property-name code {code}")
             }
         }
     }
@@ -111,9 +133,10 @@ impl Encoder {
         self.buf.put_u128_le(v);
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+    /// Appends an `i64` as a zigzag varint: small magnitudes of either sign
+    /// take few bytes.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// Appends an IEEE-754 `f64`.
@@ -142,6 +165,12 @@ impl Encoder {
     /// Appends a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
+        self.put_raw(v);
+    }
+
+    /// Appends already-encoded bytes as they are, with no length prefix
+    /// (a cached [`Message::wire_bytes`] image inside a journal record).
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }
 
@@ -216,10 +245,10 @@ impl Decoder {
         Ok(self.buf.get_u128_le())
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+    /// Reads an `i64` written with [`Encoder::put_zigzag`].
+    pub fn get_zigzag(&mut self) -> Result<i64, CodecError> {
+        let v = self.get_varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
     /// Reads an IEEE-754 `f64`.
@@ -329,7 +358,7 @@ impl WireEncode for PropertyValue {
             }
             PropertyValue::I64(v) => {
                 enc.put_u8(1);
-                enc.put_i64(*v);
+                enc.put_zigzag(*v);
             }
             PropertyValue::F64(v) => {
                 enc.put_u8(2);
@@ -347,7 +376,7 @@ impl WireDecode for PropertyValue {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
         match dec.get_u8()? {
             0 => Ok(PropertyValue::Str(dec.get_str()?)),
-            1 => Ok(PropertyValue::I64(dec.get_i64()?)),
+            1 => Ok(PropertyValue::I64(dec.get_zigzag()?)),
             2 => Ok(PropertyValue::F64(dec.get_f64()?)),
             3 => Ok(PropertyValue::Bool(dec.get_bool()?)),
             tag => Err(CodecError::BadTag {
@@ -375,10 +404,11 @@ impl WireDecode for QueueAddress {
 }
 
 /// Process-wide count of full [`Message`] encodes, registered in every
-/// manager's metrics hub as `mq.codec.encodes`. The zero-copy send path
-/// caches the wire image on the message ([`Message::wire_bytes`]), so a
-/// message crossing the transport should contribute exactly one encode —
-/// throughput tests assert that by diffing this counter.
+/// manager's metrics hub as `mq.codec.encodes`. The journal and the
+/// zero-copy send path share the image cached on the message
+/// ([`Message::wire_bytes`]), so a message crossing the transport should
+/// contribute exactly one encode — throughput tests assert that by
+/// diffing this counter.
 pub fn message_encodes() -> &'static std::sync::Arc<crate::stats::Counter> {
     static ENCODES: std::sync::OnceLock<std::sync::Arc<crate::stats::Counter>> =
         std::sync::OnceLock::new();
@@ -386,10 +416,11 @@ pub fn message_encodes() -> &'static std::sync::Arc<crate::stats::Counter> {
 }
 
 impl Message {
-    /// The message's encoded wire image, computed on first use and cached
-    /// on the message (clones share the cache; any mutation invalidates
-    /// it). The transport builds batch frames from these cached slices
-    /// without re-encoding or copying payload bytes.
+    /// The message's encoded image, computed on first use and cached on
+    /// the message (clones share the cache; any mutation invalidates it).
+    /// The journal writes these bytes into its records and the transport
+    /// builds batch frames from them without copying, so a durable message
+    /// that crosses a channel is encoded once.
     pub fn wire_bytes(&self) -> Bytes {
         self.wire_cache()
             .get_or_init(|| WireEncode::to_bytes(self))
@@ -403,49 +434,136 @@ impl Message {
     }
 }
 
+/// The bits of a message image's flags byte: persistence, and one
+/// presence bit per optional header. The other bits are reserved.
+mod flag {
+    /// The message survives a restart.
+    pub(super) const PERSISTENT: u8 = 1;
+    /// A time-to-live follows.
+    pub(super) const TTL: u8 = 1 << 1;
+    /// An absolute expiry follows.
+    pub(super) const EXPIRY: u8 = 1 << 2;
+    /// A correlation id follows.
+    pub(super) const CORRELATION: u8 = 1 << 3;
+    /// A reply-to address follows.
+    pub(super) const REPLY_TO: u8 = 1 << 4;
+    /// An enqueue time follows.
+    pub(super) const PUT_TIME: u8 = 1 << 5;
+    /// Every defined bit.
+    pub(super) const ALL: u8 = (1 << 6) - 1;
+}
+
+/// Registered property name → its code (position + 1).
+fn property_codes() -> &'static HashMap<&'static str, u64> {
+    static CODES: OnceLock<HashMap<&'static str, u64>> = OnceLock::new();
+    CODES.get_or_init(|| {
+        (1..)
+            .zip(PROPERTY_NAME_REGISTRY)
+            .map(|(code, name)| (*name, code))
+            .collect()
+    })
+}
+
+fn put_property_name(enc: &mut Encoder, name: &str) {
+    match property_codes().get(name) {
+        Some(code) => enc.put_varint(*code),
+        None => {
+            enc.put_varint(0);
+            enc.put_str(name);
+        }
+    }
+}
+
+fn get_property_name(dec: &mut Decoder) -> Result<String, CodecError> {
+    match dec.get_varint()? {
+        0 => dec.get_str(),
+        code => usize::try_from(code - 1)
+            .ok()
+            .and_then(|at| PROPERTY_NAME_REGISTRY.get(at))
+            .map(|name| (*name).to_owned())
+            .ok_or(CodecError::UnknownPropertyName(code)),
+    }
+}
+
 impl WireEncode for Message {
     fn encode(&self, enc: &mut Encoder) {
         message_encodes().incr();
         enc.put_u128(self.id().as_u128());
-        enc.put_bytes(self.payload());
-        let props: Vec<_> = self.properties().collect();
-        enc.put_varint(props.len() as u64);
-        for (k, v) in props {
-            enc.put_str(k);
-            v.encode(enc);
-        }
         enc.put_u8(self.priority().level());
-        enc.put_bool(self.is_persistent());
-        enc.put_opt(self.ttl().as_ref(), |e, m| e.put_u64(m.as_u64()));
-        enc.put_opt(self.expiry().as_ref(), |e, t| e.put_u64(t.as_millis()));
-        enc.put_opt(self.correlation_id().map(String::from).as_ref(), |e, s| {
-            e.put_str(s)
-        });
-        enc.put_opt(self.reply_to(), |e, a| a.encode(e));
-        enc.put_opt(self.put_time().as_ref(), |e, t| e.put_u64(t.as_millis()));
-        enc.put_u32(self.redelivery_count());
+        let headers = [
+            (self.is_persistent(), flag::PERSISTENT),
+            (self.ttl().is_some(), flag::TTL),
+            (self.expiry().is_some(), flag::EXPIRY),
+            (self.correlation_id().is_some(), flag::CORRELATION),
+            (self.reply_to().is_some(), flag::REPLY_TO),
+            (self.put_time().is_some(), flag::PUT_TIME),
+        ];
+        let flags = headers
+            .iter()
+            .filter(|(present, _)| *present)
+            .fold(0, |f, (_, bit)| f | bit);
+        enc.put_u8(flags);
+        enc.put_bytes(self.payload());
+        enc.put_varint(self.properties().count() as u64);
+        for (name, value) in self.properties() {
+            put_property_name(enc, name);
+            value.encode(enc);
+        }
+        if let Some(ttl) = self.ttl() {
+            enc.put_varint(ttl.as_u64());
+        }
+        if let Some(expiry) = self.expiry() {
+            enc.put_varint(expiry.as_millis());
+        }
+        if let Some(corr) = self.correlation_id() {
+            enc.put_str(corr);
+        }
+        if let Some(reply_to) = self.reply_to() {
+            reply_to.encode(enc);
+        }
+        if let Some(put_time) = self.put_time() {
+            enc.put_varint(put_time.as_millis());
+        }
+        enc.put_varint(u64::from(self.redelivery_count()));
     }
 }
 
 impl WireDecode for Message {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
         let id = MessageId::from_u128(dec.get_u128()?);
+        let priority = Priority::new(dec.get_u8()?);
+        let flags = dec.get_u8()?;
+        if flags & !flag::ALL != 0 {
+            return Err(CodecError::BadTag {
+                what: "message flags",
+                tag: flags,
+            });
+        }
         let payload = dec.get_bytes()?;
         let n_props = dec.get_varint()?;
         let mut properties = BTreeMap::new();
         for _ in 0..n_props {
-            let key = dec.get_str()?;
+            let name = get_property_name(dec)?;
             let value = PropertyValue::decode(dec)?;
-            properties.insert(key, value);
+            properties.insert(name, value);
         }
-        let priority = Priority::new(dec.get_u8()?);
-        let persistent = dec.get_bool()?;
-        let ttl = dec.get_opt(|d| d.get_u64().map(Millis))?;
-        let expiry = dec.get_opt(|d| d.get_u64().map(Time))?;
-        let correlation_id = dec.get_opt(|d| d.get_str())?;
-        let reply_to = dec.get_opt(QueueAddress::decode)?;
-        let put_time = dec.get_opt(|d| d.get_u64().map(Time))?;
-        let redelivery_count = dec.get_u32()?;
+        let has = |bit: u8| flags & bit != 0;
+        let persistent = has(flag::PERSISTENT);
+        let ttl = has(flag::TTL)
+            .then(|| dec.get_varint().map(Millis))
+            .transpose()?;
+        let expiry = has(flag::EXPIRY)
+            .then(|| dec.get_varint().map(Time))
+            .transpose()?;
+        let correlation_id = has(flag::CORRELATION).then(|| dec.get_str()).transpose()?;
+        let reply_to = has(flag::REPLY_TO)
+            .then(|| QueueAddress::decode(dec))
+            .transpose()?;
+        let put_time = has(flag::PUT_TIME)
+            .then(|| dec.get_varint().map(Time))
+            .transpose()?;
+        let redelivery_count =
+            u32::try_from(dec.get_varint()?).map_err(|_| CodecError::VarintOverflow)?;
         Ok(Message::from_parts(
             id,
             payload,
@@ -528,7 +646,8 @@ mod tests {
         enc.put_u32(0xDEAD_BEEF);
         enc.put_u64(u64::MAX);
         enc.put_u128(u128::MAX - 1);
-        enc.put_i64(-42);
+        enc.put_zigzag(-42);
+        enc.put_zigzag(i64::MIN);
         enc.put_f64(2.75);
         enc.put_bool(true);
         enc.put_str("héllo");
@@ -538,7 +657,8 @@ mod tests {
         assert_eq!(dec.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(dec.get_u64().unwrap(), u64::MAX);
         assert_eq!(dec.get_u128().unwrap(), u128::MAX - 1);
-        assert_eq!(dec.get_i64().unwrap(), -42);
+        assert_eq!(dec.get_zigzag().unwrap(), -42);
+        assert_eq!(dec.get_zigzag().unwrap(), i64::MIN);
         assert_eq!(dec.get_f64().unwrap(), 2.75);
         assert!(dec.get_bool().unwrap());
         assert_eq!(dec.get_str().unwrap(), "héllo");
@@ -639,6 +759,54 @@ mod tests {
     fn minimal_message_roundtrips() {
         let msg = Message::builder(Bytes::new()).build();
         roundtrip(&msg);
+    }
+
+    #[test]
+    fn absent_headers_take_no_bytes() {
+        // id, priority, flags, empty payload length, property count,
+        // redelivery count.
+        let msg = Message::builder(Bytes::new()).build();
+        assert_eq!(msg.to_bytes().len(), 16 + 1 + 1 + 1 + 1 + 1);
+    }
+
+    #[test]
+    fn registered_names_are_one_byte_codes_and_others_literal() {
+        let bare = Message::builder(Bytes::new()).build().to_bytes().len();
+        let with = |name: &str| {
+            let msg = Message::builder(Bytes::new()).property(name, true).build();
+            let image = msg.to_bytes();
+            assert_eq!(Message::from_bytes(image.clone()).unwrap(), msg);
+            image.len() - bare
+        };
+        // Code, value tag, bool.
+        assert_eq!(with(PROPERTY_NAME_REGISTRY[0]), 3);
+        // 0, length, the name, value tag, bool.
+        assert_eq!(with("app.flag"), 1 + 1 + "app.flag".len() + 2);
+    }
+
+    #[test]
+    fn unknown_name_codes_and_reserved_flag_bits_are_refused() {
+        let msg = Message::text("x")
+            .property(PROPERTY_NAME_REGISTRY[0], 1i64)
+            .build();
+        let image = msg.to_bytes().to_vec();
+        // id 0..16, priority 16, flags 17, payload 18..20, count 20, code 21.
+        let unknown = PROPERTY_NAME_REGISTRY.len() as u8 + 1;
+        let mut bad_code = image.clone();
+        bad_code[21] = unknown;
+        assert_eq!(
+            Message::from_bytes(Bytes::from(bad_code)),
+            Err(CodecError::UnknownPropertyName(u64::from(unknown)))
+        );
+        let mut bad_flags = image;
+        bad_flags[17] |= 0x80;
+        assert!(matches!(
+            Message::from_bytes(Bytes::from(bad_flags)),
+            Err(CodecError::BadTag {
+                what: "message flags",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -769,10 +937,10 @@ mod tests {
             // The safety argument for feeding *socket* bytes into the
             // decoder (transport acceptor): any strict prefix of a valid
             // Message encoding must error. This is provable because
-            // decoding is a deterministic left-to-right read whose final
-            // field is fixed-width, and from_bytes demands exhaustion —
-            // so a truncation either starves a read (UnexpectedEof) or
-            // leaves the final fixed-width field short.
+            // decoding is a deterministic left-to-right read, and the full
+            // encoding decodes with nothing left over: a prefix takes the
+            // same reads until one runs past its end (UnexpectedEof or a
+            // length overrun).
             #[test]
             fn truncated_message_encoding_always_errors(
                 payload in proptest::collection::vec(any::<u8>(), 0..64),

@@ -106,17 +106,19 @@ impl WireEncode for JournalRecord {
                 enc.put_u8(1);
                 enc.put_str(queue);
             }
+            // A message goes in as its cached image: the one the mover
+            // sends, encoded once for both.
             JournalRecord::Put { queue, message } => {
-                enc.put_u8(2);
+                enc.put_u8(9);
                 enc.put_str(queue);
-                message.encode(enc);
+                enc.put_raw(&message.wire_bytes());
             }
             JournalRecord::TxCommit { puts, gets } => {
-                enc.put_u8(4);
+                enc.put_u8(10);
                 enc.put_varint(puts.len() as u64);
                 for (q, m) in puts {
                     enc.put_str(q);
-                    m.encode(enc);
+                    enc.put_raw(&m.wire_bytes());
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
@@ -159,11 +161,11 @@ impl WireDecode for JournalRecord {
             1 => Ok(JournalRecord::QueueDeleted {
                 queue: dec.get_str()?,
             }),
-            2 => Ok(JournalRecord::Put {
+            9 => Ok(JournalRecord::Put {
                 queue: dec.get_str()?,
                 message: Message::decode(dec)?,
             }),
-            4 => {
+            10 => {
                 let n_puts = dec.get_varint()?;
                 let mut puts = Vec::with_capacity(n_puts.min(1024) as usize);
                 for _ in 0..n_puts {
@@ -605,10 +607,11 @@ pub(crate) mod tests {
     #[test]
     fn a_journal_holding_a_retired_tag_fails_replay() {
         // 3 was `Get`, 5 `Expired`, 6 `RelayCustody`: each is now a get (or
-        // a put) of a `TxCommit`. Their tags are not reused, so a journal
-        // written before says so instead of replaying as something else —
-        // checkpoint before upgrading.
-        for tag in [3u8, 5, 6] {
+        // a put) of a `TxCommit`. 2 and 4 were `Put` and `TxCommit` over the
+        // first message image, which spelled every property name out. The
+        // tags are not reused, so a journal written before says so instead
+        // of replaying as something else.
+        for tag in [2u8, 3, 4, 5, 6] {
             let j = MemJournal::new();
             j.append(&JournalRecord::QueueCreated { queue: "Q".into() })
                 .unwrap();
@@ -622,6 +625,28 @@ pub(crate) mod tests {
                 other => panic!("tag {tag}: expected BadTag, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_journaled_put_fills_the_image_the_mover_sends() {
+        // Asserted on the message's own cell, not on the process-wide
+        // `mq.codec.encodes` counter: other tests encode in parallel.
+        let msg = Message::text("durable").persistent(true).build();
+        assert!(msg.wire_cache().get().is_none());
+        let record = JournalRecord::TxCommit {
+            puts: vec![("SYSTEM.XMIT.QM2".into(), msg.clone())],
+            gets: vec![],
+        };
+        let bytes = record.to_bytes();
+        let image = msg
+            .wire_cache()
+            .get()
+            .expect("the record filled the shared cell");
+        // The record ends with the image and then a zero get count.
+        let end = bytes.len() - 1;
+        assert_eq!(bytes[end], 0);
+        assert_eq!(&bytes[end - image.len()..end], &image[..]);
+        assert_eq!(JournalRecord::from_bytes(bytes).unwrap(), record);
     }
 
     #[test]

@@ -147,10 +147,49 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 
 /// Every on-storage [`crate::journal::JournalRecord`] tag byte. The
 /// record's wire encode/decode impls are the registry sinks; adding a
-/// record variant without extending this table is a lint error. Tags 3,
-/// 5 and 6 are retired, not free: journals written before may hold them.
+/// record variant without extending this table is a lint error. Tags 2,
+/// 3, 4, 5 and 6 are retired, not free: journals written before may hold
+/// them (2 and 4 were `Put` and `TxCommit` over the first message image).
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 2, 4, 7, 8];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 9, 10];
+
+/// Every control-property name the system stamps on a message: the
+/// `sys.*` names of `mq` and the `ds.*` names of the conditional layer.
+/// The message image ([`crate::codec`]) writes a name listed here as its
+/// position + 1 (one byte), any other name as `0` and the string, so the
+/// table is append-only: a name's position is its on-storage code. The
+/// property-name constants are the registry sinks; one missing here is a
+/// lint error, not merely a longer image.
+// lint: registry property-name
+pub const PROPERTY_NAME_REGISTRY: &[&str] = &[
+    // mq: transmission envelope, relay, dead-letter, topic registrations.
+    "sys.xmit.dest.queue",
+    "sys.xmit.dest.qmgr",
+    "sys.relay.origin",
+    "sys.relay.hops",
+    "sys.dlq.reason",
+    "sys.topic.sub.name",
+    "sys.topic.sub.selector",
+    // condmsg: control information on standard messages (paper §2.3).
+    "ds.kind",
+    "ds.leaf",
+    "ds.processing.required",
+    "ds.sender.qmgr",
+    "ds.ack.queue",
+    "ds.ack.type",
+    "ds.ack.read_ts",
+    "ds.ack.process_ts",
+    "ds.recipient",
+    "ds.outcome",
+    "ds.outcome.reason",
+    "ds.outcome.ts",
+    "ds.comp.system",
+    "ds.comp.dest",
+    "ds.slog.entry",
+    "ds.slog.decided_ts",
+    "ds.rlog.entry",
+    "ds.rlog.ts",
+];
 
 /// Every transport frame-kind tag byte (`FrameKind::as_u8`/`from_u8`
 /// are the sinks). Tag 0 is reserved and never valid on the wire.
@@ -210,6 +249,16 @@ mod tests {
             .record(Time(1), TraceStage::Send, Some(1), None, "");
         assert_eq!(obs.snapshot().counter("x"), 1);
         assert_eq!(obs.trace().len(), 1);
+    }
+
+    #[test]
+    fn property_names_are_unique_and_fit_one_byte_codes() {
+        let mut seen = std::collections::HashSet::new();
+        for name in PROPERTY_NAME_REGISTRY {
+            assert!(seen.insert(name), "{name} is registered twice");
+        }
+        // Code = position + 1, and a varint below 128 is one byte.
+        assert!(PROPERTY_NAME_REGISTRY.len() <= 127);
     }
 
     #[test]

@@ -31,12 +31,15 @@ use crate::trace::TraceLog;
 pub const DEAD_LETTER_QUEUE: &str = "SYSTEM.DEAD.LETTER.QUEUE";
 
 /// Property stamped on dead-lettered messages explaining why.
+// lint: registry-sink property-name
 pub const DLQ_REASON_PROPERTY: &str = "sys.dlq.reason";
 
 /// Property carrying the destination queue on transmission-queue envelopes.
+// lint: registry-sink property-name
 pub const XMIT_DEST_QUEUE_PROPERTY: &str = "sys.xmit.dest.queue";
 
 /// Property carrying the destination manager on transmission-queue envelopes.
+// lint: registry-sink property-name
 pub const XMIT_DEST_MANAGER_PROPERTY: &str = "sys.xmit.dest.qmgr";
 
 /// A background task attached to a queue manager — channels and TCP

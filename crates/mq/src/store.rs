@@ -15,7 +15,9 @@
 //!   queue depth.
 //! * Band, correlation and property-index deques may hold **stale ids**
 //!   (messages removed through another path); readers skip and prune them
-//!   lazily, so removal stays O(1).
+//!   lazily, so removal stays O(properties). A removal pops the stale ids
+//!   at the front of each of its message's property buckets and drops a
+//!   bucket it empties.
 //! * Every live message has a **sequence number**: back-inserts count up
 //!   from the midpoint, front-inserts (rollback requeues) count down, so
 //!   "lowest seq wins within a priority band" reproduces exact FIFO
@@ -216,8 +218,7 @@ impl MessageStore {
         if self.index_properties {
             // Property buckets are candidate sets that the reads using them
             // re-verify and prune, so a requeued id may sit in one twice.
-            // Scrubbing it would scan every id the bucket ever held: plain
-            // gets never prune a bucket.
+            // Scrubbing it would scan the whole bucket on every requeue.
             for (name, value) in msg.properties() {
                 let key = (name.to_owned(), value_band(value));
                 self.by_property.entry(key).or_default().push_back(id);
@@ -234,8 +235,12 @@ impl MessageStore {
         self.version = self.version.wrapping_add(1);
     }
 
-    /// Removes a message from the live map and its correlation index
-    /// (band, property-index and heap entries go stale, pruned lazily).
+    /// Removes a message from the live map and its correlation index.
+    /// Each of its property buckets drops the ids at its front that are no
+    /// longer live — the message's own, when it was the oldest there, as a
+    /// FIFO get leaves it — and goes once empty, so a queue read only by
+    /// plain gets keeps no bucket per value it ever held. Ids behind a live
+    /// one, band and heap entries go stale, pruned lazily.
     pub(crate) fn detach_arc(&mut self, id: MessageId) -> Option<Arc<Message>> {
         let entry = self.entries.remove(&id)?;
         if let Some(corr) = entry.msg.correlation_id() {
@@ -243,6 +248,23 @@ impl MessageStore {
                 ids.retain(|x| *x != id);
                 if ids.is_empty() {
                     self.by_correlation.remove(corr);
+                }
+            }
+        }
+        if self.index_properties {
+            for (name, value) in entry.msg.properties() {
+                let key = (name.to_owned(), value_band(value));
+                let Some(ids) = self.by_property.get_mut(&key) else {
+                    continue;
+                };
+                while ids
+                    .front()
+                    .is_some_and(|front| !self.entries.contains_key(front))
+                {
+                    ids.pop_front();
+                }
+                if ids.is_empty() {
+                    self.by_property.remove(&key);
                 }
             }
         }
@@ -417,8 +439,9 @@ mod tests {
         let bucket = s.hint_bucket("k", &PropertyValue::I64(7)).cloned();
         assert_eq!(bucket, Some(VecDeque::from(vec![id1, id2])));
         assert!(s.hint_bucket("k", &PropertyValue::I64(8)).is_none());
-        s.detach(id1);
-        // Stale id survives until a reader prunes the bucket.
+        s.detach(id2);
+        // A stale id behind a live one survives until a reader prunes the
+        // bucket.
         let pruned: VecDeque<MessageId> = s
             .hint_bucket("k", &PropertyValue::F64(7.0))
             .into_iter()
@@ -428,7 +451,49 @@ mod tests {
             .collect();
         s.replace_bucket("k", &PropertyValue::F64(7.0), pruned);
         let bucket = s.hint_bucket("k", &PropertyValue::I64(7)).cloned();
-        assert_eq!(bucket, Some(VecDeque::from(vec![id2])));
+        assert_eq!(bucket, Some(VecDeque::from(vec![id1])));
+    }
+
+    #[test]
+    fn plain_gets_leave_no_property_buckets_behind() {
+        let mut s = MessageStore::new(true);
+        let ids: Vec<MessageId> = (0..10_000i64)
+            .map(|i| {
+                let m = Message::text("m")
+                    .property("seq", i)
+                    .property("kind", "k")
+                    .build();
+                let id = m.id();
+                s.insert(m, false);
+                id
+            })
+            .collect();
+        assert_eq!(s.by_property.len(), 10_001);
+        for id in ids {
+            assert!(s.detach(id).is_some());
+        }
+        assert!(s.by_property.is_empty());
+    }
+
+    #[test]
+    fn a_bucket_keeps_the_live_ids_behind_a_stale_one() {
+        let mut s = MessageStore::new(true);
+        let ms: Vec<Message> = (0..3)
+            .map(|_| Message::text("m").property("k", 1i64).build())
+            .collect();
+        let ids: Vec<MessageId> = ms.iter().map(Message::id).collect();
+        for m in ms {
+            s.insert(m, false);
+        }
+        // Out of order: the middle id stays, stale, behind a live front.
+        s.detach(ids[1]);
+        let bucket = |s: &MessageStore| s.hint_bucket("k", &PropertyValue::I64(1)).cloned();
+        assert_eq!(bucket(&s), Some(VecDeque::from(ids.clone())));
+        // The front goes, and the stale id behind it with it.
+        s.detach(ids[0]);
+        assert_eq!(bucket(&s), Some(VecDeque::from(vec![ids[2]])));
+        s.detach(ids[2]);
+        assert_eq!(bucket(&s), None);
     }
 
     #[test]

@@ -54,8 +54,11 @@ use crate::message::Message;
 /// Protocol magic, first field of every handshake payload (`"CMW1"`).
 pub const MAGIC: u32 = 0x434D_5731;
 
-/// Protocol version negotiated in the handshake.
-pub const VERSION: u8 = 1;
+/// Protocol version negotiated in the handshake. Version 2 carries each
+/// message as the compact image of [`crate::codec`] (registered property
+/// names as one-byte codes, a flags byte, varint headers); a version-1
+/// peer is refused rather than misread.
+pub const VERSION: u8 = 2;
 
 /// Upper bound on one frame's body, guarding the decoder against
 /// allocation bombs from corrupt or hostile length prefixes.
@@ -535,6 +538,20 @@ mod tests {
         let ack = read_one(&Frame::hello_ack("QM.RECV").encode().unwrap());
         assert_eq!(ack.kind, FrameKind::HelloAck);
         assert_eq!(ack.decode_handshake().unwrap(), "QM.RECV");
+    }
+
+    #[test]
+    fn a_version_one_hello_is_refused() {
+        let mut payload = Encoder::new();
+        payload.put_u32(MAGIC);
+        payload.put_u8(1);
+        payload.put_str("QM.OLD");
+        let old = Frame::with_payload(FrameKind::Hello, 0, payload.finish());
+        let frame = read_one(&old.encode().unwrap());
+        assert!(matches!(
+            frame.decode_handshake(),
+            Err(FrameError::BadHandshake("version mismatch"))
+        ));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use condmsg::{
     MessageOutcome,
 };
 use mq::channel::{Channel, MAX_RELEASED, RELEASE_LINGER};
+use mq::codec::WireEncode;
 use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
@@ -34,12 +35,12 @@ use mq::{
 use parking_lot::Mutex;
 use simtime::{Millis, SimClock};
 
-/// A `Journal` that notes what each `append` wrote (kind + queues) and
-/// otherwise is the `MemJournal` it wraps.
+/// A `Journal` that notes what each `append` wrote (kind + queues, and its
+/// size in bytes) and otherwise is the `MemJournal` it wraps.
 #[derive(Debug)]
 struct RecordingJournal {
     inner: Arc<MemJournal>,
-    appended: Mutex<Vec<String>>,
+    appended: Mutex<Vec<(String, usize)>>,
 }
 
 impl RecordingJournal {
@@ -56,7 +57,20 @@ impl RecordingJournal {
     }
 
     fn appended(&self) -> Vec<String> {
-        self.appended.lock().clone()
+        self.appended
+            .lock()
+            .iter()
+            .map(|(record, _)| record.clone())
+            .collect()
+    }
+
+    /// The encoded size of each record, as the `MemJournal` holds it.
+    fn bytes(&self) -> Vec<usize> {
+        self.appended
+            .lock()
+            .iter()
+            .map(|(_, bytes)| *bytes)
+            .collect()
     }
 
     fn wait_for(&self, appends: usize) {
@@ -75,7 +89,8 @@ impl RecordingJournal {
 impl Journal for RecordingJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
         self.inner.append(record)?;
-        self.appended.lock().push(describe(record));
+        let bytes = record.to_bytes().len();
+        self.appended.lock().push((describe(record), bytes));
         Ok(())
     }
 
@@ -232,6 +247,10 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(head_journal.appended(), [send, verdict, outcome], "head");
     assert_eq!(tail_journal.appended(), [arrival, pickup], "tail");
     assert_eq!(head.stats().released.get(), 0);
+    // What the five records weigh, byte for byte: ids are random but fixed
+    // in width, and the clock nobody advances stamps every time as 0.
+    assert_eq!(head_journal.bytes(), [378, 293, 32], "head bytes");
+    assert_eq!(tail_journal.bytes(), [118, 238], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -487,6 +506,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
             "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );
+    assert_eq!(journal.bytes(), [957, 223, 223, 497, 113, 32], "bytes");
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 

@@ -2,15 +2,18 @@
 //! condition trees, sender-log entries, and control headers must survive
 //! encode→decode→encode **byte-identically** (the binary format has a
 //! single canonical encoding), and the message-property encodings
-//! (`to_message`/`from_message`) must round-trip value-identically.
+//! (`to_message`/`from_message`) must round-trip value-identically. One
+//! original message's image is pinned byte for byte.
 
+use bytes::Bytes;
+use condmsg::eval::LeafSpec;
 use condmsg::wire::{
-    AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions, SendRecord,
-    SlogEntry,
+    make_original, AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions,
+    SendRecord, SlogEntry,
 };
 use condmsg::{CondMessageId, Condition, Destination, DestinationSet};
 use mq::codec::{WireDecode, WireEncode};
-use mq::{Priority, QueueAddress};
+use mq::{Message, Priority, QueueAddress};
 use proptest::prelude::*;
 use proptest::strategy::Union;
 use simtime::{Millis, Time};
@@ -262,6 +265,56 @@ where
         "re-encode must be byte-identical"
     );
     Ok(())
+}
+
+// ---------------------------------------------------------------- golden --
+
+/// The image of one original after its random 16-byte message id. The
+/// journal and the wire both carry it, and a registered property name's
+/// position is its code: reordering `mq::obs::PROPERTY_NAME_REGISTRY` or
+/// the header layout makes every journal and peer of the previous build
+/// unreadable, and fails here first.
+#[test]
+fn an_original_message_image_is_pinned_byte_for_byte() {
+    let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+    let leaf = LeafSpec {
+        index: 0,
+        queue: QueueAddress::new("QM2", "Q.IN"),
+        recipient: None,
+        pickup_window: None,
+        process_window: None,
+        processing_expected: false,
+        expiry: None,
+        persistent: true,
+        priority: Priority::DEFAULT,
+    };
+    let msg = make_original(&Bytes::from_static(b"hi"), cond_id, &leaf, "QM1", "DS.ACK.Q");
+    let image = msg.to_bytes();
+    let golden = [
+        // priority 4; flags persistent | correlation id; payload; 5 properties
+        &[4u8, 0b1001, 2][..],
+        b"hi",
+        &[5],
+        // ds.ack.queue (code 12) = Str "DS.ACK.Q"
+        &[12, 0, 8],
+        b"DS.ACK.Q",
+        // ds.kind (8) = Str "original"
+        &[8, 0, 8],
+        b"original",
+        // ds.leaf (9) = I64 0; ds.processing.required (10) = Bool false
+        &[9, 1, 0, 10, 3, 0],
+        // ds.sender.qmgr (11) = Str "QM1"
+        &[11, 0, 3],
+        b"QM1",
+        // correlation id: the conditional message id, hex
+        &[32],
+        b"0123456789abcdef0123456789abcdef",
+        // redelivery count
+        &[0],
+    ]
+    .concat();
+    assert_eq!(&image[16..], &golden[..]);
+    assert_eq!(Message::from_bytes(image).unwrap(), msg);
 }
 
 // ------------------------------------------------------------ properties --
