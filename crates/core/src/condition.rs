@@ -465,20 +465,22 @@ impl Condition {
 
 // ------------------------------------------------------------------ wire --
 
+// Windows and counts are varints: most take one or two bytes.
+
 fn put_opt_millis(enc: &mut Encoder, v: Option<Millis>) {
-    enc.put_opt(v.as_ref(), |e, m| e.put_u64(m.as_u64()));
+    enc.put_opt(v.as_ref(), |e, m| e.put_varint(m.as_u64()));
 }
 
 fn get_opt_millis(dec: &mut Decoder) -> Result<Option<Millis>, CodecError> {
-    dec.get_opt(|d| d.get_u64().map(Millis))
+    dec.get_opt(|d| d.get_varint().map(Millis))
 }
 
 fn put_opt_u32(enc: &mut Encoder, v: Option<u32>) {
-    enc.put_opt(v.as_ref(), |e, n| e.put_u32(*n));
+    enc.put_opt(v.as_ref(), |e, n| e.put_varint(u64::from(*n)));
 }
 
 fn get_opt_u32(dec: &mut Decoder) -> Result<Option<u32>, CodecError> {
-    dec.get_opt(|d| d.get_u32())
+    dec.get_opt(|d| d.get_varint_u32())
 }
 
 impl WireEncode for Destination {

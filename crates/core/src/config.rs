@@ -7,23 +7,29 @@ use simtime::Millis;
 
 /// Sender-side log queue: send records and observed acknowledgments, the
 /// WAL from which a restarted sender rebuilds evaluation state.
+// lint: registry-sink wire-string
 pub const DEFAULT_SLOG_QUEUE: &str = "DS.SLOG.Q";
 
 /// Sender-side acknowledgment queue receivers direct their acks to.
+// lint: registry-sink wire-string
 pub const DEFAULT_ACK_QUEUE: &str = "DS.ACK.Q";
 
 /// Sender-side queue parking pre-generated compensation messages.
+// lint: registry-sink wire-string
 pub const DEFAULT_COMP_QUEUE: &str = "DS.COMP.Q";
 
 /// Sender-side queue receiving outcome notifications for the application.
+// lint: registry-sink wire-string
 pub const DEFAULT_OUTCOME_QUEUE: &str = "DS.OUTCOME.Q";
 
 /// Receiver-side log queue recording message consumption.
+// lint: registry-sink wire-string
 pub const DEFAULT_RLOG_QUEUE: &str = "DS.RLOG.Q";
 
 /// Sender-side history queue of decided outcomes. Kept separate from the
 /// (hot) sender log so the active-log purges stay proportional to the
 /// number of *in-flight* conditional messages.
+// lint: registry-sink wire-string
 pub const DEFAULT_DONE_QUEUE: &str = "DS.DONE.Q";
 
 /// Maximum acknowledgments drained from the ack queue under a single

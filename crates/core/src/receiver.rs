@@ -283,7 +283,12 @@ impl ConditionalReceiver {
                         // (exactly once — log the delivery).
                         self.session.put(
                             DEFAULT_RLOG_QUEUE,
-                            rlog_entry(cond_id, leaf, "comp-delivered", self.qmgr.clock().now()),
+                            rlog_entry(
+                                cond_id,
+                                leaf,
+                                wire::rlog_entry::COMP_DELIVERED,
+                                self.qmgr.clock().now(),
+                            ),
                         )?;
                         return Ok(Some(ReceivedMessage::classify(msg)));
                     }
@@ -333,7 +338,12 @@ impl ConditionalReceiver {
         }
         self.session.put(
             DEFAULT_RLOG_QUEUE,
-            rlog_entry(cond_id, leaf, "annihilated", self.qmgr.clock().now()),
+            rlog_entry(
+                cond_id,
+                leaf,
+                wire::rlog_entry::ANNIHILATED,
+                self.qmgr.clock().now(),
+            ),
         )?;
         self.annihilated.push((cond_id, leaf, queue.to_owned()));
         Ok(true)
@@ -353,11 +363,12 @@ impl ConditionalReceiver {
 
     fn rlog_shows_consumed(&self, cond_id: CondMessageId, leaf: u32) -> CondResult<bool> {
         let selector = Selector::parse(&format!(
-            "correlation_id = '{}' AND {} = {} AND {} = 'consumed'",
+            "correlation_id = '{}' AND {} = {} AND {} = '{}'",
             cond_id.to_hex(),
             wire::P_LEAF,
             leaf,
-            wire::P_RLOG_ENTRY
+            wire::P_RLOG_ENTRY,
+            wire::rlog_entry::CONSUMED,
         ))
         .map_err(MqError::from)?;
         let rlog = self.qmgr.queue(DEFAULT_RLOG_QUEUE)?;
@@ -410,7 +421,7 @@ impl ConditionalReceiver {
         for pa in &self.pending_acks {
             self.session.put(
                 DEFAULT_RLOG_QUEUE,
-                rlog_entry(pa.cond_id, pa.leaf, "consumed", pa.read_at),
+                rlog_entry(pa.cond_id, pa.leaf, wire::rlog_entry::CONSUMED, pa.read_at),
             )?;
             let ack = Acknowledgment {
                 cond_id: pa.cond_id,

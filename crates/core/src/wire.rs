@@ -10,11 +10,13 @@
 //! acknowledgments back without application involvement.
 //!
 //! The conditional message id travels once, as the standard message's
-//! correlation id (hex): originals, acknowledgments, outcome notifications,
-//! compensations, success notifications and both logs' entries all set it,
-//! and the queues index it exactly. Everything else is a `ds.*` property,
-//! each name registered in `mq::obs::PROPERTY_NAME_REGISTRY` so the message
-//! image carries it as a one-byte code.
+//! correlation id (hex, which the message image carries as 16 bytes):
+//! originals, acknowledgments, outcome notifications, compensations,
+//! success notifications and both logs' entries all set it, and the queues
+//! index it exactly. Everything else is a `ds.*` property. Each name, each
+//! fixed value (kinds, ack types, outcomes, log entry types) and each
+//! default queue name is registered in `mq::obs::WIRE_STRING_REGISTRY`, so
+//! the message image and the journal carry it as a one-byte code.
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
@@ -29,77 +31,130 @@ use crate::ids::CondMessageId;
 // ------------------------------------------------------------ properties --
 
 /// Message kind discriminator property.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_KIND: &str = "ds.kind";
 /// Destination leaf index property.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_LEAF: &str = "ds.leaf";
 /// Whether processing (vs. mere receipt) is required of this destination.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_PROCESSING_REQUIRED: &str = "ds.processing.required";
 /// Sender's queue manager name (for routing acks back).
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_SENDER_MANAGER: &str = "ds.sender.qmgr";
 /// Sender's acknowledgment queue name.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_ACK_QUEUE: &str = "ds.ack.queue";
 /// Acknowledgment type: `read` or `processed`.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_ACK_TYPE: &str = "ds.ack.type";
 /// Read timestamp (ms) on an acknowledgment.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_ACK_READ_TS: &str = "ds.ack.read_ts";
 /// Processing (commit) timestamp (ms) on an acknowledgment.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_ACK_PROCESS_TS: &str = "ds.ack.process_ts";
 /// Acknowledging recipient identity.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_RECIPIENT: &str = "ds.recipient";
 /// Outcome property: `success` or `failure`.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_OUTCOME: &str = "ds.outcome";
 /// Failure reason on outcome notifications.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_OUTCOME_REASON: &str = "ds.outcome.reason";
 /// Decision timestamp on outcome notifications.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_OUTCOME_TS: &str = "ds.outcome.ts";
 /// Marks a system-generated (data-less) compensation message.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_COMP_SYSTEM: &str = "ds.comp.system";
 /// Destination address (`manager/queue`) a parked compensation targets.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_COMP_DEST: &str = "ds.comp.dest";
 /// Sender-log entry type: `send`, `ack`, `outcome`.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_SLOG_ENTRY: &str = "ds.slog.entry";
 /// Decision timestamp property on outcome history entries (selectable for
 /// pruning).
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_SLOG_DECIDED_TS: &str = "ds.slog.decided_ts";
 /// Receiver-log entry type: `consumed`, `comp-delivered`, `annihilated`.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_RLOG_ENTRY: &str = "ds.rlog.entry";
 /// Timestamp property on receiver-log entries.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const P_RLOG_TS: &str = "ds.rlog.ts";
 
 /// Values of [`P_KIND`].
 pub mod kind {
     /// A generated standard message carrying the application payload.
+    // lint: registry-sink wire-string
     pub const ORIGINAL: &str = "original";
     /// An internal acknowledgment (paper §2.4).
+    // lint: registry-sink wire-string
     pub const ACK: &str = "ack";
     /// A compensation message (paper §2.6).
+    // lint: registry-sink wire-string
     pub const COMPENSATION: &str = "comp";
     /// A success notification (paper §2.6).
+    // lint: registry-sink wire-string
     pub const SUCCESS: &str = "success";
     /// An outcome notification on `DS.OUTCOME.Q`.
+    // lint: registry-sink wire-string
     pub const OUTCOME: &str = "outcome";
     /// A sender-log entry on `DS.SLOG.Q`.
+    // lint: registry-sink wire-string
     pub const SLOG: &str = "slog";
     /// A receiver-log entry on `DS.RLOG.Q`.
+    // lint: registry-sink wire-string
     pub const RLOG: &str = "rlog";
+}
+
+/// Values of [`P_ACK_TYPE`].
+pub mod ack_type {
+    /// A successful non-transactional read.
+    // lint: registry-sink wire-string
+    pub const READ: &str = "read";
+    /// A successful transactional read: processing.
+    // lint: registry-sink wire-string
+    pub const PROCESSED: &str = "processed";
+}
+
+/// Values of [`P_OUTCOME`].
+pub mod outcome {
+    /// All conditions satisfied.
+    // lint: registry-sink wire-string
+    pub const SUCCESS: &str = "success";
+    /// A condition was violated or the evaluation timed out.
+    // lint: registry-sink wire-string
+    pub const FAILURE: &str = "failure";
+}
+
+/// Values of [`P_SLOG_ENTRY`].
+pub mod slog_entry {
+    /// A conditional message was sent.
+    // lint: registry-sink wire-string
+    pub const SEND: &str = "send";
+    /// An acknowledgment was applied.
+    // lint: registry-sink wire-string
+    pub const ACK: &str = "ack";
+    /// The evaluation finished.
+    // lint: registry-sink wire-string
+    pub const OUTCOME: &str = "outcome";
+}
+
+/// Values of [`P_RLOG_ENTRY`].
+pub mod rlog_entry {
+    /// An original was consumed.
+    // lint: registry-sink wire-string
+    pub const CONSUMED: &str = "consumed";
+    /// A compensation was delivered after its original was consumed.
+    // lint: registry-sink wire-string
+    pub const COMP_DELIVERED: &str = "comp-delivered";
+    /// An original and its compensation met and cancelled each other out.
+    // lint: registry-sink wire-string
+    pub const ANNIHILATED: &str = "annihilated";
 }
 
 /// Classification of a message read through the conditional-messaging API.
@@ -189,6 +244,16 @@ pub enum AckKind {
     Processed,
 }
 
+impl AckKind {
+    /// The [`P_ACK_TYPE`] value.
+    fn as_str(self) -> &'static str {
+        match self {
+            AckKind::Read => ack_type::READ,
+            AckKind::Processed => ack_type::PROCESSED,
+        }
+    }
+}
+
 /// A decoded internal acknowledgment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Acknowledgment {
@@ -213,13 +278,7 @@ impl Acknowledgment {
         let mut builder = Message::builder(Bytes::new())
             .property(P_KIND, kind::ACK)
             .property(P_LEAF, i64::from(self.leaf))
-            .property(
-                P_ACK_TYPE,
-                match self.kind {
-                    AckKind::Read => "read",
-                    AckKind::Processed => "processed",
-                },
-            )
+            .property(P_ACK_TYPE, self.kind.as_str())
             .property(P_ACK_READ_TS, self.read_at.as_millis() as i64)
             .persistent(true)
             .correlation_id(self.cond_id.to_hex());
@@ -241,8 +300,8 @@ impl Acknowledgment {
         let cond_id = cond_id_of(msg)?;
         let leaf = leaf_of(msg)?;
         let kind = match msg.str_property(P_ACK_TYPE) {
-            Some("read") => AckKind::Read,
-            Some("processed") => AckKind::Processed,
+            Some(ack_type::READ) => AckKind::Read,
+            Some(ack_type::PROCESSED) => AckKind::Processed,
             other => return Err(CondError::Malformed(format!("bad ack type {other:?}"))),
         };
         let read_at = msg
@@ -277,12 +336,19 @@ pub enum MessageOutcome {
     Failure,
 }
 
+impl MessageOutcome {
+    /// The [`P_OUTCOME`] value.
+    fn as_str(self) -> &'static str {
+        match self {
+            MessageOutcome::Success => outcome::SUCCESS,
+            MessageOutcome::Failure => outcome::FAILURE,
+        }
+    }
+}
+
 impl std::fmt::Display for MessageOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MessageOutcome::Success => write!(f, "success"),
-            MessageOutcome::Failure => write!(f, "failure"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -304,13 +370,7 @@ impl OutcomeNotification {
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
             .property(P_KIND, kind::OUTCOME)
-            .property(
-                P_OUTCOME,
-                match self.outcome {
-                    MessageOutcome::Success => "success",
-                    MessageOutcome::Failure => "failure",
-                },
-            )
+            .property(P_OUTCOME, self.outcome.as_str())
             .property(P_OUTCOME_TS, self.decided_at.as_millis() as i64)
             .persistent(true)
             .correlation_id(self.cond_id.to_hex());
@@ -328,8 +388,8 @@ impl OutcomeNotification {
     pub fn from_message(msg: &Message) -> CondResult<OutcomeNotification> {
         let cond_id = cond_id_of(msg)?;
         let outcome = match msg.str_property(P_OUTCOME) {
-            Some("success") => MessageOutcome::Success,
-            Some("failure") => MessageOutcome::Failure,
+            Some(outcome::SUCCESS) => MessageOutcome::Success,
+            Some(outcome::FAILURE) => MessageOutcome::Failure,
             other => return Err(CondError::Malformed(format!("bad outcome value {other:?}"))),
         };
         let decided_at = msg
@@ -398,7 +458,7 @@ pub struct SendOptions {
 impl WireEncode for SendOptions {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_opt(self.evaluation_timeout.as_ref(), |e, m| {
-            e.put_u64(m.as_u64())
+            e.put_varint(m.as_u64())
         });
         enc.put_opt(self.success_notifications.as_ref(), |e, b| e.put_bool(*b));
         enc.put_bool(self.defer_outcome_actions);
@@ -408,7 +468,7 @@ impl WireEncode for SendOptions {
 impl WireDecode for SendOptions {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
         Ok(SendOptions {
-            evaluation_timeout: dec.get_opt(|d| d.get_u64().map(Millis))?,
+            evaluation_timeout: dec.get_opt(|d| d.get_varint().map(Millis))?,
             success_notifications: dec.get_opt(|d| d.get_bool())?,
             defer_outcome_actions: dec.get_bool()?,
         })
@@ -432,27 +492,7 @@ pub struct SendRecord {
     pub options: SendOptions,
 }
 
-impl WireEncode for SendRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u128(self.cond_id.as_u128());
-        enc.put_u64(self.send_time.as_millis());
-        self.condition.encode(enc);
-        self.options.encode(enc);
-    }
-}
-
-impl WireDecode for SendRecord {
-    fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
-        Ok(SendRecord {
-            cond_id: CondMessageId::from_u128(dec.get_u128()?),
-            send_time: Time(dec.get_u64()?),
-            condition: Condition::decode(dec)?,
-            options: SendOptions::decode(dec)?,
-        })
-    }
-}
-
-/// A sender-log entry (the payload of a `DS.SLOG.Q` message).
+/// A sender-log entry (a `DS.SLOG.Q` message).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SlogEntry {
     /// A conditional message was sent.
@@ -474,9 +514,9 @@ impl SlogEntry {
     /// The entry-type string stored in [`P_SLOG_ENTRY`].
     pub fn entry_type(&self) -> &'static str {
         match self {
-            SlogEntry::Send(_) => "send",
-            SlogEntry::AckSeen(_) => "ack",
-            SlogEntry::Outcome { .. } => "outcome",
+            SlogEntry::Send(_) => slog_entry::SEND,
+            SlogEntry::AckSeen(_) => slog_entry::ACK,
+            SlogEntry::Outcome { .. } => slog_entry::OUTCOME,
         }
     }
 
@@ -489,9 +529,10 @@ impl SlogEntry {
         }
     }
 
-    /// Encodes the entry as a persistent sender-log message.
+    /// Encodes the entry as a persistent sender-log message. The
+    /// conditional id is its correlation id, so the payload leaves it out.
     pub fn to_message(&self) -> Message {
-        let mut builder = Message::builder(self.to_bytes())
+        let mut builder = Message::builder(self.payload())
             .property(P_KIND, kind::SLOG)
             .property(P_SLOG_ENTRY, self.entry_type())
             .correlation_id(self.cond_id().to_hex())
@@ -502,59 +543,77 @@ impl SlogEntry {
         builder.build()
     }
 
-    /// Decodes an entry from a `DS.SLOG.Q` message payload.
+    /// Decodes an entry from a `DS.SLOG.Q` message: its correlation id and
+    /// its payload.
     ///
     /// # Errors
     ///
-    /// [`CondError::Malformed`] on undecodable payloads.
+    /// [`CondError::Malformed`] on a missing id or an undecodable payload.
     pub fn from_message(msg: &Message) -> CondResult<SlogEntry> {
-        SlogEntry::from_bytes(msg.payload().clone()).map_err(CondError::from)
+        let cond_id = cond_id_of(msg)?;
+        let mut dec = Decoder::new(msg.payload().clone());
+        let entry = SlogEntry::decode_payload(cond_id, &mut dec)?;
+        if !dec.is_exhausted() {
+            return Err(CodecError::LengthOverrun {
+                declared: 0,
+                remaining: dec.remaining(),
+            }
+            .into());
+        }
+        Ok(entry)
     }
-}
 
-impl WireEncode for SlogEntry {
-    fn encode(&self, enc: &mut Encoder) {
+    /// Everything but the conditional id: a tag, then times and counts as
+    /// varints.
+    fn payload(&self) -> Bytes {
+        let mut enc = Encoder::new();
         match self {
             SlogEntry::Send(record) => {
                 enc.put_u8(0);
-                record.encode(enc);
+                enc.put_varint(record.send_time.as_millis());
+                record.condition.encode(&mut enc);
+                record.options.encode(&mut enc);
             }
             SlogEntry::AckSeen(ack) => {
                 enc.put_u8(1);
-                enc.put_u128(ack.cond_id.as_u128());
-                enc.put_u32(ack.leaf);
+                enc.put_varint(u64::from(ack.leaf));
                 enc.put_u8(match ack.kind {
                     AckKind::Read => 0,
                     AckKind::Processed => 1,
                 });
-                enc.put_u64(ack.read_at.as_millis());
-                enc.put_opt(ack.processed_at.as_ref(), |e, t| e.put_u64(t.as_millis()));
+                enc.put_varint(ack.read_at.as_millis());
+                enc.put_opt(ack.processed_at.as_ref(), |e, t| {
+                    e.put_varint(t.as_millis())
+                });
                 enc.put_opt(ack.recipient.as_ref(), |e, s| e.put_str(s));
             }
             SlogEntry::Outcome {
-                cond_id,
                 outcome,
                 decided_at,
+                ..
             } => {
                 enc.put_u8(2);
-                enc.put_u128(cond_id.as_u128());
                 enc.put_u8(match outcome {
                     MessageOutcome::Success => 0,
                     MessageOutcome::Failure => 1,
                 });
-                enc.put_u64(decided_at.as_millis());
+                enc.put_varint(decided_at.as_millis());
             }
         }
+        enc.finish()
     }
-}
 
-impl WireDecode for SlogEntry {
-    fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
+    fn decode_payload(cond_id: CondMessageId, dec: &mut Decoder) -> Result<SlogEntry, CodecError> {
         match dec.get_u8()? {
-            0 => Ok(SlogEntry::Send(SendRecord::decode(dec)?)),
+            0 => Ok(SlogEntry::Send(SendRecord {
+                cond_id,
+                send_time: Time(dec.get_varint()?),
+                condition: Condition::decode(dec)?,
+                options: SendOptions::decode(dec)?,
+            })),
             1 => Ok(SlogEntry::AckSeen(Acknowledgment {
-                cond_id: CondMessageId::from_u128(dec.get_u128()?),
-                leaf: dec.get_u32()?,
+                cond_id,
+                leaf: dec.get_varint_u32()?,
                 kind: match dec.get_u8()? {
                     0 => AckKind::Read,
                     1 => AckKind::Processed,
@@ -565,12 +624,12 @@ impl WireDecode for SlogEntry {
                         })
                     }
                 },
-                read_at: Time(dec.get_u64()?),
-                processed_at: dec.get_opt(|d| d.get_u64().map(Time))?,
+                read_at: Time(dec.get_varint()?),
+                processed_at: dec.get_opt(|d| d.get_varint().map(Time))?,
                 recipient: dec.get_opt(|d| d.get_str())?,
             })),
             2 => Ok(SlogEntry::Outcome {
-                cond_id: CondMessageId::from_u128(dec.get_u128()?),
+                cond_id,
                 outcome: match dec.get_u8()? {
                     0 => MessageOutcome::Success,
                     1 => MessageOutcome::Failure,
@@ -581,7 +640,7 @@ impl WireDecode for SlogEntry {
                         })
                     }
                 },
-                decided_at: Time(dec.get_u64()?),
+                decided_at: Time(dec.get_varint()?),
             }),
             tag => Err(CodecError::BadTag {
                 what: "SlogEntry",

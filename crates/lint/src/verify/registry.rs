@@ -1,5 +1,5 @@
 //! Registry pass: every emitted metric name, trace stage, journal
-//! record tag, frame kind and control-property name must appear in its
+//! record tag, frame kind and well-known wire string must appear in its
 //! declared registry.
 //!
 //! A `// lint: registry <kind>` annotation on a const declares the
@@ -13,7 +13,7 @@
 //!   (`{…}`) are wildcardized to `*` before matching.
 //! * **sink items** — an item annotated `// lint: registry-sink <kind>`
 //!   contributes its string literals (e.g. a `Display` impl for trace
-//!   stages, a property-name constant) or its tag-position integers (`put_u8(N)` arguments and
+//!   stages, a property-name or queue-name constant) or its tag-position integers (`put_u8(N)` arguments and
 //!   ints adjacent to `=>`, e.g. wire encode/decode impls) as
 //!   emissions of that kind.
 //!

@@ -60,11 +60,18 @@ fn registry_typo_is_flagged() {
     check("registry_typo");
 }
 
-/// A control-property constant annotated as a property-name sink whose
+/// A control-property constant annotated as a wire-string sink whose
 /// name the registry does not list; the registered ones stay silent.
 #[test]
 fn unregistered_property_name_is_flagged() {
     check("property_name_unregistered");
+}
+
+/// Well-known value and queue-name constants declared inside modules: the
+/// ones the wire-string registry does not list are flagged.
+#[test]
+fn unregistered_wire_values_are_flagged() {
+    check("wire_value_unregistered");
 }
 
 /// Test code ends at the gated item's or field's own closing delimiter:

@@ -607,9 +607,13 @@ mod tests {
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("m").build())
             .unwrap();
         wait_for("delivery", || b.queue("IN").unwrap().depth() == 1);
-        let snap = a.obs().metrics().snapshot();
-        assert!(snap.counter("mq.transport.batches_sent") >= 1);
-        assert!(snap.counter("mq.transport.messages_sent") >= 1);
+        // The sender counts a batch once its write returns, which the
+        // peer's delivery can overtake.
+        wait_for("the send counted", || {
+            let snap = a.obs().metrics().snapshot();
+            snap.counter("mq.transport.batches_sent") >= 1
+                && snap.counter("mq.transport.messages_sent") >= 1
+        });
     }
 
     #[test]

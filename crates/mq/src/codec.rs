@@ -10,16 +10,19 @@
 //!
 //! ```text
 //! id: u128 LE │ priority: u8 │ flags: u8 │ payload: varint len + bytes
-//! │ property count: varint │ per property: name code: varint
-//! │   [0 → name: str] │ value: tag u8 + value (I64 as a zigzag varint)
-//! │ ttl: varint? │ expiry: varint? │ correlation id: str?
+//! │ property count: varint │ per property: name: wstr
+//! │   │ value: tag u8 + value (Str as a wstr, I64 as a zigzag varint)
+//! │ ttl: varint? │ expiry: varint? │ correlation id: str? or u128 LE?
 //! │ reply-to: str str? │ put time: varint? │ redelivery count: varint
 //! ```
 //!
-//! A name listed in [`crate::obs::PROPERTY_NAME_REGISTRY`] is written as
-//! its position + 1; any other name as `0` followed by the string. Bit 0
-//! of `flags` is persistence; each `?` header is present exactly when its
-//! own bit is set, and an absent one takes no bytes.
+//! A `wstr` ([`Encoder::put_wire_str`]) listed in
+//! [`crate::obs::WIRE_STRING_REGISTRY`] is written as its position + 1;
+//! any other string as `0` followed by the string. Bit 0 of `flags` is
+//! persistence; each `?` header is present exactly when its own bit is
+//! set, and an absent one takes no bytes. A correlation id of exactly 32
+//! lowercase hex digits (a conditional message id) takes 16 bytes under
+//! its own bit and reads back as the same string; any other is a string.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -29,7 +32,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simtime::{Millis, Time};
 
 use crate::message::{Message, MessageId, Priority, PropertyValue, QueueAddress};
-use crate::obs::PROPERTY_NAME_REGISTRY;
+use crate::obs::WIRE_STRING_REGISTRY;
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,8 +58,8 @@ pub enum CodecError {
         /// Bytes actually remaining.
         remaining: usize,
     },
-    /// A property-name code beyond the registry this build knows.
-    UnknownPropertyName(u64),
+    /// A wire-string code beyond the registry this build knows.
+    UnknownWireString(u64),
 }
 
 impl fmt::Display for CodecError {
@@ -77,8 +80,8 @@ impl fmt::Display for CodecError {
                     "declared length {declared} exceeds remaining {remaining} bytes"
                 )
             }
-            CodecError::UnknownPropertyName(code) => {
-                write!(f, "unknown property-name code {code}")
+            CodecError::UnknownWireString(code) => {
+                write!(f, "unknown wire-string code {code}")
             }
         }
     }
@@ -177,6 +180,20 @@ impl Encoder {
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
+    }
+
+    /// Appends a string that may be well known: one listed in
+    /// [`WIRE_STRING_REGISTRY`] as its code (position + 1, one byte), any
+    /// other as `0` followed by the string. Property names, `Str` property
+    /// values and queue names are written this way.
+    pub fn put_wire_str(&mut self, v: &str) {
+        match wire_string_codes().get(v) {
+            Some(code) => self.put_varint(*code),
+            None => {
+                self.put_varint(0);
+                self.put_str(v);
+            }
+        }
     }
 
     /// Appends an optional value: absence tag `0`, presence tag `1` + value.
@@ -295,10 +312,27 @@ impl Decoder {
         Ok(self.buf.copy_to_bytes(len as usize))
     }
 
+    /// Reads a varint that must fit a `u32`.
+    pub fn get_varint_u32(&mut self) -> Result<u32, CodecError> {
+        u32::try_from(self.get_varint()?).map_err(|_| CodecError::VarintOverflow)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, CodecError> {
         let bytes = self.get_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
+    }
+
+    /// Reads a string written with [`Encoder::put_wire_str`].
+    pub fn get_wire_str(&mut self) -> Result<String, CodecError> {
+        match self.get_varint()? {
+            0 => self.get_str(),
+            code => usize::try_from(code - 1)
+                .ok()
+                .and_then(|at| WIRE_STRING_REGISTRY.get(at))
+                .map(|s| (*s).to_owned())
+                .ok_or(CodecError::UnknownWireString(code)),
+        }
     }
 
     /// Reads an optional value written with [`Encoder::put_opt`].
@@ -354,7 +388,7 @@ impl WireEncode for PropertyValue {
         match self {
             PropertyValue::Str(s) => {
                 enc.put_u8(0);
-                enc.put_str(s);
+                enc.put_wire_str(s);
             }
             PropertyValue::I64(v) => {
                 enc.put_u8(1);
@@ -375,7 +409,7 @@ impl WireEncode for PropertyValue {
 impl WireDecode for PropertyValue {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
         match dec.get_u8()? {
-            0 => Ok(PropertyValue::Str(dec.get_str()?)),
+            0 => Ok(PropertyValue::Str(dec.get_wire_str()?)),
             1 => Ok(PropertyValue::I64(dec.get_zigzag()?)),
             2 => Ok(PropertyValue::F64(dec.get_f64()?)),
             3 => Ok(PropertyValue::Bool(dec.get_bool()?)),
@@ -443,46 +477,37 @@ mod flag {
     pub(super) const TTL: u8 = 1 << 1;
     /// An absolute expiry follows.
     pub(super) const EXPIRY: u8 = 1 << 2;
-    /// A correlation id follows.
+    /// A correlation id follows as a string.
     pub(super) const CORRELATION: u8 = 1 << 3;
     /// A reply-to address follows.
     pub(super) const REPLY_TO: u8 = 1 << 4;
     /// An enqueue time follows.
     pub(super) const PUT_TIME: u8 = 1 << 5;
+    /// A correlation id of 32 lowercase hex digits follows as a `u128`.
+    pub(super) const CORRELATION_U128: u8 = 1 << 6;
     /// Every defined bit.
-    pub(super) const ALL: u8 = (1 << 6) - 1;
+    pub(super) const ALL: u8 = (1 << 7) - 1;
 }
 
-/// Registered property name → its code (position + 1).
-fn property_codes() -> &'static HashMap<&'static str, u64> {
+/// Registered wire string → its code (position + 1).
+fn wire_string_codes() -> &'static HashMap<&'static str, u64> {
     static CODES: OnceLock<HashMap<&'static str, u64>> = OnceLock::new();
     CODES.get_or_init(|| {
         (1..)
-            .zip(PROPERTY_NAME_REGISTRY)
-            .map(|(code, name)| (*name, code))
+            .zip(WIRE_STRING_REGISTRY)
+            .map(|(code, s)| (*s, code))
             .collect()
     })
 }
 
-fn put_property_name(enc: &mut Encoder, name: &str) {
-    match property_codes().get(name) {
-        Some(code) => enc.put_varint(*code),
-        None => {
-            enc.put_varint(0);
-            enc.put_str(name);
-        }
+/// The value of a correlation id in the one form that reads back from a
+/// `u128` unchanged: exactly 32 lowercase hex digits.
+fn correlation_u128(corr: &str) -> Option<u128> {
+    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    if corr.len() != 32 || !corr.bytes().all(lower_hex) {
+        return None;
     }
-}
-
-fn get_property_name(dec: &mut Decoder) -> Result<String, CodecError> {
-    match dec.get_varint()? {
-        0 => dec.get_str(),
-        code => usize::try_from(code - 1)
-            .ok()
-            .and_then(|at| PROPERTY_NAME_REGISTRY.get(at))
-            .map(|name| (*name).to_owned())
-            .ok_or(CodecError::UnknownPropertyName(code)),
-    }
+    u128::from_str_radix(corr, 16).ok()
 }
 
 impl WireEncode for Message {
@@ -490,13 +515,18 @@ impl WireEncode for Message {
         message_encodes().incr();
         enc.put_u128(self.id().as_u128());
         enc.put_u8(self.priority().level());
+        let corr_u128 = self.correlation_id().and_then(correlation_u128);
         let headers = [
             (self.is_persistent(), flag::PERSISTENT),
             (self.ttl().is_some(), flag::TTL),
             (self.expiry().is_some(), flag::EXPIRY),
-            (self.correlation_id().is_some(), flag::CORRELATION),
+            (
+                self.correlation_id().is_some() && corr_u128.is_none(),
+                flag::CORRELATION,
+            ),
             (self.reply_to().is_some(), flag::REPLY_TO),
             (self.put_time().is_some(), flag::PUT_TIME),
+            (corr_u128.is_some(), flag::CORRELATION_U128),
         ];
         let flags = headers
             .iter()
@@ -506,7 +536,7 @@ impl WireEncode for Message {
         enc.put_bytes(self.payload());
         enc.put_varint(self.properties().count() as u64);
         for (name, value) in self.properties() {
-            put_property_name(enc, name);
+            enc.put_wire_str(name);
             value.encode(enc);
         }
         if let Some(ttl) = self.ttl() {
@@ -515,8 +545,10 @@ impl WireEncode for Message {
         if let Some(expiry) = self.expiry() {
             enc.put_varint(expiry.as_millis());
         }
-        if let Some(corr) = self.correlation_id() {
-            enc.put_str(corr);
+        match (corr_u128, self.correlation_id()) {
+            (Some(id), _) => enc.put_u128(id),
+            (None, Some(corr)) => enc.put_str(corr),
+            (None, None) => {}
         }
         if let Some(reply_to) = self.reply_to() {
             reply_to.encode(enc);
@@ -533,7 +565,8 @@ impl WireDecode for Message {
         let id = MessageId::from_u128(dec.get_u128()?);
         let priority = Priority::new(dec.get_u8()?);
         let flags = dec.get_u8()?;
-        if flags & !flag::ALL != 0 {
+        let both_correlations = flag::CORRELATION | flag::CORRELATION_U128;
+        if flags & !flag::ALL != 0 || flags & both_correlations == both_correlations {
             return Err(CodecError::BadTag {
                 what: "message flags",
                 tag: flags,
@@ -543,7 +576,7 @@ impl WireDecode for Message {
         let n_props = dec.get_varint()?;
         let mut properties = BTreeMap::new();
         for _ in 0..n_props {
-            let name = get_property_name(dec)?;
+            let name = dec.get_wire_str()?;
             let value = PropertyValue::decode(dec)?;
             properties.insert(name, value);
         }
@@ -555,15 +588,18 @@ impl WireDecode for Message {
         let expiry = has(flag::EXPIRY)
             .then(|| dec.get_varint().map(Time))
             .transpose()?;
-        let correlation_id = has(flag::CORRELATION).then(|| dec.get_str()).transpose()?;
+        let correlation_id = if has(flag::CORRELATION_U128) {
+            Some(format!("{:032x}", dec.get_u128()?))
+        } else {
+            has(flag::CORRELATION).then(|| dec.get_str()).transpose()?
+        };
         let reply_to = has(flag::REPLY_TO)
             .then(|| QueueAddress::decode(dec))
             .transpose()?;
         let put_time = has(flag::PUT_TIME)
             .then(|| dec.get_varint().map(Time))
             .transpose()?;
-        let redelivery_count =
-            u32::try_from(dec.get_varint()?).map_err(|_| CodecError::VarintOverflow)?;
+        let redelivery_count = dec.get_varint_u32()?;
         Ok(Message::from_parts(
             id,
             payload,
@@ -770,43 +806,56 @@ mod tests {
     }
 
     #[test]
-    fn registered_names_are_one_byte_codes_and_others_literal() {
+    fn registered_strings_are_one_byte_codes_and_others_literal() {
+        for s in WIRE_STRING_REGISTRY {
+            let mut enc = Encoder::new();
+            enc.put_wire_str(s);
+            assert_eq!(enc.len(), 1, "{s}");
+            assert_eq!(Decoder::new(enc.finish()).get_wire_str().unwrap(), *s);
+        }
         let bare = Message::builder(Bytes::new()).build().to_bytes().len();
-        let with = |name: &str| {
-            let msg = Message::builder(Bytes::new()).property(name, true).build();
+        let with = |name: &str, value: &str| {
+            let msg = Message::builder(Bytes::new()).property(name, value).build();
             let image = msg.to_bytes();
             assert_eq!(Message::from_bytes(image.clone()).unwrap(), msg);
             image.len() - bare
         };
-        // Code, value tag, bool.
-        assert_eq!(with(PROPERTY_NAME_REGISTRY[0]), 3);
-        // 0, length, the name, value tag, bool.
-        assert_eq!(with("app.flag"), 1 + 1 + "app.flag".len() + 2);
+        let (name, value) = (WIRE_STRING_REGISTRY[0], "DS.ACK.Q");
+        // Name code, value tag, value code.
+        assert_eq!(with(name, value), 3);
+        // 0, length, the name; value tag, 0, length, the value.
+        assert_eq!(
+            with("app.dest", "Q.IN"),
+            2 + "app.dest".len() + 1 + 2 + "Q.IN".len()
+        );
     }
 
     #[test]
-    fn unknown_name_codes_and_reserved_flag_bits_are_refused() {
+    fn unknown_string_codes_and_reserved_flag_bits_are_refused() {
         let msg = Message::text("x")
-            .property(PROPERTY_NAME_REGISTRY[0], 1i64)
+            .property(WIRE_STRING_REGISTRY[0], 1i64)
             .build();
         let image = msg.to_bytes().to_vec();
         // id 0..16, priority 16, flags 17, payload 18..20, count 20, code 21.
-        let unknown = PROPERTY_NAME_REGISTRY.len() as u8 + 1;
+        let unknown = WIRE_STRING_REGISTRY.len() as u8 + 1;
         let mut bad_code = image.clone();
         bad_code[21] = unknown;
         assert_eq!(
             Message::from_bytes(Bytes::from(bad_code)),
-            Err(CodecError::UnknownPropertyName(u64::from(unknown)))
+            Err(CodecError::UnknownWireString(u64::from(unknown)))
         );
-        let mut bad_flags = image;
-        bad_flags[17] |= 0x80;
-        assert!(matches!(
-            Message::from_bytes(Bytes::from(bad_flags)),
-            Err(CodecError::BadTag {
-                what: "message flags",
-                ..
-            })
-        ));
+        let both_correlations = flag::CORRELATION | flag::CORRELATION_U128;
+        for bits in [0x80, both_correlations] {
+            let mut bad_flags = image.clone();
+            bad_flags[17] |= bits;
+            assert!(matches!(
+                Message::from_bytes(Bytes::from(bad_flags)),
+                Err(CodecError::BadTag {
+                    what: "message flags",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -897,8 +946,10 @@ mod tests {
             fn strings_roundtrip(s in any::<String>()) {
                 let mut enc = Encoder::new();
                 enc.put_str(&s);
+                enc.put_wire_str(&s);
                 let mut dec = Decoder::new(enc.finish());
-                prop_assert_eq!(dec.get_str().unwrap(), s);
+                prop_assert_eq!(dec.get_str().unwrap(), s.clone());
+                prop_assert_eq!(dec.get_wire_str().unwrap(), s);
             }
 
             #[test]
@@ -926,6 +977,34 @@ mod tests {
                 let msg = builder.build();
                 let back = Message::from_bytes(msg.to_bytes()).unwrap();
                 prop_assert_eq!(back, msg);
+            }
+
+            // Decode renders a 16-byte correlation id back as the string
+            // it was, so every correlation id — one character short or
+            // long of an id, uppercase hex, non-ASCII — reads back and
+            // re-encodes byte for byte, and only the canonical form takes
+            // 16 bytes.
+            #[test]
+            fn arbitrary_correlation_ids_roundtrip_byte_identically(
+                corr in prop_oneof![
+                    "[0-9a-f]{31,33}",
+                    "[0-9a-fA-F]{32}",
+                    "[0-9a-fé]{16,32}",
+                    any::<String>(),
+                ],
+            ) {
+                let msg = Message::builder(Bytes::new()).correlation_id(corr.clone()).build();
+                let image = msg.to_bytes();
+                let back = Message::from_bytes(image.clone()).unwrap();
+                prop_assert_eq!(back.correlation_id(), Some(corr.as_str()));
+                prop_assert_eq!(back.to_bytes(), image.clone());
+                let canonical = corr.len() == 32
+                    && corr.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+                let mut literal = Encoder::new();
+                literal.put_str(&corr);
+                let bare = Message::builder(Bytes::new()).build().to_bytes().len();
+                let expected = if canonical { 16 } else { literal.len() };
+                prop_assert_eq!(image.len() - bare, expected);
             }
 
             #[test]

@@ -100,29 +100,29 @@ impl WireEncode for JournalRecord {
         match self {
             JournalRecord::QueueCreated { queue } => {
                 enc.put_u8(0);
-                enc.put_str(queue);
+                enc.put_wire_str(queue);
             }
             JournalRecord::QueueDeleted { queue } => {
                 enc.put_u8(1);
-                enc.put_str(queue);
+                enc.put_wire_str(queue);
             }
             // A message goes in as its cached image: the one the mover
             // sends, encoded once for both.
             JournalRecord::Put { queue, message } => {
-                enc.put_u8(9);
-                enc.put_str(queue);
+                enc.put_u8(11);
+                enc.put_wire_str(queue);
                 enc.put_raw(&message.wire_bytes());
             }
             JournalRecord::TxCommit { puts, gets } => {
-                enc.put_u8(10);
+                enc.put_u8(12);
                 enc.put_varint(puts.len() as u64);
                 for (q, m) in puts {
-                    enc.put_str(q);
+                    enc.put_wire_str(q);
                     enc.put_raw(&m.wire_bytes());
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
-                    enc.put_str(q);
+                    enc.put_wire_str(q);
                     enc.put_u128(id.as_u128());
                 }
             }
@@ -135,7 +135,7 @@ impl WireEncode for JournalRecord {
                 enc.put_u64(*checkpoint_id);
                 enc.put_varint(queues.len() as u64);
                 for q in queues {
-                    enc.put_str(q);
+                    enc.put_wire_str(q);
                 }
                 enc.put_varint(dedup.len() as u64);
                 for (origin, id) in dedup {
@@ -156,27 +156,27 @@ impl WireDecode for JournalRecord {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
         match dec.get_u8()? {
             0 => Ok(JournalRecord::QueueCreated {
-                queue: dec.get_str()?,
+                queue: dec.get_wire_str()?,
             }),
             1 => Ok(JournalRecord::QueueDeleted {
-                queue: dec.get_str()?,
+                queue: dec.get_wire_str()?,
             }),
-            9 => Ok(JournalRecord::Put {
-                queue: dec.get_str()?,
+            11 => Ok(JournalRecord::Put {
+                queue: dec.get_wire_str()?,
                 message: Message::decode(dec)?,
             }),
-            10 => {
+            12 => {
                 let n_puts = dec.get_varint()?;
                 let mut puts = Vec::with_capacity(n_puts.min(1024) as usize);
                 for _ in 0..n_puts {
-                    let q = dec.get_str()?;
+                    let q = dec.get_wire_str()?;
                     let m = Message::decode(dec)?;
                     puts.push((q, m));
                 }
                 let n_gets = dec.get_varint()?;
                 let mut gets = Vec::with_capacity(n_gets.min(1024) as usize);
                 for _ in 0..n_gets {
-                    let q = dec.get_str()?;
+                    let q = dec.get_wire_str()?;
                     let id = MessageId::from_u128(dec.get_u128()?);
                     gets.push((q, id));
                 }
@@ -187,7 +187,7 @@ impl WireDecode for JournalRecord {
                 let n_queues = dec.get_varint()?;
                 let mut queues = Vec::with_capacity(n_queues.min(1024) as usize);
                 for _ in 0..n_queues {
-                    queues.push(dec.get_str()?);
+                    queues.push(dec.get_wire_str()?);
                 }
                 let n_dedup = dec.get_varint()?;
                 let mut dedup = Vec::with_capacity(n_dedup.min(4096) as usize);
@@ -608,10 +608,12 @@ pub(crate) mod tests {
     fn a_journal_holding_a_retired_tag_fails_replay() {
         // 3 was `Get`, 5 `Expired`, 6 `RelayCustody`: each is now a get (or
         // a put) of a `TxCommit`. 2 and 4 were `Put` and `TxCommit` over the
-        // first message image, which spelled every property name out. The
-        // tags are not reused, so a journal written before says so instead
-        // of replaying as something else.
-        for tag in [2u8, 3, 4, 5, 6] {
+        // first message image, which spelled every property name out; 9
+        // and 10 over the second, which spelled every queue name, property
+        // value and conditional id out. The tags are not reused, so a
+        // journal written before says so instead of replaying as something
+        // else.
+        for tag in [2u8, 3, 4, 5, 6, 9, 10] {
             let j = MemJournal::new();
             j.append(&JournalRecord::QueueCreated { queue: "Q".into() })
                 .unwrap();

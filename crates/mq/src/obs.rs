@@ -148,20 +148,22 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 /// Every on-storage [`crate::journal::JournalRecord`] tag byte. The
 /// record's wire encode/decode impls are the registry sinks; adding a
 /// record variant without extending this table is a lint error. Tags 2,
-/// 3, 4, 5 and 6 are retired, not free: journals written before may hold
-/// them (2 and 4 were `Put` and `TxCommit` over the first message image).
+/// 3, 4, 5, 6, 9 and 10 are retired, not free: journals written before
+/// may hold them (2/4 and 9/10 were `Put` and `TxCommit` over earlier
+/// message images).
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 9, 10];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 11, 12];
 
-/// Every control-property name the system stamps on a message: the
-/// `sys.*` names of `mq` and the `ds.*` names of the conditional layer.
-/// The message image ([`crate::codec`]) writes a name listed here as its
-/// position + 1 (one byte), any other name as `0` and the string, so the
-/// table is append-only: a name's position is its on-storage code. The
-/// property-name constants are the registry sinks; one missing here is a
-/// lint error, not merely a longer image.
-// lint: registry property-name
-pub const PROPERTY_NAME_REGISTRY: &[&str] = &[
+/// Every well-known string the message image and the journal carry: the
+/// control-property names (`sys.*` of `mq`, `ds.*` of the conditional
+/// layer), the conditional layer's fixed property values, and the system
+/// queue names. [`crate::codec::Encoder::put_wire_str`] writes a string
+/// listed here as its position + 1 (one byte), any other as `0` and the
+/// string, so the table is append-only: a string's position is its
+/// on-storage code. The constants naming these strings are the registry
+/// sinks; one missing here is a lint error, not merely a longer image.
+// lint: registry wire-string
+pub const WIRE_STRING_REGISTRY: &[&str] = &[
     // mq: transmission envelope, relay, dead-letter, topic registrations.
     "sys.xmit.dest.queue",
     "sys.xmit.dest.qmgr",
@@ -189,6 +191,32 @@ pub const PROPERTY_NAME_REGISTRY: &[&str] = &[
     "ds.slog.decided_ts",
     "ds.rlog.entry",
     "ds.rlog.ts",
+    // condmsg: message kinds (`ds.kind`).
+    "original",
+    "ack",
+    "comp",
+    "success",
+    "outcome",
+    "slog",
+    "rlog",
+    // condmsg: ack types, outcomes (`success` above), sender-log entry
+    // types (`ack`, `outcome` above), receiver-log entry types.
+    "read",
+    "processed",
+    "failure",
+    "send",
+    "consumed",
+    "comp-delivered",
+    "annihilated",
+    // System queues: the conditional layer's defaults and the dead-letter
+    // queue.
+    "DS.SLOG.Q",
+    "DS.ACK.Q",
+    "DS.COMP.Q",
+    "DS.OUTCOME.Q",
+    "DS.RLOG.Q",
+    "DS.DONE.Q",
+    "SYSTEM.DEAD.LETTER.QUEUE",
 ];
 
 /// Every transport frame-kind tag byte (`FrameKind::as_u8`/`from_u8`
@@ -252,13 +280,16 @@ mod tests {
     }
 
     #[test]
-    fn property_names_are_unique_and_fit_one_byte_codes() {
+    fn wire_strings_are_unique_and_fit_one_byte_codes() {
         let mut seen = std::collections::HashSet::new();
-        for name in PROPERTY_NAME_REGISTRY {
-            assert!(seen.insert(name), "{name} is registered twice");
+        for s in WIRE_STRING_REGISTRY {
+            assert!(seen.insert(s), "{s} is registered twice");
         }
         // Code = position + 1, and a varint below 128 is one byte.
-        assert!(PROPERTY_NAME_REGISTRY.len() <= 127);
+        assert!(WIRE_STRING_REGISTRY.len() <= 127);
+        // Append-only: the property names keep the codes they had.
+        assert_eq!(WIRE_STRING_REGISTRY[0], "sys.xmit.dest.queue");
+        assert_eq!(WIRE_STRING_REGISTRY[24], "ds.rlog.ts");
     }
 
     #[test]

@@ -28,18 +28,19 @@ use crate::stats::{ManagerStats, MetricsSnapshot, RelayStats};
 use crate::trace::TraceLog;
 
 /// Name of the dead-letter queue every manager owns.
+// lint: registry-sink wire-string
 pub const DEAD_LETTER_QUEUE: &str = "SYSTEM.DEAD.LETTER.QUEUE";
 
 /// Property stamped on dead-lettered messages explaining why.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const DLQ_REASON_PROPERTY: &str = "sys.dlq.reason";
 
 /// Property carrying the destination queue on transmission-queue envelopes.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const XMIT_DEST_QUEUE_PROPERTY: &str = "sys.xmit.dest.queue";
 
 /// Property carrying the destination manager on transmission-queue envelopes.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const XMIT_DEST_MANAGER_PROPERTY: &str = "sys.xmit.dest.qmgr";
 
 /// A background task attached to a queue manager — channels and TCP
@@ -1349,6 +1350,45 @@ mod tests {
         assert_eq!(qm2.queue("Q").unwrap().depth(), 1, "get rolls back");
         let back = qm2.get("Q", Wait::NoWait).unwrap().unwrap();
         assert_eq!(back.payload_str(), Some("held"));
+    }
+
+    #[test]
+    fn a_checkpoint_recovers_open_gets_in_the_order_the_history_does() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        for i in 0..5 {
+            qm.put("Q", Message::text(format!("m{i}")).persistent(true).build())
+                .unwrap();
+        }
+        let mut session = qm.session();
+        session.begin().unwrap();
+        for _ in 0..2 {
+            session.get("Q", Wait::NoWait).unwrap().unwrap();
+        }
+        // The same history twice: as journaled, and compacted into a
+        // checkpoint that must hold the two open gets where they were.
+        let history = MemJournal::new();
+        for record in journal.replay_collect().unwrap() {
+            history.append(&record).unwrap();
+        }
+        qm.checkpoint().unwrap();
+        qm.crash();
+        let drain = |journal: Arc<MemJournal>| {
+            let qm = QueueManager::builder("QM1")
+                .journal(journal)
+                .build()
+                .unwrap();
+            std::iter::from_fn(|| qm.get("Q", Wait::NoWait).unwrap())
+                .map(|m| m.payload_str().unwrap().to_owned())
+                .collect::<Vec<_>>()
+        };
+        let replayed = drain(history);
+        assert_eq!(replayed, ["m0", "m1", "m2", "m3", "m4"]);
+        assert_eq!(
+            drain(journal),
+            replayed,
+            "the checkpoint reorders the queue"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::MqResult;
 /// key. Stamped once at the origin and preserved across every hop *and*
 /// on final delivery (the audit trail that lets recovery rebuild dedup
 /// keys from journaled messages).
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const RELAY_ORIGIN_PROPERTY: &str = "sys.relay.origin";
 
 /// Property counting custody handoffs an in-transit envelope has taken.
@@ -60,7 +60,7 @@ pub const RELAY_ORIGIN_PROPERTY: &str = "sys.relay.origin";
 /// increments it, and exceeding the manager's `max_relay_hops`
 /// dead-letters the envelope — a routing loop burns hops instead of
 /// circulating forever.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 pub const RELAY_HOPS_PROPERTY: &str = "sys.relay.hops";
 
 /// Default ceiling on relay hops ([`crate::ManagerConfig::max_relay_hops`]).

@@ -25,9 +25,11 @@
 //!   same message a full band scan would.
 //! * `pending` holds messages provisionally consumed by open transactions
 //!   (journal-covered-later gets). They are invisible to reads but are
-//!   included in checkpoint snapshots: the journal records that would
-//!   rebuild them are truncated by the checkpoint, so the snapshot must
-//!   carry them or a crash before commit would lose them.
+//!   included in checkpoint snapshots, each at the position it was taken
+//!   from: the journal records that would rebuild them are truncated by
+//!   the checkpoint, so the snapshot must carry them or a crash before
+//!   commit would lose them — or restore them behind messages queued
+//!   after them.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -86,6 +88,11 @@ fn fnv(tag: u8, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The priority band a message is queued in.
+fn band_of(msg: &Message) -> usize {
+    usize::from(msg.priority().level()).min(PRIORITY_BANDS - 1)
+}
+
 /// Takes the `Message` out of a store handle: free when no browse snapshot
 /// shares it, a deep clone only when one does.
 pub(crate) fn unshare(msg: Arc<Message>) -> Message {
@@ -112,8 +119,9 @@ pub(crate) struct MessageStore {
     /// instead of scanning the queue. May hold stale ids.
     expiry_heap: BinaryHeap<std::cmp::Reverse<(u64, u128)>>,
     /// Messages provisionally consumed by open transactions, still owed
-    /// to checkpoint snapshots (see module docs).
-    pending: HashMap<MessageId, Arc<Message>>,
+    /// to checkpoint snapshots (see module docs), with the sequence number
+    /// they had on the queue.
+    pending: HashMap<MessageId, Entry>,
     /// Whether `by_property` is maintained (per-queue config).
     index_properties: bool,
     /// Next sequence number for back-inserts (counts up).
@@ -194,7 +202,7 @@ impl MessageStore {
             self.next_back_seq = self.next_back_seq.wrapping_add(1);
             s
         };
-        let band = usize::from(msg.priority().level()).min(PRIORITY_BANDS - 1);
+        let band = band_of(&msg);
         if front {
             // A front insert is a rollback requeue: the message's earlier
             // life on this queue may have left stale band and correlation
@@ -242,6 +250,10 @@ impl MessageStore {
     /// plain gets keeps no bucket per value it ever held. Ids behind a live
     /// one, band and heap entries go stale, pruned lazily.
     pub(crate) fn detach_arc(&mut self, id: MessageId) -> Option<Arc<Message>> {
+        self.detach_entry(id).map(|entry| entry.msg)
+    }
+
+    fn detach_entry(&mut self, id: MessageId) -> Option<Entry> {
         let entry = self.entries.remove(&id)?;
         if let Some(corr) = entry.msg.correlation_id() {
             if let Some(ids) = self.by_correlation.get_mut(corr) {
@@ -268,7 +280,7 @@ impl MessageStore {
                 }
             }
         }
-        Some(entry.msg)
+        Some(entry)
     }
 
     /// Removes a message, handing back an owned copy.
@@ -280,9 +292,10 @@ impl MessageStore {
     /// but still part of checkpoint snapshots until finalized (commit /
     /// dead-letter) or reinserted (rollback).
     pub(crate) fn detach_pending(&mut self, id: MessageId) -> Option<Message> {
-        let arc = self.detach_arc(id)?;
-        self.pending.insert(id, arc.clone());
-        Some(unshare(arc))
+        let entry = self.detach_entry(id)?;
+        let msg = Arc::clone(&entry.msg);
+        self.pending.insert(id, entry);
+        Some(unshare(msg))
     }
 
     /// Drops a pending transactional get after its covering record
@@ -362,26 +375,24 @@ impl MessageStore {
         ripe
     }
 
-    /// Live persistent messages in delivery order (priority, then FIFO),
-    /// followed by persistent pending transactional gets — exactly the
-    /// set a checkpoint snapshot must re-journal.
+    /// Live persistent messages and persistent pending transactional gets
+    /// in delivery order (priority, then FIFO), each pending get where it
+    /// was taken from — exactly the set a checkpoint snapshot must
+    /// re-journal, in the order that restores the queue a replay without
+    /// the checkpoint would.
     pub(crate) fn snapshot_persistent(&self) -> Vec<Arc<Message>> {
-        let mut out = Vec::new();
-        for band in self.bands.iter().rev() {
-            for id in band {
-                if let Some(entry) = self.entries.get(id) {
-                    if entry.msg.is_persistent() {
-                        out.push(Arc::clone(&entry.msg));
-                    }
-                }
-            }
-        }
-        for msg in self.pending.values() {
-            if msg.is_persistent() {
-                out.push(Arc::clone(msg));
-            }
-        }
-        out
+        let mut snapshot: Vec<&Entry> = self
+            .entries
+            .values()
+            .chain(self.pending.values())
+            .filter(|entry| entry.msg.is_persistent())
+            .collect();
+        // A band's delivery order is its sequence order.
+        snapshot.sort_by_key(|entry| (std::cmp::Reverse(band_of(&entry.msg)), entry.seq));
+        snapshot
+            .into_iter()
+            .map(|entry| Arc::clone(&entry.msg))
+            .collect()
     }
 }
 
@@ -532,6 +543,34 @@ mod tests {
         assert!(snap.iter().any(|m| m.id() == taken_id));
         s.finalize_pending(taken_id);
         assert_eq!(s.snapshot_persistent().len(), 1);
+    }
+
+    #[test]
+    fn a_snapshot_puts_pending_gets_back_where_they_were_taken() {
+        let mut s = MessageStore::new(false);
+        let high = Message::text("high")
+            .priority(Priority::new(8))
+            .persistent(true)
+            .build();
+        let ids: Vec<MessageId> = std::iter::once(high)
+            .chain((0..5).map(|i| Message::text(format!("m{i}")).persistent(true).build()))
+            .map(|m| {
+                let id = m.id();
+                s.insert(m, false);
+                id
+            })
+            .collect();
+        // Taken out of order, from the front, the middle and the back of
+        // the default band, and the high band's only message.
+        for at in [3, 1, 5, 0] {
+            s.detach_pending(ids[at]).unwrap();
+        }
+        let order: Vec<_> = s
+            .snapshot_persistent()
+            .iter()
+            .map(|m| m.payload_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(order, ["high", "m0", "m1", "m2", "m3", "m4"]);
     }
 
     #[test]

@@ -25,10 +25,10 @@ use crate::stats::Counter;
 use crate::Wait;
 
 /// Property on registry records naming the subscription.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 const P_SUB_NAME: &str = "sys.topic.sub.name";
 /// Property on registry records carrying the selector source, if any.
-// lint: registry-sink property-name
+// lint: registry-sink wire-string
 const P_SUB_SELECTOR: &str = "sys.topic.sub.selector";
 
 #[derive(Debug)]

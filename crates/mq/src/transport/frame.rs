@@ -54,11 +54,12 @@ use crate::message::Message;
 /// Protocol magic, first field of every handshake payload (`"CMW1"`).
 pub const MAGIC: u32 = 0x434D_5731;
 
-/// Protocol version negotiated in the handshake. Version 2 carries each
-/// message as the compact image of [`crate::codec`] (registered property
-/// names as one-byte codes, a flags byte, varint headers); a version-1
-/// peer is refused rather than misread.
-pub const VERSION: u8 = 2;
+/// Protocol version negotiated in the handshake. Version 3 carries each
+/// message as the image of [`crate::codec`] (registered property names,
+/// string values and queue names as one-byte codes, a conditional
+/// message id as 16 bytes, a flags byte, varint headers); a peer of an
+/// earlier version is refused rather than misread.
+pub const VERSION: u8 = 3;
 
 /// Upper bound on one frame's body, guarding the decoder against
 /// allocation bombs from corrupt or hostile length prefixes.
@@ -541,17 +542,21 @@ mod tests {
     }
 
     #[test]
-    fn a_version_one_hello_is_refused() {
-        let mut payload = Encoder::new();
-        payload.put_u32(MAGIC);
-        payload.put_u8(1);
-        payload.put_str("QM.OLD");
-        let old = Frame::with_payload(FrameKind::Hello, 0, payload.finish());
-        let frame = read_one(&old.encode().unwrap());
-        assert!(matches!(
-            frame.decode_handshake(),
-            Err(FrameError::BadHandshake("version mismatch"))
-        ));
+    fn a_hello_of_an_earlier_version_is_refused() {
+        // Version 1 spelled property names out, version 2 property values,
+        // queue names and conditional ids.
+        for version in [1, 2] {
+            let mut payload = Encoder::new();
+            payload.put_u32(MAGIC);
+            payload.put_u8(version);
+            payload.put_str("QM.OLD");
+            let old = Frame::with_payload(FrameKind::Hello, 0, payload.finish());
+            let frame = read_one(&old.encode().unwrap());
+            assert!(matches!(
+                frame.decode_handshake(),
+                Err(FrameError::BadHandshake("version mismatch"))
+            ));
+        }
     }
 
     #[test]

@@ -249,8 +249,8 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(head.stats().released.get(), 0);
     // What the five records weigh, byte for byte: ids are random but fixed
     // in width, and the clock nobody advances stamps every time as 0.
-    assert_eq!(head_journal.bytes(), [378, 293, 32], "head bytes");
-    assert_eq!(tail_journal.bytes(), [118, 238], "tail bytes");
+    assert_eq!(head_journal.bytes(), [259, 173, 20], "head bytes");
+    assert_eq!(tail_journal.bytes(), [88, 172], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -506,7 +506,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
             "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );
-    assert_eq!(journal.bytes(), [957, 223, 223, 497, 113, 32], "bytes");
+    assert_eq!(journal.bytes(), [652, 127, 127, 294, 76, 20], "bytes");
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 

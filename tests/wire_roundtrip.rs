@@ -1,8 +1,10 @@
 //! Property-based round-trip fuzzing for the wire codec: arbitrary
-//! condition trees, sender-log entries, and control headers must survive
-//! encode→decode→encode **byte-identically** (the binary format has a
-//! single canonical encoding), and the message-property encodings
-//! (`to_message`/`from_message`) must round-trip value-identically. One
+//! condition trees and send options must survive encode→decode→encode
+//! **byte-identically** (the binary format has a single canonical
+//! encoding), sender-log entries must do the same as the messages that
+//! carry them (`to_message`/`from_message`: the conditional id is the
+//! message's correlation id, not part of the payload), and the
+//! message-property encodings must round-trip value-identically. One
 //! original message's image is pinned byte for byte.
 
 use bytes::Bytes;
@@ -13,6 +15,7 @@ use condmsg::wire::{
 };
 use condmsg::{CondMessageId, Condition, Destination, DestinationSet};
 use mq::codec::{WireDecode, WireEncode};
+use mq::obs::WIRE_STRING_REGISTRY;
 use mq::{Message, Priority, QueueAddress};
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -267,13 +270,43 @@ where
     Ok(())
 }
 
+/// A message's image after its random 16-byte message id.
+fn image_after_id(msg: &Message) -> Bytes {
+    let image = msg.to_bytes();
+    image.slice(16..image.len())
+}
+
+/// Asserts the canonical round trip of a sender-log entry through the
+/// message that carries it: `from_message` recovers the entry, and
+/// `to_message` of that rebuilds the exact image (after the message id).
+fn assert_slog_message_roundtrip(
+    entry: &SlogEntry,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let msg = entry.to_message();
+    let decoded = match SlogEntry::from_message(&msg) {
+        Ok(v) => v,
+        Err(e) => {
+            return Err(proptest::test_runner::TestCaseError::fail(format!(
+                "decode failed: {e:?} for {entry:?}"
+            )))
+        }
+    };
+    prop_assert_eq!(&decoded, entry, "decode must recover the entry");
+    prop_assert_eq!(
+        image_after_id(&decoded.to_message()),
+        image_after_id(&msg),
+        "re-encode must be byte-identical"
+    );
+    Ok(())
+}
+
 // ---------------------------------------------------------------- golden --
 
 /// The image of one original after its random 16-byte message id. The
-/// journal and the wire both carry it, and a registered property name's
-/// position is its code: reordering `mq::obs::PROPERTY_NAME_REGISTRY` or
-/// the header layout makes every journal and peer of the previous build
-/// unreadable, and fails here first.
+/// journal and the wire both carry it, and a registered string's position
+/// is its code: reordering `mq::obs::WIRE_STRING_REGISTRY` or the header
+/// layout makes every journal and peer of the previous build unreadable,
+/// and fails here first.
 #[test]
 fn an_original_message_image_is_pinned_byte_for_byte() {
     let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
@@ -289,32 +322,33 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
         priority: Priority::DEFAULT,
     };
     let msg = make_original(&Bytes::from_static(b"hi"), cond_id, &leaf, "QM1", "DS.ACK.Q");
-    let image = msg.to_bytes();
+    let code = |s: &str| 1 + WIRE_STRING_REGISTRY.iter().position(|r| *r == s).unwrap() as u8;
+    assert_eq!((code("DS.ACK.Q"), code("original")), (41, 26));
     let golden = [
-        // priority 4; flags persistent | correlation id; payload; 5 properties
-        &[4u8, 0b1001, 2][..],
+        // priority 4; flags persistent | 16-byte correlation id; payload;
+        // 5 properties
+        &[4u8, 0b100_0001, 2][..],
         b"hi",
         &[5],
-        // ds.ack.queue (code 12) = Str "DS.ACK.Q"
-        &[12, 0, 8],
-        b"DS.ACK.Q",
-        // ds.kind (8) = Str "original"
-        &[8, 0, 8],
-        b"original",
+        // ds.ack.queue (code 12) = Str DS.ACK.Q (41)
+        &[12, 0, 41],
+        // ds.kind (8) = Str original (26)
+        &[8, 0, 26],
         // ds.leaf (9) = I64 0; ds.processing.required (10) = Bool false
         &[9, 1, 0, 10, 3, 0],
-        // ds.sender.qmgr (11) = Str "QM1"
-        &[11, 0, 3],
+        // ds.sender.qmgr (11) = Str, unregistered: 0, length, "QM1"
+        &[11, 0, 0, 3],
         b"QM1",
-        // correlation id: the conditional message id, hex
-        &[32],
-        b"0123456789abcdef0123456789abcdef",
+        // correlation id: the conditional message id, u128 LE
+        &cond_id.as_u128().to_le_bytes(),
         // redelivery count
         &[0],
     ]
     .concat();
-    assert_eq!(&image[16..], &golden[..]);
-    assert_eq!(Message::from_bytes(image).unwrap(), msg);
+    assert_eq!(&image_after_id(&msg)[..], &golden[..]);
+    let back = Message::from_bytes(msg.to_bytes()).unwrap();
+    assert_eq!(back, msg);
+    assert_eq!(back.correlation_id(), Some(cond_id.to_hex().as_str()));
 }
 
 // ------------------------------------------------------------ properties --
@@ -335,18 +369,18 @@ proptest! {
         assert_bytes_roundtrip(&opts)?;
     }
 
-    /// Durable sender-log send records (condition + payload + options)
-    /// survive the codec byte-identically.
+    /// Durable sender-log send records (condition + options, the id as
+    /// the correlation id) survive the sender-log message byte-identically.
     #[test]
     fn send_record_roundtrip_byte_identical(record in arb_send_record()) {
-        assert_bytes_roundtrip(&record)?;
+        assert_slog_message_roundtrip(&SlogEntry::Send(record))?;
     }
 
-    /// All three sender-log entry variants survive the codec
+    /// All three sender-log entry variants survive the sender-log message
     /// byte-identically.
     #[test]
     fn slog_entry_roundtrip_byte_identical(entry in arb_slog_entry()) {
-        assert_bytes_roundtrip(&entry)?;
+        assert_slog_message_roundtrip(&entry)?;
     }
 
     /// Sender-log entries carried as queue messages round-trip through the
