@@ -33,8 +33,10 @@
 //!   on `DS.OUTCOME.Q`, correlated by the conditional-message id. That
 //!   queue is the one place an application learns an outcome:
 //!   [`ConditionalMessenger::take_outcome`] consumes the notification
-//!   (waiting on the queue's selective waiter),
-//!   [`ConditionalMessenger::status`] peeks at the verdict.
+//!   (waiting on the queue's selective waiter). The same transaction puts
+//!   the same image on the history queue `DS.DONE.Q`, where
+//!   [`ConditionalMessenger::status`] reads it once the message is no
+//!   longer pending: the messenger keeps no table of decided messages.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, release of the parked compensation messages
 //!   (paper §2.6). Both are staged into the deciding transaction, together
@@ -42,7 +44,10 @@
 //!   the message's sender-log entries.
 //! * **Recovery** ([`ConditionalMessenger::new`] replays the sender log):
 //!   a restarted sender rebuilds its evaluation state machines exactly and
-//!   continues monitoring in-flight conditional messages.
+//!   continues monitoring in-flight conditional messages. A send record
+//!   whose message has a history entry belongs to a decided D-Sphere member
+//!   whose outcome actions are still deferred: the log keeps it exactly
+//!   until [`ConditionalMessenger::release_outcome_actions`].
 //!
 //! Under a [`simtime::SimClock`] everything runs synchronously: acks are
 //! evaluated inside the commit that delivers them and deadline verdicts fire
@@ -233,10 +238,6 @@ pub struct ConditionalMessenger {
     /// record is written, so the table is never held across the commit.
     // lint: never-hold(ConditionalMessenger.pending) across append
     pending: Mutex<HashMap<CondMessageId, PendingEval>>,
-    decided: Mutex<HashMap<CondMessageId, OutcomeNotification>>,
-    /// Decided messages whose outcome actions are deferred (D-Spheres);
-    /// value = the message's success-notification setting.
-    deferred: Mutex<HashMap<CondMessageId, bool>>,
     /// Serializes evaluation cycles (ack arrival, timer fires, sends,
     /// `pump()`, `force_fail`) and deferred-action releases.
     pump_lock: Mutex<()>,
@@ -246,7 +247,10 @@ pub struct ConditionalMessenger {
     /// Messages a failed cycle left `due` (storage down at the decision
     /// instant). They sit in `pending` without a fresh timer — their
     /// trigger is past due, a timer would fire at once and spin — and
-    /// every evaluation cycle retries them.
+    /// every evaluation cycle retries them. Bound: each due pending message
+    /// at most once, so never more than `pending_count()`, however many
+    /// cycles fail — both readers drain the list under the pump lock and
+    /// `rearm_ids` puts an id back only if it is not there.
     retry: Mutex<Vec<CondMessageId>>,
     /// Back-reference for timer callbacks and the ack queue's trigger slot.
     self_weak: Weak<ConditionalMessenger>,
@@ -296,8 +300,6 @@ impl ConditionalMessenger {
             qmgr,
             config,
             pending: Mutex::new(HashMap::new()),
-            decided: Mutex::new(HashMap::new()),
-            deferred: Mutex::new(HashMap::new()),
             pump_lock: Mutex::new(()),
             metrics,
             retry: Mutex::new(Vec::new()),
@@ -655,10 +657,10 @@ impl ConditionalMessenger {
     }
 
     /// Installs a cycle whose record is written: each copy replaces its
-    /// evaluation, and a decided message goes into `deferred` (when its
-    /// actions wait for a sphere) and `decided` before it leaves the
-    /// pending table, timer cancelled. `status()` looks in the pending
-    /// table first, so it finds the message in one of them throughout.
+    /// evaluation, and a decided message leaves the pending table, timer
+    /// cancelled. Its history entry on `DS.DONE.Q` is already visible, and
+    /// `status()` looks in the pending table first, so it finds the message
+    /// in one of the two throughout. Caller holds the pump lock.
     fn install(&self, cycle: &mut Cycle) {
         let mut pending = self.pending.lock();
         for (id, state) in cycle.next.drain(..) {
@@ -667,18 +669,15 @@ impl ConditionalMessenger {
             }
         }
         for verdict in &cycle.decided {
-            let cond_id = verdict.notification.cond_id;
             if verdict.defer_outcome_actions {
-                // The send record (for recovery) and the parked
-                // compensations stay until the sphere releases the actions.
-                let mut deferred = self.deferred.lock();
-                deferred.insert(cond_id, verdict.success_notifications);
-                self.metrics.deferred_depth.set(deferred.len() as u64);
+                // The send record (for recovery and the release) and the
+                // parked compensations stay until the sphere releases the
+                // actions.
+                let deferred = &self.metrics.deferred_depth;
+                deferred.set(deferred.get() + 1);
             }
-            self.decided
-                .lock()
-                .insert(cond_id, verdict.notification.clone());
-            if let Some((timer, _)) = pending.remove(&cond_id).and_then(|eval| eval.timer) {
+            let removed = pending.remove(&verdict.notification.cond_id);
+            if let Some((timer, _)) = removed.and_then(|eval| eval.timer) {
                 self.qmgr.clock().cancel(timer);
             }
         }
@@ -896,23 +895,14 @@ impl ConditionalMessenger {
     }
 
     /// Stages a verdict into the caller's transaction (dequeue, log and
-    /// act together): the outcome log entry, the outcome actions
-    /// (compensation release or success notifications, plus removal of the
-    /// parked compensations), the purge of the message's send/ack log
-    /// entries, and the outcome notification. A crash leaves either all of
-    /// it or none.
+    /// act together): the history entry, the outcome actions (compensation
+    /// release or success notifications, plus removal of the parked
+    /// compensations), the purge of the message's send/ack log entries,
+    /// and the outcome notification. The history entry and the
+    /// notification are one image. A crash leaves either all of it or none.
     fn finalize(&self, session: &mut mq::Session, decided: &mut Decided) -> CondResult<()> {
-        let verdict = &decided.notification;
-        let (cond_id, outcome) = (verdict.cond_id, verdict.outcome);
-        session.put(
-            DEFAULT_DONE_QUEUE,
-            SlogEntry::Outcome {
-                cond_id,
-                outcome,
-                decided_at: verdict.decided_at,
-            }
-            .to_message(),
-        )?;
+        let (cond_id, outcome) = (decided.notification.cond_id, decided.notification.outcome);
+        session.put(DEFAULT_DONE_QUEUE, decided.notification.to_message())?;
         if !decided.defer_outcome_actions {
             self.stage_outcome_actions(
                 session,
@@ -921,8 +911,8 @@ impl ConditionalMessenger {
                 decided.success_notifications,
                 &mut decided.actions,
             )?;
-            // The outcome entry on the history queue now marks the
-            // message decided for any future recovery.
+            // The history entry now marks the message decided for any
+            // future recovery.
             self.purge_slog(session, cond_id)?;
         }
         // Last, so whoever waits for the outcome finds its actions done.
@@ -1014,25 +1004,29 @@ impl ConditionalMessenger {
         group_outcome: MessageOutcome,
     ) -> CondResult<()> {
         // Serialized like a cycle, so a concurrent release of the same
-        // message finds the entry gone once this one's record is written.
+        // message finds the send record gone once this one's record is
+        // written.
         let _serial = self.pump_lock.lock();
-        let success_notifications = *self
-            .deferred
-            .lock()
-            .get(&cond_id)
-            .ok_or(CondError::UnknownMessage(cond_id))?;
+        if self.pending.lock().contains_key(&cond_id) {
+            return Err(CondError::UnknownMessage(cond_id));
+        }
+        // A decided message keeps its send record exactly while its actions
+        // are deferred; taking it is the release's purge of the log.
         let mut session = self.qmgr.session();
         session.begin()?;
         let mut staged = Vec::new();
         let result = self
-            .stage_outcome_actions(
-                &mut session,
-                cond_id,
-                group_outcome,
-                success_notifications,
-                &mut staged,
-            )
-            .and_then(|()| self.purge_slog(&mut session, cond_id))
+            .purge_slog(&mut session, cond_id)
+            .and_then(|record| {
+                let options = record.ok_or(CondError::UnknownMessage(cond_id))?.options;
+                self.stage_outcome_actions(
+                    &mut session,
+                    cond_id,
+                    group_outcome,
+                    options.success_notifications.unwrap_or(false),
+                    &mut staged,
+                )
+            })
             .and_then(|()| session.commit().map_err(CondError::from));
         if session.in_transaction() {
             // Not committed, so the actions are still owed to the caller's
@@ -1041,10 +1035,8 @@ impl ConditionalMessenger {
             // while storage is down).
             session.rollback_for_retry()?;
         } else {
-            let mut deferred = self.deferred.lock();
-            deferred.remove(&cond_id);
-            self.metrics.deferred_depth.set(deferred.len() as u64);
-            drop(deferred);
+            let deferred = &self.metrics.deferred_depth;
+            deferred.set(deferred.get().saturating_sub(1));
             self.record_outcome_actions(cond_id, staged);
         }
         result
@@ -1070,10 +1062,7 @@ impl ConditionalMessenger {
             });
         let Some(mut verdict) = verdict else {
             return self
-                .decided
-                .lock()
-                .get(&cond_id)
-                .cloned()
+                .history(cond_id)?
                 .ok_or(CondError::UnknownMessage(cond_id));
         };
         let notification = verdict.notification.clone();
@@ -1092,37 +1081,41 @@ impl ConditionalMessenger {
 
     /// Stages the removal of every active-log entry of a decided
     /// conditional message into `session` (correlation-indexed: O(entries
-    /// for this message)).
-    fn purge_slog(&self, session: &mut mq::Session, cond_id: CondMessageId) -> CondResult<()> {
-        while session
-            .get_by_correlation(&self.config.slog_queue, &cond_id.to_hex(), Wait::NoWait)?
-            .is_some()
-        {}
-        Ok(())
+    /// for this message)) and returns its send record, if the log still
+    /// held it.
+    fn purge_slog(
+        &self,
+        session: &mut mq::Session,
+        cond_id: CondMessageId,
+    ) -> CondResult<Option<SendRecord>> {
+        let mut send = None;
+        while let Some(entry) =
+            session.get_by_correlation(&self.config.slog_queue, &cond_id.to_hex(), Wait::NoWait)?
+        {
+            if let Ok(SlogEntry::Send(record)) = SlogEntry::from_message(&entry) {
+                send = Some(record);
+            }
+        }
+        Ok(send)
     }
 
-    /// Drains decided-outcome history entries older than `before` from the
+    /// Drains history entries of verdicts reached before `before` from the
     /// history queue, bounding its growth; returns how many were removed.
+    /// [`status`](Self::status) reports those messages `Unknown` from then
+    /// on.
     ///
     /// # Errors
     ///
     /// Messaging failures.
     pub fn prune_decided_before(&self, before: Time) -> CondResult<usize> {
-        let selector = Selector::parse(&format!(
-            "{} = 'outcome' AND {} < {}",
-            wire::P_SLOG_ENTRY,
-            wire::P_SLOG_DECIDED_TS,
-            before.as_millis()
-        ))
-        .map_err(MqError::from)?;
+        let selector = format!("{} < {}", wire::P_OUTCOME_TS, before.as_millis());
+        let selector = Selector::parse(&selector).map_err(MqError::from)?;
         let mut n = 0;
-        while let Some(msg) = self
+        while self
             .qmgr
             .get_selected(DEFAULT_DONE_QUEUE, &selector, Wait::NoWait)?
+            .is_some()
         {
-            if let Ok(id) = wire::cond_id_of(&msg) {
-                self.decided.lock().remove(&id);
-            }
             n += 1;
         }
         Ok(n)
@@ -1130,17 +1123,32 @@ impl ConditionalMessenger {
 
     // ---------------------------------------------------------- status --
 
-    /// Reports what this messenger knows about a conditional message.
+    /// Reports what this messenger knows about a conditional message: a
+    /// lookup in the pending table, then a point read of its history entry.
     pub fn status(&self, id: CondMessageId) -> MessageStatus {
-        // Pending first: a verdict is installed into `decided` before its
+        // Pending first: a verdict's history entry is written before its
         // message leaves `pending`.
         if self.pending.lock().contains_key(&id) {
             return MessageStatus::Pending;
         }
-        match self.decided.lock().get(&id) {
-            Some(n) => MessageStatus::Decided(n.clone()),
-            None => MessageStatus::Unknown,
+        match self.history(id) {
+            Ok(Some(n)) => MessageStatus::Decided(n),
+            _ => MessageStatus::Unknown,
         }
+    }
+
+    /// The verdict on `DS.DONE.Q` for `id`, read off the queue's
+    /// correlation index without consuming it.
+    ///
+    /// # Errors
+    ///
+    /// [`CondError::Malformed`] for an entry that does not decode.
+    fn history(&self, id: CondMessageId) -> CondResult<Option<OutcomeNotification>> {
+        let done = self.qmgr.queue(DEFAULT_DONE_QUEUE)?;
+        let entry = done.peek_by_correlation(&id.to_hex());
+        entry
+            .map(|msg| OutcomeNotification::from_message(&msg))
+            .transpose()
     }
 
     /// Number of conditional messages still under evaluation.
@@ -1175,67 +1183,46 @@ impl ConditionalMessenger {
 
     // -------------------------------------------------------- recovery --
 
-    /// Rebuilds evaluation state from the sender log (paper §2.3: "creates
+    /// Rebuilds the pending table from the sender log (paper §2.3: "creates
     /// a log entry for the outgoing messages and stores the log entry
-    /// persistently"). Called automatically from the constructor.
+    /// persistently"), probing the history queue once per send record:
+    /// O(live messages), whatever the history holds. Called automatically
+    /// from the constructor.
     fn recover(&self) -> CondResult<()> {
         let slog = self.qmgr.queue(&self.config.slog_queue)?;
         let mut sends: HashMap<CondMessageId, SendRecord> = HashMap::new();
         // Grouped by message once: a restart over n pending messages reads
         // each ack once, not once per send.
         let mut acks: HashMap<CondMessageId, Vec<Acknowledgment>> = HashMap::new();
-        let mut outcomes: HashMap<CondMessageId, OutcomeNotification> = HashMap::new();
         for msg in slog.browse() {
             match SlogEntry::from_message(&msg)? {
                 SlogEntry::Send(record) => {
                     sends.insert(record.cond_id, record);
                 }
                 SlogEntry::AckSeen(ack) => acks.entry(ack.cond_id).or_default().push(ack),
-                SlogEntry::Outcome { .. } => {
-                    // Legacy location; outcome history lives on DS.DONE.Q.
-                }
             }
         }
-        for msg in self.qmgr.queue(DEFAULT_DONE_QUEUE)?.browse() {
-            if let SlogEntry::Outcome {
-                cond_id,
-                outcome,
-                decided_at,
-            } = SlogEntry::from_message(&msg)?
-            {
-                let notification = OutcomeNotification {
-                    cond_id,
-                    outcome,
-                    reason: None,
-                    decided_at,
-                };
-                outcomes.insert(cond_id, notification);
-            }
-        }
-        let mut pending = self.pending.lock();
-        let mut decided = self.decided.lock();
-        let mut deferred = self.deferred.lock();
+        let mut deferred = 0;
+        let mut pending = HashMap::with_capacity(sends.len());
         for (cond_id, record) in sends {
-            let compiled = CompiledCondition::compile(&record.condition)?;
-            let mut eval =
-                PendingEval::new(compiled, record.send_time, &record.options, &self.config);
-            if outcomes.contains_key(&cond_id) {
+            if self.history(cond_id)?.is_some() {
                 // A decided message keeps its send record only while its
                 // outcome actions are still owed to a sphere (otherwise the
                 // deciding transaction purged it); the parked compensations
                 // are kept with it.
-                if eval.defer_outcome_actions {
-                    deferred.insert(cond_id, eval.success_notifications);
-                }
+                deferred += 1;
                 continue;
             }
+            let compiled = CompiledCondition::compile(&record.condition)?;
+            let mut eval =
+                PendingEval::new(compiled, record.send_time, &record.options, &self.config);
             for ack in acks.get(&cond_id).into_iter().flatten() {
                 eval.state.apply(ack);
             }
             pending.insert(cond_id, eval);
         }
-        // Remember every outcome on the history queue for status queries.
-        decided.extend(outcomes);
+        *self.pending.lock() = pending;
+        self.metrics.deferred_depth.set(deferred);
         Ok(())
     }
 
@@ -1499,12 +1486,12 @@ mod tests {
         assert_eq!(n.decided_at, Time(10));
         assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none());
         assert!(matches!(messenger.status(id), MessageStatus::Decided(_)));
-        // Send/ack log entries purged from the active log; the outcome
-        // entry lives on the history queue.
+        // Send/ack log entries purged from the active log; the history
+        // entry is the notification's image.
         assert_eq!(qmgr.queue("DS.SLOG.Q").unwrap().depth(), 0);
         let done = qmgr.queue("DS.DONE.Q").unwrap().browse();
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].str_property(wire::P_SLOG_ENTRY), Some("outcome"));
+        assert_eq!(OutcomeNotification::from_message(&done[0]).unwrap(), n);
     }
 
     #[test]
@@ -1812,6 +1799,51 @@ mod tests {
         clock.advance(Millis(300));
         assert_eq!(messenger.pending_count(), 0);
         assert_eq!(clock.pending_timers(), 0);
+    }
+
+    #[test]
+    fn the_retry_list_holds_each_due_message_once_however_many_cycles_fail() {
+        let clock = SimClock::new();
+        let journal = MemJournal::new();
+        let qmgr = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        qmgr.create_queue("Q.A").unwrap();
+        qmgr.create_queue("Q.B").unwrap();
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        const N: usize = 8;
+        let ids: Vec<CondMessageId> = (0..N)
+            .map(|_| {
+                let cond = two_dest_condition(Millis(10));
+                messenger.send_message("x", &cond).unwrap()
+            })
+            .collect();
+        journal.set_failing(true);
+        clock.advance(Millis(20));
+        assert_eq!(messenger.retry.lock().len(), N, "every deadline failed");
+        // Every kind of event runs a cycle over the list, and fails.
+        for (i, id) in ids.iter().cycle().take(10 * N).enumerate() {
+            assert!(messenger.pump().is_err());
+            let ack = fake_read_ack(*id, (i % 2) as u32, Time(5));
+            assert!(qmgr.put("DS.ACK.Q", ack).is_err());
+            assert!(messenger.force_fail(*id, "forced").is_err());
+            clock.advance(Millis(1));
+            assert_eq!(messenger.retry.lock().len(), N, "after event {i}");
+        }
+        assert_eq!(messenger.pending_count(), N, "the list's bound");
+
+        journal.set_failing(false);
+        messenger.pump().unwrap();
+        assert!(messenger.retry.lock().is_empty());
+        for id in &ids {
+            let n = messenger.take_outcome(*id, Wait::NoWait).unwrap().unwrap();
+            assert!(n.reason.unwrap().contains("pick-up"), "deadline verdict");
+            assert!(messenger.take_outcome(*id, Wait::NoWait).unwrap().is_none());
+        }
+        assert_eq!(messenger.metrics.verdict_failure.get(), N as u64);
+        assert_eq!(qmgr.queue("DS.DONE.Q").unwrap().depth(), N);
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub(crate) struct MessengerMetrics {
     /// (`cond.pending.depth`, with high-water mark).
     pub pending_depth: Arc<Gauge>,
     /// Decided messages whose outcome actions are deferred to a D-Sphere
-    /// (`cond.deferred.depth`).
+    /// (`cond.deferred.depth`): a count kept under the pump lock — set by
+    /// recovery, one up per deferred verdict installed, one down per
+    /// committed release.
     pub deferred_depth: Arc<Gauge>,
     /// O(depth) incremental condition-cell updates applied by acks and
     /// timer fires (`cond.eval.incremental_updates`).

@@ -14,9 +14,15 @@
 //! originals, acknowledgments, outcome notifications, compensations,
 //! success notifications and both logs' entries all set it, and the queues
 //! index it exactly. Everything else is a `ds.*` property. Each name, each
-//! fixed value (kinds, ack types, outcomes, log entry types) and each
-//! default queue name is registered in `mq::obs::WIRE_STRING_REGISTRY`, so
-//! the message image and the journal carry it as a one-byte code.
+//! fixed value (kinds, ack types, outcomes, receiver-log entry types) and
+//! each default queue name is registered in `mq::obs::WIRE_STRING_REGISTRY`,
+//! so the message image and the journal carry it as a one-byte code.
+//!
+//! A verdict has one encoding, [`OutcomeNotification`]: the deciding
+//! transaction puts its image on `DS.OUTCOME.Q` for the application and on
+//! `DS.DONE.Q` as the message's history entry. A sender-log entry
+//! ([`SlogEntry`]) is a send record or an acknowledgment seen, its type the
+//! first byte of its payload.
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
@@ -72,13 +78,6 @@ pub const P_COMP_SYSTEM: &str = "ds.comp.system";
 /// Destination address (`manager/queue`) a parked compensation targets.
 // lint: registry-sink wire-string
 pub const P_COMP_DEST: &str = "ds.comp.dest";
-/// Sender-log entry type: `send`, `ack`, `outcome`.
-// lint: registry-sink wire-string
-pub const P_SLOG_ENTRY: &str = "ds.slog.entry";
-/// Decision timestamp property on outcome history entries (selectable for
-/// pruning).
-// lint: registry-sink wire-string
-pub const P_SLOG_DECIDED_TS: &str = "ds.slog.decided_ts";
 /// Receiver-log entry type: `consumed`, `comp-delivered`, `annihilated`.
 // lint: registry-sink wire-string
 pub const P_RLOG_ENTRY: &str = "ds.rlog.entry";
@@ -129,19 +128,6 @@ pub mod outcome {
     /// A condition was violated or the evaluation timed out.
     // lint: registry-sink wire-string
     pub const FAILURE: &str = "failure";
-}
-
-/// Values of [`P_SLOG_ENTRY`].
-pub mod slog_entry {
-    /// A conditional message was sent.
-    // lint: registry-sink wire-string
-    pub const SEND: &str = "send";
-    /// An acknowledgment was applied.
-    // lint: registry-sink wire-string
-    pub const ACK: &str = "ack";
-    /// The evaluation finished.
-    // lint: registry-sink wire-string
-    pub const OUTCOME: &str = "outcome";
 }
 
 /// Values of [`P_RLOG_ENTRY`].
@@ -352,7 +338,8 @@ impl std::fmt::Display for MessageOutcome {
     }
 }
 
-/// An outcome notification delivered to the sender's `DS.OUTCOME.Q`.
+/// An outcome notification delivered to the sender's `DS.OUTCOME.Q`; the
+/// same image is the message's history entry on `DS.DONE.Q`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutcomeNotification {
     /// Which conditional message was decided.
@@ -499,48 +486,25 @@ pub enum SlogEntry {
     Send(SendRecord),
     /// An acknowledgment was consumed from `DS.ACK.Q`.
     AckSeen(Acknowledgment),
-    /// The evaluation finished with this outcome.
-    Outcome {
-        /// Which conditional message.
-        cond_id: CondMessageId,
-        /// Final outcome.
-        outcome: MessageOutcome,
-        /// Sender-clock decision time.
-        decided_at: Time,
-    },
 }
 
 impl SlogEntry {
-    /// The entry-type string stored in [`P_SLOG_ENTRY`].
-    pub fn entry_type(&self) -> &'static str {
-        match self {
-            SlogEntry::Send(_) => slog_entry::SEND,
-            SlogEntry::AckSeen(_) => slog_entry::ACK,
-            SlogEntry::Outcome { .. } => slog_entry::OUTCOME,
-        }
-    }
-
     /// The conditional message this entry concerns.
     pub fn cond_id(&self) -> CondMessageId {
         match self {
             SlogEntry::Send(r) => r.cond_id,
             SlogEntry::AckSeen(a) => a.cond_id,
-            SlogEntry::Outcome { cond_id, .. } => *cond_id,
         }
     }
 
     /// Encodes the entry as a persistent sender-log message. The
     /// conditional id is its correlation id, so the payload leaves it out.
     pub fn to_message(&self) -> Message {
-        let mut builder = Message::builder(self.payload())
+        Message::builder(self.payload())
             .property(P_KIND, kind::SLOG)
-            .property(P_SLOG_ENTRY, self.entry_type())
             .correlation_id(self.cond_id().to_hex())
-            .persistent(true);
-        if let SlogEntry::Outcome { decided_at, .. } = self {
-            builder = builder.property(P_SLOG_DECIDED_TS, decided_at.as_millis() as i64);
-        }
-        builder.build()
+            .persistent(true)
+            .build()
     }
 
     /// Decodes an entry from a `DS.SLOG.Q` message: its correlation id and
@@ -563,8 +527,9 @@ impl SlogEntry {
         Ok(entry)
     }
 
-    /// Everything but the conditional id: a tag, then times and counts as
-    /// varints.
+    /// Everything but the conditional id: the entry's type tag (0 send, 1
+    /// ack; 2 is retired and decodes as `BadTag`), then times and counts
+    /// as varints.
     fn payload(&self) -> Bytes {
         let mut enc = Encoder::new();
         match self {
@@ -586,18 +551,6 @@ impl SlogEntry {
                     e.put_varint(t.as_millis())
                 });
                 enc.put_opt(ack.recipient.as_ref(), |e, s| e.put_str(s));
-            }
-            SlogEntry::Outcome {
-                outcome,
-                decided_at,
-                ..
-            } => {
-                enc.put_u8(2);
-                enc.put_u8(match outcome {
-                    MessageOutcome::Success => 0,
-                    MessageOutcome::Failure => 1,
-                });
-                enc.put_varint(decided_at.as_millis());
             }
         }
         enc.finish()
@@ -628,20 +581,6 @@ impl SlogEntry {
                 processed_at: dec.get_opt(|d| d.get_varint().map(Time))?,
                 recipient: dec.get_opt(|d| d.get_str())?,
             })),
-            2 => Ok(SlogEntry::Outcome {
-                cond_id,
-                outcome: match dec.get_u8()? {
-                    0 => MessageOutcome::Success,
-                    1 => MessageOutcome::Failure,
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "MessageOutcome",
-                            tag,
-                        })
-                    }
-                },
-                decided_at: Time(dec.get_varint()?),
-            }),
             tag => Err(CodecError::BadTag {
                 what: "SlogEntry",
                 tag,
@@ -810,16 +749,11 @@ mod tests {
                 processed_at: Some(Time(60)),
                 recipient: Some("x".into()),
             }),
-            SlogEntry::Outcome {
-                cond_id: record.cond_id,
-                outcome: MessageOutcome::Success,
-                decided_at: Time(70),
-            },
         ];
         for entry in entries {
             let msg = entry.to_message();
             assert_eq!(msg.str_property(P_KIND), Some(kind::SLOG));
-            assert_eq!(msg.str_property(P_SLOG_ENTRY), Some(entry.entry_type()));
+            assert_eq!(msg.properties().count(), 1, "the payload says the rest");
             assert_eq!(cond_id_of(&msg).unwrap(), entry.cond_id());
             let back = SlogEntry::from_message(&msg).unwrap();
             assert_eq!(back, entry);

@@ -180,8 +180,14 @@ impl Transaction {
     /// [`TxAborted`] when any resource votes abort in phase one; all
     /// resources are then rolled back.
     pub fn commit(mut self) -> Result<(), TxAborted> {
+        self.commit_in_place()
+    }
+
+    /// [`Transaction::commit`] through a borrow: the transaction is
+    /// finished after it either way, and dropping it does nothing more.
+    pub(crate) fn commit_in_place(&mut self) -> Result<(), TxAborted> {
         // Phase one: collect votes.
-        for (i, resource) in self.resources.iter().enumerate() {
+        for resource in &self.resources {
             if let Vote::Abort(reason) = resource.prepare(self.xid) {
                 let aborted = TxAborted {
                     resource: resource.name().to_owned(),
@@ -189,7 +195,6 @@ impl Transaction {
                 };
                 // Roll everyone back (including the refusing resource —
                 // rollback must be idempotent).
-                let _ = i;
                 for r in &self.resources {
                     r.rollback(self.xid);
                 }
@@ -212,7 +217,9 @@ impl Transaction {
         self.rollback_in_place();
     }
 
-    fn rollback_in_place(&mut self) {
+    /// [`Transaction::rollback`] through a borrow; a finished transaction
+    /// is left as it is.
+    pub(crate) fn rollback_in_place(&mut self) {
         if self.finished {
             return;
         }

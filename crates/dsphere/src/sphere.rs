@@ -29,7 +29,7 @@ use condmsg::{
 use mq::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TraceStage, Wait};
 use simtime::{Millis, Time};
 
-use crate::otx::{Transaction, TransactionManager, TransactionalResource};
+use crate::otx::{Transaction, TransactionManager, TransactionalResource, Xid};
 
 /// Pre-registered `dsphere.*` metric cells.
 #[derive(Debug)]
@@ -203,25 +203,41 @@ impl DSphereService {
                 None => String::new(),
             },
         );
+        let tx = self.txm.begin();
         DSphere {
             service: self.clone(),
             messages: Vec::new(),
-            tx: Some(self.txm.begin()),
+            xid: tx.xid(),
+            phase: Phase::Open(tx),
             began_at: now,
             deadline: timeout.map(|t| now + t),
-            terminated: None,
         }
     }
+}
+
+/// Where a sphere is between `begin_DS` and the end of its termination.
+enum Phase {
+    /// Messages may join and resources enlist in the transaction.
+    Open(Transaction),
+    /// The outcome is decided and the resources have ended with it; the
+    /// members from `released` on are still owed their outcome actions.
+    Terminating {
+        outcome: SphereOutcome,
+        released: usize,
+    },
+    /// Every member's actions are released.
+    Terminated(SphereOutcome),
 }
 
 /// An open Dependency-Sphere.
 pub struct DSphere {
     service: Arc<DSphereService>,
     messages: Vec<CondMessageId>,
-    tx: Option<Transaction>,
+    /// The resource transaction's id, taken at `begin`.
+    xid: Xid,
+    phase: Phase,
     began_at: Time,
     deadline: Option<Time>,
-    terminated: Option<SphereOutcome>,
 }
 
 impl fmt::Debug for DSphere {
@@ -230,7 +246,7 @@ impl fmt::Debug for DSphere {
             .field("messages", &self.messages.len())
             .field("began_at", &self.began_at)
             .field("deadline", &self.deadline)
-            .field("terminated", &self.terminated)
+            .field("terminated", &self.outcome())
             .finish()
     }
 }
@@ -243,11 +259,8 @@ impl DSphere {
 
     /// The sphere's resource-transaction id; pass it to resource
     /// operations ([`crate::resources::KvStore::put`] etc.).
-    pub fn xid(&self) -> crate::otx::Xid {
-        self.tx
-            .as_ref()
-            .expect("transaction alive until termination")
-            .xid()
+    pub fn xid(&self) -> Xid {
+        self.xid
     }
 
     /// When the sphere began, on the messenger's clock.
@@ -262,7 +275,10 @@ impl DSphere {
 
     /// The outcome, once terminated.
     pub fn outcome(&self) -> Option<&SphereOutcome> {
-        self.terminated.as_ref()
+        match &self.phase {
+            Phase::Terminated(outcome) => Some(outcome),
+            _ => None,
+        }
     }
 
     /// A point-in-time snapshot of every metric registered against the
@@ -294,10 +310,9 @@ impl DSphere {
     }
 
     fn check_active(&self) -> SphereResult<()> {
-        if self.terminated.is_some() {
-            Err(SphereError::Terminated)
-        } else {
-            Ok(())
+        match self.phase {
+            Phase::Open(_) => Ok(()),
+            _ => Err(SphereError::Terminated),
         }
     }
 
@@ -364,12 +379,13 @@ impl DSphere {
     ///
     /// [`SphereError::Terminated`].
     pub fn enlist(&mut self, resource: Arc<dyn TransactionalResource>) -> SphereResult<()> {
-        self.check_active()?;
-        self.tx
-            .as_mut()
-            .expect("transaction alive while active")
-            .enlist(resource);
-        Ok(())
+        match &mut self.phase {
+            Phase::Open(tx) => {
+                tx.enlist(resource);
+                Ok(())
+            }
+            _ => Err(SphereError::Terminated),
+        }
     }
 
     /// Attempts `commit_DS`: pumps the evaluation manager and, if every
@@ -379,10 +395,11 @@ impl DSphere {
     ///
     /// # Errors
     ///
-    /// Messaging failures. Safe to retry.
+    /// Messaging failures. Safe to retry: once the outcome is decided a
+    /// retry only releases the members not yet released.
     pub fn try_commit(&mut self) -> SphereResult<Option<SphereOutcome>> {
-        if let Some(outcome) = &self.terminated {
-            return Ok(Some(outcome.clone()));
+        if !matches!(self.phase, Phase::Open(_)) {
+            return self.terminate(None).map(Some);
         }
         self.service.messenger.pump()?;
         let now = self.service.messenger.manager().clock().now();
@@ -420,33 +437,7 @@ impl DSphere {
                 _ => return Ok(None),
             }
         }
-
-        let outcome = match first_failure {
-            None => {
-                // All messages succeeded: 2PC over the resources decides.
-                match self.tx.take().expect("transaction alive").commit() {
-                    Ok(()) => {
-                        self.release_all(MessageOutcome::Success)?;
-                        SphereOutcome::Committed
-                    }
-                    Err(aborted) => {
-                        self.release_all(MessageOutcome::Failure)?;
-                        SphereOutcome::Aborted {
-                            reason: aborted.to_string(),
-                        }
-                    }
-                }
-            }
-            Some(reason) => {
-                self.tx.take().expect("transaction alive").rollback();
-                self.release_all(MessageOutcome::Failure)?;
-                SphereOutcome::Aborted { reason }
-            }
-        };
-        self.consume_member_outcomes();
-        self.record_termination(&outcome);
-        self.terminated = Some(outcome.clone());
-        Ok(Some(outcome))
+        self.terminate(first_failure).map(Some)
     }
 
     /// Blocking `commit_DS`: re-attempts [`DSphere::try_commit`] until the
@@ -487,26 +478,62 @@ impl DSphere {
     ///
     /// Messaging failures.
     pub fn abort(&mut self, reason: impl Into<String>) -> SphereResult<SphereOutcome> {
-        if let Some(outcome) = &self.terminated {
-            return Ok(outcome.clone());
-        }
         let reason = reason.into();
-        self.service.messenger.pump()?;
-        for id in &self.messages {
-            if self.service.messenger.status(*id) == MessageStatus::Pending {
-                self.service
-                    .messenger
-                    .force_fail(*id, format!("D-Sphere aborted: {reason}"))?;
+        if matches!(self.phase, Phase::Open(_)) {
+            self.service.messenger.pump()?;
+            for id in &self.messages {
+                if self.service.messenger.status(*id) == MessageStatus::Pending {
+                    self.service
+                        .messenger
+                        .force_fail(*id, format!("D-Sphere aborted: {reason}"))?;
+                }
             }
         }
-        if let Some(tx) = self.tx.take() {
-            tx.rollback();
+        self.terminate(Some(reason))
+    }
+
+    /// Terminates the sphere. An open one ends its resource transaction —
+    /// two-phase commit when there is no `failure`, rollback otherwise —
+    /// which fixes the outcome; then every member's outcome actions are
+    /// released under it, one member after the other. A release that fails
+    /// leaves the sphere terminating at that member: the retry (of
+    /// `try_commit` or `abort`) resumes there, with the outcome and the
+    /// members released so far as they were.
+    fn terminate(&mut self, failure: Option<String>) -> SphereResult<SphereOutcome> {
+        let (outcome, mut released) = match &mut self.phase {
+            Phase::Terminated(outcome) => return Ok(outcome.clone()),
+            Phase::Terminating { outcome, released } => (outcome.clone(), *released),
+            Phase::Open(tx) => {
+                let outcome = match failure {
+                    // Every member succeeded: 2PC over the resources decides.
+                    None => match tx.commit_in_place() {
+                        Ok(()) => SphereOutcome::Committed,
+                        Err(aborted) => SphereOutcome::Aborted {
+                            reason: aborted.to_string(),
+                        },
+                    },
+                    Some(reason) => {
+                        tx.rollback_in_place();
+                        SphereOutcome::Aborted { reason }
+                    }
+                };
+                (outcome, 0)
+            }
+        };
+        let group = match outcome {
+            SphereOutcome::Committed => MessageOutcome::Success,
+            SphereOutcome::Aborted { .. } => MessageOutcome::Failure,
+        };
+        while let Some(id) = self.messages.get(released) {
+            if let Err(e) = self.service.messenger.release_outcome_actions(*id, group) {
+                self.phase = Phase::Terminating { outcome, released };
+                return Err(e.into());
+            }
+            released += 1;
         }
-        self.release_all(MessageOutcome::Failure)?;
-        let outcome = SphereOutcome::Aborted { reason };
         self.consume_member_outcomes();
         self.record_termination(&outcome);
-        self.terminated = Some(outcome.clone());
+        self.phase = Phase::Terminated(outcome.clone());
         Ok(outcome)
     }
 
@@ -518,20 +545,11 @@ impl DSphere {
             let _ = self.service.messenger.take_outcome(*id, Wait::NoWait);
         }
     }
-
-    fn release_all(&self, group_outcome: MessageOutcome) -> SphereResult<()> {
-        for id in &self.messages {
-            self.service
-                .messenger
-                .release_outcome_actions(*id, group_outcome)?;
-        }
-        Ok(())
-    }
 }
 
 impl Drop for DSphere {
     fn drop(&mut self) {
-        if self.terminated.is_none() {
+        if self.outcome().is_none() {
             // Undemarcated sphere: abort, best effort (C-DTOR-FAIL).
             let _ = self.abort("sphere dropped without commit or abort");
         }
@@ -804,6 +822,50 @@ mod tests {
         let outcome = sphere.try_commit().unwrap().unwrap();
         assert!(outcome.is_committed());
         assert_eq!(outcome.to_string(), "committed");
+    }
+
+    #[test]
+    fn a_termination_whose_release_fails_resumes_at_the_first_member_not_released() {
+        // Both members fail, their actions deferred to the sphere. The first
+        // termination stops at member 0 (storage down), the second at member
+        // 1 (its destination queue is gone). Each retry carries on where the
+        // last one stopped, and every member is released exactly once.
+        let clock = SimClock::new();
+        let journal = mq::journal::MemJournal::new();
+        let qmgr = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        for q in ["Q.A", "Q.B"] {
+            qmgr.create_queue(q).unwrap();
+        }
+        let service = DSphereService::new(ConditionalMessenger::new(qmgr.clone()).unwrap());
+        let mut sphere = service.begin();
+        for (queue, undo) in [("Q.A", "undo a"), ("Q.B", "undo b")] {
+            let cond = dest(queue, Millis(50));
+            sphere.send_message_with_compensation("x", undo, &cond).unwrap();
+        }
+        clock.advance(Millis(100));
+
+        journal.set_failing(true);
+        assert!(sphere.try_commit().is_err());
+        journal.set_failing(false);
+        qmgr.delete_queue("Q.B").unwrap();
+        assert!(sphere.try_commit().is_err(), "member 1 has nowhere to go");
+        assert_eq!(sphere.outcome(), None);
+        assert!(sphere.send_message("late", &dest("Q.A", Millis(50))).is_err());
+        qmgr.create_queue("Q.B").unwrap();
+        let outcome = sphere.try_commit().unwrap().unwrap();
+        assert!(!outcome.is_committed());
+        assert_eq!(sphere.outcome(), Some(&outcome));
+        let metrics = qmgr.metrics_snapshot();
+        assert_eq!(metrics.counter("cond.comp.released"), 2);
+        assert_eq!(metrics.counter("dsphere.aborted"), 1);
+        assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+        assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 2, "original + undo");
+        assert_eq!(qmgr.queue("Q.B").unwrap().depth(), 1, "the undo, once");
+        assert_eq!(sphere.abort("again").unwrap(), outcome);
     }
 
     #[test]

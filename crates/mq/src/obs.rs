@@ -160,8 +160,10 @@ pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 11, 12];
 /// queue names. [`crate::codec::Encoder::put_wire_str`] writes a string
 /// listed here as its position + 1 (one byte), any other as `0` and the
 /// string, so the table is append-only: a string's position is its
-/// on-storage code. The constants naming these strings are the registry
-/// sinks; one missing here is a lint error, not merely a longer image.
+/// on-storage code, and a string no constant names any more keeps its
+/// position as a retired code. The constants naming these strings are the
+/// registry sinks; one missing here is a lint error, not merely a longer
+/// image.
 // lint: registry wire-string
 pub const WIRE_STRING_REGISTRY: &[&str] = &[
     // mq: transmission envelope, relay, dead-letter, topic registrations.
@@ -187,6 +189,9 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "ds.outcome.ts",
     "ds.comp.system",
     "ds.comp.dest",
+    // Retired, not free: the sender-log entry type (the payload's first
+    // byte says it) and the outcome history entry's decision time (the
+    // entry is the outcome notification, `ds.outcome.ts`).
     "ds.slog.entry",
     "ds.slog.decided_ts",
     "ds.rlog.entry",
@@ -199,8 +204,8 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "outcome",
     "slog",
     "rlog",
-    // condmsg: ack types, outcomes (`success` above), sender-log entry
-    // types (`ack`, `outcome` above), receiver-log entry types.
+    // condmsg: ack types, outcomes (`success` above), the retired
+    // sender-log entry type `send`, receiver-log entry types.
     "read",
     "processed",
     "failure",

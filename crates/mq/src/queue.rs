@@ -544,12 +544,18 @@ impl Queue {
     ) -> MqResult<Option<Message>> {
         self.park(wait, false, || {
             self.attempt(|store, now| {
-                let ids = store.by_correlation.get(correlation)?;
-                let live = |id: &MessageId| store.get(*id).is_some_and(|e| !e.msg.is_expired(now));
-                let id = ids.iter().copied().find(live)?;
+                let id = oldest_correlated(store, correlation, now)?;
                 self.consume_locked(store, id)
             })
         })
+    }
+
+    /// The message a get by `correlation` would take, left on the queue: a
+    /// point read of the same correlation index.
+    pub fn peek_by_correlation(&self, correlation: &str) -> Option<Arc<Message>> {
+        let store = self.store.lock();
+        let id = oldest_correlated(&store, correlation, self.clock.now())?;
+        store.get(id).map(|entry| Arc::clone(&entry.msg))
     }
 
     #[cfg(test)]
@@ -742,6 +748,14 @@ impl Queue {
     pub fn kick(&self) {
         self.available.notify_all();
     }
+}
+
+/// The oldest live message with the given correlation id: O(matches) off
+/// the correlation index, not O(depth).
+fn oldest_correlated(store: &MessageStore, correlation: &str, now: Time) -> Option<MessageId> {
+    let ids = store.by_correlation.get(correlation)?;
+    let live = |id: &MessageId| store.get(*id).is_some_and(|e| !e.msg.is_expired(now));
+    ids.iter().copied().find(live)
 }
 
 #[cfg(test)]
@@ -1136,12 +1150,17 @@ mod tests {
             .unwrap();
         }
         put(&q, text("no-corr")).unwrap();
-        // corr-1 messages are m1, m3 (FIFO).
+        // corr-1 messages are m1, m3 (FIFO). A peek leaves the one it
+        // reads for the take.
+        let peeked = q.peek_by_correlation("corr-1").unwrap();
+        assert_eq!(peeked.payload_str(), Some("m1"));
+        assert_eq!(q.depth(), 6);
         let a = q.try_take_by_correlation("corr-1").unwrap().unwrap();
         assert_eq!(a.payload_str(), Some("m1"));
         let b = q.try_take_by_correlation("corr-1").unwrap().unwrap();
         assert_eq!(b.payload_str(), Some("m3"));
         assert!(q.try_take_by_correlation("corr-1").unwrap().is_none());
+        assert!(q.peek_by_correlation("corr-1").is_none());
         assert!(q.try_take_by_correlation("corr-9").unwrap().is_none());
         assert_eq!(q.depth(), 4);
         // Remaining FIFO order unaffected: m0, m2, m4, no-corr.

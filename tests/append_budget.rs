@@ -232,10 +232,11 @@ fn two_manager_round_trip_is_five_records() {
     // original onto the transmission queue.
     let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
     // The acknowledgment arrives (a transport batch of one) and is never
-    // queued: the arrival record is the verdict it decides — outcome entry
-    // and notification out, parked compensation and sender-log record gone,
-    // no AckSeen. It is the first record the head writes after its mover
-    // released the original, so the handoff's get rides it.
+    // queued: the arrival record is the verdict it decides — the
+    // notification and its copy on the history queue out, parked
+    // compensation and sender-log record gone, no AckSeen. It is the first
+    // record the head writes after its mover released the original, so the
+    // handoff's get rides it.
     let verdict = "TxCommit get[SYSTEM.XMIT.QM.TAIL, DS.COMP.Q, DS.SLOG.Q] \
                    put[DS.DONE.Q, DS.OUTCOME.Q]";
     // The application picks the outcome up.
@@ -249,7 +250,7 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(head.stats().released.get(), 0);
     // What the five records weigh, byte for byte: ids are random but fixed
     // in width, and the clock nobody advances stamps every time as 0.
-    assert_eq!(head_journal.bytes(), [259, 173, 20], "head bytes");
+    assert_eq!(head_journal.bytes(), [256, 170, 20], "head bytes");
     assert_eq!(tail_journal.bytes(), [88, 172], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
@@ -506,7 +507,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
             "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );
-    assert_eq!(journal.bytes(), [652, 127, 127, 294, 76, 20], "bytes");
+    assert_eq!(journal.bytes(), [649, 124, 124, 291, 76, 20], "bytes");
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use condmsg::{
-    wire, AckKind, Acknowledgment, CompiledCondition, CondMessageId, Condition,
+    wire, AckKind, Acknowledgment, CompiledCondition, CondError, CondMessageId, Condition,
     ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
     MessageOutcome, MessageStatus,
 };
@@ -490,6 +490,107 @@ fn deferred_outcome_actions_survive_crash() {
     assert!(messenger2
         .release_outcome_actions(id, MessageOutcome::Failure)
         .is_err());
+}
+
+/// A sender restarted over the same journal after `decided` messages failed
+/// by their deadline while `pending` others were still under evaluation.
+struct Restarted {
+    /// Each decided message with what `status()` read before the crash.
+    before: Vec<(CondMessageId, MessageStatus)>,
+    qmgr: Arc<QueueManager>,
+    messenger: Arc<ConditionalMessenger>,
+}
+
+fn restart_after_verdicts(decided: usize, pending: usize) -> Restarted {
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    qmgr.create_queue("Q.B").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let send = |window| messenger.send_message("x", &two_dest_condition(window)).unwrap();
+    let ids: Vec<CondMessageId> = (0..decided).map(|_| send(Millis(50))).collect();
+    for _ in 0..pending {
+        send(Millis(60_000));
+    }
+    clock.advance(Millis(100));
+    let before = ids.into_iter().map(|id| (id, messenger.status(id))).collect();
+    qmgr.crash();
+    let qmgr = build_qm(clock, journal);
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    Restarted {
+        before,
+        qmgr,
+        messenger,
+    }
+}
+
+#[test]
+fn status_of_a_failed_message_is_the_same_after_a_crash() {
+    // The messenger keeps no table of verdicts: before the crash and after
+    // it, `status()` reads the one history entry the verdict wrote.
+    let r = restart_after_verdicts(1, 0);
+    let (id, before) = &r.before[0];
+    let MessageStatus::Decided(n) = before else {
+        panic!("not decided: {before:?}")
+    };
+    assert!(n.reason.as_deref().unwrap().contains("pick-up"), "{n:?}");
+    assert_eq!(r.messenger.status(*id), *before);
+}
+
+#[test]
+fn force_fail_after_a_restart_returns_the_recorded_verdict() {
+    let r = restart_after_verdicts(1, 0);
+    let (id, MessageStatus::Decided(recorded)) = &r.before[0] else {
+        panic!("not decided: {:?}", r.before)
+    };
+    let outcome = r.messenger.force_fail(*id, "D-Sphere timeout").unwrap();
+    assert_eq!(outcome, *recorded, "the reason is the deadline's");
+    assert_eq!(r.qmgr.queue("DS.DONE.Q").unwrap().depth(), 1, "no second verdict");
+}
+
+#[test]
+fn recovery_probes_the_history_instead_of_browsing_it() {
+    // Recovery is O(live messages): one point read of DS.DONE.Q per send
+    // record left on the sender log, never a walk over the history.
+    let r = restart_after_verdicts(40, 3);
+    let done = r.qmgr.queue("DS.DONE.Q").unwrap();
+    assert_eq!(done.depth(), 40);
+    assert_eq!(done.stats().browses.get(), 0);
+    assert_eq!(r.messenger.pending_count(), 3);
+    for (id, before) in &r.before {
+        assert_eq!(r.messenger.status(*id), *before);
+    }
+}
+
+#[test]
+fn an_undecodable_history_entry_fails_recovery() {
+    // The history entry of a pending message's id does not decode (here: an
+    // outcome entry of the sender-log format, as an earlier build wrote
+    // it). Recovery cannot tell whether the message was decided, so it
+    // refuses rather than evaluate it a second time.
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    qmgr.create_queue("Q.B").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let id = messenger
+        .send_message("x", &two_dest_condition(Millis(60_000)))
+        .unwrap();
+    let entry = mq::Message::builder(vec![2u8, 1, 100])
+        .property(wire::P_KIND, wire::kind::SLOG)
+        .correlation_id(id.to_hex())
+        .persistent(true)
+        .build();
+    qmgr.put("DS.DONE.Q", entry).unwrap();
+    qmgr.crash();
+
+    let qmgr2 = build_qm(clock, journal);
+    match ConditionalMessenger::new(qmgr2) {
+        Err(CondError::Malformed(_)) => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
 }
 
 #[test]

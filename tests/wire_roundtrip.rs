@@ -230,19 +230,8 @@ fn arb_send_record() -> impl Strategy<Value = SendRecord> {
 
 fn arb_slog_entry() -> impl Strategy<Value = SlogEntry> {
     prop_oneof![
-        2 => arb_send_record().prop_map(SlogEntry::Send),
-        2 => arb_ack().prop_map(SlogEntry::AckSeen),
-        1 => (arb_cond_id(), any::<bool>(), arb_time()).prop_map(
-            |(cond_id, success, decided_at)| SlogEntry::Outcome {
-                cond_id,
-                outcome: if success {
-                    MessageOutcome::Success
-                } else {
-                    MessageOutcome::Failure
-                },
-                decided_at,
-            }
-        ),
+        arb_send_record().prop_map(SlogEntry::Send),
+        arb_ack().prop_map(SlogEntry::AckSeen),
     ]
 }
 
@@ -351,6 +340,61 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
     assert_eq!(back.correlation_id(), Some(cond_id.to_hex().as_str()));
 }
 
+/// The two conditional-layer log images: a sender-log entry says what it
+/// is in its payload's first byte and carries no property but its kind,
+/// and a verdict's history entry on `DS.DONE.Q` is its outcome
+/// notification, reason included.
+#[test]
+fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
+    let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+    let code = |s: &str| 1 + WIRE_STRING_REGISTRY.iter().position(|r| *r == s).unwrap() as u8;
+    assert_eq!((code("slog"), code("outcome"), code("failure")), (31, 30, 35));
+    let id = &cond_id.as_u128().to_le_bytes()[..];
+    let ack = Acknowledgment {
+        cond_id,
+        leaf: 1,
+        kind: AckKind::Read,
+        read_at: Time(300),
+        processed_at: None,
+        recipient: None,
+    };
+    let golden = [
+        // priority 4; flags persistent | 16-byte correlation id; payload:
+        // tag 1 (ack seen), leaf 1, read, read_at 300, no processing time,
+        // no recipient
+        &[4u8, 0b100_0001, 7, 1, 1, 0, 0xac, 0x02, 0, 0][..],
+        // 1 property: ds.kind (8) = Str slog (31)
+        &[1, 8, 0, 31],
+        id,
+        &[0],
+    ]
+    .concat();
+    let entry = SlogEntry::AckSeen(ack).to_message();
+    assert_eq!(&image_after_id(&entry)[..], &golden[..]);
+
+    let verdict = OutcomeNotification {
+        cond_id,
+        outcome: MessageOutcome::Failure,
+        reason: Some("late".into()),
+        decided_at: Time(300),
+    };
+    let golden = [
+        // priority 4; flags as above; no payload; 4 properties
+        &[4u8, 0b100_0001, 0, 4][..],
+        // ds.kind (8) = Str outcome (30); ds.outcome (17) = Str failure (35)
+        &[8, 0, 30, 17, 0, 35],
+        // ds.outcome.reason (18) = Str, unregistered: 0, length, "late"
+        &[18, 0, 0, 4],
+        b"late",
+        // ds.outcome.ts (19) = I64 300, zigzag varint
+        &[19, 1, 0xd8, 0x04],
+        id,
+        &[0],
+    ]
+    .concat();
+    assert_eq!(&image_after_id(&verdict.to_message())[..], &golden[..]);
+}
+
 // ------------------------------------------------------------ properties --
 
 proptest! {
@@ -376,7 +420,7 @@ proptest! {
         assert_slog_message_roundtrip(&SlogEntry::Send(record))?;
     }
 
-    /// All three sender-log entry variants survive the sender-log message
+    /// Both sender-log entry variants survive the sender-log message
     /// byte-identically.
     #[test]
     fn slog_entry_roundtrip_byte_identical(entry in arb_slog_entry()) {
