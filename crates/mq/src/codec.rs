@@ -23,6 +23,11 @@
 //! set, and an absent one takes no bytes. A correlation id of exactly 32
 //! lowercase hex digits (a conditional message id) takes 16 bytes under
 //! its own bit and reads back as the same string; any other is a string.
+//!
+//! Inside a journal record, an image that follows another image with the
+//! same payload leaves its payload out and sets bit 7 of `flags`
+//! ([`Encoder::put_image`], [`Decoder::get_image`]): a fan-out writes its
+//! payload once. A message's own image, and so the wire, never sets it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -171,8 +176,7 @@ impl Encoder {
         self.put_raw(v);
     }
 
-    /// Appends already-encoded bytes as they are, with no length prefix
-    /// (a cached [`Message::wire_bytes`] image inside a journal record).
+    /// Appends already-encoded bytes as they are, with no length prefix.
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }
@@ -468,8 +472,16 @@ impl Message {
     }
 }
 
-/// The bits of a message image's flags byte: persistence, and one
-/// presence bit per optional header. The other bits are reserved.
+/// Where the flags byte sits in an image: after the id and the priority.
+const FLAGS_AT: usize = 16 + 1;
+
+/// The bytes [`Encoder::put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The bits of a message image's flags byte: persistence, one presence
+/// bit per optional header, and the journal's payload elision.
 mod flag {
     /// The message survives a restart.
     pub(super) const PERSISTENT: u8 = 1;
@@ -485,8 +497,9 @@ mod flag {
     pub(super) const PUT_TIME: u8 = 1 << 5;
     /// A correlation id of 32 lowercase hex digits follows as a `u128`.
     pub(super) const CORRELATION_U128: u8 = 1 << 6;
-    /// Every defined bit.
-    pub(super) const ALL: u8 = (1 << 7) - 1;
+    /// No payload follows: it is the previous image's in the same journal
+    /// record.
+    pub(super) const SAME_PAYLOAD: u8 = 1 << 7;
 }
 
 /// Registered wire string → its code (position + 1).
@@ -560,46 +573,81 @@ impl WireEncode for Message {
     }
 }
 
+impl Encoder {
+    /// Appends `message`'s cached image ([`Message::wire_bytes`]) as the
+    /// image that follows `previous` in a journal record. When `previous`
+    /// carries the same payload, the payload is left out and bit 7 of the
+    /// flags byte says so; [`Decoder::get_image`] given that payload reads
+    /// it back.
+    pub fn put_image(&mut self, message: &Message, previous: Option<&Message>) {
+        let image = message.wire_bytes();
+        let payload = message.payload();
+        if previous.is_none_or(|p| p.payload() != payload) {
+            self.put_raw(&image);
+            return;
+        }
+        // Only `WireEncode` fills the cache, so the payload's length is a
+        // minimal varint right after the flags.
+        let payload_end = FLAGS_AT + 1 + varint_len(payload.len() as u64) + payload.len();
+        self.put_raw(&image[..FLAGS_AT]);
+        self.put_u8(image[FLAGS_AT] | flag::SAME_PAYLOAD);
+        self.put_raw(&image[payload_end..]);
+    }
+}
+
 impl WireDecode for Message {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
-        let id = MessageId::from_u128(dec.get_u128()?);
-        let priority = Priority::new(dec.get_u8()?);
-        let flags = dec.get_u8()?;
+        dec.get_image(None)
+    }
+}
+
+impl Decoder {
+    /// Reads an image written with [`Encoder::put_image`] after an image
+    /// whose payload was `previous`. An image that leaves its payload out
+    /// where no previous payload exists is a `BadTag`.
+    pub fn get_image(&mut self, previous: Option<&Bytes>) -> Result<Message, CodecError> {
+        let id = MessageId::from_u128(self.get_u128()?);
+        let priority = Priority::new(self.get_u8()?);
+        let flags = self.get_u8()?;
         let both_correlations = flag::CORRELATION | flag::CORRELATION_U128;
-        if flags & !flag::ALL != 0 || flags & both_correlations == both_correlations {
+        let same_payload = flags & flag::SAME_PAYLOAD != 0;
+        if (same_payload && previous.is_none()) || flags & both_correlations == both_correlations {
             return Err(CodecError::BadTag {
                 what: "message flags",
                 tag: flags,
             });
         }
-        let payload = dec.get_bytes()?;
-        let n_props = dec.get_varint()?;
+        let payload = match previous.filter(|_| same_payload) {
+            Some(payload) => payload.clone(),
+            None => self.get_bytes()?,
+        };
+        let n_props = self.get_varint()?;
         let mut properties = BTreeMap::new();
         for _ in 0..n_props {
-            let name = dec.get_wire_str()?;
-            let value = PropertyValue::decode(dec)?;
+            let name = self.get_wire_str()?;
+            let value = PropertyValue::decode(self)?;
             properties.insert(name, value);
         }
         let has = |bit: u8| flags & bit != 0;
         let persistent = has(flag::PERSISTENT);
         let ttl = has(flag::TTL)
-            .then(|| dec.get_varint().map(Millis))
+            .then(|| self.get_varint().map(Millis))
             .transpose()?;
         let expiry = has(flag::EXPIRY)
-            .then(|| dec.get_varint().map(Time))
+            .then(|| self.get_varint().map(Time))
             .transpose()?;
         let correlation_id = if has(flag::CORRELATION_U128) {
-            Some(format!("{:032x}", dec.get_u128()?))
+            Some(format!("{:032x}", self.get_u128()?))
         } else {
-            has(flag::CORRELATION).then(|| dec.get_str()).transpose()?
+            has(flag::CORRELATION).then(|| self.get_str()).transpose()?
         };
         let reply_to = has(flag::REPLY_TO)
-            .then(|| QueueAddress::decode(dec))
+            .then(|| QueueAddress::decode(self))
             .transpose()?;
         let put_time = has(flag::PUT_TIME)
-            .then(|| dec.get_varint().map(Time))
+            .then(|| self.get_varint().map(Time))
             .transpose()?;
-        let redelivery_count = dec.get_varint_u32()?;
+        let redelivery_count = self.get_varint_u32()?;
         Ok(Message::from_parts(
             id,
             payload,
@@ -707,6 +755,7 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut enc = Encoder::new();
             enc.put_varint(v);
+            assert_eq!(varint_len(v), enc.len(), "{v}");
             let mut dec = Decoder::new(enc.finish());
             assert_eq!(dec.get_varint().unwrap(), v);
             assert!(dec.is_exhausted());
@@ -831,7 +880,35 @@ mod tests {
     }
 
     #[test]
-    fn unknown_string_codes_and_reserved_flag_bits_are_refused() {
+    fn an_image_after_one_with_the_same_payload_leaves_the_payload_out() {
+        let payload = Bytes::from(vec![7u8; 200]);
+        let first = Message::builder(payload.clone())
+            .property("leaf", 0i64)
+            .build();
+        let second = Message::builder(payload).property("leaf", 1i64).build();
+        let other = Message::text("other").build();
+        let mut enc = Encoder::new();
+        enc.put_image(&first, None);
+        enc.put_image(&second, Some(&first));
+        enc.put_image(&other, Some(&second));
+        // The second image loses its payload's two length bytes and 200
+        // payload bytes; a different payload is written in full.
+        let full = first.wire_len() + second.wire_len() + other.wire_len();
+        assert_eq!(enc.len(), full - 2 - 200);
+        let mut dec = Decoder::new(enc.finish());
+        let a = dec.get_image(None).unwrap();
+        let b = dec.get_image(Some(a.payload())).unwrap();
+        let c = dec.get_image(Some(b.payload())).unwrap();
+        assert!(dec.is_exhausted());
+        assert_eq!((&a, &b, &c), (&first, &second, &other));
+        // The copies read back share one buffer.
+        assert_eq!(a.payload().as_ptr(), b.payload().as_ptr());
+        // The message's own image, which the mover sends, is whole.
+        assert_eq!(Message::from_bytes(second.wire_bytes()).unwrap(), second);
+    }
+
+    #[test]
+    fn unknown_string_codes_and_invalid_flags_are_refused() {
         let msg = Message::text("x")
             .property(WIRE_STRING_REGISTRY[0], 1i64)
             .build();
@@ -844,8 +921,11 @@ mod tests {
             Message::from_bytes(Bytes::from(bad_code)),
             Err(CodecError::UnknownWireString(u64::from(unknown)))
         );
+        // A payload elision with no previous image to take the payload
+        // from (a message's own image: the wire, a checkpoint row, the
+        // first put of a record) is refused like both correlation bits.
         let both_correlations = flag::CORRELATION | flag::CORRELATION_U128;
-        for bits in [0x80, both_correlations] {
+        for bits in [flag::SAME_PAYLOAD, both_correlations] {
             let mut bad_flags = image.clone();
             bad_flags[17] |= bits;
             assert!(matches!(
@@ -938,6 +1018,7 @@ mod tests {
             fn varint_roundtrips(v in any::<u64>()) {
                 let mut enc = Encoder::new();
                 enc.put_varint(v);
+                prop_assert_eq!(varint_len(v), enc.len());
                 let mut dec = Decoder::new(enc.finish());
                 prop_assert_eq!(dec.get_varint().unwrap(), v);
             }

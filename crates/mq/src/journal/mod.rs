@@ -107,18 +107,21 @@ impl WireEncode for JournalRecord {
                 enc.put_wire_str(queue);
             }
             // A message goes in as its cached image: the one the mover
-            // sends, encoded once for both.
+            // sends, encoded once for both. A put whose payload equals the
+            // previous put's leaves it out, so a fan-out writes it once.
             JournalRecord::Put { queue, message } => {
                 enc.put_u8(11);
                 enc.put_wire_str(queue);
-                enc.put_raw(&message.wire_bytes());
+                enc.put_image(message, None);
             }
             JournalRecord::TxCommit { puts, gets } => {
                 enc.put_u8(12);
                 enc.put_varint(puts.len() as u64);
+                let mut previous = None;
                 for (q, m) in puts {
                     enc.put_wire_str(q);
-                    enc.put_raw(&m.wire_bytes());
+                    enc.put_image(m, previous);
+                    previous = Some(m);
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
@@ -163,14 +166,15 @@ impl WireDecode for JournalRecord {
             }),
             11 => Ok(JournalRecord::Put {
                 queue: dec.get_wire_str()?,
-                message: Message::decode(dec)?,
+                message: dec.get_image(None)?,
             }),
             12 => {
                 let n_puts = dec.get_varint()?;
-                let mut puts = Vec::with_capacity(n_puts.min(1024) as usize);
+                let mut puts: Vec<(String, Message)> =
+                    Vec::with_capacity(n_puts.min(1024) as usize);
                 for _ in 0..n_puts {
                     let q = dec.get_wire_str()?;
-                    let m = Message::decode(dec)?;
+                    let m = dec.get_image(puts.last().map(|(_, p)| p.payload()))?;
                     puts.push((q, m));
                 }
                 let n_gets = dec.get_varint()?;
@@ -649,6 +653,79 @@ pub(crate) mod tests {
         assert_eq!(bytes[end], 0);
         assert_eq!(&bytes[end - image.len()..end], &image[..]);
         assert_eq!(JournalRecord::from_bytes(bytes).unwrap(), record);
+    }
+
+    #[test]
+    fn a_payload_elision_with_nothing_before_it_fails_replay() {
+        // A first put, or a checkpoint row, whose flags say "the previous
+        // put's payload": there is none, so the record is refused.
+        let msg = Message::text("x").persistent(true).build();
+        let flagged = |record: JournalRecord, flags_at: usize| {
+            let mut raw = record.to_bytes().to_vec();
+            raw[flags_at] |= 0x80;
+            JournalRecord::from_bytes(Bytes::from(raw))
+        };
+        // Tag, put count, queue code, id, priority | flags.
+        let first_put = JournalRecord::TxCommit {
+            puts: vec![("DS.SLOG.Q".into(), msg.clone())],
+            gets: vec![],
+        };
+        // Tag, queue code, id, priority | flags.
+        let row = JournalRecord::Put {
+            queue: "DS.SLOG.Q".into(),
+            message: msg,
+        };
+        for result in [flagged(first_put, 3 + 17), flagged(row, 2 + 17)] {
+            assert!(matches!(
+                result,
+                Err(CodecError::BadTag {
+                    what: "message flags",
+                    ..
+                })
+            ));
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PAYLOADS: [&[u8]; 3] = [b"", b"shared payload", b"another one"];
+
+        fn put(payload: &'static [u8]) -> (String, Message) {
+            let msg = Message::builder(Bytes::from_static(payload))
+                .persistent(true)
+                .build();
+            ("Q".into(), msg)
+        }
+
+        proptest! {
+            // Any sequence of puts, runs of equal payloads among them,
+            // round-trips byte for byte; the record is exactly the whole
+            // images less each repeated payload (with its length byte),
+            // and every strict prefix of it fails to decode.
+            #[test]
+            fn any_tx_commit_roundtrips_and_elides_exactly_the_repeats(
+                picks in proptest::collection::vec(0..PAYLOADS.len(), 0..12),
+                cut_seed in any::<u64>(),
+            ) {
+                let puts: Vec<(String, Message)> = picks.iter().map(|&p| put(PAYLOADS[p])).collect();
+                let repeated: usize = picks
+                    .windows(2)
+                    .filter(|w| w[0] == w[1])
+                    .map(|w| 1 + PAYLOADS[w[1]].len())
+                    .sum();
+                let whole: usize = puts.iter().map(|(q, m)| 2 + q.len() + m.wire_len()).sum();
+                let record = JournalRecord::TxCommit { puts, gets: vec![] };
+                let bytes = record.to_bytes();
+                prop_assert_eq!(bytes.len(), 1 + 1 + whole - repeated + 1);
+                let back = JournalRecord::from_bytes(bytes.clone()).unwrap();
+                prop_assert_eq!(&back, &record);
+                prop_assert_eq!(back.to_bytes(), bytes.clone());
+                let cut = (cut_seed % bytes.len() as u64) as usize;
+                prop_assert!(JournalRecord::from_bytes(bytes.slice(0..cut)).is_err());
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet,
     MessageOutcome,
@@ -36,11 +37,11 @@ use parking_lot::Mutex;
 use simtime::{Millis, SimClock};
 
 /// A `Journal` that notes what each `append` wrote (kind + queues, and its
-/// size in bytes) and otherwise is the `MemJournal` it wraps.
+/// encoded bytes) and otherwise is the `MemJournal` it wraps.
 #[derive(Debug)]
 struct RecordingJournal {
     inner: Arc<MemJournal>,
-    appended: Mutex<Vec<(String, usize)>>,
+    appended: Mutex<Vec<(String, Bytes)>>,
 }
 
 impl RecordingJournal {
@@ -69,8 +70,13 @@ impl RecordingJournal {
         self.appended
             .lock()
             .iter()
-            .map(|(_, bytes)| *bytes)
+            .map(|(_, bytes)| bytes.len())
             .collect()
+    }
+
+    /// The encoded bytes of the `i`th record since `start`.
+    fn record(&self, i: usize) -> Bytes {
+        self.appended.lock()[i].1.clone()
     }
 
     fn wait_for(&self, appends: usize) {
@@ -89,7 +95,7 @@ impl RecordingJournal {
 impl Journal for RecordingJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
         self.inner.append(record)?;
-        let bytes = record.to_bytes().len();
+        let bytes = record.to_bytes();
         self.appended.lock().push((describe(record), bytes));
         Ok(())
     }
@@ -250,8 +256,10 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(head.stats().released.get(), 0);
     // What the five records weigh, byte for byte: ids are random but fixed
     // in width, and the clock nobody advances stamps every time as 0.
-    assert_eq!(head_journal.bytes(), [256, 170, 20], "head bytes");
-    assert_eq!(tail_journal.bytes(), [88, 172], "tail bytes");
+    // The verdict's two empty payloads are written once, and so are the
+    // pick-up's (receiver-log entry and acknowledgment).
+    assert_eq!(head_journal.bytes(), [256, 169, 20], "head bytes");
+    assert_eq!(tail_journal.bytes(), [88, 171], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -507,7 +515,13 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
             "TxCommit get[DS.OUTCOME.Q] put[]".to_owned(),
         ]
     );
-    assert_eq!(journal.bytes(), [649, 124, 124, 291, 76, 20], "bytes");
+    // A fan-out writes its payload once: each put whose payload equals the
+    // previous put's (the three originals after the first, the three
+    // parked compensations after the first, the verdict's notification
+    // after its history entry) carries a flag bit instead.
+    assert_eq!(journal.bytes(), [622, 124, 124, 289, 76, 20], "bytes");
+    let send = journal.record(0);
+    assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 

@@ -5,7 +5,8 @@
 //! carry them (`to_message`/`from_message`: the conditional id is the
 //! message's correlation id, not part of the payload), and the
 //! message-property encodings must round-trip value-identically. One
-//! original message's image is pinned byte for byte.
+//! original message's image, and a fan-out's journal record, are pinned
+//! byte for byte.
 
 use bytes::Bytes;
 use condmsg::eval::LeafSpec;
@@ -15,6 +16,7 @@ use condmsg::wire::{
 };
 use condmsg::{CondMessageId, Condition, Destination, DestinationSet};
 use mq::codec::{WireDecode, WireEncode};
+use mq::journal::JournalRecord;
 use mq::obs::WIRE_STRING_REGISTRY;
 use mq::{Message, Priority, QueueAddress};
 use proptest::prelude::*;
@@ -338,6 +340,60 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
     let back = Message::from_bytes(msg.to_bytes()).unwrap();
     assert_eq!(back, msg);
     assert_eq!(back.correlation_id(), Some(cond_id.to_hex().as_str()));
+}
+
+/// A send's fan-out in its journal record: the second original's payload
+/// is the first's, so its image leaves the payload out and sets flags bit
+/// 7. The bit's position is an on-storage format, like a registry code.
+#[test]
+fn a_fan_out_record_is_pinned_byte_for_byte() {
+    let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+    let leaf = |index: u32| LeafSpec {
+        index,
+        queue: QueueAddress::new("QM1", format!("Q.L{index}")),
+        recipient: None,
+        pickup_window: None,
+        process_window: None,
+        processing_expected: false,
+        expiry: None,
+        persistent: true,
+        priority: Priority::DEFAULT,
+    };
+    let payload = Bytes::from_static(b"hi");
+    let originals: Vec<Message> = (0..2)
+        .map(|i| make_original(&payload, cond_id, &leaf(i), "QM1", "DS.ACK.Q"))
+        .collect();
+    let record = JournalRecord::TxCommit {
+        puts: vec![
+            ("Q.L0".into(), originals[0].clone()),
+            ("Q.L1".into(), originals[1].clone()),
+        ],
+        gets: vec![],
+    };
+    let golden = [
+        // TxCommit, 2 puts; Q.L0 unregistered: 0, length, name
+        &[12u8, 2, 0, 4][..],
+        b"Q.L0",
+        // the first original's whole image
+        &originals[0].to_bytes(),
+        &[0, 4],
+        b"Q.L1",
+        &originals[1].id().as_u128().to_le_bytes(),
+        // priority 4; flags persistent | 16-byte correlation id | the
+        // previous put's payload; no payload; 5 properties as pinned above,
+        // ds.leaf = I64 1
+        &[4, 0b1100_0001, 5],
+        &[12, 0, 41, 8, 0, 26, 9, 1, 2, 10, 3, 0, 11, 0, 0, 3],
+        b"QM1",
+        &cond_id.as_u128().to_le_bytes(),
+        // redelivery count; no gets
+        &[0, 0],
+    ]
+    .concat();
+    let bytes = record.to_bytes();
+    assert_eq!(&bytes[..], &golden[..]);
+    let back = JournalRecord::from_bytes(bytes).unwrap();
+    assert_eq!(back, record);
 }
 
 /// The two conditional-layer log images: a sender-log entry says what it
