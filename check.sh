@@ -49,6 +49,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # the meeting-notification condition, every verdict checked against the
 # paper-rule oracle (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_fig1_meeting
+# The D-Sphere coupling rules (Fig. 10): the 10-check matrix is asserted
+# inside the binary; the cost table after it is reported, not asserted.
+cargo run --release -p cond-bench --bin exp_fig10_dsphere
 cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
 # Every `--quick` run below writes its BENCH_*.json under
 # target/bench-quick/; the committed files are full runs (see the last line).

@@ -171,8 +171,10 @@ fn main() {
     }
     println!();
     println!(
-        "expected shape: both grow linearly in the member count (per-member evaluation, \
-         deferred-action release and compensation traffic dominate)."
+        "expected shape: termination is one journal record whatever the member count \
+         (one release for every member; an abort adds one forced cycle); both columns \
+         still grow with the member count, through per-member evaluation and \
+         compensation traffic."
     );
     emit_metrics();
 }

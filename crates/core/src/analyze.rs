@@ -7,10 +7,9 @@
 //! can only "evaluate to failure" after burning a full evaluation timeout
 //! (paper §2.3), or that succeed without a single recipient acting.
 //!
-//! The analyzer runs automatically inside
-//! [`ConditionalMessenger::send_with`](crate::ConditionalMessenger) (gated
-//! by [`CondConfig::analyze_sends`](crate::CondConfig)) and is available
-//! standalone via [`analyze`] / [`analyze_with`].
+//! The analyzer runs inside every
+//! [`ConditionalMessenger::send_with`](crate::ConditionalMessenger) and is
+//! available standalone via [`analyze`] / [`analyze_with`].
 //!
 //! # Rules
 //!

@@ -987,45 +987,56 @@ impl ConditionalMessenger {
         }
     }
 
-    /// Performs the deferred outcome actions of a decided conditional
-    /// message, treating it per `group_outcome` — the overall outcome of
-    /// the Dependency-Sphere the message belonged to (paper §3.1: "only
-    /// when the D-Sphere terminates as a whole … outcome actions for all
-    /// individual messages … will be initiated based on the overall
-    /// D-Sphere outcome").
+    /// Performs the deferred outcome actions of decided conditional
+    /// messages, treating each per `group_outcome` — the overall outcome of
+    /// the Dependency-Sphere they belonged to (paper §3.1: "only when the
+    /// D-Sphere terminates as a whole … outcome actions for all individual
+    /// messages … will be initiated based on the overall D-Sphere
+    /// outcome"). One transaction, one journal record: for every member the
+    /// purge of its sender-log entries, its outcome actions and the get of
+    /// its notification from `DS.OUTCOME.Q` when nobody has taken it yet.
+    /// Either every member is released or none is.
     ///
     /// # Errors
     ///
-    /// [`CondError::UnknownMessage`] when the message has no deferred
-    /// actions pending; messaging failures.
+    /// [`CondError::UnknownMessage`] when a message has no deferred actions
+    /// pending; messaging failures. Nothing is released then.
     pub fn release_outcome_actions(
         &self,
-        cond_id: CondMessageId,
+        ids: &[CondMessageId],
         group_outcome: MessageOutcome,
     ) -> CondResult<()> {
         // Serialized like a cycle, so a concurrent release of the same
         // message finds the send record gone once this one's record is
         // written.
         let _serial = self.pump_lock.lock();
-        if self.pending.lock().contains_key(&cond_id) {
-            return Err(CondError::UnknownMessage(cond_id));
-        }
-        // A decided message keeps its send record exactly while its actions
-        // are deferred; taking it is the release's purge of the log.
         let mut session = self.qmgr.session();
         session.begin()?;
-        let mut staged = Vec::new();
-        let result = self
-            .purge_slog(&mut session, cond_id)
-            .and_then(|record| {
+        let mut staged = Vec::with_capacity(ids.len());
+        let result = ids
+            .iter()
+            .try_for_each(|&cond_id| {
+                if self.pending.lock().contains_key(&cond_id) {
+                    return Err(CondError::UnknownMessage(cond_id));
+                }
+                // A decided message keeps its send record exactly while its
+                // actions are deferred; taking it is the release's purge of
+                // the log.
+                let record = self.purge_slog(&mut session, cond_id)?;
                 let options = record.ok_or(CondError::UnknownMessage(cond_id))?.options;
+                let mut actions = Vec::new();
                 self.stage_outcome_actions(
                     &mut session,
                     cond_id,
                     group_outcome,
                     options.success_notifications.unwrap_or(false),
-                    &mut staged,
-                )
+                    &mut actions,
+                )?;
+                // The releaser is the member's consumer of record.
+                let outcome_queue = &self.config.outcome_queue;
+                session.get_by_correlation(outcome_queue, &cond_id.to_hex(), Wait::NoWait)?;
+                staged.push((cond_id, actions));
+                Ok(())
             })
             .and_then(|()| session.commit().map_err(CondError::from));
         if session.in_transaction() {
@@ -1036,47 +1047,54 @@ impl ConditionalMessenger {
             session.rollback_for_retry()?;
         } else {
             let deferred = &self.metrics.deferred_depth;
-            deferred.set(deferred.get().saturating_sub(1));
-            self.record_outcome_actions(cond_id, staged);
+            deferred.set(deferred.get().saturating_sub(staged.len() as u64));
+            for (cond_id, actions) in staged {
+                self.record_outcome_actions(cond_id, actions);
+            }
         }
         result
     }
 
-    /// Forces a pending conditional message to fail immediately (used when
+    /// Forces pending conditional messages to fail immediately (used when
     /// a Dependency-Sphere aborts while member evaluations are still in
-    /// progress). Returns the resulting (or previously decided) outcome.
+    /// progress), all in one evaluation cycle. Returns each id's resulting
+    /// (or previously decided) outcome, in order.
     ///
     /// # Errors
     ///
-    /// [`CondError::UnknownMessage`] for ids this messenger never sent.
+    /// Messaging failures: nothing is forced then. [`CondError::UnknownMessage`]
+    /// for an id this messenger never sent (the others are forced all the
+    /// same).
     pub fn force_fail(
         &self,
-        cond_id: CondMessageId,
+        ids: &[CondMessageId],
         reason: impl Into<String>,
-    ) -> CondResult<OutcomeNotification> {
+    ) -> CondResult<Vec<OutcomeNotification>> {
         let _serial = self.pump_lock.lock();
-        let now = self.qmgr.clock().now();
-        let verdict =
-            self.pending.lock().get(&cond_id).map(|eval| {
-                eval.verdict(cond_id, MessageOutcome::Failure, Some(reason.into()), now)
+        let (now, reason) = (self.qmgr.clock().now(), reason.into());
+        let mut cycle = Cycle::default();
+        // An id listed twice is forced once.
+        let mut seen = HashSet::new();
+        for &cond_id in ids.iter().filter(|id| seen.insert(**id)) {
+            let verdict = self.pending.lock().get(&cond_id).map(|eval| {
+                eval.verdict(cond_id, MessageOutcome::Failure, Some(reason.clone()), now)
             });
-        let Some(mut verdict) = verdict else {
-            return self
-                .history(cond_id)?
-                .ok_or(CondError::UnknownMessage(cond_id));
-        };
-        let notification = verdict.notification.clone();
+            cycle.decided.extend(verdict);
+        }
+        // Nothing to force is an empty transaction, and writes nothing.
         let mut session = self.qmgr.session();
-        let staged = session.begin().map_err(CondError::from);
-        let staged = staged.and_then(|()| self.finalize(&mut session, &mut verdict));
-        let cycle = Cycle {
-            decided: vec![verdict],
-            ..Cycle::default()
-        };
-        // A failed transaction leaves the message pending, timer armed, and
-        // costs what it held no backout budget; the caller may try again.
-        self.commit_cycle(&mut session, cycle, staged)
-            .map(|()| notification)
+        let staged = session.begin().map_err(CondError::from).and_then(|()| {
+            let mut decided = cycle.decided.iter_mut();
+            decided.try_for_each(|verdict| self.finalize(&mut session, verdict))
+        });
+        // A failed transaction leaves the messages pending, timers armed,
+        // and costs what it held no backout budget; the caller may try
+        // again.
+        self.commit_cycle(&mut session, cycle, staged)?;
+        // Every id this messenger sent is decided now, its verdict on the
+        // history queue.
+        let history = |id| self.history(id)?.ok_or(CondError::UnknownMessage(id));
+        ids.iter().map(|&id| history(id)).collect()
     }
 
     /// Stages the removal of every active-log entry of a decided
@@ -1828,7 +1846,7 @@ mod tests {
             assert!(messenger.pump().is_err());
             let ack = fake_read_ack(*id, (i % 2) as u32, Time(5));
             assert!(qmgr.put("DS.ACK.Q", ack).is_err());
-            assert!(messenger.force_fail(*id, "forced").is_err());
+            assert!(messenger.force_fail(&[*id], "forced").is_err());
             clock.advance(Millis(1));
             assert_eq!(messenger.retry.lock().len(), N, "after event {i}");
         }

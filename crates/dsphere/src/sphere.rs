@@ -220,11 +220,8 @@ enum Phase {
     /// Messages may join and resources enlist in the transaction.
     Open(Transaction),
     /// The outcome is decided and the resources have ended with it; the
-    /// members from `released` on are still owed their outcome actions.
-    Terminating {
-        outcome: SphereOutcome,
-        released: usize,
-    },
+    /// members are still owed their outcome actions.
+    Terminating(SphereOutcome),
     /// Every member's actions are released.
     Terminated(SphereOutcome),
 }
@@ -396,7 +393,7 @@ impl DSphere {
     /// # Errors
     ///
     /// Messaging failures. Safe to retry: once the outcome is decided a
-    /// retry only releases the members not yet released.
+    /// retry re-runs the one transaction that releases every member.
     pub fn try_commit(&mut self) -> SphereResult<Option<SphereOutcome>> {
         if !matches!(self.phase, Phase::Open(_)) {
             return self.terminate(None).map(Some);
@@ -427,9 +424,9 @@ impl DSphere {
             match self.deadline {
                 Some(d) if now >= d => {
                     // Sphere timeout: undecided members count as failed.
-                    for id in &pending {
-                        self.service.messenger.force_fail(*id, "D-Sphere timeout")?;
-                    }
+                    self.service
+                        .messenger
+                        .force_fail(&pending, "D-Sphere timeout")?;
                     if first_failure.is_none() {
                         first_failure = Some("D-Sphere timeout".to_owned());
                     }
@@ -480,14 +477,10 @@ impl DSphere {
     pub fn abort(&mut self, reason: impl Into<String>) -> SphereResult<SphereOutcome> {
         let reason = reason.into();
         if matches!(self.phase, Phase::Open(_)) {
-            self.service.messenger.pump()?;
-            for id in &self.messages {
-                if self.service.messenger.status(*id) == MessageStatus::Pending {
-                    self.service
-                        .messenger
-                        .force_fail(*id, format!("D-Sphere aborted: {reason}"))?;
-                }
-            }
+            // Forcing a decided member leaves its verdict as it is.
+            let messenger = &self.service.messenger;
+            messenger.pump()?;
+            messenger.force_fail(&self.messages, format!("D-Sphere aborted: {reason}"))?;
         }
         self.terminate(Some(reason))
     }
@@ -495,55 +488,41 @@ impl DSphere {
     /// Terminates the sphere. An open one ends its resource transaction —
     /// two-phase commit when there is no `failure`, rollback otherwise —
     /// which fixes the outcome; then every member's outcome actions are
-    /// released under it, one member after the other. A release that fails
-    /// leaves the sphere terminating at that member: the retry (of
-    /// `try_commit` or `abort`) resumes there, with the outcome and the
-    /// members released so far as they were.
+    /// released under it in one transaction, which also consumes the
+    /// members' notifications: the sphere is their consumer of record, and
+    /// its outcome already carries the aggregate verdict. A release that
+    /// fails released nothing and leaves the sphere terminating: the retry
+    /// (of `try_commit` or `abort`) runs it again under the same outcome.
     fn terminate(&mut self, failure: Option<String>) -> SphereResult<SphereOutcome> {
-        let (outcome, mut released) = match &mut self.phase {
+        let outcome = match &mut self.phase {
             Phase::Terminated(outcome) => return Ok(outcome.clone()),
-            Phase::Terminating { outcome, released } => (outcome.clone(), *released),
-            Phase::Open(tx) => {
-                let outcome = match failure {
-                    // Every member succeeded: 2PC over the resources decides.
-                    None => match tx.commit_in_place() {
-                        Ok(()) => SphereOutcome::Committed,
-                        Err(aborted) => SphereOutcome::Aborted {
-                            reason: aborted.to_string(),
-                        },
+            Phase::Terminating(outcome) => outcome.clone(),
+            Phase::Open(tx) => match failure {
+                // Every member succeeded: 2PC over the resources decides.
+                None => match tx.commit_in_place() {
+                    Ok(()) => SphereOutcome::Committed,
+                    Err(aborted) => SphereOutcome::Aborted {
+                        reason: aborted.to_string(),
                     },
-                    Some(reason) => {
-                        tx.rollback_in_place();
-                        SphereOutcome::Aborted { reason }
-                    }
-                };
-                (outcome, 0)
-            }
+                },
+                Some(reason) => {
+                    tx.rollback_in_place();
+                    SphereOutcome::Aborted { reason }
+                }
+            },
         };
         let group = match outcome {
             SphereOutcome::Committed => MessageOutcome::Success,
             SphereOutcome::Aborted { .. } => MessageOutcome::Failure,
         };
-        while let Some(id) = self.messages.get(released) {
-            if let Err(e) = self.service.messenger.release_outcome_actions(*id, group) {
-                self.phase = Phase::Terminating { outcome, released };
-                return Err(e.into());
-            }
-            released += 1;
+        let messenger = &self.service.messenger;
+        if let Err(e) = messenger.release_outcome_actions(&self.messages, group) {
+            self.phase = Phase::Terminating(outcome);
+            return Err(e.into());
         }
-        self.consume_member_outcomes();
         self.record_termination(&outcome);
         self.phase = Phase::Terminated(outcome.clone());
         Ok(outcome)
-    }
-
-    /// Consumes the members' queued outcome notifications: the sphere is
-    /// their consumer of record, and its termination already carries the
-    /// aggregate verdict, so nothing may linger on the outcome queue.
-    fn consume_member_outcomes(&self) {
-        for id in &self.messages {
-            let _ = self.service.messenger.take_outcome(*id, Wait::NoWait);
-        }
     }
 }
 
@@ -825,11 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn a_termination_whose_release_fails_resumes_at_the_first_member_not_released() {
+    fn a_termination_whose_release_fails_releases_no_member_until_a_retry_releases_all() {
         // Both members fail, their actions deferred to the sphere. The first
-        // termination stops at member 0 (storage down), the second at member
-        // 1 (its destination queue is gone). Each retry carries on where the
-        // last one stopped, and every member is released exactly once.
+        // termination's record is refused (storage down), the second cannot
+        // route member 1's compensation (its destination queue is gone).
+        // Neither releases anything; the retry once healed releases every
+        // member exactly once.
         let clock = SimClock::new();
         let journal = mq::journal::MemJournal::new();
         let qmgr = QueueManager::builder("QM1")
@@ -844,17 +824,28 @@ mod tests {
         let mut sphere = service.begin();
         for (queue, undo) in [("Q.A", "undo a"), ("Q.B", "undo b")] {
             let cond = dest(queue, Millis(50));
-            sphere.send_message_with_compensation("x", undo, &cond).unwrap();
+            sphere
+                .send_message_with_compensation("x", undo, &cond)
+                .unwrap();
         }
         clock.advance(Millis(100));
+        let unreleased = || {
+            assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 2);
+            assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 2);
+            assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "only the original");
+        };
 
         journal.set_failing(true);
         assert!(sphere.try_commit().is_err());
+        unreleased();
         journal.set_failing(false);
         qmgr.delete_queue("Q.B").unwrap();
         assert!(sphere.try_commit().is_err(), "member 1 has nowhere to go");
+        unreleased();
         assert_eq!(sphere.outcome(), None);
-        assert!(sphere.send_message("late", &dest("Q.A", Millis(50))).is_err());
+        assert!(sphere
+            .send_message("late", &dest("Q.A", Millis(50)))
+            .is_err());
         qmgr.create_queue("Q.B").unwrap();
         let outcome = sphere.try_commit().unwrap().unwrap();
         assert!(!outcome.is_committed());
@@ -863,6 +854,7 @@ mod tests {
         assert_eq!(metrics.counter("cond.comp.released"), 2);
         assert_eq!(metrics.counter("dsphere.aborted"), 1);
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+        assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 2, "original + undo");
         assert_eq!(qmgr.queue("Q.B").unwrap().depth(), 1, "the undo, once");
         assert_eq!(sphere.abort("again").unwrap(), outcome);

@@ -525,6 +525,80 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 
+/// A three-member D-Sphere on one recorded manager, one member per queue,
+/// each to be picked up within `window`.
+fn three_member_sphere(
+    window: Millis,
+) -> (Arc<QueueManager>, Arc<RecordingJournal>, dsphere::DSphere) {
+    let journal = RecordingJournal::new();
+    let qmgr = QueueManager::builder("QM1")
+        .clock(SimClock::new())
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    let service = dsphere::DSphereService::new(ConditionalMessenger::new(qmgr.clone()).unwrap());
+    let mut sphere = service.begin();
+    for queue in ["Q.A", "Q.B", "Q.C"] {
+        qmgr.create_queue(queue).unwrap();
+        let condition: Condition = Destination::queue("QM1", queue)
+            .pickup_within(window)
+            .into();
+        sphere
+            .send_message_with_compensation("member", "undo", &condition)
+            .unwrap();
+    }
+    (qmgr, journal, sphere)
+}
+
+#[test]
+fn committing_a_sphere_of_three_decided_members_is_one_record() {
+    let (qmgr, journal, mut sphere) = three_member_sphere(Millis(60_000));
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    for queue in ["Q.A", "Q.B", "Q.C"] {
+        assert!(receiver.read_message(queue, Wait::NoWait).unwrap().is_some());
+    }
+    journal.start();
+
+    // Every member is decided, so `commit_DS` is the release alone: each
+    // member's send record, parked compensation and notification leave in
+    // one transaction.
+    let outcome = sphere.try_commit().unwrap().expect("every member decided");
+    assert!(outcome.is_committed());
+    assert_eq!(
+        journal.appended(),
+        ["TxCommit get[DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
+          DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
+          DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q] put[]"]
+    );
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.consumed"), 3);
+}
+
+#[test]
+fn aborting_a_sphere_of_three_pending_members_is_two_records() {
+    let (qmgr, journal, mut sphere) = three_member_sphere(Millis(60_000));
+    journal.start();
+
+    // One forced cycle decides every pending member, then one release
+    // sends every compensation (each meets its unread original).
+    let outcome = sphere.abort("called off").unwrap();
+    assert!(!outcome.is_committed());
+    assert_eq!(
+        journal.appended(),
+        [
+            "TxCommit get[] put[DS.DONE.Q, DS.OUTCOME.Q, \
+             DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]"
+                .to_owned(),
+            "TxCommit get[DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q] put[Q.A, Q.B, Q.C]"
+                .to_owned(),
+        ]
+    );
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 3);
+}
+
 #[test]
 fn sweeping_three_ripe_messages_is_one_record() {
     let journal = RecordingJournal::new();

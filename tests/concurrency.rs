@@ -262,7 +262,7 @@ fn two_releases_of_one_deferred_message_act_once() {
             let (messenger, start) = (messenger.clone(), start.clone());
             std::thread::spawn(move || {
                 start.wait();
-                messenger.release_outcome_actions(id, MessageOutcome::Failure)
+                messenger.release_outcome_actions(&[id], MessageOutcome::Failure)
             })
         })
         .collect();

@@ -519,7 +519,7 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
         .unwrap();
     journal.set_failing(true);
     for _ in 0..2 * qmgr.config().backout_threshold {
-        assert!(messenger.force_fail(forced, "sphere aborted").is_err());
+        assert!(messenger.force_fail(&[forced], "sphere aborted").is_err());
     }
     assert_eq!(messenger.status(forced), MessageStatus::Pending);
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
@@ -529,7 +529,8 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(messenger.status(forced), MessageStatus::Pending);
     assert_eq!(clock.pending_timers(), 1);
     journal.set_failing(false);
-    let outcome = messenger.force_fail(forced, "sphere aborted").unwrap();
+    let outcome = messenger.force_fail(&[forced], "sphere aborted").unwrap();
+    let outcome = outcome[0].clone();
     assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
     assert_eq!(messenger.status(forced), MessageStatus::Decided(outcome));
     assert_eq!(clock.pending_timers(), 0);
@@ -575,7 +576,7 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
     journal.apply_fault(FaultAction::FailStorage).unwrap();
     for _ in 0..2 * qmgr.config().backout_threshold {
         assert!(messenger
-            .release_outcome_actions(id, MessageOutcome::Failure)
+            .release_outcome_actions(&[id], MessageOutcome::Failure)
             .is_err());
     }
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
@@ -585,7 +586,7 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
 
     journal.apply_fault(FaultAction::HealStorage).unwrap();
     messenger
-        .release_outcome_actions(id, MessageOutcome::Failure)
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
         .unwrap();
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "original + its undo");
@@ -594,7 +595,7 @@ fn deferred_release_whose_transaction_fails_can_be_released_again() {
     assert_eq!(qmgr.queue(mq::DEAD_LETTER_QUEUE).unwrap().depth(), 0);
     // Released once: there is nothing left to release.
     assert!(messenger
-        .release_outcome_actions(id, MessageOutcome::Failure)
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
         .is_err());
 }
 

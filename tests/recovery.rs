@@ -476,7 +476,7 @@ fn deferred_outcome_actions_survive_crash() {
     // The sphere (re-created by the application) releases with the group
     // outcome; the compensation finally flows.
     messenger2
-        .release_outcome_actions(id, MessageOutcome::Failure)
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
         .unwrap();
     assert_eq!(qmgr2.queue("DS.COMP.Q").unwrap().depth(), 0);
     let mut receiver = ConditionalReceiver::new(qmgr2.clone()).unwrap();
@@ -488,7 +488,7 @@ fn deferred_outcome_actions_survive_crash() {
     assert_eq!(qmgr2.queue("Q.A").unwrap().depth(), 0);
     // Releasing twice is rejected.
     assert!(messenger2
-        .release_outcome_actions(id, MessageOutcome::Failure)
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
         .is_err());
 }
 
@@ -544,8 +544,8 @@ fn force_fail_after_a_restart_returns_the_recorded_verdict() {
     let (id, MessageStatus::Decided(recorded)) = &r.before[0] else {
         panic!("not decided: {:?}", r.before)
     };
-    let outcome = r.messenger.force_fail(*id, "D-Sphere timeout").unwrap();
-    assert_eq!(outcome, *recorded, "the reason is the deadline's");
+    let outcome = r.messenger.force_fail(&[*id], "D-Sphere timeout").unwrap();
+    assert_eq!(&outcome[..], std::slice::from_ref(recorded), "the reason is the deadline's");
     assert_eq!(r.qmgr.queue("DS.DONE.Q").unwrap().depth(), 1, "no second verdict");
 }
 
