@@ -3,11 +3,10 @@
 //! Two phases, matching the two storage claims:
 //!
 //! **Index vs scan.** Park a corpus of messages with mixed properties
-//! (an i64 `shard`, a string `kind`, a unique correlation id) on two
-//! queues — one with property indexing on, one with it forced off — and
-//! measure selector gets and correlation-id gets against both. The
-//! indexed queue resolves both through point reads (property value bands,
-//! exact correlation map); the unindexed queue walks its priority bands
+//! (an i64 `shard`, a string `kind`, a unique correlation id) on one
+//! queue and measure two kinds of selector get against it: one that pins
+//! a correlation id, a point read of the queue's one secondary index, and
+//! one with no correlation clause, which walks the priority bands
 //! evaluating the selector per message.
 //!
 //! **Restart-to-ready.** Build the same logical state twice on the
@@ -20,8 +19,8 @@
 //! happened).
 //!
 //! Writes `BENCH_store.json`. Gates (asserted, wired into `check.sh
-//! --quick`): indexed selector and correlation p95 beat the scan path,
-//! and checkpointed restart is ≥10x faster than full-history replay.
+//! --quick`): the correlation read's p95 beats the scan's, and
+//! checkpointed restart is ≥10x faster than full-history replay.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,7 +28,7 @@ use std::time::Instant;
 use cond_bench::{emit_metrics, header, percentile, row, write_bench_json};
 use mq::journal::{Journal, NullJournal, SegmentConfig, SegmentedJournal};
 use mq::selector::Selector;
-use mq::{ManagerConfig, Message, QueueConfig, QueueManager, Wait};
+use mq::{ManagerConfig, Message, QueueManager, Wait};
 
 const KINDS: [&str; 8] = [
     "flight", "train", "hotel", "meeting", "alert", "report", "invoice", "ticket",
@@ -49,66 +48,52 @@ fn corpus_message(i: usize, persistent: bool) -> Message {
 }
 
 struct IndexStats {
-    selector_p95_us: u64,
     correlation_p95_us: u64,
+    scan_p95_us: u64,
 }
 
-/// Parks `parked` corpus messages on a queue (indexed or not) and probes
-/// it with selector gets and correlation gets, returning p95 latencies.
-fn run_index_phase(parked: usize, ops: usize, indexed: bool) -> IndexStats {
+/// Parks `parked` corpus messages on one queue and probes it two ways,
+/// returning p95 latencies: selector gets that pin a correlation id
+/// (point reads of the correlation index) and selector gets with no
+/// correlation clause (band scans).
+fn run_index_phase(parked: usize, ops: usize) -> IndexStats {
     let qmgr = QueueManager::builder("QM.STORE")
         .journal(NullJournal::new())
         .build()
         .unwrap();
-    let queue = if indexed { "IDX" } else { "SCAN" };
-    qmgr.create_queue_with(
-        queue,
-        QueueConfig {
-            index_properties: indexed,
-            ..QueueConfig::default()
-        },
-    )
-    .unwrap();
+    qmgr.create_queue("Q").unwrap();
     for i in 0..parked {
-        qmgr.put(queue, corpus_message(i, false)).unwrap();
+        qmgr.put("Q", corpus_message(i, false)).unwrap();
     }
-
-    // Selector gets: targeted consumption — each op claims one specific
-    // work item by its (shard, kind, seq) coordinates, the pattern the
-    // property index exists for. Targets stay in the front half of the
-    // corpus so the correlation phase's tail targets are never consumed
-    // here. The scan path must walk to the target's queue position; the
-    // indexed path resolves through the singleton `seq` value band.
-    let mut selector_lat = Vec::with_capacity(ops);
-    for op in 0..ops {
-        let target = (op * 823) % (parked / 2);
-        let shard = target as i64 % SHARDS;
-        let kind = KINDS[target % KINDS.len()];
-        let sel = Selector::parse(&format!(
-            "shard = {shard} AND kind = '{kind}' AND seq = {target}"
-        ))
-        .unwrap();
+    let probe = |selector: String| {
+        let sel = Selector::parse(&selector).unwrap();
         let t = Instant::now();
-        let got = qmgr.get_selected(queue, &sel, Wait::NoWait).unwrap();
-        selector_lat.push(t.elapsed().as_micros() as u64);
-        assert!(got.is_some(), "corpus covers every (shard, kind) point");
-    }
+        let got = qmgr.get_selected("Q", &sel, Wait::NoWait).unwrap();
+        let us = t.elapsed().as_micros() as u64;
+        assert!(got.is_some(), "{selector} names a parked message");
+        us
+    };
 
-    // Correlation gets: exact-match lookups of parked ids, spread across
-    // the corpus (the tail end, untouched by the selector phase).
-    let mut corr_lat = Vec::with_capacity(ops);
-    for op in 0..ops {
-        let target = parked - 1 - (op * 13) % (parked / 2);
-        let sel = Selector::parse(&format!("correlation_id = 'corr-{target}'")).unwrap();
-        let t = Instant::now();
-        let got = qmgr.get_selected(queue, &sel, Wait::NoWait).unwrap();
-        corr_lat.push(t.elapsed().as_micros() as u64);
-        assert!(got.is_some(), "correlation target is parked");
-    }
-
+    // Scans: each op claims one work item by its (shard, kind, seq)
+    // coordinates, so the band scan walks to the target's queue position.
+    // Targets stay in the front half of the corpus, the correlation
+    // probes' in the back half, so neither consumes the other's.
+    let scan: Vec<u64> = (0..ops)
+        .map(|op| {
+            let target = (op * 823) % (parked / 2);
+            let (shard, kind) = (target as i64 % SHARDS, KINDS[target % KINDS.len()]);
+            probe(format!("shard = {shard} AND kind = '{kind}' AND seq = {target}"))
+        })
+        .collect();
+    let correlation: Vec<u64> = (0..ops)
+        .map(|op| {
+            let target = parked - 1 - (op * 13) % (parked / 2);
+            probe(format!("correlation_id = 'corr-{target}'"))
+        })
+        .collect();
     IndexStats {
-        selector_p95_us: percentile(&selector_lat, 0.95),
-        correlation_p95_us: percentile(&corr_lat, 0.95),
+        correlation_p95_us: percentile(&correlation, 0.95),
+        scan_p95_us: percentile(&scan, 0.95),
     }
 }
 
@@ -182,7 +167,7 @@ fn run_restart(root: &std::path::Path, live: usize, churn: usize, checkpoint: bo
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // Index phase parks `parked` messages per queue; restart phase leaves
+    // Index phase parks `parked` messages; restart phase leaves
     // `live` parked under `churn` put+get pairs of history.
     let (parked, ops, live, churn) = if quick {
         (20_000, 400, 5_000, 100_000)
@@ -191,20 +176,14 @@ fn main() {
     };
 
     println!(
-        "# ES — journal as primary store ({parked} parked/queue, {live} live / {churn} churn{})\n",
+        "# ES — journal as primary store ({parked} parked, {live} live / {churn} churn{})\n",
         if quick { ", --quick" } else { "" }
     );
 
-    header(&["queue", "selector get p95 us", "correlation get p95 us"]);
-    let idx = run_index_phase(parked, ops, true);
-    let scan = run_index_phase(parked, ops, false);
-    for (name, stats) in [("indexed", &idx), ("scan", &scan)] {
-        row(&[
-            name.to_owned(),
-            stats.selector_p95_us.to_string(),
-            stats.correlation_p95_us.to_string(),
-        ]);
-    }
+    header(&["selector get", "p95 us"]);
+    let idx = run_index_phase(parked, ops);
+    row(&["correlation point read".to_owned(), idx.correlation_p95_us.to_string()]);
+    row(&["band scan".to_owned(), idx.scan_p95_us.to_string()]);
 
     let dir = std::env::temp_dir().join(format!("condmsg-store-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -231,10 +210,10 @@ fn main() {
             "  \"experiment\": \"ES journal as primary store\",\n",
             "  \"quick\": {quick},\n",
             "  \"index\": {{\n",
-            "    \"parked_per_queue\": {parked},\n",
+            "    \"parked\": {parked},\n",
             "    \"ops\": {ops},\n",
-            "    \"indexed\": {{\"selector_p95_us\": {isel}, \"correlation_p95_us\": {icorr}}},\n",
-            "    \"scan\": {{\"selector_p95_us\": {ssel}, \"correlation_p95_us\": {scorr}}}\n",
+            "    \"correlation_p95_us\": {corr},\n",
+            "    \"scan_p95_us\": {scan}\n",
             "  }},\n",
             "  \"restart\": {{\n",
             "    \"live\": {live},\n",
@@ -245,18 +224,15 @@ fn main() {
             "  \"gate\": {{\n",
             "    \"min_restart_speedup\": 10.0,\n",
             "    \"measured_restart_speedup\": {speedup:.2},\n",
-            "    \"index_beats_scan_selector\": {gsel},\n",
-            "    \"index_beats_scan_correlation\": {gcorr}\n",
+            "    \"correlation_beats_scan\": {gcorr}\n",
             "  }}\n",
             "}}\n"
         ),
         quick = quick,
         parked = parked,
         ops = ops,
-        isel = idx.selector_p95_us,
-        icorr = idx.correlation_p95_us,
-        ssel = scan.selector_p95_us,
-        scorr = scan.correlation_p95_us,
+        corr = idx.correlation_p95_us,
+        scan = idx.scan_p95_us,
         live = live,
         churn = churn,
         fbytes = flat.journal_bytes,
@@ -264,23 +240,16 @@ fn main() {
         cbytes = ckpt.journal_bytes,
         cms = ckpt.restart_ms,
         speedup = speedup,
-        gsel = idx.selector_p95_us < scan.selector_p95_us,
-        gcorr = idx.correlation_p95_us < scan.correlation_p95_us,
+        gcorr = idx.correlation_p95_us < idx.scan_p95_us,
     );
     write_bench_json("BENCH_store.json", quick, &json);
 
     // Regression gates: the whole point of the storage inversion.
     assert!(
-        idx.selector_p95_us < scan.selector_p95_us,
-        "indexed selector get p95 ({}us) must beat the scan path ({}us)",
-        idx.selector_p95_us,
-        scan.selector_p95_us
-    );
-    assert!(
-        idx.correlation_p95_us < scan.correlation_p95_us,
-        "indexed correlation get p95 ({}us) must beat the scan path ({}us)",
+        idx.correlation_p95_us < idx.scan_p95_us,
+        "correlation point read p95 ({}us) must beat the band scan ({}us)",
         idx.correlation_p95_us,
-        scan.correlation_p95_us
+        idx.scan_p95_us
     );
     assert!(
         speedup >= 10.0,

@@ -372,7 +372,7 @@ impl ConditionalReceiver {
         ))
         .map_err(MqError::from)?;
         let rlog = self.qmgr.queue(DEFAULT_RLOG_QUEUE)?;
-        // Point read off the property index: the rlog grows with every
+        // Point read off the correlation index: the rlog grows with every
         // delivery, and this probe runs once per duplicate redelivery.
         Ok(rlog.any_selected(&selector))
     }

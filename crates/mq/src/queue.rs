@@ -3,12 +3,13 @@
 //!
 //! The queue itself is an orchestration shell: all in-memory state lives
 //! in a [`crate::store::MessageStore`] (id-keyed map, priority bands,
-//! correlation and property-value indexes, expiry heap, pending
-//! transactional gets), while this module owns statistics, clock access
-//! and blocking. Selector gets whose selector pins an
-//! equality (`shard = 7 AND kind = 'ack'`) are served as **point reads**
-//! from the property index instead of a band scan; targeted consumption
-//! by correlation id costs O(matches) the same way.
+//! correlation-id index, expiry heap, pending transactional gets), while
+//! this module owns statistics, clock access and blocking. A correlation
+//! get or peek, and a selector read whose selector pins a correlation id
+//! (`correlation_id = '…' AND leaf = 2`), is a **point read** of the
+//! correlation index: O(messages with that id), not O(depth). Other
+//! selectors scan the priority bands. Either way the read returns the
+//! message delivery order reaches first: highest priority, then FIFO.
 //!
 //! Takes hold the owning manager's **mutation gate** (a shared read lock)
 //! and the commit holds it across `[journal append + state change]`, so a
@@ -36,8 +37,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use simtime::{Millis, SharedClock, Time};
 
 use crate::error::{MqError, MqResult};
-use crate::journal::Journal;
-use crate::message::{Message, MessageId, PropertyValue};
+use crate::message::{Message, MessageId};
 use crate::qmgr::QueueManager;
 use crate::selector::Selector;
 use crate::session::{Session, TxState};
@@ -56,7 +56,7 @@ pub enum Wait {
 }
 
 /// Per-queue configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueueConfig {
     /// Maximum queue depth; puts beyond it fail with [`MqError::QueueFull`].
     pub max_depth: Option<usize>,
@@ -64,20 +64,6 @@ pub struct QueueConfig {
     /// (a tighter per-message TTL still wins). Expired messages are
     /// removed by the index-driven TTL sweep and checkpointed away.
     pub retention: Option<Millis>,
-    /// Maintain per-property value-band indexes so selector equality gets
-    /// become point reads (on by default; turn off for write-heavy queues
-    /// that are never read with selectors).
-    pub index_properties: bool,
-}
-
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            max_depth: None,
-            retention: None,
-            index_properties: true,
-        }
-    }
 }
 
 /// Callback invoked (outside the queue lock and the mutation gate) after a
@@ -124,7 +110,9 @@ pub type ArrivalEnd<'a> = Box<dyn FnOnce(bool) + 'a>;
 pub struct Queue {
     name: String,
     clock: SharedClock,
-    journal: Arc<dyn Journal>,
+    /// Whether the manager's journal is durable: a get of a persistent
+    /// message then stays pending until its record is written.
+    durable: bool,
     config: QueueConfig,
     /// Released before anything is journaled: a take leaves a pending get
     /// behind and the commit appends with no queue lock held.
@@ -170,8 +158,8 @@ impl Queue {
             stats: QueueStats::registered(manager.obs().metrics(), &name),
             name,
             clock: manager.clock().clone(),
-            journal: manager.journal().clone(),
-            store: Mutex::new(MessageStore::new(config.index_properties)),
+            durable: manager.journal().is_durable(),
+            store: Mutex::new(MessageStore::new()),
             config,
             available: Condvar::new(),
             gate: manager.mutation_gate().clone(),
@@ -335,39 +323,20 @@ impl Queue {
     }
 
     /// Whether any live message matches `selector` — the existence probe
-    /// behind receiver-side duplicate checks. Uses the property index as
-    /// a point read when the selector pins an equality; never consumes,
-    /// never prunes.
+    /// behind receiver-side duplicate checks. A point read of the
+    /// correlation index when the selector pins a correlation id; never
+    /// consumes, never prunes.
     pub fn any_selected(&self, selector: &Selector) -> bool {
         let now = self.clock.now();
         let store = self.store.lock();
-        if self.config.index_properties {
-            let hints = selector.point_constraints();
-            if !hints.is_empty() {
-                let mut bucket: Option<&VecDeque<MessageId>> = None;
-                for (name, value) in &hints {
-                    match store.hint_bucket(name, value) {
-                        // Absent bucket: no live message carries that
-                        // value, so nothing can match.
-                        None => return false,
-                        Some(b) => {
-                            if bucket.is_none_or(|cur| b.len() < cur.len()) {
-                                bucket = Some(b);
-                            }
-                        }
-                    }
-                }
-                return bucket.into_iter().flatten().any(|id| {
-                    store
-                        .get(*id)
-                        .is_some_and(|e| !e.msg.is_expired(now) && selector.matches(&e.msg))
-                });
-            }
+        let matches = |m: &Message| selector.matches(m);
+        match selector.pinned_correlation() {
+            Some(corr) => store.first_correlated(corr, now, matches).is_some(),
+            None => store
+                .entries
+                .values()
+                .any(|e| !e.msg.is_expired(now) && matches(&e.msg)),
         }
-        store
-            .entries
-            .values()
-            .any(|e| !e.msg.is_expired(now) && selector.matches(&e.msg))
     }
 
     // ------------------------------------------------------------ puts --
@@ -534,9 +503,9 @@ impl Queue {
         })
     }
 
-    /// Removes and returns the oldest message with the given correlation
-    /// id, waiting per `wait`, using the correlation index (O(matches),
-    /// not O(depth)).
+    /// Removes and returns the first message in delivery order with the
+    /// given correlation id, waiting per `wait`: a point read of the
+    /// correlation index (O(matches), not O(depth)).
     pub(crate) fn take_by_correlation_blocking(
         &self,
         correlation: &str,
@@ -544,17 +513,16 @@ impl Queue {
     ) -> MqResult<Option<Message>> {
         self.park(wait, false, || {
             self.attempt(|store, now| {
-                let id = oldest_correlated(store, correlation, now)?;
+                let id = store.first_correlated(correlation, now, |_| true)?;
                 self.consume_locked(store, id)
             })
         })
     }
 
-    /// The message a get by `correlation` would take, left on the queue: a
-    /// point read of the same correlation index.
+    /// The message a get by `correlation` would take, left on the queue.
     pub fn peek_by_correlation(&self, correlation: &str) -> Option<Arc<Message>> {
         let store = self.store.lock();
-        let id = oldest_correlated(&store, correlation, self.clock.now())?;
+        let id = store.first_correlated(correlation, self.clock.now(), |_| true)?;
         store.get(id).map(|entry| Arc::clone(&entry.msg))
     }
 
@@ -575,11 +543,9 @@ impl Queue {
         now: Time,
     ) -> Option<Message> {
         if let Some(sel) = selector {
-            if self.config.index_properties {
-                let hints = sel.point_constraints();
-                if !hints.is_empty() {
-                    return self.take_indexed(store, sel, &hints, now);
-                }
+            if let Some(corr) = sel.pinned_correlation() {
+                let id = store.first_correlated(corr, now, |m| sel.matches(m))?;
+                return self.consume_locked(store, id);
             }
         }
         for band_idx in (0..PRIORITY_BANDS).rev() {
@@ -601,61 +567,13 @@ impl Queue {
         None
     }
 
-    /// Serves a selector get as a point read: pick the narrowest index
-    /// bucket among the selector's equality constraints, verify each
-    /// candidate against the full selector, and consume the one a band
-    /// scan would have chosen (highest priority, then lowest sequence
-    /// number). Stale bucket entries are pruned on the way through.
-    fn take_indexed(
-        &self,
-        store: &mut MessageStore,
-        selector: &Selector,
-        hints: &[(String, PropertyValue)],
-        now: Time,
-    ) -> Option<Message> {
-        let mut chosen: Option<(usize, usize)> = None; // (bucket len, hint idx)
-        for (idx, (name, value)) in hints.iter().enumerate() {
-            // Absent bucket: no live message carries this value, and the
-            // constraint is conjunctive — nothing can match.
-            let len = store.hint_bucket(name, value)?.len();
-            if chosen.is_none_or(|(best, _)| len < best) {
-                chosen = Some((len, idx));
-            }
-        }
-        let (name, value) = &hints[chosen?.1];
-        let ids: Vec<MessageId> = store.hint_bucket(name, value)?.iter().copied().collect();
-        let mut survivors = VecDeque::with_capacity(ids.len());
-        let mut best: Option<(u8, u64, MessageId)> = None;
-        for id in ids {
-            let Some(entry) = store.get(id) else {
-                continue; // stale: prune
-            };
-            survivors.push_back(id);
-            if !entry.msg.is_expired(now) && selector.matches(&entry.msg) {
-                let prio = entry.msg.priority().level();
-                let better = match best {
-                    None => true,
-                    Some((bp, bs, _)) => prio > bp || (prio == bp && entry.seq < bs),
-                };
-                if better {
-                    best = Some((prio, entry.seq, id));
-                }
-            }
-        }
-        if let Some((_, _, id)) = best {
-            survivors.retain(|x| *x != id);
-        }
-        store.replace_bucket(name, value, survivors);
-        best.and_then(|(_, _, id)| self.consume_locked(store, id))
-    }
-
     /// Detaches a live message. A get is pending until its record is
     /// durable: a message the journal holds stays in the pending-get table,
     /// invisible to reads but still owed to checkpoints, until
     /// [`Queue::finalize_pending`] or a rollback's reinsert. `None` when
     /// `id` is no longer live.
     fn detach_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
-        let journaled = store.get(id)?.msg.is_persistent() && self.journal.is_durable();
+        let journaled = store.get(id)?.msg.is_persistent() && self.durable;
         let msg = if journaled {
             store.detach_pending(id)
         } else {
@@ -750,18 +668,10 @@ impl Queue {
     }
 }
 
-/// The oldest live message with the given correlation id: O(matches) off
-/// the correlation index, not O(depth).
-fn oldest_correlated(store: &MessageStore, correlation: &str, now: Time) -> Option<MessageId> {
-    let ids = store.by_correlation.get(correlation)?;
-    let live = |id: &MessageId| store.get(*id).is_some_and(|e| !e.msg.is_expired(now));
-    ids.iter().copied().find(live)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{JournalRecord, MemJournal};
+    use crate::journal::{Journal, JournalRecord, MemJournal};
     use crate::message::Priority;
     use simtime::{SimClock, SystemClock};
 
@@ -1024,79 +934,90 @@ mod tests {
 
     #[test]
     fn indexed_and_scanned_selector_gets_agree() {
-        // Two queues with identical contents: one serving selector gets
-        // from the property index, one forced onto the band scan. Every
-        // get must return the same message in the same order.
-        let clock = SimClock::new();
-        let indexed = new_queue(
-            "IDX.Q".into(),
-            clock.clone(),
-            MemJournal::new(),
-            QueueConfig::default(),
-        );
-        let scanned = new_queue(
-            "SCAN.Q".into(),
-            clock.clone(),
-            MemJournal::new(),
-            QueueConfig {
-                index_properties: false,
-                ..QueueConfig::default()
-            },
-        );
-        let mut payloads = Vec::new();
+        // A selector get that pins a correlation id is a point read of the
+        // correlation index. Each one must take what a scan reaches first:
+        // the first match of a browse, which lists in delivery order.
+        let (clock, q) = sim_queue();
         for i in 0..40u8 {
             let m = Message::text(format!("m{i}"))
-                .property("shard", i64::from(i % 5))
-                .property("kind", if i % 2 == 0 { "even" } else { "odd" })
-                .priority(Priority::new(i % 3))
-                .build();
-            payloads.push(m.clone());
+                .correlation_id(format!("c{}", i % 4))
+                .property("leaf", i64::from(i % 3))
+                .priority(Priority::new(i % 3));
+            let m = if i % 7 == 0 { m.ttl(Millis(5)) } else { m };
+            put(&q, m.build()).unwrap();
         }
-        for m in &payloads {
-            put(&indexed, m.clone()).unwrap();
-            put(&scanned, m.clone()).unwrap();
-        }
+        // Messages gone by another path leave stale band ids behind: two
+        // plain gets, and the expiries the first take below sweeps.
+        q.try_take(None).unwrap().unwrap();
+        q.try_take(None).unwrap().unwrap();
+        // A rollback requeue goes back to the front of its band.
+        let c1 = Selector::parse("correlation_id = 'c1'").unwrap();
+        let rolled_back = q.try_take(Some(&c1)).unwrap().unwrap();
+        q.requeue_front(rolled_back, true);
+        clock.advance(Millis(10));
         let selectors = [
-            "shard = 3",
-            "shard = 1 AND kind = 'even'",
-            "kind = 'odd'",
-            "shard = 2 AND priority = 2",
-            "shard = 9", // matches nothing
+            "correlation_id = 'c1'",
+            "correlation_id = 'c2' AND leaf = 1",
+            "leaf = 0 AND 'c3' = correlation_id",
+            "correlation_id = 'c0' AND priority = 2",
+            "correlation_id = 'c9'", // matches nothing
+            "correlation_id = 'c2'",
         ];
         for src in selectors {
             let sel = Selector::parse(src).unwrap();
             loop {
-                let a = indexed.try_take(Some(&sel)).unwrap();
-                let b = scanned.try_take(Some(&sel)).unwrap();
-                assert_eq!(
-                    a.as_ref().map(Message::id),
-                    b.as_ref().map(Message::id),
-                    "selector {src:?} diverged between index and scan"
-                );
-                if a.is_none() {
+                let scanned = q.browse().into_iter().find(|m| sel.matches(m));
+                let scanned = scanned.map(|m| m.id());
+                assert_eq!(q.any_selected(&sel), scanned.is_some(), "{src:?}");
+                let taken = q.try_take(Some(&sel)).unwrap().map(|m| m.id());
+                assert_eq!(taken, scanned, "selector {src:?} diverged from the scan");
+                if taken.is_none() {
                     break;
                 }
             }
         }
-        assert_eq!(indexed.depth(), scanned.depth());
     }
 
     #[test]
     fn indexed_take_respects_priority_over_bucket_order() {
         let (_c, q) = sim_queue();
         put(&q, Message::text("early-low")
+                .correlation_id("c")
                 .property("k", 1i64)
                 .priority(Priority::new(1))
                 .build())
         .unwrap();
         put(&q, Message::text("late-high")
+                .correlation_id("c")
                 .property("k", 1i64)
                 .priority(Priority::new(7))
                 .build())
         .unwrap();
-        let sel = Selector::parse("k = 1").unwrap();
+        let sel = Selector::parse("correlation_id = 'c' AND k = 1").unwrap();
         let got = q.try_take(Some(&sel)).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("late-high"));
+    }
+
+    #[test]
+    fn every_correlation_read_reaches_the_higher_priority_first() {
+        // Low-priority A, then high-priority B, one correlation id: a get
+        // by correlation, a peek and a selector get all answer B, as a
+        // band scan would.
+        let queue = || {
+            let (_c, q) = sim_queue();
+            for (text, level) in [("A", 1), ("B", 8)] {
+                let m = Message::text(text).correlation_id("x").priority(Priority::new(level));
+                put(&q, m.build()).unwrap();
+            }
+            q
+        };
+        let q = queue();
+        assert_eq!(q.peek_by_correlation("x").unwrap().payload_str(), Some("B"));
+        let got = q.try_take_by_correlation("x").unwrap().unwrap();
+        assert_eq!(got.payload_str(), Some("B"));
+        let sel = Selector::parse("correlation_id = 'x'").unwrap();
+        let got = queue().try_take(Some(&sel)).unwrap().unwrap();
+        assert_eq!(got.payload_str(), Some("B"));
     }
 
     #[test]

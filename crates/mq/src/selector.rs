@@ -95,61 +95,27 @@ impl Selector {
         &self.source
     }
 
-    /// Equality constraints every matching message must satisfy:
-    /// `(name, value)` pairs from `name = literal` comparisons reachable
-    /// through top-level `AND`s. A message lacking `value` for `name`
-    /// cannot match the selector (equality against `NULL` is *unknown*),
-    /// which is what lets a property index serve `get` as a point read —
-    /// any one constraint's index bucket is a complete candidate set.
-    ///
-    /// Pseudo-headers (`priority`, `persistent`, `redelivered`,
-    /// `redelivery_count`) are skipped: they are not message properties
-    /// and have no index. `correlation_id` *is* reported — queues index
-    /// it exactly.
-    pub(crate) fn point_constraints(&self) -> Vec<(String, PropertyValue)> {
-        let mut out = Vec::new();
-        collect_point_constraints(&self.expr, &mut out);
-        out
-    }
-}
-
-/// Walks `AND`s and `=` comparisons collecting indexable equality
-/// constraints; any other node contributes nothing (its subtree may relax
-/// the match but never widens an equality elsewhere in an `AND`).
-fn collect_point_constraints(expr: &Expr, out: &mut Vec<(String, PropertyValue)>) {
-    match expr {
-        Expr::And(l, r) => {
-            collect_point_constraints(l, out);
-            collect_point_constraints(r, out);
-        }
-        Expr::Cmp(CmpOp::Eq, l, r) => {
-            let pair = match (&**l, &**r) {
-                (Expr::Ident(name), lit) | (lit, Expr::Ident(name)) => {
-                    literal_value(lit).map(|v| (name, v))
-                }
+    /// The correlation id every matching message carries, when the
+    /// selector pins one: the string literal of a `correlation_id = '…'`
+    /// reachable through top-level `AND`s. A message without that id
+    /// cannot match (equality against `NULL` is *unknown*), so the queue's
+    /// correlation index holds every candidate.
+    pub(crate) fn pinned_correlation(&self) -> Option<&str> {
+        fn pinned(expr: &Expr) -> Option<&str> {
+            match expr {
+                Expr::And(l, r) => pinned(l).or_else(|| pinned(r)),
+                Expr::Cmp(CmpOp::Eq, l, r) => match (&**l, &**r) {
+                    (Expr::Ident(name), Expr::LitStr(id)) | (Expr::LitStr(id), Expr::Ident(name))
+                        if name == "correlation_id" =>
+                    {
+                        Some(id)
+                    }
+                    _ => None,
+                },
                 _ => None,
-            };
-            if let Some((name, value)) = pair {
-                let pseudo = matches!(
-                    name.as_str(),
-                    "priority" | "persistent" | "redelivered" | "redelivery_count"
-                );
-                if !pseudo {
-                    out.push((name.clone(), value));
-                }
             }
         }
-        _ => {}
-    }
-}
-
-fn literal_value(expr: &Expr) -> Option<PropertyValue> {
-    match expr {
-        Expr::LitI64(v) => Some(PropertyValue::I64(*v)),
-        Expr::LitF64(v) => Some(PropertyValue::F64(*v)),
-        Expr::LitStr(s) => Some(PropertyValue::Str(s.clone())),
-        Expr::LitBool(b) => Some(PropertyValue::Bool(*b)),
-        _ => None,
+        pinned(&self.expr)
     }
 }
 
@@ -1053,6 +1019,21 @@ mod tests {
         let plain = Message::text("x").build();
         let sel = Selector::parse("correlation_id IS NULL").unwrap();
         assert!(sel.matches(&plain));
+    }
+
+    #[test]
+    fn only_an_anded_correlation_equality_pins_a_correlation_id() {
+        let pinned = |src: &str| {
+            let sel = Selector::parse(src).unwrap();
+            sel.pinned_correlation().map(str::to_owned)
+        };
+        assert_eq!(pinned("correlation_id = 'c'").as_deref(), Some("c"));
+        assert_eq!(pinned("leaf = 2 AND ('c' = correlation_id AND k = 1)").as_deref(), Some("c"));
+        assert_eq!(pinned("correlation_id = 'c' OR leaf = 2"), None);
+        assert_eq!(pinned("NOT correlation_id = 'c'"), None);
+        assert_eq!(pinned("correlation_id <> 'c'"), None);
+        assert_eq!(pinned("correlation_id = 7"), None);
+        assert_eq!(pinned("kind = 'c'"), None);
     }
 
     #[test]

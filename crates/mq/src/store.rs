@@ -1,8 +1,8 @@
 //! The in-memory message store behind a [`crate::Queue`]: an id-keyed map
-//! of live messages plus every secondary structure that makes queue reads
-//! cheap — priority bands for delivery order, a correlation-id exact-match
-//! index, per-property value-band indexes for selector point reads, an
-//! expiry heap for TTL sweeps, and the pending-get table that keeps
+//! of live messages plus the structures that make queue reads cheap —
+//! priority bands for delivery order, one secondary index (correlation id
+//! → message ids, the key the conditional layer reads every message by),
+//! an expiry heap for TTL sweeps, and the pending-get table that keeps
 //! transactionally-consumed messages visible to checkpoints.
 //!
 //! The store is the *cache* side of the storage inversion: the journal is
@@ -13,15 +13,15 @@
 //!
 //! * `entries` is authoritative for liveness — `entries.len()` is the
 //!   queue depth.
-//! * Band, correlation and property-index deques may hold **stale ids**
-//!   (messages removed through another path); readers skip and prune them
-//!   lazily, so removal stays O(properties). A removal pops the stale ids
-//!   at the front of each of its message's property buckets and drops a
-//!   bucket it empties.
+//! * Band deques and the expiry heap may hold **stale ids** (messages
+//!   removed through another path); readers skip and prune them lazily.
+//!   A correlation bucket holds exactly the live messages with that id:
+//!   a removal takes its id out, and the bucket goes once empty, so the
+//!   index is bounded by the live messages that carry a correlation id.
 //! * Every live message has a **sequence number**: back-inserts count up
 //!   from the midpoint, front-inserts (rollback requeues) count down, so
 //!   "lowest seq wins within a priority band" reproduces exact FIFO
-//!   delivery order — the property that lets an index bucket pick the
+//!   delivery order — the property that lets a correlation read pick the
 //!   same message a full band scan would.
 //! * `pending` holds messages provisionally consumed by open transactions
 //!   (journal-covered-later gets). They are invisible to reads but are
@@ -36,56 +36,15 @@ use std::sync::Arc;
 
 use simtime::Time;
 
-use crate::message::{Message, MessageId, PropertyValue};
+use crate::message::{Message, MessageId};
 
 /// Number of priority bands (JMS priorities 0–9).
 pub(crate) const PRIORITY_BANDS: usize = 10;
-
-/// Seed of the FNV-1a hash used for property value bands.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One live message plus its delivery-order sequence number.
 pub(crate) struct Entry {
     pub(crate) msg: Arc<Message>,
     pub(crate) seq: u64,
-}
-
-/// Key of one secondary-index bucket: property name + canonical value band.
-type PropKey = (String, u64);
-
-/// Canonical value band of a property value, consistent with selector
-/// equality: two values that can compare `=` true always land in the same
-/// band (bands may collide further — candidates are always re-verified
-/// against the full selector).
-///
-/// Numerics are banded by their `f64` bit pattern (with `-0.0` folded
-/// into `0.0`) because the selector compares `I64` against `F64` through
-/// `f64`; strings and booleans are tagged so `'1'`, `1` and `TRUE` never
-/// share a band.
-pub(crate) fn value_band(v: &PropertyValue) -> u64 {
-    match v {
-        PropertyValue::Str(s) => fnv(b's', s.as_bytes()),
-        PropertyValue::Bool(b) => fnv(b'b', &[u8::from(*b)]),
-        PropertyValue::I64(i) => numeric_band(*i as f64),
-        PropertyValue::F64(f) => numeric_band(*f),
-    }
-}
-
-fn numeric_band(f: f64) -> u64 {
-    let f = if f == 0.0 { 0.0 } else { f };
-    fnv(b'n', &f.to_bits().to_le_bytes())
-}
-
-fn fnv(tag: u8, bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash ^= u64::from(tag);
-    hash = hash.wrapping_mul(FNV_PRIME);
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The priority band a message is queued in.
@@ -99,22 +58,17 @@ pub(crate) fn unshare(msg: Arc<Message>) -> Message {
     Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// The id-keyed message map with all secondary indexes. Owned by a queue
-/// behind its mutex; every method here assumes that exclusion.
+/// The id-keyed message map with its secondary structures. Owned by a
+/// queue behind its mutex; every method here assumes that exclusion.
 pub(crate) struct MessageStore {
     /// One FIFO band of message ids per priority level; may contain stale
     /// ids (messages already removed), skipped lazily.
     pub(crate) bands: [VecDeque<MessageId>; PRIORITY_BANDS],
     /// The live messages. `entries.len()` is the queue depth.
     pub(crate) entries: HashMap<MessageId, Entry>,
-    /// Correlation id → enqueued message ids (FIFO; may contain stale ids).
-    pub(crate) by_correlation: HashMap<String, VecDeque<MessageId>>,
-    /// (property name, value band) → enqueued message ids (FIFO; may
-    /// contain stale ids). Complete over live messages when
-    /// `index_properties` is on: every property of every inserted message
-    /// is indexed, so an absent bucket proves no live message matches an
-    /// equality constraint on that (name, value).
-    by_property: HashMap<PropKey, VecDeque<MessageId>>,
+    /// Correlation id → the live messages carrying it, in no particular
+    /// order: [`MessageStore::first_correlated`] ranks them.
+    by_correlation: HashMap<String, Vec<MessageId>>,
     /// Min-heap of (expiry millis, id): the TTL sweep pops ripe entries
     /// instead of scanning the queue. May hold stale ids.
     expiry_heap: BinaryHeap<std::cmp::Reverse<(u64, u128)>>,
@@ -122,8 +76,6 @@ pub(crate) struct MessageStore {
     /// to checkpoint snapshots (see module docs), with the sequence number
     /// they had on the queue.
     pending: HashMap<MessageId, Entry>,
-    /// Whether `by_property` is maintained (per-queue config).
-    index_properties: bool,
     /// Next sequence number for back-inserts (counts up).
     next_back_seq: u64,
     /// Next sequence number for front-inserts (counts down).
@@ -139,7 +91,6 @@ impl std::fmt::Debug for MessageStore {
         f.debug_struct("MessageStore")
             .field("depth", &self.entries.len())
             .field("pending", &self.pending.len())
-            .field("indexed", &self.index_properties)
             .finish()
     }
 }
@@ -147,15 +98,13 @@ impl std::fmt::Debug for MessageStore {
 const SEQ_MIDPOINT: u64 = u64::MAX / 2;
 
 impl MessageStore {
-    pub(crate) fn new(index_properties: bool) -> MessageStore {
+    pub(crate) fn new() -> MessageStore {
         MessageStore {
             bands: Default::default(),
             entries: HashMap::new(),
             by_correlation: HashMap::new(),
-            by_property: HashMap::new(),
             expiry_heap: BinaryHeap::new(),
             pending: HashMap::new(),
-            index_properties,
             next_back_seq: SEQ_MIDPOINT,
             next_front_seq: SEQ_MIDPOINT - 1,
             version: 0,
@@ -186,7 +135,7 @@ impl MessageStore {
     }
 
     /// Inserts a message at the back (normal put) or front (rollback
-    /// requeue) of its priority band, indexing every property.
+    /// requeue) of its priority band, indexing its correlation id.
     // lint: custody(msg)
     pub(crate) fn insert(&mut self, msg: Message, front: bool) {
         let id = msg.id();
@@ -205,32 +154,16 @@ impl MessageStore {
         let band = band_of(&msg);
         if front {
             // A front insert is a rollback requeue: the message's earlier
-            // life on this queue may have left stale band and correlation
-            // entries behind. Scrub them first so a *live* id never appears
-            // twice there (stale ids of dead messages are fine — they
-            // prune lazily).
+            // life on this queue may have left a stale band entry behind.
+            // Scrub it first so a *live* id never appears twice there
+            // (stale ids of dead messages are fine — they prune lazily).
             self.bands[band].retain(|x| *x != id);
             self.bands[band].push_front(id);
         } else {
             self.bands[band].push_back(id);
         }
         if let Some(corr) = msg.correlation_id() {
-            let ids = self.by_correlation.entry(corr.to_owned()).or_default();
-            if front {
-                ids.retain(|x| *x != id);
-                ids.push_front(id);
-            } else {
-                ids.push_back(id);
-            }
-        }
-        if self.index_properties {
-            // Property buckets are candidate sets that the reads using them
-            // re-verify and prune, so a requeued id may sit in one twice.
-            // Scrubbing it would scan the whole bucket on every requeue.
-            for (name, value) in msg.properties() {
-                let key = (name.to_owned(), value_band(value));
-                self.by_property.entry(key).or_default().push_back(id);
-            }
+            self.by_correlation.entry(corr.to_owned()).or_default().push(id);
         }
         if let Some(expiry) = msg.expiry() {
             self.expiry_heap
@@ -243,12 +176,9 @@ impl MessageStore {
         self.version = self.version.wrapping_add(1);
     }
 
-    /// Removes a message from the live map and its correlation index.
-    /// Each of its property buckets drops the ids at its front that are no
-    /// longer live — the message's own, when it was the oldest there, as a
-    /// FIFO get leaves it — and goes once empty, so a queue read only by
-    /// plain gets keeps no bucket per value it ever held. Ids behind a live
-    /// one, band and heap entries go stale, pruned lazily.
+    /// Removes a message from the live map and its correlation bucket,
+    /// dropping the bucket once empty. Band and heap entries go stale,
+    /// pruned lazily.
     pub(crate) fn detach_arc(&mut self, id: MessageId) -> Option<Arc<Message>> {
         self.detach_entry(id).map(|entry| entry.msg)
     }
@@ -260,23 +190,6 @@ impl MessageStore {
                 ids.retain(|x| *x != id);
                 if ids.is_empty() {
                     self.by_correlation.remove(corr);
-                }
-            }
-        }
-        if self.index_properties {
-            for (name, value) in entry.msg.properties() {
-                let key = (name.to_owned(), value_band(value));
-                let Some(ids) = self.by_property.get_mut(&key) else {
-                    continue;
-                };
-                while ids
-                    .front()
-                    .is_some_and(|front| !self.entries.contains_key(front))
-                {
-                    ids.pop_front();
-                }
-                if ids.is_empty() {
-                    self.by_property.remove(&key);
                 }
             }
         }
@@ -310,44 +223,25 @@ impl MessageStore {
         self.pending.len()
     }
 
-    /// The ids currently indexed under one equality constraint, or `None`
-    /// when no live message carries that (name, value band). Correlation
-    /// ids use the exact-match correlation index; other names use the
-    /// value-band index. Buckets may contain stale ids and over-approximate
-    /// (band collisions), never under-approximate.
-    pub(crate) fn hint_bucket(&self, name: &str, value: &PropertyValue) -> Option<&VecDeque<MessageId>> {
-        if name == "correlation_id" {
-            // Correlation ids are strings; an equality against any other
-            // type can never hold, which the caller maps to "no match".
-            return value.as_str().and_then(|s| self.by_correlation.get(s));
-        }
-        self.by_property.get(&(name.to_owned(), value_band(value)))
-    }
-
-    /// Replaces one index bucket with its pruned survivors (empty deque
-    /// removes the bucket). `correlation_id` routes to the correlation
-    /// index like [`MessageStore::hint_bucket`].
-    pub(crate) fn replace_bucket(
-        &mut self,
-        name: &str,
-        value: &PropertyValue,
-        ids: VecDeque<MessageId>,
-    ) {
-        if name == "correlation_id" {
-            let Some(key) = value.as_str() else { return };
-            if ids.is_empty() {
-                self.by_correlation.remove(key);
-            } else {
-                self.by_correlation.insert(key.to_owned(), ids);
-            }
-            return;
-        }
-        let key = (name.to_owned(), value_band(value));
-        if ids.is_empty() {
-            self.by_property.remove(&key);
-        } else {
-            self.by_property.insert(key, ids);
-        }
+    /// The message with correlation id `correlation` that a band scan
+    /// would reach first among those `accept` takes — highest priority,
+    /// then lowest sequence number — skipping any expired at `now`.
+    /// O(messages carrying that id), not O(depth): the one correlation
+    /// read behind correlation gets and peeks, and behind selector reads
+    /// that pin a correlation id.
+    pub(crate) fn first_correlated(
+        &self,
+        correlation: &str,
+        now: Time,
+        accept: impl Fn(&Message) -> bool,
+    ) -> Option<MessageId> {
+        self.by_correlation
+            .get(correlation)?
+            .iter()
+            .filter_map(|id| self.entries.get_key_value(id))
+            .filter(|(_, e)| !e.msg.is_expired(now) && accept(&e.msg))
+            .min_by_key(|(_, e)| (std::cmp::Reverse(band_of(&e.msg)), e.seq))
+            .map(|(id, _)| *id)
     }
 
     /// Whether the expiry heap holds an entry (possibly stale) due at `now`:
@@ -407,7 +301,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_insert_and_detach() {
-        let mut s = MessageStore::new(true);
+        let mut s = MessageStore::new();
         let m = msg("a");
         let id = m.id();
         s.insert(m, false);
@@ -419,7 +313,7 @@ mod tests {
 
     #[test]
     fn version_bumps_on_insert() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let v0 = s.version();
         s.insert(msg("a"), false);
         assert_ne!(s.version(), v0);
@@ -427,7 +321,7 @@ mod tests {
 
     #[test]
     fn seq_orders_front_before_back() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let back = msg("back");
         let front = msg("front");
         let (bid, fid) = (back.id(), front.id());
@@ -439,95 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn property_bucket_over_approximates_and_prunes() {
-        let mut s = MessageStore::new(true);
-        let m1 = Message::text("m1").property("k", 7i64).build();
-        let m2 = Message::text("m2").property("k", 7.0f64).build();
-        let (id1, id2) = (m1.id(), m2.id());
-        s.insert(m1, false);
-        s.insert(m2, false);
-        // 7 and 7.0 compare equal in selectors, so they share a band.
-        let bucket = s.hint_bucket("k", &PropertyValue::I64(7)).cloned();
-        assert_eq!(bucket, Some(VecDeque::from(vec![id1, id2])));
-        assert!(s.hint_bucket("k", &PropertyValue::I64(8)).is_none());
-        s.detach(id2);
-        // A stale id behind a live one survives until a reader prunes the
-        // bucket.
-        let pruned: VecDeque<MessageId> = s
-            .hint_bucket("k", &PropertyValue::F64(7.0))
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|id| s.get(*id).is_some())
-            .collect();
-        s.replace_bucket("k", &PropertyValue::F64(7.0), pruned);
-        let bucket = s.hint_bucket("k", &PropertyValue::I64(7)).cloned();
-        assert_eq!(bucket, Some(VecDeque::from(vec![id1])));
-    }
-
-    #[test]
-    fn plain_gets_leave_no_property_buckets_behind() {
-        let mut s = MessageStore::new(true);
-        let ids: Vec<MessageId> = (0..10_000i64)
+    fn plain_gets_leave_no_correlation_buckets_behind() {
+        let mut s = MessageStore::new();
+        let ids: Vec<MessageId> = (0..10_000)
             .map(|i| {
-                let m = Message::text("m")
-                    .property("seq", i)
-                    .property("kind", "k")
-                    .build();
+                let m = Message::text("m").correlation_id(format!("c-{i}")).build();
                 let id = m.id();
                 s.insert(m, false);
                 id
             })
             .collect();
-        assert_eq!(s.by_property.len(), 10_001);
+        assert_eq!(s.by_correlation.len(), 10_000);
         for id in ids {
             assert!(s.detach(id).is_some());
         }
-        assert!(s.by_property.is_empty());
-    }
-
-    #[test]
-    fn a_bucket_keeps_the_live_ids_behind_a_stale_one() {
-        let mut s = MessageStore::new(true);
-        let ms: Vec<Message> = (0..3)
-            .map(|_| Message::text("m").property("k", 1i64).build())
-            .collect();
-        let ids: Vec<MessageId> = ms.iter().map(Message::id).collect();
-        for m in ms {
-            s.insert(m, false);
-        }
-        // Out of order: the middle id stays, stale, behind a live front.
-        s.detach(ids[1]);
-        let bucket = |s: &MessageStore| s.hint_bucket("k", &PropertyValue::I64(1)).cloned();
-        assert_eq!(bucket(&s), Some(VecDeque::from(ids.clone())));
-        // The front goes, and the stale id behind it with it.
-        s.detach(ids[0]);
-        assert_eq!(bucket(&s), Some(VecDeque::from(vec![ids[2]])));
-        s.detach(ids[2]);
-        assert_eq!(bucket(&s), None);
-    }
-
-    #[test]
-    fn zero_bands_fold_signed_zero() {
-        assert_eq!(
-            value_band(&PropertyValue::F64(-0.0)),
-            value_band(&PropertyValue::I64(0))
-        );
-        // Same number, different types: one band.
-        assert_eq!(
-            value_band(&PropertyValue::I64(5)),
-            value_band(&PropertyValue::F64(5.0))
-        );
-        // Same bytes, different types: distinct bands.
-        assert_ne!(
-            value_band(&PropertyValue::Str("true".into())),
-            value_band(&PropertyValue::Bool(true))
-        );
+        assert!(s.by_correlation.is_empty());
     }
 
     #[test]
     fn pending_messages_hidden_but_snapshotted() {
-        let mut s = MessageStore::new(true);
+        let mut s = MessageStore::new();
         let live = Message::text("live").persistent(true).build();
         let taken = Message::text("taken").persistent(true).build();
         let volatile = msg("volatile");
@@ -547,7 +372,7 @@ mod tests {
 
     #[test]
     fn a_snapshot_puts_pending_gets_back_where_they_were_taken() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let high = Message::text("high")
             .priority(Priority::new(8))
             .persistent(true)
@@ -575,7 +400,7 @@ mod tests {
 
     #[test]
     fn reinsert_clears_pending_copy() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let m = Message::text("m").persistent(true).build();
         let id = m.id();
         s.insert(m, false);
@@ -587,7 +412,7 @@ mod tests {
 
     #[test]
     fn ripe_expired_pops_in_order_and_skips_stale() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let early = Message::text("early").ttl(simtime::Millis(5)).build();
         let late = Message::text("late").ttl(simtime::Millis(50)).build();
         let (early_id, late_id) = (early.id(), late.id());
@@ -606,7 +431,7 @@ mod tests {
 
     #[test]
     fn snapshot_preserves_delivery_order() {
-        let mut s = MessageStore::new(false);
+        let mut s = MessageStore::new();
         let low = Message::text("low")
             .priority(Priority::new(1))
             .persistent(true)
