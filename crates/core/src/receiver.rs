@@ -13,15 +13,18 @@
 //!   back transaction redelivers the message and sends nothing. A receiver
 //!   therefore produces **exactly one acknowledgment per consumed
 //!   message**, never one for receipt *and* one for processing.
-//! * Every consumption is logged to the persistent receiver log
-//!   (`DS.RLOG.Q`).
-//! * Compensation handling: if a compensation message and its original are
-//!   both on the queue, they *annihilate* (neither is delivered); a
-//!   compensation is delivered to the application only when the receiver
-//!   log shows the original was consumed (paper §2.6, Fig. 8). There is one
-//!   rule, applied where a read meets either half of a pair: it takes the
-//!   other half with an indexed get in the read's own transaction, so both
-//!   gets and the `annihilated` log entry are one journal record or nothing.
+//! * Every consumption of an original is logged to the persistent receiver
+//!   log (`DS.RLOG.Q`): an entry — the conditional id as correlation id,
+//!   and `ds.leaf` — means "original (id, leaf) was consumed here", and
+//!   nothing else is logged.
+//! * Compensation handling (paper §2.6, Fig. 8): if a compensation message
+//!   and its original are both on the queue, they *annihilate* (neither is
+//!   delivered); a compensation is delivered to the application only when
+//!   the receiver log shows the original was consumed, and the read that
+//!   delivers it takes that entry, so a second copy is deferred. Both are
+//!   indexed gets in the read's own transaction: an annihilation is its two
+//!   gets and a delivered compensation its get and the entry's, one journal
+//!   record or nothing.
 
 use std::fmt;
 use std::sync::Arc;
@@ -278,18 +281,15 @@ impl ConditionalReceiver {
                 MessageKind::Compensation => {
                     let cond_id = wire::cond_id_of(&msg)?;
                     let leaf = wire::leaf_of(&msg)?;
-                    if self.rlog_shows_consumed(cond_id, leaf)? {
-                        // Original was consumed: deliver the compensation
-                        // (exactly once — log the delivery).
-                        self.session.put(
-                            DEFAULT_RLOG_QUEUE,
-                            rlog_entry(
-                                cond_id,
-                                leaf,
-                                wire::rlog_entry::COMP_DELIVERED,
-                                self.qmgr.clock().now(),
-                            ),
-                        )?;
+                    let consumed = self.session.get_selected(
+                        DEFAULT_RLOG_QUEUE,
+                        &leaf_selector(None, cond_id, leaf)?,
+                        Wait::NoWait,
+                    )?;
+                    if consumed.is_some() {
+                        // Original was consumed here: deliver the
+                        // compensation, taking the entry that says so —
+                        // exactly once.
                         return Ok(Some(ReceivedMessage::classify(msg)));
                     }
                     if self.annihilates(queue, wire::kind::ORIGINAL, cond_id, leaf)? {
@@ -322,8 +322,8 @@ impl ConditionalReceiver {
     /// Annihilation at encounter (paper §2.6: "both messages cancel each
     /// other out and will be deleted from the queue"): the read holds one
     /// half of the pair `(cond_id, leaf)` as a get of its transaction, and
-    /// takes the `other` half off `queue` in it too if it is there, with the
-    /// log entry — one record or nothing. Whether it was.
+    /// takes the `other` half off `queue` in it too if it is there — one
+    /// record or nothing. Whether it was.
     fn annihilates(
         &mut self,
         queue: &str,
@@ -331,20 +331,11 @@ impl ConditionalReceiver {
         cond_id: CondMessageId,
         leaf: u32,
     ) -> CondResult<bool> {
-        let other = pair_selector(other, cond_id, leaf)?;
+        let other = leaf_selector(Some(other), cond_id, leaf)?;
         let taken = self.session.get_selected(queue, &other, Wait::NoWait)?;
         if taken.is_none() {
             return Ok(false);
         }
-        self.session.put(
-            DEFAULT_RLOG_QUEUE,
-            rlog_entry(
-                cond_id,
-                leaf,
-                wire::rlog_entry::ANNIHILATED,
-                self.qmgr.clock().now(),
-            ),
-        )?;
         self.annihilated.push((cond_id, leaf, queue.to_owned()));
         Ok(true)
     }
@@ -359,22 +350,6 @@ impl ConditionalReceiver {
             Some(leaf),
             queue,
         );
-    }
-
-    fn rlog_shows_consumed(&self, cond_id: CondMessageId, leaf: u32) -> CondResult<bool> {
-        let selector = Selector::parse(&format!(
-            "correlation_id = '{}' AND {} = {} AND {} = '{}'",
-            cond_id.to_hex(),
-            wire::P_LEAF,
-            leaf,
-            wire::P_RLOG_ENTRY,
-            wire::rlog_entry::CONSUMED,
-        ))
-        .map_err(MqError::from)?;
-        let rlog = self.qmgr.queue(DEFAULT_RLOG_QUEUE)?;
-        // Point read off the correlation index: the rlog grows with every
-        // delivery, and this probe runs once per duplicate redelivery.
-        Ok(rlog.any_selected(&selector))
     }
 
     // ---------------------------------------------------- transactions --
@@ -419,10 +394,8 @@ impl ConditionalReceiver {
     fn commit_acked(&mut self, kind: AckKind) -> CondResult<()> {
         let commit_time = self.qmgr.clock().now();
         for pa in &self.pending_acks {
-            self.session.put(
-                DEFAULT_RLOG_QUEUE,
-                rlog_entry(pa.cond_id, pa.leaf, wire::rlog_entry::CONSUMED, pa.read_at),
-            )?;
+            self.session
+                .put(DEFAULT_RLOG_QUEUE, rlog_entry(pa.cond_id, pa.leaf))?;
             let ack = Acknowledgment {
                 cond_id: pa.cond_id,
                 leaf: pa.leaf,
@@ -462,24 +435,24 @@ impl ConditionalReceiver {
     }
 }
 
-fn pair_selector(kind: &str, cond_id: CondMessageId, leaf: u32) -> CondResult<Selector> {
-    Selector::parse(&format!(
-        "{} = '{}' AND correlation_id = '{}' AND {} = {}",
-        wire::P_KIND,
-        kind,
+/// Selects the message of `(cond_id, leaf)` — of `kind`, if given — off the
+/// correlation index.
+fn leaf_selector(kind: Option<&str>, cond_id: CondMessageId, leaf: u32) -> CondResult<Selector> {
+    let mut text = format!(
+        "correlation_id = '{}' AND {} = {leaf}",
         cond_id.to_hex(),
-        wire::P_LEAF,
-        leaf
-    ))
-    .map_err(|e| CondError::Mq(e.into()))
+        wire::P_LEAF
+    );
+    if let Some(kind) = kind {
+        text = format!("{} = '{kind}' AND {text}", wire::P_KIND);
+    }
+    Selector::parse(&text).map_err(|e| CondError::Mq(e.into()))
 }
 
-fn rlog_entry(cond_id: CondMessageId, leaf: u32, entry: &str, at: Time) -> Message {
+/// The receiver-log entry "original (`cond_id`, `leaf`) was consumed here".
+fn rlog_entry(cond_id: CondMessageId, leaf: u32) -> Message {
     Message::builder(bytes::Bytes::new())
-        .property(wire::P_KIND, wire::kind::RLOG)
         .property(wire::P_LEAF, i64::from(leaf))
-        .property(wire::P_RLOG_ENTRY, entry)
-        .property(wire::P_RLOG_TS, at.as_millis() as i64)
         .correlation_id(cond_id.to_hex())
         .persistent(true)
         .build()
@@ -570,10 +543,12 @@ mod tests {
         assert_eq!(ack.kind, AckKind::Read);
         assert_eq!(ack.read_at, Time(10));
         assert_eq!(ack.recipient.as_deref(), Some("alice"));
-        // RLOG records the consumption.
+        // The receiver log records the consumption: (id, leaf) and no more.
         let rlog = qmgr.queue("DS.RLOG.Q").unwrap().browse();
         assert_eq!(rlog.len(), 1);
-        assert_eq!(rlog[0].str_property(wire::P_RLOG_ENTRY), Some("consumed"));
+        assert_eq!(wire::cond_id_of(&rlog[0]).unwrap(), id);
+        assert_eq!(wire::leaf_of(&rlog[0]).unwrap(), 0);
+        assert_eq!(rlog[0].properties().count(), 1, "ds.leaf only");
     }
 
     #[test]
@@ -657,11 +632,9 @@ mod tests {
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap();
         assert!(got.is_none(), "both messages annihilated: {got:?}");
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0);
-        // The annihilation is logged.
-        let rlog = qmgr.queue("DS.RLOG.Q").unwrap().browse();
-        assert!(rlog
-            .iter()
-            .any(|m| m.str_property(wire::P_RLOG_ENTRY) == Some("annihilated")));
+        // The annihilation logs nothing: both halves left the queue.
+        assert_eq!(qmgr.queue("DS.RLOG.Q").unwrap().depth(), 0);
+        assert_eq!(counter(&qmgr, "cond.recv.annihilated"), 1);
         // No acknowledgment was produced.
         assert_eq!(counter(&qmgr, "cond.recv.read_acks"), 0);
     }
@@ -669,9 +642,9 @@ mod tests {
     #[test]
     fn annihilation_met_by_the_read_is_one_record_in_the_reads_transaction() {
         // The original sits behind its compensation and the read meets the
-        // pair. Both gets and the log entry are the read's own transaction: no
-        // journal failure or crash can remove the original without its
-        // `annihilated` entry, leaving a compensation nobody can resolve.
+        // pair. Both gets are the read's own transaction: no journal failure
+        // or crash can remove the original alone, leaving a compensation
+        // nobody can resolve. The receiver log is not written.
         let journal = mq::journal::MemJournal::new();
         let qmgr = QueueManager::builder("QM1")
             .clock(SimClock::new())
@@ -704,13 +677,9 @@ mod tests {
         assert!(matches!(
             mq::journal::Journal::replay_collect(&*journal).unwrap().last(),
             Some(mq::journal::JournalRecord::TxCommit { puts, gets })
-                if gets.len() == 2 && puts.len() == 1
+                if gets.len() == 2 && puts.is_empty()
         ));
-        assert_eq!((q.depth(), rlog.depth()), (0, 1));
-        assert_eq!(
-            rlog.browse()[0].str_property(wire::P_RLOG_ENTRY),
-            Some("annihilated")
-        );
+        assert_eq!((q.depth(), rlog.depth()), (0, 0));
         assert_eq!(counter(&qmgr, "cond.recv.annihilated"), 1);
     }
 
@@ -726,22 +695,46 @@ mod tests {
         // never be acknowledged → the message will fail.
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert_eq!(got.kind(), MessageKind::Original);
+        let rlog = qmgr.queue("DS.RLOG.Q").unwrap();
+        assert_eq!(rlog.depth(), 1, "consumption logged");
         clock.advance(Millis(60));
-        // The compensation arrives and is deliverable because the RLOG
-        // shows consumption.
+        // The compensation arrives and is deliverable because the receiver
+        // log shows consumption.
         let comp = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
         assert_eq!(comp.kind(), MessageKind::Compensation);
         assert_eq!(comp.payload_str(), Some("undo"));
         assert!(!comp.is_system_compensation());
-        // Delivered exactly once.
+        // Delivered exactly once, and the read that delivered it took the
+        // entry: no receiver log is left behind (Fig. 8, case B).
         assert!(receiver
             .read_message("Q.A", Wait::NoWait)
             .unwrap()
             .is_none());
-        let rlog = qmgr.queue("DS.RLOG.Q").unwrap().browse();
-        assert!(rlog
-            .iter()
-            .any(|m| m.str_property(wire::P_RLOG_ENTRY) == Some("comp-delivered")));
+        assert_eq!(rlog.depth(), 0);
+        assert_eq!(counter(&qmgr, "cond.recv.comp_delivered"), 1);
+    }
+
+    #[test]
+    fn a_second_copy_of_a_delivered_compensation_is_deferred() {
+        let (_clock, qmgr, id) = receiver_only(&one_dest(Millis(100)));
+        let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        let dest = QueueAddress::new("QM1", "Q.A");
+        let data = bytes::Bytes::from("undo");
+        let comp = wire::make_compensation(id, 0, &dest, Some(&data));
+        let copy = wire::make_compensation(id, 0, &dest, Some(&data));
+        assert_ne!(comp.id(), copy.id(), "a new message id");
+        qmgr.put("Q.A", comp).unwrap();
+        let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        assert_eq!(got.kind(), MessageKind::Compensation);
+        qmgr.put("Q.A", copy).unwrap();
+        assert!(receiver
+            .read_message("Q.A", Wait::NoWait)
+            .unwrap()
+            .is_none());
+        assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "the copy is parked");
+        assert_eq!(counter(&qmgr, "cond.recv.comp_delivered"), 1);
+        assert_eq!(counter(&qmgr, "cond.recv.comp_deferred"), 1);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! correlation id (hex, which the message image carries as 16 bytes):
 //! originals, acknowledgments, outcome notifications, compensations,
 //! success notifications and both logs' entries all set it, and the queues
-//! index it exactly. Everything else is a `ds.*` property. Each name, each
-//! fixed value (kinds, ack types, outcomes, receiver-log entry types) and
-//! each default queue name is registered in `mq::obs::WIRE_STRING_REGISTRY`,
-//! so the message image and the journal carry it as a one-byte code.
+//! index it exactly. Everything else is a `ds.*` property, and only what a
+//! reader reads: [`P_KIND`] is on the three kinds a read tells apart
+//! ([`kind_of`]), not on acknowledgments, outcome notifications or log
+//! entries, whose queue says what they are. Each name, each fixed value
+//! (kinds, ack types, outcomes) and each default queue name is registered
+//! in `mq::obs::WIRE_STRING_REGISTRY`, so the message image and the journal
+//! carry it as a one-byte code.
 //!
 //! A verdict has one encoding, [`OutcomeNotification`]: the deciding
 //! transaction puts its image on `DS.OUTCOME.Q` for the application and on
@@ -36,7 +39,8 @@ use crate::ids::CondMessageId;
 
 // ------------------------------------------------------------ properties --
 
-/// Message kind discriminator property.
+/// Message kind discriminator property, on originals, compensations and
+/// success notifications.
 // lint: registry-sink wire-string
 pub const P_KIND: &str = "ds.kind";
 /// Destination leaf index property.
@@ -78,36 +82,18 @@ pub const P_COMP_SYSTEM: &str = "ds.comp.system";
 /// Destination address (`manager/queue`) a parked compensation targets.
 // lint: registry-sink wire-string
 pub const P_COMP_DEST: &str = "ds.comp.dest";
-/// Receiver-log entry type: `consumed`, `comp-delivered`, `annihilated`.
-// lint: registry-sink wire-string
-pub const P_RLOG_ENTRY: &str = "ds.rlog.entry";
-/// Timestamp property on receiver-log entries.
-// lint: registry-sink wire-string
-pub const P_RLOG_TS: &str = "ds.rlog.ts";
 
 /// Values of [`P_KIND`].
 pub mod kind {
     /// A generated standard message carrying the application payload.
     // lint: registry-sink wire-string
     pub const ORIGINAL: &str = "original";
-    /// An internal acknowledgment (paper §2.4).
-    // lint: registry-sink wire-string
-    pub const ACK: &str = "ack";
     /// A compensation message (paper §2.6).
     // lint: registry-sink wire-string
     pub const COMPENSATION: &str = "comp";
     /// A success notification (paper §2.6).
     // lint: registry-sink wire-string
     pub const SUCCESS: &str = "success";
-    /// An outcome notification on `DS.OUTCOME.Q`.
-    // lint: registry-sink wire-string
-    pub const OUTCOME: &str = "outcome";
-    /// A sender-log entry on `DS.SLOG.Q`.
-    // lint: registry-sink wire-string
-    pub const SLOG: &str = "slog";
-    /// A receiver-log entry on `DS.RLOG.Q`.
-    // lint: registry-sink wire-string
-    pub const RLOG: &str = "rlog";
 }
 
 /// Values of [`P_ACK_TYPE`].
@@ -128,19 +114,6 @@ pub mod outcome {
     /// A condition was violated or the evaluation timed out.
     // lint: registry-sink wire-string
     pub const FAILURE: &str = "failure";
-}
-
-/// Values of [`P_RLOG_ENTRY`].
-pub mod rlog_entry {
-    /// An original was consumed.
-    // lint: registry-sink wire-string
-    pub const CONSUMED: &str = "consumed";
-    /// A compensation was delivered after its original was consumed.
-    // lint: registry-sink wire-string
-    pub const COMP_DELIVERED: &str = "comp-delivered";
-    /// An original and its compensation met and cancelled each other out.
-    // lint: registry-sink wire-string
-    pub const ANNIHILATED: &str = "annihilated";
 }
 
 /// Classification of a message read through the conditional-messaging API.
@@ -262,7 +235,6 @@ impl Acknowledgment {
     /// Encodes the acknowledgment as a persistent standard message.
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
-            .property(P_KIND, kind::ACK)
             .property(P_LEAF, i64::from(self.leaf))
             .property(P_ACK_TYPE, self.kind.as_str())
             .property(P_ACK_READ_TS, self.read_at.as_millis() as i64)
@@ -356,7 +328,6 @@ impl OutcomeNotification {
     /// Encodes the notification as a persistent message.
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
-            .property(P_KIND, kind::OUTCOME)
             .property(P_OUTCOME, self.outcome.as_str())
             .property(P_OUTCOME_TS, self.decided_at.as_millis() as i64)
             .persistent(true)
@@ -497,11 +468,11 @@ impl SlogEntry {
         }
     }
 
-    /// Encodes the entry as a persistent sender-log message. The
-    /// conditional id is its correlation id, so the payload leaves it out.
+    /// Encodes the entry as a persistent sender-log message without
+    /// properties. The conditional id is its correlation id, so the payload
+    /// leaves it out.
     pub fn to_message(&self) -> Message {
         Message::builder(self.payload())
-            .property(P_KIND, kind::SLOG)
             .correlation_id(self.cond_id().to_hex())
             .persistent(true)
             .build()
@@ -752,8 +723,7 @@ mod tests {
         ];
         for entry in entries {
             let msg = entry.to_message();
-            assert_eq!(msg.str_property(P_KIND), Some(kind::SLOG));
-            assert_eq!(msg.properties().count(), 1, "the payload says the rest");
+            assert_eq!(msg.properties().count(), 0, "the payload says it all");
             assert_eq!(cond_id_of(&msg).unwrap(), entry.cond_id());
             let back = SlogEntry::from_message(&msg).unwrap();
             assert_eq!(back, entry);

@@ -10,7 +10,7 @@
 //!   journal-append latency at construction time;
 //! * the [`crate::transport`] layer reports wire traffic as
 //!   `mq.transport.*` (bytes, batches, reconnects, heartbeat misses,
-//!   handshake failures, dedup drops, per-batch latency);
+//!   handshake failures, per-batch latency);
 //! * `condmsg` adds send/fan-out/ack/verdict/compensation metrics and
 //!   records the per-message lifecycle trace;
 //! * `dsphere` adds sphere outcome metrics and sphere demarcation events.
@@ -110,7 +110,6 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.transport.handshake_failures",
     "mq.transport.heartbeats",
     "mq.transport.heartbeat_misses",
-    "mq.transport.dedup_dropped",
     "mq.transport.batch_micros",
     // Pipelined reactor data plane.
     "mq.transport.acks_received",
@@ -190,13 +189,17 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "ds.comp.system",
     "ds.comp.dest",
     // Retired, not free: the sender-log entry type (the payload's first
-    // byte says it) and the outcome history entry's decision time (the
-    // entry is the outcome notification, `ds.outcome.ts`).
+    // byte says it), the outcome history entry's decision time (the entry
+    // is the outcome notification, `ds.outcome.ts`), and the receiver-log
+    // entry type and time (an entry means "consumed", and nothing reads
+    // when).
     "ds.slog.entry",
     "ds.slog.decided_ts",
     "ds.rlog.entry",
     "ds.rlog.ts",
-    // condmsg: message kinds (`ds.kind`).
+    // condmsg: message kinds (`ds.kind`). `ack`, `outcome`, `slog` and
+    // `rlog` are retired: only originals, compensations and success
+    // notifications carry a kind, the one a read tells apart.
     "original",
     "ack",
     "comp",
@@ -204,8 +207,8 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "outcome",
     "slog",
     "rlog",
-    // condmsg: ack types, outcomes (`success` above), the retired
-    // sender-log entry type `send`, receiver-log entry types.
+    // condmsg: ack types, outcomes (`success` above). Retired: the
+    // sender-log entry type `send` and the receiver-log entry types.
     "read",
     "processed",
     "failure",
@@ -241,15 +244,6 @@ impl Obs {
     /// enabled trace log of default capacity.
     pub fn new() -> Arc<Obs> {
         Arc::new(Obs::default())
-    }
-
-    /// Creates a hub whose trace ring retains at most `trace_capacity`
-    /// events.
-    pub fn with_trace_capacity(trace_capacity: usize) -> Arc<Obs> {
-        Arc::new(Obs {
-            metrics: MetricsRegistry::new(),
-            trace: TraceLog::with_capacity(trace_capacity),
-        })
     }
 
     /// The named-metric registry.
@@ -295,16 +289,5 @@ mod tests {
         // Append-only: the property names keep the codes they had.
         assert_eq!(WIRE_STRING_REGISTRY[0], "sys.xmit.dest.queue");
         assert_eq!(WIRE_STRING_REGISTRY[24], "ds.rlog.ts");
-    }
-
-    #[test]
-    fn custom_trace_capacity() {
-        let obs = Obs::with_trace_capacity(2);
-        for i in 0..3 {
-            obs.trace()
-                .record(Time(i), TraceStage::Send, None, None, "");
-        }
-        assert_eq!(obs.trace().len(), 2);
-        assert_eq!(obs.trace().dropped(), 1);
     }
 }

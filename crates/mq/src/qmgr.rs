@@ -20,7 +20,7 @@ use crate::journal::{Journal, JournalRecord, MemJournal};
 use crate::message::{Message, MessageId, QueueAddress};
 use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
-use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_ORIGIN_PROPERTY};
+use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, RELAY_ORIGIN_PROPERTY};
 use crate::selector::Selector;
 use crate::session::{Released, Session, TxState};
 use crate::shard::StripedMap;
@@ -63,9 +63,6 @@ pub struct ManagerConfig {
     pub backout_threshold: u32,
     /// Maximum message payload size accepted by `put`.
     pub max_message_size: Option<usize>,
-    /// Maximum relay hops an in-transit envelope may take before the
-    /// relay dead-letters it (loop prevention; see [`crate::relay`]).
-    pub max_relay_hops: u32,
     /// Sliding-window size of the manager-level delivery deduper
     /// (origin-manager + message id keys; see [`crate::relay`]).
     pub dedup_window: usize,
@@ -80,7 +77,6 @@ impl Default for ManagerConfig {
         ManagerConfig {
             backout_threshold: 5,
             max_message_size: None,
-            max_relay_hops: DEFAULT_MAX_RELAY_HOPS,
             dedup_window: DEFAULT_DEDUP_WINDOW,
             checkpoint_bytes: Some(64 << 20),
         }

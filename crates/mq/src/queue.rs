@@ -322,23 +322,6 @@ impl Queue {
         out
     }
 
-    /// Whether any live message matches `selector` — the existence probe
-    /// behind receiver-side duplicate checks. A point read of the
-    /// correlation index when the selector pins a correlation id; never
-    /// consumes, never prunes.
-    pub fn any_selected(&self, selector: &Selector) -> bool {
-        let now = self.clock.now();
-        let store = self.store.lock();
-        let matches = |m: &Message| selector.matches(m);
-        match selector.pinned_correlation() {
-            Some(corr) => store.first_correlated(corr, now, matches).is_some(),
-            None => store
-                .entries
-                .values()
-                .any(|e| !e.msg.is_expired(now) && matches(&e.msg)),
-        }
-    }
-
     // ------------------------------------------------------------ puts --
 
     /// Returns a message to the *front* of its priority band after a
@@ -968,7 +951,6 @@ mod tests {
             loop {
                 let scanned = q.browse().into_iter().find(|m| sel.matches(m));
                 let scanned = scanned.map(|m| m.id());
-                assert_eq!(q.any_selected(&sel), scanned.is_some(), "{src:?}");
                 let taken = q.try_take(Some(&sel)).unwrap().map(|m| m.id());
                 assert_eq!(taken, scanned, "selector {src:?} diverged from the scan");
                 if taken.is_none() {
@@ -1033,18 +1015,6 @@ mod tests {
         assert_eq!(q.depth(), 2);
         let sel = Selector::parse("priority = 9").unwrap();
         assert_eq!(q.browse_selected(Some(&sel)).len(), 1);
-    }
-
-    #[test]
-    fn any_selected_probes_without_consuming() {
-        let (_c, q) = sim_queue();
-        put(&q, Message::text("m").property("k", 1i64).build())
-            .unwrap();
-        let hit = Selector::parse("k = 1").unwrap();
-        let miss = Selector::parse("k = 2").unwrap();
-        assert!(q.any_selected(&hit));
-        assert!(!q.any_selected(&miss));
-        assert_eq!(q.depth(), 1, "probe must not consume");
     }
 
     #[test]

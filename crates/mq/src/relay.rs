@@ -57,13 +57,13 @@ pub const RELAY_ORIGIN_PROPERTY: &str = "sys.relay.origin";
 
 /// Property counting custody handoffs an in-transit envelope has taken.
 /// Absent means zero (a first-hop envelope); each relay forward
-/// increments it, and exceeding the manager's `max_relay_hops`
+/// increments it, and exceeding [`DEFAULT_MAX_RELAY_HOPS`]
 /// dead-letters the envelope — a routing loop burns hops instead of
 /// circulating forever.
 // lint: registry-sink wire-string
 pub const RELAY_HOPS_PROPERTY: &str = "sys.relay.hops";
 
-/// Default ceiling on relay hops ([`crate::ManagerConfig::max_relay_hops`]).
+/// Ceiling on relay hops an in-transit envelope may take.
 pub const DEFAULT_MAX_RELAY_HOPS: u32 = 16;
 
 /// Default sliding-window size of the manager-level delivery deduper
@@ -184,16 +184,6 @@ impl Deduper {
     /// built it have been truncated away.
     pub(crate) fn snapshot(&self) -> Vec<(u64, MessageId)> {
         self.order.iter().copied().collect()
-    }
-
-    /// Resizes the window, evicting oldest keys if it shrank.
-    pub(crate) fn set_window(&mut self, window: usize) {
-        self.window = window.max(1);
-        while self.order.len() > self.window {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
     }
 }
 
@@ -343,7 +333,7 @@ impl QueueManager {
                 return (DEAD_LETTER_QUEUE.to_owned(), msg, Fate::Local);
             }
         };
-        let max_hops = u64::from(self.config().max_relay_hops);
+        let max_hops = u64::from(DEFAULT_MAX_RELAY_HOPS);
         let next_hop = if hops >= max_hops {
             Err(format!(
                 "relay hop count exhausted ({hops}/{max_hops}) en route to {dest}"
@@ -370,12 +360,6 @@ impl QueueManager {
                 (DEAD_LETTER_QUEUE.to_owned(), msg, Fate::DeadLettered(reason))
             }
         }
-    }
-
-    /// Resizes the manager-level delivery dedup window (used by TCP
-    /// acceptors configured with an explicit window).
-    pub fn set_dedup_window(&self, window: usize) {
-        self.delivery_dedup.lock().set_window(window);
     }
 }
 

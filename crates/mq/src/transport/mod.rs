@@ -187,9 +187,6 @@ pub struct TransportMetrics {
     pub heartbeats: Arc<Counter>,
     /// Heartbeats that got no pong; each one tears the connection down.
     pub heartbeat_misses: Arc<Counter>,
-    /// Messages discarded by receiver-side dedup (resends of already
-    /// delivered ids after a mid-batch connection loss).
-    pub dedup_dropped: Arc<Counter>,
     /// Per-batch send→ack latency in microseconds.
     pub batch_micros: Arc<Histogram>,
     /// Cumulative ack frames consumed (each may cover many batches).
@@ -219,7 +216,6 @@ impl TransportMetrics {
             handshake_failures: registry.counter("mq.transport.handshake_failures"),
             heartbeats: registry.counter("mq.transport.heartbeats"),
             heartbeat_misses: registry.counter("mq.transport.heartbeat_misses"),
-            dedup_dropped: registry.counter("mq.transport.dedup_dropped"),
             batch_micros: registry.histogram("mq.transport.batch_micros"),
             acks_received: registry.counter("mq.transport.acks_received"),
             send_stalls: registry.counter("mq.transport.send_stalls"),

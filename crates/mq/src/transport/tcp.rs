@@ -115,10 +115,6 @@ const _: () = assert!(
         <= crate::channel::MAX_RESEND
 );
 
-/// Default size of the receiver's dedup window (re-exported from the
-/// relay module, which owns the manager-level deduper these days).
-pub use crate::relay::DEFAULT_DEDUP_WINDOW;
-
 /// Outcome of one attempt to push the connection's outbox onto the wire.
 enum FlushOutcome {
     /// Everything written.
@@ -771,29 +767,11 @@ impl TcpAcceptor {
     ///
     /// [`crate::MqError::Transport`] when the listener cannot be bound.
     pub fn bind(manager: &Arc<QueueManager>, addr: &str) -> MqResult<Arc<TcpAcceptor>> {
-        TcpAcceptor::bind_with(manager, addr, DEFAULT_DEDUP_WINDOW)
-    }
-
-    /// [`TcpAcceptor::bind`] with an explicit dedup-window size, applied
-    /// to the manager-level deduper shared by every transport feeding
-    /// `manager` (see [`crate::relay`]).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::MqError::Transport`] when the listener cannot be bound.
-    pub fn bind_with(
-        manager: &Arc<QueueManager>,
-        addr: &str,
-        dedup_window: usize,
-    ) -> MqResult<Arc<TcpAcceptor>> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| transport_error(addr, format!("bind failed: {e}")))?;
         let local = listener
             .local_addr()
             .map_err(|e| transport_error(addr, format!("local_addr failed: {e}")))?;
-        if dedup_window != DEFAULT_DEDUP_WINDOW {
-            manager.set_dedup_window(dedup_window);
-        }
         let shared = Arc::new(AcceptorShared {
             manager: Arc::downgrade(manager),
             local_name: manager.name().to_owned(),
@@ -1062,7 +1040,6 @@ impl AcceptorConn {
         let metrics = &self.shared.metrics;
         metrics.batches_received.add(burst.frames);
         metrics.messages_received.add(arrival.accepted as u64);
-        metrics.dedup_dropped.add(arrival.duplicates as u64);
         metrics.bytes_received.add(burst.bytes);
         if self
             .shared
@@ -1315,7 +1292,7 @@ mod tests {
         let q = recv.queue("Q.IN").unwrap();
         assert_eq!(q.depth(), 2, "no duplicates after resend");
         let snap = recv.obs().metrics().snapshot();
-        assert_eq!(snap.counter("mq.transport.dedup_dropped"), 2);
+        assert_eq!(snap.counter("mq.relay.duplicates"), 2);
         assert!(registry.snapshot().counter("mq.transport.reconnects") >= 1);
         tx.shutdown();
         acceptor.shutdown();
@@ -1361,7 +1338,7 @@ mod tests {
         assert_eq!(q.depth(), 3);
         let snap = recv.metrics_snapshot();
         assert_eq!(snap.counter("mq.transport.messages_received"), 3);
-        assert_eq!(snap.counter("mq.transport.dedup_dropped"), 0);
+        assert_eq!(snap.counter("mq.relay.duplicates"), 0);
         tx.shutdown();
         acceptor.shutdown();
     }
@@ -1544,7 +1521,7 @@ mod tests {
                 .obs()
                 .metrics()
                 .snapshot()
-                .counter("mq.transport.dedup_dropped"),
+                .counter("mq.relay.duplicates"),
             1
         );
         tx2.shutdown();

@@ -258,8 +258,8 @@ fn two_manager_round_trip_is_five_records() {
     // in width, and the clock nobody advances stamps every time as 0.
     // The verdict's two empty payloads are written once, and so are the
     // pick-up's (receiver-log entry and acknowledgment).
-    assert_eq!(head_journal.bytes(), [256, 169, 20], "head bytes");
-    assert_eq!(tail_journal.bytes(), [88, 171], "tail bytes");
+    assert_eq!(head_journal.bytes(), [253, 163, 20], "head bytes");
+    assert_eq!(tail_journal.bytes(), [88, 159], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -519,7 +519,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     // previous put's (the three originals after the first, the three
     // parked compensations after the first, the verdict's notification
     // after its history entry) carries a flag bit instead.
-    assert_eq!(journal.bytes(), [622, 124, 124, 289, 76, 20], "bytes");
+    assert_eq!(journal.bytes(), [619, 112, 112, 274, 67, 20], "bytes");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
@@ -655,13 +655,13 @@ fn a_read_that_meets_three_pairs_and_then_a_message_is_one_record() {
     journal.start();
 
     // Each original the read meets takes its compensation with it (paper
-    // 2.6), in the read's own transaction: six gets and three log entries
-    // ride the record of the delivery.
+    // 2.6), in the read's own transaction: six gets ride the record of the
+    // delivery, and an annihilation logs nothing.
     let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
     assert_eq!(got.payload_str(), Some("ordinary"));
     assert_eq!(
         journal.appended(),
-        ["TxCommit get[Q.A x7] put[DS.RLOG.Q x3]"]
+        ["TxCommit get[Q.A x7] put[]"]
     );
     assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.recv.annihilated"), 3);

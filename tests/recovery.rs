@@ -579,7 +579,6 @@ fn an_undecodable_history_entry_fails_recovery() {
         .send_message("x", &two_dest_condition(Millis(60_000)))
         .unwrap();
     let entry = mq::Message::builder(vec![2u8, 1, 100])
-        .property(wire::P_KIND, wire::kind::SLOG)
         .correlation_id(id.to_hex())
         .persistent(true)
         .build();
@@ -599,7 +598,7 @@ fn pickup_and_ack_are_one_record() {
     // receiver-log entry and the implicit acknowledgment commit together
     // or not at all. (Split over a bare `Get` and a later commit, a crash
     // or journal failure in between consumed the original with no
-    // `consumed` entry and no ack: the sender fails the message and its
+    // receiver-log entry and no ack: the sender fails the message and its
     // compensation is deferred forever — neither annihilable nor
     // deliverable.)
     //
@@ -668,7 +667,8 @@ fn pickup_and_ack_are_one_record() {
         .is_none());
 
     // The same for a compensation delivered because its original was
-    // consumed here: get and `comp-delivered` entry are one record.
+    // consumed here: its get and the get of the receiver-log entry that
+    // says so are one record, and no entry is left behind.
     let undo = bytes::Bytes::from("undo");
     qmgr.put(
         "Q.IN",
@@ -689,7 +689,11 @@ fn pickup_and_ack_are_one_record() {
     assert_eq!(comp.kind(), MessageKind::Compensation);
     assert_eq!(comp.payload_str(), Some("undo"));
     assert_eq!(journal.record_count(), before + 1);
-    assert_eq!((depth("Q.IN"), depth("DS.RLOG.Q")), (0, 2));
+    assert!(matches!(
+        journal.replay_collect().unwrap().last(),
+        Some(JournalRecord::TxCommit { puts, gets }) if puts.is_empty() && gets.len() == 2
+    ));
+    assert_eq!((depth("Q.IN"), depth("DS.RLOG.Q")), (0, 0));
     assert_eq!(depth(mq::DEAD_LETTER_QUEUE), 0);
 
     // And it is what a restart sees.
@@ -702,7 +706,7 @@ fn pickup_and_ack_are_one_record() {
     let depth = |queue: &str| qmgr2.queue(queue).unwrap().depth();
     assert_eq!(
         (depth("Q.IN"), depth("DS.RLOG.Q"), depth("XMIT.SEND")),
-        (0, 2, 1)
+        (0, 0, 1)
     );
 }
 

@@ -256,7 +256,7 @@ fn socket_kill_reconnects_with_exactly_one_delivery() {
     );
     let recv = receiver_qm.metrics_snapshot();
     assert!(
-        recv.counter("mq.transport.dedup_dropped") >= 1,
+        recv.counter("mq.relay.duplicates") >= 1,
         "receiver deduplicated the unacked batch's resend"
     );
 

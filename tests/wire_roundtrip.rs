@@ -397,14 +397,14 @@ fn a_fan_out_record_is_pinned_byte_for_byte() {
 }
 
 /// The two conditional-layer log images: a sender-log entry says what it
-/// is in its payload's first byte and carries no property but its kind,
-/// and a verdict's history entry on `DS.DONE.Q` is its outcome
-/// notification, reason included.
+/// is in its payload's first byte and carries no property, and a verdict's
+/// history entry on `DS.DONE.Q` is its outcome notification, reason
+/// included. Neither carries `ds.kind`: its queue says what it is.
 #[test]
 fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
     let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
     let code = |s: &str| 1 + WIRE_STRING_REGISTRY.iter().position(|r| *r == s).unwrap() as u8;
-    assert_eq!((code("slog"), code("outcome"), code("failure")), (31, 30, 35));
+    assert_eq!(code("failure"), 35);
     let id = &cond_id.as_u128().to_le_bytes()[..];
     let ack = Acknowledgment {
         cond_id,
@@ -419,8 +419,8 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
         // tag 1 (ack seen), leaf 1, read, read_at 300, no processing time,
         // no recipient
         &[4u8, 0b100_0001, 7, 1, 1, 0, 0xac, 0x02, 0, 0][..],
-        // 1 property: ds.kind (8) = Str slog (31)
-        &[1, 8, 0, 31],
+        // no property
+        &[0],
         id,
         &[0],
     ]
@@ -435,10 +435,10 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
         decided_at: Time(300),
     };
     let golden = [
-        // priority 4; flags as above; no payload; 4 properties
-        &[4u8, 0b100_0001, 0, 4][..],
-        // ds.kind (8) = Str outcome (30); ds.outcome (17) = Str failure (35)
-        &[8, 0, 30, 17, 0, 35],
+        // priority 4; flags as above; no payload; 3 properties
+        &[4u8, 0b100_0001, 0, 3][..],
+        // ds.outcome (17) = Str failure (35)
+        &[17, 0, 35],
         // ds.outcome.reason (18) = Str, unregistered: 0, length, "late"
         &[18, 0, 0, 4],
         b"late",
