@@ -67,8 +67,8 @@ cargo run --release -p cond-bench --bin exp_tcp -- --quick
 # proof is tests/federation.rs and scenarios/fig8_relay_crash.toml).
 cargo run --release -p cond-bench --bin exp_federation -- --quick
 # Storage inversion gate: on one queue a correlation point read must beat
-# a band scan at p95, and checkpointed restart must be >= 10x faster than
-# replaying the full history (asserted inside the binary).
+# a browse-and-find scan at p95, and checkpointed restart must be >= 10x
+# faster than replaying the full history (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_store -- --quick
 # Declarative scenarios: the three flagship TOMLs (relay crash, D-Sphere
 # branch pattern, scaled-down IoT chaos fleet — every channel loopback TCP,

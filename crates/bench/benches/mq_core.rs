@@ -1,11 +1,10 @@
-//! Substrate microbenchmarks: queue operations, selectors, codec and
+//! Substrate microbenchmarks: queue operations, codec and
 //! journal append paths. These calibrate the numbers the higher-level
 //! benches build on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mq::codec::{WireDecode, WireEncode};
 use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
-use mq::selector::Selector;
 use mq::{Message, Priority, QueueManager, Wait};
 
 fn sample_message() -> Message {
@@ -45,27 +44,6 @@ fn bench_queue_ops(c: &mut Criterion) {
             s.commit().unwrap();
             m
         });
-    });
-    group.finish();
-}
-
-fn bench_selector(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mq/selector");
-    let msg = sample_message();
-    group.bench_function("parse", |b| {
-        b.iter(|| Selector::parse("kind = 'flight' AND altitude > 10000 AND urgent").unwrap());
-    });
-    let sel = Selector::parse("kind = 'flight' AND altitude > 10000 AND urgent").unwrap();
-    group.bench_function("match", |b| {
-        b.iter(|| sel.matches(&msg));
-    });
-    let complex = Selector::parse(
-        "kind IN ('flight','train') AND altitude BETWEEN 10000 AND 40000 \
-         AND callsign LIKE 'UA%' OR priority >= 7",
-    )
-    .unwrap();
-    group.bench_function("match_complex", |b| {
-        b.iter(|| complex.matches(&msg));
     });
     group.finish();
 }
@@ -120,6 +98,6 @@ fn bench_journal(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_queue_ops, bench_selector, bench_codec, bench_journal
+    targets = bench_queue_ops, bench_codec, bench_journal
 }
 criterion_main!(benches);

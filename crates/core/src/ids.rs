@@ -28,7 +28,7 @@ impl CondMessageId {
         self.0
     }
 
-    /// Hex string form used in message properties and selectors.
+    /// Hex string form: the correlation id of every conditional-layer message.
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }

@@ -63,9 +63,8 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use mq::selector::Selector;
 use mq::{
-    ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, MqError, QueueAddress, QueueManager,
+    ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, QueueAddress, QueueManager,
     TraceStage, Wait,
 };
 use parking_lot::Mutex;
@@ -937,8 +936,9 @@ impl ConditionalMessenger {
     ) -> CondResult<()> {
         // Parked compensations carry the conditional message id as their
         // correlation id; the indexed get avoids scanning a busy DS.COMP.Q.
+        let comp_queue = &self.config.comp_queue;
         while let Some(comp) =
-            session.get_by_correlation(&self.config.comp_queue, &cond_id.to_hex(), Wait::NoWait)?
+            session.get_by_correlation(comp_queue, &cond_id.to_hex(), |_| true, Wait::NoWait)?
         {
             let dest = comp
                 .str_property(wire::P_COMP_DEST)
@@ -1034,7 +1034,8 @@ impl ConditionalMessenger {
                 )?;
                 // The releaser is the member's consumer of record.
                 let outcome_queue = &self.config.outcome_queue;
-                session.get_by_correlation(outcome_queue, &cond_id.to_hex(), Wait::NoWait)?;
+                let hex = cond_id.to_hex();
+                session.get_by_correlation(outcome_queue, &hex, |_| true, Wait::NoWait)?;
                 staged.push((cond_id, actions));
                 Ok(())
             })
@@ -1107,36 +1108,15 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
     ) -> CondResult<Option<SendRecord>> {
         let mut send = None;
+        let slog_queue = &self.config.slog_queue;
         while let Some(entry) =
-            session.get_by_correlation(&self.config.slog_queue, &cond_id.to_hex(), Wait::NoWait)?
+            session.get_by_correlation(slog_queue, &cond_id.to_hex(), |_| true, Wait::NoWait)?
         {
             if let Ok(SlogEntry::Send(record)) = SlogEntry::from_message(&entry) {
                 send = Some(record);
             }
         }
         Ok(send)
-    }
-
-    /// Drains history entries of verdicts reached before `before` from the
-    /// history queue, bounding its growth; returns how many were removed.
-    /// [`status`](Self::status) reports those messages `Unknown` from then
-    /// on.
-    ///
-    /// # Errors
-    ///
-    /// Messaging failures.
-    pub fn prune_decided_before(&self, before: Time) -> CondResult<usize> {
-        let selector = format!("{} < {}", wire::P_OUTCOME_TS, before.as_millis());
-        let selector = Selector::parse(&selector).map_err(MqError::from)?;
-        let mut n = 0;
-        while self
-            .qmgr
-            .get_selected(DEFAULT_DONE_QUEUE, &selector, Wait::NoWait)?
-            .is_some()
-        {
-            n += 1;
-        }
-        Ok(n)
     }
 
     // ---------------------------------------------------------- status --
@@ -1771,29 +1751,6 @@ mod tests {
             messenger.status(CondMessageId::generate()),
             MessageStatus::Unknown
         );
-    }
-
-    #[test]
-    fn prune_decided_history() {
-        let (clock, qmgr, messenger) = setup();
-        // Two messages decided at different times.
-        let early = messenger
-            .send_message("a", &two_dest_condition(Millis(10)))
-            .unwrap();
-        clock.advance(Millis(20)); // early fails at t=11
-        clock.advance(Millis(100));
-        let late = messenger
-            .send_message("b", &two_dest_condition(Millis(10)))
-            .unwrap();
-        clock.advance(Millis(20)); // late fails at t=131
-        assert_eq!(qmgr.queue("DS.DONE.Q").unwrap().depth(), 2);
-
-        let pruned = messenger.prune_decided_before(Time(100)).unwrap();
-        assert_eq!(pruned, 1);
-        assert_eq!(qmgr.queue("DS.DONE.Q").unwrap().depth(), 1);
-        assert_eq!(messenger.status(early), MessageStatus::Unknown, "forgotten");
-        assert!(matches!(messenger.status(late), MessageStatus::Decided(_)));
-        assert_eq!(messenger.prune_decided_before(Time(100)).unwrap(), 0);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mq::selector::Selector;
 use mq::{Message, MqError, QueueAddress, QueueManager, TraceStage, Wait};
 use simtime::Time;
 
@@ -272,7 +271,7 @@ impl ConditionalReceiver {
                 MessageKind::Original => {
                     let received = ReceivedMessage::classify(msg);
                     let ack = PendingAck::for_original(&received, self.qmgr.clock().now())?;
-                    if self.annihilates(queue, wire::kind::COMPENSATION, ack.cond_id, ack.leaf)? {
+                    if self.annihilates(queue, MessageKind::Compensation, ack.cond_id, ack.leaf)? {
                         continue;
                     }
                     self.pending_acks.push(ack);
@@ -281,9 +280,10 @@ impl ConditionalReceiver {
                 MessageKind::Compensation => {
                     let cond_id = wire::cond_id_of(&msg)?;
                     let leaf = wire::leaf_of(&msg)?;
-                    let consumed = self.session.get_selected(
+                    let consumed = self.session.get_by_correlation(
                         DEFAULT_RLOG_QUEUE,
-                        &leaf_selector(None, cond_id, leaf)?,
+                        &cond_id.to_hex(),
+                        |entry| wire::leaf_of(entry).ok() == Some(leaf),
                         Wait::NoWait,
                     )?;
                     if consumed.is_some() {
@@ -292,7 +292,7 @@ impl ConditionalReceiver {
                         // exactly once.
                         return Ok(Some(ReceivedMessage::classify(msg)));
                     }
-                    if self.annihilates(queue, wire::kind::ORIGINAL, cond_id, leaf)? {
+                    if self.annihilates(queue, MessageKind::Original, cond_id, leaf)? {
                         continue;
                     }
                     // Original neither in the queue nor consumed here:
@@ -327,12 +327,16 @@ impl ConditionalReceiver {
     fn annihilates(
         &mut self,
         queue: &str,
-        other: &str,
+        other: MessageKind,
         cond_id: CondMessageId,
         leaf: u32,
     ) -> CondResult<bool> {
-        let other = leaf_selector(Some(other), cond_id, leaf)?;
-        let taken = self.session.get_selected(queue, &other, Wait::NoWait)?;
+        let taken = self.session.get_by_correlation(
+            queue,
+            &cond_id.to_hex(),
+            |m| wire::kind_of(m) == other && wire::leaf_of(m).ok() == Some(leaf),
+            Wait::NoWait,
+        )?;
         if taken.is_none() {
             return Ok(false);
         }
@@ -433,20 +437,6 @@ impl ConditionalReceiver {
         self.pending_acks.clear();
         Ok(())
     }
-}
-
-/// Selects the message of `(cond_id, leaf)` — of `kind`, if given — off the
-/// correlation index.
-fn leaf_selector(kind: Option<&str>, cond_id: CondMessageId, leaf: u32) -> CondResult<Selector> {
-    let mut text = format!(
-        "correlation_id = '{}' AND {} = {leaf}",
-        cond_id.to_hex(),
-        wire::P_LEAF
-    );
-    if let Some(kind) = kind {
-        text = format!("{} = '{kind}' AND {text}", wire::P_KIND);
-    }
-    Selector::parse(&text).map_err(|e| CondError::Mq(e.into()))
 }
 
 /// The receiver-log entry "original (`cond_id`, `leaf`) was consumed here".
@@ -711,6 +701,49 @@ mod tests {
             .unwrap()
             .is_none());
         assert_eq!(rlog.depth(), 0);
+        assert_eq!(counter(&qmgr, "cond.recv.comp_delivered"), 1);
+    }
+
+    #[test]
+    fn a_read_annihilates_only_the_pair_of_its_own_leaf() {
+        // Both leaves of one message wait on one queue. Leaf 0 is read, the
+        // message fails, and both compensations join leaf 1's original.
+        let (clock, qmgr, messenger) = setup();
+        let twice: Condition = DestinationSet::of(vec![
+            Destination::queue("QM1", "Q.A").into(),
+            Destination::queue("QM1", "Q.A").into(),
+        ])
+        .pickup_within(Millis(30))
+        .into();
+        messenger
+            .send_message_with_compensation("orig", "undo", &twice)
+            .unwrap();
+        let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        let first = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        assert_eq!((first.kind(), first.leaf()), (MessageKind::Original, Some(0)));
+        clock.advance(Millis(60));
+        let q = qmgr.queue("Q.A").unwrap();
+        let queued: Vec<_> = q
+            .browse()
+            .iter()
+            .map(|m| (wire::kind_of(m), wire::leaf_of(m).unwrap()))
+            .collect();
+        assert_eq!(
+            queued,
+            [
+                (MessageKind::Original, 1),
+                (MessageKind::Compensation, 0),
+                (MessageKind::Compensation, 1),
+            ]
+        );
+        // The read meets leaf 1's original, which annihilates with leaf 1's
+        // compensation, not with leaf 0's ahead of it, and goes on to
+        // deliver leaf 0's: its original was consumed here.
+        let comp = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        assert_eq!((comp.kind(), comp.leaf()), (MessageKind::Compensation, Some(0)));
+        let rlog = qmgr.queue("DS.RLOG.Q").unwrap();
+        assert_eq!((q.depth(), rlog.depth()), (0, 0));
+        assert_eq!(counter(&qmgr, "cond.recv.annihilated"), 1);
         assert_eq!(counter(&qmgr, "cond.recv.comp_delivered"), 1);
     }
 

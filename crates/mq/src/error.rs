@@ -20,8 +20,6 @@ pub enum MqError {
     NoTransaction,
     /// `begin` was called while a transaction was already active.
     TransactionActive,
-    /// A message selector failed to parse or evaluate.
-    Selector(crate::selector::SelectorError),
     /// A journal record failed to encode or decode.
     Codec(crate::codec::CodecError),
     /// The journal storage failed.
@@ -59,7 +57,6 @@ impl fmt::Display for MqError {
             MqError::ManagerStopped(m) => write!(f, "queue manager stopped: {m}"),
             MqError::NoTransaction => write!(f, "no transaction is active"),
             MqError::TransactionActive => write!(f, "a transaction is already active"),
-            MqError::Selector(e) => write!(f, "selector error: {e}"),
             MqError::Codec(e) => write!(f, "codec error: {e}"),
             MqError::Io(e) => write!(f, "journal i/o error: {e}"),
             MqError::JournalCorrupt { offset, reason } => {
@@ -80,7 +77,6 @@ impl std::error::Error for MqError {
         match self {
             MqError::Io(e) => Some(e),
             MqError::Codec(e) => Some(e),
-            MqError::Selector(e) => Some(e),
             _ => None,
         }
     }
@@ -95,12 +91,6 @@ impl From<std::io::Error> for MqError {
 impl From<crate::codec::CodecError> for MqError {
     fn from(e: crate::codec::CodecError) -> Self {
         MqError::Codec(e)
-    }
-}
-
-impl From<crate::selector::SelectorError> for MqError {
-    fn from(e: crate::selector::SelectorError) -> Self {
-        MqError::Selector(e)
     }
 }
 

@@ -5,7 +5,7 @@
 //! on:
 //!
 //! * **Queue managers** ([`QueueManager`]) owning named, priority-ordered
-//!   [`Queue`]s with expiry, browsing and [selectors](selector).
+//!   [`Queue`]s with expiry, browsing and correlation-id point reads.
 //! * **Reliability** via a write-ahead [journal]: persistent messages,
 //!   non-transactional gets and committed transactions are journaled and
 //!   replayed on restart; [`QueueManager::crash`] + rebuild is the
@@ -49,7 +49,6 @@ pub mod obs;
 mod qmgr;
 mod queue;
 pub mod relay;
-pub mod selector;
 mod session;
 pub mod shard;
 pub mod stats;

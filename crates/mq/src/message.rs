@@ -85,7 +85,7 @@ impl fmt::Display for Priority {
     }
 }
 
-/// A typed property value, selectable via [`crate::selector`].
+/// A typed property value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PropertyValue {
     /// UTF-8 string.
@@ -413,16 +413,6 @@ impl Message {
     pub(crate) fn bump_redelivery(&mut self) {
         self.invalidate_wire();
         self.redelivery_count += 1;
-    }
-
-    /// Caps the message's lifetime at `t` unless a tighter expiry is
-    /// already set (per-queue retention policy; see
-    /// [`crate::QueueConfig::retention`]).
-    pub(crate) fn apply_retention(&mut self, t: Time) {
-        if self.expiry.is_none_or(|e| e > t) {
-            self.invalidate_wire();
-            self.expiry = Some(t);
-        }
     }
 
     /// Strips TTL and absolute expiry. Used when a message is diverted to

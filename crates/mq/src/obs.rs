@@ -166,6 +166,8 @@ pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 11, 12];
 // lint: registry wire-string
 pub const WIRE_STRING_REGISTRY: &[&str] = &[
     // mq: transmission envelope, relay, dead-letter, topic registrations.
+    // `sys.topic.sub.selector` is retired, not free: a subscription is just
+    // its queue name.
     "sys.xmit.dest.queue",
     "sys.xmit.dest.qmgr",
     "sys.relay.origin",

@@ -21,7 +21,6 @@ use crate::message::{Message, MessageId, QueueAddress};
 use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
 use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, RELAY_ORIGIN_PROPERTY};
-use crate::selector::Selector;
 use crate::session::{Released, Session, TxState};
 use crate::shard::StripedMap;
 use crate::stats::{ManagerStats, MetricsSnapshot, RelayStats};
@@ -471,7 +470,7 @@ impl QueueManager {
     /// [`MqError::QueueNotFound`]; [`MqError::ManagerStopped`] if the
     /// manager crashes while waiting; journal failures.
     pub fn get(&self, queue: &str, wait: Wait) -> MqResult<Option<Message>> {
-        self.auto_commit(|tx| tx.get(self, queue, None, wait))
+        self.auto_commit(|tx| tx.get(self, queue, wait))
     }
 
     /// Consumes the oldest message whose correlation id equals `corr`,
@@ -486,21 +485,7 @@ impl QueueManager {
         corr: &str,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, wait))
-    }
-
-    /// Consumes the first message matching `selector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QueueManager::get`].
-    pub fn get_selected(
-        &self,
-        queue: &str,
-        selector: &Selector,
-        wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        self.auto_commit(|tx| tx.get(self, queue, Some(selector), wait))
+        self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, |_| true, wait))
     }
 
     /// Opens a session for transactional work against this manager.
@@ -568,25 +553,6 @@ impl QueueManager {
         }
         *self.default_route.lock() = Some(targets);
         Ok(())
-    }
-
-    /// Resolves a transmission queue for a remote manager: the first
-    /// target of its explicit route, falling back to the default route.
-    ///
-    /// # Errors
-    ///
-    /// [`MqError::NoRoute`].
-    pub fn route_for(&self, remote_manager: &str) -> MqResult<String> {
-        self.routes
-            .get(remote_manager)
-            .and_then(|targets| targets.first().cloned())
-            .or_else(|| {
-                self.default_route
-                    .lock()
-                    .as_ref()
-                    .and_then(|targets| targets.first().cloned())
-            })
-            .ok_or_else(|| MqError::NoRoute(remote_manager.to_owned()))
     }
 
     /// Resolves the transmission queue for one message bound for
@@ -784,7 +750,7 @@ impl QueueManager {
         self.checkpoint_locked()
     }
 
-    /// Expires every ripe message on every queue (TTL and retention), via
+    /// Expires every ripe message on every queue, via
     /// each queue's expiry heap: one transaction per queue holding any.
     /// Returns the total expired.
     ///
@@ -1022,10 +988,7 @@ mod tests {
             .journal(journal.clone())
             .build()
             .unwrap();
-        let bounded = QueueConfig {
-            max_depth: Some(2),
-            ..QueueConfig::default()
-        };
+        let bounded = QueueConfig { max_depth: Some(2) };
         qm.create_queue_with("Q", bounded).unwrap();
         let persistent = |body: &str| Message::text(body).persistent(true).build();
         qm.put("Q", persistent("a")).unwrap();
@@ -1117,14 +1080,14 @@ mod tests {
         let id = msg.id();
         qm.put("Q", msg.clone()).unwrap();
         let q = qm.queue("Q").unwrap();
-        let taken = q.try_take(None).unwrap().unwrap();
+        let taken = q.try_take().unwrap().unwrap();
         // A refused record leaves the message where it was ...
         journal.set_failing(true);
         assert!(qm.dead_letter(q.clone(), taken, "poison").is_err());
         journal.set_failing(false);
         assert_eq!((q.depth(), qm.queue(DEAD_LETTER_QUEUE).unwrap().depth()), (1, 0));
         // ... and a written one moves it, in one record.
-        let taken = q.try_take(None).unwrap().unwrap();
+        let taken = q.try_take().unwrap().unwrap();
         assert_eq!(taken.redelivery_count(), 0);
         let records = journal.record_count();
         qm.dead_letter(q.clone(), taken, "backout threshold exceeded")
@@ -1609,14 +1572,11 @@ mod tests {
         let msg = Message::text("kept")
             .persistent(true)
             .correlation_id("c")
-            .property("k", 1i64)
             .build();
         let id = msg.id();
         qm.put("Q", msg).unwrap();
-        let sel = Selector::parse("k = 1").unwrap();
         journal.set_failing(true);
         assert!(qm.get("Q", Wait::NoWait).is_err());
-        assert!(qm.get_selected("Q", &sel, Wait::NoWait).is_err());
         assert!(qm.get_by_correlation("Q", "c", Wait::NoWait).is_err());
         journal.set_failing(false);
         let q = qm.queue("Q").unwrap();
@@ -1628,7 +1588,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(qm2.queue("Q").unwrap().depth(), 1, "restart agrees");
-        // Every index still finds it.
+        // The correlation index still finds it.
         let back = qm2.get_by_correlation("Q", "c", Wait::NoWait).unwrap().unwrap();
         assert_eq!((back.id(), back.redelivery_count()), (id, 0));
     }
@@ -1756,7 +1716,7 @@ mod tests {
         let (_journal, qm) = manager();
         let q = qm.create_queue("Q").unwrap();
         qm.put("Q", Message::text("poison").persistent(true).build()).unwrap();
-        let taken = q.try_take(None).unwrap().unwrap();
+        let taken = q.try_take().unwrap().unwrap();
         qm.crash();
         assert!(matches!(
             qm.dead_letter(q.clone(), taken, "poison"),

@@ -1,15 +1,15 @@
 //! A single message queue: priority bands, FIFO within priority, expiry,
-//! selectors, browsing, and blocking consumption.
+//! browsing, and blocking consumption.
 //!
 //! The queue itself is an orchestration shell: all in-memory state lives
 //! in a [`crate::store::MessageStore`] (id-keyed map, priority bands,
 //! correlation-id index, expiry heap, pending transactional gets), while
-//! this module owns statistics, clock access and blocking. A correlation
-//! get or peek, and a selector read whose selector pins a correlation id
-//! (`correlation_id = '…' AND leaf = 2`), is a **point read** of the
-//! correlation index: O(messages with that id), not O(depth). Other
-//! selectors scan the priority bands. Either way the read returns the
-//! message delivery order reaches first: highest priority, then FIFO.
+//! this module owns statistics, clock access and blocking. A plain get
+//! walks the priority bands; the one filtered read — a get or peek by
+//! correlation id, narrowed by a predicate on the messages carrying it — is
+//! a **point read** of the correlation index: O(messages with that id), not
+//! O(depth). Either way the read returns the message delivery order
+//! reaches first: highest priority, then FIFO.
 //!
 //! Takes hold the owning manager's **mutation gate** (a shared read lock)
 //! and the commit holds it across `[journal append + state change]`, so a
@@ -39,7 +39,6 @@ use simtime::{Millis, SharedClock, Time};
 use crate::error::{MqError, MqResult};
 use crate::message::{Message, MessageId};
 use crate::qmgr::QueueManager;
-use crate::selector::Selector;
 use crate::session::{Session, TxState};
 use crate::stats::{Counter, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
@@ -60,10 +59,6 @@ pub enum Wait {
 pub struct QueueConfig {
     /// Maximum queue depth; puts beyond it fail with [`MqError::QueueFull`].
     pub max_depth: Option<usize>,
-    /// Retention ceiling: every message's lifetime is capped at this age
-    /// (a tighter per-message TTL still wins). Expired messages are
-    /// removed by the index-driven TTL sweep and checkpointed away.
-    pub retention: Option<Millis>,
 }
 
 /// Callback invoked (outside the queue lock and the mutation gate) after a
@@ -291,12 +286,6 @@ impl Queue {
     /// delivery order (priority, then FIFO). The returned handles share the
     /// queue's storage — browsing never deep-copies payloads.
     pub fn browse(&self) -> Vec<Arc<Message>> {
-        self.browse_selected(None)
-    }
-
-    /// Snapshots non-expired messages matching `selector` without
-    /// consuming; cheap `Arc` handles, as with [`Queue::browse`].
-    pub fn browse_selected(&self, selector: Option<&Selector>) -> Vec<Arc<Message>> {
         let now = self.clock.now();
         let mut store = self.store.lock();
         self.stats.browses.incr();
@@ -310,10 +299,7 @@ impl Queue {
                     continue;
                 };
                 live.push_back(id);
-                if entry.msg.is_expired(now) {
-                    continue;
-                }
-                if selector.is_none_or(|s| s.matches(&entry.msg)) {
+                if !entry.msg.is_expired(now) {
                     out.push(Arc::clone(&entry.msg));
                 }
             }
@@ -355,15 +341,10 @@ impl Queue {
         self.insert(&mut store, msg, false);
     }
 
-    /// Stamps the enqueue time (starting the TTL) and caps the lifetime at
-    /// the queue's retention: what the commit path does to a put before
-    /// journaling it.
+    /// Stamps the enqueue time, starting the TTL: what the commit path does
+    /// to a put before journaling it.
     pub(crate) fn stamp(&self, msg: &mut Message) {
-        let now = self.clock.now();
-        msg.stamp_enqueue(now);
-        if let Some(retention) = self.config.retention {
-            msg.apply_retention(now + retention);
-        }
+        msg.stamp_enqueue(self.clock.now());
     }
 
     /// Enqueues a stamped message whose durability is covered by the
@@ -389,8 +370,8 @@ impl Queue {
     }
 
     /// Wakes the parked consumers — all of them: they wait for different
-    /// things (a correlation id, a selector), and the one woken alone may
-    /// not be the one that can take what arrived — and runs the put
+    /// things (any message, or one correlation id), and the one woken alone
+    /// may not be the one that can take what arrived — and runs the put
     /// watchers. Pairs with [`Queue::put_committed`] once the caller has
     /// released the gate.
     pub(crate) fn notify_arrival(&self) {
@@ -473,30 +454,25 @@ impl Queue {
         }
     }
 
-    /// Removes and returns the first matching message, waiting per `wait`.
-    /// Like every take, the get is provisional: covered later by its
-    /// transaction's `TxCommit` record, or undone by rollback.
-    pub(crate) fn take_blocking(
-        &self,
-        selector: Option<&Selector>,
-        wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        self.park(wait, false, || {
-            self.attempt(|store, now| self.take_locked(store, selector, now))
-        })
+    /// Removes and returns the first message in delivery order, waiting
+    /// per `wait`. Like every take, the get is provisional: covered later by
+    /// its transaction's `TxCommit` record, or undone by rollback.
+    pub(crate) fn take_blocking(&self, wait: Wait) -> MqResult<Option<Message>> {
+        self.park(wait, false, || self.attempt(|store, now| self.take_first(store, now)))
     }
 
     /// Removes and returns the first message in delivery order with the
-    /// given correlation id, waiting per `wait`: a point read of the
-    /// correlation index (O(matches), not O(depth)).
+    /// given correlation id that `accept` takes, waiting per `wait`: a
+    /// point read of the correlation index (O(matches), not O(depth)).
     pub(crate) fn take_by_correlation_blocking(
         &self,
         correlation: &str,
+        accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         self.park(wait, false, || {
             self.attempt(|store, now| {
-                let id = store.first_correlated(correlation, now, |_| true)?;
+                let id = store.first_correlated(correlation, now, &accept)?;
                 self.consume_locked(store, id)
             })
         })
@@ -510,27 +486,20 @@ impl Queue {
     }
 
     #[cfg(test)]
-    pub(crate) fn try_take(&self, selector: Option<&Selector>) -> MqResult<Option<Message>> {
-        self.take_blocking(selector, Wait::NoWait)
+    pub(crate) fn try_take(&self) -> MqResult<Option<Message>> {
+        self.take_blocking(Wait::NoWait)
     }
 
     #[cfg(test)]
-    pub(crate) fn try_take_by_correlation(&self, correlation: &str) -> MqResult<Option<Message>> {
-        self.take_by_correlation_blocking(correlation, Wait::NoWait)
+    pub(crate) fn try_take_by_correlation(
+        &self,
+        correlation: &str,
+        accept: impl Fn(&Message) -> bool,
+    ) -> MqResult<Option<Message>> {
+        self.take_by_correlation_blocking(correlation, accept, Wait::NoWait)
     }
 
-    fn take_locked(
-        &self,
-        store: &mut MessageStore,
-        selector: Option<&Selector>,
-        now: Time,
-    ) -> Option<Message> {
-        if let Some(sel) = selector {
-            if let Some(corr) = sel.pinned_correlation() {
-                let id = store.first_correlated(corr, now, |m| sel.matches(m))?;
-                return self.consume_locked(store, id);
-            }
-        }
+    fn take_first(&self, store: &mut MessageStore, now: Time) -> Option<Message> {
         for band_idx in (0..PRIORITY_BANDS).rev() {
             let mut i = 0;
             while i < store.bands[band_idx].len() {
@@ -540,7 +509,7 @@ impl Queue {
                     store.bands[band_idx].remove(i);
                     continue; // same index now holds the next entry
                 };
-                if !entry.msg.is_expired(now) && selector.is_none_or(|s| s.matches(&entry.msg)) {
+                if !entry.msg.is_expired(now) {
                     store.bands[band_idx].remove(i);
                     return self.consume_locked(store, id);
                 }
@@ -608,9 +577,9 @@ impl Queue {
         Ok(n)
     }
 
-    /// Discards every message whose TTL or retention deadline has passed,
-    /// driven by the expiry heap — O(expired · log depth), not O(depth) —
-    /// as the gets of one transaction. Returns how many were expired.
+    /// Discards every message whose TTL has passed, driven by the expiry
+    /// heap — O(expired · log depth), not O(depth) — as the gets of one
+    /// transaction. Returns how many were expired.
     /// Checkpoints run this first so a snapshot carries no ripe messages.
     pub fn sweep_expired(&self) -> MqResult<usize> {
         let now = self.clock.now();
@@ -641,12 +610,6 @@ impl Queue {
         // re-checks instead of sleeping through the close.
         store.bump_version();
         drop(store);
-        self.available.notify_all();
-    }
-
-    /// Wakes blocked consumers so they can re-check the (virtual) clock.
-    /// Used by tests that advance a `SimClock` while a consumer waits.
-    pub fn kick(&self) {
         self.available.notify_all();
     }
 }
@@ -711,11 +674,11 @@ mod tests {
         put(&q, text("b")).unwrap();
         put(&q, text("c")).unwrap();
         let order: Vec<_> = (0..3)
-            .map(|_| q.try_take(None).unwrap().unwrap())
+            .map(|_| q.try_take().unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert!(q.try_take(None).unwrap().is_none());
+        assert!(q.try_take().unwrap().is_none());
     }
 
     #[test]
@@ -728,7 +691,7 @@ mod tests {
         put(&q, Message::text("mid").priority(Priority::new(4)).build())
         .unwrap();
         let order: Vec<_> = (0..3)
-            .map(|_| q.try_take(None).unwrap().unwrap())
+            .map(|_| q.try_take().unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(order, vec!["high", "mid", "low"]);
@@ -742,7 +705,7 @@ mod tests {
         assert_eq!(q.depth(), 2);
         assert_eq!(q.stats().enqueued.get(), 2);
         assert_eq!(q.stats().depth.high_water(), 2);
-        q.try_take(None).unwrap().unwrap();
+        q.try_take().unwrap().unwrap();
         assert_eq!(q.depth(), 1);
         assert_eq!(q.stats().dequeued.get(), 1);
     }
@@ -760,7 +723,7 @@ mod tests {
         put(&q, text("a")).unwrap();
         assert!(!q.is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        q.try_take(None).unwrap().unwrap();
+        q.try_take().unwrap().unwrap();
         assert!(q.is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
@@ -787,10 +750,7 @@ mod tests {
             "SMALL.Q".into(),
             clock,
             MemJournal::new(),
-            QueueConfig {
-                max_depth: Some(2),
-                ..QueueConfig::default()
-            },
+            QueueConfig { max_depth: Some(2) },
         );
         put(&q, text("a")).unwrap();
         q.check_room(|| 0).unwrap();
@@ -812,7 +772,7 @@ mod tests {
             .unwrap();
         put(&q, text("long")).unwrap();
         clock.advance(Millis(50));
-        let got = q.try_take(None).unwrap().unwrap();
+        let got = q.try_take().unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("long"));
         assert_eq!(q.stats().expired.get(), 1);
         assert_eq!(q.depth(), 0);
@@ -832,7 +792,7 @@ mod tests {
         let id = msg.id();
         put(&q, msg).unwrap();
         clock.advance(Millis(10));
-        assert!(q.try_take(None).unwrap().is_none());
+        assert!(q.try_take().unwrap().is_none());
         assert_eq!((q.depth(), q.stats().expired.get()), (0, 1));
         assert_eq!(q.stats().dequeued.get(), 0, "expired, not delivered");
         let recs = journal.replay_collect().unwrap();
@@ -841,31 +801,6 @@ mod tests {
             JournalRecord::TxCommit { puts, gets }
                 if puts.is_empty() && gets == &[("J.Q".to_owned(), id)]
         )));
-    }
-
-    #[test]
-    fn retention_caps_message_lifetime() {
-        let clock = SimClock::new();
-        let q = new_queue(
-            "RET.Q".into(),
-            clock.clone(),
-            MemJournal::new(),
-            QueueConfig {
-                retention: Some(Millis(20)),
-                ..QueueConfig::default()
-            },
-        );
-        put(&q, text("ages-out")).unwrap();
-        // A tighter per-message TTL still wins over retention.
-        put(&q, Message::text("tighter").ttl(Millis(5)).build())
-            .unwrap();
-        clock.advance(Millis(10));
-        assert_eq!(q.sweep_expired().unwrap(), 1, "TTL 5 expired, retention not yet");
-        assert_eq!(q.depth(), 1);
-        clock.advance(Millis(15));
-        assert_eq!(q.sweep_expired().unwrap(), 1, "retention cap reached");
-        assert_eq!(q.depth(), 0);
-        assert_eq!(q.stats().expired.get(), 2);
     }
 
     #[test]
@@ -895,31 +830,14 @@ mod tests {
         )));
     }
 
-    #[test]
-    fn selector_takes_first_match_leaving_others() {
-        let (_c, q) = sim_queue();
-        put(&q, Message::text("m1").property("k", 1i64).build())
-            .unwrap();
-        put(&q, Message::text("m2").property("k", 2i64).build())
-            .unwrap();
-        put(&q, Message::text("m3").property("k", 1i64).build())
-            .unwrap();
-        let sel = Selector::parse("k = 2").unwrap();
-        let got = q.try_take(Some(&sel)).unwrap().unwrap();
-        assert_eq!(got.payload_str(), Some("m2"));
-        assert_eq!(q.depth(), 2);
-        // Remaining messages keep FIFO order.
-        assert_eq!(
-            q.try_take(None).unwrap().unwrap().payload_str(),
-            Some("m1")
-        );
-    }
+    /// A correlation id and a predicate on the messages carrying it.
+    type Probe<'a> = (&'a str, &'a dyn Fn(&Message) -> bool);
 
     #[test]
-    fn indexed_and_scanned_selector_gets_agree() {
-        // A selector get that pins a correlation id is a point read of the
-        // correlation index. Each one must take what a scan reaches first:
-        // the first match of a browse, which lists in delivery order.
+    fn correlation_takes_agree_with_a_scan() {
+        // A correlation take is a point read of the correlation index. Each
+        // one must take what a scan reaches first: the first match of a
+        // browse, which lists in delivery order.
         let (clock, q) = sim_queue();
         for i in 0..40u8 {
             let m = Message::text(format!("m{i}"))
@@ -931,28 +849,32 @@ mod tests {
         }
         // Messages gone by another path leave stale band ids behind: two
         // plain gets, and the expiries the first take below sweeps.
-        q.try_take(None).unwrap().unwrap();
-        q.try_take(None).unwrap().unwrap();
+        q.try_take().unwrap().unwrap();
+        q.try_take().unwrap().unwrap();
         // A rollback requeue goes back to the front of its band.
-        let c1 = Selector::parse("correlation_id = 'c1'").unwrap();
-        let rolled_back = q.try_take(Some(&c1)).unwrap().unwrap();
+        let rolled_back = q.try_take_by_correlation("c1", |_| true).unwrap().unwrap();
         q.requeue_front(rolled_back, true);
         clock.advance(Millis(10));
-        let selectors = [
-            "correlation_id = 'c1'",
-            "correlation_id = 'c2' AND leaf = 1",
-            "leaf = 0 AND 'c3' = correlation_id",
-            "correlation_id = 'c0' AND priority = 2",
-            "correlation_id = 'c9'", // matches nothing
-            "correlation_id = 'c2'",
+        let leaf = |n: i64| move |m: &Message| m.i64_property("leaf") == Some(n);
+        let (any, leaf0, leaf1) = (|_: &Message| true, leaf(0), leaf(1));
+        let top = |m: &Message| m.priority().level() == 2;
+        let probes: [Probe; 6] = [
+            ("c1", &any),
+            ("c2", &leaf1),
+            ("c3", &leaf0),
+            ("c0", &top),
+            ("c9", &any), // matches nothing
+            ("c2", &any),
         ];
-        for src in selectors {
-            let sel = Selector::parse(src).unwrap();
+        for (corr, accept) in probes {
             loop {
-                let scanned = q.browse().into_iter().find(|m| sel.matches(m));
-                let scanned = scanned.map(|m| m.id());
-                let taken = q.try_take(Some(&sel)).unwrap().map(|m| m.id());
-                assert_eq!(taken, scanned, "selector {src:?} diverged from the scan");
+                let scanned = q
+                    .browse()
+                    .into_iter()
+                    .find(|m| m.correlation_id() == Some(corr) && accept(m))
+                    .map(|m| m.id());
+                let taken = q.try_take_by_correlation(corr, accept).unwrap().map(|m| m.id());
+                assert_eq!(taken, scanned, "a take of {corr:?} diverged from the scan");
                 if taken.is_none() {
                     break;
                 }
@@ -975,30 +897,24 @@ mod tests {
                 .priority(Priority::new(7))
                 .build())
         .unwrap();
-        let sel = Selector::parse("correlation_id = 'c' AND k = 1").unwrap();
-        let got = q.try_take(Some(&sel)).unwrap().unwrap();
+        let got = q
+            .try_take_by_correlation("c", |m| m.i64_property("k") == Some(1))
+            .unwrap()
+            .unwrap();
         assert_eq!(got.payload_str(), Some("late-high"));
     }
 
     #[test]
     fn every_correlation_read_reaches_the_higher_priority_first() {
-        // Low-priority A, then high-priority B, one correlation id: a get
-        // by correlation, a peek and a selector get all answer B, as a
-        // band scan would.
-        let queue = || {
-            let (_c, q) = sim_queue();
-            for (text, level) in [("A", 1), ("B", 8)] {
-                let m = Message::text(text).correlation_id("x").priority(Priority::new(level));
-                put(&q, m.build()).unwrap();
-            }
-            q
-        };
-        let q = queue();
+        // Low-priority A, then high-priority B, one correlation id: a peek
+        // and a get by correlation both answer B, as a band scan would.
+        let (_c, q) = sim_queue();
+        for (text, level) in [("A", 1), ("B", 8)] {
+            let m = Message::text(text).correlation_id("x").priority(Priority::new(level));
+            put(&q, m.build()).unwrap();
+        }
         assert_eq!(q.peek_by_correlation("x").unwrap().payload_str(), Some("B"));
-        let got = q.try_take_by_correlation("x").unwrap().unwrap();
-        assert_eq!(got.payload_str(), Some("B"));
-        let sel = Selector::parse("correlation_id = 'x'").unwrap();
-        let got = queue().try_take(Some(&sel)).unwrap().unwrap();
+        let got = q.try_take_by_correlation("x", |_| true).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("B"));
     }
 
@@ -1013,8 +929,6 @@ mod tests {
         // Delivery order: high priority first.
         assert_eq!(snapshot[0].payload_str(), Some("b"));
         assert_eq!(q.depth(), 2);
-        let sel = Selector::parse("priority = 9").unwrap();
-        assert_eq!(q.browse_selected(Some(&sel)).len(), 1);
     }
 
     #[test]
@@ -1022,10 +936,10 @@ mod tests {
         let (_c, q) = sim_queue();
         put(&q, text("first")).unwrap();
         put(&q, text("second")).unwrap();
-        let m = q.try_take(None).unwrap().unwrap();
+        let m = q.try_take().unwrap().unwrap();
         assert_eq!(m.redelivery_count(), 0);
         q.requeue_front(m, true);
-        let again = q.try_take(None).unwrap().unwrap();
+        let again = q.try_take().unwrap().unwrap();
         assert_eq!(again.payload_str(), Some("first"));
         assert_eq!(again.redelivery_count(), 1);
         assert_eq!(q.stats().redelivered.get(), 1);
@@ -1046,17 +960,17 @@ mod tests {
         let peeked = q.peek_by_correlation("corr-1").unwrap();
         assert_eq!(peeked.payload_str(), Some("m1"));
         assert_eq!(q.depth(), 6);
-        let a = q.try_take_by_correlation("corr-1").unwrap().unwrap();
+        let a = q.try_take_by_correlation("corr-1", |_| true).unwrap().unwrap();
         assert_eq!(a.payload_str(), Some("m1"));
-        let b = q.try_take_by_correlation("corr-1").unwrap().unwrap();
+        let b = q.try_take_by_correlation("corr-1", |_| true).unwrap().unwrap();
         assert_eq!(b.payload_str(), Some("m3"));
-        assert!(q.try_take_by_correlation("corr-1").unwrap().is_none());
+        assert!(q.try_take_by_correlation("corr-1", |_| true).unwrap().is_none());
         assert!(q.peek_by_correlation("corr-1").is_none());
-        assert!(q.try_take_by_correlation("corr-9").unwrap().is_none());
+        assert!(q.try_take_by_correlation("corr-9", |_| true).unwrap().is_none());
         assert_eq!(q.depth(), 4);
         // Remaining FIFO order unaffected: m0, m2, m4, no-corr.
         let rest: Vec<_> = (0..4)
-            .map(|_| q.try_take(None).unwrap().unwrap())
+            .map(|_| q.try_take().unwrap().unwrap())
             .map(|m| m.payload_str().unwrap().to_owned())
             .collect();
         assert_eq!(rest, vec!["m0", "m2", "m4", "no-corr"]);
@@ -1073,7 +987,7 @@ mod tests {
         put(&q, Message::text("fresh").correlation_id("c").build())
             .unwrap();
         clock.advance(Millis(10));
-        let got = q.try_take_by_correlation("c").unwrap().unwrap();
+        let got = q.try_take_by_correlation("c", |_| true).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("fresh"));
         assert_eq!(q.stats().expired.get(), 1);
     }
@@ -1084,10 +998,10 @@ mod tests {
         put(&q, Message::text("x").correlation_id("c").build())
             .unwrap();
         put(&q, text("y")).unwrap();
-        q.try_take_by_correlation("c").unwrap().unwrap();
+        q.try_take_by_correlation("c", |_| true).unwrap().unwrap();
         // The band still holds a stale id for "x"; a normal take must skip
         // it and return "y".
-        let got = q.try_take(None).unwrap().unwrap();
+        let got = q.try_take().unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("y"));
         assert_eq!(q.depth(), 0);
     }
@@ -1100,7 +1014,7 @@ mod tests {
         put(&q, msg).unwrap();
         assert!(q.remove_by_id(id).is_some());
         assert!(q.remove_by_id(id).is_none());
-        assert!(q.try_take_by_correlation("c").unwrap().is_none());
+        assert!(q.try_take_by_correlation("c", |_| true).unwrap().is_none());
         assert_eq!(q.depth(), 0);
     }
 
@@ -1110,7 +1024,7 @@ mod tests {
         let q = queue_with(clock);
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(2_000))));
+            std::thread::spawn(move || q2.take_blocking(Wait::Timeout(Millis(2_000))));
         std::thread::sleep(Duration::from_millis(30));
         put(&q, text("late")).unwrap();
         let got = consumer.join().unwrap().unwrap().unwrap();
@@ -1122,7 +1036,7 @@ mod tests {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
         let got = q
-            .take_blocking(None, Wait::Timeout(Millis(30)))
+            .take_blocking(Wait::Timeout(Millis(30)))
             .unwrap();
         assert!(got.is_none());
     }
@@ -1132,10 +1046,9 @@ mod tests {
         let (clock, q) = sim_queue();
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(None, Wait::Timeout(Millis(100))));
+            std::thread::spawn(move || q2.take_blocking(Wait::Timeout(Millis(100))));
         std::thread::sleep(Duration::from_millis(20));
         clock.advance(Millis(150));
-        q.kick();
         let got = consumer.join().unwrap().unwrap();
         assert!(got.is_none());
     }
@@ -1143,7 +1056,7 @@ mod tests {
     #[test]
     fn nowait_returns_immediately() {
         let (_c, q) = sim_queue();
-        assert!(q.take_blocking(None, Wait::NoWait).unwrap().is_none());
+        assert!(q.take_blocking(Wait::NoWait).unwrap().is_none());
     }
 
     #[test]
@@ -1151,7 +1064,7 @@ mod tests {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
         let q2 = q.clone();
-        let consumer = std::thread::spawn(move || q2.take_blocking(None, Wait::Forever));
+        let consumer = std::thread::spawn(move || q2.take_blocking(Wait::Forever));
         std::thread::sleep(Duration::from_millis(30));
         q.close();
         match consumer.join().unwrap() {
@@ -1181,7 +1094,7 @@ mod tests {
         assert_eq!(q.depth(), 0);
         assert_eq!(q.stats().expired.get(), 0, "purged, not expired");
         assert_eq!(q.stats().dequeued.get(), 3);
-        assert!(q.try_take(None).unwrap().is_none());
+        assert!(q.try_take().unwrap().is_none());
     }
 
     #[test]
@@ -1198,7 +1111,7 @@ mod tests {
             .map(|corr| {
                 let q = q.clone();
                 let waiter = std::thread::spawn(move || {
-                    q.take_by_correlation_blocking(corr, Wait::Timeout(Millis(5_000)))
+                    q.take_by_correlation_blocking(corr, |_| true, Wait::Timeout(Millis(5_000)))
                 });
                 // Parked in this order: "a" first.
                 std::thread::sleep(Duration::from_millis(50));
@@ -1231,7 +1144,7 @@ mod tests {
         let id = msg.id();
         put(&q, msg).unwrap();
         // The get is not covered by a record yet: message held pending.
-        q.try_take(None).unwrap().unwrap();
+        q.try_take().unwrap().unwrap();
         assert_eq!(q.depth(), 0);
         let snap = q.snapshot_persistent();
         assert_eq!(snap.len(), 1, "pending get still owed to checkpoints");
@@ -1261,7 +1174,7 @@ mod tests {
                 let consumed = consumed.clone();
                 std::thread::spawn(move || {
                     while consumed.load(Ordering::SeqCst) < 1000 {
-                        if q.take_blocking(None, Wait::Timeout(Millis(100)))
+                        if q.take_blocking(Wait::Timeout(Millis(100)))
                             .unwrap()
                             .is_some()
                         {

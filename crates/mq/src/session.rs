@@ -33,7 +33,6 @@ use crate::journal::JournalRecord;
 use crate::message::{Message, MessageId, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{ArrivalTrigger, Queue, Wait};
-use crate::selector::Selector;
 use crate::trace::TraceStage;
 
 /// What a transaction holds between its first operation and its end.
@@ -172,11 +171,10 @@ impl TxState {
         &mut self,
         manager: &QueueManager,
         queue: &str,
-        selector: Option<&Selector>,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
-        let msg = q.take_blocking(selector, wait)?;
+        let msg = q.take_blocking(wait)?;
         self.gets.extend(msg.clone().map(|m| (q, m)));
         Ok(msg)
     }
@@ -186,10 +184,11 @@ impl TxState {
         manager: &QueueManager,
         queue: &str,
         corr: &str,
+        accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
-        let msg = q.take_by_correlation_blocking(corr, wait)?;
+        let msg = q.take_by_correlation_blocking(corr, accept, wait)?;
         self.gets.extend(msg.clone().map(|m| (q, m)));
         Ok(msg)
     }
@@ -753,26 +752,13 @@ impl Session {
     /// [`MqError::QueueNotFound`]; [`MqError::ManagerStopped`] if the
     /// manager crashes while waiting.
     pub fn get(&mut self, queue: &str, wait: Wait) -> MqResult<Option<Message>> {
-        self.run(|manager, tx| tx.get(manager, queue, None, wait))
+        self.run(|manager, tx| tx.get(manager, queue, wait))
     }
 
-    /// Consumes the first message matching `selector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::get`].
-    pub fn get_selected(
-        &mut self,
-        queue: &str,
-        selector: &Selector,
-        wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        self.run(|manager, tx| tx.get(manager, queue, Some(selector), wait))
-    }
-
-    /// Consumes the oldest message with the given correlation id
-    /// (provisionally, if a transaction is active), using the queue's
-    /// correlation index.
+    /// Consumes the first message in delivery order with the given
+    /// correlation id that `accept` takes (provisionally, if a transaction
+    /// is active): a point read of the queue's correlation index, the one
+    /// filtered get.
     ///
     /// # Errors
     ///
@@ -781,9 +767,10 @@ impl Session {
         &mut self,
         queue: &str,
         corr: &str,
+        accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
-        self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, wait))
+        self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, accept, wait))
     }
 }
 
@@ -1028,16 +1015,18 @@ mod tests {
     }
 
     #[test]
-    fn selector_get_in_transaction() {
+    fn filtered_get_in_transaction() {
         let (_j, qm) = setup();
-        qm.put("Q", Message::text("a").property("k", 1i64).build())
-            .unwrap();
-        qm.put("Q", Message::text("b").property("k", 2i64).build())
-            .unwrap();
-        let sel = Selector::parse("k = 2").unwrap();
+        for (text, k) in [("a", 1i64), ("b", 2)] {
+            qm.put("Q", Message::text(text).correlation_id("c").property("k", k).build())
+                .unwrap();
+        }
         let mut s = qm.session();
         s.begin().unwrap();
-        let got = s.get_selected("Q", &sel, Wait::NoWait).unwrap().unwrap();
+        let got = s
+            .get_by_correlation("Q", "c", |m| m.i64_property("k") == Some(2), Wait::NoWait)
+            .unwrap()
+            .unwrap();
         assert_eq!(got.payload_str(), Some("b"));
         s.rollback().unwrap();
         assert_eq!(qm.queue("Q").unwrap().depth(), 2);
@@ -1058,10 +1047,7 @@ mod tests {
     #[test]
     fn staged_puts_count_against_max_depth() {
         let (_j, qm) = setup();
-        let bounded = crate::QueueConfig {
-            max_depth: Some(3),
-            ..crate::QueueConfig::default()
-        };
+        let bounded = crate::QueueConfig { max_depth: Some(3) };
         qm.create_queue_with("SMALL", bounded).unwrap();
         qm.put("SMALL", Message::text("live").build()).unwrap();
         let mut s = qm.session();
@@ -1088,12 +1074,12 @@ mod tests {
         let mut s = qm.session();
         s.begin().unwrap();
         let got = s
-            .get_by_correlation("Q", "c-1", Wait::NoWait)
+            .get_by_correlation("Q", "c-1", |_| true, Wait::NoWait)
             .unwrap()
             .unwrap();
         assert_eq!(got.payload_str(), Some("corr-msg"));
         assert!(
-            s.get_by_correlation("Q", "c-1", Wait::NoWait)
+            s.get_by_correlation("Q", "c-1", |_| true, Wait::NoWait)
                 .unwrap()
                 .is_none(),
             "in-flight: invisible"
@@ -1115,7 +1101,7 @@ mod tests {
             .unwrap();
         let mut s = qm.session();
         s.begin().unwrap();
-        s.get_by_correlation("Q", "c", Wait::NoWait)
+        s.get_by_correlation("Q", "c", |_| true, Wait::NoWait)
             .unwrap()
             .unwrap();
         s.commit().unwrap();

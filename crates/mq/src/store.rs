@@ -226,9 +226,8 @@ impl MessageStore {
     /// The message with correlation id `correlation` that a band scan
     /// would reach first among those `accept` takes — highest priority,
     /// then lowest sequence number — skipping any expired at `now`.
-    /// O(messages carrying that id), not O(depth): the one correlation
-    /// read behind correlation gets and peeks, and behind selector reads
-    /// that pin a correlation id.
+    /// O(messages carrying that id), not O(depth): the one read behind
+    /// correlation gets and peeks.
     pub(crate) fn first_correlated(
         &self,
         correlation: &str,

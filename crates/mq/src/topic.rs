@@ -5,8 +5,8 @@
 //! (§2: "specific models of conditional messaging can be defined with
 //! respect to … message queuing and publish/subscribe systems"). This
 //! module supplies the pub/sub substrate: a [`Topic`] fans published
-//! messages out to one queue per subscription, optionally filtered by a
-//! [selector](crate::selector). Subscriptions are *durable*: the
+//! messages out to one queue per subscription, and a subscription is just
+//! that queue's name. Subscriptions are *durable*: the
 //! registration is journaled (as a persistent message on a registry
 //! queue), so both the subscription and its undelivered messages survive a
 //! queue-manager restart.
@@ -20,22 +20,12 @@ use parking_lot::RwLock;
 use crate::error::{MqError, MqResult};
 use crate::message::{Message, QueueAddress};
 use crate::qmgr::QueueManager;
-use crate::selector::Selector;
 use crate::stats::Counter;
 use crate::Wait;
 
 /// Property on registry records naming the subscription.
 // lint: registry-sink wire-string
 const P_SUB_NAME: &str = "sys.topic.sub.name";
-/// Property on registry records carrying the selector source, if any.
-// lint: registry-sink wire-string
-const P_SUB_SELECTOR: &str = "sys.topic.sub.selector";
-
-#[derive(Debug)]
-struct Subscription {
-    queue: String,
-    selector: Option<Selector>,
-}
 
 /// Per-topic statistics.
 #[derive(Debug, Default)]
@@ -44,8 +34,6 @@ pub struct TopicStats {
     pub published: Counter,
     /// Message copies delivered to subscription queues.
     pub delivered: Counter,
-    /// Copies suppressed by subscription selectors.
-    pub filtered: Counter,
 }
 
 /// A publish/subscribe topic on one queue manager.
@@ -53,7 +41,8 @@ pub struct Topic {
     name: String,
     qmgr: Arc<QueueManager>,
     registry_queue: String,
-    subscriptions: RwLock<HashMap<String, Subscription>>,
+    /// Subscription name → the queue its copies are delivered to.
+    subscriptions: RwLock<HashMap<String, String>>,
     stats: TopicStats,
 }
 
@@ -90,13 +79,9 @@ impl Topic {
             let Some(sub_name) = record.str_property(P_SUB_NAME).map(str::to_owned) else {
                 continue;
             };
-            let selector = match record.str_property(P_SUB_SELECTOR) {
-                Some(src) => Some(Selector::parse(src)?),
-                None => None,
-            };
             let queue = topic.queue_for(&sub_name);
             topic.qmgr.ensure_queue(&queue)?;
-            subs.insert(sub_name, Subscription { queue, selector });
+            subs.insert(sub_name, queue);
         }
         drop(subs);
         Ok(Arc::new(topic))
@@ -124,41 +109,18 @@ impl Topic {
     ///
     /// Queue-creation or journal failures.
     pub fn subscribe(&self, sub_name: &str) -> MqResult<String> {
-        self.subscribe_inner(sub_name, None)
-    }
-
-    /// Creates a durable subscription that only receives messages matching
-    /// `selector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Topic::subscribe`].
-    pub fn subscribe_filtered(&self, sub_name: &str, selector: Selector) -> MqResult<String> {
-        self.subscribe_inner(sub_name, Some(selector))
-    }
-
-    fn subscribe_inner(&self, sub_name: &str, selector: Option<Selector>) -> MqResult<String> {
         let queue = self.queue_for(sub_name);
         self.qmgr.ensure_queue(&queue)?;
         let mut subs = self.subscriptions.write();
         if !subs.contains_key(sub_name) {
-            let mut record = Message::text("")
+            let record = Message::text("")
                 .property(P_SUB_NAME, sub_name)
                 .persistent(true)
                 .correlation_id(sub_name)
                 .build();
-            if let Some(sel) = &selector {
-                record.set_property(P_SUB_SELECTOR, sel.source());
-            }
             self.qmgr.put(&self.registry_queue, record)?;
         }
-        subs.insert(
-            sub_name.to_owned(),
-            Subscription {
-                queue: queue.clone(),
-                selector,
-            },
-        );
+        subs.insert(sub_name.to_owned(), queue.clone());
         Ok(queue)
     }
 
@@ -170,7 +132,7 @@ impl Topic {
     /// [`MqError::QueueNotFound`] when no such subscription exists.
     pub fn unsubscribe(&self, sub_name: &str) -> MqResult<()> {
         let mut subs = self.subscriptions.write();
-        let sub = subs
+        let queue = subs
             .remove(sub_name)
             .ok_or_else(|| MqError::QueueNotFound(self.queue_for(sub_name)))?;
         // Remove the durable registration (correlation-indexed).
@@ -179,7 +141,7 @@ impl Topic {
             .get_by_correlation(&self.registry_queue, sub_name, Wait::NoWait)?
             .is_some()
         {}
-        self.qmgr.delete_queue(&sub.queue)?;
+        self.qmgr.delete_queue(&queue)?;
         Ok(())
     }
 
@@ -194,44 +156,31 @@ impl Topic {
         let subs = self.subscriptions.read();
         let mut out: Vec<(String, QueueAddress)> = subs
             .iter()
-            .map(|(name, sub)| {
-                (
-                    name.clone(),
-                    QueueAddress::new(self.qmgr.name(), sub.queue.clone()),
-                )
-            })
+            .map(|(name, queue)| (name.clone(), QueueAddress::new(self.qmgr.name(), queue.clone())))
             .collect();
         out.sort();
         out
     }
 
-    /// Publishes a message: one copy per subscription whose selector (if
-    /// any) matches, all in one transaction — every such subscriber gets
-    /// its copy or, when one of their queues is full or the journal refuses
-    /// the record, none does. Returns the number of copies delivered.
+    /// Publishes a message: one copy per subscription, all in one
+    /// transaction — every subscriber gets its copy or, when one of their
+    /// queues is full or the journal refuses the record, none does. Returns
+    /// the number of copies delivered.
     ///
     /// # Errors
     ///
     /// Put failures; nothing was published then.
     pub fn publish(&self, msg: Message) -> MqResult<usize> {
         let subs = self.subscriptions.read();
-        let matching: Vec<&Subscription> = subs
-            .values()
-            .filter(|sub| sub.selector.as_ref().is_none_or(|s| s.matches(&msg)))
-            .collect();
         self.qmgr.auto_commit(|tx| {
             // Each subscriber gets its own copy with a fresh identity
             // (pub/sub semantics: independent deliveries).
-            matching
-                .iter()
-                .try_for_each(|sub| tx.put(&self.qmgr, &sub.queue, clone_for_subscriber(&msg)))
+            subs.values()
+                .try_for_each(|queue| tx.put(&self.qmgr, queue, clone_for_subscriber(&msg)))
         })?;
         self.stats.published.incr();
-        self.stats.delivered.add(matching.len() as u64);
-        self.stats
-            .filtered
-            .add((subs.len() - matching.len()) as u64);
-        Ok(matching.len())
+        self.stats.delivered.add(subs.len() as u64);
+        Ok(subs.len())
     }
 }
 
@@ -292,25 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_filtered_subscription() {
-        let (_j, qm) = manager();
-        let topic = Topic::open(qm.clone(), "alerts").unwrap();
-        let all = topic.subscribe("all").unwrap();
-        let urgent_only = topic
-            .subscribe_filtered("urgent", Selector::parse("severity >= 7").unwrap())
-            .unwrap();
-        topic
-            .publish(Message::text("minor").property("severity", 3i64).build())
-            .unwrap();
-        topic
-            .publish(Message::text("major").property("severity", 9i64).build())
-            .unwrap();
-        assert_eq!(qm.queue(&all).unwrap().depth(), 2);
-        assert_eq!(qm.queue(&urgent_only).unwrap().depth(), 1);
-        assert_eq!(topic.stats().filtered.get(), 1);
-    }
-
-    #[test]
     fn publish_is_one_record_for_every_subscriber_or_nothing() {
         let (journal, qm) = manager();
         let topic = Topic::open(qm.clone(), "news").unwrap();
@@ -322,10 +252,7 @@ mod tests {
         let bounded = qm
             .create_queue_with(
                 "TOPIC.news.carol",
-                crate::QueueConfig {
-                    max_depth: Some(1),
-                    ..Default::default()
-                },
+                crate::QueueConfig { max_depth: Some(1) },
             )
             .unwrap();
         topic.subscribe("carol").unwrap();
@@ -399,16 +326,9 @@ mod tests {
         {
             let topic = Topic::open(qm.clone(), "news").unwrap();
             topic.subscribe("alice").unwrap();
+            topic.subscribe("bob").unwrap();
             topic
-                .subscribe_filtered("urgent", Selector::parse("severity > 5").unwrap())
-                .unwrap();
-            topic
-                .publish(
-                    Message::text("before crash")
-                        .property("severity", 9i64)
-                        .persistent(true)
-                        .build(),
-                )
+                .publish(Message::text("before crash").persistent(true).build())
                 .unwrap();
             qm.crash();
         }
@@ -421,13 +341,11 @@ mod tests {
         assert_eq!(topic.subscription_count(), 2, "registrations recovered");
         // Undelivered persistent copies survived too.
         assert_eq!(qm2.queue("TOPIC.news.alice").unwrap().depth(), 1);
-        assert_eq!(qm2.queue("TOPIC.news.urgent").unwrap().depth(), 1);
-        // And the selector still filters after recovery.
-        topic
-            .publish(Message::text("calm").property("severity", 1i64).build())
-            .unwrap();
+        assert_eq!(qm2.queue("TOPIC.news.bob").unwrap().depth(), 1);
+        // And a recovered subscription receives what is published next.
+        assert_eq!(topic.publish(Message::text("after").build()).unwrap(), 2);
         assert_eq!(qm2.queue("TOPIC.news.alice").unwrap().depth(), 2);
-        assert_eq!(qm2.queue("TOPIC.news.urgent").unwrap().depth(), 1);
+        assert_eq!(qm2.queue("TOPIC.news.bob").unwrap().depth(), 2);
     }
 
     #[test]

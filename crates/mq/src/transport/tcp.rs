@@ -1301,10 +1301,7 @@ mod tests {
     #[test]
     fn batch_beyond_a_bounded_queues_room_is_refused_whole_then_lands_once() {
         let recv = QueueManager::builder("QM.RECV").build().unwrap();
-        let bounded = crate::QueueConfig {
-            max_depth: Some(3),
-            ..crate::QueueConfig::default()
-        };
+        let bounded = crate::QueueConfig { max_depth: Some(3) };
         recv.create_queue_with("Q.IN", bounded).unwrap();
         recv.put("Q.IN", Message::text("already here").build())
             .unwrap();

@@ -194,17 +194,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// Cancels a pending timer. Returns `true` if the timer had not yet fired.
     fn cancel(&self, id: TimerId) -> bool;
 
-    /// Replaces a pending timer: cancels `id` (if still pending) and arms
-    /// `f` at `at`, returning the replacement timer's id.
-    ///
-    /// Cancel-then-schedule is not atomic with respect to a concurrently
-    /// firing `id`; callers following the "move my deadline" pattern must
-    /// re-check their own state inside the callback.
-    fn reschedule(&self, id: TimerId, at: Time, f: TimerCallback) -> TimerId {
-        self.cancel(id);
-        self.schedule_at(at, f)
-    }
-
     /// Whether this clock's time is decoupled from real time.
     ///
     /// Blocking primitives use this to decide between waiting out the exact
@@ -258,7 +247,7 @@ struct SchedulerState {
 /// [`SimClock`] drains due entries synchronously during `advance`;
 /// [`SystemClock`]'s parked waiter thread drains them as real time passes.
 /// The scheduler's lock is never held while a callback runs, so callbacks
-/// may freely schedule, cancel, or reschedule further timers.
+/// may freely schedule or cancel further timers.
 #[derive(Default)]
 pub struct DeadlineScheduler {
     state: Mutex<SchedulerState>,
@@ -645,21 +634,6 @@ mod tests {
         assert!(!clock.cancel(id), "double-cancel reports not pending");
         clock.advance(Millis(100));
         assert_eq!(count.load(Ordering::SeqCst), 0);
-        assert_eq!(clock.pending_timers(), 0);
-    }
-
-    #[test]
-    fn sim_reschedule_moves_deadline() {
-        let clock = SimClock::new();
-        let (count, mk) = counter();
-        let id = clock.schedule_at(Time(10), mk());
-        let id2 = clock.reschedule(id, Time(50), mk());
-        assert_ne!(id, id2);
-        assert_eq!(clock.pending_timers(), 1, "old timer replaced, not added");
-        clock.advance(Millis(20));
-        assert_eq!(count.load(Ordering::SeqCst), 0, "old deadline cancelled");
-        clock.advance(Millis(40));
-        assert_eq!(count.load(Ordering::SeqCst), 1);
         assert_eq!(clock.pending_timers(), 0);
     }
 

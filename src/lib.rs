@@ -10,8 +10,8 @@
 //!   deterministic under test.
 //! * [`mq`] — the reliable message-queuing substrate: queue managers,
 //!   journaled persistence with crash recovery, transacted sessions,
-//!   selectors, topics, push listeners, and store-and-forward channels
-//!   over TCP.
+//!   correlation-id point reads, topics, push listeners, and
+//!   store-and-forward channels over TCP.
 //! * [`condmsg`] — the paper's contribution: condition trees on pick-up
 //!   and processing deadlines, implicit acknowledgments, evaluation to a
 //!   success/failure outcome, success notifications and compensation

@@ -412,7 +412,7 @@ fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
     // if no trigger were installed, and the verdict is retried from the
     // queue once there is room.
     let (_clock, journal, qmgr) = timed_world();
-    let bounded = QueueConfig { max_depth: Some(1), ..QueueConfig::default() };
+    let bounded = QueueConfig { max_depth: Some(1) };
     qmgr.create_queue_with("DS.OUTCOME.Q", bounded).unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
     let condition: Condition = Destination::queue("QM1", "Q")
