@@ -70,7 +70,6 @@ pub use eval::{AckState, CompiledCondition, Dimension, Verdict};
 pub use ids::CondMessageId;
 pub use listener::{ConditionalListener, Processing};
 pub use messenger::{ConditionalMessenger, EvaluationDaemon, MessageStatus};
-pub use pubsub::GroupCondition;
 pub use receiver::{ConditionalReceiver, ReceivedMessage};
 pub use wire::{
     AckKind, Acknowledgment, MessageKind, MessageOutcome, OutcomeNotification, SendOptions,

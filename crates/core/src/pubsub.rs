@@ -3,11 +3,11 @@
 //! The paper defines conditional messaging generically over "specific
 //! models of messaging, such as message queuing and publish/subscribe
 //! systems" (§2) and names pub/sub conditions as a direction the system
-//! should grow in. This module provides that extension: a
-//! [`GroupCondition`] is a condition *template* — time windows and min/max
-//! counts without fixed destinations — that
-//! [`ConditionalMessenger::publish_conditional`] instantiates over the
-//! subscriber set of an [`mq::topic::Topic`] at publish time.
+//! should grow in. This module provides that extension:
+//! [`ConditionalMessenger::publish_conditional`] takes a member-less
+//! [`DestinationSet`] as a condition *template* — time windows and
+//! min/max counts without fixed destinations — and instantiates it over
+//! the subscriber set of an [`mq::topic::Topic`] at publish time.
 //!
 //! Each subscription queue becomes one destination leaf of an ordinary
 //! conditional message, so everything else (implicit acknowledgments,
@@ -18,8 +18,6 @@
 
 use bytes::Bytes;
 use mq::topic::Topic;
-use mq::QueueAddress;
-use simtime::Millis;
 
 use crate::condition::{Condition, Destination, DestinationSet};
 use crate::error::{CondError, CondResult};
@@ -27,92 +25,33 @@ use crate::ids::CondMessageId;
 use crate::messenger::ConditionalMessenger;
 use crate::wire::SendOptions;
 
-/// A destination-independent condition template, instantiated over a
-/// dynamic set of queues (e.g. a topic's subscribers) at send time.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GroupCondition {
-    /// Pick-up window applied to the group (`MsgPickUpTime`).
-    pub pickup_within: Option<Millis>,
-    /// Processing window applied to the group (`MsgProcessingTime`).
-    pub process_within: Option<Millis>,
-    /// `MinNrPickUp`: at least this many members must pick up in time
-    /// (default: all of them).
-    pub min_pickup: Option<u32>,
-    /// `MinNrProcessing`: at least this many members must process in time.
-    pub min_process: Option<u32>,
-    /// `MaxNrPickUp` counting cap.
-    pub max_pickup: Option<u32>,
-    /// `MaxNrProcessing` counting cap.
-    pub max_process: Option<u32>,
-}
-
-impl GroupCondition {
-    /// A template requiring every member to pick up within `window`.
-    pub fn all_pickup_within(window: Millis) -> GroupCondition {
-        GroupCondition {
-            pickup_within: Some(window),
-            ..GroupCondition::default()
-        }
+/// Appends one [`Destination::addressed`] leaf per subscriber queue of
+/// `topic` to `template`.
+///
+/// # Errors
+///
+/// [`CondError::InvalidCondition`] when the topic has no subscribers.
+fn instantiate(template: &DestinationSet, topic: &Topic) -> CondResult<(Condition, usize)> {
+    let queues = topic.subscriber_queues();
+    if queues.is_empty() {
+        return Err(CondError::InvalidCondition(
+            "publish template instantiated over zero destinations".into(),
+        ));
     }
-
-    /// A template requiring at least `min` members to pick up within
-    /// `window`.
-    pub fn min_pickup_within(min: u32, window: Millis) -> GroupCondition {
-        GroupCondition {
-            pickup_within: Some(window),
-            min_pickup: Some(min),
-            ..GroupCondition::default()
-        }
-    }
-
-    /// Instantiates the template over concrete destination queues.
-    ///
-    /// # Errors
-    ///
-    /// [`CondError::InvalidCondition`] when `queues` is empty, a min count
-    /// exceeds the member count, or the template carries counts without
-    /// the corresponding window (validated like any condition).
-    pub fn to_condition(&self, queues: &[QueueAddress]) -> CondResult<Condition> {
-        if queues.is_empty() {
-            return Err(CondError::InvalidCondition(
-                "group condition instantiated over zero destinations".into(),
-            ));
-        }
-        let mut set = DestinationSet::of(
-            queues
-                .iter()
-                .map(|q| Destination::addressed(q.clone()).into())
-                .collect(),
-        );
-        if let Some(w) = self.pickup_within {
-            set = set.pickup_within(w);
-        }
-        if let Some(w) = self.process_within {
-            set = set.process_within(w);
-        }
-        if let Some(n) = self.min_pickup {
-            set = set.min_pickup(n);
-        }
-        if let Some(n) = self.min_process {
-            set = set.min_process(n);
-        }
-        if let Some(n) = self.max_pickup {
-            set = set.max_pickup(n);
-        }
-        if let Some(n) = self.max_process {
-            set = set.max_process(n);
-        }
-        let condition: Condition = set.into();
-        condition.validate()?;
-        Ok(condition)
-    }
+    let n = queues.len();
+    let set = queues
+        .into_iter()
+        .fold(template.clone(), |set, (_, addr)| set.member(Destination::addressed(addr)));
+    Ok((set.into(), n))
 }
 
 impl ConditionalMessenger {
     /// Publishes a conditional message to every current subscriber of
-    /// `topic`: the template is instantiated over the subscription queues
-    /// and sent as a regular conditional message (one standard message per
-    /// subscriber, plus parked compensations).
+    /// `topic`: `template` — a set such as
+    /// `DestinationSet::empty().pickup_within(w).min_pickup(2)` — gets one
+    /// destination leaf per subscription queue and is sent as a regular
+    /// conditional message (one standard message per subscriber, plus
+    /// parked compensations when `compensation` is given).
     ///
     /// Returns the conditional message id and the number of subscribers
     /// addressed. Subscribers added *after* the publish do not affect the
@@ -127,48 +66,13 @@ impl ConditionalMessenger {
         &self,
         topic: &Topic,
         payload: impl Into<Bytes>,
-        template: &GroupCondition,
-        options: SendOptions,
-    ) -> CondResult<(CondMessageId, usize)> {
-        self.publish_to_subscribers(topic, payload.into(), None, template, options)
-    }
-
-    /// Like [`ConditionalMessenger::publish_conditional`], with
-    /// application-defined compensation data.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConditionalMessenger::publish_conditional`].
-    pub fn publish_conditional_with_compensation(
-        &self,
-        topic: &Topic,
-        payload: impl Into<Bytes>,
-        compensation: impl Into<Bytes>,
-        template: &GroupCondition,
-        options: SendOptions,
-    ) -> CondResult<(CondMessageId, usize)> {
-        let compensation = Some(compensation.into());
-        self.publish_to_subscribers(topic, payload.into(), compensation, template, options)
-    }
-
-    /// Instantiates `template` over the topic's current subscriber queues
-    /// and sends one conditional message to them.
-    fn publish_to_subscribers(
-        &self,
-        topic: &Topic,
-        payload: Bytes,
         compensation: Option<Bytes>,
-        template: &GroupCondition,
+        template: &DestinationSet,
         options: SendOptions,
     ) -> CondResult<(CondMessageId, usize)> {
-        let queues: Vec<QueueAddress> = topic
-            .subscriber_queues()
-            .into_iter()
-            .map(|(_, addr)| addr)
-            .collect();
-        let condition = template.to_condition(&queues)?;
+        let (condition, n) = instantiate(template, topic)?;
         let id = self.send_with(payload, compensation, &condition, options)?;
-        Ok((id, queues.len()))
+        Ok((id, n))
     }
 }
 
@@ -178,7 +82,7 @@ mod tests {
     use crate::receiver::ConditionalReceiver;
     use crate::wire::{MessageKind, MessageOutcome};
     use mq::{QueueManager, Wait};
-    use simtime::SimClock;
+    use simtime::{Millis, SimClock};
     use std::sync::Arc;
 
     fn setup() -> (
@@ -199,20 +103,20 @@ mod tests {
 
     #[test]
     fn template_instantiation_and_validation() {
-        let queues = vec![
-            QueueAddress::new("QM1", "A"),
-            QueueAddress::new("QM1", "B"),
-            QueueAddress::new("QM1", "C"),
-        ];
-        let cond = GroupCondition::min_pickup_within(2, Millis(100))
-            .to_condition(&queues)
-            .unwrap();
+        let (_c, _q, _m, topic) = setup();
+        let min2 = DestinationSet::empty()
+            .pickup_within(Millis(100))
+            .min_pickup(2);
+        assert!(instantiate(&min2, &topic).is_err());
+        for name in ["A", "B", "C"] {
+            topic.subscribe(name).unwrap();
+        }
+        let (cond, n) = instantiate(&min2, &topic).unwrap();
         assert_eq!(cond.leaf_count(), 3);
-        assert!(GroupCondition::default().to_condition(&[]).is_err());
+        assert_eq!(n, 3);
         // min > members is rejected by condition validation.
-        assert!(GroupCondition::min_pickup_within(4, Millis(100))
-            .to_condition(&queues)
-            .is_err());
+        let (cond, _) = instantiate(&min2.clone().min_pickup(4), &topic).unwrap();
+        assert!(cond.validate().is_err());
     }
 
     #[test]
@@ -222,7 +126,8 @@ mod tests {
             .publish_conditional(
                 &topic,
                 "x",
-                &GroupCondition::all_pickup_within(Millis(100)),
+                None,
+                &DestinationSet::empty().pickup_within(Millis(100)),
                 SendOptions::default(),
             )
             .unwrap_err();
@@ -238,7 +143,8 @@ mod tests {
             .publish_conditional(
                 &topic,
                 "release notes",
-                &GroupCondition::all_pickup_within(Millis(100)),
+                None,
+                &DestinationSet::empty().pickup_within(Millis(100)),
                 SendOptions::default(),
             )
             .unwrap();
@@ -264,7 +170,10 @@ mod tests {
             .publish_conditional(
                 &topic,
                 "poll",
-                &GroupCondition::min_pickup_within(2, Millis(100)),
+                None,
+                &DestinationSet::empty()
+                    .pickup_within(Millis(100))
+                    .min_pickup(2),
                 SendOptions::default(),
             )
             .unwrap();
@@ -285,11 +194,11 @@ mod tests {
         topic.subscribe("s1").unwrap();
         topic.subscribe("s2").unwrap();
         let (id, _) = messenger
-            .publish_conditional_with_compensation(
+            .publish_conditional(
                 &topic,
                 "event",
-                "event withdrawn",
-                &GroupCondition::all_pickup_within(Millis(50)),
+                Some("event withdrawn".into()),
+                &DestinationSet::empty().pickup_within(Millis(50)),
                 SendOptions::default(),
             )
             .unwrap();
@@ -325,7 +234,8 @@ mod tests {
             .publish_conditional(
                 &topic,
                 "x",
-                &GroupCondition::all_pickup_within(Millis(100)),
+                None,
+                &DestinationSet::empty().pickup_within(Millis(100)),
                 SendOptions::default(),
             )
             .unwrap();

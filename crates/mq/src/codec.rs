@@ -147,11 +147,6 @@ impl Encoder {
         self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
-    /// Appends an IEEE-754 `f64`.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
-    }
-
     /// Appends a boolean as one byte.
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
@@ -270,12 +265,6 @@ impl Decoder {
     pub fn get_zigzag(&mut self) -> Result<i64, CodecError> {
         let v = self.get_varint()?;
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
-    }
-
-    /// Reads an IEEE-754 `f64`.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
     }
 
     /// Reads a boolean byte (`0` or `1`; anything else is a bad tag).
@@ -398,10 +387,6 @@ impl WireEncode for PropertyValue {
                 enc.put_u8(1);
                 enc.put_zigzag(*v);
             }
-            PropertyValue::F64(v) => {
-                enc.put_u8(2);
-                enc.put_f64(*v);
-            }
             PropertyValue::Bool(b) => {
                 enc.put_u8(3);
                 enc.put_bool(*b);
@@ -415,7 +400,6 @@ impl WireDecode for PropertyValue {
         match dec.get_u8()? {
             0 => Ok(PropertyValue::Str(dec.get_wire_str()?)),
             1 => Ok(PropertyValue::I64(dec.get_zigzag()?)),
-            2 => Ok(PropertyValue::F64(dec.get_f64()?)),
             3 => Ok(PropertyValue::Bool(dec.get_bool()?)),
             tag => Err(CodecError::BadTag {
                 what: "PropertyValue",
@@ -732,7 +716,6 @@ mod tests {
         enc.put_u128(u128::MAX - 1);
         enc.put_zigzag(-42);
         enc.put_zigzag(i64::MIN);
-        enc.put_f64(2.75);
         enc.put_bool(true);
         enc.put_str("héllo");
         enc.put_bytes(&[1, 2, 3]);
@@ -743,7 +726,6 @@ mod tests {
         assert_eq!(dec.get_u128().unwrap(), u128::MAX - 1);
         assert_eq!(dec.get_zigzag().unwrap(), -42);
         assert_eq!(dec.get_zigzag().unwrap(), i64::MIN);
-        assert_eq!(dec.get_f64().unwrap(), 2.75);
         assert!(dec.get_bool().unwrap());
         assert_eq!(dec.get_str().unwrap(), "héllo");
         assert_eq!(dec.get_bytes().unwrap().as_ref(), &[1, 2, 3]);
@@ -814,7 +796,6 @@ mod tests {
     fn property_value_roundtrips() {
         roundtrip(&PropertyValue::Str("abc".into()));
         roundtrip(&PropertyValue::I64(-5));
-        roundtrip(&PropertyValue::F64(1.25));
         roundtrip(&PropertyValue::Bool(false));
     }
 
@@ -828,7 +809,6 @@ mod tests {
         let mut msg = Message::text("payload")
             .property("str", "v")
             .property("int", -3i64)
-            .property("float", 0.5f64)
             .property("bool", true)
             .priority(Priority::new(9))
             .persistent(true)
@@ -913,13 +893,24 @@ mod tests {
             .property(WIRE_STRING_REGISTRY[0], 1i64)
             .build();
         let image = msg.to_bytes().to_vec();
-        // id 0..16, priority 16, flags 17, payload 18..20, count 20, code 21.
+        // id 0..16, priority 16, flags 17, payload 18..20, count 20, code 21,
+        // value tag 22.
         let unknown = WIRE_STRING_REGISTRY.len() as u8 + 1;
         let mut bad_code = image.clone();
         bad_code[21] = unknown;
         assert_eq!(
             Message::from_bytes(Bytes::from(bad_code)),
             Err(CodecError::UnknownWireString(u64::from(unknown)))
+        );
+        // Tag 2 names no property value type.
+        let mut bad_value = image.clone();
+        bad_value[22] = 2;
+        assert_eq!(
+            Message::from_bytes(Bytes::from(bad_value)),
+            Err(CodecError::BadTag {
+                what: "PropertyValue",
+                tag: 2
+            })
         );
         // A payload elision with no previous image to take the payload
         // from (a message's own image: the wire, a checkpoint row, the
@@ -1007,8 +998,6 @@ mod tests {
             prop_oneof![
                 any::<String>().prop_map(PropertyValue::Str),
                 any::<i64>().prop_map(PropertyValue::I64),
-                // Avoid NaN: PartialEq-based roundtrip comparison.
-                any::<i64>().prop_map(|v| PropertyValue::F64(v as f64)),
                 any::<bool>().prop_map(PropertyValue::Bool),
             ]
         }

@@ -92,8 +92,6 @@ pub enum PropertyValue {
     Str(String),
     /// 64-bit signed integer.
     I64(i64),
-    /// 64-bit float.
-    F64(f64),
     /// Boolean.
     Bool(bool),
 }
@@ -115,15 +113,6 @@ impl PropertyValue {
         }
     }
 
-    /// Returns the float value (integers widen), if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            PropertyValue::F64(v) => Some(*v),
-            PropertyValue::I64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Returns the boolean value, if this is a boolean property.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -138,7 +127,6 @@ impl fmt::Display for PropertyValue {
         match self {
             PropertyValue::Str(s) => write!(f, "{s}"),
             PropertyValue::I64(v) => write!(f, "{v}"),
-            PropertyValue::F64(v) => write!(f, "{v}"),
             PropertyValue::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -162,11 +150,6 @@ impl From<i64> for PropertyValue {
 impl From<u64> for PropertyValue {
     fn from(v: u64) -> Self {
         PropertyValue::I64(v as i64)
-    }
-}
-impl From<f64> for PropertyValue {
-    fn from(v: f64) -> Self {
-        PropertyValue::F64(v)
     }
 }
 impl From<bool> for PropertyValue {
@@ -578,7 +561,6 @@ mod tests {
             .property("a", 1i64)
             .property("b", "two")
             .property("c", true)
-            .property("d", 2.5f64)
             .priority(Priority::new(8))
             .persistent(true)
             .ttl(Millis(500))
@@ -589,7 +571,6 @@ mod tests {
         assert_eq!(msg.i64_property("a"), Some(1));
         assert_eq!(msg.str_property("b"), Some("two"));
         assert_eq!(msg.bool_property("c"), Some(true));
-        assert_eq!(msg.property("d").and_then(PropertyValue::as_f64), Some(2.5));
         assert_eq!(msg.priority().level(), 8);
         assert!(msg.is_persistent());
         assert_eq!(msg.ttl(), Some(Millis(500)));
@@ -635,10 +616,8 @@ mod tests {
     fn property_value_conversions() {
         assert_eq!(PropertyValue::from(3i64).as_i64(), Some(3));
         assert_eq!(PropertyValue::from(3u64).as_i64(), Some(3));
-        assert_eq!(PropertyValue::from(3i64).as_f64(), Some(3.0));
         assert_eq!(PropertyValue::from("s").as_str(), Some("s"));
         assert_eq!(PropertyValue::from(true).as_bool(), Some(true));
-        assert_eq!(PropertyValue::from(1.5f64).as_f64(), Some(1.5));
         assert_eq!(PropertyValue::Str("x".into()).as_i64(), None);
     }
 

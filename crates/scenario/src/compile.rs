@@ -579,25 +579,45 @@ pub(crate) fn condition_horizon_ms(spec: &ConditionSpec) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AckerSpec, ActorSpec, ChannelSpec, ManagerSpec, QueueSpec};
 
-    fn tiny_spec() -> ScenarioSpec {
-        ScenarioSpec::new("tiny")
-            .manager(ManagerSpec::new("QM.{i}").fan(2, 0))
-            .queue(QueueSpec::new("QM.1", "Q.APP"))
-            .channel(ChannelSpec::new("QM.0", "QM.1"))
-            .actor(ActorSpec::new(
-                "a",
-                "QM.0",
-                3,
-                DestSpec::new("QM.1", "Q.APP").pickup_within_ms(500),
-            ))
-            .acker(AckerSpec::new("QM.1", "Q.APP"))
+    const TINY: &str = r#"
+name = "tiny"
+
+[[managers]]
+name = "QM.{i}"
+count = 2
+
+[[queues]]
+manager = "QM.1"
+name = "Q.APP"
+
+[[channels]]
+from = "QM.0"
+to = "QM.1"
+
+[[actors]]
+name = "a"
+manager = "QM.0"
+count = 3
+
+[actors.condition]
+manager = "QM.1"
+queue = "Q.APP"
+pickup_within_ms = 500
+
+[[ackers]]
+manager = "QM.1"
+queue = "Q.APP"
+"#;
+
+    /// The tiny scenario with `extra` TOML appended.
+    fn tiny_spec(extra: &str) -> ScenarioSpec {
+        ScenarioSpec::from_toml_str(&format!("{TINY}{extra}")).unwrap()
     }
 
     #[test]
     fn compiles_and_expands() {
-        let world = compile(&tiny_spec(), false).unwrap();
+        let world = compile(&tiny_spec(""), false).unwrap();
         assert_eq!(world.managers.len(), 2);
         assert!(world.managers.contains_key("QM.0"));
         assert!(world.managers.contains_key("QM.1"));
@@ -613,7 +633,7 @@ mod tests {
 
     #[test]
     fn rejects_dangling_references() {
-        let spec = tiny_spec().queue(QueueSpec::new("QM.9", "Q.X"));
+        let spec = tiny_spec("[[queues]]\nmanager = \"QM.9\"\nname = \"Q.X\"\n");
         let Err(e) = compile(&spec, false) else {
             panic!("expected a dangling-reference error");
         };
@@ -622,11 +642,9 @@ mod tests {
 
     #[test]
     fn rejects_crash_on_actor_manager() {
-        let spec = tiny_spec().fault(crate::spec::FaultSpec::at_fraction(
-            "crash:QM.0",
-            FaultActionSpec::CrashRebuild,
-            0.5,
-        ));
+        let spec = tiny_spec(
+            "[[faults]]\npoint = \"crash:QM.0\"\naction = \"crash_rebuild\"\nafter_fraction = 0.5\n",
+        );
         let Err(e) = compile(&spec, false) else {
             panic!("expected a crash-target error");
         };
@@ -635,11 +653,9 @@ mod tests {
 
     #[test]
     fn fraction_triggers_resolve_to_send_indexes() {
-        let spec = tiny_spec().fault(crate::spec::FaultSpec::at_fraction(
-            "tcp:QM.1",
-            FaultActionSpec::Partition,
-            0.5,
-        ));
+        let spec = tiny_spec(
+            "[[faults]]\npoint = \"tcp:QM.1\"\naction = \"partition\"\nafter_fraction = 0.5\n",
+        );
         let world = compile(&spec, false).unwrap();
         match &world.faults[0].trigger {
             ResolvedTrigger::AtSend(n) => assert_eq!(*n, 2),
@@ -652,16 +668,28 @@ mod tests {
 
     #[test]
     fn condition_instantiation_expands_members() {
-        let spec = ConditionSpec::Set(
-            SetSpec::new()
-                .member(DestSpec::new("QM.B{m}", "Q.SYNC").fan(3, 0))
-                .pickup_within_ms(500),
+        let scenario = tiny_spec(
+            r#"
+[[actors]]
+name = "fan"
+manager = "QM.0"
+
+[actors.condition]
+kind = "set"
+pickup_within_ms = 500
+
+[[actors.condition.members]]
+manager = "QM.B{m}"
+queue = "Q.SYNC"
+count = 3
+"#,
         );
-        let cond = build_condition(&spec, 7);
+        let spec = &scenario.actors[1].condition;
+        let cond = build_condition(spec, 7);
         let leaves = cond.leaves();
         assert_eq!(leaves.len(), 3);
         assert_eq!(leaves[0].address().manager, "QM.B0");
         assert_eq!(leaves[2].address().manager, "QM.B2");
-        assert_eq!(condition_horizon_ms(&spec), 500);
+        assert_eq!(condition_horizon_ms(spec), 500);
     }
 }

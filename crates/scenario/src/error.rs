@@ -11,8 +11,8 @@ use crate::toml::TomlError;
 pub enum ScenarioError {
     /// The TOML document failed to parse.
     Toml(TomlError),
-    /// The parsed document (or a builder-constructed spec) is invalid:
-    /// unknown keys, missing fields, dangling references.
+    /// The parsed document is invalid: unknown keys, missing fields,
+    /// contradictory values, dangling references.
     Spec(String),
     /// The underlying messaging layer failed.
     Mq(mq::MqError),

@@ -917,7 +917,6 @@ fn quiesce_acks(world: &Compiled, pacer: &Pacer) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AckerSpec, ActorSpec, ChannelSpec, DestSpec, ManagerSpec, QueueSpec};
 
     #[test]
     fn sample_delay_is_deterministic_and_bounded() {
@@ -955,22 +954,46 @@ mod tests {
 
     #[test]
     fn sim_success_scenario_end_to_end() {
-        let spec = ScenarioSpec::new("unit-sim")
-            .seed(11)
-            .manager(ManagerSpec::new("QM.S"))
-            .manager(ManagerSpec::new("QM.D"))
-            .queue(QueueSpec::new("QM.D", "Q.APP"))
-            .channel(ChannelSpec::new("QM.S", "QM.D"))
-            .channel(ChannelSpec::new("QM.D", "QM.S"))
-            .actor(ActorSpec::new(
-                "ok",
-                "QM.S",
-                5,
-                DestSpec::new("QM.D", "Q.APP").pickup_within_ms(10_000),
-            ))
-            .acker(AckerSpec::new("QM.D", "Q.APP").delay(crate::spec::DelaySpec::Fixed {
-                ms: 50,
-            }));
+        let spec = ScenarioSpec::from_toml_str(
+            r#"
+name = "unit-sim"
+seed = 11
+
+[[managers]]
+name = "QM.S"
+
+[[managers]]
+name = "QM.D"
+
+[[queues]]
+manager = "QM.D"
+name = "Q.APP"
+
+[[channels]]
+from = "QM.S"
+to = "QM.D"
+
+[[channels]]
+from = "QM.D"
+to = "QM.S"
+
+[[actors]]
+name = "ok"
+manager = "QM.S"
+count = 5
+
+[actors.condition]
+manager = "QM.D"
+queue = "Q.APP"
+pickup_within_ms = 10000
+
+[[ackers]]
+manager = "QM.D"
+queue = "Q.APP"
+delay = { ms = 50 }
+"#,
+        )
+        .unwrap();
         let report = run(&spec, false).unwrap();
         assert_eq!(report.sent, 5);
         assert_eq!(report.success, 5);
@@ -980,22 +1003,39 @@ mod tests {
 
     #[test]
     fn sim_failure_and_annihilation_scenario() {
-        let spec = ScenarioSpec::new("unit-fail")
-            .seed(3)
-            .manager(ManagerSpec::new("QM.S"))
-            .manager(ManagerSpec::new("QM.D"))
-            .queue(QueueSpec::new("QM.D", "Q.NOBODY"))
-            .channel(ChannelSpec::new("QM.S", "QM.D"))
-            .actor(
-                ActorSpec::new(
-                    "doomed",
-                    "QM.S",
-                    4,
-                    DestSpec::new("QM.D", "Q.NOBODY").pickup_within_ms(400),
-                )
-                .compensation("undo-{i}")
-                .expect(Expect::Failure),
-            );
+        let spec = ScenarioSpec::from_toml_str(
+            r#"
+name = "unit-fail"
+seed = 3
+
+[[managers]]
+name = "QM.S"
+
+[[managers]]
+name = "QM.D"
+
+[[queues]]
+manager = "QM.D"
+name = "Q.NOBODY"
+
+[[channels]]
+from = "QM.S"
+to = "QM.D"
+
+[[actors]]
+name = "doomed"
+manager = "QM.S"
+count = 4
+compensation = "undo-{i}"
+expect = "failure"
+
+[actors.condition]
+manager = "QM.D"
+queue = "Q.NOBODY"
+pickup_within_ms = 400
+"#,
+        )
+        .unwrap();
         let report = run(&spec, false).unwrap();
         assert_eq!(report.failure, 4);
         assert_eq!(report.success, 0);

@@ -7,10 +7,10 @@
 //! acknowledgment behaviors with latency distributions, a failure
 //! schedule (partitions, relay crash-and-rebuild, storage faults), and
 //! a verdict oracle. Scenarios are written as `.toml` files (see
-//! `scenarios/` at the repo root) or built in code with the mirrored
-//! builder API in [`spec`]; the [`compile`] step lowers a spec onto the
-//! real harness, [`exec`] drives it on simulated or wall-clock time,
-//! and [`oracle`] asserts that every declared message reached exactly
+//! `scenarios/` at the repo root) and decoded into the typed model in
+//! [`spec`]; the [`compile`] step lowers a spec onto the real harness,
+//! [`exec`] drives it on simulated or wall-clock time, and [`oracle`]
+//! asserts that every declared message reached exactly
 //! one terminal outcome — success, compensation, or annihilation — with
 //! counts matching the declaration.
 //!

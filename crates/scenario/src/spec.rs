@@ -1,5 +1,6 @@
-//! The typed scenario model: what a `.toml` scenario file (or the
-//! mirrored builder API) declares, before compilation onto the harness.
+//! The typed scenario model: what a `.toml` scenario file declares,
+//! decoded by [`ScenarioSpec::from_toml_str`] before compilation onto
+//! the harness.
 //!
 //! A scenario names managers and their topology, queues, actor
 //! populations with templated condition trees, acknowledgment behaviors
@@ -101,31 +102,6 @@ pub struct ManagerSpec {
     pub offset: u64,
 }
 
-impl ManagerSpec {
-    /// A single in-process manager with no persistence.
-    pub fn new(name: impl Into<String>) -> ManagerSpec {
-        ManagerSpec {
-            name: name.into(),
-            journal: JournalKind::None,
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Sets the journal backend.
-    pub fn journal(mut self, kind: JournalKind) -> ManagerSpec {
-        self.journal = kind;
-        self
-    }
-
-    /// Expands this block into `count` managers starting at `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> ManagerSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
-}
-
 /// One application-queue population on a manager.
 #[derive(Debug, Clone)]
 pub struct QueueSpec {
@@ -137,25 +113,6 @@ pub struct QueueSpec {
     pub count: u64,
     /// Starting index for `{i}`.
     pub offset: u64,
-}
-
-impl QueueSpec {
-    /// A single queue.
-    pub fn new(manager: impl Into<String>, name: impl Into<String>) -> QueueSpec {
-        QueueSpec {
-            manager: manager.into(),
-            name: name.into(),
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Expands this block into `count` queues starting at `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> QueueSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
 }
 
 /// One unidirectional channel population between managers, each channel
@@ -177,32 +134,6 @@ pub struct ChannelSpec {
     pub offset: u64,
 }
 
-impl ChannelSpec {
-    /// A channel connected from the start.
-    pub fn new(from: impl Into<String>, to: impl Into<String>) -> ChannelSpec {
-        ChannelSpec {
-            from: from.into(),
-            to: to.into(),
-            from_start: true,
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Defers connection until the `from` manager is crash-rebuilt.
-    pub fn deferred(mut self) -> ChannelSpec {
-        self.from_start = false;
-        self
-    }
-
-    /// Expands this block into `count` channels starting at `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> ChannelSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
-}
-
 /// One routing declaration on a manager.
 #[derive(Debug, Clone)]
 pub struct RouteSpec {
@@ -218,41 +149,6 @@ pub struct RouteSpec {
     pub count: u64,
     /// Starting index for `{i}`.
     pub offset: u64,
-}
-
-impl RouteSpec {
-    /// A (group) route to `to` via the given transmission queues.
-    pub fn group(
-        manager: impl Into<String>,
-        to: impl Into<String>,
-        via: &[&str],
-    ) -> RouteSpec {
-        RouteSpec {
-            manager: manager.into(),
-            to: Some(to.into()),
-            via: via.iter().map(|s| (*s).to_owned()).collect(),
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// A default route via the given transmission queues.
-    pub fn default_via(manager: impl Into<String>, via: &[&str]) -> RouteSpec {
-        RouteSpec {
-            manager: manager.into(),
-            to: None,
-            via: via.iter().map(|s| (*s).to_owned()).collect(),
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Expands this block into `count` routes starting at `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> RouteSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
 }
 
 /// A condition-tree shape, templated over the message index `{i}` and
@@ -286,48 +182,8 @@ pub struct DestSpec {
     pub offset: u64,
 }
 
-impl DestSpec {
-    /// A destination leaf.
-    pub fn new(manager: impl Into<String>, queue: impl Into<String>) -> DestSpec {
-        DestSpec {
-            manager: manager.into(),
-            queue: queue.into(),
-            recipient: None,
-            pickup_within_ms: None,
-            process_within_ms: None,
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Requires this recipient identity.
-    pub fn recipient(mut self, r: impl Into<String>) -> DestSpec {
-        self.recipient = Some(r.into());
-        self
-    }
-
-    /// Sets the pick-up window.
-    pub fn pickup_within_ms(mut self, ms: u64) -> DestSpec {
-        self.pickup_within_ms = Some(ms);
-        self
-    }
-
-    /// Sets the processing window.
-    pub fn process_within_ms(mut self, ms: u64) -> DestSpec {
-        self.process_within_ms = Some(ms);
-        self
-    }
-
-    /// Expands into `count` member leaves starting at member `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> DestSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
-}
-
 /// A destination-set node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SetSpec {
     /// Member conditions (leaf fans or nested sets).
     pub members: Vec<ConditionSpec>,
@@ -343,55 +199,6 @@ pub struct SetSpec {
     pub min_process: Option<u32>,
     /// Maximum processings allowed.
     pub max_process: Option<u32>,
-}
-
-impl SetSpec {
-    /// An empty set (add members before use).
-    pub fn new() -> SetSpec {
-        SetSpec::default()
-    }
-
-    /// Adds a member.
-    pub fn member(mut self, m: impl Into<ConditionSpec>) -> SetSpec {
-        self.members.push(m.into());
-        self
-    }
-
-    /// Sets the set-level pick-up window.
-    pub fn pickup_within_ms(mut self, ms: u64) -> SetSpec {
-        self.pickup_within_ms = Some(ms);
-        self
-    }
-
-    /// Sets the set-level processing window.
-    pub fn process_within_ms(mut self, ms: u64) -> SetSpec {
-        self.process_within_ms = Some(ms);
-        self
-    }
-
-    /// Requires at least `n` processings.
-    pub fn min_process(mut self, n: u32) -> SetSpec {
-        self.min_process = Some(n);
-        self
-    }
-
-    /// Requires at least `n` pick-ups.
-    pub fn min_pickup(mut self, n: u32) -> SetSpec {
-        self.min_pickup = Some(n);
-        self
-    }
-}
-
-impl From<DestSpec> for ConditionSpec {
-    fn from(d: DestSpec) -> ConditionSpec {
-        ConditionSpec::Dest(d)
-    }
-}
-
-impl From<SetSpec> for ConditionSpec {
-    fn from(s: SetSpec) -> ConditionSpec {
-        ConditionSpec::Set(s)
-    }
 }
 
 /// How an actor produces its messages.
@@ -455,63 +262,6 @@ pub struct ActorSpec {
 }
 
 impl ActorSpec {
-    /// A send-mode actor expecting success on every message.
-    pub fn new(
-        name: impl Into<String>,
-        manager: impl Into<String>,
-        count: u64,
-        condition: impl Into<ConditionSpec>,
-    ) -> ActorSpec {
-        ActorSpec {
-            name: name.into(),
-            manager: manager.into(),
-            count,
-            quick_count: None,
-            payload: "payload-{i}".to_owned(),
-            compensation: None,
-            mode: ActorMode::Send,
-            expect: Expect::Success,
-            evaluation_timeout_ms: None,
-            condition: condition.into(),
-        }
-    }
-
-    /// Sets the payload template.
-    pub fn payload(mut self, p: impl Into<String>) -> ActorSpec {
-        self.payload = p.into();
-        self
-    }
-
-    /// Attaches a compensation payload template.
-    pub fn compensation(mut self, c: impl Into<String>) -> ActorSpec {
-        self.compensation = Some(c.into());
-        self
-    }
-
-    /// Sets the declared expectation.
-    pub fn expect(mut self, e: Expect) -> ActorSpec {
-        self.expect = e;
-        self
-    }
-
-    /// Switches to sphere mode with the given sphere timeout.
-    pub fn sphere(mut self, timeout_ms: u64) -> ActorSpec {
-        self.mode = ActorMode::Sphere { timeout_ms };
-        self
-    }
-
-    /// Sets the `--quick` message count.
-    pub fn quick_count(mut self, n: u64) -> ActorSpec {
-        self.quick_count = Some(n);
-        self
-    }
-
-    /// Sets the per-send evaluation timeout.
-    pub fn evaluation_timeout_ms(mut self, ms: u64) -> ActorSpec {
-        self.evaluation_timeout_ms = Some(ms);
-        self
-    }
-
     /// Message count for this run mode.
     pub fn resolved_count(&self, quick: bool) -> u64 {
         if quick {
@@ -576,46 +326,6 @@ pub struct AckerSpec {
     pub offset: u64,
 }
 
-impl AckerSpec {
-    /// A read-mode acker with zero delay on a single queue.
-    pub fn new(manager: impl Into<String>, queue: impl Into<String>) -> AckerSpec {
-        AckerSpec {
-            manager: manager.into(),
-            queue: queue.into(),
-            recipient: None,
-            mode: AckMode::Read,
-            delay: DelaySpec::Fixed { ms: 0 },
-            count: 1,
-            offset: 0,
-        }
-    }
-
-    /// Sets the receiver identity template.
-    pub fn recipient(mut self, r: impl Into<String>) -> AckerSpec {
-        self.recipient = Some(r.into());
-        self
-    }
-
-    /// Switches to transactional process mode.
-    pub fn process(mut self) -> AckerSpec {
-        self.mode = AckMode::Process;
-        self
-    }
-
-    /// Sets the delay distribution.
-    pub fn delay(mut self, d: DelaySpec) -> AckerSpec {
-        self.delay = d;
-        self
-    }
-
-    /// Expands over `count` queues starting at `offset`.
-    pub fn fan(mut self, count: u64, offset: u64) -> AckerSpec {
-        self.count = count;
-        self.offset = offset;
-        self
-    }
-}
-
 /// A fault action, mirroring [`mq::FaultAction`] plus the executor-level
 /// crash-and-rebuild recipe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -671,40 +381,6 @@ pub struct FaultSpec {
     pub trigger: TriggerSpec,
 }
 
-impl FaultSpec {
-    /// A fault firing just before the given fraction of total sends.
-    pub fn at_fraction(
-        point: impl Into<String>,
-        action: FaultActionSpec,
-        fraction: f64,
-    ) -> FaultSpec {
-        FaultSpec {
-            point: point.into(),
-            action,
-            trigger: TriggerSpec::AfterFraction(fraction),
-        }
-    }
-
-    /// A fault firing when a queue depth reaches a threshold.
-    pub fn when_depth(
-        point: impl Into<String>,
-        action: FaultActionSpec,
-        manager: impl Into<String>,
-        queue: impl Into<String>,
-        min_depth: u64,
-    ) -> FaultSpec {
-        FaultSpec {
-            point: point.into(),
-            action,
-            trigger: TriggerSpec::WhenDepth {
-                manager: manager.into(),
-                queue: queue.into(),
-                min_depth,
-            },
-        }
-    }
-}
-
 /// A minimum-value assertion on a run-wide metric counter.
 #[derive(Debug, Clone)]
 pub struct MetricExpect {
@@ -725,17 +401,6 @@ pub struct OracleSpec {
     pub metrics: Vec<MetricExpect>,
     /// Trace stages that must appear in the lifecycle trace.
     pub stages: Vec<String>,
-}
-
-impl Default for OracleSpec {
-    fn default() -> OracleSpec {
-        OracleSpec {
-            dlq_empty: true,
-            destinations_drained: true,
-            metrics: Vec::new(),
-            stages: Vec::new(),
-        }
-    }
 }
 
 /// A complete scenario declaration.
@@ -766,83 +431,6 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// An empty scenario on a sim clock with seed 1.
-    pub fn new(name: impl Into<String>) -> ScenarioSpec {
-        ScenarioSpec {
-            name: name.into(),
-            seed: 1,
-            clock: ClockMode::Sim,
-            managers: Vec::new(),
-            queues: Vec::new(),
-            channels: Vec::new(),
-            routes: Vec::new(),
-            actors: Vec::new(),
-            ackers: Vec::new(),
-            faults: Vec::new(),
-            oracle: OracleSpec::default(),
-        }
-    }
-
-    /// Sets the seed.
-    pub fn seed(mut self, seed: u64) -> ScenarioSpec {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the clock mode.
-    pub fn clock(mut self, mode: ClockMode) -> ScenarioSpec {
-        self.clock = mode;
-        self
-    }
-
-    /// Adds a manager block.
-    pub fn manager(mut self, m: ManagerSpec) -> ScenarioSpec {
-        self.managers.push(m);
-        self
-    }
-
-    /// Adds a queue block.
-    pub fn queue(mut self, q: QueueSpec) -> ScenarioSpec {
-        self.queues.push(q);
-        self
-    }
-
-    /// Adds a channel block.
-    pub fn channel(mut self, c: ChannelSpec) -> ScenarioSpec {
-        self.channels.push(c);
-        self
-    }
-
-    /// Adds a routing declaration.
-    pub fn route(mut self, r: RouteSpec) -> ScenarioSpec {
-        self.routes.push(r);
-        self
-    }
-
-    /// Adds an actor block.
-    pub fn actor(mut self, a: ActorSpec) -> ScenarioSpec {
-        self.actors.push(a);
-        self
-    }
-
-    /// Adds an acker block.
-    pub fn acker(mut self, a: AckerSpec) -> ScenarioSpec {
-        self.ackers.push(a);
-        self
-    }
-
-    /// Adds a fault.
-    pub fn fault(mut self, f: FaultSpec) -> ScenarioSpec {
-        self.faults.push(f);
-        self
-    }
-
-    /// Replaces the oracle section.
-    pub fn oracle(mut self, o: OracleSpec) -> ScenarioSpec {
-        self.oracle = o;
-        self
-    }
-
     /// Parses a scenario from TOML source.
     ///
     /// # Errors
@@ -1027,32 +615,32 @@ fn decode_scenario(root: &Value) -> ScenarioResult<ScenarioSpec> {
         Some(other) => return Err(spec_err(format!("unknown clock `{other}`"))),
     };
 
-    let mut spec = ScenarioSpec::new(name).seed(seed).clock(clock);
-    for b in blocks(root, "managers")? {
-        spec.managers.push(decode_manager(b)?);
-    }
-    for b in blocks(root, "queues")? {
-        spec.queues.push(decode_queue(b)?);
-    }
-    for b in blocks(root, "channels")? {
-        spec.channels.push(decode_channel(b)?);
-    }
-    for b in blocks(root, "routes")? {
-        spec.routes.push(decode_route(b)?);
-    }
-    for b in blocks(root, "actors")? {
-        spec.actors.push(decode_actor(b)?);
-    }
-    for b in blocks(root, "ackers")? {
-        spec.ackers.push(decode_acker(b)?);
-    }
-    for b in blocks(root, "faults")? {
-        spec.faults.push(decode_fault(b)?);
-    }
-    if let Some(o) = root.get("oracle") {
-        spec.oracle = decode_oracle(want_table(o, "oracle")?)?;
-    }
-    Ok(spec)
+    let empty = Value::Table(Default::default());
+    let oracle = match root.get("oracle") {
+        Some(o) => want_table(o, "oracle")?,
+        None => &empty,
+    };
+    Ok(ScenarioSpec {
+        name,
+        seed,
+        clock,
+        managers: decode_blocks(root, "managers", decode_manager)?,
+        queues: decode_blocks(root, "queues", decode_queue)?,
+        channels: decode_blocks(root, "channels", decode_channel)?,
+        routes: decode_blocks(root, "routes", decode_route)?,
+        actors: decode_blocks(root, "actors", decode_actor)?,
+        ackers: decode_blocks(root, "ackers", decode_acker)?,
+        faults: decode_blocks(root, "faults", decode_fault)?,
+        oracle: decode_oracle(oracle)?,
+    })
+}
+
+fn decode_blocks<T>(
+    root: &Value,
+    key: &str,
+    decode: fn(&Value) -> ScenarioResult<T>,
+) -> ScenarioResult<Vec<T>> {
+    blocks(root, key)?.into_iter().map(decode).collect()
 }
 
 fn decode_manager(v: &Value) -> ScenarioResult<ManagerSpec> {
@@ -1211,10 +799,16 @@ fn decode_delay(v: &Value, ctx: &str) -> ScenarioResult<DelaySpec> {
         None | Some("fixed") => Ok(DelaySpec::Fixed {
             ms: u64_or(v, "ms", 0, ctx)?,
         }),
-        Some("uniform") => Ok(DelaySpec::Uniform {
-            min_ms: u64_or(v, "min_ms", 0, ctx)?,
-            max_ms: u64_or(v, "max_ms", 0, ctx)?,
-        }),
+        Some("uniform") => {
+            let min_ms = u64_or(v, "min_ms", 0, ctx)?;
+            let max_ms = u64_or(v, "max_ms", 0, ctx)?;
+            if min_ms > max_ms {
+                return Err(spec_err(format!(
+                    "{ctx}: uniform delay has min_ms {min_ms} > max_ms {max_ms}"
+                )));
+            }
+            Ok(DelaySpec::Uniform { min_ms, max_ms })
+        }
         Some("pareto") => Ok(DelaySpec::Pareto {
             scale_ms: f64_or(v, "scale_ms", 1.0, ctx)?,
             alpha: f64_or(v, "alpha", 1.5, ctx)?,
@@ -1231,6 +825,8 @@ fn decode_acker(v: &Value) -> ScenarioResult<AckerSpec> {
         &["manager", "queue", "recipient", "mode", "delay", "count", "offset"],
         ctx,
     )?;
+    let queue = req_str(v, "queue", ctx)?;
+    let ctx = &format!("acker `{queue}`");
     let mode = match opt_str(v, "mode").as_deref() {
         None | Some("read") => AckMode::Read,
         Some("process") => AckMode::Process,
@@ -1242,7 +838,7 @@ fn decode_acker(v: &Value) -> ScenarioResult<AckerSpec> {
     };
     Ok(AckerSpec {
         manager: req_str(v, "manager", ctx)?,
-        queue: req_str(v, "queue", ctx)?,
+        queue,
         recipient: opt_str(v, "recipient"),
         mode,
         delay,
@@ -1258,6 +854,8 @@ fn decode_fault(v: &Value) -> ScenarioResult<FaultSpec> {
         &["point", "action", "n", "at_ms", "after_fraction", "when_depth"],
         ctx,
     )?;
+    let point = req_str(v, "point", ctx)?;
+    let ctx = &format!("fault `{point}`");
     let action = match req_str(v, "action", ctx)?.as_str() {
         "partition" => FaultActionSpec::Partition,
         "heal" => FaultActionSpec::Heal,
@@ -1269,6 +867,12 @@ fn decode_fault(v: &Value) -> ScenarioResult<FaultSpec> {
         "crash_rebuild" => FaultActionSpec::CrashRebuild,
         other => return Err(spec_err(format!("{ctx}: unknown action `{other}`"))),
     };
+    let triggers = ["at_ms", "when_depth", "after_fraction"];
+    if triggers.iter().filter(|k| v.get(k).is_some()).count() > 1 {
+        return Err(spec_err(format!(
+            "{ctx}: at most one of `at_ms`, `when_depth` and `after_fraction` may be given"
+        )));
+    }
     let trigger = if let Some(at) = opt_u64(v, "at_ms", ctx)? {
         TriggerSpec::AtMs(at)
     } else if let Some(w) = v.get("when_depth") {
@@ -1283,7 +887,7 @@ fn decode_fault(v: &Value) -> ScenarioResult<FaultSpec> {
         TriggerSpec::AfterFraction(f64_or(v, "after_fraction", 0.0, ctx)?)
     };
     Ok(FaultSpec {
-        point: req_str(v, "point", ctx)?,
+        point,
         action,
         trigger,
     })
@@ -1449,22 +1053,44 @@ stage = "comp-released"
 
     #[test]
     fn validation_ties_spheres_to_real_clock() {
-        let spec = ScenarioSpec::new("s")
-            .manager(ManagerSpec::new("QM1"))
-            .actor(
-                ActorSpec::new("a", "QM1", 1, DestSpec::new("QM1", "Q"))
-                    .sphere(1_000)
-                    .expect(Expect::Commit),
-            );
+        let spec = ScenarioSpec::from_toml_str(
+            r#"
+name = "s"
+[[managers]]
+name = "QM1"
+[[actors]]
+name = "a"
+manager = "QM1"
+mode = "sphere"
+sphere_timeout_ms = 1000
+expect = "commit"
+[actors.condition]
+manager = "QM1"
+queue = "Q"
+"#,
+        )
+        .unwrap();
         let e = spec.validate().unwrap_err();
         assert!(e.to_string().contains("real"), "{e}");
     }
 
     #[test]
     fn validation_requires_pickup_window_for_sampled() {
-        let spec = ScenarioSpec::new("s")
-            .manager(ManagerSpec::new("QM1"))
-            .actor(ActorSpec::new("a", "QM1", 1, DestSpec::new("QM1", "Q")).expect(Expect::Sampled));
+        let spec = ScenarioSpec::from_toml_str(
+            r#"
+name = "s"
+[[managers]]
+name = "QM1"
+[[actors]]
+name = "a"
+manager = "QM1"
+expect = "sampled"
+[actors.condition]
+manager = "QM1"
+queue = "Q"
+"#,
+        )
+        .unwrap();
         assert!(spec.validate().is_err());
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use conditional_messaging::condmsg::{
-    ConditionalMessenger, ConditionalReceiver, GroupCondition, MessageKind, MessageOutcome,
+    ConditionalMessenger, ConditionalReceiver, DestinationSet, MessageKind, MessageOutcome,
     SendOptions,
 };
 use conditional_messaging::mq::topic::Topic;
@@ -73,11 +73,11 @@ fn run(label: &str, responsive_desks: usize) -> Result<(), Box<dyn std::error::E
         })
         .collect();
 
-    let (id, n) = messenger.publish_conditional_with_compensation(
+    let (id, n) = messenger.publish_conditional(
         &topic,
         "TRADING HALT: XYZ pending news",
-        "halt notice withdrawn",
-        &GroupCondition::min_pickup_within(2, WINDOW),
+        Some("halt notice withdrawn".into()),
+        &DestinationSet::empty().pickup_within(WINDOW).min_pickup(2),
         SendOptions {
             success_notifications: Some(true),
             evaluation_timeout: Some(WINDOW + Millis(50)),

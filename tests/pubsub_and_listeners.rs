@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use condmsg::{
-    ConditionalListener, ConditionalMessenger, GroupCondition, MessageKind, MessageOutcome,
+    ConditionalListener, ConditionalMessenger, DestinationSet, MessageKind, MessageOutcome,
     Processing, SendOptions,
 };
 use mq::channel::Channel;
@@ -54,13 +54,11 @@ fn conditional_publish_processed_by_listeners() {
     }
 
     // Require processing by at least 2 of the 3 subscribers.
-    let template = GroupCondition {
-        process_within: Some(Millis(5_000)),
-        min_process: Some(2),
-        ..GroupCondition::default()
-    };
+    let template = DestinationSet::empty()
+        .process_within(Millis(5_000))
+        .min_process(2);
     let (id, n) = messenger
-        .publish_conditional(&topic, "batch job 7", &template, SendOptions::default())
+        .publish_conditional(&topic, "batch job 7", None, &template, SendOptions::default())
         .unwrap();
     assert_eq!(n, 3);
     let outcome = messenger
@@ -141,11 +139,11 @@ fn quorum_failure_withdraws_from_all_subscribers() {
     )
     .unwrap();
     let (id, _) = messenger
-        .publish_conditional_with_compensation(
+        .publish_conditional(
             &topic,
             "proposal #9",
-            "proposal withdrawn",
-            &GroupCondition::min_pickup_within(2, Millis(150)),
+            Some("proposal withdrawn".into()),
+            &DestinationSet::empty().pickup_within(Millis(150)).min_pickup(2),
             SendOptions {
                 evaluation_timeout: Some(Millis(200)),
                 ..SendOptions::default()

@@ -2,18 +2,18 @@
 //!
 //! The originals stay in place as goldens (`tests/end_to_end.rs`,
 //! `tests/failure_injection.rs`); these tests re-declare the same flows
-//! as scenario specs — builder API and TOML — and assert the engine's
-//! oracle reproduces the original assertions: every message reaches
-//! exactly one of success / compensation / annihilation, and the counts
-//! match the declarations.
+//! as TOML scenarios, decoded by the same parser the shipped
+//! `scenarios/*.toml` go through, and assert the engine's oracle
+//! reproduces the original assertions: every message reaches exactly
+//! one of success / compensation / annihilation, and the counts match
+//! the declarations. One paper "day" is scaled to 1000 ms, as in
+//! `tests/end_to_end.rs`.
 
-use cond_scenario::{
-    exec, AckerSpec, ActorSpec, ChannelSpec, DelaySpec, DestSpec, Expect, FaultActionSpec,
-    FaultSpec, ManagerSpec, QueueSpec, ScenarioSpec, SetSpec,
-};
+use cond_scenario::{exec, ScenarioError, ScenarioSpec};
 
-/// One paper "day", scaled as in `tests/end_to_end.rs`.
-const DAY: u64 = 1_000;
+fn spec(src: &str) -> ScenarioSpec {
+    ScenarioSpec::from_toml_str(src).unwrap()
+}
 
 /// Paper Fig. 4 / end_to_end `example1_success_when_all_conditions_met`:
 /// receiver3 must process within 7 days, two of the other three must
@@ -22,40 +22,95 @@ const DAY: u64 = 1_000;
 /// oracle must see nothing but success.
 #[test]
 fn example1_success_when_all_conditions_met() {
-    let condition = SetSpec::new()
-        .member(
-            DestSpec::new("QM1", "Q.R3")
-                .recipient("receiver3")
-                .process_within_ms(7 * DAY),
-        )
-        .member(
-            SetSpec::new()
-                .member(DestSpec::new("QM1", "Q.R1").recipient("receiver1"))
-                .member(DestSpec::new("QM1", "Q.R2").recipient("receiver2"))
-                .member(DestSpec::new("QM1", "Q.R4").recipient("receiver4"))
-                .process_within_ms(11 * DAY)
-                .min_process(2),
-        )
-        .pickup_within_ms(2 * DAY);
-    let mut spec = ScenarioSpec::new("example1-success")
-        .seed(5)
-        .manager(ManagerSpec::new("QM1"))
-        .actor(ActorSpec::new("meeting", "QM1", 3, condition).payload("meeting notification {i}"));
-    for (q, r) in [
-        ("Q.R1", "receiver1"),
-        ("Q.R2", "receiver2"),
-        ("Q.R3", "receiver3"),
-        ("Q.R4", "receiver4"),
-    ] {
-        spec = spec
-            .queue(QueueSpec::new("QM1", q))
-            .acker(
-                AckerSpec::new("QM1", q)
-                    .recipient(r)
-                    .process()
-                    .delay(DelaySpec::Fixed { ms: 50 }),
-            );
-    }
+    let spec = spec(
+        r#"
+name = "example1-success"
+seed = 5
+
+[[managers]]
+name = "QM1"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R1"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R2"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R3"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R4"
+
+[[actors]]
+name = "meeting"
+manager = "QM1"
+count = 3
+payload = "meeting notification {i}"
+
+[actors.condition]
+kind = "set"
+pickup_within_ms = 2000
+
+[[actors.condition.members]]
+manager = "QM1"
+queue = "Q.R3"
+recipient = "receiver3"
+process_within_ms = 7000
+
+[[actors.condition.members]]
+kind = "set"
+process_within_ms = 11000
+min_process = 2
+
+[[actors.condition.members.members]]
+manager = "QM1"
+queue = "Q.R1"
+recipient = "receiver1"
+
+[[actors.condition.members.members]]
+manager = "QM1"
+queue = "Q.R2"
+recipient = "receiver2"
+
+[[actors.condition.members.members]]
+manager = "QM1"
+queue = "Q.R4"
+recipient = "receiver4"
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R1"
+recipient = "receiver1"
+mode = "process"
+delay = { ms = 50 }
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R2"
+recipient = "receiver2"
+mode = "process"
+delay = { ms = 50 }
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R3"
+recipient = "receiver3"
+mode = "process"
+delay = { ms = 50 }
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R4"
+recipient = "receiver4"
+mode = "process"
+delay = { ms = 50 }
+"#,
+    );
     let report = exec::run(&spec, false).unwrap();
     assert_eq!(report.sent, 3);
     assert_eq!(report.success, 3, "{}", report.oracle);
@@ -69,33 +124,80 @@ fn example1_success_when_all_conditions_met() {
 /// message, with no stragglers and no duplicated outcomes.
 #[test]
 fn example1_fails_on_missed_pickup() {
-    let condition = SetSpec::new()
-        .member(DestSpec::new("QM1", "Q.R1").recipient("receiver1"))
-        .member(DestSpec::new("QM1", "Q.R2").recipient("receiver2"))
-        .member(DestSpec::new("QM1", "Q.R3").recipient("receiver3"))
-        .member(DestSpec::new("QM1", "Q.R4"))
-        .pickup_within_ms(2 * DAY);
-    let mut spec = ScenarioSpec::new("example1-missed-pickup")
-        .seed(6)
-        .manager(ManagerSpec::new("QM1"))
-        .queue(QueueSpec::new("QM1", "Q.R4"))
-        .actor(
-            ActorSpec::new("meeting", "QM1", 2, condition)
-                .payload("meeting notification {i}")
-                .expect(Expect::Failure),
-        );
     // Three of four read promptly; Q.R4 is never served.
-    for (q, r) in [
-        ("Q.R1", "receiver1"),
-        ("Q.R2", "receiver2"),
-        ("Q.R3", "receiver3"),
-    ] {
-        spec = spec.queue(QueueSpec::new("QM1", q)).acker(
-            AckerSpec::new("QM1", q)
-                .recipient(r)
-                .delay(DelaySpec::Fixed { ms: DAY }),
-        );
-    }
+    let spec = spec(
+        r#"
+name = "example1-missed-pickup"
+seed = 6
+
+[[managers]]
+name = "QM1"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R4"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R1"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R2"
+
+[[queues]]
+manager = "QM1"
+name = "Q.R3"
+
+[[actors]]
+name = "meeting"
+manager = "QM1"
+count = 2
+payload = "meeting notification {i}"
+expect = "failure"
+
+[actors.condition]
+kind = "set"
+pickup_within_ms = 2000
+
+[[actors.condition.members]]
+manager = "QM1"
+queue = "Q.R1"
+recipient = "receiver1"
+
+[[actors.condition.members]]
+manager = "QM1"
+queue = "Q.R2"
+recipient = "receiver2"
+
+[[actors.condition.members]]
+manager = "QM1"
+queue = "Q.R3"
+recipient = "receiver3"
+
+[[actors.condition.members]]
+manager = "QM1"
+queue = "Q.R4"
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R1"
+recipient = "receiver1"
+delay = { ms = 1000 }
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R2"
+recipient = "receiver2"
+delay = { ms = 1000 }
+
+[[ackers]]
+manager = "QM1"
+queue = "Q.R3"
+recipient = "receiver3"
+delay = { ms = 1000 }
+"#,
+    );
     let report = exec::run(&spec, false).unwrap();
     assert_eq!(report.sent, 2);
     assert_eq!(report.failure, 2, "{}", report.oracle);
@@ -233,8 +335,9 @@ min = 3
 }
 
 /// The spec layer rejects malformed declarations rather than letting a
-/// wrong scenario run: unknown fault actions and sampled actors without
-/// a pickup window are spec errors, not runtime surprises.
+/// wrong scenario run: unknown fault actions, inverted uniform delays,
+/// faults with two triggers and sampled actors without a pickup window
+/// are spec errors, not runtime surprises.
 #[test]
 fn malformed_scenarios_are_rejected_before_running() {
     let bad_action = r#"
@@ -247,20 +350,70 @@ action = "melt"
 "#;
     assert!(ScenarioSpec::from_toml_str(bad_action).is_err());
 
-    let sampled_without_window = ScenarioSpec::new("bad")
-        .manager(ManagerSpec::new("QM1"))
-        .actor(ActorSpec::new("a", "QM1", 1, DestSpec::new("QM1", "Q")).expect(Expect::Sampled));
+    // Each of these decoded without complaint once: the inverted range
+    // sampled as a fixed `min_ms`, and the second trigger was dropped.
+    let inverted_uniform = r#"
+name = "bad"
+[[managers]]
+name = "QM1"
+[[ackers]]
+manager = "QM1"
+queue = "Q.SLOW"
+delay = { kind = "uniform", min_ms = 9, max_ms = 5 }
+"#;
+    let two_triggers = r#"
+name = "bad"
+[[managers]]
+name = "QM1"
+[[faults]]
+point = "tcp:QM1"
+action = "partition"
+at_ms = 100
+after_fraction = 0.5
+"#;
+    for (src, block) in [(inverted_uniform, "Q.SLOW"), (two_triggers, "tcp:QM1")] {
+        match ScenarioSpec::from_toml_str(src) {
+            Err(ScenarioError::Spec(reason)) => assert!(reason.contains(block), "{reason}"),
+            other => panic!("expected a spec error naming `{block}`, got {other:?}"),
+        }
+    }
+
+    let sampled_without_window = spec(
+        r#"
+name = "bad"
+[[managers]]
+name = "QM1"
+[[actors]]
+name = "a"
+manager = "QM1"
+expect = "sampled"
+[actors.condition]
+manager = "QM1"
+queue = "Q"
+"#,
+    );
     assert!(sampled_without_window.validate().is_err());
 
-    let fraction_fault = ScenarioSpec::new("bad-point")
-        .manager(ManagerSpec::new("QM1"))
-        .queue(QueueSpec::new("QM1", "Q"))
-        .actor(ActorSpec::new("a", "QM1", 1, DestSpec::new("QM1", "Q")))
-        .fault(FaultSpec::at_fraction(
-            "journal:QM1",
-            FaultActionSpec::FailStorage,
-            0.0,
-        ));
+    let fraction_fault = spec(
+        r#"
+name = "bad-point"
+[[managers]]
+name = "QM1"
+[[queues]]
+manager = "QM1"
+name = "Q"
+[[actors]]
+name = "a"
+manager = "QM1"
+[actors.condition]
+manager = "QM1"
+queue = "Q"
+[[faults]]
+point = "journal:QM1"
+action = "fail_storage"
+after_fraction = 0.0
+"#,
+    );
     // The fault names a journal point but the manager has no faultable
     // journal — compilation must refuse it.
     assert!(exec::run(&fraction_fault, false).is_err());
@@ -276,37 +429,66 @@ action = "melt"
 /// the exact expected success count).
 #[test]
 fn sim_mode_on_the_one_wire_is_deterministic() {
-    let fault = |action, fraction| FaultSpec::at_fraction("tcp:QM.FLEET", action, fraction);
-    let spec = ScenarioSpec::new("one-wire-determinism")
-        .seed(23)
-        .manager(ManagerSpec::new("QM.CLOUD"))
-        .manager(ManagerSpec::new("QM.FLEET"))
-        .queue(QueueSpec::new("QM.FLEET", "Q.DEV.{i}").fan(8, 0))
-        .channel(ChannelSpec::new("QM.CLOUD", "QM.FLEET"))
-        .channel(ChannelSpec::new("QM.FLEET", "QM.CLOUD"))
-        .actor(
-            ActorSpec::new(
-                "fleet",
-                "QM.CLOUD",
-                300,
-                DestSpec::new("QM.FLEET", "Q.DEV.{i%8}").pickup_within_ms(5_000),
-            )
-            .payload("cmd-{i}")
-            .compensation("revoke-{i}")
-            .expect(Expect::Sampled),
-        )
-        .acker(
-            AckerSpec::new("QM.FLEET", "Q.DEV.{i}")
-                .fan(8, 0)
-                .delay(DelaySpec::Pareto {
-                    scale_ms: 500.0,
-                    alpha: 1.2,
-                    cap_ms: 20_000,
-                }),
-        )
-        .fault(fault(FaultActionSpec::Partition, 0.25))
-        .fault(fault(FaultActionSpec::Heal, 0.4))
-        .fault(fault(FaultActionSpec::DropNext(5), 0.6));
+    let spec = spec(
+        r#"
+name = "one-wire-determinism"
+seed = 23
+
+[[managers]]
+name = "QM.CLOUD"
+
+[[managers]]
+name = "QM.FLEET"
+
+[[queues]]
+manager = "QM.FLEET"
+name = "Q.DEV.{i}"
+count = 8
+
+[[channels]]
+from = "QM.CLOUD"
+to = "QM.FLEET"
+
+[[channels]]
+from = "QM.FLEET"
+to = "QM.CLOUD"
+
+[[actors]]
+name = "fleet"
+manager = "QM.CLOUD"
+count = 300
+payload = "cmd-{i}"
+compensation = "revoke-{i}"
+expect = "sampled"
+
+[actors.condition]
+manager = "QM.FLEET"
+queue = "Q.DEV.{i%8}"
+pickup_within_ms = 5000
+
+[[ackers]]
+manager = "QM.FLEET"
+queue = "Q.DEV.{i}"
+count = 8
+delay = { kind = "pareto", scale_ms = 500.0, alpha = 1.2, cap_ms = 20000 }
+
+[[faults]]
+point = "tcp:QM.FLEET"
+action = "partition"
+after_fraction = 0.25
+
+[[faults]]
+point = "tcp:QM.FLEET"
+action = "heal"
+after_fraction = 0.4
+
+[[faults]]
+point = "tcp:QM.FLEET"
+action = "drop_next"
+n = 5
+after_fraction = 0.6
+"#,
+    );
     let split = || {
         let report = exec::run(&spec, false).unwrap();
         assert_eq!(report.sent, 300);
@@ -317,4 +499,24 @@ fn sim_mode_on_the_one_wire_is_deterministic() {
     assert_eq!(first.0 + first.1, 300);
     assert!(first.0 > 0 && first.1 > 0, "both outcomes occur: {first:?}");
     assert_eq!(split(), first, "same seed, same split");
+}
+
+/// Every shipped `scenarios/*.toml` decodes and validates, so a broken
+/// shipped scenario fails `cargo test`, not only the `exp_scenario` run.
+#[test]
+fn every_shipped_scenario_decodes_and_validates() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut decoded = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let spec = ScenarioSpec::from_toml_str(&src)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            decoded += 1;
+        }
+    }
+    assert!(decoded > 0, "no scenarios under {}", dir.display());
 }
