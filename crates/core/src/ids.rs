@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use rand::RngCore;
+use mq::MessageId;
 
 /// Unique identifier of a *conditional* message (the paper's "conditional
 /// message id", stamped as a property on every generated standard message
@@ -11,11 +11,11 @@ use rand::RngCore;
 pub struct CondMessageId(u128);
 
 impl CondMessageId {
-    /// Generates a fresh random identifier.
+    /// Generates the next identifier of the process's one id sequence
+    /// ([`MessageId::generate`]): a send's conditional id and the ids of
+    /// the messages it writes are consecutive numbers.
     pub fn generate() -> CondMessageId {
-        let mut bytes = [0u8; 16];
-        rand::thread_rng().fill_bytes(&mut bytes);
-        CondMessageId(u128::from_be_bytes(bytes))
+        CondMessageId(MessageId::generate().as_u128())
     }
 
     /// Reconstructs an identifier from its raw value.
@@ -61,6 +61,14 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         assert_ne!(CondMessageId::generate(), CondMessageId::generate());
+        // One sequence with message ids. Other test threads draw from it
+        // too, so here that is "same epoch, later counter";
+        // `tests/append_budget.rs` checks that a send's ids follow its
+        // conditional id one by one.
+        let cond = CondMessageId::generate().as_u128();
+        let next = MessageId::generate().as_u128();
+        assert_eq!(cond >> 64, next >> 64);
+        assert!(next > cond);
     }
 
     #[test]

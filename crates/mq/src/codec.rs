@@ -9,10 +9,11 @@
 //! A [`Message`] has one image, which the journal and the wire both carry:
 //!
 //! ```text
-//! id: u128 LE │ priority: u8 │ flags: u8 │ payload: varint len + bytes
+//! id: u128 LE │ priority: u8 │ flags: u8 │ correlation id: u128 LE?
+//! │ payload: varint len + bytes
 //! │ property count: varint │ per property: name: wstr
 //! │   │ value: tag u8 + value (Str as a wstr, I64 as a zigzag varint)
-//! │ ttl: varint? │ expiry: varint? │ correlation id: str? or u128 LE?
+//! │ ttl: varint? │ expiry: varint? │ correlation id: str?
 //! │ reply-to: str str? │ put time: varint? │ redelivery count: varint
 //! ```
 //!
@@ -22,12 +23,19 @@
 //! persistence; each `?` header is present exactly when its own bit is
 //! set, and an absent one takes no bytes. A correlation id of exactly 32
 //! lowercase hex digits (a conditional message id) takes 16 bytes under
-//! its own bit and reads back as the same string; any other is a string.
+//! its own bit, at a fixed offset right after the flags, and reads back as
+//! the same string; any other is a string.
 //!
-//! Inside a journal record, an image that follows another image with the
-//! same payload leaves its payload out and sets bit 7 of `flags`
-//! ([`Encoder::put_image`], [`Decoder::get_image`]): a fan-out writes its
-//! payload once. A message's own image, and so the wire, never sets it.
+//! Inside a journal record ([`Encoder::put_image`], [`Decoder::get_image`])
+//! an image differs from the message's own in two ways, and the wire never
+//! does either:
+//! * an image that follows another image with the same payload leaves its
+//!   payload out and sets bit 7 of `flags`: a fan-out writes its payload
+//!   once;
+//! * the message id and the 16-byte correlation id are written relative
+//!   to the id written just before them in the record ([`IdCursor`]):
+//!   ids of one process are consecutive ([`MessageId::generate`]), so most
+//!   take one or two bytes instead of sixteen.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -144,7 +152,7 @@ impl Encoder {
     /// Appends an `i64` as a zigzag varint: small magnitudes of either sign
     /// take few bytes.
     pub fn put_zigzag(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+        self.put_varint(zigzag(v));
     }
 
     /// Appends a boolean as one byte.
@@ -263,8 +271,7 @@ impl Decoder {
 
     /// Reads an `i64` written with [`Encoder::put_zigzag`].
     pub fn get_zigzag(&mut self) -> Result<i64, CodecError> {
-        let v = self.get_varint()?;
-        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+        self.get_varint().map(unzigzag)
     }
 
     /// Reads a boolean byte (`0` or `1`; anything else is a bad tag).
@@ -459,6 +466,61 @@ impl Message {
 /// Where the flags byte sits in an image: after the id and the priority.
 const FLAGS_AT: usize = 16 + 1;
 
+/// Where a 16-byte correlation id sits in an image, when flags say one
+/// is there: right after the flags.
+const CORRELATION_AT: usize = FLAGS_AT + 1;
+
+/// `v` with its sign in bit 0, so small magnitudes of either sign are
+/// small numbers.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// The id last written (or read) in one journal record: each `u128` id of
+/// the record is written relative to it ([`Encoder::put_id`]). Every record
+/// starts from a fresh cursor (0), so no record refers to another, and its
+/// first id, whose epoch is never 0, is written whole.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdCursor(u128);
+
+impl Encoder {
+    /// Appends `id` relative to the id before it in the record and moves
+    /// the cursor to it: when the high halves match, the zigzag difference
+    /// of the low halves plus one as a varint; otherwise a `0` escape and
+    /// the id as a `u128`.
+    pub fn put_id(&mut self, id: u128, cursor: &mut IdCursor) {
+        let previous = std::mem::replace(&mut cursor.0, id);
+        let delta = zigzag((id as u64).wrapping_sub(previous as u64) as i64);
+        if id >> 64 == previous >> 64 && delta != u64::MAX {
+            self.put_varint(delta + 1);
+        } else {
+            self.put_varint(0);
+            self.put_u128(id);
+        }
+    }
+}
+
+impl Decoder {
+    /// Reads an id written with [`Encoder::put_id`] and moves the cursor to
+    /// it.
+    pub fn get_id(&mut self, cursor: &mut IdCursor) -> Result<u128, CodecError> {
+        let id = match self.get_varint()? {
+            0 => self.get_u128()?,
+            delta => {
+                let low = (cursor.0 as u64).wrapping_add(unzigzag(delta - 1) as u64);
+                cursor.0 >> 64 << 64 | u128::from(low)
+            }
+        };
+        cursor.0 = id;
+        Ok(id)
+    }
+}
+
 /// The bytes [`Encoder::put_varint`] writes for `v`.
 fn varint_len(v: u64) -> usize {
     (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
@@ -530,6 +592,9 @@ impl WireEncode for Message {
             .filter(|(present, _)| *present)
             .fold(0, |f, (_, bit)| f | bit);
         enc.put_u8(flags);
+        if let Some(id) = corr_u128 {
+            enc.put_u128(id);
+        }
         enc.put_bytes(self.payload());
         enc.put_varint(self.properties().count() as u64);
         for (name, value) in self.properties() {
@@ -542,10 +607,8 @@ impl WireEncode for Message {
         if let Some(expiry) = self.expiry() {
             enc.put_varint(expiry.as_millis());
         }
-        match (corr_u128, self.correlation_id()) {
-            (Some(id), _) => enc.put_u128(id),
-            (None, Some(corr)) => enc.put_str(corr),
-            (None, None) => {}
+        if let (None, Some(corr)) = (corr_u128, self.correlation_id()) {
+            enc.put_str(corr);
         }
         if let Some(reply_to) = self.reply_to() {
             reply_to.encode(enc);
@@ -559,38 +622,65 @@ impl WireEncode for Message {
 
 impl Encoder {
     /// Appends `message`'s cached image ([`Message::wire_bytes`]) as the
-    /// image that follows `previous` in a journal record. When `previous`
-    /// carries the same payload, the payload is left out and bit 7 of the
-    /// flags byte says so; [`Decoder::get_image`] given that payload reads
-    /// it back.
-    pub fn put_image(&mut self, message: &Message, previous: Option<&Message>) {
+    /// image that follows `previous` in a journal record, its message id
+    /// and 16-byte correlation id written relative to `ids`
+    /// ([`Encoder::put_id`]). When `previous` carries the same payload, the
+    /// payload is left out and bit 7 of the flags byte says so;
+    /// [`Decoder::get_image`] given that payload and cursor reads it back.
+    pub fn put_image(&mut self, message: &Message, previous: Option<&Message>, ids: &mut IdCursor) {
         let image = message.wire_bytes();
+        let id_at = |at: usize| image.slice(at..at + 16).get_u128_le();
         let payload = message.payload();
-        if previous.is_none_or(|p| p.payload() != payload) {
-            self.put_raw(&image);
-            return;
+        let same_payload = previous.is_some_and(|p| p.payload() == payload);
+        let flags = image[FLAGS_AT];
+        self.put_id(id_at(0), ids);
+        self.put_u8(image[FLAGS_AT - 1]);
+        self.put_u8(if same_payload {
+            flags | flag::SAME_PAYLOAD
+        } else {
+            flags
+        });
+        let mut rest = CORRELATION_AT;
+        if flags & flag::CORRELATION_U128 != 0 {
+            self.put_id(id_at(rest), ids);
+            rest += 16;
         }
-        // Only `WireEncode` fills the cache, so the payload's length is a
-        // minimal varint right after the flags.
-        let payload_end = FLAGS_AT + 1 + varint_len(payload.len() as u64) + payload.len();
-        self.put_raw(&image[..FLAGS_AT]);
-        self.put_u8(image[FLAGS_AT] | flag::SAME_PAYLOAD);
-        self.put_raw(&image[payload_end..]);
+        if same_payload {
+            // Only `WireEncode` fills the cache, so the payload's length is
+            // a minimal varint.
+            rest += varint_len(payload.len() as u64) + payload.len();
+        }
+        self.put_raw(&image[rest..]);
     }
 }
 
 impl WireDecode for Message {
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
-        dec.get_image(None)
+        dec.get_message(None, Decoder::get_u128)
     }
 }
 
 impl Decoder {
     /// Reads an image written with [`Encoder::put_image`] after an image
-    /// whose payload was `previous`. An image that leaves its payload out
-    /// where no previous payload exists is a `BadTag`.
-    pub fn get_image(&mut self, previous: Option<&Bytes>) -> Result<Message, CodecError> {
-        let id = MessageId::from_u128(self.get_u128()?);
+    /// whose payload was `previous`, its ids relative to `ids`. An image
+    /// that leaves its payload out where no previous payload exists is a
+    /// `BadTag`.
+    pub fn get_image(
+        &mut self,
+        previous: Option<&Bytes>,
+        ids: &mut IdCursor,
+    ) -> Result<Message, CodecError> {
+        self.get_message(previous, |dec| dec.get_id(ids))
+    }
+
+    /// Reads an image whose ids `get_id` reads: whole on the wire, relative
+    /// in a journal record.
+    fn get_message(
+        &mut self,
+        previous: Option<&Bytes>,
+        mut get_id: impl FnMut(&mut Decoder) -> Result<u128, CodecError>,
+    ) -> Result<Message, CodecError> {
+        let id = MessageId::from_u128(get_id(self)?);
         let priority = Priority::new(self.get_u8()?);
         let flags = self.get_u8()?;
         let both_correlations = flag::CORRELATION | flag::CORRELATION_U128;
@@ -601,6 +691,10 @@ impl Decoder {
                 tag: flags,
             });
         }
+        let has = |bit: u8| flags & bit != 0;
+        let correlation_u128 = has(flag::CORRELATION_U128)
+            .then(|| get_id(self))
+            .transpose()?;
         let payload = match previous.filter(|_| same_payload) {
             Some(payload) => payload.clone(),
             None => self.get_bytes()?,
@@ -612,7 +706,6 @@ impl Decoder {
             let value = PropertyValue::decode(self)?;
             properties.insert(name, value);
         }
-        let has = |bit: u8| flags & bit != 0;
         let persistent = has(flag::PERSISTENT);
         let ttl = has(flag::TTL)
             .then(|| self.get_varint().map(Millis))
@@ -620,10 +713,9 @@ impl Decoder {
         let expiry = has(flag::EXPIRY)
             .then(|| self.get_varint().map(Time))
             .transpose()?;
-        let correlation_id = if has(flag::CORRELATION_U128) {
-            Some(format!("{:032x}", self.get_u128()?))
-        } else {
-            has(flag::CORRELATION).then(|| self.get_str()).transpose()?
+        let correlation_id = match correlation_u128 {
+            Some(id) => Some(format!("{id:032x}")),
+            None => has(flag::CORRELATION).then(|| self.get_str()).transpose()?,
         };
         let reply_to = has(flag::REPLY_TO)
             .then(|| QueueAddress::decode(self))
@@ -740,6 +832,37 @@ mod tests {
             assert_eq!(varint_len(v), enc.len(), "{v}");
             let mut dec = Decoder::new(enc.finish());
             assert_eq!(dec.get_varint().unwrap(), v);
+            assert!(dec.is_exhausted());
+        }
+    }
+
+    #[test]
+    fn an_id_is_a_delta_within_its_epoch_and_whole_across_epochs() {
+        let epoch = 0x1234_u128 << 64;
+        let cases = [
+            // (previous, id, bytes written)
+            (epoch | 10, epoch | 11, 1),
+            (epoch | 11, epoch | 11, 1),
+            (epoch | 11, epoch | 10, 1),
+            (epoch | 10, epoch | 73, 1),
+            (epoch | 10, epoch | 74, 2),
+            (epoch | 73, epoch | 10, 1),
+            (epoch | 74, epoch | 10, 2),
+            (epoch, epoch | u128::from(u64::MAX), 1),
+            (epoch | u128::from(u64::MAX), epoch, 1),
+            (0, epoch | 5, 17),
+            (epoch | 5, (epoch << 1) | 5, 17),
+            // The one low-half difference whose zigzag+1 would overflow.
+            (epoch, epoch | 1 << 63, 17),
+        ];
+        for (previous, id, len) in cases {
+            let mut enc = Encoder::new();
+            enc.put_id(id, &mut IdCursor(previous));
+            assert_eq!(enc.len(), len, "{previous:x} -> {id:x}");
+            let mut cursor = IdCursor(previous);
+            let mut dec = Decoder::new(enc.finish());
+            assert_eq!(dec.get_id(&mut cursor).unwrap(), id);
+            assert_eq!(cursor.0, id);
             assert!(dec.is_exhausted());
         }
     }
@@ -868,17 +991,25 @@ mod tests {
         let second = Message::builder(payload).property("leaf", 1i64).build();
         let other = Message::text("other").build();
         let mut enc = Encoder::new();
-        enc.put_image(&first, None);
-        enc.put_image(&second, Some(&first));
-        enc.put_image(&other, Some(&second));
+        let mut ids = IdCursor::default();
+        enc.put_image(&first, None, &mut ids);
+        enc.put_image(&second, Some(&first), &mut ids);
+        enc.put_image(&other, Some(&second), &mut ids);
         // The second image loses its payload's two length bytes and 200
-        // payload bytes; a different payload is written in full.
+        // payload bytes; a different payload is written in full. Each id
+        // takes the bytes of its relative form instead of 16.
+        let mut id_forms = Encoder::new();
+        let mut cursor = IdCursor::default();
+        for m in [&first, &second, &other] {
+            id_forms.put_id(m.id().as_u128(), &mut cursor);
+        }
         let full = first.wire_len() + second.wire_len() + other.wire_len();
-        assert_eq!(enc.len(), full - 2 - 200);
+        assert_eq!(enc.len(), full - 3 * 16 + id_forms.len() - 2 - 200);
         let mut dec = Decoder::new(enc.finish());
-        let a = dec.get_image(None).unwrap();
-        let b = dec.get_image(Some(a.payload())).unwrap();
-        let c = dec.get_image(Some(b.payload())).unwrap();
+        let mut ids = IdCursor::default();
+        let a = dec.get_image(None, &mut ids).unwrap();
+        let b = dec.get_image(Some(a.payload()), &mut ids).unwrap();
+        let c = dec.get_image(Some(b.payload()), &mut ids).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!((&a, &b, &c), (&first, &second, &other));
         // The copies read back share one buffer.

@@ -35,7 +35,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::codec::{crc32, CodecError, Decoder, Encoder, WireDecode, WireEncode};
+use crate::codec::{crc32, CodecError, Decoder, Encoder, IdCursor, WireDecode, WireEncode};
 use crate::error::{MqError, MqResult};
 use crate::message::{Message, MessageId};
 use crate::stats::MetricsRegistry;
@@ -109,24 +109,28 @@ impl WireEncode for JournalRecord {
             // A message goes in as its cached image: the one the mover
             // sends, encoded once for both. A put whose payload equals the
             // previous put's leaves it out, so a fan-out writes it once.
+            // Every id of a record is written relative to the one before
+            // it in the record: the puts' ids and correlation ids, then the
+            // gets' ids.
             JournalRecord::Put { queue, message } => {
-                enc.put_u8(11);
+                enc.put_u8(13);
                 enc.put_wire_str(queue);
-                enc.put_image(message, None);
+                enc.put_image(message, None, &mut IdCursor::default());
             }
             JournalRecord::TxCommit { puts, gets } => {
-                enc.put_u8(12);
+                enc.put_u8(14);
                 enc.put_varint(puts.len() as u64);
+                let mut ids = IdCursor::default();
                 let mut previous = None;
                 for (q, m) in puts {
                     enc.put_wire_str(q);
-                    enc.put_image(m, previous);
+                    enc.put_image(m, previous, &mut ids);
                     previous = Some(m);
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
                     enc.put_wire_str(q);
-                    enc.put_u128(id.as_u128());
+                    enc.put_id(id.as_u128(), &mut ids);
                 }
             }
             JournalRecord::CheckpointStart {
@@ -141,9 +145,10 @@ impl WireEncode for JournalRecord {
                     enc.put_wire_str(q);
                 }
                 enc.put_varint(dedup.len() as u64);
+                let mut ids = IdCursor::default();
                 for (origin, id) in dedup {
                     enc.put_u64(*origin);
-                    enc.put_u128(*id);
+                    enc.put_id(*id, &mut ids);
                 }
             }
             JournalRecord::CheckpointEnd { checkpoint_id } => {
@@ -164,24 +169,25 @@ impl WireDecode for JournalRecord {
             1 => Ok(JournalRecord::QueueDeleted {
                 queue: dec.get_wire_str()?,
             }),
-            11 => Ok(JournalRecord::Put {
+            13 => Ok(JournalRecord::Put {
                 queue: dec.get_wire_str()?,
-                message: dec.get_image(None)?,
+                message: dec.get_image(None, &mut IdCursor::default())?,
             }),
-            12 => {
+            14 => {
                 let n_puts = dec.get_varint()?;
                 let mut puts: Vec<(String, Message)> =
                     Vec::with_capacity(n_puts.min(1024) as usize);
+                let mut ids = IdCursor::default();
                 for _ in 0..n_puts {
                     let q = dec.get_wire_str()?;
-                    let m = dec.get_image(puts.last().map(|(_, p)| p.payload()))?;
+                    let m = dec.get_image(puts.last().map(|(_, p)| p.payload()), &mut ids)?;
                     puts.push((q, m));
                 }
                 let n_gets = dec.get_varint()?;
                 let mut gets = Vec::with_capacity(n_gets.min(1024) as usize);
                 for _ in 0..n_gets {
                     let q = dec.get_wire_str()?;
-                    let id = MessageId::from_u128(dec.get_u128()?);
+                    let id = MessageId::from_u128(dec.get_id(&mut ids)?);
                     gets.push((q, id));
                 }
                 Ok(JournalRecord::TxCommit { puts, gets })
@@ -195,9 +201,10 @@ impl WireDecode for JournalRecord {
                 }
                 let n_dedup = dec.get_varint()?;
                 let mut dedup = Vec::with_capacity(n_dedup.min(4096) as usize);
+                let mut ids = IdCursor::default();
                 for _ in 0..n_dedup {
                     let origin = dec.get_u64()?;
-                    let id = dec.get_u128()?;
+                    let id = dec.get_id(&mut ids)?;
                     dedup.push((origin, id));
                 }
                 Ok(JournalRecord::CheckpointStart {
@@ -614,10 +621,10 @@ pub(crate) mod tests {
         // a put) of a `TxCommit`. 2 and 4 were `Put` and `TxCommit` over the
         // first message image, which spelled every property name out; 9
         // and 10 over the second, which spelled every queue name, property
-        // value and conditional id out. The tags are not reused, so a
-        // journal written before says so instead of replaying as something
-        // else.
-        for tag in [2u8, 3, 4, 5, 6, 9, 10] {
+        // value and conditional id out; 11 and 12 over the third, which
+        // wrote every id whole. The tags are not reused, so a journal
+        // written before says so instead of replaying as something else.
+        for tag in [2u8, 3, 4, 5, 6, 9, 10, 11, 12] {
             let j = MemJournal::new();
             j.append(&JournalRecord::QueueCreated { queue: "Q".into() })
                 .unwrap();
@@ -648,9 +655,12 @@ pub(crate) mod tests {
             .wire_cache()
             .get()
             .expect("the record filled the shared cell");
-        // The record ends with the image and then a zero get count.
+        // The record ends with the image and then a zero get count: the
+        // record's first id is written whole, after a `0` escape, and the
+        // message has no 16-byte correlation id to write relative to it.
         let end = bytes.len() - 1;
         assert_eq!(bytes[end], 0);
+        assert_eq!(bytes[end - image.len() - 1], 0);
         assert_eq!(&bytes[end - image.len()..end], &image[..]);
         assert_eq!(JournalRecord::from_bytes(bytes).unwrap(), record);
     }
@@ -665,17 +675,17 @@ pub(crate) mod tests {
             raw[flags_at] |= 0x80;
             JournalRecord::from_bytes(Bytes::from(raw))
         };
-        // Tag, put count, queue code, id, priority | flags.
+        // Tag, put count, queue code, escape + id, priority | flags.
         let first_put = JournalRecord::TxCommit {
             puts: vec![("DS.SLOG.Q".into(), msg.clone())],
             gets: vec![],
         };
-        // Tag, queue code, id, priority | flags.
+        // Tag, queue code, escape + id, priority | flags.
         let row = JournalRecord::Put {
             queue: "DS.SLOG.Q".into(),
             message: msg,
         };
-        for result in [flagged(first_put, 3 + 17), flagged(row, 2 + 17)] {
+        for result in [flagged(first_put, 3 + 18), flagged(row, 2 + 18)] {
             assert!(matches!(
                 result,
                 Err(CodecError::BadTag {
@@ -703,7 +713,8 @@ pub(crate) mod tests {
             // Any sequence of puts, runs of equal payloads among them,
             // round-trips byte for byte; the record is exactly the whole
             // images less each repeated payload (with its length byte),
-            // and every strict prefix of it fails to decode.
+            // each id in its relative form, and every strict prefix of it
+            // fails to decode.
             #[test]
             fn any_tx_commit_roundtrips_and_elides_exactly_the_repeats(
                 picks in proptest::collection::vec(0..PAYLOADS.len(), 0..12),
@@ -716,6 +727,8 @@ pub(crate) mod tests {
                     .map(|w| 1 + PAYLOADS[w[1]].len())
                     .sum();
                 let whole: usize = puts.iter().map(|(q, m)| 2 + q.len() + m.wire_len()).sum();
+                let ids: Vec<u128> = puts.iter().map(|(_, m)| m.id().as_u128()).collect();
+                let whole = whole - 16 * ids.len() + id_forms_len(&ids);
                 let record = JournalRecord::TxCommit { puts, gets: vec![] };
                 let bytes = record.to_bytes();
                 prop_assert_eq!(bytes.len(), 1 + 1 + whole - repeated + 1);
@@ -725,6 +738,148 @@ pub(crate) mod tests {
                 let cut = (cut_seed % bytes.len() as u64) as usize;
                 prop_assert!(JournalRecord::from_bytes(bytes.slice(0..cut)).is_err());
             }
+
+            // Any ids — random, sequential in one epoch (0 included, so a
+            // record's first id may be a delta from the fresh cursor) or
+            // each from one of two epochs — round-trip byte for byte
+            // in a `TxCommit` and in a `CheckpointStart`. Each record is
+            // its whole images less exactly 16 bytes per id plus that id's
+            // relative form from the id before it in the record, and every
+            // strict prefix of it fails to decode. Decoding the record a
+            // second time reads the same: nothing carries over.
+            #[test]
+            fn any_ids_roundtrip_and_each_takes_exactly_its_relative_form(
+                ids in arb_ids(),
+                shape in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..8),
+                gets in 0usize..8,
+            ) {
+                let mut ids = ids.into_iter();
+                let mut stream = Vec::new();
+                let puts: Vec<(String, Message)> = shape
+                    .iter()
+                    .map(|&(correlated, shared)| {
+                        let id = ids.next().unwrap();
+                        stream.push(id);
+                        let corr = correlated.then(|| ids.next().unwrap());
+                        stream.extend(corr);
+                        let payload = if shared { "shared" } else { "" };
+                        let msg = Message::from_parts(
+                            MessageId::from_u128(id),
+                            Bytes::from_static(payload.as_bytes()),
+                            Default::default(),
+                            Default::default(),
+                            true,
+                            None,
+                            None,
+                            corr.map(|c| format!("{c:032x}")),
+                            None,
+                            None,
+                            0,
+                        );
+                        ("Q".to_owned(), msg)
+                    })
+                    .collect();
+                let gets: Vec<(String, MessageId)> = ids
+                    .by_ref()
+                    .take(gets)
+                    .map(|id| {
+                        stream.push(id);
+                        ("Q".to_owned(), MessageId::from_u128(id))
+                    })
+                    .collect();
+                let repeated: usize = shape
+                    .windows(2)
+                    .filter(|w| w[0].1 == w[1].1)
+                    .map(|w| 1 + if w[1].1 { "shared".len() } else { 0 })
+                    .sum();
+                let images: usize = puts.iter().map(|(_, m)| 3 + m.wire_len()).sum();
+                let dedup: Vec<(u64, u128)> = stream.iter().map(|&id| (7, id)).collect();
+                let cases = [
+                    (
+                        JournalRecord::TxCommit { puts, gets: gets.clone() },
+                        1 + 1 + images - repeated + 1 + (3 + 16) * gets.len(),
+                    ),
+                    (
+                        JournalRecord::CheckpointStart {
+                            checkpoint_id: 1,
+                            queues: vec![],
+                            dedup: dedup.clone(),
+                        },
+                        1 + 8 + 1 + 1 + 8 * dedup.len() + 16 * dedup.len(),
+                    ),
+                ];
+                for (record, whole) in cases {
+                    let bytes = record.to_bytes();
+                    prop_assert_eq!(
+                        bytes.len(),
+                        whole - 16 * stream.len() + id_forms_len(&stream)
+                    );
+                    for _ in 0..2 {
+                        let back = JournalRecord::from_bytes(bytes.clone()).unwrap();
+                        prop_assert_eq!(&back, &record);
+                        prop_assert_eq!(back.to_bytes(), bytes.clone());
+                    }
+                    for cut in 0..bytes.len() {
+                        prop_assert!(JournalRecord::from_bytes(bytes.slice(0..cut)).is_err());
+                    }
+                }
+            }
+        }
+
+        /// 40 ids, enough for any record the proptest builds.
+        fn arb_ids() -> impl Strategy<Value = Vec<u128>> {
+            let epoch = || prop_oneof![Just(0u64), any::<u64>()];
+            let steps = proptest::collection::vec(0u64..300, 40);
+            prop_oneof![
+                proptest::collection::vec(any::<u128>(), 40),
+                (epoch(), any::<u64>(), steps).prop_map(|(epoch, start, steps)| {
+                    let mut counter = start;
+                    steps
+                        .into_iter()
+                        .map(|step| {
+                            counter = counter.wrapping_add(step);
+                            MessageId::from_parts(epoch, counter).as_u128()
+                        })
+                        .collect()
+                }),
+                (
+                    epoch(),
+                    any::<u64>(),
+                    any::<u64>(),
+                    proptest::collection::vec(any::<bool>(), 40)
+                )
+                    .prop_map(|(a, b, counter, picks)| {
+                        (0..)
+                            .zip(picks)
+                            .map(|(i, pick)| {
+                                let epoch = if pick { a } else { b };
+                                MessageId::from_parts(epoch, counter.wrapping_add(i)).as_u128()
+                            })
+                            .collect()
+                    }),
+            ]
+        }
+
+        /// The bytes `stream`'s ids take, each relative to the one before
+        /// it (the first to 0): the zigzag difference of the low halves
+        /// plus one as a varint when the high halves match and it fits,
+        /// else a one-byte escape and the 16-byte id.
+        fn id_forms_len(stream: &[u128]) -> usize {
+            let mut previous = 0u128;
+            let mut total = 0;
+            for &id in stream {
+                let delta = (id as u64).wrapping_sub(previous as u64) as i64;
+                let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+                total += if id >> 64 == previous >> 64 && zigzag != u64::MAX {
+                    let mut enc = Encoder::new();
+                    enc.put_varint(zigzag + 1);
+                    enc.len()
+                } else {
+                    17
+                };
+                previous = id;
+            }
+            total
         }
     }
 

@@ -439,11 +439,16 @@ impl Journal for SegmentedJournal {
         // reached its tail: replay trusts every segment but the last to be
         // complete, so the successor must not exist before that. Appenders
         // arriving meanwhile queue up here instead of writing, so the tail
-        // stands still and one sync reaches it.
-        while inner
-            .active
-            .as_ref()
-            .is_some_and(|a| a.bytes >= self.config.roll_bytes)
+        // stands still and one sync reaches it. An appended checkpoint
+        // start never opens a segment: `open` takes a last segment that
+        // opens with a complete checkpoint for `write_checkpoint`'s, and
+        // unlinks everything before it.
+        let opens_checkpoint = matches!(record, JournalRecord::CheckpointStart { .. });
+        while !opens_checkpoint
+            && inner
+                .active
+                .as_ref()
+                .is_some_and(|a| a.bytes >= self.config.roll_bytes)
         {
             if inner.durable_lsn >= inner.next_lsn {
                 inner.active = None;
@@ -791,6 +796,35 @@ mod tests {
         let all = j.replay_collect().unwrap();
         assert_eq!(all.len(), 4);
         assert_eq!(all.last().unwrap(), &after);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn appended_checkpoint_markers_at_a_roll_are_not_taken_for_a_checkpoint() {
+        // The first record fills a segment; a checkpoint start and end
+        // appended after it would be a segment of their own, which `open`
+        // reads as a checkpoint and so unlinks the first.
+        let root = temp_dir("seg-appended-markers");
+        let config = SegmentConfig {
+            roll_bytes: 100,
+            sync_every_append: false,
+        };
+        let j = SegmentedJournal::open(&root, config.clone()).unwrap();
+        let records = [
+            named("Q".repeat(100)),
+            JournalRecord::CheckpointStart {
+                checkpoint_id: 1,
+                queues: vec![],
+                dedup: vec![],
+            },
+            JournalRecord::CheckpointEnd { checkpoint_id: 1 },
+        ];
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        drop(j);
+        let j = SegmentedJournal::open(&root, config).unwrap();
+        assert_eq!(j.replay_collect().unwrap(), records);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -147,11 +147,11 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 /// Every on-storage [`crate::journal::JournalRecord`] tag byte. The
 /// record's wire encode/decode impls are the registry sinks; adding a
 /// record variant without extending this table is a lint error. Tags 2,
-/// 3, 4, 5, 6, 9 and 10 are retired, not free: journals written before
-/// may hold them (2/4 and 9/10 were `Put` and `TxCommit` over earlier
-/// message images).
+/// 3, 4, 5, 6, 9, 10, 11 and 12 are retired, not free: journals written
+/// before may hold them (2/4, 9/10 and 11/12 were `Put` and `TxCommit`
+/// over earlier message images; 11/12 wrote every id whole).
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 11, 12];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 13, 14];
 
 /// Every well-known string the message image and the journal carry: the
 /// control-property names (`sys.*` of `mq`, `ds.*` of the conditional

@@ -559,7 +559,10 @@ impl QueueManager {
     /// `remote_manager`: the explicit route group if one exists, else the
     /// default route; within the group the target is chosen
     /// deterministically from the message id, so retries of the same
-    /// custody transfer always travel the same downstream.
+    /// custody transfer always travel the same downstream. The id is mixed
+    /// first ([`MessageId::mix64`]): ids are sequential, and a send that
+    /// takes a fixed number of them would otherwise always land on the same
+    /// target of an even group.
     pub fn route_for_message(&self, remote_manager: &str, id: MessageId) -> Option<String> {
         let targets = self
             .routes
@@ -568,7 +571,7 @@ impl QueueManager {
         if targets.is_empty() {
             return None;
         }
-        let idx = (id.as_u128() % targets.len() as u128) as usize;
+        let idx = (id.mix64() % targets.len() as u64) as usize;
         Some(targets[idx].clone())
     }
 
@@ -793,9 +796,11 @@ impl QueueManager {
     }
 
     fn checkpoint_locked(&self) -> MqResult<()> {
-        // Not wall-clock time (checkpoints must work under SimClock):
-        // message-id entropy is unique enough to pair Start with End.
-        let checkpoint_id = MessageId::generate().as_u128() as u64;
+        // Not wall-clock time (checkpoints must work under SimClock). The
+        // counter half of an id restarts with every process, so the epoch is
+        // folded in: a torn start an earlier run left behind never pairs
+        // with this run's end.
+        let checkpoint_id = MessageId::generate().mix64();
         let names = self.queues.sorted_keys();
         let dedup: Vec<(u64, u128)> = self
             .delivery_dedup

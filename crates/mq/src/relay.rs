@@ -674,12 +674,16 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(qm.route_for_message("QM.C", id).unwrap(), first);
         }
-        // And both targets are reachable across ids.
-        let mut hit = std::collections::HashSet::new();
-        for i in 0..64u128 {
-            hit.insert(qm.route_for_message("QM.C", MessageId::from_u128(i)).unwrap());
+        // And both targets are reachable across ids, also along the
+        // sequences a send with a fixed number of ids per message leaves.
+        for stride in [1, 2, 4] {
+            let mut hit = std::collections::HashSet::new();
+            for i in 0..16 {
+                let id = MessageId::from_parts(0x5eed, 1000 + i * stride);
+                hit.insert(qm.route_for_message("QM.C", id).unwrap());
+            }
+            assert_eq!(hit.len(), 2, "stride {stride}");
         }
-        assert_eq!(hit.len(), 2);
     }
 
     #[test]

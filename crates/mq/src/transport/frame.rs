@@ -54,12 +54,12 @@ use crate::message::Message;
 /// Protocol magic, first field of every handshake payload (`"CMW1"`).
 pub const MAGIC: u32 = 0x434D_5731;
 
-/// Protocol version negotiated in the handshake. Version 3 carries each
+/// Protocol version negotiated in the handshake. Version 4 carries each
 /// message as the image of [`crate::codec`] (registered property names,
 /// string values and queue names as one-byte codes, a conditional
-/// message id as 16 bytes, a flags byte, varint headers); a peer of an
-/// earlier version is refused rather than misread.
-pub const VERSION: u8 = 3;
+/// message id as 16 bytes right after the flags byte, varint headers); a
+/// peer of an earlier version is refused rather than misread.
+pub const VERSION: u8 = 4;
 
 /// Upper bound on one frame's body, guarding the decoder against
 /// allocation bombs from corrupt or hostile length prefixes.
@@ -544,8 +544,9 @@ mod tests {
     #[test]
     fn a_hello_of_an_earlier_version_is_refused() {
         // Version 1 spelled property names out, version 2 property values,
-        // queue names and conditional ids.
-        for version in [1, 2] {
+        // queue names and conditional ids; version 3 wrote a conditional id
+        // after the other headers.
+        for version in [1, 2, 3] {
             let mut payload = Encoder::new();
             payload.put_u32(MAGIC);
             payload.put_u8(version);

@@ -26,15 +26,29 @@ use condmsg::{
     MessageOutcome,
 };
 use mq::channel::{Channel, MAX_RELEASED, RELEASE_LINGER};
-use mq::codec::WireEncode;
+use mq::codec::{WireDecode, WireEncode};
 use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
     FaultAction, FaultPlane, Message, MqResult, QueueAddress, QueueManager, TraceStage, Wait,
     DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use simtime::{Millis, SimClock};
+
+/// A journal record writes each id relative to the id before it, and the
+/// process draws every id from one counter, so the record sizes a test
+/// pins depend on how many ids other threads drew meanwhile. A test that
+/// pins sizes runs `alone`; every other test `shared`ly.
+static ID_DRAWS: RwLock<()> = RwLock::new(());
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    ID_DRAWS.write()
+}
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    ID_DRAWS.read()
+}
 
 /// A `Journal` that notes what each `append` wrote (kind + queues, and its
 /// encoded bytes) and otherwise is the `MemJournal` it wraps.
@@ -204,6 +218,7 @@ fn flushes(qmgr: &QueueManager, n: u64) -> Vec<String> {
 
 #[test]
 fn two_manager_round_trip_is_five_records() {
+    let _ids = alone();
     let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
@@ -254,12 +269,14 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(head_journal.appended(), [send, verdict, outcome], "head");
     assert_eq!(tail_journal.appended(), [arrival, pickup], "tail");
     assert_eq!(head.stats().released.get(), 0);
-    // What the five records weigh, byte for byte: ids are random but fixed
-    // in width, and the clock nobody advances stamps every time as 0.
-    // The verdict's two empty payloads are written once, and so are the
-    // pick-up's (receiver-log entry and acknowledgment).
-    assert_eq!(head_journal.bytes(), [253, 163, 20], "head bytes");
-    assert_eq!(tail_journal.bytes(), [88, 159], "tail bytes");
+    // What the five records weigh, byte for byte: a record's first id is
+    // whole (17 bytes), every later one a delta from the id before it (one
+    // byte here: the ids of a round trip are drawn close together), and the
+    // clock nobody advances stamps every time as 0. The verdict's two empty
+    // payloads are written once, and so are the pick-up's (receiver-log
+    // entry and acknowledgment).
+    assert_eq!(head_journal.bytes(), [179, 74, 21], "head bytes");
+    assert_eq!(tail_journal.bytes(), [74, 100], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -296,6 +313,7 @@ fn two_manager_round_trip_is_five_records() {
 
 #[test]
 fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
+    let _ids = shared();
     let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (tail, tail_journal) = recorded("QM.TAIL", &clock);
@@ -378,6 +396,7 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
 
 #[test]
 fn a_relay_takes_custody_of_a_batch_with_one_record() {
+    let _ids = shared();
     let clock = SimClock::new();
     let (head, head_journal) = recorded("QM.HEAD", &clock);
     let (mid, mid_journal) = recorded("QM.MID", &clock);
@@ -465,6 +484,7 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
 
 #[test]
 fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
+    let _ids = alone();
     let journal = RecordingJournal::new();
     let qmgr = QueueManager::builder("QM1")
         .clock(SimClock::new())
@@ -519,9 +539,20 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     // previous put's (the three originals after the first, the three
     // parked compensations after the first, the verdict's notification
     // after its history entry) carries a flag bit instead.
-    assert_eq!(journal.bytes(), [619, 112, 112, 274, 67, 20], "bytes");
+    assert_eq!(journal.bytes(), [365, 53, 53, 80, 38, 21], "bytes");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
+    // One id sequence: the conditional id, then its send-log entry, parked
+    // compensations and originals in the order they are put, so every id
+    // after the record's first is a one-byte delta.
+    let JournalRecord::TxCommit { puts, .. } = JournalRecord::from_bytes(send).unwrap() else {
+        panic!("the send is a TxCommit");
+    };
+    let cond = id.as_u128();
+    for (n, (_, put)) in (1..).zip(&puts) {
+        assert_eq!(put.id().as_u128(), cond + n, "put {n}");
+        assert_eq!(put.correlation_id(), Some(id.to_hex().as_str()));
+    }
     assert_eq!(qmgr.metrics_snapshot().counter("cond.verdict.fused"), 1);
 }
 
@@ -552,6 +583,7 @@ fn three_member_sphere(
 
 #[test]
 fn committing_a_sphere_of_three_decided_members_is_one_record() {
+    let _ids = shared();
     let (qmgr, journal, mut sphere) = three_member_sphere(Millis(60_000));
     let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
     for queue in ["Q.A", "Q.B", "Q.C"] {
@@ -576,6 +608,7 @@ fn committing_a_sphere_of_three_decided_members_is_one_record() {
 
 #[test]
 fn aborting_a_sphere_of_three_pending_members_is_two_records() {
+    let _ids = shared();
     let (qmgr, journal, mut sphere) = three_member_sphere(Millis(60_000));
     journal.start();
 
@@ -601,6 +634,7 @@ fn aborting_a_sphere_of_three_pending_members_is_two_records() {
 
 #[test]
 fn sweeping_three_ripe_messages_is_one_record() {
+    let _ids = shared();
     let journal = RecordingJournal::new();
     let clock = SimClock::new();
     let qmgr = QueueManager::builder("QM1")
@@ -627,6 +661,7 @@ fn sweeping_three_ripe_messages_is_one_record() {
 
 #[test]
 fn a_read_that_meets_three_pairs_and_then_a_message_is_one_record() {
+    let _ids = shared();
     let journal = RecordingJournal::new();
     let clock = SimClock::new();
     let qmgr = QueueManager::builder("QM1")
@@ -696,6 +731,7 @@ fn queue_for_tail(head: &QueueManager, envelopes: usize) {
 
 #[test]
 fn max_released_handoffs_are_one_record() {
+    let _ids = shared();
     let clock = SimClock::new();
     let (head, journal, _tail, _channel, acceptor) = lone_sender(&clock);
     queue_for_tail(&head, MAX_RELEASED);
@@ -716,6 +752,7 @@ fn max_released_handoffs_are_one_record() {
 
 #[test]
 fn an_idle_manager_flushes_after_the_linger_and_not_before() {
+    let _ids = shared();
     let clock = SimClock::new();
     let (head, journal, _tail, _channel, acceptor) = lone_sender(&clock);
     queue_for_tail(&head, 1);

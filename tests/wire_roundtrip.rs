@@ -261,7 +261,7 @@ where
     Ok(())
 }
 
-/// A message's image after its random 16-byte message id.
+/// A message's image after its 16-byte message id.
 fn image_after_id(msg: &Message) -> Bytes {
     let image = msg.to_bytes();
     image.slice(16..image.len())
@@ -293,7 +293,7 @@ fn assert_slog_message_roundtrip(
 
 // ---------------------------------------------------------------- golden --
 
-/// The image of one original after its random 16-byte message id. The
+/// The image of one original after its 16-byte message id. The
 /// journal and the wire both carry it, and a registered string's position
 /// is its code: reordering `mq::obs::WIRE_STRING_REGISTRY` or the header
 /// layout makes every journal and peer of the previous build unreadable,
@@ -316,9 +316,12 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
     let code = |s: &str| 1 + WIRE_STRING_REGISTRY.iter().position(|r| *r == s).unwrap() as u8;
     assert_eq!((code("DS.ACK.Q"), code("original")), (41, 26));
     let golden = [
-        // priority 4; flags persistent | 16-byte correlation id; payload;
-        // 5 properties
-        &[4u8, 0b100_0001, 2][..],
+        // priority 4; flags persistent | 16-byte correlation id
+        &[4u8, 0b100_0001][..],
+        // correlation id: the conditional message id, u128 LE
+        &cond_id.as_u128().to_le_bytes(),
+        // payload; 5 properties
+        &[2],
         b"hi",
         &[5],
         // ds.ack.queue (code 12) = Str DS.ACK.Q (41)
@@ -330,8 +333,6 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
         // ds.sender.qmgr (11) = Str, unregistered: 0, length, "QM1"
         &[11, 0, 0, 3],
         b"QM1",
-        // correlation id: the conditional message id, u128 LE
-        &cond_id.as_u128().to_le_bytes(),
         // redelivery count
         &[0],
     ]
@@ -342,12 +343,24 @@ fn an_original_message_image_is_pinned_byte_for_byte() {
     assert_eq!(back.correlation_id(), Some(cond_id.to_hex().as_str()));
 }
 
+/// `msg` under the id `id`: its image read back with the id replaced.
+fn with_id(msg: &Message, id: u128) -> Message {
+    let mut image = msg.to_bytes().to_vec();
+    image[..16].copy_from_slice(&id.to_le_bytes());
+    Message::from_bytes(Bytes::from(image)).unwrap()
+}
+
 /// A send's fan-out in its journal record: the second original's payload
 /// is the first's, so its image leaves the payload out and sets flags bit
 /// 7. The bit's position is an on-storage format, like a registry code.
+/// Each id is written relative to the id before it in the record. The ids
+/// are those of one send of two leaves: the conditional id `c`, its
+/// sender-log entry `c + 1`, two compensations, the originals `c + 4` and
+/// `c + 5`.
 #[test]
 fn a_fan_out_record_is_pinned_byte_for_byte() {
-    let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+    let c = 0x0123_4567_89ab_cdef_0000_0000_0000_0100_u128;
+    let cond_id = CondMessageId::from_u128(c);
     let leaf = |index: u32| LeafSpec {
         index,
         queue: QueueAddress::new("QM1", format!("Q.L{index}")),
@@ -361,7 +374,10 @@ fn a_fan_out_record_is_pinned_byte_for_byte() {
     };
     let payload = Bytes::from_static(b"hi");
     let originals: Vec<Message> = (0..2)
-        .map(|i| make_original(&payload, cond_id, &leaf(i), "QM1", "DS.ACK.Q"))
+        .map(|i| {
+            let original = make_original(&payload, cond_id, &leaf(i), "QM1", "DS.ACK.Q");
+            with_id(&original, c + 4 + u128::from(i))
+        })
         .collect();
     let record = JournalRecord::TxCommit {
         puts: vec![
@@ -370,22 +386,29 @@ fn a_fan_out_record_is_pinned_byte_for_byte() {
         ],
         gets: vec![],
     };
+    let image = originals[0].to_bytes();
     let golden = [
         // TxCommit, 2 puts; Q.L0 unregistered: 0, length, name
-        &[12u8, 2, 0, 4][..],
+        &[14u8, 2, 0, 4][..],
         b"Q.L0",
-        // the first original's whole image
-        &originals[0].to_bytes(),
+        // The record's first id is whole: a 0 escape, then the id.
+        &[0],
+        &(c + 4).to_le_bytes(),
+        // priority 4; flags persistent | 16-byte correlation id; the
+        // correlation id c as the zigzag varint of -4, plus one
+        &[4, 0b100_0001, 8],
+        // the rest of the first original's image, as pinned above
+        &image[16 + 1 + 1 + 16..],
         &[0, 4],
         b"Q.L1",
-        &originals[1].id().as_u128().to_le_bytes(),
+        // the id c + 5 after c: zigzag 5, plus one
+        &[11],
         // priority 4; flags persistent | 16-byte correlation id | the
-        // previous put's payload; no payload; 5 properties as pinned above,
-        // ds.leaf = I64 1
-        &[4, 0b1100_0001, 5],
+        // previous put's payload; c after c + 5: zigzag -5, plus one; no
+        // payload; 5 properties as pinned above, ds.leaf = I64 1
+        &[4, 0b1100_0001, 10, 5],
         &[12, 0, 41, 8, 0, 26, 9, 1, 2, 10, 3, 0, 11, 0, 0, 3],
         b"QM1",
-        &cond_id.as_u128().to_le_bytes(),
         // redelivery count; no gets
         &[0, 0],
     ]
@@ -415,13 +438,14 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
         recipient: None,
     };
     let golden = [
-        // priority 4; flags persistent | 16-byte correlation id; payload:
-        // tag 1 (ack seen), leaf 1, read, read_at 300, no processing time,
-        // no recipient
-        &[4u8, 0b100_0001, 7, 1, 1, 0, 0xac, 0x02, 0, 0][..],
+        // priority 4; flags persistent | 16-byte correlation id
+        &[4u8, 0b100_0001][..],
+        id,
+        // payload: tag 1 (ack seen), leaf 1, read, read_at 300, no
+        // processing time, no recipient
+        &[7, 1, 1, 0, 0xac, 0x02, 0, 0],
         // no property
         &[0],
-        id,
         &[0],
     ]
     .concat();
@@ -436,7 +460,9 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
     };
     let golden = [
         // priority 4; flags as above; no payload; 3 properties
-        &[4u8, 0b100_0001, 0, 3][..],
+        &[4u8, 0b100_0001][..],
+        id,
+        &[0, 3],
         // ds.outcome (17) = Str failure (35)
         &[17, 0, 35],
         // ds.outcome.reason (18) = Str, unregistered: 0, length, "late"
@@ -444,7 +470,6 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
         b"late",
         // ds.outcome.ts (19) = I64 300, zigzag varint
         &[19, 1, 0xd8, 0x04],
-        id,
         &[0],
     ]
     .concat();
