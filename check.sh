@@ -25,6 +25,10 @@ cargo build --release
 # verdict (5 for the two-manager round trip, 6 for the four-leaf tree)
 # reads as exactly that among the suite's output.
 cargo test -q --test append_budget
+# The send path's heap budget on its own line, so a regression in
+# allocations per send or resident bytes per pending four-leaf tree reads
+# as exactly that.
+cargo test -q --test resident_bytes
 cargo test -q
 # benchmark/ is its own workspace, so the root build never compiles it:
 # its tests (a --smoke run of every workload and the BENCHMARK.json drift

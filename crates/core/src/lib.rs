@@ -62,7 +62,7 @@ pub mod pubsub;
 mod receiver;
 pub mod wire;
 
-pub use analyze::{analyze, analyze_with, AnalyzeContext, AnalyzeError, Diagnostic, Severity};
+pub use analyze::{analyze, analyze_with, AnalyzeContext, AnalyzeError, Diagnostic};
 pub use condition::{Condition, Destination, DestinationSet};
 pub use config::CondConfig;
 pub use error::{CondError, CondResult};

@@ -70,10 +70,7 @@ pub(crate) struct MessengerMetrics {
     /// Condition trees run through the static analyzer at send time
     /// (`cond.analyze.runs`).
     pub analyze_runs: Arc<Counter>,
-    /// Warning-severity analyzer diagnostics across all sends
-    /// (`cond.analyze.warnings`).
-    pub analyze_warnings: Arc<Counter>,
-    /// Sends rejected by error-severity analyzer diagnostics
+    /// Sends rejected by the analyzer
     /// (`cond.analyze.rejected`).
     pub analyze_rejected: Arc<Counter>,
 }
@@ -102,7 +99,6 @@ impl MessengerMetrics {
             ack_batch_size: registry.histogram("cond.ack.batch_size"),
             acks_queued: registry.counter("cond.ack.queued"),
             analyze_runs: registry.counter("cond.analyze.runs"),
-            analyze_warnings: registry.counter("cond.analyze.warnings"),
             analyze_rejected: registry.counter("cond.analyze.rejected"),
         }
     }

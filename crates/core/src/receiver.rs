@@ -443,7 +443,7 @@ impl ConditionalReceiver {
 fn rlog_entry(cond_id: CondMessageId, leaf: u32) -> Message {
     Message::builder(bytes::Bytes::new())
         .property(wire::P_LEAF, i64::from(leaf))
-        .correlation_id(cond_id.to_hex())
+        .correlation_u128(cond_id.as_u128())
         .persistent(true)
         .build()
 }

@@ -174,18 +174,21 @@ pub fn make_original(
     sender_manager: &str,
     ack_queue: &str,
 ) -> Message {
+    // Here and below, properties are set in name order: the builder then
+    // keeps them as they were written, with no sort.
     let mut builder: MessageBuilder = Message::builder(payload.clone())
+        .property(P_ACK_QUEUE, ack_queue)
         .property(P_KIND, kind::ORIGINAL)
         .property(P_LEAF, i64::from(leaf.index))
-        .property(P_PROCESSING_REQUIRED, leaf.processing_expected)
-        .property(P_SENDER_MANAGER, sender_manager)
-        .property(P_ACK_QUEUE, ack_queue)
-        .priority(leaf.priority)
-        .persistent(leaf.persistent)
-        .correlation_id(cond_id.to_hex());
+        .property(P_PROCESSING_REQUIRED, leaf.processing_expected);
     if let Some(recipient) = &leaf.recipient {
         builder = builder.property(P_RECIPIENT, recipient.as_str());
     }
+    builder = builder
+        .property(P_SENDER_MANAGER, sender_manager)
+        .priority(leaf.priority)
+        .persistent(leaf.persistent)
+        .correlation_u128(cond_id.as_u128());
     if let Some(ttl) = leaf.expiry {
         builder = builder.ttl(ttl);
     }
@@ -235,14 +238,15 @@ impl Acknowledgment {
     /// Encodes the acknowledgment as a persistent standard message.
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
-            .property(P_LEAF, i64::from(self.leaf))
-            .property(P_ACK_TYPE, self.kind.as_str())
-            .property(P_ACK_READ_TS, self.read_at.as_millis() as i64)
             .persistent(true)
-            .correlation_id(self.cond_id.to_hex());
+            .correlation_u128(self.cond_id.as_u128());
         if let Some(t) = self.processed_at {
             builder = builder.property(P_ACK_PROCESS_TS, t.as_millis() as i64);
         }
+        builder = builder
+            .property(P_ACK_READ_TS, self.read_at.as_millis() as i64)
+            .property(P_ACK_TYPE, self.kind.as_str())
+            .property(P_LEAF, i64::from(self.leaf));
         if let Some(r) = &self.recipient {
             builder = builder.property(P_RECIPIENT, r.as_str());
         }
@@ -329,13 +333,14 @@ impl OutcomeNotification {
     pub fn to_message(&self) -> Message {
         let mut builder = Message::builder(Bytes::new())
             .property(P_OUTCOME, self.outcome.as_str())
-            .property(P_OUTCOME_TS, self.decided_at.as_millis() as i64)
             .persistent(true)
-            .correlation_id(self.cond_id.to_hex());
+            .correlation_u128(self.cond_id.as_u128());
         if let Some(reason) = &self.reason {
             builder = builder.property(P_OUTCOME_REASON, reason.as_str());
         }
-        builder.build()
+        builder
+            .property(P_OUTCOME_TS, self.decided_at.as_millis() as i64)
+            .build()
     }
 
     /// Decodes a notification from a message.
@@ -375,12 +380,12 @@ pub fn make_compensation(
     data: Option<&Bytes>,
 ) -> Message {
     Message::builder(data.cloned().unwrap_or_default())
+        .property(P_COMP_DEST, &destination.to_string())
+        .property(P_COMP_SYSTEM, data.is_none())
         .property(P_KIND, kind::COMPENSATION)
         .property(P_LEAF, i64::from(leaf))
-        .property(P_COMP_SYSTEM, data.is_none())
-        .property(P_COMP_DEST, destination.to_string())
         .persistent(true)
-        .correlation_id(cond_id.to_hex())
+        .correlation_u128(cond_id.as_u128())
         .build()
 }
 
@@ -390,7 +395,7 @@ pub fn make_success_notification(cond_id: CondMessageId, leaf: u32) -> Message {
         .property(P_KIND, kind::SUCCESS)
         .property(P_LEAF, i64::from(leaf))
         .persistent(true)
-        .correlation_id(cond_id.to_hex())
+        .correlation_u128(cond_id.as_u128())
         .build()
 }
 
@@ -473,7 +478,7 @@ impl SlogEntry {
     /// leaves it out.
     pub fn to_message(&self) -> Message {
         Message::builder(self.payload())
-            .correlation_id(self.cond_id().to_hex())
+            .correlation_u128(self.cond_id().as_u128())
             .persistent(true)
             .build()
     }

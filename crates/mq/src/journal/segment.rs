@@ -54,11 +54,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use crate::codec::{WireDecode, WireEncode};
+use crate::codec::{crc32, Encoder, WireDecode, WireEncode};
 use crate::error::{MqError, MqResult};
 use crate::stats::{Counter, Histogram, MetricsRegistry};
 
-use super::{encode_frame_body, FrameStream, Journal, JournalRecord, ReplaySink};
+use super::{FrameStream, Journal, JournalRecord, ReplaySink};
 
 /// Segment file extension; a checkpoint in progress carries [`TMP_SUFFIX`]
 /// behind it.
@@ -173,13 +173,19 @@ impl fmt::Debug for SegmentedJournal {
 }
 
 /// Encodes one segment frame: the standard `[len][crc]` envelope over
-/// `[lsn:u64 LE][record bytes]`.
+/// `[lsn:u64 LE][record bytes]`, the record written in place.
 fn encode_segment_frame(lsn: u64, record: &JournalRecord) -> Vec<u8> {
-    let record_bytes = record.to_bytes();
-    let mut body = Vec::with_capacity(8 + record_bytes.len());
-    body.extend_from_slice(&lsn.to_le_bytes());
-    body.extend_from_slice(&record_bytes);
-    encode_frame_body(&body)
+    let mut enc = Encoder::with_capacity(8 + 8 + record.size_hint());
+    // Length and CRC, filled in once the body is written.
+    enc.put_u64(0);
+    enc.put_u64(lsn);
+    record.encode(&mut enc);
+    let mut frame = enc.into_vec();
+    let body_len = (frame.len() - 8) as u32;
+    let crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 /// The LSN stamp that opens a CRC-verified frame body.
@@ -1089,7 +1095,7 @@ mod tests {
                 }),
                 "[A-Z]{1,8}".prop_map(|queue| JournalRecord::TxCommit {
                     puts: Vec::new(),
-                    gets: vec![(queue, crate::message::MessageId::generate())],
+                    gets: vec![(queue.into(), crate::message::MessageId::generate())],
                 }),
                 // Checkpoint records ride the same framing as everything
                 // else, so the prefix-durability property must hold for

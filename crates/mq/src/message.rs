@@ -4,7 +4,6 @@
 //! payload plus a bag of typed, selectable properties and delivery headers
 //! (priority, persistence, expiry, correlation id, reply-to address).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -12,6 +11,8 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use rand::RngCore;
 use simtime::{Millis, Time};
+
+use crate::codec::{Encoder, SliceReader};
 
 /// Unique message identifier: a random non-zero epoch, drawn once per
 /// process, in the high 64 bits and a process-wide counter in the low 64.
@@ -120,20 +121,21 @@ impl fmt::Display for Priority {
     }
 }
 
-/// A typed property value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PropertyValue {
+/// A typed property value, borrowed from the message that holds it (or,
+/// when setting one, from the caller).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PropertyValue<'a> {
     /// UTF-8 string.
-    Str(String),
+    Str(&'a str),
     /// 64-bit signed integer.
     I64(i64),
     /// Boolean.
     Bool(bool),
 }
 
-impl PropertyValue {
+impl<'a> PropertyValue<'a> {
     /// Returns the string value, if this is a string property.
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn as_str(self) -> Option<&'a str> {
         match self {
             PropertyValue::Str(s) => Some(s),
             _ => None,
@@ -141,23 +143,23 @@ impl PropertyValue {
     }
 
     /// Returns the integer value, if this is an integer property.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub fn as_i64(self) -> Option<i64> {
         match self {
-            PropertyValue::I64(v) => Some(*v),
+            PropertyValue::I64(v) => Some(v),
             _ => None,
         }
     }
 
     /// Returns the boolean value, if this is a boolean property.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub fn as_bool(self) -> Option<bool> {
         match self {
-            PropertyValue::Bool(b) => Some(*b),
+            PropertyValue::Bool(b) => Some(b),
             _ => None,
         }
     }
 }
 
-impl fmt::Display for PropertyValue {
+impl fmt::Display for PropertyValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PropertyValue::Str(s) => write!(f, "{s}"),
@@ -167,29 +169,191 @@ impl fmt::Display for PropertyValue {
     }
 }
 
-impl From<&str> for PropertyValue {
-    fn from(v: &str) -> Self {
-        PropertyValue::Str(v.to_owned())
-    }
-}
-impl From<String> for PropertyValue {
-    fn from(v: String) -> Self {
+impl<'a> From<&'a str> for PropertyValue<'a> {
+    fn from(v: &'a str) -> Self {
         PropertyValue::Str(v)
     }
 }
-impl From<i64> for PropertyValue {
+impl<'a> From<&'a String> for PropertyValue<'a> {
+    fn from(v: &'a String) -> Self {
+        PropertyValue::Str(v)
+    }
+}
+impl From<i64> for PropertyValue<'_> {
     fn from(v: i64) -> Self {
         PropertyValue::I64(v)
     }
 }
-impl From<u64> for PropertyValue {
+impl From<u64> for PropertyValue<'_> {
     fn from(v: u64) -> Self {
         PropertyValue::I64(v as i64)
     }
 }
-impl From<bool> for PropertyValue {
+impl From<bool> for PropertyValue<'_> {
     fn from(v: bool) -> Self {
         PropertyValue::Bool(v)
+    }
+}
+
+/// A message's properties as its image carries them (see [`crate::codec`]):
+/// a count, then each name as a wire string and its value, in ascending
+/// name order with no name twice and every string and number in its one
+/// shortest form, so two equal property sets are equal bytes. Read in
+/// place; clones share the buffer.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Properties(Bytes);
+
+impl Properties {
+    /// No properties: the one-byte section `[0]`, one buffer for all.
+    pub(crate) fn empty() -> Properties {
+        static EMPTY: OnceLock<Bytes> = OnceLock::new();
+        Properties(EMPTY.get_or_init(|| Bytes::copy_from_slice(&[0])).clone())
+    }
+
+    /// A section already known to be canonical.
+    pub(crate) fn from_canonical(bytes: Bytes) -> Properties {
+        Properties(bytes)
+    }
+
+    /// The section's bytes, as the image carries them.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Every property, in name order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, PropertyValue<'_>)> {
+        let mut reader = SliceReader::new(&self.0);
+        let count = reader.get_varint().unwrap_or(0);
+        (0..count).map_while(move |_| reader.get_property().ok())
+    }
+
+    /// The value of `name`; the scan stops at the first name past it.
+    pub(crate) fn get(&self, name: &str) -> Option<PropertyValue<'_>> {
+        self.iter()
+            .take_while(|(n, _)| *n <= name)
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The canonical section of `entries` taken in order, a later entry
+    /// replacing an earlier one of the same name.
+    pub(crate) fn from_entries(entries: &mut Vec<(&str, PropertyValue<'_>)>) -> Properties {
+        if entries.is_empty() {
+            return Properties::empty();
+        }
+        // Reversed, a stable sort puts the last setting of a name first
+        // among its equals, and `dedup_by` keeps the first.
+        entries.reverse();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.dedup_by(|a, b| a.0 == b.0);
+        let mut enc = Encoder::new();
+        enc.put_varint(entries.len() as u64);
+        for (name, value) in entries.iter() {
+            enc.put_property(name, *value);
+        }
+        Properties(enc.finish())
+    }
+
+    /// The section of the `count` properties a builder encoded into
+    /// `scratch` after one placeholder byte, in the order they were set:
+    /// that buffer itself, count written in, when they came in name order
+    /// (one copy, no sort).
+    fn from_scratch(count: usize, mut scratch: Vec<u8>) -> Properties {
+        let mut reader = SliceReader::new(&scratch[1..]);
+        let mut previous: Option<&str> = None;
+        let ascending = count < 0x80
+            && (0..count).all(|_| match reader.get_property() {
+                Ok((name, _)) => previous.replace(name).is_none_or(|p| p < name),
+                Err(_) => false,
+            });
+        if !ascending {
+            let mut reader = SliceReader::new(&scratch[1..]);
+            let mut entries: Vec<_> = (0..count)
+                .map_while(|_| reader.get_property().ok())
+                .collect();
+            return Properties::from_entries(&mut entries);
+        }
+        scratch[0] = count as u8;
+        Properties(Bytes::copy_from_slice(&scratch))
+    }
+}
+
+impl fmt::Debug for Properties {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// A correlation id. One of exactly 32 lowercase hex digits — a
+/// conditional message id, which the image carries as 16 bytes — is kept
+/// as those digits in place; any other as shared text.
+#[derive(Clone)]
+pub(crate) enum Correlation {
+    /// 32 lowercase hex digits.
+    Hex([u8; 32]),
+    /// Anything else.
+    Text(Arc<str>),
+}
+
+impl Correlation {
+    pub(crate) fn new(text: &str) -> Correlation {
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        match <[u8; 32]>::try_from(text.as_bytes()) {
+            Ok(digits) if digits.iter().all(|b| lower_hex(*b)) => Correlation::Hex(digits),
+            _ => Correlation::Text(text.into()),
+        }
+    }
+
+    /// `id` as 32 lowercase hex digits.
+    pub(crate) fn from_u128(id: u128) -> Correlation {
+        let mut digits = [0u8; 32];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            let nibble = (id >> (124 - 4 * i)) & 0xf;
+            *digit = b"0123456789abcdef"[nibble as usize];
+        }
+        Correlation::Hex(digits)
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            Correlation::Hex(digits) => std::str::from_utf8(digits).unwrap_or_default(),
+            Correlation::Text(text) => text,
+        }
+    }
+
+    /// The value of the 32-hex-digit form.
+    pub(crate) fn as_u128(&self) -> Option<u128> {
+        match self {
+            Correlation::Hex(_) => u128::from_str_radix(self.as_str(), 16).ok(),
+            Correlation::Text(_) => None,
+        }
+    }
+}
+
+impl PartialEq for Correlation {
+    fn eq(&self, other: &Correlation) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Correlation {}
+
+/// Hashes as its text, so an index keyed by it is probed with a `&str`.
+impl std::hash::Hash for Correlation {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<str> for Correlation {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Debug for Correlation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -233,14 +397,18 @@ impl fmt::Display for QueueAddress {
 
 /// A message: payload, typed properties and delivery headers.
 ///
-/// Construct with [`Message::builder`]. Most fields are immutable after
-/// construction; the broker stamps `put_time`, absolute `expiry` and
-/// `redelivery_count` during delivery.
-#[derive(Debug, Clone)]
+/// Construct with [`Message::builder`]. The properties are held as the
+/// bytes the message image carries them in, encoded once by the builder
+/// and read in place; a clone shares them and the payload. The broker
+/// stamps `put_time`, absolute `expiry` and `redelivery_count` during
+/// delivery, typed fields all, so stamping never re-encodes anything.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     id: MessageId,
     payload: Bytes,
-    properties: BTreeMap<String, PropertyValue>,
+    properties: Properties,
+    correlation: Option<Correlation>,
+    reply_to: Option<Arc<QueueAddress>>,
     priority: Priority,
     persistent: bool,
     /// Time-to-live requested by the sender; converted to an absolute
@@ -248,33 +416,8 @@ pub struct Message {
     ttl: Option<Millis>,
     /// Absolute expiry stamped at enqueue time.
     expiry: Option<Time>,
-    correlation_id: Option<String>,
-    reply_to: Option<QueueAddress>,
     put_time: Option<Time>,
     redelivery_count: u32,
-    /// Cached encoded wire image, filled lazily by `Message::wire_bytes`
-    /// (in `codec.rs`). Clones share the cell; every mutator swaps in a
-    /// fresh one (copy-on-write invalidation), so a stale image can never
-    /// be observed. Excluded from equality.
-    wire: Arc<OnceLock<Bytes>>,
-}
-
-impl PartialEq for Message {
-    fn eq(&self, other: &Message) -> bool {
-        // All logical fields; the derived impl would also drag in the
-        // wire-image cache, which is an encoding artifact, not state.
-        self.id == other.id
-            && self.payload == other.payload
-            && self.properties == other.properties
-            && self.priority == other.priority
-            && self.persistent == other.persistent
-            && self.ttl == other.ttl
-            && self.expiry == other.expiry
-            && self.correlation_id == other.correlation_id
-            && self.reply_to == other.reply_to
-            && self.put_time == other.put_time
-            && self.redelivery_count == other.redelivery_count
-    }
 }
 
 impl Message {
@@ -304,7 +447,7 @@ impl Message {
     }
 
     /// Looks up a property by name.
-    pub fn property(&self, name: &str) -> Option<&PropertyValue> {
+    pub fn property(&self, name: &str) -> Option<PropertyValue<'_>> {
         self.properties.get(name)
     }
 
@@ -324,22 +467,35 @@ impl Message {
     }
 
     /// Iterates over all properties in name order.
-    pub fn properties(&self) -> impl Iterator<Item = (&str, &PropertyValue)> {
-        self.properties.iter().map(|(k, v)| (k.as_str(), v))
+    pub fn properties(&self) -> impl Iterator<Item = (&str, PropertyValue<'_>)> {
+        self.properties.iter()
     }
 
     /// Sets a property on an existing message (used by the conditional
-    /// messaging layer to stamp control information, paper §2.3).
-    pub fn set_property(&mut self, name: impl Into<String>, value: impl Into<PropertyValue>) {
-        self.invalidate_wire();
-        self.properties.insert(name.into(), value.into());
+    /// messaging layer to stamp control information, paper §2.3). Rewrites
+    /// the property bytes; to change several, use
+    /// [`Message::edit_properties`], which rewrites them once.
+    pub fn set_property<'v>(&mut self, name: &str, value: impl Into<PropertyValue<'v>>) {
+        self.edit_properties(&[], &[(name, value.into())]);
     }
 
-    /// Removes a property, returning its previous value (used by channels to
-    /// strip transmission envelopes).
-    pub fn remove_property(&mut self, name: &str) -> Option<PropertyValue> {
-        self.invalidate_wire();
-        self.properties.remove(name)
+    /// Removes a property (used by channels to strip transmission
+    /// envelopes).
+    pub fn remove_property(&mut self, name: &str) {
+        self.edit_properties(&[name], &[]);
+    }
+
+    /// Removes every property named in `remove`, then sets each of `set`
+    /// in order: one rewrite of the property bytes.
+    pub fn edit_properties(&mut self, remove: &[&str], set: &[(&str, PropertyValue<'_>)]) {
+        let mut entries: Vec<_> = self
+            .properties
+            .iter()
+            .filter(|(name, _)| !remove.contains(name))
+            .collect();
+        entries.extend_from_slice(set);
+        let edited = Properties::from_entries(&mut entries);
+        self.properties = edited;
     }
 
     /// Delivery priority.
@@ -369,12 +525,12 @@ impl Message {
 
     /// Correlation id linking this message to another.
     pub fn correlation_id(&self) -> Option<&str> {
-        self.correlation_id.as_deref()
+        self.correlation.as_ref().map(Correlation::as_str)
     }
 
     /// Address replies should be sent to.
     pub fn reply_to(&self) -> Option<&QueueAddress> {
-        self.reply_to.as_ref()
+        self.reply_to.as_deref()
     }
 
     /// Broker timestamp of the most recent enqueue.
@@ -387,39 +543,18 @@ impl Message {
         self.redelivery_count
     }
 
-    /// Approximate in-memory size, used for stats and max-length checks.
-    pub fn size(&self) -> usize {
-        self.payload.len()
-            + self
-                .properties
-                .iter()
-                .map(|(k, v)| {
-                    k.len()
-                        + match v {
-                            PropertyValue::Str(s) => s.len(),
-                            _ => 8,
-                        }
-                })
-                .sum::<usize>()
+    // --- crate-internal access used by the codec and the broker ---
+
+    /// The property section, as the image carries it.
+    pub(crate) fn property_section(&self) -> &Properties {
+        &self.properties
     }
 
-    // --- crate-internal mutation used by the broker ---
-
-    /// The lazily-filled wire-image cell; see [`Message::wire_bytes`] in
-    /// `codec.rs` for the fill side.
-    pub(crate) fn wire_cache(&self) -> &OnceLock<Bytes> {
-        &self.wire
-    }
-
-    /// Detaches this message from any wire image cached so far. Clones
-    /// made before the mutation keep the old (still-correct) image via
-    /// their own `Arc` handle.
-    fn invalidate_wire(&mut self) {
-        self.wire = Arc::new(OnceLock::new());
+    pub(crate) fn correlation(&self) -> Option<&Correlation> {
+        self.correlation.as_ref()
     }
 
     pub(crate) fn stamp_enqueue(&mut self, now: Time) {
-        self.invalidate_wire();
         self.put_time = Some(now);
         if self.expiry.is_none() {
             if let Some(ttl) = self.ttl {
@@ -429,7 +564,6 @@ impl Message {
     }
 
     pub(crate) fn bump_redelivery(&mut self) {
-        self.invalidate_wire();
         self.redelivery_count += 1;
     }
 
@@ -437,9 +571,20 @@ impl Message {
     /// the dead-letter queue for audit: an expired envelope must not
     /// evaporate off the DLQ before an operator can inspect it.
     pub(crate) fn clear_expiry(&mut self) {
-        self.invalidate_wire();
         self.ttl = None;
         self.expiry = None;
+    }
+
+    /// This message under a fresh id, as the sender built it: no enqueue
+    /// stamps, no redeliveries. A topic delivers one to each subscriber.
+    pub(crate) fn copy_with_new_id(&self) -> Message {
+        Message {
+            id: MessageId::generate(),
+            expiry: None,
+            put_time: None,
+            redelivery_count: 0,
+            ..self.clone()
+        }
     }
 
     /// Reconstructs a message from raw parts (codec/journal use only).
@@ -447,12 +592,12 @@ impl Message {
     pub(crate) fn from_parts(
         id: MessageId,
         payload: Bytes,
-        properties: BTreeMap<String, PropertyValue>,
+        properties: Properties,
         priority: Priority,
         persistent: bool,
         ttl: Option<Millis>,
         expiry: Option<Time>,
-        correlation_id: Option<String>,
+        correlation: Option<Correlation>,
         reply_to: Option<QueueAddress>,
         put_time: Option<Time>,
         redelivery_count: u32,
@@ -461,15 +606,14 @@ impl Message {
             id,
             payload,
             properties,
+            correlation,
+            reply_to: reply_to.map(Arc::new),
             priority,
             persistent,
             ttl,
             expiry,
-            correlation_id,
-            reply_to,
             put_time,
             redelivery_count,
-            wire: Arc::new(OnceLock::new()),
         }
     }
 }
@@ -492,30 +636,39 @@ impl Message {
 #[derive(Debug, Clone)]
 pub struct MessageBuilder {
     payload: Bytes,
-    properties: BTreeMap<String, PropertyValue>,
+    /// A placeholder byte for the count, then each property as it was
+    /// set, encoded; [`MessageBuilder::build`] orders them by name.
+    properties: Encoder,
+    property_count: usize,
     priority: Priority,
     persistent: bool,
     ttl: Option<Millis>,
-    correlation_id: Option<String>,
-    reply_to: Option<QueueAddress>,
+    correlation: Option<Correlation>,
+    reply_to: Option<Arc<QueueAddress>>,
 }
 
 impl MessageBuilder {
     fn new(payload: impl Into<Bytes>) -> MessageBuilder {
         MessageBuilder {
             payload: payload.into(),
-            properties: BTreeMap::new(),
+            properties: Encoder::new(),
+            property_count: 0,
             priority: Priority::DEFAULT,
             persistent: false,
             ttl: None,
-            correlation_id: None,
+            correlation: None,
             reply_to: None,
         }
     }
 
-    /// Adds a typed property.
-    pub fn property(mut self, name: impl Into<String>, value: impl Into<PropertyValue>) -> Self {
-        self.properties.insert(name.into(), value.into());
+    /// Adds a typed property; setting a name again replaces its value.
+    pub fn property<'v>(mut self, name: &str, value: impl Into<PropertyValue<'v>>) -> Self {
+        if self.property_count == 0 {
+            self.properties = Encoder::with_capacity(64);
+            self.properties.put_u8(0);
+        }
+        self.properties.put_property(name, value.into());
+        self.property_count += 1;
         self
     }
 
@@ -540,31 +693,41 @@ impl MessageBuilder {
 
     /// Sets the correlation id.
     pub fn correlation_id(mut self, id: impl Into<String>) -> Self {
-        self.correlation_id = Some(id.into());
+        self.correlation = Some(Correlation::new(&id.into()));
+        self
+    }
+
+    /// Sets the correlation id to `id` written as 32 lowercase hex digits,
+    /// the form a conditional message id travels in.
+    pub fn correlation_u128(mut self, id: u128) -> Self {
+        self.correlation = Some(Correlation::from_u128(id));
         self
     }
 
     /// Sets the reply-to address.
     pub fn reply_to(mut self, addr: QueueAddress) -> Self {
-        self.reply_to = Some(addr);
+        self.reply_to = Some(Arc::new(addr));
         self
     }
 
     /// Finalizes the message with a freshly generated id.
     pub fn build(self) -> Message {
+        let properties = match self.property_count {
+            0 => Properties::empty(),
+            n => Properties::from_scratch(n, self.properties.into_vec()),
+        };
         Message {
             id: MessageId::generate(),
             payload: self.payload,
-            properties: self.properties,
+            properties,
+            correlation: self.correlation,
+            reply_to: self.reply_to,
             priority: self.priority,
             persistent: self.persistent,
             ttl: self.ttl,
             expiry: None,
-            correlation_id: self.correlation_id,
-            reply_to: self.reply_to,
             put_time: None,
             redelivery_count: 0,
-            wire: Arc::new(OnceLock::new()),
         }
     }
 }
@@ -692,7 +855,7 @@ mod tests {
         assert_eq!(PropertyValue::from(3u64).as_i64(), Some(3));
         assert_eq!(PropertyValue::from("s").as_str(), Some("s"));
         assert_eq!(PropertyValue::from(true).as_bool(), Some(true));
-        assert_eq!(PropertyValue::Str("x".into()).as_i64(), None);
+        assert_eq!(PropertyValue::Str("x").as_i64(), None);
     }
 
     #[test]
@@ -704,9 +867,70 @@ mod tests {
     }
 
     #[test]
-    fn size_accounts_for_payload_and_properties() {
-        let msg = Message::text("12345").property("abc", "xyz").build();
-        assert_eq!(msg.size(), 5 + 3 + 3);
+    fn properties_read_back_in_name_order_whatever_order_they_were_set_in() {
+        let msg = Message::text("x")
+            .property("b", 2i64)
+            .property("a", "one")
+            .property("c", true)
+            .property("b", 3i64)
+            .build();
+        let props: Vec<_> = msg.properties().collect();
+        assert_eq!(
+            props,
+            [
+                ("a", PropertyValue::Str("one")),
+                ("b", PropertyValue::I64(3)),
+                ("c", PropertyValue::Bool(true)),
+            ]
+        );
+        assert_eq!(msg.property("bb"), None);
+        // Equal sets are equal bytes, so equal messages.
+        let mut same = msg.clone();
+        same.edit_properties(&["b"], &[("b", PropertyValue::I64(3))]);
+        assert_eq!(same, msg);
+    }
+
+    #[test]
+    fn edits_rewrite_the_copy_they_are_made_on_only() {
+        let original = Message::text("x").property("k", 1i64).build();
+        let mut edited = original.clone();
+        edited.edit_properties(&["k"], &[("m", "v".into()), ("n", false.into())]);
+        assert_eq!(edited.property("k"), None);
+        assert_eq!(edited.str_property("m"), Some("v"));
+        assert_eq!(edited.bool_property("n"), Some(false));
+        assert_eq!(original.i64_property("k"), Some(1));
+        edited.remove_property("m");
+        edited.remove_property("n");
+        assert_eq!(edited.properties().count(), 0);
+        assert_eq!(edited.property_section().as_bytes(), [0]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_payload_and_the_property_bytes() {
+        let msg = Message::text("shared").property("k", "v").build();
+        let copy = msg.clone();
+        assert_eq!(copy.payload().as_ptr(), msg.payload().as_ptr());
+        assert_eq!(
+            copy.property_section().as_bytes().as_ptr(),
+            msg.property_section().as_bytes().as_ptr()
+        );
+    }
+
+    #[test]
+    fn a_hex_correlation_id_is_kept_as_its_digits() {
+        let id = 0x0123_4567_89ab_cdef_0011_2233_4455_6677_u128;
+        let by_value = Message::text("x").correlation_u128(id).build();
+        let by_text = Message::text("x")
+            .correlation_id(format!("{id:032x}"))
+            .build();
+        assert_eq!(by_value.correlation_id(), by_text.correlation_id());
+        assert_eq!(
+            by_value.correlation().and_then(Correlation::as_u128),
+            Some(id)
+        );
+        let upper = Correlation::new(&format!("{id:032X}"));
+        assert!(matches!(upper, Correlation::Text(_)));
+        assert_eq!(upper.as_u128(), None);
     }
 
     #[test]

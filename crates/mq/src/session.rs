@@ -325,17 +325,19 @@ impl QueueManager {
             queue.stamp(msg);
         }
         if self.journal().is_durable() {
+            // A put's message and queue name are shared with the record,
+            // not copied: a clone of either is a reference count.
             let puts: Vec<_> = tx
                 .staged_puts
                 .iter()
                 .filter(|(_, m)| m.is_persistent())
-                .map(|(q, m)| (q.name().to_owned(), m.clone()))
+                .map(|(q, m)| (q.shared_name(), m.clone()))
                 .collect();
             let own: Vec<_> = tx
                 .gets
                 .iter()
                 .filter(|(_, m)| m.is_persistent())
-                .map(|(q, m)| (q.name().to_owned(), m.id()))
+                .map(|(q, m)| (q.shared_name(), m.id()))
                 .collect();
             // The handoffs the channels released ride any record that is
             // written anyway, ahead of its own gets; taken under the gate,
@@ -346,9 +348,10 @@ impl QueueManager {
                 Released::default()
             };
             let mut gets: Vec<_> =
-                carried.gets.iter().map(|(q, id)| (q.name().to_owned(), *id)).collect();
+                carried.gets.iter().map(|(q, id)| (q.shared_name(), *id)).collect();
             gets.extend(own);
             if !puts.is_empty() || !gets.is_empty() {
+                self.stats().encodes.add(puts.len() as u64);
                 let record = JournalRecord::TxCommit { puts, gets };
                 let started = std::time::Instant::now();
                 let appended = self.journal().append(&record);
@@ -370,7 +373,7 @@ impl QueueManager {
             match queue.put_committed(msg) {
                 Ok(()) => applied.to_notify.push(queue),
                 Err(mut msg) => {
-                    msg.set_property(DLQ_REASON_PROPERTY, format!("unknown queue {}", queue.name()));
+                    msg.set_property(DLQ_REASON_PROPERTY, &format!("unknown queue {}", queue.name()));
                     applied.orphaned.push(msg);
                 }
             }

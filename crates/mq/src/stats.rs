@@ -531,6 +531,10 @@ pub struct ManagerStats {
     /// Records written for released handoffs alone: the bound was reached,
     /// the manager sat idle, or it shut down (the trace says which).
     pub release_flushes: Arc<Counter>,
+    /// Message images assembled: one per persistent put a journal record
+    /// carries, and (the transport counts into the same cell) one per
+    /// message a batch frame carries.
+    pub encodes: Arc<Counter>,
 }
 
 impl ManagerStats {
@@ -544,6 +548,7 @@ impl ManagerStats {
             journal_append_micros: registry.histogram("mq.journal.append_micros"),
             released: registry.gauge("mq.channel.released"),
             release_flushes: registry.counter("mq.channel.release_flushes"),
+            encodes: registry.counter("mq.codec.encodes"),
         }
     }
 }

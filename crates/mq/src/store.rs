@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use simtime::Time;
 
-use crate::message::{Message, MessageId};
+use crate::message::{Correlation, Message, MessageId};
 
 /// Number of priority bands (JMS priorities 0–9).
 pub(crate) const PRIORITY_BANDS: usize = 10;
@@ -67,8 +67,10 @@ pub(crate) struct MessageStore {
     /// The live messages. `entries.len()` is the queue depth.
     pub(crate) entries: HashMap<MessageId, Entry>,
     /// Correlation id → the live messages carrying it, in no particular
-    /// order: [`MessageStore::first_correlated`] ranks them.
-    by_correlation: HashMap<String, Vec<MessageId>>,
+    /// order: [`MessageStore::first_correlated`] ranks them. A key is the
+    /// message's own correlation id (a conditional message id is 32 digits
+    /// held in place), probed with a `&str`.
+    by_correlation: HashMap<Correlation, Vec<MessageId>>,
     /// Min-heap of (expiry millis, id): the TTL sweep pops ripe entries
     /// instead of scanning the queue. May hold stale ids.
     expiry_heap: BinaryHeap<std::cmp::Reverse<(u64, u128)>>,
@@ -162,8 +164,12 @@ impl MessageStore {
         } else {
             self.bands[band].push_back(id);
         }
-        if let Some(corr) = msg.correlation_id() {
-            self.by_correlation.entry(corr.to_owned()).or_default().push(id);
+        if let Some(corr) = msg.correlation() {
+            // Most ids are carried by one message per queue: room for one.
+            self.by_correlation
+                .entry(corr.clone())
+                .or_insert_with(|| Vec::with_capacity(1))
+                .push(id);
         }
         if let Some(expiry) = msg.expiry() {
             self.expiry_heap

@@ -176,32 +176,12 @@ impl Topic {
             // Each subscriber gets its own copy with a fresh identity
             // (pub/sub semantics: independent deliveries).
             subs.values()
-                .try_for_each(|queue| tx.put(&self.qmgr, queue, clone_for_subscriber(&msg)))
+                .try_for_each(|queue| tx.put(&self.qmgr, queue, msg.copy_with_new_id()))
         })?;
         self.stats.published.incr();
         self.stats.delivered.add(subs.len() as u64);
         Ok(subs.len())
     }
-}
-
-/// Clones a message with a fresh message id for an independent delivery.
-fn clone_for_subscriber(msg: &Message) -> Message {
-    let mut builder = Message::builder(msg.payload().clone())
-        .priority(msg.priority())
-        .persistent(msg.is_persistent());
-    for (k, v) in msg.properties() {
-        builder = builder.property(k, v.clone());
-    }
-    if let Some(ttl) = msg.ttl() {
-        builder = builder.ttl(ttl);
-    }
-    if let Some(corr) = msg.correlation_id() {
-        builder = builder.correlation_id(corr);
-    }
-    if let Some(reply) = msg.reply_to() {
-        builder = builder.reply_to(reply.clone());
-    }
-    builder.build()
 }
 
 #[cfg(test)]

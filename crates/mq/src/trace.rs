@@ -15,9 +15,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simtime::Time;
+
+use crate::stats::Counter;
 
 /// Default ring capacity (events retained).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -159,7 +162,9 @@ pub struct TraceLog {
     capacity: usize,
     enabled: AtomicBool,
     seq: AtomicU64,
-    dropped: AtomicU64,
+    /// Events evicted because the ring was full; an [`crate::Obs`]
+    /// registers the cell as `mq.trace.dropped`.
+    dropped: Arc<Counter>,
     /// Bitmask of every stage ever recorded — survives ring eviction, so
     /// "did stage X happen at all?" stays answerable after millions of
     /// events have rolled through a 4k ring.
@@ -214,7 +219,7 @@ impl TraceLog {
             capacity: capacity.max(1),
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            dropped: Arc::default(),
             seen: AtomicU64::new(0),
             events: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 1024))),
         }
@@ -253,7 +258,12 @@ impl TraceLog {
 
     /// Number of events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
+    }
+
+    /// The eviction counter's cell, for a metrics registry.
+    pub(crate) fn dropped_cell(&self) -> &Arc<Counter> {
+        &self.dropped
     }
 
     /// Records an event. `detail` may be empty.
@@ -281,7 +291,7 @@ impl TraceLog {
         let mut events = self.events.lock();
         if events.len() == self.capacity {
             events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.incr();
         }
         events.push_back(event);
     }

@@ -29,12 +29,10 @@
 //!   per batch. Counts are deltas since the previous ack.
 //! * `Ping` / `Pong` — heartbeats issued by the connection supervisor.
 //!
-//! Batch frames are assembled zero-copy by [`Frame::batch_wire`]: the
-//! fixed header, count and per-message varint length prefixes live in one
-//! small skeleton buffer, the message bodies are the cached wire images
-//! off the messages themselves ([`Message::wire_bytes`]), and the whole
-//! frame goes to the socket as a [`BytesList`] via `write_vectored` —
-//! payload bytes are never copied into a contiguous frame buffer.
+//! Batch frames are assembled by [`Frame::batch_wire`] in one buffer: the
+//! fixed header, the count, and each message's image behind its varint
+//! length, the image's header, payload and property bytes copied straight
+//! in ([`Message::wire_len`] sizes the buffer first).
 //!
 //! [`FrameReader`] is an incremental parser over a byte stream: it
 //! tolerates short reads and read timeouts (frames split across segments
@@ -44,11 +42,9 @@
 use std::fmt;
 use std::io::Read;
 
-use bytes::{Bytes, BytesList};
+use bytes::Bytes;
 
-use crate::codec::{
-    crc32, crc32_begin, crc32_finish, crc32_update, CodecError, Decoder, Encoder, WireDecode,
-};
+use crate::codec::{crc32, CodecError, Decoder, Encoder, WireDecode, WireEncode};
 use crate::message::Message;
 
 /// Protocol magic, first field of every handshake payload (`"CMW1"`).
@@ -122,16 +118,13 @@ fn varint_len(v: u64) -> usize {
     ((64 - v.leading_zeros() as usize).max(1)).div_ceil(7)
 }
 
-/// Appends a LEB128 varint to a plain byte vector (skeleton assembly).
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// A batch frame's payload: the message count, then each message's image
+/// behind its varint length.
+fn put_batch_payload(enc: &mut Encoder, messages: &[Message]) {
+    enc.put_varint(messages.len() as u64);
+    for msg in messages {
+        enc.put_varint(msg.wire_len() as u64);
+        msg.encode(enc);
     }
 }
 
@@ -232,88 +225,49 @@ impl Frame {
     /// cut batches on a byte budget before [`Frame::encode`] would refuse
     /// the result.
     pub fn message_wire_len(msg: &Message) -> usize {
-        // Served from the message's cached wire image: the budget loop in
-        // the channel mover calls this per message and must not re-encode.
         let encoded = msg.wire_len();
         varint_len(encoded as u64) + encoded
     }
 
     /// Builds a batch frame carrying `messages` under sequence `seq`.
     ///
-    /// This flattens into one contiguous payload (tests, diagnostics);
-    /// the transport send path uses [`Frame::batch_wire`], which produces
-    /// the identical bytes without copying the message bodies.
+    /// Tests and diagnostics use this; the transport send path uses
+    /// [`Frame::batch_wire`], which writes the identical bytes straight
+    /// into the finished frame.
     pub fn batch(seq: u64, messages: &[Message]) -> Frame {
         let mut enc = Encoder::new();
-        enc.put_varint(messages.len() as u64);
-        for msg in messages {
-            enc.put_bytes(&msg.wire_bytes());
-        }
+        put_batch_payload(&mut enc, messages);
         Frame::with_payload(FrameKind::Batch, seq, enc.finish())
     }
 
     /// Assembles a batch frame's complete wire form (length, body, CRC)
-    /// as a segment list: one small skeleton buffer holds the frame
-    /// header, message count and per-message varint length prefixes, and
-    /// the message bodies are the cached wire images shared straight off
-    /// the [`Message`]s. The result is byte-identical to
-    /// `Frame::batch(seq, messages).encode()` but copies no payload
-    /// bytes; emit it with `write_vectored`.
+    /// in one buffer, each message's image copied straight into it: the
+    /// bytes of `Frame::batch(seq, messages).encode()` with one copy of
+    /// each message instead of two.
     ///
     /// # Errors
     ///
     /// [`FrameError::TooLarge`] when the body would exceed
     /// [`MAX_FRAME_BODY`] (same contract as [`Frame::encode`]).
-    pub fn batch_wire(seq: u64, messages: &[Message]) -> Result<BytesList, FrameError> {
-        let wires: Vec<Bytes> = messages.iter().map(Message::wire_bytes).collect();
-        let mut body_len = BODY_HEADER + varint_len(messages.len() as u64);
-        for w in &wires {
-            body_len += varint_len(w.len() as u64) + w.len();
-        }
+    pub fn batch_wire(seq: u64, messages: &[Message]) -> Result<Bytes, FrameError> {
+        let body_len = BODY_HEADER
+            + varint_len(messages.len() as u64)
+            + messages.iter().map(Frame::message_wire_len).sum::<usize>();
         if body_len > MAX_FRAME_BODY {
             return Err(FrameError::TooLarge {
                 size: body_len,
                 max: MAX_FRAME_BODY,
             });
         }
-
-        // Skeleton: len | kind | seq | count | prefix_1 … prefix_n. Each
-        // prefix is later sliced back out (sharing this one allocation)
-        // and interleaved with its message body in the segment list.
-        let mut skel = Vec::with_capacity(4 + BODY_HEADER + 1 + 5 * wires.len());
-        skel.extend_from_slice(&(body_len as u32).to_le_bytes());
-        skel.push(FrameKind::Batch.as_u8());
-        skel.extend_from_slice(&seq.to_le_bytes());
-        push_varint(&mut skel, messages.len() as u64);
-        let mut cuts = Vec::with_capacity(wires.len());
-        for w in &wires {
-            push_varint(&mut skel, w.len() as u64);
-            cuts.push(skel.len());
-        }
-        let skel = Bytes::from(skel);
-
-        let mut list = BytesList::with_capacity(2 + 2 * wires.len());
-        let mut prev = 0;
-        for (cut, wire) in cuts.into_iter().zip(wires) {
-            list.push(skel.slice(prev..cut));
-            list.push(wire);
-            prev = cut;
-        }
-        if prev < skel.len() {
-            // Empty batch: header + count with no prefixes.
-            list.push(skel.slice(prev..skel.len()));
-        }
-
-        // CRC over the body only: every segment, minus the 4-byte length
-        // prefix that opens the first one.
-        let mut crc = crc32_begin();
-        for (i, seg) in list.segments().iter().enumerate() {
-            let slice: &[u8] = if i == 0 { &seg[4..] } else { seg };
-            crc = crc32_update(crc, slice);
-        }
-        let crc = crc32_finish(crc);
-        list.push(Bytes::from(crc.to_le_bytes().to_vec()));
-        Ok(list)
+        let mut enc = Encoder::with_capacity(4 + body_len + 4);
+        enc.put_u32(body_len as u32);
+        enc.put_u8(FrameKind::Batch.as_u8());
+        enc.put_u64(seq);
+        put_batch_payload(&mut enc, messages);
+        let mut frame = enc.into_vec();
+        let crc = crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        Ok(Bytes::from(frame))
     }
 
     /// Builds the acknowledgment for batch `seq`.
@@ -601,29 +555,12 @@ mod tests {
             ],
         ] {
             let contiguous = Frame::batch(99, &msgs).encode().unwrap();
-            let vectored = Frame::batch_wire(99, &msgs).unwrap();
-            assert_eq!(vectored.len(), contiguous.len());
-            assert_eq!(vectored.to_bytes(), contiguous);
+            let wire = Frame::batch_wire(99, &msgs).unwrap();
+            assert_eq!(wire, contiguous);
             // And it parses back through the normal reader.
-            let frame = read_one(&vectored.to_bytes());
+            let frame = read_one(&wire);
             assert_eq!(frame.decode_batch().unwrap(), msgs);
         }
-    }
-
-    #[test]
-    fn batch_wire_shares_message_storage() {
-        // The message body segments must be the cached wire images, not
-        // copies: same length, and mutating nothing, a second assembly
-        // yields segments equal to the first (cache hit, zero encodes).
-        let msg = Message::text("z".repeat(1000)).build();
-        let wire = msg.wire_bytes();
-        let list = Frame::batch_wire(1, std::slice::from_ref(&msg)).unwrap();
-        let body_seg = list
-            .segments()
-            .iter()
-            .find(|s| s.len() == wire.len())
-            .expect("body segment present");
-        assert_eq!(body_seg.as_ref(), wire.as_ref());
     }
 
     #[test]

@@ -625,24 +625,17 @@ impl Transport for TcpTransport {
         batch: &[crate::message::Message],
         epoch: Option<u64>,
     ) -> Result<BatchTicket, SubmitError> {
-        // Warm the per-message wire cache outside the connection lock:
-        // first touch encodes, every later use (this frame, a retransmit
-        // after reconnect) reuses the bytes.
-        for msg in batch {
-            let _ = msg.wire_bytes();
-        }
         let mut st = self.state.lock();
         if st.stream.is_none() || epoch.is_some_and(|e| e != st.epoch) {
             return Err(SubmitError::Unavailable);
         }
         let seq = st.next_seq + 1;
         let wire = Frame::batch_wire(seq, batch).map_err(|_| SubmitError::Dropped)?;
+        self.metrics.encodes.add(batch.len() as u64);
         st.next_seq = seq;
         let epoch = st.epoch;
         let wire_bytes = wire.len() as u64;
-        for segment in wire.segments() {
-            st.outbox.push(segment.clone());
-        }
+        st.outbox.push(wire);
         loop {
             match self.flush_locked(&mut st) {
                 FlushOutcome::Clean => break,

@@ -246,15 +246,8 @@ fn end_to_end_run_populates_registry_across_layers() {
     let from_messenger = w.messenger.metrics_snapshot();
     let from_qmgr = w.qmgr.metrics_snapshot();
     let from_spheres = spheres.metrics_snapshot();
-    // (`mq.codec.encodes` is process-wide: the tests running in parallel
-    // move it between two snapshots.)
-    let render = |snapshot: &mq::MetricsSnapshot| -> Vec<String> {
-        let lines = snapshot.render();
-        let own = lines.lines().filter(|l| !l.starts_with("mq.codec.encodes"));
-        own.map(str::to_owned).collect()
-    };
-    assert_eq!(render(&from_messenger), render(&from_qmgr));
-    assert_eq!(render(&from_messenger), render(&from_spheres));
+    assert_eq!(from_messenger.render(), from_qmgr.render());
+    assert_eq!(from_messenger.render(), from_spheres.render());
 
     let snapshot = from_messenger;
     assert!(
