@@ -217,8 +217,8 @@ fn journal_image(journal: &MemJournal) -> Vec<String> {
     let image = |record: JournalRecord| match record {
         JournalRecord::TxCommit { puts, gets } => format!(
             "TxCommit get{:?} put{:?}",
-            gets.iter().map(|(q, _)| q.as_str()).collect::<Vec<_>>(),
-            puts.iter().map(|(q, m)| (q.as_str(), label(m))).collect::<Vec<_>>(),
+            gets.iter().map(|(q, _)| &**q).collect::<Vec<_>>(),
+            puts.iter().map(|(q, m)| (&**q, label(m))).collect::<Vec<_>>(),
         ),
         JournalRecord::Put { queue, message } => format!("Put {queue} {}", label(&message)),
         other => format!("{other:?}"),

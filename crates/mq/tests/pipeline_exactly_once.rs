@@ -586,6 +586,16 @@ fn tcp_mid_window_kills_stay_exactly_once() {
         snap.counter("mq.transport.reconnects") >= 1,
         "the kills must have forced at least one reconnect"
     );
+    // Every message was assembled into a frame at least once, and again
+    // only after the mover re-queued it.
+    let (encodes, requeued) = (
+        snap.counter("mq.codec.encodes"),
+        snap.counter("mq.transport.requeued"),
+    );
+    assert!(
+        (u64::from(n)..=u64::from(n) + requeued).contains(&encodes),
+        "{encodes} images assembled for {n} messages and {requeued} re-queued envelopes"
+    );
     drop(channel);
     drop(acceptor);
     assert_exactly_once(&b, n);

@@ -151,8 +151,8 @@ fn describe(record: &JournalRecord) -> String {
         JournalRecord::Put { queue, .. } => format!("Put {queue}"),
         JournalRecord::TxCommit { puts, gets } => format!(
             "TxCommit get[{}] put[{}]",
-            queues(gets.iter().map(|(q, _)| q.as_str())),
-            queues(puts.iter().map(|(q, _)| q.as_str())),
+            queues(gets.iter().map(|(q, _)| &**q)),
+            queues(puts.iter().map(|(q, _)| &**q)),
         ),
         other => format!("{other:?}"),
     }

@@ -338,7 +338,7 @@ impl VerdictParkingJournal {
 impl Journal for VerdictParkingJournal {
     fn append(&self, record: &JournalRecord) -> mq::MqResult<()> {
         let verdict = matches!(record, JournalRecord::TxCommit { puts, .. }
-            if puts.iter().any(|(queue, _)| queue == "DS.DONE.Q"));
+            if puts.iter().any(|(queue, _)| &**queue == "DS.DONE.Q"));
         let mut park = self.park.lock();
         if verdict && *park == Park::Armed {
             *park = Park::Parked;

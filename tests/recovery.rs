@@ -193,7 +193,7 @@ fn crash_right_after_a_fused_arrival_record_replays_the_ack_and_absorbs_its_rese
         Some(JournalRecord::TxCommit { puts, gets }) => {
             assert!(gets.is_empty());
             assert_eq!(puts.len(), 1);
-            assert_eq!(puts[0].0, "DS.SLOG.Q");
+            assert_eq!(&*puts[0].0, "DS.SLOG.Q");
         }
         other => panic!("arrival record: {other:?}"),
     }
@@ -829,7 +829,7 @@ fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
     match &carrying {
         JournalRecord::TxCommit { puts, gets } => {
             assert_eq!((puts.len(), gets.len()), (1, 3));
-            assert!(gets.iter().all(|(queue, _)| queue == "SYSTEM.XMIT.QM2"));
+            assert!(gets.iter().all(|(queue, _)| &**queue == "SYSTEM.XMIT.QM2"));
         }
         other => panic!("carrying record: {other:?}"),
     }
