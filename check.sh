@@ -55,14 +55,17 @@ echo "$condbench_line" |
 # checker: an ABBA hazard panics with both acquisition sites.
 cargo test -q --workspace --features parking_lot/deadlock_detection
 cargo clippy --workspace --all-targets -- -D warnings
-# The paper's headline example (Fig. 1/4): nine recipient behaviours against
-# the meeting-notification condition, every verdict checked against the
-# paper-rule oracle (asserted inside the binary).
-cargo run --release -p cond-bench --bin exp_fig1_meeting
-# The D-Sphere coupling rules (Fig. 10): the 10-check matrix is asserted
-# inside the binary; the cost table after it is reported, not asserted.
-cargo run --release -p cond-bench --bin exp_fig10_dsphere
-cargo run --release -p cond-bench --bin exp_fig6_overhead -- --quick
+# The paper's figures are asserted inside `cargo test -q` above, not by
+# binaries of their own: Fig. 1/4's nine recipient behaviours against the
+# paper-rule oracle in
+# tests/end_to_end.rs::example1_recipient_behaviours_match_the_paper_rules;
+# Fig. 10's D-Sphere coupling rules in crates/dsphere/src/sphere.rs
+# (sphere_commits_when_all_members_succeed,
+# one_failed_message_fails_the_whole_sphere,
+# resource_veto_fails_sphere_and_compensates_messages,
+# sphere_timeout_fails_pending_members); the ack-backlog drain of
+# ceil(N / ACK_BATCH) transactions in
+# tests/observability.rs::evaluation_engine_reports_metrics.
 # Every `--quick` run below writes its BENCH_*.json under
 # target/bench-quick/; the committed files are full runs (see the last line).
 # Journal group-commit regression gate, on counts (asserted inside the

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cond_bench::{emit_metrics, header, percentile_f64, row, write_bench_json};
+use cond_bench::{header, percentile_f64, row, write_bench_json};
 use condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageOutcome,
 };
@@ -245,6 +245,4 @@ fn main() {
         runs_json.join(",\n"),
     );
     write_bench_json("BENCH_federation.json", quick, &json);
-
-    emit_metrics();
 }

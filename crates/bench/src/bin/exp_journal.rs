@@ -23,7 +23,7 @@ use std::io::Write;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use cond_bench::{emit_metrics, header, percentile, row, write_bench_json};
+use cond_bench::{header, percentile, row, write_bench_json};
 use mq::codec::WireEncode;
 use mq::journal::{Journal, JournalRecord, SegmentConfig, SegmentedJournal};
 use mq::{Message, MetricsRegistry};
@@ -193,6 +193,4 @@ fn main() {
         runs_json.join(",\n"),
     );
     write_bench_json("BENCH_journal.json", quick, &json);
-
-    emit_metrics();
 }

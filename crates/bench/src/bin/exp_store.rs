@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cond_bench::{emit_metrics, header, percentile, row, write_bench_json};
+use cond_bench::{header, percentile, row, write_bench_json};
 use mq::journal::{Journal, NullJournal, SegmentConfig, SegmentedJournal};
 use mq::{ManagerConfig, Message, QueueManager, Wait};
 
@@ -266,6 +266,4 @@ fn main() {
         speedup >= 10.0,
         "checkpointed restart must be >=10x full replay, measured {speedup:.2}x"
     );
-
-    emit_metrics();
 }

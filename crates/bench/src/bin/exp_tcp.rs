@@ -50,7 +50,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cond_bench::{emit_metrics, header, row, write_bench_json};
+use cond_bench::{header, row, write_bench_json};
 use mq::channel::Channel;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Message, Obs, QueueAddress, QueueManager, SystemClock};
@@ -318,6 +318,4 @@ fn main() {
         runs_json.join(",\n"),
     );
     write_bench_json("BENCH_tcp.json", quick, &json);
-
-    emit_metrics();
 }

@@ -3,6 +3,8 @@
 //! The paper's architecture (Fig. 9) uses five dedicated persistent queues;
 //! the defaults here follow its naming exactly.
 
+use std::sync::OnceLock;
+
 use simtime::Millis;
 
 /// Sender-side log queue: send records and observed acknowledgments, the
@@ -38,18 +40,10 @@ pub const DEFAULT_DONE_QUEUE: &str = "DS.DONE.Q";
 /// attached and staging — are drained this way.
 pub const ACK_BATCH: usize = 64;
 
-/// Queue names and the acknowledgment grace of one conditional-messaging
-/// service instance.
-#[derive(Debug, Clone)]
+/// The acknowledgment grace of one conditional-messaging service
+/// instance. Its queue names are fixed: the `DEFAULT_*_QUEUE` constants.
+#[derive(Debug, Clone, Default)]
 pub struct CondConfig {
-    /// Sender log queue name (default [`DEFAULT_SLOG_QUEUE`]).
-    pub slog_queue: String,
-    /// Acknowledgment queue name (default [`DEFAULT_ACK_QUEUE`]).
-    pub ack_queue: String,
-    /// Compensation queue name (default [`DEFAULT_COMP_QUEUE`]).
-    pub comp_queue: String,
-    /// Outcome queue name (default [`DEFAULT_OUTCOME_QUEUE`]).
-    pub outcome_queue: String,
     /// Extra time past a condition deadline before a *missing*
     /// acknowledgment counts as a violation, covering acks still in
     /// transit from remote receivers. Ack timestamps are always compared
@@ -59,15 +53,32 @@ pub struct CondConfig {
     pub ack_grace: Millis,
 }
 
-impl Default for CondConfig {
-    fn default() -> Self {
-        CondConfig {
+/// The sender's service queue names, as owned strings for callers that
+/// compare them against [`mq::QueueManager::queue_names`]
+/// (`ConditionalMessenger::config`). Always the `DEFAULT_*_QUEUE`
+/// constants.
+#[derive(Debug)]
+pub struct ServiceQueues {
+    /// [`DEFAULT_SLOG_QUEUE`].
+    pub slog_queue: String,
+    /// [`DEFAULT_ACK_QUEUE`].
+    pub ack_queue: String,
+    /// [`DEFAULT_COMP_QUEUE`].
+    pub comp_queue: String,
+    /// [`DEFAULT_OUTCOME_QUEUE`].
+    pub outcome_queue: String,
+}
+
+impl ServiceQueues {
+    /// The one value.
+    pub(crate) fn get() -> &'static ServiceQueues {
+        static QUEUES: OnceLock<ServiceQueues> = OnceLock::new();
+        QUEUES.get_or_init(|| ServiceQueues {
             slog_queue: DEFAULT_SLOG_QUEUE.to_owned(),
             ack_queue: DEFAULT_ACK_QUEUE.to_owned(),
             comp_queue: DEFAULT_COMP_QUEUE.to_owned(),
             outcome_queue: DEFAULT_OUTCOME_QUEUE.to_owned(),
-            ack_grace: Millis::ZERO,
-        }
+        })
     }
 }
 
@@ -77,13 +88,13 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_queue_names() {
-        let c = CondConfig::default();
-        assert_eq!(c.slog_queue, "DS.SLOG.Q");
-        assert_eq!(c.ack_queue, "DS.ACK.Q");
-        assert_eq!(c.comp_queue, "DS.COMP.Q");
-        assert_eq!(c.outcome_queue, "DS.OUTCOME.Q");
+        assert_eq!(DEFAULT_SLOG_QUEUE, "DS.SLOG.Q");
+        assert_eq!(DEFAULT_ACK_QUEUE, "DS.ACK.Q");
+        assert_eq!(DEFAULT_COMP_QUEUE, "DS.COMP.Q");
+        assert_eq!(DEFAULT_OUTCOME_QUEUE, "DS.OUTCOME.Q");
         assert_eq!(DEFAULT_RLOG_QUEUE, "DS.RLOG.Q");
         assert_eq!(DEFAULT_DONE_QUEUE, "DS.DONE.Q");
-        assert_eq!(c.ack_grace, Millis::ZERO);
+        assert_eq!(ServiceQueues::get().ack_queue, DEFAULT_ACK_QUEUE);
+        assert_eq!(CondConfig::default().ack_grace, Millis::ZERO);
     }
 }

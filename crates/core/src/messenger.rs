@@ -68,10 +68,13 @@ use mq::{
     TraceStage, Wait,
 };
 use parking_lot::Mutex;
-use simtime::{Time, TimerId};
+use simtime::{Millis, Time, TimerId};
 
 use crate::condition::Condition;
-use crate::config::{CondConfig, ACK_BATCH, DEFAULT_DONE_QUEUE};
+use crate::config::{
+    CondConfig, ServiceQueues, ACK_BATCH, DEFAULT_ACK_QUEUE, DEFAULT_COMP_QUEUE,
+    DEFAULT_DONE_QUEUE, DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE,
+};
 use crate::error::{CondError, CondResult};
 use crate::eval::{AckState, CompiledCondition, IncrementalEval, Verdict};
 use crate::ids::CondMessageId;
@@ -116,12 +119,12 @@ impl PendingEval {
         compiled: CompiledCondition,
         send_time: Time,
         options: &SendOptions,
-        config: &CondConfig,
+        ack_grace: Millis,
     ) -> PendingEval {
         PendingEval {
             state: EvalState {
                 acks: AckState::new(compiled.leaves().len()),
-                inc: IncrementalEval::new(&compiled, send_time, config.ack_grace),
+                inc: IncrementalEval::new(&compiled, send_time, ack_grace),
             },
             compiled,
             send_time,
@@ -232,7 +235,8 @@ struct Cycle {
 /// The sender-side conditional messaging service.
 pub struct ConditionalMessenger {
     qmgr: Arc<QueueManager>,
-    config: CondConfig,
+    /// [`CondConfig::ack_grace`].
+    ack_grace: Millis,
     /// Messages under evaluation. An entry changes only by a cycle whose
     /// record is written, so the table is never held across the commit.
     // lint: never-hold(ConditionalMessenger.pending) across append
@@ -286,10 +290,10 @@ impl ConditionalMessenger {
         config: CondConfig,
     ) -> CondResult<Arc<ConditionalMessenger>> {
         for queue in [
-            &config.slog_queue,
-            &config.ack_queue,
-            &config.comp_queue,
-            &config.outcome_queue,
+            DEFAULT_SLOG_QUEUE,
+            DEFAULT_ACK_QUEUE,
+            DEFAULT_COMP_QUEUE,
+            DEFAULT_OUTCOME_QUEUE,
             DEFAULT_DONE_QUEUE,
         ] {
             qmgr.ensure_queue(queue)?;
@@ -297,7 +301,7 @@ impl ConditionalMessenger {
         let metrics = MessengerMetrics::registered(qmgr.obs().metrics());
         let messenger = Arc::new_cyclic(|weak| ConditionalMessenger {
             qmgr,
-            config,
+            ack_grace: config.ack_grace,
             pending: Mutex::new(HashMap::new()),
             pump_lock: Mutex::new(()),
             metrics,
@@ -311,7 +315,7 @@ impl ConditionalMessenger {
             // delivers it (the first of them waits for the catch-up below).
             messenger
                 .qmgr
-                .queue(&messenger.config.ack_queue)?
+                .queue(DEFAULT_ACK_QUEUE)?
                 .set_arrival_trigger(messenger.self_weak.clone());
             // Catch up on acks queued before the trigger existed, decide
             // what is already due and arm one timer per recovered message.
@@ -327,9 +331,10 @@ impl ConditionalMessenger {
         &self.qmgr
     }
 
-    /// The service configuration.
-    pub fn config(&self) -> &CondConfig {
-        &self.config
+    /// The names of the service queues (always the `DEFAULT_*_QUEUE`
+    /// constants).
+    pub fn config(&self) -> &'static ServiceQueues {
+        ServiceQueues::get()
     }
 
     /// A point-in-time snapshot of every metric registered against the
@@ -398,7 +403,7 @@ impl ConditionalMessenger {
         let compiled = CompiledCondition::compile(condition)?;
         let ctx = crate::analyze::AnalyzeContext {
             evaluation_timeout: options.evaluation_timeout,
-            ack_grace: self.config.ack_grace,
+            ack_grace: self.ack_grace,
             has_compensation: Some(compensation.is_some()),
         };
         let report = crate::analyze::analyze_with(condition, &ctx);
@@ -421,10 +426,7 @@ impl ConditionalMessenger {
         // compensation messages. Atomic under crash.
         let mut session = self.qmgr.session();
         session.begin()?;
-        session.put(
-            &self.config.slog_queue,
-            SlogEntry::Send(record).to_message(),
-        )?;
+        session.put(DEFAULT_SLOG_QUEUE, SlogEntry::Send(record).to_message())?;
         // Stage the parked compensations *before* the originals: commit
         // applies staged puts in order, so by the time any original is
         // visible (and can be acknowledged, evaluated and finalized), its
@@ -432,17 +434,12 @@ impl ConditionalMessenger {
         for leaf in compiled.leaves() {
             let comp =
                 wire::make_compensation(cond_id, leaf.index, &leaf.queue, compensation.as_ref());
-            session.put(&self.config.comp_queue, comp)?;
+            session.put(DEFAULT_COMP_QUEUE, comp)?;
         }
         let mut leaf_dests: Vec<(u32, String)> = Vec::with_capacity(compiled.leaves().len());
         for leaf in compiled.leaves() {
-            let msg = wire::make_original(
-                &payload,
-                cond_id,
-                leaf,
-                self.qmgr.name(),
-                &self.config.ack_queue,
-            );
+            let msg =
+                wire::make_original(&payload, cond_id, leaf, self.qmgr.name(), DEFAULT_ACK_QUEUE);
             session.put_to(&leaf.queue, msg)?;
             leaf_dests.push((leaf.index, leaf.queue.to_string()));
         }
@@ -450,7 +447,7 @@ impl ConditionalMessenger {
         // the commit makes the messages visible, a fast receiver's ack can
         // race into DS.ACK.Q and be pumped — it must find the pending
         // entry, not be dropped as unknown.
-        let eval = PendingEval::new(compiled, send_time, &options, &self.config);
+        let eval = PendingEval::new(compiled, send_time, &options, self.ack_grace);
         self.pending.lock().insert(cond_id, eval);
         if let Err(e) = session.commit() {
             self.pending.lock().remove(&cond_id);
@@ -557,12 +554,12 @@ impl ConditionalMessenger {
     /// there is nothing to drain.
     fn take_queued(&self, session: &mut mq::Session) -> CondResult<Vec<Message>> {
         let mut queued = Vec::new();
-        if !self.qmgr.queue(&self.config.ack_queue)?.is_empty() {
+        if !self.qmgr.queue(DEFAULT_ACK_QUEUE)?.is_empty() {
             if !session.in_transaction() {
                 session.begin()?;
             }
             while queued.len() < ACK_BATCH {
-                let Some(msg) = session.get(&self.config.ack_queue, Wait::NoWait)? else {
+                let Some(msg) = session.get(DEFAULT_ACK_QUEUE, Wait::NoWait)? else {
                     break;
                 };
                 queued.push(msg);
@@ -621,7 +618,7 @@ impl ConditionalMessenger {
         let decides = |id| cycle.decided.iter().any(|d| d.notification.cond_id == id);
         for ack in cycle.acks.iter().filter(|ack| !decides(ack.cond_id)) {
             let entry = SlogEntry::AckSeen(ack.clone()).to_message();
-            session.put(&self.config.slog_queue, entry)?;
+            session.put(DEFAULT_SLOG_QUEUE, entry)?;
         }
         Ok(())
     }
@@ -773,9 +770,8 @@ impl ConditionalMessenger {
             // structure; the canonical verdict (and its reason string) is
             // rendered by one full evaluation at the decision instant only.
             let verdict = if state.inc.decided() {
-                let grace = self.config.ack_grace;
                 eval.compiled
-                    .evaluate_with_grace(&state.acks, eval.send_time, now, grace)
+                    .evaluate_with_grace(&state.acks, eval.send_time, now, self.ack_grace)
             } else {
                 Verdict::Pending
             };
@@ -912,10 +908,7 @@ impl ConditionalMessenger {
             self.purge_slog(session, cond_id)?;
         }
         // Last, so whoever waits for the outcome finds its actions done.
-        session.put(
-            &self.config.outcome_queue,
-            decided.notification.to_message(),
-        )?;
+        session.put(DEFAULT_OUTCOME_QUEUE, decided.notification.to_message())?;
         Ok(())
     }
 
@@ -933,9 +926,9 @@ impl ConditionalMessenger {
     ) -> CondResult<()> {
         // Parked compensations carry the conditional message id as their
         // correlation id; the indexed get avoids scanning a busy DS.COMP.Q.
-        let comp_queue = &self.config.comp_queue;
+        let hex = cond_id.to_hex();
         while let Some(comp) =
-            session.get_by_correlation(comp_queue, &cond_id.to_hex(), |_| true, Wait::NoWait)?
+            session.get_by_correlation(DEFAULT_COMP_QUEUE, &hex, |_| true, Wait::NoWait)?
         {
             let dest = comp
                 .str_property(wire::P_COMP_DEST)
@@ -1030,9 +1023,8 @@ impl ConditionalMessenger {
                     &mut actions,
                 )?;
                 // The releaser is the member's consumer of record.
-                let outcome_queue = &self.config.outcome_queue;
                 let hex = cond_id.to_hex();
-                session.get_by_correlation(outcome_queue, &hex, |_| true, Wait::NoWait)?;
+                session.get_by_correlation(DEFAULT_OUTCOME_QUEUE, &hex, |_| true, Wait::NoWait)?;
                 staged.push((cond_id, actions));
                 Ok(())
             })
@@ -1105,9 +1097,9 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
     ) -> CondResult<Option<SendRecord>> {
         let mut send = None;
-        let slog_queue = &self.config.slog_queue;
+        let hex = cond_id.to_hex();
         while let Some(entry) =
-            session.get_by_correlation(slog_queue, &cond_id.to_hex(), |_| true, Wait::NoWait)?
+            session.get_by_correlation(DEFAULT_SLOG_QUEUE, &hex, |_| true, Wait::NoWait)?
         {
             if let Ok(SlogEntry::Send(record)) = SlogEntry::from_message(&entry) {
                 send = Some(record);
@@ -1169,7 +1161,7 @@ impl ConditionalMessenger {
     ) -> CondResult<Option<OutcomeNotification>> {
         match self
             .qmgr
-            .get_by_correlation(&self.config.outcome_queue, &id.to_hex(), wait)?
+            .get_by_correlation(DEFAULT_OUTCOME_QUEUE, &id.to_hex(), wait)?
         {
             Some(msg) => Ok(Some(OutcomeNotification::from_message(&msg)?)),
             None => Ok(None),
@@ -1184,7 +1176,7 @@ impl ConditionalMessenger {
     /// O(live messages), whatever the history holds. Called automatically
     /// from the constructor.
     fn recover(&self) -> CondResult<()> {
-        let slog = self.qmgr.queue(&self.config.slog_queue)?;
+        let slog = self.qmgr.queue(DEFAULT_SLOG_QUEUE)?;
         let mut sends: HashMap<CondMessageId, SendRecord> = HashMap::new();
         // Grouped by message once: a restart over n pending messages reads
         // each ack once, not once per send.
@@ -1210,7 +1202,7 @@ impl ConditionalMessenger {
             }
             let compiled = CompiledCondition::compile(&record.condition)?;
             let mut eval =
-                PendingEval::new(compiled, record.send_time, &record.options, &self.config);
+                PendingEval::new(compiled, record.send_time, &record.options, self.ack_grace);
             for ack in acks.get(&cond_id).into_iter().flatten() {
                 eval.state.apply(ack);
             }
@@ -1238,7 +1230,7 @@ impl ConditionalMessenger {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let messenger = self.clone();
-        let ack_queue = self.qmgr.queue(&self.config.ack_queue)?;
+        let ack_queue = self.qmgr.queue(DEFAULT_ACK_QUEUE)?;
         let park = Wait::Timeout(simtime::Millis((poll.as_millis() as u64).max(1)));
         let handle = std::thread::Builder::new()
             .name(format!("condmsg-eval-{}", self.qmgr.name()))
@@ -1335,10 +1327,9 @@ impl Drop for EvaluationDaemon {
 mod tests {
     use super::*;
     use crate::condition::{Destination, DestinationSet};
-    use crate::config::{DEFAULT_COMP_QUEUE, DEFAULT_SLOG_QUEUE};
     use mq::journal::MemJournal;
     use mq::Message;
-    use simtime::{Millis, SimClock};
+    use simtime::SimClock;
 
     fn setup() -> (Arc<SimClock>, Arc<QueueManager>, Arc<ConditionalMessenger>) {
         let clock = SimClock::new();
@@ -1517,6 +1508,47 @@ mod tests {
         assert_eq!(messenger.status(id), MessageStatus::Decided(n));
     }
 
+    /// A read stamped t=40 against a 100 ms pick-up window whose ack
+    /// reaches `DS.ACK.Q` `transit` ms later: eager evaluation (grace 0)
+    /// fails a timely read whose ack is still in flight at the deadline; a
+    /// grace accepts the timely stamp.
+    #[test]
+    fn ack_grace_accepts_a_timely_read_whose_ack_is_in_transit() {
+        let matrix = [
+            (10, MessageOutcome::Success, MessageOutcome::Success),
+            (50, MessageOutcome::Success, MessageOutcome::Success),
+            (90, MessageOutcome::Failure, MessageOutcome::Success),
+            (150, MessageOutcome::Failure, MessageOutcome::Success),
+        ];
+        for (transit, eager, graced) in matrix {
+            for (grace, want) in [(0, eager), (100, graced)] {
+                let clock = SimClock::new();
+                let qmgr = QueueManager::builder("QM1")
+                    .clock(clock.clone())
+                    .build()
+                    .unwrap();
+                qmgr.create_queue("Q.A").unwrap();
+                let config = CondConfig {
+                    ack_grace: Millis(grace),
+                };
+                let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
+                let cond: Condition = Destination::queue("QM1", "Q.A")
+                    .pickup_within(Millis(100))
+                    .into();
+                let id = messenger.send_message("x", &cond).unwrap();
+                clock.advance(Millis(40 + transit));
+                // The deadline may have decided before the ack lands.
+                if messenger.status(id) == MessageStatus::Pending {
+                    qmgr.put("DS.ACK.Q", fake_read_ack(id, 0, Time(40)))
+                        .unwrap();
+                }
+                clock.advance(Millis(1_000));
+                let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+                assert_eq!(n.outcome, want, "transit {transit} ms, grace {grace} ms");
+            }
+        }
+    }
+
     #[test]
     fn late_ack_fails_immediately_without_waiting_out_the_grace() {
         let clock = SimClock::new();
@@ -1528,7 +1560,6 @@ mod tests {
         qmgr.create_queue("Q.B").unwrap();
         let config = CondConfig {
             ack_grace: Millis(100),
-            ..CondConfig::default()
         };
         let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
         let id = messenger

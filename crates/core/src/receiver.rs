@@ -676,7 +676,7 @@ mod tests {
     #[test]
     fn compensation_delivered_after_original_consumed() {
         let (clock, qmgr, messenger) = setup();
-        messenger
+        let id = messenger
             .send_message_with_compensation("orig", "undo", &processing_dest(Millis(30)))
             .unwrap();
         clock.advance(Millis(5));
@@ -688,6 +688,8 @@ mod tests {
         let rlog = qmgr.queue("DS.RLOG.Q").unwrap();
         assert_eq!(rlog.depth(), 1, "consumption logged");
         clock.advance(Millis(60));
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(outcome.outcome, MessageOutcome::Failure);
         // The compensation arrives and is deliverable because the receiver
         // log shows consumption.
         let comp = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();

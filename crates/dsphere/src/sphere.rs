@@ -678,8 +678,9 @@ mod tests {
         assert_eq!(kv.get("state"), None, "resource rolled back");
         // Backward dependency: the *successful* message on Q.A is
         // compensated too.
-        let a_msgs = f.qmgr.queue("Q.A").unwrap().browse();
+        let a_msgs = read_all(&f.qmgr, "Q.A");
         assert_eq!(a_msgs.len(), 1, "compensation for the consumed original");
+        assert_eq!(a_msgs[0].kind(), MessageKind::Compensation);
         // Q.B: original still unread + compensation → annihilate on read.
         assert!(read_all(&f.qmgr, "Q.B").is_empty());
         assert_eq!(f.qmgr.queue("Q.B").unwrap().depth(), 0);

@@ -438,7 +438,7 @@ mod tests {
         assert_eq!(classify("tests/properties.rs"), FileClass::Test);
         assert_eq!(classify("crates/mq/benches/bench.rs"), FileClass::Test);
         assert_eq!(
-            classify("crates/bench/src/bin/exp_fig6_overhead.rs"),
+            classify("crates/bench/src/bin/exp_scenario.rs"),
             FileClass::App
         );
         assert_eq!(classify("examples/quickstart.rs"), FileClass::App);

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use condmsg::config::DEFAULT_ACK_QUEUE;
 use condmsg::{CondMessageId, ConditionalReceiver, MessageKind, MessageOutcome, SendOptions};
 use mq::transport::tcp::TcpAcceptor;
 use mq::{FaultAction, FaultPlane, QueueManager, Wait};
@@ -901,8 +902,8 @@ fn quiesce_acks(world: &Compiled, pacer: &Pacer) {
                 }
             }
         }
-        for (name, messenger) in &world.messengers {
-            busy += queue_depth(world, name, &messenger.config().ack_queue);
+        for name in world.messengers.keys() {
+            busy += queue_depth(world, name, DEFAULT_ACK_QUEUE);
         }
         if busy == 0 {
             stable += 1;

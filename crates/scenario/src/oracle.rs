@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use condmsg::config::DEFAULT_OUTCOME_QUEUE;
+
 use crate::compile::Compiled;
 use crate::spec::{ActorMode, Expect};
 
@@ -162,12 +164,11 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
             pending == 0,
             format!("{pending} conditional messages still pending"),
         );
-        let outcome_q = messenger.config().outcome_queue.clone();
-        let depth = queue_depth(world, name, &outcome_q);
+        let depth = queue_depth(world, name, DEFAULT_OUTCOME_QUEUE);
         report.check(
             format!("outcomes-consumed:{name}"),
             depth == Some(0),
-            format!("{outcome_q} depth {depth:?}"),
+            format!("{DEFAULT_OUTCOME_QUEUE} depth {depth:?}"),
         );
     }
 

@@ -157,7 +157,6 @@ fn partition_during_ack_fails_only_by_deadline() {
     // timestamp still satisfies the condition.
     let c = cluster_with(CondConfig {
         ack_grace: Millis(10_000),
-        ..CondConfig::default()
     });
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     c.back.apply_fault(FaultAction::Partition).unwrap();
@@ -196,7 +195,6 @@ fn evaluation_timeout_bounds_partition_waits() {
     // exactly the trade-off the paper's timeout exists for.
     let c = cluster_with(CondConfig {
         ack_grace: Millis(10_000),
-        ..CondConfig::default()
     });
     let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     c.back.apply_fault(FaultAction::Partition).unwrap();
@@ -331,7 +329,6 @@ fn example1_with_recipients_on_three_managers() {
         hq.clone(),
         CondConfig {
             ack_grace: Millis(2_000),
-            ..CondConfig::default()
         },
     )
     .unwrap();

@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use condmsg::{
-    CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
+    CondConfig, CondMessageId, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
     DestinationSet, MessageKind, MessageOutcome, MessageStatus, OutcomeNotification, SendOptions,
 };
 use mq::{QueueManager, Wait};
-use simtime::{Millis, SimClock, Time};
+use simtime::{Clock, Millis, SimClock, Time};
 
 const DAY: u64 = 1_000;
 
@@ -23,6 +23,10 @@ struct World {
 }
 
 fn world(queues: &[&str]) -> World {
+    world_with(queues, CondConfig::default())
+}
+
+fn world_with(queues: &[&str], config: CondConfig) -> World {
     let clock = SimClock::new();
     let qmgr = QueueManager::builder("QM1")
         .clock(clock.clone())
@@ -31,7 +35,7 @@ fn world(queues: &[&str]) -> World {
     for q in queues {
         qmgr.create_queue(*q).unwrap();
     }
-    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let messenger = ConditionalMessenger::with_config(qmgr.clone(), config).unwrap();
     World {
         clock,
         qmgr,
@@ -153,6 +157,199 @@ fn example1_fails_on_missed_pickup() {
     let outcome = outcome(&w, id);
     assert_eq!(outcome.outcome, MessageOutcome::Failure);
     assert!(outcome.reason.as_deref().unwrap().contains("pick-up"));
+}
+
+/// What one Fig. 1 recipient does: the day it reads the notification, and
+/// the day it commits the receiver transaction it read in (it *processes*
+/// the notification), if it does.
+#[derive(Clone, Copy)]
+struct Behaviour {
+    read: Option<u64>,
+    commit: Option<u64>,
+}
+
+const fn reads(day: u64) -> Behaviour {
+    Behaviour {
+        read: Some(day),
+        commit: None,
+    }
+}
+
+const fn processes(read: u64, commit: u64) -> Behaviour {
+    Behaviour {
+        read: Some(read),
+        commit: Some(commit),
+    }
+}
+
+const NEVER: Behaviour = Behaviour {
+    read: None,
+    commit: None,
+};
+
+/// The paper's rules for Fig. 1/4, every boundary inclusive: all four read
+/// by day 2, receiver3 (index 0) processes by day 7, and at least two of
+/// the other three process by day 11.
+fn paper_rule(recipients: &[Behaviour; 4]) -> bool {
+    let by = |day: Option<u64>, limit: u64| matches!(day, Some(d) if d <= limit);
+    recipients.iter().all(|r| by(r.read, 2))
+        && by(recipients[0].commit, 7)
+        && recipients[1..].iter().filter(|r| by(r.commit, 11)).count() >= 2
+}
+
+/// Fig. 4's leaves in condition order, with their recipients.
+const RECIPIENTS: [(&str, &str); 4] = [
+    ("receiver3", "Q.R3"),
+    ("receiver1", "Q.R1"),
+    ("receiver2", "Q.R2"),
+    ("receiver4", "Q.R4"),
+];
+
+/// Nine recipient behaviours against the Fig. 4 condition, each verdict
+/// checked against [`paper_rule`]. A transactional read is acknowledged
+/// once, when it commits, carrying both the read and the commit time; the
+/// sender runs with an `ack_grace` covering the longest read-to-commit lag
+/// of the table, so a *missing* acknowledgment counts only after it while
+/// the times inside one are always held against the true deadlines. Each
+/// case also says whether its acknowledgments alone decide it (a late
+/// stamp fails at once) or it waits for a window to close.
+#[test]
+fn example1_recipient_behaviours_match_the_paper_rules() {
+    // Read day 1, commit day 12.
+    const ACK_GRACE: u64 = 11 * DAY;
+    // (case, [receiver3, receiver1, receiver2, receiver4], decided by the
+    // acks, failure reason)
+    let cases: [(&str, [Behaviour; 4], bool, Option<&str>); 9] = [
+        (
+            "everyone reads day 1; r3+r1+r2 commit day 1",
+            [processes(1, 1), processes(1, 1), processes(1, 1), reads(1)],
+            true,
+            None,
+        ),
+        (
+            "read day 1; r3 commits day 6, r1+r4 day 10",
+            [
+                processes(1, 6),
+                processes(1, 10),
+                reads(1),
+                processes(1, 10),
+            ],
+            true,
+            None,
+        ),
+        (
+            "r3 commits too late (day 8)",
+            [processes(1, 8), processes(1, 1), processes(1, 1), reads(1)],
+            true,
+            Some("processing"),
+        ),
+        (
+            "only one of the other three processes",
+            [processes(1, 1), processes(1, 1), reads(1), reads(1)],
+            false,
+            Some("processing"),
+        ),
+        (
+            "one recipient reads on day 3 (window is 2 days)",
+            [processes(1, 1), processes(1, 1), processes(1, 1), reads(3)],
+            true,
+            Some("pick-up"),
+        ),
+        (
+            "one recipient never reads",
+            [processes(1, 1), processes(1, 1), processes(1, 1), NEVER],
+            false,
+            Some("pick-up"),
+        ),
+        (
+            "two others commit exactly at day 11 (boundary, inclusive)",
+            [
+                processes(1, 1),
+                processes(1, 11),
+                processes(1, 11),
+                reads(1),
+            ],
+            true,
+            None,
+        ),
+        (
+            "r3 commits exactly at day 7 (boundary, inclusive)",
+            [processes(1, 7), processes(1, 1), processes(1, 1), reads(2)],
+            true,
+            None,
+        ),
+        (
+            "three others all commit late (day 12)",
+            [
+                processes(1, 1),
+                processes(1, 12),
+                processes(1, 12),
+                processes(1, 12),
+            ],
+            true,
+            Some("processing"),
+        ),
+    ];
+    for (case, recipients, decided_by_acks, reason) in cases {
+        assert_eq!(paper_rule(&recipients), reason.is_none(), "{case}: table");
+        let w = world_with(
+            &["Q.R1", "Q.R2", "Q.R3", "Q.R4"],
+            CondConfig {
+                ack_grace: Millis(ACK_GRACE),
+            },
+        );
+        let id = w
+            .messenger
+            .send_message("meeting notification", &example1_condition())
+            .unwrap();
+        let mut receivers: Vec<ConditionalReceiver> = RECIPIENTS
+            .iter()
+            .map(|(name, _)| ConditionalReceiver::with_identity(w.qmgr.clone(), *name).unwrap())
+            .collect();
+        // (day, leaf, is the commit): a read sorts before its commit.
+        let mut steps: Vec<(u64, usize, bool)> = Vec::new();
+        for (leaf, r) in recipients.iter().enumerate() {
+            steps.extend(r.read.map(|day| (day, leaf, false)));
+            steps.extend(r.commit.map(|day| (day, leaf, true)));
+        }
+        steps.sort_unstable();
+        for (day, leaf, commit) in steps {
+            let now = w.clock.now().as_millis();
+            w.clock.advance(Millis((day * DAY).saturating_sub(now)));
+            let receiver = &mut receivers[leaf];
+            if commit {
+                receiver.commit_tx().unwrap();
+                continue;
+            }
+            if recipients[leaf].commit.is_some() {
+                receiver.begin_tx().unwrap();
+            }
+            let msg = receiver
+                .read_message(RECIPIENTS[leaf].1, Wait::NoWait)
+                .unwrap()
+                .unwrap();
+            assert_eq!(msg.kind(), MessageKind::Original, "{case}");
+        }
+        assert_eq!(
+            w.messenger.status(id) != MessageStatus::Pending,
+            decided_by_acks,
+            "{case}: decided when the last acknowledgment arrived"
+        );
+        // Past the last window (day 11) and the grace.
+        w.clock.advance(Millis(12 * DAY + ACK_GRACE));
+        let outcome = outcome(&w, id);
+        assert_eq!(outcome.cond_id, id);
+        assert_eq!(
+            outcome.outcome == MessageOutcome::Success,
+            reason.is_none(),
+            "{case}: {:?}",
+            outcome.reason
+        );
+        if let Some(reason) = reason {
+            let got = outcome.reason.as_deref().unwrap();
+            assert!(got.contains(reason), "{case}: {got}");
+        }
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use condmsg::config::ACK_BATCH;
 use condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
     MessageOutcome, SendOptions,
@@ -168,7 +169,7 @@ fn compensation_path_lifecycle_trace() {
 fn annihilation_path_lifecycle_trace() {
     // Fig. 8's other leg: the original is never read, so the released
     // compensation annihilates with it instead of being delivered.
-    let w = world(&["Q.A"]);
+    let w = world(&["Q.A", "Q.B"]);
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(100))
         .into();
@@ -288,7 +289,7 @@ fn evaluation_engine_reports_metrics() {
     // The evaluation engine populates its own instruments: incremental
     // leaf updates on ack arrival, deadline-timer fires, and the size of
     // each drained ack batch.
-    let w = world(&["Q.A"]);
+    let w = world(&["Q.A", "Q.B"]);
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(100))
         .into();
@@ -346,4 +347,33 @@ fn evaluation_engine_reports_metrics() {
     assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
     assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_some());
     assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.queued"), 1);
+
+    // A backlog drains in batches: N queued acks cost ceil(N / ACK_BATCH)
+    // transactions at attach time. Only Q.A of each two-leaf message is
+    // read, so the drain decides nothing and every transaction is a batch.
+    let backlog = 2 * ACK_BATCH + 1;
+    let pair: Condition = DestinationSet::of(vec![
+        Destination::queue("QM1", "Q.A").into(),
+        Destination::queue("QM1", "Q.B").into(),
+    ])
+    .pickup_within(Millis(100))
+    .into();
+    for _ in 0..backlog {
+        messenger.send_message("backlog", &pair).unwrap();
+    }
+    drop(messenger);
+    for _ in 0..backlog {
+        receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+    }
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), backlog);
+    let committed = || qmgr.metrics_snapshot().counter("mq.tx.committed");
+    let before = committed();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    assert_eq!(committed() - before, backlog.div_ceil(ACK_BATCH) as u64);
+    assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+    assert_eq!(messenger.pending_count(), backlog);
+    assert_eq!(
+        qmgr.metrics_snapshot().counter("cond.ack.queued"),
+        1 + backlog as u64
+    );
 }

@@ -472,7 +472,6 @@ proptest! {
             plans.len(),
             CondConfig {
                 ack_grace: Millis(grace),
-                ..CondConfig::default()
             },
         );
         let id = w.messenger.send_message("payload", &condition).unwrap();

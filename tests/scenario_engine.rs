@@ -15,7 +15,8 @@ fn spec(src: &str) -> ScenarioSpec {
     ScenarioSpec::from_toml_str(src).unwrap()
 }
 
-/// Paper Fig. 4 / end_to_end `example1_success_when_all_conditions_met`:
+/// Paper Fig. 4 / the first case of end_to_end
+/// `example1_recipient_behaviours_match_the_paper_rules`:
 /// receiver3 must process within 7 days, two of the other three must
 /// process within 11 days, and everyone must pick up within 2 days.
 /// Process-mode ackers on all four queues satisfy every clause; the
@@ -118,8 +119,8 @@ delay = { ms = 50 }
     assert!(report.oracle.passed(), "{}", report.oracle);
 }
 
-/// end_to_end `example1_fails_on_missed_pickup`: the same shape, but one
-/// destination queue has no receiver at all, so the all-must-pick-up
+/// end_to_end's Fig. 1 case "one recipient never reads": the same shape,
+/// but one destination queue has no receiver at all, so the all-must-pick-up
 /// root window expires and the verdict must be failure — for every
 /// message, with no stragglers and no duplicated outcomes.
 #[test]
