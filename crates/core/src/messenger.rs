@@ -8,8 +8,8 @@
 //! * **Send** ([`ConditionalMessenger::send_message`]): compiles the
 //!   condition, journals a [`SendRecord`] to the sender log, fans the
 //!   payload out as one standard message per destination leaf (with control
-//!   properties), and parks pre-generated compensation messages — all in a
-//!   single local messaging transaction, so a crash can never leave a
+//!   properties), and parks one pre-generated compensation message — all in
+//!   a single local messaging transaction, so a crash can never leave a
 //!   half-sent conditional message.
 //! * **Evaluation manager**: one event-driven engine. The messenger is
 //!   the arrival trigger of `DS.ACK.Q` ([`mq::ArrivalTrigger`]): an
@@ -38,10 +38,11 @@
 //!   [`ConditionalMessenger::status`] reads it once the message is no
 //!   longer pending: the messenger keeps no table of decided messages.
 //! * **Outcome actions**: on success, optional success notifications to all
-//!   destinations; on failure, release of the parked compensation messages
-//!   (paper §2.6). Both are staged into the deciding transaction, together
-//!   with the outcome notification put on `DS.OUTCOME.Q` and the purge of
-//!   the message's sender-log entries.
+//!   destinations; on failure, the parked compensation fanned out as one
+//!   compensation message per destination leaf (paper §2.6). Both are
+//!   staged into the deciding transaction, together with the outcome
+//!   notification put on `DS.OUTCOME.Q` and the purge of the message's
+//!   sender-log entries.
 //! * **Recovery** ([`ConditionalMessenger::new`] replays the sender log):
 //!   a restarted sender rebuilds its evaluation state machines exactly and
 //!   continues monitoring in-flight conditional messages. A send record
@@ -152,7 +153,8 @@ impl PendingEval {
         self.state.inc.decided() || self.next_trigger().is_some_and(|at| at <= now)
     }
 
-    /// This evaluation's verdict record, stamped `decided_at`.
+    /// This evaluation's verdict record, stamped `decided_at`, with the
+    /// leaves its outcome actions go to.
     fn verdict(
         &self,
         cond_id: CondMessageId,
@@ -169,9 +171,19 @@ impl PendingEval {
             },
             success_notifications: self.success_notifications,
             defer_outcome_actions: self.defer_outcome_actions,
+            leaves: leaf_addresses(&self.compiled),
             actions: Vec::new(),
         }
     }
+}
+
+/// Each destination leaf of a compiled condition: its index and address.
+fn leaf_addresses(compiled: &CompiledCondition) -> Vec<(u32, QueueAddress)> {
+    compiled
+        .leaves()
+        .iter()
+        .map(|leaf| (leaf.index, leaf.queue.clone()))
+        .collect()
 }
 
 /// The part of an evaluation that acknowledgments change.
@@ -209,6 +221,9 @@ struct Decided {
     notification: OutcomeNotification,
     success_notifications: bool,
     defer_outcome_actions: bool,
+    /// Where the outcome actions go: each destination leaf's index and
+    /// address.
+    leaves: Vec<(u32, QueueAddress)>,
     /// Outcome actions staged with the verdict, traced once it commits.
     actions: Vec<(TraceStage, u32, String)>,
 }
@@ -423,19 +438,17 @@ impl ConditionalMessenger {
 
         // One local transaction covers: the send record (WAL), the fan-out
         // (local queues and transmission queues alike), and the parked
-        // compensation messages. Atomic under crash.
+        // compensation message. Atomic under crash.
         let mut session = self.qmgr.session();
         session.begin()?;
         session.put(DEFAULT_SLOG_QUEUE, SlogEntry::Send(record).to_message())?;
-        // Stage the parked compensations *before* the originals: commit
+        // Stage the parked compensation *before* the originals: commit
         // applies staged puts in order, so by the time any original is
         // visible (and can be acknowledged, evaluated and finalized), its
-        // compensation is already on DS.COMP.Q.
-        for leaf in compiled.leaves() {
-            let comp =
-                wire::make_compensation(cond_id, leaf.index, &leaf.queue, compensation.as_ref());
-            session.put(DEFAULT_COMP_QUEUE, comp)?;
-        }
+        // compensation is already on DS.COMP.Q. One for the whole message:
+        // a failure fans it out per leaf.
+        let comp = wire::park_compensation(cond_id, compensation.as_ref());
+        session.put(DEFAULT_COMP_QUEUE, comp)?;
         let mut leaf_dests: Vec<(u32, String)> = Vec::with_capacity(compiled.leaves().len());
         for leaf in compiled.leaves() {
             let msg =
@@ -664,7 +677,7 @@ impl ConditionalMessenger {
         for verdict in &cycle.decided {
             if verdict.defer_outcome_actions {
                 // The send record (for recovery and the release) and the
-                // parked compensations stay until the sphere releases the
+                // parked compensation stay until the sphere releases the
                 // actions.
                 let deferred = &self.metrics.deferred_depth;
                 deferred.set(deferred.get() + 1);
@@ -889,7 +902,7 @@ impl ConditionalMessenger {
     /// Stages a verdict into the caller's transaction (dequeue, log and
     /// act together): the history entry, the outcome actions (compensation
     /// release or success notifications, plus removal of the parked
-    /// compensations), the purge of the message's send/ack log entries,
+    /// compensation), the purge of the message's send/ack log entries,
     /// and the outcome notification. The history entry and the
     /// notification are one image. A crash leaves either all of it or none.
     fn finalize(&self, session: &mut mq::Session, decided: &mut Decided) -> CondResult<()> {
@@ -901,6 +914,7 @@ impl ConditionalMessenger {
                 cond_id,
                 outcome,
                 decided.success_notifications,
+                &decided.leaves,
                 &mut decided.actions,
             )?;
             // The history entry now marks the message decided for any
@@ -912,41 +926,44 @@ impl ConditionalMessenger {
         Ok(())
     }
 
-    /// Stages the outcome actions for `cond_id` into `session`: on failure
-    /// the parked compensation messages are released to their destinations;
-    /// on success they are consumed and, when enabled, success
-    /// notifications are sent instead (paper §2.6).
+    /// Stages the outcome actions for `cond_id` into `session`, one per
+    /// destination leaf in `leaves`: on failure the parked compensation is
+    /// taken and one compensation message per leaf is released to its
+    /// destination; on success it is consumed and, when enabled, success
+    /// notifications are sent instead (paper §2.6). Nothing parked, nothing
+    /// to do.
     fn stage_outcome_actions(
         &self,
         session: &mut mq::Session,
         cond_id: CondMessageId,
         outcome: MessageOutcome,
         success_notifications: bool,
+        leaves: &[(u32, QueueAddress)],
         staged: &mut Vec<(TraceStage, u32, String)>,
     ) -> CondResult<()> {
-        // Parked compensations carry the conditional message id as their
+        // The parked compensation carries the conditional message id as its
         // correlation id; the indexed get avoids scanning a busy DS.COMP.Q.
         let hex = cond_id.to_hex();
-        while let Some(comp) =
+        let Some(parked) =
             session.get_by_correlation(DEFAULT_COMP_QUEUE, &hex, |_| true, Wait::NoWait)?
-        {
-            let dest = comp
-                .str_property(wire::P_COMP_DEST)
-                .and_then(QueueAddress::parse)
-                .ok_or_else(|| CondError::Malformed("compensation missing destination".into()))?;
-            let leaf = wire::leaf_of(&comp)?;
+        else {
+            return Ok(());
+        };
+        let data = wire::parked_compensation_data(&parked)?;
+        for (leaf, dest) in leaves {
             match outcome {
                 MessageOutcome::Failure => {
-                    session.put_to(&dest, comp)?;
-                    staged.push((TraceStage::CompensationReleased, leaf, dest.to_string()));
+                    session.put_to(dest, wire::make_compensation(cond_id, *leaf, data))?;
+                    staged.push((TraceStage::CompensationReleased, *leaf, dest.to_string()));
                 }
                 MessageOutcome::Success => {
                     if success_notifications {
-                        session.put_to(&dest, wire::make_success_notification(cond_id, leaf))?;
-                        staged.push((TraceStage::SuccessNotify, leaf, dest.to_string()));
+                        session.put_to(dest, wire::make_success_notification(cond_id, *leaf))?;
+                        staged.push((TraceStage::SuccessNotify, *leaf, dest.to_string()));
                     }
-                    // The parked compensation is simply consumed.
-                    staged.push((TraceStage::CompensationConsumed, leaf, String::new()));
+                    // The leaf's share of the parked compensation is simply
+                    // consumed.
+                    staged.push((TraceStage::CompensationConsumed, *leaf, String::new()));
                 }
             }
         }
@@ -1013,13 +1030,17 @@ impl ConditionalMessenger {
                 // actions are deferred; taking it is the release's purge of
                 // the log.
                 let record = self.purge_slog(&mut session, cond_id)?;
-                let options = record.ok_or(CondError::UnknownMessage(cond_id))?.options;
+                let record = record.ok_or(CondError::UnknownMessage(cond_id))?;
+                // The leaves come from the send record: after a restart it
+                // is all that is left of the message.
+                let leaves = leaf_addresses(&CompiledCondition::compile(&record.condition)?);
                 let mut actions = Vec::new();
                 self.stage_outcome_actions(
                     &mut session,
                     cond_id,
                     group_outcome,
-                    options.success_notifications.unwrap_or(false),
+                    record.options.success_notifications.unwrap_or(false),
+                    &leaves,
                     &mut actions,
                 )?;
                 // The releaser is the member's consumer of record.
@@ -1195,8 +1216,8 @@ impl ConditionalMessenger {
             if self.history(cond_id)?.is_some() {
                 // A decided message keeps its send record only while its
                 // outcome actions are still owed to a sphere (otherwise the
-                // deciding transaction purged it); the parked compensations
-                // are kept with it.
+                // deciding transaction purged it); the parked compensation
+                // is kept with it.
                 deferred += 1;
                 continue;
             }
@@ -1425,8 +1446,11 @@ mod tests {
             assert_eq!(msg.str_property(wire::P_SENDER_MANAGER), Some("QM1"));
             assert_eq!(msg.str_property(wire::P_ACK_QUEUE), Some("DS.ACK.Q"));
         }
-        // One compensation parked per destination.
-        assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 2);
+        // One compensation parked for the whole message, naming no leaf.
+        let comp = qmgr.queue("DS.COMP.Q").unwrap().browse();
+        assert_eq!(comp.len(), 1);
+        assert_eq!(wire::cond_id_of(&comp[0]).unwrap(), id);
+        assert!(wire::leaf_of(&comp[0]).is_err());
         // One send record on the log.
         assert_eq!(qmgr.queue("DS.SLOG.Q").unwrap().depth(), 1);
         assert_eq!(messenger.status(id), MessageStatus::Pending);
@@ -1659,6 +1683,94 @@ mod tests {
             .unwrap();
         assert_eq!(comp.payload_str(), Some("meeting cancelled"));
         assert_eq!(comp.bool_property(wire::P_COMP_SYSTEM), Some(false));
+    }
+
+    /// [`setup`] plus four leaf queues `Q.L0`–`Q.L3`.
+    fn four_leaf_setup() -> (Arc<SimClock>, Arc<QueueManager>, Arc<ConditionalMessenger>) {
+        let (clock, qmgr, messenger) = setup();
+        for queue in ["Q.L0", "Q.L1", "Q.L2", "Q.L3"] {
+            qmgr.create_queue(queue).unwrap();
+        }
+        (clock, qmgr, messenger)
+    }
+
+    /// All four leaves pick up within 100 ms.
+    fn four_leaf_condition() -> Condition {
+        let leaves = ["Q.L0", "Q.L1", "Q.L2", "Q.L3"];
+        let leaves = leaves.map(|q| Destination::queue("QM1", q).into());
+        DestinationSet::of(leaves.to_vec())
+            .pickup_within(Millis(100))
+            .into()
+    }
+
+    /// The compensations on `queue`.
+    fn compensations(qmgr: &QueueManager, queue: &str) -> Vec<Arc<Message>> {
+        let msgs = qmgr.queue(queue).unwrap().browse().into_iter();
+        msgs.filter(|m| wire::kind_of(m) == wire::MessageKind::Compensation)
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_four_leaf_message_fans_its_one_parked_compensation_out_per_leaf() {
+        let data = Bytes::from_static(b"meeting cancelled");
+        for data in [Some(data), None] {
+            let (clock, qmgr, messenger) = four_leaf_setup();
+            let condition = four_leaf_condition();
+            let options = SendOptions::default();
+            let id = messenger
+                .send_with("meet", data.clone(), &condition, options)
+                .unwrap();
+            assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
+            clock.advance(Millis(200));
+            assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+            let mut ids = HashSet::new();
+            for (leaf, queue) in ["Q.L0", "Q.L1", "Q.L2", "Q.L3"].into_iter().enumerate() {
+                let comps = compensations(&qmgr, queue);
+                assert_eq!(comps.len(), 1, "{queue}: exactly one compensation");
+                let comp = &comps[0];
+                assert_eq!(wire::cond_id_of(comp).unwrap(), id);
+                assert_eq!(wire::leaf_of(comp).unwrap(), leaf as u32);
+                let system = data.is_none();
+                assert_eq!(comp.bool_property(wire::P_COMP_SYSTEM), Some(system));
+                assert_eq!(comp.payload(), &data.clone().unwrap_or_default());
+                assert!(comp.is_persistent());
+                ids.insert(comp.id());
+            }
+            assert_eq!(ids.len(), 4, "each compensation has an id of its own");
+            // Metrics and trace count one release per leaf.
+            assert_eq!(messenger.metrics.comp_released.get(), 4);
+            let stages = messenger.trace().stages_for(id.as_u128());
+            let released = stages
+                .iter()
+                .filter(|s| **s == TraceStage::CompensationReleased)
+                .count();
+            assert_eq!(released, 4);
+        }
+    }
+
+    #[test]
+    fn a_parked_compensation_that_names_a_leaf_is_refused_not_multiplied() {
+        let (_clock, qmgr, messenger) = four_leaf_setup();
+        let id = messenger
+            .send_message_with_compensation("meet", "undo", &four_leaf_condition())
+            .unwrap();
+        // Swap the parked compensation for the per-leaf form once parked
+        // for every destination.
+        let hex = id.to_hex();
+        qmgr.get_by_correlation(DEFAULT_COMP_QUEUE, &hex, Wait::NoWait)
+            .unwrap()
+            .unwrap();
+        let old = wire::make_compensation(id, 0, Some(&Bytes::from_static(b"undo")));
+        qmgr.put(DEFAULT_COMP_QUEUE, old).unwrap();
+        let err = messenger.force_fail(&[id], "aborted").unwrap_err();
+        assert!(matches!(err, CondError::Malformed(_)), "{err:?}");
+        // Nothing was released, and the message is still pending.
+        for queue in ["Q.L0", "Q.L1", "Q.L2", "Q.L3"] {
+            assert!(compensations(&qmgr, queue).is_empty(), "{queue}");
+        }
+        assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
+        assert_eq!(messenger.metrics.comp_released.get(), 0);
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl ConditionalMessenger {
     /// `topic`: `template` — a set such as
     /// `DestinationSet::empty().pickup_within(w).min_pickup(2)` — gets one
     /// destination leaf per subscription queue and is sent as a regular
-    /// conditional message (one standard message per subscriber, plus
-    /// parked compensations when `compensation` is given).
+    /// conditional message (one standard message per subscriber, plus one
+    /// parked compensation).
     ///
     /// Returns the conditional message id and the number of subscribers
     /// addressed. Subscribers added *after* the publish do not affect the

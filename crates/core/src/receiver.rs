@@ -645,8 +645,7 @@ mod tests {
         let condition = one_dest(Millis(100));
         let compiled = crate::eval::CompiledCondition::compile(&condition).unwrap();
         let id = CondMessageId::generate();
-        let dest = QueueAddress::new("QM1", "Q.A");
-        qmgr.put("Q.A", wire::make_compensation(id, 0, &dest, None))
+        qmgr.put("Q.A", wire::make_compensation(id, 0, None))
             .unwrap();
         let body = bytes::Bytes::from("orig");
         let original = wire::make_original(&body, id, &compiled.leaves()[0], "QM1", "DS.ACK.Q");
@@ -754,10 +753,9 @@ mod tests {
         let (_clock, qmgr, id) = receiver_only(&one_dest(Millis(100)));
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
-        let dest = QueueAddress::new("QM1", "Q.A");
         let data = bytes::Bytes::from("undo");
-        let comp = wire::make_compensation(id, 0, &dest, Some(&data));
-        let copy = wire::make_compensation(id, 0, &dest, Some(&data));
+        let comp = wire::make_compensation(id, 0, Some(&data));
+        let copy = wire::make_compensation(id, 0, Some(&data));
         assert_ne!(comp.id(), copy.id(), "a new message id");
         qmgr.put("Q.A", comp).unwrap();
         let got = receiver.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
@@ -777,12 +775,7 @@ mod tests {
         let (_clock, qmgr, _messenger) = setup();
         // A compensation with no matching original anywhere (e.g. original
         // expired in transit).
-        let comp = wire::make_compensation(
-            CondMessageId::generate(),
-            0,
-            &QueueAddress::new("QM1", "Q.A"),
-            None,
-        );
+        let comp = wire::make_compensation(CondMessageId::generate(), 0, None);
         qmgr.put("Q.A", comp).unwrap();
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
         assert!(receiver
@@ -796,12 +789,7 @@ mod tests {
     #[test]
     fn deferred_compensation_does_not_block_other_messages() {
         let (_clock, qmgr, _messenger) = setup();
-        let comp = wire::make_compensation(
-            CondMessageId::generate(),
-            0,
-            &QueueAddress::new("QM1", "Q.A"),
-            None,
-        );
+        let comp = wire::make_compensation(CondMessageId::generate(), 0, None);
         qmgr.put("Q.A", comp).unwrap();
         qmgr.put("Q.A", Message::text("ordinary").build()).unwrap();
         let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();

@@ -29,7 +29,7 @@
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
-use mq::{Message, MessageBuilder, QueueAddress};
+use mq::{Message, MessageBuilder};
 use simtime::{Millis, Time};
 
 use crate::condition::Condition;
@@ -79,9 +79,6 @@ pub const P_OUTCOME_TS: &str = "ds.outcome.ts";
 /// Marks a system-generated (data-less) compensation message.
 // lint: registry-sink wire-string
 pub const P_COMP_SYSTEM: &str = "ds.comp.system";
-/// Destination address (`manager/queue`) a parked compensation targets.
-// lint: registry-sink wire-string
-pub const P_COMP_DEST: &str = "ds.comp.dest";
 
 /// Values of [`P_KIND`].
 pub mod kind {
@@ -370,22 +367,55 @@ impl OutcomeNotification {
 
 // --------------------------------------- compensation / success messages --
 
-/// Builds a compensation message parked on `DS.COMP.Q` at send time
-/// (paper §2.6). `data` is the application-defined compensation payload;
-/// `None` produces the system-generated variant.
-pub fn make_compensation(
-    cond_id: CondMessageId,
-    leaf: u32,
-    destination: &QueueAddress,
-    data: Option<&Bytes>,
-) -> Message {
+/// Builds the one compensation parked on `DS.COMP.Q` at send time for a
+/// whole conditional message (paper §2.6). `data` is the
+/// application-defined compensation payload; `None` parks the
+/// system-generated variant. It names no leaf and no destination: a
+/// failure fans it out per leaf ([`make_compensation`]) from the leaves of
+/// the message's condition.
+pub fn park_compensation(cond_id: CondMessageId, data: Option<&Bytes>) -> Message {
+    compensation(cond_id, data).build()
+}
+
+/// A compensation up to its leaf: data, system flag, kind, persistence and
+/// the conditional id.
+fn compensation(cond_id: CondMessageId, data: Option<&Bytes>) -> MessageBuilder {
     Message::builder(data.cloned().unwrap_or_default())
-        .property(P_COMP_DEST, &destination.to_string())
         .property(P_COMP_SYSTEM, data.is_none())
         .property(P_KIND, kind::COMPENSATION)
-        .property(P_LEAF, i64::from(leaf))
         .persistent(true)
         .correlation_u128(cond_id.as_u128())
+}
+
+/// The application's compensation data in a parked compensation, or
+/// `None` for the system-generated variant.
+///
+/// # Errors
+///
+/// [`CondError::Malformed`] when the message carries [`P_LEAF`] — the
+/// per-leaf form once parked for every destination, which a release must
+/// not fan out again — or lacks [`P_COMP_SYSTEM`].
+pub fn parked_compensation_data(parked: &Message) -> CondResult<Option<&Bytes>> {
+    if parked.i64_property(P_LEAF).is_some() {
+        return Err(CondError::Malformed(
+            "parked compensation names a leaf (per-leaf form)".into(),
+        ));
+    }
+    match parked.bool_property(P_COMP_SYSTEM) {
+        Some(true) => Ok(None),
+        Some(false) => Ok(Some(parked.payload())),
+        None => Err(CondError::Malformed(
+            "parked compensation missing ds.comp.system".into(),
+        )),
+    }
+}
+
+/// Builds the compensation message one destination leaf receives when its
+/// conditional message fails (paper §2.6). `data` is as for
+/// [`park_compensation`].
+pub fn make_compensation(cond_id: CondMessageId, leaf: u32, data: Option<&Bytes>) -> Message {
+    compensation(cond_id, data)
+        .property(P_LEAF, i64::from(leaf))
         .build()
 }
 
@@ -569,7 +599,7 @@ impl SlogEntry {
 mod tests {
     use super::*;
     use crate::condition::Destination;
-    use mq::Priority;
+    use mq::{Priority, QueueAddress};
 
     fn spec() -> LeafSpec {
         LeafSpec {
@@ -667,19 +697,26 @@ mod tests {
     }
 
     #[test]
-    fn compensation_messages_record_destination_and_origin() {
+    fn one_parked_compensation_fans_out_per_leaf() {
         let id = CondMessageId::generate();
-        let dest = QueueAddress::new("QM2", "Q.R1");
-        let sys = make_compensation(id, 1, &dest, None);
-        assert_eq!(kind_of(&sys), MessageKind::Compensation);
-        assert_eq!(sys.bool_property(P_COMP_SYSTEM), Some(true));
-        assert_eq!(sys.str_property(P_COMP_DEST), Some("QM2/Q.R1"));
-        assert!(sys.payload().is_empty());
-
         let data = Bytes::from_static(b"undo!");
-        let app = make_compensation(id, 1, &dest, Some(&data));
-        assert_eq!(app.bool_property(P_COMP_SYSTEM), Some(false));
-        assert_eq!(app.payload(), &data);
+        for parked_data in [None, Some(&data)] {
+            let parked = park_compensation(id, parked_data);
+            assert_eq!(kind_of(&parked), MessageKind::Compensation);
+            assert!(leaf_of(&parked).is_err(), "parked for no leaf");
+            assert_eq!(cond_id_of(&parked).unwrap(), id);
+            let data = parked_compensation_data(&parked).unwrap();
+            assert_eq!(data, parked_data);
+            let comp = make_compensation(id, 1, data);
+            assert_eq!(kind_of(&comp), MessageKind::Compensation);
+            assert_eq!(leaf_of(&comp).unwrap(), 1);
+            assert_eq!(cond_id_of(&comp).unwrap(), id);
+            let system = parked_data.is_none();
+            assert_eq!(comp.bool_property(P_COMP_SYSTEM), Some(system));
+            assert_eq!(comp.payload(), &parked_data.cloned().unwrap_or_default());
+            // A per-leaf compensation is not a parked one.
+            assert!(parked_compensation_data(&comp).is_err());
+        }
     }
 
     #[test]

@@ -880,25 +880,43 @@ impl Decoder {
     }
 }
 
-fn crc32_table() -> &'static [u32; 256] {
-    const POLY: u32 = 0xEDB8_8320;
-    // Table computed once; 256 entries.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// The reflected IEEE 802.3 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `CRC32_TABLES[0]` is the
+/// bytewise table, and `CRC32_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight table reads fold eight input
+/// bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Starts an incremental CRC-32 computation; feed slices through
@@ -909,12 +927,26 @@ pub fn crc32_begin() -> u32 {
     0xFFFF_FFFF
 }
 
-/// Folds `data` into an in-progress CRC-32 state.
+/// Folds `data` into an in-progress CRC-32 state: eight bytes per step
+/// (slicing-by-8), then the tail a byte at a time.
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC32_TABLES;
     let mut crc = state;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     crc
 }
@@ -1227,6 +1259,32 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// CRC-32 a bit at a time, straight from the polynomial.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bitwise_reference() {
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 151 + 7) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                let want = crc32_bitwise(slice);
+                assert_eq!(crc32(slice), want, "offset {offset} len {len}");
+            }
+        }
     }
 
     #[test]

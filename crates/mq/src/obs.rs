@@ -191,12 +191,13 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "ds.outcome.reason",
     "ds.outcome.ts",
     "ds.comp.system",
+    // Retired, not free: a parked compensation's destination (one is
+    // parked per message, and its release takes each address from the
+    // leaf), the sender-log entry type (the payload's first byte says it),
+    // the outcome history entry's decision time (the entry is the outcome
+    // notification, `ds.outcome.ts`), and the receiver-log entry type and
+    // time (an entry means "consumed", and nothing reads when).
     "ds.comp.dest",
-    // Retired, not free: the sender-log entry type (the payload's first
-    // byte says it), the outcome history entry's decision time (the entry
-    // is the outcome notification, `ds.outcome.ts`), and the receiver-log
-    // entry type and time (an entry means "consumed", and nothing reads
-    // when).
     "ds.slog.entry",
     "ds.slog.decided_ts",
     "ds.rlog.entry",

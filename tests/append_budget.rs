@@ -275,7 +275,7 @@ fn two_manager_round_trip_is_five_records() {
     // clock nobody advances stamps every time as 0. The verdict's two empty
     // payloads are written once, and so are the pick-up's (receiver-log
     // entry and acknowledgment).
-    assert_eq!(head_journal.bytes(), [179, 74, 21], "head bytes");
+    assert_eq!(head_journal.bytes(), [160, 74, 21], "head bytes");
     assert_eq!(tail_journal.bytes(), [74, 100], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
@@ -521,12 +521,12 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     assert_eq!(
         journal.appended(),
         [
-            "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q x4, Q.L0, Q.L1, Q.L2, Q.L3]".to_owned(),
+            "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, Q.L0, Q.L1, Q.L2, Q.L3]".to_owned(),
             pickup("Q.L0"),
             pickup("Q.L1"),
             // The third ack decides: its pick-up carries the verdict, which
             // purges the send record and the two logged acks.
-            "TxCommit get[Q.L2, DS.COMP.Q x4, DS.SLOG.Q x3] \
+            "TxCommit get[Q.L2, DS.COMP.Q, DS.SLOG.Q x3] \
              put[DS.RLOG.Q, DS.DONE.Q, DS.OUTCOME.Q]"
                 .to_owned(),
             // Late ack for a decided message: applied to nothing, so the
@@ -536,18 +536,19 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
         ]
     );
     // A fan-out writes its payload once: each put whose payload equals the
-    // previous put's (the three originals after the first, the three
-    // parked compensations after the first, the verdict's notification
-    // after its history entry) carries a flag bit instead.
-    assert_eq!(journal.bytes(), [365, 53, 53, 80, 38, 21], "bytes");
+    // previous put's (the three originals after the first, the verdict's
+    // notification after its history entry) carries a flag bit instead.
+    // One compensation is parked for the whole tree, naming no leaf.
+    assert_eq!(journal.bytes(), [263, 53, 53, 74, 38, 21], "bytes");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     // One id sequence: the conditional id, then its send-log entry, parked
-    // compensations and originals in the order they are put, so every id
-    // after the record's first is a one-byte delta.
+    // compensation and originals in the order they are put (ids cond+1 to
+    // cond+6), so every id after the record's first is a one-byte delta.
     let JournalRecord::TxCommit { puts, .. } = JournalRecord::from_bytes(send).unwrap() else {
         panic!("the send is a TxCommit");
     };
+    assert_eq!(puts.len(), 6);
     let cond = id.as_u128();
     for (n, (_, put)) in (1..).zip(&puts) {
         assert_eq!(put.id().as_u128(), cond + n, "put {n}");

@@ -488,7 +488,7 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(errors(), failed_attempts);
     assert_eq!(clock.pending_timers(), 0);
     // A caller's retry while storage is still down fails, and costs the
-    // parked compensations nothing however often it happens.
+    // parked compensation nothing however often it happens.
     for _ in 0..2 * qmgr.config().backout_threshold {
         assert!(messenger.pump().is_err());
     }

@@ -105,7 +105,7 @@ fn success_path_lifecycle_trace() {
             TraceStage::CompensationConsumed,
         ],
     );
-    // Both parked compensations are consumed, never released.
+    // The parked compensation is consumed for both leaves, never released.
     assert!(!stages.contains(&TraceStage::CompensationReleased));
     let events = w.messenger.trace().events_for(id.as_u128());
     let verdict = events

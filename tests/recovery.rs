@@ -87,8 +87,8 @@ fn sender_crash_before_any_ack_recovers_and_fails_by_deadline() {
     clock.advance(Millis(200));
     let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
     assert_eq!(outcome.outcome, MessageOutcome::Failure);
-    // Compensations (pre-generated before the crash, recovered from the
-    // persistent DS.COMP.Q) are delivered to both destinations.
+    // The compensation parked before the crash (recovered from the
+    // persistent DS.COMP.Q) is fanned out to both destinations.
     for q in ["Q.A", "Q.B"] {
         let msgs = qmgr2.queue(q).unwrap().browse();
         assert_eq!(msgs.len(), 2, "{q}: original + compensation survive");
@@ -264,7 +264,7 @@ fn crash_right_after_verdict_leaves_outcome_and_no_log_entries() {
         };
         assert_eq!(of_this_message("DS.DONE.Q"), 1, "outcome entry");
         assert_eq!(of_this_message("DS.SLOG.Q"), 0, "send and ack entries");
-        assert_eq!(of_this_message("DS.COMP.Q"), 0, "parked compensations");
+        assert_eq!(of_this_message("DS.COMP.Q"), 0, "parked compensation");
         assert_eq!(of_this_message("DS.OUTCOME.Q"), 1, "notification");
         assert!(matches!(
             messenger.status(id),
@@ -437,7 +437,7 @@ fn deferred_outcome_actions_survive_crash() {
     // A Dependency-Sphere defers outcome actions; the member message is
     // decided, then the manager crashes before the sphere releases the
     // actions. After restart the recovered messenger still owes (and can
-    // perform) the deferred release — the parked compensations and the
+    // perform) the deferred release — the parked compensation and the
     // send record survived.
     use condmsg::SendOptions;
     let clock = SimClock::new();
@@ -490,6 +490,97 @@ fn deferred_outcome_actions_survive_crash() {
     assert!(messenger2
         .release_outcome_actions(&[id], MessageOutcome::Failure)
         .is_err());
+}
+
+/// The compensations on `queue`, as (leaf, payload, system flag).
+fn compensations(qmgr: &QueueManager, queue: &str) -> Vec<(u32, String, Option<bool>)> {
+    let msgs = qmgr.queue(queue).unwrap().browse().into_iter();
+    msgs.filter(|m| wire::kind_of(m) == MessageKind::Compensation)
+        .map(|m| {
+            let payload = m.payload_str().unwrap_or_default().to_owned();
+            let system = m.bool_property(wire::P_COMP_SYSTEM);
+            (wire::leaf_of(&m).unwrap(), payload, system)
+        })
+        .collect()
+}
+
+#[test]
+fn a_four_leaf_message_pending_at_a_crash_fans_out_four_compensations_after_it() {
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    let leaves = ["Q.L0", "Q.L1", "Q.L2", "Q.L3"];
+    for queue in leaves {
+        qmgr.create_queue(queue).unwrap();
+    }
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition =
+        DestinationSet::of(leaves.map(|q| Destination::queue("QM1", q).into()).to_vec())
+            .pickup_within(Millis(100))
+            .into();
+    let id = messenger
+        .send_message_with_compensation("orig", "undo", &condition)
+        .unwrap();
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1, "one parked");
+    qmgr.crash();
+
+    let qmgr2 = build_qm(clock.clone(), journal);
+    let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
+    assert_eq!(messenger2.status(id), MessageStatus::Pending);
+    clock.advance(Millis(200));
+    let outcome = messenger2.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert_eq!(qmgr2.queue("DS.COMP.Q").unwrap().depth(), 0);
+    for (leaf, queue) in (0..).zip(leaves) {
+        let undo = vec![(leaf, "undo".to_owned(), Some(false))];
+        assert_eq!(compensations(&qmgr2, queue), undo, "{queue}");
+    }
+    let counter = qmgr2.metrics_snapshot().counter("cond.comp.released");
+    assert_eq!(counter, 4);
+}
+
+#[test]
+fn a_deferred_member_released_after_a_restart_fans_out_from_the_send_record() {
+    // A two-leaf D-Sphere member decided (actions deferred) before the
+    // crash: after it, the leaves come from the recovered send record and
+    // the payload from the one parked compensation.
+    use condmsg::SendOptions;
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    qmgr.create_queue("Q.B").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let options = SendOptions {
+        defer_outcome_actions: true,
+        ..SendOptions::default()
+    };
+    let condition = two_dest_condition(Millis(50));
+    let id = messenger
+        .send_with("member", None, &condition, options)
+        .unwrap();
+    clock.advance(Millis(100));
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
+    qmgr.crash();
+
+    let qmgr2 = build_qm(clock, journal);
+    let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
+    messenger2
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
+        .unwrap();
+    assert_eq!(qmgr2.queue("DS.COMP.Q").unwrap().depth(), 0);
+    assert_eq!(qmgr2.queue("DS.SLOG.Q").unwrap().depth(), 0);
+    // System-generated: no payload, the flag set.
+    assert_eq!(
+        compensations(&qmgr2, "Q.A"),
+        [(0, String::new(), Some(true))]
+    );
+    assert_eq!(
+        compensations(&qmgr2, "Q.B"),
+        [(1, String::new(), Some(true))]
+    );
 }
 
 /// A sender restarted over the same journal after `decided` messages failed
@@ -613,7 +704,6 @@ fn pickup_and_ack_are_one_record() {
         .unwrap();
     qmgr.create_queue("Q.IN").unwrap();
     qmgr.define_route("QM.SEND", "XMIT.SEND").unwrap();
-    let destination = QueueAddress::new("QM.RECV", "Q.IN");
     let condition: Condition = Destination::queue("QM.RECV", "Q.IN")
         .process_within(Millis(100))
         .into();
@@ -670,11 +760,8 @@ fn pickup_and_ack_are_one_record() {
     // consumed here: its get and the get of the receiver-log entry that
     // says so are one record, and no entry is left behind.
     let undo = bytes::Bytes::from("undo");
-    qmgr.put(
-        "Q.IN",
-        wire::make_compensation(id, 0, &destination, Some(&undo)),
-    )
-    .unwrap();
+    qmgr.put("Q.IN", wire::make_compensation(id, 0, Some(&undo)))
+        .unwrap();
     journal.set_failing(true);
     for _ in 0..retries {
         assert!(receiver.read_message("Q.IN", Wait::NoWait).is_err());

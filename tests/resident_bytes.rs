@@ -3,13 +3,13 @@
 //! `deep_pending`'s background load: 5 000 sends of one four-leaf tree with
 //! compensation through a [`ConditionalMessenger`] on one manager over a
 //! [`SegmentedJournal`] (no fsync), all still pending when counted. Each
-//! send stores nine messages — the sender-log entry, four parked
-//! compensations and four originals — and one pending evaluation. A
+//! send stores six messages — the sender-log entry, one parked
+//! compensation and four originals — and one pending evaluation. A
 //! counting global allocator (this file is its own test binary) gives the
 //! two numbers the send path is held to: heap allocations per send, and
 //! live heap bytes per pending tree once the sends are done.
 //!
-//! Recovery is held to the same live-bytes bound: the manager and the
+//! Recovery is held to a live-bytes bound too: the manager and the
 //! messenger reopened over that journal, every tree still pending. Then
 //! every tree misses its deadline, the leaves are drained, and a second
 //! reopen counts what a decided tree keeps — its history entry and outcome
@@ -72,12 +72,16 @@ const SENDS: u64 = 5_000;
 const WARM_UP: u64 = 200;
 const LEAVES: [&str; 4] = ["Q.B0", "Q.B1", "Q.B2", "Q.B3"];
 
-/// Bounds the send path is held to.
-const MAX_ALLOCATIONS_PER_SEND: f64 = 150.0;
-const MAX_LIVE_BYTES_PER_TREE: f64 = 7_000.0;
-/// Measured 3 026; a history entry or outcome notification holding a
+/// Bounds the send path is held to. Measured 94 allocations (108 with
+/// the lock-order checker of `parking_lot/deadlock_detection`, which the
+/// suite is also run under) and 5 203 B.
+const MAX_ALLOCATIONS_PER_SEND: f64 = 120.0;
+const MAX_LIVE_BYTES_PER_TREE: f64 = 5_600.0;
+/// Measured 5 534: a recovered message keeps slices of its record.
+const MAX_LIVE_BYTES_PER_RECOVERED_TREE: f64 = 5_950.0;
+/// Measured 2 794; a history entry or outcome notification holding a
 /// slice of its verdict record instead of its own section costs ~230 more.
-const MAX_LIVE_BYTES_PER_DECIDED_TREE: f64 = 3_150.0;
+const MAX_LIVE_BYTES_PER_DECIDED_TREE: f64 = 2_920.0;
 
 /// `deep_pending`'s background condition: `all(any(B0,B1), min 1 of
 /// {B2,B3})`, an hour to pick up.
@@ -171,13 +175,13 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
         "every send is still pending on its leaves after recovery"
     );
     assert!(
-        per_recovered_tree <= MAX_LIVE_BYTES_PER_TREE,
+        per_recovered_tree <= MAX_LIVE_BYTES_PER_RECOVERED_TREE,
         "{per_recovered_tree:.0} live heap bytes per recovered pending tree \
-         (bound {MAX_LIVE_BYTES_PER_TREE})"
+         (bound {MAX_LIVE_BYTES_PER_RECOVERED_TREE})"
     );
 
     // Every tree misses its deadline and the leaves are drained of the
-    // originals and the compensations released for them. What stays of a
+    // originals and the compensations fanned out to them. What stays of a
     // decided tree is its history entry and outcome notification, which
     // carry no payload, so replayed they must not hold the verdict record
     // they came from.
