@@ -1,7 +1,8 @@
 //! Configuration of the conditional-messaging system's service queues.
 //!
-//! The paper's architecture (Fig. 9) uses five dedicated persistent queues;
-//! the defaults here follow its naming exactly.
+//! The paper's architecture (Fig. 9) uses five dedicated persistent queues,
+//! and these five are all there are: four on the sender, `DS.RLOG.Q` on
+//! the receiver. The defaults here follow its naming exactly.
 
 use std::sync::OnceLock;
 
@@ -20,19 +21,14 @@ pub const DEFAULT_ACK_QUEUE: &str = "DS.ACK.Q";
 // lint: registry-sink wire-string
 pub const DEFAULT_COMP_QUEUE: &str = "DS.COMP.Q";
 
-/// Sender-side queue receiving outcome notifications for the application.
+/// Sender-side queue receiving outcome notifications for the application:
+/// the one record of a verdict, until it is consumed.
 // lint: registry-sink wire-string
 pub const DEFAULT_OUTCOME_QUEUE: &str = "DS.OUTCOME.Q";
 
 /// Receiver-side log queue recording message consumption.
 // lint: registry-sink wire-string
 pub const DEFAULT_RLOG_QUEUE: &str = "DS.RLOG.Q";
-
-/// Sender-side history queue of decided outcomes. Kept separate from the
-/// (hot) sender log so the active-log purges stay proportional to the
-/// number of *in-flight* conditional messages.
-// lint: registry-sink wire-string
-pub const DEFAULT_DONE_QUEUE: &str = "DS.DONE.Q";
 
 /// Maximum acknowledgments drained from the ack queue under a single
 /// messaging transaction (one journal commit per batch instead of one per
@@ -93,7 +89,6 @@ mod tests {
         assert_eq!(DEFAULT_COMP_QUEUE, "DS.COMP.Q");
         assert_eq!(DEFAULT_OUTCOME_QUEUE, "DS.OUTCOME.Q");
         assert_eq!(DEFAULT_RLOG_QUEUE, "DS.RLOG.Q");
-        assert_eq!(DEFAULT_DONE_QUEUE, "DS.DONE.Q");
         assert_eq!(ServiceQueues::get().ack_queue, DEFAULT_ACK_QUEUE);
         assert_eq!(CondConfig::default().ack_grace, Millis::ZERO);
     }

@@ -30,13 +30,12 @@
 //!   the next cycle — at attach time, by [`ConditionalMessenger::pump`] —
 //!   through the same body.
 //! * **Outcome notification**: the deciding transaction puts the verdict
-//!   on `DS.OUTCOME.Q`, correlated by the conditional-message id. That
-//!   queue is the one place an application learns an outcome:
+//!   on `DS.OUTCOME.Q`, once, correlated by the conditional-message id.
+//!   That queue is the one record of an outcome:
 //!   [`ConditionalMessenger::take_outcome`] consumes the notification
-//!   (waiting on the queue's selective waiter). The same transaction puts
-//!   the same image on the history queue `DS.DONE.Q`, where
-//!   [`ConditionalMessenger::status`] reads it once the message is no
-//!   longer pending: the messenger keeps no table of decided messages.
+//!   (waiting on the queue's selective waiter), and
+//!   [`ConditionalMessenger::status`] peeks at it until then. The
+//!   messenger keeps no table of decided messages.
 //! * **Outcome actions**: on success, optional success notifications to all
 //!   destinations; on failure, the parked compensation fanned out as one
 //!   compensation message per destination leaf (paper §2.6). Both are
@@ -46,8 +45,8 @@
 //! * **Recovery** ([`ConditionalMessenger::new`] replays the sender log):
 //!   a restarted sender rebuilds its evaluation state machines exactly and
 //!   continues monitoring in-flight conditional messages. A send record
-//!   whose message has a history entry belongs to a decided D-Sphere member
-//!   whose outcome actions are still deferred: the log keeps it exactly
+//!   with a verdict entry beside it belongs to a decided D-Sphere member
+//!   whose outcome actions are still deferred: the log keeps both exactly
 //!   until [`ConditionalMessenger::release_outcome_actions`].
 //!
 //! Under a [`simtime::SimClock`] everything runs synchronously: acks are
@@ -74,7 +73,7 @@ use simtime::{Millis, Time, TimerId};
 use crate::condition::Condition;
 use crate::config::{
     CondConfig, ServiceQueues, ACK_BATCH, DEFAULT_ACK_QUEUE, DEFAULT_COMP_QUEUE,
-    DEFAULT_DONE_QUEUE, DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE,
+    DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE,
 };
 use crate::error::{CondError, CondResult};
 use crate::eval::{AckState, CompiledCondition, IncrementalEval, Verdict};
@@ -90,9 +89,11 @@ use crate::wire::{
 pub enum MessageStatus {
     /// Monitoring and evaluation are still in progress.
     Pending,
-    /// The evaluation finished with this outcome.
+    /// The evaluation finished with this outcome; its notification is
+    /// still on `DS.OUTCOME.Q`.
     Decided(OutcomeNotification),
-    /// The id is not known to this messenger instance.
+    /// Never sent here, or decided and its notification consumed (by
+    /// [`ConditionalMessenger::take_outcome`] or a D-Sphere's release).
     Unknown,
 }
 
@@ -290,7 +291,9 @@ impl ConditionalMessenger {
     ///
     /// # Errors
     ///
-    /// Queue-creation or journal failures; malformed sender-log entries.
+    /// Queue-creation or journal failures; malformed sender-log entries, or
+    /// an earlier build's outcome history on `DS.DONE.Q` (its deferred
+    /// messages would be evaluated a second time): [`CondError::Malformed`].
     pub fn new(qmgr: Arc<QueueManager>) -> CondResult<Arc<ConditionalMessenger>> {
         ConditionalMessenger::with_config(qmgr, CondConfig::default())
     }
@@ -304,12 +307,14 @@ impl ConditionalMessenger {
         qmgr: Arc<QueueManager>,
         config: CondConfig,
     ) -> CondResult<Arc<ConditionalMessenger>> {
+        if qmgr.queue("DS.DONE.Q").is_ok_and(|done| !done.is_empty()) {
+            return Err(CondError::Malformed("DS.DONE.Q: an earlier build's history".into()));
+        }
         for queue in [
             DEFAULT_SLOG_QUEUE,
             DEFAULT_ACK_QUEUE,
             DEFAULT_COMP_QUEUE,
             DEFAULT_OUTCOME_QUEUE,
-            DEFAULT_DONE_QUEUE,
         ] {
             qmgr.ensure_queue(queue)?;
         }
@@ -664,9 +669,9 @@ impl ConditionalMessenger {
 
     /// Installs a cycle whose record is written: each copy replaces its
     /// evaluation, and a decided message leaves the pending table, timer
-    /// cancelled. Its history entry on `DS.DONE.Q` is already visible, and
-    /// `status()` looks in the pending table first, so it finds the message
-    /// in one of the two throughout. Caller holds the pump lock.
+    /// cancelled. Its notification on `DS.OUTCOME.Q` is already visible,
+    /// and `status()` looks in the pending table first, so it finds the
+    /// message in one of the two throughout. Caller holds the pump lock.
     fn install(&self, cycle: &mut Cycle) {
         let mut pending = self.pending.lock();
         for (id, state) in cycle.next.drain(..) {
@@ -900,15 +905,19 @@ impl ConditionalMessenger {
     }
 
     /// Stages a verdict into the caller's transaction (dequeue, log and
-    /// act together): the history entry, the outcome actions (compensation
-    /// release or success notifications, plus removal of the parked
-    /// compensation), the purge of the message's send/ack log entries,
-    /// and the outcome notification. The history entry and the
-    /// notification are one image. A crash leaves either all of it or none.
+    /// act together): the outcome actions (compensation release or success
+    /// notifications, plus removal of the parked compensation) and the
+    /// purge of the message's send/ack log entries — or, when the actions
+    /// are deferred, a verdict entry beside the send record — and the
+    /// outcome notification. A crash leaves either all of it or none.
     fn finalize(&self, session: &mut mq::Session, decided: &mut Decided) -> CondResult<()> {
         let (cond_id, outcome) = (decided.notification.cond_id, decided.notification.outcome);
-        session.put(DEFAULT_DONE_QUEUE, decided.notification.to_message())?;
-        if !decided.defer_outcome_actions {
+        if decided.defer_outcome_actions {
+            // Marks the message decided for any future recovery, whoever
+            // takes its notification; the release purges it.
+            let entry = SlogEntry::Verdict(cond_id).to_message();
+            session.put(DEFAULT_SLOG_QUEUE, entry)?;
+        } else {
             self.stage_outcome_actions(
                 session,
                 cond_id,
@@ -917,8 +926,6 @@ impl ConditionalMessenger {
                 &decided.leaves,
                 &mut decided.actions,
             )?;
-            // The history entry now marks the message decided for any
-            // future recovery.
             self.purge_slog(session, cond_id)?;
         }
         // Last, so whoever waits for the outcome finds its actions done.
@@ -1068,19 +1075,13 @@ impl ConditionalMessenger {
 
     /// Forces pending conditional messages to fail immediately (used when
     /// a Dependency-Sphere aborts while member evaluations are still in
-    /// progress), all in one evaluation cycle. Returns each id's resulting
-    /// (or previously decided) outcome, in order.
+    /// progress), all in one evaluation cycle. An id that is not pending
+    /// is left as it is.
     ///
     /// # Errors
     ///
-    /// Messaging failures: nothing is forced then. [`CondError::UnknownMessage`]
-    /// for an id this messenger never sent (the others are forced all the
-    /// same).
-    pub fn force_fail(
-        &self,
-        ids: &[CondMessageId],
-        reason: impl Into<String>,
-    ) -> CondResult<Vec<OutcomeNotification>> {
+    /// Messaging failures: nothing is forced then.
+    pub fn force_fail(&self, ids: &[CondMessageId], reason: impl Into<String>) -> CondResult<()> {
         let _serial = self.pump_lock.lock();
         let (now, reason) = (self.qmgr.clock().now(), reason.into());
         let mut cycle = Cycle::default();
@@ -1101,11 +1102,7 @@ impl ConditionalMessenger {
         // A failed transaction leaves the messages pending, timers armed,
         // and costs what it held no backout budget; the caller may try
         // again.
-        self.commit_cycle(&mut session, cycle, staged)?;
-        // Every id this messenger sent is decided now, its verdict on the
-        // history queue.
-        let history = |id| self.history(id)?.ok_or(CondError::UnknownMessage(id));
-        ids.iter().map(|&id| history(id)).collect()
+        self.commit_cycle(&mut session, cycle, staged)
     }
 
     /// Stages the removal of every active-log entry of a decided
@@ -1132,31 +1129,21 @@ impl ConditionalMessenger {
     // ---------------------------------------------------------- status --
 
     /// Reports what this messenger knows about a conditional message: a
-    /// lookup in the pending table, then a point read of its history entry.
+    /// lookup in the pending table, then a peek at its notification on
+    /// `DS.OUTCOME.Q`. A notification that was taken leaves nothing to
+    /// report: see [`MessageStatus::Unknown`].
     pub fn status(&self, id: CondMessageId) -> MessageStatus {
-        // Pending first: a verdict's history entry is written before its
+        // Pending first: a verdict's notification is put before its
         // message leaves `pending`.
         if self.pending.lock().contains_key(&id) {
             return MessageStatus::Pending;
         }
-        match self.history(id) {
-            Ok(Some(n)) => MessageStatus::Decided(n),
+        let outcomes = self.qmgr.queue(DEFAULT_OUTCOME_QUEUE);
+        match outcomes.and_then(|q| q.peek_by_correlation(&id.to_hex(), Wait::NoWait)) {
+            Ok(Some(msg)) => OutcomeNotification::from_message(&msg)
+                .map_or(MessageStatus::Unknown, MessageStatus::Decided),
             _ => MessageStatus::Unknown,
         }
-    }
-
-    /// The verdict on `DS.DONE.Q` for `id`, read off the queue's
-    /// correlation index without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// [`CondError::Malformed`] for an entry that does not decode.
-    fn history(&self, id: CondMessageId) -> CondResult<Option<OutcomeNotification>> {
-        let done = self.qmgr.queue(DEFAULT_DONE_QUEUE)?;
-        let entry = done.peek_by_correlation(&id.to_hex());
-        entry
-            .map(|msg| OutcomeNotification::from_message(&msg))
-            .transpose()
     }
 
     /// Number of conditional messages still under evaluation.
@@ -1180,47 +1167,41 @@ impl ConditionalMessenger {
         id: CondMessageId,
         wait: Wait,
     ) -> CondResult<Option<OutcomeNotification>> {
-        match self
-            .qmgr
-            .get_by_correlation(DEFAULT_OUTCOME_QUEUE, &id.to_hex(), wait)?
-        {
-            Some(msg) => Ok(Some(OutcomeNotification::from_message(&msg)?)),
-            None => Ok(None),
-        }
+        let msg = self.qmgr.get_by_correlation(DEFAULT_OUTCOME_QUEUE, &id.to_hex(), wait)?;
+        msg.map(|msg| OutcomeNotification::from_message(&msg)).transpose()
     }
 
     // -------------------------------------------------------- recovery --
 
     /// Rebuilds the pending table from the sender log (paper §2.3: "creates
     /// a log entry for the outgoing messages and stores the log entry
-    /// persistently"), probing the history queue once per send record:
-    /// O(live messages), whatever the history holds. Called automatically
-    /// from the constructor.
+    /// persistently") in one browse of it, and reads no other queue:
+    /// O(live messages). Called automatically from the constructor.
     fn recover(&self) -> CondResult<()> {
         let slog = self.qmgr.queue(DEFAULT_SLOG_QUEUE)?;
         let mut sends: HashMap<CondMessageId, SendRecord> = HashMap::new();
         // Grouped by message once: a restart over n pending messages reads
         // each ack once, not once per send.
         let mut acks: HashMap<CondMessageId, Vec<Acknowledgment>> = HashMap::new();
+        let mut decided = HashSet::new();
         for msg in slog.browse() {
             match SlogEntry::from_message(&msg)? {
                 SlogEntry::Send(record) => {
                     sends.insert(record.cond_id, record);
                 }
                 SlogEntry::AckSeen(ack) => acks.entry(ack.cond_id).or_default().push(ack),
+                SlogEntry::Verdict(cond_id) => {
+                    decided.insert(cond_id);
+                }
             }
         }
-        let mut deferred = 0;
+        // A decided message keeps its send record, beside its verdict entry,
+        // only while its outcome actions are still owed to a sphere
+        // (otherwise the deciding transaction purged it); the parked
+        // compensation is kept with it.
+        sends.retain(|cond_id, _| !decided.contains(cond_id));
         let mut pending = HashMap::with_capacity(sends.len());
         for (cond_id, record) in sends {
-            if self.history(cond_id)?.is_some() {
-                // A decided message keeps its send record only while its
-                // outcome actions are still owed to a sphere (otherwise the
-                // deciding transaction purged it); the parked compensation
-                // is kept with it.
-                deferred += 1;
-                continue;
-            }
             let compiled = CompiledCondition::compile(&record.condition)?;
             let mut eval =
                 PendingEval::new(compiled, record.send_time, &record.options, self.ack_grace);
@@ -1230,7 +1211,7 @@ impl ConditionalMessenger {
             pending.insert(cond_id, eval);
         }
         *self.pending.lock() = pending;
-        self.metrics.deferred_depth.set(deferred);
+        self.metrics.deferred_depth.set(decided.len() as u64);
         Ok(())
     }
 
@@ -1489,19 +1470,17 @@ mod tests {
         // Compensations consumed, not delivered.
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
         assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "only the original");
-        // The outcome notification is consumable exactly once.
+        // The outcome notification is consumable exactly once, and it is
+        // the verdict's one record: once taken, nothing of it is left.
         let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
         assert_eq!(n.outcome, MessageOutcome::Success);
         assert_eq!(n.cond_id, id);
         assert_eq!(n.decided_at, Time(10));
         assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none());
-        assert!(matches!(messenger.status(id), MessageStatus::Decided(_)));
-        // Send/ack log entries purged from the active log; the history
-        // entry is the notification's image.
+        assert_eq!(messenger.status(id), MessageStatus::Unknown);
+        // Send/ack log entries purged from the active log.
         assert_eq!(qmgr.queue("DS.SLOG.Q").unwrap().depth(), 0);
-        let done = qmgr.queue("DS.DONE.Q").unwrap().browse();
-        assert_eq!(done.len(), 1);
-        assert_eq!(OutcomeNotification::from_message(&done[0]).unwrap(), n);
+        assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
     }
 
     #[test]
@@ -1516,7 +1495,9 @@ mod tests {
         // tick (deadline 100, grace 0 → tick 101), not at the advance's end.
         clock.advance(Millis(500));
         assert_eq!(clock.pending_timers(), 0);
+        let status = messenger.status(id);
         let n = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(status, MessageStatus::Decided(n.clone()));
         assert_eq!(n.outcome, MessageOutcome::Failure);
         assert_eq!(n.decided_at, Time(101));
         assert!(n.reason.as_deref().unwrap().contains("pick-up"));
@@ -1529,7 +1510,7 @@ mod tests {
                 .any(|m| wire::kind_of(m) == wire::MessageKind::Compensation));
         }
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
-        assert_eq!(messenger.status(id), MessageStatus::Decided(n));
+        assert_eq!(messenger.status(id), MessageStatus::Unknown, "taken");
     }
 
     /// A read stamped t=40 against a 100 ms pick-up window whose ack
@@ -1958,7 +1939,7 @@ mod tests {
             assert!(messenger.take_outcome(*id, Wait::NoWait).unwrap().is_none());
         }
         assert_eq!(messenger.metrics.verdict_failure.get(), N as u64);
-        assert_eq!(qmgr.queue("DS.DONE.Q").unwrap().depth(), N);
+        assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
     }
 
     #[test]

@@ -21,11 +21,9 @@
 //! in `mq::obs::WIRE_STRING_REGISTRY`, so the message image and the journal
 //! carry it as a one-byte code.
 //!
-//! A verdict has one encoding, [`OutcomeNotification`]: the deciding
-//! transaction puts its image on `DS.OUTCOME.Q` for the application and on
-//! `DS.DONE.Q` as the message's history entry. A sender-log entry
-//! ([`SlogEntry`]) is a send record or an acknowledgment seen, its type the
-//! first byte of its payload.
+//! A verdict has one image, its [`OutcomeNotification`] on `DS.OUTCOME.Q`.
+//! A sender-log entry ([`SlogEntry`]) is a send record, an acknowledgment
+//! seen or a deferred verdict, its type the first byte of its payload.
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
@@ -311,8 +309,7 @@ impl std::fmt::Display for MessageOutcome {
     }
 }
 
-/// An outcome notification delivered to the sender's `DS.OUTCOME.Q`; the
-/// same image is the message's history entry on `DS.DONE.Q`.
+/// An outcome notification delivered to the sender's `DS.OUTCOME.Q`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutcomeNotification {
     /// Which conditional message was decided.
@@ -492,6 +489,9 @@ pub enum SlogEntry {
     Send(SendRecord),
     /// An acknowledgment was consumed from `DS.ACK.Q`.
     AckSeen(Acknowledgment),
+    /// The message is decided and its outcome actions are deferred (kept
+    /// beside its send record until the release purges both).
+    Verdict(CondMessageId),
 }
 
 impl SlogEntry {
@@ -500,6 +500,7 @@ impl SlogEntry {
         match self {
             SlogEntry::Send(r) => r.cond_id,
             SlogEntry::AckSeen(a) => a.cond_id,
+            SlogEntry::Verdict(id) => *id,
         }
     }
 
@@ -534,8 +535,8 @@ impl SlogEntry {
     }
 
     /// Everything but the conditional id: the entry's type tag (0 send, 1
-    /// ack; 2 is retired and decodes as `BadTag`), then times and counts
-    /// as varints.
+    /// ack, 3 verdict; 2 is retired and decodes as `BadTag`), then times
+    /// and counts as varints.
     fn payload(&self) -> Bytes {
         let mut enc = Encoder::new();
         match self {
@@ -558,6 +559,7 @@ impl SlogEntry {
                 });
                 enc.put_opt(ack.recipient.as_ref(), |e, s| e.put_str(s));
             }
+            SlogEntry::Verdict(_) => enc.put_u8(3),
         }
         enc.finish()
     }
@@ -587,6 +589,7 @@ impl SlogEntry {
                 processed_at: dec.get_opt(|d| d.get_varint().map(Time))?,
                 recipient: dec.get_opt(|d| d.get_str())?,
             })),
+            3 => Ok(SlogEntry::Verdict(cond_id)),
             tag => Err(CodecError::BadTag {
                 what: "SlogEntry",
                 tag,
@@ -762,6 +765,7 @@ mod tests {
                 processed_at: Some(Time(60)),
                 recipient: Some("x".into()),
             }),
+            SlogEntry::Verdict(record.cond_id),
         ];
         for entry in entries {
             let msg = entry.to_message();
@@ -770,6 +774,20 @@ mod tests {
             let back = SlogEntry::from_message(&msg).unwrap();
             assert_eq!(back, entry);
         }
+    }
+
+    #[test]
+    fn a_retired_or_unknown_slog_tag_is_refused() {
+        let id = CondMessageId::generate();
+        for tag in [2u8, 4] {
+            let msg = Message::builder(vec![tag])
+                .correlation_u128(id.as_u128())
+                .build();
+            let err = SlogEntry::from_message(&msg).unwrap_err();
+            assert!(matches!(err, CondError::Malformed(_)), "tag {tag}: {err:?}");
+        }
+        let verdict = SlogEntry::Verdict(id).to_message();
+        assert_eq!(&verdict.payload()[..], &[3], "a verdict entry is its tag");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use condmsg::config::DEFAULT_OUTCOME_QUEUE;
 use condmsg::{
     CondError, CondMessageId, Condition, ConditionalMessenger, MessageOutcome, MessageStatus,
     SendOptions,
@@ -394,6 +395,8 @@ impl DSphere {
     ///
     /// Messaging failures. Safe to retry: once the outcome is decided a
     /// retry re-runs the one transaction that releases every member.
+    /// [`CondError::UnknownMessage`] for a decided member whose notification
+    /// someone else took: the sphere is its members' one consumer.
     pub fn try_commit(&mut self) -> SphereResult<Option<SphereOutcome>> {
         if !matches!(self.phase, Phase::Open(_)) {
             return self.terminate(None).map(Some);
@@ -441,28 +444,29 @@ impl DSphere {
     /// sphere terminates, parking between attempts on the outcome queue for
     /// the first member still pending — its verdict wakes it immediately,
     /// while `poll` of clock time bounds the wait so sphere timeouts and
-    /// the other members' verdicts are still noticed. The sphere is its
-    /// members' consumer of record, so the wait consumes the notification;
-    /// `try_commit` reads the verdict from [`ConditionalMessenger::status`].
-    /// Use with a system clock (and ideally a sphere timeout or per-message
-    /// evaluation timeouts so termination is guaranteed).
+    /// the other members' verdicts are still noticed. The wait peeks at the
+    /// notification and leaves it: `try_commit` reads the verdict from
+    /// [`ConditionalMessenger::status`], and the release is the members'
+    /// only consumer. Use with a system clock (and ideally a sphere timeout
+    /// or per-message evaluation timeouts so termination is guaranteed).
     ///
     /// # Errors
     ///
     /// Messaging failures.
     pub fn commit_blocking(mut self, poll: Duration) -> SphereResult<SphereOutcome> {
         let park = Wait::Timeout(Millis((poll.as_millis() as u64).max(1)));
+        let messenger = self.service.messenger.clone();
+        let outcomes = messenger.manager().queue(DEFAULT_OUTCOME_QUEUE).map_err(CondError::from)?;
         loop {
             if let Some(outcome) = self.try_commit()? {
                 return Ok(outcome);
             }
-            let messenger = &self.service.messenger;
             let pending = self
                 .messages
                 .iter()
                 .find(|id| messenger.status(**id) == MessageStatus::Pending);
             if let Some(id) = pending {
-                messenger.take_outcome(*id, park)?;
+                outcomes.peek_by_correlation(&id.to_hex(), park).map_err(CondError::from)?;
             }
         }
     }

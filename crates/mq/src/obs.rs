@@ -222,7 +222,8 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
     "comp-delivered",
     "annihilated",
     // System queues: the conditional layer's defaults and the dead-letter
-    // queue.
+    // queue. `DS.DONE.Q` is retired, not free: a verdict's one image is its
+    // notification on `DS.OUTCOME.Q`.
     "DS.SLOG.Q",
     "DS.ACK.Q",
     "DS.COMP.Q",

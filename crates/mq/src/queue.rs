@@ -484,11 +484,23 @@ impl Queue {
         })
     }
 
-    /// The message a get by `correlation` would take, left on the queue.
-    pub fn peek_by_correlation(&self, correlation: &str) -> Option<Arc<Message>> {
-        let store = self.store.lock();
-        let id = store.first_correlated(correlation, self.clock.now(), |_| true)?;
-        store.get(id).map(|entry| Arc::clone(&entry.msg))
+    /// The message a get by `correlation` would take, left on the queue,
+    /// waiting per `wait` for one to arrive.
+    ///
+    /// # Errors
+    ///
+    /// [`MqError::ManagerStopped`] if the queue closes while waiting.
+    pub fn peek_by_correlation(
+        &self,
+        correlation: &str,
+        wait: Wait,
+    ) -> MqResult<Option<Arc<Message>>> {
+        self.park(wait, false, || {
+            let store = self.store.lock();
+            let id = store.first_correlated(correlation, self.clock.now(), |_| true);
+            let peeked = id.and_then(|id| store.get(id)).map(|entry| Arc::clone(&entry.msg));
+            Ok((peeked, store.version()))
+        })
     }
 
     #[cfg(test)]
@@ -750,6 +762,22 @@ mod tests {
     }
 
     #[test]
+    fn a_peek_by_correlation_waits_for_its_message_and_leaves_it() {
+        let q = queue_with(SystemClock::new());
+        put(&q, Message::text("other").correlation_id("y").build()).unwrap();
+        assert!(q.peek_by_correlation("x", Wait::Timeout(Millis(10))).unwrap().is_none());
+        let q2 = q.clone();
+        let putter = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            put(&q2, Message::text("mine").correlation_id("x").build()).unwrap();
+        });
+        let peeked = q.peek_by_correlation("x", Wait::Timeout(Millis(5_000))).unwrap();
+        putter.join().unwrap();
+        assert_eq!(peeked.unwrap().payload_str(), Some("mine"));
+        assert_eq!(q.depth(), 2);
+    }
+
+    #[test]
     fn a_put_is_refused_at_stage_time_once_depth_plus_staged_reaches_max() {
         let clock = SimClock::new();
         let q = new_queue(
@@ -919,7 +947,8 @@ mod tests {
             let m = Message::text(text).correlation_id("x").priority(Priority::new(level));
             put(&q, m.build()).unwrap();
         }
-        assert_eq!(q.peek_by_correlation("x").unwrap().payload_str(), Some("B"));
+        let peeked = q.peek_by_correlation("x", Wait::NoWait).unwrap().unwrap();
+        assert_eq!(peeked.payload_str(), Some("B"));
         let got = q.try_take_by_correlation("x", |_| true).unwrap().unwrap();
         assert_eq!(got.payload_str(), Some("B"));
     }
@@ -963,7 +992,7 @@ mod tests {
         put(&q, text("no-corr")).unwrap();
         // corr-1 messages are m1, m3 (FIFO). A peek leaves the one it
         // reads for the take.
-        let peeked = q.peek_by_correlation("corr-1").unwrap();
+        let peeked = q.peek_by_correlation("corr-1", Wait::NoWait).unwrap().unwrap();
         assert_eq!(peeked.payload_str(), Some("m1"));
         assert_eq!(q.depth(), 6);
         let a = q.try_take_by_correlation("corr-1", |_| true).unwrap().unwrap();
@@ -971,7 +1000,7 @@ mod tests {
         let b = q.try_take_by_correlation("corr-1", |_| true).unwrap().unwrap();
         assert_eq!(b.payload_str(), Some("m3"));
         assert!(q.try_take_by_correlation("corr-1", |_| true).unwrap().is_none());
-        assert!(q.peek_by_correlation("corr-1").is_none());
+        assert!(q.peek_by_correlation("corr-1", Wait::NoWait).unwrap().is_none());
         assert!(q.try_take_by_correlation("corr-9", |_| true).unwrap().is_none());
         assert_eq!(q.depth(), 4);
         // Remaining FIFO order unaffected: m0, m2, m4, no-corr.

@@ -254,12 +254,12 @@ fn two_manager_round_trip_is_five_records() {
     let send = "TxCommit get[] put[DS.SLOG.Q, DS.COMP.Q, SYSTEM.XMIT.QM.TAIL]";
     // The acknowledgment arrives (a transport batch of one) and is never
     // queued: the arrival record is the verdict it decides — the
-    // notification and its copy on the history queue out, parked
-    // compensation and sender-log record gone, no AckSeen. It is the first
+    // notification out, parked compensation and sender-log record gone, no
+    // AckSeen. It is the first
     // record the head writes after its mover released the original, so the
     // handoff's get rides it.
     let verdict = "TxCommit get[SYSTEM.XMIT.QM.TAIL, DS.COMP.Q, DS.SLOG.Q] \
-                   put[DS.DONE.Q, DS.OUTCOME.Q]";
+                   put[DS.OUTCOME.Q]";
     // The application picks the outcome up.
     let outcome = "TxCommit get[DS.OUTCOME.Q] put[]";
     // Arrival: one record per acknowledged transport batch.
@@ -272,10 +272,10 @@ fn two_manager_round_trip_is_five_records() {
     // What the five records weigh, byte for byte: a record's first id is
     // whole (17 bytes), every later one a delta from the id before it (one
     // byte here: the ids of a round trip are drawn close together), and the
-    // clock nobody advances stamps every time as 0. The verdict's two empty
-    // payloads are written once, and so are the pick-up's (receiver-log
-    // entry and acknowledgment).
-    assert_eq!(head_journal.bytes(), [160, 74, 21], "head bytes");
+    // clock nobody advances stamps every time as 0. The verdict puts its
+    // notification once; the pick-up's two empty payloads (receiver-log
+    // entry and acknowledgment) are written once.
+    assert_eq!(head_journal.bytes(), [160, 60, 21], "head bytes");
     assert_eq!(tail_journal.bytes(), [74, 100], "tail bytes");
 
     // The handoff of the acknowledgment waits on the tail for the next
@@ -368,7 +368,7 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
             // that took the originals over.
             "TxCommit get[SYSTEM.XMIT.QM.TAIL x3, \
              DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q, DS.COMP.Q, DS.SLOG.Q] \
-             put[DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]",
+             put[DS.OUTCOME.Q x3]",
             outcome,
             outcome,
             outcome,
@@ -527,7 +527,7 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
             // The third ack decides: its pick-up carries the verdict, which
             // purges the send record and the two logged acks.
             "TxCommit get[Q.L2, DS.COMP.Q, DS.SLOG.Q x3] \
-             put[DS.RLOG.Q, DS.DONE.Q, DS.OUTCOME.Q]"
+             put[DS.RLOG.Q, DS.OUTCOME.Q]"
                 .to_owned(),
             // Late ack for a decided message: applied to nothing, so the
             // pick-up is all the record says.
@@ -536,10 +536,10 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
         ]
     );
     // A fan-out writes its payload once: each put whose payload equals the
-    // previous put's (the three originals after the first, the verdict's
-    // notification after its history entry) carries a flag bit instead.
-    // One compensation is parked for the whole tree, naming no leaf.
-    assert_eq!(journal.bytes(), [263, 53, 53, 74, 38, 21], "bytes");
+    // previous put's (the three originals after the first) carries a flag
+    // bit instead. One compensation is parked for the whole tree, naming no
+    // leaf.
+    assert_eq!(journal.bytes(), [263, 53, 53, 60, 38, 21], "bytes");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     // One id sequence: the conditional id, then its send-log entry, parked
@@ -593,18 +593,55 @@ fn committing_a_sphere_of_three_decided_members_is_one_record() {
     journal.start();
 
     // Every member is decided, so `commit_DS` is the release alone: each
-    // member's send record, parked compensation and notification leave in
-    // one transaction.
+    // member's send record and verdict entry, parked compensation and
+    // notification leave in one transaction.
     let outcome = sphere.try_commit().unwrap().expect("every member decided");
     assert!(outcome.is_committed());
     assert_eq!(
         journal.appended(),
-        ["TxCommit get[DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
-          DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
-          DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q] put[]"]
+        ["TxCommit get[DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+          DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+          DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q] put[]"]
     );
     assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.consumed"), 3);
+}
+
+#[test]
+fn commit_blocking_on_a_sphere_of_three_leaves_each_notification_to_the_release() {
+    let _ids = shared();
+    let (qmgr, journal, sphere) = three_member_sphere(Millis(60_000));
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    journal.start();
+
+    // The members are picked up one by one while `commit_DS` blocks on
+    // them. It parks on each notification without taking it: the release
+    // record is the members' one consumer.
+    let reader = std::thread::spawn(move || {
+        for queue in ["Q.A", "Q.B", "Q.C"] {
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(receiver.read_message(queue, Wait::NoWait).unwrap().is_some());
+        }
+    });
+    let outcome = sphere.commit_blocking(Duration::from_millis(5)).unwrap();
+    reader.join().unwrap();
+    assert!(outcome.is_committed());
+    let pickup = |leaf: &str| {
+        format!("TxCommit get[{leaf}] put[DS.RLOG.Q, DS.SLOG.Q, DS.OUTCOME.Q]")
+    };
+    assert_eq!(
+        journal.appended(),
+        [
+            pickup("Q.A"),
+            pickup("Q.B"),
+            pickup("Q.C"),
+            "TxCommit get[DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q] put[]"
+                .to_owned(),
+        ]
+    );
+    assert_eq!(qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 0);
 }
 
 #[test]
@@ -620,12 +657,12 @@ fn aborting_a_sphere_of_three_pending_members_is_two_records() {
     assert_eq!(
         journal.appended(),
         [
-            "TxCommit get[] put[DS.DONE.Q, DS.OUTCOME.Q, \
-             DS.DONE.Q, DS.OUTCOME.Q, DS.DONE.Q, DS.OUTCOME.Q]"
+            "TxCommit get[] put[DS.SLOG.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q, DS.OUTCOME.Q, DS.SLOG.Q, DS.OUTCOME.Q]"
                 .to_owned(),
-            "TxCommit get[DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
-             DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q, \
-             DS.SLOG.Q, DS.COMP.Q, DS.OUTCOME.Q] put[Q.A, Q.B, Q.C]"
+            "TxCommit get[DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q, \
+             DS.SLOG.Q x2, DS.COMP.Q, DS.OUTCOME.Q] put[Q.A, Q.B, Q.C]"
                 .to_owned(),
         ]
     );

@@ -372,9 +372,11 @@ fn example2_any_controller_within_window() {
         .unwrap();
     w.clock.advance(Millis(15_000));
     read_nontx(&w, "controller-3", "Q.CENTRAL");
+    let status = w.messenger.status(id);
     let outcome = outcome(&w, id);
     assert_eq!(outcome.outcome, MessageOutcome::Success);
-    assert_eq!(w.messenger.status(id), MessageStatus::Decided(outcome));
+    assert_eq!(status, MessageStatus::Decided(outcome));
+    assert_eq!(w.messenger.status(id), MessageStatus::Unknown, "taken");
 }
 
 #[test]

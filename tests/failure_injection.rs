@@ -203,7 +203,6 @@ fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
             ("DS.ACK.Q", 0),
             ("DS.COMP.Q", 1),
             ("DS.SLOG.Q", 1),
-            ("DS.DONE.Q", 0),
             ("DS.OUTCOME.Q", 0),
             (mq::DEAD_LETTER_QUEUE, 0),
         ] {
@@ -305,7 +304,7 @@ fn a_read_abandoned_after_a_refused_record_leaves_no_ack_behind() {
     assert_eq!(qmgr.metrics_snapshot().counter("cond.ack.read"), 0);
 }
 
-/// Parks the append of the first record that puts to `DS.DONE.Q` — a
+/// Parks the append of the first record that puts to `DS.OUTCOME.Q` — a
 /// verdict's — until the test releases it.
 #[derive(Debug)]
 struct VerdictParkingJournal {
@@ -338,7 +337,7 @@ impl VerdictParkingJournal {
 impl Journal for VerdictParkingJournal {
     fn append(&self, record: &JournalRecord) -> mq::MqResult<()> {
         let verdict = matches!(record, JournalRecord::TxCommit { puts, .. }
-            if puts.iter().any(|(queue, _)| &**queue == "DS.DONE.Q"));
+            if puts.iter().any(|(queue, _)| &**queue == "DS.OUTCOME.Q"));
         let mut park = self.park.lock();
         if verdict && *park == Park::Armed {
             *park = Park::Parked;
@@ -529,10 +528,11 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     assert_eq!(messenger.status(forced), MessageStatus::Pending);
     assert_eq!(clock.pending_timers(), 1);
     journal.set_failing(false);
-    let outcome = messenger.force_fail(&[forced], "sphere aborted").unwrap();
-    let outcome = outcome[0].clone();
+    messenger.force_fail(&[forced], "sphere aborted").unwrap();
+    let MessageStatus::Decided(outcome) = messenger.status(forced) else {
+        panic!("forced: {:?}", messenger.status(forced))
+    };
     assert_eq!(outcome.outcome, condmsg::MessageOutcome::Failure);
-    assert_eq!(messenger.status(forced), MessageStatus::Decided(outcome));
     assert_eq!(clock.pending_timers(), 0);
     assert_eq!(qmgr.metrics_snapshot().counter("cond.comp.released"), 3);
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 6);

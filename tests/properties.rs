@@ -267,7 +267,7 @@ fn ack_path_world(
             other => format!("{other:?}"),
         }];
         seen.push(format!("pending {}", messenger.pending_count()));
-        for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q", "DS.DONE.Q", "DS.OUTCOME.Q"] {
+        for queue in ["DS.ACK.Q", "DS.SLOG.Q", "DS.COMP.Q", "DS.OUTCOME.Q"] {
             seen.push(format!("{queue} {}", qmgr.queue(queue).unwrap().depth()));
         }
         for i in 0..leaves {

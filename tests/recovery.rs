@@ -221,8 +221,8 @@ fn crash_right_after_a_fused_arrival_record_replays_the_ack_and_absorbs_its_rese
 
 #[test]
 fn crash_right_after_verdict_leaves_outcome_and_no_log_entries() {
-    // The deciding transaction covers the outcome entry, the outcome
-    // actions, the purge of the send/ack log entries and the notification.
+    // The deciding transaction covers the outcome actions, the purge of
+    // the send/ack log entries and the notification.
     // A crash immediately after it leaves nothing for recovery to mop up:
     // reattaching the service reads the journal and appends nothing.
     let root = segment_root("verdict");
@@ -262,7 +262,6 @@ fn crash_right_after_verdict_leaves_outcome_and_no_log_entries() {
                 .filter(|m| m.correlation_id() == Some(id.to_hex().as_str()))
                 .count()
         };
-        assert_eq!(of_this_message("DS.DONE.Q"), 1, "outcome entry");
         assert_eq!(of_this_message("DS.SLOG.Q"), 0, "send and ack entries");
         assert_eq!(of_this_message("DS.COMP.Q"), 0, "parked compensation");
         assert_eq!(of_this_message("DS.OUTCOME.Q"), 1, "notification");
@@ -469,10 +468,8 @@ fn deferred_outcome_actions_survive_crash() {
 
     let qmgr2 = build_qm(clock, journal);
     let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
-    assert!(matches!(
-        messenger2.status(id),
-        MessageStatus::Decided(n) if n.outcome == MessageOutcome::Failure
-    ));
+    // Decided, and its notification taken: nothing left to report.
+    assert_eq!(messenger2.status(id), MessageStatus::Unknown);
     // The sphere (re-created by the application) releases with the group
     // outcome; the compensation finally flows.
     messenger2
@@ -490,6 +487,63 @@ fn deferred_outcome_actions_survive_crash() {
     assert!(messenger2
         .release_outcome_actions(&[id], MessageOutcome::Failure)
         .is_err());
+}
+
+#[test]
+fn a_taken_deferred_outcome_survives_a_crash() {
+    // A D-Sphere member fails, its actions deferred, and the application
+    // takes its notification: from then on only the verdict entry beside
+    // its send record on the sender log says it is decided. After the
+    // restart it is not evaluated again — not pending, no second verdict
+    // record, even past every deadline — and the release sends each leaf
+    // its compensation exactly once.
+    use condmsg::SendOptions;
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    qmgr.create_queue("Q.B").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let options = SendOptions {
+        defer_outcome_actions: true,
+        ..SendOptions::default()
+    };
+    let condition = two_dest_condition(Millis(50));
+    let id = messenger
+        .send_with("member", Some("undo".into()), &condition, options)
+        .unwrap();
+    clock.advance(Millis(100));
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert_eq!(messenger.status(id), MessageStatus::Unknown, "taken");
+    let slog = qmgr.queue("DS.SLOG.Q").unwrap();
+    assert_eq!(slog.depth(), 2, "the send record and the verdict entry");
+    qmgr.crash();
+
+    let records = journal.record_count();
+    let qmgr2 = build_qm(clock.clone(), journal.clone());
+    let messenger2 = ConditionalMessenger::new(qmgr2.clone()).unwrap();
+    clock.advance(Millis(60_000));
+    messenger2.pump().unwrap();
+    assert_eq!(messenger2.pending_count(), 0);
+    assert_eq!(messenger2.status(id), MessageStatus::Unknown);
+    assert_eq!(journal.record_count(), records, "no second verdict record");
+    assert_eq!(qmgr2.metrics_snapshot().counter("cond.verdict.failure"), 0);
+
+    messenger2
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
+        .unwrap();
+    assert!(messenger2
+        .release_outcome_actions(&[id], MessageOutcome::Failure)
+        .is_err());
+    for (leaf, queue) in (0..).zip(["Q.A", "Q.B"]) {
+        let undo = vec![(leaf, "undo".to_owned(), Some(false))];
+        assert_eq!(compensations(&qmgr2, queue), undo, "{queue}");
+    }
+    assert_eq!(qmgr2.metrics_snapshot().counter("cond.comp.released"), 2);
+    for queue in ["DS.SLOG.Q", "DS.COMP.Q", "DS.OUTCOME.Q"] {
+        assert_eq!(qmgr2.queue(queue).unwrap().depth(), 0, "{queue}");
+    }
 }
 
 /// The compensations on `queue`, as (leaf, payload, system flag).
@@ -619,7 +673,8 @@ fn restart_after_verdicts(decided: usize, pending: usize) -> Restarted {
 #[test]
 fn status_of_a_failed_message_is_the_same_after_a_crash() {
     // The messenger keeps no table of verdicts: before the crash and after
-    // it, `status()` reads the one history entry the verdict wrote.
+    // it, `status()` peeks at the one notification the verdict wrote,
+    // still untaken.
     let r = restart_after_verdicts(1, 0);
     let (id, before) = &r.before[0];
     let MessageStatus::Decided(n) = before else {
@@ -630,24 +685,30 @@ fn status_of_a_failed_message_is_the_same_after_a_crash() {
 }
 
 #[test]
-fn force_fail_after_a_restart_returns_the_recorded_verdict() {
+fn force_fail_after_a_restart_keeps_the_recorded_verdict() {
     let r = restart_after_verdicts(1, 0);
-    let (id, MessageStatus::Decided(recorded)) = &r.before[0] else {
-        panic!("not decided: {:?}", r.before)
-    };
-    let outcome = r.messenger.force_fail(&[*id], "D-Sphere timeout").unwrap();
-    assert_eq!(&outcome[..], std::slice::from_ref(recorded), "the reason is the deadline's");
-    assert_eq!(r.qmgr.queue("DS.DONE.Q").unwrap().depth(), 1, "no second verdict");
+    let (id, before) = &r.before[0];
+    assert!(matches!(before, MessageStatus::Decided(_)), "{before:?}");
+    r.messenger.force_fail(&[*id], "D-Sphere timeout").unwrap();
+    assert_eq!(r.messenger.status(*id), *before, "the reason is the deadline's");
+    let outcomes = r.qmgr.queue("DS.OUTCOME.Q").unwrap();
+    assert_eq!(outcomes.depth(), 1, "no second verdict");
 }
 
 #[test]
-fn recovery_probes_the_history_instead_of_browsing_it() {
-    // Recovery is O(live messages): one point read of DS.DONE.Q per send
-    // record left on the sender log, never a walk over the history.
+fn recovery_reads_only_the_sender_log() {
+    // Recovery is O(live messages): one browse of the sender log, which
+    // holds only what is still in flight or owed to a sphere, and no read
+    // of any other queue — the 40 decided messages' notifications wait on
+    // DS.OUTCOME.Q untouched.
     let r = restart_after_verdicts(40, 3);
-    let done = r.qmgr.queue("DS.DONE.Q").unwrap();
-    assert_eq!(done.depth(), 40);
-    assert_eq!(done.stats().browses.get(), 0);
+    for name in r.qmgr.queue_names() {
+        let queue = r.qmgr.queue(&name).unwrap();
+        let browses = u64::from(name == "DS.SLOG.Q");
+        assert_eq!(queue.stats().browses.get(), browses, "{name}");
+        assert_eq!(queue.stats().dequeued.get(), 0, "{name}");
+    }
+    assert_eq!(r.qmgr.queue("DS.OUTCOME.Q").unwrap().depth(), 40);
     assert_eq!(r.messenger.pending_count(), 3);
     for (id, before) in &r.before {
         assert_eq!(r.messenger.status(*id), *before);
@@ -656,10 +717,10 @@ fn recovery_probes_the_history_instead_of_browsing_it() {
 
 #[test]
 fn an_undecodable_history_entry_fails_recovery() {
-    // The history entry of a pending message's id does not decode (here: an
-    // outcome entry of the sender-log format, as an earlier build wrote
-    // it). Recovery cannot tell whether the message was decided, so it
-    // refuses rather than evaluate it a second time.
+    // An earlier build kept every verdict a second time, on DS.DONE.Q, and
+    // read a deferred member's entry there as "decided". This build marks
+    // that on the sender log, so over such a journal it would evaluate
+    // those members a second time: it refuses the older history instead.
     let clock = SimClock::new();
     let journal = MemJournal::new();
     let qmgr = build_qm(clock.clone(), journal.clone());
@@ -669,11 +730,14 @@ fn an_undecodable_history_entry_fails_recovery() {
     let id = messenger
         .send_message("x", &two_dest_condition(Millis(60_000)))
         .unwrap();
-    let entry = mq::Message::builder(vec![2u8, 1, 100])
-        .correlation_id(id.to_hex())
-        .persistent(true)
-        .build();
-    qmgr.put("DS.DONE.Q", entry).unwrap();
+    let entry = wire::OutcomeNotification {
+        cond_id: id,
+        outcome: MessageOutcome::Failure,
+        reason: None,
+        decided_at: Time(0),
+    };
+    qmgr.create_queue("DS.DONE.Q").unwrap();
+    qmgr.put("DS.DONE.Q", entry.to_message()).unwrap();
     qmgr.crash();
 
     let qmgr2 = build_qm(clock, journal);

@@ -12,9 +12,10 @@
 //! Recovery is held to a live-bytes bound too: the manager and the
 //! messenger reopened over that journal, every tree still pending. Then
 //! every tree misses its deadline, the leaves are drained, and a second
-//! reopen counts what a decided tree keeps — its history entry and outcome
-//! notification, neither of which may hold the verdict record it was
-//! replayed from.
+//! reopen counts what a decided tree keeps — its outcome notification,
+//! which may not hold the verdict record it was replayed from. Taking the
+//! notifications then leaves every queue empty: a verdict's state ends
+//! with its consumer.
 //!
 //! All are counts, not timings, and move only when the send path, the
 //! recovery path or the stored form of a message changes.
@@ -79,9 +80,9 @@ const MAX_ALLOCATIONS_PER_SEND: f64 = 120.0;
 const MAX_LIVE_BYTES_PER_TREE: f64 = 5_600.0;
 /// Measured 5 534: a recovered message keeps slices of its record.
 const MAX_LIVE_BYTES_PER_RECOVERED_TREE: f64 = 5_950.0;
-/// Measured 2 794; a history entry or outcome notification holding a
-/// slice of its verdict record instead of its own section costs ~230 more.
-const MAX_LIVE_BYTES_PER_DECIDED_TREE: f64 = 2_920.0;
+/// Measured 2 302: the outcome notification, holding its own property
+/// section, not a slice of the verdict record it was replayed from.
+const MAX_LIVE_BYTES_PER_DECIDED_TREE: f64 = 2_400.0;
 
 /// `deep_pending`'s background condition: `all(any(B0,B1), min 1 of
 /// {B2,B3})`, an hour to pick up.
@@ -127,11 +128,11 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
             )
             .unwrap()
     };
+    let mut ids = Vec::with_capacity((WARM_UP + SENDS) as usize);
     for i in 0..WARM_UP {
-        send(i);
+        ids.push(send(i));
     }
 
-    let mut ids = Vec::with_capacity(SENDS as usize);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let live = LIVE.load(Ordering::Relaxed);
     for i in 0..SENDS {
@@ -155,7 +156,6 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
         per_tree <= MAX_LIVE_BYTES_PER_TREE,
         "{per_tree:.0} live heap bytes per pending tree (bound {MAX_LIVE_BYTES_PER_TREE})"
     );
-    drop(ids);
     drop(messenger);
     qm.shutdown();
     drop(qm);
@@ -182,11 +182,11 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
 
     // Every tree misses its deadline and the leaves are drained of the
     // originals and the compensations fanned out to them. What stays of a
-    // decided tree is its history entry and outcome notification, which
-    // carry no payload, so replayed they must not hold the verdict record
-    // they came from.
+    // decided tree is its outcome notification, which carries no payload,
+    // so replayed it must not hold the verdict record it came from.
     clock.advance(Millis(3_600_001));
-    assert_eq!(qm.queue("DS.DONE.Q").unwrap().depth() as u64, WARM_UP + SENDS);
+    let outcomes = |qm: &QueueManager| qm.queue("DS.OUTCOME.Q").unwrap().depth() as u64;
+    assert_eq!(outcomes(&qm), WARM_UP + SENDS);
     for queue in LEAVES {
         let mut session = qm.session();
         session.begin().unwrap();
@@ -200,12 +200,23 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
     let (qm, messenger) = reopen(&root, &SimClock::new());
     let per_decided_tree = (LIVE.load(Ordering::Relaxed) - live) as f64 / trees;
     println!("live heap bytes per recovered decided tree: {per_decided_tree:.0}");
-    assert_eq!(qm.queue("DS.DONE.Q").unwrap().depth() as u64, WARM_UP + SENDS);
+    assert_eq!(outcomes(&qm), WARM_UP + SENDS);
     assert!(
         per_decided_tree <= MAX_LIVE_BYTES_PER_DECIDED_TREE,
         "{per_decided_tree:.0} live heap bytes per recovered decided tree \
          (bound {MAX_LIVE_BYTES_PER_DECIDED_TREE})"
     );
+
+    // The application takes every outcome, and nothing of any tree is left
+    // on any queue: not on the sender's DS.SLOG.Q, DS.ACK.Q, DS.COMP.Q or
+    // DS.OUTCOME.Q, not on the leaves.
+    for id in ids {
+        let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap();
+        assert!(outcome.is_some(), "{id}");
+    }
+    for name in qm.queue_names() {
+        assert_eq!(qm.queue(&name).unwrap().depth(), 0, "{name}");
+    }
     drop(messenger);
     qm.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -234,6 +234,7 @@ fn arb_slog_entry() -> impl Strategy<Value = SlogEntry> {
     prop_oneof![
         arb_send_record().prop_map(SlogEntry::Send),
         arb_ack().prop_map(SlogEntry::AckSeen),
+        arb_cond_id().prop_map(SlogEntry::Verdict),
     ]
 }
 
@@ -419,12 +420,12 @@ fn a_fan_out_record_is_pinned_byte_for_byte() {
     assert_eq!(back, record);
 }
 
-/// The two conditional-layer log images: a sender-log entry says what it
-/// is in its payload's first byte and carries no property, and a verdict's
-/// history entry on `DS.DONE.Q` is its outcome notification, reason
-/// included. Neither carries `ds.kind`: its queue says what it is.
+/// The sender's log and verdict images: a sender-log entry says what it is
+/// in its payload's first byte and carries no property — a verdict entry is
+/// that byte alone — and a verdict's one image is its outcome notification,
+/// reason included. Neither carries `ds.kind`: its queue says what it is.
 #[test]
-fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
+fn a_sender_log_entry_and_an_outcome_notification_are_pinned_byte_for_byte() {
     let cond_id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
     let code = |s: &str| 1 + WIRE_STRING_REGISTRY.iter().position(|r| *r == s).unwrap() as u8;
     assert_eq!(code("failure"), 35);
@@ -450,6 +451,17 @@ fn a_sender_log_entry_and_a_history_entry_are_pinned_byte_for_byte() {
     ]
     .concat();
     let entry = SlogEntry::AckSeen(ack).to_message();
+    assert_eq!(&image_after_id(&entry)[..], &golden[..]);
+    let golden = [
+        // priority 4; flags as above; payload: tag 3 (verdict); no property
+        &[4u8, 0b100_0001][..],
+        id,
+        &[1, 3],
+        &[0],
+        &[0],
+    ]
+    .concat();
+    let entry = SlogEntry::Verdict(cond_id).to_message();
     assert_eq!(&image_after_id(&entry)[..], &golden[..]);
 
     let verdict = OutcomeNotification {
@@ -501,7 +513,7 @@ proptest! {
         assert_slog_message_roundtrip(&SlogEntry::Send(record))?;
     }
 
-    /// Both sender-log entry variants survive the sender-log message
+    /// Every sender-log entry variant survives the sender-log message
     /// byte-identically.
     #[test]
     fn slog_entry_roundtrip_byte_identical(entry in arb_slog_entry()) {
