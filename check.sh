@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full local gate: release build, test suite (plain and with lock-order
 # deadlock detection; the suite includes tests/lint_gate.rs, which runs
-# cond-lint against lint.allow), clippy, smoke bench.
+# cond-lint against lint.allow), clippy, rustdoc, smoke bench.
 #
 # `./check.sh --lint-only` runs just the static gates — the cond-lint CLI
 # (token rules + cond-verify passes over one lexed, test-stripped copy of
@@ -71,6 +71,9 @@ echo "$condbench_line" |
 # checker: an ABBA hazard panics with both acquisition sites.
 cargo test -q --workspace --features parking_lot/deadlock_detection
 cargo clippy --workspace --all-targets -- -D warnings
+# The rustdoc builds without a warning: a backticked path in a doc comment
+# that stops resolving (or links a private item) fails here.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 # The paper's figures are asserted inside `cargo test -q` above, not by
 # binaries of their own: Fig. 1/4's nine recipient behaviours against the
 # paper-rule oracle in

@@ -13,7 +13,7 @@ pub enum CondError {
     /// The condition tree is structurally invalid.
     InvalidCondition(String),
     /// The condition tree was rejected by static analysis
-    /// ([`crate::analyze`]) as statically unsatisfiable.
+    /// ([`crate::analyze()`]) as statically unsatisfiable.
     Analysis(crate::analyze::AnalyzeError),
     /// No pending conditional message with this id is known.
     UnknownMessage(CondMessageId),

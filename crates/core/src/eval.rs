@@ -454,7 +454,7 @@ impl IncrementalEval {
     /// the messenger's ack grace: a *missing* acknowledgment only violates
     /// once `deadline + grace` has strictly passed, while acknowledgment
     /// stamps are compared against the true deadline — the same rules as
-    /// [`leaf_status`].
+    /// `leaf_status`.
     pub fn new(compiled: &CompiledCondition, send_time: Time, grace: Millis) -> IncrementalEval {
         let mut by_leaf: Vec<Vec<CellRef>> = vec![Vec::new(); compiled.leaves().len()];
         let mut leaf_cells = Vec::new();

@@ -60,8 +60,6 @@ pub mod otx;
 pub mod resources;
 pub mod sphere;
 
-pub use otx::{
-    Decision, Transaction, TransactionManager, TransactionalResource, TxAborted, Vote, Xid,
-};
+pub use otx::{Transaction, TransactionManager, TransactionalResource, TxAborted, Vote, Xid};
 pub use resources::{Calendar, KvStore, ProbeResource, RoomReservations};
 pub use sphere::{DSphere, DSphereService, SphereError, SphereOutcome, SphereResult};

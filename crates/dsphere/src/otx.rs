@@ -12,8 +12,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 /// A transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Xid(u64);
@@ -66,15 +64,6 @@ pub trait TransactionalResource: Send + Sync {
     fn rollback(&self, xid: Xid);
 }
 
-/// Coordinator decision for a finished transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// All resources voted commit and were committed.
-    Committed,
-    /// The transaction was rolled back.
-    Aborted,
-}
-
 /// Error returned when two-phase commit aborts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxAborted {
@@ -100,11 +89,6 @@ impl std::error::Error for TxAborted {}
 #[derive(Debug, Default)]
 pub struct TransactionManager {
     next_xid: AtomicU64,
-    /// Decision audit log. Never held while calling into enlisted
-    /// resources: a resource may re-enter the coordinator.
-    // lint: never-hold(TransactionManager.decisions) across prepare
-    // lint: never-hold(TransactionManager.decisions) across rollback
-    decisions: Mutex<Vec<(Xid, Decision)>>,
 }
 
 impl TransactionManager {
@@ -118,19 +102,9 @@ impl TransactionManager {
         let xid = Xid(self.next_xid.fetch_add(1, Ordering::SeqCst));
         Transaction {
             xid,
-            manager: self.clone(),
             resources: Vec::new(),
             finished: false,
         }
-    }
-
-    /// The decision log, in completion order (for tests and audits).
-    pub fn decisions(&self) -> Vec<(Xid, Decision)> {
-        self.decisions.lock().clone()
-    }
-
-    fn record(&self, xid: Xid, decision: Decision) {
-        self.decisions.lock().push((xid, decision));
     }
 }
 
@@ -139,7 +113,6 @@ impl TransactionManager {
 /// Dropping an unfinished transaction rolls it back.
 pub struct Transaction {
     xid: Xid,
-    manager: Arc<TransactionManager>,
     resources: Vec<Arc<dyn TransactionalResource>>,
     finished: bool,
 }
@@ -199,7 +172,6 @@ impl Transaction {
                     r.rollback(self.xid);
                 }
                 self.finished = true;
-                self.manager.record(self.xid, Decision::Aborted);
                 return Err(aborted);
             }
         }
@@ -208,7 +180,6 @@ impl Transaction {
             resource.commit(self.xid);
         }
         self.finished = true;
-        self.manager.record(self.xid, Decision::Committed);
         Ok(())
     }
 
@@ -227,7 +198,6 @@ impl Transaction {
             resource.rollback(self.xid);
         }
         self.finished = true;
-        self.manager.record(self.xid, Decision::Aborted);
     }
 }
 
@@ -259,16 +229,15 @@ mod tests {
         let r1 = ProbeResource::new("r1");
         let r2 = ProbeResource::new("r2");
         let mut tx = tm.begin();
-        let xid = tx.xid();
         tx.enlist(r1.clone());
         tx.enlist(r2.clone());
         assert_eq!(tx.resource_count(), 2);
-        tx.commit().unwrap();
-        assert_eq!(r1.prepared(), 1);
-        assert_eq!(r1.committed(), 1);
-        assert_eq!(r1.rolled_back(), 0);
-        assert_eq!(r2.committed(), 1);
-        assert_eq!(tm.decisions(), vec![(xid, Decision::Committed)]);
+        assert_eq!(tx.commit(), Ok(()));
+        for r in [&r1, &r2] {
+            assert_eq!(r.prepared(), 1);
+            assert_eq!(r.committed(), 1);
+            assert_eq!(r.rolled_back(), 0);
+        }
     }
 
     #[test]
@@ -277,17 +246,17 @@ mod tests {
         let good = ProbeResource::new("good");
         let bad = ProbeResource::vetoing("bad", "constraint violated");
         let mut tx = tm.begin();
-        let xid = tx.xid();
         tx.enlist(good.clone());
         tx.enlist(bad.clone());
         let err = tx.commit().unwrap_err();
         assert_eq!(err.resource, "bad");
         assert_eq!(err.reason, "constraint violated");
         assert!(err.to_string().contains("aborted by bad"));
-        assert_eq!(good.committed(), 0);
-        assert_eq!(good.rolled_back(), 1);
-        assert_eq!(bad.rolled_back(), 1);
-        assert_eq!(tm.decisions(), vec![(xid, Decision::Aborted)]);
+        for r in [&good, &bad] {
+            assert_eq!(r.prepared(), 1);
+            assert_eq!(r.committed(), 0);
+            assert_eq!(r.rolled_back(), 1);
+        }
     }
 
     #[test]
@@ -310,7 +279,6 @@ mod tests {
         let mut tx = tm.begin();
         tx.enlist(r.clone());
         tx.rollback();
-        assert_eq!(r.rolled_back(), 1);
 
         let r2 = ProbeResource::new("r2");
         {
@@ -318,9 +286,12 @@ mod tests {
             tx.enlist(r2.clone());
             // dropped uncommitted
         }
-        assert_eq!(r2.rolled_back(), 1);
-        assert_eq!(tm.decisions().len(), 2);
-        assert!(tm.decisions().iter().all(|(_, d)| *d == Decision::Aborted));
+        // Both aborted: rolled back once, never prepared or committed.
+        for r in [&r, &r2] {
+            assert_eq!(r.prepared(), 0);
+            assert_eq!(r.committed(), 0);
+            assert_eq!(r.rolled_back(), 1);
+        }
     }
 
     #[test]
@@ -339,7 +310,6 @@ mod tests {
     fn empty_transaction_commits() {
         let tm = TransactionManager::new();
         let tx = tm.begin();
-        tx.commit().unwrap();
-        assert_eq!(tm.decisions().len(), 1);
+        assert_eq!(tx.commit(), Ok(()));
     }
 }

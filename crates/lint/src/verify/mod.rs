@@ -40,8 +40,6 @@ pub const LOCK_METHODS: &[&str] = &[
     "try_read",
     "try_write",
     "upgradable_read",
-    "lock_key",
-    "write_all",
 ];
 
 /// Wrapper type names skipped when extracting the core type of a field
@@ -482,7 +480,7 @@ impl Workspace {
 
 /// Whether a declared field type is a lock.
 pub fn is_lock_type(ty: &str) -> bool {
-    ty.contains("Mutex<") || ty.contains("RwLock<") || ty.contains("StripedMap<")
+    ty.contains("Mutex<") || ty.contains("RwLock<")
 }
 
 /// Runs all verify passes over the parsed non-test files of the workspace

@@ -31,6 +31,14 @@ fn abba_inversion_is_reported_with_both_sites() {
     check("abba");
 }
 
+/// A queue directory held in one plain `RwLock<HashMap>` is a lock like
+/// any other: taking the mutation gate then the directory in one fn and
+/// the reverse in another is one finding naming both sites.
+#[test]
+fn gate_directory_inversion_is_reported_with_both_sites() {
+    check("gate_directory");
+}
+
 /// A declared `never-hold(<lock>) across <fn>` violated directly and
 /// through a helper; the transitive report names the reached callee.
 #[test]

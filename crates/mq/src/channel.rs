@@ -56,7 +56,7 @@
 //! Batches are cut on *bytes* as well as count: the mover stops adding
 //! envelopes once [`BATCH_BYTE_BUDGET`] wire bytes are staged, so a batch
 //! can never grow past the transport frame cap
-//! ([`MAX_FRAME_BODY`](crate::transport::frame::MAX_FRAME_BODY)) and wedge
+//! ([`crate::transport::frame::MAX_FRAME_BODY`]) and wedge
 //! the channel in an encode-fail/retry loop. A single envelope whose wire
 //! size alone exceeds [`MAX_ENVELOPE_WIRE`] can never cross any batch, so
 //! it is moved to the local dead-letter queue (reason in

@@ -50,7 +50,6 @@ mod qmgr;
 mod queue;
 pub mod relay;
 mod session;
-pub mod shard;
 pub mod stats;
 mod store;
 pub mod topic;

@@ -234,9 +234,10 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
 ];
 
 /// Every transport frame-kind tag byte (`FrameKind::as_u8`/`from_u8`
-/// are the sinks). Tag 0 is reserved and never valid on the wire.
+/// are the sinks). Tag 0 is reserved and never valid on the wire; tag 4,
+/// the per-batch ack, is retired and refused like any unknown kind.
 // lint: registry frame-kind
-pub const FRAME_KIND_REGISTRY: &[u8] = &[1, 2, 3, 4, 5, 6, 7];
+pub const FRAME_KIND_REGISTRY: &[u8] = &[1, 2, 3, 5, 6, 7];
 
 /// Shared observability state: named metrics + lifecycle trace.
 #[derive(Debug)]

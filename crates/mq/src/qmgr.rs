@@ -22,7 +22,6 @@ use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
 use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, RELAY_ORIGIN_PROPERTY};
 use crate::session::{Released, Session, TxState};
-use crate::shard::StripedMap;
 use crate::stats::{ManagerStats, MetricsSnapshot, RelayStats};
 use crate::trace::TraceLog;
 
@@ -140,9 +139,8 @@ impl QueueManagerBuilder {
             clock,
             journal,
             config: self.config,
-            queues: StripedMap::default(),
-            routes: StripedMap::default(),
-            default_route: Mutex::new(None),
+            queues: RwLock::new(HashMap::new()),
+            routes: RwLock::new(Routes::default()),
             stats,
             relay_stats,
             delivery_dedup: Mutex::new(Deduper::new(dedup_window)),
@@ -173,16 +171,13 @@ pub struct QueueManager {
     clock: SharedClock,
     journal: Arc<dyn Journal>,
     config: ManagerConfig,
-    /// Queue table, lock-striped so traffic to distinct queues does not
-    /// contend on one global lock (see [`crate::shard`]).
-    queues: StripedMap<Arc<Queue>>,
-    /// remote manager name → local transmission queue(s) staging traffic
-    /// toward it. Multiple targets model parallel downstream channels; the
-    /// relay picks one deterministically per message id.
-    routes: StripedMap<Vec<String>>,
-    /// Next-hop transmission queue(s) for destinations with no explicit
-    /// route entry — the "default route" of the relay federation.
-    default_route: Mutex<Option<Vec<String>>>,
+    /// The queue directory: name → queue. Lookups read-hold it; creating
+    /// and deleting a queue write-hold it across the check, the journal
+    /// append and the insert, under the mutation gate (lock order: gate →
+    /// directory → a queue's store or the journal).
+    queues: RwLock<HashMap<String, Arc<Queue>>>,
+    /// The routing table: the explicit route groups and the default route.
+    routes: RwLock<Routes>,
     stats: ManagerStats,
     /// Relay-federation counters (`mq.relay.*`); see [`crate::relay`].
     pub(crate) relay_stats: RelayStats,
@@ -331,22 +326,20 @@ impl QueueManager {
     ) -> MqResult<Arc<Queue>> {
         self.check_running()?;
         let name = name.into();
-        // Gate before stripe (the crate-wide lock order): a checkpoint must
-        // not truncate this QueueCreated record without the queue in its
-        // snapshot's directory.
+        // Gate → directory → journal (the crate-wide lock order): a
+        // checkpoint must not truncate this QueueCreated record without the
+        // queue in its snapshot's directory, and check + journal + insert
+        // must be atomic per name.
         let _gate = self.mutation_gate.read();
-        // Check + journal + insert must be atomic per name; the stripe lock
-        // serializes exactly the names sharing this stripe, leaving traffic
-        // on other stripes untouched.
-        let mut stripe = self.queues.lock_key(&name);
-        if stripe.contains_key(&name) {
+        let mut queues = self.queues.write();
+        if queues.contains_key(&name) {
             return Err(MqError::QueueExists(name));
         }
         self.journal.append(&JournalRecord::QueueCreated {
             queue: name.clone(),
         })?;
         let queue = Queue::owned_by(self, name.clone(), config);
-        stripe.insert(name, queue.clone());
+        queues.insert(name, queue.clone());
         Ok(queue)
     }
 
@@ -375,14 +368,14 @@ impl QueueManager {
     pub fn delete_queue(&self, name: &str) -> MqResult<()> {
         self.check_running()?;
         let _gate = self.mutation_gate.read();
-        let mut stripe = self.queues.lock_key(name);
-        let queue = stripe
+        let mut queues = self.queues.write();
+        let queue = queues
             .remove(name)
             .ok_or_else(|| MqError::QueueNotFound(name.to_owned()))?;
         self.journal.append(&JournalRecord::QueueDeleted {
             queue: name.to_owned(),
         })?;
-        drop(stripe);
+        drop(queues);
         queue.close();
         Ok(())
     }
@@ -394,18 +387,22 @@ impl QueueManager {
     /// [`MqError::QueueNotFound`].
     pub fn queue(&self, name: &str) -> MqResult<Arc<Queue>> {
         self.queues
+            .read()
             .get(name)
+            .cloned()
             .ok_or_else(|| MqError::QueueNotFound(name.to_owned()))
     }
 
     /// Whether the named queue exists.
     pub fn queue_exists(&self, name: &str) -> bool {
-        self.queues.contains_key(name)
+        self.queues.read().contains_key(name)
     }
 
     /// All queue names, sorted.
     pub fn queue_names(&self) -> Vec<String> {
-        self.queues.sorted_keys()
+        let mut names: Vec<String> = self.queues.read().keys().cloned().collect();
+        names.sort();
+        names
     }
 
     // ------------------------------------------------------- messaging --
@@ -523,15 +520,11 @@ impl QueueManager {
         remote_manager: &str,
         xmit_queues: &[S],
     ) -> MqResult<()> {
-        if xmit_queues.is_empty() {
-            return Err(MqError::NoRoute(remote_manager.to_owned()));
-        }
-        let mut targets = Vec::with_capacity(xmit_queues.len());
-        for q in xmit_queues {
-            self.ensure_queue(q.as_ref())?;
-            targets.push(q.as_ref().to_owned());
-        }
-        self.routes.insert(remote_manager.to_owned(), targets);
+        let targets = self.route_targets(remote_manager, xmit_queues)?;
+        self.routes
+            .write()
+            .explicit
+            .insert(remote_manager.to_owned(), targets);
         Ok(())
     }
 
@@ -546,16 +539,25 @@ impl QueueManager {
     /// [`MqError::NoRoute`] for an empty group; journal failures creating
     /// the transmission queues.
     pub fn define_default_route<S: AsRef<str>>(&self, xmit_queues: &[S]) -> MqResult<()> {
-        if xmit_queues.is_empty() {
-            return Err(MqError::NoRoute("<default>".to_owned()));
-        }
-        let mut targets = Vec::with_capacity(xmit_queues.len());
-        for q in xmit_queues {
-            self.ensure_queue(q.as_ref())?;
-            targets.push(q.as_ref().to_owned());
-        }
-        *self.default_route.lock() = Some(targets);
+        let targets = self.route_targets("<default>", xmit_queues)?;
+        self.routes.write().default = targets;
         Ok(())
+    }
+
+    /// Ensures a route group's transmission queues exist and returns their
+    /// names; an empty group is [`MqError::NoRoute`] for `route`.
+    fn route_targets<S: AsRef<str>>(
+        &self,
+        route: &str,
+        xmit_queues: &[S],
+    ) -> MqResult<Vec<String>> {
+        if xmit_queues.is_empty() {
+            return Err(MqError::NoRoute(route.to_owned()));
+        }
+        xmit_queues
+            .iter()
+            .map(|q| self.ensure_queue(q.as_ref()).map(|_| q.as_ref().to_owned()))
+            .collect()
     }
 
     /// Resolves the transmission queue for one message bound for
@@ -567,10 +569,11 @@ impl QueueManager {
     /// takes a fixed number of them would otherwise always land on the same
     /// target of an even group.
     pub fn route_for_message(&self, remote_manager: &str, id: MessageId) -> Option<String> {
-        let targets = self
-            .routes
+        let routes = self.routes.read();
+        let targets = routes
+            .explicit
             .get(remote_manager)
-            .or_else(|| self.default_route.lock().clone())?;
+            .unwrap_or(&routes.default);
         if targets.is_empty() {
             return None;
         }
@@ -633,7 +636,7 @@ impl QueueManager {
     pub fn crash(&self) {
         self.running.store(false, Ordering::SeqCst);
         self.released.lock().forget();
-        let mut queues = self.queues.write_all();
+        let mut queues = self.queues.write();
         for queue in queues.values() {
             queue.close();
         }
@@ -732,10 +735,7 @@ impl QueueManager {
         })?;
         // A checkpoint still open at EOF is torn: drop it, keep `base`.
         drop(pending);
-        let mut queues = self.queues.write_all();
-        for (name, q) in base.queues {
-            queues.insert(name, q);
-        }
+        self.queues.write().extend(base.queues);
         *self.delivery_dedup.lock() = base.dedup;
         Ok(())
     }
@@ -764,10 +764,16 @@ impl QueueManager {
     ///
     /// Journal failures; the ripe messages of the refused sweep stay.
     pub fn sweep_expired_all(&self) -> MqResult<usize> {
+        let mut queues: Vec<Arc<Queue>> = self.queues.read().values().cloned().collect();
+        queues.sort_by(|a, b| a.name().cmp(b.name()));
         let mut n = 0;
-        for name in self.queues.sorted_keys() {
-            if let Some(q) = self.queues.get(&name) {
-                n += q.sweep_expired()?;
+        for q in queues {
+            match q.sweep_expired() {
+                Ok(expired) => n += expired,
+                // Closed while the manager runs: deleted since the listing,
+                // so nothing of it is left to sweep.
+                Err(MqError::ManagerStopped(_)) if self.is_running() => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(n)
@@ -804,7 +810,6 @@ impl QueueManager {
         // folded in: a torn start an earlier run left behind never pairs
         // with this run's end.
         let checkpoint_id = MessageId::generate().mix64();
-        let names = self.queues.sorted_keys();
         let dedup: Vec<(u64, u128)> = self
             .delivery_dedup
             .lock()
@@ -812,22 +817,24 @@ impl QueueManager {
             .into_iter()
             .map(|(origin, id)| (origin, id.as_u128()))
             .collect();
+        let queues = self.queues.read();
+        let mut names: Vec<&String> = queues.keys().collect();
+        names.sort();
         let mut records = Vec::new();
         records.push(JournalRecord::CheckpointStart {
             checkpoint_id,
-            queues: names.clone(),
+            queues: names.iter().map(|name| (*name).clone()).collect(),
             dedup,
         });
-        for name in &names {
-            if let Some(q) = self.queues.get(name) {
-                for msg in q.snapshot_persistent() {
-                    records.push(JournalRecord::Put {
-                        queue: name.clone(),
-                        message: (*msg).clone(),
-                    });
-                }
+        for name in names {
+            for msg in queues[name].snapshot_persistent() {
+                records.push(JournalRecord::Put {
+                    queue: name.clone(),
+                    message: (*msg).clone(),
+                });
             }
         }
+        drop(queues);
         records.push(JournalRecord::CheckpointEnd { checkpoint_id });
         self.stats.encodes.add(records.len() as u64 - 2);
         self.journal.write_checkpoint(&mut records.into_iter())?;
@@ -835,6 +842,17 @@ impl QueueManager {
             .store(self.journal.len_bytes(), Ordering::Relaxed);
         Ok(())
     }
+}
+
+/// A manager's routing table: remote manager name → the local
+/// transmission queue(s) staging traffic toward it, and the next hop for
+/// every manager with no entry (the relay federation's default route;
+/// empty until one is defined). Several targets model parallel downstream
+/// channels; the relay picks one deterministically per message id.
+#[derive(Default)]
+struct Routes {
+    explicit: HashMap<String, Vec<String>>,
+    default: Vec<String>,
 }
 
 /// A recovery image: the queue directory plus the delivery deduper being

@@ -19,7 +19,7 @@
 //!   relay decision. Each envelope carries its origin, destination and
 //!   hop count as properties, so the journal reads as a chain of custody.
 //! * **Federation-wide exactly-once.** Every arriving envelope is
-//!   checked against a manager-level sliding-window [`Deduper`] keyed by
+//!   checked against a manager-level sliding-window `Deduper` keyed by
 //!   *(origin manager, message id)* — a key that is stable across hops,
 //!   transports and sender retries, unlike the per-connection sequence
 //!   numbers of any one channel. The window is reseeded from the journal
@@ -667,6 +667,44 @@ mod tests {
         let env = envelope(&origin, "QM.Z", "Q", "via default");
         assert_eq!(qm.accept_batch(vec![env]).unwrap(), ONE);
         assert_eq!(qm.queue("SYSTEM.XMIT.NEXT").unwrap().depth(), 1);
+    }
+
+    #[test]
+    fn an_explicit_route_wins_over_the_default_and_a_redefinition_replaces_it() {
+        let qm = manager("QM.B");
+        qm.define_default_route(&["XMIT.NEXT"]).unwrap();
+        qm.define_route_group("QM.C", &["XMIT.C1", "XMIT.C2"]).unwrap();
+        let ids: Vec<MessageId> = (0..16).map(|i| MessageId::from_parts(0x5eed, i)).collect();
+        let picks = |manager: &str| -> std::collections::BTreeSet<String> {
+            ids.iter()
+                .map(|id| qm.route_for_message(manager, *id).unwrap())
+                .collect()
+        };
+        let group = ["XMIT.C1".to_owned(), "XMIT.C2".to_owned()];
+        assert_eq!(picks("QM.C"), group.into_iter().collect());
+        assert_eq!(picks("QM.Z"), ["XMIT.NEXT".to_owned()].into());
+        // Redefining a manager's route replaces its whole group; the
+        // default still serves every other manager.
+        qm.define_route("QM.C", "XMIT.C3").unwrap();
+        assert_eq!(picks("QM.C"), ["XMIT.C3".to_owned()].into());
+        assert_eq!(picks("QM.Z"), ["XMIT.NEXT".to_owned()].into());
+        // Redefining the default leaves the explicit route alone.
+        qm.define_default_route(&["XMIT.OTHER"]).unwrap();
+        assert_eq!(picks("QM.C"), ["XMIT.C3".to_owned()].into());
+        assert_eq!(picks("QM.Z"), ["XMIT.OTHER".to_owned()].into());
+        // And the relay forwards by the same table.
+        let origin = manager("QM.A");
+        let batch = vec![
+            envelope(&origin, "QM.C", "Q", "explicit"),
+            envelope(&origin, "QM.Z", "Q", "default"),
+        ];
+        qm.accept_batch(batch).unwrap();
+        for (xmit, depth) in [("XMIT.C3", 1), ("XMIT.OTHER", 1), ("XMIT.NEXT", 0)] {
+            assert_eq!(qm.queue(xmit).unwrap().depth(), depth, "{xmit}");
+        }
+        for xmit in ["XMIT.C1", "XMIT.C2"] {
+            assert_eq!(qm.queue(xmit).unwrap().depth(), 0, "{xmit}");
+        }
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //!
 //! * `Hello` / `HelloAck` — handshake; payload is magic + version + the
 //!   queue manager name, each side verifying the other.
-//! * `Batch` / `Ack` — a batch of transmission-queue envelopes and its
-//!   acknowledgment (sequence-matched, with accepted/deduplicated counts).
+//! * `Batch` — a batch of transmission-queue envelopes.
 //! * `AckWin` — a *cumulative* acknowledgment: its `seq` is a watermark
 //!   covering every batch up to and including that sequence number, so a
 //!   receiver draining a pipelined window acks once per drain, not once
-//!   per batch. Counts are deltas since the previous ack.
+//!   per batch. Counts are deltas since the previous ack. Kind 4, a
+//!   per-batch ack, is retired and refused like any unknown kind.
 //! * `Ping` / `Pong` — heartbeats issued by the connection supervisor.
 //!
 //! Batch frames are assembled by [`Frame::batch_wire`] in one buffer: the
@@ -74,8 +74,6 @@ pub enum FrameKind {
     HelloAck,
     /// A batch of transmission-queue envelopes.
     Batch,
-    /// Acknowledgment of a batch: accepted + deduplicated counts.
-    Ack,
     /// Heartbeat request.
     Ping,
     /// Heartbeat reply.
@@ -92,7 +90,6 @@ impl FrameKind {
             FrameKind::Hello => 1,
             FrameKind::HelloAck => 2,
             FrameKind::Batch => 3,
-            FrameKind::Ack => 4,
             FrameKind::Ping => 5,
             FrameKind::Pong => 6,
             FrameKind::AckWin => 7,
@@ -104,7 +101,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::HelloAck,
             3 => FrameKind::Batch,
-            4 => FrameKind::Ack,
             5 => FrameKind::Ping,
             6 => FrameKind::Pong,
             7 => FrameKind::AckWin,
@@ -268,14 +264,6 @@ impl Frame {
         let crc = crc32(&frame[4..]);
         frame.extend_from_slice(&crc.to_le_bytes());
         Ok(Bytes::from(frame))
-    }
-
-    /// Builds the acknowledgment for batch `seq`.
-    pub fn ack(seq: u64, accepted: u64, deduplicated: u64) -> Frame {
-        let mut enc = Encoder::new();
-        enc.put_varint(accepted);
-        enc.put_varint(deduplicated);
-        Frame::with_payload(FrameKind::Ack, seq, enc.finish())
     }
 
     /// Builds a cumulative acknowledgment covering every batch sequence
@@ -528,11 +516,20 @@ mod tests {
     }
 
     #[test]
-    fn ack_roundtrips_counts() {
-        let frame = read_one(&Frame::ack(9, 5, 2).encode().unwrap());
-        assert_eq!(frame.kind, FrameKind::Ack);
-        assert_eq!(frame.seq, 9);
-        assert_eq!(frame.decode_ack().unwrap(), (5, 2));
+    fn a_frame_of_the_retired_per_batch_ack_kind_is_refused() {
+        // Kind 4 was a per-batch ack; only the cumulative `AckWin` is
+        // written now. Re-tag an intact `AckWin` and re-seal its CRC, so
+        // the kind byte alone is what the reader refuses.
+        let mut raw = Frame::ack_win(9, 5, 2).encode().unwrap().to_vec();
+        let crc_at = raw.len() - 4;
+        raw[4] = 4;
+        let crc = crc32(&raw[4..crc_at]);
+        raw[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.poll(&mut Cursor::new(raw)),
+            Err(FrameError::BadKind(4))
+        ));
     }
 
     #[test]
@@ -583,7 +580,7 @@ mod tests {
 
     #[test]
     fn crc_flip_is_detected() {
-        let mut raw = Frame::ack(1, 1, 0).encode().unwrap().to_vec();
+        let mut raw = Frame::ack_win(1, 1, 0).encode().unwrap().to_vec();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x40;
         let mut reader = FrameReader::new();

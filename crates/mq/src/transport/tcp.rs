@@ -1,7 +1,7 @@
 //! Real sockets: a TCP [`Transport`] for channel traffic.
 //!
 //! Two halves cooperate, both multiplexed on the process-wide
-//! [`Reactor`](crate::transport::reactor::Reactor) rather than parking a
+//! [`crate::transport::reactor::Reactor`] rather than parking a
 //! thread per connection. Every connection of one queue manager — inbound
 //! lines and the ack readers of its outbound channels — registers under
 //! the manager's name and so shares one reactor thread: the arrivals of a
@@ -221,7 +221,7 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-/// Reactor handler for the sender's read half: consumes `AckWin`/`Ack`
+/// Reactor handler for the sender's read half: consumes `AckWin`
 /// watermarks and `Pong`s for one connection epoch, and flushes the
 /// outbox when the socket becomes writable again.
 struct AckReader {
@@ -472,7 +472,7 @@ impl TcpTransport {
         st.activity = st.activity.wrapping_add(1);
         st.last_inbound = std::time::Instant::now();
         match frame.kind {
-            FrameKind::Ack | FrameKind::AckWin => {
+            FrameKind::AckWin => {
                 if frame.decode_ack().is_err() {
                     return false;
                 }

@@ -435,7 +435,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Toml`] on syntax errors, [`ScenarioError::Spec`]
+    /// [`ScenarioError::Toml`](crate::ScenarioError::Toml) on syntax errors,
+    /// [`ScenarioError::Spec`](crate::ScenarioError::Spec)
     /// on structural problems.
     pub fn from_toml_str(src: &str) -> ScenarioResult<ScenarioSpec> {
         let root = toml::parse(src)?;
@@ -446,7 +447,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Spec`] naming the violation.
+    /// [`ScenarioError::Spec`](crate::ScenarioError::Spec) naming the
+    /// violation.
     pub fn validate(&self) -> ScenarioResult<()> {
         if self.managers.is_empty() {
             return Err(spec_err("scenario declares no managers"));

@@ -408,3 +408,112 @@ fn concurrent_persistent_puts_share_group_commit_fsyncs() {
     assert_eq!(qmgr2.queue("Q.LOAD").unwrap().depth(), (THREADS * PUTS) as usize);
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn queues_created_and_deleted_under_commits_and_checkpoints_recover_exactly() {
+    // Worker threads each create their own queues, put persistent messages
+    // on them, take some back and delete every third queue, while another
+    // thread checkpoints in a loop. After a crash the rebuilt manager must
+    // hold exactly the queues alive at the crash, each with its committed
+    // puts minus its committed gets, in order.
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    use mq::journal::{SegmentConfig, SegmentedJournal};
+    use mq::{Message, DEAD_LETTER_QUEUE};
+
+    const THREADS: usize = 4;
+    const QUEUES: usize = 6;
+    const PUTS: usize = 8;
+    let root = std::env::temp_dir().join(format!(
+        "condmsg-directory-concurrency-{}-{}",
+        std::process::id(),
+        rand::random::<u64>()
+    ));
+    let journal = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+    let qmgr = QueueManager::builder("QM1")
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let checkpointer = {
+        let (qmgr, start, stop) = (qmgr.clone(), start.clone(), stop.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            let mut taken = 0;
+            loop {
+                qmgr.checkpoint().unwrap();
+                taken += 1;
+                if stop.load(Ordering::SeqCst) {
+                    return taken;
+                }
+            }
+        })
+    };
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (qmgr, start) = (qmgr.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                // name → the payloads it must hold after the crash.
+                let mut alive = BTreeMap::new();
+                for r in 0..QUEUES {
+                    let name = format!("Q.{t}.{r}");
+                    qmgr.create_queue(name.as_str()).unwrap();
+                    let payloads: Vec<String> =
+                        (0..PUTS).map(|i| format!("{name}#{i}")).collect();
+                    for payload in &payloads {
+                        let msg = Message::text(payload.as_str()).persistent(true).build();
+                        qmgr.put(&name, msg).unwrap();
+                    }
+                    let gets = r % 4;
+                    for payload in &payloads[..gets] {
+                        let got = qmgr.get(&name, Wait::NoWait).unwrap().unwrap();
+                        assert_eq!(got.payload_str(), Some(payload.as_str()));
+                    }
+                    if r % 3 == 0 {
+                        qmgr.delete_queue(&name).unwrap();
+                    } else {
+                        alive.insert(name, payloads[gets..].to_vec());
+                    }
+                }
+                alive
+            })
+        })
+        .collect();
+    let mut expected = BTreeMap::new();
+    for w in workers {
+        expected.extend(w.join().unwrap());
+    }
+    stop.store(true, Ordering::SeqCst);
+    assert!(checkpointer.join().unwrap() > 0);
+    assert_eq!(expected.len(), THREADS * (QUEUES - QUEUES.div_ceil(3)));
+
+    qmgr.crash();
+    drop((qmgr, journal));
+    let journal = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+    let qmgr = QueueManager::builder("QM1")
+        .journal(journal)
+        .build()
+        .unwrap();
+    let recovered: Vec<String> = qmgr
+        .queue_names()
+        .into_iter()
+        .filter(|name| name != DEAD_LETTER_QUEUE)
+        .collect();
+    assert_eq!(recovered, expected.keys().cloned().collect::<Vec<_>>());
+    for (name, payloads) in &expected {
+        let held: Vec<String> = qmgr
+            .queue(name)
+            .unwrap()
+            .browse()
+            .iter()
+            .map(|m| m.payload_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(&held, payloads, "queue {name}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
