@@ -147,18 +147,10 @@ impl fmt::Debug for DSphereService {
 impl DSphereService {
     /// Creates a service with its own transaction manager.
     pub fn new(messenger: Arc<ConditionalMessenger>) -> Arc<DSphereService> {
-        DSphereService::with_tx_manager(messenger, TransactionManager::new())
-    }
-
-    /// Creates a service sharing an existing transaction manager.
-    pub fn with_tx_manager(
-        messenger: Arc<ConditionalMessenger>,
-        txm: Arc<TransactionManager>,
-    ) -> Arc<DSphereService> {
         let metrics = SphereMetrics::registered(messenger.manager().obs().metrics());
         Arc::new(DSphereService {
             messenger,
-            txm,
+            txm: TransactionManager::new(),
             metrics,
         })
     }

@@ -62,6 +62,8 @@ pub enum LintRule {
     /// Emission missing from its declared registry (cond-verify
     /// registry pass).
     Registry,
+    /// A `// lint:` annotation of a kind no pass reads.
+    Annotation,
 }
 
 /// Token-level rules, in reporting order (the cond-verify rules are
@@ -74,11 +76,12 @@ pub const ALL_RULES: [LintRule; 4] = [
 ];
 
 /// The inter-procedural cond-verify rules.
-pub const VERIFY_RULES: [LintRule; 4] = [
+pub const VERIFY_RULES: [LintRule; 5] = [
     LintRule::LockOrder,
     LintRule::NeverHold,
     LintRule::Custody,
     LintRule::Registry,
+    LintRule::Annotation,
 ];
 
 impl LintRule {
@@ -93,6 +96,7 @@ impl LintRule {
             LintRule::NeverHold => "never-hold",
             LintRule::Custody => "custody",
             LintRule::Registry => "registry",
+            LintRule::Annotation => "annotation",
         }
     }
 
@@ -242,7 +246,11 @@ fn rule_matches(rule: LintRule, t: &[Token], k: usize) -> bool {
                 || (seq(t, k, &[".", "expect", "("]) && !(k > 0 && tok_is(t, k - 1, "self")))
         }
         // Verify rules are produced by the `verify` passes.
-        LintRule::LockOrder | LintRule::NeverHold | LintRule::Custody | LintRule::Registry => false,
+        LintRule::LockOrder
+        | LintRule::NeverHold
+        | LintRule::Custody
+        | LintRule::Registry
+        | LintRule::Annotation => false,
     }
 }
 

@@ -30,7 +30,7 @@ pub struct ParsedFile {
     /// Registry sinks (`// lint: registry-sink <kind>` on items).
     pub sinks: Vec<SinkDecl>,
     /// Every `// lint:` annotation in the file (for free-floating forms
-    /// such as `never-hold`, `lock-alias`, and trailing `custody-ok`).
+    /// such as `never-hold` and trailing `custody-ok`).
     pub annotations: Vec<Annotation>,
 }
 
@@ -1574,13 +1574,13 @@ mod tests {
     const SRC: &str = r#"
 struct Queue {
     store: Mutex<MessageStore>,
-    gate: Arc<RwLock<()>>,
+    index: Arc<RwLock<()>>,
 }
 
 impl Queue {
     // lint: custody(msg, err-reverts)
     fn put(&self, msg: Message) -> MqResult<()> {
-        let _gate = self.gate.read();
+        let _index = self.index.read();
         let mut store = self.store.lock();
         self.check_open(&store)?;
         self.insert(&mut store, msg, false);
@@ -1621,12 +1621,12 @@ impl WireEncode for JournalRecord {
         let f = parse_file("x.rs", SRC);
         let put = f.fns.iter().find(|d| d.name == "put").unwrap();
         let body = put.body.as_ref().unwrap();
-        // let _gate = self.gate.read();
+        // let _index = self.index.read();
         let Stmt::Let { bindings, events, .. } = &body.stmts[0] else { panic!() };
-        assert_eq!(bindings, &["_gate".to_string()]);
+        assert_eq!(bindings, &["_index".to_string()]);
         let Event::Call(c) = &events[0] else { panic!() };
         assert_eq!(c.name, "read");
-        assert_eq!(c.recv, Recv::SelfChain(vec!["gate".into()]));
+        assert_eq!(c.recv, Recv::SelfChain(vec!["index".into()]));
         assert!(c.sticky_end);
         // self.check_open(&store)? has a try
         let Stmt::Expr { has_try, .. } = &body.stmts[2] else { panic!() };

@@ -14,12 +14,8 @@
 //! upstream, so the sender retries. Without it, `?` while live is a
 //! leak (strict mode).
 //!
-//! A callee annotated `// lint: custody-returns` transfers custody to
-//! the `let` binding of its result. A deliberate exit can be suppressed
-//! with a trailing `// lint: custody-ok(<reason>)` on (or directly
-//! above) the exiting line.
-
-use std::collections::HashMap;
+//! A deliberate exit can be suppressed with a trailing
+//! `// lint: custody-ok(<reason>)` on (or directly above) the exiting line.
 
 use crate::parser::{Block, Event, FnDef, Stmt};
 use crate::{Finding, LintRule};
@@ -102,11 +98,8 @@ fn leak(ctx: &mut Ctx<'_>, st: &mut State, line: u32, msg: &str) {
     });
 }
 
-/// Processes a statement's events against the custody state. Returns
-/// true when the tracked variable was moved into a `custody-returns`
-/// callee (so a `let` should transfer tracking to its binding).
-fn process_events(ctx: &mut Ctx<'_>, events: &[Event], st: &mut State) -> bool {
-    let mut transfers = false;
+/// Processes a statement's events against the custody state.
+fn process_events(ctx: &mut Ctx<'_>, events: &[Event], st: &mut State) {
     for ev in events {
         match ev {
             Event::Drop { var, line } => {
@@ -127,18 +120,10 @@ fn process_events(ctx: &mut Ctx<'_>, events: &[Event], st: &mut State) -> bool {
             Event::Call(c) => {
                 if c.moved.contains(&st.tracked) && matches!(st.phase, Phase::Live(_)) {
                     st.phase = Phase::Done;
-                    let callees = ctx.ws.resolve_call(ctx.fnd, c, &HashMap::new());
-                    if callees.iter().any(|id| {
-                        ctx.ws.fns[*id].anns.iter().any(|a| a == "custody-returns")
-                    }) {
-                        transfers = true;
-                        st.phase = Phase::Live(c.line);
-                    }
                 }
             }
         }
     }
-    transfers
 }
 
 fn check_try(ctx: &mut Ctx<'_>, st: &mut State, has_try: bool, line: u32) {
@@ -161,17 +146,13 @@ fn walk_block(ctx: &mut Ctx<'_>, b: &Block, st: &mut State) -> Flow {
     for stmt in &b.stmts {
         match stmt {
             Stmt::Let { bindings, events, idents: _, has_try, else_block, line } => {
-                let transfers = process_events(ctx, events, st);
+                process_events(ctx, events, st);
                 check_try(ctx, st, *has_try, *line);
                 if let Some(e) = else_block {
                     let mut diverging = st.clone();
                     walk_block(ctx, e, &mut diverging);
                 }
-                if transfers {
-                    if let Some(first) = bindings.first() {
-                        st.tracked = first.clone();
-                    }
-                } else if bindings.contains(&st.tracked) {
+                if bindings.contains(&st.tracked) {
                     st.phase = Phase::Live(*line);
                 }
             }

@@ -16,6 +16,10 @@
 //!   so every `metric = "…"` / `stage = "…"` a scenario oracle asserts
 //!   on names something the observability layer actually emits.
 //!
+//! A `// lint:` annotation of any other kind than those the passes read
+//! ([`ANNOTATION_KINDS`]) is a finding of its own, so a misspelled kind
+//! cannot silently drop its discipline.
+//!
 //! The annotation grammar and the soundness caveats of the lightweight
 //! parser are documented in DESIGN.md §14.
 
@@ -28,10 +32,13 @@ use std::io;
 use std::path::Path;
 
 use crate::parser::{Call, FnDef, ParsedFile, Recv};
-use crate::Finding;
+use crate::{Finding, LintRule};
 
-/// Methods that acquire a lock when called on a lock-typed field (or on
-/// an accessor annotated `returns-lock`).
+/// The `// lint:` annotation kinds the passes read.
+pub const ANNOTATION_KINDS: &[&str] =
+    &["never-hold", "custody", "custody-ok", "registry", "registry-sink"];
+
+/// Methods that acquire a lock when called on a lock-typed field.
 pub const LOCK_METHODS: &[&str] = &[
     "lock",
     "read",
@@ -56,7 +63,7 @@ pub type FnId = usize;
 /// A declared never-hold discipline.
 #[derive(Debug)]
 pub struct NeverHold {
-    /// Canonical lock id (`Owner.field`).
+    /// Lock id (`Owner.field`).
     pub lock: String,
     /// Function name that must not be reached while the lock is held.
     pub target: String,
@@ -103,8 +110,6 @@ pub struct Workspace {
     pub trait_defaults: HashMap<(String, String), Vec<FnId>>,
     /// Declared never-hold disciplines.
     pub never_holds: Vec<NeverHold>,
-    /// Lock alias map (alias → canonical).
-    pub aliases: HashMap<String, String>,
     /// path → lines carrying a `custody-ok` annotation.
     pub custody_ok: HashMap<String, HashSet<u32>>,
 }
@@ -123,7 +128,6 @@ impl Workspace {
             free_by_name: HashMap::new(),
             trait_defaults: HashMap::new(),
             never_holds: Vec::new(),
-            aliases: HashMap::new(),
             custody_ok: HashMap::new(),
         };
         for f in &files {
@@ -150,11 +154,6 @@ impl Workspace {
                                 line: ann.line,
                             });
                         }
-                    }
-                } else if let Some(rest) = ann.text.strip_prefix("lock-alias ") {
-                    let mut parts = rest.split_whitespace();
-                    if let (Some(a), Some(b)) = (parts.next(), parts.next()) {
-                        ws.aliases.insert(a.to_owned(), b.to_owned());
                     }
                 } else if ann.text.starts_with("custody-ok") {
                     ws.custody_ok.entry(f.path.clone()).or_default().insert(ann.line);
@@ -188,34 +187,7 @@ impl Workspace {
                 annotations: f.annotations,
             });
         }
-        // Canonicalize never-hold locks through aliases.
-        for nh in &mut ws.never_holds {
-            let mut lock = nh.lock.clone();
-            let mut hops = 0;
-            while let Some(next) = ws.aliases.get(&lock) {
-                lock = next.clone();
-                hops += 1;
-                if hops > 4 {
-                    break;
-                }
-            }
-            nh.lock = lock;
-        }
         ws
-    }
-
-    /// Resolves a lock id through the alias map.
-    pub fn canon(&self, id: &str) -> String {
-        let mut lock = id.to_owned();
-        let mut hops = 0;
-        while let Some(next) = self.aliases.get(&lock) {
-            lock = next.clone();
-            hops += 1;
-            if hops > 4 {
-                break;
-            }
-        }
-        lock
     }
 
     /// Extracts the core workspace type from a type string.
@@ -419,7 +391,8 @@ impl Workspace {
         }
     }
 
-    /// If `call` is a lock acquisition, returns the canonical lock id.
+    /// If `call` is a lock acquisition, returns the lock id
+    /// (`Owner.field`, the field the chain ends at).
     pub fn lock_id_of(
         &self,
         caller: &FnDef,
@@ -429,52 +402,14 @@ impl Workspace {
         if !LOCK_METHODS.contains(&call.name.as_str()) {
             return None;
         }
-        match &call.recv {
-            Recv::SelfChain(fields) if !fields.is_empty() => {
-                let owner = caller.owner.as_ref()?;
-                let (declared_on, ft) = self.field_chain(owner, fields)?;
-                if is_lock_type(&ft) {
-                    Some(self.canon(&format!("{declared_on}.{}", fields.last()?)))
-                } else {
-                    None
-                }
-            }
-            Recv::Local(base, fields) if !fields.is_empty() => {
-                let bt = locals.get(base)?;
-                let (declared_on, ft) = self.field_chain(bt, fields)?;
-                if is_lock_type(&ft) {
-                    Some(self.canon(&format!("{declared_on}.{}", fields.last()?)))
-                } else {
-                    None
-                }
-            }
-            Recv::Chained { prev } => {
-                // `self.accessor().read()` where the accessor is annotated
-                // `// lint: returns-lock(<id>)`.
-                let ids = match &caller.owner {
-                    Some(o) => {
-                        let ids = self
-                            .by_owner
-                            .get(&(o.clone(), prev.clone()))
-                            .cloned()
-                            .unwrap_or_default();
-                        if ids.is_empty() { self.fallback_unique(prev) } else { ids }
-                    }
-                    None => self.fallback_unique(prev),
-                };
-                for id in ids {
-                    for ann in &self.fns[id].anns {
-                        if let Some(rest) = ann.strip_prefix("returns-lock(") {
-                            if let Some(close) = rest.find(')') {
-                                return Some(self.canon(rest[..close].trim()));
-                            }
-                        }
-                    }
-                }
-                None
-            }
-            _ => None,
-        }
+        let (owner, fields) = match &call.recv {
+            Recv::SelfChain(fields) => (caller.owner.as_ref()?, fields),
+            Recv::Local(base, fields) => (locals.get(base)?, fields),
+            _ => return None,
+        };
+        let field = fields.last()?;
+        let (declared_on, ft) = self.field_chain(owner, fields)?;
+        is_lock_type(&ft).then(|| format!("{declared_on}.{field}"))
     }
 }
 
@@ -486,11 +421,34 @@ pub fn is_lock_type(ty: &str) -> bool {
 /// Runs all verify passes over the parsed non-test files of the workspace
 /// rooted at `root` (which also holds the scenario TOMLs).
 pub fn run(root: &Path, files: Vec<ParsedFile>) -> io::Result<Vec<Finding>> {
+    let mut findings = unknown_annotations(&files);
     let ws = Workspace::build(files);
-    let mut findings = Vec::new();
     findings.extend(lockorder::run(&ws));
     findings.extend(custody::run(&ws));
     findings.extend(registry::run(&ws));
     findings.extend(registry::scan_scenarios(root, &ws)?);
     Ok(findings)
+}
+
+/// One finding per `// lint:` annotation whose kind (the text up to the
+/// first `(` or space) is not in [`ANNOTATION_KINDS`].
+fn unknown_annotations(files: &[ParsedFile]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for f in files {
+        for ann in &f.annotations {
+            let kind = ann.text.split(['(', ' ']).next().unwrap_or_default();
+            if !ANNOTATION_KINDS.contains(&kind) {
+                findings.push(Finding {
+                    rule: LintRule::Annotation,
+                    path: f.path.clone(),
+                    line: ann.line as usize,
+                    snippet: format!(
+                        "unknown annotation kind `{kind}` (known: {}); it checks nothing",
+                        ANNOTATION_KINDS.join(", ")
+                    ),
+                });
+            }
+        }
+    }
+    findings
 }

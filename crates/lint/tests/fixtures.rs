@@ -54,6 +54,13 @@ fn never_hold_naming_no_function_is_reported() {
     check("never_hold_stale");
 }
 
+/// A misspelled annotation kind is reported at its site instead of
+/// dropping the discipline it meant to declare.
+#[test]
+fn unknown_annotation_kind_is_reported() {
+    check("unknown_annotation");
+}
+
 /// Custody leaks on an early `return Err` and on a `?` exit; the
 /// discharged path stays silent.
 #[test]

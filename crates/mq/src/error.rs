@@ -38,13 +38,6 @@ pub enum MqError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The message exceeds the queue manager's maximum message length.
-    MessageTooLarge {
-        /// Size of the offending message payload in bytes.
-        size: usize,
-        /// Configured maximum in bytes.
-        max: usize,
-    },
 }
 
 impl fmt::Display for MqError {
@@ -64,9 +57,6 @@ impl fmt::Display for MqError {
             }
             MqError::Transport { peer, reason } => {
                 write!(f, "transport error ({peer}): {reason}")
-            }
-            MqError::MessageTooLarge { size, max } => {
-                write!(f, "message of {size} bytes exceeds maximum {max}")
             }
         }
     }
@@ -115,10 +105,6 @@ mod tests {
             (
                 MqError::TransactionActive,
                 "a transaction is already active",
-            ),
-            (
-                MqError::MessageTooLarge { size: 10, max: 5 },
-                "message of 10 bytes exceeds maximum 5",
             ),
             (
                 MqError::Transport {

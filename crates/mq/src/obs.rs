@@ -258,8 +258,8 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Creates a fresh observability hub with an empty registry and an
-    /// enabled trace log of default capacity.
+    /// Creates a fresh observability hub with an empty registry and a
+    /// trace log of default capacity.
     pub fn new() -> Arc<Obs> {
         Arc::new(Obs::default())
     }

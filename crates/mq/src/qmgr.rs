@@ -59,8 +59,6 @@ pub struct ManagerConfig {
     /// Rollbacks beyond this count dead-letter the message (MQ "backout
     /// threshold").
     pub backout_threshold: u32,
-    /// Maximum message payload size accepted by `put`.
-    pub max_message_size: Option<usize>,
     /// Sliding-window size of the manager-level delivery deduper
     /// (origin-manager + message id keys; see [`crate::relay`]).
     pub dedup_window: usize,
@@ -74,7 +72,6 @@ impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             backout_threshold: 5,
-            max_message_size: None,
             dedup_window: DEFAULT_DEDUP_WINDOW,
             checkpoint_bytes: Some(64 << 20),
         }
@@ -144,7 +141,7 @@ impl QueueManagerBuilder {
             stats,
             relay_stats,
             delivery_dedup: Mutex::new(Deduper::new(dedup_window)),
-            mutation_gate: Arc::new(RwLock::new(())),
+            mutation_gate: RwLock::new(()),
             released: Mutex::new(Released::default()),
             last_checkpoint_len: AtomicU64::new(0),
             obs,
@@ -185,16 +182,17 @@ pub struct QueueManager {
     /// shared by every transport feeding this manager and reseeded from
     /// the checkpoint + journal tail on recovery (see [`crate::relay`]).
     pub(crate) delivery_dedup: Mutex<Deduper>,
-    /// The checkpoint/mutation exclusion gate. Every journaled mutation
-    /// read-holds it across `[journal append + in-memory apply]`;
-    /// [`QueueManager::checkpoint`] write-holds it while snapshotting live
-    /// state and truncating history, so the snapshot can never miss the
-    /// effect of a record it truncates. The gate is never acquired
-    /// re-entrantly: consumer wakeups and watcher callbacks run strictly
-    /// after the read guard is released, so a queued writer cannot
-    /// deadlock against a nested read.
+    /// The checkpoint/writer exclusion gate. What writes a record
+    /// read-holds it across `[journal append + in-memory apply]`: `apply`
+    /// (a transaction's `TxCommit`), `create_queue` and `delete_queue`;
+    /// a checkpoint write-holds it while it snapshots every live
+    /// persistent message and pending get and truncates history, so the
+    /// snapshot never misses the effect of a record it truncates. A take
+    /// (live to pending) and a rollback (pending to live) leave that set
+    /// as it was, so reads never take the gate. Never acquired
+    /// re-entrantly: wakeups and watchers run after the guard is released.
     // lint: never-hold(QueueManager.mutation_gate) across submit
-    mutation_gate: Arc<RwLock<()>>,
+    pub(crate) mutation_gate: RwLock<()>,
     /// The handoffs the channels released, waiting for the next record to
     /// carry them (see [`Released`]). A leaf lock: taken under the mutation
     /// gate by the commit that drains it, held for the drain alone and
@@ -299,12 +297,6 @@ impl QueueManager {
 
     // ---------------------------------------------------- queue admin --
 
-    /// The checkpoint/mutation exclusion gate (see the field docs).
-    // lint: returns-lock(QueueManager.mutation_gate)
-    pub(crate) fn mutation_gate(&self) -> &Arc<RwLock<()>> {
-        &self.mutation_gate
-    }
-
     /// Creates a queue with default configuration.
     ///
     /// # Errors
@@ -369,12 +361,16 @@ impl QueueManager {
         self.check_running()?;
         let _gate = self.mutation_gate.read();
         let mut queues = self.queues.write();
-        let queue = queues
-            .remove(name)
-            .ok_or_else(|| MqError::QueueNotFound(name.to_owned()))?;
+        let Some(queue) = queues.get(name).cloned() else {
+            return Err(MqError::QueueNotFound(name.to_owned()));
+        };
+        // Appended before the queue leaves the directory, as `create_queue`
+        // appends before it enters: a refused delete leaves it listed and
+        // open, as the journal still has it.
         self.journal.append(&JournalRecord::QueueDeleted {
             queue: name.to_owned(),
         })?;
+        queues.remove(name);
         drop(queues);
         queue.close();
         Ok(())
@@ -407,25 +403,13 @@ impl QueueManager {
 
     // ------------------------------------------------------- messaging --
 
-    pub(crate) fn validate(&self, msg: &Message) -> MqResult<()> {
-        if let Some(max) = self.config.max_message_size {
-            if msg.payload().len() > max {
-                return Err(MqError::MessageTooLarge {
-                    size: msg.payload().len(),
-                    max,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Enqueues a message on a local queue, outside any transaction: a
     /// transaction of one put.
     ///
     /// # Errors
     ///
-    /// [`MqError::QueueNotFound`], [`MqError::QueueFull`],
-    /// [`MqError::MessageTooLarge`], or journal failures.
+    /// [`MqError::QueueNotFound`], [`MqError::QueueFull`], or journal
+    /// failures.
     pub fn put(&self, queue: &str, msg: Message) -> MqResult<()> {
         self.auto_commit(|tx| tx.put(self, queue, msg))
     }
@@ -743,8 +727,8 @@ impl QueueManager {
     /// Snapshots all live persistent state into the journal as a
     /// checkpoint and truncates history before it, bounding journal growth
     /// and making the next recovery O(live). Expired messages are swept
-    /// first so the snapshot carries none. Mutation is excluded (via the
-    /// write side of the mutation gate) only for the snapshot itself.
+    /// first so the snapshot carries none. Record writers wait (the write
+    /// side of the mutation gate) for the snapshot itself; takes do not.
     ///
     /// # Errors
     ///
@@ -795,9 +779,10 @@ impl QueueManager {
             return Ok(());
         }
         self.sweep_expired_all()?;
-        // try_write, not write: the caller may sit under a read-held gate
-        // somewhere up-stack (a commit inside a put watcher), and a blocked
-        // writer would deadlock against it.
+        // try_write, not write: a checkpoint is a bound, not a deadline. A
+        // commit that finds the gate held returns and a later one
+        // checkpoints, rather than wait on the holders while every commit
+        // queues behind it.
         let Some(_gate) = self.mutation_gate.try_write() else {
             return Ok(());
         };
@@ -976,24 +961,6 @@ mod tests {
             Some("QM2")
         );
         assert_eq!(qm.stats().forwarded.get(), 1);
-    }
-
-    #[test]
-    fn max_message_size_enforced() {
-        let journal = MemJournal::new();
-        let qm = QueueManager::builder("QM1")
-            .journal(journal)
-            .config(ManagerConfig {
-                max_message_size: Some(4),
-                ..ManagerConfig::default()
-            })
-            .build()
-            .unwrap();
-        qm.create_queue("Q").unwrap();
-        assert!(matches!(
-            qm.put("Q", Message::text("too long").build()),
-            Err(MqError::MessageTooLarge { size: 8, max: 4 })
-        ));
     }
 
     #[test]
@@ -1770,5 +1737,62 @@ mod tests {
         ));
         assert_eq!(q.depth(), 1, "neither dead-lettered nor dropped");
         assert_eq!(q.browse()[0].redelivery_count(), 0);
+    }
+
+    #[test]
+    fn a_get_does_not_wait_for_a_write_held_gate() {
+        let (_journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        qm.put("Q", Message::text("m").persistent(true).build())
+            .unwrap();
+        // A checkpoint in progress: the gate is write-held.
+        let checkpoint = qm.mutation_gate.write();
+        let (took, took_rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn({
+            let qm = Arc::clone(&qm);
+            move || {
+                let mut s = qm.session();
+                s.begin().unwrap();
+                let got = s.get("Q", Wait::NoWait).unwrap();
+                took.send(got.map(|m| m.payload_str().map(str::to_owned)))
+                    .unwrap();
+                s.commit().unwrap();
+            }
+        });
+        let got = took_rx.recv_timeout(std::time::Duration::from_secs(3));
+        assert_eq!(
+            got,
+            Ok(Some(Some("m".to_owned()))),
+            "the take waited for the gate"
+        );
+        // The commit writes a record, so it waits for the checkpoint.
+        drop(checkpoint);
+        reader.join().unwrap();
+        assert_eq!(qm.queue("Q").unwrap().depth(), 0);
+        assert!(qm.queue("Q").unwrap().snapshot_persistent().is_empty());
+    }
+
+    #[test]
+    fn a_delete_the_journal_refuses_leaves_the_queue_and_its_messages() {
+        let (journal, qm) = manager();
+        qm.create_queue("Q").unwrap();
+        qm.put("Q", Message::text("kept").persistent(true).build())
+            .unwrap();
+        journal.set_failing(true);
+        assert!(matches!(qm.delete_queue("Q"), Err(MqError::Io(_))));
+        journal.set_failing(false);
+        assert_eq!(qm.queue_names(), ["Q", DEAD_LETTER_QUEUE]);
+        let kept: Vec<_> = qm.queue("Q").unwrap().browse();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].payload_str(), Some("kept"));
+        qm.put("Q", Message::text("open").build()).unwrap();
+        qm.delete_queue("Q").unwrap();
+        assert!(!qm.queue_exists("Q"));
+        qm.crash();
+        let qm2 = QueueManager::builder("QM1")
+            .journal(journal)
+            .build()
+            .unwrap();
+        assert!(!qm2.queue_exists("Q"), "live state and the journal agree");
     }
 }

@@ -11,11 +11,11 @@
 //! O(depth). Either way the read returns the message delivery order
 //! reaches first: highest priority, then FIFO.
 //!
-//! Takes hold the owning manager's **mutation gate** (a shared read lock)
-//! and the commit holds it across `[journal append + state change]`, so a
-//! checkpoint — which write-holds the gate while snapshotting live state
-//! and truncating history — can never observe a mutation whose record it
-//! truncates but whose effect it missed (see [`crate::QueueManager`]).
+//! A take never waits for a checkpoint: it holds only the store lock. It
+//! moves a message from live to pending and a rollback moves it back, and
+//! a checkpoint snapshots both sets, so neither changes what it must see.
+//! Only what writes a record takes the owning manager's mutation gate (see
+//! [`crate::QueueManager`]).
 //!
 //! Queues are owned by a [`crate::QueueManager`]; applications obtain
 //! `Arc<Queue>` handles via [`crate::QueueManager::queue`] for read-only
@@ -115,12 +115,6 @@ pub struct Queue {
     // lint: never-hold(Queue.store) across append
     store: Mutex<MessageStore>,
     available: Condvar,
-    /// The owning manager's mutation gate (see module docs): read-held
-    /// across every `[journal append + state change]`, write-held by
-    /// checkpoints. Never acquired re-entrantly — notifications and
-    /// watcher callbacks run strictly after the guard is released.
-    // lint: lock-alias Queue.gate QueueManager.mutation_gate
-    gate: Arc<RwLock<()>>,
     stats: QueueStats,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
     put_watchers: Mutex<Vec<PutWatcher>>,
@@ -143,8 +137,8 @@ impl fmt::Debug for Queue {
 }
 
 impl Queue {
-    /// Builds a queue of `manager`: on its clock, journal and mutation
-    /// gate, with stats cells registered under `mq.queue.<name>.*`.
+    /// Builds a queue of `manager`: on its clock and journal, with stats
+    /// cells registered under `mq.queue.<name>.*`.
     pub(crate) fn owned_by(
         manager: &QueueManager,
         name: String,
@@ -158,7 +152,6 @@ impl Queue {
             store: Mutex::new(MessageStore::new()),
             config,
             available: Condvar::new(),
-            gate: manager.mutation_gate().clone(),
             put_watchers: Mutex::new(Vec::new()),
             arrival_trigger: RwLock::new(None),
             manager: manager.me.clone(),
@@ -230,9 +223,8 @@ impl Queue {
     }
 
     /// The one park loop: runs `attempt` until it yields, `wait` runs out
-    /// or the queue closes, parking on the condvar in between with neither
-    /// the gate nor the store lock held (a checkpoint must never wait on
-    /// parked consumers). `attempt` reports the store version it looked at;
+    /// or the queue closes, parking on the condvar in between with the
+    /// store lock released. `attempt` reports the store version it looked at;
     /// an arrival or a close since then has bumped it, so the park cannot
     /// sleep through either.
     ///
@@ -435,10 +427,10 @@ impl Queue {
 
     // ------------------------------------------------------------ gets --
 
-    /// One attempt at a take, under the gate and the store lock, reporting
-    /// the store version it saw. Messages past their TTL are none of a
-    /// take's business: it skips them, and they are swept first, by a
-    /// transaction of its own run with neither lock held. A refused sweep
+    /// One attempt at a take, under the store lock, reporting the store
+    /// version it saw. Messages past their TTL are none of a take's
+    /// business: it skips them, and they are swept first, by a transaction
+    /// of its own run with the lock released. A refused sweep
     /// leaves them where they are and the take none the worse.
     fn attempt(
         &self,
@@ -447,14 +439,12 @@ impl Queue {
         let now = self.clock.now();
         let mut swept = false;
         loop {
-            let gate = self.gate.read();
             let mut store = self.store.lock();
             self.check_open(&store)?;
             if swept || !store.has_ripe(now) {
                 return Ok((take(&mut store, now), store.version()));
             }
             drop(store);
-            drop(gate);
             self.sweep_expired().unwrap_or(0);
             swept = true;
         }
@@ -578,7 +568,6 @@ impl Queue {
         let mut tx = TxState::default();
         let mut n = 0;
         {
-            let _gate = self.gate.read();
             let mut store = self.store.lock();
             self.check_open(&store)?;
             for id in pick(&mut store) {
@@ -624,7 +613,7 @@ impl Queue {
     pub(crate) fn close(&self) {
         let mut store = self.store.lock();
         store.open = false;
-        // Version bump: a consumer between its gated attempt and its park
+        // Version bump: a consumer between its attempt and its park
         // re-checks instead of sleeping through the close.
         store.bump_version();
         drop(store);

@@ -131,7 +131,7 @@ impl TxState {
         self.gets.is_empty() && self.staged_puts.is_empty()
     }
 
-    /// Stages a put, validating destination and limits now so the commit
+    /// Stages a put, validating destination and depth now so the commit
     /// cannot fail on them.
     pub(crate) fn put(
         &mut self,
@@ -140,7 +140,6 @@ impl TxState {
         msg: Message,
     ) -> MqResult<()> {
         let q = manager.queue(queue)?;
-        manager.validate(&msg)?;
         q.check_room(|| self.staged_puts.iter().filter(|(to, _)| Arc::ptr_eq(to, &q)).count())?;
         self.staged_puts.push((q, msg));
         Ok(())
@@ -317,7 +316,7 @@ impl QueueManager {
         // Mutation gate read-held across [TxCommit append + applying its
         // effects]: a checkpoint can never snapshot half a transaction, nor
         // truncate the TxCommit record while its effects are missing.
-        let gate = self.mutation_gate().read();
+        let gate = self.mutation_gate.read();
         let mut applied = Applied::default();
         // Stamped before the record is built: the journal holds each put
         // as enqueued, so a recovered message expires when it would have.
@@ -732,7 +731,7 @@ impl Session {
     /// # Errors
     ///
     /// [`MqError::QueueNotFound`], [`MqError::QueueFull`] (checked at stage
-    /// time), [`MqError::MessageTooLarge`], journal failures.
+    /// time), journal failures.
     pub fn put(&mut self, queue: &str, msg: Message) -> MqResult<()> {
         self.run(|manager, tx| tx.put(manager, queue, msg))
     }

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -155,12 +155,9 @@ impl fmt::Display for TraceEvent {
 
 /// Bounded ring buffer of [`TraceEvent`]s.
 ///
-/// Recording takes one short mutex hold; when tracing is disabled
-/// ([`TraceLog::set_enabled`]) recording is a single atomic load and
-/// nothing is allocated, so the log can stay wired in on hot paths.
+/// Recording takes one short mutex hold.
 pub struct TraceLog {
     capacity: usize,
-    enabled: AtomicBool,
     seq: AtomicU64,
     /// Events evicted because the ring was full; an [`crate::Obs`]
     /// registers the cell as `mq.trace.dropped`.
@@ -213,11 +210,10 @@ impl Default for TraceLog {
 }
 
 impl TraceLog {
-    /// Creates an enabled log retaining at most `capacity` events.
+    /// Creates a log retaining at most `capacity` events.
     pub fn with_capacity(capacity: usize) -> TraceLog {
         TraceLog {
             capacity: capacity.max(1),
-            enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
             dropped: Arc::default(),
             seen: AtomicU64::new(0),
@@ -229,16 +225,6 @@ impl TraceLog {
     /// whether its events are still retained in the ring.
     pub fn stage_seen(&self, stage: TraceStage) -> bool {
         self.seen.load(Ordering::Relaxed) & stage_bit(stage) != 0
-    }
-
-    /// Enables or disables recording (disabled recording is a no-op).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The maximum number of retained events.
@@ -275,9 +261,6 @@ impl TraceLog {
         leaf: Option<u32>,
         detail: impl Into<String>,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.seen.fetch_or(stage_bit(stage), Ordering::Relaxed);
         let event = TraceEvent {
@@ -375,18 +358,6 @@ mod tests {
         assert_eq!(log.events_for(2).len(), 1);
         assert_eq!(log.events_for(9).len(), 0);
         assert_eq!(log.events().len(), 4);
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let log = TraceLog::default();
-        log.set_enabled(false);
-        log.record(Time(0), TraceStage::Send, Some(1), None, "");
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
-        log.set_enabled(true);
-        log.record(Time(0), TraceStage::Send, Some(1), None, "");
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

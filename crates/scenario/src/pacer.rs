@@ -16,7 +16,7 @@ const TICK: Duration = Duration::from_millis(2);
 /// A condvar-parked, iteration-bounded waiter.
 #[derive(Debug, Default)]
 pub(crate) struct Pacer {
-    gate: Mutex<()>,
+    parked: Mutex<()>,
     cv: Condvar,
 }
 
@@ -28,7 +28,7 @@ impl Pacer {
 
     /// Parks for one tick slice.
     pub(crate) fn tick(&self) {
-        let mut guard = self.gate.lock();
+        let mut guard = self.parked.lock();
         let _ = self.cv.wait_for(&mut guard, TICK);
     }
 

@@ -517,3 +517,127 @@ fn queues_created_and_deleted_under_commits_and_checkpoints_recover_exactly() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn takes_and_rollbacks_racing_checkpoints_recover_exactly() {
+    // Each worker owns one queue. Round after round it opens a session,
+    // puts one persistent message and takes one, then commits, rolls back,
+    // or leaves the session open until the crash — while another thread
+    // checkpoints in a loop. A take and a rollback never wait for a
+    // checkpoint, so this races both against its snapshot. After the
+    // rebuild every queue holds exactly its committed puts minus its
+    // committed gets: every take still open at the crash is back.
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    use mq::journal::{SegmentConfig, SegmentedJournal};
+    use mq::Message;
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 240;
+    const PUTS: usize = ROUNDS / 3 + 8;
+    let root = std::env::temp_dir().join(format!(
+        "condmsg-take-checkpoint-{}-{}",
+        std::process::id(),
+        rand::random::<u64>()
+    ));
+    let journal = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+    let qmgr = QueueManager::builder("QM1")
+        .journal(journal.clone())
+        .build()
+        .unwrap();
+    let durable = |payload: &str| Message::text(payload).persistent(true).build();
+    for t in 0..THREADS {
+        let name = format!("T.{t}");
+        qmgr.create_queue(name.as_str()).unwrap();
+        for i in 0..PUTS {
+            qmgr.put(&name, durable(&format!("{name}#{i}"))).unwrap();
+        }
+    }
+
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let checkpointer = {
+        let (qmgr, start, stop) = (qmgr.clone(), start.clone(), stop.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            let mut taken = 0;
+            while !stop.load(Ordering::SeqCst) {
+                qmgr.checkpoint().unwrap();
+                taken += 1;
+            }
+            taken
+        })
+    };
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (qmgr, start) = (qmgr.clone(), start.clone());
+            std::thread::spawn(move || {
+                let name = format!("T.{t}");
+                // What the queue must hold after the crash, and the
+                // sessions left open until it.
+                let mut committed: BTreeSet<String> =
+                    (0..PUTS).map(|i| format!("{name}#{i}")).collect();
+                let mut pending = BTreeSet::new();
+                let mut open = Vec::new();
+                start.wait();
+                for round in 0..ROUNDS {
+                    let mut s = qmgr.session();
+                    s.begin().unwrap();
+                    let put = format!("{name}#new{round}");
+                    s.put(&name, durable(&put)).unwrap();
+                    let got = s.get(&name, Wait::NoWait).unwrap().unwrap();
+                    let got = got.payload_str().unwrap().to_owned();
+                    assert!(committed.contains(&got) && !pending.contains(&got), "{got}");
+                    match round % 3 {
+                        0 => {
+                            s.commit().unwrap();
+                            committed.remove(&got);
+                            committed.insert(put);
+                        }
+                        1 => s.rollback().unwrap(),
+                        _ => {
+                            pending.insert(got);
+                            open.push(s);
+                        }
+                    }
+                }
+                (name, committed, open)
+            })
+        })
+        .collect();
+    let finished: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    stop.store(true, Ordering::SeqCst);
+    assert!(checkpointer.join().unwrap() > 0);
+
+    qmgr.crash();
+    let mut expected = Vec::new();
+    for (name, committed, open) in finished {
+        assert_eq!(open.len(), ROUNDS / 3);
+        expected.push((name, committed));
+        drop(open);
+    }
+    drop((qmgr, journal));
+    let journal = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+    let qmgr = QueueManager::builder("QM1")
+        .journal(journal)
+        .build()
+        .unwrap();
+    for (name, committed) in expected {
+        let mut held: Vec<String> = qmgr
+            .queue(&name)
+            .unwrap()
+            .browse()
+            .iter()
+            .map(|m| m.payload_str().unwrap().to_owned())
+            .collect();
+        held.sort();
+        assert_eq!(
+            held,
+            committed.into_iter().collect::<Vec<_>>(),
+            "queue {name}"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
