@@ -103,9 +103,9 @@ cargo run --release -p cond-bench --bin exp_federation -- --quick
 # faster than replaying the full history (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_store -- --quick
 # Declarative scenarios: the three flagship TOMLs (relay crash, D-Sphere
-# branch pattern, scaled-down IoT chaos fleet — every channel loopback TCP,
-# the fleet's faults on its acceptor) compile, run, and every
-# exactly-one-outcome oracle must pass (asserted inside the binary).
+# branch pattern with a relay crash, scaled-down IoT chaos fleet — every
+# channel loopback TCP, every run on simulated time) compile, run, and
+# every exactly-one-outcome oracle must pass (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_scenario -- --quick
 # No gate above may touch a committed result file.
 git diff --exit-code -- 'BENCH_*.json'

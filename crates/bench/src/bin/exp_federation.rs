@@ -236,10 +236,9 @@ fn main() {
         .collect();
     let json = format!(
         concat!(
-            "{{\n  \"experiment\": \"EF relay federation\",\n  \"quick\": {},\n",
+            "{{\n  \"experiment\": \"EF relay federation\",\n",
             "  \"msgs\": {},\n  \"verdict_rounds\": {},\n  \"runs\": [\n{}\n  ]\n}}\n"
         ),
-        quick,
         msgs,
         verdict_rounds,
         runs_json.join(",\n"),

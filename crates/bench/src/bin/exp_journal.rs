@@ -189,7 +189,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"EJ journal group commit\",\n  \"quick\": {quick},\n  \"per_writer_appends\": {per_writer},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"EJ journal group commit\",\n  \"per_writer_appends\": {per_writer},\n  \"runs\": [\n{}\n  ]\n}}\n",
         runs_json.join(",\n"),
     );
     write_bench_json("BENCH_journal.json", quick, &json);

@@ -1,7 +1,7 @@
 //! E10 — declarative scenario engine: runs every `.toml` scenario under
-//! `scenarios/` through `cond-scenario`, reporting sends/s, verdict
-//! latency percentiles (scenario-clock ms), and the oracle verdict per
-//! scenario. Every oracle must pass. Results land in
+//! `scenarios/` through `cond-scenario`, on simulated time, reporting
+//! sends/s, verdict latency percentiles (scenario-clock ms), and the
+//! oracle verdict per scenario. Every oracle must pass. Results land in
 //! `BENCH_scenario.json`.
 //!
 //! `--quick` selects each scenario's reduced actor populations
@@ -34,7 +34,6 @@ fn main() {
     );
     header(&[
         "scenario",
-        "clock",
         "sent",
         "success",
         "failure",
@@ -53,7 +52,6 @@ fn main() {
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         let spec = ScenarioSpec::from_toml_str(&text)
             .unwrap_or_else(|e| panic!("parse {file}: {e}"));
-        let clock = spec.clock;
         let start = Instant::now();
         let report =
             exec::run(&spec, quick).unwrap_or_else(|e| panic!("run {file}: {e}"));
@@ -61,7 +59,6 @@ fn main() {
         let rate = report.sent as f64 / wall.max(1e-9);
         row(&[
             report.name.clone(),
-            format!("{clock:?}").to_lowercase(),
             report.sent.to_string(),
             report.success.to_string(),
             report.failure.to_string(),
@@ -85,14 +82,13 @@ fn main() {
     let mut json = String::from("{\n  \"experiment\": \"scenario\",\n  \"scenarios\": [\n");
     for (k, (file, wall, r)) in reports.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"file\": \"{file}\", \"name\": \"{}\", \"quick\": {}, \
+            "    {{\"file\": \"{file}\", \"name\": \"{}\", \
              \"sent\": {}, \"send_errors\": {}, \"success\": {}, \"failure\": {}, \
              \"spheres_committed\": {}, \"spheres_aborted\": {}, \"comps_swept\": {}, \
              \"wall_s\": {wall:.3}, \"sends_per_s\": {:.1}, \
              \"verdict_p50_ms\": {}, \"verdict_p95_ms\": {}, \
              \"oracle_checks\": {}, \"oracle_failed\": {}, \"oracle_passed\": {}}}{}\n",
             r.name,
-            r.quick,
             r.sent,
             r.send_errors,
             r.success,

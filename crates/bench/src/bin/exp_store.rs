@@ -219,7 +219,6 @@ fn main() {
         concat!(
             "{{\n",
             "  \"experiment\": \"ES journal as primary store\",\n",
-            "  \"quick\": {quick},\n",
             "  \"index\": {{\n",
             "    \"parked\": {parked},\n",
             "    \"ops\": {ops},\n",
@@ -239,7 +238,6 @@ fn main() {
             "  }}\n",
             "}}\n"
         ),
-        quick = quick,
         parked = parked,
         ops = ops,
         corr = idx.correlation_p95_us,

@@ -312,8 +312,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"ET transport loopback tcp\",\n  \"quick\": {},\n  \"msgs_per_pair\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        quick,
+        "{{\n  \"experiment\": \"ET transport loopback tcp\",\n  \"msgs_per_pair\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         msgs_per_pair,
         runs_json.join(",\n"),
     );

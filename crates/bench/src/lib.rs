@@ -10,8 +10,20 @@ use std::path::{Path, PathBuf};
 /// Writes an experiment's JSON result file `name` (a `BENCH_*.json`): a
 /// full run into the working directory, where the committed result lives;
 /// a `--quick` run under `target/bench-quick/`, so a gate run leaves the
-/// committed file alone.
+/// committed file alone. `json` is one object; every file opens with the
+/// same header stamped in front of its fields: `quick`, `cores` (the
+/// parallelism the host offers) and `git_rev` (`git describe --always
+/// --dirty`: the commit the run was built on, suffixed `-dirty` when the
+/// tree carried uncommitted changes, or `"unknown"` without git).
 pub fn write_bench_json(name: &str, quick: bool, json: &str) {
+    let fields = json
+        .strip_prefix('{')
+        .unwrap_or_else(|| panic!("{name}: a result is one JSON object"));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = format!(
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"git_rev\": \"{}\",{fields}",
+        git_rev()
+    );
     let path = if quick {
         Path::new("target/bench-quick").join(name)
     } else {
@@ -22,6 +34,20 @@ pub fn write_bench_json(name: &str, quick: bool, json: &str) {
     }
     fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("\nwrote {}", path.display());
+}
+
+/// The short hash of the checked-out commit, `-dirty` when the tree
+/// differs from it, or `"unknown"`.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Nearest-rank percentile of `samples` for `p` in `[0, 1]`, or 0 when

@@ -131,8 +131,9 @@ impl WireEncode for JournalRecord {
                 enc.put_u8(1);
                 enc.put_wire_str(queue);
             }
-            // A message goes in as its cached image: the one the mover
-            // sends, encoded once for both. A put whose payload equals the
+            // A message's image is assembled from its header, payload and
+            // property bytes straight into the record (each assembly counts
+            // in `mq.codec.encodes`). A put whose payload equals the
             // previous put's leaves it out, so a fan-out writes it once.
             // Every id of a record is written relative to the one before
             // it in the record: the puts' ids and correlation ids, then the
@@ -413,7 +414,9 @@ pub trait Journal: Send + Sync + fmt::Debug {
         Ok(())
     }
 
-    /// Discards all records (used after writing a compaction snapshot).
+    /// Discards all records. Nothing in the manager calls it: only the
+    /// journals' own unit tests and the wrappers that forward to an inner
+    /// journal do.
     ///
     /// # Errors
     ///

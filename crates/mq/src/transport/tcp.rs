@@ -14,8 +14,9 @@
 //!   version and — when configured — the peer's queue-manager name), then
 //!   flips the socket non-blocking and hands the read half to the
 //!   reactor. From there the data plane is *pipelined*: `submit` writes a
-//!   `Batch` frame (vectored, straight from the per-message cached wire
-//!   images — no copy) and returns a [`BatchTicket`] without waiting;
+//!   `Batch` frame (each message's image assembled from its bytes straight
+//!   into the frame, one `mq.codec.encodes` per image) and returns a
+//!   [`BatchTicket`] without waiting;
 //!   cumulative `AckWin` watermarks consumed on the reactor advance
 //!   [`Transport::progress`], confirming every batch at or below
 //!   the watermark at once. A full socket parks `submit` until the

@@ -2,13 +2,12 @@
 //!
 //! Compilation expands every templated block (managers, queues,
 //! channels, routes, ackers) over its index range, builds the queue
-//! managers on one shared clock and observability hub, binds a loopback
-//! acceptor on every manager a channel targets, connects the declared
-//! channels over loopback TCP, applies the
-//! routing declarations, instantiates one conditional messenger per
-//! sending manager, and resolves fault triggers against
-//! the expanded plan. The result is a [`Compiled`] world the executor
-//! ([`crate::exec`]) drives.
+//! managers on one shared simulated clock and observability hub, binds a
+//! loopback acceptor on every manager a channel targets, connects the
+//! declared channels over loopback TCP, applies the routing declarations,
+//! instantiates one conditional messenger per sending manager, and
+//! resolves fault triggers against the expanded plan. The result is a
+//! [`Compiled`] world the executor ([`crate::exec`]) drives.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -20,12 +19,12 @@ use mq::channel::Channel;
 use mq::journal::{Journal, MemJournal, NullJournal};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Obs, QueueManager};
-use simtime::{Millis, SharedClock, SimClock, SystemClock};
+use simtime::{Millis, SimClock};
 
 use crate::error::{spec_err, ScenarioResult};
 use crate::spec::{
-    AckMode, ActorSpec, ClockMode, ConditionSpec, DelaySpec, DestSpec, FaultActionSpec,
-    JournalKind, ScenarioSpec, SetSpec, TriggerSpec,
+    AckMode, ActorSpec, ConditionSpec, DelaySpec, DestSpec, FaultActionSpec, JournalKind,
+    ScenarioSpec, SetSpec, TriggerSpec,
 };
 use crate::spec::{expand_idx, expand_msg};
 
@@ -131,15 +130,15 @@ pub(crate) struct ActorRt {
     pub(crate) spec: ActorSpec,
     pub(crate) count: u64,
     /// Worst-case milliseconds from send to a deadline-driven verdict for
-    /// this actor's condition shape (used to size settle budgets).
+    /// this actor's condition shape, or to its sphere's timeout: how far
+    /// the executor's final advance must reach.
     pub(crate) horizon_ms: u64,
 }
 
 /// A compiled, live scenario world.
 pub struct Compiled {
-    pub(crate) clock_mode: ClockMode,
-    pub(crate) sim: Option<Arc<SimClock>>,
-    pub(crate) clock: SharedClock,
+    /// The one clock every manager runs on; only the executor moves it.
+    pub(crate) clock: Arc<SimClock>,
     pub(crate) obs: Arc<Obs>,
     pub(crate) managers: HashMap<String, ManagerRt>,
     pub(crate) channels: Vec<ChannelRt>,
@@ -179,14 +178,7 @@ impl Compiled {
 /// any harness error while building the world.
 pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     spec.validate()?;
-    let (clock_mode, sim, clock): (ClockMode, Option<Arc<SimClock>>, SharedClock) =
-        match spec.clock {
-            ClockMode::Sim => {
-                let sim = SimClock::new();
-                (ClockMode::Sim, Some(sim.clone()), sim)
-            }
-            ClockMode::Real => (ClockMode::Real, None, SystemClock::new()),
-        };
+    let clock = SimClock::new();
     let obs = Arc::new(Obs::default());
 
     let mut managers: HashMap<String, ManagerRt> = HashMap::new();
@@ -281,9 +273,9 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
         apply_route(&managers, route)?;
     }
 
-    // One messenger per sending manager. Under both clocks acks evaluate
-    // on arrival and deadline verdicts fire from armed timers, so the
-    // executor never needs an evaluation daemon.
+    // One messenger per sending manager. Acks evaluate on arrival and
+    // deadline verdicts fire from armed timers, so the executor never
+    // needs an evaluation daemon.
     let mut messengers: HashMap<String, Arc<ConditionalMessenger>> = HashMap::new();
     let mut spheres: HashMap<String, Arc<DSphereService>> = HashMap::new();
     let mut actors = Vec::new();
@@ -304,11 +296,16 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
         }
         let count = actor.resolved_count(quick);
         total_sends += count;
+        let sphere_timeout_ms = match actor.mode {
+            crate::spec::ActorMode::Sphere { timeout_ms } => timeout_ms,
+            crate::spec::ActorMode::Send => 0,
+        };
         actors.push(ActorRt {
             spec: actor.clone(),
             count,
-            horizon_ms: condition_horizon_ms(&actor.condition)
-                + actor.evaluation_timeout_ms.unwrap_or(0),
+            horizon_ms: (condition_horizon_ms(&actor.condition)
+                + actor.evaluation_timeout_ms.unwrap_or(0))
+            .max(sphere_timeout_ms),
         });
     }
 
@@ -376,8 +373,6 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     }
 
     Ok(Compiled {
-        clock_mode,
-        sim,
         clock,
         obs,
         managers,

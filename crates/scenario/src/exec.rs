@@ -1,38 +1,39 @@
-//! Driving a compiled scenario to completion.
+//! Driving a compiled scenario to completion, on simulated time.
 //!
-//! Two execution strategies share one send path and one oracle:
+//! Every message is sent at one virtual instant T0, the members of
+//! dependency spheres with the rest, send-indexed faults interleaved. A
+//! delivery barrier then waits in thread time until every leaf has landed:
+//! the channels are loopback TCP like everywhere else and nothing on the
+//! wire waits on virtual time, so the clock is still at T0, and a
+//! depth-triggered fault fires from this wait once its depth is reached.
+//! The acknowledgment reads form a timeline computed from the seeded delay
+//! samples before time moves, driven in virtual buckets with time-triggered
+//! faults as entries in it and depth-triggered ones checked between
+//! buckets. A final advance passes every deadline and sphere timeout, so
+//! deadline verdicts fire from armed timers at exact virtual times, and
+//! only then does `try_commit` resolve each sphere. A million-message day
+//! of traffic settles in seconds, and a run is a pure function of its
+//! spec: the wire changes when a message lands in thread time, never the
+//! verdict the seeded timeline fixes.
 //!
-//! * **Real time** ([`ClockMode::Real`]): acknowledging receivers run as
-//!   threads sampling their latency distribution against the system
-//!   clock, dependency spheres commit inline, and faults fire from send
-//!   indexes, wall-clock times, or queue-depth triggers.
-//! * **Simulated time** ([`ClockMode::Sim`]): every message is sent at
-//!   one virtual instant, acknowledgment reads are scheduled as a
-//!   deterministic event timeline from the seeded delay samples, and the
-//!   executor advances the clock through the timeline — so a
-//!   million-message day of traffic settles in seconds, with deadline
-//!   verdicts firing from armed timers at exact virtual times. The
-//!   channels are loopback TCP like everywhere else: nothing on the wire
-//!   waits on virtual time, so the wire changes when a message lands in
-//!   thread time, never the verdict the seeded timeline fixes.
-//!
-//! Either way the run ends the same: every tracked message's outcome is
-//! collected, destination queues are swept (consuming compensations and
-//! annihilating the pairs the reads meet), and the [`crate::oracle`] checks that
-//! declared expectations held exactly.
+//! The run ends by collecting every tracked message's outcome, waiting
+//! until every released compensation has landed, sweeping destination
+//! queues (consuming compensations and annihilating the pairs the reads
+//! meet), and letting the [`crate::oracle`] check that declared
+//! expectations held exactly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use condmsg::config::DEFAULT_ACK_QUEUE;
-use condmsg::{CondMessageId, ConditionalReceiver, MessageKind, MessageOutcome, SendOptions};
+use condmsg::{wire, CondMessageId, ConditionalReceiver, MessageKind, MessageOutcome, SendOptions};
+use dsphere::DSphere;
 use mq::transport::tcp::TcpAcceptor;
 use mq::{FaultAction, FaultPlane, QueueManager, Wait};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simtime::{Millis, Time};
+use simtime::{Clock, Millis, Time};
 
 use crate::compile::{
     compile, connect_edge, apply_route, build_condition, ChannelDecl, Compiled, CompiledFault,
@@ -42,8 +43,7 @@ use crate::error::{engine_err, ScenarioResult};
 use crate::oracle::{self, ActorTally, OracleReport, Tally};
 use crate::pacer::{ticks_for_ms, Pacer};
 use crate::spec::{
-    expand_idx, AckMode, ActorMode, ClockMode, ConditionSpec, DelaySpec, Expect, FaultActionSpec,
-    ScenarioSpec,
+    expand_idx, AckMode, ActorMode, ConditionSpec, DelaySpec, Expect, FaultActionSpec, ScenarioSpec,
 };
 
 /// Metrics surfaced in every [`RunReport`].
@@ -59,17 +59,11 @@ const KEY_METRICS: &[&str] = &[
     "mq.relay.forwarded",
 ];
 
-/// Extra settle time past a condition's own deadlines, covering ack
-/// transit and verdict notification under chaos.
-const SETTLE_SLACK_MS: u64 = 20_000;
-
 /// What a finished run looked like.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Scenario name.
     pub name: String,
-    /// Whether the quick populations ran.
-    pub quick: bool,
     /// Conditional sends accepted (including sphere member sends).
     pub sent: u64,
     /// Sends rejected at the send call.
@@ -103,23 +97,28 @@ pub struct RunReport {
 /// they are reported in [`RunReport::oracle`].
 pub fn run(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<RunReport> {
     let mut world = compile(spec, quick)?;
-    let result = match world.clock_mode {
-        ClockMode::Real => run_real(spec, &mut world, quick),
-        ClockMode::Sim => run_sim(spec, &mut world, quick),
-    };
+    let result = drive(spec, &mut world);
     for rt in world.managers.values() {
         rt.qmgr.shutdown();
     }
     result
 }
 
-/// One accepted conditional send we track to its verdict.
+/// One accepted conditional send (at T0, like every send) we track to
+/// its verdict.
 struct SendRecord {
     actor_idx: usize,
     /// Message index within the actor (the `{i}` binding).
     msg_idx: u64,
     id: CondMessageId,
-    sent_at: Time,
+}
+
+/// One sphere round, open from its send until the end of the run.
+struct SphereRound {
+    actor_idx: usize,
+    /// Round index within the actor (the `{i}` binding).
+    msg_idx: u64,
+    sphere: DSphere,
 }
 
 fn sample_delay_ms(rng: &mut StdRng, delay: &DelaySpec) -> u64 {
@@ -213,17 +212,11 @@ fn crash_rebuild(world: &mut Compiled, name: &str) -> ScenarioResult<()> {
         Some(addr) => {
             // The old socket may linger briefly; retry the exact address
             // so inbound peers heal without re-resolution.
-            let pacer = Pacer::new();
             let mut bound: Option<Arc<TcpAcceptor>> = None;
-            for _ in 0..ticks_for_ms(10_000) {
-                match TcpAcceptor::bind(&qmgr, &addr.to_string()) {
-                    Ok(a) => {
-                        bound = Some(a);
-                        break;
-                    }
-                    Err(_) => pacer.tick(),
-                }
-            }
+            Pacer::new().wait_until(ticks_for_ms(10_000), || {
+                bound = TcpAcceptor::bind(&qmgr, &addr.to_string()).ok();
+                bound.is_some()
+            });
             Some(bound.ok_or_else(|| {
                 engine_err(format!("could not rebind {addr} after crash of {name}"))
             })?)
@@ -264,21 +257,15 @@ fn queue_depth(world: &Compiled, manager: &str, queue: &str) -> u64 {
         .map_or(0, |q| q.depth() as u64)
 }
 
-// ---------------------------------------------------------- send path --
-
-/// Fires every not-yet-fired send-indexed fault due at global send
-/// index `g` (`at <= g`). Returns an error if a fault cannot land.
-fn fire_due_send_faults(
+/// Fires, in declaration order, every not-yet-fired fault whose trigger
+/// `due` accepts. Returns an error if a fault cannot land.
+fn fire_due(
     world: &mut Compiled,
     fired: &mut [bool],
-    g: u64,
+    due: impl Fn(&Compiled, &ResolvedTrigger) -> bool,
 ) -> ScenarioResult<()> {
     for (k, done) in fired.iter_mut().enumerate() {
-        if *done {
-            continue;
-        }
-        let due = matches!(world.faults[k].trigger, ResolvedTrigger::AtSend(at) if at <= g);
-        if due {
+        if !*done && due(world, &world.faults[k].trigger) {
             *done = true;
             let fault = world.faults[k].clone();
             fire_fault(world, &fault)?;
@@ -287,21 +274,52 @@ fn fire_due_send_faults(
     Ok(())
 }
 
+/// Whether a send-indexed trigger is due at global send index `g`.
+fn at_send(g: u64) -> impl Fn(&Compiled, &ResolvedTrigger) -> bool {
+    move |_, trigger| matches!(trigger, ResolvedTrigger::AtSend(at) if *at <= g)
+}
+
+/// Whether a depth trigger's queue has reached its depth.
+fn depth_reached(world: &Compiled, trigger: &ResolvedTrigger) -> bool {
+    matches!(
+        trigger,
+        ResolvedTrigger::WhenDepth { manager, queue, min_depth }
+            if queue_depth(world, manager, queue) >= *min_depth
+    )
+}
+
+/// Fails the run if a depth-triggered fault is still unfired.
+fn check_depth_faults_fired(world: &Compiled, fired: &[bool]) -> ScenarioResult<()> {
+    let unfired = world.faults.iter().zip(fired).find(|(fault, done)| {
+        !**done && matches!(fault.trigger, ResolvedTrigger::WhenDepth { .. })
+    });
+    match unfired {
+        Some((fault, _)) => Err(engine_err(format!(
+            "fault on {:?} never triggered: depth threshold not reached",
+            fault.point
+        ))),
+        None => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------- send path --
+
 /// Runs every actor's send loop in declaration order, firing due
-/// send-indexed faults before each send. Sphere rounds resolve inline;
-/// plain sends are recorded for the settle phase.
+/// send-indexed faults before each send. Plain sends are recorded for the
+/// settle phase; each sphere round is begun, its member sent, and the
+/// sphere kept open for the end of the run.
 fn do_sends(
     world: &mut Compiled,
     tally: &mut Tally,
     records: &mut Vec<SendRecord>,
+    spheres: &mut Vec<SphereRound>,
     fired: &mut [bool],
 ) -> ScenarioResult<()> {
-    let pacer = Pacer::new();
     let mut g = 0_u64;
     for actor_idx in 0..world.actors.len() {
         let actor = world.actors[actor_idx].clone();
         for i in 0..actor.count {
-            fire_due_send_faults(world, fired, g)?;
+            fire_due(world, fired, at_send(g))?;
             g += 1;
             let payload = expand_idx(&actor.spec.payload, i);
             let comp = actor
@@ -321,7 +339,6 @@ fn do_sends(
                         .get(&actor.spec.manager)
                         .ok_or_else(|| engine_err("actor manager lost its messenger"))?
                         .clone();
-                    let sent_at = world.clock.now();
                     match messenger.send_with(payload, comp, &cond, opts) {
                         Ok(id) => {
                             tally.per_actor[actor_idx].sent += 1;
@@ -329,7 +346,6 @@ fn do_sends(
                                 actor_idx,
                                 msg_idx: i,
                                 id,
-                                sent_at,
                             });
                         }
                         Err(_) => tally.per_actor[actor_idx].send_errors += 1,
@@ -351,34 +367,39 @@ fn do_sends(
                         continue;
                     }
                     tally.per_actor[actor_idx].sent += 1;
-                    let budget =
-                        ticks_for_ms(timeout_ms + actor.horizon_ms + SETTLE_SLACK_MS);
-                    let mut outcome = None;
-                    for _ in 0..budget {
-                        match sphere.try_commit() {
-                            Ok(Some(o)) => {
-                                outcome = Some(o);
-                                break;
-                            }
-                            Ok(None) => pacer.tick(),
-                            Err(e) => {
-                                return Err(engine_err(format!(
-                                    "sphere round {i} of `{}` failed: {e}",
-                                    actor.spec.name
-                                )))
-                            }
-                        }
-                    }
-                    match outcome {
-                        Some(o) if o.is_committed() => tally.per_actor[actor_idx].committed += 1,
-                        Some(_) => tally.per_actor[actor_idx].aborted += 1,
-                        None => tally.per_actor[actor_idx].undecided += 1,
-                    }
+                    spheres.push(SphereRound {
+                        actor_idx,
+                        msg_idx: i,
+                        sphere,
+                    });
                 }
             }
         }
     }
-    fire_due_send_faults(world, fired, u64::MAX)?;
+    fire_due(world, fired, at_send(u64::MAX))
+}
+
+/// Resolves every sphere round with `try_commit`, once the final advance
+/// has passed every member deadline and sphere timeout.
+fn resolve_spheres(
+    world: &Compiled,
+    tally: &mut Tally,
+    spheres: &mut [SphereRound],
+) -> ScenarioResult<()> {
+    for round in spheres {
+        let t = &mut tally.per_actor[round.actor_idx];
+        match round.sphere.try_commit() {
+            Ok(Some(o)) if o.is_committed() => t.committed += 1,
+            Ok(Some(_)) => t.aborted += 1,
+            Ok(None) => t.undecided += 1,
+            Err(e) => {
+                return Err(engine_err(format!(
+                    "sphere round {} of `{}` failed: {e}",
+                    round.msg_idx, world.actors[round.actor_idx].spec.name
+                )))
+            }
+        }
+    }
     Ok(())
 }
 
@@ -388,8 +409,8 @@ fn settle_records(
     world: &Compiled,
     tally: &mut Tally,
     records: &[SendRecord],
+    t0: Time,
     latencies: &mut Vec<u64>,
-    wait_for: impl Fn(&crate::compile::ActorRt) -> Wait,
 ) {
     for rec in records {
         let actor = &world.actors[rec.actor_idx];
@@ -397,13 +418,13 @@ fn settle_records(
             tally.per_actor[rec.actor_idx].undecided += 1;
             continue;
         };
-        match messenger.take_outcome(rec.id, wait_for(actor)) {
+        match messenger.take_outcome(rec.id, Wait::NoWait) {
             Ok(Some(n)) => {
                 match n.outcome {
                     MessageOutcome::Success => tally.per_actor[rec.actor_idx].success += 1,
                     MessageOutcome::Failure => tally.per_actor[rec.actor_idx].failure += 1,
                 }
-                latencies.push(n.decided_at.since(rec.sent_at).as_u64());
+                latencies.push(n.decided_at.since(t0).as_u64());
             }
             Ok(None) | Err(_) => tally.per_actor[rec.actor_idx].undecided += 1,
         }
@@ -452,13 +473,7 @@ fn sweep_queues(world: &Compiled, tally: &mut Tally) -> ScenarioResult<()> {
     Ok(())
 }
 
-fn finish(
-    spec: &ScenarioSpec,
-    world: &Compiled,
-    quick: bool,
-    tally: Tally,
-    latencies: Vec<u64>,
-) -> RunReport {
+fn finish(spec: &ScenarioSpec, world: &Compiled, tally: Tally, latencies: Vec<u64>) -> RunReport {
     let snapshot = world.obs.snapshot();
     let metrics = KEY_METRICS
         .iter()
@@ -467,7 +482,6 @@ fn finish(
     let oracle = oracle::evaluate(world, &tally);
     let mut report = RunReport {
         name: spec.name.clone(),
-        quick,
         sent: 0,
         send_errors: 0,
         success: 0,
@@ -490,165 +504,7 @@ fn finish(
     report
 }
 
-// ----------------------------------------------------------- real time --
-
-struct AckerThreads {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    error: Arc<parking_lot::Mutex<Option<String>>>,
-}
-
-impl AckerThreads {
-    fn start(world: &Compiled, seed: u64) -> AckerThreads {
-        let stop = Arc::new(AtomicBool::new(false));
-        let error = Arc::new(parking_lot::Mutex::new(None::<String>));
-        let mut threads = Vec::new();
-        for (idx, acker) in world.ackers.iter().enumerate() {
-            let Some(rt) = world.managers.get(&acker.manager) else {
-                continue;
-            };
-            let qmgr = rt.qmgr.clone();
-            let clock = world.clock.clone();
-            let acker = acker.clone();
-            let stop = stop.clone();
-            let err_slot = error.clone();
-            let mut rng = acker_rng(seed, idx);
-            let handle = std::thread::Builder::new()
-                .name(format!("scenario-acker-{}", acker.queue))
-                .spawn(move || {
-                    let recv = match &acker.recipient {
-                        Some(r) => ConditionalReceiver::with_identity(qmgr, r.clone()),
-                        None => ConditionalReceiver::new(qmgr),
-                    };
-                    let mut recv = match recv {
-                        Ok(r) => r,
-                        Err(e) => {
-                            *err_slot.lock() = Some(format!("acker on {}: {e}", acker.queue));
-                            return;
-                        }
-                    };
-                    while !stop.load(Ordering::SeqCst) {
-                        let d = sample_delay_ms(&mut rng, &acker.delay);
-                        if d > 0 {
-                            clock.sleep(Millis(d));
-                        }
-                        let result = match acker.mode {
-                            AckMode::Read => recv
-                                .read_message(&acker.queue, Wait::Timeout(Millis(100)))
-                                .map(|_| ()),
-                            AckMode::Process => recv.begin_tx().and_then(|()| {
-                                match recv.read_message(&acker.queue, Wait::Timeout(Millis(100)))
-                                {
-                                    Ok(Some(_)) => recv.commit_tx(),
-                                    Ok(None) => recv.rollback_tx(),
-                                    Err(e) => {
-                                        let _ = recv.rollback_tx();
-                                        Err(e)
-                                    }
-                                }
-                            }),
-                        };
-                        if let Err(e) = result {
-                            *err_slot.lock() = Some(format!("acker on {}: {e}", acker.queue));
-                            return;
-                        }
-                    }
-                });
-            match handle {
-                Ok(h) => threads.push(h),
-                Err(e) => *error.lock() = Some(format!("spawn acker: {e}")),
-            }
-        }
-        AckerThreads {
-            stop,
-            threads,
-            error,
-        }
-    }
-
-    fn stop_and_join(self) -> ScenarioResult<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads {
-            let _ = t.join();
-        }
-        match self.error.lock().take() {
-            Some(e) => Err(engine_err(e)),
-            None => Ok(()),
-        }
-    }
-}
-
-fn run_real(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioResult<RunReport> {
-    let mut tally = Tally {
-        per_actor: vec![ActorTally::default(); world.actors.len()],
-        comps_swept: 0,
-    };
-    let mut records = Vec::new();
-    let mut fired = vec![false; world.faults.len()];
-    let ackers = AckerThreads::start(world, spec.seed);
-
-    let send_result = do_sends(world, &mut tally, &mut records, &mut fired);
-
-    // Time- and depth-triggered faults, in declaration order.
-    let pacer = Pacer::new();
-    let mut fault_result = Ok(());
-    if send_result.is_ok() {
-        for (k, done) in fired.iter_mut().enumerate() {
-            if *done {
-                continue;
-            }
-            let fault = world.faults[k].clone();
-            let ready = match &fault.trigger {
-                ResolvedTrigger::AtSend(_) => true,
-                ResolvedTrigger::AtMs(at) => {
-                    let now = world.clock.now().as_millis();
-                    if *at > now {
-                        world.clock.sleep(Millis(at - now));
-                    }
-                    true
-                }
-                ResolvedTrigger::WhenDepth {
-                    manager,
-                    queue,
-                    min_depth,
-                } => pacer.wait_until(ticks_for_ms(60_000), || {
-                    queue_depth(world, manager, queue) >= *min_depth
-                }),
-            };
-            if !ready {
-                fault_result = Err(engine_err(format!(
-                    "fault on {:?} never triggered: depth threshold not reached",
-                    fault.point
-                )));
-                break;
-            }
-            *done = true;
-            if let Err(e) = fire_fault(world, &fault) {
-                fault_result = Err(e);
-                break;
-            }
-        }
-    }
-
-    if send_result.is_ok() && fault_result.is_ok() {
-        let mut latencies = Vec::new();
-        settle_records(world, &mut tally, &records, &mut latencies, |actor| {
-            Wait::Timeout(Millis(actor.horizon_ms + SETTLE_SLACK_MS))
-        });
-        ackers.stop_and_join()?;
-        sweep_queues(world, &mut tally)?;
-        Ok(finish(spec, world, quick, tally, latencies))
-    } else {
-        let _ = ackers.stop_and_join();
-        Err(send_result.err().unwrap_or_else(|| {
-            fault_result
-                .err()
-                .unwrap_or_else(|| engine_err("scenario failed"))
-        }))
-    }
-}
-
-// ------------------------------------------------------ simulated time --
+// -------------------------------------------------------------- drive --
 
 /// A scheduled acknowledgment read in the virtual timeline.
 struct ReadEvent {
@@ -657,51 +513,42 @@ struct ReadEvent {
     acker_idx: usize,
 }
 
-fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioResult<RunReport> {
-    let sim = world
-        .sim
-        .clone()
-        .ok_or_else(|| engine_err("sim run without a sim clock"))?;
-    if world.faults.iter().any(|f| {
-        matches!(f.trigger, ResolvedTrigger::WhenDepth { .. })
-    }) {
-        return Err(engine_err(
-            "when_depth fault triggers need clock = \"real\"",
-        ));
-    }
-
+fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport> {
     let mut tally = Tally {
         per_actor: vec![ActorTally::default(); world.actors.len()],
         comps_swept: 0,
     };
     let mut records = Vec::new();
+    let mut spheres = Vec::new();
     let mut fired = vec![false; world.faults.len()];
 
     // Phase 1: every message is sent at one virtual instant T0, with
     // send-indexed faults interleaved. Nothing advances the clock here,
     // so every pickup/process deadline is anchored at exactly T0.
     let t0 = world.clock.now().as_millis();
-    do_sends(world, &mut tally, &mut records, &mut fired)?;
+    do_sends(world, &mut tally, &mut records, &mut spheres, &mut fired)?;
 
-    // Count originals landing on each destination queue, and note which
-    // actor owns the queue (sampled expectations are per actor, so two
-    // actors sharing a queue would make attribution ambiguous).
+    // Count originals landing on each destination queue, sphere members
+    // included, and note which actor owns the queue (sampled expectations
+    // are per actor, so two actors sharing a queue would make attribution
+    // ambiguous).
     let mut q_sent: HashMap<(String, String), u64> = HashMap::new();
     let mut q_owner: HashMap<(String, String), usize> = HashMap::new();
-    for rec in &records {
-        let actor = &world.actors[rec.actor_idx];
+    let sends = records.iter().map(|r| (r.actor_idx, r.msg_idx));
+    for (actor_idx, msg_idx) in sends.chain(spheres.iter().map(|s| (s.actor_idx, s.msg_idx))) {
+        let actor = &world.actors[actor_idx];
         // Leaves are re-derived from the spec rather than kept per-send:
         // with a million records, storing each instantiated tree would
         // dwarf the run itself.
-        let cond = build_condition(&actor.spec.condition, rec.msg_idx);
+        let cond = build_condition(&actor.spec.condition, msg_idx);
         for leaf in cond.leaves() {
             let key = (
                 leaf.address().manager.clone(),
                 leaf.address().queue.clone(),
             );
             *q_sent.entry(key.clone()).or_insert(0) += 1;
-            if let Some(prev) = q_owner.insert(key.clone(), rec.actor_idx) {
-                if prev != rec.actor_idx
+            if let Some(prev) = q_owner.insert(key.clone(), actor_idx) {
+                if prev != actor_idx
                     && (world.actors[prev].spec.expect == Expect::Sampled
                         || actor.spec.expect == Expect::Sampled)
                 {
@@ -716,14 +563,27 @@ fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioRe
 
     // Phase 2: delivery barrier. The movers run in thread time and nothing
     // on the wire waits on virtual time, so the clock stays at T0 until
-    // every original has landed.
+    // every original has landed. Depth-triggered faults fire from this
+    // wait: a relay whose outbound channels are deferred holds its
+    // envelopes until the crash-rebuild such a fault triggers.
     let pacer = Pacer::new();
+    let mut fault_err = None;
     let landed = pacer.wait_until(ticks_for_ms(300_000), || {
+        if let Err(e) = fire_due(world, &mut fired, depth_reached) {
+            fault_err = Some(e);
+            return true;
+        }
         q_sent
             .iter()
             .all(|((mgr, q), want)| queue_depth(world, mgr, q) >= *want)
     });
+    if let Some(e) = fault_err {
+        return Err(e);
+    }
     if !landed {
+        // A depth fault that never fired may be what holds a deferred
+        // channel shut; name it rather than the stalled delivery.
+        check_depth_faults_fired(world, &fired)?;
         return Err(engine_err("delivery of the originals never completed"));
     }
 
@@ -813,7 +673,7 @@ fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioRe
     while cursor < timeline.len() {
         let bucket_floor = (timeline[cursor].0 / BUCKET_MS) * BUCKET_MS;
         if bucket_floor > world.clock.now().as_millis() {
-            sim.advance_to(Time(bucket_floor));
+            world.clock.advance_to(Time(bucket_floor));
         }
         while cursor < timeline.len() && timeline[cursor].0 < bucket_floor + BUCKET_MS {
             match timeline[cursor].1 {
@@ -833,26 +693,27 @@ fn run_sim(spec: &ScenarioSpec, world: &mut Compiled, quick: bool) -> ScenarioRe
             cursor += 1;
         }
         quiesce_acks(world, &pacer);
+        fire_due(world, &mut fired, depth_reached)?;
     }
     drop(receivers);
 
-    // Phase 5: advance past every deadline so pending verdicts fire,
-    // compensations release, and annihilation candidates land.
-    let horizon = world
-        .actors
-        .iter()
-        .map(|a| a.horizon_ms + a.spec.evaluation_timeout_ms.unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    sim.advance_to(Time(t0 + horizon + 2_000));
+    // Phase 5: advance past every deadline and sphere timeout so pending
+    // verdicts fire, compensations release, and annihilation candidates
+    // land; then resolve the spheres, whose released actions go out over
+    // the wire like any other.
+    let horizon = world.actors.iter().map(|a| a.horizon_ms).max().unwrap_or(0);
+    world.clock.advance_to(Time(t0 + horizon + 2_000));
     quiesce_acks(world, &pacer);
+    fire_due(world, &mut fired, depth_reached)?;
+    check_depth_faults_fired(world, &fired)?;
+    resolve_spheres(world, &mut tally, &mut spheres)?;
+    await_compensations(world, &pacer)?;
 
-    // Phase 6: collect outcomes (already decided — NoWait with a short
-    // grace for notification threads), sweep, and judge.
+    // Phase 6: collect outcomes (already decided), sweep, and judge.
     let mut latencies = Vec::new();
-    settle_records(world, &mut tally, &records, &mut latencies, |_| Wait::NoWait);
+    settle_records(world, &mut tally, &records, Time(t0), &mut latencies);
     sweep_queues(world, &mut tally)?;
-    Ok(finish(spec, world, quick, tally, latencies))
+    Ok(finish(spec, world, tally, latencies))
 }
 
 fn perform_read(
@@ -876,6 +737,40 @@ fn perform_read(
         }
     }
     Ok(())
+}
+
+/// Waits (in thread time) until every released compensation has reached
+/// its destination: each one is on a declared queue, delivered to the
+/// application, or annihilated. The sweep reads what it finds, so a
+/// compensation still on the wire would let it take the failed original
+/// as an ordinary delivery instead of annihilating the pair. Fails the
+/// run, with the count still missing, if they do not land within 30 s.
+fn await_compensations(world: &Compiled, pacer: &Pacer) -> ScenarioResult<()> {
+    let metrics = world.obs.metrics();
+    let released = metrics.counter("cond.comp.released").get();
+    let ended = metrics.counter("cond.recv.comp_delivered").get()
+        + metrics.counter("cond.recv.annihilated").get();
+    let landed = || {
+        let queued: usize = world
+            .managers
+            .values()
+            .flat_map(|rt| rt.queues.iter().filter_map(|q| rt.qmgr.queue(q).ok()))
+            .map(|q| {
+                q.browse()
+                    .iter()
+                    .filter(|m| wire::kind_of(m) == MessageKind::Compensation)
+                    .count()
+            })
+            .sum();
+        queued as u64 + ended
+    };
+    if pacer.wait_until(ticks_for_ms(30_000), || landed() >= released) {
+        return Ok(());
+    }
+    Err(engine_err(format!(
+        "{} of {released} released compensations never landed",
+        released - landed()
+    )))
 }
 
 /// Waits (in thread time, no virtual advance) until every acknowledgment
@@ -953,10 +848,8 @@ mod tests {
         assert!((5..=9).contains(&u));
     }
 
-    #[test]
-    fn sim_success_scenario_end_to_end() {
-        let spec = ScenarioSpec::from_toml_str(
-            r#"
+    /// Five sends from QM.S to a queue on QM.D that an acker reads.
+    const ACKED: &str = r#"
 name = "unit-sim"
 seed = 11
 
@@ -992,14 +885,29 @@ pickup_within_ms = 10000
 manager = "QM.D"
 queue = "Q.APP"
 delay = { ms = 50 }
-"#,
-        )
-        .unwrap();
+"#;
+
+    #[test]
+    fn sim_success_scenario_end_to_end() {
+        let spec = ScenarioSpec::from_toml_str(ACKED).unwrap();
         let report = run(&spec, false).unwrap();
         assert_eq!(report.sent, 5);
         assert_eq!(report.success, 5);
         assert_eq!(report.failure, 0);
         assert!(report.oracle.passed(), "{}", report.oracle);
+    }
+
+    #[test]
+    fn a_depth_trigger_never_reached_fails_the_run() {
+        let spec = ScenarioSpec::from_toml_str(&format!(
+            "{ACKED}\n[[faults]]\npoint = \"tcp:QM.D\"\naction = \"partition\"\n\
+             [faults.when_depth]\nmanager = \"QM.D\"\nqueue = \"Q.APP\"\nmin_depth = 6\n"
+        ))
+        .unwrap();
+        let Err(e) = run(&spec, false) else {
+            panic!("a fault whose depth five sends cannot reach must fail the run");
+        };
+        assert!(e.to_string().contains("never triggered"), "{e}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! a verdict oracle. Scenarios are written as `.toml` files (see
 //! `scenarios/` at the repo root) and decoded into the typed model in
 //! [`spec`]; the [`compile`] step lowers a spec onto the real harness,
-//! [`exec`] drives it on simulated or wall-clock time, and [`oracle`]
-//! asserts that every declared message reached exactly
-//! one terminal outcome — success, compensation, or annihilation — with
-//! counts matching the declaration.
+//! [`exec`] drives it on simulated time — so a run is a pure function of
+//! its spec — and [`oracle`] asserts that every declared message reached
+//! exactly one terminal outcome — success, compensation, or annihilation —
+//! with counts matching the declaration.
 //!
 //! ```no_run
 //! use cond_scenario::{exec, ScenarioSpec};
@@ -39,7 +39,7 @@ pub use error::{ScenarioError, ScenarioResult};
 pub use exec::{run, RunReport};
 pub use oracle::{OracleCheck, OracleReport};
 pub use spec::{
-    AckMode, AckerSpec, ActorMode, ActorSpec, ChannelSpec, ClockMode, ConditionSpec, DelaySpec,
-    DestSpec, Expect, FaultActionSpec, FaultSpec, JournalKind, ManagerSpec, MetricExpect,
-    OracleSpec, QueueSpec, RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
+    AckMode, AckerSpec, ActorMode, ActorSpec, ChannelSpec, ConditionSpec, DelaySpec, DestSpec,
+    Expect, FaultActionSpec, FaultSpec, JournalKind, ManagerSpec, MetricExpect, OracleSpec,
+    QueueSpec, RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
 };

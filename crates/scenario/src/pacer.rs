@@ -1,10 +1,10 @@
 //! Bounded condition waiting without sleep-polling.
 //!
 //! The executor frequently needs "wait until this becomes true, but not
-//! forever": delivery settling, verdict arrival, quiescence. A [`Pacer`]
-//! parks on a condvar in short bounded slices and re-checks the
-//! condition, with an iteration cap so a wedged run fails loudly instead
-//! of hanging the harness.
+//! forever": delivery settling, compensation arrival, quiescence, a
+//! rebind after a crash. A [`Pacer`] parks on a condvar in short bounded
+//! slices and re-checks the condition, with an iteration cap so a wedged
+//! run fails loudly instead of hanging the harness.
 
 use std::time::Duration;
 
@@ -34,7 +34,7 @@ impl Pacer {
 
     /// Re-checks `done` once per tick, for at most `max_ticks` ticks.
     /// Returns whether the condition became true.
-    pub(crate) fn wait_until(&self, max_ticks: u64, done: impl Fn() -> bool) -> bool {
+    pub(crate) fn wait_until(&self, max_ticks: u64, mut done: impl FnMut() -> bool) -> bool {
         for _ in 0..max_ticks {
             if done() {
                 return true;

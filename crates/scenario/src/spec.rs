@@ -69,15 +69,6 @@ pub fn expand_msg(template: &str, i: u64, m: u64) -> String {
 
 // ----------------------------------------------------------- spec types --
 
-/// Which clock drives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Deterministic virtual time; the executor advances it explicitly.
-    Sim,
-    /// Wall-clock time (milliseconds since world creation).
-    Real,
-}
-
 /// Which journal backs a manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalKind {
@@ -410,8 +401,6 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Seed for every deterministic sampler in the run.
     pub seed: u64,
-    /// Clock mode.
-    pub clock: ClockMode,
     /// Manager populations.
     pub managers: Vec<ManagerSpec>,
     /// Queue populations.
@@ -475,12 +464,6 @@ impl ScenarioSpec {
             if sphere_expect != sphere_mode {
                 return Err(spec_err(format!(
                     "actor `{}`: commit/abort expectations and sphere mode go together",
-                    a.name
-                )));
-            }
-            if sphere_mode && self.clock == ClockMode::Sim {
-                return Err(spec_err(format!(
-                    "actor `{}`: sphere mode requires clock = \"real\"",
                     a.name
                 )));
             }
@@ -604,18 +587,13 @@ fn decode_scenario(root: &Value) -> ScenarioResult<ScenarioSpec> {
     known_keys(
         root,
         &[
-            "name", "seed", "clock", "managers", "queues", "channels", "routes", "actors",
-            "ackers", "faults", "oracle",
+            "name", "seed", "managers", "queues", "channels", "routes", "actors", "ackers",
+            "faults", "oracle",
         ],
         "scenario",
     )?;
     let name = req_str(root, "name", "scenario")?;
     let seed = u64_or(root, "seed", 1, "scenario")?;
-    let clock = match opt_str(root, "clock").as_deref() {
-        None | Some("sim") => ClockMode::Sim,
-        Some("real") => ClockMode::Real,
-        Some(other) => return Err(spec_err(format!("unknown clock `{other}`"))),
-    };
 
     let empty = Value::Table(Default::default());
     let oracle = match root.get("oracle") {
@@ -625,7 +603,6 @@ fn decode_scenario(root: &Value) -> ScenarioResult<ScenarioSpec> {
     Ok(ScenarioSpec {
         name,
         seed,
-        clock,
         managers: decode_blocks(root, "managers", decode_manager)?,
         queues: decode_blocks(root, "queues", decode_queue)?,
         channels: decode_blocks(root, "channels", decode_channel)?,
@@ -942,7 +919,6 @@ mod tests {
         let src = r#"
 name = "demo"
 seed = 7
-clock = "real"
 
 [[managers]]
 name = "QM.B{i}"
@@ -1010,7 +986,6 @@ stage = "comp-released"
         let spec = ScenarioSpec::from_toml_str(src).unwrap();
         assert_eq!(spec.name, "demo");
         assert_eq!(spec.seed, 7);
-        assert_eq!(spec.clock, ClockMode::Real);
         assert_eq!(spec.managers[0].count, 2);
         assert_eq!(spec.managers[0].journal, JournalKind::Mem);
         assert!(!spec.channels[0].from_start);
@@ -1051,29 +1026,6 @@ stage = "comp-released"
         )
         .unwrap_err();
         assert!(e.to_string().contains("unknown expect"), "{e}");
-    }
-
-    #[test]
-    fn validation_ties_spheres_to_real_clock() {
-        let spec = ScenarioSpec::from_toml_str(
-            r#"
-name = "s"
-[[managers]]
-name = "QM1"
-[[actors]]
-name = "a"
-manager = "QM1"
-mode = "sphere"
-sphere_timeout_ms = 1000
-expect = "commit"
-[actors.condition]
-manager = "QM1"
-queue = "Q"
-"#,
-        )
-        .unwrap();
-        let e = spec.validate().unwrap_err();
-        assert!(e.to_string().contains("real"), "{e}");
     }
 
     #[test]

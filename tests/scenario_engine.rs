@@ -216,7 +216,6 @@ fn example2_timeout_annihilates_via_toml() {
     let src = r#"
 name = "example2-timeout"
 seed = 9
-clock = "sim"
 
 [[managers]]
 name = "QM1"
@@ -274,7 +273,6 @@ fn storage_faults_reject_sends_cleanly_then_heal() {
     let src = r#"
 name = "storage-faults"
 seed = 13
-clock = "sim"
 
 [[managers]]
 name = "QM1"
@@ -336,9 +334,9 @@ min = 3
 }
 
 /// The spec layer rejects malformed declarations rather than letting a
-/// wrong scenario run: unknown fault actions, inverted uniform delays,
-/// faults with two triggers and sampled actors without a pickup window
-/// are spec errors, not runtime surprises.
+/// wrong scenario run: unknown fault actions, the retired `clock` key,
+/// inverted uniform delays, faults with two triggers and sampled actors
+/// without a pickup window are spec errors, not runtime surprises.
 #[test]
 fn malformed_scenarios_are_rejected_before_running() {
     let bad_action = r#"
@@ -350,6 +348,16 @@ point = "journal:QM1"
 action = "melt"
 "#;
     assert!(ScenarioSpec::from_toml_str(bad_action).is_err());
+
+    // Every scenario runs on simulated time; the key that once chose a
+    // wall-clock executor is now an unknown key like any other.
+    let clock_key = "name = \"bad\"\nclock = \"real\"\n[[managers]]\nname = \"QM1\"\n";
+    match ScenarioSpec::from_toml_str(clock_key) {
+        Err(ScenarioError::Spec(reason)) => {
+            assert!(reason.contains("unknown key `clock`"), "{reason}")
+        }
+        other => panic!("expected the `clock` key to be refused, got {other:?}"),
+    }
 
     // Each of these decoded without complaint once: the inverted range
     // sampled as a fixed `min_ms`, and the second trigger was dropped.
@@ -500,6 +508,39 @@ after_fraction = 0.6
     assert_eq!(first.0 + first.1, 300);
     assert!(first.0 > 0 && first.1 > 0, "both outcomes occur: {first:?}");
     assert_eq!(split(), first, "same seed, same split");
+}
+
+/// The two small flagships, the Fig. 8 relay crash and the D-Sphere
+/// branch round with its relay crash, each run twice in quick mode: the
+/// oracle passes and both runs end identically, because every scenario
+/// runs on simulated time and the wire decides only when a message lands,
+/// never its outcome. A passing oracle already pins the verdict and
+/// sphere counts, so the comparison is over what it leaves free: the
+/// compensations the sweep consumed, every verdict latency, and the key
+/// counters (relay forwards, released compensations, annihilations),
+/// which the oracle only bounds from below.
+#[test]
+fn relay_crash_and_sphere_flagships_are_deterministic() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    for file in ["fig8_relay_crash.toml", "msmq_branches.toml"] {
+        let src = std::fs::read_to_string(dir.join(file)).unwrap();
+        let spec = ScenarioSpec::from_toml_str(&src).unwrap();
+        let outcome = || {
+            let r = exec::run(&spec, true).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(r.oracle.passed(), "{file}:\n{}", r.oracle);
+            let verdicts = (r.sent, r.success, r.failure);
+            let spheres = (r.spheres_committed, r.spheres_aborted);
+            (
+                verdicts,
+                spheres,
+                r.comps_swept,
+                r.verdict_latency_ms,
+                r.metrics,
+            )
+        };
+        let first = outcome();
+        assert_eq!(outcome(), first, "{file}: same seed, same outcome");
+    }
 }
 
 /// Every shipped `scenarios/*.toml` decodes and validates, so a broken
