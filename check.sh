@@ -92,8 +92,9 @@ RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 # 64. The throughput ratio is reported, not asserted.
 cargo run --release -p cond-bench --bin exp_journal -- --quick
 # Transport smoke: channels over loopback TCP at 1/8/64 pairs; asserts one
-# sender session per batch, encode-once, the 8-pair throughput floor and no
-# reconnect storm at 64 pairs.
+# sender session per batch, encode-once, two batches in flight on some
+# connection at 8 pairs (a count; msgs/s is only reported) and no reconnect
+# storm at 64 pairs.
 cargo run --release -p cond-bench --bin exp_tcp -- --quick
 # Relay federation: multi-hop chains over loopback TCP (the Fig. 8 crash
 # proof is tests/federation.rs and scenarios/fig8_relay_crash.toml).
@@ -104,8 +105,9 @@ cargo run --release -p cond-bench --bin exp_federation -- --quick
 cargo run --release -p cond-bench --bin exp_store -- --quick
 # Declarative scenarios: the three flagship TOMLs (relay crash, D-Sphere
 # branch pattern with a relay crash, scaled-down IoT chaos fleet — every
-# channel loopback TCP, every run on simulated time) compile, run, and
-# every exactly-one-outcome oracle must pass (asserted inside the binary).
+# manager on its own in-memory journal, every channel loopback TCP, every
+# run on simulated time) compile, run, and every exactly-one-outcome oracle
+# must pass (asserted inside the binary).
 cargo run --release -p cond-bench --bin exp_scenario -- --quick
 # No gate above may touch a committed result file.
 git diff --exit-code -- 'BENCH_*.json'

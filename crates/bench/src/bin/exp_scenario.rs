@@ -1,7 +1,9 @@
 //! E10 — declarative scenario engine: runs every `.toml` scenario under
 //! `scenarios/` through `cond-scenario`, on simulated time, reporting
-//! sends/s, verdict latency percentiles (scenario-clock ms), and the
-//! oracle verdict per scenario. Every oracle must pass. Results land in
+//! sends/s, verdict latency percentiles (scenario-clock ms; "—" in the
+//! table and `null` in the JSON for a scenario with no verdict latency,
+//! such as one whose members are all sphere rounds), and the oracle
+//! verdict per scenario. Every oracle must pass. Results land in
 //! `BENCH_scenario.json`.
 //!
 //! `--quick` selects each scenario's reduced actor populations
@@ -24,6 +26,12 @@ const SCENARIOS: &[&str] = &[
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+}
+
+/// The `p` percentile of a run's verdict latencies, or `none` when the run
+/// timed no verdict.
+fn latency_ms(report: &RunReport, p: f64, none: &str) -> String {
+    percentile(&report.verdict_latency_ms, p).map_or_else(|| none.to_owned(), |ms| ms.to_string())
 }
 
 fn main() {
@@ -65,8 +73,8 @@ fn main() {
             format!("{}/{}", report.spheres_committed, report.spheres_aborted),
             format!("{wall:.2}"),
             format!("{rate:.0}"),
-            percentile(&report.verdict_latency_ms, 0.50).to_string(),
-            percentile(&report.verdict_latency_ms, 0.95).to_string(),
+            latency_ms(&report, 0.50, "—"),
+            latency_ms(&report, 0.95, "—"),
             if report.oracle.passed() {
                 "pass".to_owned()
             } else {
@@ -97,8 +105,8 @@ fn main() {
             r.spheres_aborted,
             r.comps_swept,
             r.sent as f64 / wall.max(1e-9),
-            percentile(&r.verdict_latency_ms, 0.50),
-            percentile(&r.verdict_latency_ms, 0.95),
+            latency_ms(r, 0.50, "null"),
+            latency_ms(r, 0.95, "null"),
             r.oracle.checks.len(),
             r.oracle.failed_count(),
             r.oracle.passed(),

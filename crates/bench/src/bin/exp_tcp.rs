@@ -18,10 +18,11 @@
 //! * **Pipelining + coalesced acks**: the mover keeps a window of batches
 //!   in flight and the acceptor acknowledges a whole readable burst with
 //!   one cumulative watermark, so throughput is no longer one
-//!   send→ack round trip per batch. The 8-pair TCP run asserts a
-//!   throughput floor above the old lockstep transport's measured rate
-//!   (`--quick` uses a looser floor — with 500 msgs/pair, startup and
-//!   warm-up weigh heavier).
+//!   send→ack round trip per batch. The 8-pair TCP run asserts that some
+//!   connection had at least two batches in flight at once (the
+//!   high-water mark of `mq.transport.window_depth`), a count a lockstep
+//!   mover cannot reach; its msgs/s is reported, not gated, since
+//!   wall-clock throughput on a shared host swings with the neighbours.
 //! * **Encode-once**: a message's image is assembled once per frame that
 //!   carries it, straight into that frame, from the bytes the message
 //!   already holds. Each TCP run asserts that the managers'
@@ -57,16 +58,14 @@ use mq::{Message, Obs, QueueAddress, QueueManager, SystemClock};
 
 const PAIR_COUNTS: &[usize] = &[1, 8, 64];
 
-/// Lockstep-era loopback throughput at 8 pairs (thread-per-connection
-/// blocking transport, one send→ack round trip per batch): the floor the
-/// pipelined reactor is measured against.
-const LOCKSTEP_8PAIR_MSGS_PER_SEC: f64 = 95_682.5;
-
 struct RunStats {
     msgs_per_sec: f64,
     batch_p50_us: u64,
     batch_p95_us: u64,
     batches: u64,
+    /// Most batches one connection had in flight at once during the run
+    /// (`mq.transport.window_depth` high-water mark over the fleet).
+    window_high_water: u64,
     reconnects: u64,
     /// Message images assembled during the run (`mq.codec.encodes`
     /// delta over every manager of the fleet).
@@ -194,6 +193,7 @@ fn run(pairs: usize, msgs_per_pair: usize) -> RunStats {
         batch_p50_us: hist.quantile(0.50),
         batch_p95_us: hist.quantile(0.95),
         batches: batches_sent.get(),
+        window_high_water: obs.metrics().gauge("mq.transport.window_depth").high_water(),
         reconnects: snap.counter("mq.transport.reconnects"),
         encodes,
         requeued: snap.counter("mq.transport.requeued"),
@@ -234,8 +234,8 @@ fn main() {
         if quick { ", --quick" } else { "" }
     );
     header(&[
-        "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "sender sessions",
-        "reconnects", "encodes",
+        "pairs", "msgs/s", "batch p50 us", "batch p95 us", "batches", "window high water",
+        "sender sessions", "reconnects", "encodes",
     ]);
 
     let mut results: Vec<(usize, RunStats)> = Vec::new();
@@ -247,6 +247,7 @@ fn main() {
             stats.batch_p50_us.to_string(),
             stats.batch_p95_us.to_string(),
             stats.batches.to_string(),
+            stats.window_high_water.to_string(),
             stats.sender_sessions.to_string(),
             stats.reconnects.to_string(),
             stats.encodes.to_string(),
@@ -254,23 +255,16 @@ fn main() {
         results.push((pairs, stats));
     }
 
-    // Pipelining gates, against the lockstep-era baseline recorded above.
-    // The full run must beat lockstep with margin; --quick (fewer
-    // messages, so startup and histogram warm-up weigh heavier) gates at
-    // a conservative floor that still catches a regression to
-    // round-trip-per-batch behaviour.
+    // The pipelining gate is a count: a mover that waits for each batch's
+    // ack before sending the next (one send→ack round trip per batch)
+    // never has two batches in flight on a connection.
     for (pairs, stats) in &results {
         if *pairs == 8 {
-            let floor = if quick {
-                0.6 * LOCKSTEP_8PAIR_MSGS_PER_SEC
-            } else {
-                1.05 * LOCKSTEP_8PAIR_MSGS_PER_SEC
-            };
             assert!(
-                stats.msgs_per_sec >= floor,
-                "8-pair loopback throughput {:.0} msgs/s below the pipelining \
-                 floor {floor:.0} (lockstep baseline {LOCKSTEP_8PAIR_MSGS_PER_SEC})",
-                stats.msgs_per_sec,
+                stats.window_high_water >= 2,
+                "8-pair run never had two batches in flight on one connection \
+                 (window high water {}): the mover is in lockstep",
+                stats.window_high_water,
             );
         }
         if *pairs == 64 {
@@ -298,6 +292,7 @@ fn main() {
                 concat!(
                     "    {{\"pairs\": {}, \"msgs_per_sec\": {:.1}, ",
                     "\"batch_p50_us\": {}, \"batch_p95_us\": {}, \"batches\": {}, ",
+                    "\"window_high_water\": {}, ",
                     "\"sender_sessions\": {}, \"reconnects\": {}, \"encodes\": {}}}"
                 ),
                 pairs,
@@ -305,6 +300,7 @@ fn main() {
                 s.batch_p50_us,
                 s.batch_p95_us,
                 s.batches,
+                s.window_high_water,
                 s.sender_sessions,
                 s.reconnects,
                 s.encodes,

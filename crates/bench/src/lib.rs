@@ -50,17 +50,14 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Nearest-rank percentile of `samples` for `p` in `[0, 1]`, or 0 when
-/// empty. Copies and sorts internally; every `exp_*` binary used to
-/// hand-roll this.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
+/// Nearest-rank percentile of `samples` for `p` in `[0, 1]`, or `None`
+/// when empty: an empty sample has no percentile, not a zero one. Copies
+/// and sorts internally; every `exp_*` binary used to hand-roll this.
+pub fn percentile(samples: &[u64], p: f64) -> Option<u64> {
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
+    let idx = (sorted.len().checked_sub(1)? as f64 * p).round() as usize;
+    Some(sorted[idx])
 }
 
 /// [`percentile`] over float samples (NaNs sort last), or NaN when empty.

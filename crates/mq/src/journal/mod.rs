@@ -11,7 +11,7 @@
 //! one record kind, `TxCommit`: a delivery, a dead-lettering, a purge and
 //! the expiry of a message past its TTL are all gets of a transaction.
 //!
-//! Three backends:
+//! Two backends:
 //! * [`SegmentedJournal`] — the one on-disk log: a directory holding a
 //!   single chain of bounded segment files. Concurrent appenders share
 //!   fsyncs (leader/follower group commit), checkpoint truncation is
@@ -22,8 +22,6 @@
 //!   manager), exercises the full codec path, and carries the scriptable
 //!   storage faults (failing appends, a torn tail) that failure-injection
 //!   tests and the scenario engine's fault schedules drive.
-//! * [`NullJournal`] — a test double that discards everything, for
-//!   benchmarks isolating in-memory throughput.
 
 mod segment;
 
@@ -426,8 +424,11 @@ pub trait Journal: Send + Sync + fmt::Debug {
     /// Total journal size in bytes (monotone between resets).
     fn len_bytes(&self) -> u64;
 
-    /// Whether appended records are actually retained. [`NullJournal`]
-    /// returns `false`, letting hot paths skip building records at all.
+    /// Whether appended records are retained. Every journal retains them,
+    /// and nothing in this workspace reads the answer: the manager always
+    /// builds and appends its records. The method stays only because
+    /// condbench's `SpanJournal` (`benchmark/`, its own workspace) forwards
+    /// it.
     fn is_durable(&self) -> bool {
         true
     }
@@ -556,36 +557,6 @@ impl Journal for MemJournal {
 
     fn len_bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-}
-
-/// Journal that discards all records; for benchmarks and tests that do not
-/// exercise recovery.
-#[derive(Debug, Default)]
-pub struct NullJournal;
-
-impl NullJournal {
-    /// Creates a discard-everything journal.
-    pub fn new() -> std::sync::Arc<NullJournal> {
-        std::sync::Arc::new(NullJournal)
-    }
-}
-
-impl Journal for NullJournal {
-    fn append(&self, _record: &JournalRecord) -> MqResult<()> {
-        Ok(())
-    }
-    fn is_durable(&self) -> bool {
-        false
-    }
-    fn replay(&self, _sink: &mut ReplaySink<'_>) -> MqResult<()> {
-        Ok(())
-    }
-    fn reset(&self) -> MqResult<()> {
-        Ok(())
-    }
-    fn len_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -915,15 +886,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn null_journal_discards() {
-        let j = NullJournal::new();
-        j.append(&JournalRecord::QueueCreated { queue: "Q".into() })
-            .unwrap();
-        assert!(j.replay_collect().unwrap().is_empty());
-        assert_eq!(j.len_bytes(), 0);
-    }
-
     /// Decodes a byte run of frames the way replay does.
     fn decode_frames(raw: &[u8]) -> MqResult<(Vec<JournalRecord>, bool)> {
         let mut frames = FrameStream::new(raw, raw.len() as u64);
@@ -973,7 +935,6 @@ pub(crate) mod tests {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<MemJournal>();
         assert_bounds::<SegmentedJournal>();
-        assert_bounds::<NullJournal>();
         let _boxed: Arc<dyn Journal> = MemJournal::new();
     }
 

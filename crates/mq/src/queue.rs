@@ -106,9 +106,6 @@ pub struct Queue {
     /// Shared with every journal record that names the queue.
     name: Arc<str>,
     clock: SharedClock,
-    /// Whether the manager's journal is durable: a get of a persistent
-    /// message then stays pending until its record is written.
-    durable: bool,
     config: QueueConfig,
     /// Released before anything is journaled: a take leaves a pending get
     /// behind and the commit appends with no queue lock held.
@@ -148,7 +145,6 @@ impl Queue {
             stats: QueueStats::registered(manager.obs().metrics(), &name),
             name: name.into(),
             clock: manager.clock().clone(),
-            durable: manager.journal().is_durable(),
             store: Mutex::new(MessageStore::new()),
             config,
             available: Condvar::new(),
@@ -533,7 +529,7 @@ impl Queue {
     /// [`Queue::finalize_pending`] or a rollback's reinsert. `None` when
     /// `id` is no longer live.
     fn detach_locked(&self, store: &mut MessageStore, id: MessageId) -> Option<Message> {
-        let journaled = store.get(id)?.msg.is_persistent() && self.durable;
+        let journaled = store.get(id)?.msg.is_persistent();
         let msg = if journaled {
             store.detach_pending(id)
         } else {

@@ -323,48 +323,46 @@ impl QueueManager {
         for (queue, msg) in &mut tx.staged_puts {
             queue.stamp(msg);
         }
-        if self.journal().is_durable() {
-            // A put's message and queue name are shared with the record,
-            // not copied: a clone of either is a reference count.
-            let puts: Vec<_> = tx
-                .staged_puts
-                .iter()
-                .filter(|(_, m)| m.is_persistent())
-                .map(|(q, m)| (q.shared_name(), m.clone()))
-                .collect();
-            let own: Vec<_> = tx
-                .gets
-                .iter()
-                .filter(|(_, m)| m.is_persistent())
-                .map(|(q, m)| (q.shared_name(), m.id()))
-                .collect();
-            // The handoffs the channels released ride any record that is
-            // written anyway, ahead of its own gets; taken under the gate,
-            // and the guard is gone before the append.
-            let carried = if tx.flush || !puts.is_empty() || !own.is_empty() {
-                self.released.lock().carry()
-            } else {
-                Released::default()
-            };
-            let mut gets: Vec<_> =
-                carried.gets.iter().map(|(q, id)| (q.shared_name(), *id)).collect();
-            gets.extend(own);
-            if !puts.is_empty() || !gets.is_empty() {
-                self.stats().encodes.add(puts.len() as u64);
-                let record = JournalRecord::TxCommit { puts, gets };
-                let started = std::time::Instant::now();
-                let appended = self.journal().append(&record);
-                self.stats()
-                    .journal_append_micros
-                    .record_duration(started.elapsed());
-                if let Err(e) = appended {
-                    self.settle_released(carried, false);
-                    return Err((e, tx));
-                }
+        // A put's message and queue name are shared with the record,
+        // not copied: a clone of either is a reference count.
+        let puts: Vec<_> = tx
+            .staged_puts
+            .iter()
+            .filter(|(_, m)| m.is_persistent())
+            .map(|(q, m)| (q.shared_name(), m.clone()))
+            .collect();
+        let own: Vec<_> = tx
+            .gets
+            .iter()
+            .filter(|(_, m)| m.is_persistent())
+            .map(|(q, m)| (q.shared_name(), m.id()))
+            .collect();
+        // The handoffs the channels released ride any record that is
+        // written anyway, ahead of its own gets; taken under the gate,
+        // and the guard is gone before the append.
+        let carried = if tx.flush || !puts.is_empty() || !own.is_empty() {
+            self.released.lock().carry()
+        } else {
+            Released::default()
+        };
+        let mut gets: Vec<_> =
+            carried.gets.iter().map(|(q, id)| (q.shared_name(), *id)).collect();
+        gets.extend(own);
+        if !puts.is_empty() || !gets.is_empty() {
+            self.stats().encodes.add(puts.len() as u64);
+            let record = JournalRecord::TxCommit { puts, gets };
+            let started = std::time::Instant::now();
+            let appended = self.journal().append(&record);
+            self.stats()
+                .journal_append_micros
+                .record_duration(started.elapsed());
+            if let Err(e) = appended {
+                self.settle_released(carried, false);
+                return Err((e, tx));
             }
-            applied.carried = carried.gets.len();
-            self.settle_released(carried, true);
         }
+        applied.carried = carried.gets.len();
+        self.settle_released(carried, true);
         for (queue, msg) in tx.staged_puts {
             // The queue was open at stage time; one closed since (deleted
             // under the transaction) dead-letters the message rather than
@@ -438,11 +436,10 @@ impl QueueManager {
             return Ok(());
         }
         // Only a get the journal holds needs a record; the others are done.
-        let durable = self.journal().is_durable();
         let joining: Vec<_> = tx
             .gets
             .iter()
-            .filter(|(_, m)| durable && m.is_persistent())
+            .filter(|(_, m)| m.is_persistent())
             .map(|(q, m)| (q.clone(), m.id()))
             .collect();
         let now = self.clock().now();

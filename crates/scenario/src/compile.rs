@@ -16,15 +16,15 @@ use std::sync::Arc;
 use condmsg::{Condition, ConditionalMessenger, Destination, DestinationSet};
 use dsphere::DSphereService;
 use mq::channel::Channel;
-use mq::journal::{Journal, MemJournal, NullJournal};
+use mq::journal::MemJournal;
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{Obs, QueueManager};
 use simtime::{Millis, SimClock};
 
 use crate::error::{spec_err, ScenarioResult};
 use crate::spec::{
-    AckMode, ActorSpec, ConditionSpec, DelaySpec, DestSpec, FaultActionSpec, JournalKind,
-    ScenarioSpec, SetSpec, TriggerSpec,
+    AckMode, ActorSpec, ConditionSpec, DelaySpec, DestSpec, FaultActionSpec, ScenarioSpec,
+    SetSpec, TriggerSpec,
 };
 use crate::spec::{expand_idx, expand_msg};
 
@@ -44,11 +44,9 @@ pub(crate) fn scenario_tcp_config() -> TcpConfig {
 /// One live queue manager plus everything needed to crash-rebuild it.
 pub(crate) struct ManagerRt {
     pub(crate) qmgr: Arc<QueueManager>,
-    /// The journal shared across rebuilds — recovery replays it.
-    pub(crate) journal: Arc<dyn Journal>,
-    /// The same journal when it is a [`MemJournal`]: the storage-fault
-    /// surface `journal:<manager>` points script.
-    pub(crate) mem: Option<Arc<MemJournal>>,
+    /// The journal shared across rebuilds — recovery replays it — and the
+    /// storage-fault surface `journal:<manager>` points script.
+    pub(crate) journal: Arc<MemJournal>,
     /// The listener of a manager some channel targets — the `tcp:<manager>`
     /// fault point — and its address, rebound on crash-rebuild.
     pub(crate) acceptor: Option<Arc<TcpAcceptor>>,
@@ -174,7 +172,7 @@ impl Compiled {
 /// # Errors
 ///
 /// [`crate::ScenarioError::Spec`] for dangling references (a channel to
-/// an undeclared manager, a storage fault on a manager without a journal, …) and
+/// an undeclared manager, a storage fault on an undeclared manager, …) and
 /// any harness error while building the world.
 pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     spec.validate()?;
@@ -188,14 +186,7 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
             if managers.contains_key(&name) {
                 return Err(spec_err(format!("duplicate manager `{name}`")));
             }
-            let mem = match block.journal {
-                JournalKind::None => None,
-                JournalKind::Mem => Some(MemJournal::new()),
-            };
-            let journal: Arc<dyn Journal> = match &mem {
-                Some(mem) => mem.clone(),
-                None => Arc::new(NullJournal),
-            };
+            let journal = MemJournal::new();
             let qmgr = QueueManager::builder(&name)
                 .clock(clock.clone())
                 .obs(obs.clone())
@@ -206,7 +197,6 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
                 ManagerRt {
                     qmgr,
                     journal,
-                    mem,
                     acceptor: None,
                     addr: None,
                     queues: Vec::new(),
@@ -459,10 +449,9 @@ fn validate_point(
             }
         }
         PointKind::Journal { manager } => {
-            let ok = managers.get(manager).is_some_and(|m| m.mem.is_some());
-            if !ok {
+            if !managers.contains_key(manager) {
                 return Err(spec_err(format!(
-                    "fault point journal:{manager} needs journal = \"mem\""
+                    "fault point journal:{manager} matches no manager"
                 )));
             }
         }

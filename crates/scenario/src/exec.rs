@@ -173,7 +173,7 @@ fn fire_fault(world: &mut Compiled, fault: &CompiledFault) -> ScenarioResult<()>
             .and_then(|m| m.acceptor.clone())
             .map(|a| a as Arc<dyn FaultPlane>),
         PointKind::Journal { manager } => rt(manager)
-            .and_then(|m| m.mem.clone())
+            .map(|m| m.journal.clone())
             .map(|j| j as Arc<dyn FaultPlane>),
     };
     let plane =

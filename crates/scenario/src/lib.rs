@@ -40,6 +40,6 @@ pub use exec::{run, RunReport};
 pub use oracle::{OracleCheck, OracleReport};
 pub use spec::{
     AckMode, AckerSpec, ActorMode, ActorSpec, ChannelSpec, ConditionSpec, DelaySpec, DestSpec,
-    Expect, FaultActionSpec, FaultSpec, JournalKind, ManagerSpec, MetricExpect, OracleSpec,
-    QueueSpec, RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
+    Expect, FaultActionSpec, FaultSpec, ManagerSpec, MetricExpect, OracleSpec, QueueSpec,
+    RouteSpec, ScenarioSpec, SetSpec, TriggerSpec,
 };

@@ -69,24 +69,11 @@ pub fn expand_msg(template: &str, i: u64, m: u64) -> String {
 
 // ----------------------------------------------------------- spec types --
 
-/// Which journal backs a manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalKind {
-    /// No persistence (`NullJournal`).
-    None,
-    /// In-memory journal — supports crash-and-rebuild recovery and
-    /// storage-fault injection (`fail_storage` / `tear_journal_tail`).
-    /// TOML spells it `"mem"` or `"faultable"`.
-    Mem,
-}
-
 /// One queue-manager population (templated over `{i}` when `count > 1`).
 #[derive(Debug, Clone)]
 pub struct ManagerSpec {
     /// Manager name template.
     pub name: String,
-    /// Journal backend.
-    pub journal: JournalKind,
     /// Number of managers this block expands to.
     pub count: u64,
     /// Starting index for `{i}`.
@@ -624,15 +611,9 @@ fn decode_blocks<T>(
 
 fn decode_manager(v: &Value) -> ScenarioResult<ManagerSpec> {
     let ctx = "[[managers]]";
-    known_keys(v, &["name", "journal", "count", "offset"], ctx)?;
-    let journal = match opt_str(v, "journal").as_deref() {
-        None | Some("none") => JournalKind::None,
-        Some("mem" | "faultable") => JournalKind::Mem,
-        Some(other) => return Err(spec_err(format!("{ctx}: unknown journal `{other}`"))),
-    };
+    known_keys(v, &["name", "count", "offset"], ctx)?;
     Ok(ManagerSpec {
         name: req_str(v, "name", ctx)?,
-        journal,
         count: u64_or(v, "count", 1, ctx)?,
         offset: u64_or(v, "offset", 0, ctx)?,
     })
@@ -923,7 +904,6 @@ seed = 7
 [[managers]]
 name = "QM.B{i}"
 count = 2
-journal = "mem"
 
 [[queues]]
 manager = "QM.B{i}"
@@ -987,7 +967,6 @@ stage = "comp-released"
         assert_eq!(spec.name, "demo");
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.managers[0].count, 2);
-        assert_eq!(spec.managers[0].journal, JournalKind::Mem);
         assert!(!spec.channels[0].from_start);
         let actor = &spec.actors[0];
         assert_eq!(actor.resolved_count(true), 2);

@@ -263,8 +263,8 @@ stage = "annihilated"
 }
 
 /// failure_injection `failed_conditional_send_leaves_no_state_behind` +
-/// the heal path, declared in TOML: with the manager on a faultable
-/// journal, storage fails before the first send (every send must be
+/// the heal path, declared in TOML: the manager's journal fails before
+/// the first send (every send must be
 /// rejected cleanly, leaving no pending state), heals before the second
 /// actor (whose sends must then succeed end to end). The oracle's
 /// conservation checks prove nothing was half-sent either way.
@@ -276,7 +276,6 @@ seed = 13
 
 [[managers]]
 name = "QM1"
-journal = "faultable"
 
 [[queues]]
 manager = "QM1"
@@ -333,9 +332,145 @@ min = 3
     assert!(report.oracle.passed(), "{}", report.oracle);
 }
 
+/// An inline copy of `scenarios/fig8_relay_crash.toml`, oracle and all:
+/// the crashed relay `QM.B` is declared by name alone, with no journal
+/// setting. Every manager journals, so custody of the six envelopes in
+/// its transmission queue survives the crash-rebuild and the oracle
+/// passes. A relay whose journal kept nothing would come back empty, and
+/// the run would stall at the delivery barrier.
+#[test]
+fn a_relay_crash_keeps_custody_without_a_journal_line() {
+    let src = r#"
+name = "fig8-relay-crash"
+seed = 802
+
+[[managers]]
+name = "QM.A"
+
+[[managers]]
+name = "QM.B"
+
+[[managers]]
+name = "QM.C"
+
+[[queues]]
+manager = "QM.C"
+name = "Q.KEEP"
+
+[[queues]]
+manager = "QM.C"
+name = "Q.DROP"
+
+[[channels]]
+from = "QM.A"
+to = "QM.B"
+
+[[channels]]
+from = "QM.C"
+to = "QM.B"
+
+[[channels]]
+from = "QM.B"
+to = "QM.C"
+from_start = false
+
+[[channels]]
+from = "QM.B"
+to = "QM.A"
+from_start = false
+
+[[routes]]
+manager = "QM.A"
+via = ["SYSTEM.XMIT.QM.B"]
+
+[[routes]]
+manager = "QM.C"
+via = ["SYSTEM.XMIT.QM.B"]
+
+[[routes]]
+manager = "QM.B"
+to = "QM.C"
+via = ["SYSTEM.XMIT.QM.C"]
+
+[[routes]]
+manager = "QM.B"
+to = "QM.A"
+via = ["SYSTEM.XMIT.QM.A"]
+
+[[actors]]
+name = "keeper"
+manager = "QM.A"
+count = 3
+payload = "keep-{i}"
+compensation = "undo-keep-{i}"
+expect = "success"
+
+[actors.condition]
+manager = "QM.C"
+queue = "Q.KEEP"
+pickup_within_ms = 20000
+
+[[actors]]
+name = "dropper"
+manager = "QM.A"
+count = 3
+payload = "drop-{i}"
+compensation = "undo-drop-{i}"
+expect = "failure"
+
+[actors.condition]
+manager = "QM.C"
+queue = "Q.DROP"
+pickup_within_ms = 300
+
+[[ackers]]
+manager = "QM.C"
+queue = "Q.KEEP"
+
+[[faults]]
+point = "crash:QM.B"
+action = "crash_rebuild"
+
+[faults.when_depth]
+manager = "QM.B"
+queue = "SYSTEM.XMIT.QM.C"
+min_depth = 6
+
+[oracle]
+
+[[oracle.metrics]]
+metric = "mq.relay.forwarded"
+min = 6
+
+[[oracle.metrics]]
+metric = "cond.comp.released"
+min = 3
+
+[[oracle.metrics]]
+metric = "cond.verdict.success"
+min = 3
+
+[[oracle.stages]]
+stage = "send"
+
+[[oracle.stages]]
+stage = "relay-forwarded"
+
+[[oracle.stages]]
+stage = "comp-released"
+
+[[oracle.stages]]
+stage = "annihilated"
+"#;
+    let spec = ScenarioSpec::from_toml_str(src).unwrap();
+    let report = exec::run(&spec, false).unwrap();
+    assert_eq!(report.sent, 6);
+    assert!(report.oracle.passed(), "{}", report.oracle);
+}
+
 /// The spec layer rejects malformed declarations rather than letting a
-/// wrong scenario run: unknown fault actions, the retired `clock` key,
-/// inverted uniform delays, faults with two triggers and sampled actors
+/// wrong scenario run: unknown fault actions, the retired `clock` and
+/// `journal` keys, inverted uniform delays, faults with two triggers and sampled actors
 /// without a pickup window are spec errors, not runtime surprises.
 #[test]
 fn malformed_scenarios_are_rejected_before_running() {
@@ -349,14 +484,18 @@ action = "melt"
 "#;
     assert!(ScenarioSpec::from_toml_str(bad_action).is_err());
 
-    // Every scenario runs on simulated time; the key that once chose a
-    // wall-clock executor is now an unknown key like any other.
+    // Every scenario runs on simulated time and every manager keeps a
+    // journal; the keys that once chose a wall-clock executor or a
+    // journal-less manager are now unknown keys like any other.
     let clock_key = "name = \"bad\"\nclock = \"real\"\n[[managers]]\nname = \"QM1\"\n";
-    match ScenarioSpec::from_toml_str(clock_key) {
-        Err(ScenarioError::Spec(reason)) => {
-            assert!(reason.contains("unknown key `clock`"), "{reason}")
+    let journal_key = "name = \"bad\"\n[[managers]]\nname = \"QM1\"\njournal = \"mem\"\n";
+    for (src, key) in [(clock_key, "clock"), (journal_key, "journal")] {
+        match ScenarioSpec::from_toml_str(src) {
+            Err(ScenarioError::Spec(reason)) => {
+                assert!(reason.contains(&format!("unknown key `{key}`")), "{reason}")
+            }
+            other => panic!("expected the `{key}` key to be refused, got {other:?}"),
         }
-        other => panic!("expected the `clock` key to be refused, got {other:?}"),
     }
 
     // Each of these decoded without complaint once: the inverted range
@@ -403,7 +542,7 @@ queue = "Q"
     );
     assert!(sampled_without_window.validate().is_err());
 
-    let fraction_fault = spec(
+    let undeclared_journal = spec(
         r#"
 name = "bad-point"
 [[managers]]
@@ -418,14 +557,17 @@ manager = "QM1"
 manager = "QM1"
 queue = "Q"
 [[faults]]
-point = "journal:QM1"
+point = "journal:QM9"
 action = "fail_storage"
 after_fraction = 0.0
 "#,
     );
-    // The fault names a journal point but the manager has no faultable
-    // journal — compilation must refuse it.
-    assert!(exec::run(&fraction_fault, false).is_err());
+    // The fault names the journal of a manager the spec never declares —
+    // compilation must refuse it.
+    match exec::run(&undeclared_journal, false) {
+        Err(ScenarioError::Spec(reason)) => assert!(reason.contains("journal:QM9"), "{reason}"),
+        other => panic!("expected journal:QM9 to be refused, got {other:?}"),
+    }
 }
 
 /// Simulated time over the one wire: two managers joined by loopback TCP,
