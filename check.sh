@@ -27,7 +27,9 @@ cargo build --release
 cargo test -q --test append_budget
 # The send path's heap budget on its own line, so a regression in
 # allocations per send or resident bytes per pending four-leaf tree reads
-# as exactly that.
+# as exactly that: every send of one condition shares its compiled shape
+# (gauge cond.shapes reads 1), so a send that compiles, clones or
+# re-encodes its tree per message shows up here.
 cargo test -q --test resident_bytes
 cargo test -q
 # benchmark/ is its own workspace, so the root build never compiles it:

@@ -4,7 +4,9 @@
 //! table and `null` in the JSON for a scenario with no verdict latency,
 //! such as one whose members are all sphere rounds), and the oracle
 //! verdict per scenario. Every oracle must pass. Results land in
-//! `BENCH_scenario.json`.
+//! `BENCH_scenario.json`, with the process's peak resident set (`VmHWM`)
+//! after each scenario. That is the peak so far, so it is a scenario's own
+//! only when no earlier scenario went higher; they run cheapest first.
 //!
 //! `--quick` selects each scenario's reduced actor populations
 //! (`quick_count`) so the binary can run inside the repository gate
@@ -28,6 +30,15 @@ fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
+/// The process's peak resident set so far (`VmHWM`), in MiB, or `None`
+/// where `/proc/self/status` does not report it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// The `p` percentile of a run's verdict latencies, or `none` when the run
 /// timed no verdict.
 fn latency_ms(report: &RunReport, p: f64, none: &str) -> String {
@@ -47,13 +58,14 @@ fn main() {
         "failure",
         "spheres c/a",
         "wall (s)",
+        "peak RSS (MiB)",
         "sends/s",
         "verdict p50 (ms)",
         "verdict p95 (ms)",
         "oracle",
     ]);
 
-    let mut reports: Vec<(String, f64, RunReport)> = Vec::new();
+    let mut reports: Vec<(String, f64, Option<f64>, RunReport)> = Vec::new();
     for file in SCENARIOS {
         let path = scenarios_dir().join(file);
         let text = std::fs::read_to_string(&path)
@@ -64,6 +76,7 @@ fn main() {
         let report =
             exec::run(&spec, quick).unwrap_or_else(|e| panic!("run {file}: {e}"));
         let wall = start.elapsed().as_secs_f64();
+        let rss = peak_rss_mib();
         let rate = report.sent as f64 / wall.max(1e-9);
         row(&[
             report.name.clone(),
@@ -72,6 +85,7 @@ fn main() {
             report.failure.to_string(),
             format!("{}/{}", report.spheres_committed, report.spheres_aborted),
             format!("{wall:.2}"),
+            rss.map_or_else(|| "—".to_owned(), |mib| format!("{mib:.0}")),
             format!("{rate:.0}"),
             latency_ms(&report, 0.50, "—"),
             latency_ms(&report, 0.95, "—"),
@@ -84,16 +98,17 @@ fn main() {
         if !report.oracle.passed() {
             eprintln!("\noracle report for {file}:\n{}", report.oracle);
         }
-        reports.push(((*file).to_owned(), wall, report));
+        reports.push(((*file).to_owned(), wall, rss, report));
     }
 
     let mut json = String::from("{\n  \"experiment\": \"scenario\",\n  \"scenarios\": [\n");
-    for (k, (file, wall, r)) in reports.iter().enumerate() {
+    for (k, (file, wall, rss, r)) in reports.iter().enumerate() {
+        let rss = rss.map_or_else(|| "null".to_owned(), |mib| format!("{mib:.1}"));
         json.push_str(&format!(
             "    {{\"file\": \"{file}\", \"name\": \"{}\", \
              \"sent\": {}, \"send_errors\": {}, \"success\": {}, \"failure\": {}, \
              \"spheres_committed\": {}, \"spheres_aborted\": {}, \"comps_swept\": {}, \
-             \"wall_s\": {wall:.3}, \"sends_per_s\": {:.1}, \
+             \"wall_s\": {wall:.3}, \"peak_rss_mib\": {rss}, \"sends_per_s\": {:.1}, \
              \"verdict_p50_ms\": {}, \"verdict_p95_ms\": {}, \
              \"oracle_checks\": {}, \"oracle_failed\": {}, \"oracle_passed\": {}}}{}\n",
             r.name,
@@ -118,8 +133,8 @@ fn main() {
 
     let failed: Vec<&str> = reports
         .iter()
-        .filter(|(_, _, r)| !r.oracle.passed())
-        .map(|(f, _, _)| f.as_str())
+        .filter(|(_, _, _, r)| !r.oracle.passed())
+        .map(|(f, _, _, _)| f.as_str())
         .collect();
     assert!(
         failed.is_empty(),

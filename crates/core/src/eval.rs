@@ -22,6 +22,8 @@
 //! manager does not need to wait for the full window.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use mq::{Priority, QueueAddress};
 use simtime::{Millis, Time};
@@ -137,12 +139,14 @@ pub struct CountConstraint {
     pub members: Vec<(u32, Millis)>,
 }
 
-/// A compiled condition: leaf specs plus flat constraints.
+/// A compiled condition: leaf specs plus flat constraints, lowered once
+/// more into the cells every [`IncrementalEval`] of it shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCondition {
     leaves: Vec<LeafSpec>,
     leaf_constraints: Vec<LeafConstraint>,
     count_constraints: Vec<CountConstraint>,
+    cells: Arc<Cells>,
 }
 
 /// Result of compiling a subtree: per-leaf most-specific windows inside it.
@@ -163,6 +167,7 @@ impl CompiledCondition {
             leaves: Vec::new(),
             leaf_constraints: Vec::new(),
             count_constraints: Vec::new(),
+            cells: Arc::default(),
         };
         let defaults = InheritedAttrs {
             expiry: None,
@@ -177,6 +182,11 @@ impl CompiledCondition {
             leaf.process_window = process;
             leaf.processing_expected = process.is_some();
         }
+        compiled.cells = Arc::new(Cells::lower(
+            compiled.leaves.len(),
+            &compiled.leaf_constraints,
+            &compiled.count_constraints,
+        ));
         Ok(compiled)
     }
 
@@ -400,39 +410,92 @@ enum CellState {
     Violated,
 }
 
-/// One constraint membership of one leaf, with its absolute deadline.
-#[derive(Debug, Clone)]
-struct Cell {
-    dim: Dimension,
-    deadline: Time,
-    state: CellState,
+/// The evaluation cells of a compiled condition, one per `(constraint,
+/// member)`, and each leaf's back-edges to them: what every
+/// [`IncrementalEval`] of the condition shares, since it is the same for
+/// every message sent under it.
+#[derive(Debug, Default, PartialEq)]
+struct Cells {
+    /// The leaf constraints' cells first, then each count constraint's
+    /// members in order.
+    cells: Vec<CellSpec>,
+    /// How many of `cells` belong to leaf constraints.
+    leaf_cells: usize,
+    /// Each count constraint: its run of `cells` and its minimum.
+    counts: Vec<CountCells>,
+    /// Each leaf's cells, as indexes into `cells`.
+    by_leaf: Vec<Vec<usize>>,
 }
 
-/// Counter block for one compiled [`CountConstraint`].
-#[derive(Debug, Clone)]
-struct CountState {
+/// One cell: the action it constrains, its window relative to the send
+/// timestamp and the tally it counts in (0 for the leaf constraints,
+/// `k + 1` for count constraint `k`).
+#[derive(Debug, PartialEq)]
+struct CellSpec {
+    dim: Dimension,
+    window: Millis,
+    tally: usize,
+}
+
+/// The cells of one compiled [`CountConstraint`].
+#[derive(Debug, PartialEq)]
+struct CountCells {
+    cells: Range<usize>,
     min: u32,
+}
+
+impl Cells {
+    /// Lowers the constraints of a condition with `leaves` leaves.
+    fn lower(
+        leaves: usize,
+        leaf_constraints: &[LeafConstraint],
+        count_constraints: &[CountConstraint],
+    ) -> Cells {
+        let mut lowered = Cells {
+            by_leaf: vec![Vec::new(); leaves],
+            ..Cells::default()
+        };
+        for c in leaf_constraints {
+            lowered.push(c.leaf, c.dim, c.window, 0);
+        }
+        lowered.leaf_cells = lowered.cells.len();
+        for (k, c) in count_constraints.iter().enumerate() {
+            let first = lowered.cells.len();
+            for (leaf, window) in &c.members {
+                lowered.push(*leaf, c.dim, *window, k + 1);
+            }
+            lowered.counts.push(CountCells {
+                cells: first..lowered.cells.len(),
+                min: c.min,
+            });
+        }
+        lowered
+    }
+
+    fn push(&mut self, leaf: u32, dim: Dimension, window: Millis, tally: usize) {
+        self.by_leaf[leaf as usize].push(self.cells.len());
+        self.cells.push(CellSpec { dim, window, tally });
+    }
+}
+
+/// Satisfied and violated cells of one constraint group.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
     satisfied: u32,
     violated: u32,
-    cells: Vec<Cell>,
-}
-
-/// Back-edge from a leaf to one of its cells.
-#[derive(Debug, Clone, Copy)]
-enum CellRef {
-    Leaf(usize),
-    Count { constraint: usize, member: usize },
 }
 
 /// Event-driven evaluation state for one pending message.
 ///
 /// [`CompiledCondition::evaluate_with_grace`] re-walks every constraint
 /// against the clock on each call — O(tree) per pump tick. `IncrementalEval`
-/// lowers the same constraints once into per-`(constraint, member)` status
-/// cells with per-constraint satisfied/violated counters and per-leaf
-/// back-edges, so applying one acknowledgment touches only the cells of
-/// that leaf (O(depth), i.e. the leaf's constraint memberships) and
-/// decidability falls out of the counters immediately.
+/// keeps one status per `(constraint, member)` cell with per-constraint
+/// satisfied/violated tallies; the cells' dimensions, windows and per-leaf
+/// back-edges are lowered once per condition, at compile time, and shared.
+/// Applying one acknowledgment touches only the cells of that leaf
+/// (O(depth), i.e. the leaf's constraint memberships) and decidability
+/// falls out of the tallies immediately. What a message holds of its own is
+/// its send time, its cell states and its tallies.
 ///
 /// The struct tracks *decidability* only. Once [`IncrementalEval::decided`]
 /// reports `true`, the caller renders the canonical verdict with a single
@@ -441,57 +504,30 @@ enum CellRef {
 /// re-evaluation oracle.
 #[derive(Debug, Clone)]
 pub struct IncrementalEval {
+    cells: Arc<Cells>,
+    send_time: Time,
     grace: Millis,
-    leaf_cells: Vec<Cell>,
-    leaf_satisfied: u32,
-    leaf_violated: u32,
-    counts: Vec<CountState>,
-    by_leaf: Vec<Vec<CellRef>>,
+    /// Each cell's state, indexed like [`Cells::cells`].
+    states: Vec<CellState>,
+    /// The leaf constraints' tally, then each count constraint's.
+    tallies: Vec<Tally>,
 }
 
 impl IncrementalEval {
-    /// Lowers a compiled condition into incremental form. `grace` mirrors
-    /// the messenger's ack grace: a *missing* acknowledgment only violates
-    /// once `deadline + grace` has strictly passed, while acknowledgment
-    /// stamps are compared against the true deadline — the same rules as
+    /// The incremental form of a message sent at `send_time` under
+    /// `compiled`, no acknowledgment seen yet. `grace` mirrors the
+    /// messenger's ack grace: a *missing* acknowledgment only violates once
+    /// `deadline + grace` has strictly passed, while acknowledgment stamps
+    /// are compared against the true deadline — the same rules as
     /// `leaf_status`.
     pub fn new(compiled: &CompiledCondition, send_time: Time, grace: Millis) -> IncrementalEval {
-        let mut by_leaf: Vec<Vec<CellRef>> = vec![Vec::new(); compiled.leaves().len()];
-        let mut leaf_cells = Vec::new();
-        for c in compiled.leaf_constraints() {
-            by_leaf[c.leaf as usize].push(CellRef::Leaf(leaf_cells.len()));
-            leaf_cells.push(Cell {
-                dim: c.dim,
-                deadline: send_time + c.window,
-                state: CellState::Pending,
-            });
-        }
-        let mut counts = Vec::new();
-        for c in compiled.count_constraints() {
-            let constraint = counts.len();
-            let mut cells = Vec::new();
-            for (member, (leaf, window)) in c.members.iter().enumerate() {
-                by_leaf[*leaf as usize].push(CellRef::Count { constraint, member });
-                cells.push(Cell {
-                    dim: c.dim,
-                    deadline: send_time + *window,
-                    state: CellState::Pending,
-                });
-            }
-            counts.push(CountState {
-                min: c.min,
-                satisfied: 0,
-                violated: 0,
-                cells,
-            });
-        }
+        let cells = Arc::clone(&compiled.cells);
         IncrementalEval {
+            states: vec![CellState::Pending; cells.cells.len()],
+            tallies: vec![Tally::default(); cells.counts.len() + 1],
+            cells,
+            send_time,
             grace,
-            leaf_cells,
-            leaf_satisfied: 0,
-            leaf_violated: 0,
-            counts,
-            by_leaf,
         }
     }
 
@@ -505,26 +541,25 @@ impl IncrementalEval {
     /// deadlines, so a timely stamp wins over an earlier time-based
     /// violation of the same cell.
     pub fn apply_ack(&mut self, leaf: u32, acks: &AckState) -> u64 {
-        let Some(refs) = self.by_leaf.get(leaf as usize) else {
+        let Some(refs) = self.cells.by_leaf.get(leaf as usize) else {
             return 0;
         };
         let Some(ack) = acks.leaf(leaf) else {
             return 0;
         };
-        let (read_at, processed_at) = (ack.read_at, ack.processed_at);
         let mut updates = 0;
-        for r in refs.clone() {
-            let cell = self.cell(r);
+        for &i in refs {
+            let cell = &self.cells.cells[i];
             let stamp = match cell.dim {
-                Dimension::Pickup => read_at,
-                Dimension::Process => processed_at,
+                Dimension::Pickup => ack.read_at,
+                Dimension::Process => ack.processed_at,
             };
             let target = match stamp {
                 None => continue,
-                Some(t) if t <= cell.deadline => CellState::Satisfied,
+                Some(t) if t <= self.send_time + cell.window => CellState::Satisfied,
                 Some(_) => CellState::Violated,
             };
-            if self.set_cell(r, target) {
+            if set_cell(&mut self.states[i], &mut self.tallies[cell.tally], target) {
                 updates += 1;
             }
         }
@@ -535,20 +570,10 @@ impl IncrementalEval {
     /// an acknowledgment. Returns the number of transitions.
     pub fn on_time(&mut self, now: Time) -> u64 {
         let mut updates = 0;
-        for i in 0..self.leaf_cells.len() {
-            let c = &self.leaf_cells[i];
-            if c.state == CellState::Pending && now > c.deadline + self.grace {
-                self.set_cell(CellRef::Leaf(i), CellState::Violated);
+        for (cell, state) in self.cells.cells.iter().zip(&mut self.states) {
+            if *state == CellState::Pending && now > self.send_time + cell.window + self.grace {
+                set_cell(state, &mut self.tallies[cell.tally], CellState::Violated);
                 updates += 1;
-            }
-        }
-        for constraint in 0..self.counts.len() {
-            for member in 0..self.counts[constraint].cells.len() {
-                let c = &self.counts[constraint].cells[member];
-                if c.state == CellState::Pending && now > c.deadline + self.grace {
-                    self.set_cell(CellRef::Count { constraint, member }, CellState::Violated);
-                    updates += 1;
-                }
             }
         }
         updates
@@ -559,17 +584,19 @@ impl IncrementalEval {
     /// destination, any count constraint that can no longer reach its
     /// minimum, or everything satisfied.
     pub fn decided(&self) -> bool {
-        if self.leaf_violated > 0 {
+        let leaf = self.tallies[0];
+        if leaf.violated > 0 {
             return true;
         }
-        for cs in &self.counts {
-            let pending = cs.cells.len() as u32 - cs.satisfied - cs.violated;
-            if cs.satisfied + pending < cs.min {
+        let counts = || self.cells.counts.iter().zip(&self.tallies[1..]);
+        for (count, tally) in counts() {
+            let pending = count.cells.len() as u32 - tally.satisfied - tally.violated;
+            if tally.satisfied + pending < count.min {
                 return true;
             }
         }
-        self.leaf_satisfied as usize == self.leaf_cells.len()
-            && self.counts.iter().all(|cs| cs.satisfied >= cs.min)
+        leaf.satisfied as usize == self.cells.leaf_cells
+            && counts().all(|(count, tally)| tally.satisfied >= count.min)
     }
 
     /// The next instant at which the passage of time alone can change
@@ -578,79 +605,35 @@ impl IncrementalEval {
     /// count constraints that already met their minimum are skipped).
     /// `None` when no timer needs to be armed.
     pub fn next_deadline(&self) -> Option<Time> {
-        let mut earliest: Option<Time> = None;
-        let grace = self.grace;
-        let mut consider = |deadline: Time| {
-            let trigger = deadline + grace + Millis(1);
-            earliest = Some(match earliest {
-                Some(t) if t <= trigger => t,
-                _ => trigger,
-            });
-        };
-        for c in &self.leaf_cells {
-            if c.state == CellState::Pending {
-                consider(c.deadline);
-            }
-        }
-        for cs in &self.counts {
-            if cs.satisfied >= cs.min {
-                continue;
-            }
-            for c in &cs.cells {
-                if c.state == CellState::Pending {
-                    consider(c.deadline);
-                }
-            }
-        }
-        earliest
+        let leaf_cells = 0..self.cells.leaf_cells;
+        let unmet = self.cells.counts.iter().zip(&self.tallies[1..]);
+        let unmet = unmet.filter(|(count, tally)| tally.satisfied < count.min);
+        let window = leaf_cells
+            .chain(unmet.flat_map(|(count, _)| count.cells.clone()))
+            .filter(|&i| self.states[i] == CellState::Pending)
+            .map(|i| self.cells.cells[i].window)
+            .min()?;
+        Some(self.send_time + window + self.grace + Millis(1))
     }
+}
 
-    fn cell(&self, r: CellRef) -> &Cell {
-        match r {
-            CellRef::Leaf(i) => &self.leaf_cells[i],
-            CellRef::Count { constraint, member } => &self.counts[constraint].cells[member],
-        }
+/// Transitions a cell counted in `tally`. `Satisfied` is final (stamps
+/// only ever get earlier); `Violated → Satisfied` is allowed.
+fn set_cell(state: &mut CellState, tally: &mut Tally, target: CellState) -> bool {
+    let cur = *state;
+    if cur == target || cur == CellState::Satisfied {
+        return false;
     }
-
-    /// Transitions a cell, maintaining the counters. `Satisfied` is final
-    /// (stamps only ever get earlier); `Violated → Satisfied` is allowed.
-    fn set_cell(&mut self, r: CellRef, target: CellState) -> bool {
-        match r {
-            CellRef::Leaf(i) => {
-                let cur = self.leaf_cells[i].state;
-                if cur == target || cur == CellState::Satisfied {
-                    return false;
-                }
-                if cur == CellState::Violated {
-                    self.leaf_violated -= 1;
-                }
-                match target {
-                    CellState::Satisfied => self.leaf_satisfied += 1,
-                    CellState::Violated => self.leaf_violated += 1,
-                    CellState::Pending => unreachable!("cells never return to pending"),
-                }
-                self.leaf_cells[i].state = target;
-                true
-            }
-            CellRef::Count { constraint, member } => {
-                let cs = &mut self.counts[constraint];
-                let cur = cs.cells[member].state;
-                if cur == target || cur == CellState::Satisfied {
-                    return false;
-                }
-                if cur == CellState::Violated {
-                    cs.violated -= 1;
-                }
-                match target {
-                    CellState::Satisfied => cs.satisfied += 1,
-                    CellState::Violated => cs.violated += 1,
-                    CellState::Pending => unreachable!("cells never return to pending"),
-                }
-                cs.cells[member].state = target;
-                true
-            }
-        }
+    if cur == CellState::Violated {
+        tally.violated -= 1;
     }
+    match target {
+        CellState::Satisfied => tally.satisfied += 1,
+        CellState::Violated => tally.violated += 1,
+        CellState::Pending => unreachable!("cells never return to pending"),
+    }
+    *state = target;
+    true
 }
 
 #[derive(Debug, Clone)]

@@ -60,6 +60,7 @@ mod messenger;
 mod metrics;
 pub mod pubsub;
 mod receiver;
+mod shape;
 pub mod wire;
 
 pub use analyze::{analyze, analyze_with, AnalyzeContext, AnalyzeError, Diagnostic};

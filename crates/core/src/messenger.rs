@@ -5,12 +5,13 @@
 //! paper's architecture (Fig. 9) — `DS.SLOG.Q`, `DS.ACK.Q`, `DS.COMP.Q`,
 //! `DS.OUTCOME.Q` — and implements:
 //!
-//! * **Send** ([`ConditionalMessenger::send_message`]): compiles the
-//!   condition, journals a [`SendRecord`] to the sender log, fans the
-//!   payload out as one standard message per destination leaf (with control
-//!   properties), and parks one pre-generated compensation message — all in
-//!   a single local messaging transaction, so a crash can never leave a
-//!   half-sent conditional message.
+//! * **Send** ([`ConditionalMessenger::send_message`]): journals a
+//!   [`SendRecord`] to the sender log, fans the payload out as one standard
+//!   message per destination leaf (with control properties), and parks one
+//!   pre-generated compensation message — all in a single local messaging
+//!   transaction, so a crash can never leave a half-sent conditional
+//!   message. The condition is compiled once per distinct tree: every send
+//!   of it shares one interned shape (`crate::shape`).
 //! * **Evaluation manager**: one event-driven engine. The messenger is
 //!   the arrival trigger of `DS.ACK.Q` ([`mq::ArrivalTrigger`]): an
 //!   acknowledgment is never queued but applied, on the committing
@@ -63,10 +64,8 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use mq::{
-    ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, QueueAddress, QueueManager,
-    TraceStage, Wait,
-};
+use mq::codec::WireEncode;
+use mq::{ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, QueueManager, TraceStage, Wait};
 use parking_lot::Mutex;
 use simtime::{Millis, Time, TimerId};
 
@@ -79,6 +78,7 @@ use crate::error::{CondError, CondResult};
 use crate::eval::{AckState, CompiledCondition, IncrementalEval, Verdict};
 use crate::ids::CondMessageId;
 use crate::metrics::MessengerMetrics;
+use crate::shape::{Shape, ShapeTable};
 use crate::wire::{
     self, AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions, SendRecord,
     SlogEntry,
@@ -98,7 +98,7 @@ pub enum MessageStatus {
 }
 
 struct PendingEval {
-    compiled: CompiledCondition,
+    shape: Arc<Shape>,
     send_time: Time,
     timeout_at: Option<Time>,
     success_notifications: bool,
@@ -118,17 +118,18 @@ impl PendingEval {
     /// The evaluation of a message sent at `send_time` with `options`, no
     /// acknowledgment seen yet.
     fn new(
-        compiled: CompiledCondition,
+        shape: Arc<Shape>,
         send_time: Time,
         options: &SendOptions,
         ack_grace: Millis,
     ) -> PendingEval {
+        let compiled = shape.compiled();
         PendingEval {
             state: EvalState {
                 acks: AckState::new(compiled.leaves().len()),
-                inc: IncrementalEval::new(&compiled, send_time, ack_grace),
+                inc: IncrementalEval::new(compiled, send_time, ack_grace),
             },
-            compiled,
+            shape,
             send_time,
             timeout_at: options.evaluation_timeout.map(|t| send_time + t),
             success_notifications: options.success_notifications.unwrap_or(false),
@@ -155,7 +156,7 @@ impl PendingEval {
     }
 
     /// This evaluation's verdict record, stamped `decided_at`, with the
-    /// leaves its outcome actions go to.
+    /// shape whose leaves its outcome actions go to.
     fn verdict(
         &self,
         cond_id: CondMessageId,
@@ -172,19 +173,10 @@ impl PendingEval {
             },
             success_notifications: self.success_notifications,
             defer_outcome_actions: self.defer_outcome_actions,
-            leaves: leaf_addresses(&self.compiled),
+            shape: Arc::clone(&self.shape),
             actions: Vec::new(),
         }
     }
-}
-
-/// Each destination leaf of a compiled condition: its index and address.
-fn leaf_addresses(compiled: &CompiledCondition) -> Vec<(u32, QueueAddress)> {
-    compiled
-        .leaves()
-        .iter()
-        .map(|leaf| (leaf.index, leaf.queue.clone()))
-        .collect()
 }
 
 /// The part of an evaluation that acknowledgments change.
@@ -222,9 +214,8 @@ struct Decided {
     notification: OutcomeNotification,
     success_notifications: bool,
     defer_outcome_actions: bool,
-    /// Where the outcome actions go: each destination leaf's index and
-    /// address.
-    leaves: Vec<(u32, QueueAddress)>,
+    /// The message's condition, whose leaves the outcome actions go to.
+    shape: Arc<Shape>,
     /// Outcome actions staged with the verdict, traced once it commits.
     actions: Vec<(TraceStage, u32, String)>,
 }
@@ -257,6 +248,9 @@ pub struct ConditionalMessenger {
     /// record is written, so the table is never held across the commit.
     // lint: never-hold(ConditionalMessenger.pending) across append
     pending: Mutex<HashMap<CondMessageId, PendingEval>>,
+    /// One compiled shape per distinct condition that a pending message,
+    /// a verdict, a send or a release in progress holds.
+    shapes: Arc<ShapeTable>,
     /// Serializes evaluation cycles (ack arrival, timer fires, sends,
     /// `pump()`, `force_fail`) and deferred-action releases.
     pump_lock: Mutex<()>,
@@ -319,10 +313,12 @@ impl ConditionalMessenger {
             qmgr.ensure_queue(queue)?;
         }
         let metrics = MessengerMetrics::registered(qmgr.obs().metrics());
+        let shapes = ShapeTable::new(metrics.shapes.clone(), qmgr.name());
         let messenger = Arc::new_cyclic(|weak| ConditionalMessenger {
             qmgr,
             ack_grace: config.ack_grace,
             pending: Mutex::new(HashMap::new()),
+            shapes,
             pump_lock: Mutex::new(()),
             metrics,
             retry: Mutex::new(Vec::new()),
@@ -420,7 +416,9 @@ impl ConditionalMessenger {
         options: SendOptions,
     ) -> CondResult<CondMessageId> {
         let payload = payload.into();
-        let compiled = CompiledCondition::compile(condition)?;
+        let send_time = self.qmgr.clock().now();
+        let (record, key) = wire::send_payload(send_time, condition, &options);
+        let shape = self.shape(&record.slice(key), condition)?;
         let ctx = crate::analyze::AnalyzeContext {
             evaluation_timeout: options.evaluation_timeout,
             ack_grace: self.ack_grace,
@@ -432,21 +430,14 @@ impl ConditionalMessenger {
             self.metrics.analyze_rejected.incr();
             return Err(CondError::Analysis(err));
         }
-        let cond_id = CondMessageId::generate();
-        let send_time = self.qmgr.clock().now();
-        let record = SendRecord {
-            cond_id,
-            send_time,
-            condition: condition.clone(),
-            options: options.clone(),
-        };
 
         // One local transaction covers: the send record (WAL), the fan-out
         // (local queues and transmission queues alike), and the parked
         // compensation message. Atomic under crash.
+        let cond_id = CondMessageId::generate();
         let mut session = self.qmgr.session();
         session.begin()?;
-        session.put(DEFAULT_SLOG_QUEUE, SlogEntry::Send(record).to_message())?;
+        session.put(DEFAULT_SLOG_QUEUE, wire::log_entry(cond_id, record))?;
         // Stage the parked compensation *before* the originals: commit
         // applies staged puts in order, so by the time any original is
         // visible (and can be acknowledged, evaluated and finalized), its
@@ -454,25 +445,25 @@ impl ConditionalMessenger {
         // a failure fans it out per leaf.
         let comp = wire::park_compensation(cond_id, compensation.as_ref());
         session.put(DEFAULT_COMP_QUEUE, comp)?;
-        let mut leaf_dests: Vec<(u32, String)> = Vec::with_capacity(compiled.leaves().len());
-        for leaf in compiled.leaves() {
-            let msg =
-                wire::make_original(&payload, cond_id, leaf, self.qmgr.name(), DEFAULT_ACK_QUEUE);
-            session.put_to(&leaf.queue, msg)?;
-            leaf_dests.push((leaf.index, leaf.queue.to_string()));
+        let leaves = shape.compiled().leaves().iter().zip(shape.leaves());
+        for (leaf, of_shape) in leaves {
+            let original =
+                Message::from_template(&of_shape.template, payload.clone(), cond_id.as_u128());
+            session.put_to(&leaf.queue, original)?;
         }
         // Register the evaluation *before* the fan-out commit: the moment
         // the commit makes the messages visible, a fast receiver's ack can
         // race into DS.ACK.Q and be pumped — it must find the pending
         // entry, not be dropped as unknown.
-        let eval = PendingEval::new(compiled, send_time, &options, self.ack_grace);
+        let eval = PendingEval::new(Arc::clone(&shape), send_time, &options, self.ack_grace);
         self.pending.lock().insert(cond_id, eval);
         if let Err(e) = session.commit() {
             self.pending.lock().remove(&cond_id);
             return Err(e.into());
         }
+        let fanout = shape.leaves().len();
         self.metrics.sent.incr();
-        self.metrics.fanout.add(leaf_dests.len() as u64);
+        self.metrics.fanout.add(fanout as u64);
         self.metrics
             .pending_depth
             .set(self.pending.lock().len() as u64);
@@ -482,15 +473,15 @@ impl ConditionalMessenger {
             TraceStage::Send,
             Some(cond_id.as_u128()),
             None,
-            format!("{} leaves", leaf_dests.len()),
+            format!("{fanout} leaves"),
         );
-        for (leaf, dest) in &leaf_dests {
+        for (leaf, of_shape) in shape.compiled().leaves().iter().zip(shape.leaves()) {
             trace.record(
                 send_time,
                 TraceStage::FanOut,
                 Some(cond_id.as_u128()),
-                Some(*leaf),
-                dest.clone(),
+                Some(leaf.index),
+                of_shape.dest.clone(),
             );
         }
         // Arm the new message's deadline timer (and decide vacuous
@@ -498,6 +489,18 @@ impl ConditionalMessenger {
         let _serial = self.pump_lock.lock();
         self.run_event(&[cond_id]);
         Ok(cond_id)
+    }
+
+    /// The interned shape of `condition`, whose wire encoding is
+    /// `encoded`: compiled, and so validated, only when no live shape has
+    /// these bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CondError::InvalidCondition`] from the compile.
+    fn shape(&self, encoded: &Bytes, condition: &Condition) -> CondResult<Arc<Shape>> {
+        self.shapes
+            .intern(encoded, || CompiledCondition::compile(condition))
     }
 
     // ------------------------------------------------------ evaluation --
@@ -651,17 +654,10 @@ impl ConditionalMessenger {
         cycle: Cycle,
         staged: CondResult<()>,
     ) -> CondResult<()> {
-        let mut result = staged;
+        let result = staged.and_then(|()| session.commit().map_err(CondError::from));
         if result.is_ok() {
-            result = session.commit().map_err(CondError::from);
-            if !session.in_transaction() {
-                // Also when `commit` reports an error from after its journal
-                // record was written (a refused checkpoint): the transaction
-                // is durable and must not run a second time.
-                self.publish(cycle);
-            }
-        }
-        if session.in_transaction() {
+            self.publish(cycle);
+        } else if session.in_transaction() {
             session.rollback_for_retry()?;
         }
         result
@@ -788,8 +784,8 @@ impl ConditionalMessenger {
             // structure; the canonical verdict (and its reason string) is
             // rendered by one full evaluation at the decision instant only.
             let verdict = if state.inc.decided() {
-                eval.compiled
-                    .evaluate_with_grace(&state.acks, eval.send_time, now, self.ack_grace)
+                let compiled = eval.shape.compiled();
+                compiled.evaluate_with_grace(&state.acks, eval.send_time, now, self.ack_grace)
             } else {
                 Verdict::Pending
             };
@@ -923,7 +919,7 @@ impl ConditionalMessenger {
                 cond_id,
                 outcome,
                 decided.success_notifications,
-                &decided.leaves,
+                &decided.shape,
                 &mut decided.actions,
             )?;
             self.purge_slog(session, cond_id)?;
@@ -934,7 +930,7 @@ impl ConditionalMessenger {
     }
 
     /// Stages the outcome actions for `cond_id` into `session`, one per
-    /// destination leaf in `leaves`: on failure the parked compensation is
+    /// destination leaf of `shape`: on failure the parked compensation is
     /// taken and one compensation message per leaf is released to its
     /// destination; on success it is consumed and, when enabled, success
     /// notifications are sent instead (paper §2.6). Nothing parked, nothing
@@ -945,7 +941,7 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
         outcome: MessageOutcome,
         success_notifications: bool,
-        leaves: &[(u32, QueueAddress)],
+        shape: &Shape,
         staged: &mut Vec<(TraceStage, u32, String)>,
     ) -> CondResult<()> {
         // The parked compensation carries the conditional message id as its
@@ -957,20 +953,23 @@ impl ConditionalMessenger {
             return Ok(());
         };
         let data = wire::parked_compensation_data(&parked)?;
-        for (leaf, dest) in leaves {
+        for (leaf, of_shape) in shape.compiled().leaves().iter().zip(shape.leaves()) {
+            let (index, dest) = (leaf.index, &of_shape.dest);
             match outcome {
                 MessageOutcome::Failure => {
-                    session.put_to(dest, wire::make_compensation(cond_id, *leaf, data))?;
-                    staged.push((TraceStage::CompensationReleased, *leaf, dest.to_string()));
+                    let comp = wire::make_compensation(cond_id, index, data);
+                    session.put_to(&leaf.queue, comp)?;
+                    staged.push((TraceStage::CompensationReleased, index, dest.clone()));
                 }
                 MessageOutcome::Success => {
                     if success_notifications {
-                        session.put_to(dest, wire::make_success_notification(cond_id, *leaf))?;
-                        staged.push((TraceStage::SuccessNotify, *leaf, dest.to_string()));
+                        let notice = wire::make_success_notification(cond_id, index);
+                        session.put_to(&leaf.queue, notice)?;
+                        staged.push((TraceStage::SuccessNotify, index, dest.clone()));
                     }
                     // The leaf's share of the parked compensation is simply
                     // consumed.
-                    staged.push((TraceStage::CompensationConsumed, *leaf, String::new()));
+                    staged.push((TraceStage::CompensationConsumed, index, String::new()));
                 }
             }
         }
@@ -1040,14 +1039,14 @@ impl ConditionalMessenger {
                 let record = record.ok_or(CondError::UnknownMessage(cond_id))?;
                 // The leaves come from the send record: after a restart it
                 // is all that is left of the message.
-                let leaves = leaf_addresses(&CompiledCondition::compile(&record.condition)?);
+                let shape = self.shape(&record.condition.to_bytes(), &record.condition)?;
                 let mut actions = Vec::new();
                 self.stage_outcome_actions(
                     &mut session,
                     cond_id,
                     group_outcome,
                     record.options.success_notifications.unwrap_or(false),
-                    &leaves,
+                    &shape,
                     &mut actions,
                 )?;
                 // The releaser is the member's consumer of record.
@@ -1202,9 +1201,10 @@ impl ConditionalMessenger {
         sends.retain(|cond_id, _| !decided.contains(cond_id));
         let mut pending = HashMap::with_capacity(sends.len());
         for (cond_id, record) in sends {
-            let compiled = CompiledCondition::compile(&record.condition)?;
+            // Every record of one condition shares its shape.
+            let shape = self.shape(&record.condition.to_bytes(), &record.condition)?;
             let mut eval =
-                PendingEval::new(compiled, record.send_time, &record.options, self.ack_grace);
+                PendingEval::new(shape, record.send_time, &record.options, self.ack_grace);
             for ack in acks.get(&cond_id).into_iter().flatten() {
                 eval.state.apply(ack);
             }
@@ -1752,6 +1752,63 @@ mod tests {
         assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 1);
         assert_eq!(messenger.status(id), MessageStatus::Pending);
         assert_eq!(messenger.metrics.comp_released.get(), 0);
+    }
+
+    /// The shape each pending message holds.
+    fn shape_of(messenger: &ConditionalMessenger, id: CondMessageId) -> Arc<Shape> {
+        Arc::clone(&messenger.pending.lock()[&id].shape)
+    }
+
+    #[test]
+    fn conditions_that_differ_in_a_window_or_a_queue_have_shapes_of_their_own() {
+        let (clock, qmgr, messenger) = setup();
+        qmgr.create_queue("Q.C").unwrap();
+        let shapes = || messenger.metrics.shapes.get();
+        let short = two_dest_condition(Millis(100));
+        let a1 = messenger.send_message("a1", &short).unwrap();
+        let a2 = messenger.send_message("a2", &short).unwrap();
+        assert_eq!(shapes(), 1);
+        let shared = shape_of(&messenger, a1);
+        assert!(Arc::ptr_eq(&shared, &shape_of(&messenger, a2)));
+        // Only the window differs: a shape of its own, deciding by its own
+        // deadline.
+        let long = messenger
+            .send_message("b", &two_dest_condition(Millis(200)))
+            .unwrap();
+        assert_eq!(shapes(), 2);
+        let long_shape = shape_of(&messenger, long);
+        assert!(!Arc::ptr_eq(&shared, &long_shape));
+        drop(shared);
+        clock.advance(Millis(150));
+        assert_eq!(messenger.pending_count(), 1, "only the long window is open");
+        assert_eq!(shapes(), 1, "the short window's shape went");
+        // Only a queue differs: a shape of its own, whose originals go to
+        // their own queue.
+        let elsewhere: Condition = DestinationSet::of(vec![
+            Destination::queue("QM1", "Q.A").into(),
+            Destination::queue("QM1", "Q.C").into(),
+        ])
+        .pickup_within(Millis(200))
+        .into();
+        let c = messenger.send_message("c", &elsewhere).unwrap();
+        assert_eq!(shapes(), 2);
+        assert!(!Arc::ptr_eq(&long_shape, &shape_of(&messenger, c)));
+        drop(long_shape);
+        let on = |queue: &str| {
+            let msgs = qmgr.queue(queue).unwrap().browse();
+            let original = |m: &&Arc<Message>| wire::kind_of(m) == wire::MessageKind::Original;
+            let payload = |m: &Arc<Message>| m.payload_str().map(str::to_owned);
+            msgs.iter()
+                .filter(original)
+                .filter_map(payload)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(on("Q.B"), ["a1", "a2", "b"]);
+        assert_eq!(on("Q.C"), ["c"]);
+        clock.advance(Millis(1_000));
+        assert_eq!(messenger.pending_count(), 0);
+        assert_eq!(shapes(), 0, "no message holds a shape");
+        assert_eq!(messenger.metrics.shapes.high_water(), 2);
     }
 
     #[test]

@@ -73,6 +73,9 @@ pub(crate) struct MessengerMetrics {
     /// Sends rejected by the analyzer
     /// (`cond.analyze.rejected`).
     pub analyze_rejected: Arc<Counter>,
+    /// Distinct conditions held in compiled form, one per shape
+    /// (`cond.shapes`, with high-water mark).
+    pub shapes: Arc<Gauge>,
 }
 
 impl MessengerMetrics {
@@ -100,6 +103,7 @@ impl MessengerMetrics {
             acks_queued: registry.counter("cond.ack.queued"),
             analyze_runs: registry.counter("cond.analyze.runs"),
             analyze_rejected: registry.counter("cond.analyze.rejected"),
+            shapes: registry.gauge("cond.shapes"),
         }
     }
 }

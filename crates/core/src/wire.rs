@@ -25,6 +25,8 @@
 //! A sender-log entry ([`SlogEntry`]) is a send record, an acknowledgment
 //! seen or a deferred verdict, its type the first byte of its payload.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
 use mq::{Message, MessageBuilder};
@@ -169,9 +171,18 @@ pub fn make_original(
     sender_manager: &str,
     ack_queue: &str,
 ) -> Message {
+    let template = original_template(leaf, sender_manager, ack_queue);
+    Message::from_template(&template, payload.clone(), cond_id.as_u128())
+}
+
+/// Everything of a leaf's original that is the same for every message
+/// sent under its condition: the control properties, priority,
+/// persistence and time-to-live. [`Message::from_template`] adds the
+/// payload and the conditional message id.
+pub(crate) fn original_template(leaf: &LeafSpec, sender_manager: &str, ack_queue: &str) -> Message {
     // Here and below, properties are set in name order: the builder then
     // keeps them as they were written, with no sort.
-    let mut builder: MessageBuilder = Message::builder(payload.clone())
+    let mut builder: MessageBuilder = Message::builder(Bytes::new())
         .property(P_ACK_QUEUE, ack_queue)
         .property(P_KIND, kind::ORIGINAL)
         .property(P_LEAF, i64::from(leaf.index))
@@ -182,8 +193,7 @@ pub fn make_original(
     builder = builder
         .property(P_SENDER_MANAGER, sender_manager)
         .priority(leaf.priority)
-        .persistent(leaf.persistent)
-        .correlation_u128(cond_id.as_u128());
+        .persistent(leaf.persistent);
     if let Some(ttl) = leaf.expiry {
         builder = builder.ttl(ttl);
     }
@@ -494,6 +504,35 @@ pub enum SlogEntry {
     Verdict(CondMessageId),
 }
 
+/// The payload of a send's log entry (`SlogEntry::Send`'s, the one place
+/// it is written): tag 0, the send time, the encoded condition, the
+/// options; and where in it the encoded condition lies. The condition is
+/// encoded once, into the payload: that slice of it is the key a messenger
+/// finds the condition's compiled form by.
+pub fn send_payload(
+    send_time: Time,
+    condition: &Condition,
+    options: &SendOptions,
+) -> (Bytes, Range<usize>) {
+    let mut enc = Encoder::with_capacity(128);
+    enc.put_u8(0);
+    enc.put_varint(send_time.as_millis());
+    let start = enc.len();
+    condition.encode(&mut enc);
+    let key = start..enc.len();
+    options.encode(&mut enc);
+    (enc.finish(), key)
+}
+
+/// A sender-log entry: a persistent message without properties, `payload`
+/// under the conditional id as its correlation id.
+pub fn log_entry(cond_id: CondMessageId, payload: Bytes) -> Message {
+    Message::builder(payload)
+        .correlation_u128(cond_id.as_u128())
+        .persistent(true)
+        .build()
+}
+
 impl SlogEntry {
     /// The conditional message this entry concerns.
     pub fn cond_id(&self) -> CondMessageId {
@@ -508,10 +547,7 @@ impl SlogEntry {
     /// properties. The conditional id is its correlation id, so the payload
     /// leaves it out.
     pub fn to_message(&self) -> Message {
-        Message::builder(self.payload())
-            .correlation_u128(self.cond_id().as_u128())
-            .persistent(true)
-            .build()
+        log_entry(self.cond_id(), self.payload())
     }
 
     /// Decodes an entry from a `DS.SLOG.Q` message: its correlation id and
@@ -541,10 +577,7 @@ impl SlogEntry {
         let mut enc = Encoder::new();
         match self {
             SlogEntry::Send(record) => {
-                enc.put_u8(0);
-                enc.put_varint(record.send_time.as_millis());
-                record.condition.encode(&mut enc);
-                record.options.encode(&mut enc);
+                return send_payload(record.send_time, &record.condition, &record.options).0;
             }
             SlogEntry::AckSeen(ack) => {
                 enc.put_u8(1);

@@ -575,6 +575,20 @@ impl Message {
         self.expiry = None;
     }
 
+    /// A message of `template`'s shape: its properties (the bytes shared,
+    /// not copied), priority, persistence, time-to-live and reply-to
+    /// address, with a fresh id, `payload` and the correlation id
+    /// `correlation` written as 32 lowercase hex digits. A sender that puts
+    /// many messages differing only in those builds the template once and
+    /// each message from it, allocating nothing.
+    pub fn from_template(template: &Message, payload: Bytes, correlation: u128) -> Message {
+        Message {
+            payload,
+            correlation: Some(Correlation::from_u128(correlation)),
+            ..template.copy_with_new_id()
+        }
+    }
+
     /// This message under a fresh id, as the sender built it: no enqueue
     /// stamps, no redeliveries. A topic delivers one to each subscriber.
     pub(crate) fn copy_with_new_id(&self) -> Message {
@@ -913,6 +927,35 @@ mod tests {
         assert_eq!(
             copy.property_section().as_bytes().as_ptr(),
             msg.property_section().as_bytes().as_ptr()
+        );
+    }
+
+    #[test]
+    fn a_message_from_a_template_shares_its_property_bytes() {
+        let template = Message::builder(Bytes::new())
+            .property("k", "v")
+            .priority(Priority::new(7))
+            .persistent(true)
+            .ttl(Millis(5))
+            .build();
+        let id = 0x0123_4567_89ab_cdef_0011_2233_4455_6677_u128;
+        let msg = Message::from_template(&template, Bytes::from_static(b"body"), id);
+        let built = Message::builder(Bytes::from_static(b"body"))
+            .property("k", "v")
+            .priority(Priority::new(7))
+            .persistent(true)
+            .ttl(Millis(5))
+            .correlation_u128(id)
+            .build();
+        let built = Message {
+            id: msg.id,
+            ..built
+        };
+        assert_eq!(msg, built);
+        assert_ne!(msg.id(), template.id());
+        assert_eq!(
+            msg.property_section().as_bytes().as_ptr(),
+            template.property_section().as_bytes().as_ptr()
         );
     }
 

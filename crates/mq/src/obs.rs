@@ -56,6 +56,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "cond.eval.errors",
     "cond.analyze.runs",
     "cond.analyze.rejected",
+    "cond.shapes",
     // condmsg receiver.
     "cond.recv.originals",
     "cond.recv.read_acks",
@@ -90,6 +91,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.journal.fsyncs",
     "mq.journal.group_waits",
     "mq.journal.batch_size",
+    "mq.checkpoint.refused",
     // Relay federation.
     "mq.relay.delivered_local",
     "mq.relay.forwarded",

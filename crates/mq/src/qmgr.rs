@@ -764,29 +764,35 @@ impl QueueManager {
     }
 
     /// Checkpoints if the journal has grown past
-    /// [`ManagerConfig::checkpoint_bytes`] since the last one. Skips (and
-    /// returns `Ok`) when another thread holds the gate — the next commit
-    /// will retry; checkpointing is a bound, not a deadline.
-    pub(crate) fn maybe_checkpoint(&self) -> MqResult<()> {
+    /// [`ManagerConfig::checkpoint_bytes`] since the last one. It runs after
+    /// a commit whose record is written, so nothing here undoes that
+    /// commit: a refused sweep or checkpoint is counted in
+    /// `mq.checkpoint.refused` and the next commit retries. Skips when
+    /// another thread holds the gate — checkpointing is a bound, not a
+    /// deadline.
+    pub(crate) fn maybe_checkpoint(&self) {
         let Some(threshold) = self.config.checkpoint_bytes else {
-            return Ok(());
+            return;
         };
         let grown = self
             .journal
             .len_bytes()
             .saturating_sub(self.last_checkpoint_len.load(Ordering::Relaxed));
         if grown < threshold {
-            return Ok(());
+            return;
         }
-        self.sweep_expired_all()?;
-        // try_write, not write: a checkpoint is a bound, not a deadline. A
-        // commit that finds the gate held returns and a later one
-        // checkpoints, rather than wait on the holders while every commit
-        // queues behind it.
-        let Some(_gate) = self.mutation_gate.try_write() else {
-            return Ok(());
-        };
-        self.checkpoint_locked()
+        let written = self.sweep_expired_all().and_then(|_| {
+            // try_write, not write: a commit that finds the gate held
+            // returns and a later one checkpoints, rather than wait on the
+            // holders while every commit queues behind it.
+            let Some(_gate) = self.mutation_gate.try_write() else {
+                return Ok(());
+            };
+            self.checkpoint_locked()
+        });
+        if written.is_err() {
+            self.stats.checkpoints_refused.incr();
+        }
     }
 
     fn checkpoint_locked(&self) -> MqResult<()> {

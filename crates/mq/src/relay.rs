@@ -303,14 +303,7 @@ impl QueueManager {
             session.put(&queue, msg)?;
             fates.push((hops, fate));
         }
-        if let Err(e) = session.commit() {
-            if session.in_transaction() {
-                return Err(e);
-            }
-            // The record is written and applied, so the batch is accepted;
-            // what failed came after it (a refused checkpoint, which the
-            // next commit retries).
-        }
+        session.commit()?;
         Ok(fates)
     }
 

@@ -534,10 +534,7 @@ impl QueueManager {
         match self.check_running().and_then(|()| op(&mut tx)) {
             Ok(out) => {
                 self.settle(tx)?;
-                // The operation happened; nobody can take back a get (or
-                // safely repeat a put) because the checkpoint after it was
-                // refused, and the next commit retries that.
-                self.maybe_checkpoint().unwrap_or(());
+                self.maybe_checkpoint();
                 Ok(out)
             }
             Err(e) => {
@@ -632,7 +629,10 @@ impl Session {
     ///
     /// [`MqError::NoTransaction`] without an active transaction. When the
     /// journal refuses the record the commit did not happen and the
-    /// transaction stays open, for a retry or an explicit rollback.
+    /// transaction stays open, for a retry or an explicit rollback. Once
+    /// the record is written the commit has happened and returns `Ok`: a
+    /// checkpoint refused after it is counted (`mq.checkpoint.refused`)
+    /// and retried by the next commit.
     pub fn commit(&mut self) -> MqResult<()> {
         let tx = self.tx.take().ok_or(MqError::NoTransaction)?;
         if tx.is_empty() {
@@ -642,7 +642,8 @@ impl Session {
             self.tx = uncommitted;
             e
         })?;
-        self.manager.maybe_checkpoint()
+        self.manager.maybe_checkpoint();
+        Ok(())
     }
 
     /// Ends a transaction whose gets are already safe to repeat without a

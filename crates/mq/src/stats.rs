@@ -535,6 +535,9 @@ pub struct ManagerStats {
     /// carries, and (the transport counts into the same cell) one per
     /// message a batch frame carries.
     pub encodes: Arc<Counter>,
+    /// Checkpoints a commit found due and could not write (a refused
+    /// sweep, or the journal refusing the image); the next commit retries.
+    pub checkpoints_refused: Arc<Counter>,
 }
 
 impl ManagerStats {
@@ -549,6 +552,7 @@ impl ManagerStats {
             released: registry.gauge("mq.channel.released"),
             release_flushes: registry.counter("mq.channel.release_flushes"),
             encodes: registry.counter("mq.codec.encodes"),
+            checkpoints_refused: registry.counter("mq.checkpoint.refused"),
         }
     }
 }

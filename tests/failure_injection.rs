@@ -6,6 +6,7 @@
 //! half-registered evaluation state, and after the storage heals everything
 //! proceeds normally.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -715,4 +716,121 @@ fn a_refused_handoff_is_not_sent_again_while_the_journal_fails() {
     journal.set_failing(false);
     wait_for("the list to empty", &|| head.stats().released.get() == 0);
     assert_eq!(tail.queue("Q.IN").unwrap().depth(), MAX_RELEASED, "each delivered once");
+}
+
+/// A journal whose checkpoints are refused once armed: every record is
+/// written, but the checkpoint a commit runs after its record fails.
+#[derive(Debug)]
+struct CheckpointRefusingJournal {
+    inner: Arc<MemJournal>,
+    refusing: AtomicBool,
+}
+
+impl CheckpointRefusingJournal {
+    fn refuse_checkpoints(&self) {
+        self.refusing.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Journal for CheckpointRefusingJournal {
+    fn append(&self, record: &JournalRecord) -> mq::MqResult<()> {
+        self.inner.append(record)
+    }
+
+    fn replay(&self, sink: &mut mq::journal::ReplaySink<'_>) -> mq::MqResult<()> {
+        self.inner.replay(sink)
+    }
+
+    fn write_checkpoint(
+        &self,
+        records: &mut dyn Iterator<Item = JournalRecord>,
+    ) -> mq::MqResult<()> {
+        if self.refusing.load(Ordering::SeqCst) {
+            let full = std::io::Error::other("no space left for the checkpoint");
+            return Err(MqError::Io(full));
+        }
+        self.inner.write_checkpoint(records)
+    }
+
+    fn reset(&self) -> mq::MqResult<()> {
+        self.inner.reset()
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.inner.len_bytes()
+    }
+}
+
+/// A manager that checkpoints after every commit, on a journal that
+/// refuses checkpoints once armed, and its messenger.
+fn checkpoint_refusing_world() -> (
+    Arc<CheckpointRefusingJournal>,
+    Arc<QueueManager>,
+    Arc<ConditionalMessenger>,
+) {
+    let journal = Arc::new(CheckpointRefusingJournal {
+        inner: MemJournal::new(),
+        refusing: false.into(),
+    });
+    let qmgr = QueueManager::builder("QM1")
+        .clock(SimClock::new())
+        .journal(journal.clone())
+        .config(ManagerConfig {
+            checkpoint_bytes: Some(1),
+            ..ManagerConfig::default()
+        })
+        .build()
+        .unwrap();
+    qmgr.create_queue("Q").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    (journal, qmgr, messenger)
+}
+
+#[test]
+fn a_send_whose_record_is_written_succeeds_though_its_checkpoint_is_refused() {
+    let (journal, qmgr, messenger) = checkpoint_refusing_world();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    journal.refuse_checkpoints();
+    let records = journal.inner.record_count();
+    let id = messenger.send_message("x", &condition).unwrap();
+    let written = journal.inner.record_count() - records;
+    assert_eq!(written, 1, "the send's record");
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
+    let refused = qmgr.metrics_snapshot().counter("mq.checkpoint.refused");
+    assert!(refused >= 1, "the send's refused checkpoint is counted");
+    // Its read decides it, once: the ack found the message pending.
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    assert!(receiver.read_message("Q", Wait::NoWait).unwrap().is_some());
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Success);
+    assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none());
+    assert_eq!(messenger.pending_count(), 0);
+    let snapshot = qmgr.metrics_snapshot();
+    assert_eq!(snapshot.counter("cond.verdict.success"), 1);
+    assert_eq!(snapshot.counter("cond.verdict.failure"), 0);
+}
+
+#[test]
+fn an_implicit_read_whose_record_is_written_returns_its_original_though_checkpoints_fail() {
+    let (journal, qmgr, messenger) = checkpoint_refusing_world();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    let id = messenger.send_message("payload", &condition).unwrap();
+    journal.refuse_checkpoints();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    let refused = qmgr.metrics_snapshot().counter("mq.checkpoint.refused");
+    let read = receiver.read_message("Q", Wait::NoWait).unwrap();
+    let original = read.expect("the original");
+    assert!(
+        qmgr.metrics_snapshot().counter("mq.checkpoint.refused") > refused,
+        "the read's refused checkpoint is counted"
+    );
+    assert_eq!(original.cond_id(), Some(id));
+    assert_eq!(original.payload_str(), Some("payload"));
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 0, "consumed once");
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, condmsg::MessageOutcome::Success);
 }

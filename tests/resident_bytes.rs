@@ -4,18 +4,23 @@
 //! compensation through a [`ConditionalMessenger`] on one manager over a
 //! [`SegmentedJournal`] (no fsync), all still pending when counted. Each
 //! send stores six messages — the sender-log entry, one parked
-//! compensation and four originals — and one pending evaluation. A
-//! counting global allocator (this file is its own test binary) gives the
-//! two numbers the send path is held to: heap allocations per send, and
-//! live heap bytes per pending tree once the sends are done.
+//! compensation and four originals — and one pending evaluation. The tree
+//! itself is compiled once: every send shares its interned shape (gauge
+//! `cond.shapes` reads 1), encodes it once into its log entry and builds
+//! each original from the shape's template for that leaf, and a pending
+//! evaluation holds only its own cell states and ack stamps. A counting
+//! global allocator (this file is its own test binary) gives the two
+//! numbers the send path is held to: heap allocations per send, and live
+//! heap bytes per pending tree once the sends are done.
 //!
 //! Recovery is held to a live-bytes bound too: the manager and the
-//! messenger reopened over that journal, every tree still pending. Then
+//! messenger reopened over that journal, every tree still pending and all
+//! of them sharing one shape again. Then
 //! every tree misses its deadline, the leaves are drained, and a second
 //! reopen counts what a decided tree keeps — its outcome notification,
 //! which may not hold the verdict record it was replayed from. Taking the
-//! notifications then leaves every queue empty: a verdict's state ends
-//! with its consumer.
+//! notifications then leaves every queue empty, and no shape held: a
+//! verdict's state ends with its consumer.
 //!
 //! All are counts, not timings, and move only when the send path, the
 //! recovery path or the stored form of a message changes.
@@ -27,7 +32,7 @@ use std::sync::Arc;
 
 use condmsg::{Condition, ConditionalMessenger, Destination, DestinationSet};
 use mq::journal::{SegmentConfig, SegmentedJournal};
-use mq::{QueueManager, Wait};
+use mq::{Gauge, QueueManager, Wait};
 use simtime::{Millis, SimClock};
 
 /// Heap allocations (and reallocations) since the process started.
@@ -73,13 +78,14 @@ const SENDS: u64 = 5_000;
 const WARM_UP: u64 = 200;
 const LEAVES: [&str; 4] = ["Q.B0", "Q.B1", "Q.B2", "Q.B3"];
 
-/// Bounds the send path is held to. Measured 94 allocations (108 with
-/// the lock-order checker of `parking_lot/deadlock_detection`, which the
-/// suite is also run under) and 5 203 B.
-const MAX_ALLOCATIONS_PER_SEND: f64 = 120.0;
-const MAX_LIVE_BYTES_PER_TREE: f64 = 5_600.0;
-/// Measured 5 534: a recovered message keeps slices of its record.
-const MAX_LIVE_BYTES_PER_RECOVERED_TREE: f64 = 5_950.0;
+/// Bounds the send path is held to, each the measured value plus at most
+/// 10 %. Measured 37 allocations (51 with the lock-order checker of
+/// `parking_lot/deadlock_detection`, which the suite is also run under)
+/// and 3 396 B.
+const MAX_ALLOCATIONS_PER_SEND: f64 = 56.0;
+const MAX_LIVE_BYTES_PER_TREE: f64 = 3_700.0;
+/// Measured 3 888: a recovered message keeps slices of its record.
+const MAX_LIVE_BYTES_PER_RECOVERED_TREE: f64 = 4_250.0;
 /// Measured 2 302: the outcome notification, holding its own property
 /// section, not a slice of the verdict record it was replayed from.
 const MAX_LIVE_BYTES_PER_DECIDED_TREE: f64 = 2_400.0;
@@ -156,6 +162,7 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
         per_tree <= MAX_LIVE_BYTES_PER_TREE,
         "{per_tree:.0} live heap bytes per pending tree (bound {MAX_LIVE_BYTES_PER_TREE})"
     );
+    assert_eq!(shapes(&qm).get(), 1, "every send shares one shape");
     drop(messenger);
     qm.shutdown();
     drop(qm);
@@ -174,6 +181,7 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
         WARM_UP + SENDS,
         "every send is still pending on its leaves after recovery"
     );
+    assert_eq!(shapes(&qm).get(), 1, "recovered sends share one shape");
     assert!(
         per_recovered_tree <= MAX_LIVE_BYTES_PER_RECOVERED_TREE,
         "{per_recovered_tree:.0} live heap bytes per recovered pending tree \
@@ -187,6 +195,7 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
     clock.advance(Millis(3_600_001));
     let outcomes = |qm: &QueueManager| qm.queue("DS.OUTCOME.Q").unwrap().depth() as u64;
     assert_eq!(outcomes(&qm), WARM_UP + SENDS);
+    assert_eq!(shapes(&qm).get(), 0, "no decided tree holds its shape");
     for queue in LEAVES {
         let mut session = qm.session();
         session.begin().unwrap();
@@ -217,9 +226,15 @@ fn a_pending_four_leaf_send_allocates_and_holds_within_budget() {
     for name in qm.queue_names() {
         assert_eq!(qm.queue(&name).unwrap().depth(), 0, "{name}");
     }
+    assert_eq!(shapes(&qm).high_water(), 0, "nothing pending to compile");
     drop(messenger);
     qm.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Gauge `cond.shapes`: the conditions `qm`'s messenger holds compiled.
+fn shapes(qm: &QueueManager) -> Arc<Gauge> {
+    qm.obs().metrics().gauge("cond.shapes")
 }
 
 /// The manager and messenger recovered from the journal under `root`.

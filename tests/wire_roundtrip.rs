@@ -3,7 +3,8 @@
 //! **byte-identically** (the binary format has a single canonical
 //! encoding), sender-log entries must do the same as the messages that
 //! carry them (`to_message`/`from_message`: the conditional id is the
-//! message's correlation id, not part of the payload), and the
+//! message's correlation id, not part of the payload), a send's
+//! log entry must decode to its send record, and the
 //! message-property encodings must round-trip value-identically. One
 //! original message's image, and a fan-out's journal record, are pinned
 //! byte for byte.
@@ -11,8 +12,8 @@
 use bytes::Bytes;
 use condmsg::eval::LeafSpec;
 use condmsg::wire::{
-    make_original, AckKind, Acknowledgment, MessageOutcome, OutcomeNotification, SendOptions,
-    SendRecord, SlogEntry,
+    log_entry, make_original, send_payload, AckKind, Acknowledgment, MessageOutcome,
+    OutcomeNotification, SendOptions, SendRecord, SlogEntry,
 };
 use condmsg::{CondMessageId, Condition, Destination, DestinationSet};
 use mq::codec::{WireDecode, WireEncode};
@@ -492,6 +493,18 @@ fn a_sender_log_entry_and_an_outcome_notification_are_pinned_byte_for_byte() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A send writes its log entry without building a `SendRecord`: the
+    /// condition is encoded once, into the payload, and that slice of it
+    /// is the key the condition's compiled form is interned by. The entry
+    /// decodes back to the record it was written from.
+    #[test]
+    fn a_send_payload_decodes_to_its_send_record(record in arb_send_record()) {
+        let (payload, key) = send_payload(record.send_time, &record.condition, &record.options);
+        prop_assert_eq!(&payload[key], &record.condition.to_bytes()[..]);
+        let entry = log_entry(record.cond_id, payload);
+        prop_assert_eq!(SlogEntry::from_message(&entry).unwrap(), SlogEntry::Send(record));
+    }
 
     /// Condition trees (the paper's Fig. 3 composite) have one canonical
     /// byte encoding: encode→decode→encode is the identity on bytes.
