@@ -33,9 +33,10 @@
 //!   payload out and sets bit 7 of `flags`: a fan-out writes its payload
 //!   once;
 //! * the message id and the 16-byte correlation id are written relative
-//!   to the id written just before them in the record ([`IdCursor`]):
-//!   ids of one process are consecutive ([`MessageId::generate`]), so most
-//!   take one or two bytes instead of sixteen.
+//!   to the id written just before them ([`IdCursor`]), in the record or,
+//!   in a segment file, in the frame before it: ids of one process are
+//!   consecutive ([`MessageId::generate`]), so most take one or two bytes
+//!   instead of sixteen.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -610,10 +611,18 @@ fn unzigzag(v: u64) -> i64 {
     (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
-/// The id last written (or read) in one journal record: each `u128` id of
-/// the record is written relative to it ([`Encoder::put_id`]). Every record
-/// starts from a fresh cursor (0), so no record refers to another, and its
-/// first id, whose epoch is never 0, is written whole.
+/// The id last written (or read): each `u128` id of a journal record is
+/// written relative to it ([`Encoder::put_id`]). A record on its own
+/// (`JournalRecord::to_bytes`, [`crate::journal::MemJournal`]) starts from a
+/// fresh cursor (0), so its first id, whose epoch is never 0, is written
+/// whole. [`crate::journal::SegmentedJournal`] carries one cursor through
+/// each segment file, fresh where the file starts, so a frame's first id
+/// continues from the last id of the frame before it.
+///
+/// The cursor must be a function of the bytes on disk alone: no frame may
+/// be decoded under a cursor other than the one it was encoded with. A
+/// decoder that starts mid-file, or skips a frame, reads wrong ids without
+/// an error to show for it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdCursor(u128);
 

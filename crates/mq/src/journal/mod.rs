@@ -111,7 +111,6 @@ impl JournalRecord {
     }
 }
 
-// lint: registry-sink journal-tag
 impl WireEncode for JournalRecord {
     fn to_bytes(&self) -> Bytes {
         let mut enc = Encoder::with_capacity(self.size_hint());
@@ -119,7 +118,30 @@ impl WireEncode for JournalRecord {
         enc.finish()
     }
 
+    /// The record on its own: its ids start from a fresh cursor.
     fn encode(&self, enc: &mut Encoder) {
+        self.encode_after(enc, &mut IdCursor::default());
+    }
+}
+
+impl WireDecode for JournalRecord {
+    /// The record on its own: its ids start from a fresh cursor.
+    fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
+        JournalRecord::decode_after(dec, &mut IdCursor::default())
+    }
+}
+
+// lint: registry-sink journal-tag
+impl JournalRecord {
+    /// Encodes the record with its ids continuing from `ids`, the cursor
+    /// the id written before the record left: a [`SegmentedJournal`]
+    /// carries one cursor through a segment file, so a record's first id
+    /// is a delta from the last id of the frame before it. A
+    /// `CheckpointStart` alone starts from a fresh cursor and leaves `ids`
+    /// as it was, so it may be written behind a frame whose cursor the
+    /// writer does not know. Whatever decodes the record must hand
+    /// [`JournalRecord::decode_after`] the cursor this call was handed.
+    pub(crate) fn encode_after(&self, enc: &mut Encoder, ids: &mut IdCursor) {
         match self {
             JournalRecord::QueueCreated { queue } => {
                 enc.put_u8(0);
@@ -133,28 +155,27 @@ impl WireEncode for JournalRecord {
             // property bytes straight into the record (each assembly counts
             // in `mq.codec.encodes`). A put whose payload equals the
             // previous put's leaves it out, so a fan-out writes it once.
-            // Every id of a record is written relative to the one before
-            // it in the record: the puts' ids and correlation ids, then the
-            // gets' ids.
+            // Every id is written relative to the one before it: the puts'
+            // ids and correlation ids, then the gets' ids, the first of
+            // them relative to `ids`.
             JournalRecord::Put { queue, message } => {
                 enc.put_u8(13);
                 enc.put_wire_str(queue);
-                enc.put_image(message, None, &mut IdCursor::default());
+                enc.put_image(message, None, ids);
             }
             JournalRecord::TxCommit { puts, gets } => {
                 enc.put_u8(14);
                 enc.put_varint(puts.len() as u64);
-                let mut ids = IdCursor::default();
                 let mut previous = None;
                 for (q, m) in puts {
                     enc.put_wire_str(q);
-                    enc.put_image(m, previous, &mut ids);
+                    enc.put_image(m, previous, ids);
                     previous = Some(m);
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
                     enc.put_wire_str(q);
-                    enc.put_id(id.as_u128(), &mut ids);
+                    enc.put_id(id.as_u128(), ids);
                 }
             }
             JournalRecord::CheckpointStart {
@@ -169,10 +190,11 @@ impl WireEncode for JournalRecord {
                     enc.put_wire_str(q);
                 }
                 enc.put_varint(dedup.len() as u64);
-                let mut ids = IdCursor::default();
+                // Its own cursor, not `ids`: see above.
+                let mut own = IdCursor::default();
                 for (origin, id) in dedup {
                     enc.put_u64(*origin);
-                    enc.put_id(*id, &mut ids);
+                    enc.put_id(*id, &mut own);
                 }
             }
             JournalRecord::CheckpointEnd { checkpoint_id } => {
@@ -181,11 +203,13 @@ impl WireEncode for JournalRecord {
             }
         }
     }
-}
 
-// lint: registry-sink journal-tag
-impl WireDecode for JournalRecord {
-    fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
+    /// Decodes a record written by [`JournalRecord::encode_after`] under
+    /// the cursor `ids`, moving it as the encoder moved its own.
+    pub(crate) fn decode_after(
+        dec: &mut Decoder,
+        ids: &mut IdCursor,
+    ) -> Result<JournalRecord, CodecError> {
         match dec.get_u8()? {
             0 => Ok(JournalRecord::QueueCreated {
                 queue: dec.get_wire_str()?,
@@ -195,23 +219,22 @@ impl WireDecode for JournalRecord {
             }),
             13 => Ok(JournalRecord::Put {
                 queue: dec.get_wire_str()?,
-                message: dec.get_image(None, &mut IdCursor::default())?,
+                message: dec.get_image(None, ids)?,
             }),
             14 => {
                 let n_puts = dec.get_varint()?;
                 let mut puts: Vec<(Arc<str>, Message)> =
                     Vec::with_capacity(n_puts.min(1024) as usize);
-                let mut ids = IdCursor::default();
                 for _ in 0..n_puts {
                     let q = dec.get_wire_name()?;
-                    let m = dec.get_image(puts.last().map(|(_, p)| p.payload()), &mut ids)?;
+                    let m = dec.get_image(puts.last().map(|(_, p)| p.payload()), ids)?;
                     puts.push((q, m));
                 }
                 let n_gets = dec.get_varint()?;
                 let mut gets = Vec::with_capacity(n_gets.min(1024) as usize);
                 for _ in 0..n_gets {
                     let q = dec.get_wire_name()?;
-                    let id = MessageId::from_u128(dec.get_id(&mut ids)?);
+                    let id = MessageId::from_u128(dec.get_id(ids)?);
                     gets.push((q, id));
                 }
                 Ok(JournalRecord::TxCommit { puts, gets })
@@ -225,10 +248,10 @@ impl WireDecode for JournalRecord {
                 }
                 let n_dedup = dec.get_varint()?;
                 let mut dedup = Vec::with_capacity(n_dedup.min(4096) as usize);
-                let mut ids = IdCursor::default();
+                let mut own = IdCursor::default();
                 for _ in 0..n_dedup {
                     let origin = dec.get_u64()?;
-                    let id = dec.get_id(&mut ids)?;
+                    let id = dec.get_id(&mut own)?;
                     dedup.push((origin, id));
                 }
                 Ok(JournalRecord::CheckpointStart {

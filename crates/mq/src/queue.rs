@@ -30,6 +30,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -112,6 +113,12 @@ pub struct Queue {
     // lint: never-hold(Queue.store) across append
     store: Mutex<MessageStore>,
     available: Condvar,
+    /// Consumers parked on `available`. Moved only under the store lock,
+    /// around the wait: a waker that reads it after unlocking the store it
+    /// changed sees every consumer that found the store unchanged, so
+    /// skipping the wake when it reads 0 loses none. The store lock orders
+    /// those accesses, so they are `Relaxed`: the count publishes nothing.
+    parked: AtomicUsize,
     stats: QueueStats,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
     put_watchers: Mutex<Vec<PutWatcher>>,
@@ -148,6 +155,7 @@ impl Queue {
             store: Mutex::new(MessageStore::new()),
             config,
             available: Condvar::new(),
+            parked: AtomicUsize::new(0),
             put_watchers: Mutex::new(Vec::new()),
             arrival_trigger: RwLock::new(None),
             manager: manager.me.clone(),
@@ -185,7 +193,13 @@ impl Queue {
     }
 
     pub(crate) fn notify_put_watchers(&self) {
-        let watchers: Vec<PutWatcher> = self.put_watchers.lock().clone();
+        let watchers: Vec<PutWatcher> = {
+            let registered = self.put_watchers.lock();
+            if registered.is_empty() {
+                return;
+            }
+            registered.clone()
+        };
         for w in watchers {
             w();
         }
@@ -266,7 +280,9 @@ impl Queue {
             let mut store = self.store.lock();
             self.check_open(&store)?;
             if store.version() == seen_version {
+                self.parked.fetch_add(1, Ordering::Relaxed);
                 self.available.wait_for(&mut store, real_wait);
+                self.parked.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -323,7 +339,7 @@ impl Queue {
         self.insert(&mut store, msg, true);
         drop(store);
         if deliverable {
-            self.available.notify_all();
+            self.wake_consumers();
         }
     }
 
@@ -369,8 +385,16 @@ impl Queue {
     /// watchers. Pairs with [`Queue::put_committed`] once the caller has
     /// released the gate.
     pub(crate) fn notify_arrival(&self) {
-        self.available.notify_all();
+        self.wake_consumers();
         self.notify_put_watchers();
+    }
+
+    /// Wakes every parked consumer, if one is: called with the store lock
+    /// released, after a change made under it.
+    fn wake_consumers(&self) {
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.available.notify_all();
+        }
     }
 
     /// Removes a specific message by id: journal replay applying a get.
@@ -613,7 +637,7 @@ impl Queue {
         // re-checks instead of sleeping through the close.
         store.bump_version();
         drop(store);
-        self.available.notify_all();
+        self.wake_consumers();
     }
 }
 
@@ -711,6 +735,37 @@ mod tests {
         q.try_take().unwrap().unwrap();
         assert_eq!(q.depth(), 1);
         assert_eq!(q.stats().dequeued.get(), 1);
+    }
+
+    #[test]
+    fn a_parked_consumer_wakes_on_the_commit_within_its_first_wait() {
+        // On the system clock a timed get parks once, for the whole
+        // timeout: only the commit's wake can return it sooner.
+        let qm = QueueManager::builder("TEST.QM")
+            .clock(SystemClock::new())
+            .journal(MemJournal::new())
+            .build()
+            .unwrap();
+        let q = qm.create_queue("Q").unwrap();
+        assert_eq!(q.parked.load(Ordering::SeqCst), 0);
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let start = std::time::Instant::now();
+                let got = qm.get("Q", Wait::Timeout(Millis(60_000))).unwrap();
+                (got, start.elapsed())
+            });
+            while q.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            qm.put("Q", text("wake")).unwrap();
+            let (got, waited) = consumer.join().unwrap();
+            assert_eq!(got.unwrap().payload_str(), Some("wake"));
+            assert!(
+                waited < Duration::from_secs(30),
+                "woke only at its timeout: {waited:?}"
+            );
+        });
+        assert_eq!(q.parked.load(Ordering::SeqCst), 0);
     }
 
     #[test]

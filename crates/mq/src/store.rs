@@ -58,6 +58,51 @@ pub(crate) fn unshare(msg: Arc<Message>) -> Message {
     Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone())
 }
 
+/// The live messages carrying one correlation id. Most ids are carried
+/// by one message per queue, held in place rather than in a vector, as
+/// its two halves: a `u128` would align the bucket, and every slot of the
+/// index with it, to 16 bytes.
+enum Bucket {
+    One(u64, u64),
+    Many(Vec<MessageId>),
+}
+
+impl Bucket {
+    fn one(id: MessageId) -> Bucket {
+        let id = id.as_u128();
+        Bucket::One((id >> 64) as u64, id as u64)
+    }
+
+    fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
+        let (one, many) = match self {
+            Bucket::One(high, low) => {
+                let id = u128::from(*high) << 64 | u128::from(*low);
+                (Some(MessageId::from_u128(id)), &[][..])
+            }
+            Bucket::Many(ids) => (None, &ids[..]),
+        };
+        one.into_iter().chain(many.iter().copied())
+    }
+
+    fn push(&mut self, id: MessageId) {
+        match self {
+            Bucket::One(..) => *self = Bucket::Many(self.ids().chain([id]).collect()),
+            Bucket::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Takes `id` out; whether the bucket is left empty.
+    fn remove(&mut self, id: MessageId) -> bool {
+        match self {
+            Bucket::One(..) => self.ids().eq([id]),
+            Bucket::Many(ids) => {
+                ids.retain(|x| *x != id);
+                ids.is_empty()
+            }
+        }
+    }
+}
+
 /// The id-keyed message map with its secondary structures. Owned by a
 /// queue behind its mutex; every method here assumes that exclusion.
 pub(crate) struct MessageStore {
@@ -70,7 +115,7 @@ pub(crate) struct MessageStore {
     /// order: [`MessageStore::first_correlated`] ranks them. A key is the
     /// message's own correlation id (a conditional message id is 32 digits
     /// held in place), probed with a `&str`.
-    by_correlation: HashMap<Correlation, Vec<MessageId>>,
+    by_correlation: HashMap<Correlation, Bucket>,
     /// Min-heap of (expiry millis, id): the TTL sweep pops ripe entries
     /// instead of scanning the queue. May hold stale ids.
     expiry_heap: BinaryHeap<std::cmp::Reverse<(u64, u128)>>,
@@ -143,7 +188,9 @@ impl MessageStore {
         let id = msg.id();
         // A rollback requeue returns a pending transactional get; the
         // pending copy is superseded by the live one.
-        self.pending.remove(&id);
+        if !self.pending.is_empty() {
+            self.pending.remove(&id);
+        }
         let seq = if front {
             let s = self.next_front_seq;
             self.next_front_seq = self.next_front_seq.wrapping_sub(1);
@@ -165,11 +212,10 @@ impl MessageStore {
             self.bands[band].push_back(id);
         }
         if let Some(corr) = msg.correlation() {
-            // Most ids are carried by one message per queue: room for one.
             self.by_correlation
                 .entry(corr.clone())
-                .or_insert_with(|| Vec::with_capacity(1))
-                .push(id);
+                .and_modify(|bucket| bucket.push(id))
+                .or_insert_with(|| Bucket::one(id));
         }
         if let Some(expiry) = msg.expiry() {
             self.expiry_heap
@@ -192,9 +238,8 @@ impl MessageStore {
     fn detach_entry(&mut self, id: MessageId) -> Option<Entry> {
         let entry = self.entries.remove(&id)?;
         if let Some(corr) = entry.msg.correlation_id() {
-            if let Some(ids) = self.by_correlation.get_mut(corr) {
-                ids.retain(|x| *x != id);
-                if ids.is_empty() {
+            if let Some(bucket) = self.by_correlation.get_mut(corr) {
+                if bucket.remove(id) {
                     self.by_correlation.remove(corr);
                 }
             }
@@ -242,8 +287,8 @@ impl MessageStore {
     ) -> Option<MessageId> {
         self.by_correlation
             .get(correlation)?
-            .iter()
-            .filter_map(|id| self.entries.get_key_value(id))
+            .ids()
+            .filter_map(|id| self.entries.get_key_value(&id))
             .filter(|(_, e)| !e.msg.is_expired(now) && accept(&e.msg))
             .min_by_key(|(_, e)| (std::cmp::Reverse(band_of(&e.msg)), e.seq))
             .map(|(id, _)| *id)
@@ -353,6 +398,24 @@ mod tests {
             assert!(s.detach(id).is_some());
         }
         assert!(s.by_correlation.is_empty());
+    }
+
+    #[test]
+    fn a_correlation_bucket_holds_one_id_in_place_and_more_in_order() {
+        // No wider than the vector it replaces, so no index slot grows.
+        assert!(std::mem::size_of::<Bucket>() <= std::mem::size_of::<Vec<MessageId>>());
+        let ids: Vec<MessageId> = (0..3).map(|_| MessageId::generate()).collect();
+        let mut bucket = Bucket::one(ids[0]);
+        assert!(matches!(bucket, Bucket::One(..)));
+        assert!(!bucket.remove(ids[1]), "an id it does not hold");
+        bucket.push(ids[1]);
+        bucket.push(ids[2]);
+        assert_eq!(bucket.ids().collect::<Vec<_>>(), ids);
+        assert!(!bucket.remove(ids[1]));
+        assert_eq!(bucket.ids().collect::<Vec<_>>(), [ids[0], ids[2]]);
+        assert!(!bucket.remove(ids[0]));
+        assert!(bucket.remove(ids[2]));
+        assert!(Bucket::one(ids[0]).remove(ids[0]));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! The tables in DESIGN.md §8 and the receiver section are these
 //! sequences.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +28,9 @@ use condmsg::{
 };
 use mq::channel::{Channel, MAX_RELEASED, RELEASE_LINGER};
 use mq::codec::{WireDecode, WireEncode};
-use mq::journal::{Journal, JournalRecord, MemJournal, ReplaySink};
+use mq::journal::{
+    Journal, JournalRecord, MemJournal, ReplaySink, SegmentConfig, SegmentedJournal,
+};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
     FaultAction, FaultPlane, Message, MqResult, QueueAddress, QueueManager, TraceStage, Wait,
@@ -50,18 +53,35 @@ fn shared() -> RwLockReadGuard<'static, ()> {
     ID_DRAWS.read()
 }
 
-/// A `Journal` that notes what each `append` wrote (kind + queues, and its
-/// encoded bytes) and otherwise is the `MemJournal` it wraps.
+/// A `Journal` that notes what each `append` wrote (kind + queues, its
+/// encoded bytes, and the bytes the journal grew by) and otherwise is the
+/// journal it wraps: a `MemJournal`, or a `SegmentedJournal` in a
+/// directory of its own, removed with it.
 #[derive(Debug)]
 struct RecordingJournal {
-    inner: Arc<MemJournal>,
-    appended: Mutex<Vec<(String, Bytes)>>,
+    inner: Arc<dyn Journal>,
+    root: Option<PathBuf>,
+    appended: Mutex<Vec<(String, Bytes, u64)>>,
 }
 
 impl RecordingJournal {
     fn new() -> Arc<RecordingJournal> {
         Arc::new(RecordingJournal {
             inner: MemJournal::new(),
+            root: None,
+            appended: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn on_disk() -> Arc<RecordingJournal> {
+        let root = std::env::temp_dir().join(format!(
+            "append-budget-{}-{}",
+            std::process::id(),
+            rand::random::<u64>()
+        ));
+        Arc::new(RecordingJournal {
+            inner: SegmentedJournal::open(&root, SegmentConfig::default()).unwrap(),
+            root: Some(root),
             appended: Mutex::new(Vec::new()),
         })
     }
@@ -75,16 +95,27 @@ impl RecordingJournal {
         self.appended
             .lock()
             .iter()
-            .map(|(record, _)| record.clone())
+            .map(|(record, _, _)| record.clone())
             .collect()
     }
 
-    /// The encoded size of each record, as the `MemJournal` holds it.
+    /// The encoded size of each record on its own, as a `MemJournal`
+    /// holds it.
     fn bytes(&self) -> Vec<usize> {
         self.appended
             .lock()
             .iter()
-            .map(|(_, bytes)| bytes.len())
+            .map(|(_, bytes, _)| bytes.len())
+            .collect()
+    }
+
+    /// What each append added to the journal: on a `SegmentedJournal`,
+    /// the record's frame.
+    fn frames(&self) -> Vec<u64> {
+        self.appended
+            .lock()
+            .iter()
+            .map(|(_, _, grown)| *grown)
             .collect()
     }
 
@@ -106,11 +137,23 @@ impl RecordingJournal {
     }
 }
 
+impl Drop for RecordingJournal {
+    fn drop(&mut self) {
+        if let Some(root) = &self.root {
+            let _ = std::fs::remove_dir_all(root);
+        }
+    }
+}
+
 impl Journal for RecordingJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
+        // Held across the append, so what the journal grew by is this
+        // record's alone.
+        let mut appended = self.appended.lock();
+        let before = self.inner.len_bytes();
         self.inner.append(record)?;
-        let bytes = record.to_bytes();
-        self.appended.lock().push((describe(record), bytes));
+        let grown = self.inner.len_bytes() - before;
+        appended.push((describe(record), record.to_bytes(), grown));
         Ok(())
     }
 
@@ -162,7 +205,15 @@ fn describe(record: &JournalRecord) -> String {
 /// simulated one nobody advances, so no released handoff ever lingers long
 /// enough to be flushed: what rides which record is exact.
 fn recorded(name: &str, clock: &Arc<SimClock>) -> (Arc<QueueManager>, Arc<RecordingJournal>) {
-    let journal = RecordingJournal::new();
+    recorded_on(name, clock, RecordingJournal::new())
+}
+
+/// [`recorded`] over `journal`.
+fn recorded_on(
+    name: &str,
+    clock: &Arc<SimClock>,
+    journal: Arc<RecordingJournal>,
+) -> (Arc<QueueManager>, Arc<RecordingJournal>) {
     let qmgr = QueueManager::builder(name)
         .clock(clock.clone())
         .journal(journal.clone())
@@ -220,8 +271,8 @@ fn flushes(qmgr: &QueueManager, n: u64) -> Vec<String> {
 fn two_manager_round_trip_is_five_records() {
     let _ids = alone();
     let clock = SimClock::new();
-    let (head, head_journal) = recorded("QM.HEAD", &clock);
-    let (tail, tail_journal) = recorded("QM.TAIL", &clock);
+    let (head, head_journal) = recorded_on("QM.HEAD", &clock, RecordingJournal::on_disk());
+    let (tail, tail_journal) = recorded_on("QM.TAIL", &clock, RecordingJournal::on_disk());
     tail.create_queue("Q.IN").unwrap();
     let _channels = (connect(&head, &tail, false), connect(&tail, &head, false));
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
@@ -277,6 +328,14 @@ fn two_manager_round_trip_is_five_records() {
     // entry and acknowledgment) are written once.
     assert_eq!(head_journal.bytes(), [160, 60, 21], "head bytes");
     assert_eq!(tail_journal.bytes(), [74, 100], "tail bytes");
+    // What their frames weigh in a segment file: 8 bytes of length and
+    // CRC, a one-byte LSN, and the record with its first id a delta from
+    // the last id of the frame before it. The first id-bearing frame of a
+    // file has nothing before it and writes its first id whole: here the
+    // send on the head and the arrival on the tail. 412 B in all, against
+    // the 415 B the records take on their own.
+    assert_eq!(head_journal.frames(), [169, 53, 14], "head frames");
+    assert_eq!(tail_journal.frames(), [83, 93], "tail frames");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -485,7 +544,7 @@ fn a_relay_takes_custody_of_a_batch_with_one_record() {
 #[test]
 fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     let _ids = alone();
-    let journal = RecordingJournal::new();
+    let journal = RecordingJournal::on_disk();
     let qmgr = QueueManager::builder("QM1")
         .clock(SimClock::new())
         .journal(journal.clone())
@@ -540,6 +599,10 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     // bit instead. One compensation is parked for the whole tree, naming no
     // leaf.
     assert_eq!(journal.bytes(), [263, 53, 53, 60, 38, 21], "bytes");
+    // In a segment file: each frame's 9 bytes of envelope and LSN, and
+    // every frame's first id but the send's a delta from the frame before
+    // (462 B in all).
+    assert_eq!(journal.frames(), [272, 46, 46, 53, 31, 14], "frames");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     // One id sequence: the conditional id, then its send-log entry, parked
