@@ -65,7 +65,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mq::codec::WireEncode;
-use mq::{ArrivalEnd, ArrivalTrigger, Message, MetricsSnapshot, QueueManager, TraceStage, Wait};
+use mq::{
+    ArrivalEnd, ArrivalTrigger, IdMap, Message, MetricsSnapshot, QueueManager, TraceStage, Wait,
+};
 use parking_lot::Mutex;
 use simtime::{Millis, Time, TimerId};
 
@@ -217,7 +219,7 @@ struct Decided {
     /// The message's condition, whose leaves the outcome actions go to.
     shape: Arc<Shape>,
     /// Outcome actions staged with the verdict, traced once it commits.
-    actions: Vec<(TraceStage, u32, String)>,
+    actions: Vec<(TraceStage, u32, Arc<str>)>,
 }
 
 /// What one evaluation-cycle transaction carries besides its session:
@@ -247,7 +249,7 @@ pub struct ConditionalMessenger {
     /// Messages under evaluation. An entry changes only by a cycle whose
     /// record is written, so the table is never held across the commit.
     // lint: never-hold(ConditionalMessenger.pending) across append
-    pending: Mutex<HashMap<CondMessageId, PendingEval>>,
+    pending: Mutex<IdMap<CondMessageId, PendingEval>>,
     /// One compiled shape per distinct condition that a pending message,
     /// a verdict, a send or a release in progress holds.
     shapes: Arc<ShapeTable>,
@@ -317,7 +319,7 @@ impl ConditionalMessenger {
         let messenger = Arc::new_cyclic(|weak| ConditionalMessenger {
             qmgr,
             ack_grace: config.ack_grace,
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(IdMap::default()),
             shapes,
             pump_lock: Mutex::new(()),
             metrics,
@@ -468,26 +470,18 @@ impl ConditionalMessenger {
             .pending_depth
             .set(self.pending.lock().len() as u64);
         let trace = self.qmgr.trace();
-        trace.record(
-            send_time,
-            TraceStage::Send,
-            Some(cond_id.as_u128()),
-            None,
-            format!("{fanout} leaves"),
-        );
+        let id = Some(cond_id.as_u128());
+        trace.record(send_time, TraceStage::Send, id, None, shape.send_detail().clone());
         for (leaf, of_shape) in shape.compiled().leaves().iter().zip(shape.leaves()) {
-            trace.record(
-                send_time,
-                TraceStage::FanOut,
-                Some(cond_id.as_u128()),
-                Some(leaf.index),
-                of_shape.dest.clone(),
-            );
+            let dest = of_shape.dest.clone();
+            trace.record(send_time, TraceStage::FanOut, id, Some(leaf.index), dest);
         }
         // Arm the new message's deadline timer (and decide vacuous
         // conditions) right away.
         let _serial = self.pump_lock.lock();
-        self.run_event(&[cond_id]);
+        if !self.arm_sent(cond_id) {
+            self.run_event(&[cond_id]);
+        }
         Ok(cond_id)
     }
 
@@ -501,6 +495,34 @@ impl ConditionalMessenger {
     fn shape(&self, encoded: &Bytes, condition: &Condition) -> CondResult<Arc<Shape>> {
         self.shapes
             .intern(encoded, || CompiledCondition::compile(condition))
+    }
+
+    /// Arms the timer of `id`, just sent, when that is all the cycle its
+    /// send would run does: no acknowledgment waits on the queue, no
+    /// verdict waits to be retried, and the clock cannot decide the
+    /// message now (its cells expired as the cycle expires them). False
+    /// when the cycle has more to do and must run. Caller holds the pump
+    /// lock.
+    fn arm_sent(&self, id: CondMessageId) -> bool {
+        let ack_queue_empty = self.qmgr.queue(DEFAULT_ACK_QUEUE).is_ok_and(|q| q.is_empty());
+        if !ack_queue_empty || !self.retry.lock().is_empty() {
+            return false;
+        }
+        let now = self.qmgr.clock().now();
+        let mut pending = self.pending.lock();
+        // Decided already, by an acknowledgment's cycle: nothing to arm.
+        let Some(eval) = pending.get_mut(&id) else {
+            return true;
+        };
+        let expired = eval.state.inc.on_time(now);
+        if expired > 0 {
+            self.metrics.eval_incremental_updates.add(expired);
+        }
+        if eval.due(now) {
+            return false;
+        }
+        self.rearm_entry(id, eval);
+        true
     }
 
     // ------------------------------------------------------ evaluation --
@@ -722,7 +744,7 @@ impl ConditionalMessenger {
                 stage,
                 Some(ack.cond_id.as_u128()),
                 Some(ack.leaf),
-                ack.recipient.clone().unwrap_or_default(),
+                ack.recipient.as_deref().map_or_else(Arc::default, Arc::from),
             );
         }
         for verdict in cycle.decided {
@@ -942,7 +964,7 @@ impl ConditionalMessenger {
         outcome: MessageOutcome,
         success_notifications: bool,
         shape: &Shape,
-        staged: &mut Vec<(TraceStage, u32, String)>,
+        staged: &mut Vec<(TraceStage, u32, Arc<str>)>,
     ) -> CondResult<()> {
         // The parked compensation carries the conditional message id as its
         // correlation id; the indexed get avoids scanning a busy DS.COMP.Q.
@@ -969,7 +991,7 @@ impl ConditionalMessenger {
                     }
                     // The leaf's share of the parked compensation is simply
                     // consumed.
-                    staged.push((TraceStage::CompensationConsumed, index, String::new()));
+                    staged.push((TraceStage::CompensationConsumed, index, Arc::default()));
                 }
             }
         }
@@ -984,7 +1006,7 @@ impl ConditionalMessenger {
     fn record_outcome_actions(
         &self,
         cond_id: CondMessageId,
-        staged: Vec<(TraceStage, u32, String)>,
+        staged: Vec<(TraceStage, u32, Arc<str>)>,
     ) {
         let now = self.qmgr.clock().now();
         for (stage, leaf, detail) in staged {
@@ -1199,7 +1221,7 @@ impl ConditionalMessenger {
         // (otherwise the deciding transaction purged it); the parked
         // compensation is kept with it.
         sends.retain(|cond_id, _| !decided.contains(cond_id));
-        let mut pending = HashMap::with_capacity(sends.len());
+        let mut pending = IdMap::with_capacity_and_hasher(sends.len(), Default::default());
         for (cond_id, record) in sends {
             // Every record of one condition shares its shape.
             let shape = self.shape(&record.condition.to_bytes(), &record.condition)?;

@@ -36,6 +36,8 @@ pub(crate) struct Shape {
     encoded: Bytes,
     /// One per leaf, in leaf-index order.
     leaves: Vec<ShapeLeaf>,
+    /// The detail a send traces: `<n> leaves`.
+    send_detail: Arc<str>,
     table: Arc<ShapeTable>,
 }
 
@@ -45,7 +47,7 @@ pub(crate) struct ShapeLeaf {
     /// The original without its payload and correlation id.
     pub template: Message,
     /// The leaf's `manager/queue`, as the trace names it.
-    pub dest: String,
+    pub dest: Arc<str>,
 }
 
 impl Shape {
@@ -57,6 +59,11 @@ impl Shape {
     /// Each leaf's template and destination, in leaf-index order.
     pub fn leaves(&self) -> &[ShapeLeaf] {
         &self.leaves
+    }
+
+    /// What the trace says of a send of this shape.
+    pub fn send_detail(&self) -> &Arc<str> {
+        &self.send_detail
     }
 }
 
@@ -113,12 +120,12 @@ impl ShapeTable {
             return Ok(shape);
         }
         let compiled = compile()?;
-        let leaves = compiled
+        let leaves: Vec<ShapeLeaf> = compiled
             .leaves()
             .iter()
             .map(|leaf| ShapeLeaf {
                 template: wire::original_template(leaf, &self.sender_manager, DEFAULT_ACK_QUEUE),
-                dest: leaf.queue.to_string(),
+                dest: leaf.queue.to_string().into(),
             })
             .collect();
         let mut shapes = self.shapes.lock();
@@ -128,6 +135,7 @@ impl ShapeTable {
         let shape = Arc::new(Shape {
             compiled,
             encoded: encoded.clone(),
+            send_detail: format!("{} leaves", leaves.len()).into(),
             leaves,
             table: Arc::clone(self),
         });

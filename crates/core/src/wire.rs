@@ -26,6 +26,7 @@
 //! seen or a deferred verdict, its type the first byte of its payload.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 use mq::codec::{CodecError, Decoder, Encoder, WireDecode, WireEncode};
@@ -381,7 +382,16 @@ impl OutcomeNotification {
 /// failure fans it out per leaf ([`make_compensation`]) from the leaves of
 /// the message's condition.
 pub fn park_compensation(cond_id: CondMessageId, data: Option<&Bytes>) -> Message {
-    compensation(cond_id, data).build()
+    // One template per variant, built once: a send copies in its data and
+    // id, and encodes no property.
+    static PARKED: OnceLock<[Message; 2]> = OnceLock::new();
+    let [application, system] = PARKED.get_or_init(|| {
+        [Some(&Bytes::new()), None]
+            .map(|data| compensation(CondMessageId::from_u128(0), data).build())
+    });
+    let template = if data.is_some() { application } else { system };
+    let data = data.cloned().unwrap_or_default();
+    Message::from_template(template, data, cond_id.as_u128())
 }
 
 /// A compensation up to its leaf: data, system flag, kind, persistence and

@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, Bytes};
 use simtime::{Millis, Time};
 
 use crate::message::{
@@ -138,6 +138,13 @@ impl Encoder {
         self.buf
     }
 
+    /// An encoder writing into `buf`, emptied first: a writer that encodes
+    /// one frame after another keeps one buffer for all of them.
+    pub(crate) fn reuse(mut buf: Vec<u8>) -> Encoder {
+        buf.clear();
+        Encoder { buf }
+    }
+
     /// Current encoded length in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -149,23 +156,27 @@ impl Encoder {
     }
 
     /// Appends a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u128`.
+    #[inline]
     pub fn put_u128(&mut self, v: u128) {
-        self.buf.put_u128_le(v);
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends an `i64` as a zigzag varint: small magnitudes of either sign
@@ -175,35 +186,40 @@ impl Encoder {
     }
 
     /// Appends a boolean as one byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
     /// Appends a LEB128 varint.
+    #[inline]
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
     /// Appends a length-prefixed byte slice.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
         self.put_raw(v);
     }
 
     /// Appends already-encoded bytes as they are, with no length prefix.
+    #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
@@ -223,6 +239,7 @@ impl Encoder {
     }
 
     /// Appends an optional value: absence tag `0`, presence tag `1` + value.
+    #[inline]
     pub fn put_opt<T>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Encoder, &T)) {
         match v {
             None => self.put_u8(0),

@@ -62,8 +62,10 @@ pub enum JournalRecord {
     /// A transaction committed: all gets and puts apply atomically. The
     /// only record by which a message enters or leaves a queue.
     TxCommit {
-        /// Messages enqueued by the transaction (persistent ones only),
-        /// each with the name of its queue.
+        /// Messages enqueued by the transaction, each with the name of its
+        /// queue. Only the persistent ones are written (a volatile message
+        /// never reaches the journal), so a decoded record holds those
+        /// alone.
         puts: Vec<(Arc<str>, Message)>,
         /// Messages consumed by the transaction.
         gets: Vec<(Arc<str>, MessageId)>,
@@ -94,30 +96,7 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    /// Room to encode the record in: at least its encoded length (a
-    /// record writes each id relative, in at most one byte more than
-    /// whole).
-    pub(crate) fn size_hint(&self) -> usize {
-        let put = |queue: &str, message: &Message| 2 + queue.len() + 2 + message.wire_len();
-        match self {
-            JournalRecord::Put { queue, message } => 1 + put(queue, message),
-            JournalRecord::TxCommit { puts, gets } => {
-                20 + puts.iter().map(|(q, m)| put(q, m)).sum::<usize>()
-                    + gets.iter().map(|(q, _)| 2 + q.len() + 17).sum::<usize>()
-            }
-            _ => 64,
-        }
-    }
-}
-
 impl WireEncode for JournalRecord {
-    fn to_bytes(&self) -> Bytes {
-        let mut enc = Encoder::with_capacity(self.size_hint());
-        self.encode(&mut enc);
-        enc.finish()
-    }
-
     /// The record on its own: its ids start from a fresh cursor.
     fn encode(&self, enc: &mut Encoder) {
         self.encode_after(enc, &mut IdCursor::default());
@@ -165,9 +144,10 @@ impl JournalRecord {
             }
             JournalRecord::TxCommit { puts, gets } => {
                 enc.put_u8(14);
-                enc.put_varint(puts.len() as u64);
+                let written = puts.iter().filter(|(_, m)| m.is_persistent());
+                enc.put_varint(written.clone().count() as u64);
                 let mut previous = None;
-                for (q, m) in puts {
+                for (q, m) in written {
                     enc.put_wire_str(q);
                     enc.put_image(m, previous, ids);
                     previous = Some(m);
@@ -483,6 +463,9 @@ pub struct MemJournal {
     /// re-enter the journal (e.g. append during recovery).
     // lint: never-hold(MemJournal.records) across sink
     records: Mutex<Vec<Bytes>>,
+    /// The buffer each append encodes its record into before copying it
+    /// out at its exact length, kept from one append to the next.
+    buffer: Mutex<Vec<u8>>,
     bytes: AtomicU64,
     /// While set, every append and checkpoint fails, retaining nothing.
     failing: AtomicBool,
@@ -539,7 +522,13 @@ impl MemJournal {
 impl Journal for MemJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
         self.check_storage()?;
-        let bytes = record.to_bytes();
+        let bytes = {
+            let mut buffer = self.buffer.lock();
+            let mut enc = Encoder::reuse(std::mem::take(&mut *buffer));
+            record.encode(&mut enc);
+            *buffer = enc.into_vec();
+            Bytes::copy_from_slice(&buffer)
+        };
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.records.lock().push(bytes);
         Ok(())

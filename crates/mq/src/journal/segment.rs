@@ -135,7 +135,13 @@ struct Inner {
     syncing: bool,
     /// Sticky storage failure; all current and future appends observe it.
     failed: Option<String>,
+    /// The buffer each append encodes its frame into, kept from one append
+    /// to the next unless a frame grew it past [`FRAME_BUFFER_KEPT`].
+    frame: Vec<u8>,
 }
+
+/// The largest frame buffer an append keeps for the next one.
+const FRAME_BUFFER_KEPT: usize = 1 << 20;
 
 impl Inner {
     fn failure(&self) -> Option<MqError> {
@@ -191,11 +197,17 @@ impl fmt::Debug for SegmentedJournal {
     }
 }
 
-/// Encodes one segment frame: the standard `[len][crc]` envelope over
-/// `[lsn varint][record bytes]`, the record written in place with its ids
-/// continuing from `ids`, the cursor of the frame before it in the file.
-fn encode_segment_frame(lsn: u64, record: &JournalRecord, ids: &mut IdCursor) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(8 + 10 + record.size_hint());
+/// Encodes one segment frame into `buf`: the standard `[len][crc]`
+/// envelope over `[lsn varint][record bytes]`, the record written in place
+/// with its ids continuing from `ids`, the cursor of the frame before it in
+/// the file.
+fn encode_segment_frame(
+    lsn: u64,
+    record: &JournalRecord,
+    ids: &mut IdCursor,
+    buf: Vec<u8>,
+) -> Vec<u8> {
+    let mut enc = Encoder::reuse(buf);
     // Length and CRC, filled in once the body is written.
     enc.put_u64(0);
     enc.put_varint(lsn);
@@ -351,6 +363,7 @@ impl SegmentedJournal {
             durable_lsn: 0,
             syncing: false,
             failed: None,
+            frame: Vec::new(),
         };
         if let Some((first_lsn, last)) = segments.pop() {
             let mut frames = open_segment(&last)?;
@@ -520,6 +533,7 @@ impl Journal for SegmentedJournal {
             return Err(e);
         }
         let lsn = inner.next_lsn;
+        let buf = std::mem::take(&mut inner.frame);
         let active = match inner.active {
             Some(ref mut active) => active,
             None => {
@@ -537,7 +551,7 @@ impl Journal for SegmentedJournal {
         // checkpoint start reaches a segment of unknown cursor, and it
         // neither reads nor moves one.
         let mut ids = active.ids.unwrap_or_default();
-        let frame = encode_segment_frame(lsn, record, &mut ids);
+        let frame = encode_segment_frame(lsn, record, &mut ids, buf);
         // A short write leaves a torn frame that later frames must not
         // land behind: like a failed sync, it ends the journal's service.
         if let Err(e) = active.file.as_ref().write_all(&frame) {
@@ -549,6 +563,9 @@ impl Journal for SegmentedJournal {
         active.bytes += frame.len() as u64;
         inner.next_lsn = lsn + 1;
         inner.total_bytes += frame.len() as u64;
+        if frame.capacity() <= FRAME_BUFFER_KEPT {
+            inner.frame = frame;
+        }
         self.bytes.store(inner.total_bytes, Ordering::Relaxed);
         self.appends.incr();
         drop(inner);
@@ -618,8 +635,9 @@ impl Journal for SegmentedJournal {
         let mut seg_bytes = 0u64;
         let mut next_lsn = first_lsn;
         let mut ids = IdCursor::default();
+        let mut frame = Vec::new();
         for record in records {
-            let frame = encode_segment_frame(next_lsn, &record, &mut ids);
+            frame = encode_segment_frame(next_lsn, &record, &mut ids, frame);
             next_lsn += 1;
             writer.write_all(&frame)?;
             seg_bytes += frame.len() as u64;
@@ -1348,7 +1366,8 @@ mod tests {
                 };
                 let mut raw = Vec::new();
                 for (i, r) in unacked.iter().enumerate() {
-                    raw.extend(encode_segment_frame((acked.len() + i) as u64, r, &mut ids));
+                    let lsn = (acked.len() + i) as u64;
+                    raw.extend(encode_segment_frame(lsn, r, &mut ids, Vec::new()));
                 }
                 raw.truncate(tear.min(raw.len() as u64) as usize);
                 OpenOptions::new().create(true).append(true).open(&last).unwrap()
@@ -1415,7 +1434,8 @@ mod tests {
                                 }
                                 None => (root.join(segment_file_name(next_lsn)), IdCursor::default()),
                             };
-                            let frame = encode_segment_frame(next_lsn, &record, &mut ids);
+                            let frame =
+                                encode_segment_frame(next_lsn, &record, &mut ids, Vec::new());
                             let kept = (frame.len() as u64 - 1) * permille / 1000;
                             OpenOptions::new().create(true).append(true).open(&last).unwrap()
                                 .write_all(&frame[..kept as usize]).unwrap();
@@ -1530,6 +1550,107 @@ mod tests {
                 std::fs::remove_dir_all(&root).ok();
                 std::fs::remove_dir_all(&pre).ok();
                 std::fs::remove_dir_all(&crash_root).ok();
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// A commit's frame is built from the staged puts themselves,
+            /// handed to the record: it equals, byte for byte, the owned
+            /// `TxCommit` of what the transaction journals — its persistent
+            /// puts as committed, then the released gets it carries and
+            /// its own persistent gets — encoded under the same cursor.
+            /// Puts carry text and hex correlation ids and repeat payloads
+            /// (written once); volatile puts and gets stay out, and a
+            /// transaction with nothing of its own to write writes nothing.
+            #[test]
+            fn a_commit_frame_is_its_owned_record_under_the_same_cursor(
+                puts in proptest::collection::vec(
+                    (0..3u8, 0..3usize, any::<bool>(), any::<bool>()),
+                    0..8,
+                ),
+                gets in proptest::collection::vec(any::<bool>(), 0..4),
+                carried in 0usize..4,
+            ) {
+                let root = unique_root("staged");
+                let journal = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+                let clock = crate::SimClock::new();
+                let qm = QueueManager::builder("QM.STAGED")
+                    .clock(clock.clone())
+                    .journal(journal.clone())
+                    .build()
+                    .unwrap();
+                for queue in ["Q.A", "Q.B", "Q.GET"] {
+                    qm.create_queue(queue).unwrap();
+                }
+                // What the channels release, then what the transaction
+                // takes, oldest first.
+                let taken = std::iter::repeat_n(true, carried).chain(gets.iter().copied());
+                for (i, persistent) in taken.enumerate() {
+                    let msg = Message::text(format!("get {i}")).persistent(persistent);
+                    qm.put("Q.GET", msg.build()).unwrap();
+                }
+                let mut handoff = crate::session::TxState::default();
+                let mut released = Vec::new();
+                for _ in 0..carried {
+                    let msg = handoff.get(&qm, "Q.GET", Wait::NoWait).unwrap().unwrap();
+                    released.push(msg.id());
+                }
+                qm.release(handoff).map_err(|(e, _)| e).unwrap();
+                let mut session = qm.session();
+                session.begin().unwrap();
+                let mut own = Vec::new();
+                for _ in &gets {
+                    let msg = session.get("Q.GET", Wait::NoWait).unwrap().unwrap();
+                    if msg.is_persistent() {
+                        own.push(msg.id());
+                    }
+                }
+                let payloads: [&'static [u8]; 3] = [b"", b"payload", b"another payload"];
+                let mut staged = Vec::new();
+                for &(correlation, payload, persistent, to_b) in &puts {
+                    let msg = Message::builder(bytes::Bytes::from_static(payloads[payload]))
+                        .persistent(persistent);
+                    let msg = match correlation {
+                        0 => msg,
+                        1 => msg.correlation_id(format!("order-{payload}")),
+                        _ => msg.correlation_u128(MessageId::generate().as_u128()),
+                    }
+                    .build();
+                    let queue = if to_b { "Q.B" } else { "Q.A" };
+                    session.put(queue, msg.clone()).unwrap();
+                    staged.push((Arc::<str>::from(queue), msg));
+                }
+                let path = segment_paths(&root).pop().unwrap();
+                let mut ids = cursor_after(&path);
+                let lsn = journal.inner.lock().next_lsn;
+                let before = std::fs::metadata(&path).unwrap().len() as usize;
+                session.commit().unwrap();
+                let written = std::fs::read(&path).unwrap().split_off(before);
+
+                let now = simtime::Clock::now(&*clock);
+                let puts: Vec<_> = staged
+                    .into_iter()
+                    .filter(|(_, msg)| msg.is_persistent())
+                    .map(|(queue, mut msg)| {
+                        msg.stamp_enqueue(now);
+                        (queue, msg)
+                    })
+                    .collect();
+                // Released gets ride a record written anyway; alone, they
+                // wait for the next one.
+                let gets: Vec<_> =
+                    released.iter().chain(&own).map(|id| (Arc::from("Q.GET"), *id)).collect();
+                if puts.is_empty() && own.is_empty() {
+                    prop_assert!(written.is_empty());
+                } else {
+                    let owned = JournalRecord::TxCommit { puts, gets };
+                    let frame = encode_segment_frame(lsn, &owned, &mut ids, Vec::new());
+                    prop_assert_eq!(written, frame);
+                }
+                qm.shutdown();
+                std::fs::remove_dir_all(&root).ok();
             }
         }
     }

@@ -58,7 +58,9 @@ pub mod transport;
 
 pub use error::{MqError, MqResult};
 pub use obs::Obs;
-pub use message::{Message, MessageBuilder, MessageId, Priority, PropertyValue, QueueAddress};
+pub use message::{
+    IdHasher, IdMap, Message, MessageBuilder, MessageId, Priority, PropertyValue, QueueAddress,
+};
 pub use qmgr::{
     ManagedTask, ManagerConfig, QueueManager, QueueManagerBuilder, DEAD_LETTER_QUEUE,
     DLQ_REASON_PROPERTY, XMIT_DEST_MANAGER_PROPERTY, XMIT_DEST_QUEUE_PROPERTY,

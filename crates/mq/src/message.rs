@@ -4,7 +4,9 @@
 //! payload plus a bag of typed, selectable properties and delivery headers
 //! (priority, persistence, expiry, correlation id, reply-to address).
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -54,10 +56,7 @@ impl MessageId {
     /// repeat a pattern modulo a small number, and two ids with equal
     /// counters and different epochs never fold alike.
     pub fn mix64(self) -> u64 {
-        let mut z = (self.0 >> 64) as u64 ^ self.0 as u64;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix((self.0 >> 64) as u64 ^ self.0 as u64)
     }
 
     /// Reconstructs an identifier from its raw value (used by the codec).
@@ -70,6 +69,66 @@ impl MessageId {
         self.0
     }
 }
+
+/// The hasher of a table keyed by ids: [`MessageId`]s, and the
+/// conditional message ids and 32-hex-digit correlation ids written from
+/// them. An id is a 128-bit number with no structure to hide, so two
+/// rounds of the splitmix64 finalizer, one per 64-bit half, are the whole
+/// hash: no SipHash rounds. The rounds start from a key drawn at random
+/// once per process, since ids also come off the wire (a peer's message
+/// and correlation ids): without it, a peer could write down ahead of time
+/// ids that all fall into one bucket. Text an application chooses is
+/// hashed with the default hasher instead.
+#[derive(Debug, Clone, Copy)]
+pub struct IdHasher(u64);
+
+/// The process's key for [`IdHasher`].
+fn hash_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| rand::thread_rng().next_u64())
+}
+
+/// The splitmix64 finalizer: a bijection of `u64` that mixes every bit
+/// of its input into every bit of its output.
+fn splitmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl Default for IdHasher {
+    fn default() -> IdHasher {
+        IdHasher(hash_key())
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Any other key, folded in eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix(self.0 ^ v);
+    }
+
+    /// The high half, then the low half: one round each.
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64((v >> 64) as u64);
+        self.write_u64(v as u64);
+    }
+}
+
+/// A hash map keyed by ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Debug for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -284,6 +343,32 @@ impl fmt::Debug for Properties {
     }
 }
 
+/// `digits` read as 32 lowercase hex digits, or `None` when they are
+/// not: one pass over the bytes, with no radix parse and no UTF-8 check.
+pub(crate) fn hex_u128(digits: &[u8]) -> Option<u128> {
+    let digits: &[u8; 32] = digits.try_into().ok()?;
+    let valid = digits
+        .iter()
+        .all(|&b| b.wrapping_sub(b'0') < 10 || b.wrapping_sub(b'a') < 6);
+    valid.then(|| hex_value(digits))
+}
+
+/// The value of 32 lowercase hex digits, eight at a time: each digit's
+/// low nibble, plus 9 for a letter (bit 6 set), then the eight nibbles
+/// packed into 32 bits.
+fn hex_value(digits: &[u8; 32]) -> u128 {
+    const LOW: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+    const BIT6: u64 = 0x0101_0101_0101_0101;
+    digits.chunks_exact(8).fold(0, |value, eight| {
+        let word = u64::from_be_bytes(eight.try_into().unwrap_or_default());
+        let mut nibbles = (word & LOW) + 9 * (word >> 6 & BIT6);
+        nibbles = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
+        nibbles = (nibbles | nibbles >> 8) & 0x0000_ffff_0000_ffff;
+        nibbles = (nibbles | nibbles >> 16) & 0x0000_0000_ffff_ffff;
+        value << 32 | u128::from(nibbles)
+    })
+}
+
 /// A correlation id. One of exactly 32 lowercase hex digits — a
 /// conditional message id, which the image carries as 16 bytes — is kept
 /// as those digits in place; any other as shared text.
@@ -297,10 +382,9 @@ pub(crate) enum Correlation {
 
 impl Correlation {
     pub(crate) fn new(text: &str) -> Correlation {
-        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
-        match <[u8; 32]>::try_from(text.as_bytes()) {
-            Ok(digits) if digits.iter().all(|b| lower_hex(*b)) => Correlation::Hex(digits),
-            _ => Correlation::Text(text.into()),
+        match hex_u128(text.as_bytes()) {
+            Some(id) => Correlation::from_u128(id),
+            None => Correlation::Text(text.into()),
         }
     }
 
@@ -321,10 +405,10 @@ impl Correlation {
         }
     }
 
-    /// The value of the 32-hex-digit form.
+    /// The value of the 32-hex-digit form, decoded from its digits.
     pub(crate) fn as_u128(&self) -> Option<u128> {
         match self {
-            Correlation::Hex(_) => u128::from_str_radix(self.as_str(), 16).ok(),
+            Correlation::Hex(digits) => Some(hex_value(digits)),
             Correlation::Text(_) => None,
         }
     }
@@ -332,24 +416,15 @@ impl Correlation {
 
 impl PartialEq for Correlation {
     fn eq(&self, other: &Correlation) -> bool {
-        self.as_str() == other.as_str()
+        match (self, other) {
+            (Correlation::Hex(a), Correlation::Hex(b)) => a == b,
+            (Correlation::Text(a), Correlation::Text(b)) => a == b,
+            _ => false,
+        }
     }
 }
 
 impl Eq for Correlation {}
-
-/// Hashes as its text, so an index keyed by it is probed with a `&str`.
-impl std::hash::Hash for Correlation {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
-    }
-}
-
-impl std::borrow::Borrow<str> for Correlation {
-    fn borrow(&self) -> &str {
-        self.as_str()
-    }
-}
 
 impl fmt::Debug for Correlation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -583,9 +658,17 @@ impl Message {
     /// each message from it, allocating nothing.
     pub fn from_template(template: &Message, payload: Bytes, correlation: u128) -> Message {
         Message {
+            id: MessageId::generate(),
             payload,
+            properties: template.properties.clone(),
             correlation: Some(Correlation::from_u128(correlation)),
-            ..template.copy_with_new_id()
+            reply_to: template.reply_to.clone(),
+            priority: template.priority,
+            persistent: template.persistent,
+            ttl: template.ttl,
+            expiry: None,
+            put_time: None,
+            redelivery_count: 0,
         }
     }
 
@@ -974,6 +1057,67 @@ mod tests {
         let upper = Correlation::new(&format!("{id:032X}"));
         assert!(matches!(upper, Correlation::Text(_)));
         assert_eq!(upper.as_u128(), None);
+    }
+
+    /// The one-pass decode reads what a radix parse of the digits reads,
+    /// at the boundaries of every nibble and half and on random ids, and
+    /// refuses whatever is not 32 lowercase hex digits.
+    #[test]
+    fn the_hex_decode_reads_what_a_radix_parse_reads() {
+        let boundaries = [0, 1, 9, 10, 15, 16, 0xff, u128::from(u64::MAX)]
+            .into_iter()
+            .chain([u128::from(u64::MAX) + 1, u128::MAX - 1, u128::MAX, 1 << 127]);
+        let random = (0..4096).map(|_| {
+            let mut rng = rand::thread_rng();
+            u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
+        });
+        for id in boundaries.chain(random) {
+            let digits = format!("{id:032x}");
+            let parsed = u128::from_str_radix(&digits, 16).ok();
+            assert_eq!(parsed, Some(id));
+            assert_eq!(hex_u128(digits.as_bytes()), parsed, "{digits}");
+            assert_eq!(Correlation::new(&digits).as_u128(), parsed, "{digits}");
+            assert_eq!(Correlation::from_u128(id).as_u128(), parsed, "{digits}");
+        }
+        // Each byte that borders a digit range, in the first and the last
+        // place; upper case; one digit short and one over.
+        let zeros = "0".repeat(31);
+        for odd in ['/', ':', '`', 'g', 'A', 'F', '@', ' ', '+'] {
+            for text in [format!("{odd}{zeros}"), format!("{zeros}{odd}")] {
+                assert_eq!(hex_u128(text.as_bytes()), None, "{text:?}");
+                assert!(matches!(Correlation::new(&text), Correlation::Text(_)));
+            }
+        }
+        assert_eq!(hex_u128(format!("{:032X}", 0xabcd_u128).as_bytes()), None);
+        assert_eq!(hex_u128(zeros.as_bytes()), None);
+        assert_eq!(hex_u128(format!("{zeros}00").as_bytes()), None);
+    }
+
+    /// Ids whose halves fold alike (`hi ^ lo` equal, which a peer can
+    /// choose at will) hash apart, and spread over a table's buckets as
+    /// the counters of one epoch do; every hasher of the process hashes
+    /// an id alike.
+    #[test]
+    fn the_id_hasher_keeps_apart_ids_whose_halves_fold_alike() {
+        let hash = |v: u128| {
+            let mut hasher = IdHasher::default();
+            hasher.write_u128(v);
+            hasher.finish()
+        };
+        let folded = |x: u64| u128::from(x) << 64 | u128::from(x ^ 0x5555_aaaa_0f0f_f0f0);
+        let counted = |n: u64| MessageId::from_parts(7, n).as_u128();
+        for keys in [&folded as &dyn Fn(u64) -> u128, &counted] {
+            let hashes: Vec<u64> = (0..4096).map(|x| hash(keys(x))).collect();
+            let distinct: std::collections::HashSet<u64> = hashes.iter().copied().collect();
+            assert_eq!(distinct.len(), 4096);
+            // The bucket of a 4 096-slot table is the hash's low bits: as
+            // uniform, ~2 589 of them would be taken; one shared fold
+            // would take one.
+            let buckets: std::collections::HashSet<u64> =
+                hashes.iter().map(|h| h & 4095).collect();
+            assert!(buckets.len() > 2_300, "{} buckets", buckets.len());
+        }
+        assert_eq!(hash(folded(1)), hash(folded(1)));
     }
 
     #[test]

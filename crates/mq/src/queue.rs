@@ -351,12 +351,6 @@ impl Queue {
         self.insert(&mut store, msg, false);
     }
 
-    /// Stamps the enqueue time, starting the TTL: what the commit path does
-    /// to a put before journaling it.
-    pub(crate) fn stamp(&self, msg: &mut Message) {
-        msg.stamp_enqueue(self.clock.now());
-    }
-
     /// Enqueues a stamped message whose durability is covered by the
     /// `TxCommit` record of its transaction — the only way in. Bypasses the
     /// depth limit: the put was checked against it at stage time
@@ -687,7 +681,7 @@ mod tests {
 
     /// What a committed put does to its queue.
     fn put(q: &Queue, mut msg: Message) -> MqResult<()> {
-        q.stamp(&mut msg);
+        msg.stamp_enqueue(q.clock.now());
         q.put_committed(msg)
             .map_err(|_| MqError::ManagerStopped(q.name().to_owned()))?;
         q.notify_arrival();

@@ -35,14 +35,198 @@ use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{ArrivalTrigger, Queue, Wait};
 use crate::trace::TraceStage;
 
+/// One kind of a transaction's operations, in order. The one operation of
+/// a put or a get outside a transaction is held in place: only a second
+/// one makes a vector.
+#[derive(Debug)]
+pub(crate) enum Ops<T> {
+    /// None yet, or the one.
+    Few(Option<T>),
+    /// Two or more.
+    Many(Vec<T>),
+}
+
+impl<T> Default for Ops<T> {
+    fn default() -> Ops<T> {
+        Ops::Few(None)
+    }
+}
+
+impl<T> From<Vec<T>> for Ops<T> {
+    fn from(ops: Vec<T>) -> Ops<T> {
+        Ops::Many(ops)
+    }
+}
+
+impl<T> Ops<T> {
+    /// The room the vector starts with: a conditional send stages six
+    /// puts, and an evaluation cycle a few.
+    const FIRST_VEC: usize = 8;
+
+    fn push(&mut self, op: T) {
+        match self {
+            Ops::Few(slot @ None) => *slot = Some(op),
+            Ops::Few(Some(_)) => {
+                let mut ops = Vec::with_capacity(Self::FIRST_VEC);
+                ops.extend(std::mem::take(self));
+                ops.push(op);
+                *self = Ops::Many(ops);
+            }
+            Ops::Many(ops) => ops.push(op),
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Ops::Few(op) => op.as_slice(),
+            Ops::Many(ops) => ops,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Ops::Few(op) => op.as_mut_slice(),
+            Ops::Many(ops) => ops,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Keeps the first `len` operations.
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Ops::Few(op) if len == 0 => *op = None,
+            Ops::Few(_) => {}
+            Ops::Many(ops) => ops.truncate(len),
+        }
+    }
+
+    /// The operations as a vector, which the one held in place moves into.
+    fn into_vec(self) -> Vec<T> {
+        match self {
+            Ops::Few(op) => op.into_iter().collect(),
+            Ops::Many(ops) => ops,
+        }
+    }
+}
+
+impl<T> IntoIterator for Ops<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (op, ops) = match self {
+            Ops::Few(op) => (op, Vec::new()),
+            Ops::Many(ops) => (None, ops),
+        };
+        op.into_iter().chain(ops)
+    }
+}
+
+/// A transaction's staged puts, in order: each message with the local
+/// queue it is bound for. The messages, with their queues' names, are the
+/// put list of the transaction's `TxCommit` record, which is handed the
+/// list itself and hands it back; the queues stand beside them by
+/// position. One sequence: only these methods touch the two, and each
+/// moves both.
+#[derive(Default)]
+struct StagedPuts {
+    puts: Ops<(Arc<str>, Message)>,
+    queues: Ops<Arc<Queue>>,
+}
+
+impl StagedPuts {
+    fn push(&mut self, queue: Arc<Queue>, msg: Message) {
+        self.puts.push((queue.shared_name(), msg));
+        self.queues.push(queue);
+    }
+
+    fn len(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.is_empty()
+    }
+
+    /// The queue of each put, in order.
+    fn queues(&self) -> &[Arc<Queue>] {
+        self.queues.as_slice()
+    }
+
+    fn messages(&self) -> impl Iterator<Item = &Message> + Clone {
+        self.puts.as_slice().iter().map(|(_, msg)| msg)
+    }
+
+    fn messages_mut(&mut self) -> impl Iterator<Item = &mut Message> {
+        self.puts.as_mut_slice().iter_mut().map(|(_, msg)| msg)
+    }
+
+    /// Takes out the puts bound for `queue`, each with its position.
+    fn take_bound_for(&mut self, queue: &Arc<Queue>) -> (Vec<usize>, Vec<Message>) {
+        let (mut at, mut messages) = (Vec::new(), Vec::new());
+        let staged = std::mem::take(self);
+        for (i, ((name, msg), to)) in staged.puts.into_iter().zip(staged.queues).enumerate() {
+            if Arc::ptr_eq(&to, queue) {
+                at.push(i);
+                messages.push(msg);
+            } else {
+                self.puts.push((name, msg));
+                self.queues.push(to);
+            }
+        }
+        (at, messages)
+    }
+
+    /// Stages `messages` for `queue` again, each at the position it was
+    /// taken from.
+    fn restore(&mut self, queue: &Arc<Queue>, at: Vec<usize>, messages: Vec<Message>) {
+        let mut puts = std::mem::take(&mut self.puts).into_vec();
+        let mut queues = std::mem::take(&mut self.queues).into_vec();
+        for (at, msg) in at.into_iter().zip(messages) {
+            puts.insert(at, (queue.shared_name(), msg));
+            queues.insert(at, queue.clone());
+        }
+        (self.puts, self.queues) = (puts.into(), queues.into());
+    }
+
+    /// Keeps the first `len` puts.
+    fn truncate(&mut self, len: usize) {
+        self.puts.truncate(len);
+        self.queues.truncate(len);
+    }
+
+    /// Hands the put list to `write`, which hands it back.
+    fn lend<R>(
+        &mut self,
+        write: impl FnOnce(Vec<(Arc<str>, Message)>) -> (R, Vec<(Arc<str>, Message)>),
+    ) -> R {
+        let (written, puts) = write(std::mem::take(&mut self.puts).into_vec());
+        debug_assert_eq!(puts.len(), self.queues.len(), "the list came back whole");
+        self.puts = puts.into();
+        written
+    }
+
+    /// The messages, in order, and the queue of each.
+    fn into_parts(self) -> (impl Iterator<Item = Message>, Ops<Arc<Queue>>) {
+        (self.puts.into_iter().map(|(_, msg)| msg), self.queues)
+    }
+}
+
 /// What a transaction holds between its first operation and its end.
 #[derive(Default)]
 pub(crate) struct TxState {
-    /// Puts staged until commit, each with the local queue it is bound for.
-    staged_puts: Vec<(Arc<Queue>, Message)>,
+    /// Puts staged until commit.
+    puts: StagedPuts,
     /// Messages consumed from queues, invisible to other consumers,
     /// returned on rollback.
-    gets: Vec<(Arc<Queue>, Message)>,
+    gets: Ops<(Arc<Queue>, Message)>,
     /// Begun with [`Session::begin`]: counted in `mq.tx.committed` by the
     /// commit that applies it.
     explicit: bool,
@@ -107,7 +291,7 @@ impl Released {
 struct Applied {
     /// The queue of each put made visible, to wake its consumers and
     /// watchers.
-    to_notify: Vec<Arc<Queue>>,
+    to_notify: Ops<Arc<Queue>>,
     /// Puts whose queue was closed under the transaction.
     orphaned: Vec<Message>,
     /// How many released gets the record carried.
@@ -128,7 +312,7 @@ impl TxState {
     /// read that found its queue empty): ending it is not an event — no
     /// journal record, nothing to apply or undo, nothing to count.
     fn is_empty(&self) -> bool {
-        self.gets.is_empty() && self.staged_puts.is_empty()
+        self.gets.is_empty() && self.puts.is_empty()
     }
 
     /// Stages a put, validating destination and depth now so the commit
@@ -140,8 +324,9 @@ impl TxState {
         msg: Message,
     ) -> MqResult<()> {
         let q = manager.queue(queue)?;
-        q.check_room(|| self.staged_puts.iter().filter(|(to, _)| Arc::ptr_eq(to, &q)).count())?;
-        self.staged_puts.push((q, msg));
+        let queues = self.puts.queues();
+        q.check_room(|| queues.iter().filter(|to| Arc::ptr_eq(to, &q)).count())?;
+        self.puts.push(q, msg);
         Ok(())
     }
 
@@ -174,7 +359,9 @@ impl TxState {
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
         let msg = q.take_blocking(wait)?;
-        self.gets.extend(msg.clone().map(|m| (q, m)));
+        if let Some(m) = &msg {
+            self.gets.push((q, m.clone()));
+        }
         Ok(msg)
     }
 
@@ -188,7 +375,9 @@ impl TxState {
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
         let msg = q.take_by_correlation_blocking(corr, accept, wait)?;
-        self.gets.extend(msg.clone().map(|m| (q, m)));
+        if let Some(m) = &msg {
+            self.gets.push((q, m.clone()));
+        }
         Ok(msg)
     }
 
@@ -201,26 +390,27 @@ impl TxState {
     /// them, if there is one.
     fn take_arrival(&mut self) -> Option<(Arc<dyn ArrivalTrigger>, Arrival)> {
         let (queue, trigger) = self
-            .staged_puts
+            .puts
+            .queues()
             .iter()
-            .find_map(|(q, _)| q.arrival_trigger().map(|trigger| (q.clone(), trigger)))?;
-        let (mut at, mut messages) = (Vec::new(), Vec::new());
-        for (i, (to, msg)) in std::mem::take(&mut self.staged_puts).into_iter().enumerate() {
-            if Arc::ptr_eq(&to, &queue) {
-                at.push(i);
-                messages.push(msg);
-            } else {
-                self.staged_puts.push((to, msg));
-            }
-        }
+            .find_map(|q| q.arrival_trigger().map(|trigger| (q.clone(), trigger)))?;
+        let (at, messages) = self.puts.take_bound_for(&queue);
         Some((trigger, Arrival { queue, at, messages }))
     }
 
     /// Stages the messages of `arrival` again, each where it was.
     fn restore(&mut self, arrival: Arrival) {
-        for (at, msg) in arrival.at.into_iter().zip(arrival.messages) {
-            self.staged_puts.insert(at, (arrival.queue.clone(), msg));
-        }
+        self.puts.restore(&arrival.queue, arrival.at, arrival.messages);
+    }
+
+    /// Keeps the first `puts` staged puts and the first `gets` gets, and
+    /// hands back the gets after them.
+    fn truncate(&mut self, puts: usize, gets: usize) -> TxState {
+        self.puts.truncate(puts);
+        let mut taken = std::mem::take(&mut self.gets).into_vec();
+        let after = taken.split_off(gets);
+        self.gets = taken.into();
+        TxState { gets: after.into(), ..TxState::default() }
     }
 }
 
@@ -238,6 +428,7 @@ impl QueueManager {
     /// With `Some(tx)`, the record could not be written and nothing
     /// happened: the transaction comes back for a retry or a rollback.
     /// With `None`, a trigger ended the transaction it was handed.
+    #[allow(clippy::result_large_err)] // the error hands the transaction back
     pub(crate) fn commit(&self, mut tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
         match tx.take_arrival() {
             Some((trigger, arrival)) => self.commit_arrival(tx, &*trigger, arrival),
@@ -258,6 +449,7 @@ impl QueueManager {
     /// as it came, arrivals included: refused, it goes back to the
     /// committer; declined, it is committed with the arrivals queued.
     // lint: custody(msg, err-reverts)
+    #[allow(clippy::result_large_err)] // the error hands the transaction back
     fn commit_arrival(
         &self,
         mut tx: TxState,
@@ -268,7 +460,7 @@ impl QueueManager {
             tx.restore(arrival);
             return self.commit_record(tx);
         };
-        let (puts, gets) = (tx.staged_puts.len(), tx.gets.len());
+        let (puts, gets) = (tx.puts.len(), tx.gets.len());
         let mut session = Session { manager, tx: Some(tx) };
         let end = trigger.on_arrival(&arrival.messages, &mut session);
         // Ending the transaction is the commit's job, not the trigger's.
@@ -290,8 +482,7 @@ impl QueueManager {
                 }
             }
         };
-        tx.staged_puts.truncate(puts);
-        let staged_gets = TxState { gets: tx.gets.split_off(gets), ..TxState::default() };
+        let staged_gets = tx.truncate(puts, gets);
         let undone = self.rollback(staged_gets, false);
         tx.restore(arrival);
         match refused.map_or(undone, Err) {
@@ -303,6 +494,7 @@ impl QueueManager {
     /// Journals and applies one transaction, then wakes whom it concerns;
     /// see [`QueueManager::commit`].
     // lint: custody(msg, err-reverts)
+    #[allow(clippy::result_large_err)] // the error hands the transaction back
     fn commit_record(&self, tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
         let applied = self.apply(tx).map_err(|(e, tx)| (e, Some(tx)))?;
         self.announce(applied);
@@ -312,69 +504,78 @@ impl QueueManager {
     /// Writes the `TxCommit` record of `tx` and applies it, under the
     /// mutation gate. Refused, nothing happened and `tx` comes back.
     // lint: custody(msg, err-reverts)
+    #[allow(clippy::result_large_err)] // the error hands the transaction back
     fn apply(&self, mut tx: TxState) -> Result<Applied, (MqError, TxState)> {
         // Mutation gate read-held across [TxCommit append + applying its
         // effects]: a checkpoint can never snapshot half a transaction, nor
         // truncate the TxCommit record while its effects are missing.
         let gate = self.mutation_gate.read();
-        let mut applied = Applied::default();
-        // Stamped before the record is built: the journal holds each put
-        // as enqueued, so a recovered message expires when it would have.
-        for (queue, msg) in &mut tx.staged_puts {
-            queue.stamp(msg);
+        // Stamped before the record is built, all at one instant: the
+        // journal holds each put as enqueued, so a recovered message
+        // expires when it would have.
+        let now = self.clock().now();
+        for staged in tx.puts.messages_mut() {
+            staged.stamp_enqueue(now);
         }
-        // A put's message and queue name are shared with the record,
-        // not copied: a clone of either is a reference count.
-        let puts: Vec<_> = tx
-            .staged_puts
-            .iter()
-            .filter(|(_, m)| m.is_persistent())
-            .map(|(q, m)| (q.shared_name(), m.clone()))
-            .collect();
-        let own: Vec<_> = tx
-            .gets
-            .iter()
-            .filter(|(_, m)| m.is_persistent())
-            .map(|(q, m)| (q.shared_name(), m.id()))
-            .collect();
+        let written = tx.puts.messages().filter(|m| m.is_persistent()).count();
+        let own = tx.gets.as_slice().iter().filter(|(_, m)| m.is_persistent());
+        let writes = written > 0 || own.clone().next().is_some();
         // The handoffs the channels released ride any record that is
         // written anyway, ahead of its own gets; taken under the gate,
         // and the guard is gone before the append.
-        let carried = if tx.flush || !puts.is_empty() || !own.is_empty() {
+        let carried = if tx.flush || writes {
             self.released.lock().carry()
         } else {
             Released::default()
         };
-        let mut gets: Vec<_> =
-            carried.gets.iter().map(|(q, id)| (q.shared_name(), *id)).collect();
-        gets.extend(own);
-        if !puts.is_empty() || !gets.is_empty() {
-            self.stats().encodes.add(puts.len() as u64);
-            let record = JournalRecord::TxCommit { puts, gets };
-            let started = std::time::Instant::now();
-            let appended = self.journal().append(&record);
-            self.stats()
-                .journal_append_micros
-                .record_duration(started.elapsed());
+        if writes || !carried.gets.is_empty() {
+            let carried_gets = carried.gets.iter().map(|(q, id)| (q.shared_name(), *id));
+            let gets = carried_gets.chain(own.map(|(q, m)| (q.shared_name(), m.id()))).collect();
+            self.stats().encodes.add(written as u64);
+            // The record is handed the staged puts themselves, nothing
+            // copied, and writes the persistent ones.
+            let appended = tx.puts.lend(|puts| {
+                let record = JournalRecord::TxCommit { puts, gets };
+                let started = std::time::Instant::now();
+                let appended = self.journal().append(&record);
+                self.stats()
+                    .journal_append_micros
+                    .record_duration(started.elapsed());
+                match record {
+                    JournalRecord::TxCommit { puts, .. } => (appended, puts),
+                    _ => (appended, Vec::new()),
+                }
+            });
             if let Err(e) = appended {
                 self.settle_released(carried, false);
                 return Err((e, tx));
             }
         }
-        applied.carried = carried.gets.len();
+        let mut applied = Applied { carried: carried.gets.len(), ..Applied::default() };
         self.settle_released(carried, true);
-        for (queue, msg) in tx.staged_puts {
+        // The queues of the puts made visible move to the front of the
+        // list, in order, and only they are notified.
+        let (staged, mut to_notify) = tx.puts.into_parts();
+        let queues = to_notify.as_mut_slice();
+        let mut visible = 0;
+        for (i, msg) in staged.enumerate() {
             // The queue was open at stage time; one closed since (deleted
             // under the transaction) dead-letters the message rather than
             // losing it.
-            match queue.put_committed(msg) {
-                Ok(()) => applied.to_notify.push(queue),
+            match queues[i].put_committed(msg) {
+                Ok(()) => {
+                    queues.swap(visible, i);
+                    visible += 1;
+                }
                 Err(mut msg) => {
-                    msg.set_property(DLQ_REASON_PROPERTY, &format!("unknown queue {}", queue.name()));
+                    let reason = format!("unknown queue {}", queues[i].name());
+                    msg.set_property(DLQ_REASON_PROPERTY, &reason);
                     applied.orphaned.push(msg);
                 }
             }
         }
+        to_notify.truncate(visible);
+        applied.to_notify = to_notify;
         // The TxCommit record is now the durable cover for each consumption:
         // release the pending-get hold checkpoints honor.
         // lint: custody-ok(a committed get is where a message's custody ends)
@@ -430,6 +631,7 @@ impl QueueManager {
     /// # Errors
     ///
     /// As [`QueueManager::commit`], when it came to that.
+    #[allow(clippy::result_large_err)] // the error hands the transaction back
     pub(crate) fn release(&self, tx: TxState) -> Result<(), (MqError, Option<TxState>)> {
         if !self.is_running() {
             // Crashed: the restart re-sends what no record covers.
@@ -438,6 +640,7 @@ impl QueueManager {
         // Only a get the journal holds needs a record; the others are done.
         let joining: Vec<_> = tx
             .gets
+            .as_slice()
             .iter()
             .filter(|(_, m)| m.is_persistent())
             .map(|(q, m)| (q.clone(), m.id()))
@@ -666,7 +869,7 @@ impl Session {
         if tx.is_empty() {
             return Ok(());
         }
-        if !tx.staged_puts.is_empty() {
+        if !tx.puts.is_empty() {
             self.tx = Some(tx);
             return self.commit();
         }

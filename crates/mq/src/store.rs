@@ -18,6 +18,16 @@
 //!   A correlation bucket holds exactly the live messages with that id:
 //!   a removal takes its id out, and the bucket goes once empty, so the
 //!   index is bounded by the live messages that carry a correlation id.
+//!   A removal also drops the stale ids at either end of its band.
+//! * No table keeps the size of its peak: one that removals leave below a
+//!   quarter of its capacity shrinks to twice its length, once it is
+//!   larger than [`SHRINK_ABOVE`] (so a queue that goes from empty to one
+//!   message and back does not reallocate each time).
+//! * Ids are hashed with [`crate::IdHasher`] (keyed per process): the
+//!   message id tables, and the index of correlation ids of 32 hex digits,
+//!   keyed by their value. A
+//!   correlation id of any other form is application text and keeps the
+//!   default hasher.
 //! * Every live message has a **sequence number**: back-inserts count up
 //!   from the midpoint, front-inserts (rollback requeues) count down, so
 //!   "lowest seq wins within a priority band" reproduces exact FIFO
@@ -31,12 +41,15 @@
 //!   commit would lose them — or restore them behind messages queued
 //!   after them.
 
+use std::borrow::Borrow;
+use std::collections::hash_map;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use simtime::Time;
 
-use crate::message::{Correlation, Message, MessageId};
+use crate::message::{hex_u128, Correlation, IdMap, Message, MessageId};
 
 /// Number of priority bands (JMS priorities 0–9).
 pub(crate) const PRIORITY_BANDS: usize = 10;
@@ -56,6 +69,41 @@ fn band_of(msg: &Message) -> usize {
 /// shares it, a deep clone only when one does.
 pub(crate) fn unshare(msg: Arc<Message>) -> Message {
     Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// The capacity a table must exceed before removals shrink it.
+pub(crate) const SHRINK_ABOVE: usize = 64;
+
+/// Shrinks `table` to twice its length once it is below a quarter of its
+/// capacity and that capacity exceeds [`SHRINK_ABOVE`].
+fn shrink_map<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>) {
+    if table.capacity() > SHRINK_ABOVE && table.len() < table.capacity() / 4 {
+        table.shrink_to(table.len() * 2);
+    }
+}
+
+/// [`shrink_map`]'s rule for a band.
+fn shrink_band(band: &mut VecDeque<MessageId>) {
+    if band.capacity() > SHRINK_ABOVE && band.len() < band.capacity() / 4 {
+        band.shrink_to(band.len() * 2);
+    }
+}
+
+/// A correlation id of 32 hex digits, keyed by its value as two halves:
+/// a `u128` would align every slot of the index to 16 bytes.
+#[derive(PartialEq, Eq)]
+struct HexKey(u64, u64);
+
+impl HexKey {
+    fn of(value: u128) -> HexKey {
+        HexKey((value >> 64) as u64, value as u64)
+    }
+}
+
+impl Hash for HexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(u128::from(self.0) << 64 | u128::from(self.1));
+    }
 }
 
 /// The live messages carrying one correlation id. Most ids are carried
@@ -84,6 +132,27 @@ impl Bucket {
         one.into_iter().chain(many.iter().copied())
     }
 
+    /// Adds `id` to the bucket at `entry`, making it if there is none.
+    fn add<K>(entry: hash_map::Entry<'_, K, Bucket>, id: MessageId) {
+        entry
+            .and_modify(|bucket| bucket.push(id))
+            .or_insert_with(|| Bucket::one(id));
+    }
+
+    /// Takes `id` out of the bucket at `key` in `index`, and the bucket
+    /// out once it is empty.
+    fn take<K, Q, S>(index: &mut HashMap<K, Bucket, S>, key: &Q, id: MessageId)
+    where
+        K: Borrow<Q> + Eq + Hash,
+        Q: Eq + Hash + ?Sized,
+        S: BuildHasher,
+    {
+        if index.get_mut(key).is_some_and(|bucket| bucket.remove(id)) {
+            index.remove(key);
+            shrink_map(index);
+        }
+    }
+
     fn push(&mut self, id: MessageId) {
         match self {
             Bucket::One(..) => *self = Bucket::Many(self.ids().chain([id]).collect()),
@@ -110,19 +179,20 @@ pub(crate) struct MessageStore {
     /// ids (messages already removed), skipped lazily.
     pub(crate) bands: [VecDeque<MessageId>; PRIORITY_BANDS],
     /// The live messages. `entries.len()` is the queue depth.
-    pub(crate) entries: HashMap<MessageId, Entry>,
-    /// Correlation id → the live messages carrying it, in no particular
-    /// order: [`MessageStore::first_correlated`] ranks them. A key is the
-    /// message's own correlation id (a conditional message id is 32 digits
-    /// held in place), probed with a `&str`.
-    by_correlation: HashMap<Correlation, Bucket>,
+    pub(crate) entries: IdMap<MessageId, Entry>,
+    /// Correlation id of 32 hex digits (a conditional message id) → the
+    /// live messages carrying it, in no particular order:
+    /// [`MessageStore::first_correlated`] ranks them.
+    by_hex: IdMap<HexKey, Bucket>,
+    /// The same for every other correlation id, keyed by its text.
+    by_text: HashMap<Arc<str>, Bucket>,
     /// Min-heap of (expiry millis, id): the TTL sweep pops ripe entries
     /// instead of scanning the queue. May hold stale ids.
     expiry_heap: BinaryHeap<std::cmp::Reverse<(u64, u128)>>,
     /// Messages provisionally consumed by open transactions, still owed
     /// to checkpoint snapshots (see module docs), with the sequence number
     /// they had on the queue.
-    pending: HashMap<MessageId, Entry>,
+    pending: IdMap<MessageId, Entry>,
     /// Next sequence number for back-inserts (counts up).
     next_back_seq: u64,
     /// Next sequence number for front-inserts (counts down).
@@ -148,10 +218,11 @@ impl MessageStore {
     pub(crate) fn new() -> MessageStore {
         MessageStore {
             bands: Default::default(),
-            entries: HashMap::new(),
-            by_correlation: HashMap::new(),
+            entries: IdMap::default(),
+            by_hex: IdMap::default(),
+            by_text: HashMap::new(),
             expiry_heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_back_seq: SEQ_MIDPOINT,
             next_front_seq: SEQ_MIDPOINT - 1,
             version: 0,
@@ -189,7 +260,7 @@ impl MessageStore {
         // A rollback requeue returns a pending transactional get; the
         // pending copy is superseded by the live one.
         if !self.pending.is_empty() {
-            self.pending.remove(&id);
+            self.finalize_pending(id);
         }
         let seq = if front {
             let s = self.next_front_seq;
@@ -211,11 +282,13 @@ impl MessageStore {
         } else {
             self.bands[band].push_back(id);
         }
-        if let Some(corr) = msg.correlation() {
-            self.by_correlation
-                .entry(corr.clone())
-                .and_modify(|bucket| bucket.push(id))
-                .or_insert_with(|| Bucket::one(id));
+        match msg.correlation() {
+            None => {}
+            Some(Correlation::Text(text)) => Bucket::add(self.by_text.entry(Arc::clone(text)), id),
+            Some(hex) => {
+                let key = HexKey::of(hex.as_u128().unwrap_or_default());
+                Bucket::add(self.by_hex.entry(key), id);
+            }
         }
         if let Some(expiry) = msg.expiry() {
             self.expiry_heap
@@ -229,21 +302,33 @@ impl MessageStore {
     }
 
     /// Removes a message from the live map and its correlation bucket,
-    /// dropping the bucket once empty. Band and heap entries go stale,
-    /// pruned lazily.
+    /// dropping the bucket once empty. Its band entry goes stale, dropped
+    /// here when it or the stale ids beside it are at either end of the
+    /// band and lazily otherwise; its heap entry is pruned lazily.
     pub(crate) fn detach_arc(&mut self, id: MessageId) -> Option<Arc<Message>> {
         self.detach_entry(id).map(|entry| entry.msg)
     }
 
     fn detach_entry(&mut self, id: MessageId) -> Option<Entry> {
         let entry = self.entries.remove(&id)?;
-        if let Some(corr) = entry.msg.correlation_id() {
-            if let Some(bucket) = self.by_correlation.get_mut(corr) {
-                if bucket.remove(id) {
-                    self.by_correlation.remove(corr);
-                }
+        shrink_map(&mut self.entries);
+        match entry.msg.correlation() {
+            None => {}
+            Some(Correlation::Text(text)) => Bucket::take(&mut self.by_text, &**text, id),
+            Some(hex) => {
+                let key = HexKey::of(hex.as_u128().unwrap_or_default());
+                Bucket::take(&mut self.by_hex, &key, id);
             }
         }
+        let band = &mut self.bands[band_of(&entry.msg)];
+        let stale = |id: &MessageId| !self.entries.contains_key(id);
+        while band.front().is_some_and(stale) {
+            band.pop_front();
+        }
+        while band.back().is_some_and(stale) {
+            band.pop_back();
+        }
+        shrink_band(band);
         Some(entry)
     }
 
@@ -266,6 +351,7 @@ impl MessageStore {
     /// (`TxCommit`, dead-letter) is durable.
     pub(crate) fn finalize_pending(&mut self, id: MessageId) {
         self.pending.remove(&id);
+        shrink_map(&mut self.pending);
     }
 
     /// How many transactional gets are currently in flight.
@@ -285,8 +371,11 @@ impl MessageStore {
         now: Time,
         accept: impl Fn(&Message) -> bool,
     ) -> Option<MessageId> {
-        self.by_correlation
-            .get(correlation)?
+        let bucket = match hex_u128(correlation.as_bytes()) {
+            Some(value) => self.by_hex.get(&HexKey::of(value)),
+            None => self.by_text.get(correlation),
+        };
+        bucket?
             .ids()
             .filter_map(|id| self.entries.get_key_value(&id))
             .filter(|(_, e)| !e.msg.is_expired(now) && accept(&e.msg))
@@ -343,7 +432,7 @@ impl MessageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Priority;
+    use crate::message::{MessageBuilder, Priority};
 
     fn msg(text: &str) -> Message {
         Message::text(text).build()
@@ -393,11 +482,70 @@ mod tests {
                 id
             })
             .collect();
-        assert_eq!(s.by_correlation.len(), 10_000);
+        assert_eq!(s.by_text.len(), 10_000);
         for id in ids {
             assert!(s.detach(id).is_some());
         }
-        assert!(s.by_correlation.is_empty());
+        assert!(s.by_text.is_empty());
+    }
+
+    /// A queue drained after a burst gives back what its tables grew to:
+    /// the live map, both correlation indexes, the pending-get table and
+    /// the band, whose stale ids go with the messages taken by
+    /// correlation. A queue that goes from empty to one message and back
+    /// keeps its small tables.
+    #[test]
+    fn tables_drained_below_a_quarter_of_their_capacity_shrink() {
+        let mut s = MessageStore::new();
+        let burst: Vec<Message> = (0..10_000u128)
+            .map(|i| {
+                let m = Message::text("m").persistent(true);
+                if i % 2 == 0 {
+                    m.correlation_u128(i)
+                } else {
+                    m.correlation_id(format!("c-{i}"))
+                }
+            })
+            .map(MessageBuilder::build)
+            .collect();
+        let ids: Vec<MessageId> = burst.iter().map(Message::id).collect();
+        for m in burst {
+            s.insert(m, false);
+        }
+        let band = band_of(s.get(ids[0]).map(|e| &*e.msg).unwrap());
+        let peak = s.entries.capacity();
+        assert!(peak >= 10_000);
+        // Half through the pending-get table, half taken outright, each by
+        // its id as a correlation read takes it: no band scan prunes them.
+        for (i, id) in ids.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(s.detach_pending(*id).is_some());
+            } else {
+                assert!(s.detach(*id).is_some());
+            }
+            assert_eq!(s.bands[band].len(), s.len(), "taken oldest first: no stale id stays");
+        }
+        for id in ids.iter().step_by(2) {
+            s.finalize_pending(*id);
+        }
+        assert!(s.is_empty());
+        assert!(s.bands[band].is_empty(), "no stale id is left at either end");
+        for capacity in [
+            s.entries.capacity(),
+            s.pending.capacity(),
+            s.by_hex.capacity(),
+            s.by_text.capacity(),
+            s.bands[band].capacity(),
+        ] {
+            assert!(capacity <= SHRINK_ABOVE, "{capacity} of a peak {peak}");
+        }
+        let small = |s: &MessageStore| (s.entries.capacity(), s.bands[band].capacity());
+        let m = msg("one");
+        let id = m.id();
+        s.insert(m, false);
+        let grown = small(&s);
+        s.detach(id);
+        assert_eq!(small(&s), grown, "a small table is kept as it is");
     }
 
     #[test]

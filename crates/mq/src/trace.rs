@@ -133,8 +133,9 @@ pub struct TraceEvent {
     pub cond_id: Option<u128>,
     /// The destination leaf index, for per-leaf stages.
     pub leaf: Option<u32>,
-    /// Free-form detail (destination queue, verdict reason, …).
-    pub detail: String,
+    /// Free-form detail (destination queue, verdict reason, …): shared,
+    /// so a detail the recorder holds already is recorded without a copy.
+    pub detail: Arc<str>,
 }
 
 impl fmt::Display for TraceEvent {
@@ -259,7 +260,7 @@ impl TraceLog {
         stage: TraceStage,
         cond_id: Option<u128>,
         leaf: Option<u32>,
-        detail: impl Into<String>,
+        detail: impl Into<Arc<str>>,
     ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.seen.fetch_or(stage_bit(stage), Ordering::Relaxed);

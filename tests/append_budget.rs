@@ -263,7 +263,7 @@ fn flushes(qmgr: &QueueManager, n: u64) -> Vec<String> {
     let events = qmgr.trace().events().into_iter();
     events
         .filter(|e| e.stage == TraceStage::ReleaseFlushed)
-        .map(|e| e.detail)
+        .map(|e| e.detail.to_string())
         .collect()
 }
 

@@ -112,7 +112,7 @@ fn success_path_lifecycle_trace() {
         .iter()
         .find(|e| e.stage == TraceStage::Verdict)
         .unwrap();
-    assert_eq!(verdict.detail, "success");
+    assert_eq!(&*verdict.detail, "success");
 }
 
 #[test]
