@@ -308,25 +308,6 @@ impl CompiledCondition {
         &self.count_constraints
     }
 
-    /// Every distinct absolute deadline, given the send time — the moments
-    /// at which a pending verdict can flip to violated. The evaluation
-    /// manager schedules re-evaluation at each.
-    pub fn deadlines(&self, send_time: Time) -> Vec<Time> {
-        let mut out: Vec<Time> = self
-            .leaf_constraints
-            .iter()
-            .map(|c| send_time + c.window)
-            .chain(
-                self.count_constraints
-                    .iter()
-                    .flat_map(|c| c.members.iter().map(move |(_, w)| send_time + *w)),
-            )
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Evaluates the condition against the acknowledgments observed so far.
     ///
     /// `send_time` is the conditional message's send timestamp; `now` is
@@ -1005,20 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_are_sorted_and_deduped() {
-        let c = CompiledCondition::compile(&example1()).unwrap();
-        let d = c.deadlines(Time(100));
-        assert_eq!(
-            d,
-            vec![
-                Time(100 + 2 * DAY),
-                Time(100 + 7 * DAY),
-                Time(100 + 11 * DAY)
-            ]
-        );
-    }
-
-    #[test]
     fn condition_without_time_constraints_is_vacuously_satisfied() {
         let cond: Condition = DestinationSet::of(vec![
             Destination::queue("M", "A").into(),
@@ -1030,7 +997,6 @@ mod tests {
             c.evaluate(&AckState::new(2), Time(0), Time(0)),
             Verdict::Satisfied
         );
-        assert!(c.deadlines(Time(0)).is_empty());
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl CondMessageId {
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// Parses the hex string form.
-    pub fn from_hex(s: &str) -> Option<CondMessageId> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(CondMessageId)
-    }
 }
 
 impl fmt::Debug for CondMessageId {
@@ -69,15 +61,6 @@ mod tests {
         let next = MessageId::generate().as_u128();
         assert_eq!(cond >> 64, next >> 64);
         assert!(next > cond);
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let id = CondMessageId::generate();
-        assert_eq!(CondMessageId::from_hex(&id.to_hex()), Some(id));
-        assert_eq!(id.to_hex().len(), 32);
-        assert!(CondMessageId::from_hex("xyz").is_none());
-        assert!(CondMessageId::from_hex("").is_none());
     }
 
     #[test]

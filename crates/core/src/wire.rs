@@ -143,10 +143,10 @@ pub fn kind_of(msg: &Message) -> MessageKind {
 /// # Errors
 ///
 /// [`CondError::Malformed`] when the correlation id is absent or is not a
-/// conditional message id.
+/// conditional message id: 32 lowercase hex digits.
 pub fn cond_id_of(msg: &Message) -> CondResult<CondMessageId> {
-    msg.correlation_id()
-        .and_then(CondMessageId::from_hex)
+    msg.correlation_u128()
+        .map(CondMessageId::from_u128)
         .ok_or_else(|| CondError::Malformed("missing or invalid conditional message id".into()))
 }
 
@@ -678,6 +678,21 @@ mod tests {
         assert_eq!(msg.ttl(), Some(Millis(5_000)));
         assert_eq!(msg.payload(), &payload);
         assert_eq!(msg.correlation_id(), Some(id.to_hex().as_str()));
+    }
+
+    /// A conditional id is 32 lowercase hex digits, the form `mq` keeps by
+    /// value: read as written in text too, and anything else is malformed,
+    /// upper case included.
+    #[test]
+    fn a_cond_id_is_read_only_from_32_lowercase_hex_digits() {
+        let id = CondMessageId::from_u128(0x0123_4567_89ab_cdef_0011_2233_4455_66ff);
+        let with = |corr: String| Message::text("x").correlation_id(corr).build();
+        assert_eq!(cond_id_of(&with(id.to_hex())).unwrap(), id);
+        let malformed = |msg: &Message| matches!(cond_id_of(msg), Err(CondError::Malformed(_)));
+        for corr in [format!("{:032X}", id.as_u128()), id.to_hex()[1..].into(), "c-1".into()] {
+            assert!(malformed(&with(corr)));
+        }
+        assert!(malformed(&Message::text("x").build()));
     }
 
     #[test]

@@ -603,6 +603,13 @@ impl Message {
         self.correlation.as_ref().map(Correlation::as_str)
     }
 
+    /// The value of a correlation id of exactly 32 lowercase hex digits,
+    /// the form [`MessageBuilder::correlation_u128`] writes; `None` for any
+    /// other correlation id, or none.
+    pub fn correlation_u128(&self) -> Option<u128> {
+        self.correlation.as_ref()?.as_u128()
+    }
+
     /// Address replies should be sent to.
     pub fn reply_to(&self) -> Option<&QueueAddress> {
         self.reply_to.as_deref()
@@ -1054,6 +1061,11 @@ mod tests {
             by_value.correlation().and_then(Correlation::as_u128),
             Some(id)
         );
+        assert_eq!(by_text.correlation_u128(), Some(id));
+        let uppercase = Message::text("x")
+            .correlation_id(format!("{id:032X}"))
+            .build();
+        assert_eq!(uppercase.correlation_u128(), None);
         let upper = Correlation::new(&format!("{id:032X}"));
         assert!(matches!(upper, Correlation::Text(_)));
         assert_eq!(upper.as_u128(), None);

@@ -170,9 +170,11 @@ pub struct QueueManager {
     config: ManagerConfig,
     /// The queue directory: name → queue. Lookups read-hold it; creating
     /// and deleting a queue write-hold it across the check, the journal
-    /// append and the insert, under the mutation gate (lock order: gate →
+    /// append and the insert, and a commit (`apply`) read-holds it across
+    /// its `TxCommit` append and its puts, resolving each put's queue by
+    /// name as replay does; all under the mutation gate (lock order: gate →
     /// directory → a queue's store or the journal).
-    queues: RwLock<HashMap<String, Arc<Queue>>>,
+    pub(crate) queues: RwLock<HashMap<String, Arc<Queue>>>,
     /// The routing table: the explicit route groups and the default route.
     routes: RwLock<Routes>,
     stats: ManagerStats,

@@ -129,101 +129,17 @@ impl<T> IntoIterator for Ops<T> {
     }
 }
 
-/// A transaction's staged puts, in order: each message with the local
-/// queue it is bound for. The messages, with their queues' names, are the
-/// put list of the transaction's `TxCommit` record, which is handed the
-/// list itself and hands it back; the queues stand beside them by
-/// position. One sequence: only these methods touch the two, and each
-/// moves both.
-#[derive(Default)]
-struct StagedPuts {
-    puts: Ops<(Arc<str>, Message)>,
-    queues: Ops<Arc<Queue>>,
-}
-
-impl StagedPuts {
-    fn push(&mut self, queue: Arc<Queue>, msg: Message) {
-        self.puts.push((queue.shared_name(), msg));
-        self.queues.push(queue);
-    }
-
-    fn len(&self) -> usize {
-        self.queues.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queues.is_empty()
-    }
-
-    /// The queue of each put, in order.
-    fn queues(&self) -> &[Arc<Queue>] {
-        self.queues.as_slice()
-    }
-
-    fn messages(&self) -> impl Iterator<Item = &Message> + Clone {
-        self.puts.as_slice().iter().map(|(_, msg)| msg)
-    }
-
-    fn messages_mut(&mut self) -> impl Iterator<Item = &mut Message> {
-        self.puts.as_mut_slice().iter_mut().map(|(_, msg)| msg)
-    }
-
-    /// Takes out the puts bound for `queue`, each with its position.
-    fn take_bound_for(&mut self, queue: &Arc<Queue>) -> (Vec<usize>, Vec<Message>) {
-        let (mut at, mut messages) = (Vec::new(), Vec::new());
-        let staged = std::mem::take(self);
-        for (i, ((name, msg), to)) in staged.puts.into_iter().zip(staged.queues).enumerate() {
-            if Arc::ptr_eq(&to, queue) {
-                at.push(i);
-                messages.push(msg);
-            } else {
-                self.puts.push((name, msg));
-                self.queues.push(to);
-            }
-        }
-        (at, messages)
-    }
-
-    /// Stages `messages` for `queue` again, each at the position it was
-    /// taken from.
-    fn restore(&mut self, queue: &Arc<Queue>, at: Vec<usize>, messages: Vec<Message>) {
-        let mut puts = std::mem::take(&mut self.puts).into_vec();
-        let mut queues = std::mem::take(&mut self.queues).into_vec();
-        for (at, msg) in at.into_iter().zip(messages) {
-            puts.insert(at, (queue.shared_name(), msg));
-            queues.insert(at, queue.clone());
-        }
-        (self.puts, self.queues) = (puts.into(), queues.into());
-    }
-
-    /// Keeps the first `len` puts.
-    fn truncate(&mut self, len: usize) {
-        self.puts.truncate(len);
-        self.queues.truncate(len);
-    }
-
-    /// Hands the put list to `write`, which hands it back.
-    fn lend<R>(
-        &mut self,
-        write: impl FnOnce(Vec<(Arc<str>, Message)>) -> (R, Vec<(Arc<str>, Message)>),
-    ) -> R {
-        let (written, puts) = write(std::mem::take(&mut self.puts).into_vec());
-        debug_assert_eq!(puts.len(), self.queues.len(), "the list came back whole");
-        self.puts = puts.into();
-        written
-    }
-
-    /// The messages, in order, and the queue of each.
-    fn into_parts(self) -> (impl Iterator<Item = Message>, Ops<Arc<Queue>>) {
-        (self.puts.into_iter().map(|(_, msg)| msg), self.queues)
-    }
-}
-
 /// What a transaction holds between its first operation and its end.
 #[derive(Default)]
 pub(crate) struct TxState {
-    /// Puts staged until commit.
-    puts: StagedPuts,
+    /// Puts staged until commit, in order, each message with the name of
+    /// its queue: the put list of the transaction's `TxCommit` record,
+    /// which is lent the list itself, and what the commit applies,
+    /// resolving each name as replay does.
+    puts: Ops<(Arc<str>, Message)>,
+    /// The first queue staged to that has an [`ArrivalTrigger`]: the
+    /// commit hands the puts bound for it to the trigger.
+    triggered: Option<Arc<Queue>>,
     /// Messages consumed from queues, invisible to other consumers,
     /// returned on rollback.
     gets: Ops<(Arc<Queue>, Message)>,
@@ -292,7 +208,7 @@ struct Applied {
     /// The queue of each put made visible, to wake its consumers and
     /// watchers.
     to_notify: Ops<Arc<Queue>>,
-    /// Puts whose queue was closed under the transaction.
+    /// Puts whose queue was gone at commit.
     orphaned: Vec<Message>,
     /// How many released gets the record carried.
     carried: usize,
@@ -324,9 +240,12 @@ impl TxState {
         msg: Message,
     ) -> MqResult<()> {
         let q = manager.queue(queue)?;
-        let queues = self.puts.queues();
-        q.check_room(|| queues.iter().filter(|to| Arc::ptr_eq(to, &q)).count())?;
-        self.puts.push(q, msg);
+        let staged = self.puts.as_slice();
+        q.check_room(|| staged.iter().filter(|(to, _)| **to == *queue).count())?;
+        self.puts.push((q.shared_name(), msg));
+        if self.triggered.is_none() && q.arrival_trigger().is_some() {
+            self.triggered = Some(q);
+        }
         Ok(())
     }
 
@@ -387,20 +306,29 @@ impl TxState {
     }
 
     /// Takes out the staged puts bound for the first triggered queue among
-    /// them, if there is one.
+    /// them, by its name, if its trigger is still there.
     fn take_arrival(&mut self) -> Option<(Arc<dyn ArrivalTrigger>, Arrival)> {
-        let (queue, trigger) = self
-            .puts
-            .queues()
-            .iter()
-            .find_map(|q| q.arrival_trigger().map(|trigger| (q.clone(), trigger)))?;
-        let (at, messages) = self.puts.take_bound_for(&queue);
+        let queue = self.triggered.clone()?;
+        let trigger = queue.arrival_trigger()?;
+        let (mut at, mut messages) = (Vec::new(), Vec::new());
+        for (i, (to, msg)) in std::mem::take(&mut self.puts).into_iter().enumerate() {
+            if *to == *queue.name() {
+                at.push(i);
+                messages.push(msg);
+            } else {
+                self.puts.push((to, msg));
+            }
+        }
         Some((trigger, Arrival { queue, at, messages }))
     }
 
     /// Stages the messages of `arrival` again, each where it was.
     fn restore(&mut self, arrival: Arrival) {
-        self.puts.restore(&arrival.queue, arrival.at, arrival.messages);
+        let mut puts = std::mem::take(&mut self.puts).into_vec();
+        for (at, msg) in arrival.at.into_iter().zip(arrival.messages) {
+            puts.insert(at, (arrival.queue.shared_name(), msg));
+        }
+        self.puts = puts.into();
     }
 
     /// Keeps the first `puts` staged puts and the first `gets` gets, and
@@ -514,10 +442,10 @@ impl QueueManager {
         // journal holds each put as enqueued, so a recovered message
         // expires when it would have.
         let now = self.clock().now();
-        for staged in tx.puts.messages_mut() {
+        for (_, staged) in tx.puts.as_mut_slice() {
             staged.stamp_enqueue(now);
         }
-        let written = tx.puts.messages().filter(|m| m.is_persistent()).count();
+        let written = tx.puts.as_slice().iter().filter(|(_, m)| m.is_persistent()).count();
         let own = tx.gets.as_slice().iter().filter(|(_, m)| m.is_persistent());
         let writes = written > 0 || own.clone().next().is_some();
         // The handoffs the channels released ride any record that is
@@ -528,54 +456,51 @@ impl QueueManager {
         } else {
             Released::default()
         };
+        // The queue directory, read-held from the append through the last
+        // put: no queue is created or deleted between the record and its
+        // effects, so each put's queue name resolves to the queue replay
+        // resolves it to.
+        let directory = self.queues.read();
         if writes || !carried.gets.is_empty() {
             let carried_gets = carried.gets.iter().map(|(q, id)| (q.shared_name(), *id));
             let gets = carried_gets.chain(own.map(|(q, m)| (q.shared_name(), m.id()))).collect();
             self.stats().encodes.add(written as u64);
             // The record is handed the staged puts themselves, nothing
-            // copied, and writes the persistent ones.
-            let appended = tx.puts.lend(|puts| {
-                let record = JournalRecord::TxCommit { puts, gets };
-                let started = std::time::Instant::now();
-                let appended = self.journal().append(&record);
-                self.stats()
-                    .journal_append_micros
-                    .record_duration(started.elapsed());
-                match record {
-                    JournalRecord::TxCommit { puts, .. } => (appended, puts),
-                    _ => (appended, Vec::new()),
-                }
-            });
+            // copied, writes the persistent ones and hands them back.
+            let puts = std::mem::take(&mut tx.puts).into_vec();
+            let record = JournalRecord::TxCommit { puts, gets };
+            let started = std::time::Instant::now();
+            let appended = self.journal().append(&record);
+            self.stats()
+                .journal_append_micros
+                .record_duration(started.elapsed());
+            if let JournalRecord::TxCommit { puts, .. } = record {
+                tx.puts = puts.into();
+            }
             if let Err(e) = appended {
+                drop(directory);
                 self.settle_released(carried, false);
                 return Err((e, tx));
             }
         }
         let mut applied = Applied { carried: carried.gets.len(), ..Applied::default() };
-        self.settle_released(carried, true);
-        // The queues of the puts made visible move to the front of the
-        // list, in order, and only they are notified.
-        let (staged, mut to_notify) = tx.puts.into_parts();
-        let queues = to_notify.as_mut_slice();
-        let mut visible = 0;
-        for (i, msg) in staged.enumerate() {
-            // The queue was open at stage time; one closed since (deleted
-            // under the transaction) dead-letters the message rather than
-            // losing it.
-            match queues[i].put_committed(msg) {
-                Ok(()) => {
-                    queues.swap(visible, i);
-                    visible += 1;
-                }
+        for (name, msg) in tx.puts {
+            let put = match directory.get(&*name) {
+                Some(queue) => queue.put_committed(msg).map(|()| queue),
+                None => Err(msg),
+            };
+            match put {
+                Ok(queue) => applied.to_notify.push(queue.clone()),
+                // A queue deleted under the transaction: the message is
+                // dead-lettered rather than lost.
                 Err(mut msg) => {
-                    let reason = format!("unknown queue {}", queues[i].name());
-                    msg.set_property(DLQ_REASON_PROPERTY, &reason);
+                    msg.set_property(DLQ_REASON_PROPERTY, &format!("unknown queue {name}"));
                     applied.orphaned.push(msg);
                 }
             }
         }
-        to_notify.truncate(visible);
-        applied.to_notify = to_notify;
+        drop(directory);
+        self.settle_released(carried, true);
         // The TxCommit record is now the durable cover for each consumption:
         // release the pending-get hold checkpoints honor.
         // lint: custody-ok(a committed get is where a message's custody ends)
@@ -1178,6 +1103,57 @@ mod tests {
             .unwrap();
         assert_eq!(qm2.queue("Q").unwrap().depth(), 0);
         assert_eq!(qm2.queue("OUT").unwrap().depth(), 1);
+    }
+
+    /// A commit resolves each put's queue by name, as replay does: a put
+    /// staged before its queue was deleted and created again lands once,
+    /// in the queue of that name, live and after a restart.
+    #[test]
+    fn a_put_staged_across_its_queues_delete_and_re_create_lands_once_in_the_new_queue() {
+        let (journal, qm) = setup();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("Q", Message::text("staged").persistent(true).build())
+            .unwrap();
+        qm.delete_queue("Q").unwrap();
+        qm.create_queue("Q").unwrap();
+        s.commit().unwrap();
+        let depths = |qm: &QueueManager| {
+            let depth = |name| qm.queue(name).unwrap().depth();
+            (depth("Q"), depth(DEAD_LETTER_QUEUE))
+        };
+        assert_eq!(depths(&qm), (1, 0), "live");
+        qm.crash();
+        let qm = QueueManager::builder("QM1").journal(journal).build().unwrap();
+        assert_eq!(depths(&qm), (1, 0), "recovered");
+        let got = qm.get("Q", Wait::NoWait).unwrap().unwrap();
+        assert_eq!(got.payload_str(), Some("staged"));
+    }
+
+    /// A put whose queue is gone at commit is dead-lettered, and the
+    /// recovered manager holds it there too, once.
+    #[test]
+    fn a_put_whose_queue_is_gone_at_commit_is_dead_lettered_once() {
+        let (journal, qm) = setup();
+        let mut s = qm.session();
+        s.begin().unwrap();
+        s.put("Q", Message::text("orphan").persistent(true).build())
+            .unwrap();
+        s.put("OUT", Message::text("kept").persistent(true).build())
+            .unwrap();
+        qm.delete_queue("Q").unwrap();
+        s.commit().unwrap();
+        let depths = |qm: &QueueManager| {
+            let depth = |name| qm.queue(name).unwrap().depth();
+            (qm.queue_exists("Q"), depth("OUT"), depth(DEAD_LETTER_QUEUE))
+        };
+        assert_eq!(depths(&qm), (false, 1, 1), "live");
+        qm.crash();
+        let qm = QueueManager::builder("QM1").journal(journal).build().unwrap();
+        assert_eq!(depths(&qm), (false, 1, 1), "recovered");
+        let orphan = qm.get(DEAD_LETTER_QUEUE, Wait::NoWait).unwrap().unwrap();
+        assert_eq!(orphan.payload_str(), Some("orphan"));
+        assert_eq!(orphan.str_property(DLQ_REASON_PROPERTY), Some("unknown queue Q"));
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! is never delivered, and every get first removes the ripe ones for good.
 //! A transaction of gets alone may also be *released*: consumed at once,
 //! durably so only from the next record the manager writes, which carries
-//! its gets; a crash before that record puts the messages back.
+//! its gets; a crash before that record puts the messages back. The queue
+//! may be deleted and created again while a transaction is open: what it
+//! held is gone, and the transaction's puts land in the new queue, which is
+//! what its record says and what replay does.
 
 use std::sync::Arc;
 
@@ -30,10 +33,12 @@ enum Op {
     Put(Spec),
     /// Non-transactional destructive get.
     Get,
-    /// A transaction: staged puts and gets, then one of its endings.
+    /// A transaction: staged puts and gets, then, with `recreate`, the
+    /// queue deleted and created again, then one of its endings.
     Tx {
         puts: Vec<Spec>,
         gets: usize,
+        recreate: bool,
         end: End,
     },
     /// Crash the manager and recover from the journal.
@@ -65,8 +70,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => arb_spec().prop_map(Op::Put),
         4 => Just(Op::Get),
-        3 => (proptest::collection::vec(arb_spec(), 0..3), 0usize..3, arb_end())
-            .prop_map(|(puts, gets, end)| Op::Tx { puts, gets, end }),
+        3 => (
+            proptest::collection::vec(arb_spec(), 0..3),
+            0usize..3,
+            (0u8..5).prop_map(|n| n == 0),
+            arb_end(),
+        )
+            .prop_map(|(puts, gets, recreate, end)| Op::Tx { puts, gets, recreate, end }),
         1 => Just(Op::CrashRecover),
         2 => (1u64..40).prop_map(Op::Advance),
     ]
@@ -157,6 +167,13 @@ impl Model {
         for band in &mut self.bands {
             band.retain(|e| e.persistent);
         }
+    }
+
+    /// The queue deleted and created again: what it held is gone, and so
+    /// is what was released from it, which no crash brings back.
+    fn recreate(&mut self) {
+        self.bands.iter_mut().for_each(Vec::clear);
+        self.released.clear();
     }
 
     /// Everything on the queue, met by a get yet or not.
@@ -273,7 +290,7 @@ proptest! {
                     );
                 }
                 // What both managers do the same way goes on around it.
-                Op::Tx { puts, gets, end } => {
+                Op::Tx { puts, gets, recreate, end } => {
                     for qm in [&auto, &explicit] {
                         let mut session = qm.session();
                         session.begin().unwrap();
@@ -282,6 +299,10 @@ proptest! {
                         }
                         for spec in &puts {
                             session.put(QUEUE, message(*spec)).unwrap();
+                        }
+                        if recreate {
+                            qm.delete_queue(QUEUE).unwrap();
+                            qm.create_queue(QUEUE).unwrap();
                         }
                         match end {
                             End::Commit => session.commit().unwrap(),
@@ -342,7 +363,7 @@ proptest! {
                     let expected = model.take();
                     prop_assert!(agree(&real, &expected), "get mismatch: {real:?} / {expected:?}");
                 }
-                Op::Tx { puts, gets, end } => {
+                Op::Tx { puts, gets, recreate, end } => {
                     let mut session = qm.session();
                     session.begin().unwrap();
                     let mut consumed: Vec<Entry> = Vec::new();
@@ -357,6 +378,18 @@ proptest! {
                     for spec in &puts {
                         session.put(QUEUE, message(*spec)).unwrap();
                     }
+                    if recreate {
+                        // The directory's records carry no gets: when this
+                        // operation wrote nothing before them, the waiting
+                        // gets ride the first record after them.
+                        let wrote = journal.record_count() > records;
+                        qm.delete_queue(QUEUE).unwrap();
+                        qm.create_queue(QUEUE).unwrap();
+                        if !wrote {
+                            records = journal.record_count();
+                        }
+                        model.recreate();
+                    }
                     match end {
                         End::Release if puts.is_empty() => {
                             // A get that met ripe messages swept them, and
@@ -370,7 +403,9 @@ proptest! {
                             records = journal.record_count();
                             session.release().unwrap();
                             prop_assert_eq!(journal.record_count(), records);
-                            model.release(consumed);
+                            if !recreate {
+                                model.release(consumed);
+                            }
                             released = taken;
                         }
                         End::Commit | End::Release => {
@@ -387,8 +422,9 @@ proptest! {
                         End::Rollback => {
                             session.rollback().unwrap();
                             // Requeued at the front in reverse consumption
-                            // order restores original positions.
-                            for entry in consumed.into_iter().rev() {
+                            // order restores original positions; the queue
+                            // they came from is gone with them.
+                            for entry in consumed.into_iter().rev().filter(|_| !recreate) {
                                 model.put_front(entry);
                             }
                         }
@@ -420,10 +456,16 @@ proptest! {
         }
 
         // One way out of a queue: whatever removed a message, a get, a
-        // commit or a sweep, it was a transaction's record that did.
+        // commit or a sweep, it was a transaction's record that did, or the
+        // queue's deletion.
         for record in journal.replay_collect().unwrap() {
             prop_assert!(
-                matches!(record, JournalRecord::QueueCreated { .. } | JournalRecord::TxCommit { .. }),
+                matches!(
+                    record,
+                    JournalRecord::QueueCreated { .. }
+                        | JournalRecord::QueueDeleted { .. }
+                        | JournalRecord::TxCommit { .. }
+                ),
                 "{record:?}"
             );
         }
