@@ -28,8 +28,8 @@ cargo test -q --test append_budget
 # The send path's heap budget on its own line, so a regression in
 # allocations per send or resident bytes per pending four-leaf tree reads
 # as exactly that: every send of one condition shares its compiled shape
-# (gauge cond.shapes reads 1) and does only per-message work, 17
-# allocations with or without the lock-order checker (bound 18), so a send
+# (gauge cond.shapes reads 1) and does only per-message work, 16
+# allocations with or without the lock-order checker (bound 17), so a send
 # that compiles, clones, re-encodes or formats per message, or a store
 # table that keeps its peak size once drained, shows up here.
 cargo test -q --test resident_bytes

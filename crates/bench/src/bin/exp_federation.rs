@@ -142,7 +142,6 @@ fn run(hops: usize, msgs: usize, verdict_rounds: usize) -> RunStats {
     // Verdict latency: the conditional protocol end to end, one message
     // outstanding at a time so the number is a round trip, not queueing.
     let messenger = ConditionalMessenger::new(head.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(1));
     let tail2 = tail.clone();
     let stop_reader = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let stop2 = stop_reader.clone();

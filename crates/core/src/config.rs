@@ -36,6 +36,11 @@ pub const DEFAULT_RLOG_QUEUE: &str = "DS.RLOG.Q";
 /// attached and staging — are drained this way.
 pub const ACK_BATCH: usize = 64;
 
+/// How long after a cycle that storage refused, or acknowledgments the
+/// messenger could not stage, its retry timer runs the next cycle. Each
+/// retry that fails again re-arms it, the way a deadline timer re-arms.
+pub const RETRY_BACKOFF: Millis = Millis(10);
+
 /// The acknowledgment grace of one conditional-messaging service
 /// instance. Its queue names are fixed: the `DEFAULT_*_QUEUE` constants.
 #[derive(Debug, Clone, Default)]

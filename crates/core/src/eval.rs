@@ -183,7 +183,7 @@ impl CompiledCondition {
             leaf.processing_expected = process.is_some();
         }
         compiled.cells = Arc::new(Cells::lower(
-            compiled.leaves.len(),
+            &compiled.leaves,
             &compiled.leaf_constraints,
             &compiled.count_constraints,
         ));
@@ -323,6 +323,12 @@ impl CompiledCondition {
     /// timestamp can still satisfy the condition — this models the paper's
     /// Example 2, where the pick-up requirement is 20 s but the evaluation
     /// timeout is 21 s, leaving 1 s for acks in transit.
+    ///
+    /// This is the reference evaluator: it re-walks every constraint on
+    /// each call. The messenger never calls it; an [`IncrementalEval`]
+    /// renders the same verdict, reason included, from state it keeps up
+    /// to date per acknowledgment and per deadline, and the property tests
+    /// hold the two equal.
     pub fn evaluate_with_grace(
         &self,
         acks: &AckState,
@@ -330,17 +336,27 @@ impl CompiledCondition {
         now: Time,
         grace: Millis,
     ) -> Verdict {
+        let stamp = |leaf: u32, dim| {
+            let ack = acks.leaf(leaf);
+            match dim {
+                Dimension::Pickup => ack.and_then(|a| a.read_at),
+                Dimension::Process => ack.and_then(|a| a.processed_at),
+            }
+        };
+        let status = |stamp: Option<Time>, deadline: Time| match stamp {
+            Some(t) if t <= deadline => CellState::Satisfied,
+            None if now <= deadline + grace => CellState::Pending,
+            _ => CellState::Violated,
+        };
         let mut all_satisfied = true;
         for c in &self.leaf_constraints {
-            match leaf_status(acks, c.leaf, c.dim, send_time + c.window, now, grace) {
-                Status::Satisfied => {}
-                Status::Pending => all_satisfied = false,
-                Status::Violated(reason) => {
-                    return Verdict::Violated(format!(
-                        "destination {} ({}): {reason}",
-                        c.leaf,
-                        self.leaf_name(c.leaf),
-                    ))
+            let (stamp, deadline) = (stamp(c.leaf, c.dim), send_time + c.window);
+            match status(stamp, deadline) {
+                CellState::Satisfied => {}
+                CellState::Pending => all_satisfied = false,
+                CellState::Violated => {
+                    let label = destination_label(&self.leaves, c.leaf);
+                    return Verdict::Violated(leaf_reason(&label, c.dim, stamp, deadline));
                 }
             }
         }
@@ -348,10 +364,10 @@ impl CompiledCondition {
             let mut satisfied = 0u32;
             let mut pending = 0u32;
             for (leaf, window) in &c.members {
-                match leaf_status(acks, *leaf, c.dim, send_time + *window, now, grace) {
-                    Status::Satisfied => satisfied += 1,
-                    Status::Pending => pending += 1,
-                    Status::Violated(_) => {}
+                match status(stamp(*leaf, c.dim), send_time + *window) {
+                    CellState::Satisfied => satisfied += 1,
+                    CellState::Pending => pending += 1,
+                    CellState::Violated => {}
                 }
             }
             if satisfied >= c.min {
@@ -359,13 +375,8 @@ impl CompiledCondition {
             }
             all_satisfied = false;
             if satisfied + pending < c.min {
-                return Verdict::Violated(format!(
-                    "{} by {} of {} destinations required, only {} possible",
-                    c.dim,
-                    c.min,
-                    c.members.len(),
-                    satisfied + pending
-                ));
+                let members = c.members.len();
+                return Verdict::Violated(count_reason(c.dim, c.min, members, satisfied + pending));
             }
         }
         if all_satisfied {
@@ -374,13 +385,26 @@ impl CompiledCondition {
             Verdict::Pending
         }
     }
+}
 
-    fn leaf_name(&self, leaf: u32) -> String {
-        self.leaves
-            .get(leaf as usize)
-            .map(|l| l.queue.to_string())
-            .unwrap_or_else(|| "?".to_owned())
+/// How a verdict names a required destination.
+fn destination_label(leaves: &[LeafSpec], leaf: u32) -> String {
+    let name = leaves.get(leaf as usize).map(|l| l.queue.to_string());
+    format!("destination {leaf} ({})", name.as_deref().unwrap_or("?"))
+}
+
+/// The reason of a required destination's violated window: its stamp came
+/// after the deadline, or none came by it.
+fn leaf_reason(label: &str, dim: Dimension, stamp: Option<Time>, deadline: Time) -> String {
+    match stamp {
+        Some(t) => format!("{label}: {dim} at {t} after deadline {deadline}"),
+        None => format!("{label}: no {dim} by deadline {deadline}"),
     }
+}
+
+/// The reason of a count constraint that can no longer be met.
+fn count_reason(dim: Dimension, min: u32, members: usize, possible: u32) -> String {
+    format!("{dim} by {min} of {members} destinations required, only {possible} possible")
 }
 
 /// Status of one `(constraint, member)` evaluation cell.
@@ -400,9 +424,11 @@ struct Cells {
     /// The leaf constraints' cells first, then each count constraint's
     /// members in order.
     cells: Vec<CellSpec>,
-    /// How many of `cells` belong to leaf constraints.
-    leaf_cells: usize,
-    /// Each count constraint: its run of `cells` and its minimum.
+    /// How each leaf constraint's destination is named in a verdict,
+    /// indexed like its cell.
+    labels: Vec<String>,
+    /// Each count constraint: its run of `cells`, its dimension and its
+    /// minimum.
     counts: Vec<CountCells>,
     /// Each leaf's cells, as indexes into `cells`.
     by_leaf: Vec<Vec<usize>>,
@@ -422,24 +448,25 @@ struct CellSpec {
 #[derive(Debug, PartialEq)]
 struct CountCells {
     cells: Range<usize>,
+    dim: Dimension,
     min: u32,
 }
 
 impl Cells {
-    /// Lowers the constraints of a condition with `leaves` leaves.
+    /// Lowers the constraints of a condition over `leaves`.
     fn lower(
-        leaves: usize,
+        leaves: &[LeafSpec],
         leaf_constraints: &[LeafConstraint],
         count_constraints: &[CountConstraint],
     ) -> Cells {
         let mut lowered = Cells {
-            by_leaf: vec![Vec::new(); leaves],
+            by_leaf: vec![Vec::new(); leaves.len()],
             ..Cells::default()
         };
         for c in leaf_constraints {
             lowered.push(c.leaf, c.dim, c.window, 0);
+            lowered.labels.push(destination_label(leaves, c.leaf));
         }
-        lowered.leaf_cells = lowered.cells.len();
         for (k, c) in count_constraints.iter().enumerate() {
             let first = lowered.cells.len();
             for (leaf, window) in &c.members {
@@ -447,6 +474,7 @@ impl Cells {
             }
             lowered.counts.push(CountCells {
                 cells: first..lowered.cells.len(),
+                dim: c.dim,
                 min: c.min,
             });
         }
@@ -466,23 +494,23 @@ struct Tally {
     violated: u32,
 }
 
-/// Event-driven evaluation state for one pending message.
+/// Event-driven evaluation state for one pending message: the evaluator
+/// the messenger runs.
 ///
-/// [`CompiledCondition::evaluate_with_grace`] re-walks every constraint
-/// against the clock on each call — O(tree) per pump tick. `IncrementalEval`
-/// keeps one status per `(constraint, member)` cell with per-constraint
-/// satisfied/violated tallies; the cells' dimensions, windows and per-leaf
-/// back-edges are lowered once per condition, at compile time, and shared.
-/// Applying one acknowledgment touches only the cells of that leaf
-/// (O(depth), i.e. the leaf's constraint memberships) and decidability
-/// falls out of the tallies immediately. What a message holds of its own is
-/// its send time, its cell states and its tallies.
-///
-/// The struct tracks *decidability* only. Once [`IncrementalEval::decided`]
-/// reports `true`, the caller renders the canonical verdict with a single
-/// `evaluate_with_grace` call at that instant, so verdict strings (and the
-/// paper's early-failure semantics) stay byte-identical to the full
-/// re-evaluation oracle.
+/// `IncrementalEval` keeps one status per `(constraint, member)` cell with
+/// per-constraint satisfied/violated tallies; the cells' dimensions,
+/// windows, per-leaf back-edges and the names its reasons print are
+/// lowered once per condition, at compile time, and shared. Recording one
+/// acknowledgment stamp touches only the cells of that leaf (O(depth),
+/// i.e. the leaf's constraint memberships), and the passage of time
+/// touches only cells still pending; decidability falls out of the
+/// tallies immediately. At the decision instant
+/// [`IncrementalEval::verdict`] renders the verdict itself, reason string
+/// included, byte-identical to
+/// [`CompiledCondition::evaluate_with_grace`] over the same stamps at the
+/// same instant. What a message holds of its own is its send time, its
+/// cell states, its tallies and the earliest stamp of each leaf
+/// constraint, the one a reason prints.
 #[derive(Debug, Clone)]
 pub struct IncrementalEval {
     cells: Arc<Cells>,
@@ -490,6 +518,8 @@ pub struct IncrementalEval {
     grace: Millis,
     /// Each cell's state, indexed like [`Cells::cells`].
     states: Vec<CellState>,
+    /// The earliest stamp seen for each leaf constraint's cell.
+    stamps: Vec<Option<Time>>,
     /// The leaf constraints' tally, then each count constraint's.
     tallies: Vec<Tally>,
 }
@@ -500,11 +530,12 @@ impl IncrementalEval {
     /// messenger's ack grace: a *missing* acknowledgment only violates once
     /// `deadline + grace` has strictly passed, while acknowledgment stamps
     /// are compared against the true deadline — the same rules as
-    /// `leaf_status`.
+    /// [`CompiledCondition::evaluate_with_grace`].
     pub fn new(compiled: &CompiledCondition, send_time: Time, grace: Millis) -> IncrementalEval {
         let cells = Arc::clone(&compiled.cells);
         IncrementalEval {
             states: vec![CellState::Pending; cells.cells.len()],
+            stamps: vec![None; cells.labels.len()],
             tallies: vec![Tally::default(); cells.counts.len() + 1],
             cells,
             send_time,
@@ -512,39 +543,51 @@ impl IncrementalEval {
         }
     }
 
-    /// Folds the current acknowledgment stamps for `leaf` into that leaf's
-    /// cells. Returns the number of cell transitions performed (the
-    /// `cond.eval.incremental_updates` unit).
+    /// Records that `leaf` did `dim` at `at` (a processing acknowledgment
+    /// records its read too, as its own call). Returns the number of cell
+    /// transitions performed (the `cond.eval.incremental_updates` unit).
+    /// Idempotent; an earlier stamp wins.
     ///
-    /// Transitions are monotone except `Violated → Satisfied`: earlier-
-    /// stamped redeliveries can improve a stamp (see
-    /// [`AckState::record_read`]), and the oracle checks stamps before
-    /// deadlines, so a timely stamp wins over an earlier time-based
-    /// violation of the same cell.
-    pub fn apply_ack(&mut self, leaf: u32, acks: &AckState) -> u64 {
+    /// Transitions are monotone except `Violated → Satisfied`: an
+    /// earlier-stamped redelivery can improve a stamp, and stamps are
+    /// checked before deadlines, so a timely stamp wins over an earlier
+    /// time-based violation of the same cell.
+    pub fn record(&mut self, leaf: u32, dim: Dimension, at: Time) -> u64 {
         let Some(refs) = self.cells.by_leaf.get(leaf as usize) else {
-            return 0;
-        };
-        let Some(ack) = acks.leaf(leaf) else {
             return 0;
         };
         let mut updates = 0;
         for &i in refs {
             let cell = &self.cells.cells[i];
-            let stamp = match cell.dim {
-                Dimension::Pickup => ack.read_at,
-                Dimension::Process => ack.processed_at,
-            };
-            let target = match stamp {
-                None => continue,
-                Some(t) if t <= self.send_time + cell.window => CellState::Satisfied,
-                Some(_) => CellState::Violated,
+            if cell.dim != dim {
+                continue;
+            }
+            if let Some(stamp) = self.stamps.get_mut(i) {
+                *stamp = Some(stamp.map_or(at, |t| t.min(at)));
+            }
+            let target = if at <= self.send_time + cell.window {
+                CellState::Satisfied
+            } else {
+                CellState::Violated
             };
             if set_cell(&mut self.states[i], &mut self.tallies[cell.tally], target) {
                 updates += 1;
             }
         }
         updates
+    }
+
+    /// Folds the stamps `acks` holds for `leaf` in, as
+    /// [`IncrementalEval::record`] does one at a time: how the reference
+    /// state of the property tests and the micro benchmark feeds it.
+    pub fn apply_ack(&mut self, leaf: u32, acks: &AckState) -> u64 {
+        let Some(ack) = acks.leaf(leaf) else {
+            return 0;
+        };
+        let read = ack.read_at.map_or(0, |at| self.record(leaf, Dimension::Pickup, at));
+        read + ack
+            .processed_at
+            .map_or(0, |at| self.record(leaf, Dimension::Process, at))
     }
 
     /// Flips cells whose deadline (plus grace) has strictly passed without
@@ -560,24 +603,41 @@ impl IncrementalEval {
         updates
     }
 
-    /// Whether the verdict is decided, by the same rules as
-    /// [`CompiledCondition::evaluate_with_grace`]: any violated required
-    /// destination, any count constraint that can no longer reach its
-    /// minimum, or everything satisfied.
+    /// Whether the verdict is decided.
     pub fn decided(&self) -> bool {
-        let leaf = self.tallies[0];
-        if leaf.violated > 0 {
-            return true;
+        self.verdict().is_decided()
+    }
+
+    /// The verdict as the cells stand, checked in the order of
+    /// [`CompiledCondition::evaluate_with_grace`] and rendered as it
+    /// renders it for these stamps at the instant last passed to
+    /// [`IncrementalEval::on_time`]: the first violated required
+    /// destination, else the first count constraint that can no longer
+    /// reach its minimum, else satisfied once every constraint is.
+    pub fn verdict(&self) -> Verdict {
+        let leaf_cells = self.stamps.len();
+        let violated = self.states[..leaf_cells].iter().position(|s| *s == CellState::Violated);
+        if let Some(i) = violated {
+            let cell = &self.cells.cells[i];
+            let deadline = self.send_time + cell.window;
+            let label = &self.cells.labels[i];
+            return Verdict::Violated(leaf_reason(label, cell.dim, self.stamps[i], deadline));
         }
         let counts = || self.cells.counts.iter().zip(&self.tallies[1..]);
         for (count, tally) in counts() {
-            let pending = count.cells.len() as u32 - tally.satisfied - tally.violated;
-            if tally.satisfied + pending < count.min {
-                return true;
+            let possible = count.cells.len() as u32 - tally.violated;
+            if possible < count.min {
+                let members = count.cells.len();
+                return Verdict::Violated(count_reason(count.dim, count.min, members, possible));
             }
         }
-        leaf.satisfied as usize == self.cells.leaf_cells
-            && counts().all(|(count, tally)| tally.satisfied >= count.min)
+        let all = self.tallies[0].satisfied as usize == leaf_cells
+            && counts().all(|(count, tally)| tally.satisfied >= count.min);
+        if all {
+            Verdict::Satisfied
+        } else {
+            Verdict::Pending
+        }
     }
 
     /// The next instant at which the passage of time alone can change
@@ -586,7 +646,7 @@ impl IncrementalEval {
     /// count constraints that already met their minimum are skipped).
     /// `None` when no timer needs to be armed.
     pub fn next_deadline(&self) -> Option<Time> {
-        let leaf_cells = 0..self.cells.leaf_cells;
+        let leaf_cells = 0..self.stamps.len();
         let unmet = self.cells.counts.iter().zip(&self.tallies[1..]);
         let unmet = unmet.filter(|(count, tally)| tally.satisfied < count.min);
         let window = leaf_cells
@@ -622,35 +682,6 @@ struct InheritedAttrs {
     expiry: Option<Millis>,
     persistent: Option<bool>,
     priority: Option<Priority>,
-}
-
-enum Status {
-    Satisfied,
-    Pending,
-    Violated(String),
-}
-
-fn leaf_status(
-    acks: &AckState,
-    leaf: u32,
-    dim: Dimension,
-    deadline: Time,
-    now: Time,
-    grace: Millis,
-) -> Status {
-    let ack = acks.leaf(leaf);
-    let stamp = match dim {
-        Dimension::Pickup => ack.and_then(|a| a.read_at),
-        Dimension::Process => ack.and_then(|a| a.processed_at),
-    };
-    match stamp {
-        Some(t) if t <= deadline => Status::Satisfied,
-        Some(t) => Status::Violated(format!("{dim} at {t} after deadline {deadline}")),
-        None if now > deadline + grace => {
-            Status::Violated(format!("no {dim} by deadline {deadline}"))
-        }
-        None => Status::Pending,
-    }
 }
 
 /// Per-leaf acknowledgment observations for one conditional message.
@@ -714,19 +745,6 @@ impl AckState {
                 _ => entry.processed_at = Some(processed_at),
             }
         }
-    }
-
-    /// Number of leaves with a recorded read.
-    pub fn reads(&self) -> usize {
-        self.leaves.iter().filter(|l| l.read_at.is_some()).count()
-    }
-
-    /// Number of leaves with a recorded processing.
-    pub fn processings(&self) -> usize {
-        self.leaves
-            .iter()
-            .filter(|l| l.processed_at.is_some())
-            .count()
     }
 }
 
@@ -978,8 +996,6 @@ mod tests {
         acks.record_processed(1, Time(10), Time(20), None);
         acks.record_processed(1, Time(10), Time(90), None);
         assert_eq!(acks.leaf(1).unwrap().processed_at, Some(Time(20)));
-        assert_eq!(acks.reads(), 2);
-        assert_eq!(acks.processings(), 1);
         // Out-of-range indices are ignored.
         acks.record_read(9, Time(1), None);
         assert!(acks.leaf(9).is_none());
@@ -1119,7 +1135,76 @@ mod tests {
             })
         }
 
+        /// A window in `1..1000` ms, or none.
+        fn arb_window() -> impl Strategy<Value = Option<Millis>> {
+            proptest::option::of((1u64..1000).prop_map(Millis))
+        }
+
+        /// A set-level window with a minimum count (reduced to at most
+        /// the set's leaves), or none.
+        fn arb_count() -> impl Strategy<Value = Option<(Millis, u32)>> {
+            proptest::option::of(((1u64..1000).prop_map(Millis), 1u32..4))
+        }
+
+        /// `set` with `pickup` and `process` windows and their minimums,
+        /// each minimum reduced to the set's `leaves`.
+        fn with_counts(
+            mut set: DestinationSet,
+            leaves: u32,
+            pickup: Option<(Millis, u32)>,
+            process: Option<(Millis, u32)>,
+        ) -> DestinationSet {
+            if let Some((window, min)) = pickup {
+                set = set.pickup_within(window).min_pickup(1 + (min - 1) % leaves);
+            }
+            if let Some((window, min)) = process {
+                set = set.process_within(window).min_process(1 + (min - 1) % leaves);
+            }
+            set
+        }
+
+        /// A root set of one to three groups, each one destination or a
+        /// set of up to three; any destination may carry its own pick-up
+        /// and processing windows (required destinations), and any set
+        /// windows with minimum counts in either dimension (count
+        /// constraints, nested ones shadowing the root's).
+        fn arb_condition() -> impl Strategy<Value = Condition> {
+            let leaf = (arb_window(), arb_window());
+            let group = (proptest::collection::vec(leaf, 1..4), arb_count(), arb_count());
+            (proptest::collection::vec(group, 1..4), arb_count(), arb_count()).prop_map(
+                |(groups, pickup, process)| {
+                    let mut index = 0;
+                    let mut members = Vec::new();
+                    for (leaves, group_pickup, group_process) in groups {
+                        let count = leaves.len() as u32;
+                        let leaves: Vec<Condition> = leaves
+                            .into_iter()
+                            .map(|(pick, proc)| {
+                                index += 1;
+                                let mut d = Destination::queue("M", format!("Q{index}"));
+                                if let Some(w) = pick {
+                                    d = d.pickup_within(w);
+                                }
+                                if let Some(w) = proc {
+                                    d = d.process_within(w);
+                                }
+                                d.into()
+                            })
+                            .collect();
+                        members.push(if count == 1 && group_pickup.is_none() {
+                            leaves.into_iter().next().unwrap()
+                        } else {
+                            let set = DestinationSet::of(leaves);
+                            with_counts(set, count, group_pickup, group_process).into()
+                        });
+                    }
+                    with_counts(DestinationSet::of(members), index, pickup, process).into()
+                },
+            )
+        }
+
         proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
             /// Invariant: with k timely reads, verdict is Satisfied iff
             /// k >= min once the deadline passed; Violated iff k < min.
             #[test]
@@ -1172,13 +1257,16 @@ mod tests {
             }
 
             /// The incremental evaluator agrees with the full re-evaluation
-            /// oracle on decidability at every step of a random ack/advance
-            /// schedule, and its `next_deadline` is exactly the first tick
+            /// oracle at every step of a random schedule of read acks,
+            /// processing acks and clock advances, over trees with required
+            /// destinations and count constraints in both dimensions: on
+            /// decidability, on the verdict it renders (reason string
+            /// included), and its `next_deadline` is exactly the first tick
             /// at which the oracle's pending verdict would flip by time.
             #[test]
             fn incremental_matches_oracle_stepwise(
-                (cond, _min, w) in arb_flat_condition(),
-                events in proptest::collection::vec((0u32..8, 0u64..2000, any::<bool>()), 0..20),
+                cond in arb_condition(),
+                events in proptest::collection::vec((0u32..9, 0u64..2000, 0u8..3), 0..24),
                 grace in 0u64..5,
             ) {
                 let grace = Millis(grace);
@@ -1187,21 +1275,32 @@ mod tests {
                 let mut acks = AckState::new(n as usize);
                 let mut inc = IncrementalEval::new(&c, Time(0), grace);
                 let mut now = Time(0);
-                for (leaf, stamp_or_step, is_ack) in events {
-                    if is_ack {
-                        let leaf = leaf % n;
-                        acks.record_read(leaf, Time(stamp_or_step), None);
-                        inc.apply_ack(leaf, &acks);
-                    } else {
-                        now = now + Millis(stamp_or_step % (w * 2).max(1));
-                        inc.on_time(now);
+                for (leaf, stamp_or_step, kind) in events {
+                    let (leaf, stamp) = (leaf % n, Time(stamp_or_step));
+                    match kind {
+                        0 => {
+                            acks.record_read(leaf, stamp, None);
+                            inc.record(leaf, Dimension::Pickup, stamp);
+                        }
+                        1 => {
+                            // A processing ack implies its read, stamped earlier.
+                            let read_at = Time(stamp_or_step / 2);
+                            acks.record_processed(leaf, read_at, stamp, None);
+                            inc.record(leaf, Dimension::Pickup, read_at);
+                            inc.record(leaf, Dimension::Process, stamp);
+                        }
+                        _ => {
+                            now = now + Millis(stamp_or_step);
+                            inc.on_time(now);
+                        }
                     }
                     let oracle = c.evaluate_with_grace(&acks, Time(0), now, grace);
                     prop_assert_eq!(
                         inc.decided(),
                         oracle.is_decided(),
-                        "decidability diverged at {} (oracle {})", now, oracle
+                        "decidability diverged at {} (oracle {})", now, &oracle
                     );
+                    prop_assert_eq!(inc.verdict(), oracle.clone(), "verdict diverged at {}", now);
                     if let (false, Some(trigger)) = (inc.decided(), inc.next_deadline()) {
                         // One tick before the trigger the oracle is still
                         // pending; at the trigger it may decide (it always

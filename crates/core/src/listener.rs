@@ -122,7 +122,6 @@ mod tests {
     use crate::condition::{Condition, Destination};
     use crate::messenger::ConditionalMessenger;
     use crate::wire::{MessageKind, MessageOutcome};
-    use std::time::Duration;
 
     fn setup() -> (Arc<QueueManager>, Arc<ConditionalMessenger>) {
         let qmgr = QueueManager::builder("QM1").build().unwrap();
@@ -140,7 +139,6 @@ mod tests {
     #[test]
     fn committed_processing_satisfies_processing_condition() {
         let (qmgr, messenger) = setup();
-        let _daemon = messenger.spawn_daemon(Duration::from_millis(2)).unwrap();
         let listener = ConditionalListener::spawn(
             qmgr.clone(),
             "Q.WORK",
@@ -169,7 +167,6 @@ mod tests {
     #[test]
     fn rollbacks_then_commit_retry_path() {
         let (qmgr, messenger) = setup();
-        let _daemon = messenger.spawn_daemon(Duration::from_millis(2)).unwrap();
         let failures_left = Arc::new(std::sync::atomic::AtomicUsize::new(2));
         let fl = failures_left.clone();
         let listener = ConditionalListener::spawn(

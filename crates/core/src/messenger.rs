@@ -54,12 +54,13 @@
 //! evaluated inside the commit that delivers them and deadline verdicts fire
 //! inside `advance`, so the notification is on the outcome queue when the
 //! put or the `advance` returns. Under a system clock the timers fire from
-//! the clock's waiter thread, and [`ConditionalMessenger::spawn_daemon`]
-//! adds a backstop that retries a drain a storage error interrupted.
+//! the clock's waiter thread. Either way the clock drives every retry: a
+//! cycle that storage refused, or acknowledgments the trigger could not
+//! stage, arm one retry timer [`RETRY_BACKOFF`] ahead. The messenger starts
+//! no thread of its own.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -74,10 +75,10 @@ use simtime::{Millis, Time, TimerId};
 use crate::condition::Condition;
 use crate::config::{
     CondConfig, ServiceQueues, ACK_BATCH, DEFAULT_ACK_QUEUE, DEFAULT_COMP_QUEUE,
-    DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE,
+    DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE, RETRY_BACKOFF,
 };
 use crate::error::{CondError, CondResult};
-use crate::eval::{AckState, CompiledCondition, IncrementalEval, Verdict};
+use crate::eval::{CompiledCondition, Dimension, IncrementalEval, Verdict};
 use crate::ids::CondMessageId;
 use crate::metrics::MessengerMetrics;
 use crate::shape::{Shape, ShapeTable};
@@ -101,13 +102,12 @@ pub enum MessageStatus {
 
 struct PendingEval {
     shape: Arc<Shape>,
-    send_time: Time,
     timeout_at: Option<Time>,
     success_notifications: bool,
     defer_outcome_actions: bool,
     /// What acknowledgments change. A cycle works on a copy and the copy
     /// replaces this once the cycle's record is written.
-    state: EvalState,
+    state: IncrementalEval,
     /// The one armed deadline/timeout timer for this message: id and the
     /// trigger time it is armed for.
     timer: Option<(TimerId, Time)>,
@@ -125,14 +125,9 @@ impl PendingEval {
         options: &SendOptions,
         ack_grace: Millis,
     ) -> PendingEval {
-        let compiled = shape.compiled();
         PendingEval {
-            state: EvalState {
-                acks: AckState::new(compiled.leaves().len()),
-                inc: IncrementalEval::new(compiled, send_time, ack_grace),
-            },
+            state: IncrementalEval::new(shape.compiled(), send_time, ack_grace),
             shape,
-            send_time,
             timeout_at: options.evaluation_timeout.map(|t| send_time + t),
             success_notifications: options.success_notifications.unwrap_or(false),
             defer_outcome_actions: options.defer_outcome_actions,
@@ -145,7 +140,7 @@ impl PendingEval {
     /// decided by time alone: the incremental structure's next deadline
     /// trigger or the evaluation timeout, whichever comes first.
     fn next_trigger(&self) -> Option<Time> {
-        match (self.state.inc.next_deadline(), self.timeout_at) {
+        match (self.state.next_deadline(), self.timeout_at) {
             (Some(d), Some(t)) => Some(d.min(t)),
             (d, t) => d.or(t),
         }
@@ -154,7 +149,7 @@ impl PendingEval {
     /// Whether a cycle at `now` would decide this evaluation as it stands:
     /// it is decided already, or its next trigger has come.
     fn due(&self, now: Time) -> bool {
-        self.state.inc.decided() || self.next_trigger().is_some_and(|at| at <= now)
+        self.state.decided() || self.next_trigger().is_some_and(|at| at <= now)
     }
 
     /// This evaluation's verdict record, stamped `decided_at`, with the
@@ -181,32 +176,17 @@ impl PendingEval {
     }
 }
 
-/// The part of an evaluation that acknowledgments change.
-#[derive(Clone)]
-struct EvalState {
-    acks: AckState,
-    /// Incremental mirror of the condition: per-cell satisfied/violated
-    /// state updated in O(depth) per ack, so decidability is known without
-    /// re-walking the tree.
-    inc: IncrementalEval,
-}
-
-impl EvalState {
-    /// Records one acknowledgment's stamps (live and during recovery) and
-    /// folds them into the incremental structure; returns the cell
-    /// transitions. Idempotent.
-    fn apply(&mut self, ack: &Acknowledgment) -> u64 {
-        let acks = &mut self.acks;
-        match ack.kind {
-            AckKind::Read => acks.record_read(ack.leaf, ack.read_at, ack.recipient.clone()),
-            AckKind::Processed => acks.record_processed(
-                ack.leaf,
-                ack.read_at,
-                ack.processed_at.unwrap_or(ack.read_at),
-                ack.recipient.clone(),
-            ),
+/// Records one acknowledgment's stamps in an evaluation (live and during
+/// recovery): its read, and its processing for a processing ack. Returns
+/// the cell transitions. Idempotent.
+fn apply(state: &mut IncrementalEval, ack: &Acknowledgment) -> u64 {
+    let read = state.record(ack.leaf, Dimension::Pickup, ack.read_at);
+    read + match ack.kind {
+        AckKind::Read => 0,
+        AckKind::Processed => {
+            let processed_at = ack.processed_at.unwrap_or(ack.read_at);
+            state.record(ack.leaf, Dimension::Process, processed_at)
         }
-        self.inc.apply_ack(ack.leaf, &self.acks)
     }
 }
 
@@ -237,7 +217,7 @@ struct Cycle {
     acks: Vec<Acknowledgment>,
     /// Each evaluation they touched, copied from the pending table at the
     /// first of them, with all of them applied.
-    next: Vec<(CondMessageId, EvalState)>,
+    next: Vec<(CondMessageId, IncrementalEval)>,
     decided: Vec<Decided>,
 }
 
@@ -260,13 +240,18 @@ pub struct ConditionalMessenger {
     /// registry).
     metrics: MessengerMetrics,
     /// Messages a failed cycle left `due` (storage down at the decision
-    /// instant). They sit in `pending` without a fresh timer — their
-    /// trigger is past due, a timer would fire at once and spin — and
-    /// every evaluation cycle retries them. Bound: each due pending message
-    /// at most once, so never more than `pending_count()`, however many
-    /// cycles fail — both readers drain the list under the pump lock and
-    /// `rearm_ids` puts an id back only if it is not there.
+    /// instant). They sit in `pending` without a fresh timer of their own
+    /// — their trigger is past due, a timer would fire at once and spin —
+    /// and the retry timer, like every other evaluation cycle, retries
+    /// them. Bound: each due pending message at most once, so never more
+    /// than `pending_count()`, however many cycles fail — both readers
+    /// drain the list under the pump lock and `rearm_ids` puts an id back
+    /// only if it is not there.
     retry: Mutex<Vec<CondMessageId>>,
+    /// The one armed retry timer, if any: armed [`RETRY_BACKOFF`] ahead by
+    /// a cycle that failed or by acknowledgments the trigger declined,
+    /// cleared when it fires or a cycle leaves no retry owed.
+    retry_timer: Mutex<Option<TimerId>>,
     /// Back-reference for timer callbacks and the ack queue's trigger slot.
     self_weak: Weak<ConditionalMessenger>,
 }
@@ -324,6 +309,7 @@ impl ConditionalMessenger {
             pump_lock: Mutex::new(()),
             metrics,
             retry: Mutex::new(Vec::new()),
+            retry_timer: Mutex::new(None),
             self_weak: weak.clone(),
         });
         messenger.recover()?;
@@ -331,10 +317,18 @@ impl ConditionalMessenger {
             let _serial = messenger.pump_lock.lock();
             // From here on an ack is applied inside the transaction that
             // delivers it (the first of them waits for the catch-up below).
-            messenger
-                .qmgr
-                .queue(DEFAULT_ACK_QUEUE)?
-                .set_arrival_trigger(messenger.self_weak.clone());
+            let ack_queue = messenger.qmgr.queue(DEFAULT_ACK_QUEUE)?;
+            ack_queue.set_arrival_trigger(messenger.self_weak.clone());
+            // Acks the trigger declined are queued once the commit that
+            // delivers them is written; then the retry timer is armed for
+            // them.
+            let (weak, queue) = (messenger.self_weak.clone(), Arc::downgrade(&ack_queue));
+            ack_queue.add_put_watcher(Arc::new(move || {
+                let queued = queue.upgrade().is_some_and(|q| !q.is_empty());
+                if let (true, Some(messenger)) = (queued, weak.upgrade()) {
+                    messenger.arm_retry();
+                }
+            }));
             // Catch up on acks queued before the trigger existed, decide
             // what is already due and arm one timer per recovered message.
             // This is the only walk over the whole pending table.
@@ -514,7 +508,7 @@ impl ConditionalMessenger {
         let Some(eval) = pending.get_mut(&id) else {
             return true;
         };
-        let expired = eval.state.inc.on_time(now);
+        let expired = eval.state.on_time(now);
         if expired > 0 {
             self.metrics.eval_incremental_updates.add(expired);
         }
@@ -530,7 +524,8 @@ impl ConditionalMessenger {
     /// Drains whatever is waiting on `DS.ACK.Q` (nothing, unless acks
     /// landed while no messenger was attached or the trigger declined
     /// them: it consumes them as they arrive) and retries the verdicts a
-    /// storage error interrupted. O(acks waiting + retries), never a scan
+    /// storage error interrupted — what the retry timer does on its own
+    /// [`RETRY_BACKOFF`] later. O(acks waiting + retries), never a scan
     /// of the pending table — time-only verdicts come from the armed
     /// timers. Outcomes are learned from `DS.OUTCOME.Q`
     /// ([`take_outcome`](Self::take_outcome)) or peeked at with
@@ -561,13 +556,22 @@ impl ConditionalMessenger {
         // committed and every id seen must keep its timer.
         let result = self.run_transactions(&mut ids);
         self.rearm_ids(ids, result.is_err());
+        if result.is_err() {
+            self.arm_retry();
+        } else {
+            // Nothing is owed a retry: the list is empty, the queue drained.
+            let armed = self.retry_timer.lock().take();
+            if let Some(timer) = armed {
+                self.qmgr.clock().cancel(timer);
+            }
+        }
         result
     }
 
     /// [`run_cycle_for`](Self::run_cycle_for) from an event with no caller
     /// to report to (send, timer fire). A failed transaction left its acks
-    /// on the queue and its due messages on the retry list; the next event,
-    /// `pump()` or the daemon retries both.
+    /// on the queue and its due messages on the retry list, and armed the
+    /// retry timer; it, or any event before it, retries both.
     fn run_event(&self, seed: &[CondMessageId]) {
         if self.run_cycle_for(seed).is_err() {
             self.metrics.eval_errors.incr();
@@ -780,7 +784,7 @@ impl ConditionalMessenger {
     fn decide_ids(
         &self,
         ids: &[CondMessageId],
-        next: &mut [(CondMessageId, EvalState)],
+        next: &mut [(CondMessageId, IncrementalEval)],
     ) -> Vec<Decided> {
         let now = self.qmgr.clock().now();
         let mut seen = HashSet::new();
@@ -798,20 +802,11 @@ impl ConditionalMessenger {
                 Some((_, copy)) => copy,
                 None => &mut eval.state,
             };
-            let expired = state.inc.on_time(now);
+            let expired = state.on_time(now);
             if expired > 0 {
                 self.metrics.eval_incremental_updates.add(expired);
             }
-            // Decidability comes from the O(depth)-maintained incremental
-            // structure; the canonical verdict (and its reason string) is
-            // rendered by one full evaluation at the decision instant only.
-            let verdict = if state.inc.decided() {
-                let compiled = eval.shape.compiled();
-                compiled.evaluate_with_grace(&state.acks, eval.send_time, now, self.ack_grace)
-            } else {
-                Verdict::Pending
-            };
-            let (outcome, reason) = match verdict {
+            let (outcome, reason) = match state.verdict() {
                 Verdict::Satisfied => (MessageOutcome::Success, None),
                 Verdict::Violated(reason) => (MessageOutcome::Failure, Some(reason)),
                 Verdict::Pending if eval.timeout_at.is_some_and(|t| now >= t) => {
@@ -829,7 +824,11 @@ impl ConditionalMessenger {
     /// Folds an acknowledgment into its message's copy in `next`, taken
     /// from the pending table the first time an acknowledgment touches the
     /// message; false when the message is not pending here. Idempotent.
-    fn apply_ack(&self, ack: &Acknowledgment, next: &mut Vec<(CondMessageId, EvalState)>) -> bool {
+    fn apply_ack(
+        &self,
+        ack: &Acknowledgment,
+        next: &mut Vec<(CondMessageId, IncrementalEval)>,
+    ) -> bool {
         let at = match next.iter().position(|(id, _)| *id == ack.cond_id) {
             Some(at) => at,
             None => match self.pending.lock().get(&ack.cond_id) {
@@ -840,7 +839,7 @@ impl ConditionalMessenger {
                 None => return false,
             },
         };
-        let updates = next[at].1.apply(ack);
+        let updates = apply(&mut next[at].1, ack);
         if updates > 0 {
             self.metrics.eval_incremental_updates.add(updates);
         }
@@ -864,6 +863,30 @@ impl ConditionalMessenger {
         }
         self.metrics.eval_timer_fires.incr();
         self.run_event(&[id]);
+    }
+
+    /// Arms the retry timer [`RETRY_BACKOFF`] ahead, unless it is armed or
+    /// the manager has stopped (then no cycle can succeed). Its fire runs
+    /// one cycle from the queue — the retry list, then the acknowledgments
+    /// waiting on `DS.ACK.Q` — and a cycle that fails again arms it again.
+    fn arm_retry(&self) {
+        let mut armed = self.retry_timer.lock();
+        if armed.is_some() || !self.qmgr.is_running() {
+            return;
+        }
+        let clock = self.qmgr.clock();
+        let weak = self.self_weak.clone();
+        let timer = clock.schedule_at(
+            clock.now() + RETRY_BACKOFF,
+            Box::new(move || {
+                if let Some(messenger) = weak.upgrade() {
+                    let _serial = messenger.pump_lock.lock();
+                    *messenger.retry_timer.lock() = None;
+                    messenger.run_event(&[]);
+                }
+            }),
+        );
+        *armed = Some(timer);
     }
 
     /// Ensures each of the given pending messages has exactly one armed
@@ -968,9 +991,9 @@ impl ConditionalMessenger {
     ) -> CondResult<()> {
         // The parked compensation carries the conditional message id as its
         // correlation id; the indexed get avoids scanning a busy DS.COMP.Q.
-        let hex = cond_id.to_hex();
+        let corr = cond_id.as_u128();
         let Some(parked) =
-            session.get_by_correlation(DEFAULT_COMP_QUEUE, &hex, |_| true, Wait::NoWait)?
+            session.get_by_correlation(DEFAULT_COMP_QUEUE, corr, |_| true, Wait::NoWait)?
         else {
             return Ok(());
         };
@@ -1072,8 +1095,8 @@ impl ConditionalMessenger {
                     &mut actions,
                 )?;
                 // The releaser is the member's consumer of record.
-                let hex = cond_id.to_hex();
-                session.get_by_correlation(DEFAULT_OUTCOME_QUEUE, &hex, |_| true, Wait::NoWait)?;
+                let corr = cond_id.as_u128();
+                session.get_by_correlation(DEFAULT_OUTCOME_QUEUE, corr, |_| true, Wait::NoWait)?;
                 staged.push((cond_id, actions));
                 Ok(())
             })
@@ -1136,9 +1159,9 @@ impl ConditionalMessenger {
         cond_id: CondMessageId,
     ) -> CondResult<Option<SendRecord>> {
         let mut send = None;
-        let hex = cond_id.to_hex();
+        let corr = cond_id.as_u128();
         while let Some(entry) =
-            session.get_by_correlation(DEFAULT_SLOG_QUEUE, &hex, |_| true, Wait::NoWait)?
+            session.get_by_correlation(DEFAULT_SLOG_QUEUE, corr, |_| true, Wait::NoWait)?
         {
             if let Ok(SlogEntry::Send(record)) = SlogEntry::from_message(&entry) {
                 send = Some(record);
@@ -1160,7 +1183,7 @@ impl ConditionalMessenger {
             return MessageStatus::Pending;
         }
         let outcomes = self.qmgr.queue(DEFAULT_OUTCOME_QUEUE);
-        match outcomes.and_then(|q| q.peek_by_correlation(&id.to_hex(), Wait::NoWait)) {
+        match outcomes.and_then(|q| q.peek_by_correlation(id.as_u128(), Wait::NoWait)) {
             Ok(Some(msg)) => OutcomeNotification::from_message(&msg)
                 .map_or(MessageStatus::Unknown, MessageStatus::Decided),
             _ => MessageStatus::Unknown,
@@ -1188,7 +1211,7 @@ impl ConditionalMessenger {
         id: CondMessageId,
         wait: Wait,
     ) -> CondResult<Option<OutcomeNotification>> {
-        let msg = self.qmgr.get_by_correlation(DEFAULT_OUTCOME_QUEUE, &id.to_hex(), wait)?;
+        let msg = self.qmgr.get_by_correlation(DEFAULT_OUTCOME_QUEUE, id.as_u128(), wait)?;
         msg.map(|msg| OutcomeNotification::from_message(&msg)).transpose()
     }
 
@@ -1228,7 +1251,7 @@ impl ConditionalMessenger {
             let mut eval =
                 PendingEval::new(shape, record.send_time, &record.options, self.ack_grace);
             for ack in acks.get(&cond_id).into_iter().flatten() {
-                eval.state.apply(ack);
+                apply(&mut eval.state, ack);
             }
             pending.insert(cond_id, eval);
         }
@@ -1237,41 +1260,16 @@ impl ConditionalMessenger {
         Ok(())
     }
 
-    // ---------------------------------------------------------- daemon --
-
-    /// Spawns the evaluation backstop thread. Evaluation does not depend
-    /// on it — acks are evaluated by the thread that commits them and
-    /// deadline verdicts fire from the clock's timers. The daemon parks on
-    /// the ack queue (for at most `poll`, which keeps its stop flag
-    /// responsive) and pumps on every wakeup, which retries the verdicts a
-    /// storage error interrupted. An idle tick opens no session. Tests with
-    /// a `SimClock` need no daemon.
+    /// A handle kept for condbench, its last caller: it starts no thread,
+    /// and `poll` is ignored. Evaluation needs no daemon under either
+    /// clock — acks are evaluated by the thread that commits them, and the
+    /// clock's timers fire every deadline verdict and every retry.
     ///
     /// # Errors
     ///
-    /// [`CondError::Daemon`] when the OS refuses to spawn the thread.
-    pub fn spawn_daemon(self: &Arc<Self>, poll: Duration) -> CondResult<EvaluationDaemon> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let messenger = self.clone();
-        let ack_queue = self.qmgr.queue(DEFAULT_ACK_QUEUE)?;
-        let park = Wait::Timeout(simtime::Millis((poll.as_millis() as u64).max(1)));
-        let handle = std::thread::Builder::new()
-            .name(format!("condmsg-eval-{}", self.qmgr.name()))
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    if (ack_queue.wait_nonempty(park).is_err() || messenger.pump().is_err())
-                        && !messenger.qmgr.is_running()
-                    {
-                        return;
-                    }
-                }
-            })
-            .map_err(|e| CondError::Daemon(e.to_string()))?;
-        Ok(EvaluationDaemon {
-            stop,
-            handle: Some(handle),
-        })
+    /// None; the `Result` is the caller's.
+    pub fn spawn_daemon(self: &Arc<Self>, _poll: Duration) -> CondResult<EvaluationDaemon> {
+        Ok(EvaluationDaemon)
     }
 }
 
@@ -1305,6 +1303,9 @@ impl ArrivalTrigger for ConditionalMessenger {
                 self.metrics.eval_errors.incr();
             }
             self.rearm_ids(ids, !committed);
+            if !committed && !self.retry.lock().is_empty() {
+                self.arm_retry();
+            }
             drop(serial);
         };
         match staged {
@@ -1317,35 +1318,10 @@ impl ArrivalTrigger for ConditionalMessenger {
     }
 }
 
-/// Handle to a running evaluation daemon; stops (and joins) on drop.
-pub struct EvaluationDaemon {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl fmt::Debug for EvaluationDaemon {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EvaluationDaemon")
-            .field("running", &self.handle.is_some())
-            .finish()
-    }
-}
-
-impl EvaluationDaemon {
-    /// Stops the daemon and waits for the thread to exit.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for EvaluationDaemon {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
+/// What [`ConditionalMessenger::spawn_daemon`] returns: nothing runs
+/// behind it.
+#[derive(Debug)]
+pub struct EvaluationDaemon;
 
 #[cfg(test)]
 mod tests {
@@ -1759,8 +1735,7 @@ mod tests {
             .unwrap();
         // Swap the parked compensation for the per-leaf form once parked
         // for every destination.
-        let hex = id.to_hex();
-        qmgr.get_by_correlation(DEFAULT_COMP_QUEUE, &hex, Wait::NoWait)
+        qmgr.get_by_correlation(DEFAULT_COMP_QUEUE, id.as_u128(), Wait::NoWait)
             .unwrap()
             .unwrap();
         let old = wire::make_compensation(id, 0, Some(&Bytes::from_static(b"undo")));
@@ -2037,24 +2012,5 @@ mod tests {
             .unwrap()
             .expect("outcome from timer thread");
         assert_eq!(n.outcome, MessageOutcome::Failure);
-    }
-
-    #[test]
-    fn daemon_pumps_with_system_clock() {
-        let qmgr = QueueManager::builder("QM1").build().unwrap();
-        qmgr.create_queue("Q.A").unwrap();
-        qmgr.create_queue("Q.B").unwrap();
-        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-        let mut daemon = messenger.spawn_daemon(Duration::from_millis(2)).unwrap();
-        let id = messenger
-            .send_message("x", &two_dest_condition(Millis(40)))
-            .unwrap();
-        // No acks: the daemon should decide failure shortly after 40 ms.
-        let n = messenger
-            .take_outcome(id, Wait::Timeout(Millis(3_000)))
-            .unwrap()
-            .expect("outcome within timeout");
-        assert_eq!(n.outcome, MessageOutcome::Failure);
-        daemon.stop();
     }
 }

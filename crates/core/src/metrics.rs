@@ -57,8 +57,8 @@ pub(crate) struct MessengerMetrics {
     /// (`cond.eval.timer_fires`).
     pub eval_timer_fires: Arc<Counter>,
     /// Evaluation cycles run from an event (send, ack arrival, timer fire)
-    /// that hit a messaging error; the next event or the daemon retries
-    /// (`cond.eval.errors`).
+    /// that hit a messaging error; the retry timer, or any event before
+    /// it, retries (`cond.eval.errors`).
     pub eval_errors: Arc<Counter>,
     /// Acks consumed per evaluation-cycle transaction
     /// (`cond.ack.batch_size`).

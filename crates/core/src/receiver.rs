@@ -282,7 +282,7 @@ impl ConditionalReceiver {
                     let leaf = wire::leaf_of(&msg)?;
                     let consumed = self.session.get_by_correlation(
                         DEFAULT_RLOG_QUEUE,
-                        &cond_id.to_hex(),
+                        cond_id.as_u128(),
                         |entry| wire::leaf_of(entry).ok() == Some(leaf),
                         Wait::NoWait,
                     )?;
@@ -333,7 +333,7 @@ impl ConditionalReceiver {
     ) -> CondResult<bool> {
         let taken = self.session.get_by_correlation(
             queue,
-            &cond_id.to_hex(),
+            cond_id.as_u128(),
             |m| wire::kind_of(m) == other && wire::leaf_of(m).ok() == Some(leaf),
             Wait::NoWait,
         )?;

@@ -458,7 +458,7 @@ impl DSphere {
                 .iter()
                 .find(|id| messenger.status(**id) == MessageStatus::Pending);
             if let Some(id) = pending {
-                outcomes.peek_by_correlation(&id.to_hex(), park).map_err(CondError::from)?;
+                outcomes.peek_by_correlation(id.as_u128(), park).map_err(CondError::from)?;
             }
         }
     }

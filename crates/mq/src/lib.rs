@@ -59,7 +59,8 @@ pub mod transport;
 pub use error::{MqError, MqResult};
 pub use obs::Obs;
 pub use message::{
-    IdHasher, IdMap, Message, MessageBuilder, MessageId, Priority, PropertyValue, QueueAddress,
+    CorrelationKey, IdHasher, IdMap, Message, MessageBuilder, MessageId, Priority, PropertyValue,
+    QueueAddress,
 };
 pub use qmgr::{
     ManagedTask, ManagerConfig, QueueManager, QueueManagerBuilder, DEAD_LETTER_QUEUE,

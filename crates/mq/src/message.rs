@@ -343,6 +343,37 @@ impl fmt::Debug for Properties {
     }
 }
 
+/// What a correlation lookup looks for: the value of a correlation id of
+/// exactly 32 lowercase hex digits (the form
+/// [`MessageBuilder::correlation_u128`] writes), or any other correlation
+/// id as text. A caller holding the value passes it as a `u128` and no
+/// digits are formatted or parsed; text of that form converts to its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CorrelationKey<'a> {
+    /// The value of a 32-lowercase-hex-digit correlation id.
+    Value(u128),
+    /// Any other correlation id.
+    Text(&'a str),
+}
+
+impl<'a> From<&'a str> for CorrelationKey<'a> {
+    fn from(text: &'a str) -> CorrelationKey<'a> {
+        hex_u128(text.as_bytes()).map_or(CorrelationKey::Text(text), CorrelationKey::Value)
+    }
+}
+
+impl<'a> From<&'a String> for CorrelationKey<'a> {
+    fn from(text: &'a String) -> CorrelationKey<'a> {
+        CorrelationKey::from(text.as_str())
+    }
+}
+
+impl From<u128> for CorrelationKey<'_> {
+    fn from(value: u128) -> Self {
+        CorrelationKey::Value(value)
+    }
+}
+
 /// `digits` read as 32 lowercase hex digits, or `None` when they are
 /// not: one pass over the bytes, with no radix parse and no UTF-8 check.
 pub(crate) fn hex_u128(digits: &[u8]) -> Option<u128> {

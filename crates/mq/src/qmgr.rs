@@ -17,7 +17,7 @@ use simtime::{SharedClock, SystemClock};
 
 use crate::error::{MqError, MqResult};
 use crate::journal::{Journal, JournalRecord, MemJournal};
-use crate::message::{Message, MessageId, QueueAddress};
+use crate::message::{CorrelationKey, Message, MessageId, QueueAddress};
 use crate::obs::Obs;
 use crate::queue::{Queue, QueueConfig, Wait};
 use crate::relay::{Deduper, DEFAULT_DEDUP_WINDOW, RELAY_ORIGIN_PROPERTY};
@@ -459,18 +459,21 @@ impl QueueManager {
         self.auto_commit(|tx| tx.get(self, queue, wait))
     }
 
-    /// Consumes the oldest message whose correlation id equals `corr`,
-    /// via the queue's correlation index (O(matches), not a queue scan).
+    /// Consumes the oldest message whose correlation id equals `corr` (a
+    /// `&str`, or the `u128` value of a 32-hex-digit id: see
+    /// [`CorrelationKey`]), via the queue's correlation index (O(matches),
+    /// not a queue scan).
     ///
     /// # Errors
     ///
     /// Same as [`QueueManager::get`].
-    pub fn get_by_correlation(
+    pub fn get_by_correlation<'a>(
         &self,
         queue: &str,
-        corr: &str,
+        corr: impl Into<CorrelationKey<'a>>,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
+        let corr = corr.into();
         self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, |_| true, wait))
     }
 

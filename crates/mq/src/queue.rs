@@ -38,7 +38,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use simtime::{Millis, SharedClock, Time};
 
 use crate::error::{MqError, MqResult};
-use crate::message::{Message, MessageId};
+use crate::message::{CorrelationKey, Message, MessageId};
 use crate::qmgr::QueueManager;
 use crate::session::{Session, TxState};
 use crate::stats::{Counter, QueueStats};
@@ -121,7 +121,9 @@ pub struct Queue {
     parked: AtomicUsize,
     stats: QueueStats,
     /// Observers notified after each put; see [`Queue::add_put_watcher`].
-    put_watchers: Mutex<Vec<PutWatcher>>,
+    /// Replaced whole when one is added, so a notification takes a
+    /// reference to the list, not a copy of it.
+    put_watchers: Mutex<Arc<Vec<PutWatcher>>>,
     /// The consumer of everything committed to this queue, if one is
     /// installed and alive; see [`Queue::set_arrival_trigger`].
     arrival_trigger: RwLock<Option<Weak<dyn ArrivalTrigger>>>,
@@ -156,7 +158,7 @@ impl Queue {
             config,
             available: Condvar::new(),
             parked: AtomicUsize::new(0),
-            put_watchers: Mutex::new(Vec::new()),
+            put_watchers: Mutex::default(),
             arrival_trigger: RwLock::new(None),
             manager: manager.me.clone(),
             me: me.clone(),
@@ -189,18 +191,15 @@ impl Queue {
     /// outside the queue lock and on the putting thread. Watchers must not
     /// put to this same queue (that would recurse).
     pub fn add_put_watcher(&self, watcher: PutWatcher) {
-        self.put_watchers.lock().push(watcher);
+        let mut registered = self.put_watchers.lock();
+        let mut watchers = Vec::clone(&registered);
+        watchers.push(watcher);
+        *registered = Arc::new(watchers);
     }
 
     pub(crate) fn notify_put_watchers(&self) {
-        let watchers: Vec<PutWatcher> = {
-            let registered = self.put_watchers.lock();
-            if registered.is_empty() {
-                return;
-            }
-            registered.clone()
-        };
-        for w in watchers {
+        let watchers = Arc::clone(&self.put_watchers.lock());
+        for w in watchers.iter() {
             w();
         }
     }
@@ -216,9 +215,9 @@ impl Queue {
     }
 
     /// Blocks until the queue is non-empty, per `wait`, without consuming.
-    /// Returns `true` when a message is available at return. The
-    /// event-driven evaluation daemon parks here (on the queue's condvar)
-    /// instead of sleeping a fixed poll interval.
+    /// Returns `true` when a message is available at return. Channel
+    /// movers and listeners park here (on the queue's condvar) instead of
+    /// sleeping a fixed poll interval.
     ///
     /// # Errors
     ///
@@ -239,8 +238,8 @@ impl Queue {
     /// sleep through either.
     ///
     /// Under a virtual clock, with `bound_real` a timed wait is additionally
-    /// bounded in real time: daemon loops (channel movers, listeners, ack
-    /// pumps) lean on the timeout to re-check their stop flags, and a sim
+    /// bounded in real time: daemon loops (channel movers, listeners) lean
+    /// on the timeout to re-check their stop flags, and a sim
     /// clock nobody advances anymore must not park them forever.
     fn park<T>(
         &self,
@@ -476,7 +475,7 @@ impl Queue {
     /// point read of the correlation index (O(matches), not O(depth)).
     pub(crate) fn take_by_correlation_blocking(
         &self,
-        correlation: &str,
+        correlation: CorrelationKey<'_>,
         accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
@@ -494,11 +493,12 @@ impl Queue {
     /// # Errors
     ///
     /// [`MqError::ManagerStopped`] if the queue closes while waiting.
-    pub fn peek_by_correlation(
+    pub fn peek_by_correlation<'a>(
         &self,
-        correlation: &str,
+        correlation: impl Into<CorrelationKey<'a>>,
         wait: Wait,
     ) -> MqResult<Option<Arc<Message>>> {
+        let correlation = correlation.into();
         self.park(wait, false, || {
             let store = self.store.lock();
             let id = store.first_correlated(correlation, self.clock.now(), |_| true);
@@ -518,7 +518,7 @@ impl Queue {
         correlation: &str,
         accept: impl Fn(&Message) -> bool,
     ) -> MqResult<Option<Message>> {
-        self.take_by_correlation_blocking(correlation, accept, Wait::NoWait)
+        self.take_by_correlation_blocking(correlation.into(), accept, Wait::NoWait)
     }
 
     fn take_first(&self, store: &mut MessageStore, now: Time) -> Option<Message> {
@@ -1180,7 +1180,8 @@ mod tests {
             .map(|corr| {
                 let q = q.clone();
                 let waiter = std::thread::spawn(move || {
-                    q.take_by_correlation_blocking(corr, |_| true, Wait::Timeout(Millis(5_000)))
+                    let wait = Wait::Timeout(Millis(5_000));
+                    q.take_by_correlation_blocking(corr.into(), |_| true, wait)
                 });
                 // Parked in this order: "a" first.
                 std::thread::sleep(Duration::from_millis(50));

@@ -30,7 +30,7 @@ use simtime::{Millis, Time};
 use crate::channel::MAX_RELEASED;
 use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
-use crate::message::{Message, MessageId, QueueAddress};
+use crate::message::{CorrelationKey, Message, MessageId, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
 use crate::queue::{ArrivalTrigger, Queue, Wait};
 use crate::trace::TraceStage;
@@ -288,7 +288,7 @@ impl TxState {
         &mut self,
         manager: &QueueManager,
         queue: &str,
-        corr: &str,
+        corr: CorrelationKey<'_>,
         accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
@@ -886,18 +886,20 @@ impl Session {
     /// Consumes the first message in delivery order with the given
     /// correlation id that `accept` takes (provisionally, if a transaction
     /// is active): a point read of the queue's correlation index, the one
-    /// filtered get.
+    /// filtered get. `corr` is a `&str` or the `u128` value of a
+    /// 32-hex-digit id (see [`CorrelationKey`]).
     ///
     /// # Errors
     ///
     /// Same as [`Session::get`].
-    pub fn get_by_correlation(
+    pub fn get_by_correlation<'a>(
         &mut self,
         queue: &str,
-        corr: &str,
+        corr: impl Into<CorrelationKey<'a>>,
         accept: impl Fn(&Message) -> bool,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
+        let corr = corr.into();
         self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, accept, wait))
     }
 }

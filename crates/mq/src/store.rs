@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use simtime::Time;
 
-use crate::message::{hex_u128, Correlation, IdMap, Message, MessageId};
+use crate::message::{Correlation, CorrelationKey, IdMap, Message, MessageId};
 
 /// Number of priority bands (JMS priorities 0–9).
 pub(crate) const PRIORITY_BANDS: usize = 10;
@@ -367,13 +367,13 @@ impl MessageStore {
     /// correlation gets and peeks.
     pub(crate) fn first_correlated(
         &self,
-        correlation: &str,
+        correlation: CorrelationKey<'_>,
         now: Time,
         accept: impl Fn(&Message) -> bool,
     ) -> Option<MessageId> {
-        let bucket = match hex_u128(correlation.as_bytes()) {
-            Some(value) => self.by_hex.get(&HexKey::of(value)),
-            None => self.by_text.get(correlation),
+        let bucket = match correlation {
+            CorrelationKey::Value(value) => self.by_hex.get(&HexKey::of(value)),
+            CorrelationKey::Text(text) => self.by_text.get(text),
         };
         bucket?
             .ids()

@@ -264,8 +264,8 @@ pub fn compile(spec: &ScenarioSpec, quick: bool) -> ScenarioResult<Compiled> {
     }
 
     // One messenger per sending manager. Acks evaluate on arrival and
-    // deadline verdicts fire from armed timers, so the executor never
-    // needs an evaluation daemon.
+    // deadline verdicts and retries fire from armed timers: no messenger
+    // runs a thread.
     let mut messengers: HashMap<String, Arc<ConditionalMessenger>> = HashMap::new();
     let mut spheres: HashMap<String, Arc<DSphereService>> = HashMap::new();
     let mut actors = Vec::new();

@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let qmgr = QueueManager::builder("QM1").build()?;
     qmgr.create_queue("Q.CENTRAL")?;
     let messenger = ConditionalMessenger::new(qmgr.clone())?;
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2))?;
 
     let on_duty = Arc::new(AtomicBool::new(true));
     let stop = Arc::new(AtomicBool::new(false));

@@ -10,7 +10,6 @@
 //! Run with: `cargo run --example conditional_pubsub`
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use conditional_messaging::condmsg::{
     ConditionalMessenger, ConditionalReceiver, DestinationSet, MessageKind, MessageOutcome,
@@ -60,7 +59,6 @@ fn run(label: &str, responsive_desks: usize) -> Result<(), Box<dyn std::error::E
     println!("--- {label} ---");
     let qmgr = QueueManager::builder("EXCHANGE").build()?;
     let messenger = ConditionalMessenger::new(qmgr.clone())?;
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2))?;
     let topic = Topic::open(qmgr.clone(), "halts")?;
 
     let desks = ["equities", "options", "futures"];

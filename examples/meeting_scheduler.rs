@@ -14,7 +14,6 @@
 //! Run with: `cargo run --example meeting_scheduler`
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use conditional_messaging::condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, DestinationSet, MessageKind,
@@ -105,7 +104,6 @@ fn run_scenario(label: &str, cooperative_r3: bool) -> Result<(), Box<dyn std::er
         qmgr.create_queue(queue_for(r))?;
     }
     let messenger = ConditionalMessenger::new(qmgr.clone())?;
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2))?;
 
     let participants: Vec<_> = RECIPIENTS
         .iter()

@@ -2,8 +2,6 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::time::Duration;
-
 use conditional_messaging::condmsg::{
     Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageOutcome,
 };
@@ -16,10 +14,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     qmgr.create_queue("ORDERS")?;
 
     // 2. Attach the conditional messaging service (creates DS.SLOG.Q,
-    //    DS.ACK.Q, DS.COMP.Q, DS.OUTCOME.Q) and run its evaluation manager
-    //    in the background.
+    //    DS.ACK.Q, DS.COMP.Q, DS.OUTCOME.Q). Its evaluation manager needs no
+    //    thread: acks are evaluated as they commit, deadlines by the clock.
     let messenger = ConditionalMessenger::new(qmgr.clone())?;
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2))?;
 
     // 3. Send a message that must be picked up within one second.
     let condition: Condition = Destination::queue("QM1", "ORDERS")

@@ -1,5 +1,6 @@
 //! Concurrency stress tests: many producers, consumers, spheres and the
-//! evaluation daemon all running against real threads and a system clock.
+//! clock's timer thread all running against real threads and a system
+//! clock.
 //!
 //! These check conservation (nothing lost, nothing duplicated) rather than
 //! timing specifics.
@@ -17,12 +18,11 @@ use mq::{QueueManager, TraceStage, Wait};
 use simtime::{Millis, SimClock};
 
 #[test]
-fn many_conditional_messages_under_daemon() {
+fn many_conditional_messages_under_competing_consumers() {
     const MESSAGES: usize = 60;
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     qmgr.create_queue("Q.WORK").unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(1));
 
     // Three competing consumers.
     let consumed = Arc::new(AtomicUsize::new(0));
@@ -92,7 +92,6 @@ fn concurrent_senders_share_one_messenger() {
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     qmgr.create_queue("Q.IN").unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(1));
 
     let qmgr_consumer = qmgr.clone();
     let drain = std::thread::spawn(move || {
@@ -201,20 +200,20 @@ fn parallel_spheres_with_shared_kv() {
 }
 
 #[test]
-fn pump_and_daemon_do_not_double_decide() {
-    // Explicit pump calls racing the daemon must not produce duplicate
-    // outcome notifications.
+fn pump_and_timers_do_not_double_decide() {
+    // Explicit pump calls racing the deadline timers, which fire on the
+    // system clock's thread, must not produce duplicate outcome
+    // notifications.
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     qmgr.create_queue("Q.A").unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(1));
     let condition: Condition = Destination::queue("QM1", "Q.A")
         .pickup_within(Millis(30))
         .into();
     let mut ids = Vec::new();
     for i in 0..20 {
         ids.push(messenger.send_message(format!("m{i}"), &condition).unwrap());
-        // Race explicit pumps against the daemon.
+        // Race explicit pumps against the timers.
         let _ = messenger.pump();
     }
     std::thread::sleep(Duration::from_millis(100));

@@ -85,7 +85,6 @@ fn remote_condition(window: Millis) -> Condition {
 #[test]
 fn remote_destination_and_ack_roundtrip() {
     let c = cluster();
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
         .send_message("over the wire", &remote_condition(Millis(2_000)))
@@ -122,7 +121,6 @@ fn lossy_links_delay_but_do_not_lose_the_protocol() {
     for acceptor in [&c.forward, &c.back] {
         acceptor.apply_fault(FaultAction::DropNext(2)).unwrap();
     }
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
         .send_message("retry until delivered", &remote_condition(Millis(10_000)))
@@ -158,7 +156,6 @@ fn partition_during_ack_fails_only_by_deadline() {
     let c = cluster_with(CondConfig {
         ack_grace: Millis(10_000),
     });
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     c.back.apply_fault(FaultAction::Partition).unwrap();
 
     let id = c
@@ -196,7 +193,6 @@ fn evaluation_timeout_bounds_partition_waits() {
     let c = cluster_with(CondConfig {
         ack_grace: Millis(10_000),
     });
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     c.back.apply_fault(FaultAction::Partition).unwrap();
 
     let id = c
@@ -230,7 +226,6 @@ fn evaluation_timeout_bounds_partition_waits() {
 #[test]
 fn compensation_crosses_managers_on_failure() {
     let c = cluster();
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
         .send_message_with_compensation("original", "undo remotely", &remote_condition(Millis(150)))
@@ -274,7 +269,6 @@ fn fan_out_across_two_managers() {
         connect(&remote_qm, &sender_qm),
     );
     let messenger = ConditionalMessenger::new(sender_qm.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
 
     let condition: Condition = DestinationSet::of(vec![
         Destination::queue("QM.SEND", "Q.LOCAL").into(),
@@ -332,7 +326,6 @@ fn example1_with_recipients_on_three_managers() {
         },
     )
     .unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
 
     // Fig. 4, scaled: one "day" = 500 ms.
     const DAY: u64 = 500;

@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use condmsg::config::RETRY_BACKOFF;
 use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
-    MessageStatus,
+    MessageOutcome, MessageStatus,
 };
 use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED};
 use mq::journal::{Journal, JournalRecord, MemJournal};
@@ -409,9 +410,9 @@ fn a_message_is_pending_while_the_record_that_decides_it_is_written() {
 fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
     // The outcome queue has no room: that is the sender's trouble, not the
     // reader's. The trigger declines, the reader's record queues the ack as
-    // if no trigger were installed, and the verdict is retried from the
-    // queue once there is room.
-    let (_clock, journal, qmgr) = timed_world();
+    // if no trigger were installed, and the retry timer takes the ack from
+    // the queue once there is room: no pump, no daemon.
+    let (clock, journal, qmgr) = timed_world();
     let bounded = QueueConfig { max_depth: Some(1) };
     qmgr.create_queue_with("DS.OUTCOME.Q", bounded).unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
@@ -437,7 +438,7 @@ fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
         .take_outcome(first, Wait::NoWait)
         .unwrap()
         .is_some());
-    messenger.pump().unwrap();
+    clock.advance(RETRY_BACKOFF);
     let outcome = messenger
         .take_outcome(second, Wait::NoWait)
         .unwrap()
@@ -452,6 +453,42 @@ fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
     assert_eq!(metrics.counter("cond.ack.queued"), 1);
     assert_eq!(metrics.counter("cond.ack.read"), 2);
     assert_eq!(qmgr.queue("DS.ACK.Q").unwrap().depth(), 0);
+}
+
+#[test]
+fn a_refused_verdict_lands_on_the_retry_timer_once_storage_heals() {
+    // Storage refuses the record that decides a message at its deadline.
+    // Nothing calls pump() and no daemon runs: one retry timer, armed a
+    // backoff ahead, runs the cycle again, re-arming while storage is down.
+    let (clock, journal, qmgr) = timed_world();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(100))
+        .into();
+    let id = messenger
+        .send_message_with_compensation("a", "undo-a", &condition)
+        .unwrap();
+    journal.set_failing(true);
+    clock.advance(Millis(101));
+    assert_eq!(messenger.status(id), MessageStatus::Pending, "refused at t=101");
+    assert_eq!(clock.pending_timers(), 1, "the retry timer alone");
+    clock.advance(RETRY_BACKOFF);
+    assert_eq!(messenger.status(id), MessageStatus::Pending, "still down");
+    assert_eq!(clock.pending_timers(), 1, "re-armed");
+
+    journal.set_failing(false);
+    clock.advance(Millis(RETRY_BACKOFF.as_u64() - 1));
+    assert_eq!(messenger.status(id), MessageStatus::Pending, "before the backoff");
+    clock.advance(Millis(1));
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    assert_eq!(outcome.decided_at, Time(101 + 2 * RETRY_BACKOFF.as_u64()));
+    let reason = outcome.reason.unwrap();
+    assert!(reason.contains("no pick-up by deadline"), "{reason}");
+    assert_eq!(clock.pending_timers(), 0, "nothing owed a retry");
+    // The compensation was released once.
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "the original and its undo");
+    assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
 }
 
 #[test]
@@ -480,13 +517,14 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     for id in &ids {
         assert_eq!(messenger.status(*id), MessageStatus::Pending);
     }
-    // Their triggers are past due, so nothing is armed and time alone
-    // retries nothing.
-    assert_eq!(clock.pending_timers(), 0);
+    // Their triggers are past due, so their own timers stay unarmed (one
+    // would fire at once and spin): one retry timer is armed instead, and
+    // time retries them once per backoff however long storage is down.
+    assert_eq!(clock.pending_timers(), 1);
     let failed_attempts = errors();
     clock.advance(Millis(60_000));
-    assert_eq!(errors(), failed_attempts);
-    assert_eq!(clock.pending_timers(), 0);
+    assert_eq!(errors(), failed_attempts + 60_000 / RETRY_BACKOFF.as_u64());
+    assert_eq!(clock.pending_timers(), 1);
     // A caller's retry while storage is still down fails, and costs the
     // parked compensation nothing however often it happens.
     for _ in 0..2 * qmgr.config().backout_threshold {

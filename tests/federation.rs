@@ -250,7 +250,6 @@ fn fig8_compensation_flow_survives_middle_relay_crash() {
     b.define_route("QM.C", "SYSTEM.XMIT.QM.C").unwrap();
 
     let messenger = ConditionalMessenger::new(a.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
 
     // Group S: generous pick-up window — must survive the relay crash and
     // succeed. Group F: tiny window — must fail and be compensated.

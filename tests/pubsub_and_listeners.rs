@@ -34,7 +34,6 @@ fn wait_for<F: Fn() -> bool>(what: &str, f: F) {
 fn conditional_publish_processed_by_listeners() {
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
     let topic = Topic::open(qmgr.clone(), "jobs").unwrap();
 
     // Three subscriber desks, each served by a push listener that
@@ -124,7 +123,6 @@ fn topic_fanout_to_remote_subscriber_queue() {
 fn quorum_failure_withdraws_from_all_subscribers() {
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
     let topic = Topic::open(qmgr.clone(), "votes").unwrap();
     let q_active = topic.subscribe("active").unwrap();
     topic.subscribe("idle-1").unwrap();
@@ -174,7 +172,6 @@ fn listener_delivers_compensation_with_kind_visible() {
     let qmgr = QueueManager::builder("QM1").build().unwrap();
     qmgr.create_queue("Q").unwrap();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
-    let _daemon = messenger.spawn_daemon(Duration::from_millis(2));
     let kinds = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let kinds2 = kinds.clone();
     let _listener = ConditionalListener::spawn(

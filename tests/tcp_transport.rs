@@ -96,7 +96,6 @@ fn remote_condition(window: Millis) -> Condition {
 #[test]
 fn fig8_success_flow_over_loopback_tcp() {
     let c = tcp_cluster();
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
         .send_message("over a real wire", &remote_condition(Millis(5_000)))
@@ -150,7 +149,6 @@ fn fig8_success_flow_over_loopback_tcp() {
 #[test]
 fn fig8_compensation_flow_over_loopback_tcp() {
     let c = tcp_cluster();
-    let _daemon = c.messenger.spawn_daemon(Duration::from_millis(2));
     let id = c
         .messenger
         .send_message_with_compensation(
