@@ -56,7 +56,7 @@ fn run(append: &(dyn Fn(&JournalRecord) + Sync), writers: usize, per_writer: usi
                     barrier.wait();
                     for i in 0..per_writer {
                         let record = JournalRecord::Put {
-                            queue: "Q.BENCH".to_owned(),
+                            queue: "Q.BENCH".into(),
                             message: Message::text(format!("w{w}-m{i}")).persistent(true).build(),
                         };
                         let t = Instant::now();

@@ -38,8 +38,13 @@ pub const ACK_BATCH: usize = 64;
 
 /// How long after a cycle that storage refused, or acknowledgments the
 /// messenger could not stage, its retry timer runs the next cycle. Each
-/// retry that fails again re-arms it, the way a deadline timer re-arms.
+/// retry that fails again re-arms it twice as far ahead, up to
+/// [`RETRY_BACKOFF_MAX`]; a cycle that succeeds brings it back to this.
 pub const RETRY_BACKOFF: Millis = Millis(10);
+
+/// The longest a retry timer waits: however long storage stays down, a
+/// messenger retries about once a second.
+pub const RETRY_BACKOFF_MAX: Millis = Millis(1_000);
 
 /// The acknowledgment grace of one conditional-messaging service
 /// instance. Its queue names are fixed: the `DEFAULT_*_QUEUE` constants.

@@ -56,8 +56,10 @@
 //! put or the `advance` returns. Under a system clock the timers fire from
 //! the clock's waiter thread. Either way the clock drives every retry: a
 //! cycle that storage refused, or acknowledgments the trigger could not
-//! stage, arm one retry timer [`RETRY_BACKOFF`] ahead. The messenger starts
-//! no thread of its own.
+//! stage, arm one retry timer [`RETRY_BACKOFF`] ahead, twice as far after
+//! each retry that fails again, up to [`RETRY_BACKOFF_MAX`]. The messenger
+//! starts no thread of its own, and takes its timers with it when it is
+//! dropped.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -75,10 +77,10 @@ use simtime::{Millis, Time, TimerId};
 use crate::condition::Condition;
 use crate::config::{
     CondConfig, ServiceQueues, ACK_BATCH, DEFAULT_ACK_QUEUE, DEFAULT_COMP_QUEUE,
-    DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE, RETRY_BACKOFF,
+    DEFAULT_OUTCOME_QUEUE, DEFAULT_SLOG_QUEUE, RETRY_BACKOFF, RETRY_BACKOFF_MAX,
 };
 use crate::error::{CondError, CondResult};
-use crate::eval::{CompiledCondition, Dimension, IncrementalEval, Verdict};
+use crate::eval::{Dimension, IncrementalEval, Verdict};
 use crate::ids::CondMessageId;
 use crate::metrics::MessengerMetrics;
 use crate::shape::{Shape, ShapeTable};
@@ -221,6 +223,35 @@ struct Cycle {
     decided: Vec<Decided>,
 }
 
+/// The messenger's one retry timer.
+struct RetryTimer {
+    /// The armed timer, if any: armed by a cycle that failed or by
+    /// acknowledgments the trigger declined, cleared when it fires or a
+    /// cycle leaves no retry owed.
+    armed: Option<TimerId>,
+    /// How far ahead the next one is armed: [`RETRY_BACKOFF`], doubled by
+    /// each arming up to [`RETRY_BACKOFF_MAX`].
+    backoff: Millis,
+}
+
+impl Default for RetryTimer {
+    fn default() -> RetryTimer {
+        RetryTimer {
+            armed: None,
+            backoff: RETRY_BACKOFF,
+        }
+    }
+}
+
+impl RetryTimer {
+    /// A cycle succeeded and left no retry owed: the backoff starts over,
+    /// and the armed timer, if any, is handed back to be cancelled.
+    fn succeeded(&mut self) -> Option<TimerId> {
+        self.backoff = RETRY_BACKOFF;
+        self.armed.take()
+    }
+}
+
 /// The sender-side conditional messaging service.
 pub struct ConditionalMessenger {
     qmgr: Arc<QueueManager>,
@@ -248,10 +279,9 @@ pub struct ConditionalMessenger {
     /// drain the list under the pump lock and `rearm_ids` puts an id back
     /// only if it is not there.
     retry: Mutex<Vec<CondMessageId>>,
-    /// The one armed retry timer, if any: armed [`RETRY_BACKOFF`] ahead by
-    /// a cycle that failed or by acknowledgments the trigger declined,
-    /// cleared when it fires or a cycle leaves no retry owed.
-    retry_timer: Mutex<Option<TimerId>>,
+    /// The one armed retry timer, if any, and how far ahead the next one
+    /// is armed.
+    retry_timer: Mutex<RetryTimer>,
     /// Back-reference for timer callbacks and the ack queue's trigger slot.
     self_weak: Weak<ConditionalMessenger>,
 }
@@ -300,7 +330,11 @@ impl ConditionalMessenger {
             qmgr.ensure_queue(queue)?;
         }
         let metrics = MessengerMetrics::registered(qmgr.obs().metrics());
-        let shapes = ShapeTable::new(metrics.shapes.clone(), qmgr.name());
+        let shapes = ShapeTable::new(
+            metrics.shapes.clone(),
+            metrics.analyze_runs.clone(),
+            qmgr.name(),
+        );
         let messenger = Arc::new_cyclic(|weak| ConditionalMessenger {
             qmgr,
             ack_grace: config.ack_grace,
@@ -309,7 +343,7 @@ impl ConditionalMessenger {
             pump_lock: Mutex::new(()),
             metrics,
             retry: Mutex::new(Vec::new()),
-            retry_timer: Mutex::new(None),
+            retry_timer: Mutex::new(RetryTimer::default()),
             self_weak: weak.clone(),
         });
         messenger.recover()?;
@@ -414,17 +448,10 @@ impl ConditionalMessenger {
         let payload = payload.into();
         let send_time = self.qmgr.clock().now();
         let (record, key) = wire::send_payload(send_time, condition, &options);
-        let shape = self.shape(&record.slice(key), condition)?;
-        let ctx = crate::analyze::AnalyzeContext {
-            evaluation_timeout: options.evaluation_timeout,
-            ack_grace: self.ack_grace,
-            has_compensation: Some(compensation.is_some()),
-        };
-        let report = crate::analyze::analyze_with(condition, &ctx);
-        self.metrics.analyze_runs.incr();
-        if let Ok(err) = report.into_error() {
+        let shape = self.shapes.intern(&record.slice(key), condition)?;
+        if let Some(refusal) = shape.refusal() {
             self.metrics.analyze_rejected.incr();
-            return Err(CondError::Analysis(err));
+            return Err(CondError::Analysis(refusal.clone()));
         }
 
         // One local transaction covers: the send record (WAL), the fan-out
@@ -477,18 +504,6 @@ impl ConditionalMessenger {
             self.run_event(&[cond_id]);
         }
         Ok(cond_id)
-    }
-
-    /// The interned shape of `condition`, whose wire encoding is
-    /// `encoded`: compiled, and so validated, only when no live shape has
-    /// these bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CondError::InvalidCondition`] from the compile.
-    fn shape(&self, encoded: &Bytes, condition: &Condition) -> CondResult<Arc<Shape>> {
-        self.shapes
-            .intern(encoded, || CompiledCondition::compile(condition))
     }
 
     /// Arms the timer of `id`, just sent, when that is all the cycle its
@@ -560,7 +575,7 @@ impl ConditionalMessenger {
             self.arm_retry();
         } else {
             // Nothing is owed a retry: the list is empty, the queue drained.
-            let armed = self.retry_timer.lock().take();
+            let armed = self.retry_timer.lock().succeeded();
             if let Some(timer) = armed {
                 self.qmgr.clock().cancel(timer);
             }
@@ -865,28 +880,30 @@ impl ConditionalMessenger {
         self.run_event(&[id]);
     }
 
-    /// Arms the retry timer [`RETRY_BACKOFF`] ahead, unless it is armed or
-    /// the manager has stopped (then no cycle can succeed). Its fire runs
-    /// one cycle from the queue — the retry list, then the acknowledgments
-    /// waiting on `DS.ACK.Q` — and a cycle that fails again arms it again.
+    /// Arms the retry timer its backoff ahead, unless it is armed or the
+    /// manager has stopped (then no cycle can succeed). Its fire runs one
+    /// cycle from the queue — the retry list, then the acknowledgments
+    /// waiting on `DS.ACK.Q` — and a cycle that fails again arms it again,
+    /// twice as far ahead.
     fn arm_retry(&self) {
-        let mut armed = self.retry_timer.lock();
-        if armed.is_some() || !self.qmgr.is_running() {
+        let mut retry = self.retry_timer.lock();
+        if retry.armed.is_some() || !self.qmgr.is_running() {
             return;
         }
         let clock = self.qmgr.clock();
         let weak = self.self_weak.clone();
         let timer = clock.schedule_at(
-            clock.now() + RETRY_BACKOFF,
+            clock.now() + retry.backoff,
             Box::new(move || {
                 if let Some(messenger) = weak.upgrade() {
                     let _serial = messenger.pump_lock.lock();
-                    *messenger.retry_timer.lock() = None;
+                    messenger.retry_timer.lock().armed = None;
                     messenger.run_event(&[]);
                 }
             }),
         );
-        *armed = Some(timer);
+        retry.armed = Some(timer);
+        retry.backoff = (retry.backoff * 2).min(RETRY_BACKOFF_MAX);
     }
 
     /// Ensures each of the given pending messages has exactly one armed
@@ -1084,7 +1101,7 @@ impl ConditionalMessenger {
                 let record = record.ok_or(CondError::UnknownMessage(cond_id))?;
                 // The leaves come from the send record: after a restart it
                 // is all that is left of the message.
-                let shape = self.shape(&record.condition.to_bytes(), &record.condition)?;
+                let shape = self.shapes.intern(&record.condition.to_bytes(), &record.condition)?;
                 let mut actions = Vec::new();
                 self.stage_outcome_actions(
                     &mut session,
@@ -1247,7 +1264,7 @@ impl ConditionalMessenger {
         let mut pending = IdMap::with_capacity_and_hasher(sends.len(), Default::default());
         for (cond_id, record) in sends {
             // Every record of one condition shares its shape.
-            let shape = self.shape(&record.condition.to_bytes(), &record.condition)?;
+            let shape = self.shapes.intern(&record.condition.to_bytes(), &record.condition)?;
             let mut eval =
                 PendingEval::new(shape, record.send_time, &record.options, self.ack_grace);
             for ack in acks.get(&cond_id).into_iter().flatten() {
@@ -1270,6 +1287,20 @@ impl ConditionalMessenger {
     /// None; the `Result` is the caller's.
     pub fn spawn_daemon(self: &Arc<Self>, _poll: Duration) -> CondResult<EvaluationDaemon> {
         Ok(EvaluationDaemon)
+    }
+}
+
+/// A dropped messenger disarms every timer it armed: the clock outlives
+/// it, and each deadline and retry timer would otherwise stay armed,
+/// holding its callback, until it came due, to find no messenger.
+impl Drop for ConditionalMessenger {
+    fn drop(&mut self) {
+        let clock = self.qmgr.clock();
+        let deadlines = self.pending.get_mut().values().filter_map(|eval| eval.timer);
+        let timers = deadlines.map(|(timer, _)| timer);
+        for timer in timers.chain(self.retry_timer.get_mut().armed) {
+            clock.cancel(timer);
+        }
     }
 }
 
@@ -1298,6 +1329,7 @@ impl ArrivalTrigger for ConditionalMessenger {
         let staged = self.stage_cycle(tx, &mut cycle, arrived, &mut ids, 0);
         let end = move |committed: bool| {
             if committed {
+                self.retry_timer.lock().backoff = RETRY_BACKOFF;
                 self.publish(cycle);
             } else {
                 self.metrics.eval_errors.incr();
@@ -1410,6 +1442,32 @@ mod tests {
         assert_eq!(messenger.metrics.analyze_runs.get(), 1);
         assert_eq!(messenger.metrics.analyze_rejected.get(), 0);
         assert!(qmgr.get("Q.A", Wait::NoWait).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_shape_is_analyzed_once_and_every_refused_send_counted() {
+        let (_clock, _qmgr, messenger) = setup();
+        let runs = &messenger.metrics.analyze_runs;
+        let rejected = &messenger.metrics.analyze_rejected;
+        // Three sends of one condition share its shape, which holds the
+        // analysis's verdict: one analysis.
+        let cond = two_dest_condition(Millis(100));
+        for _ in 0..3 {
+            messenger.send_message("ok", &cond).unwrap();
+        }
+        assert_eq!((runs.get(), rejected.get()), (1, 0));
+        // A refused send leaves nothing pending to hold its shape, so the
+        // next send of that condition analyzes it again; each refusal is
+        // counted.
+        let doomed = two_dest_condition(Millis::ZERO);
+        for _ in 0..2 {
+            let refused = messenger.send_message("doomed", &doomed);
+            assert!(matches!(refused, Err(CondError::Analysis(_))), "{refused:?}");
+        }
+        assert_eq!((runs.get(), rejected.get()), (3, 2));
+        messenger.send_message("ok", &cond).unwrap();
+        assert_eq!((runs.get(), rejected.get()), (3, 2), "the shape is still live");
+        assert_eq!(messenger.metrics.sent.get(), 4);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! One compiled form per distinct condition.
 //!
 //! Applications send the same condition again and again. A messenger keeps
-//! one [`Shape`] per condition it has pending — the compiled tree, its
-//! encoded bytes and each leaf's original as a message template — and
-//! every send, recovery and release of that condition shares it, so the
-//! tree is compiled (and validated) once, not once per message.
+//! one [`Shape`] per condition it has pending — the compiled tree, the
+//! static analysis's verdict on it, its encoded bytes and each leaf's
+//! original as a message template — and every send, recovery and release
+//! of that condition shares it, so the tree is compiled (and validated)
+//! and analyzed once, not once per message: the verdict depends on the
+//! condition alone. Counter `cond.analyze.runs` counts the analyses.
 //!
 //! The key is the condition's wire encoding, the bytes its send record
 //! carries: two conditions share a shape exactly when those bytes are
@@ -19,9 +21,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use mq::{Gauge, Message};
+use mq::{Counter, Gauge, Message};
 use parking_lot::Mutex;
 
+use crate::analyze::{analyze, AnalyzeError};
+use crate::condition::Condition;
 use crate::config::DEFAULT_ACK_QUEUE;
 use crate::error::CondResult;
 use crate::eval::CompiledCondition;
@@ -32,6 +36,8 @@ use crate::wire;
 #[derive(Debug)]
 pub(crate) struct Shape {
     compiled: CompiledCondition,
+    /// Why the static analysis refuses to send the condition, if it does.
+    refusal: Option<AnalyzeError>,
     /// The condition's wire encoding: the table's key.
     encoded: Bytes,
     /// One per leaf, in leaf-index order.
@@ -54,6 +60,12 @@ impl Shape {
     /// The compiled condition.
     pub fn compiled(&self) -> &CompiledCondition {
         &self.compiled
+    }
+
+    /// Why a send of the condition is refused ([`crate::analyze`]), if it
+    /// is.
+    pub fn refusal(&self) -> Option<&AnalyzeError> {
+        self.refusal.as_ref()
     }
 
     /// Each leaf's template and destination, in leaf-index order.
@@ -89,37 +101,47 @@ pub(crate) struct ShapeTable {
     shapes: Mutex<HashMap<Bytes, Weak<Shape>>>,
     /// `cond.shapes`.
     live: Arc<Gauge>,
+    /// `cond.analyze.runs`.
+    analyses: Arc<Counter>,
     /// The manager the originals name as their sender.
     sender_manager: String,
 }
 
 impl ShapeTable {
-    pub fn new(live: Arc<Gauge>, sender_manager: &str) -> Arc<ShapeTable> {
+    pub fn new(
+        live: Arc<Gauge>,
+        analyses: Arc<Counter>,
+        sender_manager: &str,
+    ) -> Arc<ShapeTable> {
         Arc::new(ShapeTable {
             shapes: Mutex::new(HashMap::new()),
             live,
+            analyses,
             sender_manager: sender_manager.to_owned(),
         })
     }
 
-    /// The live shape of the condition encoded as `encoded`, or a new one
-    /// of `compile()`'s result when there is none. The table is not held
-    /// while `compile` runs: of two threads that both miss, the first to
-    /// insert wins and the other's shape is never made.
+    /// The live shape of `condition`, whose wire encoding is `encoded`, or
+    /// a new one, compiled and analyzed, when there is none. The table is
+    /// not held while the new one is made: of two threads that both miss,
+    /// the first to insert wins and the other's shape is never used.
     ///
     /// # Errors
     ///
-    /// What `compile` returns; nothing is interned then.
+    /// [`CondError::InvalidCondition`](crate::CondError::InvalidCondition)
+    /// from the compile; nothing is interned then.
     pub fn intern(
         self: &Arc<Self>,
         encoded: &Bytes,
-        compile: impl FnOnce() -> CondResult<CompiledCondition>,
+        condition: &Condition,
     ) -> CondResult<Arc<Shape>> {
         let live = |shapes: &HashMap<Bytes, Weak<Shape>>| shapes.get(encoded)?.upgrade();
         if let Some(shape) = live(&self.shapes.lock()) {
             return Ok(shape);
         }
-        let compiled = compile()?;
+        let compiled = CompiledCondition::compile(condition)?;
+        self.analyses.incr();
+        let refusal = analyze(condition).into_error().ok();
         let leaves: Vec<ShapeLeaf> = compiled
             .leaves()
             .iter()
@@ -134,6 +156,7 @@ impl ShapeTable {
         }
         let shape = Arc::new(Shape {
             compiled,
+            refusal,
             encoded: encoded.clone(),
             send_detail: format!("{} leaves", leaves.len()).into(),
             leaves,

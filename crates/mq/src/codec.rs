@@ -37,6 +37,11 @@
 //!   in a segment file, in the frame before it: ids of one process are
 //!   consecutive ([`MessageId::generate`]), so most take one or two bytes
 //!   instead of sixteen.
+//!
+//! A journal record's queue names (`Encoder::put_queue_name`) take a third
+//! form besides a registry code and a literal: a name spelled out earlier
+//! in the record or, in a segment file, in a frame before it is written as
+//! the one-byte code its `NameTable` gave it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -363,22 +368,36 @@ impl Decoder {
         }
     }
 
-    /// Reads a string written with [`Encoder::put_wire_str`] as a shared
-    /// name: a registered one is the one copy every read of it shares.
-    pub fn get_wire_name(&mut self) -> Result<Arc<str>, CodecError> {
-        static NAMES: OnceLock<Vec<Arc<str>>> = OnceLock::new();
-        match self.get_varint()? {
-            0 => Ok(self.get_str()?.into()),
-            code => {
-                let names = NAMES
-                    .get_or_init(|| WIRE_STRING_REGISTRY.iter().map(|s| Arc::from(*s)).collect());
-                usize::try_from(code - 1)
-                    .ok()
-                    .and_then(|at| names.get(at))
-                    .cloned()
-                    .ok_or(CodecError::UnknownWireString(code))
+    /// Reads a queue name written with [`Encoder::put_queue_name`] under
+    /// `names`, the table its writer was handed, and moves the table as the
+    /// writer moved its own. A registered name is the one copy every read
+    /// of it shares, and every other is the one copy its table holds.
+    pub(crate) fn get_queue_name(
+        &mut self,
+        names: &mut NameTable,
+    ) -> Result<Arc<str>, CodecError> {
+        static REGISTERED: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+        let code = match self.get_u8()? {
+            FILE_NAME_ESCAPE => u64::from(FILE_NAME_ESCAPE).saturating_add(self.get_varint()?),
+            byte => u64::from(byte),
+        };
+        let found = match code {
+            0 => {
+                let text = self.get_bytes()?;
+                let name: Arc<str> = std::str::from_utf8(&text)
+                    .map_err(|_| CodecError::InvalidUtf8)?
+                    .into();
+                names.define(&name);
+                return Ok(name);
             }
-        }
+            code if code < FILE_NAME_CODE => REGISTERED
+                .get_or_init(|| WIRE_STRING_REGISTRY.iter().map(|s| Arc::from(*s)).collect())
+                .get(code as usize - 1),
+            code => usize::try_from(code - FILE_NAME_CODE)
+                .ok()
+                .and_then(|at| names.names.get(at)),
+        };
+        found.cloned().ok_or(CodecError::UnknownWireString(code))
     }
 
     /// Reads an optional value written with [`Encoder::put_opt`].
@@ -673,6 +692,77 @@ impl Decoder {
         };
         cursor.0 = id;
         Ok(id)
+    }
+}
+
+/// The first per-file name code ([`NameTable`]). Every code below it is a
+/// registry code or free for one: the registry is bounded below it, so a
+/// per-file code keeps its meaning however the registry grows.
+const FILE_NAME_CODE: u64 = 128;
+
+/// The byte that opens a per-file name code too large for one byte: the
+/// code less this follows as a varint.
+const FILE_NAME_ESCAPE: u8 = 255;
+
+/// The queue names a journal record, and the records before it in its
+/// segment file, spelled out: after its first literal, a name no registry
+/// code covers is written as its per-file code ([`Encoder::put_queue_name`]).
+/// It has the lifecycle of an [`IdCursor`]: fresh for a record on its own
+/// and where a segment file starts, carried from frame to frame through
+/// the file, and so a function of the file's bytes alone.
+#[derive(Debug, Default)]
+pub(crate) struct NameTable {
+    /// Each name by its per-file code less [`FILE_NAME_CODE`].
+    names: Vec<Arc<str>>,
+    /// Each name's per-file code.
+    codes: HashMap<Arc<str>, u64>,
+}
+
+impl NameTable {
+    /// How many names the table has given a code.
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Gives `name`, just written or read as a literal, the next per-file
+    /// code.
+    fn define(&mut self, name: &Arc<str>) {
+        let code = FILE_NAME_CODE + self.names.len() as u64;
+        self.names.push(Arc::clone(name));
+        self.codes.insert(Arc::clone(name), code);
+    }
+
+    /// Forgets every name but the first `len`: a frame that was never
+    /// written defined none.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len..) {
+            self.codes.remove(&name);
+        }
+    }
+}
+
+impl Encoder {
+    /// Appends a queue name of a journal record and moves `names`: a
+    /// registered name as its code (one byte), a name `names` holds as its
+    /// per-file code ([`FILE_NAME_CODE`] + its position: one byte below
+    /// [`FILE_NAME_ESCAPE`], past it that byte and the rest as a varint),
+    /// any other as `0` followed by the name, which takes the next per-file
+    /// code.
+    pub(crate) fn put_queue_name(&mut self, name: &Arc<str>, names: &mut NameTable) {
+        if let Some(code) = wire_string_codes().get(&**name) {
+            return self.put_varint(*code);
+        }
+        if let Some(&code) = names.codes.get(&**name) {
+            let escape = u64::from(FILE_NAME_ESCAPE);
+            if code < escape {
+                return self.put_u8(code as u8);
+            }
+            self.put_u8(FILE_NAME_ESCAPE);
+            return self.put_varint(code - escape);
+        }
+        self.put_varint(0);
+        self.put_str(name);
+        names.define(name);
     }
 }
 
@@ -1191,6 +1281,50 @@ mod tests {
             with("app.dest", "Q.IN"),
             2 + "app.dest".len() + 1 + 2 + "Q.IN".len()
         );
+    }
+
+    #[test]
+    fn a_queue_name_is_a_registry_code_a_file_code_or_a_literal() {
+        let queue = |i: usize| -> Arc<str> { format!("Q.{i}").into() };
+        let registered: Arc<str> = WIRE_STRING_REGISTRY[0].into();
+        let mut enc = Encoder::new();
+        let mut names = NameTable::default();
+        // 300 names spelled out (each defines the next code), then each
+        // again: the first 127 codes fit one byte, the rest take the
+        // escape and a varint. A registered name is its one-byte code.
+        for i in 0..300 {
+            let before = enc.len();
+            enc.put_queue_name(&queue(i), &mut names);
+            assert_eq!(enc.len() - before, 2 + queue(i).len());
+        }
+        for i in 0..300 {
+            let before = enc.len();
+            enc.put_queue_name(&queue(i), &mut names);
+            let coded = if i < 127 { 1 } else { 1 + varint_len(i as u64 - 127) };
+            assert_eq!(enc.len() - before, coded, "name {i}");
+        }
+        let before = enc.len();
+        enc.put_queue_name(&registered, &mut names);
+        assert_eq!(enc.len() - before, 1);
+        assert_eq!(names.len(), 300);
+        let mut dec = Decoder::new(enc.finish());
+        let mut read = NameTable::default();
+        for i in (0..300).chain(0..300) {
+            assert_eq!(dec.get_queue_name(&mut read).unwrap(), queue(i));
+        }
+        assert_eq!(dec.get_queue_name(&mut read).unwrap(), registered);
+        assert!(dec.is_exhausted());
+        // Every read of a name shares the copy its literal defined.
+        let mut coded = Encoder::new();
+        coded.put_queue_name(&queue(299), &mut names);
+        let shared = Decoder::new(coded.finish()).get_queue_name(&mut read);
+        assert!(Arc::ptr_eq(&shared.unwrap(), &read.names[299]));
+        // A code no literal before it defined is refused.
+        let mut fresh = NameTable::default();
+        for code in [vec![128u8], vec![254], vec![255, 5]] {
+            let unknown = Decoder::new(Bytes::from(code)).get_queue_name(&mut fresh);
+            assert!(matches!(unknown, Err(CodecError::UnknownWireString(_))), "{unknown:?}");
+        }
     }
 
     #[test]

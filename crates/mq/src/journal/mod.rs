@@ -34,7 +34,9 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::codec::{crc32, CodecError, Decoder, Encoder, IdCursor, WireDecode, WireEncode};
+use crate::codec::{
+    crc32, CodecError, Decoder, Encoder, IdCursor, NameTable, WireDecode, WireEncode,
+};
 use crate::error::{MqError, MqResult};
 use crate::message::{Message, MessageId};
 use crate::stats::MetricsRegistry;
@@ -55,7 +57,7 @@ pub enum JournalRecord {
     /// A live persistent message: one row of a checkpoint snapshot.
     Put {
         /// The queue it is on.
-        queue: String,
+        queue: Arc<str>,
         /// The full message.
         message: Message,
     },
@@ -96,31 +98,51 @@ pub enum JournalRecord {
     },
 }
 
+/// What a record's encoding carries on from the records before it: in a
+/// [`SegmentedJournal`], from the frames before it in its segment file,
+/// fresh where the file starts; for a record on its own, nothing.
+#[derive(Debug, Default)]
+pub(crate) struct FileCursor {
+    /// The id the record's first id is written relative to.
+    pub(crate) ids: IdCursor,
+    /// The queue names that take a per-file code.
+    pub(crate) names: NameTable,
+}
+
+impl FileCursor {
+    /// Starts afresh, as for a record on its own, keeping the table's room.
+    fn restart(&mut self) {
+        self.ids = IdCursor::default();
+        self.names.truncate(0);
+    }
+}
+
 impl WireEncode for JournalRecord {
-    /// The record on its own: its ids start from a fresh cursor.
+    /// The record on its own: its ids and names start from a fresh cursor.
     fn encode(&self, enc: &mut Encoder) {
-        self.encode_after(enc, &mut IdCursor::default());
+        self.encode_after(enc, &mut FileCursor::default());
     }
 }
 
 impl WireDecode for JournalRecord {
-    /// The record on its own: its ids start from a fresh cursor.
+    /// The record on its own: its ids and names start from a fresh cursor.
     fn decode(dec: &mut Decoder) -> Result<Self, CodecError> {
-        JournalRecord::decode_after(dec, &mut IdCursor::default())
+        JournalRecord::decode_after(dec, &mut FileCursor::default())
     }
 }
 
 // lint: registry-sink journal-tag
 impl JournalRecord {
-    /// Encodes the record with its ids continuing from `ids`, the cursor
-    /// the id written before the record left: a [`SegmentedJournal`]
-    /// carries one cursor through a segment file, so a record's first id
-    /// is a delta from the last id of the frame before it. A
-    /// `CheckpointStart` alone starts from a fresh cursor and leaves `ids`
-    /// as it was, so it may be written behind a frame whose cursor the
-    /// writer does not know. Whatever decodes the record must hand
+    /// Encodes the record continuing from `file`, what the records written
+    /// before it left: a [`SegmentedJournal`] carries one cursor through a
+    /// segment file, so a record's first id is a delta from the last id of
+    /// the frame before it, and a queue name spelled out earlier in the
+    /// file is its per-file code. A `CheckpointStart` alone neither reads
+    /// nor moves `file`, so it may be written behind a frame whose cursor
+    /// the writer does not know. Whatever decodes the record must hand
     /// [`JournalRecord::decode_after`] the cursor this call was handed.
-    pub(crate) fn encode_after(&self, enc: &mut Encoder, ids: &mut IdCursor) {
+    pub(crate) fn encode_after(&self, enc: &mut Encoder, file: &mut FileCursor) {
+        let FileCursor { ids, names } = file;
         match self {
             JournalRecord::QueueCreated { queue } => {
                 enc.put_u8(0);
@@ -136,10 +158,11 @@ impl JournalRecord {
             // previous put's leaves it out, so a fan-out writes it once.
             // Every id is written relative to the one before it: the puts'
             // ids and correlation ids, then the gets' ids, the first of
-            // them relative to `ids`.
+            // them relative to `ids`. Every queue name is a registry code,
+            // a per-file code or a literal that defines one.
             JournalRecord::Put { queue, message } => {
                 enc.put_u8(13);
-                enc.put_wire_str(queue);
+                enc.put_queue_name(queue, names);
                 enc.put_image(message, None, ids);
             }
             JournalRecord::TxCommit { puts, gets } => {
@@ -148,13 +171,13 @@ impl JournalRecord {
                 enc.put_varint(written.clone().count() as u64);
                 let mut previous = None;
                 for (q, m) in written {
-                    enc.put_wire_str(q);
+                    enc.put_queue_name(q, names);
                     enc.put_image(m, previous, ids);
                     previous = Some(m);
                 }
                 enc.put_varint(gets.len() as u64);
                 for (q, id) in gets {
-                    enc.put_wire_str(q);
+                    enc.put_queue_name(q, names);
                     enc.put_id(id.as_u128(), ids);
                 }
             }
@@ -185,11 +208,12 @@ impl JournalRecord {
     }
 
     /// Decodes a record written by [`JournalRecord::encode_after`] under
-    /// the cursor `ids`, moving it as the encoder moved its own.
+    /// the cursor `file`, moving it as the encoder moved its own.
     pub(crate) fn decode_after(
         dec: &mut Decoder,
-        ids: &mut IdCursor,
+        file: &mut FileCursor,
     ) -> Result<JournalRecord, CodecError> {
+        let FileCursor { ids, names } = file;
         match dec.get_u8()? {
             0 => Ok(JournalRecord::QueueCreated {
                 queue: dec.get_wire_str()?,
@@ -198,7 +222,7 @@ impl JournalRecord {
                 queue: dec.get_wire_str()?,
             }),
             13 => Ok(JournalRecord::Put {
-                queue: dec.get_wire_str()?,
+                queue: dec.get_queue_name(names)?,
                 message: dec.get_image(None, ids)?,
             }),
             14 => {
@@ -206,14 +230,14 @@ impl JournalRecord {
                 let mut puts: Vec<(Arc<str>, Message)> =
                     Vec::with_capacity(n_puts.min(1024) as usize);
                 for _ in 0..n_puts {
-                    let q = dec.get_wire_name()?;
+                    let q = dec.get_queue_name(names)?;
                     let m = dec.get_image(puts.last().map(|(_, p)| p.payload()), ids)?;
                     puts.push((q, m));
                 }
                 let n_gets = dec.get_varint()?;
                 let mut gets = Vec::with_capacity(n_gets.min(1024) as usize);
                 for _ in 0..n_gets {
-                    let q = dec.get_wire_name()?;
+                    let q = dec.get_queue_name(names)?;
                     let id = MessageId::from_u128(dec.get_id(ids)?);
                     gets.push((q, id));
                 }
@@ -463,9 +487,10 @@ pub struct MemJournal {
     /// re-enter the journal (e.g. append during recovery).
     // lint: never-hold(MemJournal.records) across sink
     records: Mutex<Vec<Bytes>>,
-    /// The buffer each append encodes its record into before copying it
-    /// out at its exact length, kept from one append to the next.
-    buffer: Mutex<Vec<u8>>,
+    /// The buffer each record is encoded into before it is copied out at
+    /// its exact length, and the cursor it is encoded under (restarted for
+    /// each record), both kept from one record to the next.
+    buffer: Mutex<(Vec<u8>, FileCursor)>,
     bytes: AtomicU64,
     /// While set, every append and checkpoint fails, retaining nothing.
     failing: AtomicBool,
@@ -509,6 +534,17 @@ impl MemJournal {
         }
     }
 
+    /// `record` on its own, as [`WireEncode::to_bytes`] writes it.
+    fn encode(&self, record: &JournalRecord) -> Bytes {
+        let mut buffer = self.buffer.lock();
+        let (bytes, file) = &mut *buffer;
+        file.restart();
+        let mut enc = Encoder::reuse(std::mem::take(bytes));
+        record.encode_after(&mut enc, file);
+        *bytes = enc.into_vec();
+        Bytes::copy_from_slice(bytes)
+    }
+
     fn check_storage(&self) -> MqResult<()> {
         if self.is_failing() {
             return Err(MqError::Io(std::io::Error::other(
@@ -522,13 +558,7 @@ impl MemJournal {
 impl Journal for MemJournal {
     fn append(&self, record: &JournalRecord) -> MqResult<()> {
         self.check_storage()?;
-        let bytes = {
-            let mut buffer = self.buffer.lock();
-            let mut enc = Encoder::reuse(std::mem::take(&mut *buffer));
-            record.encode(&mut enc);
-            *buffer = enc.into_vec();
-            Bytes::copy_from_slice(&buffer)
-        };
+        let bytes = self.encode(record);
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.records.lock().push(bytes);
         Ok(())
@@ -551,7 +581,7 @@ impl Journal for MemJournal {
         let mut encoded = Vec::new();
         let mut total = 0u64;
         for record in records {
-            let bytes = record.to_bytes();
+            let bytes = self.encode(&record);
             total += bytes.len() as u64;
             encoded.push(bytes);
         }
@@ -717,33 +747,39 @@ pub(crate) mod tests {
 
         const PAYLOADS: [&[u8]; 3] = [b"", b"shared payload", b"another one"];
 
-        fn put(payload: &'static [u8]) -> (Arc<str>, Message) {
+        /// Queue names: unregistered ones, repeated, and a registered one.
+        const QUEUES: [&str; 3] = ["Q", "SYSTEM.XMIT.QM.TAIL", "DS.ACK.Q"];
+
+        fn put(queue: &str, payload: &'static [u8]) -> (Arc<str>, Message) {
             let msg = Message::builder(Bytes::from_static(payload))
                 .persistent(true)
                 .build();
-            ("Q".into(), msg)
+            (queue.into(), msg)
         }
 
         proptest! {
-            // Any sequence of puts, runs of equal payloads among them,
-            // round-trips byte for byte; the record is exactly the whole
-            // images less each repeated payload (with its length byte),
-            // each id in its relative form, and every strict prefix of it
-            // fails to decode.
+            // Any sequence of puts, runs of equal payloads and repeated
+            // queue names among them, round-trips byte for byte; the record
+            // is exactly the whole images less each repeated payload (with
+            // its length byte), each id in its relative form, each queue
+            // name in its form, and every strict prefix of it fails to
+            // decode.
             #[test]
             fn any_tx_commit_roundtrips_and_elides_exactly_the_repeats(
-                picks in proptest::collection::vec(0..PAYLOADS.len(), 0..12),
+                picks in proptest::collection::vec((0..PAYLOADS.len(), 0..QUEUES.len()), 0..12),
                 cut_seed in any::<u64>(),
             ) {
-                let puts: Vec<(Arc<str>, Message)> = picks.iter().map(|&p| put(PAYLOADS[p])).collect();
+                let puts: Vec<(Arc<str>, Message)> =
+                    picks.iter().map(|&(p, q)| put(QUEUES[q], PAYLOADS[p])).collect();
                 let repeated: usize = picks
                     .windows(2)
-                    .filter(|w| w[0] == w[1])
-                    .map(|w| 1 + PAYLOADS[w[1]].len())
+                    .filter(|w| w[0].0 == w[1].0)
+                    .map(|w| 1 + PAYLOADS[w[1].0].len())
                     .sum();
-                let whole: usize = puts.iter().map(|(q, m)| 2 + q.len() + m.wire_len()).sum();
+                let whole: usize = puts.iter().map(|(_, m)| m.wire_len()).sum();
                 let ids: Vec<u128> = puts.iter().map(|(_, m)| m.id().as_u128()).collect();
-                let whole = whole - 16 * ids.len() + id_forms_len(&ids);
+                let queues: Vec<&str> = puts.iter().map(|(q, _)| &**q).collect();
+                let whole = whole - 16 * ids.len() + id_forms_len(&ids) + names_len(&queues);
                 let record = JournalRecord::TxCommit { puts, gets: vec![] };
                 let bytes = record.to_bytes();
                 prop_assert_eq!(bytes.len(), 1 + 1 + whole - repeated + 1);
@@ -759,9 +795,10 @@ pub(crate) mod tests {
             // each from one of two epochs — round-trip byte for byte
             // in a `TxCommit` and in a `CheckpointStart`. Each record is
             // its whole images less exactly 16 bytes per id plus that id's
-            // relative form from the id before it in the record, and every
-            // strict prefix of it fails to decode. Decoding the record a
-            // second time reads the same: nothing carries over.
+            // relative form from the id before it in the record (and its
+            // queue names, one name written once and then by its code), and
+            // every strict prefix of it fails to decode. Decoding the
+            // record a second time reads the same: nothing carries over.
             #[test]
             fn any_ids_roundtrip_and_each_takes_exactly_its_relative_form(
                 ids in arb_ids(),
@@ -807,12 +844,13 @@ pub(crate) mod tests {
                     .filter(|w| w[0].1 == w[1].1)
                     .map(|w| 1 + if w[1].1 { "shared".len() } else { 0 })
                     .sum();
-                let images: usize = puts.iter().map(|(_, m)| 3 + m.wire_len()).sum();
+                let images: usize = puts.iter().map(|(_, m)| m.wire_len()).sum();
+                let queues = vec!["Q"; puts.len() + gets.len()];
                 let dedup: Vec<(u64, u128)> = stream.iter().map(|&id| (7, id)).collect();
                 let cases = [
                     (
                         JournalRecord::TxCommit { puts, gets: gets.clone() },
-                        1 + 1 + images - repeated + 1 + (3 + 16) * gets.len(),
+                        1 + 1 + images - repeated + 1 + 16 * gets.len() + names_len(&queues),
                     ),
                     (
                         JournalRecord::CheckpointStart {
@@ -873,6 +911,22 @@ pub(crate) mod tests {
                             .collect()
                     }),
             ]
+        }
+
+        /// The bytes `queues` take as the queue names of one record, in
+        /// order: a registered name its one-byte code, any other its
+        /// literal where the record first names it (a zero, a length byte
+        /// and the name) and its one-byte per-file code after that.
+        fn names_len(queues: &[&str]) -> usize {
+            let mut seen = std::collections::HashSet::new();
+            queues
+                .iter()
+                .map(|q| match (crate::obs::WIRE_STRING_REGISTRY.contains(q), seen.insert(*q)) {
+                    (true, _) => 1,
+                    (false, true) => 2 + q.len(),
+                    (false, false) => 1,
+                })
+                .sum()
         }
 
         /// The bytes `stream`'s ids take, each relative to the one before

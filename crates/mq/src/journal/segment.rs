@@ -20,18 +20,23 @@
 //! segment was fsynced before its successor was created, so a hole in it
 //! is lost acknowledged data, not a crash artefact.
 //!
-//! **One id cursor per file.** A record's ids are written relative to the
-//! id before them ([`IdCursor`]), and the cursor runs on from frame to
-//! frame through a segment file: a frame's first id is a delta from the
-//! last id of the frame before it. It restarts (at 0) only where a file
-//! starts — the first append, a roll, a checkpoint, and the first append
-//! after [`SegmentedJournal::open`], which opens a new file rather than
-//! decode the last one for its cursor. So the cursor is a function of the
-//! file's bytes alone, and a frame decodes only after every frame before
-//! it in its file: replay from an LSN in the middle of a segment decodes
-//! from the start of that file. A `CheckpointStart` writes its ids from a
-//! cursor of its own and leaves the file's alone, so an appended one may
-//! join the file `open` found without decoding it.
+//! **One cursor per file.** A record's ids are written relative to the
+//! id before them ([`IdCursor`](crate::codec::IdCursor)), and a queue name
+//! no registry code covers is spelled out once and then written as a
+//! per-file code (`codec::NameTable`). Both run on from frame to frame
+//! through a segment file: a frame's first id is a delta from the last id
+//! of the frame before it, and a name an earlier frame spelled out is one
+//! byte. They restart (at 0, empty) only where a file starts — the first
+//! append, a roll, a checkpoint, and the first append after
+//! [`SegmentedJournal::open`], which opens a new file rather than decode
+//! the last one for its cursor. So the cursor is a function of the file's
+//! bytes alone, and a frame decodes only after every frame before it in
+//! its file: replay from an LSN in the middle of a segment decodes from
+//! the start of that file, and a code the file has not defined is
+//! [`MqError::JournalCorrupt`]. A `CheckpointStart` writes its ids from a
+//! cursor of its own and its queue names spelled out, and leaves the
+//! file's cursor alone, so an appended one may join the file `open` found
+//! without decoding it.
 //!
 //! **Commit path.** `append` takes the lock, stamps the LSN and writes the
 //! frame. With [`SegmentConfig::sync_every_append`] it then waits until the
@@ -67,11 +72,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use crate::codec::{crc32, CodecError, Decoder, Encoder, IdCursor};
+use crate::codec::{crc32, CodecError, Decoder, Encoder};
 use crate::error::{MqError, MqResult};
 use crate::stats::{Counter, Histogram, MetricsRegistry};
 
-use super::{FrameStream, Journal, JournalRecord, ReplaySink};
+use super::{FileCursor, FrameStream, Journal, JournalRecord, ReplaySink};
 
 /// Segment file extension; a checkpoint in progress carries [`TMP_SUFFIX`]
 /// behind it.
@@ -113,12 +118,12 @@ struct Active {
     file: Arc<File>,
     /// Bytes in the segment (drives rolling).
     bytes: u64,
-    /// The id cursor after the segment's last frame, which the next
-    /// frame's ids continue from. `None` for the segment `open` found
+    /// The id cursor and name table after the segment's last frame, which
+    /// the next frame continues from. `None` for the segment `open` found
     /// last: its cursor is in its frames, which `open` does not decode,
-    /// so only a `CheckpointStart` (whose ids need no cursor) joins it and
+    /// so only a `CheckpointStart` (which needs no cursor) joins it and
     /// any other append opens the next segment.
-    ids: Option<IdCursor>,
+    cursor: Option<FileCursor>,
 }
 
 struct Inner {
@@ -199,19 +204,18 @@ impl fmt::Debug for SegmentedJournal {
 
 /// Encodes one segment frame into `buf`: the standard `[len][crc]`
 /// envelope over `[lsn varint][record bytes]`, the record written in place
-/// with its ids continuing from `ids`, the cursor of the frame before it in
-/// the file.
+/// continuing from `cursor`, the cursor of the frame before it in the file.
 fn encode_segment_frame(
     lsn: u64,
     record: &JournalRecord,
-    ids: &mut IdCursor,
+    cursor: &mut FileCursor,
     buf: Vec<u8>,
 ) -> Vec<u8> {
     let mut enc = Encoder::reuse(buf);
     // Length and CRC, filled in once the body is written.
     enc.put_u64(0);
     enc.put_varint(lsn);
-    record.encode_after(&mut enc, ids);
+    record.encode_after(&mut enc, cursor);
     let mut frame = enc.into_vec();
     let body_len = (frame.len() - 8) as u32;
     let crc = crc32(&frame[8..]);
@@ -243,19 +247,19 @@ fn check_lsn(offset: u64, body: &Bytes, expected: u64) -> MqResult<Decoder> {
 }
 
 /// Decodes the record of a CRC-verified frame body stamped `expected`,
-/// under `ids`, the cursor its writer encoded it under.
+/// under `cursor`, the cursor its writer encoded it under.
 fn decode_segment_body(
     offset: u64,
     body: &Bytes,
     expected: u64,
-    ids: &mut IdCursor,
+    cursor: &mut FileCursor,
 ) -> MqResult<JournalRecord> {
     let mut dec = check_lsn(offset, body, expected)?;
     let undecodable = |e| MqError::JournalCorrupt {
         offset,
         reason: format!("undecodable record: {e}"),
     };
-    let record = JournalRecord::decode_after(&mut dec, ids).map_err(undecodable)?;
+    let record = JournalRecord::decode_after(&mut dec, cursor).map_err(undecodable)?;
     if !dec.is_exhausted() {
         return Err(undecodable(CodecError::LengthOverrun {
             declared: 0,
@@ -381,7 +385,7 @@ impl SegmentedJournal {
                 if !matches!(body.get(body.len() - record.remaining()), Some(7 | 8)) {
                     continue;
                 }
-                let marker = decode_segment_body(offset, &body, lsn, &mut IdCursor::default())?;
+                let marker = decode_segment_body(offset, &body, lsn, &mut FileCursor::default())?;
                 match marker {
                     JournalRecord::CheckpointStart { checkpoint_id, .. } if offset == 0 => {
                         opened = Some(checkpoint_id);
@@ -411,7 +415,7 @@ impl SegmentedJournal {
             inner.active = Some(Active {
                 file: Arc::new(OpenOptions::new().append(true).open(&last)?),
                 bytes: valid_len,
-                ids: None,
+                cursor: None,
             });
         }
         // What was found on disk is as durable as it will ever get.
@@ -518,7 +522,7 @@ impl Journal for SegmentedJournal {
             && inner
                 .active
                 .as_ref()
-                .is_some_and(|a| a.bytes >= self.config.roll_bytes || a.ids.is_none())
+                .is_some_and(|a| a.bytes >= self.config.roll_bytes || a.cursor.is_none())
         {
             if inner.durable_lsn >= inner.next_lsn {
                 inner.active = None;
@@ -543,22 +547,24 @@ impl Journal for SegmentedJournal {
                 inner.active.insert(Active {
                     file: Arc::new(file),
                     bytes: 0,
-                    ids: Some(IdCursor::default()),
+                    cursor: Some(FileCursor::default()),
                 })
             }
         };
-        // The cursor moves only once its frame is written. Only a
-        // checkpoint start reaches a segment of unknown cursor, and it
-        // neither reads nor moves one.
-        let mut ids = active.ids.unwrap_or_default();
-        let frame = encode_segment_frame(lsn, record, &mut ids, buf);
+        // The cursor keeps what encoding the frame moved only once the
+        // frame is written: a failed write puts it back. Only a checkpoint
+        // start reaches a segment of unknown cursor, and it neither reads
+        // nor moves one.
+        let mut unknown = FileCursor::default();
+        let cursor = active.cursor.as_mut().unwrap_or(&mut unknown);
+        let (ids, defined) = (cursor.ids, cursor.names.len());
+        let frame = encode_segment_frame(lsn, record, cursor, buf);
         // A short write leaves a torn frame that later frames must not
         // land behind: like a failed sync, it ends the journal's service.
         if let Err(e) = active.file.as_ref().write_all(&frame) {
+            cursor.ids = ids;
+            cursor.names.truncate(defined);
             return Err(inner.fail(e));
-        }
-        if let Some(cursor) = &mut active.ids {
-            *cursor = ids;
         }
         active.bytes += frame.len() as u64;
         inner.next_lsn = lsn + 1;
@@ -595,11 +601,11 @@ impl Journal for SegmentedJournal {
             }
             // Every segment file starts from a fresh cursor, as its writer
             // did, and its frames are decoded in order from its first.
-            let mut ids = IdCursor::default();
+            let mut cursor = FileCursor::default();
             let mut lsn = *first_lsn;
             let mut frames = open_segment(path)?;
             while let Some((offset, body)) = frames.next_body()? {
-                let record = decode_segment_body(offset, &body, lsn, &mut ids)?;
+                let record = decode_segment_body(offset, &body, lsn, &mut cursor)?;
                 lsn += 1;
                 sink(record)?;
             }
@@ -634,10 +640,10 @@ impl Journal for SegmentedJournal {
         let mut writer = BufWriter::new(file);
         let mut seg_bytes = 0u64;
         let mut next_lsn = first_lsn;
-        let mut ids = IdCursor::default();
+        let mut cursor = FileCursor::default();
         let mut frame = Vec::new();
         for record in records {
-            frame = encode_segment_frame(next_lsn, &record, &mut ids, frame);
+            frame = encode_segment_frame(next_lsn, &record, &mut cursor, frame);
             next_lsn += 1;
             writer.write_all(&frame)?;
             seg_bytes += frame.len() as u64;
@@ -653,7 +659,7 @@ impl Journal for SegmentedJournal {
         inner.active = Some(Active {
             file: Arc::new(file),
             bytes: seg_bytes,
-            ids: Some(ids),
+            cursor: Some(cursor),
         });
         inner.next_lsn = next_lsn.max(inner.next_lsn);
         inner.durable_lsn = inner.next_lsn;
@@ -772,18 +778,18 @@ mod tests {
         f.set_len(len - by).unwrap();
     }
 
-    /// The id cursor after the last whole frame of the segment at `path`:
+    /// The cursor after the last whole frame of the segment at `path`:
     /// what its writer carried into the frame it would have written next.
-    fn cursor_after(path: &Path) -> IdCursor {
+    fn cursor_after(path: &Path) -> FileCursor {
         let stem = path.file_stem().and_then(|s| s.to_str()).unwrap();
         let mut lsn: u64 = stem.parse().unwrap();
-        let mut ids = IdCursor::default();
+        let mut cursor = FileCursor::default();
         let mut frames = open_segment(path).unwrap();
         while let Some((offset, body)) = frames.next_body().unwrap() {
-            decode_segment_body(offset, &body, lsn, &mut ids).unwrap();
+            decode_segment_body(offset, &body, lsn, &mut cursor).unwrap();
             lsn += 1;
         }
-        ids
+        cursor
     }
 
     /// Copies every file of `src` into `dst`, skipping files already there.
@@ -938,6 +944,128 @@ mod tests {
         drop(j);
         let j = SegmentedJournal::open(&root, config).unwrap();
         assert_eq!(j.replay_collect().unwrap(), records);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// How often `name` is spelled out in the segment at `path`.
+    fn spelled(path: &Path, name: &str) -> usize {
+        let raw = std::fs::read(path).unwrap();
+        raw.windows(name.len()).filter(|w| *w == name.as_bytes()).count()
+    }
+
+    #[test]
+    fn a_file_spells_a_queue_name_out_once_and_codes_it_after() {
+        // The name table restarts where a file starts: after a roll, a
+        // checkpoint and a reopen, the file's first frame that names the
+        // queue spells it out, and every later one writes its code.
+        let named = |i: usize| put("Q.NAMED", &format!("m{i}"));
+        let root = temp_dir("seg-names");
+        let config = SegmentConfig {
+            roll_bytes: 200,
+            sync_every_append: false,
+        };
+        let j = SegmentedJournal::open(&root, config.clone()).unwrap();
+        let mut acked = Vec::new();
+        while j.segment_count().unwrap() < 2 || acked.len() < 8 {
+            acked.push(named(acked.len()));
+            j.append(acked.last().unwrap()).unwrap();
+        }
+        let rolled = segment_paths(&root);
+        for path in &rolled {
+            assert_eq!(spelled(path, "Q.NAMED"), 1, "{}", path.display());
+        }
+        assert_eq!(j.replay_collect().unwrap(), acked);
+        // A checkpoint start lists the queue, spelled out, and neither
+        // reads nor moves the table: the first row spells it out again.
+        acked = vec![
+            JournalRecord::CheckpointStart {
+                checkpoint_id: 1,
+                queues: vec!["Q.NAMED".into()],
+                dedup: Vec::new(),
+            },
+            named(0),
+            named(1),
+            JournalRecord::CheckpointEnd { checkpoint_id: 1 },
+        ];
+        j.write_checkpoint(&mut acked.clone().into_iter()).unwrap();
+        acked.push(named(2));
+        j.append(acked.last().unwrap()).unwrap();
+        let checkpoint = segment_paths(&root).pop().unwrap();
+        assert_eq!(spelled(&checkpoint, "Q.NAMED"), 2);
+        drop(j);
+        let j = SegmentedJournal::open(&root, config).unwrap();
+        for i in 3..5 {
+            acked.push(named(i));
+            j.append(acked.last().unwrap()).unwrap();
+        }
+        let reopened = segment_paths(&root).pop().unwrap();
+        assert_ne!(reopened, checkpoint);
+        assert_eq!(spelled(&reopened, "Q.NAMED"), 1);
+        assert_eq!(j.replay_collect().unwrap(), acked);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_name_code_the_file_has_not_defined_is_refused() {
+        // A frame naming its queue by the code an earlier frame gave it,
+        // as the first frame of a file: replay finds no such code.
+        let root = temp_dir("seg-undefined-name");
+        std::fs::create_dir_all(&root).unwrap();
+        let mut cursor = FileCursor::default();
+        let defines = encode_segment_frame(0, &put("Q.NAMED", "a"), &mut cursor, Vec::new());
+        let uses = encode_segment_frame(0, &put("Q.NAMED", "b"), &mut cursor, Vec::new());
+        assert!(
+            uses.len() < defines.len(),
+            "the second frame names it by code"
+        );
+        std::fs::write(root.join(segment_file_name(0)), uses).unwrap();
+        let err = SegmentedJournal::open(&root, SegmentConfig::default())
+            .and_then(|j| j.replay_collect())
+            .unwrap_err();
+        match err {
+            MqError::JournalCorrupt { reason, .. } => {
+                assert!(reason.contains("unknown wire-string code 128"), "{reason}")
+            }
+            other => panic!("got {other:?}"),
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_file_of_spelled_out_names_still_decodes() {
+        // Before the name table, a file spelled every unregistered queue
+        // name out in every frame (its ids already ran on from frame to
+        // frame): such a file replays, and appends go on in a new file.
+        let root = temp_dir("seg-all-literal");
+        std::fs::create_dir_all(&root).unwrap();
+        let records: Vec<JournalRecord> = (0..4)
+            .map(|i| JournalRecord::TxCommit {
+                puts: vec![(
+                    "Q.NAMED".into(),
+                    Message::text(format!("m{i}")).persistent(true).build(),
+                )],
+                gets: vec![(
+                    "SYSTEM.XMIT.QM.TAIL".into(),
+                    crate::message::MessageId::generate(),
+                )],
+            })
+            .collect();
+        let mut cursor = FileCursor::default();
+        let mut raw = Vec::new();
+        for (lsn, record) in (0..).zip(&records) {
+            cursor.names = Default::default();
+            raw.extend(encode_segment_frame(lsn, record, &mut cursor, Vec::new()));
+        }
+        let path = root.join(segment_file_name(0));
+        std::fs::write(&path, raw).unwrap();
+        assert_eq!(spelled(&path, "Q.NAMED"), records.len());
+        let j = SegmentedJournal::open(&root, SegmentConfig::default()).unwrap();
+        assert_eq!(j.replay_collect().unwrap(), records);
+        let after = put("Q.NAMED", "after");
+        j.append(&after).unwrap();
+        let mut all = records;
+        all.push(after);
+        assert_eq!(j.replay_collect().unwrap(), all);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1241,21 +1369,32 @@ mod tests {
         use crate::{QueueManager, Wait};
         use proptest::prelude::*;
 
+        /// A queue name: mostly one of a few, so that a file names each
+        /// again and again (an unregistered one by its per-file code after
+        /// its first frame), else any.
+        fn arb_queue() -> impl Strategy<Value = String> {
+            const FEW: [&str; 4] = ["Q.A", "Q.B", "SYSTEM.XMIT.QM.TAIL", "DS.ACK.Q"];
+            prop_oneof![
+                3 => (0..FEW.len()).prop_map(|i| FEW[i].to_owned()),
+                1 => "[A-Z]{1,8}",
+            ]
+        }
+
         fn arb_record() -> impl Strategy<Value = JournalRecord> {
             prop_oneof![
-                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::QueueCreated { queue }),
-                ("[A-Z]{1,8}", "[a-z]{0,32}").prop_map(|(queue, payload)| JournalRecord::Put {
-                    queue,
+                arb_queue().prop_map(|queue| JournalRecord::QueueCreated { queue }),
+                (arb_queue(), "[a-z]{0,32}").prop_map(|(queue, payload)| JournalRecord::Put {
+                    queue: queue.into(),
                     message: Message::text(payload).persistent(true).build(),
                 }),
-                "[A-Z]{1,8}".prop_map(|queue| JournalRecord::TxCommit {
+                arb_queue().prop_map(|queue| JournalRecord::TxCommit {
                     puts: Vec::new(),
                     gets: vec![(queue.into(), crate::message::MessageId::generate())],
                 }),
                 // Checkpoint records ride the same framing as everything
                 // else, so the prefix-durability property must hold for
                 // them too.
-                (1u64..8, proptest::collection::vec("[A-Z]{1,8}", 0..3)).prop_map(
+                (1u64..8, proptest::collection::vec(arb_queue(), 0..3)).prop_map(
                     |(checkpoint_id, queues)| JournalRecord::CheckpointStart {
                         checkpoint_id,
                         queues,
@@ -1270,13 +1409,13 @@ mod tests {
         /// correlated) and gets of fresh ids of this process, each id a
         /// small step from the last, and gets of arbitrary ids.
         fn arb_tx_commit() -> impl Strategy<Value = JournalRecord> {
-            let put = ("[A-Z]{1,4}", "[a-z]{0,12}", any::<bool>());
+            let put = (arb_queue(), "[a-z]{0,12}", any::<bool>());
             // An id of epoch 0 (a correlation id an application spelled
             // in 32 hex digits can be one) is a delta from the cursor it
             // follows even in a file's first frame, so only it shows a
             // decoder that misplaces the cursor.
             let other = prop_oneof![any::<u128>(), (0u64..1000).prop_map(u128::from)];
-            let get = ("[A-Z]{1,4}", proptest::option::of(other));
+            let get = (arb_queue(), proptest::option::of(other));
             (
                 proptest::collection::vec(put, 0..4),
                 proptest::collection::vec(get, 0..4),
@@ -1357,17 +1496,17 @@ mod tests {
                 // dies with `tear` bytes of them written back. They go
                 // behind the last segment's frames, their ids continuing
                 // its cursor.
-                let (last, mut ids) = match segment_paths(&root).pop() {
+                let (last, mut cursor) = match segment_paths(&root).pop() {
                     Some(last) => {
-                        let ids = cursor_after(&last);
-                        (last, ids)
+                        let cursor = cursor_after(&last);
+                        (last, cursor)
                     }
-                    None => (root.join(segment_file_name(0)), IdCursor::default()),
+                    None => (root.join(segment_file_name(0)), FileCursor::default()),
                 };
                 let mut raw = Vec::new();
                 for (i, r) in unacked.iter().enumerate() {
                     let lsn = (acked.len() + i) as u64;
-                    raw.extend(encode_segment_frame(lsn, r, &mut ids, Vec::new()));
+                    raw.extend(encode_segment_frame(lsn, r, &mut cursor, Vec::new()));
                 }
                 raw.truncate(tear.min(raw.len() as u64) as usize);
                 OpenOptions::new().create(true).append(true).open(&last).unwrap()
@@ -1427,15 +1566,18 @@ mod tests {
                         }
                         Step::Tear(record, permille) => {
                             drop(j);
-                            let (last, mut ids) = match segment_paths(&root).pop() {
+                            let (last, mut cursor) = match segment_paths(&root).pop() {
                                 Some(last) => {
-                                    let ids = cursor_after(&last);
-                                    (last, ids)
+                                    let cursor = cursor_after(&last);
+                                    (last, cursor)
                                 }
-                                None => (root.join(segment_file_name(next_lsn)), IdCursor::default()),
+                                None => {
+                                    let first = root.join(segment_file_name(next_lsn));
+                                    (first, FileCursor::default())
+                                }
                             };
                             let frame =
-                                encode_segment_frame(next_lsn, &record, &mut ids, Vec::new());
+                                encode_segment_frame(next_lsn, &record, &mut cursor, Vec::new());
                             let kept = (frame.len() as u64 - 1) * permille / 1000;
                             OpenOptions::new().create(true).append(true).open(&last).unwrap()
                                 .write_all(&frame[..kept as usize]).unwrap();
@@ -1623,7 +1765,7 @@ mod tests {
                     staged.push((Arc::<str>::from(queue), msg));
                 }
                 let path = segment_paths(&root).pop().unwrap();
-                let mut ids = cursor_after(&path);
+                let mut cursor = cursor_after(&path);
                 let lsn = journal.inner.lock().next_lsn;
                 let before = std::fs::metadata(&path).unwrap().len() as usize;
                 session.commit().unwrap();
@@ -1646,7 +1788,7 @@ mod tests {
                     prop_assert!(written.is_empty());
                 } else {
                     let owned = JournalRecord::TxCommit { puts, gets };
-                    let frame = encode_segment_frame(lsn, &owned, &mut ids, Vec::new());
+                    let frame = encode_segment_frame(lsn, &owned, &mut cursor, Vec::new());
                     prop_assert_eq!(written, frame);
                 }
                 qm.shutdown();

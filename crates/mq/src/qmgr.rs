@@ -645,7 +645,7 @@ impl QueueManager {
                 state.queues.remove(&queue);
             }
             JournalRecord::Put { queue, message } => {
-                if let Some(q) = state.queues.get(&queue) {
+                if let Some(q) = state.queues.get(&*queue) {
                     state.dedup.record(Deduper::key_of(&message));
                     q.restore(message);
                 }
@@ -823,9 +823,10 @@ impl QueueManager {
             dedup,
         });
         for name in names {
-            for msg in queues[name].snapshot_persistent() {
+            let queue = &queues[name];
+            for msg in queue.snapshot_persistent() {
                 records.push(JournalRecord::Put {
-                    queue: name.clone(),
+                    queue: queue.shared_name(),
                     message: (*msg).clone(),
                 });
             }

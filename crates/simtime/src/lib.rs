@@ -39,7 +39,7 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -207,43 +207,23 @@ pub trait Clock: Send + Sync + fmt::Debug {
 /// A shared, dynamically dispatched clock handle.
 pub type SharedClock = Arc<dyn Clock>;
 
-struct TimerEntry {
-    at: Time,
-    seq: u64,
-    id: TimerId,
-    callback: TimerCallback,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 #[derive(Default)]
 struct SchedulerState {
-    heap: BinaryHeap<Reverse<TimerEntry>>,
-    /// Ids of the heap entries that are neither cancelled nor fired; a
-    /// heap entry whose id is missing here is a tombstone.
-    live: HashSet<TimerId>,
+    /// Every entry's `(deadline, id)`: ids are handed out in registration
+    /// order, so the heap pops in `(deadline, registration)` order.
+    heap: BinaryHeap<Reverse<(Time, TimerId)>>,
+    /// The callbacks of the entries that are neither cancelled nor fired,
+    /// by id; a heap entry whose id is missing here is a tombstone.
+    live: HashMap<TimerId, TimerCallback>,
 }
 
 /// The shared deadline facility behind both clock implementations.
 ///
 /// A min-heap of entries ordered by `(deadline, registration)` with lazy
-/// cancellation: [`DeadlineScheduler::cancel`] drops the id from the live
-/// set in O(1) and the tombstoned entry is discarded when it surfaces.
+/// cancellation: [`DeadlineScheduler::cancel`] takes the id and its
+/// callback out of the live map in O(1), so whatever the callback holds is
+/// released at once, and the tombstoned heap entry is discarded when it
+/// surfaces.
 /// [`SimClock`] drains due entries synchronously during `advance`;
 /// [`SystemClock`]'s parked waiter thread drains them as real time passes.
 /// The scheduler's lock is never held while a callback runs, so callbacks
@@ -280,20 +260,18 @@ impl DeadlineScheduler {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
         let id = TimerId(seq);
         let mut state = self.state.lock();
-        let earliest = state.heap.peek().is_none_or(|Reverse(top)| at < top.at);
-        state.heap.push(Reverse(TimerEntry {
-            at,
-            seq,
-            id,
-            callback: f,
-        }));
-        state.live.insert(id);
+        let earliest = state.heap.peek().is_none_or(|Reverse((top, _))| at < *top);
+        state.heap.push(Reverse((at, id)));
+        state.live.insert(id, f);
         (id, earliest)
     }
 
-    /// Cancels a pending entry. Returns `true` if it had not yet fired.
+    /// Cancels a pending entry and drops its callback, after the lock is
+    /// released (what it holds may cancel timers of its own as it goes).
+    /// Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
-        self.state.lock().live.remove(&id)
+        let callback = self.state.lock().live.remove(&id);
+        callback.is_some()
     }
 
     /// Removes and returns the earliest live entry due at or before `now`
@@ -302,12 +280,13 @@ impl DeadlineScheduler {
     pub fn pop_due(&self, now: Time) -> Option<(Time, TimerCallback)> {
         let state = &mut *self.state.lock();
         while let Some(top) = state.heap.peek_mut() {
-            if top.0.at > now {
+            let Reverse((at, id)) = *top;
+            if at > now {
                 return None;
             }
-            let Reverse(entry) = PeekMut::pop(top);
-            if state.live.remove(&entry.id) {
-                return Some((entry.at, entry.callback));
+            PeekMut::pop(top);
+            if let Some(callback) = state.live.remove(&id) {
+                return Some((at, callback));
             }
         }
         None
@@ -317,8 +296,9 @@ impl DeadlineScheduler {
     pub fn next_deadline(&self) -> Option<Time> {
         let state = &mut *self.state.lock();
         while let Some(top) = state.heap.peek_mut() {
-            if state.live.contains(&top.0.id) {
-                return Some(top.0.at);
+            let Reverse((at, id)) = *top;
+            if state.live.contains_key(&id) {
+                return Some(at);
             }
             PeekMut::pop(top);
         }
@@ -634,6 +614,20 @@ mod tests {
         assert!(!clock.cancel(id), "double-cancel reports not pending");
         clock.advance(Millis(100));
         assert_eq!(count.load(Ordering::SeqCst), 0);
+        assert_eq!(clock.pending_timers(), 0);
+    }
+
+    #[test]
+    fn cancel_releases_what_the_callback_holds_at_once() {
+        // The cancelled entry stays in the heap until its deadline comes
+        // up; its callback, and the `Arc` it captured, do not.
+        let clock = SimClock::new();
+        let held = Arc::new(());
+        let captured = Arc::clone(&held);
+        let id = clock.schedule_at(Time(3_600_000), Box::new(move || drop(captured)));
+        assert_eq!(Arc::strong_count(&held), 2);
+        assert!(clock.cancel(id));
+        assert_eq!(Arc::strong_count(&held), 1, "released by cancel");
         assert_eq!(clock.pending_timers(), 0);
     }
 

@@ -330,12 +330,15 @@ fn two_manager_round_trip_is_five_records() {
     assert_eq!(tail_journal.bytes(), [74, 100], "tail bytes");
     // What their frames weigh in a segment file: 8 bytes of length and
     // CRC, a one-byte LSN, and the record with its first id a delta from
-    // the last id of the frame before it. The first id-bearing frame of a
-    // file has nothing before it and writes its first id whole: here the
-    // send on the head and the arrival on the tail. 412 B in all, against
-    // the 415 B the records take on their own.
-    assert_eq!(head_journal.frames(), [169, 53, 14], "head frames");
-    assert_eq!(tail_journal.frames(), [83, 93], "tail frames");
+    // the last id of the frame before it and every queue name that no
+    // registry code covers, once the file has spelled it out, a one-byte
+    // per-file code. The first id-bearing frame of a file has nothing
+    // before it and writes its first id whole: here the send on the head
+    // and the arrival on the tail. The verdict names SYSTEM.XMIT.QM.TAIL
+    // by the code the send gave it, the pick-up Q.IN by the arrival's.
+    // 387 B in all, against the 415 B the records take on their own.
+    assert_eq!(head_journal.frames(), [169, 33, 14], "head frames");
+    assert_eq!(tail_journal.frames(), [83, 88], "tail frames");
 
     // The handoff of the acknowledgment waits on the tail for the next
     // record, which is the next arrival.
@@ -355,6 +358,13 @@ fn two_manager_round_trip_is_five_records() {
         ],
         "tail"
     );
+    // The second trip finds every id close to the frame before it and
+    // every name already coded: the send saves the 16 bytes of a whole id
+    // and the 20 of a spelled-out name, the arrival 16 + 5 less the 2 of
+    // the handoff's get it carries, the pick-up the 20 of
+    // SYSTEM.XMIT.QM.HEAD. 312 B for a round trip.
+    assert_eq!(head_journal.frames()[3..], [133, 33, 14], "head frames, second trip");
+    assert_eq!(tail_journal.frames()[2..], [64, 68], "tail frames, second trip");
     // A clean stop leaves nothing to re-send.
     tail.shutdown();
     assert_eq!(
@@ -599,10 +609,11 @@ fn four_leaf_tree_decided_by_its_third_ack_is_six_records() {
     // bit instead. One compensation is parked for the whole tree, naming no
     // leaf.
     assert_eq!(journal.bytes(), [263, 53, 53, 60, 38, 21], "bytes");
-    // In a segment file: each frame's 9 bytes of envelope and LSN, and
-    // every frame's first id but the send's a delta from the frame before
-    // (462 B in all).
-    assert_eq!(journal.frames(), [272, 46, 46, 53, 31, 14], "frames");
+    // In a segment file: each frame's 9 bytes of envelope and LSN, every
+    // frame's first id but the send's a delta from the frame before, and
+    // each pick-up's leaf queue the one-byte code the send gave it (442 B
+    // in all).
+    assert_eq!(journal.frames(), [272, 41, 41, 48, 26, 14], "frames");
     let send = journal.record(0);
     assert_eq!(send.windows(7).filter(|w| w == b"payload").count(), 1);
     // One id sequence: the conditional id, then its send-log entry, parked

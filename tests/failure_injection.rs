@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use condmsg::config::RETRY_BACKOFF;
+use condmsg::config::{RETRY_BACKOFF, RETRY_BACKOFF_MAX};
 use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
     MessageOutcome, MessageStatus,
@@ -459,7 +459,8 @@ fn a_verdict_the_messenger_cannot_stage_does_not_fail_the_delivering_commit() {
 fn a_refused_verdict_lands_on_the_retry_timer_once_storage_heals() {
     // Storage refuses the record that decides a message at its deadline.
     // Nothing calls pump() and no daemon runs: one retry timer, armed a
-    // backoff ahead, runs the cycle again, re-arming while storage is down.
+    // backoff ahead, runs the cycle again, re-arming twice as far ahead
+    // while storage is down.
     let (clock, journal, qmgr) = timed_world();
     let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
     let condition: Condition = Destination::queue("QM1", "Q")
@@ -477,18 +478,58 @@ fn a_refused_verdict_lands_on_the_retry_timer_once_storage_heals() {
     assert_eq!(clock.pending_timers(), 1, "re-armed");
 
     journal.set_failing(false);
-    clock.advance(Millis(RETRY_BACKOFF.as_u64() - 1));
+    clock.advance(Millis(2 * RETRY_BACKOFF.as_u64() - 1));
     assert_eq!(messenger.status(id), MessageStatus::Pending, "before the backoff");
     clock.advance(Millis(1));
     let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
     assert_eq!(outcome.outcome, MessageOutcome::Failure);
-    assert_eq!(outcome.decided_at, Time(101 + 2 * RETRY_BACKOFF.as_u64()));
+    assert_eq!(outcome.decided_at, Time(101 + 3 * RETRY_BACKOFF.as_u64()));
     let reason = outcome.reason.unwrap();
     assert!(reason.contains("no pick-up by deadline"), "{reason}");
     assert_eq!(clock.pending_timers(), 0, "nothing owed a retry");
     // The compensation was released once.
     assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "the original and its undo");
     assert_eq!(qmgr.queue("DS.COMP.Q").unwrap().depth(), 0);
+
+    // The cycle that succeeded brought the backoff back: the next refused
+    // verdict is retried RETRY_BACKOFF after it, not twice that.
+    let next = messenger
+        .send_message_with_compensation("b", "undo-b", &condition)
+        .unwrap();
+    let sent_at = simtime::Clock::now(&*clock);
+    journal.set_failing(true);
+    clock.advance(Millis(101));
+    assert_eq!(messenger.status(next), MessageStatus::Pending, "refused");
+    journal.set_failing(false);
+    clock.advance(RETRY_BACKOFF);
+    let outcome = messenger.take_outcome(next, Wait::NoWait).unwrap().unwrap();
+    assert_eq!(outcome.decided_at, sent_at + Millis(101) + RETRY_BACKOFF);
+}
+
+#[test]
+fn a_dropped_messenger_disarms_every_timer_it_armed() {
+    // The clock outlives the messenger: what it armed must not stay armed
+    // (holding its callback) until it comes due.
+    let (clock, journal, qmgr) = timed_world();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let soon: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(100))
+        .into();
+    let late: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(3_600_000))
+        .into();
+    for condition in [&soon, &soon, &soon, &late, &late] {
+        messenger.send_message("m", condition).unwrap();
+    }
+    assert_eq!(clock.pending_timers(), 5, "one deadline timer per message");
+    // Storage refuses the first three verdicts: one retry timer stands in
+    // for their deadline timers.
+    journal.set_failing(true);
+    clock.advance(Millis(101));
+    assert_eq!(messenger.pending_count(), 5);
+    assert_eq!(clock.pending_timers(), 3, "two deadlines and the retry");
+    drop(messenger);
+    assert_eq!(clock.pending_timers(), 0);
 }
 
 #[test]
@@ -519,11 +560,17 @@ fn verdict_whose_transaction_fails_is_retried_without_spinning() {
     }
     // Their triggers are past due, so their own timers stay unarmed (one
     // would fire at once and spin): one retry timer is armed instead, and
-    // time retries them once per backoff however long storage is down.
+    // time retries them, each retry twice as long after the one before,
+    // up to once per RETRY_BACKOFF_MAX however long storage is down. The
+    // deadlines failed at t=100, the retries at 110, 130 and 170; in the
+    // minute after t=200 they fail at 250, 410, 730 and 1370, then once a
+    // second from 2370 on (58 times): 62 failed cycles where a fixed
+    // backoff failed 6 000.
     assert_eq!(clock.pending_timers(), 1);
     let failed_attempts = errors();
     clock.advance(Millis(60_000));
-    assert_eq!(errors(), failed_attempts + 60_000 / RETRY_BACKOFF.as_u64());
+    assert_eq!(RETRY_BACKOFF_MAX, Millis(1_000));
+    assert_eq!(errors(), failed_attempts + 62);
     assert_eq!(clock.pending_timers(), 1);
     // A caller's retry while storage is still down fails, and costs the
     // parked compensation nothing however often it happens.

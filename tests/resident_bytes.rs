@@ -86,12 +86,13 @@ const LEAVES: [&str; 4] = ["Q.B0", "Q.B1", "Q.B2", "Q.B3"];
 /// states and its tallies; this tree has no required destination, so no
 /// stamps), one for the deadline timer, two vectors of staged puts, and
 /// three for the test's own payload and compensation data. Measured
-/// 2 781 B: a stored message's correlation index entry holds its id in
+/// 2 768 B: a stored message's correlation index entry holds its id in
 /// place, and a pending evaluation keeps no acknowledgment record beside
 /// its cells.
 const MAX_ALLOCATIONS_PER_SEND: f64 = 17.0;
 const MAX_LIVE_BYTES_PER_TREE: f64 = 3_050.0;
-/// Measured 3 289: a recovered message keeps slices of its record.
+/// Measured 3 259: a recovered message keeps slices of its record, and
+/// its queue's name is the one its segment file's replay shares.
 const MAX_LIVE_BYTES_PER_RECOVERED_TREE: f64 = 3_600.0;
 /// Measured 874: the outcome notification, holding its own property
 /// section, not a slice of the verdict record it was replayed from; the
