@@ -697,7 +697,13 @@ impl ConditionalMessenger {
     ) -> CondResult<()> {
         let result = staged.and_then(|()| session.commit().map_err(CondError::from));
         if result.is_ok() {
+            let took_acks = cycle.consumed > 0;
             self.publish(cycle);
+            if took_acks {
+                // The acks taken off DS.ACK.Q are counted only now, after
+                // the commit's own change signal.
+                self.qmgr.obs().changes().bump();
+            }
         } else if session.in_transaction() {
             session.rollback_for_retry()?;
         }

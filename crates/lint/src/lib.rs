@@ -64,6 +64,9 @@ pub enum LintRule {
     Registry,
     /// A `// lint:` annotation of a kind no pass reads.
     Annotation,
+    /// A wait on a `Condvar` field nothing in its crate notifies
+    /// (cond-verify condvar pass).
+    UnnotifiedCondvar,
 }
 
 /// Token-level rules, in reporting order (the cond-verify rules are
@@ -76,12 +79,13 @@ pub const ALL_RULES: [LintRule; 4] = [
 ];
 
 /// The inter-procedural cond-verify rules.
-pub const VERIFY_RULES: [LintRule; 5] = [
+pub const VERIFY_RULES: [LintRule; 6] = [
     LintRule::LockOrder,
     LintRule::NeverHold,
     LintRule::Custody,
     LintRule::Registry,
     LintRule::Annotation,
+    LintRule::UnnotifiedCondvar,
 ];
 
 impl LintRule {
@@ -97,6 +101,7 @@ impl LintRule {
             LintRule::Custody => "custody",
             LintRule::Registry => "registry",
             LintRule::Annotation => "annotation",
+            LintRule::UnnotifiedCondvar => "unnotified-condvar",
         }
     }
 
@@ -250,7 +255,8 @@ fn rule_matches(rule: LintRule, t: &[Token], k: usize) -> bool {
         | LintRule::NeverHold
         | LintRule::Custody
         | LintRule::Registry
-        | LintRule::Annotation => false,
+        | LintRule::Annotation
+        | LintRule::UnnotifiedCondvar => false,
     }
 }
 
@@ -550,8 +556,8 @@ mod tests {
     #[test]
     fn scenario_crate_is_fully_linted() {
         // The scenario engine drives crash-and-rebuild and fault
-        // schedules against live managers: its executor must park on
-        // condvars (the Pacer), never sleep-poll, stay panic-free, and
+        // schedules against live managers: its executor must park on the
+        // managers' change signal, never sleep-poll, stay panic-free, and
         // read only the scenario clock — every library rule covers the
         // whole crate with zero lint.allow entries, while its experiment
         // binary stays App.
@@ -562,7 +568,6 @@ mod tests {
             "crates/scenario/src/compile.rs",
             "crates/scenario/src/exec.rs",
             "crates/scenario/src/oracle.rs",
-            "crates/scenario/src/pacer.rs",
             "crates/scenario/src/error.rs",
         ] {
             assert_eq!(classify(p), FileClass::Library, "{p}");

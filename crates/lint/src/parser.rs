@@ -1,7 +1,7 @@
 //! Lightweight Rust item/statement parser for the cond-verify passes.
 //!
 //! This is **not** a full Rust parser. It recovers exactly the structure
-//! the three verify passes need: struct field tables (to identify lock
+//! the verify passes need: struct field tables (to identify lock
 //! fields and resolve receiver chains), impl blocks (method ownership and
 //! trait implementations), and function bodies as a statement skeleton
 //! with *events* — method/function calls with receiver chains, moved

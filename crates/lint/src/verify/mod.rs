@@ -1,6 +1,6 @@
 //! cond-verify: inter-procedural static analysis passes.
 //!
-//! Three passes run over the parsed workspace (see [`crate::parser`]):
+//! Four passes run over the parsed workspace (see [`crate::parser`]):
 //!
 //! * [`lockorder`] — propagates held-lock sets through the call graph,
 //!   reporting potential ABBA inversions and violations of declared
@@ -15,6 +15,8 @@
 //!   `// lint: registry <kind>` registry, and scans `scenarios/*.toml`
 //!   so every `metric = "…"` / `stage = "…"` a scenario oracle asserts
 //!   on names something the observability layer actually emits.
+//! * [`condvar`] — reports a wait on a `Condvar` field that nothing in
+//!   its crate notifies: each such wait sleeps out its timeout.
 //!
 //! A `// lint:` annotation of any other kind than those the passes read
 //! ([`ANNOTATION_KINDS`]) is a finding of its own, so a misspelled kind
@@ -23,6 +25,7 @@
 //! The annotation grammar and the soundness caveats of the lightweight
 //! parser are documented in DESIGN.md §14.
 
+pub mod condvar;
 pub mod custody;
 pub mod lockorder;
 pub mod registry;
@@ -31,7 +34,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 
-use crate::parser::{Call, FnDef, ParsedFile, Recv};
+use crate::parser::{Block, Call, Event, FnDef, ParsedFile, Recv, Stmt};
 use crate::{Finding, LintRule};
 
 /// The `// lint:` annotation kinds the passes read.
@@ -427,7 +430,50 @@ pub fn run(root: &Path, files: Vec<ParsedFile>) -> io::Result<Vec<Finding>> {
     findings.extend(custody::run(&ws));
     findings.extend(registry::run(&ws));
     findings.extend(registry::scan_scenarios(root, &ws)?);
+    findings.extend(condvar::run(&ws));
     Ok(findings)
+}
+
+/// Calls `f` on every call event in `b`, nested blocks included, in
+/// source order.
+pub fn for_each_call<'a>(b: &'a Block, f: &mut impl FnMut(&'a Call)) {
+    fn visit<'a>(events: &'a [Event], f: &mut impl FnMut(&'a Call)) {
+        for ev in events {
+            if let Event::Call(c) = ev {
+                f(c);
+            }
+        }
+    }
+    for stmt in &b.stmts {
+        match stmt {
+            Stmt::Let { events, else_block, .. } => {
+                visit(events, f);
+                if let Some(e) = else_block {
+                    for_each_call(e, f);
+                }
+            }
+            Stmt::Expr { events, .. } | Stmt::Return { events, .. } => visit(events, f),
+            Stmt::If { cond, then_b, else_b, .. } => {
+                visit(cond, f);
+                for_each_call(then_b, f);
+                if let Some(e) = else_b {
+                    for_each_call(e, f);
+                }
+            }
+            Stmt::Match { scrutinee, arms, .. } => {
+                visit(scrutinee, f);
+                for a in arms {
+                    for_each_call(&a.body, f);
+                }
+            }
+            Stmt::Loop { header, body, .. } => {
+                visit(header, f);
+                for_each_call(body, f);
+            }
+            Stmt::Nested(inner) => for_each_call(inner, f),
+            _ => {}
+        }
+    }
 }
 
 /// One finding per `// lint:` annotation whose kind (the text up to the

@@ -22,10 +22,10 @@
 
 use std::collections::HashMap;
 
-use crate::parser::{Block, Event, RegistryDecl, Stmt};
+use crate::parser::{Block, RegistryDecl};
 use crate::{Finding, LintRule};
 
-use super::Workspace;
+use super::{for_each_call, Workspace};
 
 /// Call names that emit (or read back) a metric by name.
 const METRIC_SINKS: &[&str] = &[
@@ -217,47 +217,13 @@ fn check_scenario_src(
 
 /// Collects `(name, line)` for metric-sink calls carrying a string.
 fn collect_metric_calls(b: &Block, out: &mut Vec<(String, u32)>) {
-    let visit = |events: &[Event], out: &mut Vec<(String, u32)>| {
-        for ev in events {
-            if let Event::Call(c) = ev {
-                if METRIC_SINKS.contains(&c.name.as_str()) {
-                    if let Some(s) = &c.first_str {
-                        out.push((s.clone(), c.line));
-                    }
-                }
+    for_each_call(b, &mut |c| {
+        if METRIC_SINKS.contains(&c.name.as_str()) {
+            if let Some(s) = &c.first_str {
+                out.push((s.clone(), c.line));
             }
         }
-    };
-    for stmt in &b.stmts {
-        match stmt {
-            Stmt::Let { events, else_block, .. } => {
-                visit(events, out);
-                if let Some(e) = else_block {
-                    collect_metric_calls(e, out);
-                }
-            }
-            Stmt::Expr { events, .. } | Stmt::Return { events, .. } => visit(events, out),
-            Stmt::If { cond, then_b, else_b, .. } => {
-                visit(cond, out);
-                collect_metric_calls(then_b, out);
-                if let Some(e) = else_b {
-                    collect_metric_calls(e, out);
-                }
-            }
-            Stmt::Match { scrutinee, arms, .. } => {
-                visit(scrutinee, out);
-                for a in arms {
-                    collect_metric_calls(&a.body, out);
-                }
-            }
-            Stmt::Loop { header, body, .. } => {
-                visit(header, out);
-                collect_metric_calls(body, out);
-            }
-            Stmt::Nested(inner) => collect_metric_calls(inner, out),
-            _ => {}
-        }
-    }
+    });
 }
 
 /// Replaces `{…}` interpolations with `*`.

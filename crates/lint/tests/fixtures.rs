@@ -104,3 +104,11 @@ fn test_gating_follows_the_gated_item() {
 fn clean_corpus_is_silent() {
     check("clean");
 }
+
+/// A condvar waited on that nothing in its crate notifies: every wait
+/// sleeps out its timeout. The one beside it that is notified stays
+/// silent, and so does the clean corpus's, notified from another file.
+#[test]
+fn a_condvar_nothing_notifies_is_reported() {
+    check("unnotified_condvar");
+}

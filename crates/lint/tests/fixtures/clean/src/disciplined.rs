@@ -4,9 +4,11 @@
 //! struct (its braces are not the loop body) — and a `//` inside a string
 //! literal that must NOT be lexed as a comment (the string even spells
 //! out a lint annotation; treating it as one would fabricate a
-//! violation).
+//! violation) — and the notify that wakes `signal.rs`'s condvar.
 
 use parking_lot::Mutex;
+
+use crate::signal::Signal;
 
 /// Registry for the one metric this crate emits.
 // lint: registry metric-name
@@ -28,9 +30,16 @@ pub struct Clean {
     a: Mutex<u32>,
     b: Mutex<u32>,
     open: bool,
+    signal: Signal,
 }
 
 impl Clean {
+    /// Wakes whoever waits on the signal's condvar.
+    pub fn bump(&self) {
+        *self.signal.seq.lock() += 1;
+        self.signal.changed.notify_all();
+    }
+
     /// Both fns take `a` before `b`: no inversion.
     pub fn first(&self) -> u32 {
         let ga = self.a.lock();

@@ -113,6 +113,10 @@ pub const MAX_ENVELOPE_WIRE: usize = MAX_FRAME_BODY / 4;
 /// instead, and that record carries them all.
 pub const MAX_RELEASED: usize = 1024;
 
+/// What a channel's transmission queue is named: this, then the peer's
+/// name.
+pub const XMIT_QUEUE_PREFIX: &str = "SYSTEM.XMIT.";
+
 /// How long a released handoff waits for a record to ride before an idle
 /// mover writes one for it, on the manager's clock. Long enough that a
 /// manager with any traffic never pays for it.
@@ -218,7 +222,7 @@ impl Channel {
         remote: &str,
         transport: Arc<dyn Transport>,
     ) -> MqResult<Channel> {
-        let xmit_queue = format!("SYSTEM.XMIT.{remote}");
+        let xmit_queue = format!("{XMIT_QUEUE_PREFIX}{remote}");
         from.define_route(remote, &xmit_queue)?;
         let stats = Arc::new(ChannelStats::default());
         let name = format!("{}->{}", from.name(), remote);

@@ -57,7 +57,7 @@ pub mod trace;
 pub mod transport;
 
 pub use error::{MqError, MqResult};
-pub use obs::Obs;
+pub use obs::{ChangeSignal, Obs};
 pub use message::{
     CorrelationKey, IdHasher, IdMap, Message, MessageBuilder, MessageId, Priority, PropertyValue,
     QueueAddress,

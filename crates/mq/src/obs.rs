@@ -18,8 +18,16 @@
 //! Hot paths only touch pre-registered atomic cells ([`crate::Counter`],
 //! [`crate::Gauge`], [`crate::Histogram`]) — registration, with its map
 //! inserts and allocation, happens once per component.
+//!
+//! The managers sharing an `Obs` also share its [`ChangeSignal`]: a
+//! waiter over their queues re-checks its condition when one of them
+//! changes something, not on a timer.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::stats::{MetricsRegistry, MetricsSnapshot};
 use crate::trace::TraceLog;
@@ -241,11 +249,62 @@ pub const WIRE_STRING_REGISTRY: &[&str] = &[
 // lint: registry frame-kind
 pub const FRAME_KIND_REGISTRY: &[u8] = &[1, 2, 3, 5, 6, 7];
 
-/// Shared observability state: named metrics + lifecycle trace.
+/// Shared observability state: named metrics, lifecycle trace and the
+/// change signal.
 #[derive(Debug)]
 pub struct Obs {
     metrics: MetricsRegistry,
     trace: TraceLog,
+    changes: ChangeSignal,
+}
+
+/// A count of what the managers sharing an [`Obs`] changed: bumped after
+/// every applied commit (`QueueManager::announce`) and every transaction a
+/// channel releases, once its effects are visible. A bump wakes only when a
+/// waiter is parked, so otherwise it is two atomic operations.
+#[derive(Debug, Default)]
+pub struct ChangeSignal {
+    seq: AtomicU64,
+    /// Waiters between their last look at `seq` and their wake. The
+    /// accesses to it and to `seq` are `SeqCst`: a bump that a waiter's
+    /// look missed sees the waiter parked, and wakes it.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    changed: Condvar,
+}
+
+impl ChangeSignal {
+    /// The changes so far. Read it before checking a condition, and pass
+    /// it to [`ChangeSignal::wait_past`] if the condition does not hold.
+    pub fn seq(&self) -> u64 {
+        self.seq.load(Ordering::SeqCst)
+    }
+
+    /// Counts a change already made and wakes every parked waiter.
+    pub fn bump(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            // Taken so the wake cannot fall between a waiter's look at
+            // `seq` and its park.
+            drop(self.lock.lock());
+            self.changed.notify_all();
+        }
+    }
+
+    /// Parks until something changes after `seen` (a [`ChangeSignal::seq`]
+    /// read earlier), or until nothing has for `bound`. Returns whether
+    /// something changed.
+    pub fn wait_past(&self, seen: u64, bound: Duration) -> bool {
+        let mut guard = self.lock.lock();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.seq() == seen {
+            if self.changed.wait_for(&mut guard, bound).timed_out() {
+                break;
+            }
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        self.seq() != seen
+    }
 }
 
 impl Default for Obs {
@@ -255,7 +314,7 @@ impl Default for Obs {
         let trace = TraceLog::default();
         let metrics = MetricsRegistry::default();
         metrics.register_counter("mq.trace.dropped", trace.dropped_cell());
-        Obs { metrics, trace }
+        Obs { metrics, trace, changes: ChangeSignal::default() }
     }
 }
 
@@ -276,6 +335,11 @@ impl Obs {
         &self.trace
     }
 
+    /// The signal every manager sharing this hub bumps after a change.
+    pub fn changes(&self) -> &ChangeSignal {
+        &self.changes
+    }
+
     /// Convenience: a point-in-time snapshot of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -287,6 +351,22 @@ mod tests {
     use super::*;
     use crate::trace::TraceStage;
     use simtime::Time;
+
+    #[test]
+    fn a_change_wakes_a_parked_waiter_and_none_times_out() {
+        let obs = Obs::new();
+        let seen = obs.changes().seq();
+        assert!(!obs.changes().wait_past(seen, Duration::from_millis(5)));
+        obs.changes().bump();
+        assert!(obs.changes().wait_past(seen, Duration::ZERO), "a change already made");
+        let seen = obs.changes().seq();
+        let bumper = std::thread::spawn({
+            let obs = obs.clone();
+            move || obs.changes().bump()
+        });
+        assert!(obs.changes().wait_past(seen, Duration::from_secs(30)));
+        bumper.join().unwrap();
+    }
 
     #[test]
     fn obs_bundles_metrics_and_trace() {

@@ -180,6 +180,15 @@ impl Queue {
         self.store.lock().len()
     }
 
+    /// Messages on the queue plus those taken off it that no record
+    /// covers yet: a persistent message stays counted from its take until
+    /// a record covers its get or a rollback puts it back, and a
+    /// non-persistent one leaves the count at its take.
+    pub fn held(&self) -> usize {
+        let store = self.store.lock();
+        store.len() + store.pending_len()
+    }
+
     /// Whether the queue currently holds no messages. A cheap peek so idle
     /// wakeups (e.g. the ack drain) can skip opening a session — and its
     /// journal bookkeeping — entirely.

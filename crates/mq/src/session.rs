@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use simtime::{Millis, Time};
 
-use crate::channel::MAX_RELEASED;
+use crate::channel::{MAX_RELEASED, XMIT_QUEUE_PREFIX};
 use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
 use crate::message::{CorrelationKey, Message, MessageId, QueueAddress};
@@ -190,13 +190,14 @@ impl Released {
         self.since = None;
     }
 
-    /// What became of `carried`: written, its gets are covered; refused,
-    /// they wait again, ahead of what was released since.
-    fn settle(&mut self, mut carried: Released, written: bool) {
+    /// What became of `carried`: written, its gets are covered and stay
+    /// in it; refused, they leave it to wait again, ahead of what was
+    /// released since.
+    fn settle(&mut self, carried: &mut Released, written: bool) {
         self.riding -= carried.gets.len();
         if !written {
             carried.gets.append(&mut self.gets);
-            self.gets = carried.gets;
+            self.gets = std::mem::take(&mut carried.gets);
             self.since = carried.since.or(self.since);
         }
     }
@@ -519,6 +520,7 @@ impl QueueManager {
     /// commit of its own, and the consumers and watchers woken here may
     /// start transactions of theirs.
     fn announce(&self, applied: Applied) {
+        self.obs().changes().bump();
         for msg in applied.orphaned {
             self.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
         }
@@ -588,23 +590,42 @@ impl QueueManager {
         if tx.explicit {
             self.stats().tx_committed.incr();
         }
+        self.obs().changes().bump();
         Ok(())
     }
 
     /// Ends the ride of `carried`: a written record covers its gets, which
-    /// stop being pending; a refused one leaves them released.
-    fn settle_released(&self, carried: Released, written: bool) {
+    /// stop being pending; a refused one leaves them released. They leave
+    /// the released list before they stop pending, so
+    /// [`QueueManager::unsent`] never reads low.
+    fn settle_released(&self, mut carried: Released, written: bool) {
         if carried.gets.is_empty() {
             return;
         }
-        if written {
-            for (queue, get) in &carried.gets {
-                queue.finalize_pending(*get);
-            }
-        }
         let mut released = self.released.lock();
-        released.settle(carried, written);
+        released.settle(&mut carried, written);
         self.stats().released.set(released.outstanding() as u64);
+        drop(released);
+        for (queue, get) in &carried.gets {
+            queue.finalize_pending(*get);
+        }
+    }
+
+    /// Messages this manager still has to hand to a peer: those on its
+    /// transmission queues, and those a channel took off them that the
+    /// peer has not acknowledged. An acknowledged batch is handed over,
+    /// though its gets stay pending until a record carries them.
+    pub fn unsent(&self) -> usize {
+        let held: usize = self
+            .queues
+            .read()
+            .iter()
+            .filter(|(name, _)| name.starts_with(XMIT_QUEUE_PREFIX))
+            .map(|(_, queue)| queue.held())
+            .sum();
+        // Read after the queues: a release is counted here before it
+        // stops being pending there.
+        held.saturating_sub(self.released.lock().outstanding())
     }
 
     /// Writes the released gets as one record of their own, when no commit
@@ -621,6 +642,7 @@ impl QueueManager {
         if written.carried > 0 {
             self.note_flush(why, written.carried);
         }
+        self.announce(written);
         Ok(())
     }
 

@@ -355,7 +355,6 @@ impl MessageStore {
     }
 
     /// How many transactional gets are currently in flight.
-    #[cfg(test)]
     pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }

@@ -29,7 +29,7 @@ use crate::spec::{
 use crate::spec::{expand_idx, expand_msg};
 
 /// TCP tuned for loopback chaos runs: fast reconnect so crash-rebuild
-/// and kicked connections heal within the scenario's settle budget.
+/// and kicked connections heal well inside a wait's no-progress bound.
 pub(crate) fn scenario_tcp_config() -> TcpConfig {
     TcpConfig {
         connect_timeout: std::time::Duration::from_millis(1_000),
@@ -160,9 +160,10 @@ impl Compiled {
         &self.obs
     }
 
-    /// The declared oracle expectations.
-    pub(crate) fn spec_oracle(&self) -> &crate::spec::OracleSpec {
-        &self.oracle
+    /// The depth of `queue` on `manager`, if both exist.
+    pub(crate) fn depth(&self, manager: &str, queue: &str) -> Option<u64> {
+        let queue = self.managers.get(manager)?.qmgr.queue(queue).ok()?;
+        Some(queue.depth() as u64)
     }
 }
 

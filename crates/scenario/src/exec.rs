@@ -21,16 +21,22 @@
 //! queues (consuming compensations and annihilating the pairs the reads
 //! meet), and letting the [`crate::oracle`] check that declared
 //! expectations held exactly.
+//!
+//! Every wait in thread time is one helper, `wait_until_settled`: it
+//! checks its predicate and parks on the world's change signal, which
+//! every manager bumps after each commit, so it wakes when something
+//! moved and never on a tick.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use condmsg::config::DEFAULT_ACK_QUEUE;
 use condmsg::{wire, CondMessageId, ConditionalReceiver, MessageKind, MessageOutcome, SendOptions};
 use dsphere::DSphere;
 use mq::transport::tcp::TcpAcceptor;
-use mq::{FaultAction, FaultPlane, QueueManager, Wait};
+use mq::{FaultAction, FaultPlane, Obs, QueueManager, Wait};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtime::{Clock, Millis, Time};
@@ -40,11 +46,14 @@ use crate::compile::{
     PointKind, ResolvedTrigger, RouteDecl,
 };
 use crate::error::{engine_err, ScenarioResult};
-use crate::oracle::{self, ActorTally, OracleReport, Tally};
-use crate::pacer::{ticks_for_ms, Pacer};
+use crate::oracle::{self, ActorTally, OracleReport};
 use crate::spec::{
     expand_idx, AckMode, ActorMode, ConditionSpec, DelaySpec, Expect, FaultActionSpec, ScenarioSpec,
 };
+
+/// How long a wait goes on with no manager of the world changing anything
+/// before it fails the run.
+const NO_PROGRESS: Duration = Duration::from_secs(30);
 
 /// Metrics surfaced in every [`RunReport`].
 const KEY_METRICS: &[&str] = &[
@@ -208,19 +217,13 @@ fn crash_rebuild(world: &mut Compiled, name: &str) -> ScenarioResult<()> {
     for q in &rt.queues {
         qmgr.ensure_queue(q)?;
     }
+    // The same address, so inbound peers heal without re-resolution: the
+    // old acceptor's shutdown joined the thread that owned its listener,
+    // and std binds with `SO_REUSEADDR`.
     let acceptor = match rt.addr {
-        Some(addr) => {
-            // The old socket may linger briefly; retry the exact address
-            // so inbound peers heal without re-resolution.
-            let mut bound: Option<Arc<TcpAcceptor>> = None;
-            Pacer::new().wait_until(ticks_for_ms(10_000), || {
-                bound = TcpAcceptor::bind(&qmgr, &addr.to_string()).ok();
-                bound.is_some()
-            });
-            Some(bound.ok_or_else(|| {
-                engine_err(format!("could not rebind {addr} after crash of {name}"))
-            })?)
-        }
+        Some(addr) => Some(TcpAcceptor::bind(&qmgr, &addr.to_string()).map_err(|e| {
+            engine_err(format!("could not rebind {addr} after crash of {name}: {e}"))
+        })?),
         None => None,
     };
     rt.qmgr = qmgr;
@@ -247,14 +250,6 @@ fn crash_rebuild(world: &mut Compiled, name: &str) -> ScenarioResult<()> {
         apply_route(&world.managers, route)?;
     }
     Ok(())
-}
-
-fn queue_depth(world: &Compiled, manager: &str, queue: &str) -> u64 {
-    world
-        .managers
-        .get(manager)
-        .and_then(|rt| rt.qmgr.queue(queue).ok())
-        .map_or(0, |q| q.depth() as u64)
 }
 
 /// Fires, in declaration order, every not-yet-fired fault whose trigger
@@ -284,22 +279,18 @@ fn depth_reached(world: &Compiled, trigger: &ResolvedTrigger) -> bool {
     matches!(
         trigger,
         ResolvedTrigger::WhenDepth { manager, queue, min_depth }
-            if queue_depth(world, manager, queue) >= *min_depth
+            if world.depth(manager, queue).unwrap_or(0) >= *min_depth
     )
 }
 
-/// Fails the run if a depth-triggered fault is still unfired.
-fn check_depth_faults_fired(world: &Compiled, fired: &[bool]) -> ScenarioResult<()> {
+/// Names a depth-triggered fault that is still unfired, if one is.
+fn unfired_depth_fault(world: &Compiled, fired: &[bool]) -> Option<String> {
     let unfired = world.faults.iter().zip(fired).find(|(fault, done)| {
         !**done && matches!(fault.trigger, ResolvedTrigger::WhenDepth { .. })
     });
-    match unfired {
-        Some((fault, _)) => Err(engine_err(format!(
-            "fault on {:?} never triggered: depth threshold not reached",
-            fault.point
-        ))),
-        None => Ok(()),
-    }
+    unfired.map(|(fault, _)| {
+        format!("fault on {:?} never triggered: depth threshold not reached", fault.point)
+    })
 }
 
 // ---------------------------------------------------------- send path --
@@ -310,13 +301,13 @@ fn check_depth_faults_fired(world: &Compiled, fired: &[bool]) -> ScenarioResult<
 /// sphere kept open for the end of the run.
 fn do_sends(
     world: &mut Compiled,
-    tally: &mut Tally,
+    tally: &mut [ActorTally],
     records: &mut Vec<SendRecord>,
     spheres: &mut Vec<SphereRound>,
     fired: &mut [bool],
 ) -> ScenarioResult<()> {
     let mut g = 0_u64;
-    for actor_idx in 0..world.actors.len() {
+    for (actor_idx, t) in tally.iter_mut().enumerate() {
         let actor = world.actors[actor_idx].clone();
         for i in 0..actor.count {
             fire_due(world, fired, at_send(g))?;
@@ -341,14 +332,14 @@ fn do_sends(
                         .clone();
                     match messenger.send_with(payload, comp, &cond, opts) {
                         Ok(id) => {
-                            tally.per_actor[actor_idx].sent += 1;
+                            t.sent += 1;
                             records.push(SendRecord {
                                 actor_idx,
                                 msg_idx: i,
                                 id,
                             });
                         }
-                        Err(_) => tally.per_actor[actor_idx].send_errors += 1,
+                        Err(_) => t.send_errors += 1,
                     }
                 }
                 ActorMode::Sphere { timeout_ms } => {
@@ -363,10 +354,10 @@ fn do_sends(
                         None => sphere.send_message(payload, &cond),
                     };
                     if sent.is_err() {
-                        tally.per_actor[actor_idx].send_errors += 1;
+                        t.send_errors += 1;
                         continue;
                     }
-                    tally.per_actor[actor_idx].sent += 1;
+                    t.sent += 1;
                     spheres.push(SphereRound {
                         actor_idx,
                         msg_idx: i,
@@ -383,11 +374,11 @@ fn do_sends(
 /// has passed every member deadline and sphere timeout.
 fn resolve_spheres(
     world: &Compiled,
-    tally: &mut Tally,
+    tally: &mut [ActorTally],
     spheres: &mut [SphereRound],
 ) -> ScenarioResult<()> {
     for round in spheres {
-        let t = &mut tally.per_actor[round.actor_idx];
+        let t = &mut tally[round.actor_idx];
         match round.sphere.try_commit() {
             Ok(Some(o)) if o.is_committed() => t.committed += 1,
             Ok(Some(_)) => t.aborted += 1,
@@ -407,7 +398,7 @@ fn resolve_spheres(
 
 fn settle_records(
     world: &Compiled,
-    tally: &mut Tally,
+    tally: &mut [ActorTally],
     records: &[SendRecord],
     t0: Time,
     latencies: &mut Vec<u64>,
@@ -415,18 +406,18 @@ fn settle_records(
     for rec in records {
         let actor = &world.actors[rec.actor_idx];
         let Some(messenger) = world.messengers.get(&actor.spec.manager) else {
-            tally.per_actor[rec.actor_idx].undecided += 1;
+            tally[rec.actor_idx].undecided += 1;
             continue;
         };
         match messenger.take_outcome(rec.id, Wait::NoWait) {
             Ok(Some(n)) => {
                 match n.outcome {
-                    MessageOutcome::Success => tally.per_actor[rec.actor_idx].success += 1,
-                    MessageOutcome::Failure => tally.per_actor[rec.actor_idx].failure += 1,
+                    MessageOutcome::Success => tally[rec.actor_idx].success += 1,
+                    MessageOutcome::Failure => tally[rec.actor_idx].failure += 1,
                 }
                 latencies.push(n.decided_at.since(t0).as_u64());
             }
-            Ok(None) | Err(_) => tally.per_actor[rec.actor_idx].undecided += 1,
+            Ok(None) | Err(_) => tally[rec.actor_idx].undecided += 1,
         }
     }
 }
@@ -434,9 +425,11 @@ fn settle_records(
 /// Drains every declared application queue: compensations are consumed,
 /// and a read annihilates the original/compensation pairs it meets (it
 /// returns `None` when pairs were all it met, so the loop keys on depth,
-/// not on read results).
-fn sweep_queues(world: &Compiled, tally: &mut Tally) -> ScenarioResult<()> {
-    let pacer = Pacer::new();
+/// not on read results). A queue's sweep ends at the first read that
+/// leaves its depth as it was; the oracle reports what is left. Returns
+/// how many compensations the reads consumed.
+fn sweep_queues(world: &Compiled) -> ScenarioResult<u64> {
+    let mut comps_swept = 0;
     for (name, rt) in &world.managers {
         for q in &rt.queues {
             let recipient = world
@@ -447,39 +440,38 @@ fn sweep_queues(world: &Compiled, tally: &mut Tally) -> ScenarioResult<()> {
                 Some(r) => ConditionalReceiver::with_identity(rt.qmgr.clone(), r.clone())?,
                 None => ConditionalReceiver::new(rt.qmgr.clone())?,
             };
-            let mut budget = ticks_for_ms(30_000);
-            loop {
-                let depth = rt.qmgr.queue(q).map(|qq| qq.depth()).unwrap_or(0);
-                if depth == 0 || budget == 0 {
-                    break;
-                }
+            let depth = || world.depth(name, q).unwrap_or(0);
+            let mut before = depth();
+            while before > 0 {
                 match recv.read_message(q, Wait::NoWait) {
-                    Ok(Some(m)) => {
-                        if m.kind() == MessageKind::Compensation {
-                            tally.comps_swept += 1;
-                        }
-                    }
-                    Ok(None) => {
-                        // Annihilation in progress or a comp still in
-                        // transit: give the world a beat.
-                        budget -= 1;
-                        pacer.tick();
-                    }
+                    Ok(Some(m)) if m.kind() == MessageKind::Compensation => comps_swept += 1,
+                    Ok(_) => {}
                     Err(_) => break,
                 }
+                let after = depth();
+                if after == before {
+                    break;
+                }
+                before = after;
             }
         }
     }
-    Ok(())
+    Ok(comps_swept)
 }
 
-fn finish(spec: &ScenarioSpec, world: &Compiled, tally: Tally, latencies: Vec<u64>) -> RunReport {
+fn finish(
+    spec: &ScenarioSpec,
+    world: &Compiled,
+    tally: &[ActorTally],
+    comps_swept: u64,
+    latencies: Vec<u64>,
+) -> RunReport {
     let snapshot = world.obs.snapshot();
     let metrics = KEY_METRICS
         .iter()
         .map(|m| ((*m).to_owned(), snapshot.counter(m)))
         .collect();
-    let oracle = oracle::evaluate(world, &tally);
+    let oracle = oracle::evaluate(world, tally);
     let mut report = RunReport {
         name: spec.name.clone(),
         sent: 0,
@@ -488,12 +480,12 @@ fn finish(spec: &ScenarioSpec, world: &Compiled, tally: Tally, latencies: Vec<u6
         failure: 0,
         spheres_committed: 0,
         spheres_aborted: 0,
-        comps_swept: tally.comps_swept,
+        comps_swept,
         verdict_latency_ms: latencies,
         metrics,
         oracle,
     };
-    for t in &tally.per_actor {
+    for t in tally {
         report.sent += t.sent;
         report.send_errors += t.send_errors;
         report.success += t.success;
@@ -514,10 +506,7 @@ struct ReadEvent {
 }
 
 fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport> {
-    let mut tally = Tally {
-        per_actor: vec![ActorTally::default(); world.actors.len()],
-        comps_swept: 0,
-    };
+    let mut tally = vec![ActorTally::default(); world.actors.len()];
     let mut records = Vec::new();
     let mut spheres = Vec::new();
     let mut fired = vec![false; world.faults.len()];
@@ -566,26 +555,20 @@ fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport>
     // every original has landed. Depth-triggered faults fire from this
     // wait: a relay whose outbound channels are deferred holds its
     // envelopes until the crash-rebuild such a fault triggers.
-    let pacer = Pacer::new();
-    let mut fault_err = None;
-    let landed = pacer.wait_until(ticks_for_ms(300_000), || {
-        if let Err(e) = fire_due(world, &mut fired, depth_reached) {
-            fault_err = Some(e);
-            return true;
-        }
-        q_sent
+    let obs = world.obs.clone();
+    wait_until_settled(&obs, NO_PROGRESS, || {
+        fire_due(world, &mut fired, depth_reached)?;
+        let missing: u64 = q_sent
             .iter()
-            .all(|((mgr, q), want)| queue_depth(world, mgr, q) >= *want)
-    });
-    if let Some(e) = fault_err {
-        return Err(e);
-    }
-    if !landed {
+            .map(|((mgr, q), want)| want.saturating_sub(world.depth(mgr, q).unwrap_or(0)))
+            .sum();
         // A depth fault that never fired may be what holds a deferred
         // channel shut; name it rather than the stalled delivery.
-        check_depth_faults_fired(world, &fired)?;
-        return Err(engine_err("delivery of the originals never completed"));
-    }
+        Ok((missing > 0).then(|| {
+            unfired_depth_fault(world, &fired)
+                .unwrap_or_else(|| format!("{missing} originals never landed"))
+        }))
+    })?;
 
     // Phase 3: build the deterministic acknowledgment timeline. Each
     // acked queue gets `q_sent` delay samples from its acker's seeded
@@ -622,7 +605,7 @@ fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport>
                     continue; // never read; deadline failure expected
                 }
                 if let Some(a) = owner {
-                    let t = &mut tally.per_actor[a];
+                    let t = &mut tally[a];
                     t.expected_success = Some(t.expected_success.unwrap_or(0) + 1);
                 }
             }
@@ -634,7 +617,7 @@ fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport>
     }
     // Sampled actors with zero expected successes still need the field
     // set, or the oracle treats them as unattributed.
-    for (actor, t) in world.actors.iter().zip(tally.per_actor.iter_mut()) {
+    for (actor, t) in world.actors.iter().zip(tally.iter_mut()) {
         if actor.spec.expect == Expect::Sampled && t.expected_success.is_none() {
             t.expected_success = Some(0);
         }
@@ -692,7 +675,7 @@ fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport>
             }
             cursor += 1;
         }
-        quiesce_acks(world, &pacer);
+        quiesce(world)?;
         fire_due(world, &mut fired, depth_reached)?;
     }
     drop(receivers);
@@ -703,17 +686,19 @@ fn drive(spec: &ScenarioSpec, world: &mut Compiled) -> ScenarioResult<RunReport>
     // the wire like any other.
     let horizon = world.actors.iter().map(|a| a.horizon_ms).max().unwrap_or(0);
     world.clock.advance_to(Time(t0 + horizon + 2_000));
-    quiesce_acks(world, &pacer);
+    quiesce(world)?;
     fire_due(world, &mut fired, depth_reached)?;
-    check_depth_faults_fired(world, &fired)?;
+    if let Some(unfired) = unfired_depth_fault(world, &fired) {
+        return Err(engine_err(unfired));
+    }
     resolve_spheres(world, &mut tally, &mut spheres)?;
-    await_compensations(world, &pacer)?;
+    await_compensations(world)?;
 
     // Phase 6: collect outcomes (already decided), sweep, and judge.
     let mut latencies = Vec::new();
     settle_records(world, &mut tally, &records, Time(t0), &mut latencies);
-    sweep_queues(world, &mut tally)?;
-    Ok(finish(spec, world, tally, latencies))
+    let comps_swept = sweep_queues(world)?;
+    Ok(finish(spec, world, &tally, comps_swept, latencies))
 }
 
 fn perform_read(
@@ -739,18 +724,47 @@ fn perform_read(
     Ok(())
 }
 
-/// Waits (in thread time) until every released compensation has reached
-/// its destination: each one is on a declared queue, delivered to the
-/// application, or annihilated. The sweep reads what it finds, so a
-/// compensation still on the wire would let it take the failed original
-/// as an ordinary delivery instead of annihilating the pair. Fails the
-/// run, with the count still missing, if they do not land within 30 s.
-fn await_compensations(world: &Compiled, pacer: &Pacer) -> ScenarioResult<()> {
+/// Checks `outstanding` and, while it names something, parks until some
+/// manager of the world changes something, then checks again. A check
+/// counts only if nothing changed while it ran, so a message moving
+/// between two managers is never missed between reading one and the
+/// other. Fails the run with what `outstanding` last named once nothing
+/// has changed for `bound` ([`NO_PROGRESS`] in a run).
+///
+/// Exact because every input of every predicate here changes before the
+/// signal that follows it: a commit bumps it after its effects are
+/// visible, a channel after it releases a batch, and the messenger after
+/// it counts acknowledgments it took off `DS.ACK.Q`.
+fn wait_until_settled(
+    obs: &Obs,
+    bound: Duration,
+    mut outstanding: impl FnMut() -> ScenarioResult<Option<String>>,
+) -> ScenarioResult<()> {
+    let signal = obs.changes();
+    loop {
+        let seen = signal.seq();
+        match outstanding()? {
+            None if signal.seq() == seen => return Ok(()),
+            None => {}
+            Some(what) if !signal.wait_past(seen, bound) => {
+                return Err(engine_err(format!("{what}, and nothing changed for {bound:?}")))
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+/// Waits until every released compensation has reached its destination:
+/// each one is on a declared queue, delivered to the application, or
+/// annihilated. The sweep reads what it finds, so a compensation still on
+/// the wire would let it take the failed original as an ordinary delivery
+/// instead of annihilating the pair.
+fn await_compensations(world: &Compiled) -> ScenarioResult<()> {
     let metrics = world.obs.metrics();
     let released = metrics.counter("cond.comp.released").get();
     let ended = metrics.counter("cond.recv.comp_delivered").get()
         + metrics.counter("cond.recv.annihilated").get();
-    let landed = || {
+    wait_until_settled(&world.obs, NO_PROGRESS, || {
         let queued: usize = world
             .managers
             .values()
@@ -762,57 +776,76 @@ fn await_compensations(world: &Compiled, pacer: &Pacer) -> ScenarioResult<()> {
                     .count()
             })
             .sum();
-        queued as u64 + ended
-    };
-    if pacer.wait_until(ticks_for_ms(30_000), || landed() >= released) {
-        return Ok(());
-    }
-    Err(engine_err(format!(
-        "{} of {released} released compensations never landed",
-        released - landed()
-    )))
+        let missing = released.saturating_sub(queued as u64 + ended);
+        Ok((missing > 0)
+            .then(|| format!("{missing} of {released} released compensations never landed")))
+    })
 }
 
-/// Waits (in thread time, no virtual advance) until every acknowledgment
-/// born so far has been consumed by its messenger — the receivers' count
-/// of acks sent meets the messengers' count of acks taken, so none is
-/// still on the wire — and every transmission queue and every sender's
-/// ack queue is empty, steadily for a few ticks.
-fn quiesce_acks(world: &Compiled, pacer: &Pacer) {
+/// Waits (in thread time, no virtual advance) until nothing is on its way
+/// between managers: every acknowledgment the receivers sent has been
+/// taken by its messenger, and no manager holds a message on a
+/// transmission queue or a sender's `DS.ACK.Q`, counting messages taken
+/// off them by transactions still open (a channel's batch until its peer
+/// acknowledges it). Fails the run, naming what is still in flight, if
+/// the world stops moving first.
+fn quiesce(world: &Compiled) -> ScenarioResult<()> {
     let metrics = world.obs.metrics();
     let sent = [
         metrics.counter("cond.recv.read_acks"),
         metrics.counter("cond.recv.processed_acks"),
     ];
     let taken = metrics.histogram("cond.ack.batch_size");
-    let mut stable = 0_u32;
-    let mut budget = ticks_for_ms(30_000);
-    while stable < 3 && budget > 0 {
-        let acks_sent: u64 = sent.iter().map(|c| c.get()).sum();
-        let mut busy = acks_sent.saturating_sub(taken.sum());
-        for rt in world.managers.values() {
-            for q in rt.qmgr.queue_names() {
-                if q.starts_with("SYSTEM.XMIT.") {
-                    busy += queue_depth(world, rt.qmgr.name(), &q);
-                }
+    wait_until_settled(&world.obs, NO_PROGRESS, || {
+        let mut busy = Vec::new();
+        let acks = sent.iter().map(|c| c.get()).sum::<u64>().saturating_sub(taken.sum());
+        if acks > 0 {
+            busy.push(format!("{acks} acknowledgments not yet taken"));
+        }
+        for (name, rt) in &world.managers {
+            let unsent = rt.qmgr.unsent();
+            if unsent > 0 {
+                busy.push(format!("{unsent} messages on transmission queues of {name}"));
+            }
+            let held = rt.qmgr.queue(DEFAULT_ACK_QUEUE).map_or(0, |q| q.held());
+            if held > 0 {
+                busy.push(format!("{held} acknowledgments on {DEFAULT_ACK_QUEUE} of {name}"));
             }
         }
-        for name in world.messengers.keys() {
-            busy += queue_depth(world, name, DEFAULT_ACK_QUEUE);
-        }
-        if busy == 0 {
-            stable += 1;
-        } else {
-            stable = 0;
-        }
-        budget -= 1;
-        pacer.tick();
-    }
+        Ok((!busy.is_empty()).then(|| format!("still in flight: {}", busy.join(", "))))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_wait_ends_when_its_predicate_holds_and_fails_naming_what_stalled() {
+        let obs = Obs::new();
+        let mut left = 3;
+        let bumper = std::thread::spawn({
+            let obs = obs.clone();
+            move || (0..3).for_each(|_| obs.changes().bump())
+        });
+        let mut checks = 0;
+        wait_until_settled(&obs, NO_PROGRESS, || {
+            checks += 1;
+            left = 3 - obs.changes().seq().min(3);
+            Ok((left > 0).then(|| format!("{left} to go")))
+        })
+        .unwrap();
+        bumper.join().unwrap();
+        assert_eq!(left, 0);
+        assert!(checks <= 4, "one check per change at most, then one more: {checks}");
+
+        let stalled = wait_until_settled(&obs, Duration::from_millis(5), || {
+            Ok(Some("2 messages on transmission queues of QM.A".to_owned()))
+        });
+        let e = stalled.unwrap_err().to_string();
+        assert!(e.contains("2 messages on transmission queues of QM.A"), "{e}");
+        assert!(e.contains("nothing changed for 5ms"), "{e}");
+    }
 
     #[test]
     fn sample_delay_is_deterministic_and_bounded() {

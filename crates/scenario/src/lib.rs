@@ -31,7 +31,6 @@ pub mod compile;
 pub mod error;
 pub mod exec;
 pub mod oracle;
-mod pacer;
 pub mod spec;
 pub mod toml;
 

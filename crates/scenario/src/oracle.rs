@@ -79,7 +79,7 @@ pub(crate) struct ActorTally {
     pub(crate) success: u64,
     /// Failure verdicts observed via outcome notifications.
     pub(crate) failure: u64,
-    /// Sends whose outcome never arrived inside the settle budget.
+    /// Sends with no outcome notification once the run settled.
     pub(crate) undecided: u64,
     /// Committed sphere rounds.
     pub(crate) committed: u64,
@@ -90,21 +90,13 @@ pub(crate) struct ActorTally {
     pub(crate) expected_success: Option<u64>,
 }
 
-/// Run-wide tallies the executor hands to the oracle.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Tally {
-    /// Aligned with [`Compiled::actors`].
-    pub(crate) per_actor: Vec<ActorTally>,
-    /// Compensation messages consumed by the terminal sweep.
-    pub(crate) comps_swept: u64,
-}
-
-/// Runs every oracle check against the settled world.
-pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
+/// Runs every oracle check against the settled world; `tally` is aligned
+/// with [`Compiled::actors`].
+pub(crate) fn evaluate(world: &Compiled, tally: &[ActorTally]) -> OracleReport {
     let mut report = OracleReport::default();
 
     // Per-actor declared expectations.
-    for (actor, t) in world.actors.iter().zip(&tally.per_actor) {
+    for (actor, t) in world.actors.iter().zip(tally) {
         let name = format!("actor:{}", actor.spec.name);
         let planned = actor.count;
         let detail = format!(
@@ -141,7 +133,7 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
     let mut sent = 0_u64;
     let mut decided = 0_u64;
     let mut undecided = 0_u64;
-    for (actor, t) in world.actors.iter().zip(&tally.per_actor) {
+    for (actor, t) in world.actors.iter().zip(tally) {
         if matches!(actor.spec.mode, ActorMode::Send) {
             sent += t.sent;
             decided += t.success + t.failure;
@@ -164,7 +156,7 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
             pending == 0,
             format!("{pending} conditional messages still pending"),
         );
-        let depth = queue_depth(world, name, DEFAULT_OUTCOME_QUEUE);
+        let depth = world.depth(name, DEFAULT_OUTCOME_QUEUE);
         report.check(
             format!("outcomes-consumed:{name}"),
             depth == Some(0),
@@ -172,36 +164,29 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
         );
     }
 
-    // Dead-letter queues must stay empty unless the spec opts out.
-    if world.spec_oracle().dlq_empty {
-        for name in world.managers.keys() {
-            let depth = queue_depth(world, name, mq::DEAD_LETTER_QUEUE);
+    // Dead-letter queues stay empty, and every declared application queue
+    // is drained after the sweep: originals read or annihilated,
+    // compensations consumed.
+    for (name, rt) in &world.managers {
+        let depth = world.depth(name, mq::DEAD_LETTER_QUEUE);
+        report.check(
+            format!("dlq:{name}"),
+            depth == Some(0),
+            format!("dead-letter depth {depth:?}"),
+        );
+        for q in &rt.queues {
+            let depth = world.depth(name, q);
             report.check(
-                format!("dlq:{name}"),
+                format!("drained:{name}/{q}"),
                 depth == Some(0),
-                format!("dead-letter depth {depth:?}"),
+                format!("depth {depth:?}"),
             );
-        }
-    }
-
-    // Every declared application queue must be drained after the sweep:
-    // originals read or annihilated, compensations consumed.
-    if world.spec_oracle().destinations_drained {
-        for (name, rt) in &world.managers {
-            for q in &rt.queues {
-                let depth = queue_depth(world, name, q);
-                report.check(
-                    format!("drained:{name}/{q}"),
-                    depth == Some(0),
-                    format!("depth {depth:?}"),
-                );
-            }
         }
     }
 
     // Declared metric floors.
     let snapshot = world.obs.snapshot();
-    for m in &world.spec_oracle().metrics {
+    for m in &world.oracle.metrics {
         let got = snapshot.counter(&m.metric);
         report.check(
             format!("metric:{}", m.metric),
@@ -213,9 +198,9 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
     // Declared lifecycle stages must have been traced. The seen-mask is
     // consulted (not the retained events): at 1M messages the bounded
     // ring has long since evicted the early-life stages.
-    if !world.spec_oracle().stages.is_empty() {
+    if !world.oracle.stages.is_empty() {
         let trace = world.obs.trace();
-        for stage in &world.spec_oracle().stages {
+        for stage in &world.oracle.stages {
             let seen = mq::TraceStage::ALL
                 .iter()
                 .find(|s| s.to_string() == *stage)
@@ -228,19 +213,7 @@ pub(crate) fn evaluate(world: &Compiled, tally: &Tally) -> OracleReport {
         }
     }
 
-    report.check(
-        "comps-swept",
-        true,
-        format!("{} compensations consumed by the sweep", tally.comps_swept),
-    );
-
     report
-}
-
-fn queue_depth(world: &Compiled, manager: &str, queue: &str) -> Option<u64> {
-    let rt = world.managers.get(manager)?;
-    let q = rt.qmgr.queue(queue).ok()?;
-    Some(q.depth() as u64)
 }
 
 #[cfg(test)]

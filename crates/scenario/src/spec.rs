@@ -371,10 +371,6 @@ pub struct MetricExpect {
 /// The oracle's declared expectations beyond per-actor outcomes.
 #[derive(Debug, Clone)]
 pub struct OracleSpec {
-    /// Every manager's dead-letter queue must be empty.
-    pub dlq_empty: bool,
-    /// Every destination queue must be drained after the sweep.
-    pub destinations_drained: bool,
     /// Metric floors.
     pub metrics: Vec<MetricExpect>,
     /// Trace stages that must appear in the lifecycle trace.
@@ -855,14 +851,8 @@ fn decode_fault(v: &Value) -> ScenarioResult<FaultSpec> {
 
 fn decode_oracle(v: &Value) -> ScenarioResult<OracleSpec> {
     let ctx = "[oracle]";
-    known_keys(
-        v,
-        &["dlq_empty", "destinations_drained", "metrics", "stages"],
-        ctx,
-    )?;
+    known_keys(v, &["metrics", "stages"], ctx)?;
     let mut oracle = OracleSpec {
-        dlq_empty: bool_or(v, "dlq_empty", true, ctx)?,
-        destinations_drained: bool_or(v, "destinations_drained", true, ctx)?,
         metrics: Vec::new(),
         stages: Vec::new(),
     };
@@ -955,8 +945,6 @@ manager = "QM.B0"
 queue = "SYSTEM.XMIT.QM.B1"
 min_depth = 3
 
-[oracle]
-dlq_empty = true
 [[oracle.metrics]]
 metric = "cond.sent"
 min = 10
