@@ -394,6 +394,16 @@ impl Parser<'_> {
                 }
             };
             match kw.as_str() {
+                // A foreign block `extern "C" { fn …; }` declares bodiless
+                // fns only: nothing in it for a pass, and its `}` must not
+                // end the enclosing item list.
+                "extern"
+                    if matches!(self.tok(self.i + 1), Some(Tok::Str(_)))
+                        && self.is_punct(self.i + 2, '{') =>
+                {
+                    self.i += 2;
+                    self.skip_group();
+                }
                 "pub" | "unsafe" | "async" | "extern" | "default" => {
                     self.i += 1;
                     // `pub(crate)` visibility argument.

@@ -112,3 +112,10 @@ fn clean_corpus_is_silent() {
 fn a_condvar_nothing_notifies_is_reported() {
     check("unnotified_condvar");
 }
+
+/// A foreign block `extern "C" { fn …; }` inside a `mod` is read past:
+/// the condvar waited on after it, which nothing notifies, is reported.
+#[test]
+fn code_after_a_foreign_block_is_checked() {
+    check("extern_block");
+}

@@ -88,10 +88,11 @@ pub const METRIC_REGISTRY: &[&str] = &[
     // Queue-manager cells.
     "mq.tx.committed",
     "mq.tx.rolled_back",
+    "mq.tx.handed",
     "mq.forwarded",
     "mq.received_remote",
     // Channel handoffs riding a later record.
-    "mq.channel.released",
+    "mq.channel.*.released",
     "mq.channel.release_flushes",
     // Journal.
     "mq.journal.append_micros",

@@ -124,7 +124,7 @@ impl QueueManagerBuilder {
         let clock = self.clock.unwrap_or_else(|| SystemClock::new());
         let journal = self.journal.unwrap_or_else(|| MemJournal::new());
         let obs = self.obs.unwrap_or_default();
-        let stats = ManagerStats::registered(obs.metrics());
+        let stats = ManagerStats::registered(obs.metrics(), &self.name);
         let relay_stats = RelayStats::registered(obs.metrics());
         // Journals that own metric cells (e.g. SegmentedJournal's fsync
         // and batch-size metrics) surface them through this manager's hub.
@@ -373,7 +373,9 @@ impl QueueManager {
             queue: name.to_owned(),
         })?;
         queues.remove(name);
-        drop(queues);
+        // Closed before the directory is released: under it, a queue that
+        // is open is the one its name resolves to, which is what a commit
+        // puts to.
         queue.close();
         Ok(())
     }
@@ -449,7 +451,9 @@ impl QueueManager {
 
     /// Consumes a message from a local queue, outside any transaction: a
     /// transaction of one get. When the journal refuses its record the
-    /// message is back on the queue, redelivery count untouched.
+    /// message is back on the queue, redelivery count untouched. While it
+    /// waits, a commit that stages a put it would take hands the message
+    /// over instead of queueing it: no record holds that put or this get.
     ///
     /// # Errors
     ///
@@ -462,7 +466,8 @@ impl QueueManager {
     /// Consumes the oldest message whose correlation id equals `corr` (a
     /// `&str`, or the `u128` value of a 32-hex-digit id: see
     /// [`CorrelationKey`]), via the queue's correlation index (O(matches),
-    /// not a queue scan).
+    /// not a queue scan). While it waits it may be handed a put, as
+    /// [`QueueManager::get`] may.
     ///
     /// # Errors
     ///
@@ -474,7 +479,7 @@ impl QueueManager {
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         let corr = corr.into();
-        self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, |_| true, wait))
+        self.auto_commit(|tx| tx.get_by_correlation(self, queue, corr, |_| true, wait, true))
     }
 
     /// Opens a session for transactional work against this manager.

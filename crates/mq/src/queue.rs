@@ -26,7 +26,10 @@
 //! (`QueueManager::commit` in the session module). That is the only way
 //! out: a message past its TTL is skipped by every take and leaves as a get
 //! of the sweep's transaction ([`Queue::sweep_expired`]), exactly as a
-//! purged one leaves as a get of the purge's.
+//! purged one leaves as a get of the purge's. The one exception is a put
+//! handed to a consumer parked in a get outside a transaction: it never
+//! enters the store, and neither it nor that get is journaled
+//! (`Queue::claim`).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -34,12 +37,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use simtime::{Millis, SharedClock, Time};
 
 use crate::error::{MqError, MqResult};
 use crate::message::{CorrelationKey, Message, MessageId};
 use crate::qmgr::QueueManager;
+use crate::relay::RELAY_ORIGIN_PROPERTY;
 use crate::session::{Session, TxState};
 use crate::stats::{Counter, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
@@ -101,6 +105,70 @@ pub trait ArrivalTrigger: Send + Sync {
 /// How a commit tells an [`ArrivalTrigger`] what became of the transaction
 /// it staged into; see [`ArrivalTrigger::on_arrival`].
 pub type ArrivalEnd<'a> = Box<dyn FnOnce(bool) + 'a>;
+
+/// What a take got: a message off the queue, or one a commit handed it.
+#[derive(Debug)]
+pub(crate) enum Taken {
+    /// Off the queue: a get its transaction's record covers.
+    Queued(Message),
+    /// Handed over by the commit that staged it: the record that would
+    /// have put it consumed it, so no record covers a get of it.
+    Handed(Message),
+}
+
+/// A consumer parked in a get outside a transaction, registered so a
+/// commit can hand it a put instead of queueing it (Gray, *Queues Are
+/// Databases*: a row inserted and consumed at once need never be stored).
+pub(crate) struct Getter {
+    token: u64,
+    select: Select,
+    claim: Claim,
+}
+
+/// What a getter takes: the first message in delivery order, or the
+/// first carrying a correlation id.
+enum Select {
+    Any,
+    Value(u128),
+    Text(Box<str>),
+}
+
+impl Select {
+    fn of(key: Option<CorrelationKey<'_>>) -> Select {
+        match key {
+            None => Select::Any,
+            Some(CorrelationKey::Value(value)) => Select::Value(value),
+            Some(CorrelationKey::Text(text)) => Select::Text(text.into()),
+        }
+    }
+
+    fn key(&self) -> Option<CorrelationKey<'_>> {
+        match self {
+            Select::Any => None,
+            Select::Value(value) => Some(CorrelationKey::Value(*value)),
+            Select::Text(text) => Some(CorrelationKey::Text(text)),
+        }
+    }
+
+    fn matches(&self, msg: &Message) -> bool {
+        match self {
+            Select::Any => true,
+            Select::Value(value) => msg.correlation_u128() == Some(*value),
+            Select::Text(text) => msg.correlation_id() == Some(&**text),
+        }
+    }
+}
+
+/// Where a getter stands with the commits.
+enum Claim {
+    /// Waiting, free to be claimed or to take from the queue.
+    Open,
+    /// Claimed by a commit whose record is being written: the getter
+    /// waits for the outcome, whatever its timeout.
+    Claimed,
+    /// The record is written: the message is the getter's.
+    Handed(Message),
+}
 
 /// A named message queue.
 pub struct Queue {
@@ -187,6 +255,12 @@ impl Queue {
     pub fn held(&self) -> usize {
         let store = self.store.lock();
         store.len() + store.pending_len()
+    }
+
+    /// Consumers parked in a get outside a transaction, each of which a
+    /// commit may hand a put it stages instead of queueing it.
+    pub fn waiting_getters(&self) -> usize {
+        self.store.lock().getters.len()
     }
 
     /// Whether the queue currently holds no messages. A cheap peek so idle
@@ -288,11 +362,162 @@ impl Queue {
             let mut store = self.store.lock();
             self.check_open(&store)?;
             if store.version() == seen_version {
-                self.parked.fetch_add(1, Ordering::Relaxed);
-                self.available.wait_for(&mut store, real_wait);
-                self.parked.fetch_sub(1, Ordering::Relaxed);
+                self.wait_parked(&mut store, real_wait);
             }
         }
+    }
+
+    /// Parks on the condvar for up to `real_wait`, counted in `parked`,
+    /// with the store lock released meanwhile.
+    fn wait_parked(&self, store: &mut MutexGuard<'_, MessageStore>, real_wait: Duration) {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        self.available.wait_for(store, real_wait);
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The park loop of a get outside a transaction: [`Queue::park`]'s,
+    /// except that a getter that found nothing to take registers, so that
+    /// a commit can claim it for a put it stages ([`Queue::claim`]). A
+    /// claimed getter waits for the record whatever its `wait` and the
+    /// queue's state: the commit hands it the message once the record is
+    /// written ([`Queue::hand`]) or, refused, gives it back to its wait
+    /// ([`Queue::unclaim`]), at once either way.
+    fn park_bare(
+        &self,
+        wait: Wait,
+        key: Option<CorrelationKey<'_>>,
+        take: impl Fn(&mut MessageStore, Time) -> Option<Message>,
+    ) -> MqResult<Option<Taken>> {
+        let deadline = match wait {
+            Wait::NoWait => return Ok(self.attempt(&take)?.0.map(Taken::Queued)),
+            Wait::Timeout(t) => Some(self.clock.now() + t),
+            Wait::Forever => None,
+        };
+        let slice = if self.clock.is_virtual() {
+            Duration::from_millis(2)
+        } else {
+            Duration::from_millis(200)
+        };
+        let mut registered = None;
+        let mut swept = false;
+        loop {
+            let now = self.clock.now();
+            let mut store = self.store.lock();
+            if let Some(at) = registered.and_then(|token| getter_at(&store, token)) {
+                match store.getters[at].claim {
+                    Claim::Open => {}
+                    Claim::Claimed => {
+                        self.wait_parked(&mut store, slice);
+                        continue;
+                    }
+                    Claim::Handed(_) => {
+                        if let Claim::Handed(msg) = store.getters.remove(at).claim {
+                            return Ok(Some(Taken::Handed(msg)));
+                        }
+                    }
+                }
+            }
+            // Under one hold of the lock from here to the park, so a
+            // claim, an insert or a close comes after it and wakes it.
+            let ended = match self.check_open(&store) {
+                Err(e) => Some(Err(e)),
+                Ok(()) if !swept && store.has_ripe(now) => {
+                    drop(store);
+                    self.sweep_expired().unwrap_or(0);
+                    swept = true;
+                    continue;
+                }
+                Ok(()) => match take(&mut store, now) {
+                    Some(msg) => Some(Ok(Some(Taken::Queued(msg)))),
+                    None if deadline.is_some_and(|d| now >= d) => Some(Ok(None)),
+                    None => None,
+                },
+            };
+            if let Some(ended) = ended {
+                if let Some(at) = registered.and_then(|token| getter_at(&store, token)) {
+                    store.getters.remove(at);
+                }
+                return ended;
+            }
+            if registered.is_none() {
+                let token = store.next_getter;
+                store.next_getter += 1;
+                let select = Select::of(key);
+                store.getters.push(Getter { token, select, claim: Claim::Open });
+                registered = Some(token);
+            }
+            let real_wait = match deadline {
+                Some(d) if !self.clock.is_virtual() => (d - now).to_duration(),
+                _ => slice,
+            };
+            swept = false;
+            self.wait_parked(&mut store, real_wait);
+        }
+    }
+
+    /// Claims, for `msg` about to be written by a commit's record, the
+    /// oldest getter parked on this queue that it would satisfy: the put
+    /// then leaves the record and is handed over once the record is
+    /// written. `Ok(None)` when no getter waits for it, when the queue
+    /// already holds what that getter would take first, or when `msg` may
+    /// not be handed: past its TTL at `now`, or arrived over a channel (its
+    /// record put reseeds the dedup window on replay). `Err` when the queue
+    /// is closed: deleted, or its manager crashed. The caller holds the
+    /// mutation gate and the queue directory.
+    pub(crate) fn claim(&self, msg: &Message, now: Time) -> Result<Option<u64>, ()> {
+        let mut store = self.store.lock();
+        if !store.open {
+            return Err(());
+        }
+        if store.getters.is_empty()
+            || msg.is_expired(now)
+            || msg.str_property(RELAY_ORIGIN_PROPERTY).is_some()
+        {
+            return Ok(None);
+        }
+        let open = |g: &Getter| matches!(g.claim, Claim::Open) && g.select.matches(msg);
+        let Some(at) = store.getters.iter().position(open) else {
+            return Ok(None);
+        };
+        let queued = match store.getters[at].select.key() {
+            None => !store.is_empty(),
+            Some(key) => store.first_correlated(key, now, |_| true).is_some(),
+        };
+        if queued {
+            return Ok(None);
+        }
+        store.getters[at].claim = Claim::Claimed;
+        Ok(Some(store.getters[at].token))
+    }
+
+    /// Gives a getter [`Queue::claim`] took back to its wait: the record
+    /// was refused.
+    pub(crate) fn unclaim(&self, getter: u64) {
+        let mut store = self.store.lock();
+        if let Some(at) = getter_at(&store, getter) {
+            store.getters[at].claim = Claim::Open;
+        }
+        drop(store);
+        self.wake_consumers();
+    }
+
+    /// Hands `msg` to the getter claimed for it, once the record that
+    /// consumed it is written: one enqueue and one dequeue of the queue.
+    /// The caller runs the put watchers. A claimed getter waits for this,
+    /// so it is there.
+    // lint: custody(msg)
+    pub(crate) fn hand(&self, getter: u64, msg: Message) {
+        let mut store = self.store.lock();
+        match getter_at(&store, getter) {
+            Some(at) => {
+                store.getters[at].claim = Claim::Handed(msg);
+                self.stats.enqueued.incr();
+                self.stats.dequeued.incr();
+            }
+            None => self.insert(&mut store, msg, false),
+        }
+        drop(store);
+        self.wake_consumers();
     }
 
     /// The queue's statistics counters.
@@ -474,26 +699,37 @@ impl Queue {
 
     /// Removes and returns the first message in delivery order, waiting
     /// per `wait`. Like every take, the get is provisional: covered later by
-    /// its transaction's `TxCommit` record, or undone by rollback.
-    pub(crate) fn take_blocking(&self, wait: Wait) -> MqResult<Option<Message>> {
-        self.park(wait, false, || self.attempt(|store, now| self.take_first(store, now)))
+    /// its transaction's `TxCommit` record, or undone by rollback. A `bare`
+    /// get, one outside a transaction, may instead be handed a put while
+    /// it waits ([`Queue::park_bare`]).
+    pub(crate) fn take_blocking(&self, wait: Wait, bare: bool) -> MqResult<Option<Taken>> {
+        let take = |store: &mut MessageStore, now| self.take_first(store, now);
+        if bare {
+            return self.park_bare(wait, None, take);
+        }
+        Ok(self.park(wait, false, || self.attempt(take))?.map(Taken::Queued))
     }
 
     /// Removes and returns the first message in delivery order with the
     /// given correlation id that `accept` takes, waiting per `wait`: a
-    /// point read of the correlation index (O(matches), not O(depth)).
+    /// point read of the correlation index (O(matches), not O(depth)). A
+    /// `bare` get takes any message carrying the id: its `accept` takes
+    /// every one.
     pub(crate) fn take_by_correlation_blocking(
         &self,
         correlation: CorrelationKey<'_>,
         accept: impl Fn(&Message) -> bool,
         wait: Wait,
-    ) -> MqResult<Option<Message>> {
-        self.park(wait, false, || {
-            self.attempt(|store, now| {
-                let id = store.first_correlated(correlation, now, &accept)?;
-                self.consume_locked(store, id)
-            })
-        })
+        bare: bool,
+    ) -> MqResult<Option<Taken>> {
+        let take = |store: &mut MessageStore, now| {
+            let id = store.first_correlated(correlation, now, &accept)?;
+            self.consume_locked(store, id)
+        };
+        if bare {
+            return self.park_bare(wait, Some(correlation), take);
+        }
+        Ok(self.park(wait, false, || self.attempt(take))?.map(Taken::Queued))
     }
 
     /// The message a get by `correlation` would take, left on the queue,
@@ -518,7 +754,7 @@ impl Queue {
 
     #[cfg(test)]
     pub(crate) fn try_take(&self) -> MqResult<Option<Message>> {
-        self.take_blocking(Wait::NoWait)
+        Ok(self.take_blocking(Wait::NoWait, false)?.map(Taken::into_message))
     }
 
     #[cfg(test)]
@@ -527,7 +763,9 @@ impl Queue {
         correlation: &str,
         accept: impl Fn(&Message) -> bool,
     ) -> MqResult<Option<Message>> {
-        self.take_by_correlation_blocking(correlation.into(), accept, Wait::NoWait)
+        let taken =
+            self.take_by_correlation_blocking(correlation.into(), accept, Wait::NoWait, false)?;
+        Ok(taken.map(Taken::into_message))
     }
 
     fn take_first(&self, store: &mut MessageStore, now: Time) -> Option<Message> {
@@ -644,6 +882,21 @@ impl Queue {
     }
 }
 
+/// Where the registered getter `token` sits: a getter leaves the list only
+/// by its own hand, so it is there while its get runs.
+fn getter_at(store: &MessageStore, token: u64) -> Option<usize> {
+    store.getters.iter().position(|g| g.token == token)
+}
+
+#[cfg(test)]
+impl Taken {
+    fn into_message(self) -> Message {
+        match self {
+            Taken::Queued(msg) | Taken::Handed(msg) => msg,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,6 +939,11 @@ mod tests {
 
     fn text(s: &str) -> Message {
         Message::text(s).build()
+    }
+
+    /// A get inside a transaction, of the message itself.
+    fn take(q: &Queue, wait: Wait) -> MqResult<Option<Message>> {
+        Ok(q.take_blocking(wait, false)?.map(Taken::into_message))
     }
 
     /// What a committed put does to its queue.
@@ -769,6 +1027,42 @@ mod tests {
             );
         });
         assert_eq!(q.parked.load(Ordering::SeqCst), 0);
+    }
+
+    /// Only a get outside a transaction may be handed a put: a getter
+    /// parked inside one takes the put off the queue as a get of its
+    /// transaction, and its rollback puts it back, live and after a
+    /// restart.
+    #[test]
+    fn a_getter_inside_a_transaction_is_never_handed_a_put() {
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("TEST.QM")
+            .clock(SystemClock::new())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        let q = qm.create_queue("Q").unwrap();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| {
+                let mut tx = qm.session();
+                tx.begin().unwrap();
+                let got = tx.get("Q", Wait::Timeout(Millis(60_000))).unwrap();
+                tx.rollback().unwrap();
+                got
+            });
+            while q.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let registered = q.waiting_getters();
+            qm.put("Q", Message::text("m").persistent(true).build()).unwrap();
+            assert_eq!(getter.join().unwrap().unwrap().payload_str(), Some("m"));
+            assert_eq!(registered, 0, "a transacted get registers nothing");
+        });
+        assert_eq!(qm.metrics_snapshot().counter("mq.tx.handed"), 0);
+        assert_eq!(q.depth(), 1, "rolled back onto the queue");
+        qm.crash();
+        let qm = QueueManager::builder("TEST.QM").journal(journal).build().unwrap();
+        assert_eq!(qm.queue("Q").unwrap().depth(), 1, "and there after a restart");
     }
 
     #[test]
@@ -1102,7 +1396,7 @@ mod tests {
         let q = queue_with(clock);
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(Wait::Timeout(Millis(2_000))));
+            std::thread::spawn(move || take(&q2, Wait::Timeout(Millis(2_000))));
         std::thread::sleep(Duration::from_millis(30));
         put(&q, text("late")).unwrap();
         let got = consumer.join().unwrap().unwrap().unwrap();
@@ -1113,8 +1407,7 @@ mod tests {
     fn blocking_take_times_out_system_clock() {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
-        let got = q
-            .take_blocking(Wait::Timeout(Millis(30)))
+        let got = take(&q, Wait::Timeout(Millis(30)))
             .unwrap();
         assert!(got.is_none());
     }
@@ -1124,7 +1417,7 @@ mod tests {
         let (clock, q) = sim_queue();
         let q2 = q.clone();
         let consumer =
-            std::thread::spawn(move || q2.take_blocking(Wait::Timeout(Millis(100))));
+            std::thread::spawn(move || take(&q2, Wait::Timeout(Millis(100))));
         std::thread::sleep(Duration::from_millis(20));
         clock.advance(Millis(150));
         let got = consumer.join().unwrap().unwrap();
@@ -1134,7 +1427,7 @@ mod tests {
     #[test]
     fn nowait_returns_immediately() {
         let (_c, q) = sim_queue();
-        assert!(q.take_blocking(Wait::NoWait).unwrap().is_none());
+        assert!(take(&q, Wait::NoWait).unwrap().is_none());
     }
 
     #[test]
@@ -1142,7 +1435,7 @@ mod tests {
         let clock: SharedClock = SystemClock::new();
         let q = queue_with(clock);
         let q2 = q.clone();
-        let consumer = std::thread::spawn(move || q2.take_blocking(Wait::Forever));
+        let consumer = std::thread::spawn(move || take(&q2, Wait::Forever));
         std::thread::sleep(Duration::from_millis(30));
         q.close();
         match consumer.join().unwrap() {
@@ -1190,7 +1483,8 @@ mod tests {
                 let q = q.clone();
                 let waiter = std::thread::spawn(move || {
                     let wait = Wait::Timeout(Millis(5_000));
-                    q.take_by_correlation_blocking(corr.into(), |_| true, wait)
+                    q.take_by_correlation_blocking(corr.into(), |_| true, wait, false)
+                        .map(|t| t.map(Taken::into_message))
                 });
                 // Parked in this order: "a" first.
                 std::thread::sleep(Duration::from_millis(50));
@@ -1253,7 +1547,7 @@ mod tests {
                 let consumed = consumed.clone();
                 std::thread::spawn(move || {
                     while consumed.load(Ordering::SeqCst) < 1000 {
-                        if q.take_blocking(Wait::Timeout(Millis(100)))
+                        if take(&q, Wait::Timeout(Millis(100)))
                             .unwrap()
                             .is_some()
                         {

@@ -16,6 +16,16 @@
 //! it to the trigger, which stages what it causes into the same
 //! transaction, and one record covers both.
 //!
+//! A put that a consumer parked in a get outside a transaction is waiting
+//! for is *handed over*: the commit claims that getter before it appends,
+//! leaves the put out of its record (the put and the get cancel, so no
+//! record holds either) and hands the message over once the record is
+//! written, after any trigger has heard so. Only such a bare get is ever
+//! claimed; a put past its TTL or one that arrived over a channel (whose
+//! record put reseeds the dedup window on replay) is never handed; and a
+//! refused record gives the getter back to its wait and the put back to
+//! its place in the transaction.
+//!
 //! A transaction has a third ending beside commit and rollback, *release*
 //! ([`Session::release`]), for the one consumer whose gets something other
 //! than this manager's journal already makes safe to repeat: the channel
@@ -23,6 +33,7 @@
 //! record of its own; it stays a pending get and rides the next `TxCommit`
 //! the manager writes ([`Released`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use simtime::{Millis, Time};
@@ -32,7 +43,7 @@ use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
 use crate::message::{CorrelationKey, Message, MessageId, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
-use crate::queue::{ArrivalTrigger, Queue, Wait};
+use crate::queue::{ArrivalTrigger, Queue, Taken, Wait};
 use crate::trace::TraceStage;
 
 /// One kind of a transaction's operations, in order. The one operation of
@@ -98,6 +109,28 @@ impl<T> Ops<T> {
         self.as_slice().is_empty()
     }
 
+    /// Takes out the operation at `at`, if there is one.
+    fn remove(&mut self, at: usize) -> Option<T> {
+        match self {
+            Ops::Few(op) if at == 0 => op.take(),
+            Ops::Few(_) => None,
+            Ops::Many(ops) => (at < ops.len()).then(|| ops.remove(at)),
+        }
+    }
+
+    /// Puts `op` at `at`, the operations from there on after it.
+    fn insert(&mut self, at: usize, op: T) {
+        match self {
+            Ops::Few(slot @ None) if at == 0 => *slot = Some(op),
+            Ops::Many(ops) => ops.insert(at, op),
+            Ops::Few(_) => {
+                let mut ops = std::mem::take(self).into_vec();
+                ops.insert(at, op);
+                *self = Ops::Many(ops);
+            }
+        }
+    }
+
     /// Keeps the first `len` operations.
     fn truncate(&mut self, len: usize) {
         match self {
@@ -134,9 +167,12 @@ impl<T> IntoIterator for Ops<T> {
 pub(crate) struct TxState {
     /// Puts staged until commit, in order, each message with the name of
     /// its queue: the put list of the transaction's `TxCommit` record,
-    /// which is lent the list itself, and what the commit applies,
-    /// resolving each name as replay does.
+    /// which is lent the list itself, and what the commit applies.
     puts: Ops<(Arc<str>, Message)>,
+    /// The queue each put was staged for, in step with `puts`: the commit
+    /// puts to it while it lives, and resolves the name as replay does
+    /// only for a queue deleted since.
+    queues: Ops<Option<Arc<Queue>>>,
     /// The first queue staged to that has an [`ArrivalTrigger`]: the
     /// commit hands the puts bound for it to the trigger.
     triggered: Option<Arc<Queue>>,
@@ -207,12 +243,24 @@ impl Released {
 #[derive(Default)]
 struct Applied {
     /// The queue of each put made visible, to wake its consumers and
-    /// watchers.
-    to_notify: Ops<Arc<Queue>>,
+    /// watchers; `None` for an orphan.
+    to_notify: Ops<Option<Arc<Queue>>>,
     /// Puts whose queue was gone at commit.
     orphaned: Vec<Message>,
+    /// Puts claimed for a parked getter, to hand over.
+    handed: Ops<Handoff>,
     /// How many released gets the record carried.
     carried: usize,
+}
+
+/// A staged put a getter parked on its queue was claimed for
+/// ([`Queue::claim`]): out of the record, handed over once it is written.
+struct Handoff {
+    /// Where the put sat among the staged puts.
+    at: usize,
+    queue: Arc<Queue>,
+    getter: u64,
+    msg: Message,
 }
 
 /// The staged puts of one transaction that were bound for a triggered
@@ -245,8 +293,9 @@ impl TxState {
         q.check_room(|| staged.iter().filter(|(to, _)| **to == *queue).count())?;
         self.puts.push((q.shared_name(), msg));
         if self.triggered.is_none() && q.arrival_trigger().is_some() {
-            self.triggered = Some(q);
+            self.triggered = Some(q.clone());
         }
+        self.queues.push(Some(q));
         Ok(())
     }
 
@@ -270,7 +319,10 @@ impl TxState {
     }
 
     /// Consumes provisionally: the message is off its queue, and the get
-    /// is covered by the record of the commit or undone by the rollback.
+    /// is covered by the record of the commit or undone by the rollback. A
+    /// get that is the whole of its transaction, outside
+    /// [`Session::begin`], may be handed a put while it waits, which no
+    /// record covers a get of.
     pub(crate) fn get(
         &mut self,
         manager: &QueueManager,
@@ -278,13 +330,13 @@ impl TxState {
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
-        let msg = q.take_blocking(wait)?;
-        if let Some(m) = &msg {
-            self.gets.push((q, m.clone()));
-        }
-        Ok(msg)
+        let taken = q.take_blocking(wait, self.is_bare())?;
+        Ok(self.took_from(q, taken))
     }
 
+    /// [`TxState::get`] by correlation id. Only with `handoff`, which says
+    /// that `accept` takes every message with the id, may it be handed a
+    /// put.
     pub(crate) fn get_by_correlation(
         &mut self,
         manager: &QueueManager,
@@ -292,13 +344,30 @@ impl TxState {
         corr: CorrelationKey<'_>,
         accept: impl Fn(&Message) -> bool,
         wait: Wait,
+        handoff: bool,
     ) -> MqResult<Option<Message>> {
         let q = manager.queue(queue)?;
-        let msg = q.take_by_correlation_blocking(corr, accept, wait)?;
-        if let Some(m) = &msg {
-            self.gets.push((q, m.clone()));
+        let bare = handoff && self.is_bare();
+        let taken = q.take_by_correlation_blocking(corr, accept, wait, bare)?;
+        Ok(self.took_from(q, taken))
+    }
+
+    /// Whether the transaction is a get outside a transaction and nothing
+    /// else yet: one a commit may hand a put.
+    fn is_bare(&self) -> bool {
+        !self.explicit && self.is_empty()
+    }
+
+    /// Records a message taken off `queue` as one of the gets; a handed
+    /// one is no get of this transaction.
+    fn took_from(&mut self, queue: Arc<Queue>, taken: Option<Taken>) -> Option<Message> {
+        match taken? {
+            Taken::Queued(msg) => {
+                self.gets.push((queue, msg.clone()));
+                Some(msg)
+            }
+            Taken::Handed(msg) => Some(msg),
         }
-        Ok(msg)
     }
 
     /// Records a message already taken off `queue` as one of the gets.
@@ -312,12 +381,15 @@ impl TxState {
         let queue = self.triggered.clone()?;
         let trigger = queue.arrival_trigger()?;
         let (mut at, mut messages) = (Vec::new(), Vec::new());
-        for (i, (to, msg)) in std::mem::take(&mut self.puts).into_iter().enumerate() {
+        let puts = std::mem::take(&mut self.puts);
+        let staged = puts.into_iter().zip(std::mem::take(&mut self.queues));
+        for (i, ((to, msg), staged_to)) in staged.enumerate() {
             if *to == *queue.name() {
                 at.push(i);
                 messages.push(msg);
             } else {
                 self.puts.push((to, msg));
+                self.queues.push(staged_to);
             }
         }
         Some((trigger, Arrival { queue, at, messages }))
@@ -325,21 +397,83 @@ impl TxState {
 
     /// Stages the messages of `arrival` again, each where it was.
     fn restore(&mut self, arrival: Arrival) {
-        let mut puts = std::mem::take(&mut self.puts).into_vec();
         for (at, msg) in arrival.at.into_iter().zip(arrival.messages) {
-            puts.insert(at, (arrival.queue.shared_name(), msg));
+            self.restage(at, &arrival.queue, msg);
         }
-        self.puts = puts.into();
     }
 
     /// Keeps the first `puts` staged puts and the first `gets` gets, and
     /// hands back the gets after them.
     fn truncate(&mut self, puts: usize, gets: usize) -> TxState {
         self.puts.truncate(puts);
+        self.queues.truncate(puts);
         let mut taken = std::mem::take(&mut self.gets).into_vec();
         let after = taken.split_off(gets);
         self.gets = taken.into();
         TxState { gets: after.into(), ..TxState::default() }
+    }
+
+    /// Settles the queue of each staged put, the one replay resolves its
+    /// name to (`directory`, read-held by the caller): the queue it was
+    /// staged for while that lives, else the one of that name now, or
+    /// none. Takes out each put that a getter parked on its queue is
+    /// claimed for ([`Queue::claim`]), keeping `queues` in step.
+    fn claim_getters(
+        &mut self,
+        directory: &HashMap<String, Arc<Queue>>,
+        now: Time,
+    ) -> Ops<Handoff> {
+        let mut handed = Ops::default();
+        let mut i = 0;
+        while i < self.puts.len() {
+            match self.claim(i, directory, now) {
+                Some(mut handoff) => {
+                    handoff.at += handed.len();
+                    handed.push(handoff);
+                }
+                None => i += 1,
+            }
+        }
+        handed
+    }
+
+    /// Settles the queue of the staged put at `i` and takes the put out,
+    /// for a getter parked there that is claimed for it.
+    // lint: custody(msg)
+    fn claim(
+        &mut self,
+        i: usize,
+        directory: &HashMap<String, Arc<Queue>>,
+        now: Time,
+    ) -> Option<Handoff> {
+        let (name, staged) = &self.puts.as_slice()[i];
+        let slot = &mut self.queues.as_mut_slice()[i];
+        let mut claimed = slot.as_ref().map_or(Err(()), |queue| queue.claim(staged, now));
+        if claimed.is_err() {
+            // Deleted since it was staged: whatever the name names now.
+            *slot = directory.get(&**name).cloned();
+            claimed = slot.as_ref().map_or(Ok(None), |queue| queue.claim(staged, now));
+        }
+        let getter = claimed.ok()??;
+        let queue = self.queues.remove(i).flatten()?;
+        let (_, msg) = self.puts.remove(i)?;
+        Some(Handoff { at: i, queue, getter, msg })
+    }
+
+    /// Undoes [`TxState::claim_getters`] for a record the journal refused:
+    /// each getter back to its wait, each put back where it was staged.
+    // lint: custody(msg)
+    fn unclaim(&mut self, handed: Ops<Handoff>) {
+        for Handoff { at, queue, getter, msg } in handed {
+            queue.unclaim(getter);
+            self.restage(at, &queue, msg);
+        }
+    }
+
+    /// Stages `msg` for `queue` again at `at`, where it was.
+    fn restage(&mut self, at: usize, queue: &Arc<Queue>, msg: Message) {
+        self.puts.insert(at, (queue.shared_name(), msg));
+        self.queues.insert(at, Some(queue.clone()));
     }
 }
 
@@ -431,7 +565,10 @@ impl QueueManager {
     }
 
     /// Writes the `TxCommit` record of `tx` and applies it, under the
-    /// mutation gate. Refused, nothing happened and `tx` comes back.
+    /// mutation gate. A put that a getter parked on its queue is claimed
+    /// for stays out of the record, and is handed over once it is written
+    /// ([`QueueManager::announce`]). Refused, nothing happened and `tx`
+    /// comes back, claimed puts where they were staged.
     // lint: custody(msg, err-reverts)
     #[allow(clippy::result_large_err)] // the error hands the transaction back
     fn apply(&self, mut tx: TxState) -> Result<Applied, (MqError, TxState)> {
@@ -446,6 +583,12 @@ impl QueueManager {
         for (_, staged) in tx.puts.as_mut_slice() {
             staged.stamp_enqueue(now);
         }
+        // The queue directory, read-held from the claims through the last
+        // put: no queue is created or deleted between the record and its
+        // effects, so each put's queue, settled here once for its claim and
+        // its insert, is the queue replay resolves its name to.
+        let directory = self.queues.read();
+        let handed = tx.claim_getters(&directory, now);
         let written = tx.puts.as_slice().iter().filter(|(_, m)| m.is_persistent()).count();
         let own = tx.gets.as_slice().iter().filter(|(_, m)| m.is_persistent());
         let writes = written > 0 || own.clone().next().is_some();
@@ -457,11 +600,6 @@ impl QueueManager {
         } else {
             Released::default()
         };
-        // The queue directory, read-held from the append through the last
-        // put: no queue is created or deleted between the record and its
-        // effects, so each put's queue name resolves to the queue replay
-        // resolves it to.
-        let directory = self.queues.read();
         if writes || !carried.gets.is_empty() {
             let carried_gets = carried.gets.iter().map(|(q, id)| (q.shared_name(), *id));
             let gets = carried_gets.chain(own.map(|(q, m)| (q.shared_name(), m.id()))).collect();
@@ -481,25 +619,26 @@ impl QueueManager {
             if let Err(e) = appended {
                 drop(directory);
                 self.settle_released(carried, false);
+                tx.unclaim(handed);
                 return Err((e, tx));
             }
         }
-        let mut applied = Applied { carried: carried.gets.len(), ..Applied::default() };
-        for (name, msg) in tx.puts {
-            let put = match directory.get(&*name) {
-                Some(queue) => queue.put_committed(msg).map(|()| queue),
+        let mut applied = Applied { carried: carried.gets.len(), handed, ..Applied::default() };
+        let mut queues = tx.queues;
+        for ((name, msg), queue) in tx.puts.into_iter().zip(queues.as_mut_slice()) {
+            let put = match queue {
+                Some(queue) => queue.put_committed(msg),
                 None => Err(msg),
             };
-            match put {
-                Ok(queue) => applied.to_notify.push(queue.clone()),
-                // A queue deleted under the transaction: the message is
-                // dead-lettered rather than lost.
-                Err(mut msg) => {
-                    msg.set_property(DLQ_REASON_PROPERTY, &format!("unknown queue {name}"));
-                    applied.orphaned.push(msg);
-                }
+            // A queue deleted under the transaction: the message is
+            // dead-lettered rather than lost.
+            if let Err(mut msg) = put {
+                *queue = None;
+                msg.set_property(DLQ_REASON_PROPERTY, &format!("unknown queue {name}"));
+                applied.orphaned.push(msg);
             }
         }
+        applied.to_notify = queues;
         drop(directory);
         self.settle_released(carried, true);
         // The TxCommit record is now the durable cover for each consumption:
@@ -518,13 +657,21 @@ impl QueueManager {
     /// What follows an applied transaction, outside the gate (which must
     /// never be held re-entrantly): the dead-letter put of an orphan is a
     /// commit of its own, and the consumers and watchers woken here may
-    /// start transactions of theirs.
+    /// start transactions of theirs. A claimed put is handed to its
+    /// getter here, after any arrival trigger has heard that the record
+    /// is written.
+    // lint: custody(msg)
     fn announce(&self, applied: Applied) {
         self.obs().changes().bump();
+        for Handoff { queue, getter, msg, .. } in applied.handed {
+            queue.hand(getter, msg);
+            self.stats().handed.incr();
+            queue.notify_put_watchers();
+        }
         for msg in applied.orphaned {
             self.put(DEAD_LETTER_QUEUE, msg).unwrap_or(());
         }
-        for q in applied.to_notify {
+        for q in applied.to_notify.into_iter().flatten() {
             q.notify_arrival();
         }
     }
@@ -922,7 +1069,7 @@ impl Session {
         wait: Wait,
     ) -> MqResult<Option<Message>> {
         let corr = corr.into();
-        self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, accept, wait))
+        self.run(|manager, tx| tx.get_by_correlation(manager, queue, corr, accept, wait, false))
     }
 }
 
@@ -938,9 +1085,218 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::MemJournal;
+    use crate::journal::{Journal, MemJournal, ReplaySink};
     use crate::qmgr::ManagerConfig;
+    use parking_lot::{Condvar, Mutex};
     use simtime::SimClock;
+    use std::time::Duration;
+
+    /// Waits until `n` bare getters are parked on `queue`.
+    fn wait_getters(qm: &QueueManager, queue: &str, n: usize) {
+        let q = qm.queue(queue).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while q.waiting_getters() != n {
+            assert!(std::time::Instant::now() < deadline, "{n} getters not parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The queue names of the last record's puts.
+    fn last_puts(journal: &MemJournal) -> Vec<String> {
+        match journal.replay_collect().unwrap().pop() {
+            Some(JournalRecord::TxCommit { puts, .. }) => {
+                puts.iter().map(|(q, _)| q.to_string()).collect()
+            }
+            other => panic!("last record: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_put_to_a_waiting_getter_is_handed_over_and_neither_is_written() {
+        let (journal, qm) = setup();
+        let watched = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = watched.clone();
+        qm.queue("Q").unwrap().add_put_watcher(Arc::new(move || {
+            counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }));
+        let records = journal.record_count();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| qm.get("Q", Wait::Timeout(Millis(60_000))));
+            wait_getters(&qm, "Q", 1);
+            let put = qm.put("Q", Message::text("m").persistent(true).build());
+            let got = getter.join().unwrap().unwrap().unwrap();
+            put.unwrap();
+            assert_eq!(got.payload_str(), Some("m"));
+        });
+        assert_eq!(journal.record_count(), records, "no record for the put or the get");
+        let metrics = qm.metrics_snapshot();
+        assert_eq!(metrics.counter("mq.tx.handed"), 1);
+        assert_eq!(metrics.counter("mq.queue.Q.enqueued"), 1);
+        assert_eq!(metrics.counter("mq.queue.Q.dequeued"), 1);
+        assert_eq!(watched.load(std::sync::atomic::Ordering::SeqCst), 1, "watchers fire");
+        assert_eq!(qm.queue("Q").unwrap().waiting_getters(), 0);
+        qm.crash();
+        let qm = QueueManager::builder("QM1").journal(journal).build().unwrap();
+        assert_eq!(qm.queue("Q").unwrap().depth(), 0, "consumed, as the record says");
+    }
+
+    #[test]
+    fn a_put_past_its_ttl_is_never_handed() {
+        let clock = SimClock::new();
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        qm.create_queue("Q").unwrap();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| qm.get("Q", Wait::Timeout(Millis(1_000))));
+            wait_getters(&qm, "Q", 1);
+            let expired = Message::text("stale").persistent(true).ttl(Millis::ZERO);
+            let put = qm.put("Q", expired.build());
+            let written = last_puts(&journal);
+            clock.advance(Millis(1_000));
+            assert!(getter.join().unwrap().unwrap().is_none(), "nothing to take");
+            put.unwrap();
+            assert_eq!(written, ["Q"], "its record puts it");
+        });
+        assert_eq!(qm.metrics_snapshot().counter("mq.tx.handed"), 0);
+        assert_eq!(qm.queue("Q").unwrap().stats().expired.get(), 1);
+    }
+
+    /// A record the journal refuses gives the claimed getter back to its
+    /// wait, and the put back to where it was staged, in a transaction
+    /// that comes back intact.
+    #[test]
+    fn a_refused_record_gives_the_getter_back_and_the_put_back_where_it_was_staged() {
+        let clock = SimClock::new();
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        qm.create_queue("Q").unwrap();
+        qm.create_queue("OUT").unwrap();
+        let persistent = |text: &str| Message::text(text).persistent(true).build();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| qm.get("Q", Wait::Timeout(Millis(100))));
+            wait_getters(&qm, "Q", 1);
+            let mut tx = qm.session();
+            tx.begin().unwrap();
+            tx.put("OUT", persistent("a")).unwrap();
+            tx.put("Q", persistent("x")).unwrap();
+            tx.put("OUT", persistent("b")).unwrap();
+            journal.set_failing(true);
+            let refused = tx.commit().is_err();
+            std::thread::sleep(Duration::from_millis(20));
+            let waiting = (getter.is_finished(), qm.queue("Q").unwrap().waiting_getters());
+            clock.advance(Millis(100));
+            assert!(getter.join().unwrap().unwrap().is_none(), "its timeout ends it");
+            assert!(refused);
+            assert!(tx.in_transaction(), "the transaction comes back");
+            assert_eq!(waiting, (false, 1), "the getter still waits, handed nothing");
+            journal.set_failing(false);
+            tx.commit().unwrap();
+        });
+        assert_eq!(last_puts(&journal), ["OUT", "Q", "OUT"], "staged order");
+        assert_eq!(qm.queue("Q").unwrap().depth(), 1);
+        assert_eq!(qm.metrics_snapshot().counter("mq.tx.handed"), 0);
+    }
+
+    /// A journal whose appends wait while it is held.
+    #[derive(Debug)]
+    struct HeldJournal {
+        inner: Arc<MemJournal>,
+        held: Mutex<(bool, usize)>,
+        changed: Condvar,
+    }
+
+    impl HeldJournal {
+        fn wait_appending(&self) {
+            let mut held = self.held.lock();
+            while held.1 == 0 {
+                self.changed.wait(&mut held);
+            }
+        }
+
+        fn set_held(&self, held: bool) {
+            self.held.lock().0 = held;
+            self.changed.notify_all();
+        }
+    }
+
+    impl Journal for HeldJournal {
+        fn append(&self, record: &JournalRecord) -> MqResult<()> {
+            let mut held = self.held.lock();
+            held.1 += 1;
+            self.changed.notify_all();
+            while held.0 {
+                self.changed.wait(&mut held);
+            }
+            held.1 -= 1;
+            drop(held);
+            self.inner.append(record)
+        }
+
+        fn replay(&self, sink: &mut ReplaySink<'_>) -> MqResult<()> {
+            self.inner.replay(sink)
+        }
+
+        fn reset(&self) -> MqResult<()> {
+            self.inner.reset()
+        }
+
+        fn len_bytes(&self) -> u64 {
+            self.inner.len_bytes()
+        }
+    }
+
+    /// A getter claimed by a commit waits for its record past its own
+    /// timeout: the put is the getter's once written.
+    #[test]
+    fn a_claim_outlives_its_getters_timeout() {
+        let clock = SimClock::new();
+        let journal = Arc::new(HeldJournal {
+            inner: MemJournal::new(),
+            held: Mutex::new((false, 0)),
+            changed: Condvar::new(),
+        });
+        let qm = QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(journal.clone())
+            .build()
+            .unwrap();
+        qm.create_queue("Q").unwrap();
+        qm.create_queue("OUT").unwrap();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| qm.get("Q", Wait::Timeout(Millis(100))));
+            wait_getters(&qm, "Q", 1);
+            journal.set_held(true);
+            // A record is written for the put to OUT; the one to Q rides
+            // nothing and is handed over once that record is written.
+            let putter = s.spawn(|| {
+                let mut tx = qm.session();
+                tx.begin()?;
+                tx.put("OUT", Message::text("kept").persistent(true).build())?;
+                tx.put("Q", Message::text("m").persistent(true).build())?;
+                tx.commit()
+            });
+            journal.wait_appending();
+            clock.advance(Millis(200));
+            std::thread::sleep(Duration::from_millis(20));
+            let waited = !getter.is_finished();
+            journal.set_held(false);
+            putter.join().unwrap().unwrap();
+            let got = getter.join().unwrap().unwrap();
+            assert!(waited, "claimed: it waits past its timeout");
+            assert_eq!(got.unwrap().payload_str(), Some("m"));
+        });
+        assert_eq!(qm.metrics_snapshot().counter("mq.tx.handed"), 1);
+        assert_eq!(qm.queue("Q").unwrap().depth(), 0);
+        assert_eq!(last_puts(&journal.inner), ["OUT"]);
+    }
 
     fn setup() -> (Arc<MemJournal>, Arc<QueueManager>) {
         let journal = MemJournal::new();
@@ -952,6 +1308,36 @@ mod tests {
         qm.create_queue("Q").unwrap();
         qm.create_queue("OUT").unwrap();
         (journal, qm)
+    }
+
+    /// Managers sharing one observability hub each read their own count of
+    /// released handoffs, and the hub holds one cell per manager.
+    #[test]
+    fn managers_sharing_a_hub_read_their_own_released_count() {
+        let obs = crate::obs::Obs::new();
+        let release = |name: &str, n: usize| {
+            let qm = QueueManager::builder(name)
+                .clock(SimClock::new())
+                .obs(obs.clone())
+                .build()
+                .unwrap();
+            qm.create_queue("Q").unwrap();
+            for _ in 0..n {
+                qm.put("Q", Message::text("m").persistent(true).build()).unwrap();
+            }
+            let mut s = qm.session();
+            s.begin().unwrap();
+            for _ in 0..n {
+                s.get("Q", Wait::NoWait).unwrap().unwrap();
+            }
+            s.release().unwrap();
+            qm
+        };
+        let (a, b) = (release("QM.A", 2), release("QM.B", 1));
+        assert_eq!((a.stats().released.get(), b.stats().released.get()), (2, 1));
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.gauges["mq.channel.QM.A.released"].current, 2);
+        assert_eq!(snapshot.gauges["mq.channel.QM.B.released"].current, 1);
     }
 
     #[test]

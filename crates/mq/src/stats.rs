@@ -518,6 +518,9 @@ pub struct ManagerStats {
     pub tx_committed: Arc<Counter>,
     /// Transactions rolled back.
     pub tx_rolled_back: Arc<Counter>,
+    /// Puts handed to a consumer parked in a get outside a transaction:
+    /// the put and that get written by no record.
+    pub handed: Arc<Counter>,
     /// Messages forwarded to remote queue managers.
     pub forwarded: Arc<Counter>,
     /// Messages received from remote queue managers.
@@ -527,6 +530,8 @@ pub struct ManagerStats {
     pub journal_append_micros: Arc<Histogram>,
     /// Channel handoffs released and not yet covered by a record: what a
     /// crash now would re-send (bounded by `mq::channel::MAX_RELEASED`).
+    /// One cell per manager, `mq.channel.<manager>.released`: each sets it
+    /// to its own count, so managers sharing a registry keep theirs apart.
     pub released: Arc<Gauge>,
     /// Records written for released handoffs alone: the bound was reached,
     /// the manager sat idle, or it shut down (the trace says which).
@@ -541,15 +546,17 @@ pub struct ManagerStats {
 }
 
 impl ManagerStats {
-    /// Creates stats whose cells are registered in `registry`.
-    pub fn registered(registry: &MetricsRegistry) -> ManagerStats {
+    /// Creates the stats of manager `manager`, whose cells are registered
+    /// in `registry`.
+    pub fn registered(registry: &MetricsRegistry, manager: &str) -> ManagerStats {
         ManagerStats {
             tx_committed: registry.counter("mq.tx.committed"),
             tx_rolled_back: registry.counter("mq.tx.rolled_back"),
+            handed: registry.counter("mq.tx.handed"),
             forwarded: registry.counter("mq.forwarded"),
             received_remote: registry.counter("mq.received_remote"),
             journal_append_micros: registry.histogram("mq.journal.append_micros"),
-            released: registry.gauge("mq.channel.released"),
+            released: registry.gauge(&format!("mq.channel.{manager}.released")),
             release_flushes: registry.counter("mq.channel.release_flushes"),
             encodes: registry.counter("mq.codec.encodes"),
             checkpoints_refused: registry.counter("mq.checkpoint.refused"),
@@ -778,7 +785,7 @@ mod tests {
     fn registered_queue_and_manager_stats_appear_in_snapshot() {
         let r = MetricsRegistry::new();
         let qs = QueueStats::registered(&r, "Q.A");
-        let ms = ManagerStats::registered(&r);
+        let ms = ManagerStats::registered(&r, "QM1");
         qs.enqueued.incr();
         qs.depth.set(5);
         ms.tx_committed.incr();

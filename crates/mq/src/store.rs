@@ -50,6 +50,7 @@ use std::sync::Arc;
 use simtime::Time;
 
 use crate::message::{Correlation, CorrelationKey, IdMap, Message, MessageId};
+use crate::queue::Getter;
 
 /// Number of priority bands (JMS priorities 0–9).
 pub(crate) const PRIORITY_BANDS: usize = 10;
@@ -201,6 +202,11 @@ pub(crate) struct MessageStore {
     /// detect arrivals between releasing the lock and parking.
     version: u64,
     pub(crate) open: bool,
+    /// The consumers parked in a get outside a transaction, oldest first:
+    /// a commit may hand one of them a put (see `Queue::claim`).
+    pub(crate) getters: Vec<Getter>,
+    /// The token of the next getter to register.
+    pub(crate) next_getter: u64,
 }
 
 impl std::fmt::Debug for MessageStore {
@@ -227,6 +233,8 @@ impl MessageStore {
             next_front_seq: SEQ_MIDPOINT - 1,
             version: 0,
             open: true,
+            getters: Vec::new(),
+            next_getter: 0,
         }
     }
 

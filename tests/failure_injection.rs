@@ -506,6 +506,80 @@ fn a_refused_verdict_lands_on_the_retry_timer_once_storage_heals() {
     assert_eq!(outcome.decided_at, sent_at + Millis(101) + RETRY_BACKOFF);
 }
 
+/// The waiting taker of a verdict the journal refuses: the refusal gives
+/// the claim back, so it is handed nothing and stays parked; once storage
+/// heals, the retry timer's cycle hands it the one notification, which no
+/// record ever put.
+#[test]
+fn a_taker_waiting_through_a_refused_verdict_is_handed_it_once_storage_heals() {
+    let (clock, journal, qmgr) = timed_world();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(100))
+        .into();
+    let id = messenger
+        .send_message_with_compensation("a", "undo-a", &condition)
+        .unwrap();
+    let outcomes = qmgr.queue("DS.OUTCOME.Q").unwrap();
+    std::thread::scope(|s| {
+        let taker = s.spawn(|| messenger.take_outcome(id, Wait::Timeout(Millis(600_000))));
+        wait_for("the taker to park", &|| outcomes.waiting_getters() == 1);
+        journal.set_failing(true);
+        clock.advance(Millis(101));
+        let refused = messenger.status(id);
+        std::thread::sleep(Duration::from_millis(20));
+        let parked = (taker.is_finished(), outcomes.waiting_getters());
+        journal.set_failing(false);
+        clock.advance(RETRY_BACKOFF);
+        let outcome = taker.join().unwrap().unwrap().expect("handed the verdict");
+        assert_eq!(refused, MessageStatus::Pending, "refused at t=101");
+        assert_eq!(parked, (false, 1), "handed nothing, still parked");
+        assert_eq!(outcome.outcome, MessageOutcome::Failure);
+    });
+    assert_eq!(outcomes.depth(), 0);
+    assert_eq!(messenger.status(id), MessageStatus::Unknown);
+    assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none(), "exactly one");
+    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), 1);
+    let notified = journal.replay_collect().unwrap().into_iter().any(|record| {
+        matches!(record, JournalRecord::TxCommit { puts, .. }
+            if puts.iter().any(|(queue, _)| &**queue == "DS.OUTCOME.Q"))
+    });
+    assert!(!notified, "no record puts the notification");
+    assert_eq!(qmgr.queue("Q").unwrap().depth(), 2, "the original and its undo, once");
+}
+
+/// A notification is handed over only after the trigger that decided it
+/// has heard that its record is written: by the time `take_outcome`
+/// returns, the message has left the pending table.
+#[test]
+fn a_taker_handed_its_notification_never_finds_the_message_pending() {
+    let (_clock, _journal, qmgr) = timed_world();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    let outcomes = qmgr.queue("DS.OUTCOME.Q").unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q")
+        .pickup_within(Millis(1_000))
+        .into();
+    const TRIPS: u64 = 20;
+    for _ in 0..TRIPS {
+        let id = messenger.send_message("x", &condition).unwrap();
+        std::thread::scope(|s| {
+            let taker = s.spawn(|| {
+                let outcome = messenger.take_outcome(id, Wait::Timeout(Millis(600_000)));
+                (outcome, messenger.status(id))
+            });
+            wait_for("the taker to park", &|| outcomes.waiting_getters() == 1);
+            let read = receiver.read_message("Q", Wait::NoWait);
+            let (outcome, status) = taker.join().unwrap();
+            assert!(read.unwrap().is_some());
+            assert_eq!(outcome.unwrap().unwrap().outcome, MessageOutcome::Success);
+            assert_eq!(status, MessageStatus::Unknown, "never pending once taken");
+        });
+    }
+    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), TRIPS);
+    assert_eq!(outcomes.depth(), 0);
+}
+
 #[test]
 fn a_dropped_messenger_disarms_every_timer_it_armed() {
     // The clock outlives the messenger: what it armed must not stay armed

@@ -16,7 +16,7 @@ use condmsg::{
 use mq::channel::Channel;
 use mq::journal::{Journal, JournalRecord, MemJournal, SegmentConfig, SegmentedJournal};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
-use mq::{BatchAccepted, FaultAction, FaultPlane, QueueAddress, QueueManager, Wait};
+use mq::{BatchAccepted, FaultAction, FaultPlane, Message, QueueAddress, QueueManager, Wait};
 use simtime::{Millis, SharedClock, SimClock, Time};
 
 fn build_qm(clock: SharedClock, journal: Arc<MemJournal>) -> Arc<QueueManager> {
@@ -278,6 +278,153 @@ fn crash_right_after_verdict_leaves_outcome_and_no_log_entries() {
         );
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Waits until `n` getters outside a transaction are parked on `queue`.
+fn wait_getters(qmgr: &QueueManager, queue: &str, n: usize) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while qmgr.queue(queue).unwrap().waiting_getters() != n {
+        assert!(std::time::Instant::now() < deadline, "{n} getters not parked on {queue}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn crash_right_after_a_verdict_handed_to_its_waiting_taker_leaves_nothing_to_decide() {
+    // The deciding read's record hands the notification to the sender
+    // parked in `take_outcome`: no record puts it, none takes it. A crash
+    // right after that record finds the message decided and consumed —
+    // no notification, no pending entry — and nothing is evaluated again.
+    let root = segment_root("handed");
+    let clock = SimClock::new();
+    let open = || {
+        QueueManager::builder("QM1")
+            .clock(clock.clone())
+            .journal(open_durable(&root))
+            .build()
+            .unwrap()
+    };
+    let id;
+    {
+        let qmgr = open();
+        qmgr.create_queue("Q.A").unwrap();
+        qmgr.create_queue("Q.B").unwrap();
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        id = messenger
+            .send_message("x", &two_dest_condition(Millis(1_000)))
+            .unwrap();
+        clock.advance(Millis(10));
+        let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
+        r.read_message("Q.A", Wait::NoWait).unwrap().unwrap();
+        std::thread::scope(|s| {
+            let taker = s.spawn(|| messenger.take_outcome(id, Wait::Timeout(Millis(600_000))));
+            wait_getters(&qmgr, "DS.OUTCOME.Q", 1);
+            let read = r.read_message("Q.B", Wait::NoWait);
+            let outcome = taker.join().unwrap().unwrap().expect("handed");
+            read.unwrap().unwrap();
+            assert_eq!(outcome.outcome, MessageOutcome::Success);
+        });
+        qmgr.crash();
+    }
+    let after_crash = read_root(&root);
+    for restart in 1..=2 {
+        let qmgr = open();
+        match qmgr.journal().replay_collect().unwrap().last() {
+            Some(JournalRecord::TxCommit { puts, .. }) => {
+                let queues: Vec<&str> = puts.iter().map(|(q, _)| &**q).collect();
+                assert_eq!(queues, ["DS.RLOG.Q"], "the fused record, without the notification");
+            }
+            other => panic!("last record: {other:?}"),
+        }
+        let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+        for queue in ["DS.OUTCOME.Q", "DS.SLOG.Q", "DS.COMP.Q", "DS.ACK.Q"] {
+            assert_eq!(qmgr.queue(queue).unwrap().depth(), 0, "{queue}");
+        }
+        assert_eq!(messenger.status(id), MessageStatus::Unknown);
+        assert_eq!(messenger.pending_count(), 0);
+        clock.advance(Millis(2_000));
+        assert!(messenger.take_outcome(id, Wait::NoWait).unwrap().is_none());
+        qmgr.crash();
+        assert_eq!(
+            read_root(&root),
+            after_crash,
+            "restart #{restart} must not append to the journal"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_reader_parked_in_its_transaction_is_never_handed_an_original() {
+    // A receiver transaction's read is no bare get: the original it waits
+    // for is put on the queue by the send's record and taken by the read,
+    // so the read's rollback and a restart still find it there.
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    let messenger = ConditionalMessenger::new(qmgr.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM1", "Q.A")
+        .pickup_within(Millis(60_000))
+        .into();
+    let mut r = ConditionalReceiver::new(qmgr.clone()).unwrap();
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            r.begin_tx().unwrap();
+            let read = r.read_message("Q.A", Wait::Timeout(Millis(600_000)));
+            r.rollback_tx().unwrap();
+            read.unwrap().is_some()
+        });
+        // Give the read time to park: it registers no getter either way.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let registered = qmgr.queue("Q.A").unwrap().waiting_getters();
+        messenger.send_message("x", &condition).unwrap();
+        assert!(reader.join().unwrap(), "the reader got the original");
+        assert_eq!(registered, 0, "a receiver transaction's read registers nothing");
+    });
+    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), 0);
+    assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "rolled back onto the queue");
+    qmgr.crash();
+    let qmgr = build_qm(clock, journal);
+    assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 1, "and there after a restart");
+}
+
+#[test]
+fn an_arrival_for_a_waiting_getter_is_queued_so_its_resend_is_a_duplicate() {
+    // A message that arrives over a channel is never handed over: its
+    // arrival record's put reseeds the dedup window on replay. A getter
+    // waits on the queue the channel delivers into; the receiver crashes
+    // after the arrival, before the transport ack reaches the sender, and
+    // the resend is dropped: the message is delivered once.
+    let clock = SimClock::new();
+    let journal = MemJournal::new();
+    let qmgr = build_qm(clock.clone(), journal.clone());
+    qmgr.create_queue("Q.A").unwrap();
+    let remote = QueueManager::builder("QM2").build().unwrap();
+    remote.define_route("QM1", "SYSTEM.XMIT.QM1").unwrap();
+    let msg = Message::text("m").persistent(true).build();
+    remote.put_to(&QueueAddress::new("QM1", "Q.A"), msg).unwrap();
+    let envelope = remote.get("SYSTEM.XMIT.QM1", Wait::NoWait).unwrap().unwrap();
+    std::thread::scope(|s| {
+        let getter = s.spawn(|| qmgr.get("Q.A", Wait::Timeout(Millis(600_000))));
+        wait_getters(&qmgr, "Q.A", 1);
+        let accepted = qmgr.accept_batch(vec![envelope.clone()]);
+        let got = getter.join().unwrap().unwrap().expect("delivered");
+        assert_eq!(accepted.unwrap(), BatchAccepted { accepted: 1, duplicates: 0 });
+        assert_eq!(got.payload_str(), Some("m"));
+    });
+    let arrival_put = journal.replay_collect().unwrap().into_iter().any(|record| {
+        matches!(record, JournalRecord::TxCommit { puts, .. }
+            if puts.iter().any(|(queue, _)| &**queue == "Q.A"))
+    });
+    assert!(arrival_put, "the arrival record carries the put");
+    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), 0);
+    qmgr.crash();
+
+    let qmgr = build_qm(clock, journal);
+    let resent = qmgr.accept_batch(vec![envelope]).unwrap();
+    assert_eq!(resent, BatchAccepted { accepted: 0, duplicates: 1 });
+    assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0, "delivered once");
 }
 
 #[test]
