@@ -35,6 +35,12 @@ cargo test -q --test append_budget
 # table that keeps its peak size once drained, shows up here.
 cargo test -q --test resident_bytes
 cargo test -q
+# Every example runs its `main` to the end and exits 0 (each asserts what
+# its scenario must show; `contract_workflow` is the one caller of
+# `DSphere::commit_blocking` outside the tests). About 3 s together.
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
 # benchmark/ is its own workspace, so the root build never compiles it:
 # its tests (a --smoke run of every workload and the BENCHMARK.json drift
 # test) are what make an API break there fail here.

@@ -198,9 +198,6 @@ pub(crate) struct MessageStore {
     next_back_seq: u64,
     /// Next sequence number for front-inserts (counts down).
     next_front_seq: u64,
-    /// Bumped on every insert (and on close) so blocking consumers can
-    /// detect arrivals between releasing the lock and parking.
-    version: u64,
     pub(crate) open: bool,
     /// The consumers parked in a get outside a transaction, oldest first:
     /// a commit may hand one of them a put (see `Queue::claim`).
@@ -231,7 +228,6 @@ impl MessageStore {
             pending: IdMap::default(),
             next_back_seq: SEQ_MIDPOINT,
             next_front_seq: SEQ_MIDPOINT - 1,
-            version: 0,
             open: true,
             getters: Vec::new(),
             next_getter: 0,
@@ -244,16 +240,6 @@ impl MessageStore {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Monotonic arrival counter; see the `version` field.
-    pub(crate) fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Bumps the arrival counter without an insert (close/wake paths).
-    pub(crate) fn bump_version(&mut self) {
-        self.version = self.version.wrapping_add(1);
     }
 
     pub(crate) fn get(&self, id: MessageId) -> Option<&Entry> {
@@ -306,7 +292,6 @@ impl MessageStore {
             msg: Arc::new(msg),
             seq,
         });
-        self.version = self.version.wrapping_add(1);
     }
 
     /// Removes a message from the live map and its correlation bucket,
@@ -455,14 +440,6 @@ mod tests {
         assert!(s.detach(id).is_some());
         assert!(s.detach(id).is_none());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn version_bumps_on_insert() {
-        let mut s = MessageStore::new();
-        let v0 = s.version();
-        s.insert(msg("a"), false);
-        assert_ne!(s.version(), v0);
     }
 
     #[test]

@@ -173,16 +173,11 @@ pub type TimerCallback = Box<dyn FnOnce() + Send + 'static>;
 /// A source of time plus one-shot timers.
 ///
 /// All blocking operations in the `mq`/`condmsg` stack compute deadlines via
-/// `clock.now()` so that a [`SimClock`] can drive them deterministically.
+/// `clock.now()` and end a timed wait with a timer at its deadline, so that
+/// a [`SimClock`] can drive them deterministically.
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Returns the current time on this clock.
     fn now(&self) -> Time;
-
-    /// Blocks the calling thread for (at least) `d` of *this clock's* time.
-    ///
-    /// On a [`SimClock`] this parks the thread until another thread advances
-    /// logical time past the deadline.
-    fn sleep(&self, d: Millis);
 
     /// Schedules `f` to run once the clock reaches `at`.
     ///
@@ -193,15 +188,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
 
     /// Cancels a pending timer. Returns `true` if the timer had not yet fired.
     fn cancel(&self, id: TimerId) -> bool;
-
-    /// Whether this clock's time is decoupled from real time.
-    ///
-    /// Blocking primitives use this to decide between waiting out the exact
-    /// real-time remainder (system clock) and polling in short slices while
-    /// another thread advances logical time (sim clock).
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// A shared, dynamically dispatched clock handle.
@@ -322,9 +308,6 @@ impl DeadlineScheduler {
 pub struct SimClock {
     now_ms: AtomicU64,
     scheduler: DeadlineScheduler,
-    /// Notified whenever logical time moves, to wake `sleep`ers.
-    tick: Condvar,
-    tick_lock: Mutex<()>,
 }
 
 impl fmt::Debug for SimClock {
@@ -350,15 +333,25 @@ impl SimClock {
     ///
     /// Advancing to a time in the past is a no-op. Callbacks may schedule
     /// further timers; any that fall within the advanced range fire during
-    /// the same call.
+    /// the same call, and so does one another thread schedules within it
+    /// before it returns: a thread that arms a timer and then finds the
+    /// clock short of its deadline is woken by the advance that passes it.
     pub fn advance_to(&self, target: Time) {
-        while let Some((at, cb)) = self.scheduler.pop_due(target) {
-            // Move time to the timer's deadline so callbacks observe a
-            // monotone clock.
-            self.bump_now(at);
+        loop {
+            while let Some((at, cb)) = self.scheduler.pop_due(target) {
+                // Move time to the timer's deadline so callbacks observe a
+                // monotone clock.
+                self.bump_now(at);
+                cb();
+            }
+            self.bump_now(target);
+            // Armed between the last pop and the bump by a thread that
+            // read the time before it: that thread waits for this call.
+            let Some((_, cb)) = self.scheduler.pop_due(target) else {
+                return;
+            };
             cb();
         }
-        self.bump_now(target);
     }
 
     fn bump_now(&self, t: Time) {
@@ -372,8 +365,6 @@ impl SimClock {
                 Err(actual) => cur = actual,
             }
         }
-        let _guard = self.tick_lock.lock();
-        self.tick.notify_all();
     }
 
     /// Number of timers currently pending (for test assertions).
@@ -387,26 +378,12 @@ impl Clock for SimClock {
         Time(self.now_ms.load(Ordering::SeqCst))
     }
 
-    fn sleep(&self, d: Millis) {
-        let deadline = self.now() + d;
-        let mut guard = self.tick_lock.lock();
-        while self.now() < deadline {
-            // Bounded wait so a forgotten `advance` surfaces as slow tests
-            // rather than a hard deadlock.
-            self.tick.wait_for(&mut guard, Duration::from_millis(50));
-        }
-    }
-
     fn schedule_at(&self, at: Time, f: TimerCallback) -> TimerId {
         self.scheduler.schedule(at, f)
     }
 
     fn cancel(&self, id: TimerId) -> bool {
         self.scheduler.cancel(id)
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 
@@ -485,11 +462,14 @@ impl SystemClock {
                     cb();
                     continue;
                 }
-                let wait = match shared.scheduler.next_deadline() {
-                    Some(deadline) => deadline.since(now).to_duration(),
-                    None => Duration::from_millis(200),
-                };
-                shared.wake.wait_for(&mut guard, wait);
+                // With nothing scheduled, the next `schedule_at` is the
+                // earliest entry and wakes this wait.
+                match shared.scheduler.next_deadline() {
+                    Some(deadline) => {
+                        shared.wake.wait_for(&mut guard, deadline.since(now).to_duration());
+                    }
+                    None => shared.wake.wait(&mut guard),
+                }
             });
         // A refused spawn records no thread: the entry stays scheduled and
         // the next `schedule_at` tries again.
@@ -513,10 +493,6 @@ impl Drop for SystemClock {
 impl Clock for SystemClock {
     fn now(&self) -> Time {
         Time(self.origin.elapsed().as_millis() as u64)
-    }
-
-    fn sleep(&self, d: Millis) {
-        std::thread::sleep(d.to_duration());
     }
 
     fn schedule_at(&self, at: Time, f: TimerCallback) -> TimerId {
@@ -641,19 +617,6 @@ mod tests {
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
-    #[test]
-    fn sim_sleep_wakes_when_advanced() {
-        let clock = SimClock::new();
-        let c2 = clock.clone();
-        let t = std::thread::spawn(move || {
-            c2.sleep(Millis(500));
-            c2.now()
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        clock.advance(Millis(500));
-        let woke_at = t.join().unwrap();
-        assert!(woke_at >= Time(500));
-    }
 
     #[test]
     fn scheduler_orders_cancels_and_counts() {

@@ -113,9 +113,7 @@ fn scenario_commit() -> Result<(), Box<dyn std::error::Error>> {
     staff_desk(office.qmgr.clone(), "Q.PARTIES", "alice");
     staff_desk(office.qmgr.clone(), "Q.RECORDS", "records-clerk");
 
-    let outcome = sphere
-        .commit_blocking(Duration::from_millis(5))
-        .map_err(box_err)?;
+    let outcome = sphere.commit_blocking().map_err(box_err)?;
     println!("sphere outcome: {outcome}");
     assert!(outcome.is_committed());
     assert_eq!(
@@ -162,9 +160,7 @@ fn scenario_abort() -> Result<(), Box<dyn std::error::Error>> {
     // pick-up window and fails, failing the sphere.
     staff_desk(office.qmgr.clone(), "Q.PARTIES", "alice");
 
-    let outcome = sphere
-        .commit_blocking(Duration::from_millis(5))
-        .map_err(box_err)?;
+    let outcome = sphere.commit_blocking().map_err(box_err)?;
     println!("sphere outcome: {outcome}");
     assert!(!outcome.is_committed());
     assert_eq!(office.calendar.event("alice", MEETING_SLOT), None);

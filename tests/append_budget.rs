@@ -791,7 +791,7 @@ fn commit_blocking_on_a_sphere_of_three_leaves_each_notification_to_the_release(
             assert!(receiver.read_message(queue, Wait::NoWait).unwrap().is_some());
         }
     });
-    let outcome = sphere.commit_blocking(Duration::from_millis(5)).unwrap();
+    let outcome = sphere.commit_blocking().unwrap();
     reader.join().unwrap();
     assert!(outcome.is_committed());
     let pickup = |leaf: &str| {

@@ -186,7 +186,7 @@ fn parallel_spheres_with_shared_kv() {
                             .into(),
                     )
                     .unwrap();
-                sphere.commit_blocking(Duration::from_millis(3)).unwrap()
+                sphere.commit_blocking().unwrap()
             })
         })
         .collect();

@@ -3,7 +3,6 @@
 //! (paper §3, Fig. 10).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use condmsg::{Condition, ConditionalMessenger, ConditionalReceiver, Destination, MessageKind};
 use dsphere::{Calendar, DSphereService, KvStore, ProbeResource, RoomReservations, Vote};
@@ -151,7 +150,7 @@ fn sphere_over_remote_destinations() {
             .unwrap()
             .expect("remote leg delivered")
     });
-    let outcome = sphere.commit_blocking(Duration::from_millis(5)).unwrap();
+    let outcome = sphere.commit_blocking().unwrap();
     assert!(outcome.is_committed(), "{outcome}");
     assert_eq!(kv.get("deal"), Some("done".into()));
     reader.join().unwrap();
