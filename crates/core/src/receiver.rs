@@ -13,6 +13,16 @@
 //!   back transaction redelivers the message and sends nothing. A receiver
 //!   therefore produces **exactly one acknowledgment per consumed
 //!   message**, never one for receipt *and* one for processing.
+//! * A non-transactional read parked on an empty queue registers its
+//!   pick-up ([`mq::PickUp`]): an original that arrives for it alone is
+//!   handed over by the record that delivers it, which holds the
+//!   receiver-log entry and the read-ack instead of the original (for one
+//!   that came over a channel, its dedup key), so custody and pick-up are
+//!   one record. It declines — and the original is queued and read as
+//!   above — anything but an original whose acknowledgment goes to another
+//!   manager: an acknowledgment to this one would be applied by its
+//!   trigger inside the putting transaction, which for a local sender is
+//!   the send itself.
 //! * Every consumption of an original is logged to the persistent receiver
 //!   log (`DS.RLOG.Q`): an entry — the conditional id as correlation id,
 //!   and `ds.leaf` — means "original (id, leaf) was consumed here", and
@@ -29,7 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mq::{Message, MqError, QueueAddress, QueueManager, TraceStage, Wait};
+use mq::{Message, MqError, PickUp, QueueAddress, QueueManager, Session, Taken, TraceStage, Wait};
 use simtime::Time;
 
 use crate::config::DEFAULT_RLOG_QUEUE;
@@ -111,17 +121,61 @@ struct PendingAck {
 }
 
 impl PendingAck {
-    fn for_original(received: &ReceivedMessage, read_at: Time) -> CondResult<PendingAck> {
+    fn of(original: &Message, read_at: Time) -> CondResult<PendingAck> {
         Ok(PendingAck {
-            cond_id: received
-                .cond_id()
-                .ok_or_else(|| CondError::Malformed("original missing cond id".into()))?,
-            leaf: received
-                .leaf()
-                .ok_or_else(|| CondError::Malformed("original missing leaf index".into()))?,
+            cond_id: wire::cond_id_of(original)
+                .map_err(|_| CondError::Malformed("original missing cond id".into()))?,
+            leaf: wire::leaf_of(original)
+                .map_err(|_| CondError::Malformed("original missing leaf index".into()))?,
             read_at,
-            ack_to: ack_address(received.message())?,
+            ack_to: ack_address(original)?,
         })
+    }
+
+    /// Stages the pick-up of the original into `tx`: the receiver-log
+    /// entry "consumed here" and the `kind` acknowledgment, sent at `at`.
+    fn stage(
+        &self,
+        tx: &mut Session,
+        kind: AckKind,
+        at: Time,
+        recipient: Option<String>,
+    ) -> CondResult<()> {
+        tx.put(DEFAULT_RLOG_QUEUE, rlog_entry(self.cond_id, self.leaf))?;
+        let ack = Acknowledgment {
+            cond_id: self.cond_id,
+            leaf: self.leaf,
+            kind,
+            read_at: self.read_at,
+            processed_at: (kind == AckKind::Processed).then_some(at),
+            recipient,
+        };
+        tx.put_to(&self.ack_to, ack.to_message())?;
+        Ok(())
+    }
+}
+
+/// What a read parked outside a receiver transaction commits with an
+/// original handed to it: the pick-up of an implicit read, staged into
+/// the transaction that puts the original (see the module docs).
+struct ReadPickUp {
+    recipient: Option<String>,
+}
+
+impl PickUp for ReadPickUp {
+    // lint: custody(msg)
+    fn stage(&self, msg: &Message, tx: &mut Session) -> bool {
+        if wire::kind_of(msg) != MessageKind::Original {
+            return false;
+        }
+        let now = tx.manager().clock().now();
+        let Ok(read) = PendingAck::of(msg, now) else {
+            return false;
+        };
+        if read.ack_to.manager == tx.manager().name() {
+            return false;
+        }
+        read.stage(tx, AckKind::Read, now, self.recipient.clone()).is_ok()
     }
 }
 
@@ -134,6 +188,8 @@ pub struct ConditionalReceiver {
     recipient: Option<String>,
     session: mq::Session,
     pending_acks: Vec<PendingAck>,
+    /// What a read parked outside a receiver transaction registers.
+    pick_up: Arc<dyn PickUp>,
     /// Pairs annihilated in the open transaction `(id, leaf, queue)`,
     /// counted and traced once it commits.
     annihilated: Vec<(CondMessageId, u32, String)>,
@@ -183,11 +239,13 @@ impl ConditionalReceiver {
         qmgr.ensure_queue(DEFAULT_RLOG_QUEUE)?;
         let session = qmgr.session();
         let metrics = ReceiverMetrics::registered(qmgr.obs().metrics());
+        let pick_up = Arc::new(ReadPickUp { recipient: recipient.clone() });
         Ok(ConditionalReceiver {
             qmgr,
             recipient,
             session,
             pending_acks: Vec::new(),
+            pick_up,
             annihilated: Vec::new(),
             metrics,
         })
@@ -227,11 +285,13 @@ impl ConditionalReceiver {
         // transaction: the get, the receiver-log entry and the read-ack
         // commit as a single journal record, so no crash or journal failure
         // can consume an original without logging and acknowledging it.
+        // Parked, it may be handed an original whose arrival's record is
+        // that transaction.
         let implicit = !self.session.in_transaction();
         if implicit {
             self.begin_tx()?;
         }
-        let mut read = self.read_in_tx(queue, wait);
+        let mut read = self.read_in_tx(queue, wait, implicit);
         if implicit {
             read = read.and_then(|received| {
                 self.commit_acked(AckKind::Read)?;
@@ -262,20 +322,36 @@ impl ConditionalReceiver {
     }
 
     /// The read proper, staged into the open transaction of `self.session`.
-    fn read_in_tx(&mut self, queue: &str, mut wait: Wait) -> CondResult<Option<ReceivedMessage>> {
+    /// With `pick_up` its first get registers the receiver's pick-up, and
+    /// an original handed to it comes with its pick-up committed.
+    fn read_in_tx(
+        &mut self,
+        queue: &str,
+        mut wait: Wait,
+        mut pick_up: bool,
+    ) -> CondResult<Option<ReceivedMessage>> {
         loop {
-            let Some(msg) = self.session.get(queue, wait)? else {
-                return Ok(None);
+            let taken = if std::mem::take(&mut pick_up) {
+                self.session.get_picking_up(queue, wait, &self.pick_up)?
+            } else {
+                self.session.get(queue, wait)?.map(Taken::Queued)
+            };
+            let msg = match taken {
+                None => return Ok(None),
+                Some(Taken::Handed(msg)) => {
+                    self.metrics.read_acks.incr();
+                    return Ok(Some(ReceivedMessage::classify(msg)));
+                }
+                Some(Taken::Queued(msg)) => msg,
             };
             match wire::kind_of(&msg) {
                 MessageKind::Original => {
-                    let received = ReceivedMessage::classify(msg);
-                    let ack = PendingAck::for_original(&received, self.qmgr.clock().now())?;
+                    let ack = PendingAck::of(&msg, self.qmgr.clock().now())?;
                     if self.annihilates(queue, MessageKind::Compensation, ack.cond_id, ack.leaf)? {
                         continue;
                     }
                     self.pending_acks.push(ack);
-                    return Ok(Some(received));
+                    return Ok(Some(ReceivedMessage::classify(msg)));
                 }
                 MessageKind::Compensation => {
                     let cond_id = wire::cond_id_of(&msg)?;
@@ -397,18 +473,8 @@ impl ConditionalReceiver {
     /// every original read in the open transaction, then commits it.
     fn commit_acked(&mut self, kind: AckKind) -> CondResult<()> {
         let commit_time = self.qmgr.clock().now();
-        for pa in &self.pending_acks {
-            self.session
-                .put(DEFAULT_RLOG_QUEUE, rlog_entry(pa.cond_id, pa.leaf))?;
-            let ack = Acknowledgment {
-                cond_id: pa.cond_id,
-                leaf: pa.leaf,
-                kind,
-                read_at: pa.read_at,
-                processed_at: (kind == AckKind::Processed).then_some(commit_time),
-                recipient: self.recipient.clone(),
-            };
-            self.session.put_to(&pa.ack_to, ack.to_message())?;
+        for read in &self.pending_acks {
+            read.stage(&mut self.session, kind, commit_time, self.recipient.clone())?;
         }
         self.session.commit()?;
         let sent = match kind {
@@ -665,7 +731,7 @@ mod tests {
         assert_eq!(journal.record_count(), before + 1);
         assert!(matches!(
             mq::journal::Journal::replay_collect(&*journal).unwrap().last(),
-            Some(mq::journal::JournalRecord::TxCommit { puts, gets })
+            Some(mq::journal::JournalRecord::TxCommit { puts, gets, .. })
                 if gets.len() == 2 && puts.is_empty()
         ));
         assert_eq!((q.depth(), rlog.depth()), (0, 0));

@@ -432,40 +432,32 @@ impl DSphere {
     }
 
     /// Blocking `commit_DS`: re-attempts [`DSphere::try_commit`] until the
-    /// sphere terminates, parking between attempts on the outcome queue for
-    /// the first member still pending. Its verdict wakes the wait, and so
-    /// does the sphere's deadline, on the manager's clock: the sphere ends
-    /// once every member is decided or that deadline passes, and nothing
-    /// else. The wait peeks at the notification and leaves it:
-    /// `try_commit` reads the verdict from
-    /// [`ConditionalMessenger::status`], and the release is the members'
-    /// only consumer. Without a sphere timeout it returns once every member
-    /// is decided, which per-message evaluation timeouts guarantee.
-    ///
-    /// A member's notification must not be taken while this runs: the wait
-    /// for it would then end only at the sphere's deadline, and without
-    /// one never. Taken before, it is reported at once.
+    /// sphere terminates, parking between attempts on the outcome queue
+    /// until a message enters it: a verdict's notification, put there or
+    /// handed to a taker parked on it. That wakes the wait, and so does the
+    /// sphere's deadline, on the manager's clock: the sphere ends once
+    /// every member is decided or that deadline passes, and nothing else.
+    /// The wait counts arrivals from before the attempt looks at the
+    /// members, so none between the two is missed. Without a sphere timeout
+    /// it returns once every member is decided, which per-message
+    /// evaluation timeouts guarantee.
     ///
     /// # Errors
     ///
     /// Messaging failures, and [`CondError::UnknownMessage`] for a member
-    /// whose notification someone else took.
+    /// whose notification someone else took, before this call or while it
+    /// waits.
     pub fn commit_blocking(mut self) -> SphereResult<SphereOutcome> {
         let messenger = self.service.messenger.clone();
         let outcomes = messenger.manager().queue(DEFAULT_OUTCOME_QUEUE).map_err(CondError::from)?;
         loop {
+            let since = outcomes.enqueued();
             if let Some(outcome) = self.try_commit()? {
                 return Ok(outcome);
             }
-            let pending = self
-                .messages
-                .iter()
-                .find(|id| messenger.status(**id) == MessageStatus::Pending);
-            if let Some(id) = pending {
-                let now = messenger.manager().clock().now();
-                let wait = self.deadline.map_or(Wait::Forever, |d| Wait::Timeout(d.since(now)));
-                outcomes.peek_by_correlation(id.as_u128(), wait).map_err(CondError::from)?;
-            }
+            let now = messenger.manager().clock().now();
+            let wait = self.deadline.map_or(Wait::Forever, |d| Wait::Timeout(d.since(now)));
+            outcomes.wait_enqueued(since, wait).map_err(CondError::from)?;
         }
     }
 
@@ -668,6 +660,34 @@ mod tests {
         let taken = f.service.messenger.take_outcome(id, Wait::NoWait).unwrap();
         assert!(taken.is_some(), "decided");
         match sphere.commit_blocking() {
+            Err(SphereError::Cond(CondError::UnknownMessage(unknown))) => assert_eq!(unknown, id),
+            other => panic!("expected UnknownMessage, got {other:?}"),
+        }
+    }
+
+    /// A member's notification handed to a taker already waiting for it is
+    /// never on the outcome queue: the wait ends on its arrival anyway, and
+    /// the sphere reports the member instead of parking for ever.
+    #[test]
+    fn commit_blocking_reports_a_member_handed_to_a_waiting_taker() {
+        let f = setup();
+        let mut sphere = f.service.begin();
+        let id = sphere.send_message("a", &dest("Q.A", Millis(100))).unwrap();
+        let messenger = f.service.messenger.clone();
+        let taker = std::thread::spawn(move || messenger.take_outcome(id, Wait::Forever));
+        let outcomes = f.qmgr.queue(DEFAULT_OUTCOME_QUEUE).unwrap();
+        while outcomes.waiting_getters() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Detached, so a wait that never ends fails the test, not hangs it.
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(sphere.commit_blocking()));
+        // Most runs park before the verdict; either order must return.
+        std::thread::sleep(Duration::from_millis(20));
+        f.clock.advance(Millis(10));
+        read_all(&f.qmgr, "Q.A");
+        assert!(taker.join().unwrap().unwrap().is_some(), "handed to the taker");
+        match returned.recv_timeout(Duration::from_secs(10)).expect("commit_blocking returned") {
             Err(SphereError::Cond(CondError::UnknownMessage(unknown))) => assert_eq!(unknown, id),
             other => panic!("expected UnknownMessage, got {other:?}"),
         }

@@ -64,6 +64,11 @@ pub enum JournalRecord {
     /// A transaction committed: all gets and puts apply atomically. The
     /// only record by which a message enters or leaves a queue.
     TxCommit {
+        /// The dedup keys `(origin hash, id)` of the channel arrivals the
+        /// transaction handed to a parked consumer instead of putting
+        /// them: replay reseeds the relay dedup window with them, as it
+        /// does with the key of every put.
+        keys: Vec<(u64, MessageId)>,
         /// Messages enqueued by the transaction, each with the name of its
         /// queue. Only the persistent ones are written (a volatile message
         /// never reaches the journal), so a decoded record holds those
@@ -165,8 +170,19 @@ impl JournalRecord {
                 enc.put_queue_name(queue, names);
                 enc.put_image(message, None, ids);
             }
-            JournalRecord::TxCommit { puts, gets } => {
-                enc.put_u8(14);
+            // A record with keys takes tag 15 and writes them first; one
+            // without keeps tag 14's bytes.
+            JournalRecord::TxCommit { keys, puts, gets } => {
+                if keys.is_empty() {
+                    enc.put_u8(14);
+                } else {
+                    enc.put_u8(15);
+                    enc.put_varint(keys.len() as u64);
+                    for (origin, id) in keys {
+                        enc.put_u64(*origin);
+                        enc.put_id(id.as_u128(), ids);
+                    }
+                }
                 let written = puts.iter().filter(|(_, m)| m.is_persistent());
                 enc.put_varint(written.clone().count() as u64);
                 let mut previous = None;
@@ -225,7 +241,13 @@ impl JournalRecord {
                 queue: dec.get_queue_name(names)?,
                 message: dec.get_image(None, ids)?,
             }),
-            14 => {
+            tag @ (14 | 15) => {
+                let n_keys = if tag == 15 { dec.get_varint()? } else { 0 };
+                let mut keys = Vec::with_capacity(n_keys.min(1024) as usize);
+                for _ in 0..n_keys {
+                    let origin = dec.get_u64()?;
+                    keys.push((origin, MessageId::from_u128(dec.get_id(ids)?)));
+                }
                 let n_puts = dec.get_varint()?;
                 let mut puts: Vec<(Arc<str>, Message)> =
                     Vec::with_capacity(n_puts.min(1024) as usize);
@@ -241,7 +263,7 @@ impl JournalRecord {
                     let id = MessageId::from_u128(dec.get_id(ids)?);
                     gets.push((q, id));
                 }
-                Ok(JournalRecord::TxCommit { puts, gets })
+                Ok(JournalRecord::TxCommit { keys, puts, gets })
             }
             7 => {
                 let checkpoint_id = dec.get_u64()?;
@@ -620,6 +642,7 @@ pub(crate) mod tests {
                 message: m1.clone(),
             },
             JournalRecord::TxCommit {
+                keys: vec![(7, m1.id())],
                 puts: vec![("Q1".into(), m2.clone())],
                 gets: vec![("Q2".into(), m1.id())],
             },
@@ -722,6 +745,7 @@ pub(crate) mod tests {
         };
         // Tag, put count, queue code, escape + id, priority | flags.
         let first_put = JournalRecord::TxCommit {
+            keys: vec![],
             puts: vec![("DS.SLOG.Q".into(), msg.clone())],
             gets: vec![],
         };
@@ -780,7 +804,7 @@ pub(crate) mod tests {
                 let ids: Vec<u128> = puts.iter().map(|(_, m)| m.id().as_u128()).collect();
                 let queues: Vec<&str> = puts.iter().map(|(q, _)| &**q).collect();
                 let whole = whole - 16 * ids.len() + id_forms_len(&ids) + names_len(&queues);
-                let record = JournalRecord::TxCommit { puts, gets: vec![] };
+                let record = JournalRecord::TxCommit { keys: vec![], puts, gets: vec![] };
                 let bytes = record.to_bytes();
                 prop_assert_eq!(bytes.len(), 1 + 1 + whole - repeated + 1);
                 let back = JournalRecord::from_bytes(bytes.clone()).unwrap();
@@ -849,7 +873,7 @@ pub(crate) mod tests {
                 let dedup: Vec<(u64, u128)> = stream.iter().map(|&id| (7, id)).collect();
                 let cases = [
                     (
-                        JournalRecord::TxCommit { puts, gets: gets.clone() },
+                        JournalRecord::TxCommit { keys: vec![], puts, gets: gets.clone() },
                         1 + 1 + images - repeated + 1 + 16 * gets.len() + names_len(&queues),
                     ),
                     (

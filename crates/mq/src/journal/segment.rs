@@ -896,6 +896,7 @@ mod tests {
         for i in 0..50 {
             j.append(&put("Q", &format!("old {i}"))).unwrap();
             j.append(&JournalRecord::TxCommit {
+                keys: vec![],
                 puts: Vec::new(),
                 gets: vec![("Q".into(), crate::message::MessageId::generate())],
             })
@@ -1040,6 +1041,7 @@ mod tests {
         std::fs::create_dir_all(&root).unwrap();
         let records: Vec<JournalRecord> = (0..4)
             .map(|i| JournalRecord::TxCommit {
+                keys: vec![],
                 puts: vec![(
                     "Q.NAMED".into(),
                     Message::text(format!("m{i}")).persistent(true).build(),
@@ -1388,6 +1390,7 @@ mod tests {
                     message: Message::text(payload).persistent(true).build(),
                 }),
                 arb_queue().prop_map(|queue| JournalRecord::TxCommit {
+                    keys: vec![],
                     puts: Vec::new(),
                     gets: vec![(queue.into(), crate::message::MessageId::generate())],
                 }),
@@ -1421,6 +1424,7 @@ mod tests {
                 proptest::collection::vec(get, 0..4),
             )
                 .prop_map(|(puts, gets)| JournalRecord::TxCommit {
+                    keys: vec![],
                     puts: puts
                         .into_iter()
                         .map(|(queue, payload, correlated)| {
@@ -1787,7 +1791,7 @@ mod tests {
                 if puts.is_empty() && own.is_empty() {
                     prop_assert!(written.is_empty());
                 } else {
-                    let owned = JournalRecord::TxCommit { puts, gets };
+                    let owned = JournalRecord::TxCommit { keys: vec![], puts, gets };
                     let frame = encode_segment_frame(lsn, &owned, &mut cursor, Vec::new());
                     prop_assert_eq!(written, frame);
                 }

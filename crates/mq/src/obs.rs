@@ -89,6 +89,7 @@ pub const METRIC_REGISTRY: &[&str] = &[
     "mq.tx.committed",
     "mq.tx.rolled_back",
     "mq.tx.handed",
+    "mq.tx.picked_up",
     "mq.forwarded",
     "mq.received_remote",
     // Channel handoffs riding a later record.
@@ -164,7 +165,7 @@ pub const TRACE_STAGE_REGISTRY: &[&str] = &[
 /// before may hold them (2/4, 9/10 and 11/12 were `Put` and `TxCommit`
 /// over earlier message images; 11/12 wrote every id whole).
 // lint: registry journal-tag
-pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 13, 14];
+pub const JOURNAL_TAG_REGISTRY: &[u8] = &[0, 1, 7, 8, 13, 14, 15];
 
 /// Every well-known string the message image and the journal carry: the
 /// control-property names (`sys.*` of `mq`, `ds.*` of the conditional

@@ -655,7 +655,8 @@ impl QueueManager {
                     q.restore(message);
                 }
             }
-            JournalRecord::TxCommit { puts, gets } => {
+            JournalRecord::TxCommit { keys, puts, gets } => {
+                keys.into_iter().for_each(|key| state.dedup.record(key));
                 for (queue, message_id) in gets {
                     if let Some(q) = state.queues.get(&*queue) {
                         q.remove_by_id(message_id);
@@ -1416,7 +1417,7 @@ mod tests {
     /// One label per record: its kind and the queues it names.
     fn record_labels(journal: &MemJournal) -> Vec<String> {
         let label = |record: JournalRecord| match record {
-            JournalRecord::TxCommit { puts, gets } => format!(
+            JournalRecord::TxCommit { puts, gets, .. } => format!(
                 "TxCommit get{:?} put{:?}",
                 gets.iter().map(|(q, _)| &**q).collect::<Vec<_>>(),
                 puts.iter().map(|(q, _)| &**q).collect::<Vec<_>>(),

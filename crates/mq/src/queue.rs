@@ -29,7 +29,8 @@
 //! purged one leaves as a get of the purge's. The one exception is a put
 //! handed to a consumer parked in a get outside a transaction: it never
 //! enters the store, and neither it nor that get is journaled
-//! (`Queue::claim`).
+//! (`Queue::claim`); a [`PickUp`] that consumer registered is staged into
+//! the putting transaction instead.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -42,7 +43,6 @@ use simtime::{Millis, SharedClock, Time};
 use crate::error::{MqError, MqResult};
 use crate::message::{CorrelationKey, Message, MessageId};
 use crate::qmgr::QueueManager;
-use crate::relay::RELAY_ORIGIN_PROPERTY;
 use crate::session::{Session, TxState};
 use crate::stats::{Counter, QueueStats};
 use crate::store::{MessageStore, PRIORITY_BANDS};
@@ -105,22 +105,54 @@ pub trait ArrivalTrigger: Send + Sync {
 /// it staged into; see [`ArrivalTrigger::on_arrival`].
 pub type ArrivalEnd<'a> = Box<dyn FnOnce(bool) + 'a>;
 
+/// What a consumer parked in a get commits with the message it takes,
+/// staged by the commit that hands it a put instead of queueing it: one
+/// record then covers the put, the get and this pick-up. A getter that
+/// registers one ([`Session::get_picking_up`]) is claimed only by a put
+/// that is the only one its transaction stages for the queue: the pick-up
+/// is the whole of a read, and a read would see what else arrived.
+pub trait PickUp: Send + Sync {
+    /// Stages what consuming `msg` commits into `tx`, a transaction of its
+    /// own whose puts join the putting transaction, on the committing
+    /// thread before the mutation gate is taken; or declines with `false`,
+    /// and the put is queued as if nobody waited. It must leave `tx` open
+    /// and take nothing: a pick-up that ends it or gets a message declines.
+    fn stage(&self, msg: &Message, tx: &mut Session) -> bool;
+}
+
+/// What a claim of a getter stages into the putting transaction: its
+/// pick-up, or nothing for a bare get.
+pub(crate) type Stage = Option<Arc<dyn PickUp>>;
+
 /// What a take got: a message off the queue, or one a commit handed it.
 #[derive(Debug)]
-pub(crate) enum Taken {
+pub enum Taken {
     /// Off the queue: a get its transaction's record covers.
     Queued(Message),
     /// Handed over by the commit that staged it: the record that would
-    /// have put it consumed it, so no record covers a get of it.
+    /// have put it consumed it, with the taker's pick-up if it had one, so
+    /// the taker's transaction holds nothing of it.
     Handed(Message),
 }
 
-/// A consumer parked in a get outside a transaction, registered so a
-/// commit can hand it a put instead of queueing it (Gray, *Queues Are
-/// Databases*: a row inserted and consumed at once need never be stored).
+impl Taken {
+    /// The message, however it was taken.
+    pub fn into_message(self) -> Message {
+        match self {
+            Taken::Queued(msg) | Taken::Handed(msg) => msg,
+        }
+    }
+}
+
+/// A consumer parked in a get, registered so a commit can hand it a put
+/// instead of queueing it (Gray, *Queues Are Databases*: a row inserted
+/// and consumed at once need never be stored): a get outside a
+/// transaction, whose claim stages nothing, or the first get of one with
+/// a [`PickUp`].
 pub(crate) struct Getter {
     token: u64,
     select: Select,
+    pick_up: Stage,
     claim: Claim,
 }
 
@@ -323,13 +355,13 @@ impl Queue {
     /// arms one timer at its deadline on the queue's clock, which wakes it
     /// there, and cancels it on return.
     ///
-    /// A getter (`how.getter`: a get outside a transaction) that found
-    /// nothing registers, so that a commit can claim it for a put it
-    /// stages ([`Queue::claim`]); the message handed to it is what this
-    /// returns. A claimed getter waits for the record whatever its `wait`
-    /// and the queue's state: the commit hands it the message once the
-    /// record is written ([`Queue::hand`]) or, refused, gives it back to
-    /// its wait ([`Queue::unclaim`]), at once either way.
+    /// A getter (`how.getter`: a get outside a transaction, or one with a
+    /// pick-up) that found nothing registers, so that a commit can claim
+    /// it for a put it stages ([`Queue::claim`]); the message handed to it
+    /// is what this returns. A claimed getter waits for the record
+    /// whatever its `wait` and the queue's state: the commit hands it the
+    /// message once the record is written ([`Queue::hand`]) or, refused,
+    /// gives it back to its wait ([`Queue::unclaim`]), at once either way.
     fn park(
         &self,
         wait: Wait,
@@ -386,10 +418,10 @@ impl Queue {
                 }
                 break ended;
             }
-            if let Some(select) = how.getter.take() {
+            if let Some((select, pick_up)) = how.getter.take() {
                 let token = store.next_getter;
                 store.next_getter += 1;
-                store.getters.push(Getter { token, select, claim: Claim::Open });
+                store.getters.push(Getter { token, select, pick_up, claim: Claim::Open });
                 registered = Some(token);
             }
             if let (None, Some(d)) = (timer, deadline) {
@@ -434,36 +466,40 @@ impl Queue {
     /// Claims, for `msg` about to be written by a commit's record, the
     /// oldest getter parked on this queue that it would satisfy: the put
     /// then leaves the record and is handed over once the record is
-    /// written. `Ok(None)` when no getter waits for it, when the queue
-    /// already holds what that getter would take first, or when `msg` may
-    /// not be handed: past its TTL at `now`, or arrived over a channel (its
-    /// record put reseeds the dedup window on replay). `Err` when the queue
-    /// is closed: deleted, or its manager crashed. The caller holds the
-    /// mutation gate and the queue directory.
-    pub(crate) fn claim(&self, msg: &Message, now: Time) -> Result<Option<u64>, ()> {
+    /// written, and the getter's pick-up, returned with its token, is the
+    /// caller's to stage. `Ok(None)` when no getter waits for it, when the
+    /// queue already holds what that getter would take first, when `msg`
+    /// is past its TTL at `now`, or when the getter has a pick-up and `msg`
+    /// is not `sole`, the only put its transaction stages here. `Err` when
+    /// the queue is closed: deleted, or its manager crashed.
+    pub(crate) fn claim(
+        &self,
+        msg: &Message,
+        now: Time,
+        sole: bool,
+    ) -> Result<Option<(u64, Stage)>, ()> {
         let mut store = self.store.lock();
         if !store.open {
             return Err(());
         }
-        if store.getters.is_empty()
-            || msg.is_expired(now)
-            || msg.str_property(RELAY_ORIGIN_PROPERTY).is_some()
-        {
+        if store.getters.is_empty() || msg.is_expired(now) {
             return Ok(None);
         }
         let open = |g: &Getter| matches!(g.claim, Claim::Open) && g.select.matches(msg);
         let Some(at) = store.getters.iter().position(open) else {
             return Ok(None);
         };
-        let queued = match store.getters[at].select.key() {
+        let getter = &store.getters[at];
+        let queued = match getter.select.key() {
             None => !store.is_empty(),
             Some(key) => store.first_correlated(key, now, |_| true).is_some(),
         };
-        if queued {
+        if queued || (getter.pick_up.is_some() && !sole) {
             return Ok(None);
         }
-        store.getters[at].claim = Claim::Claimed;
-        Ok(Some(store.getters[at].token))
+        let getter = &mut store.getters[at];
+        getter.claim = Claim::Claimed;
+        Ok(Some((getter.token, getter.pick_up.clone())))
     }
 
     /// Gives a getter [`Queue::claim`] took back to its wait: the record
@@ -652,13 +688,16 @@ impl Queue {
 
     /// Removes and returns the first message in delivery order, waiting
     /// per `wait`. Like every take, the get is provisional: covered later by
-    /// its transaction's `TxCommit` record, or undone by rollback. A `bare`
-    /// get, one outside a transaction, may instead be handed a put while
-    /// it waits ([`Queue::park`]).
-    pub(crate) fn take_blocking(&self, wait: Wait, bare: bool) -> MqResult<Option<Taken>> {
-        self.take_parked(wait, bare.then_some(Select::Any), |store, now| {
-            self.take_first(store, now)
-        })
+    /// its transaction's `TxCommit` record, or undone by rollback. A
+    /// `claimable` get, one outside a transaction or with a pick-up, may
+    /// instead be handed a put while it waits ([`Queue::park`]).
+    pub(crate) fn take_blocking(
+        &self,
+        wait: Wait,
+        claimable: Option<Stage>,
+    ) -> MqResult<Option<Taken>> {
+        let getter = claimable.map(|pick_up| (Select::Any, pick_up));
+        self.take_parked(wait, getter, |store, now| self.take_first(store, now))
     }
 
     /// Removes and returns the first message in delivery order with the
@@ -673,19 +712,19 @@ impl Queue {
         wait: Wait,
         bare: bool,
     ) -> MqResult<Option<Taken>> {
-        let getter = bare.then(|| Select::of(correlation));
+        let getter = bare.then(|| (Select::of(correlation), None));
         self.take_parked(wait, getter, |store, now| {
             let id = store.first_correlated(correlation, now, &accept)?;
             self.consume_locked(store, id)
         })
     }
 
-    /// A take parked per `wait`: `getter` is the selector a bare get
-    /// registers under.
+    /// A take parked per `wait`: `getter` is the selector and pick-up a
+    /// claimable get registers with.
     fn take_parked(
         &self,
         wait: Wait,
-        getter: Option<Select>,
+        getter: Option<(Select, Stage)>,
         take: impl Fn(&mut MessageStore, Time) -> Option<Message>,
     ) -> MqResult<Option<Taken>> {
         let mut taken = None;
@@ -718,9 +757,37 @@ impl Queue {
         Ok(peeked)
     }
 
+    /// The messages that have entered the queue so far, put on it or
+    /// handed to a getter parked on it ([`QueueStats::enqueued`]), read
+    /// under the store lock: whatever the putting commit did before it is
+    /// visible to the reader.
+    pub fn enqueued(&self) -> u64 {
+        let _store = self.store.lock();
+        self.stats.enqueued.get()
+    }
+
+    /// Waits per `wait` until a message enters the queue after `since`, an
+    /// [`Queue::enqueued`] count read earlier: put on it, or handed to a
+    /// getter parked on it, which a peek never sees. Whether one did. A
+    /// caller waiting for a condition that a put makes true reads `since`
+    /// before it checks the condition, so a put between its check and this
+    /// wait is not missed.
+    ///
+    /// # Errors
+    ///
+    /// [`MqError::ManagerStopped`] if the queue closes while waiting.
+    pub fn wait_enqueued(&self, since: u64, wait: Wait) -> MqResult<bool> {
+        let mut entered = false;
+        self.park(wait, Park::default(), |_, _| {
+            entered = self.stats.enqueued.get() != since;
+            entered
+        })?;
+        Ok(entered)
+    }
+
     #[cfg(test)]
     pub(crate) fn try_take(&self) -> MqResult<Option<Message>> {
-        Ok(self.take_blocking(Wait::NoWait, false)?.map(Taken::into_message))
+        Ok(self.take_blocking(Wait::NoWait, None)?.map(Taken::into_message))
     }
 
     #[cfg(test)]
@@ -854,9 +921,9 @@ impl Queue {
 struct Park<'a> {
     /// A take: messages past their TTL are swept before it looks.
     sweep: bool,
-    /// A get outside a transaction, registered while it waits under this
-    /// selector.
-    getter: Option<Select>,
+    /// A claimable get, registered while it waits under this selector,
+    /// with what its claim stages.
+    getter: Option<(Select, Stage)>,
     /// When a daemon stops waiting, read under the store lock.
     stop: Option<&'a dyn Fn() -> bool>,
 }
@@ -865,15 +932,6 @@ struct Park<'a> {
 /// by its own hand, so it is there while its get runs.
 fn getter_at(store: &MessageStore, token: u64) -> Option<usize> {
     store.getters.iter().position(|g| g.token == token)
-}
-
-#[cfg(test)]
-impl Taken {
-    fn into_message(self) -> Message {
-        match self {
-            Taken::Queued(msg) | Taken::Handed(msg) => msg,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -925,7 +983,7 @@ mod tests {
 
     /// A get inside a transaction, of the message itself.
     fn take(q: &Queue, wait: Wait) -> MqResult<Option<Message>> {
-        Ok(q.take_blocking(wait, false)?.map(Taken::into_message))
+        Ok(q.take_blocking(wait, None)?.map(Taken::into_message))
     }
 
     /// What a committed put does to its queue.
@@ -1342,7 +1400,7 @@ mod tests {
         let recs = journal.replay_collect().unwrap();
         assert!(recs.iter().any(|r| matches!(
             r,
-            JournalRecord::TxCommit { puts, gets }
+            JournalRecord::TxCommit { puts, gets, .. }
                 if puts.is_empty() && gets == &[("J.Q".into(), id)]
         )));
     }
@@ -1369,7 +1427,7 @@ mod tests {
         let recs = journal.replay_collect().unwrap();
         assert!(recs.iter().any(|r| matches!(
             r,
-            JournalRecord::TxCommit { puts, gets }
+            JournalRecord::TxCommit { puts, gets, .. }
                 if puts.is_empty() && gets == &[("SW.Q".into(), id)]
         )));
     }

@@ -580,7 +580,7 @@ mod tests {
         );
         let records = journal.replay_collect().unwrap();
         assert_eq!(records.len(), before + 1, "one record for the whole batch");
-        let Some(JournalRecord::TxCommit { puts, gets }) = records.last() else {
+        let Some(JournalRecord::TxCommit { puts, gets, .. }) = records.last() else {
             panic!("arrival record is a TxCommit: {records:?}");
         };
         assert!(gets.is_empty());

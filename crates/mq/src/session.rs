@@ -20,11 +20,17 @@
 //! for is *handed over*: the commit claims that getter before it appends,
 //! leaves the put out of its record (the put and the get cancel, so no
 //! record holds either) and hands the message over once the record is
-//! written, after any trigger has heard so. Only such a bare get is ever
-//! claimed; a put past its TTL or one that arrived over a channel (whose
-//! record put reseeds the dedup window on replay) is never handed; and a
-//! refused record gives the getter back to its wait and the put back to
-//! its place in the transaction.
+//! written, after any trigger has heard so. A getter may instead be the
+//! first get of a transaction that registered a [`PickUp`]
+//! ([`Session::get_picking_up`]): its claim stages that pick-up into the
+//! putting transaction, so one record covers the custody of the put and
+//! what its consumer commits with it (a conditional receiver's log entry
+//! and read-ack). A handed put that arrived over a channel leaves its
+//! dedup key `(origin hash, id)` in the record instead of the message, so
+//! replay still reseeds the dedup window with it. A put past its TTL is
+//! never handed, and a refused record gives the getter back to its wait,
+//! drops what its pick-up staged and puts the put back in its place in
+//! the transaction.
 //!
 //! A transaction has a third ending beside commit and rollback, *release*
 //! ([`Session::release`]), for the one consumer whose gets something other
@@ -43,7 +49,8 @@ use crate::error::{MqError, MqResult};
 use crate::journal::JournalRecord;
 use crate::message::{CorrelationKey, Message, MessageId, QueueAddress};
 use crate::qmgr::{QueueManager, DEAD_LETTER_QUEUE, DLQ_REASON_PROPERTY};
-use crate::queue::{ArrivalTrigger, Queue, Taken, Wait};
+use crate::queue::{ArrivalTrigger, PickUp, Queue, Stage, Taken, Wait};
+use crate::relay::{Deduper, RELAY_ORIGIN_PROPERTY};
 use crate::trace::TraceStage;
 
 /// One kind of a transaction's operations, in order. The one operation of
@@ -256,6 +263,18 @@ struct Handoff {
     queue: Arc<Queue>,
     getter: u64,
     msg: Message,
+    /// Puts the getter's pick-up staged, after the transaction's own;
+    /// `None` for a getter without one.
+    picked_up: Option<usize>,
+}
+
+impl Handoff {
+    /// The dedup key the record keeps of a persistent put that arrived
+    /// over a channel, so replay reseeds the window with it.
+    fn key(&self) -> Option<(u64, MessageId)> {
+        let arrived = self.msg.str_property(RELAY_ORIGIN_PROPERTY).is_some();
+        (arrived && self.msg.is_persistent()).then(|| Deduper::key_of(&self.msg))
+    }
 }
 
 /// The staged puts of one transaction that were bound for a triggered
@@ -324,8 +343,22 @@ impl TxState {
         queue: &str,
         wait: Wait,
     ) -> MqResult<Option<Message>> {
+        let claimable = self.is_bare().then_some(None);
+        Ok(self.take(manager, queue, wait, claimable)?.map(Taken::into_message))
+    }
+
+    /// Takes from `queue`, registering as a getter with `claimable`'s
+    /// pick-up while it waits, if there is one. A message off the queue is
+    /// one of the gets; a handed one is no get of this transaction.
+    fn take(
+        &mut self,
+        manager: &QueueManager,
+        queue: &str,
+        wait: Wait,
+        claimable: Option<Stage>,
+    ) -> MqResult<Option<Taken>> {
         let q = manager.queue(queue)?;
-        let taken = q.take_blocking(wait, self.is_bare())?;
+        let taken = q.take_blocking(wait, claimable)?;
         Ok(self.took_from(q, taken))
     }
 
@@ -344,7 +377,7 @@ impl TxState {
         let q = manager.queue(queue)?;
         let bare = handoff && self.is_bare();
         let taken = q.take_by_correlation_blocking(corr, accept, wait, bare)?;
-        Ok(self.took_from(q, taken))
+        Ok(self.took_from(q, taken).map(Taken::into_message))
     }
 
     /// Whether the transaction is a get outside a transaction and nothing
@@ -355,14 +388,11 @@ impl TxState {
 
     /// Records a message taken off `queue` as one of the gets; a handed
     /// one is no get of this transaction.
-    fn took_from(&mut self, queue: Arc<Queue>, taken: Option<Taken>) -> Option<Message> {
-        match taken? {
-            Taken::Queued(msg) => {
-                self.gets.push((queue, msg.clone()));
-                Some(msg)
-            }
-            Taken::Handed(msg) => Some(msg),
+    fn took_from(&mut self, queue: Arc<Queue>, taken: Option<Taken>) -> Option<Taken> {
+        if let Some(Taken::Queued(msg)) = &taken {
+            self.gets.push((queue, msg.clone()));
         }
+        taken
     }
 
     /// Records a message already taken off `queue` as one of the gets.
@@ -408,23 +438,20 @@ impl TxState {
         TxState { gets: after.into(), ..TxState::default() }
     }
 
-    /// Settles the queue of each staged put, the one replay resolves its
-    /// name to (`directory`, read-held by the caller): the queue it was
-    /// staged for while that lives, else the one of that name now, or
-    /// none. Takes out each put that a getter parked on its queue is
-    /// claimed for ([`Queue::claim`]), keeping `queues` in step.
-    fn claim_getters(
-        &mut self,
-        directory: &HashMap<String, Arc<Queue>>,
-        now: Time,
-    ) -> Ops<Handoff> {
+    /// Takes out each staged put that a getter parked on its queue is
+    /// claimed for ([`Queue::claim`]), and stages that getter's pick-up, if
+    /// it has one, after the puts: on the committing thread before the
+    /// mutation gate, as a trigger stages. Only the transaction's own puts
+    /// are offered, not what a pick-up staged.
+    fn claim_getters(&mut self, manager: &QueueManager, now: Time) -> Ops<Handoff> {
         let mut handed = Ops::default();
-        let mut i = 0;
-        while i < self.puts.len() {
-            match self.claim(i, directory, now) {
+        let (mut i, mut offered) = (0, self.puts.len());
+        while i < offered {
+            match self.claim(i, manager, now) {
                 Some(mut handoff) => {
                     handoff.at += handed.len();
                     handed.push(handoff);
+                    offered -= 1;
                 }
                 None => i += 1,
             }
@@ -432,36 +459,83 @@ impl TxState {
         handed
     }
 
-    /// Settles the queue of the staged put at `i` and takes the put out,
-    /// for a getter parked there that is claimed for it.
+    /// Takes the staged put at `i` out for a getter parked on its queue
+    /// that is claimed for it, once that getter's pick-up is staged; a
+    /// pick-up that declines gives the getter back and leaves the put.
     // lint: custody(msg)
-    fn claim(
-        &mut self,
-        i: usize,
-        directory: &HashMap<String, Arc<Queue>>,
-        now: Time,
-    ) -> Option<Handoff> {
+    fn claim(&mut self, i: usize, manager: &QueueManager, now: Time) -> Option<Handoff> {
         let (name, staged) = &self.puts.as_slice()[i];
-        let slot = &mut self.queues.as_mut_slice()[i];
-        let mut claimed = slot.as_ref().map_or(Err(()), |queue| queue.claim(staged, now));
-        if claimed.is_err() {
-            // Deleted since it was staged: whatever the name names now.
-            *slot = directory.get(&**name).cloned();
-            claimed = slot.as_ref().map_or(Ok(None), |queue| queue.claim(staged, now));
-        }
-        let getter = claimed.ok()??;
-        let queue = self.queues.remove(i).flatten()?;
+        let sole = self.puts.as_slice().iter().filter(|(to, _)| to == name).count() == 1;
+        let queue = self.queues.as_slice()[i].clone()?;
+        let (getter, pick_up) = queue.claim(staged, now, sole).ok()??;
+        self.queues.remove(i);
         let (_, msg) = self.puts.remove(i)?;
-        Some(Handoff { at: i, queue, getter, msg })
+        let picked_up = match pick_up {
+            None => None,
+            Some(pick_up) => match self.stage_pick_up(manager, &*pick_up, &msg, now) {
+                Some(staged) => Some(staged),
+                None => {
+                    queue.unclaim(getter);
+                    self.restage(i, &queue, msg);
+                    return None;
+                }
+            },
+        };
+        Some(Handoff { at: i, queue, getter, msg, picked_up })
+    }
+
+    /// Runs `pick_up` for `msg` in a transaction of its own and appends
+    /// what it staged to this one, stamped as enqueued at `now`: how many
+    /// puts, or `None` when it declined, took a message or ended its
+    /// transaction, which is then undone.
+    // lint: custody(msg)
+    fn stage_pick_up(
+        &mut self,
+        manager: &QueueManager,
+        pick_up: &dyn PickUp,
+        msg: &Message,
+        now: Time,
+    ) -> Option<usize> {
+        let manager = manager.me.upgrade()?;
+        let mut session = Session { manager, tx: Some(TxState::default()) };
+        let picked = pick_up.stage(msg, &mut session);
+        let staged = session.tx.take()?;
+        if !picked || !staged.gets.is_empty() {
+            session.manager.rollback(staged, false).unwrap_or(());
+            return None;
+        }
+        let count = staged.puts.len();
+        for ((name, mut put), queue) in staged.puts.into_iter().zip(staged.queues) {
+            put.stamp_enqueue(now);
+            self.puts.push((name, put));
+            self.queues.push(queue);
+        }
+        Some(count)
     }
 
     /// Undoes [`TxState::claim_getters`] for a record the journal refused:
-    /// each getter back to its wait, each put back where it was staged.
+    /// what the pick-ups staged goes, each getter back to its wait, each
+    /// put back where it was staged.
     // lint: custody(msg)
     fn unclaim(&mut self, handed: Ops<Handoff>) {
-        for Handoff { at, queue, getter, msg } in handed {
+        let staged: usize = handed.as_slice().iter().filter_map(|h| h.picked_up).sum();
+        let own = self.puts.len() - staged;
+        self.puts.truncate(own);
+        self.queues.truncate(own);
+        for Handoff { at, queue, getter, msg, .. } in handed {
             queue.unclaim(getter);
             self.restage(at, &queue, msg);
+        }
+    }
+
+    /// Settles the queue of each staged put: the one replay resolves its
+    /// name to, what `directory` (read-held by the caller) holds under it
+    /// now. That is the queue it was staged for while that lives; for one
+    /// deleted since, a queue of that name created after, or none.
+    fn settle_queues(&mut self, directory: &HashMap<String, Arc<Queue>>) {
+        let staged = self.puts.as_slice().iter().zip(self.queues.as_mut_slice());
+        for ((name, _), slot) in staged {
+            *slot = directory.get(&**name).cloned();
         }
     }
 
@@ -562,15 +636,13 @@ impl QueueManager {
     /// Writes the `TxCommit` record of `tx` and applies it, under the
     /// mutation gate. A put that a getter parked on its queue is claimed
     /// for stays out of the record, and is handed over once it is written
-    /// ([`QueueManager::announce`]). Refused, nothing happened and `tx`
-    /// comes back, claimed puts where they were staged.
+    /// ([`QueueManager::announce`]); the record carries what the getter's
+    /// pick-up staged, and the dedup key of a put that arrived over a
+    /// channel. Refused, nothing happened and `tx` comes back, claimed
+    /// puts where they were staged.
     // lint: custody(msg, err-reverts)
     #[allow(clippy::result_large_err)] // the error hands the transaction back
     fn apply(&self, mut tx: TxState) -> Result<Applied, (MqError, TxState)> {
-        // Mutation gate read-held across [TxCommit append + applying its
-        // effects]: a checkpoint can never snapshot half a transaction, nor
-        // truncate the TxCommit record while its effects are missing.
-        let gate = self.mutation_gate.read();
         // Stamped before the record is built, all at one instant: the
         // journal holds each put as enqueued, so a recovered message
         // expires when it would have.
@@ -578,15 +650,23 @@ impl QueueManager {
         for (_, staged) in tx.puts.as_mut_slice() {
             staged.stamp_enqueue(now);
         }
-        // The queue directory, read-held from the claims through the last
-        // put: no queue is created or deleted between the record and its
-        // effects, so each put's queue, settled here once for its claim and
-        // its insert, is the queue replay resolves its name to.
+        // Claimed before the gate: a pick-up stages with locks of the
+        // manager's that a commit takes before it.
+        let handed = tx.claim_getters(self, now);
+        let mut keys: Vec<_> = handed.as_slice().iter().filter_map(Handoff::key).collect();
+        // Mutation gate read-held across [TxCommit append + applying its
+        // effects]: a checkpoint can never snapshot half a transaction, nor
+        // truncate the TxCommit record while its effects are missing.
+        let gate = self.mutation_gate.read();
+        // The queue directory, read-held from here through the last put:
+        // no queue is created or deleted between the record and its
+        // effects, so each put's queue, settled here once, is the queue
+        // replay resolves its name to.
         let directory = self.queues.read();
-        let handed = tx.claim_getters(&directory, now);
+        tx.settle_queues(&directory);
         let written = tx.puts.as_slice().iter().filter(|(_, m)| m.is_persistent()).count();
         let own = tx.gets.as_slice().iter().filter(|(_, m)| m.is_persistent());
-        let writes = written > 0 || own.clone().next().is_some();
+        let writes = written > 0 || own.clone().next().is_some() || !keys.is_empty();
         // The handoffs the channels released ride any record that is
         // written anyway, ahead of its own gets; taken under the gate,
         // and the guard is gone before the append.
@@ -602,20 +682,26 @@ impl QueueManager {
             // The record is handed the staged puts themselves, nothing
             // copied, writes the persistent ones and hands them back.
             let puts = std::mem::take(&mut tx.puts).into_vec();
-            let record = JournalRecord::TxCommit { puts, gets };
+            let record = JournalRecord::TxCommit { keys: std::mem::take(&mut keys), puts, gets };
             let started = std::time::Instant::now();
             let appended = self.journal().append(&record);
             self.stats()
                 .journal_append_micros
                 .record_duration(started.elapsed());
-            if let JournalRecord::TxCommit { puts, .. } = record {
-                tx.puts = puts.into();
+            if let JournalRecord::TxCommit { keys: written, puts, .. } = record {
+                (keys, tx.puts) = (written, puts.into());
             }
             if let Err(e) = appended {
                 drop(directory);
                 self.settle_released(carried, false);
                 tx.unclaim(handed);
                 return Err((e, tx));
+            }
+            // Remembered under the gate, so no checkpoint snapshots the
+            // window between this record and the arrival's own note.
+            if !keys.is_empty() {
+                let mut dedup = self.delivery_dedup.lock();
+                keys.into_iter().for_each(|key| dedup.record(key));
             }
         }
         let mut applied = Applied { carried: carried.gets.len(), handed, ..Applied::default() };
@@ -658,9 +744,12 @@ impl QueueManager {
     // lint: custody(msg)
     fn announce(&self, applied: Applied) {
         self.obs().changes().bump();
-        for Handoff { queue, getter, msg, .. } in applied.handed {
+        for Handoff { queue, getter, msg, picked_up, .. } in applied.handed {
             queue.hand(getter, msg);
             self.stats().handed.incr();
+            if picked_up.is_some() {
+                self.stats().picked_up.incr();
+            }
             queue.notify_put_watchers();
         }
         for msg in applied.orphaned {
@@ -1072,6 +1161,30 @@ impl Session {
         self.run(|manager, tx| tx.get(manager, queue, wait))
     }
 
+    /// [`Session::get`] as the first operation of the active transaction,
+    /// claimable while it waits: a commit that stages the only put for
+    /// `queue` its transaction holds, a put this get would take, may stage
+    /// `pick_up` for it ([`PickUp::stage`]) and hand the message over once
+    /// its record is written. That record then covers this get and the
+    /// pick-up, and the message comes back [`Taken::Handed`], no get of
+    /// this transaction. A transaction that already holds something gets
+    /// as [`Session::get`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`MqError::NoTransaction`] without an active transaction; as
+    /// [`Session::get`].
+    pub fn get_picking_up(
+        &mut self,
+        queue: &str,
+        wait: Wait,
+        pick_up: &Arc<dyn PickUp>,
+    ) -> MqResult<Option<Taken>> {
+        let tx = self.tx.as_mut().ok_or(MqError::NoTransaction)?;
+        let claimable = tx.is_empty().then(|| Some(pick_up.clone()));
+        tx.take(&self.manager, queue, wait, claimable)
+    }
+
     /// Consumes the first message in delivery order with the given
     /// correlation id that `accept` takes (provisionally, if a transaction
     /// is active): a point read of the queue's correlation index, the one
@@ -1271,6 +1384,92 @@ mod tests {
         fn len_bytes(&self) -> u64 {
             self.inner.len_bytes()
         }
+    }
+
+    /// Logs what it picks up on `LOG`, and declines a message reading
+    /// "decline".
+    struct LogPickUp;
+
+    impl PickUp for LogPickUp {
+        fn stage(&self, msg: &Message, tx: &mut Session) -> bool {
+            let entry = Message::text("seen").persistent(true).build();
+            msg.payload_str() != Some("decline") && tx.put("LOG", entry).is_ok()
+        }
+    }
+
+    /// Parks a get with [`LogPickUp`] on `Q` in a transaction of its own,
+    /// and returns what it took and the transaction, ended.
+    fn picking_up(qm: &Arc<QueueManager>) -> (Taken, Session) {
+        let mut tx = qm.session();
+        tx.begin().unwrap();
+        let pick_up: Arc<dyn PickUp> = Arc::new(LogPickUp);
+        let taken = tx.get_picking_up("Q", Wait::Timeout(Millis(1_000)), &pick_up);
+        (taken.unwrap().expect("a message"), tx)
+    }
+
+    /// The put a getter with a pick-up is claimed for leaves the record and
+    /// the pick-up's puts join it. Refused, the record takes neither: the
+    /// getter waits on, the put goes back where it was and what the
+    /// pick-up staged is gone.
+    #[test]
+    fn a_pick_up_rides_the_record_of_the_put_its_getter_is_handed() {
+        let journal = MemJournal::new();
+        let qm = QueueManager::builder("QM1").journal(journal.clone()).build().unwrap();
+        for queue in ["Q", "LOG", "OUT"] {
+            qm.create_queue(queue).unwrap();
+        }
+        let persistent = |text: &str| Message::text(text).persistent(true).build();
+        std::thread::scope(|s| {
+            let getter = s.spawn(|| picking_up(&qm));
+            wait_getters(&qm, "Q", 1);
+            let mut tx = qm.session();
+            tx.begin().unwrap();
+            tx.put("OUT", persistent("a")).unwrap();
+            tx.put("Q", persistent("x")).unwrap();
+            journal.set_failing(true);
+            assert!(tx.commit().is_err());
+            assert_eq!(qm.queue("Q").unwrap().waiting_getters(), 1, "still waiting");
+            assert!(!getter.is_finished());
+            journal.set_failing(false);
+            tx.commit().unwrap();
+            let (taken, mut read) = getter.join().unwrap();
+            assert!(matches!(&taken, Taken::Handed(m) if m.payload_str() == Some("x")));
+            read.commit().unwrap();
+        });
+        assert_eq!(last_puts(&journal), ["OUT", "LOG"], "the put out, the pick-up in");
+        assert_eq!((qm.queue("Q").unwrap().depth(), qm.queue("LOG").unwrap().depth()), (0, 1));
+        let metrics = qm.metrics_snapshot();
+        assert_eq!((metrics.counter("mq.tx.handed"), metrics.counter("mq.tx.picked_up")), (1, 1));
+    }
+
+    /// A pick-up is staged only for a put it accepts that is the only one
+    /// its transaction stages for the queue; otherwise the puts are queued
+    /// and the getter takes the first as any get does.
+    #[test]
+    fn a_pick_up_is_staged_only_for_a_lone_put_it_accepts() {
+        let qm = QueueManager::builder("QM1").build().unwrap();
+        for queue in ["Q", "LOG"] {
+            qm.create_queue(queue).unwrap();
+        }
+        let persistent = |text: &str| Message::text(text).persistent(true).build();
+        for puts in [&["one", "two"][..], &["decline"][..]] {
+            std::thread::scope(|s| {
+                let getter = s.spawn(|| picking_up(&qm));
+                wait_getters(&qm, "Q", 1);
+                let mut tx = qm.session();
+                tx.begin().unwrap();
+                for text in puts {
+                    tx.put("Q", persistent(text)).unwrap();
+                }
+                tx.commit().unwrap();
+                let (taken, mut read) = getter.join().unwrap();
+                assert!(matches!(&taken, Taken::Queued(m) if m.payload_str() == Some(puts[0])));
+                read.commit().unwrap();
+            });
+            qm.get("Q", Wait::NoWait).unwrap();
+        }
+        assert_eq!(qm.queue("LOG").unwrap().depth(), 0);
+        assert_eq!(qm.metrics_snapshot().counter("mq.tx.handed"), 0);
     }
 
     /// A getter claimed by a commit waits for its record past its own

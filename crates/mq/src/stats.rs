@@ -518,9 +518,12 @@ pub struct ManagerStats {
     pub tx_committed: Arc<Counter>,
     /// Transactions rolled back.
     pub tx_rolled_back: Arc<Counter>,
-    /// Puts handed to a consumer parked in a get outside a transaction:
-    /// the put and that get written by no record.
+    /// Puts handed to a consumer parked in a get (outside a transaction,
+    /// or with a pick-up): the put and that get written by no record.
     pub handed: Arc<Counter>,
+    /// Of those, puts whose consumer's pick-up the same record carried
+    /// ([`crate::PickUp`]): a read and its arrival in one record.
+    pub picked_up: Arc<Counter>,
     /// Messages forwarded to remote queue managers.
     pub forwarded: Arc<Counter>,
     /// Messages received from remote queue managers.
@@ -553,6 +556,7 @@ impl ManagerStats {
             tx_committed: registry.counter("mq.tx.committed"),
             tx_rolled_back: registry.counter("mq.tx.rolled_back"),
             handed: registry.counter("mq.tx.handed"),
+            picked_up: registry.counter("mq.tx.picked_up"),
             forwarded: registry.counter("mq.forwarded"),
             received_remote: registry.counter("mq.received_remote"),
             journal_append_micros: registry.histogram("mq.journal.append_micros"),

@@ -247,7 +247,7 @@ mod tests {
         );
         assert!(matches!(
             journal.replay_collect().unwrap().last(),
-            Some(crate::journal::JournalRecord::TxCommit { puts, gets })
+            Some(crate::journal::JournalRecord::TxCommit { puts, gets, .. })
                 if puts.len() == 3 && gets.is_empty()
         ));
 

@@ -232,8 +232,9 @@ fn snapshot(qm: &Arc<QueueManager>) -> Vec<u32> {
 fn journal_image(journal: &MemJournal) -> Vec<String> {
     let label = |m: &Message| m.payload_str().unwrap().to_owned();
     let image = |record: JournalRecord| match record {
-        JournalRecord::TxCommit { puts, gets } => format!(
-            "TxCommit get{:?} put{:?}",
+        JournalRecord::TxCommit { keys, puts, gets } => format!(
+            "TxCommit keys{} get{:?} put{:?}",
+            keys.len(),
             gets.iter().map(|(q, _)| &**q).collect::<Vec<_>>(),
             puts.iter().map(|(q, m)| (&**q, label(m))).collect::<Vec<_>>(),
         ),

@@ -924,7 +924,7 @@ fn overlapping_resend_accepts_only_what_is_new() {
     resend.push(all[6].clone());
     assert_eq!(b.accept_batch(resend).unwrap(), accepted(4, 5));
     assert_eq!(visible(&b), [0, 1, 2, 3, 4, 5, 6, 7]);
-    let Some(JournalRecord::TxCommit { puts, gets }) = journal.replay_collect().unwrap().pop()
+    let Some(JournalRecord::TxCommit { puts, gets, .. }) = journal.replay_collect().unwrap().pop()
     else {
         panic!("the arrival record is a TxCommit");
     };

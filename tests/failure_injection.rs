@@ -993,3 +993,72 @@ fn an_implicit_read_whose_record_is_written_returns_its_original_though_checkpoi
     let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().unwrap();
     assert_eq!(outcome.outcome, condmsg::MessageOutcome::Success);
 }
+
+#[test]
+fn a_refused_fused_pick_up_record_keeps_the_reader_waiting_and_spends_nothing() {
+    // Over TCP, a reader waits on Q.IN and the tail's journal refuses the
+    // arrival record that would be its read. The batch is refused whole:
+    // the reader keeps waiting, the original goes back to its place in the
+    // arrival's transaction, which the transport drops, and nothing the
+    // receiver staged (log entry, read-ack) is left anywhere. The head sends
+    // again until the storage heals; then the original is read once, its
+    // backout budget untouched, and acknowledged once.
+    let clock = SimClock::new();
+    let head = QueueManager::builder("QM.HEAD").clock(clock.clone()).build().unwrap();
+    let tail_journal = MemJournal::new();
+    let tail = QueueManager::builder("QM.TAIL")
+        .clock(clock)
+        .journal(tail_journal.clone())
+        .build()
+        .unwrap();
+    tail.create_queue("Q.IN").unwrap();
+    let tcp = TcpConfig {
+        backoff_max: Duration::from_millis(50),
+        ..TcpConfig::default()
+    };
+    let connect = |from: &Arc<QueueManager>, to: &Arc<QueueManager>| {
+        let acceptor = TcpAcceptor::bind(to, "127.0.0.1:0").unwrap();
+        let channel =
+            Channel::connect_tcp(from, to.name(), acceptor.local_addr(), tcp.clone()).unwrap();
+        (channel, acceptor)
+    };
+    let _channels = (connect(&head, &tail), connect(&tail, &head));
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    let records = tail_journal.record_count();
+    tail_journal.set_failing(true);
+    let tried = appends_tried(&tail);
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| receiver.read_message("Q.IN", Wait::Timeout(Millis(600_000))));
+        wait_for("the reader parked", &|| tail.queue("Q.IN").unwrap().waiting_getters() == 1);
+        let id = messenger.send_message("once", &condition).unwrap();
+        wait_for("the arrival refused twice", &|| appends_tried(&tail) >= tried + 2);
+        assert!(!reader.is_finished(), "the reader still waits");
+        assert_eq!(tail.queue("Q.IN").unwrap().waiting_getters(), 1);
+        assert_eq!(tail_journal.record_count(), records);
+        for queue in ["Q.IN", "DS.RLOG.Q", "SYSTEM.XMIT.QM.HEAD", DEAD_LETTER_QUEUE] {
+            assert_eq!(tail.queue(queue).unwrap().depth(), 0, "{queue}");
+        }
+        let metrics = tail.metrics_snapshot();
+        assert_eq!(metrics.counter("mq.tx.picked_up"), 0);
+        assert_eq!(metrics.counter("mq.relay.duplicates"), 0, "the key was given up");
+        assert_eq!(messenger.status(id), MessageStatus::Pending);
+
+        tail_journal.set_failing(false);
+        let read = reader.join().unwrap().unwrap().expect("handed the original");
+        assert_eq!(read.payload_str(), Some("once"));
+        assert_eq!(read.message().redelivery_count(), 0, "no backout budget spent");
+        let outcome = messenger
+            .take_outcome(id, Wait::Timeout(Millis(10_000)))
+            .unwrap()
+            .expect("verdict");
+        assert_eq!(outcome.outcome, MessageOutcome::Success);
+    });
+    assert_eq!(tail.metrics_snapshot().counter("mq.tx.picked_up"), 1);
+    assert_eq!(head.metrics_snapshot().counter("cond.ack.read"), 1, "one ack");
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 0);
+    assert!(receiver.read_message("Q.IN", Wait::NoWait).unwrap().is_none(), "read once");
+}

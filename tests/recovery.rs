@@ -190,7 +190,7 @@ fn crash_right_after_a_fused_arrival_record_replays_the_ack_and_absorbs_its_rese
     // The arrival record is the ack applied: its write-ahead entry and
     // nothing else. The ack itself was never put anywhere.
     match journal.replay_collect().unwrap().last() {
-        Some(JournalRecord::TxCommit { puts, gets }) => {
+        Some(JournalRecord::TxCommit { puts, gets, .. }) => {
             assert!(gets.is_empty());
             assert_eq!(puts.len(), 1);
             assert_eq!(&*puts[0].0, "DS.SLOG.Q");
@@ -390,12 +390,12 @@ fn a_reader_parked_in_its_transaction_is_never_handed_an_original() {
 }
 
 #[test]
-fn an_arrival_for_a_waiting_getter_is_queued_so_its_resend_is_a_duplicate() {
-    // A message that arrives over a channel is never handed over: its
-    // arrival record's put reseeds the dedup window on replay. A getter
-    // waits on the queue the channel delivers into; the receiver crashes
-    // after the arrival, before the transport ack reaches the sender, and
-    // the resend is dropped: the message is delivered once.
+fn an_arrival_handed_to_a_waiting_getter_leaves_its_key_so_its_resend_is_a_duplicate() {
+    // A message that arrives over a channel for a getter already waiting
+    // is handed over, and its arrival record keeps its dedup key instead
+    // of the message: replay reseeds the window with the key. The
+    // receiver crashes after the arrival, before the transport ack reaches
+    // the sender, and the resend is dropped: the message is delivered once.
     let clock = SimClock::new();
     let journal = MemJournal::new();
     let qmgr = build_qm(clock.clone(), journal.clone());
@@ -413,18 +413,107 @@ fn an_arrival_for_a_waiting_getter_is_queued_so_its_resend_is_a_duplicate() {
         assert_eq!(accepted.unwrap(), BatchAccepted { accepted: 1, duplicates: 0 });
         assert_eq!(got.payload_str(), Some("m"));
     });
-    let arrival_put = journal.replay_collect().unwrap().into_iter().any(|record| {
-        matches!(record, JournalRecord::TxCommit { puts, .. }
-            if puts.iter().any(|(queue, _)| &**queue == "Q.A"))
-    });
-    assert!(arrival_put, "the arrival record carries the put");
-    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), 0);
+    match journal.replay_collect().unwrap().pop() {
+        Some(JournalRecord::TxCommit { keys, puts, gets }) => {
+            assert_eq!(keys.len(), 1, "the record carries the key");
+            assert_eq!(keys[0].1, envelope.id());
+            assert!(puts.is_empty() && gets.is_empty(), "not the payload: {puts:?}");
+        }
+        other => panic!("arrival record: {other:?}"),
+    }
+    assert_eq!(qmgr.metrics_snapshot().counter("mq.tx.handed"), 1);
     qmgr.crash();
 
     let qmgr = build_qm(clock, journal);
     let resent = qmgr.accept_batch(vec![envelope]).unwrap();
     assert_eq!(resent, BatchAccepted { accepted: 0, duplicates: 1 });
     assert_eq!(qmgr.queue("Q.A").unwrap().depth(), 0, "delivered once");
+}
+
+/// Waits for `done` for at most 10 s of real time.
+fn wait_until(what: &str, done: &dyn Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn crash_right_after_a_fused_pick_up_record_replays_the_read_and_drops_the_resend() {
+    // Over TCP: the reader waits on Q.IN, and the arrival's record is its
+    // read. The tail crashes right after that record, with the transport
+    // ack of the batch dropped, so the head sends the original again to the
+    // restarted tail. Replay leaves the read as the record says: nothing on
+    // Q.IN, the receiver-log entry, the read-ack waiting on the way back,
+    // and the key in the dedup window, so the resend is a duplicate. The
+    // sender sees one outcome.
+    let clock: SharedClock = SimClock::new();
+    let head = QueueManager::builder("QM.HEAD").clock(clock.clone()).build().unwrap();
+    let tail_journal = MemJournal::new();
+    let build_tail = || {
+        let tail = QueueManager::builder("QM.TAIL")
+            .clock(clock.clone())
+            .journal(tail_journal.clone())
+            .build()
+            .unwrap();
+        tail.ensure_queue("Q.IN").unwrap();
+        // The way back has no channel until the end: the read-ack waits.
+        tail.define_route("QM.HEAD", "SYSTEM.XMIT.QM.HEAD").unwrap();
+        tail
+    };
+    let tail = build_tail();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let (out, acceptor) = connect(&head, &tail, false);
+    // A first message opens the connection the original will take.
+    let warm = Message::text("warm").persistent(true).build();
+    head.put_to(&QueueAddress::new("QM.TAIL", "Q.IN"), warm).unwrap();
+    wait_until("the connection", &|| tail.queue("Q.IN").unwrap().depth() == 1);
+    tail.get("Q.IN", Wait::NoWait).unwrap().unwrap();
+    // The original's batch is committed and its ack dropped, and the head
+    // cannot reconnect before the crash: it sends the batch again to the
+    // restarted tail.
+    acceptor.inject_drop_before_ack(1);
+    acceptor.set_paused(true);
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    let id = std::thread::scope(|s| {
+        let reader = s.spawn(|| receiver.read_message("Q.IN", Wait::Timeout(Millis(600_000))));
+        wait_getters(&tail, "Q.IN", 1);
+        let id = messenger.send_message("once", &condition).unwrap();
+        let read = reader.join().unwrap().unwrap().expect("handed the original");
+        assert_eq!((read.kind(), read.payload_str()), (MessageKind::Original, Some("once")));
+        id
+    });
+    assert_eq!(tail.metrics_snapshot().counter("mq.tx.picked_up"), 1);
+    tail.crash();
+    drop((receiver, out, acceptor));
+
+    let tail = build_tail();
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 0, "read, as the record says");
+    assert_eq!(tail.queue("DS.RLOG.Q").unwrap().depth(), 1, "the receiver-log entry");
+    assert_eq!(tail.queue("SYSTEM.XMIT.QM.HEAD").unwrap().depth(), 1, "the read-ack");
+    let _out = connect(&head, &tail, false);
+    wait_until("the resend dropped", &|| {
+        tail.metrics_snapshot().counter("mq.relay.duplicates") == 1
+    });
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 0, "delivered once");
+    assert_eq!(messenger.status(id), MessageStatus::Pending);
+    let _back = connect(&tail, &head, false);
+    let outcome = messenger
+        .take_outcome(id, Wait::Timeout(Millis(10_000)))
+        .unwrap()
+        .expect("verdict");
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert_eq!(messenger.status(id), MessageStatus::Unknown, "one outcome, taken");
+    assert_eq!(head.metrics_snapshot().counter("cond.ack.read"), 1);
+    for queue in ["DS.OUTCOME.Q", "DS.COMP.Q", "DS.SLOG.Q", "DS.ACK.Q"] {
+        assert_eq!(head.queue(queue).unwrap().depth(), 0, "{queue}");
+    }
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    assert!(receiver.read_message("Q.IN", Wait::NoWait).unwrap().is_none());
 }
 
 #[test]
@@ -956,7 +1045,7 @@ fn pickup_and_ack_are_one_record() {
     assert_eq!(journal.record_count(), before + 1);
     assert!(matches!(
         journal.replay_collect().unwrap().last(),
-        Some(JournalRecord::TxCommit { puts, gets }) if puts.len() == 2 && gets.len() == 1
+        Some(JournalRecord::TxCommit { puts, gets, .. }) if puts.len() == 2 && gets.len() == 1
     ));
     assert_eq!(
         (depth("Q.IN"), depth("DS.RLOG.Q"), depth("XMIT.SEND")),
@@ -989,7 +1078,7 @@ fn pickup_and_ack_are_one_record() {
     assert_eq!(journal.record_count(), before + 1);
     assert!(matches!(
         journal.replay_collect().unwrap().last(),
-        Some(JournalRecord::TxCommit { puts, gets }) if puts.is_empty() && gets.len() == 2
+        Some(JournalRecord::TxCommit { puts, gets, .. }) if puts.is_empty() && gets.len() == 2
     ));
     assert_eq!((depth("Q.IN"), depth("DS.RLOG.Q")), (0, 0));
     assert_eq!(depth(mq::DEAD_LETTER_QUEUE), 0);
@@ -1125,7 +1214,7 @@ fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
     assert_eq!(sender.stats().released.get(), 0);
     let carrying = journal.replay_collect().unwrap().pop().unwrap();
     match &carrying {
-        JournalRecord::TxCommit { puts, gets } => {
+        JournalRecord::TxCommit { puts, gets, .. } => {
             assert_eq!((puts.len(), gets.len()), (1, 3));
             assert!(gets.iter().all(|(queue, _)| &**queue == "SYSTEM.XMIT.QM2"));
         }
@@ -1141,7 +1230,9 @@ fn a_checkpoint_holds_released_handoffs_until_a_record_carries_their_gets() {
     // the journal reported as refused after the bytes had made it leaves
     // the gets released, and a later record carries them a second time.
     let twice = match carrying {
-        JournalRecord::TxCommit { gets, .. } => JournalRecord::TxCommit { puts: Vec::new(), gets },
+        JournalRecord::TxCommit { gets, .. } => {
+            JournalRecord::TxCommit { keys: Vec::new(), puts: Vec::new(), gets }
+        }
         other => other,
     };
     journal.append(&twice).unwrap();

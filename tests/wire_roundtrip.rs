@@ -382,6 +382,7 @@ fn a_fan_out_record_is_pinned_byte_for_byte() {
         })
         .collect();
     let record = JournalRecord::TxCommit {
+        keys: vec![],
         puts: vec![
             ("Q.L0".into(), originals[0].clone()),
             ("Q.L1".into(), originals[1].clone()),
