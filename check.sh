@@ -9,6 +9,19 @@
 # pre-commit check.
 set -eux
 
+# Non-test source lines per crate, printed for the record and gating
+# nothing: each crates/*/src file up to its first top-level
+# `#[cfg(test)]`, blank and `//` lines left out.
+find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { skip = 0; split(FILENAME, path, "/") }
+    skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    /^#\[cfg\(test\)\]/ { skip = 1; next }
+    { lines[path[2]]++; total++ }
+    END {
+        for (crate in lines) printf "non-test lines: %s %d\n", crate, lines[crate]
+        printf "non-test lines: total %d\n", total
+    }' {} + | sort >&2
+
 if [ "${1:-}" = "--lint-only" ]; then
     # Project-specific source lints and the cond-verify static analyses
     # (lock order, never-hold disciplines, message custody, registries).

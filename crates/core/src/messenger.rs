@@ -13,8 +13,9 @@
 //!   message. The condition is compiled once per distinct tree: every send
 //!   of it shares one interned shape (`crate::shape`).
 //! * **Evaluation manager**: one event-driven engine. The messenger is
-//!   the arrival trigger of `DS.ACK.Q` ([`mq::ArrivalTrigger`]): an
-//!   acknowledgment is never queued but applied, on the committing
+//!   the standing claimant of `DS.ACK.Q` ([`mq::PickUp`],
+//!   [`mq::Queue::stand`]): an acknowledgment is never queued but
+//!   applied, on the committing
 //!   thread, inside the transaction that delivers it, and only the
 //!   messages those acknowledgments touch are re-evaluated; every pending
 //!   message keeps one armed clock timer at its next deadline or timeout,
@@ -55,7 +56,7 @@
 //! inside `advance`, so the notification is on the outcome queue when the
 //! put or the `advance` returns. Under a system clock the timers fire from
 //! the clock's waiter thread. Either way the clock drives every retry: a
-//! cycle that storage refused, or acknowledgments the trigger could not
+//! cycle that storage refused, or acknowledgments the claimant could not
 //! stage, arm one retry timer [`RETRY_BACKOFF`] ahead, twice as far after
 //! each retry that fails again, up to [`RETRY_BACKOFF_MAX`]. The messenger
 //! starts no thread of its own, and takes its timers with it when it is
@@ -68,9 +69,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mq::codec::WireEncode;
-use mq::{
-    ArrivalEnd, ArrivalTrigger, IdMap, Message, MetricsSnapshot, QueueManager, TraceStage, Wait,
-};
+use mq::{Fate, IdMap, Message, MetricsSnapshot, PickUp, QueueManager, TraceStage, Wait};
 use parking_lot::Mutex;
 use simtime::{Millis, Time, TimerId};
 
@@ -213,7 +212,7 @@ struct Cycle {
     /// Messages addressed to `DS.ACK.Q`, malformed and unknown ones
     /// included.
     consumed: u64,
-    /// How many of them came off the queue rather than from the trigger.
+    /// How many of them came off the queue rather than from the claim.
     queued: u64,
     /// The acknowledgments among them that reached a pending evaluation.
     acks: Vec<Acknowledgment>,
@@ -226,7 +225,7 @@ struct Cycle {
 /// The messenger's one retry timer.
 struct RetryTimer {
     /// The armed timer, if any: armed by a cycle that failed or by
-    /// acknowledgments the trigger declined, cleared when it fires or a
+    /// acknowledgments the claimant declined, cleared when it fires or a
     /// cycle leaves no retry owed.
     armed: Option<TimerId>,
     /// How far ahead the next one is armed: [`RETRY_BACKOFF`], doubled by
@@ -282,7 +281,7 @@ pub struct ConditionalMessenger {
     /// The one armed retry timer, if any, and how far ahead the next one
     /// is armed.
     retry_timer: Mutex<RetryTimer>,
-    /// Back-reference for timer callbacks and the ack queue's trigger slot.
+    /// Back-reference for timer callbacks and the ack queue's standing claim.
     self_weak: Weak<ConditionalMessenger>,
 }
 
@@ -352,8 +351,9 @@ impl ConditionalMessenger {
             // From here on an ack is applied inside the transaction that
             // delivers it (the first of them waits for the catch-up below).
             let ack_queue = messenger.qmgr.queue(DEFAULT_ACK_QUEUE)?;
-            ack_queue.set_arrival_trigger(messenger.self_weak.clone());
-            // Acks the trigger declined are queued once the commit that
+            let claimant: Weak<dyn PickUp> = messenger.self_weak.clone();
+            ack_queue.stand(claimant);
+            // Acks the claimant declined are queued once the commit that
             // delivers them is written; then the retry timer is armed for
             // them.
             let (weak, queue) = (messenger.self_weak.clone(), Arc::downgrade(&ack_queue));
@@ -363,7 +363,7 @@ impl ConditionalMessenger {
                     messenger.arm_retry();
                 }
             }));
-            // Catch up on acks queued before the trigger existed, decide
+            // Catch up on acks queued before the claimant stood, decide
             // what is already due and arm one timer per recovered message.
             // This is the only walk over the whole pending table.
             let recovered: Vec<CondMessageId> = messenger.pending.lock().keys().copied().collect();
@@ -537,7 +537,7 @@ impl ConditionalMessenger {
     // ------------------------------------------------------ evaluation --
 
     /// Drains whatever is waiting on `DS.ACK.Q` (nothing, unless acks
-    /// landed while no messenger was attached or the trigger declined
+    /// landed while no messenger was attached or the claimant declined
     /// them: it consumes them as they arrive) and retries the verdicts a
     /// storage error interrupted — what the retry timer does on its own
     /// [`RETRY_BACKOFF`] later. O(acks waiting + retries), never a scan
@@ -632,7 +632,7 @@ impl ConditionalMessenger {
 
     /// Stages one evaluation cycle — one protocol step, one journal record
     /// — into `session`, whichever way its acknowledgments come: `arrived`
-    /// from the trigger (then `session` holds the transaction that
+    /// from the claim (then `session` is joined to the transaction that
     /// addressed them to the ack queue) behind whatever is waiting on the
     /// queue itself. Staged are the verdicts of `ids[from..]` plus the ids
     /// the acknowledgments touch, and an `AckSeen` log entry for each one
@@ -648,14 +648,14 @@ impl ConditionalMessenger {
         &self,
         session: &mut mq::Session,
         cycle: &mut Cycle,
-        arrived: &[Message],
+        arrived: &[&Message],
         ids: &mut Vec<CondMessageId>,
         from: usize,
     ) -> CondResult<()> {
         let queued = self.take_queued(session)?;
         cycle.queued = queued.len() as u64;
         cycle.consumed = cycle.queued + arrived.len() as u64;
-        for msg in queued.iter().chain(arrived) {
+        for msg in queued.iter().chain(arrived.iter().copied()) {
             // Malformed acks and acks for unknown messages are consumed
             // with the batch rather than wedging the queue.
             if let Ok(ack) = Acknowledgment::from_message(msg) {
@@ -1310,25 +1310,21 @@ impl Drop for ConditionalMessenger {
     }
 }
 
-/// The trigger on `DS.ACK.Q`: the acknowledgments a committing transaction
-/// addressed to the queue are applied inside that transaction, on its
-/// thread (the reactor's for a transport batch, the reader's for a local
-/// receiver, the caller's for a bare put). The pump lock is held from the
-/// staging until the record is written or refused, and released before any
-/// watcher of the transaction runs. When the record is refused the
+/// The standing claimant of `DS.ACK.Q`: the acknowledgments a committing
+/// transaction addressed to the queue are applied inside its record, on
+/// its thread (the reactor's for a transport batch, the reader's for a
+/// local receiver, the caller's for a bare put). The pump lock is held
+/// from the staging until the record is written or refused, inside the
+/// fate, and released before any watcher of the transaction runs. When the record is refused the
 /// committer gets its transaction back, acks included — a transport batch
 /// stays unacked and is resent, a local read is retried or abandoned — and
 /// the evaluations are as if the acks had never come. When the messenger
 /// cannot stage what the acks cause (an outcome queue without room, a
 /// compensation without a route) that is no fault of the committer's: the
-/// trigger declines, the acks are queued and every later cycle retries
+/// claimant declines, the acks are queued and every later cycle retries
 /// them.
-impl ArrivalTrigger for ConditionalMessenger {
-    fn on_arrival<'a>(
-        &'a self,
-        arrived: &[Message],
-        tx: &mut mq::Session,
-    ) -> Option<ArrivalEnd<'a>> {
+impl PickUp for ConditionalMessenger {
+    fn stage<'a>(&'a self, arrived: &[&Message], tx: &mut mq::Session) -> Option<Fate<'a>> {
         let serial = self.pump_lock.lock();
         let mut ids = std::mem::take(&mut *self.retry.lock());
         let mut cycle = Cycle::default();

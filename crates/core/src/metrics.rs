@@ -65,7 +65,7 @@ pub(crate) struct MessengerMetrics {
     pub ack_batch_size: Arc<Histogram>,
     /// Acks that were queued on the ack queue and drained from it — they
     /// landed while no messenger was attached — instead of being consumed
-    /// by the arrival trigger (`cond.ack.queued`).
+    /// by the messenger's claim of them (`cond.ack.queued`).
     pub acks_queued: Arc<Counter>,
     /// Condition trees run through the static analyzer at send time
     /// (`cond.analyze.runs`).

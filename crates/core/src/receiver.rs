@@ -14,15 +14,16 @@
 //!   therefore produces **exactly one acknowledgment per consumed
 //!   message**, never one for receipt *and* one for processing.
 //! * A non-transactional read parked on an empty queue registers its
-//!   pick-up ([`mq::PickUp`]): an original that arrives for it alone is
-//!   handed over by the record that delivers it, which holds the
+//!   pick-up ([`mq::PickUp`]): the first original in delivery order of a
+//!   transaction that puts to the queue is handed over by the record that
+//!   delivers it (the rest are queued), which holds the
 //!   receiver-log entry and the read-ack instead of the original (for one
 //!   that came over a channel, its dedup key), so custody and pick-up are
 //!   one record. It declines — and the original is queued and read as
 //!   above — anything but an original whose acknowledgment goes to another
 //!   manager: an acknowledgment to this one would be applied by its
-//!   trigger inside the putting transaction, which for a local sender is
-//!   the send itself.
+//!   standing claimant inside the putting transaction, which for a local
+//!   sender is the send itself.
 //! * Every consumption of an original is logged to the persistent receiver
 //!   log (`DS.RLOG.Q`): an entry — the conditional id as correlation id,
 //!   and `ds.leaf` — means "original (id, leaf) was consumed here", and
@@ -39,7 +40,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mq::{Message, MqError, PickUp, QueueAddress, QueueManager, Session, Taken, TraceStage, Wait};
+use mq::{
+    Fate, Message, MqError, PickUp, QueueAddress, QueueManager, Session, Taken, TraceStage, Wait,
+};
 use simtime::Time;
 
 use crate::config::DEFAULT_RLOG_QUEUE;
@@ -164,18 +167,18 @@ struct ReadPickUp {
 
 impl PickUp for ReadPickUp {
     // lint: custody(msg)
-    fn stage(&self, msg: &Message, tx: &mut Session) -> bool {
+    fn stage<'a>(&'a self, taken: &[&Message], tx: &mut Session) -> Option<Fate<'a>> {
+        let [msg] = taken else { return None };
         if wire::kind_of(msg) != MessageKind::Original {
-            return false;
+            return None;
         }
         let now = tx.manager().clock().now();
-        let Ok(read) = PendingAck::of(msg, now) else {
-            return false;
-        };
+        let read = PendingAck::of(msg, now).ok()?;
         if read.ack_to.manager == tx.manager().name() {
-            return false;
+            return None;
         }
-        read.stage(tx, AckKind::Read, now, self.recipient.clone()).is_ok()
+        read.stage(tx, AckKind::Read, now, self.recipient.clone()).ok()?;
+        Some(Box::new(|_| ()))
     }
 }
 

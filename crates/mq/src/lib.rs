@@ -66,7 +66,7 @@ pub use qmgr::{
     ManagedTask, ManagerConfig, QueueManager, QueueManagerBuilder, DEAD_LETTER_QUEUE,
     DLQ_REASON_PROPERTY, XMIT_DEST_MANAGER_PROPERTY, XMIT_DEST_QUEUE_PROPERTY,
 };
-pub use queue::{ArrivalEnd, ArrivalTrigger, PickUp, PutWatcher, Queue, QueueConfig, Taken, Wait};
+pub use queue::{Fate, PickUp, PutWatcher, Queue, QueueConfig, Taken, Wait};
 pub use relay::{
     BatchAccepted, DEFAULT_DEDUP_WINDOW, DEFAULT_MAX_RELAY_HOPS, RELAY_HOPS_PROPERTY,
     RELAY_ORIGIN_PROPERTY,

@@ -62,7 +62,7 @@ pub(crate) struct Entry {
 }
 
 /// The priority band a message is queued in.
-fn band_of(msg: &Message) -> usize {
+pub(crate) fn band_of(msg: &Message) -> usize {
     usize::from(msg.priority().level()).min(PRIORITY_BANDS - 1)
 }
 

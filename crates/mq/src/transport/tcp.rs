@@ -1128,6 +1128,7 @@ mod tests {
             .persistent(true)
             .property(XMIT_DEST_QUEUE_PROPERTY, "Q.IN")
             .property(XMIT_DEST_MANAGER_PROPERTY, "QM.RECV")
+            .property(crate::RELAY_ORIGIN_PROPERTY, "QM.SEND")
             .build()
     }
 

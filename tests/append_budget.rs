@@ -5,7 +5,7 @@
 //! is part of the contract: every protocol step — conditional send, arrival
 //! of a transport batch, pick-up with its implicit acknowledgment, outcome
 //! pick-up — is exactly one record, and two things are never a step of
-//! their own. An acknowledgment: the trigger on `DS.ACK.Q` applies it
+//! their own. An acknowledgment: the claimant of `DS.ACK.Q` applies it
 //! inside the record that delivers it (the arrival of its transport batch,
 //! or the local pick-up), with the verdict it decides. And a channel
 //! handoff: the mover releases an acknowledged batch, and its gets ride the
@@ -648,6 +648,57 @@ fn a_transport_batch_of_three_acks_is_one_record_carrying_three_verdicts() {
     let applied = &metrics.histograms["cond.ack.batch_size"];
     assert_eq!((applied.count, applied.max), (1, 3));
     assert_eq!(metrics.counter("cond.verdict.fused"), 3);
+}
+
+#[test]
+fn a_transport_batch_of_two_originals_for_a_waiting_reader_is_one_fused_record_then_one_read() {
+    let _ids = shared();
+    let clock = SimClock::new();
+    let (head, _) = recorded("QM.HEAD", &clock);
+    let (tail, tail_journal) = recorded("QM.TAIL", &clock);
+    tail.create_queue("Q.IN").unwrap();
+    let (_out, out) = connect(&head, &tail, false);
+    // The way back stays partitioned, so no handoff of a read-ack rides
+    // the second read's record.
+    let (_back, back) = connect(&tail, &head, false);
+    back.apply_fault(FaultAction::Partition).unwrap();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    tail_journal.start();
+
+    // Two sends pile up behind a partition; healing it hands both over in
+    // one transport batch to a reader already parked on Q.IN.
+    out.apply_fault(FaultAction::Partition).unwrap();
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    for i in 0..2 {
+        messenger.send_message(format!("m{i}"), &condition).unwrap();
+    }
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| receiver.read_message("Q.IN", Wait::Timeout(Millis(10_000))));
+        wait_getters(&tail, "Q.IN", 1);
+        out.apply_fault(FaultAction::Heal).unwrap();
+        let read = reader.join().unwrap().unwrap().expect("handed the first original");
+        assert_eq!(read.payload_str(), Some("m0"));
+    });
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 1, "the second is queued");
+    let read = receiver.read_message("Q.IN", Wait::NoWait).unwrap().expect("the second");
+    assert_eq!(read.payload_str(), Some("m1"));
+
+    assert_eq!(
+        tail_journal.appended(),
+        [
+            // The batch's arrival and the first read in one: the first
+            // original's key, the second original queued.
+            "TxCommit key x1 get[] put[Q.IN, DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]",
+            "TxCommit get[Q.IN] put[DS.RLOG.Q, SYSTEM.XMIT.QM.HEAD]",
+        ],
+        "tail"
+    );
+    let metrics = tail.metrics_snapshot();
+    assert_eq!(metrics.counter("mq.tx.picked_up"), 1);
+    assert_eq!(metrics.counter("cond.recv.read_acks"), 2);
 }
 
 #[test]

@@ -170,7 +170,7 @@ fn refused_fused_record_hands_the_transaction_back_and_decides_once() {
         .into();
     let id = messenger.send_message("x", &condition).unwrap();
     // A reader's transaction, as a local receiver builds it: the pick-up,
-    // its own log entry and the read-ack, which the trigger on DS.ACK.Q
+    // its own log entry and the read-ack, which the claimant of DS.ACK.Q
     // turns into the verdict — one record, and storage is down for it.
     let ack = Acknowledgment {
         cond_id: id,

@@ -178,7 +178,7 @@ fn reference_verdict(
 /// One world of [`trigger_path_and_queue_path_agree`]: a send, the sender's
 /// service restarted, then the acknowledgments landing in `batches` (one
 /// transaction each) at `lands` ms — with the service `attached` again
-/// before they land (the arrival trigger consumes them) or only after (they
+/// before they land (its standing claim consumes them) or only after (they
 /// queue up and the attach drains them). With `phantom`, a delivery of
 /// acknowledgments from every leaf is refused by storage first and given up
 /// by its owner: it must leave nothing behind. Returns what an observer can
@@ -557,7 +557,7 @@ proptest! {
         }
     }
 
-    /// Acks are applied by the trigger on `DS.ACK.Q` inside the transaction
+    /// Acks are applied by the claimant of `DS.ACK.Q` inside the transaction
     /// that delivers them, or — when they landed while no messenger was
     /// attached — drained from the queue by the next one. Twin worlds that
     /// differ only in that must agree on everything but the path: the

@@ -517,6 +517,63 @@ fn crash_right_after_a_fused_pick_up_record_replays_the_read_and_drops_the_resen
 }
 
 #[test]
+fn a_checkpoint_taken_inside_an_arrivals_commit_keeps_its_dedup_key() {
+    // Over TCP, with a checkpoint after every commit: a put watcher on Q.IN
+    // takes each arrival in a transaction of its own, on the arriving
+    // thread, and that commit checkpoints while the batch's commit is still
+    // returning. The batch's transport ack is dropped and the tail crashes
+    // and restarts, so the head sends the message again. The snapshot must
+    // hold the arrival's key, recorded with its record: the resend is a
+    // duplicate and the message is delivered once.
+    let clock: SharedClock = SimClock::new();
+    let head = QueueManager::builder("QM.HEAD").clock(clock.clone()).build().unwrap();
+    let tail_journal = MemJournal::new();
+    let taken = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let build_tail = || {
+        let config = mq::ManagerConfig { checkpoint_bytes: Some(1), ..Default::default() };
+        let tail = QueueManager::builder("QM.TAIL")
+            .clock(clock.clone())
+            .journal(tail_journal.clone())
+            .config(config)
+            .build()
+            .unwrap();
+        tail.ensure_queue("Q.IN").unwrap();
+        let (weak, taken) = (Arc::downgrade(&tail), taken.clone());
+        tail.queue("Q.IN").unwrap().add_put_watcher(Arc::new(move || {
+            let Some(tail) = weak.upgrade() else { return };
+            if let Ok(Some(_)) = tail.get("Q.IN", Wait::NoWait) {
+                taken.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }));
+        tail
+    };
+    let tail = build_tail();
+    let (out, acceptor) = connect(&head, &tail, false);
+    let to = QueueAddress::new("QM.TAIL", "Q.IN");
+    head.put_to(&to, Message::text("warm").persistent(true).build()).unwrap();
+    let taken_now = || taken.load(std::sync::atomic::Ordering::SeqCst);
+    wait_until("the connection", &|| taken_now() == 1);
+    acceptor.inject_drop_before_ack(1);
+    acceptor.set_paused(true);
+    head.put_to(&to, Message::text("once").persistent(true).build()).unwrap();
+    wait_until("the arrival taken", &|| taken_now() == 2);
+    let image = tail_journal.replay_collect().unwrap();
+    let checkpointed = matches!(image.first(), Some(JournalRecord::CheckpointStart { .. }));
+    assert!(checkpointed, "the watcher's commit checkpointed");
+    tail.crash();
+    drop((out, acceptor));
+
+    let tail = build_tail();
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 0, "taken, as the journal says");
+    let _out = connect(&head, &tail, false);
+    wait_until("the resend dropped", &|| {
+        tail.metrics_snapshot().counter("mq.relay.duplicates") == 1
+    });
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), 0, "delivered once");
+    assert_eq!(taken_now(), 2);
+}
+
+#[test]
 fn receiver_crash_between_tx_read_and_commit_redelivers() {
     let clock = SimClock::new();
     let journal = MemJournal::new();
