@@ -75,3 +75,18 @@ pub use receiver::{ConditionalReceiver, ReceivedMessage};
 pub use wire::{
     AckKind, Acknowledgment, MessageKind, MessageOutcome, OutcomeNotification, SendOptions,
 };
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    /// Spins until `done` holds, for at most 10 s of real time: how a test
+    /// waits for a state no event reports to it.
+    pub(crate) fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+}

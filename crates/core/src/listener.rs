@@ -120,6 +120,7 @@ impl ConditionalListener {
 mod tests {
     use super::*;
     use crate::condition::{Condition, Destination};
+    use crate::tests::wait_for;
     use crate::messenger::ConditionalMessenger;
     use crate::wire::{MessageKind, MessageOutcome};
 
@@ -158,10 +159,8 @@ mod tests {
             .expect("decided");
         assert_eq!(outcome.outcome, MessageOutcome::Success);
         // The outcome is decided the moment the processing ack commits;
-        // the listener bumps its counter just after, so park for it.
-        listener
-            .stats()
-            .wait_until("processed counted", || listener.stats().delivered.get() == 1);
+        // the listener bumps its counter just after, so wait for it.
+        wait_for("processed counted", || listener.stats().delivered.get() == 1);
     }
 
     #[test]
@@ -199,10 +198,8 @@ mod tests {
         );
         assert_eq!(listener.stats().rolled_back.get(), 2);
         // The counter lands just after the commit that decided the
-        // outcome; park for it instead of racing the listener thread.
-        listener
-            .stats()
-            .wait_until("processed counted", || listener.stats().delivered.get() == 1);
+        // outcome; wait for it instead of racing the listener thread.
+        wait_for("processed counted", || listener.stats().delivered.get() == 1);
     }
 
     #[test]
@@ -223,9 +220,7 @@ mod tests {
         messenger
             .send_message("boom", &processing_condition())
             .unwrap();
-        listener
-            .stats()
-            .wait_until("panic caught", || listener.stats().panics.get() >= 1);
+        wait_for("panic caught", || listener.stats().panics.get() >= 1);
         // No acknowledgment was produced by the failed attempts so far.
         // (The message keeps being redelivered until backout; we only
         // assert the no-ack-on-rollback property here.)

@@ -50,8 +50,16 @@
 //! in fact already accepted — delivery stays exactly-once end to end. A
 //! handoff the journal refuses keeps its session, at the front of the
 //! window: the peer holds the batch, so nothing is sent again; the mover
-//! waits out `PARTITION_BACKOFF` on the transport and tries the record
-//! again, for as long as the journal fails.
+//! tries the record again once [`HANDOFF_RETRY`] has passed on the
+//! manager's clock, for as long as the journal fails.
+//!
+//! The mover waits in one place: parked on its transmission queue, until
+//! what it acts on changes. The transport wakes it when its progress moves
+//! (an ack, a connect, a teardown; see [`Transport::set_waker`]), a put
+//! wakes it when there is a batch to send, a stop or a close ends the
+//! park, and every deadline it keeps (a release's linger, a refused
+//! record's retry) is a timer on the manager's clock. Nothing waits on
+//! real time.
 //!
 //! Batches are cut on *bytes* as well as count: the mover stops adding
 //! envelopes once [`BATCH_BYTE_BUDGET`] wire bytes are staged, so a batch
@@ -67,7 +75,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -80,18 +87,7 @@ use crate::stats::Counter;
 use crate::transport::frame::{Frame, MAX_FRAME_BODY};
 use crate::transport::tcp::{TcpConfig, TcpTransport};
 use crate::transport::{BatchTicket, SubmitError, Transport};
-use simtime::Millis;
-
-/// Upper bound on one park awaiting an acknowledgment with batches in
-/// flight: an ack, a teardown or a put to the transmission queue wakes the
-/// mover sooner.
-const ACK_PARK: Duration = Duration::from_millis(20);
-
-/// Backoff while the transport is unavailable, parked in
-/// [`Transport::wait_ready`] so a heal or reconnect cuts it short; and
-/// after a handoff the journal refused, parked in
-/// [`Transport::wait_progress`].
-const PARTITION_BACKOFF: Duration = Duration::from_millis(10);
+use simtime::{Millis, Time};
 
 /// Maximum envelopes drained into one session transaction / one transport
 /// batch.
@@ -123,6 +119,11 @@ pub const XMIT_QUEUE_PREFIX: &str = "SYSTEM.XMIT.";
 /// manager with any traffic never pays for it.
 pub const RELEASE_LINGER: Millis = Millis(1_000);
 
+/// How long a record of the mover's that the journal refused (a handoff,
+/// an oversized envelope's dead-lettering, an idle flush) waits before it
+/// is tried again, on the manager's clock. Nothing is sent meanwhile.
+pub const HANDOFF_RETRY: Millis = Millis(10);
+
 /// Most envelopes a crashed manager can re-send that its peer already
 /// holds: a full TCP window in flight plus the released ones. A peer's
 /// `dedup_window` must be larger.
@@ -145,8 +146,8 @@ pub struct ChannelStats {
 struct ChannelCore {
     stop: AtomicBool,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Taken and stopped first on shutdown, so a mover parked inside it
-    /// wakes for the join.
+    /// Taken and stopped first on shutdown, so a mover stalled inside a
+    /// submit returns for the join.
     transport: Mutex<Option<Arc<dyn Transport>>>,
     /// The transmission queue, woken on shutdown for a mover parked on it.
     xmit: Arc<Queue>,
@@ -155,9 +156,9 @@ struct ChannelCore {
 impl ManagedTask for ChannelCore {
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Stop the transport first: a mover blocked inside submit,
-        // wait_progress or wait_ready is woken/errored out so the join
-        // below is prompt.
+        // Stop the transport first: a mover stalled inside submit errors
+        // out, and one parked on the queue wakes, so the join below is
+        // prompt.
         let transport = self.transport.lock().take();
         if let Some(transport) = transport {
             transport.shutdown();
@@ -237,6 +238,8 @@ impl Channel {
             transport: Mutex::new(Some(transport.clone())),
             xmit,
         });
+        let xmit = core.xmit.clone();
+        transport.set_waker(Arc::new(move || xmit.wake()));
 
         let thread_name = format!("mq-channel-{name}");
         let from2 = from.clone();
@@ -376,6 +379,13 @@ fn hand_off(session: &mut Session) -> bool {
     session.release().is_ok() || !session.in_transaction()
 }
 
+/// Whether a batch is due for the window: it has room and, with batches
+/// in flight, a full batch waits on the transmission queue (Nagle's
+/// rule); with none in flight, any envelope.
+fn sendable(inflight: usize, slots: usize, depth: usize) -> bool {
+    inflight < slots && depth >= if inflight == 0 { 1 } else { MAX_BATCH }
+}
+
 /// The mover thread: keeps up to [`Transport::window`] batches in flight,
 /// each holding its own open session, and releases sessions in submission
 /// order as the receiver's cumulative ack watermark advances.
@@ -394,11 +404,13 @@ fn hand_off(session: &mut Session) -> bool {
 ///   receiver's dedup window absorbs any batch that had actually landed.
 /// * A covered batch whose handoff the journal refuses stays at the front,
 ///   its session open; nothing is submitted until it is handed off, tried
-///   once per `PARTITION_BACKOFF`.
+///   again once [`HANDOFF_RETRY`] has passed on the manager's clock.
 /// * On stop, covered batches are still released (their acks are final
 ///   even after disconnect) before the remainder rolls back, and what is
 ///   released is written out, so no acknowledged delivery is ever re-sent
 ///   after a clean stop.
+/// * Its one wait is the park on the transmission queue at the end of the
+///   loop, which ends on whatever would change what the loop does next.
 fn mover(
     from: &Arc<QueueManager>,
     transport: &Arc<dyn Transport>,
@@ -407,16 +419,6 @@ fn mover(
     xmit: &Queue,
 ) {
     let xmit_queue = xmit.name();
-    // Wake a mover parked in `wait_progress` (watching for acks) when new
-    // envelopes land on the transmission queue, so a half-full window
-    // tops up immediately instead of at the next park timeout. The weak
-    // reference keeps the queue's watcher from pinning the transport.
-    let weak = Arc::downgrade(transport);
-    xmit.add_put_watcher(Arc::new(move || {
-        if let Some(t) = weak.upgrade() {
-            t.poke();
-        }
-    }));
     let metrics = MoverMetrics {
         window_rollbacks: from
             .obs()
@@ -424,25 +426,31 @@ fn mover(
             .counter("mq.transport.window_rollbacks"),
         requeued: from.obs().metrics().counter("mq.transport.requeued"),
     };
+    let slots = transport.window();
     let mut window: VecDeque<Inflight> = VecDeque::new();
-    // The journal refused a handoff: wait a backoff before the next try.
-    let mut refused = false;
+    // When a record the journal refused is tried again: until then
+    // nothing is handed off, flushed or sent.
+    let mut retry: Option<Time> = None;
 
     loop {
         let stopping = stop.load(Ordering::SeqCst) || !from.is_running();
         let progress = transport.progress();
+        let now = from.clock().now();
+        retry = retry.filter(|at| now < *at);
         // Hand off every leading in-flight batch the watermark covers.
         // Acks are final even across a disconnect, so this also runs on
         // the stop path: an acknowledged batch must never retransmit. One
         // the journal refuses stays at the front, to be tried again.
-        while let Some(front) = window.front_mut().filter(|f| progress.covers(f.ticket)) {
-            if !hand_off(&mut front.session) {
-                refused = true;
-                break;
+        if stopping || retry.is_none() {
+            while let Some(front) = window.front_mut().filter(|f| progress.covers(f.ticket)) {
+                if !hand_off(&mut front.session) {
+                    retry = Some(now + HANDOFF_RETRY);
+                    break;
+                }
+                stats.delivered.add(front.count);
+                stats.oversized_dead_lettered.add(front.oversized);
+                window.pop_front();
             }
-            stats.delivered.add(front.count);
-            stats.oversized_dead_lettered.add(front.oversized);
-            window.pop_front();
         }
         if stopping {
             rollback_window(&mut window, &metrics);
@@ -450,53 +458,20 @@ fn mover(
             from.flush_released("shutdown").unwrap_or(());
             return;
         }
-        // Nothing is sent while the journal refuses what the peer holds.
-        if std::mem::take(&mut refused) {
-            let _ = transport.wait_progress(progress, PARTITION_BACKOFF);
-            continue;
-        }
-        // The front batch is uncovered; if it is not pending either, its
-        // connection died before the ack arrived. The peer may or may not
-        // have accepted it, so re-queue the whole window and retransmit
-        // after reconnect — receiver-side dedup keeps this exactly-once.
+        // A front batch neither covered nor pending lost its connection
+        // before the ack arrived. The peer may or may not have accepted
+        // it, so re-queue the whole window and retransmit after reconnect
+        // — receiver-side dedup keeps this exactly-once.
         if window
             .front()
-            .is_some_and(|f| !progress.pending(f.ticket))
+            .is_some_and(|f| !progress.covers(f.ticket) && !progress.pending(f.ticket))
         {
             rollback_window(&mut window, &metrics);
-            transport.wait_ready(PARTITION_BACKOFF);
-            continue;
         }
         // Refill: stage and submit batches until the window is full or
         // the transmission queue holds less than a full batch.
-        while progress.connected && window.len() < transport.window() {
-            if window.is_empty() {
-                // Nothing in flight: park on the queue's condvar until an
-                // envelope lands, the channel stops or the oldest release
-                // is due for its flush. A release recorded meanwhile, by
-                // another channel or a session, ends the park: the manager
-                // wakes its transmission queues for it, and the next one
-                // is timed by its due time.
-                let due = from.release_due(RELEASE_LINGER);
-                let wait = due.map_or(Wait::Forever, |due| {
-                    Wait::Timeout(due.since(from.clock().now()))
-                });
-                let stopped = || {
-                    stop.load(Ordering::SeqCst) || from.release_due(RELEASE_LINGER) != due
-                };
-                match xmit.wait_nonempty(wait, stopped) {
-                    Ok(true) => {}
-                    Ok(false) => break,
-                    Err(_) => {
-                        rollback_window(&mut window, &metrics);
-                        return; // manager stopped
-                    }
-                }
-            } else if xmit.depth() < MAX_BATCH {
-                // Something is in flight and less than a full batch is
-                // waiting: let it grow until the ack returns.
-                break;
-            }
+        while retry.is_none() && progress.connected && sendable(window.len(), slots, xmit.depth())
+        {
             let mut session = from.session();
             if session.begin().is_err() {
                 rollback_window(&mut window, &metrics);
@@ -514,7 +489,7 @@ fn mover(
                         stats.oversized_dead_lettered.add(oversized);
                     } else {
                         let _ = session.rollback_for_retry();
-                        refused = true;
+                        retry = Some(now + HANDOFF_RETRY);
                     }
                 } else {
                     // Raced with another consumer; re-park.
@@ -544,27 +519,42 @@ fn mover(
                     break;
                 }
                 Err(SubmitError::Unavailable) => {
-                    // Disconnected (or stopping): the outer loop settles
-                    // the in-flight window first, then backs off.
+                    // Disconnected (or stopping): the progress has changed,
+                    // so the next turn settles the in-flight window.
                     let _ = session.rollback_for_retry();
                     metrics.requeued.add(batch.len() as u64);
                     break;
                 }
             }
         }
-        // Park until something moves: an ack advancing the watermark, a
-        // teardown, a poke from the put-watcher, or the timeout.
-        if window.is_empty() {
-            // Idle: nothing of this channel's will come along to carry
-            // what it released. A refused flush is tried again after the
-            // backoff.
-            refused = from.flush_released_after(RELEASE_LINGER).is_err();
-            if !progress.connected {
-                transport.wait_ready(PARTITION_BACKOFF);
-            }
-            continue;
+        // Idle: nothing of this channel's will come along to carry what
+        // the manager released, so a release that has lingered is
+        // written out here.
+        if retry.is_none() && window.is_empty() && from.flush_released_after(RELEASE_LINGER).is_err()
+        {
+            retry = Some(now + HANDOFF_RETRY);
         }
-        let _ = transport.wait_progress(progress, ACK_PARK);
+        // Park until something the loop acts on changes: the stop flag,
+        // the transport's progress, a batch due for the window, or a
+        // deadline on the manager's clock — the refused record's retry, or
+        // while idle the oldest release's linger. A release recorded
+        // meanwhile (by another channel or a session) wakes the queue, and
+        // the park ends to time the flush by it.
+        let due = match retry {
+            None if window.is_empty() => from.release_due(RELEASE_LINGER),
+            due => due,
+        };
+        let ready = |depth| {
+            let sending = retry.is_none();
+            stop.load(Ordering::SeqCst)
+                || transport.progress() != progress
+                || (sending && progress.connected && sendable(window.len(), slots, depth))
+                || (sending && window.is_empty() && from.release_due(RELEASE_LINGER) != due)
+        };
+        if xmit.wait_until(due, ready).is_err() {
+            rollback_window(&mut window, &metrics);
+            return; // manager stopped
+        }
     }
 }
 
@@ -600,7 +590,7 @@ mod tests {
             acceptor.apply_fault(FaultAction::Partition).unwrap();
         }
         let config = TcpConfig {
-            backoff_max: Duration::from_millis(50),
+            backoff_max: std::time::Duration::from_millis(50),
             ..TcpConfig::default()
         };
         let channel = Channel::connect_tcp(from, to.name(), acceptor.local_addr(), config).unwrap();
@@ -648,30 +638,33 @@ mod tests {
 
     /// A release the idle mover did not make, a session's here, wakes it:
     /// it parks again until that release's linger is due and flushes it
-    /// then, not at the next put to its transmission queue.
+    /// then, not at the next put to its transmission queue, whether its
+    /// transport is connected or not.
     #[test]
     fn an_idle_mover_flushes_a_release_it_did_not_make_after_the_linger() {
-        let clock = simtime::SimClock::new();
-        let a = QueueManager::builder("QA").clock(clock.clone()).build().unwrap();
-        let b = QueueManager::builder("QB").clock(clock.clone()).build().unwrap();
-        let (mut channel, _acceptor) = connect(&a, &b, false);
-        let xmit = a.queue("SYSTEM.XMIT.QB").unwrap();
-        a.create_queue("WORK").unwrap();
-        a.put("WORK", Message::text("m").persistent(true).build()).unwrap();
-        wait_for("parked for nothing", || xmit.parked() == 1);
-        assert_eq!(clock.pending_timers(), 0);
-        let mut session = a.session();
-        session.begin().unwrap();
-        session.get("WORK", Wait::NoWait).unwrap().unwrap();
-        session.release().unwrap();
-        wait_for("parked on the linger", || {
-            xmit.parked() == 1 && clock.pending_timers() == 1
-        });
-        clock.advance(RELEASE_LINGER.saturating_sub(Millis(1)));
-        assert_eq!(a.stats().release_flushes.get(), 0, "a ms short of the linger");
-        clock.advance(Millis(1));
-        wait_for("flushed", || a.stats().release_flushes.get() == 1);
-        channel.stop();
+        for partitioned in [false, true] {
+            let clock = simtime::SimClock::new();
+            let a = QueueManager::builder("QA").clock(clock.clone()).build().unwrap();
+            let b = QueueManager::builder("QB").clock(clock.clone()).build().unwrap();
+            let (mut channel, _acceptor) = connect(&a, &b, partitioned);
+            let xmit = a.queue("SYSTEM.XMIT.QB").unwrap();
+            a.create_queue("WORK").unwrap();
+            a.put("WORK", Message::text("m").persistent(true).build()).unwrap();
+            wait_for("parked for nothing", || xmit.parked() == 1);
+            assert_eq!(clock.pending_timers(), 0);
+            let mut session = a.session();
+            session.begin().unwrap();
+            session.get("WORK", Wait::NoWait).unwrap().unwrap();
+            session.release().unwrap();
+            wait_for("parked on the linger", || {
+                xmit.parked() == 1 && clock.pending_timers() == 1
+            });
+            clock.advance(RELEASE_LINGER.saturating_sub(Millis(1)));
+            assert_eq!(a.stats().release_flushes.get(), 0, "a ms short of the linger");
+            clock.advance(Millis(1));
+            wait_for("flushed", || a.stats().release_flushes.get() == 1);
+            channel.stop();
+        }
     }
 
     #[test]
@@ -741,7 +734,7 @@ mod tests {
         let (_channel, acceptor) = connect(&a, &b, true);
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("x").build())
             .unwrap();
-        std::thread::sleep(Duration::from_millis(60));
+        std::thread::sleep(std::time::Duration::from_millis(60));
         assert_eq!(
             b.queue("IN").unwrap().depth(),
             0,
@@ -829,7 +822,7 @@ mod tests {
         // the manager itself keeps serving local traffic.
         a.put_to(&QueueAddress::new("QB", "IN"), Message::text("m2").build())
             .unwrap();
-        std::thread::sleep(Duration::from_millis(60));
+        std::thread::sleep(std::time::Duration::from_millis(60));
         assert_eq!(a.queue("SYSTEM.XMIT.QB").unwrap().depth(), 1);
         assert_eq!(b.queue("IN").unwrap().depth(), 1);
         // Dropping the (already stopped) channel handle is also fine.
@@ -881,7 +874,7 @@ mod tests {
             Message::text("durable").persistent(true).build(),
         )
         .unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         a.crash();
         // Restart the sender from its journal; the envelope must still be
         // on the transmission queue, and a new channel delivers it.

@@ -78,7 +78,9 @@ pub use stats::{
 };
 pub use trace::{TraceEvent, TraceLog, TraceStage};
 pub use transport::fault::{FaultAction, FaultPlane};
-pub use transport::{BatchTicket, PipelineProgress, SubmitError, Transport, TransportMetrics};
+pub use transport::{
+    BatchTicket, PipelineProgress, SubmitError, Transport, TransportMetrics, Waker,
+};
 
 // Re-export the clock abstraction so downstream crates need only `mq`.
 pub use simtime::{

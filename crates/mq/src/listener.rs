@@ -17,9 +17,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MqError, MqResult};
 use crate::message::Message;
@@ -52,31 +49,6 @@ pub struct ListenerStats {
     pub rolled_back: Counter,
     /// Callback panics caught.
     pub panics: Counter,
-    /// Signalled after every disposition so waiters can park instead of
-    /// sleep-polling.
-    changed: Condvar,
-    changed_lock: Mutex<()>,
-}
-
-impl ListenerStats {
-    /// Blocks until `pred` holds, woken by the listener after each
-    /// disposition (commit, rollback or caught panic) instead of
-    /// sleep-polling. Panics with `what` after 5 s — this is a test/await
-    /// helper, not a production synchronization primitive.
-    pub fn wait_until<F: Fn() -> bool>(&self, what: &str, pred: F) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut guard = self.changed_lock.lock();
-        while !pred() {
-            let now = Instant::now();
-            assert!(now < deadline, "timed out waiting for: {what}");
-            self.changed.wait_for(&mut guard, deadline - now);
-        }
-    }
-
-    fn note_disposition(&self) {
-        let _guard = self.changed_lock.lock();
-        self.changed.notify_all();
-    }
 }
 
 /// The transaction a push consumer delivers in, driven by
@@ -195,11 +167,12 @@ impl Listener {
                 // Park on the queue's condvar while idle: no transaction
                 // (or transaction churn) until a message is available or
                 // the listener stops.
-                let stopped = || stop2.load(Ordering::SeqCst);
-                match watched2.as_ref().map(|q| q.wait_nonempty(Wait::Forever, stopped)) {
-                    Some(Ok(false)) => continue, // stopped
-                    Some(Err(_)) => return,      // manager stopped
-                    Some(Ok(true)) | None => {}
+                let ready = |depth| depth > 0 || stop2.load(Ordering::SeqCst);
+                if let Some(Err(_)) = watched2.as_ref().map(|q| q.wait_until(None, ready)) {
+                    return; // manager stopped
+                }
+                if stop2.load(Ordering::SeqCst) {
+                    continue;
                 }
                 let item = match tx.take() {
                     Ok(Some(item)) => item,
@@ -225,7 +198,6 @@ impl Listener {
                         }
                     }
                 }
-                stats2.note_disposition();
             }
         })?;
         Ok(Listener {
@@ -331,9 +303,7 @@ mod tests {
             qmgr.put("IN", Message::text(format!("m{i}")).build())
                 .unwrap();
         }
-        listener
-            .stats()
-            .wait_until("10 deliveries", || seen.lock().len() == 10);
+        wait_for("10 deliveries", || seen.lock().len() == 10);
         listener.stop();
         assert_eq!(
             *seen.lock(),
@@ -359,9 +329,7 @@ mod tests {
         )
         .unwrap();
         qmgr.put("IN", Message::text("ping").build()).unwrap();
-        _listener
-            .stats()
-            .wait_until("reply", || qmgr.queue("OUT").unwrap().depth() == 1);
+        wait_for("reply", || qmgr.queue("OUT").unwrap().depth() == 1);
         let reply = qmgr.get("OUT", Wait::NoWait).unwrap().unwrap();
         assert_eq!(reply.payload_str(), Some("re: ping"));
     }
@@ -388,7 +356,7 @@ mod tests {
         )
         .unwrap();
         qmgr.put("IN", Message::text("poison").build()).unwrap();
-        _listener.stats().wait_until("dead letter", || {
+        wait_for("dead letter", || {
             qmgr.queue(DEAD_LETTER_QUEUE).unwrap().depth() == 1
         });
         assert!(
@@ -422,12 +390,10 @@ mod tests {
         .unwrap();
         qmgr.put("IN", Message::text("boom").build()).unwrap();
         qmgr.put("IN", Message::text("fine").build()).unwrap();
-        listener
-            .stats()
-            .wait_until("panic handled + good message delivered", || {
+        wait_for("panic handled + good message delivered", || {
                 listener.stats().panics.get() >= 1 && listener.stats().delivered.get() >= 1
             });
-        listener.stats().wait_until("poison dead-lettered", || {
+        wait_for("poison dead-lettered", || {
             qmgr.queue(DEAD_LETTER_QUEUE).unwrap().depth() == 1
         });
     }

@@ -311,30 +311,43 @@ impl Queue {
         self.standing.read().as_ref()?.upgrade()
     }
 
-    /// Blocks until the queue is non-empty, per `wait`, without consuming,
-    /// or until `stop` reads true: it is read under the store lock, and
-    /// whoever makes it true wakes the queue ([`Queue::wake`]). Returns
-    /// `true` when a message is available at return. Channel movers and
-    /// listeners park here (on the queue's condvar) instead of sleeping a
-    /// fixed poll interval.
+    /// Parks until `ready` holds, the queue closes or the queue's clock
+    /// passes `deadline` (`None`: no deadline), and returns whether `ready`
+    /// held. `ready` is handed the queue's depth and read under the store
+    /// lock, so whoever makes it true other than by a put wakes the queue
+    /// after the change ([`Queue::wake`]), and the lock orders that wake
+    /// after the read. Channel movers and listeners park here instead of
+    /// sleeping a poll interval.
     ///
     /// # Errors
     ///
     /// [`MqError::ManagerStopped`] if the queue closes while waiting.
-    pub(crate) fn wait_nonempty(&self, wait: Wait, stop: impl Fn() -> bool) -> MqResult<bool> {
-        let mut found = false;
-        let how = Park { stop: Some(&stop), ..Park::default() };
-        self.park(wait, how, |store, _| {
-            found = !store.is_empty();
-            found
+    pub(crate) fn wait_until(
+        &self,
+        deadline: Option<Time>,
+        mut ready: impl FnMut(usize) -> bool,
+    ) -> MqResult<bool> {
+        let mut held = false;
+        self.park(deadline, Park::default(), |store, _| {
+            held = ready(store.len());
+            held
         })?;
-        Ok(found)
+        Ok(held)
+    }
+
+    /// When a wait per `wait` that starts now ends, on the queue's clock.
+    fn deadline(&self, wait: Wait) -> Option<Time> {
+        match wait {
+            Wait::NoWait => Some(Time::ZERO),
+            Wait::Timeout(t) => Some(self.clock.now() + t),
+            Wait::Forever => None,
+        }
     }
 
     /// The one park loop of every blocking read: runs `attempt` until it
-    /// finds what it reads, `wait` runs out, the queue closes or `how`'s
-    /// stop flag is set. The store lock is held from each attempt to the
-    /// condvar wait after it, so an insert, a claim, a close or a stop
+    /// finds what it reads, the queue's clock passes `deadline` or the
+    /// queue closes. The store lock is held from each attempt to the
+    /// condvar wait after it, so an insert, a claim, a close or a wake
     /// that the attempt missed comes after it and wakes it. A timed wait
     /// arms one timer at its deadline on the queue's clock, which wakes it
     /// there, and cancels it on return.
@@ -348,15 +361,10 @@ impl Queue {
     /// gives it back to its wait ([`Queue::unclaim`]), at once either way.
     fn park(
         &self,
-        wait: Wait,
-        mut how: Park<'_>,
+        deadline: Option<Time>,
+        mut how: Park,
         mut attempt: impl FnMut(&mut MessageStore, Time) -> bool,
     ) -> MqResult<Option<Message>> {
-        let deadline = match wait {
-            Wait::NoWait => Some(Time::ZERO),
-            Wait::Timeout(t) => Some(self.clock.now() + t),
-            Wait::Forever => None,
-        };
         let (mut registered, mut timer, mut swept) = (None, None, false);
         let ended = loop {
             let mut store = self.store.lock();
@@ -378,10 +386,8 @@ impl Queue {
                     }
                 }
             }
-            let stopped = how.stop.is_some_and(|stop| stop());
             let ended = match self.check_open(&store) {
                 Err(e) => Some(Err(e)),
-                Ok(()) if stopped => Some(Ok(None)),
                 // Messages past their TTL are none of a take's business:
                 // it skips them, and they are swept first, by a
                 // transaction of its own run with the lock released. A
@@ -439,12 +445,12 @@ impl Queue {
         self.parked.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Wakes every consumer parked on the queue: what a timed wait's timer
-    /// and a daemon's stop do. The store lock orders it after a consumer's
-    /// look at the clock or its stop flag.
+    /// Wakes every consumer parked on the queue: what a timed wait's timer,
+    /// a daemon's stop and a channel's transport do. The store lock orders
+    /// it after a consumer's look at the clock or at what it waits for.
     pub(crate) fn wake(&self) {
         drop(self.store.lock());
-        self.available.notify_all();
+        self.wake_consumers();
     }
 
     /// Claims, for `msg` about to be written by a commit's record, the
@@ -706,8 +712,8 @@ impl Queue {
         take: impl Fn(&mut MessageStore, Time) -> Option<Message>,
     ) -> MqResult<Option<Taken>> {
         let mut taken = None;
-        let how = Park { sweep: true, getter, ..Park::default() };
-        let handed = self.park(wait, how, |store, now| {
+        let how = Park { sweep: true, getter };
+        let handed = self.park(self.deadline(wait), how, |store, now| {
             taken = take(store, now);
             taken.is_some()
         })?;
@@ -727,7 +733,7 @@ impl Queue {
     ) -> MqResult<Option<Arc<Message>>> {
         let correlation = correlation.into();
         let mut peeked = None;
-        self.park(wait, Park::default(), |store, now| {
+        self.park(self.deadline(wait), Park::default(), |store, now| {
             let id = store.first_correlated(correlation, now, |_| true);
             peeked = id.and_then(|id| store.get(id)).map(|entry| Arc::clone(&entry.msg));
             peeked.is_some()
@@ -756,7 +762,7 @@ impl Queue {
     /// [`MqError::ManagerStopped`] if the queue closes while waiting.
     pub fn wait_enqueued(&self, since: u64, wait: Wait) -> MqResult<bool> {
         let mut entered = false;
-        self.park(wait, Park::default(), |_, _| {
+        self.park(self.deadline(wait), Park::default(), |_, _| {
             entered = self.stats.enqueued.get() != since;
             entered
         })?;
@@ -896,14 +902,12 @@ impl Queue {
 
 /// How a read parks: see [`Queue::park`].
 #[derive(Default)]
-struct Park<'a> {
+struct Park {
     /// A take: messages past their TTL are swept before it looks.
     sweep: bool,
     /// A claimable get, registered while it waits under this selector,
     /// with what its claim stages.
     getter: Option<(Select, Stage)>,
-    /// When a daemon stops waiting, read under the store lock.
-    stop: Option<&'a dyn Fn() -> bool>,
 }
 
 /// Where the registered getter `token` sits: a getter leaves the list only
@@ -1012,7 +1016,7 @@ mod tests {
         let wait = Wait::Timeout(Millis(1_000));
         one_timer_while_parked(|q| Ok(take(q, wait)?.is_some()));
         one_timer_while_parked(|q| Ok(q.peek_by_correlation("x", wait)?.is_some()));
-        one_timer_while_parked(|q| q.wait_nonempty(wait, || false));
+        one_timer_while_parked(|q| q.wait_until(q.deadline(wait), |depth| depth > 0));
     }
 
     /// A bare get parked with a timeout holds one clock timer until a put
@@ -1074,7 +1078,7 @@ mod tests {
                 let mut first = true;
                 // The attempt runs after the deadline is fixed: the
                 // advance below races the arming that follows it.
-                q.park(Wait::Timeout(Millis(1)), Park::default(), |_, _| {
+                q.park(q.deadline(Wait::Timeout(Millis(1))), Park::default(), |_, _| {
                     if std::mem::take(&mut first) {
                         looked.send(()).unwrap();
                     }
@@ -1134,7 +1138,7 @@ mod tests {
             let looked = AtomicBool::new(false);
             let gap = std::thread::scope(|s| {
                 let waiter = s.spawn(|| {
-                    q.park(Wait::Forever, Park::default(), |store, _| {
+                    q.park(None, Park::default(), |store, _| {
                         looked.store(true, Ordering::SeqCst);
                         !store.is_empty()
                     })
@@ -1293,18 +1297,19 @@ mod tests {
     }
 
     #[test]
-    fn wait_nonempty_wakes_on_put_and_times_out() {
+    fn wait_until_wakes_on_put_and_times_out() {
         let q = queue_with(SystemClock::new());
-        assert!(!q.wait_nonempty(Wait::NoWait, || false).unwrap());
-        assert!(!q.wait_nonempty(Wait::Timeout(Millis(10)), || false).unwrap());
+        let nonempty = |wait| q.wait_until(q.deadline(wait), |depth| depth > 0).unwrap();
+        assert!(!nonempty(Wait::NoWait));
+        assert!(!nonempty(Wait::Timeout(Millis(10))));
         let q2 = q.clone();
         let putter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             put(&q2, text("a")).unwrap();
         });
-        assert!(q.wait_nonempty(Wait::Timeout(Millis(5_000)), || false).unwrap());
+        assert!(nonempty(Wait::Timeout(Millis(5_000))));
         putter.join().unwrap();
-        assert!(q.wait_nonempty(Wait::NoWait, || false).unwrap());
+        assert!(nonempty(Wait::NoWait));
     }
 
     #[test]

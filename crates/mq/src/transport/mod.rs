@@ -10,7 +10,10 @@
 //! neither covered nor pending died with its connection and is sent
 //! again. A submit that produced no ticket put nothing on the wire
 //! ([`SubmitError`]): the attempt went nowhere (go again) or there is no
-//! usable connection (park in [`Transport::wait_ready`]).
+//! usable connection (wait for the progress to change). A transport waits
+//! for nobody: whenever its progress would read differently it calls the
+//! [`Waker`] its channel handed it ([`Transport::set_waker`]), and the
+//! mover, parked on its transmission queue, looks again.
 //!
 //! There is one wire, [`tcp::TcpTransport`] / [`tcp::TcpAcceptor`]: real
 //! sockets with CRC-framed batches, heartbeats, reconnect, and
@@ -39,7 +42,6 @@ pub mod tcp;
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::message::Message;
 use crate::stats::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -93,13 +95,17 @@ impl PipelineProgress {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// No usable connection (down, disconnected, peer refusing, or not the
-    /// epoch asked for); park in [`Transport::wait_ready`].
+    /// epoch asked for); a connect changes the progress.
     Unavailable,
     /// This attempt went nowhere — a batch that could not be framed (the
     /// mover's byte budget keeps that from happening); count a retry and
     /// go again.
     Dropped,
 }
+
+/// What a transport calls when its progress changes: it wakes the channel
+/// mover parked on its transmission queue.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// A one-way conduit from a local channel to a remote queue manager:
 /// windowed, ack-decoupled batch submission.
@@ -132,25 +138,19 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// either.
     fn submit(&self, batch: &[Message], epoch: Option<u64>) -> Result<BatchTicket, SubmitError>;
 
-    /// Current delivery progress (epoch, watermark, liveness).
+    /// Current delivery progress (epoch, watermark, liveness). The mover
+    /// reads it under its transmission queue's lock, so it must not take
+    /// a lock the transport holds while it wakes the mover.
     fn progress(&self) -> PipelineProgress;
 
-    /// Parks until progress moves past `seen` (watermark advance, epoch
-    /// change, connection loss) or `timeout` elapses, returning the
-    /// progress at wake. Spurious wakeups are allowed.
-    fn wait_progress(&self, seen: PipelineProgress, timeout: Duration) -> PipelineProgress;
-
-    /// Wakes any `wait_progress` parkers (used by queue put-watchers so
-    /// the mover notices new work while it waits on acks).
-    fn poke(&self);
+    /// Installs what to call whenever [`Transport::progress`] would read
+    /// differently (a watermark advance, a connect, a teardown): after the
+    /// change, and with none of the transport's own locks held. The channel
+    /// hands it over before its mover starts.
+    fn set_waker(&self, waker: Waker);
 
     /// How many (full) batches the mover may keep in flight.
     fn window(&self) -> usize;
-
-    /// Parks the caller until the transport believes it can deliver again
-    /// or `timeout` elapses; returns whether it is ready. Used by the
-    /// mover to back off from partitions without sleep-polling.
-    fn wait_ready(&self, timeout: Duration) -> bool;
 
     /// Stops any background machinery (supervisor threads, sockets) and
     /// joins it. Must be idempotent; the default is a no-op for

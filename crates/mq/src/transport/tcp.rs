@@ -19,9 +19,12 @@
 //!   [`BatchTicket`] without waiting;
 //!   cumulative `AckWin` watermarks consumed on the reactor advance
 //!   [`Transport::progress`], confirming every batch at or below
-//!   the watermark at once. A full socket parks `submit` until the
-//!   reactor reports it writable again — that is the first link of the
-//!   backpressure chain (socket → mover window → transmission queue).
+//!   the watermark at once, and wake the channel mover (the
+//!   [`crate::transport::Waker`] it installed) once the state lock is
+//!   released; so do a connect and a teardown. A full socket parks
+//!   `submit` until the reactor reports it writable again — that is the
+//!   first link of the backpressure chain (socket → mover window →
+//!   transmission queue).
 //!   Heartbeat pings are only sent when no frames have arrived since the
 //!   last interval: under load the ack stream itself proves liveness.
 //!
@@ -68,6 +71,7 @@ use crate::transport::frame::{Frame, FrameEvent, FrameKind, FrameReader};
 use crate::transport::reactor::{Pollable, Reactor, Registration};
 use crate::transport::{
     transport_error, BatchTicket, PipelineProgress, SubmitError, Transport, TransportMetrics,
+    Waker,
 };
 use crate::MqResult;
 
@@ -201,13 +205,17 @@ pub struct TcpTransport {
     addr: SocketAddr,
     config: TcpConfig,
     metrics: TransportMetrics,
+    /// Released before the mover is woken: the mover reads the progress
+    /// under its transmission queue's lock, which the wake takes.
+    // lint: never-hold(TcpTransport.state) across wake_mover
     state: Mutex<ConnState>,
-    /// Signaled on connect, teardown, shutdown, ack progress, and
-    /// writable wake-ups; movers park here ([`TcpTransport::wait_ready`],
-    /// `wait_progress`, backpressured `submit`).
+    /// Signaled on writable wake-ups and teardowns: a `submit` stalled on
+    /// a full socket parks here.
     changed: Condvar,
+    /// Wakes the channel mover once the progress has changed.
+    waker: OnceLock<Waker>,
     /// Supervisor-only parking (backoff and heartbeat pacing), so the
-    /// per-ack `changed` broadcasts don't wake it needlessly.
+    /// writable wake-ups on `changed` don't wake it needlessly.
     sup_wake: Condvar,
     stop: AtomicBool,
     supervisor: Mutex<Option<JoinHandle<()>>>,
@@ -299,6 +307,7 @@ impl TcpTransport {
                 ever_connected: false,
             }),
             changed: Condvar::new(),
+            waker: OnceLock::new(),
             sup_wake: Condvar::new(),
             stop: AtomicBool::new(false),
             supervisor: Mutex::new(None),
@@ -320,15 +329,23 @@ impl TcpTransport {
     /// Test/fault hook: drops the current connection (if any) as if the
     /// network failed; the supervisor will reconnect with backoff.
     pub fn kill_connection(&self) {
-        let mut st = self.state.lock();
-        self.teardown_locked(&mut st);
+        self.teardown_locked(&mut self.state.lock());
+        self.wake_mover();
+    }
+
+    /// Tells the channel mover the progress has changed. Called with the
+    /// state lock released.
+    fn wake_mover(&self) {
+        if let Some(wake) = self.waker.get() {
+            wake();
+        }
     }
 
     /// Supervisor loop: dial + handshake while disconnected (exponential
     /// backoff between failures), heartbeat pacing while connected. All
     /// waiting is condvar-parked on `sup_wake`, so shutdown and teardowns
-    /// wake it immediately while the high-rate ack broadcasts on
-    /// `changed` never touch it.
+    /// wake it immediately while the writable wake-ups on `changed` never
+    /// touch it.
     fn supervise(self: Arc<Self>) {
         let mut backoff = self.config.backoff_initial;
         while !self.stop.load(Ordering::SeqCst) {
@@ -403,23 +420,21 @@ impl TcpTransport {
             epoch: st.epoch,
             io: Mutex::new((read_half, FrameReader::new())),
         });
-        match Reactor::global().register(&stream, &self.local_name, reader) {
-            Ok(registration) => {
-                st.registration = Some(registration);
-                st.stream = Some(stream);
-                if st.ever_connected {
-                    self.metrics.reconnects.incr();
-                }
-                st.ever_connected = true;
-                self.metrics.connects.incr();
-                self.changed.notify_all();
-                true
-            }
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                false
-            }
+        let Ok(registration) = Reactor::global().register(&stream, &self.local_name, reader)
+        else {
+            let _ = stream.shutdown(Shutdown::Both);
+            return false;
+        };
+        st.registration = Some(registration);
+        st.stream = Some(stream);
+        if st.ever_connected {
+            self.metrics.reconnects.incr();
         }
+        st.ever_connected = true;
+        self.metrics.connects.incr();
+        drop(st);
+        self.wake_mover();
+        true
     }
 
     /// One dial + handshake attempt. Counts `handshake_failures` for
@@ -479,21 +494,23 @@ impl TcpTransport {
                 }
                 self.metrics.acks_received.incr();
                 st.ping_outstanding = false;
-                if frame.seq > st.acked {
-                    st.acked = frame.seq;
-                    let now = std::time::Instant::now();
-                    while st
-                        .inflight_at
-                        .front()
-                        .is_some_and(|(seq, _)| *seq <= frame.seq)
-                    {
-                        if let Some((_, at)) = st.inflight_at.pop_front() {
-                            self.metrics.batch_micros.record_duration(now - at);
-                        }
-                    }
-                    self.metrics.window_depth.set(st.inflight_at.len() as u64);
+                if frame.seq <= st.acked {
+                    return true;
                 }
-                self.changed.notify_all();
+                st.acked = frame.seq;
+                let now = std::time::Instant::now();
+                while st
+                    .inflight_at
+                    .front()
+                    .is_some_and(|(seq, _)| *seq <= frame.seq)
+                {
+                    if let Some((_, at)) = st.inflight_at.pop_front() {
+                        self.metrics.batch_micros.record_duration(now - at);
+                    }
+                }
+                self.metrics.window_depth.set(st.inflight_at.len() as u64);
+                drop(st);
+                self.wake_mover();
                 true
             }
             FrameKind::Pong => {
@@ -514,6 +531,8 @@ impl TcpTransport {
         if st.epoch == epoch && st.stream.is_some() {
             self.metrics.heartbeat_misses.incr();
             self.teardown_locked(&mut st);
+            drop(st);
+            self.wake_mover();
         }
     }
 
@@ -524,10 +543,12 @@ impl TcpTransport {
         if st.epoch != epoch || st.stream.is_none() {
             return;
         }
+        self.changed.notify_all();
         if let FlushOutcome::Dead = self.flush_locked(&mut st) {
             self.teardown_locked(&mut st);
+            drop(st);
+            self.wake_mover();
         }
-        self.changed.notify_all();
     }
 
     /// Pushes the staged outbox onto the socket; arms a writable wake-up
@@ -555,39 +576,49 @@ impl TcpTransport {
     /// bytes are queued behind the jam, but a peer that stays silent
     /// past the deadline is still declared gone.
     fn heartbeat(&self) {
-        let mut st = self.state.lock();
-        if st.stream.is_none() {
-            return;
-        }
-        if st.activity != st.activity_checked {
-            st.activity_checked = st.activity;
-            return;
-        }
-        if st.ping_outstanding {
-            if st.last_inbound.elapsed() >= self.config.read_timeout {
-                self.metrics.heartbeat_misses.incr();
-                self.teardown_locked(&mut st);
-            }
-            return;
-        }
-        st.ping_outstanding = true;
-        if !st.outbox.is_empty() {
-            return;
-        }
-        st.next_seq += 1;
-        let seq = st.next_seq;
-        let Ok(wire) = Frame::ping(seq).encode() else {
-            return;
-        };
-        st.outbox.push(wire);
-        if let FlushOutcome::Dead = self.flush_locked(&mut st) {
+        let lost = self.probe(&mut self.state.lock());
+        if lost {
             self.metrics.heartbeat_misses.incr();
-            self.teardown_locked(&mut st);
+            self.wake_mover();
         }
     }
 
-    /// Drops the connection and wakes everyone parked on `changed`
-    /// (movers) and `sup_wake` (the supervisor, to re-dial).
+    /// The heartbeat tick under the state lock: whether it declared the
+    /// peer gone and tore the connection down.
+    fn probe(&self, st: &mut ConnState) -> bool {
+        if st.stream.is_none() {
+            return false;
+        }
+        if st.activity != st.activity_checked {
+            st.activity_checked = st.activity;
+            return false;
+        }
+        if st.ping_outstanding {
+            let lost = st.last_inbound.elapsed() >= self.config.read_timeout;
+            if lost {
+                self.teardown_locked(st);
+            }
+            return lost;
+        }
+        st.ping_outstanding = true;
+        if !st.outbox.is_empty() {
+            return false;
+        }
+        st.next_seq += 1;
+        let Ok(wire) = Frame::ping(st.next_seq).encode() else {
+            return false;
+        };
+        st.outbox.push(wire);
+        let lost = matches!(self.flush_locked(st), FlushOutcome::Dead);
+        if lost {
+            self.teardown_locked(st);
+        }
+        lost
+    }
+
+    /// Drops the connection and wakes everyone parked on `changed` (a
+    /// stalled `submit`) and `sup_wake` (the supervisor, to re-dial). The
+    /// caller wakes the mover once it has released the lock.
     fn teardown_locked(&self, st: &mut ConnState) {
         if let Some(stream) = st.stream.take() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -652,6 +683,8 @@ impl Transport for TcpTransport {
                 }
                 FlushOutcome::Dead => {
                     self.teardown_locked(&mut st);
+                    drop(st);
+                    self.wake_mover();
                     return Err(SubmitError::Unavailable);
                 }
             }
@@ -669,40 +702,18 @@ impl Transport for TcpTransport {
         Self::progress_locked(&self.state.lock())
     }
 
-    fn wait_progress(&self, seen: PipelineProgress, timeout: Duration) -> PipelineProgress {
-        let mut st = self.state.lock();
-        if Self::progress_locked(&st) == seen && !self.stop.load(Ordering::SeqCst) {
-            self.changed.wait_for(&mut st, timeout);
-        }
-        Self::progress_locked(&st)
-    }
-
-    fn poke(&self) {
-        self.changed.notify_all();
+    fn set_waker(&self, waker: Waker) {
+        let _ = self.waker.set(waker);
     }
 
     fn window(&self) -> usize {
         SEND_WINDOW
     }
 
-    fn wait_ready(&self, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        if st.stream.is_some() {
-            return true;
-        }
-        if self.stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        self.changed.wait_for(&mut st, timeout);
-        st.stream.is_some()
-    }
-
     fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        {
-            let mut st = self.state.lock();
-            self.teardown_locked(&mut st);
-        }
+        self.teardown_locked(&mut self.state.lock());
+        self.wake_mover();
         let handle = self.supervisor.lock().take();
         if let Some(handle) = handle {
             let _ = handle.join();
@@ -1150,11 +1161,13 @@ mod tests {
         let Ok(ticket) = tx.submit(batch, None) else {
             return false;
         };
-        let mut progress = tx.progress();
-        while progress.pending(ticket) {
-            progress = tx.wait_progress(progress, Duration::from_secs(5));
-        }
-        progress.covers(ticket)
+        wait_until(Duration::from_secs(5), || !tx.progress().pending(ticket));
+        tx.progress().covers(ticket)
+    }
+
+    /// Waits for the supervisor's first connection.
+    fn connected(tx: &TcpTransport) -> bool {
+        wait_until(Duration::from_secs(5), || tx.is_connected())
     }
 
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -1180,7 +1193,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)), "connects");
+        assert!(connected(&tx), "connects");
         let batch = vec![envelope("m1"), envelope("m2"), envelope("m3")];
         assert!(submit_covered(&tx, &batch));
         let q = recv.queue("Q.IN").unwrap();
@@ -1209,7 +1222,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         assert!(submit_covered(&tx, &[envelope("hdr")]));
         let msg = recv
             .get("Q.IN", crate::queue::Wait::NoWait)
@@ -1233,7 +1246,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         // Submit a burst of batches without waiting for any ack.
         let mut last: Option<BatchTicket> = None;
         for i in 0..8 {
@@ -1273,7 +1286,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         acceptor.inject_drop_before_ack(1);
         let batch = vec![envelope("once-a"), envelope("once-b")];
         // First attempt: delivered on the receiver but the ack never
@@ -1309,7 +1322,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         // Room for two, batch of three: the backpressure of a full queue
         // refuses the batch as a whole — dropped line, no ack.
         let batch = vec![envelope("a"), envelope("b"), envelope("c")];
@@ -1347,7 +1360,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         assert!(
             wait_until(Duration::from_secs(5), || registry
                 .snapshot()
@@ -1450,7 +1463,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         assert!(submit_covered(&tx, &[envelope("ok")]));
         tx.shutdown();
         acceptor.shutdown();
@@ -1477,7 +1490,7 @@ mod tests {
             &registry,
         )
         .unwrap();
-        assert!(tx.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx));
         acceptor.inject_drop_before_ack(1);
         let batch = vec![envelope("exactly-once")];
         // Delivered and journaled on the receiver, but never acked.
@@ -1500,7 +1513,7 @@ mod tests {
             &registry2,
         )
         .unwrap();
-        assert!(tx2.wait_ready(Duration::from_secs(5)));
+        assert!(connected(&tx2));
         // The sender never saw an ack, so it resends the same envelope.
         assert!(submit_covered(&tx2, &batch));
         assert_eq!(

@@ -24,7 +24,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -35,7 +35,7 @@ use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig, TcpTransport};
 use mq::{
     BatchAccepted, BatchTicket, FaultAction, FaultPlane, ManagerConfig, Message, PipelineProgress,
-    QueueAddress, QueueManager, SubmitError, Transport, Wait, DEAD_LETTER_QUEUE,
+    QueueAddress, QueueManager, SubmitError, Transport, Wait, Waker, DEAD_LETTER_QUEUE,
 };
 use simtime::SystemClock;
 
@@ -47,8 +47,9 @@ const DEST_QUEUE: &str = "IN";
 enum Fate {
     /// Deliver and ack every pending batch with one coalesced watermark.
     AckAll,
-    /// Hold the batch: its ack arrives later, coalesced into a
-    /// subsequent `AckAll` (the reordered/interleaved-watermark case).
+    /// Hold the batch: its ack arrives later, when the test lets the
+    /// network deliver it or coalesced into a subsequent `AckAll` (the
+    /// reordered/interleaved-watermark case).
     Hold,
     /// Deliver the first `n` pending batches to the receiver but kill
     /// the connection before any ack leaves: the sender must roll back
@@ -80,17 +81,27 @@ struct NetState {
     submitted: Vec<usize>,
 }
 
+impl NetState {
+    /// The connection dies and a new one is up at once: a new epoch,
+    /// watermark reset, pending wiped (the old connection's unacked bytes
+    /// are gone).
+    fn reconnect(&mut self) {
+        self.epoch += 1;
+        self.acked = 0;
+        self.pending.clear();
+    }
+}
+
 /// An in-process [`Transport`] whose network behaves per the
 /// proptest-generated script, delivering into the receiving manager
-/// through the public `accept_batch` dedup seam.
+/// through the public `accept_batch` dedup seam. A held batch stays held
+/// until the test releases it ([`ScriptedTransport::release_first`]).
 struct ScriptedTransport {
     to: Arc<QueueManager>,
     state: Mutex<NetState>,
-    changed: Condvar,
+    /// Wakes the mover once the progress has changed.
+    waker: OnceLock<Waker>,
     stopped: AtomicBool,
-    /// Held batches stay held until [`ScriptedTransport::release`] instead
-    /// of being acked one per mover park.
-    manual: bool,
     window: usize,
 }
 
@@ -102,22 +113,17 @@ impl fmt::Debug for ScriptedTransport {
 
 impl ScriptedTransport {
     fn new(to: Arc<QueueManager>, script: Vec<Fate>) -> Arc<ScriptedTransport> {
-        ScriptedTransport::build(to, script, false, 4)
+        // Small enough that kills regularly strand a partially-acked
+        // window, large enough to keep several batches in flight.
+        ScriptedTransport::build(to, script, 4)
     }
 
     /// A transport that holds every batch until the test releases it.
     fn held(to: Arc<QueueManager>) -> Arc<ScriptedTransport> {
-        // Small enough that kills regularly strand a partially-acked
-        // window, large enough to keep several batches in flight.
-        ScriptedTransport::build(to, vec![Fate::Hold; 64], true, 4)
+        ScriptedTransport::build(to, vec![Fate::Hold; 64], 4)
     }
 
-    fn build(
-        to: Arc<QueueManager>,
-        script: Vec<Fate>,
-        manual: bool,
-        window: usize,
-    ) -> Arc<ScriptedTransport> {
+    fn build(to: Arc<QueueManager>, script: Vec<Fate>, window: usize) -> Arc<ScriptedTransport> {
         Arc::new(ScriptedTransport {
             to,
             state: Mutex::new(NetState {
@@ -129,11 +135,17 @@ impl ScriptedTransport {
                 script: script.into(),
                 submitted: Vec::new(),
             }),
-            changed: Condvar::new(),
+            waker: OnceLock::new(),
             stopped: AtomicBool::new(false),
-            manual,
             window,
         })
+    }
+
+    /// Tells the mover the progress changed; called with no lock held.
+    fn wake(&self) {
+        if let Some(wake) = self.waker.get() {
+            wake();
+        }
     }
 
     /// Delivers and acks every held batch with one coalesced watermark.
@@ -153,7 +165,7 @@ impl ScriptedTransport {
         for (_, msgs) in &drained {
             self.deliver(msgs);
         }
-        self.changed.notify_all();
+        self.wake();
     }
 
     /// Delivers every held batch and keeps the acks back for good: the
@@ -191,27 +203,10 @@ impl Transport for ScriptedTransport {
         self.to.name().to_owned()
     }
 
-    fn wait_ready(&self, _timeout: Duration) -> bool {
-        if self.stopped.load(Ordering::SeqCst) {
-            return false;
-        }
-        // Reconnect instantly: a new epoch, watermark reset, pending
-        // wiped (the old connection's unacked bytes are gone).
-        let mut st = self.state.lock();
-        if !st.connected {
-            st.epoch += 1;
-            st.acked = 0;
-            st.connected = true;
-            st.pending.clear();
-            self.changed.notify_all();
-        }
-        true
-    }
-
     fn shutdown(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.state.lock().connected = false;
-        self.changed.notify_all();
+        self.wake();
     }
 
     fn submit(&self, batch: &[Message], epoch: Option<u64>) -> Result<BatchTicket, SubmitError> {
@@ -230,7 +225,7 @@ impl Transport for ScriptedTransport {
         st.pending.push_back((ticket.seq, batch.to_vec()));
         st.submitted.push(batch.len());
         match st.script.pop_front().unwrap_or(Fate::AckAll) {
-            Fate::Hold => {}
+            Fate::Hold => drop(st),
             Fate::AckAll => {
                 let drained: Vec<_> = st.pending.drain(..).collect();
                 drop(st);
@@ -239,36 +234,28 @@ impl Transport for ScriptedTransport {
                 let landed = drained.iter().all(|(_, msgs)| self.deliver(msgs));
                 let mut st = self.state.lock();
                 if !landed {
-                    st.connected = false;
+                    st.reconnect();
                 } else if let Some(&(last, _)) = drained.last() {
                     st.acked = last;
                 }
-                drop(st);
-                self.changed.notify_all();
-                return Ok(ticket);
             }
             Fate::DeliverThenKill(n) => {
                 let n = (n as usize).min(st.pending.len());
                 let landed: Vec<_> = st.pending.drain(..n).collect();
-                st.pending.clear();
-                st.connected = false;
+                st.reconnect();
                 drop(st);
                 // Landed but never acked: the sender will retransmit
                 // these after reconnect and dedup must absorb them.
                 for (_, msgs) in &landed {
                     self.deliver(msgs);
                 }
-                self.changed.notify_all();
-                return Ok(ticket);
             }
             Fate::Kill => {
-                st.pending.clear();
-                st.connected = false;
+                st.reconnect();
                 drop(st);
-                self.changed.notify_all();
-                return Ok(ticket);
             }
         }
+        self.wake();
         Ok(ticket)
     }
 
@@ -276,29 +263,8 @@ impl Transport for ScriptedTransport {
         ScriptedTransport::snapshot(&self.state.lock())
     }
 
-    fn wait_progress(&self, seen: PipelineProgress, timeout: Duration) -> PipelineProgress {
-        let mut st = self.state.lock();
-        if ScriptedTransport::snapshot(&st) == seen && !self.stopped.load(Ordering::SeqCst) {
-            self.changed.wait_for(&mut st, timeout);
-        }
-        // A held batch's ack eventually arrives: when the mover is still
-        // waiting on unchanged progress, deliver and ack the oldest
-        // pending batch (one per park, so late acks interleave with any
-        // further submits instead of landing all at once).
-        if ScriptedTransport::snapshot(&st) == seen && st.connected && !self.manual {
-            if let Some((seq, msgs)) = st.pending.pop_front() {
-                st.acked = seq;
-                drop(st);
-                self.deliver(&msgs);
-                self.changed.notify_all();
-                return self.progress();
-            }
-        }
-        ScriptedTransport::snapshot(&st)
-    }
-
-    fn poke(&self) {
-        self.changed.notify_all();
+    fn set_waker(&self, waker: Waker) {
+        let _ = self.waker.set(waker);
     }
 
     fn window(&self) -> usize {
@@ -395,9 +361,12 @@ proptest! {
             .unwrap();
         };
         (0..n * 3 / 4).for_each(put);
-        let channel = Channel::connect_transport(&a, "QB", transport).unwrap();
+        let channel = Channel::connect_transport(&a, "QB", transport.clone()).unwrap();
         (n * 3 / 4..n).for_each(put);
         wait_for("all labels delivered", Duration::from_secs(10), || {
+            // A held batch's ack arrives in its own time: one per look, so
+            // late acks interleave with further submits.
+            transport.release_first(1);
             b.queue(DEST_QUEUE).unwrap().depth() as u32 == n
         });
         drop(channel);
@@ -535,6 +504,30 @@ fn a_partial_batch_waits_for_the_ack_of_the_one_in_flight() {
         b.queue(DEST_QUEUE).unwrap().depth() == 2 * FULL + 9
     });
     drop(channel);
+}
+
+/// A sender that crashes with a batch in flight and no ack coming ends its
+/// mover: the crash closes the transmission queue the mover is parked on.
+/// The mover lets go of its transport before anyone stops the channel,
+/// and the stop joins at once.
+#[test]
+fn a_crash_with_a_batch_in_flight_and_no_ack_coming_ends_the_mover() {
+    let a = QueueManager::builder("QA").build().unwrap();
+    let b = QueueManager::builder("QB").build().unwrap();
+    b.create_queue(DEST_QUEUE).unwrap();
+    let transport = ScriptedTransport::held(b.clone());
+    let mut channel = Channel::connect_transport(&a, "QB", transport.clone()).unwrap();
+    a.put_to(&QueueAddress::new("QB", DEST_QUEUE), Message::text("m").build())
+        .unwrap();
+    wait_for("the batch in flight", Duration::from_secs(5), || transport.submitted() == [1]);
+    a.crash();
+    // The test's handle and the channel's are left; the mover's is gone.
+    wait_for("the mover ended", Duration::from_secs(5), || {
+        Arc::strong_count(&transport) == 2
+    });
+    let stopper = std::thread::spawn(move || channel.stop());
+    wait_for("the channel stopped", Duration::from_secs(5), || stopper.is_finished());
+    stopper.join().unwrap();
 }
 
 /// End-to-end over real sockets: a channel pipelines batches to a TCP
@@ -677,7 +670,7 @@ fn a_sender_crash_at_the_cap_fits_the_smallest_dedup_window() {
     let a = sender();
     a.define_route("QB", "SYSTEM.XMIT.QB").unwrap();
     put_labels(&a, 0..resent);
-    let transport = ScriptedTransport::build(b.clone(), vec![Fate::Hold; 64], true, WINDOW);
+    let transport = ScriptedTransport::build(b.clone(), vec![Fate::Hold; 64], WINDOW);
     let channel = Channel::connect_transport(&a, "QB", transport.clone()).unwrap();
     let submitted = |batches: usize| {
         wait_for("batches submitted", Duration::from_secs(10), || {

@@ -203,13 +203,19 @@ struct SchedulerState {
     live: HashMap<TimerId, TimerCallback>,
 }
 
+/// Heap entries a [`DeadlineScheduler`] keeps beyond twice its live ones
+/// before a cancel sweeps the tombstones out.
+const TOMBSTONE_SLACK: usize = 64;
+
 /// The shared deadline facility behind both clock implementations.
 ///
 /// A min-heap of entries ordered by `(deadline, registration)` with lazy
 /// cancellation: [`DeadlineScheduler::cancel`] takes the id and its
 /// callback out of the live map in O(1), so whatever the callback holds is
 /// released at once, and the tombstoned heap entry is discarded when it
-/// surfaces.
+/// surfaces — or, once the heap holds more than twice the live entries
+/// plus a small slack, by the cancel that finds so, which keeps only the
+/// live ones (amortized O(1) per cancel).
 /// [`SimClock`] drains due entries synchronously during `advance`;
 /// [`SystemClock`]'s parked waiter thread drains them as real time passes.
 /// The scheduler's lock is never held while a callback runs, so callbacks
@@ -256,7 +262,13 @@ impl DeadlineScheduler {
     /// released (what it holds may cancel timers of its own as it goes).
     /// Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
-        let callback = self.state.lock().live.remove(&id);
+        let mut state = self.state.lock();
+        let callback = state.live.remove(&id);
+        if state.heap.len() > 2 * state.live.len() + TOMBSTONE_SLACK {
+            let SchedulerState { heap, live } = &mut *state;
+            heap.retain(|Reverse((_, id))| live.contains_key(id));
+        }
+        drop(state);
         callback.is_some()
     }
 
@@ -526,6 +538,28 @@ mod tests {
                 c.fetch_add(1, Ordering::SeqCst);
             }) as TimerCallback
         })
+    }
+
+    /// Timers armed far ahead and cancelled leave tombstones in the heap,
+    /// never more than twice the live entries plus the slack, and the live
+    /// ones still fire.
+    #[test]
+    fn cancelled_timers_leave_a_bounded_heap() {
+        let clock = SimClock::new();
+        let (fired, make) = counter();
+        for at in 1..=100 {
+            clock.schedule_at(Time(at), make());
+        }
+        let far = Time(u64::MAX / 2);
+        for _ in 0..10_000 {
+            let id = clock.schedule_at(far, make());
+            assert!(clock.cancel(id));
+            let heap = clock.scheduler.state.lock().heap.len();
+            assert!(heap <= 2 * clock.pending_timers() + TOMBSTONE_SLACK, "{heap} heap entries");
+        }
+        assert_eq!(clock.pending_timers(), 100);
+        clock.advance(Millis(100));
+        assert_eq!(fired.load(Ordering::SeqCst), 100);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use condmsg::{
     AckKind, Acknowledgment, Condition, ConditionalMessenger, ConditionalReceiver, Destination,
     MessageOutcome, MessageStatus,
 };
-use mq::channel::{Channel, MAX_BATCH, MAX_RELEASED};
+use mq::channel::{Channel, HANDOFF_RETRY, MAX_BATCH, MAX_RELEASED};
 use mq::journal::{Journal, JournalRecord, MemJournal};
 use mq::transport::tcp::{TcpAcceptor, TcpConfig};
 use mq::{
@@ -23,7 +23,7 @@ use mq::{
     QueueManager, TraceStage, Wait, DEAD_LETTER_QUEUE,
 };
 use parking_lot::{Condvar, Mutex};
-use simtime::{Millis, SimClock, Time};
+use simtime::{Millis, SharedClock, SimClock, SystemClock, Time};
 
 fn world() -> (Arc<MemJournal>, Arc<QueueManager>) {
     let (_, journal, qmgr) = timed_world();
@@ -770,9 +770,15 @@ type BehindAPartition = (
 /// `QM.HEAD`, on a journal the test can fail, with `MAX_RELEASED`
 /// persistent envelopes for `QM.TAIL` queued behind a partitioned loopback
 /// TCP channel; healing `QM.TAIL`'s acceptor lets them go. The channel
-/// and the tail are returned to keep them alive.
+/// and the tail are returned to keep them alive. Both managers run on the
+/// system clock, so a refused handoff is tried again every
+/// `HANDOFF_RETRY` of real time.
 fn envelopes_behind_a_partition(config: ManagerConfig) -> BehindAPartition {
-    let clock = SimClock::new();
+    envelopes_behind_a_partition_on(SystemClock::new(), config)
+}
+
+/// [`envelopes_behind_a_partition`] on `clock`.
+fn envelopes_behind_a_partition_on(clock: SharedClock, config: ManagerConfig) -> BehindAPartition {
     let journal = MemJournal::new();
     let head = QueueManager::builder("QM.HEAD")
         .clock(clock.clone())
@@ -874,6 +880,36 @@ fn a_refused_handoff_is_not_sent_again_while_the_journal_fails() {
     assert_eq!(head.queue(DEAD_LETTER_QUEUE).unwrap().depth(), 0);
     journal.set_failing(false);
     wait_for("the list to empty", &|| head.stats().released.get() == 0);
+    assert_eq!(tail.queue("Q.IN").unwrap().depth(), MAX_RELEASED, "each delivered once");
+}
+
+#[test]
+fn a_refused_handoff_is_tried_again_only_once_its_retry_is_due_on_the_managers_clock() {
+    // The same refused handoff at the cap, on a simulated clock: the mover
+    // parks with one timer, at the refusal's retry deadline, and tries the
+    // record again once the clock passes it, exactly once per deadline.
+    let clock = SimClock::new();
+    let (head, journal, tail, _channel, acceptor) =
+        envelopes_behind_a_partition_on(clock.clone(), ManagerConfig::default());
+    journal.set_failing(true);
+    let tried = appends_tried(&head);
+    acceptor.apply_fault(FaultAction::Heal).unwrap();
+    let parked_after = |tries: u64| {
+        wait_for("the mover parked on its retry", &|| {
+            appends_tried(&head) == tried + tries && clock.pending_timers() == 1
+        });
+    };
+    parked_after(1);
+    clock.advance(HANDOFF_RETRY.saturating_sub(Millis(1)));
+    assert_eq!(appends_tried(&head), tried + 1, "a ms short of the retry");
+    clock.advance(Millis(1));
+    parked_after(2);
+    assert_eq!(appends_tried(&head), tried + 2, "tried exactly once");
+    assert_eq!(head.stats().released.get(), (MAX_RELEASED - MAX_BATCH) as u64);
+    journal.set_failing(false);
+    clock.advance(HANDOFF_RETRY);
+    wait_for("the list to empty", &|| head.stats().released.get() == 0);
+    assert_eq!(appends_tried(&head), tried + 3);
     assert_eq!(tail.queue("Q.IN").unwrap().depth(), MAX_RELEASED, "each delivered once");
 }
 

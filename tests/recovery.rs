@@ -574,6 +574,75 @@ fn a_checkpoint_taken_inside_an_arrivals_commit_keeps_its_dedup_key() {
 }
 
 #[test]
+fn an_ack_resent_to_a_restarted_head_decides_nothing_again() {
+    // Over TCP: the tail's read-ack reaches the head in a transport batch,
+    // and the messenger, DS.ACK.Q's standing claimant, consumes it: the
+    // arrival's record is the verdict and holds no key of the ack. The
+    // batch's transport ack is dropped and the head crashes and restarts,
+    // so the tail sends the ack again, and the restarted head's dedup
+    // window, which has no key for it, accepts it. The messenger meets an
+    // ack for a decided message and applies nothing: one outcome, one
+    // verdict, and once the outcome is taken the protocol's queues are
+    // empty.
+    let clock: SharedClock = SimClock::new();
+    let head_journal = MemJournal::new();
+    let build_head = || {
+        QueueManager::builder("QM.HEAD")
+            .clock(clock.clone())
+            .journal(head_journal.clone())
+            .build()
+            .unwrap()
+    };
+    let head = build_head();
+    let tail = QueueManager::builder("QM.TAIL").clock(clock.clone()).build().unwrap();
+    tail.ensure_queue("Q.IN").unwrap();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    let _out = connect(&head, &tail, false);
+    let (back, head_acceptor) = connect(&tail, &head, false);
+    // The way back is up before the head refuses new connections: the ack
+    // takes it, and once it is dropped the tail cannot reconnect before
+    // the crash.
+    wait_until("the way back", &|| {
+        tail.metrics_snapshot().counter("mq.transport.connects") == 1
+    });
+    head_acceptor.inject_drop_before_ack(1);
+    head_acceptor.set_paused(true);
+    let condition: Condition = Destination::queue("QM.TAIL", "Q.IN")
+        .pickup_within(Millis(60_000))
+        .into();
+    let id = messenger.send_message("once", &condition).unwrap();
+    wait_until("the original", &|| tail.queue("Q.IN").unwrap().depth() == 1);
+    let mut receiver = ConditionalReceiver::new(tail.clone()).unwrap();
+    receiver.read_message("Q.IN", Wait::NoWait).unwrap().expect("the original");
+    wait_until("the verdict", &|| matches!(messenger.status(id), MessageStatus::Decided(_)));
+    assert_eq!(head.metrics_snapshot().counter("cond.verdict.success"), 1);
+    head.crash();
+    drop((messenger, back, head_acceptor));
+    assert_eq!(tail.queue("SYSTEM.XMIT.QM.HEAD").unwrap().depth(), 1, "the ack, unacknowledged");
+
+    let head = build_head();
+    let messenger = ConditionalMessenger::new(head.clone()).unwrap();
+    assert_eq!(head.queue("DS.OUTCOME.Q").unwrap().depth(), 1, "the verdict's notification");
+    let _back = connect(&tail, &head, false);
+    wait_until("the resend", &|| {
+        head.metrics_snapshot().counter("mq.transport.messages_received") == 1
+            && tail.queue("SYSTEM.XMIT.QM.HEAD").unwrap().depth() == 0
+    });
+    let snap = head.metrics_snapshot();
+    assert_eq!(snap.counter("mq.relay.duplicates"), 0, "the ack's key is live-only");
+    let verdicts = ["success", "failure", "fused", "timeout"]
+        .map(|v| snap.counter(&format!("cond.verdict.{v}")));
+    assert_eq!(verdicts, [0; 4], "nothing decided again");
+    assert_eq!(head.queue("DS.OUTCOME.Q").unwrap().depth(), 1, "one outcome");
+    let outcome = messenger.take_outcome(id, Wait::NoWait).unwrap().expect("verdict");
+    assert_eq!(outcome.outcome, MessageOutcome::Success);
+    assert_eq!(messenger.status(id), MessageStatus::Unknown, "one outcome, taken");
+    for queue in ["DS.OUTCOME.Q", "DS.COMP.Q", "DS.SLOG.Q", "DS.ACK.Q"] {
+        assert_eq!(head.queue(queue).unwrap().depth(), 0, "{queue}");
+    }
+}
+
+#[test]
 fn receiver_crash_between_tx_read_and_commit_redelivers() {
     let clock = SimClock::new();
     let journal = MemJournal::new();
